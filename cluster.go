@@ -53,13 +53,9 @@ type Cluster struct {
 
 // OpenCluster builds a scale-out deployment.
 func OpenCluster(cfg ClusterConfig) (*Cluster, error) {
-	members := make([]core.ServerConfig, len(cfg.Members))
-	for i, s := range cfg.Members {
-		members[i] = toCoreServer(s)
-	}
 	c, err := core.NewCluster(core.ClusterConfig{
 		Authority:     cfg.Authority,
-		Members:       members,
+		Members:       cfg.Members,
 		VirtualNodes:  cfg.VirtualNodes,
 		Clock:         cfg.Clock,
 		TokenKey:      cfg.TokenKey,
@@ -97,7 +93,7 @@ func (c *Cluster) Placements() map[string]int { return c.inner.Placements() }
 
 // AddServer grows the cluster by one member, migrating the paths the ring
 // reassigns to it while commits continue.
-func (c *Cluster) AddServer(sc ServerConfig) error { return c.inner.AddServer(toCoreServer(sc)) }
+func (c *Cluster) AddServer(sc ServerConfig) error { return c.inner.AddServer(sc) }
 
 // RemoveServer drains a member gracefully and shuts its stack down.
 func (c *Cluster) RemoveServer(id string) error { return c.inner.RemoveServer(id) }

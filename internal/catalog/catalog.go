@@ -9,26 +9,21 @@
 // On-disk layout (all files live in the chunkdisk root, next to the ab/cdef
 // blob fan-out, which only uses two-character subdirectories):
 //
-//	catalog.snap      last snapshot checkpoint (atomic temp+rename)
-//	catalog.snap.tmp  in-flight snapshot (removed on open if stranded)
+//	catalog.snap      last snapshot checkpoint (seglog atomic replace)
 //	catalog.log       records appended since the snapshot
-//	catalog.torn      quarantined torn tail of the log (last crash's evidence)
+//	catalog.torn      quarantined torn tails of the log (crash evidence)
 //
-// Record framing is uniform across the log and the snapshot body:
-//
-//	uint32 payload length | uint32 CRC-32 (IEEE) of payload | payload
-//
-// and every payload starts with a monotonic sequence number. The snapshot
-// header carries the sequence it covers, so a crash between "rename snapshot"
-// and "truncate log" is harmless: replay skips log records whose sequence the
+// The log and the snapshot body are streams of seglog frames (framing,
+// torn-tail repair and the atomic replace live in internal/seglog), and every
+// payload starts with a monotonic sequence number. The snapshot header
+// carries the sequence it covers, so a crash between "rename snapshot" and
+// "truncate log" is harmless: replay skips log records whose sequence the
 // snapshot already includes (and record application is idempotent besides).
 //
-// Torn tails are expected, not fatal: under the default fsync policy appends
-// are not synced record-by-record (matching the blob store, which also
-// relies on the OS to flush), so a crash can leave a half-written final
-// record. Open recovers the longest valid prefix, quarantines the invalid
-// suffix to catalog.torn, and truncates the log so new appends never
-// interleave with garbage. Only the records at risk are the ones after the
+// Under the default fsync policy appends are not synced record-by-record
+// (matching the blob store, which also relies on the OS to flush), so a crash
+// can leave a half-written final record; Open keeps the longest valid prefix
+// and quarantines the rest. Only the records at risk are the ones after the
 // last flush — earlier versions are never lost. Config.Fsync tightens the
 // window: "always" flushes every append inline, "group" coalesces concurrent
 // committers behind shared flushes at the Sync barrier (internal/fsyncer).
@@ -46,7 +41,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -57,14 +51,14 @@ import (
 	"datalinks/internal/extent"
 	"datalinks/internal/fsyncer"
 	"datalinks/internal/metrics"
+	"datalinks/internal/seglog"
 )
 
 // File names within the store directory.
 const (
-	logName     = "catalog.log"
-	snapName    = "catalog.snap"
-	snapTmpName = "catalog.snap.tmp"
-	tornName    = "catalog.torn"
+	logName  = "catalog.log"
+	snapName = "catalog.snap"
+	tornName = "catalog.torn"
 )
 
 // snapMagic identifies a snapshot file (8 bytes: format name + version).
@@ -80,10 +74,6 @@ const (
 	kindTruncate = 2 // point-in-time truncate: keep only the first N versions
 	kindDrop     = 3 // whole history discarded (unlink)
 )
-
-// maxRecordBytes bounds a single record (sanity check while scanning: a
-// corrupted length prefix must not allocate gigabytes).
-const maxRecordBytes = 64 << 20
 
 // Mod is one changed slot of a delta manifest.
 type Mod struct {
@@ -169,7 +159,7 @@ func Open(dir string, cfg Config) (*Catalog, error) {
 	}
 	// A crash mid-snapshot strands the temp file; the renamed snapshot (or
 	// its absence) is the truth.
-	os.Remove(filepath.Join(dir, snapTmpName))
+	os.Remove(filepath.Join(dir, snapName+seglog.TmpSuffix))
 
 	c := &Catalog{dir: dir, compactAt: compactAt, files: make(map[string]*history)}
 	snapSeq, err := c.loadSnapshot()
@@ -177,7 +167,7 @@ func Open(dir string, cfg Config) (*Catalog, error) {
 		return nil, err
 	}
 	c.seq = snapSeq
-	if err := c.loadLog(snapSeq); err != nil {
+	if err := c.loadLog(snapSeq, cfg.Fsync != fsyncer.PolicyNone); err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(c.path(logName), os.O_CREATE|os.O_WRONLY, 0o644)
@@ -241,7 +231,7 @@ func (c *Catalog) loadSnapshot() (uint64, error) {
 	seq := binary.LittleEndian.Uint64(data[8:16])
 	rest := data[16:]
 	for len(rest) > 0 {
-		payload, n, ok := nextRecord(rest)
+		payload, n, ok := seglog.NextFrame(rest)
 		if !ok {
 			return 0, fmt.Errorf("catalog: snapshot body corrupted")
 		}
@@ -255,47 +245,39 @@ func (c *Catalog) loadSnapshot() (uint64, error) {
 }
 
 // loadLog applies log records with sequence > snapSeq, recovering the longest
-// valid prefix: the first framing/checksum/decode failure ends the scan, the
-// invalid suffix is quarantined to catalog.torn, and the log file is
-// truncated to the valid prefix.
-func (c *Catalog) loadLog(snapSeq uint64) error {
+// valid prefix: the first framing/checksum/decode failure ends the scan and
+// the invalid suffix is quarantined to catalog.torn.
+func (c *Catalog) loadLog(snapSeq uint64, syncing bool) error {
 	data, err := os.ReadFile(c.path(logName))
 	if errors.Is(err, os.ErrNotExist) {
-		c.logBytes = 0
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
-	valid := int64(0)
-	rest := data
-	for len(rest) > 0 {
-		payload, n, ok := nextRecord(rest)
+	valid := seglog.ValidPrefix(data, func(rest []byte) (int, bool) {
+		payload, n, ok := seglog.NextFrame(rest)
 		if !ok {
-			break
+			return 0, false
 		}
+		// A record that frames and checksums but does not decode is as torn
+		// as a bad checksum: quarantine from here.
 		seq, perr := c.applySeq(payload, snapSeq)
 		if perr != nil {
-			// A record that frames and checksums but does not decode is as
-			// torn as a bad checksum: quarantine from here.
-			break
+			return 0, false
 		}
 		if seq > c.seq {
 			c.seq = seq
 		}
-		valid += int64(n)
-		rest = rest[n:]
-	}
-	if torn := int64(len(data)) - valid; torn > 0 {
-		if err := os.WriteFile(c.path(tornName), data[valid:], 0o644); err != nil {
-			return fmt.Errorf("catalog: quarantining torn tail: %w", err)
+		return n, true
+	})
+	if torn := len(data) - valid; torn > 0 {
+		if err := seglog.RepairTail(c.path(logName), data, valid, c.path(tornName), syncing); err != nil {
+			return fmt.Errorf("catalog: %w", err)
 		}
-		if err := os.Truncate(c.path(logName), valid); err != nil {
-			return fmt.Errorf("catalog: truncating torn tail: %w", err)
-		}
-		c.stats.TornBytes = torn
+		c.stats.TornBytes = int64(torn)
 	}
-	c.logBytes = valid
+	c.logBytes = int64(valid)
 	return nil
 }
 
@@ -317,23 +299,6 @@ func (c *Catalog) applySeq(payload []byte, snapSeq uint64) (uint64, error) {
 	}
 	c.stats.LogRecords++
 	return seq, nil
-}
-
-// nextRecord frames one record off buf: payload, total bytes consumed, ok.
-func nextRecord(buf []byte) (payload []byte, n int, ok bool) {
-	if len(buf) < 8 {
-		return nil, 0, false
-	}
-	plen := binary.LittleEndian.Uint32(buf[0:4])
-	sum := binary.LittleEndian.Uint32(buf[4:8])
-	if plen == 0 || plen > maxRecordBytes || int64(len(buf)) < 8+int64(plen) {
-		return nil, 0, false
-	}
-	payload = buf[8 : 8+plen]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, 0, false
-	}
-	return payload, 8 + int(plen), true
 }
 
 // apply decodes one payload and updates the shadow. Every payload — snapshot
@@ -359,7 +324,7 @@ func (c *Catalog) apply(payload []byte) error {
 		}
 		r.IsFull = d.byte() == 1
 		n := int(d.uvarint())
-		if d.err == nil && n > maxRecordBytes/len(extent.Hash{}) {
+		if d.err == nil && n > seglog.MaxRecordBytes/len(extent.Hash{}) {
 			return fmt.Errorf("catalog: absurd manifest length %d", n)
 		}
 		if r.IsFull {
@@ -530,10 +495,7 @@ func (c *Catalog) trimLocked(key string, keep int) {
 // if even the rewind fails, replay's torn-tail quarantine covers it. Under
 // the always policy the record is flushed before the append returns.
 func (c *Catalog) appendLocked(payload []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	buf := append(hdr[:], payload...)
+	buf := seglog.AppendFrame(nil, payload)
 	if _, err := c.log.Write(buf); err != nil {
 		_ = c.log.Truncate(c.logBytes)
 		_, _ = c.log.Seek(c.logBytes, io.SeekStart)
@@ -600,30 +562,15 @@ func (c *Catalog) compactLocked() error {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var frame [8]byte
 	for _, k := range keys {
 		for _, r := range c.files[k].puts {
-			payload := encodePut(0, r) // snapshot records carry sequence 0
-			binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-			binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-			buf = append(buf, frame[:]...)
-			buf = append(buf, payload...)
+			buf = seglog.AppendFrame(buf, encodePut(0, r)) // snapshot records carry sequence 0
 		}
 	}
-	tmp := c.path(snapTmpName)
-	if err := c.writeSnapFile(tmp, buf); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, c.path(snapName)); err != nil {
-		os.Remove(tmp)
+	// Under policies that sync, the snapshot and its rename are made durable
+	// before the log they replace is truncated.
+	if _, err := seglog.ReplaceFile(c.path(snapName), buf, c.sync.Policy() != fsyncer.PolicyNone); err != nil {
 		return fmt.Errorf("catalog: %w", err)
-	}
-	if c.sync.Policy() != fsyncer.PolicyNone {
-		// Persist the rename itself before truncating the log it replaces —
-		// POSIX does not make a rename durable without a directory fsync.
-		if err := syncDir(c.dir); err != nil {
-			return fmt.Errorf("catalog: %w", err)
-		}
 	}
 	// The snapshot covers every sequence up to c.seq; the log restarts empty.
 	if err := c.log.Truncate(0); err != nil {
@@ -634,44 +581,6 @@ func (c *Catalog) compactLocked() error {
 	}
 	c.logBytes = 0
 	return nil
-}
-
-// writeSnapFile persists the snapshot bytes, fdatasyncing them first under
-// policies that sync — the snapshot is about to replace the log's contents,
-// so it must not be more volatile than what it replaces.
-func (c *Catalog) writeSnapFile(tmp string, buf []byte) error {
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("catalog: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("catalog: %w", err)
-	}
-	if c.sync.Policy() != fsyncer.PolicyNone {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("catalog: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("catalog: %w", err)
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory so a rename within it survives a power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	d.Close()
-	return serr
 }
 
 // Close flushes nothing (appends are unbuffered) and closes the log handle.

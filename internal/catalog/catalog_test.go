@@ -401,3 +401,43 @@ func TestFsyncPolicies(t *testing.T) {
 		})
 	}
 }
+
+// TestSecondTearKeepsFirstTearsEvidence: the quarantine file is appended to,
+// never overwritten — after two crashes it holds both torn suffixes in order,
+// while TornBytes reports the latest repair only.
+func TestSecondTearKeepsFirstTearsEvidence(t *testing.T) {
+	dir := t.TempDir()
+	k := "fs1\x00/f"
+	logPath := filepath.Join(dir, logName)
+	var evidence []byte
+	for round, cut := range []int64{5, 9} {
+		c := mustOpen(t, dir)
+		for v := int64(0); v < 2; v++ {
+			if err := c.AppendPut(putRec(k, int64(2*round)+v, false)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Close()
+		whole, err := os.ReadFile(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(logPath, int64(len(whole))-cut); err != nil {
+			t.Fatal(err)
+		}
+		c = mustOpen(t, dir)
+		torn := c.Stats().TornBytes
+		if torn <= 0 || torn >= int64(len(whole)) {
+			t.Fatalf("round %d: torn bytes = %d", round, torn)
+		}
+		if got := len(c.History(k)); got != round+1 {
+			t.Fatalf("round %d: %d versions survived, want %d", round, got, round+1)
+		}
+		c.Close()
+		start := int64(len(whole)) - cut - torn
+		evidence = append(evidence, whole[start:int64(len(whole))-cut]...)
+		if got, err := os.ReadFile(filepath.Join(dir, tornName)); err != nil || !bytes.Equal(got, evidence) {
+			t.Fatalf("round %d: quarantine holds %d bytes (%v), want both tears' %d in order", round, len(got), err, len(evidence))
+		}
+	}
+}

@@ -49,6 +49,7 @@ import (
 	"datalinks/internal/extent"
 	"datalinks/internal/fsyncer"
 	"datalinks/internal/metrics"
+	"datalinks/internal/seglog"
 )
 
 // shardCount must be a power of two. The LRU budget is split evenly across
@@ -217,22 +218,6 @@ func (s *Store) countFsync() {
 	s.ctrInc(s.mFsyncs)
 }
 
-// syncDir fsyncs a directory: POSIX does not persist freshly created or
-// renamed entries across a power loss without it, so under policies that
-// sync, every new file's parent gets one.
-func (s *Store) syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	d.Close()
-	if serr == nil {
-		s.countFsync()
-	}
-	return serr
-}
-
 // Open returns a store over cfg.Dir, creating the directory if needed. Blob
 // files already present (a previous process's store) are adopted as dead:
 // nothing references them yet, so the first sweep reclaims whatever the new
@@ -336,15 +321,7 @@ func (s *Store) adoptExisting() error {
 		return fmt.Errorf("chunkdisk: %w", err)
 	}
 	for _, sub := range subdirs {
-		if !sub.IsDir() {
-			// A crash between CreateTemp and Rename strands a tmp-* file at
-			// the root; nothing will ever reference it, so reclaim it now.
-			if len(sub.Name()) >= 4 && sub.Name()[:4] == "tmp-" {
-				os.Remove(filepath.Join(s.dir, sub.Name()))
-			}
-			continue
-		}
-		if len(sub.Name()) != 2 {
+		if !sub.IsDir() || len(sub.Name()) != 2 {
 			continue
 		}
 		files, err := os.ReadDir(filepath.Join(s.dir, sub.Name()))
@@ -352,6 +329,12 @@ func (s *Store) adoptExisting() error {
 			return fmt.Errorf("chunkdisk: %w", err)
 		}
 		for _, fi := range files {
+			if strings.HasSuffix(fi.Name(), seglog.TmpSuffix) {
+				// A crash mid-writeBlob strands its temp file; nothing will
+				// ever reference it, so reclaim it now.
+				os.Remove(filepath.Join(s.dir, sub.Name(), fi.Name()))
+				continue
+			}
 			name, compressed := strings.CutSuffix(fi.Name(), ".z")
 			raw, err := hex.DecodeString(sub.Name() + name)
 			if err != nil || len(raw) != len(extent.Hash{}) {
@@ -514,7 +497,7 @@ func inflate(data []byte) ([]byte, error) {
 	return out, err
 }
 
-// writeBlob persists data atomically (temp file + rename). Under policies
+// writeBlob persists data atomically (seglog.ReplaceFile). Under policies
 // that sync, the data is fdatasynced before the rename — a loose blob lives
 // in its own file, so group commit has nothing to coalesce and both group
 // and always flush inline here.
@@ -522,41 +505,19 @@ func (s *Store) writeBlob(dst string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return fmt.Errorf("chunkdisk: %w", err)
 	}
-	tmp, err := os.CreateTemp(s.dir, "tmp-*")
+	syncing := s.sync.Policy() != fsyncer.PolicyNone
+	fsyncs, err := seglog.ReplaceFile(dst, data, syncing)
+	if err == nil && syncing {
+		// A possibly fresh fan-out subdir must survive a power loss too: sync
+		// the root for the subdir's own entry.
+		if err = seglog.SyncDir(s.dir); err == nil {
+			fsyncs++
+		}
+	}
+	s.fsyncs.Add(int64(fsyncs))
+	s.ctrAdd(s.mFsyncs, int64(fsyncs))
 	if err != nil {
 		return fmt.Errorf("chunkdisk: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("chunkdisk: %w", err)
-	}
-	if s.sync.Policy() != fsyncer.PolicyNone {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return fmt.Errorf("chunkdisk: %w", err)
-		}
-		s.countFsync()
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("chunkdisk: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("chunkdisk: %w", err)
-	}
-	if s.sync.Policy() != fsyncer.PolicyNone {
-		// The rename (and a possibly fresh fan-out subdir) must survive a
-		// power loss too: sync the parent, then the root for the subdir's
-		// own entry.
-		if err := s.syncDir(filepath.Dir(dst)); err != nil {
-			return fmt.Errorf("chunkdisk: %w", err)
-		}
-		if err := s.syncDir(s.dir); err != nil {
-			return fmt.Errorf("chunkdisk: %w", err)
-		}
 	}
 	s.filesCreated.Add(1)
 	return nil

@@ -10,7 +10,7 @@ package chunkdisk
 // fan-out. A pack starts with an 8-byte magic and then holds self-framing
 // records:
 //
-//	uint32 dataLen | uint32 logicalLen | uint32 CRC-32(hash‖flags‖data)
+//	uint32 dataLen | uint32 logicalLen | uint32 CRC-32(lengths‖hash‖flags‖data)
 //	| hash [32] | flags [1] | data [dataLen]
 //
 // flags bit0 marks flate-compressed data (logicalLen is the uncompressed
@@ -18,8 +18,9 @@ package chunkdisk
 // page-in exactly like loose blobs). There is no separate index file: the
 // in-memory index (shard onDisk maps pointing at pack/offset) is rebuilt by
 // scanning the packs on open. A crash mid-append leaves a torn final record;
-// open quarantines the invalid suffix to pack-<seq>.torn and truncates the
-// pack to its longest valid prefix — the catalog.torn recipe.
+// open keeps the longest valid prefix and quarantines the rest to
+// pack-<seq>.pk.torn (internal/seglog owns the scan-and-repair and the
+// numbered-file naming).
 //
 // One pack is ACTIVE (receiving appends) at a time; at PackTargetBytes it is
 // sealed (fsynced under policies that sync, then closed) and a new one
@@ -37,14 +38,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"datalinks/internal/extent"
 	"datalinks/internal/fsyncer"
+	"datalinks/internal/seglog"
 )
 
 // Pack tuning defaults (Config overrides).
@@ -65,9 +64,6 @@ var packMagic = [8]byte{'D', 'L', 'P', 'A', 'C', 'K', '0', '1'}
 const (
 	packRecHdrLen = 4 + 4 + 4 // dataLen | logicalLen | crc
 	packRecMeta   = 32 + 1    // hash | flags
-	// packMaxRecordBytes bounds one record while scanning (a corrupted
-	// length prefix must not be trusted).
-	packMaxRecordBytes = 64 << 20
 
 	packFlagCompressed = 1
 )
@@ -95,7 +91,7 @@ func (pm *packMeta) garbage() float64 {
 // packSet owns every packfile of one store.
 type packSet struct {
 	s      *Store
-	dir    string
+	files  seglog.Segments
 	target int64
 	ratio  float64
 
@@ -125,26 +121,8 @@ func newPackSet(s *Store, dir string, target int64, ratio float64) *packSet {
 	if ratio <= 0 || ratio >= 1 {
 		ratio = DefaultPackGarbageRatio
 	}
-	return &packSet{s: s, dir: dir, target: target, ratio: ratio, packs: make(map[int64]*packMeta), nextSeq: 1}
-}
-
-func packName(seq int64) string { return fmt.Sprintf("pack-%08d.pk", seq) }
-
-// parsePackName extracts the sequence from a pack file name.
-func parsePackName(name string) (int64, bool) {
-	rest, ok := strings.CutPrefix(name, "pack-")
-	if !ok {
-		return 0, false
-	}
-	rest, ok = strings.CutSuffix(rest, ".pk")
-	if !ok {
-		return 0, false
-	}
-	seq, err := strconv.ParseInt(rest, 10, 64)
-	if err != nil || seq <= 0 {
-		return 0, false
-	}
-	return seq, true
+	files := seglog.Segments{Dir: dir, Prefix: "pack-", Suffix: ".pk", Width: 8}
+	return &packSet{s: s, files: files, target: target, ratio: ratio, packs: make(map[int64]*packMeta), nextSeq: 1}
 }
 
 // recordCRC checksums everything in a frame except the CRC field itself
@@ -179,7 +157,7 @@ func parseRecord(buf []byte) (h extent.Hash, data []byte, logical int64, compres
 	dataLen := binary.LittleEndian.Uint32(buf[0:4])
 	logical = int64(binary.LittleEndian.Uint32(buf[4:8]))
 	sum := binary.LittleEndian.Uint32(buf[8:12])
-	if dataLen > packMaxRecordBytes || len(buf) < packRecHdrLen+packRecMeta+int(dataLen) {
+	if dataLen > seglog.MaxRecordBytes || len(buf) < packRecHdrLen+packRecMeta+int(dataLen) {
 		return h, nil, 0, false, 0, false
 	}
 	n = packRecHdrLen + packRecMeta + int(dataLen)
@@ -237,28 +215,16 @@ func (ps *packSet) append(h extent.Hash, data []byte, logical int64, compressed 
 // openActiveLocked starts a fresh pack file. Caller holds ps.mu.
 func (ps *packSet) openActiveLocked() error {
 	seq := ps.nextSeq
-	path := filepath.Join(ps.dir, packName(seq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+	syncing := ps.s.sync.Policy() != fsyncer.PolicyNone
+	f, err := ps.files.Create(uint64(seq), packMagic[:], syncing)
 	if err != nil {
 		return fmt.Errorf("chunkdisk: pack create: %w", err)
 	}
-	if _, err := f.WriteAt(packMagic[:], 0); err != nil {
-		f.Close()
-		os.Remove(path)
-		return fmt.Errorf("chunkdisk: pack header: %w", err)
-	}
-	if ps.s.sync.Policy() != fsyncer.PolicyNone {
-		// The new pack's directory entry must survive a power loss — without
-		// this, a crash can vanish the whole file after its appends were
-		// acknowledged.
-		if err := ps.s.syncDir(ps.dir); err != nil {
-			f.Close()
-			os.Remove(path)
-			return fmt.Errorf("chunkdisk: pack dir sync: %w", err)
-		}
+	if syncing {
+		ps.s.countFsync() // Create's directory fsync
 	}
 	ps.nextSeq++
-	pm := &packMeta{seq: seq, path: path, size: int64(len(packMagic))}
+	pm := &packMeta{seq: seq, path: ps.files.Path(uint64(seq)), size: int64(len(packMagic))}
 	ps.packs[seq] = pm
 	ps.active = f
 	ps.activePM = pm
@@ -467,90 +433,70 @@ func (ps *packSet) close(clean bool) error {
 // adoptPacks indexes the packfiles a previous process left in the directory,
 // truncating torn tails. Runs during Open, before any concurrency.
 func (s *Store) adoptPacks() error {
-	entries, err := os.ReadDir(s.dir)
+	seqs, err := s.packs.files.List()
 	if err != nil {
 		return fmt.Errorf("chunkdisk: %w", err)
 	}
-	maxSeq := int64(0)
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		seq, ok := parsePackName(e.Name())
-		if !ok {
-			continue
-		}
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-		if err := s.adoptOnePack(filepath.Join(s.dir, e.Name()), seq); err != nil {
+	for _, seq := range seqs {
+		if err := s.adoptOnePack(s.packs.files.Path(seq), int64(seq)); err != nil {
 			return err
 		}
-	}
-	if s.packs != nil && maxSeq >= s.packs.nextSeq {
-		s.packs.nextSeq = maxSeq + 1
+		s.packs.nextSeq = int64(seq) + 1
 	}
 	return nil
 }
 
 // adoptOnePack scans one packfile, indexing every valid record as dead
 // (Claim or a re-Put revives it, exactly like loose adoption) and
-// quarantining+truncating a torn tail.
+// quarantining a torn tail — or the whole file, when it does not start with
+// the pack magic: never guess at, or delete, bytes that might matter.
 func (s *Store) adoptOnePack(path string, seq int64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("chunkdisk: %w", err)
 	}
-	if len(data) < len(packMagic) || [8]byte(data[:8]) != packMagic {
-		// Not a pack we understand: quarantine the whole file rather than
-		// guessing (never delete bytes that might matter).
-		s.packTornBytes.Add(int64(len(data)))
-		if err := os.Rename(path, path+".torn"); err != nil {
-			return fmt.Errorf("chunkdisk: quarantining foreign pack: %w", err)
-		}
-		return nil
-	}
 	pm := &packMeta{seq: seq, path: path, sealed: true}
-	off := int64(len(packMagic))
-	for off < int64(len(data)) {
-		h, payload, logical, compressed, n, ok := parseRecord(data[off:])
-		if !ok {
-			break
-		}
-		recOff := off + packRecHdrLen + packRecMeta
-		sh := s.shardFor(h)
-		sh.mu.Lock()
-		if _, dup := sh.onDisk[h]; dup {
-			// The hash is already indexed (an earlier record, or a loose
-			// file): this record's bytes are dead space from the start.
-			pm.dead += int64(len(payload))
-			sh.mu.Unlock()
-			off += int64(n)
-			continue
-		}
-		sh.onDisk[h] = diskMeta{size: int64(len(payload)), logical: logical, compressed: compressed, pack: seq, off: recOff}
-		sh.dead[h] = struct{}{}
-		sh.mu.Unlock()
-		s.diskBlobs.Add(1)
-		s.diskBytes.Add(int64(len(payload)))
-		s.diskLogical.Add(logical)
-		s.deadBlobs.Add(1)
-		pm.live += int64(len(payload))
-		pm.blobs++
-		off += int64(n)
+	valid := 0
+	if len(data) >= len(packMagic) && [8]byte(data[:8]) == packMagic {
+		valid = len(packMagic) + seglog.ValidPrefix(data[len(packMagic):], func(rest []byte) (int, bool) {
+			h, payload, logical, compressed, n, ok := parseRecord(rest)
+			if !ok {
+				return 0, false
+			}
+			off := int64(len(data)-len(rest)) + packRecHdrLen + packRecMeta
+			sh := s.shardFor(h)
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			if _, dup := sh.onDisk[h]; dup {
+				// The hash is already indexed (an earlier record, or a loose
+				// file): this record's bytes are dead space from the start.
+				pm.dead += int64(len(payload))
+				return n, true
+			}
+			sh.onDisk[h] = diskMeta{size: int64(len(payload)), logical: logical, compressed: compressed, pack: seq, off: off}
+			sh.dead[h] = struct{}{}
+			s.diskBlobs.Add(1)
+			s.diskBytes.Add(int64(len(payload)))
+			s.diskLogical.Add(logical)
+			s.deadBlobs.Add(1)
+			pm.live += int64(len(payload))
+			pm.blobs++
+			return n, true
+		})
 	}
-	if torn := int64(len(data)) - off; torn > 0 {
-		// The crash's evidence is preserved, the pack recovers its longest
-		// valid prefix — the catalog.torn recipe.
-		if err := os.WriteFile(path+".torn", data[off:], 0o644); err != nil {
-			return fmt.Errorf("chunkdisk: quarantining torn pack tail: %w", err)
+	if torn := len(data) - valid; torn > 0 || valid == 0 {
+		// Open-time repair flushes are not metered: Stats.Fsyncs prices the
+		// write path.
+		syncing := s.sync.Policy() != fsyncer.PolicyNone
+		if err := seglog.RepairTail(path, data, valid, path+".torn", syncing); err != nil {
+			return fmt.Errorf("chunkdisk: pack %d: %w", seq, err)
 		}
-		if err := os.Truncate(path, off); err != nil {
-			return fmt.Errorf("chunkdisk: truncating torn pack tail: %w", err)
-		}
-		s.packTornBytes.Add(torn)
+		s.packTornBytes.Add(int64(torn))
 	}
-	pm.size = off
+	if valid == 0 {
+		return nil // not a pack: the file is gone, its bytes quarantined
+	}
+	pm.size = int64(valid)
 	s.packs.packs[seq] = pm
 	s.packFiles.Add(1)
 	s.packDeadBytes.Add(pm.dead)

@@ -22,7 +22,7 @@ func packFilesOnDisk(t *testing.T, dir string) []string {
 	}
 	var out []string
 	for _, e := range entries {
-		if _, ok := parsePackName(e.Name()); ok {
+		if strings.HasPrefix(e.Name(), "pack-") && strings.HasSuffix(e.Name(), ".pk") {
 			out = append(out, e.Name())
 		}
 	}
@@ -204,6 +204,49 @@ func TestPackTornTailEveryByteBoundary(t *testing.T) {
 			t.Fatalf("cut=%d: post-recovery put diverged", cut)
 		}
 		s2.Close()
+	}
+}
+
+// TestPackSecondTearKeepsFirstTearsEvidence: pack-<seq>.pk.torn is appended
+// to, never overwritten — after two crashes it holds both torn suffixes in
+// order, while PackTornBytes reports the latest repair only.
+func TestPackSecondTearKeepsFirstTearsEvidence(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir, MemoryBudget: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		data, h := blob(30+i, 500)
+		put(t, s, data, h)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pack := filepath.Join(dir, packFilesOnDisk(t, dir)[0])
+	var evidence []byte
+	for round, cut := range []int{5, 9} {
+		whole, err := os.ReadFile(pack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(pack, int64(len(whole)-cut)); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(Config{Dir: dir, MemoryBudget: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		torn := int(st.PackTornBytes)
+		if torn <= 0 || st.DiskBlobs != int64(2-round) {
+			t.Fatalf("round %d: torn=%d blobs=%d, want torn>0 blobs=%d", round, torn, st.DiskBlobs, 2-round)
+		}
+		s.Close()
+		evidence = append(evidence, whole[len(whole)-cut-torn:len(whole)-cut]...)
+		if got, err := os.ReadFile(pack + ".torn"); err != nil || !bytes.Equal(got, evidence) {
+			t.Fatalf("round %d: quarantine holds %d bytes (%v), want both tears' %d in order", round, len(got), err, len(evidence))
+		}
 	}
 }
 

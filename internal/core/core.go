@@ -30,78 +30,93 @@ import (
 	"datalinks/internal/vfs"
 )
 
-// ServerConfig configures one file server of a System.
+// ServerConfig configures one file server of a System. It is the public
+// datalinks.ServerConfig (a type alias).
 type ServerConfig struct {
+	// Name is the file server name used in DATALINK URLs (dlfs://name/...).
 	Name string
-	// UpcallLatency simulates the DLFS↔DLFM IPC cost (0 = in-process direct).
+	// UpcallLatency simulates the DLFS↔DLFM IPC cost per upcall (0 =
+	// in-process direct).
 	UpcallLatency time.Duration
 	// UpcallWidth bounds concurrent DLFS→DLFM upcalls on this server (0 =
 	// unbounded). The bound encloses UpcallLatency, so it models a finite
 	// IPC channel — per-server capacity that scale-out experiments divide
 	// work across.
 	UpcallWidth int
-	// ArchiveLatency simulates the archive device (§4.4).
+	// ArchiveLatency simulates the archive device per operation (§4.4).
 	ArchiveLatency time.Duration
-	// Strict enables the §4.5 strict-link-check extension on this server.
+	// Strict enables the §4.5 strict-link-check extension on this server: an
+	// upcall on every open, closing the link-while-open window at a per-open
+	// cost.
 	Strict bool
-	// OpenWait bounds DLFM open-approval waits.
+	// OpenWait bounds how long opens wait for conflicting opens/archives
+	// (the DLFM open-approval wait).
 	OpenWait time.Duration
 	// TCPUpcalls routes DLFS→DLFM upcalls over a real TCP loopback
 	// connection (gob-encoded), matching the kernel/daemon process split of
 	// Figure 1, instead of direct in-process calls.
 	TCPUpcalls bool
 	// UpcallNet tunes the TCP upcall plane: client retry/backoff/deadlines/
-	// breaker and server backpressure limits, plus an optional Chaos fault
-	// injector (nil: production defaults). With TCPUpcalls unset, only the
-	// Chaos injector applies (wrapped around the in-process service).
+	// breaker and server backpressure limits and drain, plus an optional
+	// Chaos fault injector (nil: production defaults). With TCPUpcalls unset,
+	// only the Chaos injector applies (wrapped around the in-process service).
 	UpcallNet *upcall.NetConfig
-	// ArchiveDir enables the durable archive tier: sealed chunks persist to
-	// this real directory (hash-addressed) and only a bounded LRU of hot
-	// chunks stays in memory. Empty keeps the archive memory-only.
+	// ArchiveDir enables the durable archive tier: committed versions'
+	// chunks persist to this real directory (hash-addressed) and only a
+	// bounded LRU of hot chunks stays in memory. Empty keeps the archive
+	// memory-only.
 	ArchiveDir string
 	// ArchiveMemoryBudget bounds the archive's hot-chunk LRU in bytes
 	// (<= 0: chunkdisk default). Only meaningful with ArchiveDir set.
 	ArchiveMemoryBudget int64
-	// ArchiveGCInterval runs the archive's background dead-chunk sweeper
-	// this often (0: explicit GCNow only). Only meaningful with ArchiveDir.
+	// ArchiveGCInterval runs the archive's background sweeper that unlinks
+	// unreferenced on-disk chunks this often (0: explicit GCNow only). Only
+	// meaningful with ArchiveDir.
 	ArchiveGCInterval time.Duration
 	// ArchiveCheckpointEvery bounds the archive's delta chains: a full
-	// manifest at least every this many versions (<= 0: the archive default).
+	// manifest at least every this many versions (<= 0: the archive default
+	// of 16).
 	ArchiveCheckpointEvery int
 	// ArchiveCompress flate-compresses spilled archive chunks when that
-	// shrinks them. Only meaningful with ArchiveDir set.
+	// shrinks them (hashes still verify the uncompressed bytes). Only
+	// meaningful with ArchiveDir set.
 	ArchiveCompress bool
 	// ArchiveFsync selects the archive tier's durability policy: "" or
-	// "none" (rely on the OS page cache — the default), "group" (concurrent
-	// committers coalesce behind shared fdatasyncs), or "always" (every
-	// append flushes inline). Only meaningful with ArchiveDir set.
+	// "none" (rely on the OS flushing — fastest, a power loss can lose the
+	// newest commits' archive copies), "group" (commits are acknowledged
+	// only after an fdatasync, but concurrent committers share flushes —
+	// group commit), or "always" (every append flushes inline). Only
+	// meaningful with ArchiveDir set.
 	ArchiveFsync string
-	// ArchiveFsyncMaxDelay, under the group policy, is the group-commit
-	// leader's coalescing window before it flushes.
+	// ArchiveFsyncMaxDelay, under "group", lets the group-commit leader wait
+	// this long before flushing so more commits coalesce into one flush.
 	ArchiveFsyncMaxDelay time.Duration
 	// ArchivePackThreshold batches archive blobs at or below this size into
-	// packfiles (0: the default of one extent chunk; negative: packing
-	// disabled, one file per blob). Only meaningful with ArchiveDir set.
+	// packfiles — many small commits become one sequential append instead of
+	// one file each. 0 uses the default (one 64 KiB chunk, covering tails
+	// and single-chunk deltas); negative disables packing (one file per
+	// blob). Only meaningful with ArchiveDir set.
 	ArchivePackThreshold int64
 	// QuarantineTTL expires quarantined in-flight versions after this age
-	// (0: keep forever); QuarantineGCInterval runs the background sweeper
-	// (0: explicit SweepQuarantine only).
+	// (0: keep forever); QuarantineGCInterval runs the background quarantine
+	// sweeper (0: explicit SweepQuarantine only).
 	QuarantineTTL        time.Duration
 	QuarantineGCInterval time.Duration
-	// RepoDir enables the durable repository plane: the DLFM repository's
-	// write-ahead log lives in CRC-framed segment files under this real
-	// directory, with periodic checkpoint snapshots (repo.snap) anchoring
-	// restart recovery. Empty keeps the repository WAL in memory.
+	// RepoDir enables the durable repository plane: the file server's
+	// metadata database logs to CRC-framed WAL segments under this real
+	// directory and periodically snapshots itself to repo.snap, so a fresh
+	// Open over the same directory (plus ArchiveDir) cold-starts the server
+	// after a whole-process kill. Empty keeps the repository in memory.
 	RepoDir string
 	// RepoFsync selects the repository WAL durability policy: "" or "none"
 	// (rely on the OS page cache), "group" (coalesced fdatasyncs), or
 	// "always" (every flush syncs inline). Only meaningful with RepoDir set.
 	RepoFsync string
-	// RepoFsyncMaxDelay, under the group policy, is the group-commit
-	// leader's coalescing window before it flushes.
+	// RepoFsyncMaxDelay, under "group", is the group-commit leader's
+	// coalescing window before it flushes.
 	RepoFsyncMaxDelay time.Duration
 	// RepoCheckpointBytes takes a repository checkpoint after roughly this
-	// many logged bytes (<= 0: the dlfm default).
+	// many logged bytes (<= 0: the dlfm default of 1 MiB).
 	RepoCheckpointBytes int64
 	// Trace enables request-scoped tracing on this server: every top-level
 	// operation (open, read, write, commit/close, link/unlink, migration
@@ -111,20 +126,25 @@ type ServerConfig struct {
 	// TraceCapacity bounds the ring of retained completed traces (<= 0: the
 	// obs default of 512).
 	TraceCapacity int
-	// SlowOpThreshold emits any trace whose root exceeds it as a one-line
-	// JSON slow_op event to SlowOpLog, span tree included. Setting it
-	// implies tracing even when Trace is false.
+	// SlowOpThreshold emits any traced operation whose root exceeds it as a
+	// one-line JSON slow_op event (span tree included) to SlowOpLog. Setting
+	// it implies tracing even when Trace is false.
 	SlowOpThreshold time.Duration
 	// SlowOpLog receives slow_op events (nil discards them).
 	SlowOpLog io.Writer
 }
 
-// Config configures a System.
+// Config configures a System. It is the public datalinks.Config (a type
+// alias).
 type Config struct {
-	Servers     []ServerConfig
-	Clock       func() time.Time
-	TokenKey    []byte
-	TokenTTL    time.Duration
+	Servers []ServerConfig
+	// Clock injects a time source (tests); nil means time.Now.
+	Clock func() time.Time
+	// TokenKey is the shared secret between engine and DLFMs.
+	TokenKey []byte
+	// TokenTTL is the default access-token lifetime.
+	TokenTTL time.Duration
+	// LockTimeout bounds database lock waits (deadlock resolution).
 	LockTimeout time.Duration
 }
 

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"datalinks/internal/seglog"
 	"datalinks/internal/wal"
 )
 
@@ -24,12 +25,12 @@ import (
 // reaches below the anchor, and the undo pass never needs truncated records.
 //
 // Disk mode (Options.Dir set) writes the snapshot to repo.snap in the WAL
-// directory via temp+rename, then logs a reference checkpoint record and
-// truncates the log head. The sequencing is the gate against double-apply:
-// the snapshot file carries its anchor LSN, recovery replays strictly after
-// it, and a crash between the rename and the truncate merely leaves extra
-// pre-anchor records that the anchored scan skips. The in-memory mode embeds
-// the snapshot in the checkpoint record itself.
+// directory (seglog's atomic replace), then logs a reference checkpoint
+// record and truncates the log head. The sequencing is the gate against
+// double-apply: the snapshot file carries its anchor LSN, recovery replays
+// strictly after it, and a crash between the rename and the truncate merely
+// leaves extra pre-anchor records that the anchored scan skips. The in-memory
+// mode embeds the snapshot in the checkpoint record itself.
 
 // Checkpoint payload kinds (first byte of a RecCheckpoint payload).
 const (
@@ -116,7 +117,7 @@ func (db *DB) checkpointLocked() (bool, error) {
 		return true, nil
 	}
 
-	payload := append([]byte{ckptEmbedded}, encodeSnapshot(snap)...)
+	payload := encodeSnapshot([]byte{ckptEmbedded}, snap)
 	if _, err := db.log.Append(wal.Record{Type: wal.RecCheckpoint, Payload: payload}); err != nil {
 		return false, err
 	}
@@ -198,9 +199,10 @@ func (db *DB) applySnapshot(snap *dbSnapshot) error {
 	return nil
 }
 
-func encodeSnapshot(snap *dbSnapshot) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+// encodeSnapshot returns prefix followed by the gob image of snap.
+func encodeSnapshot(prefix []byte, snap *dbSnapshot) []byte {
+	buf := bytes.NewBuffer(prefix)
+	if err := gob.NewEncoder(buf).Encode(snap); err != nil {
 		panic(fmt.Sprintf("sqlmini: snapshot encode: %v", err)) // all types are gob-safe
 	}
 	return buf.Bytes()
@@ -214,46 +216,23 @@ func decodeSnapshot(b []byte) (*dbSnapshot, error) {
 	return &snap, nil
 }
 
-// writeSnapFile persists the snapshot atomically: CRC-prefixed gob into a
-// temp file, fsync, rename over repo.snap, fsync the directory. A crash at
-// any point leaves either the previous snapshot or the new one, never a
-// torn mixture.
+// writeSnapFile persists the snapshot as repo.snap: a CRC-32 of the gob image,
+// then the image. The replace is always fsynced, whatever the WAL's policy:
+// the caller deletes the log segments this file supersedes, and a failure to
+// make it (or its rename) durable must stop that.
 func writeSnapFile(dir string, snap *dbSnapshot) error {
-	body := encodeSnapshot(snap)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], crc32.ChecksumIEEE(body))
-
-	tmp := filepath.Join(dir, snapFileName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	data := encodeSnapshot(make([]byte, 4), snap)
+	binary.LittleEndian.PutUint32(data[:4], crc32.ChecksumIEEE(data[4:]))
+	if _, err := seglog.ReplaceFile(filepath.Join(dir, snapFileName), data, true); err != nil {
 		return fmt.Errorf("sqlmini: snapshot write: %w", err)
 	}
-	_, werr := f.Write(hdr[:])
-	if werr == nil {
-		_, werr = f.Write(body)
-	}
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("sqlmini: snapshot write: %w", werr)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, snapFileName)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("sqlmini: snapshot write: %w", err)
-	}
-	syncDirBestEffort(dir)
 	return nil
 }
 
 // loadSnapFile reads the checkpoint snapshot, returning (nil, nil) when none
-// exists. A leftover .tmp from an interrupted write is discarded.
+// exists. A leftover temp file from an interrupted write is discarded.
 func loadSnapFile(dir string) (*dbSnapshot, error) {
-	os.Remove(filepath.Join(dir, snapFileName+".tmp"))
+	os.Remove(filepath.Join(dir, snapFileName+seglog.TmpSuffix))
 	raw, err := os.ReadFile(filepath.Join(dir, snapFileName))
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -269,11 +248,4 @@ func loadSnapFile(dir string) (*dbSnapshot, error) {
 		return nil, fmt.Errorf("sqlmini: snapshot file fails its checksum")
 	}
 	return decodeSnapshot(raw[4:])
-}
-
-func syncDirBestEffort(dir string) {
-	if f, err := os.Open(dir); err == nil {
-		f.Sync()
-		f.Close()
-	}
 }

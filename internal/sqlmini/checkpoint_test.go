@@ -262,3 +262,33 @@ func TestCheckpointRepeatedCycles(t *testing.T) {
 	}
 	db.Log().Close()
 }
+
+// TestCheckpointSnapshotFailureKeepsLogHead: a snapshot that cannot be
+// replaced durably fails the checkpoint BEFORE anything depends on it — no
+// reference record is logged and no segment the snapshot would have
+// superseded is deleted.
+func TestCheckpointSnapshotFailureKeepsLogHead(t *testing.T) {
+	dir := t.TempDir()
+	db := diskDB(t, dir)
+	defer db.Log().Close()
+	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR)`)
+	for i := 1; i <= 40; i++ {
+		mustExec(t, db, `INSERT INTO t VALUES (?, 'x')`, Int(int64(i)))
+	}
+	segsBefore, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	tail := db.Log().TailLSN()
+	// A non-empty directory where repo.snap belongs: the rename must fail.
+	if err := os.MkdirAll(filepath.Join(dir, snapFileName, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := db.Checkpoint(); err == nil || ok {
+		t.Fatalf("checkpoint over an unreplaceable snapshot: ok=%v err=%v, want an error", ok, err)
+	}
+	segsAfter, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if len(segsBefore) < 2 || len(segsAfter) != len(segsBefore) || db.Log().Base() != wal.NilLSN {
+		t.Fatalf("failed checkpoint truncated the log: %d -> %d segments, base %d", len(segsBefore), len(segsAfter), db.Log().Base())
+	}
+	if db.Log().TailLSN() != tail {
+		t.Fatalf("failed checkpoint logged a record: tail %d -> %d", tail, db.Log().TailLSN())
+	}
+}

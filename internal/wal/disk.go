@@ -4,47 +4,39 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"datalinks/internal/dirlock"
 	"datalinks/internal/fsyncer"
+	"datalinks/internal/seglog"
 )
 
 // Disk layout: the log directory holds size-bounded segment files named
-// wal-<first LSN>.log, each a concatenation of CRC-framed records:
-//
-//	uint32 payload length | uint32 CRC-32 (IEEE) of payload | payload
-//
-// where the payload is uvarint LSN, one type byte, uvarint TxnID, uvarint
-// PrevLSN, uvarint UndoLSN, then the record payload. A reopen replays the
-// segments in LSN order and keeps the longest valid prefix: the first frame
-// that fails its length bound, CRC, decode, or LSN-continuity check marks
-// the torn tail, which is appended to the wal.torn quarantine file and
-// truncated away — the catalog.log / pack-<seq>.pk discipline. The same
-// directory carries repo.snap (the sqlmini checkpoint snapshot) and the
-// repo.lock single-owner lockfile.
+// wal-<first LSN>.log, each a concatenation of seglog frames whose payload is
+// uvarint LSN, one type byte, uvarint TxnID, uvarint PrevLSN, uvarint
+// UndoLSN, then the record payload. A reopen replays the segments in LSN
+// order and keeps the longest valid prefix: the first frame that fails its
+// framing, decode, or LSN-continuity check marks the torn tail, which seglog
+// quarantines to wal.torn and cuts off. The same directory carries repo.snap
+// (the sqlmini checkpoint snapshot) and the repo.lock single-owner lockfile.
 const (
 	// DefaultSegmentBytes bounds a segment before the log rotates to a new
 	// file; whole sealed segments below the checkpoint anchor are deleted by
 	// TruncateHead.
 	DefaultSegmentBytes = 4 << 20
-	// maxRecordBytes is a sanity bound on a framed payload: anything larger
-	// in a length header is corruption, not a record.
-	maxRecordBytes = 64 << 20
 
 	repoLockName = "repo.lock"
 	tornName     = "wal.torn"
-	segPrefix    = "wal-"
-	segSuffix    = ".log"
 )
+
+// segments is the wal-<first LSN>.log family of a log directory.
+func segments(dir string) seglog.Segments {
+	return seglog.Segments{Dir: dir, Prefix: "wal-", Suffix: ".log", Width: 16}
+}
 
 // Config describes a disk-backed log directory.
 type Config struct {
@@ -56,11 +48,6 @@ type Config struct {
 	Fsync fsyncer.Policy
 	// FsyncMaxDelay is the group-commit coalescing window under PolicyGroup.
 	FsyncMaxDelay time.Duration
-}
-
-type segInfo struct {
-	first LSN // LSN of the segment's first record
-	path  string
 }
 
 // diskLog is the stable-storage side of a Log. The pending buffer and the
@@ -76,9 +63,10 @@ type diskLog struct {
 	tornBytes int64  // bytes quarantined to wal.torn at open
 
 	fileMu  sync.Mutex
+	files   seglog.Segments
 	seg     *os.File // active (last) segment
 	segSize int64
-	segs    []segInfo
+	segs    []uint64 // first LSN of every segment, ascending; the last is active
 }
 
 // Open opens (or creates) a disk-backed log directory, taking single
@@ -98,7 +86,7 @@ func Open(cfg Config) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	d := &diskLog{cfg: cfg, lock: lock}
+	d := &diskLog{cfg: cfg, lock: lock, files: segments(cfg.Dir)}
 	l := &Log{disk: d}
 	if err := d.replay(l); err != nil {
 		lock.Release()
@@ -108,70 +96,67 @@ func Open(cfg Config) (*Log, error) {
 	return l, nil
 }
 
-// replay loads every segment into l and repairs the tail.
+// replay loads every segment into l, reading each file once. The first
+// invalid byte ends the valid prefix: that segment's tail, and every later
+// segment whole, is quarantined.
 func (d *diskLog) replay(l *Log) error {
-	segs, err := listSegments(d.cfg.Dir)
+	segs, err := d.files.List()
 	if err != nil {
-		return err
+		return fmt.Errorf("wal: %w", err)
 	}
+	syncing := d.cfg.Fsync != fsyncer.PolicyNone
+	quarantine := filepath.Join(d.cfg.Dir, tornName)
 
 	var (
-		recs    []Record
-		base    LSN
-		next    LSN
-		tornIdx = -1 // first segment holding invalid bytes
-		tornOff int64
+		recs []Record
+		base LSN
+		next LSN
+		kept []uint64 // segments that survive the repair
+		torn bool
 	)
-	for i, s := range segs {
+	for i, first := range segs {
 		if i == 0 {
-			base = s.first - 1
-			next = s.first
-		} else if s.first != next {
-			// Gap or overlap between segments: everything from here on is
-			// not a continuation of the valid prefix.
-			tornIdx, tornOff = i, 0
-			break
+			base, next = LSN(first)-1, LSN(first)
 		}
-		data, err := os.ReadFile(s.path)
+		path := d.files.Path(first)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
-		valid, fileRecs := decodeFrames(data, next)
-		recs = append(recs, fileRecs...)
-		next += LSN(len(fileRecs))
-		if valid < int64(len(data)) {
-			tornIdx, tornOff = i, valid
-			break
+		// A gap or overlap between segments, like anything after a torn
+		// segment, is not a continuation of the valid prefix.
+		valid := 0
+		if !torn && LSN(first) == next {
+			var fileRecs []Record
+			valid, fileRecs = decodeFrames(data, next)
+			recs = append(recs, fileRecs...)
+			next += LSN(len(fileRecs))
+			if valid == len(data) {
+				kept = append(kept, first)
+				continue
+			}
 		}
-	}
-
-	if tornIdx >= 0 {
-		if err := d.repairTail(segs, tornIdx, tornOff); err != nil {
-			return err
+		torn = true
+		if err := seglog.RepairTail(path, data, valid, quarantine, syncing); err != nil {
+			return fmt.Errorf("wal: %s: %w", path, err)
 		}
-		if tornOff > 0 {
-			segs = segs[:tornIdx+1]
-		} else {
-			segs = segs[:tornIdx]
+		d.tornBytes += int64(len(data) - valid)
+		if valid > 0 {
+			kept = append(kept, first)
 		}
 	}
 
 	// Open (or create) the active segment.
-	if len(segs) == 0 {
+	if len(kept) == 0 {
 		first := base + LSN(len(recs)) + 1
-		path := filepath.Join(d.cfg.Dir, segName(first))
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+		f, err := d.files.Create(uint64(first), nil, syncing)
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
-		if d.cfg.Fsync != fsyncer.PolicyNone {
-			syncDir(d.cfg.Dir)
-		}
-		segs = []segInfo{{first: first, path: path}}
+		kept = []uint64{uint64(first)}
 		d.seg, d.segSize = f, 0
 	} else {
-		active := segs[len(segs)-1]
-		f, err := os.OpenFile(active.path, os.O_RDWR, 0o644)
+		f, err := os.OpenFile(d.files.Path(kept[len(kept)-1]), os.O_RDWR, 0o644)
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
@@ -182,7 +167,7 @@ func (d *diskLog) replay(l *Log) error {
 		}
 		d.seg, d.segSize = f, size
 	}
-	d.segs = segs
+	d.segs = kept
 	d.written = base + LSN(len(recs))
 
 	l.base = base
@@ -197,43 +182,6 @@ func (d *diskLog) replay(l *Log) error {
 		}
 	}
 	l.sizeSinceCkpt = since
-	return nil
-}
-
-// repairTail quarantines segs[tornIdx:] starting at tornOff into wal.torn,
-// truncates the torn segment to its valid prefix and deletes the rest.
-func (d *diskLog) repairTail(segs []segInfo, tornIdx int, tornOff int64) error {
-	tf, err := os.OpenFile(filepath.Join(d.cfg.Dir, tornName),
-		os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer tf.Close()
-	for i := tornIdx; i < len(segs); i++ {
-		data, rerr := os.ReadFile(segs[i].path)
-		if rerr != nil {
-			return fmt.Errorf("wal: %w", rerr)
-		}
-		start := int64(0)
-		if i == tornIdx {
-			start = tornOff
-		}
-		if int64(len(data)) > start {
-			if _, werr := tf.Write(data[start:]); werr != nil {
-				return fmt.Errorf("wal: quarantining torn tail: %w", werr)
-			}
-			d.tornBytes += int64(len(data)) - start
-		}
-		if i == tornIdx && tornOff > 0 {
-			if terr := os.Truncate(segs[i].path, tornOff); terr != nil {
-				return fmt.Errorf("wal: %w", terr)
-			}
-		} else if rmerr := os.Remove(segs[i].path); rmerr != nil {
-			return fmt.Errorf("wal: %w", rmerr)
-		}
-	}
-	tf.Sync()
-	syncDir(d.cfg.Dir)
 	return nil
 }
 
@@ -271,7 +219,7 @@ func (l *Log) writePendingLocked() error {
 		// pending is kept intact for a retry.
 		d.seg.Truncate(d.segSize)
 		d.seg.Seek(d.segSize, io.SeekStart)
-		return fmt.Errorf("wal: writing %s: %w", d.segs[len(d.segs)-1].path, err)
+		return fmt.Errorf("wal: writing %s: %w", d.seg.Name(), err)
 	}
 	d.segSize += int64(len(d.pending))
 	d.written = l.base + LSN(len(l.records))
@@ -282,25 +230,22 @@ func (l *Log) writePendingLocked() error {
 // rotateLocked seals the active segment and starts a new one whose first
 // record will be `first`. Caller holds l.mu and d.fileMu.
 func (d *diskLog) rotateLocked(first LSN) error {
-	if d.cfg.Fsync != fsyncer.PolicyNone {
+	syncing := d.cfg.Fsync != fsyncer.PolicyNone
+	if syncing {
 		// Seal the outgoing segment so the flush callback only ever needs
 		// to sync the active one.
 		if err := d.seg.Sync(); err != nil {
 			return fmt.Errorf("wal: sealing segment: %w", err)
 		}
 	}
-	path := filepath.Join(d.cfg.Dir, segName(first))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+	f, err := d.files.Create(uint64(first), nil, syncing)
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if d.cfg.Fsync != fsyncer.PolicyNone {
-		syncDir(d.cfg.Dir)
+		return fmt.Errorf("wal: starting segment: %w", err)
 	}
 	d.seg.Close()
 	d.seg = f
 	d.segSize = 0
-	d.segs = append(d.segs, segInfo{first: first, path: path})
+	d.segs = append(d.segs, uint64(first))
 	return nil
 }
 
@@ -331,22 +276,29 @@ func (l *Log) TruncateHead(keepFrom LSN) error {
 	d.fileMu.Lock()
 	defer d.fileMu.Unlock()
 	keep := 0
-	for keep+1 < len(d.segs) && d.segs[keep+1].first <= keepFrom {
+	for keep+1 < len(d.segs) && LSN(d.segs[keep+1]) <= keepFrom {
 		keep++
 	}
-	if keep == 0 {
-		return nil
+	var err error
+	for i := 0; i < keep && err == nil; i++ {
+		// Oldest first, stopping at the first failure: a hole below a
+		// surviving segment would read as a gap at the next open.
+		if err = os.Remove(d.files.Path(d.segs[i])); err != nil {
+			keep = i
+		}
 	}
-	for i := 0; i < keep; i++ {
-		os.Remove(d.segs[i].path)
+	if keep > 0 {
+		d.segs = append([]uint64(nil), d.segs[keep:]...)
+		newBase := LSN(d.segs[0]) - 1
+		l.records = append([]Record(nil), l.records[newBase-l.base:]...)
+		l.base = newBase
+		if err == nil && d.cfg.Fsync != fsyncer.PolicyNone {
+			err = seglog.SyncDir(d.cfg.Dir)
+		}
 	}
-	if d.cfg.Fsync != fsyncer.PolicyNone {
-		syncDir(d.cfg.Dir)
+	if err != nil {
+		return fmt.Errorf("wal: truncating head: %w", err)
 	}
-	d.segs = append([]segInfo(nil), d.segs[keep:]...)
-	newBase := d.segs[0].first - 1
-	l.records = append([]Record(nil), l.records[newBase-l.base:]...)
-	l.base = newBase
 	return nil
 }
 
@@ -372,51 +324,6 @@ func (l *Log) SyncCount() int64 {
 		return 0
 	}
 	return l.disk.sync.Count()
-}
-
-// listSegments returns the directory's wal-<first>.log files in LSN order.
-func listSegments(dir string) ([]segInfo, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	var segs []segInfo
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-			continue
-		}
-		numeral := strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix)
-		first, perr := strconv.ParseUint(numeral, 10, 64)
-		if perr != nil || first == 0 {
-			return nil, fmt.Errorf("wal: bad segment name %q", name)
-		}
-		segs = append(segs, segInfo{first: LSN(first), path: filepath.Join(dir, name)})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
-	return segs, nil
-}
-
-func segName(first LSN) string {
-	return fmt.Sprintf("%s%016d%s", segPrefix, uint64(first), segSuffix)
-}
-
-// syncDir forces directory metadata (created/removed segment names) to disk.
-func syncDir(dir string) {
-	if f, err := os.Open(dir); err == nil {
-		f.Sync()
-		f.Close()
-	}
-}
-
-// appendFrame encodes rec as one CRC frame onto buf.
-func appendFrame(buf []byte, rec Record) []byte {
-	payload := encodeRecord(rec)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
 }
 
 // encodeRecord serializes the record header fields and payload.
@@ -473,31 +380,20 @@ func decodeRecord(b []byte) (Record, error) {
 
 // decodeFrames walks the frame stream, returning the length of the valid
 // prefix and its records. `next` is the LSN the first record must carry;
-// any length, CRC, decode, or sequence anomaly ends the valid prefix.
-func decodeFrames(data []byte, next LSN) (valid int64, recs []Record) {
-	off := 0
-	for {
-		if len(data)-off < 8 {
-			return int64(off), recs
-		}
-		n := binary.LittleEndian.Uint32(data[off:])
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if n == 0 || int64(n) > maxRecordBytes {
-			return int64(off), recs
-		}
-		if len(data)-off-8 < int(n) {
-			return int64(off), recs
-		}
-		payload := data[off+8 : off+8+int(n)]
-		if crc32.ChecksumIEEE(payload) != crc {
-			return int64(off), recs
+// any framing, decode, or sequence anomaly ends the valid prefix.
+func decodeFrames(data []byte, next LSN) (valid int, recs []Record) {
+	valid = seglog.ValidPrefix(data, func(rest []byte) (int, bool) {
+		payload, n, ok := seglog.NextFrame(rest)
+		if !ok {
+			return 0, false
 		}
 		rec, err := decodeRecord(payload)
 		if err != nil || rec.LSN != next {
-			return int64(off), recs
+			return 0, false
 		}
 		recs = append(recs, rec)
 		next++
-		off += 8 + int(n)
-	}
+		return n, true
+	})
+	return valid, recs
 }

@@ -146,19 +146,19 @@ func TestDiskTornTailEveryByte(t *testing.T) {
 	}
 	l.Close()
 
-	segs, err := listSegments(seed)
+	segs, err := segments(seed).List()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(segs) != 1 {
 		t.Fatalf("seed produced %d segments, want 1", len(segs))
 	}
-	whole, err := os.ReadFile(segs[0].path)
+	whole, err := os.ReadFile(segments(seed).Path(segs[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
 	prefix, recs := decodeFrames(whole, 1)
-	if prefix != int64(len(whole)) || len(recs) != 5 {
+	if prefix != len(whole) || len(recs) != 5 {
 		t.Fatalf("seed file does not decode cleanly: %d/%d bytes, %d records", prefix, len(whole), len(recs))
 	}
 	// The valid prefix of the file minus one byte ends exactly where the
@@ -168,9 +168,9 @@ func TestDiskTornTailEveryByte(t *testing.T) {
 		t.Fatalf("expected 4 records before the last frame, got %d", len(recs4))
 	}
 
-	for cut := int(lastStart); cut < len(whole); cut++ {
+	for cut := lastStart; cut < len(whole); cut++ {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segName(1)), whole[:cut], 0o644); err != nil {
+		if err := os.WriteFile(segments(dir).Path(1), whole[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		l2, err := Open(Config{Dir: dir})
@@ -180,7 +180,7 @@ func TestDiskTornTailEveryByte(t *testing.T) {
 		if l2.TailLSN() != 4 {
 			t.Fatalf("cut=%d: tail = %d, want 4", cut, l2.TailLSN())
 		}
-		if wantTorn := int64(cut) - lastStart; l2.TornBytes() != wantTorn {
+		if wantTorn := int64(cut - lastStart); l2.TornBytes() != wantTorn {
 			t.Fatalf("cut=%d: torn bytes = %d, want %d", cut, l2.TornBytes(), wantTorn)
 		}
 		got := logRecords(t, l2)
@@ -220,8 +220,8 @@ func TestDiskTornTailCorruptedByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	segs, _ := listSegments(seed)
-	whole, err := os.ReadFile(segs[0].path)
+	segs, _ := segments(seed).List()
+	whole, err := os.ReadFile(segments(seed).Path(segs[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +229,11 @@ func TestDiskTornTailCorruptedByte(t *testing.T) {
 	if len(recs4) != 4 {
 		t.Fatalf("want 4 records before last frame, got %d", len(recs4))
 	}
-	for pos := int(lastStart); pos < len(whole); pos++ {
+	for pos := lastStart; pos < len(whole); pos++ {
 		dir := t.TempDir()
 		mangled := append([]byte(nil), whole...)
 		mangled[pos] ^= 0xff
-		if err := os.WriteFile(filepath.Join(dir, segName(1)), mangled, 0o644); err != nil {
+		if err := os.WriteFile(segments(dir).Path(1), mangled, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		l2, err := Open(Config{Dir: dir})
@@ -262,7 +262,7 @@ func TestDiskSegmentRotationAndTruncateHead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs, err := listSegments(dir)
+	segs, err := segments(dir).List()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestDiskSegmentRotationAndTruncateHead(t *testing.T) {
 	if err := l.TruncateHead(9); err != nil {
 		t.Fatal(err)
 	}
-	after, err := listSegments(dir)
+	after, err := segments(dir).List()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,12 +421,12 @@ func TestDiskGapBetweenSegmentsQuarantined(t *testing.T) {
 		}
 	}
 	l.Close()
-	segs, _ := listSegments(dir)
+	segs, _ := segments(dir).List()
 	if len(segs) < 3 {
 		t.Fatalf("need >=3 segments, got %d", len(segs))
 	}
 	// Delete a middle segment: everything after the hole is unusable.
-	if err := os.Remove(segs[1].path); err != nil {
+	if err := os.Remove(segments(dir).Path(segs[1])); err != nil {
 		t.Fatal(err)
 	}
 	l2 := openDisk(t, dir, 128)
@@ -436,5 +436,98 @@ func TestDiskGapBetweenSegmentsQuarantined(t *testing.T) {
 	}
 	if l2.TornBytes() == 0 {
 		t.Fatal("post-gap segments were not quarantined")
+	}
+}
+
+// TestDiskSecondTearKeepsFirstTearsEvidence: wal.torn is appended to, never
+// overwritten — after two crashes it holds both torn suffixes in order, while
+// TornBytes reports the latest repair only.
+func TestDiskSecondTearKeepsFirstTearsEvidence(t *testing.T) {
+	dir := t.TempDir()
+	seg := segments(dir).Path(1)
+	var evidence []byte
+	for round, cut := range []int{5, 9} {
+		l := openDisk(t, dir, 0)
+		mustAppend(t, l, RecUpdate, 1, []byte(strings.Repeat("k", 30)))
+		mustAppend(t, l, RecUpdate, 1, []byte(strings.Repeat("t", 30)))
+		if _, err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		whole, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(seg, int64(len(whole)-cut)); err != nil {
+			t.Fatal(err)
+		}
+		l = openDisk(t, dir, 0)
+		torn := int(l.TornBytes())
+		if torn <= 0 || l.TailLSN() != LSN(round+1) {
+			t.Fatalf("round %d: torn=%d tail=%d, want torn>0 tail=%d", round, torn, l.TailLSN(), round+1)
+		}
+		l.Close()
+		evidence = append(evidence, whole[len(whole)-cut-torn:len(whole)-cut]...)
+		if got, err := os.ReadFile(filepath.Join(dir, tornName)); err != nil || string(got) != string(evidence) {
+			t.Fatalf("round %d: wal.torn holds %d bytes (%v), want both tears' %d in order", round, len(got), err, len(evidence))
+		}
+	}
+}
+
+// TestDiskOverlapBetweenSegmentsQuarantined: a segment whose name claims
+// LSNs the previous segment already holds is no continuation either — it and
+// everything after it go to wal.torn whole, in segment order, and the log
+// keeps appending from the end of the valid prefix.
+func TestDiskOverlapBetweenSegmentsQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	l := openDisk(t, dir, 128)
+	for i := 0; i < 8; i++ {
+		mustAppend(t, l, RecUpdate, 1, []byte(strings.Repeat("o", 64)))
+		if _, err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	files := segments(dir)
+	segs, _ := files.List()
+	if len(segs) < 3 {
+		t.Fatalf("need >=3 segments, got %d", len(segs))
+	}
+	var lost []byte
+	for _, first := range segs[1:] {
+		data, err := os.ReadFile(files.Path(first))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lost = append(lost, data...)
+	}
+	if err := os.Rename(files.Path(segs[1]), files.Path(segs[1]-1)); err != nil {
+		t.Fatal(err)
+	}
+
+	l2 := openDisk(t, dir, 128)
+	if want := LSN(segs[1] - 1); l2.TailLSN() != want {
+		t.Fatalf("tail = %d after an overlapping segment, want %d", l2.TailLSN(), want)
+	}
+	if l2.TornBytes() != int64(len(lost)) {
+		t.Fatalf("torn bytes = %d, want %d", l2.TornBytes(), len(lost))
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, tornName)); err != nil || string(got) != string(lost) {
+		t.Fatalf("wal.torn holds %d bytes (%v), want the %d bytes of the discarded segments in order", len(got), err, len(lost))
+	}
+	if after, _ := files.List(); len(after) != 1 {
+		t.Fatalf("%d segments survive, want only the first", len(after))
+	}
+	if lsn := mustAppend(t, l2, RecUpdate, 1, []byte("next")); lsn != LSN(segs[1]) {
+		t.Fatalf("next LSN = %d, want %d", lsn, segs[1])
+	}
+	if _, err := l2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	l2.Close()
+	l3 := openDisk(t, dir, 128)
+	defer l3.Close()
+	if l3.TornBytes() != 0 || l3.TailLSN() != LSN(segs[1]) {
+		t.Fatalf("reopen after repair: torn=%d tail=%d, want 0/%d", l3.TornBytes(), l3.TailLSN(), segs[1])
 	}
 }

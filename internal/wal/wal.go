@@ -7,7 +7,7 @@
 // until Flush makes them durable, and Crash() discards the volatile tail,
 // exactly what a power failure would do — recovery tests exercise every
 // interleaving of "logged but not forced". The disk backend (Open) puts the
-// same record stream in CRC-framed, size-bounded segment files under a
+// same record stream in seglog-framed, size-bounded segment files under a
 // locked directory, with Flush/FlushTo routed through an fsyncer policy; a
 // reopen replays the longest valid prefix and quarantines any torn tail.
 package wal
@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"datalinks/internal/fsyncer"
+	"datalinks/internal/seglog"
 )
 
 // LSN is a log sequence number. LSNs start at 1; 0 means "nil LSN".
@@ -124,7 +125,7 @@ func (l *Log) Append(rec Record) (LSN, error) {
 		l.sizeSinceCkpt += int64(len(rec.Payload)) + recOverheadBytes
 	}
 	if l.disk != nil {
-		l.disk.pending = appendFrame(l.disk.pending, rec)
+		l.disk.pending = seglog.AppendFrame(l.disk.pending, encodeRecord(rec))
 	}
 	return rec.LSN, nil
 }
