@@ -527,6 +527,7 @@ func runParallel(b *testing.B, gor int, op func(worker int) error) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	errCh := make(chan error, gor)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for w := 0; w < gor; w++ {
 		wg.Add(1)

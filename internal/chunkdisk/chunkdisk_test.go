@@ -3,6 +3,7 @@ package chunkdisk
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,12 +13,16 @@ import (
 	"datalinks/internal/extent"
 )
 
-// blob builds a deterministic test blob and its hash.
+// blob builds a deterministic test blob and its hash. The body cycles every
+// 256 bytes (compressible, which the flate tests rely on) and depends only
+// on seed mod 256, so the whole seed is stamped over the first bytes:
+// distinct seeds are distinct blobs.
 func blob(seed, size int) ([]byte, extent.Hash) {
 	data := make([]byte, size)
 	for i := range data {
 		data[i] = byte(seed*31 + i)
 	}
+	copy(data, binary.LittleEndian.AppendUint64(nil, uint64(seed)))
 	return data, sha256.Sum256(data)
 }
 

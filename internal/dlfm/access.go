@@ -93,9 +93,25 @@ func (s *Server) validateToken(req upcall.Request) upcall.Response {
 	if cur, ok := s.tokens[key]; !ok || tok.Type.Covers(cur.typ) {
 		s.tokens[key] = tokenEntry{typ: tok.Type, expiry: tok.Expiry}
 	}
+	// An entry nobody looks up again is never purged by tokenGrant, so
+	// distinct users × paths would pile up for the life of the server. Sweep
+	// the expired ones whenever the table has doubled since the last sweep:
+	// each sweep is paid for by the inserts since the one before.
+	if len(s.tokens) >= 2*s.tokSwept {
+		now := s.cfg.Clock()
+		for k, e := range s.tokens {
+			if now.After(e.expiry) {
+				delete(s.tokens, k)
+			}
+		}
+		s.tokSwept = max(len(s.tokens), minTokenSweep)
+	}
 	s.tokMu.Unlock()
 	return upcall.Response{OK: true}
 }
+
+// minTokenSweep keeps a near-empty token table from sweeping on every insert.
+const minTokenSweep = 64
 
 // tokenGrant returns the live token entry for (uid, path), if any. The fast
 // path is a shared-lock read; the exclusive lock is taken only to purge an

@@ -212,6 +212,9 @@ type Server struct {
 
 	tokMu  sync.RWMutex
 	tokens map[tokenKey]tokenEntry
+	// tokSwept is how many entries the last expiry sweep left (never under
+	// minTokenSweep); validateToken sweeps again when the table doubles.
+	tokSwept int
 
 	openSeed   maphash.Seed
 	openShards [openShardCount]openShard
@@ -321,6 +324,7 @@ func New(cfg Config) (*Server, error) {
 		repo:     repo,
 		auth:     token.NewAuthority(cfg.TokenKey, cfg.Clock, cfg.TokenTTL),
 		tokens:   make(map[tokenKey]tokenEntry),
+		tokSwept: minTokenSweep,
 		openSeed: maphash.MakeSeed(),
 		subs:     make(map[uint64]*subTxn),
 	}

@@ -2,6 +2,7 @@ package dlfm
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -323,6 +324,34 @@ func TestTokenEntryExpiry(t *testing.T) {
 	resp, _ = srv.Upcall(upcall.Request{Op: upcall.OpReadOpen, Path: "/d/f.bin", UID: 9})
 	if resp.OK {
 		t.Fatal("expired entry granted access")
+	}
+}
+
+// Grants nobody looks up again (distinct users × paths, each validated once)
+// must not accumulate: the table sweeps its expired entries as it grows, so
+// its size follows the live grants, not the history.
+func TestTokenTableShedsExpiredGrants(t *testing.T) {
+	now := time.Unix(1_700_000_000, 0)
+	srv, err := New(Config{
+		Name: "fs1", Phys: fs.New(), Archive: archive.New(0, nil), Host: newFakeHost(),
+		TokenKey: []byte("k"), Clock: func() time.Time { return now }, TokenTTL: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const live = 10 // grants inside their TTL at any moment
+	peak := 0
+	for i := 0; i < 10_000; i++ {
+		path := fmt.Sprintf("/d/f%d.bin", i)
+		tok := srv.Authority().Issue(token.Read, path)
+		if resp, _ := srv.Upcall(upcall.Request{Op: upcall.OpValidateToken, Path: path, Token: tok, UID: int32(i % 7)}); !resp.OK {
+			t.Fatalf("validate %d: %+v", i, resp)
+		}
+		now = now.Add(time.Minute / live)
+		peak = max(peak, srv.TokenEntryCount())
+	}
+	if peak > 2*minTokenSweep {
+		t.Fatalf("token table peaked at %d entries with %d live grants; expired grants are not shed", peak, live)
 	}
 }
 

@@ -178,7 +178,8 @@ func (s *Server) FileMeta(path string) (ReplicaMeta, int64, time.Time, error) {
 // re-shipped frame whose ack was lost returns nil without re-applying.
 // ErrReplicaLag means the frame does not directly extend the local history;
 // the shipper must catch this replica up first.
-func (s *Server) ApplyReplicaCommit(path string, ver int64, stateID uint64, snap *extent.Snapshot, mtime time.Time, meta ReplicaMeta) error {
+func (s *Server) ApplyReplicaCommit(path string, ver int64, stateID uint64, snap *extent.Snapshot, mtime time.Time, meta ReplicaMeta) (err error) {
+	defer s.diedMidRequest(&err)
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
@@ -213,7 +214,8 @@ func (s *Server) ApplyReplicaCommit(path string, ver int64, stateID uint64, snap
 
 // EnsureReplicaRow upserts the dlfm_replicas row for path at version ver.
 // Rows never move backwards: a stale frame leaves a newer row untouched.
-func (s *Server) EnsureReplicaRow(path string, ver int64, mtime time.Time, meta ReplicaMeta) error {
+func (s *Server) EnsureReplicaRow(path string, ver int64, mtime time.Time, meta ReplicaMeta) (err error) {
+	defer s.diedMidRequest(&err)
 	if ri, ok := s.replicaRow(path); ok {
 		if ri.version >= ver {
 			return nil
@@ -233,10 +235,26 @@ func (s *Server) EnsureReplicaRow(path string, ver int64, mtime time.Time, meta 
 	return nil
 }
 
+// diedMidRequest (deferred) is the replication-plane twin of UpcallCtx's
+// recover: Kill closes the repository WAL under in-flight calls, so a ship
+// that raced this member's death panics inside sqlmini — in the OWNER's
+// goroutine, whose own recover re-raises because the owner is alive. A dead
+// replica must answer the shipper with an error like a dead machine would;
+// a panic on a live server is a real bug and is re-raised.
+func (s *Server) diedMidRequest(err *error) {
+	if r := recover(); r != nil {
+		if s.Alive() {
+			panic(r)
+		}
+		*err = fmt.Errorf("dlfm: server %s died mid-request: %v", s.cfg.Name, r)
+	}
+}
+
 // ApplyReplicaUnlink removes a replica after the owner unlinked the path:
 // row and archive history both go (unlink semantics — §4.2's unlink restores
 // the file to the user and the database forgets it).
-func (s *Server) ApplyReplicaUnlink(path string) error {
+func (s *Server) ApplyReplicaUnlink(path string) (err error) {
+	defer s.diedMidRequest(&err)
 	if _, err := s.repo.Exec(`DELETE FROM dlfm_replicas WHERE path = ?`, sqlmini.Str(path)); err != nil {
 		return fmt.Errorf("dlfm: replica unlink %s: %w", path, err)
 	}

@@ -339,15 +339,11 @@ func runE23() ([]*Table, error) {
 	if diverged > 0 {
 		return []*Table{tbl}, fmt.Errorf("E23 FAILED: %d replica history digest(s) diverge from their owner after quiesce", diverged)
 	}
-	// The budget gate is a latency assertion about the uninstrumented system;
-	// the race detector inflates per-op cost enough to blur it.
-	if !raceEnabled {
-		if neverBack > 0 {
-			return []*Table{tbl}, fmt.Errorf("E23 FAILED: %d victim path(s) never served a commit again after the kill", neverBack)
-		}
-		if maxDark > FailoverBudget {
-			return []*Table{tbl}, fmt.Errorf("E23 FAILED: a path stayed dark %v after the kill (budget %v)", maxDark, FailoverBudget)
-		}
+	if neverBack > 0 {
+		return []*Table{tbl}, timingGate(tbl, "E23", "%d victim path(s) never served a commit again after the kill", neverBack)
+	}
+	if maxDark > FailoverBudget {
+		return []*Table{tbl}, timingGate(tbl, "E23", "a path stayed dark %v after the kill (budget %v)", maxDark, FailoverBudget)
 	}
 	return []*Table{tbl}, nil
 }

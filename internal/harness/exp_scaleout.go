@@ -437,12 +437,9 @@ func runE21() ([]*Table, error) {
 	if maxOp > 30*time.Second {
 		return tables, fmt.Errorf("E21 FAILED: an op took %v during rebalance — a client hung", maxOp)
 	}
-	// The scaling gate is a perf assertion about the uninstrumented system;
-	// under the race detector per-op CPU cost inflates enough to break the
-	// latency-domination the round design relies on, so skip it there.
-	if r1, ok1 := commitRate[1]; ok1 && !raceEnabled {
+	if r1, ok1 := commitRate[1]; ok1 {
 		if r4, ok4 := commitRate[4]; ok4 && r4 < 3*r1 {
-			return tables, fmt.Errorf("E21 FAILED: 1→4 servers scaled commits/s only %.1fx (need >= 3x)", r4/r1)
+			return tables, timingGate(scale, "E21", "1→4 servers scaled commits/s only %.1fx (need >= 3x)", r4/r1)
 		}
 	}
 	return tables, nil

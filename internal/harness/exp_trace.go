@@ -93,11 +93,8 @@ func e22Overhead() (*Table, error) {
 	t.Note("best of %d interleaved rounds per mode; every op starts a trace (open/read/write/commit span trees into the bounded ring)", TraceOverheadRounds)
 	t.Note("budget: %.0f%% — beyond it the experiment fails", TraceOverheadBudget*100)
 
-	// The budget is a statement about the uninstrumented system; the race
-	// detector multiplies the cost of every span mutex, so the gate (like
-	// E21's scaling gate) only applies without it.
-	if overhead > TraceOverheadBudget && !raceEnabled {
-		return t, fmt.Errorf("E22 FAILED: tracing costs %.1f%% of hot-path throughput (budget %.0f%%)",
+	if overhead > TraceOverheadBudget {
+		return t, timingGate(t, "E22", "tracing costs %.1f%% of hot-path throughput (budget %.0f%%)",
 			overhead*100, TraceOverheadBudget*100)
 	}
 	return t, nil

@@ -9,6 +9,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"testing"
 	"time"
 
 	"datalinks/internal/metrics"
@@ -34,6 +35,23 @@ func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 // Note appends a footnote line.
 func (t *Table) Note(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
+}
+
+// timingGate turns a violated wall-clock gate — E21's >= 3x scaling, E22's
+// tracing overhead budget, E23's darkness budget — into the run's error, or,
+// where the clock cannot be trusted, into a note on t. Those gates are
+// statements about the uninstrumented system with the machine to itself:
+// the race detector multiplies per-op CPU cost, and `go test ./...` shares
+// the box with every other package's tests, so a ratio measured through
+// either says nothing (and made tier-1 flaky). `dlbench -exp` enforces them.
+// Correctness gates (lost commits, history divergence, span completeness,
+// hung clients) never go through here: they are enforced everywhere.
+func timingGate(t *Table, id, format string, args ...any) error {
+	if raceEnabled || testing.Testing() {
+		t.Note("timing gate missed — reported, not enforced under go test or -race: "+format, args...)
+		return nil
+	}
+	return fmt.Errorf(id+" FAILED: "+format, args...)
 }
 
 // Render writes the table in aligned text form.

@@ -2,10 +2,6 @@
 
 package harness
 
-// raceEnabled reports whether the binary was built with the race detector.
-// Perf-threshold gates (E21's near-linear scaling check) are skipped under
-// instrumentation: the detector multiplies per-op CPU cost, so a scaling
-// ratio measured through it says nothing about the uninstrumented system.
-// Correctness gates (lost commits, history divergence, hung clients) are
-// enforced either way.
+// raceEnabled reports whether the binary was built with the race detector
+// (see timingGate).
 const raceEnabled = false

@@ -133,7 +133,11 @@ func Do(ctx context.Context, p Policy, classify Classifier, op func(ctx context.
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		err := op(context.WithValue(ctx, attemptKey{}, attempt))
+		opCtx := ctx
+		if Attempt(ctx) != attempt { // the first attempt usually reads as 1 already
+			opCtx = context.WithValue(ctx, attemptKey{}, attempt)
+		}
+		err := op(opCtx)
 		if err == nil {
 			return nil
 		}

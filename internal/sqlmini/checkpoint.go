@@ -158,7 +158,9 @@ func snapTable(t *Table) tableSnap {
 		NextID:  t.nextID,
 	}
 	for ci := range t.secondary {
-		ts.Indexes = append(ts.Indexes, ci)
+		if t.Columns[ci].Kind != KindLink { // implicit: derived from Columns on load
+			ts.Indexes = append(ts.Indexes, ci)
+		}
 	}
 	sort.Ints(ts.Indexes)
 	ids := make([]RowID, 0, len(t.rows))

@@ -391,30 +391,30 @@ func (t *Txn) execDelete(s *DeleteStmt, args []Value) (int, error) {
 	return n, nil
 }
 
-// env is the name→value scope for expression evaluation.
+// env is the scope for expression evaluation: the current row of one table,
+// chained to the rows of the tables before it in the FROM list. Column
+// references resolve against the table's schema in place — no per-row name
+// map is built.
 type env struct {
-	// byName maps unqualified and qualified ("table.col") names to values.
-	byName map[string]Value
+	tbl  *Table
+	row  Row
+	next *env
 }
 
-func rowEnv(tbl *Table, row Row) *env {
-	e := &env{byName: make(map[string]Value, len(row)*2)}
-	for i, c := range tbl.Columns {
-		e.byName[strings.ToLower(c.Name)] = row[i]
-		e.byName[strings.ToLower(tbl.Name+"."+c.Name)] = row[i]
-	}
-	return e
-}
+func rowEnv(tbl *Table, row Row) *env { return &env{tbl: tbl, row: row} }
 
-func mergeEnv(a, b *env) *env {
-	e := &env{byName: make(map[string]Value, len(a.byName)+len(b.byName))}
-	for k, v := range a.byName {
-		e.byName[k] = v
+// lookup resolves a column reference, innermost (latest-joined) table first;
+// a qualified reference only considers the table it names.
+func (e *env) lookup(ref *ColRef) (Value, bool) {
+	for ; e != nil; e = e.next {
+		if ref.Table != "" && !strings.EqualFold(ref.Table, e.tbl.Name) {
+			continue
+		}
+		if ci := e.tbl.ColIndex(ref.Name); ci >= 0 {
+			return e.row[ci], true
+		}
 	}
-	for k, v := range b.byName {
-		e.byName[k] = v
-	}
-	return e
+	return Value{}, false
 }
 
 func (t *Txn) execSelect(s *SelectStmt, args []Value) (*Rows, error) {
@@ -463,11 +463,7 @@ func (t *Txn) execSelect(s *SelectStmt, args []Value) (*Rows, error) {
 			return
 		}
 		for _, row := range sets[i].rows {
-			e := rowEnv(sets[i].tbl, row)
-			if acc != nil {
-				e = mergeEnv(acc, e)
-			}
-			build(i+1, e, append(rowAcc, row))
+			build(i+1, &env{tbl: sets[i].tbl, row: row, next: acc}, append(rowAcc, row))
 		}
 	}
 	build(0, nil, nil)
@@ -680,11 +676,7 @@ func (t *Txn) eval(e Expr, scope *env, args []Value) (Value, error) {
 		if scope == nil {
 			return Value{}, fmt.Errorf("sqlmini: column %q not allowed here", x.Name)
 		}
-		key := strings.ToLower(x.Name)
-		if x.Table != "" {
-			key = strings.ToLower(x.Table + "." + x.Name)
-		}
-		v, ok := scope.byName[key]
+		v, ok := scope.lookup(x)
 		if !ok {
 			return Value{}, fmt.Errorf("sqlmini: unknown column %q", x.Name)
 		}

@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"fmt"
 	"testing"
 
 	"datalinks/internal/datalink"
@@ -34,6 +35,86 @@ func TestDatalinkEqualityPredicate(t *testing.T) {
 	rows = mustQuery(t, db, `SELECT id FROM t WHERE doc = DLVALUE('dlfs://s/a')`)
 	if len(rows.Data) != 1 || rows.Data[0][0].I != 1 {
 		t.Fatalf("dlvalue predicate rows = %+v", rows.Data)
+	}
+}
+
+// rowLocksHeld counts the row (not table) locks txn holds right now.
+func rowLocksHeld(db *DB, txn *Txn) int {
+	db.lm.heldMu.Lock()
+	defer db.lm.heldMu.Unlock()
+	n := 0
+	for target := range db.lm.held[txn.id] {
+		if !target.Whole {
+			n++
+		}
+	}
+	return n
+}
+
+// The engine addresses a host row by its DATALINK value on every file-update
+// commit (UPDATE … SET doc_size = ? WHERE doc = ?). A DATALINK column is
+// indexed from table construction, so that statement locks and evaluates one
+// row — it must not X-lock, or cost in proportion to, the rest of the table.
+func TestDatalinkUpdateIsPointLookup(t *testing.T) {
+	const update = `UPDATE files SET doc_size = ? WHERE doc = ?`
+	run := func(rows int) (locks int, allocs float64) {
+		db := testDB(t)
+		mustExec(t, db, `CREATE TABLE files (id INT PRIMARY KEY, doc DATALINK, doc_size INT)`)
+		for i := 0; i < rows; i++ {
+			mustExec(t, db, `INSERT INTO files VALUES (?, ?, 0)`, Int(int64(i)), Str(fmt.Sprintf("dlfs://s/d/f%d.bin", i)))
+		}
+		// The same row in both tables, so the statement's own strings match.
+		target := Link(datalink.MustParse("dlfs://s/d/f5.bin"))
+		txn := db.Begin()
+		if n, err := txn.Exec(update, Int(4096), target); err != nil || n != 1 {
+			t.Fatalf("%d rows: update touched %d rows, %v", rows, n, err)
+		}
+		locks = rowLocksHeld(db, txn)
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if row := mustQuery(t, db, `SELECT doc_size FROM files WHERE id = 5`); row.Data[0][0].I != 4096 {
+			t.Fatalf("%d rows: update did not land: %+v", rows, row.Data)
+		}
+		allocs = testing.AllocsPerRun(50, func() { mustExec(t, db, update, Int(1), target) })
+		return locks, allocs
+	}
+	locksSmall, allocsSmall := run(10)
+	locksBig, allocsBig := run(1000)
+	if locksSmall != 1 || locksBig != 1 {
+		t.Errorf("row locks held at commit: %d on 10 rows, %d on 1000 — want exactly the one matching row", locksSmall, locksBig)
+	}
+	if !raceEnabled && allocsBig > allocsSmall {
+		t.Errorf("update allocates %.0f objects on a 1000-row table, %.0f on a 10-row one — cost must not follow table size", allocsBig, allocsSmall)
+	}
+}
+
+// The implicit index is part of the schema: it is not listed in a
+// checkpoint image, cannot be dropped, and is back after restart recovery.
+func TestDatalinkIndexIsDerivedFromSchema(t *testing.T) {
+	db := testDB(t)
+	mustExec(t, db, `CREATE TABLE files (id INT PRIMARY KEY, doc DATALINK, tag VARCHAR)`)
+	mustExec(t, db, `CREATE INDEX ON files (tag)`)
+	mustExec(t, db, `INSERT INTO files VALUES (1, 'dlfs://s/a', 'x'), (2, 'dlfs://s/b', 'y')`)
+	tbl, _ := db.Table("files")
+	doc := tbl.ColIndex("doc")
+	if !tbl.HasIndex(doc) {
+		t.Fatal("DATALINK column has no index")
+	}
+	tbl.DropIndex(doc)
+	if !tbl.HasIndex(doc) {
+		t.Fatal("implicit DATALINK index was dropped")
+	}
+	if got := snapTable(tbl).Indexes; len(got) != 1 || got[0] != tbl.ColIndex("tag") {
+		t.Fatalf("checkpoint lists indexes %v, want only the explicit one on tag", got)
+	}
+	db2, _ := recoverDB(t, db)
+	tbl2, _ := db2.Table("files")
+	if !tbl2.HasIndex(doc) {
+		t.Fatal("DATALINK index missing after recovery")
+	}
+	if ids, _ := tbl2.LookupIndex(doc, Link(datalink.MustParse("dlfs://s/b"))); len(ids) != 1 {
+		t.Fatalf("recovered index finds %v for dlfs://s/b", ids)
 	}
 }
 

@@ -148,7 +148,7 @@ func Recover(durable *wal.Log, opts Options) (*DB, *RecoveryReport, error) {
 			db.outcome[id] = false
 		case ti.state == TxnPrepared:
 			rep.InDoubtTxns = append(rep.InDoubtTxns, id)
-			txn := &Txn{db: db, id: id, state: TxnPrepared, lastLSN: ti.lastLSN}
+			txn := &Txn{db: db, id: id, state: TxnPrepared, begun: true, lastLSN: ti.lastLSN}
 			db.active[id] = txn
 			// Re-acquire exclusive locks on everything the in-doubt txn
 			// touched so new transactions cannot see or change those rows

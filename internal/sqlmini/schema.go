@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -31,14 +32,20 @@ type Table struct {
 	// pkIndex maps the primary key value to the row id, when a PK exists.
 	pkIndex map[string]RowID
 	pkCol   int // -1 when no primary key
-	// secondary hash indexes: column index -> value-string -> set of row ids
+	// secondary hash indexes: column index -> value-string -> set of row ids.
+	// Every DATALINK column has one from construction (see newTable).
 	secondary map[int]map[string]map[RowID]struct{}
 }
 
 // RowID identifies a row within a table for its whole life.
 type RowID uint64
 
-// newTable builds an empty table for the given schema.
+// newTable builds an empty table for the given schema. A DATALINK column is
+// indexed implicitly: the engine addresses a host row by its link value on
+// every file-update commit (UPDATE … WHERE <link col> = ?), and that must
+// lock and read one row, not the table. The index is part of the schema —
+// never logged or checkpointed, rebuilt as rows are installed wherever a
+// table is constructed (DDL, redo, snapshot load) — and cannot be dropped.
 func newTable(name string, cols []Column) *Table {
 	t := &Table{
 		Name:      name,
@@ -51,6 +58,9 @@ func newTable(name string, cols []Column) *Table {
 	for i, c := range cols {
 		if c.PrimaryKey {
 			t.pkCol = i
+		}
+		if c.Kind == KindLink {
+			t.secondary[i] = make(map[string]map[RowID]struct{})
 		}
 	}
 	return t
@@ -68,7 +78,7 @@ func (t *Table) ColIndex(name string) int {
 
 // keyString canonicalizes a value for index keys.
 func keyString(v Value) string {
-	return fmt.Sprintf("%d|%s", v.K, v.String())
+	return strconv.Itoa(int(v.K)) + "|" + v.String()
 }
 
 // insertLocked installs a row under a specific id. Caller holds t.mu.
@@ -194,7 +204,9 @@ func (t *Table) LookupIndex(col int, v Value) (ids []RowID, ok bool) {
 	for id := range set {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	if len(ids) > 1 {
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	}
 	return ids, true
 }
 
@@ -218,8 +230,12 @@ func (t *Table) AddIndex(col int) {
 	t.secondary[col] = idx
 }
 
-// DropIndex discards the secondary index on the column, if any.
+// DropIndex discards the secondary index on the column, if any. The
+// implicit index of a DATALINK column stays.
 func (t *Table) DropIndex(col int) {
+	if col >= 0 && col < len(t.Columns) && t.Columns[col].Kind == KindLink {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	delete(t.secondary, col)

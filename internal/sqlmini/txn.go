@@ -221,6 +221,7 @@ type Txn struct {
 	db      *DB
 	id      uint64
 	state   TxnState
+	begun   bool // the begin record is in the log
 	lastLSN wal.LSN
 	xrms    []XRM
 	// onCommit/onAbort run after the outcome is durable; the engine uses them
@@ -237,11 +238,28 @@ func (db *DB) Begin() *Txn {
 	txn := &Txn{db: db, id: id, state: TxnActive}
 	db.active[id] = txn
 	db.mu.Unlock()
-	if _, err := db.log.Append(wal.Record{Type: wal.RecBegin, TxnID: id}); err != nil {
-		panic(fmt.Sprintf("sqlmini: begin append: %v", err))
-	}
 	return txn
 }
+
+// append logs one record of this transaction, preceded by its begin record
+// the first time. A transaction that never logs anything and has no
+// participants — a query — therefore leaves the log alone (readOnly): a
+// host database serving token SELECTs must not grow its log, which in memory
+// mode is its heap, by a begin and a commit record per read.
+func (t *Txn) append(rec wal.Record) (wal.LSN, error) {
+	if !t.begun {
+		if _, err := t.db.log.Append(wal.Record{Type: wal.RecBegin, TxnID: t.id}); err != nil {
+			return wal.NilLSN, err
+		}
+		t.begun = true
+	}
+	rec.TxnID = t.id
+	return t.db.log.Append(rec)
+}
+
+// readOnly reports a transaction with nothing to make durable or undo and
+// nobody to tell: commit and abort are then purely in-memory.
+func (t *Txn) readOnly() bool { return !t.begun && len(t.xrms) == 0 }
 
 // ID returns the transaction identifier.
 func (t *Txn) ID() uint64 { return t.id }
@@ -274,9 +292,8 @@ var errTxnDone = errors.New("sqlmini: transaction already finished")
 
 // logChange appends an update record with backchain and returns its LSN.
 func (t *Txn) logChange(p logPayload) wal.LSN {
-	lsn, err := t.db.log.Append(wal.Record{
+	lsn, err := t.append(wal.Record{
 		Type:    wal.RecUpdate,
-		TxnID:   t.id,
 		PrevLSN: t.lastLSN,
 		Payload: encodePayload(p),
 	})
@@ -445,7 +462,7 @@ func (t *Txn) Prepare() error {
 	if t.state != TxnActive {
 		return errTxnDone
 	}
-	lsn, err := t.db.log.Append(wal.Record{Type: wal.RecPrepare, TxnID: t.id, PrevLSN: t.lastLSN})
+	lsn, err := t.append(wal.Record{Type: wal.RecPrepare, PrevLSN: t.lastLSN})
 	if err != nil {
 		return err
 	}
@@ -475,14 +492,16 @@ func (t *Txn) Commit() error {
 		}
 	}
 	// Commit point: durable commit record.
-	lsn, err := t.db.log.Append(wal.Record{Type: wal.RecCommit, TxnID: t.id, PrevLSN: t.lastLSN})
-	if err != nil {
-		return err
+	if !t.readOnly() {
+		lsn, err := t.append(wal.Record{Type: wal.RecCommit, PrevLSN: t.lastLSN})
+		if err != nil {
+			return err
+		}
+		if err := t.db.log.FlushTo(lsn); err != nil {
+			return err
+		}
+		t.lastLSN = lsn
 	}
-	if err := t.db.log.FlushTo(lsn); err != nil {
-		return err
-	}
-	t.lastLSN = lsn
 	t.state = TxnCommitted
 	// Phase 2: tell participants. Participant failure after the commit point
 	// does not change the outcome; participants re-resolve at recovery.
@@ -505,8 +524,13 @@ func (t *Txn) Abort() error {
 	if t.state != TxnActive && t.state != TxnPrepared {
 		return errTxnDone
 	}
-	if _, err := t.db.log.Append(wal.Record{Type: wal.RecAbort, TxnID: t.id, PrevLSN: t.lastLSN}); err != nil {
-		return err
+	// A read-only transaction has nothing to undo (the backchain walk below
+	// is empty) and logs neither the abort nor the end.
+	logged := !t.readOnly()
+	if logged {
+		if _, err := t.append(wal.Record{Type: wal.RecAbort, PrevLSN: t.lastLSN}); err != nil {
+			return err
+		}
 	}
 	// Walk the backchain undoing updates.
 	cur := t.lastLSN
@@ -522,8 +546,10 @@ func (t *Txn) Abort() error {
 		}
 		cur = rec.PrevLSN
 	}
-	if _, err := t.db.log.Append(wal.Record{Type: wal.RecEnd, TxnID: t.id}); err != nil {
-		return err
+	if logged {
+		if _, err := t.append(wal.Record{Type: wal.RecEnd}); err != nil {
+			return err
+		}
 	}
 	t.state = TxnAborted
 	for _, x := range t.xrms {
@@ -538,11 +564,14 @@ func (t *Txn) Abort() error {
 	return nil
 }
 
-// finish releases locks and records the outcome.
+// finish releases locks and records the outcome — except a read-only
+// transaction's, which no participant or log record can ever ask about.
 func (t *Txn) finish(committed bool) {
 	t.db.mu.Lock()
 	delete(t.db.active, t.id)
-	t.db.outcome[t.id] = committed
+	if !t.readOnly() {
+		t.db.outcome[t.id] = committed
+	}
 	t.db.mu.Unlock()
 	t.db.lm.ReleaseAll(t.id)
 	t.db.maybeCheckpoint()

@@ -13,8 +13,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -89,9 +91,17 @@ const Sep = ";dltoken="
 // Authority issues and validates tokens for one file server. The zero value
 // is unusable; construct with NewAuthority.
 type Authority struct {
-	key   []byte
 	clock func() time.Time
 	ttl   time.Duration
+	// macs pools keyed HMAC states: hmac.New hashes the key into two fresh
+	// SHA-256 states on every call, Reset restores them for free.
+	macs sync.Pool
+}
+
+// macState is one pooled HMAC plus the scratch its input and sum go through.
+type macState struct {
+	h   hash.Hash
+	buf []byte
 }
 
 // DefaultTTL is the token lifetime used when none is configured.
@@ -107,14 +117,27 @@ func NewAuthority(key []byte, clock func() time.Time, ttl time.Duration) *Author
 	}
 	k := make([]byte, len(key))
 	copy(k, key)
-	return &Authority{key: k, clock: clock, ttl: ttl}
+	a := &Authority{clock: clock, ttl: ttl}
+	a.macs.New = func() any { return &macState{h: hmac.New(sha256.New, k)} }
+	return a
 }
 
-// mac computes the HMAC over the token's canonical form.
+// mac computes the HMAC over the token's canonical form,
+// "<type>\x00<path>\x00<expiry>".
 func (a *Authority) mac(typ Type, path string, expiry int64) string {
-	h := hmac.New(sha256.New, a.key)
-	fmt.Fprintf(h, "%s\x00%s\x00%d", typ, path, expiry)
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	st := a.macs.Get().(*macState)
+	defer a.macs.Put(st)
+	b := append(st.buf[:0], typ.String()...)
+	b = append(b, 0)
+	b = append(b, path...)
+	b = append(b, 0)
+	b = strconv.AppendInt(b, expiry, 10)
+	st.h.Reset()
+	st.h.Write(b)
+	n := len(b)
+	b = st.h.Sum(b)
+	st.buf = b
+	return hex.EncodeToString(b[n : n+16])
 }
 
 // Issue creates a signed token string authorizing `typ` access to path.

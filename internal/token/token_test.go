@@ -1,7 +1,12 @@
 package token
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -154,4 +159,33 @@ func TestParseTypeRoundTrip(t *testing.T) {
 	if _, err := ParseType("q"); err == nil {
 		t.Error("ParseType(q) should fail")
 	}
+}
+
+// The pooled, reset-and-reused HMAC states must sign exactly what a fresh
+// hmac.New over the canonical form does — every authority holding the key
+// (and every token already issued) depends on it — from many goroutines at
+// once.
+func TestMacMatchesFreshHMAC(t *testing.T) {
+	key := []byte("secret")
+	a := NewAuthority(key, nil, time.Minute)
+	want := func(typ Type, path string, expiry int64) string {
+		h := hmac.New(sha256.New, key)
+		fmt.Fprintf(h, "%s\x00%s\x00%d", typ, path, expiry)
+		return hex.EncodeToString(h.Sum(nil)[:16])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				typ, path, expiry := Type(i%3+1), fmt.Sprintf("/d/%d/f%d.bin", g, i), int64(1_700_000_000+i*g)
+				if got := a.mac(typ, path, expiry); got != want(typ, path, expiry) {
+					t.Errorf("mac(%s, %s, %d) = %s, want %s", typ, path, expiry, got, want(typ, path, expiry))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -103,6 +103,7 @@ type clientConn struct {
 type Client struct {
 	addr     string
 	cfg      ClientConfig
+	policy   retry.Policy // cfg.Retry with the retries counter hooked into OnRetry
 	classify retry.Classifier
 	breaker  *retry.Breaker
 	idle     chan *clientConn
@@ -148,6 +149,14 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 		},
 	}
 	c.classify = defaultClassify
+	c.policy = cfg.Retry
+	userOnRetry := cfg.Retry.OnRetry
+	c.policy.OnRetry = func(attempt int, err error, d time.Duration) {
+		c.ctr.retries.Inc()
+		if userOnRetry != nil {
+			userOnRetry(attempt, err, d)
+		}
+	}
 	if !cfg.DisableBreaker {
 		bcfg := retry.BreakerConfig{}
 		if cfg.Breaker != nil {
@@ -177,9 +186,12 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 // defaultClassify is the upcall error classifier: connection-scoped faults
 // and server backpressure are retryable; everything else — auth and
 // protocol rejections, context expiry, the open circuit breaker — is
-// permanent.
+// permanent. A wire version mismatch is checked first: it arrives on a
+// connection that was then retired, but a retry would meet the same peer.
 func defaultClassify(err error) retry.Class {
 	switch {
+	case errors.Is(err, ErrWireVersion):
+		return retry.Permanent
 	case errors.Is(err, ErrConnLost), errors.Is(err, ErrOverloaded), errors.Is(err, ErrDraining):
 		return retry.Retryable
 	}
@@ -199,37 +211,33 @@ func (c *Client) Metrics() *metrics.Registry { return c.cfg.Metrics }
 // Upcall sends the request under the configured per-op deadline, retrying
 // transient transport faults with backoff.
 func (c *Client) Upcall(req Request) (Response, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.OpTimeout)
-	defer cancel()
-	return c.UpcallCtx(ctx, req)
+	return c.UpcallCtx(context.Background(), req)
 }
 
 // UpcallCtx sends the request under the caller's context. The context
 // deadline bounds the whole op — every attempt, every backoff sleep; a
 // context without a deadline falls back to the configured OpTimeout so a
-// span-carrying context can never disable the per-op bound.
+// span-carrying context can never disable the per-op bound. The fallback is
+// carried as a plain deadline and the retry loop's budget, not a derived
+// context: arming and cancelling a timer context was a third of what one
+// call allocated, for a timer that fires only when the op is already lost.
 func (c *Client) UpcallCtx(ctx context.Context, req Request) (Response, error) {
-	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.OpTimeout)
-		defer cancel()
-	}
-	var resp Response
-	p := c.cfg.Retry
-	userOnRetry := p.OnRetry
-	p.OnRetry = func(attempt int, err error, d time.Duration) {
-		c.ctr.retries.Inc()
-		if userOnRetry != nil {
-			userOnRetry(attempt, err, d)
+	p := c.policy
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		deadline = time.Now().Add(c.cfg.OpTimeout)
+		if p.Budget <= 0 || p.Budget > c.cfg.OpTimeout {
+			p.Budget = c.cfg.OpTimeout
 		}
 	}
+	var resp Response
 	err := retry.Do(ctx, p, c.classify, func(ctx context.Context) error {
 		if c.breaker != nil {
 			if berr := c.breaker.Allow(); berr != nil {
 				return berr
 			}
 		}
-		r, aerr := c.attempt(ctx, req)
+		r, aerr := c.attempt(ctx, deadline, req)
 		if c.breaker != nil {
 			if aerr != nil && c.classify(aerr) == retry.Retryable {
 				c.breaker.Failure()
@@ -256,7 +264,7 @@ func (c *Client) UpcallCtx(ctx context.Context, req Request) (Response, error) {
 // request. Each attempt gets its own "wire" span — a retried op therefore
 // shows one trace with N wire-attempt children, and injected chaos delay on
 // this connection is attributed to the wire span it actually slowed.
-func (c *Client) attempt(ctx context.Context, req Request) (Response, error) {
+func (c *Client) attempt(ctx context.Context, opDeadline time.Time, req Request) (Response, error) {
 	wire := obs.SpanFrom(ctx).Child("wire")
 	defer wire.End()
 	wire.SetAttr("op", req.Op.String())
@@ -265,7 +273,7 @@ func (c *Client) attempt(ctx context.Context, req Request) (Response, error) {
 		wire.SetAttr("error", err.Error())
 		return Response{}, err
 	}
-	cc, err := c.get(ctx)
+	cc, err := c.get(ctx, opDeadline)
 	if err != nil {
 		return fail(err)
 	}
@@ -275,8 +283,8 @@ func (c *Client) attempt(ctx context.Context, req Request) (Response, error) {
 		chaosBefore = chaos.injectedDelay()
 	}
 	deadline := time.Now().Add(c.cfg.AttemptTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
+	if opDeadline.Before(deadline) {
+		deadline = opDeadline
 	}
 	cc.conn.SetDeadline(deadline)
 	seq := c.seq.Add(1)
@@ -290,6 +298,9 @@ func (c *Client) attempt(ctx context.Context, req Request) (Response, error) {
 		c.retire(cc)
 		if chaos != nil && wire != nil {
 			wire.SetAttr("chaos_delay_ms", float64(chaos.injectedDelay()-chaosBefore)/1e6)
+		}
+		if errors.Is(err, ErrWireVersion) {
+			return fail(err) // not a lost connection: a fresh one reaches the same peer
 		}
 		return fail(connLost(err))
 	}
@@ -318,8 +329,9 @@ func (c *Client) attempt(ctx context.Context, req Request) (Response, error) {
 }
 
 // get checks a connection out of the pool, dialing a fresh one when a pool
-// slot is free, or waiting for a connection (or the context) otherwise.
-func (c *Client) get(ctx context.Context) (*clientConn, error) {
+// slot is free, or waiting for a connection (or the context, or the op
+// deadline) otherwise.
+func (c *Client) get(ctx context.Context, opDeadline time.Time) (*clientConn, error) {
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
@@ -331,6 +343,8 @@ func (c *Client) get(ctx context.Context) (*clientConn, error) {
 		return cc, nil
 	default:
 	}
+	expired := time.NewTimer(time.Until(opDeadline))
+	defer expired.Stop()
 	select {
 	case cc := <-c.idle:
 		return cc, nil
@@ -343,6 +357,8 @@ func (c *Client) get(ctx context.Context) (*clientConn, error) {
 		return cc, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
+	case <-expired.C:
+		return nil, context.DeadlineExceeded
 	}
 }
 

@@ -2,7 +2,6 @@ package upcall
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -171,9 +170,10 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// readRequest reads one framed request. The header wait uses IdleTimeout
-// (a quiet connection may be evicted); once a frame has started, its body
-// must arrive within FrameTimeout.
+// readRequest reads one framed request — readFrame with the server's two
+// read deadlines: the header wait uses IdleTimeout (a quiet connection may
+// be evicted); once a frame has started, its body must arrive within
+// FrameTimeout.
 func (s *Server) readRequest(conn net.Conn, e *envelope) error {
 	if s.cfg.IdleTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
@@ -186,20 +186,14 @@ func (s *Server) readRequest(conn net.Conn, e *envelope) error {
 	if s.draining.Load() {
 		conn.SetReadDeadline(time.Now())
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	fb := getFrameBuf()
+	defer putFrameBuf(fb)
+	n, err := readFrameHeader(conn, s.cfg.MaxFrame, fb)
+	if err != nil {
 		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if int64(n) > int64(s.cfg.MaxFrame) {
-		return fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, s.cfg.MaxFrame)
 	}
 	conn.SetReadDeadline(time.Now().Add(s.cfg.FrameTimeout))
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(conn, payload); err != nil {
-		return err
-	}
-	return decodeEnvelope(payload, e)
+	return readFrameBody(conn, n, fb, e)
 }
 
 // reply writes one response frame under the connection's write mutex with
@@ -238,6 +232,11 @@ func (s *Server) serveConn(conn net.Conn) {
 				// Drain nudge or clean client hangup.
 			case errors.Is(err, ErrFrameTooLarge):
 				s.ctr.oversized.Inc()
+			case errors.Is(err, ErrWireVersion):
+				// Answer before hanging up: the reply's own version byte
+				// is what tells a peer at another version why, so its
+				// first call fails typed instead of retrying a dead line.
+				_ = s.reply(conn, &wmu, &envelope{Err: err.Error()})
 			default:
 				var ne net.Error
 				if errors.As(err, &ne) && ne.Timeout() {

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
+	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,56 +15,87 @@ import (
 	"datalinks/internal/retry"
 )
 
-// legacyEnvelope is the frame body as it existed before trace propagation —
-// no TraceID/SpanID. Gob matches struct fields by name, so this stands in
-// for an old peer on either end of the connection.
-type legacyEnvelope struct {
-	Seq       uint64
-	Req       Request
-	Resp      Response
-	Err       string
-	Retryable bool
+// otherVersionFrame is a well-framed payload whose first byte is not
+// wireVersion — what a peer at another wire version sends, and what the gob
+// envelope this layout replaced looks like (a gob stream opens with the
+// length of a type definition, never 0x01).
+func otherVersionFrame() []byte {
+	payload := []byte{wireVersion + 1, 0, 4}
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
-// A new client talking to an old server: the old decoder must ignore the
-// trace fields; an old client talking to a new server: the new decoder must
-// see a zero (= untraced) wire context. Version skew is safe both ways.
+// Version skew is an explicit, typed refusal on the first frame, at both
+// ends: the decode fails with ErrWireVersion, the connection is retired, and
+// the client treats the fault as permanent — one attempt, no retry budget
+// burnt, no breaker trip. Zero TraceID/SpanID still means "untraced".
 func TestEnvelopeVersionSkew(t *testing.T) {
-	// New encoder -> old decoder.
-	var buf bytes.Buffer
-	in := envelope{Seq: 9, Req: Request{Op: OpClose, Path: "/f"}, TraceID: 77, SpanID: 3}
-	if err := writeFrame(&buf, DefaultMaxFrame, &in); err != nil {
-		t.Fatalf("writeFrame: %v", err)
+	var out envelope
+	err := readFrame(bytes.NewReader(otherVersionFrame()), DefaultMaxFrame, &out)
+	if !errors.Is(err, ErrWireVersion) || !errors.Is(err, ErrTransport) {
+		t.Fatalf("decode of another version's frame: %v, want ErrWireVersion wrapping ErrTransport", err)
 	}
-	payload := buf.Bytes()[4:]
-	if n := binary.BigEndian.Uint32(buf.Bytes()[:4]); int(n) != len(payload) {
-		t.Fatalf("length prefix %d != payload %d", n, len(payload))
-	}
-	var old legacyEnvelope
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&old); err != nil {
-		t.Fatalf("old peer failed to decode traced frame: %v", err)
-	}
-	if old.Seq != 9 || old.Req.Op != OpClose || old.Req.Path != "/f" {
-		t.Fatalf("payload lost in old decode: %+v", old)
+	if defaultClassify(err) != retry.Permanent || defaultClassify(connLost(err)) != retry.Permanent {
+		t.Fatal("a wire version mismatch must classify as permanent, however it is wrapped")
 	}
 
-	// Old encoder -> new decoder.
-	var legacy bytes.Buffer
-	legacy.Write([]byte{0, 0, 0, 0})
-	if err := gob.NewEncoder(&legacy).Encode(&legacyEnvelope{Seq: 4, Resp: Response{OK: true, OpenID: 12}}); err != nil {
-		t.Fatalf("legacy encode: %v", err)
+	// Client side: the peer answers every request in another version.
+	answer := func(conn net.Conn) {
+		var e envelope
+		if readFrame(bufio.NewReader(conn), DefaultMaxFrame, &e) == nil {
+			conn.Write(otherVersionFrame())
+		}
 	}
-	b := legacy.Bytes()
-	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
-	var out envelope
-	if err := readFrame(bytes.NewReader(b), DefaultMaxFrame, &out); err != nil {
-		t.Fatalf("new peer failed to decode legacy frame: %v", err)
+	cfg := fastClient()
+	cfg.DisableBreaker = false
+	cfg.Breaker = &retry.BreakerConfig{Threshold: 1}
+	client, err := DialConfig(rawServer(t, answer, answer), cfg)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
 	}
-	if out.Seq != 4 || !out.Resp.OK || out.Resp.OpenID != 12 {
-		t.Fatalf("payload lost in new decode: %+v", out)
+	defer client.Close()
+	if _, err := client.Upcall(Request{Op: OpClose, Path: "/f"}); !errors.Is(err, ErrWireVersion) || !errors.Is(err, ErrTransport) {
+		t.Fatalf("upcall to a mismatched peer: %v, want ErrWireVersion", err)
 	}
-	if out.TraceID != 0 || out.SpanID != 0 {
-		t.Fatalf("legacy frame must decode as untraced, got trace=%d span=%d", out.TraceID, out.SpanID)
+	m := client.Metrics()
+	for name, want := range map[string]int64{"upcall.conns_dialed": 1, "upcall.conns_retired": 1,
+		"upcall.retries": 0, "upcall.giveups": 0, "upcall.breaker_open": 0} {
+		if got := m.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+
+	// Server side: a request in another version is answered in this one (so
+	// the sender's own version check is what fails its call) and hung up on.
+	srv, addr, err := Serve(noopService{}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	conn.Write(otherVersionFrame())
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	r := bufio.NewReader(conn)
+	if err := readFrame(r, DefaultMaxFrame, &out); err != nil || !strings.Contains(out.Err, ErrWireVersion.Error()) {
+		t.Fatalf("server's answer to another version: %+v, %v", out, err)
+	}
+	if _, err := r.ReadByte(); !errors.Is(err, io.EOF) {
+		t.Fatalf("server kept a mismatched connection open: %v", err)
+	}
+
+	// An untraced frame carries zeros and decodes to zeros.
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, DefaultMaxFrame, &envelope{Seq: 4, Resp: Response{OK: true, OpenID: 12}}); err != nil {
+		t.Fatalf("writeFrame: %v", err)
+	}
+	if err := readFrame(&buf, DefaultMaxFrame, &out); err != nil {
+		t.Fatalf("readFrame: %v", err)
+	}
+	if out.Seq != 4 || !out.Resp.OK || out.Resp.OpenID != 12 || out.TraceID != 0 || out.SpanID != 0 {
+		t.Fatalf("untraced frame decoded as %+v", out)
 	}
 }
 

@@ -11,8 +11,10 @@
 //
 // Two transports are provided: a direct in-process transport and a TCP
 // transport for running DLFM as a separate daemon (cmd/dlfmd). The TCP
-// plane is built for real networks: a length-prefixed framed protocol with
-// a hard frame-size limit, a connection pool with health-checked reconnect,
+// plane is built for real networks: length-prefixed frames in a fixed binary
+// layout (frame.go: version byte first, varints, length-prefixed strings —
+// no reflection, no per-frame type descriptors) with a hard frame-size
+// limit, a connection pool with health-checked reconnect,
 // per-op deadlines, retry with capped exponential backoff and full jitter
 // (internal/retry), an optional circuit breaker, and server-side
 // backpressure (bounded connections, per-connection request windows, global
@@ -25,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"datalinks/internal/metrics"
@@ -43,6 +46,8 @@ const (
 	OpCheckRemove                 // fs_remove of any file
 	OpCheckRename                 // fs_rename of any file
 	OpReadOpen                    // read-open notification (full control: sync entry)
+
+	opLimit // one past the last op
 )
 
 // String names the op for metrics and traces.
@@ -154,6 +159,11 @@ var (
 	// in either direction. Oversized inbound frames cannot be skipped
 	// (the stream is unparseable past them), so the connection dies.
 	ErrFrameTooLarge = errors.New("upcall: frame exceeds size limit")
+	// ErrWireVersion reports a frame whose first payload byte is not this
+	// build's wire version: the peer speaks another envelope layout (or the
+	// gob envelope that predates the layout). The connection is retired, and
+	// the fault is permanent — the next attempt would reach the same peer.
+	ErrWireVersion = errors.New("upcall: wire version mismatch")
 )
 
 // connLost wraps a low-level cause as a retryable connection-loss fault.
@@ -168,6 +178,38 @@ type Transport struct {
 	latency time.Duration
 	reg     *metrics.Registry
 	sem     chan struct{} // nil: unbounded
+
+	total      *metrics.Counter
+	latencyAll *metrics.Histogram
+	// perOp caches each op's counter and histogram on first use, so the
+	// steady state neither builds their names nor looks them up.
+	perOp [opLimit]atomic.Pointer[opMetrics]
+}
+
+// opMetrics is one op's "upcall.<op>" counter and "upcall.latency.<op>"
+// histogram.
+type opMetrics struct {
+	calls   *metrics.Counter
+	latency *metrics.Histogram
+}
+
+// metricsFor returns op's metrics. An op outside the known range (a corrupt
+// or future request) is still counted, by name.
+func (t *Transport) metricsFor(op Op) *opMetrics {
+	if int(op) >= len(t.perOp) {
+		return t.newOpMetrics(op)
+	}
+	m := t.perOp[op].Load()
+	if m == nil {
+		m = t.newOpMetrics(op)
+		t.perOp[op].Store(m)
+	}
+	return m
+}
+
+func (t *Transport) newOpMetrics(op Op) *opMetrics {
+	name := op.String()
+	return &opMetrics{calls: t.reg.Counter("upcall." + name), latency: t.reg.Histogram("upcall.latency." + name)}
 }
 
 // NewInProc wraps a Service with metrics and optional injected latency,
@@ -185,7 +227,8 @@ func NewInProcWidth(svc Service, latency time.Duration, width int, reg *metrics.
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	t := &Transport{svc: svc, latency: latency, reg: reg}
+	t := &Transport{svc: svc, latency: latency, reg: reg,
+		total: reg.Counter("upcall.total"), latencyAll: reg.Histogram("upcall.latency")}
 	if width > 0 {
 		t.sem = make(chan struct{}, width)
 	}
@@ -218,12 +261,12 @@ func (t *Transport) UpcallCtx(ctx context.Context, req Request) (Response, error
 		time.Sleep(t.latency)
 	}
 	resp, err := Call(ctx, t.svc, req)
-	opName := req.Op.String()
-	t.reg.Counter("upcall." + opName).Inc()
-	t.reg.Counter("upcall.total").Inc()
+	m := t.metricsFor(req.Op)
+	m.calls.Inc()
+	t.total.Inc()
 	elapsed := time.Since(start)
-	t.reg.Histogram("upcall.latency").Observe(elapsed)
-	t.reg.Histogram("upcall.latency." + opName).Observe(elapsed)
+	t.latencyAll.Observe(elapsed)
+	m.latency.Observe(elapsed)
 	return resp, err
 }
 
@@ -234,7 +277,7 @@ func (t *Transport) Metrics() *metrics.Registry { return t.reg }
 func (t *Transport) SetLatency(d time.Duration) { t.latency = d }
 
 // Calls returns the total number of upcalls made so far.
-func (t *Transport) Calls() int64 { return t.reg.Counter("upcall.total").Value() }
+func (t *Transport) Calls() int64 { return t.total.Value() }
 
 // CallsFor returns the upcall count for one operation.
 func (t *Transport) CallsFor(op Op) int64 {
