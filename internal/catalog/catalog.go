@@ -248,36 +248,43 @@ func (c *Catalog) loadSnapshot() (uint64, error) {
 // valid prefix: the first framing/checksum/decode failure ends the scan and
 // the invalid suffix is quarantined to catalog.torn.
 func (c *Catalog) loadLog(snapSeq uint64, syncing bool) error {
-	data, err := os.ReadFile(c.path(logName))
+	f, err := os.Open(c.path(logName))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
-	valid := seglog.ValidPrefix(data, func(rest []byte) (int, bool) {
-		payload, n, ok := seglog.NextFrame(rest)
-		if !ok {
-			return 0, false
-		}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("catalog: %w", err)
+	}
+	// The log is read through one sliding window, never held whole: between
+	// checkpoints it is as long as its history.
+	var sc seglog.Scanner
+	valid, err := sc.ScanFrames(f, info.Size(), func(payload []byte) bool {
 		// A record that frames and checksums but does not decode is as torn
 		// as a bad checksum: quarantine from here.
 		seq, perr := c.applySeq(payload, snapSeq)
 		if perr != nil {
-			return 0, false
+			return false
 		}
 		if seq > c.seq {
 			c.seq = seq
 		}
-		return n, true
+		return true
 	})
-	if torn := len(data) - valid; torn > 0 {
-		if err := seglog.RepairTail(c.path(logName), data, valid, c.path(tornName), syncing); err != nil {
+	if err != nil {
+		return fmt.Errorf("catalog: %w", err)
+	}
+	if torn := info.Size() - valid; torn > 0 {
+		if err := seglog.RepairTail(c.path(logName), valid, c.path(tornName), syncing); err != nil {
 			return fmt.Errorf("catalog: %w", err)
 		}
-		c.stats.TornBytes = int64(torn)
+		c.stats.TornBytes = torn
 	}
-	c.logBytes = int64(valid)
+	c.logBytes = valid
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"datalinks/internal/extent"
@@ -439,5 +440,63 @@ func TestSecondTearKeepsFirstTearsEvidence(t *testing.T) {
 		if got, err := os.ReadFile(filepath.Join(dir, tornName)); err != nil || !bytes.Equal(got, evidence) {
 			t.Fatalf("round %d: quarantine holds %d bytes (%v), want both tears' %d in order", round, len(got), err, len(evidence))
 		}
+	}
+}
+
+// allocated reports the bytes fn allocates.
+func allocated(fn func()) int64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestOpenScanAllocBudget: Open reads the log through a sliding window, not
+// whole — beyond what applying the same records to an empty shadow costs, a
+// replay of 10 000 records allocates a small fraction of the log's length.
+func TestOpenScanAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	dir := t.TempDir()
+	cfg := Config{CompactBytes: 1 << 30} // no checkpoint: the log keeps every record
+	c, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const records, keys = 10_000, 100
+	payloads := make([][]byte, records)
+	for i := range payloads {
+		r := putRec(fmt.Sprintf("fs1\x00/f%03d", i%keys), int64(i/keys), i < keys)
+		if err := c.AppendPut(r); err != nil {
+			t.Fatal(err)
+		}
+		payloads[i] = encodePut(uint64(i+1), r)
+	}
+	logLen := c.LogSize()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	replay := allocated(func() {
+		shadow := &Catalog{files: make(map[string]*history)}
+		for _, p := range payloads {
+			if err := shadow.apply(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	var reopened *Catalog
+	open := allocated(func() { reopened, err = Open(dir, cfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if st := reopened.Stats(); st.LogRecords != records || st.TornBytes != 0 {
+		t.Fatalf("reopen applied %d of %d records (%d torn bytes)", st.LogRecords, records, st.TornBytes)
+	}
+	if scan := open - replay; scan*4 >= logLen {
+		t.Fatalf("open allocated %d B, %d B more than applying the records; the log is %d B, budget 1/4 of it", open, scan, logLen)
 	}
 }

@@ -197,6 +197,10 @@ type Store struct {
 
 	closeOnce sync.Once
 	closeErr  error
+
+	// afterPackAppend, when a test sets it, runs in Put between the pack
+	// append and the publication of the record in the index.
+	afterPackAppend func()
 }
 
 // ctrInc / ctrAdd bump an optional registry mirror.
@@ -436,12 +440,18 @@ func (s *Store) Put(h extent.Hash, c *extent.Chunk) (wrote bool, err error) {
 			compressed = true
 		}
 	}
-	// Small blobs append to the shared packfile (one sequential write);
-	// large blobs keep the loose one-file-per-hash layout.
+	// Small blobs append to the shared packfile (sequential writes, no file
+	// cycle); large blobs keep the loose one-file-per-hash layout.
 	var werr error
+	var pack *packMeta // where the blob went, pinned until it is in the index
 	meta := diskMeta{size: int64(len(data)), logical: size, compressed: compressed}
 	if s.packs != nil && size <= s.packThreshold {
-		meta.pack, meta.off, werr = s.packs.append(h, data, size, compressed)
+		if pack, meta.off, werr = s.packs.append(h, data, size, compressed); werr == nil {
+			meta.pack = pack.seq
+			if s.afterPackAppend != nil {
+				s.afterPackAppend()
+			}
+		}
 	} else {
 		werr = s.writeBlob(s.path(h, compressed), data)
 	}
@@ -468,6 +478,9 @@ func (s *Store) Put(h extent.Hash, c *extent.Chunk) (wrote bool, err error) {
 	}
 	s.evictLocked(sh)
 	sh.mu.Unlock()
+	if pack != nil {
+		s.packs.published(pack)
+	}
 	if werr != nil {
 		return false, werr
 	}

@@ -17,10 +17,13 @@ package chunkdisk
 // length; the content hash always covers the uncompressed bytes, verified on
 // page-in exactly like loose blobs). There is no separate index file: the
 // in-memory index (shard onDisk maps pointing at pack/offset) is rebuilt by
-// scanning the packs on open. A crash mid-append leaves a torn final record;
-// open keeps the longest valid prefix and quarantines the rest to
-// pack-<seq>.pk.torn (internal/seglog owns the scan-and-repair and the
-// numbered-file naming).
+// scanning the packs on open — every record's CRC verified, through one
+// record-sized window shared by all packs (seglog.Scanner), so an open holds
+// one record in memory, not the archive. A crash mid-append leaves a torn
+// final record; open keeps the longest valid prefix and quarantines the rest
+// to pack-<seq>.pk.torn (internal/seglog owns the scan-and-repair and the
+// numbered-file naming). Appends copy nothing either: the 45 header bytes
+// are built on the stack and the data goes to the file from where it lies.
 //
 // One pack is ACTIVE (receiving appends) at a time; at PackTargetBytes it is
 // sealed (fsynced under policies that sync, then closed) and a new one
@@ -37,6 +40,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"sort"
 	"sync"
@@ -77,6 +81,10 @@ type packMeta struct {
 	dead   int64 // payload bytes of retired records (compaction fuel)
 	blobs  int64 // records the index still points at
 	sealed bool  // no longer the append target
+	// inflight counts records appended but not yet published in the index
+	// (append takes it, published releases it). Compaction finds a pack's
+	// survivors in the index, so it leaves a pack alone while this is non-zero.
+	inflight int
 }
 
 // garbage reports the dead fraction of the pack's payload.
@@ -133,20 +141,24 @@ func recordCRC(frame []byte) uint32 {
 	return crc32.Update(c, crc32.IEEETable, frame[12:])
 }
 
-// frameRecord builds the on-disk frame for one record.
-func frameRecord(h extent.Hash, data []byte, logical int64, compressed bool) []byte {
-	buf := make([]byte, packRecHdrLen+packRecMeta+len(data))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(data)))
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(logical))
-	copy(buf[12:44], h[:])
-	var flags byte
+// recordHeader builds the bytes that precede a record's data on disk. The
+// checksum is folded over the header and then over data where it lies: the
+// record is never assembled in memory.
+func recordHeader(h extent.Hash, data []byte, logical int64, compressed bool) (hdr [packRecHdrLen + packRecMeta]byte) {
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(data)))
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(logical))
+	copy(hdr[12:44], h[:])
 	if compressed {
-		flags = packFlagCompressed
+		hdr[44] = packFlagCompressed
 	}
-	buf[44] = flags
-	copy(buf[packRecHdrLen+packRecMeta:], data)
-	binary.LittleEndian.PutUint32(buf[8:12], recordCRC(buf))
-	return buf
+	sum := crc32.Update(recordCRC(hdr[:]), crc32.IEEETable, data)
+	binary.LittleEndian.PutUint32(hdr[8:12], sum)
+	return hdr
+}
+
+// recordLen reads the length of the whole record off its header.
+func recordLen(hdr []byte) int64 {
+	return packRecHdrLen + packRecMeta + int64(binary.LittleEndian.Uint32(hdr[0:4]))
 }
 
 // parseRecord frames one record off buf. n is total bytes consumed.
@@ -171,27 +183,33 @@ func parseRecord(buf []byte) (h extent.Hash, data []byte, logical int64, compres
 }
 
 // append writes one record to the active pack, creating or rotating packs as
-// needed, and returns the data's pack sequence and byte offset. Under
-// PolicyAlways the append is fsynced before returning.
-func (ps *packSet) append(h extent.Hash, data []byte, logical int64, compressed bool) (seq, off int64, err error) {
+// needed, and returns the pack it went to and the data's byte offset there.
+// Under PolicyAlways the append is fsynced before returning. The pack comes
+// back pinned against compaction: the caller publishes the record in the
+// index and then calls published.
+func (ps *packSet) append(h extent.Hash, data []byte, logical int64, compressed bool) (pm *packMeta, off int64, err error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	if ps.active == nil {
 		if err := ps.openActiveLocked(); err != nil {
-			return 0, 0, err
+			return nil, 0, err
 		}
 	}
-	pm := ps.activePM
-	frame := frameRecord(h, data, logical, compressed)
-	if _, werr := ps.active.WriteAt(frame, pm.size); werr != nil {
-		// Rewind a partial frame so the next append never lands after
+	pm = ps.activePM
+	hdr := recordHeader(h, data, logical, compressed)
+	off = pm.size + int64(len(hdr))
+	_, werr := ps.active.WriteAt(hdr[:], pm.size)
+	if werr == nil {
+		_, werr = ps.active.WriteAt(data, off)
+	}
+	if werr != nil {
+		// Rewind a partial record so the next append never lands after
 		// garbage; if even the truncate fails, open-time torn-tail recovery
 		// covers it.
 		_ = ps.active.Truncate(pm.size)
-		return 0, 0, fmt.Errorf("chunkdisk: pack append: %w", werr)
+		return nil, 0, fmt.Errorf("chunkdisk: pack append: %w", werr)
 	}
-	off = pm.size + packRecHdrLen + packRecMeta
-	pm.size += int64(len(frame))
+	pm.size = off + int64(len(data))
 	pm.live += int64(len(data))
 	pm.blobs++
 	ps.s.packAppends.Add(1)
@@ -200,16 +218,25 @@ func (ps *packSet) append(h extent.Hash, data []byte, logical int64, compressed 
 		// Per-append flush, directly on the handle we hold (the syncer's
 		// group callback re-locks ps.mu and is only for the Barrier path).
 		if serr := ps.active.Sync(); serr != nil {
-			return 0, 0, fmt.Errorf("chunkdisk: pack fsync: %w", serr)
+			return nil, 0, fmt.Errorf("chunkdisk: pack fsync: %w", serr)
 		}
 		ps.s.countFsync()
 	}
 	if pm.size >= ps.target {
 		if err := ps.sealActiveLocked(); err != nil {
-			return 0, 0, err
+			return nil, 0, err
 		}
 	}
-	return pm.seq, off, nil
+	pm.inflight++
+	return pm, off, nil
+}
+
+// published releases append's pin once the record is in the index (or will
+// never be: the fresh copy of a record swept mid-compaction).
+func (ps *packSet) published(pm *packMeta) {
+	ps.mu.Lock()
+	pm.inflight--
+	ps.mu.Unlock()
 }
 
 // openActiveLocked starts a fresh pack file. Caller holds ps.mu.
@@ -335,7 +362,9 @@ func (ps *packSet) maybeCompact() {
 	ps.mu.Lock()
 	var victims []*packMeta
 	for _, pm := range ps.packs {
-		if !pm.sealed {
+		if !pm.sealed || pm.inflight != 0 {
+			// Sealed packs take no more appends, so a pack seen with nothing
+			// in flight has every record it will ever hold in the index.
 			continue
 		}
 		if pm.blobs == 0 || pm.garbage() > ps.ratio {
@@ -376,12 +405,12 @@ func (ps *packSet) compactOne(pm *packMeta) error {
 		if err != nil {
 			return err
 		}
-		newSeq, newOff, err := ps.append(rec.h, data, rec.meta.logical, rec.meta.compressed)
+		dst, newOff, err := ps.append(rec.h, data, rec.meta.logical, rec.meta.compressed)
 		if err != nil {
 			return err
 		}
 		moved := rec.meta
-		moved.pack, moved.off = newSeq, newOff
+		moved.pack, moved.off = dst.seq, newOff
 		sh := s.shardFor(rec.h)
 		sh.mu.Lock()
 		cur, ok := sh.onDisk[rec.h]
@@ -393,8 +422,9 @@ func (ps *packSet) compactOne(pm *packMeta) error {
 			ok = false
 		}
 		sh.mu.Unlock()
+		ps.published(dst)
 		if !ok {
-			ps.retire(map[int64]int64{newSeq: moved.size}, map[int64]int64{newSeq: 1})
+			ps.retire(map[int64]int64{dst.seq: moved.size}, map[int64]int64{dst.seq: 1})
 		}
 	}
 	// Survivors must be durable in their new home before the old one goes
@@ -437,8 +467,9 @@ func (s *Store) adoptPacks() error {
 	if err != nil {
 		return fmt.Errorf("chunkdisk: %w", err)
 	}
+	var sc seglog.Scanner // one window for every pack of this open
 	for _, seq := range seqs {
-		if err := s.adoptOnePack(s.packs.files.Path(seq), int64(seq)); err != nil {
+		if err := s.adoptOnePack(&sc, s.packs.files.Path(seq), int64(seq)); err != nil {
 			return err
 		}
 		s.packs.nextSeq = int64(seq) + 1
@@ -450,20 +481,33 @@ func (s *Store) adoptPacks() error {
 // (Claim or a re-Put revives it, exactly like loose adoption) and
 // quarantining a torn tail — or the whole file, when it does not start with
 // the pack magic: never guess at, or delete, bytes that might matter.
-func (s *Store) adoptOnePack(path string, seq int64) error {
-	data, err := os.ReadFile(path)
+func (s *Store) adoptOnePack(sc *seglog.Scanner, path string, seq int64) error {
+	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("chunkdisk: %w", err)
 	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("chunkdisk: %w", err)
+	}
+	size := info.Size()
 	pm := &packMeta{seq: seq, path: path, sealed: true}
-	valid := 0
-	if len(data) >= len(packMagic) && [8]byte(data[:8]) == packMagic {
-		valid = len(packMagic) + seglog.ValidPrefix(data[len(packMagic):], func(rest []byte) (int, bool) {
-			h, payload, logical, compressed, n, ok := parseRecord(rest)
+	var magic [len(packMagic)]byte
+	if size >= int64(len(magic)) {
+		if _, err := f.ReadAt(magic[:], 0); err != nil {
+			return fmt.Errorf("chunkdisk: pack %d: %w", seq, err)
+		}
+	}
+	valid := int64(0)
+	if magic == packMagic {
+		const hdrLen = packRecHdrLen + packRecMeta
+		body := io.NewSectionReader(f, int64(len(magic)), size-int64(len(magic)))
+		n, err := sc.Scan(body, body.Size(), hdrLen, recordLen, func(rec []byte, off int64) bool {
+			h, payload, logical, compressed, _, ok := parseRecord(rec)
 			if !ok {
-				return 0, false
+				return false
 			}
-			off := int64(len(data)-len(rest)) + packRecHdrLen + packRecMeta
 			sh := s.shardFor(h)
 			sh.mu.Lock()
 			defer sh.mu.Unlock()
@@ -471,9 +515,9 @@ func (s *Store) adoptOnePack(path string, seq int64) error {
 				// The hash is already indexed (an earlier record, or a loose
 				// file): this record's bytes are dead space from the start.
 				pm.dead += int64(len(payload))
-				return n, true
+				return true
 			}
-			sh.onDisk[h] = diskMeta{size: int64(len(payload)), logical: logical, compressed: compressed, pack: seq, off: off}
+			sh.onDisk[h] = diskMeta{size: int64(len(payload)), logical: logical, compressed: compressed, pack: seq, off: int64(len(magic)) + off + hdrLen}
 			sh.dead[h] = struct{}{}
 			s.diskBlobs.Add(1)
 			s.diskBytes.Add(int64(len(payload)))
@@ -481,22 +525,26 @@ func (s *Store) adoptOnePack(path string, seq int64) error {
 			s.deadBlobs.Add(1)
 			pm.live += int64(len(payload))
 			pm.blobs++
-			return n, true
+			return true
 		})
+		if err != nil {
+			return fmt.Errorf("chunkdisk: pack %d: %w", seq, err)
+		}
+		valid = int64(len(magic)) + n
 	}
-	if torn := len(data) - valid; torn > 0 || valid == 0 {
+	if torn := size - valid; torn > 0 || valid == 0 {
 		// Open-time repair flushes are not metered: Stats.Fsyncs prices the
 		// write path.
 		syncing := s.sync.Policy() != fsyncer.PolicyNone
-		if err := seglog.RepairTail(path, data, valid, path+".torn", syncing); err != nil {
+		if err := seglog.RepairTail(path, valid, path+".torn", syncing); err != nil {
 			return fmt.Errorf("chunkdisk: pack %d: %w", seq, err)
 		}
-		s.packTornBytes.Add(int64(torn))
+		s.packTornBytes.Add(torn)
 	}
 	if valid == 0 {
 		return nil // not a pack: the file is gone, its bytes quarantined
 	}
-	pm.size = int64(valid)
+	pm.size = valid
 	s.packs.packs[seq] = pm
 	s.packFiles.Add(1)
 	s.packDeadBytes.Add(pm.dead)

@@ -255,8 +255,8 @@ func (c *Cluster) catchUpReplica(src, dst *FileServer, path string) error {
 	}
 
 	have := int64(-1)
-	if vs := dst.Archive.Versions(c.authority, path); len(vs) > 0 {
-		have = int64(vs[len(vs)-1].Version)
+	if e, err := dst.Archive.Latest(c.authority, path); err == nil {
+		have = int64(e.Version)
 	}
 	if have < 0 {
 		return fullResync(false)
@@ -411,8 +411,8 @@ func (c *Cluster) FlushReplication() error {
 				continue
 			}
 			srcLast := int64(-1)
-			if vs := m.Archive.Versions(c.authority, p); len(vs) > 0 {
-				srcLast = int64(vs[len(vs)-1].Version)
+			if e, err := m.Archive.Latest(c.authority, p); err == nil {
+				srcLast = int64(e.Version)
 			}
 			if srcLast < 0 {
 				continue // mode without archive history: nothing to replicate
@@ -471,8 +471,8 @@ func (c *Cluster) FlushReplication() error {
 // restored owner resyncs from scratch.
 func (c *Cluster) syncReplica(src, dst *FileServer, path string, srcLast int64, mtime time.Time, meta dlfm.ReplicaMeta) error {
 	have := int64(-1)
-	if vs := dst.Archive.Versions(c.authority, path); len(vs) > 0 {
-		have = int64(vs[len(vs)-1].Version)
+	if e, err := dst.Archive.Latest(c.authority, path); err == nil {
+		have = int64(e.Version)
 	}
 	if have > srcLast {
 		if err := dst.Archive.Drop(c.authority, path); err != nil {

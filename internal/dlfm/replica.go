@@ -189,10 +189,9 @@ func (s *Server) ApplyReplicaCommit(path string, ver int64, stateID uint64, snap
 	if _, linked := s.lookupFile(path); linked {
 		return fmt.Errorf("dlfm: replica apply %s: path is owned by %s", path, s.cfg.Name)
 	}
-	vs := s.cfg.Archive.Versions(s.cfg.Name, path)
 	last := int64(-1)
-	if len(vs) > 0 {
-		last = int64(vs[len(vs)-1].Version)
+	if e, err := s.cfg.Archive.Latest(s.cfg.Name, path); err == nil {
+		last = int64(e.Version)
 	}
 	switch {
 	case last >= ver:

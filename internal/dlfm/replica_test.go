@@ -3,10 +3,14 @@ package dlfm
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"datalinks/internal/datalink"
 	"datalinks/internal/extent"
 	"datalinks/internal/fs"
 )
@@ -291,5 +295,56 @@ func TestUnlinkShips(t *testing.T) {
 	srv.CommitXRM(hostTxn)
 	if len(fr.unlinks) != 1 || fr.unlinks[0] != "/d/f.bin" {
 		t.Fatalf("unlink ships = %v", fr.unlinks)
+	}
+}
+
+// TestReplicaApplyAllocsDoNotGrowWithHistory: "what is the last version?" is
+// asked on every replicated commit, for the life of the file — applying a
+// commit onto a path with 1 000 versions allocates what applying one onto a
+// path with 10 does, not a copy of the version list.
+func TestReplicaApplyAllocsDoNotGrowWithHistory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation comparisons are not meaningful under the race detector")
+	}
+	dst, _ := newShardPeer(t)
+	meta := ReplicaMeta{Mode: datalink.RFD, Recovery: true}
+	mtime := time.Unix(1_700_000_000, 0)
+	ver := int64(0)
+	apply := func() {
+		snap := extent.FromBytes([]byte(fmt.Sprintf("content of version %06d", ver)))
+		defer snap.Release()
+		if err := dst.ApplyReplicaCommit("/d/f.bin", ver, uint64(ver+1), snap, mtime, meta); err != nil {
+			t.Fatalf("apply v%d: %v", ver, err)
+		}
+		ver++
+	}
+	// medianApply is the median cost of one apply over the next few versions:
+	// the slices that grow by doubling (archive entries, the repository log)
+	// spike single applies, never most of them.
+	medianApply := func() uint64 {
+		costs := make([]uint64, 9)
+		var before, after runtime.MemStats
+		for i := range costs {
+			runtime.ReadMemStats(&before)
+			apply()
+			runtime.ReadMemStats(&after)
+			costs[i] = after.TotalAlloc - before.TotalAlloc
+		}
+		sort.Slice(costs, func(i, j int) bool { return costs[i] < costs[j] })
+		return costs[len(costs)/2]
+	}
+	for ver < 10 {
+		apply()
+	}
+	short := medianApply()
+	for ver < 1000 {
+		apply()
+	}
+	long := medianApply()
+	if got := dst.ReplicaVersion("/d/f.bin"); got != ver-1 {
+		t.Fatalf("replica version = %d, want %d", got, ver-1)
+	}
+	if long > short+short/10 {
+		t.Fatalf("an apply onto 1 000 versions allocates %d B, onto 10 versions %d B", long, short)
 	}
 }

@@ -15,15 +15,22 @@
 // invalid on purpose: a zero-filled region must not read as a valid frame.
 //
 // Torn tails are expected, not fatal: a crash can leave a half-written final
-// record. A reader keeps the longest valid prefix (ValidPrefix) and hands the
-// rest to RepairTail, which APPENDS it to a quarantine file before cutting
-// it off — a second crash never destroys the first crash's evidence.
+// record. A reader keeps the longest valid prefix and hands the rest to
+// RepairTail, which APPENDS it to a quarantine file before cutting it off — a
+// second crash never destroys the first crash's evidence.
+//
+// The valid-prefix scan is one loop with two ways of looking at the record
+// under its cursor: ValidPrefix over bytes already in memory (the WAL keeps
+// its records there anyway), and Scanner.Scan over a file, through a sliding
+// window that grows only to the largest record — what opening a log holds in
+// memory is one record, however long the log.
 package seglog
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -52,6 +59,17 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// frameLen reports how many bytes the frame whose header is hdr occupies,
+// header included, or 0 when the length field is not one a frame can carry:
+// zero, or beyond MaxRecordBytes.
+func frameLen(hdr []byte) int64 {
+	plen := binary.LittleEndian.Uint32(hdr[0:4])
+	if plen == 0 || plen > MaxRecordBytes {
+		return 0
+	}
+	return frameHeaderLen + int64(plen)
+}
+
 // NextFrame reads the frame at the start of buf: its payload (aliasing buf)
 // and the total bytes it occupies. ok is false when buf does not start with
 // a whole frame whose length is in bounds and whose checksum matches.
@@ -59,17 +77,33 @@ func NextFrame(buf []byte) (payload []byte, n int, ok bool) {
 	if len(buf) < frameHeaderLen {
 		return nil, 0, false
 	}
-	plen := binary.LittleEndian.Uint32(buf[0:4])
-	sum := binary.LittleEndian.Uint32(buf[4:8])
-	if plen == 0 || plen > MaxRecordBytes || uint64(len(buf)-frameHeaderLen) < uint64(plen) {
+	total := frameLen(buf)
+	if total == 0 || total > int64(len(buf)) {
 		return nil, 0, false
 	}
-	n = frameHeaderLen + int(plen)
-	payload = buf[frameHeaderLen:n]
-	if crc32.ChecksumIEEE(payload) != sum {
+	payload = buf[frameHeaderLen:total]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[4:8]) {
 		return nil, 0, false
 	}
-	return payload, n, true
+	return payload, int(total), true
+}
+
+// walk is the scan loop, the only one: from offset 0 of a size-byte stream,
+// claim reports how many bytes the record at the cursor says it occupies
+// (<= 0: not a record), and accept — called only for a claim that ends
+// inside the stream, so it may size a buffer by it — whether the record is
+// one the caller keeps. The first refusal ends the walk; the offset reached
+// is the length of the longest valid prefix.
+func walk(size int64, claim func(off int64) int64, accept func(off, n int64) bool) int64 {
+	off := int64(0)
+	for off < size {
+		n := claim(off)
+		if n <= 0 || n > size-off || !accept(off, n) {
+			break
+		}
+		off += n
+	}
+	return off
 }
 
 // ValidPrefix walks buf record by record and returns the length of its
@@ -78,44 +112,114 @@ func NextFrame(buf []byte) (payload []byte, n int, ok bool) {
 // record the caller accepts — bad framing, or a payload that fails the
 // caller's own decode or sequence check. The walk stops there.
 func ValidPrefix(buf []byte, next func(rest []byte) (n int, ok bool)) int {
-	off := 0
-	for off < len(buf) {
+	return int(walk(int64(len(buf)), func(off int64) int64 {
 		n, ok := next(buf[off:])
-		if !ok || n <= 0 || n > len(buf)-off {
-			break
+		if !ok {
+			return 0
 		}
-		off += n
-	}
-	return off
+		return int64(n)
+	}, func(_, _ int64) bool { return true }))
 }
 
-// RepairTail cuts the file at path, whose whole content is data, back to its
-// first valid bytes: the invalid suffix data[valid:] is appended to the
-// quarantine file, then the file is truncated — or removed, when nothing
+// scanChunk is how far a Scanner reads ahead of its cursor: a log of small
+// records costs one read per scanChunk, not two per record.
+const scanChunk = 64 << 10
+
+// Scanner is the file-backed form of the scan. Its one buffer is a window
+// that slides along the file and is reused from Scan to Scan (one Scanner can
+// walk every file of a directory); it grows only when a single record is
+// larger than it, and then to exactly that record.
+type Scanner struct {
+	buf   []byte // the window: stream bytes [lo, lo+len(buf))
+	lo    int64
+	chunk int // read-ahead, scanChunk when zero
+}
+
+// Scan walks the size bytes of r record by record and returns the length of
+// their longest valid prefix. A record starts with hdrLen bytes from which
+// claim reads the length of the whole record, header included (<= 0 when the
+// header is not one a record can start with). A claim that reaches past the
+// end of the stream, or past hdrLen+MaxRecordBytes, ends the scan before
+// anything is read or sized by it. next is handed each whole record (valid
+// only during the call) with its offset and reports whether the caller
+// accepts it — checksum, decode, sequence. Only a read error is an error.
+func (sc *Scanner) Scan(r io.ReaderAt, size int64, hdrLen int, claim func(hdr []byte) int64, next func(rec []byte, off int64) bool) (valid int64, err error) {
+	sc.buf, sc.lo = sc.buf[:0], 0
+	valid = walk(size, func(off int64) int64 {
+		if size-off < int64(hdrLen) {
+			return 0
+		}
+		var hdr []byte
+		if hdr, err = sc.window(r, size, off, hdrLen); err != nil {
+			return 0
+		}
+		n := claim(hdr)
+		if n < int64(hdrLen) || n-int64(hdrLen) > MaxRecordBytes {
+			return 0
+		}
+		return n
+	}, func(off, n int64) bool {
+		var rec []byte
+		if rec, err = sc.window(r, size, off, int(n)); err != nil {
+			return false
+		}
+		return next(rec, off)
+	})
+	return valid, err
+}
+
+// ScanFrames is Scan over a stream of frames: next sees each payload whose
+// length is in bounds and whose checksum matches.
+func (sc *Scanner) ScanFrames(r io.ReaderAt, size int64, next func(payload []byte) bool) (valid int64, err error) {
+	return sc.Scan(r, size, frameHeaderLen, frameLen, func(rec []byte, _ int64) bool {
+		payload, _, ok := NextFrame(rec)
+		return ok && next(payload)
+	})
+}
+
+// window returns the n bytes of r at off, which the caller has checked end
+// inside the stream and start inside or right after the current window. The
+// bytes still buffered from off on slide to the front and the rest of the
+// buffer is refilled from the file — the read-ahead; only a record larger
+// than the buffer reallocates it.
+func (sc *Scanner) window(r io.ReaderAt, size, off int64, n int) ([]byte, error) {
+	have := sc.buf[off-sc.lo:]
+	if len(have) >= n {
+		return have[:n], nil
+	}
+	want := sc.chunk
+	if want == 0 {
+		want = scanChunk
+	}
+	want = max(n, cap(sc.buf), int(min(int64(want), size-off)))
+	buf := sc.buf[:cap(sc.buf)]
+	if want > len(buf) {
+		buf = make([]byte, want)
+	}
+	kept := copy(buf, have)
+	buf = buf[:min(int64(len(buf)), size-off)]
+	if _, err := r.ReadAt(buf[kept:], off+int64(kept)); err != nil {
+		sc.buf, sc.lo = sc.buf[:0], off
+		return nil, err
+	}
+	sc.buf, sc.lo = buf, off
+	return buf[:n], nil
+}
+
+// RepairTail cuts the file at path back to its first valid bytes: everything
+// from there to the end of the file is copied, file to file, onto the end of
+// the quarantine file, then the file is truncated — or removed, when nothing
 // valid is left in it. With sync the quarantine file and the directory are
 // fsynced.
-func RepairTail(path string, data []byte, valid int, quarantine string, sync bool) error {
-	if valid < len(data) {
-		q, err := os.OpenFile(quarantine, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			return fmt.Errorf("quarantining torn tail: %w", err)
-		}
-		_, err = q.Write(data[valid:])
-		if err == nil && sync {
-			err = q.Sync()
-		}
-		if cerr := q.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("quarantining torn tail: %w", err)
-		}
+func RepairTail(path string, valid int64, quarantine string, sync bool) error {
+	if err := quarantineTail(path, valid, quarantine, sync); err != nil {
+		return fmt.Errorf("quarantining torn tail: %w", err)
 	}
 	var err error
 	if valid == 0 {
 		err = os.Remove(path)
 	} else {
-		err = os.Truncate(path, int64(valid))
+		err = os.Truncate(path, valid)
 	}
 	if err != nil {
 		return fmt.Errorf("truncating torn tail: %w", err)
@@ -124,6 +228,32 @@ func RepairTail(path string, data []byte, valid int, quarantine string, sync boo
 		return SyncDir(filepath.Dir(path))
 	}
 	return nil
+}
+
+// quarantineTail appends the bytes of the file at path from offset valid on
+// to the quarantine file, creating it only when there is something to keep.
+func quarantineTail(path string, valid int64, quarantine string, sync bool) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil || info.Size() <= valid {
+		return err
+	}
+	q, err := os.OpenFile(quarantine, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = io.Copy(q, io.NewSectionReader(f, valid, info.Size()-valid))
+	if err == nil && sync {
+		err = q.Sync()
+	}
+	if cerr := q.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // SyncDir fsyncs a directory: POSIX does not make a created, renamed or

@@ -86,7 +86,7 @@ func TestRepairTailEveryCut(t *testing.T) {
 				t.Fatal(err)
 			}
 			valid := ValidPrefix(buf[:cut], frameNext)
-			if err := RepairTail(path, buf[:cut], valid, quarantine, cut%2 == 0); err != nil {
+			if err := RepairTail(path, int64(valid), quarantine, cut%2 == 0); err != nil {
 				t.Fatalf("seed %d cut %d: %v", seed, cut, err)
 			}
 			if valid < cut {
@@ -125,14 +125,17 @@ func TestRepairTailAppendsAndRemoves(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := RepairTail(path, data, len(data)-len(tail), quarantine, true); err != nil {
+		if err := RepairTail(path, int64(len(data)-len(tail)), quarantine, true); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if q, err := os.ReadFile(quarantine); err != nil || string(q) != "firstsecond" {
 		t.Fatalf("quarantine = %q (%v), want both tails in order", q, err)
 	}
-	if err := RepairTail(path, []byte("garbage"), 0, quarantine, false); err != nil {
+	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := RepairTail(path, 0, quarantine, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -170,6 +173,9 @@ func TestNextFrameRejects(t *testing.T) {
 // TestAppendFrameGrowsOnce: the commit path frames one record per append; the
 // header must not cost an allocation of its own.
 func TestAppendFrameGrowsOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
 	payload := make([]byte, 100)
 	if allocs := testing.AllocsPerRun(10, func() { AppendFrame(nil, payload) }); allocs != 1 {
 		t.Errorf("framing into an empty buffer: %v allocations, want 1", allocs)
@@ -237,7 +243,7 @@ func TestReplaceFile(t *testing.T) {
 	if err := SyncDir(gone); err == nil {
 		t.Fatal("sync of a removed directory reported success")
 	}
-	if err := RepairTail(filepath.Join(gone, "log"), []byte("torn"), 0, filepath.Join(gone, "log.torn"), true); err == nil {
+	if err := RepairTail(filepath.Join(gone, "log"), 0, filepath.Join(gone, "log.torn"), true); err == nil {
 		t.Fatal("repair in a removed directory reported success")
 	}
 	if _, err := (Segments{Dir: gone, Prefix: "s-", Suffix: ".log", Width: 4}).Create(1, nil, true); err == nil {

@@ -137,7 +137,7 @@ func (d *diskLog) replay(l *Log) error {
 			}
 		}
 		torn = true
-		if err := seglog.RepairTail(path, data, valid, quarantine, syncing); err != nil {
+		if err := seglog.RepairTail(path, int64(valid), quarantine, syncing); err != nil {
 			return fmt.Errorf("wal: %s: %w", path, err)
 		}
 		d.tornBytes += int64(len(data) - valid)
