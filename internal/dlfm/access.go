@@ -33,19 +33,26 @@ func (s *Server) Upcall(req upcall.Request) (upcall.Response, error) {
 // commit phases underneath annotate it further (lock, 2pc, archive).
 //
 // A killed server answers like a dead machine: every upcall fails with an
-// error (the transport-loss class), never a panic in the caller's process.
-// Kill closes the repository WAL out from under in-flight requests, so the
-// recover converts the resulting panics for requests that raced the death.
+// error (the transport-loss class), never a panic in the caller's process
+// and never a verdict. Kill closes the repository WAL out from under
+// in-flight requests; a request that raced the death sees its repository
+// statements fail with wal.ErrClosed, and whatever response it built from
+// that — or from a panic — is replaced by the error a dead machine gives.
 func (s *Server) UpcallCtx(ctx context.Context, req upcall.Request) (resp upcall.Response, err error) {
 	if !s.Alive() {
 		return upcall.Response{}, fmt.Errorf("dlfm: server %s is down", s.cfg.Name)
 	}
 	defer func() {
-		if r := recover(); r != nil {
-			if s.Alive() {
+		r := recover()
+		if s.Alive() {
+			if r != nil {
 				panic(r) // a real bug, not a raced death
 			}
-			resp, err = upcall.Response{}, fmt.Errorf("dlfm: server %s died mid-request: %v", s.cfg.Name, r)
+			return
+		}
+		resp, err = upcall.Response{}, fmt.Errorf("dlfm: server %s died mid-request", s.cfg.Name)
+		if r != nil {
+			err = fmt.Errorf("%w: %v", err, r)
 		}
 	}()
 	if sp := obs.SpanFrom(ctx); sp != nil {

@@ -235,11 +235,12 @@ func (s *Server) EnsureReplicaRow(path string, ver int64, mtime time.Time, meta 
 }
 
 // diedMidRequest (deferred) is the replication-plane twin of UpcallCtx's
-// recover: Kill closes the repository WAL under in-flight calls, so a ship
-// that raced this member's death panics inside sqlmini — in the OWNER's
-// goroutine, whose own recover re-raises because the owner is alive. A dead
-// replica must answer the shipper with an error like a dead machine would;
-// a panic on a live server is a real bug and is re-raised.
+// recover: Kill closes the repository WAL under in-flight calls. A statement
+// on a closed log fails with wal.ErrClosed, which the callers below return
+// like any other error; this is for whatever else panics on a dying member —
+// in the OWNER's goroutine, whose own recover re-raises because the owner is
+// alive. A dead replica must answer the shipper with an error like a dead
+// machine would; a panic on a live server is a real bug and is re-raised.
 func (s *Server) diedMidRequest(err *error) {
 	if r := recover(); r != nil {
 		if s.Alive() {

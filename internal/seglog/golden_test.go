@@ -7,6 +7,12 @@ package seglog_test
 // the current code must be byte-identical to it, and a copy of it opened by
 // the current code must recover exactly the records, stats and torn-byte
 // counts pinned below.
+//
+// Two fixtures are the two sides of a format change instead. repo is the
+// gob era: sqlmini logged gob payloads until PR 18, nothing writes those any
+// more, so it has no writer and is only opened and recovered. repo-v2 is the
+// same kind of repository written by PR 18's fixed-layout payload codec and
+// segment-sealing checkpoint, checked both ways.
 
 import (
 	"bytes"
@@ -18,10 +24,13 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"datalinks/internal/catalog"
 	"datalinks/internal/chunkdisk"
+	"datalinks/internal/datalink"
 	"datalinks/internal/extent"
+	"datalinks/internal/seglog"
 	"datalinks/internal/sqlmini"
 	"datalinks/internal/wal"
 )
@@ -29,15 +38,16 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden from the code under test")
 
 func TestGoldenFixtures(t *testing.T) {
-	// repo runs first: its files embed gob streams, whose user type ids are
+	// repo-v2 runs first: repo.snap is a gob stream, whose user type ids are
 	// handed out per process in order of first use — the write must see the
 	// same fresh process state the fixture's writer saw.
 	fixtures := []struct {
 		name  string
-		write func(t *testing.T, dir string)
+		write func(t *testing.T, dir string) // nil: read-only fixture
 		check func(t *testing.T, dir string)
 	}{
-		{"repo", writeRepo, checkRepo},
+		{"repo-v2", writeRepoV2, checkRepoV2},
+		{"repo", nil, checkRepo},
 		{"wal", writeWAL, checkWAL},
 		{"catalog", writeCatalog, checkCatalog},
 		{"chunks", writeChunks, checkChunks},
@@ -45,33 +55,41 @@ func TestGoldenFixtures(t *testing.T) {
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			golden := filepath.Join("testdata", "golden", fx.name)
-			fresh := filepath.Join(t.TempDir(), "fresh")
-			mkdir(t, fresh)
-			fx.write(t, fresh)
-			if *updateGolden {
-				if err := os.RemoveAll(golden); err != nil {
-					t.Fatal(err)
-				}
-				copyDir(t, fresh, golden)
+			if fx.write != nil {
+				checkFreshWrite(t, golden, fx.write)
 			}
-			want, got := readDir(t, golden), readDir(t, fresh)
-			if len(want) == 0 {
+			if len(readDir(t, golden)) == 0 {
 				t.Fatalf("fixture %s is empty", golden)
-			}
-			for name, data := range want {
-				if !bytes.Equal(got[name], data) {
-					t.Errorf("%s: fresh write differs from the golden file (%d vs %d bytes)", name, len(got[name]), len(data))
-				}
-			}
-			for name := range got {
-				if _, ok := want[name]; !ok {
-					t.Errorf("%s: fresh write produced a file the fixture does not have", name)
-				}
 			}
 			work := filepath.Join(t.TempDir(), "work")
 			copyDir(t, golden, work)
 			fx.check(t, work)
 		})
+	}
+}
+
+// checkFreshWrite holds what write produces today to the golden files, byte
+// for byte (and replaces them first under -update-golden).
+func checkFreshWrite(t *testing.T, golden string, write func(t *testing.T, dir string)) {
+	fresh := filepath.Join(t.TempDir(), "fresh")
+	mkdir(t, fresh)
+	write(t, fresh)
+	if *updateGolden {
+		if err := os.RemoveAll(golden); err != nil {
+			t.Fatal(err)
+		}
+		copyDir(t, fresh, golden)
+	}
+	want, got := readDir(t, golden), readDir(t, fresh)
+	for name, data := range want {
+		if !bytes.Equal(got[name], data) {
+			t.Errorf("%s: fresh write differs from the golden file (%d vs %d bytes)", name, len(got[name]), len(data))
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s: fresh write produced a file the fixture does not have", name)
+		}
 	}
 }
 
@@ -127,10 +145,15 @@ func checkWAL(t *testing.T, dir string) {
 	}
 }
 
-// --- repo: a checkpointed sqlmini repository (repo.snap + WAL tail) ---
+// --- repo-v2: a checkpointed sqlmini repository (repo.snap + WAL tail) ---
 
-func writeRepo(t *testing.T, dir string) {
-	lg, err := wal.Open(wal.Config{Dir: dir, SegmentBytes: 512})
+// goldenTime is the TIMESTAMP the v2 fixture logs.
+var goldenTime = time.Date(2001, 4, 2, 9, 30, 0, 123456789, time.UTC)
+
+// writeRepoV2 logs every payload op and every value kind after a checkpoint,
+// across a segment rotation, and tears the last transaction's commit record.
+func writeRepoV2(t *testing.T, dir string) {
+	lg, err := wal.Open(wal.Config{Dir: dir, SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +166,78 @@ func writeRepo(t *testing.T, dir string) {
 		t.Fatalf("checkpoint: ok=%v err=%v", ok, err)
 	}
 	db.MustExec(`UPDATE t SET v = 'y' WHERE id = 7`)
+	db.MustExec(`DELETE FROM t WHERE id = 20`)
+	db.MustExec(`CREATE TABLE k (id INT PRIMARY KEY, f DOUBLE, b BOOLEAN NOT NULL, ts TIMESTAMP,
+		doc DATALINK MODE RDD RECOVERY YES TOKEN 300, note VARCHAR)`)
+	db.MustExec(`CREATE INDEX ON k (note)`)
+	db.MustExec(`INSERT INTO k VALUES (-5, 2.5, TRUE, ?, ?, NULL)`, sqlmini.Time(goldenTime),
+		sqlmini.Link(datalink.Link{Server: "fs1", Path: "/golden/file"}))
+	db.MustExec(`CREATE TABLE gone (id INT)`)
+	db.MustExec(`DROP TABLE gone`)
 	db.MustExec(`INSERT INTO t VALUES (21, 'tail')`)
 	lg.Close()
 	tear(t, lastMatch(t, dir, "wal-*.log"), 3)
 }
 
+func checkRepoV2(t *testing.T, dir string) {
+	if segs := matches(t, dir, "wal-*.log"); len(segs) != 2 {
+		t.Fatalf("fixture has segments %v, want two", segs)
+	}
+	lg, err := wal.Open(wal.Config{Dir: dir, SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	// The checkpoint sealed its segment, so the log starts exactly at the
+	// anchor; the tear cut the last transaction's commit record, so recovery
+	// rolls it back.
+	if lg.Base() != 63 || lg.TailLSN() != 87 || lg.TornBytes() != 10 {
+		t.Fatalf("base=%d tail=%d torn=%d, want 63/87/10", lg.Base(), lg.TailLSN(), lg.TornBytes())
+	}
+	db, rep, err := sqlmini.Recover(lg, sqlmini.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(rep.CommittedTxns, func(i, j int) bool { return rep.CommittedTxns[i] < rep.CommittedTxns[j] })
+	want := sqlmini.RecoveryReport{RecordsScanned: 24, Redone: 8, AnchorLSN: 63, SnapshotUsed: true,
+		LoserTxns: []uint64{29}, InDoubtTxns: nil, CommittedTxns: []uint64{22, 23, 24, 25, 26, 27, 28}}
+	if !reflect.DeepEqual(*rep, want) {
+		t.Fatalf("recovery report %+v, want %+v", *rep, want)
+	}
+	rows, err := db.Query(`SELECT COUNT(*) FROM t`)
+	if err != nil || rows.Data[0][0].I != 19 {
+		t.Fatalf("row count after recovery: %v %+v, want 19", err, rows)
+	}
+	rows, err = db.Query(`SELECT v FROM t WHERE id = 7`)
+	if err != nil || rows.Data[0][0].S != "y" {
+		t.Fatalf("post-checkpoint update lost: %v %+v", err, rows)
+	}
+	rows, err = db.Query(`SELECT * FROM k`)
+	if err != nil || len(rows.Data) != 1 {
+		t.Fatalf("table k after recovery: %v %+v", err, rows)
+	}
+	r := rows.Data[0]
+	if r[0].I != -5 || r[1].F != 2.5 || !r[2].B || !r[3].T.Equal(goldenTime) ||
+		r[4].L != (datalink.Link{Server: "fs1", Path: "/golden/file"}) || !r[5].IsNull() {
+		t.Fatalf("row of k replayed as %+v", r)
+	}
+	k, err := db.Table("k")
+	if err != nil || !k.HasIndex(k.ColIndex("note")) {
+		t.Fatalf("index on k(note) not rebuilt (%v)", err)
+	}
+	if doc := k.Columns[k.ColIndex("doc")]; doc.DL != (datalink.ColumnOptions{Mode: datalink.RDD, Recovery: true, TokenTTLSecs: 300}) || !k.Columns[2].NotNull {
+		t.Fatalf("columns of k replayed as %+v", k.Columns)
+	}
+	if _, err := db.Table("gone"); err == nil {
+		t.Fatal("dropped table is back")
+	}
+}
+
+// --- repo: the gob-era repository, read-only ---
+
+// The fixture was written by the code before PR 18 from the inputs of
+// writeRepoV2 less everything between the UPDATE and the last INSERT, with a
+// 512-byte segment bound; its log payloads are gob streams.
 func checkRepo(t *testing.T, dir string) {
 	lg, err := wal.Open(wal.Config{Dir: dir, SegmentBytes: 512})
 	if err != nil {
@@ -175,6 +265,93 @@ func checkRepo(t *testing.T, dir string) {
 	rows, err = db.Query(`SELECT v FROM t WHERE id = 7`)
 	if err != nil || rows.Data[0][0].S != "y" {
 		t.Fatalf("post-checkpoint update lost: %v %+v", err, rows)
+	}
+}
+
+// A log changes payload format in the middle: the gob-era fixture is opened,
+// recovery rolls back its loser — whose update record is gob and whose
+// compensation record is therefore the first fixed-layout payload in the log
+// — new transactions are committed behind it, and a crash replays the lot.
+func TestGobEraRepoTakesNewRecords(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "work")
+	copyDir(t, filepath.Join("testdata", "golden", "repo"), dir)
+	// Recovery ends with a checkpoint, which would truncate the records this
+	// test wants to look at (and replay again): a directory in the way of
+	// the snapshot's temp file makes that best-effort checkpoint fail.
+	blocker := filepath.Join(dir, "repo.snap"+seglog.TmpSuffix)
+	mkdir(t, filepath.Join(blocker, "x"))
+
+	open := func() (*wal.Log, *sqlmini.DB, *sqlmini.RecoveryReport) {
+		lg, err := wal.Open(wal.Config{Dir: dir, SegmentBytes: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, rep, err := sqlmini.Recover(lg, sqlmini.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lg, db, rep
+	}
+	// formats counts a transaction's row-change payloads of each era, per
+	// record type.
+	formats := func(lg *wal.Log, txn uint64) (gob, fixed map[wal.RecType]int) {
+		gob, fixed = map[wal.RecType]int{}, map[wal.RecType]int{}
+		lg.Scan(wal.NilLSN, wal.NilLSN, func(r wal.Record) bool {
+			if (r.Type == wal.RecUpdate || r.Type == wal.RecCLR) && r.TxnID == txn {
+				if r.Payload[0] == 0x00 {
+					fixed[r.Type]++
+				} else {
+					gob[r.Type]++
+				}
+			}
+			return true
+		})
+		return gob, fixed
+	}
+
+	lg, db, rep := open()
+	if len(rep.LoserTxns) != 1 || rep.LoserTxns[0] != 23 {
+		t.Fatalf("losers %v, want the fixture's transaction 23", rep.LoserTxns)
+	}
+	if gob, fixed := formats(lg, 23); gob[wal.RecUpdate] != 1 || fixed[wal.RecCLR] != 1 || len(gob)+len(fixed) != 2 {
+		t.Fatalf("transaction 23 across the boundary: gob %v, fixed-layout %v; want one gob update undone by one fixed-layout CLR", gob, fixed)
+	}
+	if rows, err := db.Query(`SELECT id FROM t WHERE id = 21`); err != nil || len(rows.Data) != 0 {
+		t.Fatalf("the loser's insert survived its rollback: %v %+v", err, rows)
+	}
+	db.MustExec(`INSERT INTO t VALUES (30, 'new')`)
+	db.MustExec(`UPDATE t SET v = 'z' WHERE id = 7`)
+	db.MustExec(`DELETE FROM t WHERE id = 1`)
+	db.MustExec(`CREATE TABLE u (id INT PRIMARY KEY, at TIMESTAMP)`)
+	db.MustExec(`INSERT INTO u VALUES (1, ?)`, sqlmini.Time(goldenTime))
+	lg.Kill()
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
+	}
+
+	lg, db, rep = open()
+	defer lg.Close()
+	// Two gob records and the CLR, then the five new ones.
+	if rep.AnchorLSN != 63 || !rep.SnapshotUsed || rep.Redone != 8 {
+		t.Fatalf("replay of the mixed log: %+v", rep)
+	}
+	for sql, want := range map[string]string{
+		`SELECT COUNT(*) FROM t`:        "20",
+		`SELECT v FROM t WHERE id = 7`:  "z",
+		`SELECT v FROM t WHERE id = 30`: "new",
+		`SELECT COUNT(*) FROM u`:        "1",
+	} {
+		if rows, err := db.Query(sql); err != nil || len(rows.Data) != 1 || rows.Data[0][0].String() != want {
+			t.Errorf("%s: %v %+v, want %s", sql, err, rows, want)
+		}
+	}
+	for _, gone := range []int64{1, 21} {
+		if rows, err := db.Query(`SELECT id FROM t WHERE id = ?`, sqlmini.Int(gone)); err != nil || len(rows.Data) != 0 {
+			t.Errorf("row %d is back: %v %+v", gone, err, rows)
+		}
+	}
+	if rows, err := db.Query(`SELECT at FROM u`); err != nil || !rows.Data[0][0].T.Equal(goldenTime) {
+		t.Errorf("u.at replayed as %+v (%v)", rows, err)
 	}
 }
 

@@ -54,9 +54,26 @@ const TmpSuffix = ".tmp"
 // buffer, growing it at most once.
 func AppendFrame(dst, payload []byte) []byte {
 	dst = slices.Grow(dst, frameHeaderLen+len(payload))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
+	start := len(dst)
+	dst = append(BeginFrame(dst), payload...)
+	EndFrame(dst, start)
+	return dst
+}
+
+// BeginFrame and EndFrame frame a payload the caller builds in place, for
+// when it is not one slice yet (the WAL's record header, then the payload it
+// was handed): BeginFrame reserves the frame header at the end of dst, the
+// caller appends the payload behind it, and EndFrame, given the length dst
+// had before BeginFrame, fills the header in.
+func BeginFrame(dst []byte) []byte {
+	return append(dst, make([]byte, frameHeaderLen)...)
+}
+
+// EndFrame completes the frame begun at dst[start:]; see BeginFrame.
+func EndFrame(dst []byte, start int) {
+	payload := dst[start+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
 }
 
 // frameLen reports how many bytes the frame whose header is hdr occupies,

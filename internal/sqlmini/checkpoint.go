@@ -25,12 +25,14 @@ import (
 // reaches below the anchor, and the undo pass never needs truncated records.
 //
 // Disk mode (Options.Dir set) writes the snapshot to repo.snap in the WAL
-// directory (seglog's atomic replace), then logs a reference checkpoint
-// record and truncates the log head. The sequencing is the gate against
-// double-apply: the snapshot file carries its anchor LSN, recovery replays
-// strictly after it, and a crash between the rename and the truncate merely
-// leaves extra pre-anchor records that the anchored scan skips. The in-memory
-// mode embeds the snapshot in the checkpoint record itself.
+// directory (seglog's atomic replace), seals the active log segment, then
+// logs a reference checkpoint record — the first of a fresh segment — and
+// truncates the log head: every sealed segment, so all of the log below the
+// anchor unless a transaction flushed in between. The sequencing is the gate
+// against double-apply: the snapshot file carries its anchor LSN, recovery
+// replays strictly after it, and a crash between the rename and the truncate
+// merely leaves extra pre-anchor records that the anchored scan skips. The
+// in-memory mode embeds the snapshot in the checkpoint record itself.
 
 // Checkpoint payload kinds (first byte of a RecCheckpoint payload).
 const (
@@ -82,26 +84,42 @@ func (db *DB) maybeCheckpoint() {
 	_, _ = db.checkpointLocked()
 }
 
-// checkpointLocked does the work; caller holds ckptMu.
-func (db *DB) checkpointLocked() (bool, error) {
+// captureDurable takes the quiescent image and forces the log up to its
+// anchor — the WAL rule: every record the snapshot reflects must be durable
+// before the snapshot can supersede them. It returns nil (and no error) when
+// a transaction is active.
+func (db *DB) captureDurable() (*dbSnapshot, error) {
 	db.mu.Lock()
 	if len(db.active) > 0 {
 		db.mu.Unlock()
-		return false, nil
+		return nil, nil
 	}
 	snap := db.captureQuiescent()
 	snap.SnapLSN = db.log.TailLSN()
 	snap.NextTxn = db.nextTxn
 	db.mu.Unlock()
-
-	// WAL rule: every record the snapshot reflects must be durable before
-	// the snapshot can supersede them.
 	if err := db.log.FlushTo(snap.SnapLSN); err != nil {
+		return nil, err
+	}
+	return snap, nil
+}
+
+// checkpointLocked does the work; caller holds ckptMu.
+func (db *DB) checkpointLocked() (bool, error) {
+	snap, err := db.captureDurable()
+	if snap == nil {
 		return false, err
 	}
 
 	if db.dir != "" {
 		if err := writeSnapFile(db.dir, snap); err != nil {
+			return false, err
+		}
+		// Seal the segment the snapshot supersedes: the checkpoint record
+		// opens a fresh one, TruncateHead below drops every segment before
+		// it, and the next open replays the records since this checkpoint,
+		// not since the last size-triggered rotation.
+		if err := db.log.SealSegment(); err != nil {
 			return false, err
 		}
 		payload := binary.AppendUvarint([]byte{ckptRef}, uint64(snap.SnapLSN))

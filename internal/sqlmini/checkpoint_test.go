@@ -74,10 +74,40 @@ func TestCheckpointDiskAnchoredRecovery(t *testing.T) {
 	}
 }
 
-// TestCheckpointSequenceGate: head truncation removes only whole segments,
-// so the log retains records at or below the anchor. If recovery replayed
-// them on top of the snapshot, InsertAt would duplicate rows — the anchored
-// scan is the gate, and this is its natural failure mode.
+// snapshotOnly runs a disk checkpoint up to and including the repo.snap
+// replace — and with seal also the segment seal — then stops: the state a
+// crash at that point leaves behind.
+func snapshotOnly(t *testing.T, db *DB, dir string, seal bool) *dbSnapshot {
+	t.Helper()
+	snap, err := db.captureDurable()
+	if err != nil || snap == nil {
+		t.Fatalf("capture: %v (snapshot %v)", err, snap)
+	}
+	if err := writeSnapFile(dir, snap); err != nil {
+		t.Fatal(err)
+	}
+	if seal {
+		if err := db.log.SealSegment(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return snap
+}
+
+func walFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
+}
+
+// TestCheckpointSequenceGate: a crash between the repo.snap replace and the
+// segment seal leaves the new snapshot over a log that still holds every
+// record since the previous anchor. If recovery replayed them on top of the
+// snapshot, InsertAt would duplicate rows — the anchored scan is the gate,
+// and this is its natural failure mode.
 func TestCheckpointSequenceGate(t *testing.T) {
 	dir := t.TempDir()
 	db := diskDB(t, dir)
@@ -85,21 +115,128 @@ func TestCheckpointSequenceGate(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		mustExec(t, db, `INSERT INTO t VALUES (?, ?)`, Int(int64(i)), Int(int64(i*100)))
 	}
-	if ok, err := db.Checkpoint(); err != nil || !ok {
-		t.Fatalf("checkpoint: ok=%v err=%v", ok, err)
-	}
-	// Pre-anchor records must still be on disk (whole-segment truncation).
-	if db.Log().Base() >= db.Log().TailLSN() {
-		t.Fatalf("truncation removed the whole log: base=%d tail=%d", db.Log().Base(), db.Log().TailLSN())
-	}
+	snap := snapshotOnly(t, db, dir, false)
 
-	db2, rep := reopenDisk(t, db, dir)
-	if !rep.SnapshotUsed {
-		t.Fatal("snapshot not used")
+	db.Log().Kill()
+	lg, err := wal.Open(wal.Config{Dir: dir, SegmentBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pre-anchor records are still on disk and were replayed into the log.
+	if lg.Base() != wal.NilLSN || lg.TailLSN() != snap.SnapLSN {
+		t.Fatalf("log covers %d..%d, want the whole history up to the anchor %d", lg.Base()+1, lg.TailLSN(), snap.SnapLSN)
+	}
+	db2, rep, err := Recover(lg, Options{Dir: dir, LockTimeout: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.SnapshotUsed || rep.AnchorLSN != snap.SnapLSN || rep.RecordsScanned != 0 {
+		t.Fatalf("recovery did not anchor at the new snapshot: %+v", rep)
 	}
 	rows := mustQuery(t, db2, `SELECT COUNT(*) FROM t`)
 	if rows.Data[0][0].I != 10 {
 		t.Fatalf("rows double-applied or lost: count = %d, want 10", rows.Data[0][0].I)
+	}
+}
+
+// A crash between the segment seal and the checkpoint record leaves an empty
+// trailing segment: the reopen keeps it and appends into it.
+func TestCrashBetweenSealAndCheckpointRecord(t *testing.T) {
+	dir := t.TempDir()
+	db := diskDB(t, dir)
+	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v INT)`)
+	for i := 1; i <= 10; i++ {
+		mustExec(t, db, `INSERT INTO t VALUES (?, ?)`, Int(int64(i)), Int(int64(i)))
+	}
+	snap := snapshotOnly(t, db, dir, true)
+	segs := walFiles(t, dir)
+	empty := segs[len(segs)-1]
+	if info, err := os.Stat(empty); err != nil || info.Size() != 0 || len(segs) < 2 {
+		t.Fatalf("segments %v: want a sealed one and an empty trailing one (%v)", segs, err)
+	}
+
+	db2, rep := reopenDisk(t, db, dir)
+	defer db2.Log().Close()
+	if db2.Log().TornBytes() != 0 || rep.AnchorLSN != snap.SnapLSN || rep.RecordsScanned != 0 {
+		t.Fatalf("reopen over the empty segment: torn=%d report=%+v", db2.Log().TornBytes(), rep)
+	}
+	mustExec(t, db2, `INSERT INTO t VALUES (11, 11)`)
+	// Recovery's own checkpoint and the insert went into the empty segment,
+	// and made every segment before it disposable.
+	segs = walFiles(t, dir)
+	if info, err := os.Stat(empty); err != nil || info.Size() == 0 || len(segs) != 1 {
+		t.Fatalf("segments %v after the reopen: want only the once-empty one, now written (%v)", segs, err)
+	}
+	db3, _ := reopenDisk(t, db2, dir)
+	defer db3.Log().Close()
+	if rows := mustQuery(t, db3, `SELECT COUNT(*) FROM t`); rows.Data[0][0].I != 11 {
+		t.Fatalf("count = %d, want 11", rows.Data[0][0].I)
+	}
+}
+
+// A checkpoint seals its segment, so what a reopen replays is the records
+// since the last checkpoint, not since the last 4 MiB boundary — with the
+// default segment size the log never reaches one between checkpoints.
+func TestCheckpointSealsSegment(t *testing.T) {
+	dir := t.TempDir()
+	lg, err := wal.Open(wal.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDB(Options{Log: lg, Dir: dir, CheckpointBytes: 2048, LockTimeout: 500 * time.Millisecond})
+	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR)`)
+	checkpoints, id := 0, 0
+	insert := func() {
+		id++
+		base := db.Log().Base()
+		mustExec(t, db, `INSERT INTO t VALUES (?, 'some-padding-value-to-fill-the-log')`, Int(int64(id)))
+		if db.Log().Base() != base {
+			checkpoints++
+		}
+		if segs := walFiles(t, dir); len(segs) > 2 {
+			t.Fatalf("after %d checkpoints the log is %d segments: %v", checkpoints, len(segs), segs)
+		}
+	}
+	for checkpoints < 3 {
+		if id > 1000 { // the trigger fires every ~20 inserts
+			t.Fatalf("%d checkpoints moved the log base in %d inserts, want 3", checkpoints, id)
+		}
+		insert()
+	}
+	for i := 0; i < 5; i++ { // a tail after the last checkpoint, under the trigger
+		insert()
+	}
+	snap, err := loadSnapFile(dir)
+	if err != nil || snap == nil {
+		t.Fatalf("repo.snap: %v", err)
+	}
+	if db.Log().Base() != snap.SnapLSN {
+		t.Fatalf("log base %d, want the last anchor %d", db.Log().Base(), snap.SnapLSN)
+	}
+	// The checkpoint record and what followed it.
+	sinceCheckpoint := int(db.Log().TailLSN() - snap.SnapLSN)
+
+	db.Log().Kill()
+	lg, err = wal.Open(wal.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed := int(lg.TailLSN() - lg.Base()); replayed > sinceCheckpoint {
+		t.Fatalf("open replayed %d records, %d were logged since the last checkpoint", replayed, sinceCheckpoint)
+	}
+	db2, rep, err := Recover(lg, Options{Dir: dir, LockTimeout: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	if rep.RecordsScanned > sinceCheckpoint {
+		t.Fatalf("recovery scanned %d records, %d were logged since the last checkpoint", rep.RecordsScanned, sinceCheckpoint)
+	}
+	if rows := mustQuery(t, db2, `SELECT COUNT(*) FROM t`); int(rows.Data[0][0].I) != id {
+		t.Fatalf("count = %d, want %d", rows.Data[0][0].I, id)
+	}
+	if segs := walFiles(t, dir); len(segs) > 2 {
+		t.Fatalf("the reopen left %d segments: %v", len(segs), segs)
 	}
 }
 

@@ -88,7 +88,7 @@ func (db *DB) MustExec(sql string, args ...Value) int {
 // Exec runs a DML/DDL statement inside this transaction, returning the
 // number of affected rows.
 func (t *Txn) Exec(sql string, args ...Value) (int, error) {
-	st, err := Parse(sql)
+	st, err := t.db.stmts.parse(sql)
 	if err != nil {
 		return 0, err
 	}
@@ -114,7 +114,7 @@ func (t *Txn) Exec(sql string, args ...Value) (int, error) {
 
 // Query runs a SELECT inside this transaction.
 func (t *Txn) Query(sql string, args ...Value) (*Rows, error) {
-	st, err := Parse(sql)
+	st, err := t.db.stmts.parse(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +170,9 @@ func (t *Txn) execCreateTable(s *CreateTableStmt) error {
 	if pk > 1 {
 		return fmt.Errorf("sqlmini: at most one PRIMARY KEY column supported")
 	}
-	return t.createTable(s.Name, s.Columns)
+	// The table keeps its own column slice: the statement may be a cached
+	// one, shared with every other execution of the same text.
+	return t.createTable(s.Name, append([]Column(nil), s.Columns...))
 }
 
 func (t *Txn) execCreateIndex(s *CreateIndexStmt) error {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"datalinks/internal/datalink"
 )
@@ -245,7 +246,9 @@ type parser struct {
 	params int
 }
 
-// Parse turns one SQL statement into an AST.
+// Parse turns one SQL statement into an AST. It reads no catalog and binds no
+// placeholder (a ? becomes Param{Idx}, resolved at execution), so the AST is
+// a function of the text alone.
 func Parse(src string) (Stmt, error) {
 	toks, err := lex(src)
 	if err != nil {
@@ -260,6 +263,43 @@ func Parse(src string) (Stmt, error) {
 	if !p.at(tkEOF, "") {
 		return nil, fmt.Errorf("sqlmini: trailing input at %q", p.cur().text)
 	}
+	return st, nil
+}
+
+// stmtCache is a DB's parsed statements: Txn.Exec and Txn.Query parse a text
+// once and execute the same AST ever after. Executors only read a Stmt, so
+// one is shared by every transaction, and because Parse depends on nothing
+// but the text, DDL invalidates nothing. The bounds are there for callers
+// that put literals in the text (System.Exec takes user SQL): a full cache
+// is emptied rather than policed, and a long text is never admitted.
+type stmtCache struct {
+	mu sync.Mutex
+	m  map[string]Stmt
+}
+
+const (
+	stmtCacheEntries = 512
+	stmtCacheMaxText = 1024
+)
+
+// parse is Parse through the cache.
+func (c *stmtCache) parse(src string) (Stmt, error) {
+	c.mu.Lock()
+	st, ok := c.m[src]
+	c.mu.Unlock()
+	if ok {
+		return st, nil
+	}
+	st, err := Parse(src)
+	if err != nil || len(src) > stmtCacheMaxText {
+		return st, err
+	}
+	c.mu.Lock()
+	if c.m == nil || len(c.m) >= stmtCacheEntries {
+		c.m = make(map[string]Stmt)
+	}
+	c.m[src] = st
+	c.mu.Unlock()
 	return st, nil
 }
 

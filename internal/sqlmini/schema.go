@@ -320,6 +320,13 @@ func (c *catalog) drop(name string) error {
 	return nil
 }
 
+// restore puts back a table drop just removed, rows and indexes included.
+func (c *catalog) restore(t *Table) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.tables[strings.ToLower(t.Name)] = t
+}
+
 func (c *catalog) names() []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -1,8 +1,6 @@
 package sqlmini
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -35,44 +33,6 @@ const (
 	TxnCommitted
 	TxnAborted
 )
-
-// dmlKind is the kind of a logged data change.
-type dmlKind uint8
-
-const (
-	opInsert dmlKind = iota + 1
-	opDelete
-	opUpdate
-	opCreateTable
-	opDropTable
-	opCreateIndex
-	opDropIndex
-)
-
-// logPayload is the gob-encoded body of RecUpdate/RecCLR records.
-type logPayload struct {
-	Op     dmlKind
-	Table  string
-	Row    RowID
-	Before Row
-	After  Row
-	Cols   []Column // DDL only
-	Col    string   // index DDL only: the indexed column
-}
-
-func encodePayload(p logPayload) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		panic(fmt.Sprintf("sqlmini: payload encode: %v", err)) // all types are gob-safe
-	}
-	return buf.Bytes()
-}
-
-func decodePayload(b []byte) (logPayload, error) {
-	var p logPayload
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&p)
-	return p, err
-}
 
 // DMLOp tells a DML hook what happened to a row.
 type DMLOp uint8
@@ -115,6 +75,8 @@ type DB struct {
 	hookMu  sync.RWMutex
 	dmlHook DMLHook
 	fns     map[string]ScalarFn
+
+	stmts stmtCache
 }
 
 // Options configures a DB.
@@ -290,18 +252,20 @@ func (t *Txn) OnAbort(fn func()) { t.onAbort = append(t.onAbort, fn) }
 // errTxnDone guards against use-after-finish.
 var errTxnDone = errors.New("sqlmini: transaction already finished")
 
-// logChange appends an update record with backchain and returns its LSN.
-func (t *Txn) logChange(p logPayload) wal.LSN {
+// logChange appends an update record with backchain. On failure (the log is
+// closed: this member was killed) nothing was logged, and the caller takes
+// back the in-memory change it made ahead of the record.
+func (t *Txn) logChange(p logPayload) error {
 	lsn, err := t.append(wal.Record{
 		Type:    wal.RecUpdate,
 		PrevLSN: t.lastLSN,
 		Payload: encodePayload(p),
 	})
 	if err != nil {
-		panic(fmt.Sprintf("sqlmini: log append: %v", err))
+		return fmt.Errorf("sqlmini: log append: %w", err)
 	}
 	t.lastLSN = lsn
-	return lsn
+	return nil
 }
 
 // lockRow acquires a row lock for this transaction.
@@ -345,7 +309,10 @@ func (t *Txn) InsertRow(tbl *Table, r Row) (RowID, error) {
 		tbl.Delete(id)
 		return 0, err
 	}
-	t.logChange(logPayload{Op: opInsert, Table: tbl.Name, Row: id, After: r.Clone()})
+	if err := t.logChange(logPayload{Op: opInsert, Table: tbl.Name, Row: id, After: r}); err != nil {
+		tbl.Delete(id)
+		return 0, err
+	}
 	return id, nil
 }
 
@@ -365,7 +332,10 @@ func (t *Txn) DeleteRow(tbl *Table, id RowID) error {
 		return err
 	}
 	tbl.Delete(id)
-	t.logChange(logPayload{Op: opDelete, Table: tbl.Name, Row: id, Before: old})
+	if err := t.logChange(logPayload{Op: opDelete, Table: tbl.Name, Row: id, Before: old}); err != nil {
+		_ = tbl.InsertAt(id, old)
+		return err
+	}
 	return nil
 }
 
@@ -387,7 +357,10 @@ func (t *Txn) UpdateRow(tbl *Table, id RowID, new Row) error {
 	if _, err := tbl.Update(id, new.Clone()); err != nil {
 		return err
 	}
-	t.logChange(logPayload{Op: opUpdate, Table: tbl.Name, Row: id, Before: old, After: new.Clone()})
+	if err := t.logChange(logPayload{Op: opUpdate, Table: tbl.Name, Row: id, Before: old, After: new}); err != nil {
+		_, _ = tbl.Update(id, old)
+		return err
+	}
 	return nil
 }
 
@@ -407,7 +380,10 @@ func (t *Txn) createTable(name string, cols []Column) error {
 	if _, err := t.db.cat.create(name, cols); err != nil {
 		return err
 	}
-	t.logChange(logPayload{Op: opCreateTable, Table: name, Cols: cols})
+	if err := t.logChange(logPayload{Op: opCreateTable, Table: name, Cols: cols}); err != nil {
+		_ = t.db.cat.drop(name)
+		return err
+	}
 	return nil
 }
 
@@ -431,7 +407,10 @@ func (t *Txn) createIndex(tbl *Table, col string) error {
 		return nil
 	}
 	tbl.AddIndex(ci)
-	t.logChange(logPayload{Op: opCreateIndex, Table: tbl.Name, Col: col})
+	if err := t.logChange(logPayload{Op: opCreateIndex, Table: tbl.Name, Col: col}); err != nil {
+		tbl.DropIndex(ci)
+		return err
+	}
 	return nil
 }
 
@@ -452,7 +431,10 @@ func (t *Txn) dropTable(name string) error {
 	if err := t.db.cat.drop(name); err != nil {
 		return err
 	}
-	t.logChange(logPayload{Op: opDropTable, Table: name, Cols: tbl.Columns})
+	if err := t.logChange(logPayload{Op: opDropTable, Table: name, Cols: tbl.Columns}); err != nil {
+		t.db.cat.restore(tbl)
+		return err
+	}
 	return nil
 }
 

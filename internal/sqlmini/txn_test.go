@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"datalinks/internal/wal"
 )
 
 func TestTxnCommitVisibility(t *testing.T) {
@@ -410,5 +412,45 @@ func TestDMLHookSeesOldAndNew(t *testing.T) {
 	mustExec(t, db, `UPDATE t SET v = 20 WHERE id = 1`)
 	if gotOld != 10 || gotNew != 20 {
 		t.Fatalf("hook saw %d -> %d", gotOld, gotNew)
+	}
+}
+
+// A log that refuses the append — it was closed under an open transaction, as
+// Kill does to a member's repository — fails the statement with the typed
+// error and leaves every table as it was; nothing panics.
+func TestLogAppendFailureIsAnError(t *testing.T) {
+	db := testDB(t)
+	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v INT, tag VARCHAR)`)
+	mustExec(t, db, `CREATE TABLE dropme (id INT)`)
+	mustExec(t, db, `INSERT INTO t VALUES (1, 10, 'a')`)
+	mustExec(t, db, `INSERT INTO dropme VALUES (5)`)
+	txn := db.Begin()
+	db.Log().Close()
+	for _, sql := range []string{
+		`INSERT INTO t VALUES (2, 20, 'b')`,
+		`UPDATE t SET v = 11 WHERE id = 1`,
+		`DELETE FROM t WHERE id = 1`,
+		`CREATE TABLE fresh (id INT)`,
+		`CREATE INDEX ON t (tag)`,
+		`DROP TABLE dropme`,
+	} {
+		if _, err := txn.Exec(sql); !errors.Is(err, wal.ErrClosed) {
+			t.Fatalf("%s on a closed log: err = %v, want wal.ErrClosed", sql, err)
+		}
+	}
+	if err := txn.Abort(); err != nil {
+		t.Fatalf("abort of a transaction that logged nothing: %v", err)
+	}
+	if rows := mustQuery(t, db, `SELECT id, v FROM t`); len(rows.Data) != 1 || rows.Data[0][0].I != 1 || rows.Data[0][1].I != 10 {
+		t.Fatalf("t after the failed statements: %+v", rows.Data)
+	}
+	if rows := mustQuery(t, db, `SELECT id FROM dropme`); len(rows.Data) != 1 {
+		t.Fatalf("dropme lost its rows: %+v", rows.Data)
+	}
+	if _, err := db.Table("fresh"); err == nil {
+		t.Fatal("the table of the failed CREATE exists")
+	}
+	if tbl, _ := db.Table("t"); tbl.HasIndex(tbl.ColIndex("tag")) {
+		t.Fatal("the index of the failed CREATE INDEX exists")
 	}
 }

@@ -19,7 +19,9 @@ import (
 // Kind enumerates the SQL types supported by the engine.
 type Kind uint8
 
-// Value kinds. KindLink is the DATALINK type of SQL/MED.
+// Value kinds. KindLink is the DATALINK type of SQL/MED. The numbers are on
+// disk (the log payload tags every value with its kind): append, never
+// renumber.
 const (
 	KindNull Kind = iota
 	KindInt

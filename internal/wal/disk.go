@@ -249,11 +249,39 @@ func (d *diskLog) rotateLocked(first LSN) error {
 	return nil
 }
 
+// SealSegment writes the buffered tail and starts a fresh segment, so the next
+// record appended is the first of its file. A checkpoint calls it right
+// before logging its record: TruncateHead deletes only whole sealed segments,
+// and this is what puts every record the checkpoint supersedes into one. An
+// active segment that is still empty is kept; the in-memory backend has no
+// segments to seal.
+func (l *Log) SealSegment() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
+	}
+	d := l.disk
+	if d == nil {
+		return nil
+	}
+	if err := l.writePendingLocked(); err != nil {
+		return err
+	}
+	d.fileMu.Lock()
+	defer d.fileMu.Unlock()
+	if d.segSize == 0 {
+		return nil
+	}
+	return d.rotateLocked(d.written + 1)
+}
+
 // TruncateHead discards log records below keepFrom, the checkpoint anchor's
-// successor. The disk backend deletes only whole sealed segments — the
-// active segment keeps any pre-anchor records it holds, so recovery always
-// re-reads a few records below the anchor and the sequence gate is what
-// prevents double-apply. The in-memory backend trims exactly.
+// successor. The disk backend deletes only whole sealed segments — a segment
+// that straddles keepFrom (a transaction flushed between the snapshot and the
+// checkpoint's SealSegment) keeps its pre-anchor records, recovery re-reads
+// them, and the sequence gate is what prevents double-apply. The in-memory
+// backend trims exactly.
 func (l *Log) TruncateHead(keepFrom LSN) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -326,21 +354,21 @@ func (l *Log) SyncCount() int64 {
 	return l.disk.sync.Count()
 }
 
-// encodeRecord serializes the record header fields and payload.
-func encodeRecord(rec Record) []byte {
-	buf := make([]byte, 0, 4*binary.MaxVarintLen64+1+len(rec.Payload))
+// appendRecordHeader serializes the record's header fields; the frame's
+// payload is this header followed by rec.Payload.
+func appendRecordHeader(buf []byte, rec Record) []byte {
 	buf = binary.AppendUvarint(buf, uint64(rec.LSN))
 	buf = append(buf, byte(rec.Type))
 	buf = binary.AppendUvarint(buf, rec.TxnID)
 	buf = binary.AppendUvarint(buf, uint64(rec.PrevLSN))
-	buf = binary.AppendUvarint(buf, uint64(rec.UndoLSN))
-	return append(buf, rec.Payload...)
+	return binary.AppendUvarint(buf, uint64(rec.UndoLSN))
 }
 
 var errShortRecord = errors.New("wal: truncated record payload")
 
-// decodeRecord is the inverse of encodeRecord. The payload is copied so the
-// record does not alias the segment read buffer.
+// decodeRecord reads a frame payload: the header appendRecordHeader wrote,
+// then the record payload, copied so the record does not alias the segment
+// read buffer.
 func decodeRecord(b []byte) (Record, error) {
 	var rec Record
 	lsn, n := binary.Uvarint(b)

@@ -104,7 +104,9 @@ type Log struct {
 func New() *Log { return &Log{} }
 
 // Append adds a record to the log buffer and returns its LSN. The record is
-// not durable until Flush (or FlushTo covering it) is called.
+// not durable until Flush (or FlushTo covering it) is called. Append takes
+// ownership of rec.Payload: the log keeps that slice (Read and Scan serve
+// it) instead of a copy, so the caller must not write to it afterwards.
 func (l *Log) Append(rec Record) (LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -112,12 +114,6 @@ func (l *Log) Append(rec Record) (LSN, error) {
 		return NilLSN, ErrClosed
 	}
 	rec.LSN = l.base + LSN(len(l.records)) + 1
-	// Copy the payload so the caller may reuse its buffer.
-	if rec.Payload != nil {
-		p := make([]byte, len(rec.Payload))
-		copy(p, rec.Payload)
-		rec.Payload = p
-	}
 	l.records = append(l.records, rec)
 	if rec.Type == RecCheckpoint && len(rec.Payload) > 0 {
 		l.sizeSinceCkpt = 0
@@ -125,7 +121,11 @@ func (l *Log) Append(rec Record) (LSN, error) {
 		l.sizeSinceCkpt += int64(len(rec.Payload)) + recOverheadBytes
 	}
 	if l.disk != nil {
-		l.disk.pending = seglog.AppendFrame(l.disk.pending, encodeRecord(rec))
+		// Header and payload are framed where they will be written from.
+		d := l.disk
+		start := len(d.pending)
+		d.pending = append(appendRecordHeader(seglog.BeginFrame(d.pending), rec), rec.Payload...)
+		seglog.EndFrame(d.pending, start)
 	}
 	return rec.LSN, nil
 }

@@ -59,17 +59,18 @@ func TestFlushToBeyondTailErrors(t *testing.T) {
 	}
 }
 
-func TestPayloadIsCopied(t *testing.T) {
+// Append takes ownership of the payload it is handed: the record Read serves
+// is that slice, not a copy of it.
+func TestAppendOwnsPayload(t *testing.T) {
 	l := New()
 	buf := []byte("hello")
 	l.Append(Record{Type: RecUpdate, TxnID: 1, Payload: buf})
-	buf[0] = 'X'
 	rec, err := l.Read(1)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if string(rec.Payload) != "hello" {
-		t.Fatalf("payload mutated: %q", rec.Payload)
+	if string(rec.Payload) != "hello" || &rec.Payload[0] != &buf[0] {
+		t.Fatalf("payload %q was copied, want the caller's slice", rec.Payload)
 	}
 }
 
