@@ -121,49 +121,60 @@ var (
 // shardCount must be a power of two.
 const shardCount = 16
 
-// chunkMod is one slot of a delta manifest: chunk idx now has this hash.
-type chunkMod struct {
-	idx  int32
-	hash extent.Hash
-}
-
-// verRec is the stored manifest of one version: either a full hash list
-// (checkpoint) or a delta against the immediately preceding version.
-type verRec struct {
-	isFull  bool          // checkpoint: full holds every chunk hash
-	full    []extent.Hash // checkpoint only (may be empty: tail-only file)
-	mods    []chunkMod    // delta only: changed/new chunk slots
-	nchunks int           // chunk count of this version
-	tail    extent.Hash   // hash of the tail blob (tailLen > 0)
-	tailLen int
-}
-
 // genCounter distinguishes successive histories of the same path (drop +
 // re-link): stale Entry handles from a dropped history never resolve against
 // the new one.
 var genCounter atomic.Uint64
 
-// modsForCatalog converts the in-memory delta to the catalog's wire form.
-func modsForCatalog(mods []chunkMod) []catalog.Mod {
-	if len(mods) == 0 {
-		return nil
-	}
-	out := make([]catalog.Mod, len(mods))
-	for i, m := range mods {
-		out[i] = catalog.Mod{Idx: m.idx, Hash: m.hash}
-	}
-	return out
-}
-
-// fileVersions is the per-(server,path) version history.
+// fileVersions is the per-(server,path) version history: one manifest record
+// per version — a full hash list (checkpoint) or a delta against the version
+// before it — and the very records the durable catalog's shadow holds, frozen
+// once they are here. An Entry is assembled from a record on demand.
 type fileVersions struct {
-	entries []Entry
-	recs    []*verRec
+	recs []*catalog.PutRec
 	// last caches the newest version's full hash list so Put diffs against
 	// it without walking the delta chain. O(#chunks of one version) memory
-	// per archived file.
+	// per archived file. Replaced, never written in place.
 	last []extent.Hash
 	gen  uint64 // distinguishes re-linked histories of the same path
+}
+
+// entry assembles the handle of version index i. Server and Path are
+// substrings of the record's key. Caller holds the entry shard lock.
+func (s *Store) entry(fv *fileVersions, i int) Entry {
+	r := fv.recs[i]
+	server, path, _ := splitKey(r.Key)
+	return Entry{
+		Server:  server,
+		Path:    path,
+		Version: Version(r.Version),
+		StateID: r.StateID,
+		Size:    r.Size,
+		Stored:  time.Unix(0, r.StoredUnixNano),
+		st:      s,
+		key:     r.Key,
+		idx:     i,
+		gen:     fv.gen,
+	}
+}
+
+// key is the one "server \x00 path" string the index, the catalog and every
+// record of the history share.
+func (fv *fileVersions) key() string { return fv.recs[0].Key }
+
+// newest reports the highest archived version of the history.
+func (fv *fileVersions) newest() Version {
+	return Version(fv.recs[len(fv.recs)-1].Version)
+}
+
+// indexOf finds the version numbered v, or -1.
+func (fv *fileVersions) indexOf(v Version) int {
+	for i, r := range fv.recs {
+		if r.Version == int64(v) {
+			return i
+		}
+	}
+	return -1
 }
 
 // entryShard holds the version histories of a subset of (server, path) keys.
@@ -172,16 +183,12 @@ type entryShard struct {
 	entries map[string]*fileVersions
 }
 
-// dedupEntry is one interned blob: how many version slots reference it.
-// (Byte accounting lives in chunkdisk, which owns the bytes.)
-type dedupEntry struct {
-	refs int64
-}
-
-// dedupShard holds a subset of the content-hash refcount table.
+// dedupShard holds a subset of the content-hash refcount table: how many
+// version slots reference each interned blob. (Byte accounting lives in
+// chunkdisk, which owns the bytes.)
 type dedupShard struct {
 	mu    sync.Mutex
-	blobs map[extent.Hash]*dedupEntry
+	blobs map[extent.Hash]int64
 }
 
 // PutStats reports what one Put physically did.
@@ -332,7 +339,7 @@ func NewTiered(latency time.Duration, clock func() time.Time, tier TierConfig) (
 	s.latency.Store(int64(latency))
 	for i := range s.shards {
 		s.shards[i].entries = make(map[string]*fileVersions)
-		s.dedup[i].blobs = make(map[extent.Hash]*dedupEntry)
+		s.dedup[i].blobs = make(map[extent.Hash]int64)
 	}
 	if tier.Dir != "" {
 		cat, err := catalog.Open(tier.Dir, catalog.Config{
@@ -368,132 +375,110 @@ func NewTiered(latency time.Duration, clock func() time.Time, tier TierConfig) (
 	return s, nil
 }
 
-// replay rebuilds the in-memory version index from the catalog's shadow
-// state: for every key, walk the delta chain oldest-first, verify every blob
-// a version references actually exists in the chunk store, and only then
-// re-pin one blob reference per chunk slot (and tail) — so a version that
-// proves unservable never un-deadens blobs it will not use. The first
-// version referencing a missing blob ends that key's history — it and
-// everything after it are dropped (later deltas chain through it, and blobs
-// only vanish through corruption or manual deletion, so the safe prefix is
-// what remains). repaired reports whether any history was trimmed (the
-// caller then persists the repair via a catalog checkpoint).
+// replay rebuilds the in-memory version index by adopting the records of the
+// catalog's shadow: for every key, walk the delta chain oldest-first — one
+// hash list, advanced in place — verify every blob a version references
+// actually exists in the chunk store, and only then re-pin one blob reference
+// per chunk slot (and tail) — so a version that proves unservable never
+// un-deadens blobs it will not use. The first version referencing a missing
+// blob ends that key's history — it and everything after it are dropped
+// (later deltas chain through it, and blobs only vanish through corruption or
+// manual deletion, so the safe prefix is what remains). repaired reports
+// whether any history was trimmed (the caller then persists the repair via a
+// catalog checkpoint).
 func (s *Store) replay(cat *catalog.Catalog) (repaired bool) {
 	st := cat.Stats()
 	s.recov.TornBytes = st.TornBytes
 	s.recov.SnapshotRecords = st.SnapshotRecords
 	s.recov.LogRecords = st.LogRecords
-	exists := make(map[extent.Hash]bool)
+	// One memo for both questions asked of a blob: is it on the device, and
+	// has this open already un-deadened it.
+	const (
+		missing = iota + 1
+		present
+		claimed
+	)
+	blobs := make(map[extent.Hash]uint8)
 	has := func(h extent.Hash) bool {
-		ok, seen := exists[h]
-		if !seen {
-			ok = s.disk.Has(h)
-			exists[h] = ok
+		state := blobs[h]
+		if state == 0 {
+			state = missing
+			if s.disk.Has(h) {
+				state = present
+			}
+			blobs[h] = state
 		}
-		return ok
+		return state != missing
 	}
-	claimed := make(map[extent.Hash]struct{})
-	claim := func(h extent.Hash) {
-		if _, done := claimed[h]; !done {
+	pin := func(h extent.Hash) {
+		if blobs[h] != claimed {
 			s.disk.Claim(h)
-			claimed[h] = struct{}{}
+			blobs[h] = claimed
 		}
+		s.addRef(h)
 	}
-	for _, k := range cat.Keys() {
-		hist := cat.History(k)
-		server, path, ok := splitKey(k)
-		if !ok {
+	var full []extent.Hash // the walk's hash list, reused from key to key
+	cat.Range(func(k string, hist []*catalog.PutRec) (keep int) {
+		if _, _, ok := splitKey(k); !ok {
 			// Not a key this store ever writes; ignore rather than guess.
-			cat.Trim(k, 0)
 			repaired = true
-			continue
+			return 0
 		}
-		fv := &fileVersions{gen: genCounter.Add(1)}
-		var full []extent.Hash
-		keep := len(hist)
+		fv := &fileVersions{gen: genCounter.Add(1), recs: make([]*catalog.PutRec, 0, len(hist))}
+		full = full[:0]
 	scan:
-		for i, pr := range hist {
-			rec := recFromCatalog(pr)
-			full = applyRec(full, rec)
+		for _, rec := range hist {
+			// A chain that does not start at a checkpoint, or a delta that
+			// grows the file by slots it does not fill, cannot be walked.
+			if !rec.IsFull && (len(fv.recs) == 0 || rec.NChunks-len(full) > len(rec.Mods)) {
+				break
+			}
+			full = advance(full, rec)
 			for _, h := range full {
 				if !has(h) {
-					keep = i
 					break scan
 				}
 			}
-			if rec.tailLen > 0 && !has(rec.tail) {
-				keep = i
-				break scan
+			if rec.TailLen > 0 && !has(rec.TailHash) {
+				break
 			}
 			// The version is servable: un-deaden and pin its references,
 			// then index it.
 			for _, h := range full {
-				claim(h)
-				s.addRef(h)
+				pin(h)
 			}
-			if rec.tailLen > 0 {
-				claim(rec.tail)
-				s.addRef(rec.tail)
+			if rec.TailLen > 0 {
+				pin(rec.TailHash)
 			}
 			fv.recs = append(fv.recs, rec)
-			fv.entries = append(fv.entries, Entry{
-				Server:  server,
-				Path:    path,
-				Version: Version(pr.Version),
-				StateID: pr.StateID,
-				Size:    pr.Size,
-				Stored:  time.Unix(0, pr.StoredUnixNano),
-				st:      s,
-				key:     k,
-				idx:     i,
-				gen:     fv.gen,
-			})
-			fv.last = full
 		}
+		keep = len(fv.recs)
 		if keep < len(hist) {
-			cat.Trim(k, keep)
 			s.recov.DroppedVersions += len(hist) - keep
 			repaired = true
 		}
 		if keep == 0 {
-			continue
+			return 0
 		}
-		sh := s.shardFor(k)
-		sh.mu.Lock()
-		sh.entries[k] = fv
-		sh.mu.Unlock()
+		// Not the walk's list: after a missing blob that one has already
+		// advanced to the version that failed.
+		fv.last = hashesAt(fv, keep-1)
+		s.shardFor(k).entries[k] = fv // no shard lock: the store is not shared before NewTiered returns
 		s.recov.Files++
 		s.recov.Versions += keep
-	}
+		return keep
+	})
 	return repaired
 }
 
-// recFromCatalog converts a durable manifest record to the in-memory form,
-// sharing the (frozen) hash slices.
-func recFromCatalog(pr *catalog.PutRec) *verRec {
-	rec := &verRec{
-		isFull:  pr.IsFull,
-		full:    pr.Full,
-		nchunks: pr.NChunks,
-		tail:    pr.TailHash,
-		tailLen: pr.TailLen,
+// advance moves a full hash list one version forward IN PLACE and returns it
+// (grown if the version has more chunks): the chain step of catalog replay
+// and history import, which walk a history once from its start.
+func advance(full []extent.Hash, rec *catalog.PutRec) []extent.Hash {
+	if rec.IsFull {
+		return append(full[:0], rec.Full...)
 	}
-	if !pr.IsFull {
-		rec.mods = make([]chunkMod, len(pr.Mods))
-		for i, m := range pr.Mods {
-			rec.mods[i] = chunkMod{idx: m.Idx, hash: m.Hash}
-		}
-	}
-	return rec
-}
-
-// applyRec advances a full hash list by one version record (a fresh slice is
-// returned; prev is not aliased).
-func applyRec(prev []extent.Hash, rec *verRec) []extent.Hash {
-	if rec.isFull {
-		return append([]extent.Hash(nil), rec.full...)
-	}
-	return applyDelta(append([]extent.Hash(nil), prev...), rec)
+	return applyDelta(full, rec)
 }
 
 // Recovery reports what NewTiered replayed from the archive directory (zero
@@ -577,6 +562,15 @@ func splitKey(k string) (server, path string, ok bool) {
 	return k[:i], k[i+1:], true
 }
 
+// lockHistory locks the entry shard of (server, path) — the caller unlocks it
+// — and returns it with the path's history, nil when nothing is archived.
+func (s *Store) lockHistory(server, path string) (*entryShard, *fileVersions) {
+	k := key(server, path)
+	sh := s.shardFor(k)
+	sh.mu.Lock()
+	return sh, sh.entries[k]
+}
+
 // shardFor picks the entry shard for a key.
 func (s *Store) shardFor(k string) *entryShard {
 	return &s.shards[maphash.String(s.seed, k)&(shardCount-1)]
@@ -609,12 +603,10 @@ func (s *Store) addRef(h extent.Hash) (fresh bool) {
 	ds := s.dedupFor(h)
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	if e, ok := ds.blobs[h]; ok {
-		e.refs++
-		return false
-	}
-	ds.blobs[h] = &dedupEntry{refs: 1}
-	return true
+	// One map operation: the increment inserts a blob the table did not have.
+	before := len(ds.blobs)
+	ds.blobs[h]++
+	return len(ds.blobs) != before
 }
 
 // releaseRef drops one reference; at zero the blob leaves the refcount table
@@ -622,56 +614,54 @@ func (s *Store) addRef(h extent.Hash) (fresh bool) {
 func (s *Store) releaseRef(h extent.Hash) {
 	ds := s.dedupFor(h)
 	ds.mu.Lock()
-	e, ok := ds.blobs[h]
-	if ok {
-		e.refs--
-		if e.refs == 0 {
-			delete(ds.blobs, h)
-		} else {
-			ok = false
-		}
+	refs := ds.blobs[h]
+	switch {
+	case refs == 1:
+		delete(ds.blobs, h)
+	case refs > 1:
+		ds.blobs[h] = refs - 1
 	}
 	ds.mu.Unlock()
-	if ok {
+	if refs == 1 {
 		s.disk.Drop(h)
 	}
 }
 
 // releaseRec releases every blob reference a version's full hash list holds.
-func (s *Store) releaseRec(hashes []extent.Hash, rec *verRec) {
+func (s *Store) releaseRec(hashes []extent.Hash, rec *catalog.PutRec) {
 	for _, h := range hashes {
 		s.releaseRef(h)
 	}
-	if rec.tailLen > 0 {
-		s.releaseRef(rec.tail)
+	if rec.TailLen > 0 {
+		s.releaseRef(rec.TailHash)
 	}
 }
 
 // applyDelta advances hashes by one delta record in place (resize to the
 // record's chunk count, then apply the changed slots) — the single
 // implementation of the chain-step semantics, shared by live materialization
-// (hashesAt) and catalog replay (applyRec).
-func applyDelta(hashes []extent.Hash, rec *verRec) []extent.Hash {
-	if rec.nchunks <= len(hashes) {
-		hashes = hashes[:rec.nchunks]
+// (hashesAt) and the replay and import walks (advance).
+func applyDelta(hashes []extent.Hash, rec *catalog.PutRec) []extent.Hash {
+	if rec.NChunks <= len(hashes) {
+		hashes = hashes[:rec.NChunks]
 	} else {
-		hashes = append(hashes, make([]extent.Hash, rec.nchunks-len(hashes))...)
+		hashes = append(hashes, make([]extent.Hash, rec.NChunks-len(hashes))...)
 	}
-	for _, m := range rec.mods {
-		hashes[m.idx] = m.hash
+	for _, m := range rec.Mods {
+		hashes[m.Idx] = m.Hash
 	}
 	return hashes
 }
 
-// hashesAt materializes the full hash list of version index idx by walking
-// back to the nearest checkpoint and applying deltas forward. Caller holds
-// the entry shard lock.
+// hashesAt materializes the full hash list of version index idx (a fresh
+// slice) by walking back to the nearest checkpoint and applying deltas
+// forward. Caller holds the entry shard lock.
 func hashesAt(fv *fileVersions, idx int) []extent.Hash {
 	base := idx
-	for !fv.recs[base].isFull {
+	for !fv.recs[base].IsFull {
 		base--
 	}
-	hashes := append([]extent.Hash(nil), fv.recs[base].full...)
+	hashes := append([]extent.Hash(nil), fv.recs[base].Full...)
 	for i := base + 1; i <= idx; i++ {
 		hashes = applyDelta(hashes, fv.recs[i])
 	}
@@ -746,95 +736,72 @@ func (s *Store) PutSnapshotCtx(ctx context.Context, server, path string, v Versi
 			st.DedupedBytes += int64(len(tail))
 		}
 	}
-	rec := &verRec{nchunks: len(hashes), tail: tailHash, tailLen: len(tail)}
-
-	k := key(server, path)
-	sh := s.shardFor(k)
-	sh.mu.Lock()
-	fv := sh.entries[k]
+	sh, fv := s.lockHistory(server, path)
+	var k string
 	if fv == nil {
-		fv = &fileVersions{gen: genCounter.Add(1)}
-		sh.entries[k] = fv
+		// Indexed below, once its first version is logged: a history in the
+		// index is never empty.
+		fv, k = &fileVersions{gen: genCounter.Add(1)}, key(server, path)
+	} else {
+		k = fv.key()
 	}
-	if n := len(fv.entries); n > 0 && fv.entries[n-1].Version >= v {
-		last := fv.entries[n-1].Version
+	rec := &catalog.PutRec{
+		Key:      k,
+		Version:  int64(v),
+		StateID:  stateID,
+		Size:     snap.Len(),
+		NChunks:  len(hashes),
+		TailLen:  len(tail),
+		TailHash: tailHash,
+	}
+	if len(fv.recs) > 0 && fv.newest() >= v {
+		last := fv.newest()
 		sh.mu.Unlock()
 		s.releaseRec(hashes, rec)
 		return PutStats{}, fmt.Errorf("%w: version %d of %s (archived %d)", ErrStale, v, path, last)
 	}
 	// Delta against the cached predecessor list; checkpoint when the delta
 	// would not save metadata or the chain is due for one.
-	var mods []chunkMod
+	var mods []catalog.Mod
 	sinceFull := 0
-	for i := len(fv.recs) - 1; i >= 0 && !fv.recs[i].isFull; i-- {
+	for i := len(fv.recs) - 1; i >= 0 && !fv.recs[i].IsFull; i-- {
 		sinceFull++
 	}
 	if len(fv.recs) > 0 {
 		prev := fv.last
 		for i, h := range hashes {
 			if i >= len(prev) || prev[i] != h {
-				mods = append(mods, chunkMod{idx: int32(i), hash: h})
+				mods = append(mods, catalog.Mod{Idx: int32(i), Hash: h})
 			}
 		}
 	}
 	if len(fv.recs) == 0 || sinceFull+1 >= s.ckEvery || len(mods)*2 >= len(hashes) {
-		rec.isFull = true
-		rec.full = append([]extent.Hash(nil), hashes...)
+		rec.IsFull = true
+		rec.Full = append([]extent.Hash(nil), hashes...)
 	} else {
-		rec.mods = mods
+		rec.Mods = mods
 	}
 	st.DeltaChunks = len(mods)
-	size := snap.Len()
-	stored := s.clock()
-	prevLast := fv.last
-	fv.recs = append(fv.recs, rec)
-	fv.entries = append(fv.entries, Entry{
-		Server:  server,
-		Path:    path,
-		Version: v,
-		StateID: stateID,
-		Size:    size,
-		Stored:  stored,
-		st:      s,
-		key:     k,
-		idx:     len(fv.entries),
-		gen:     fv.gen,
-	})
-	fv.last = hashes
+	rec.StoredUnixNano = s.clock().UnixNano()
 	if s.cat != nil {
 		// Write the manifest through to the durable catalog before the
 		// version becomes visible outside the shard lock. The chunk bytes are
 		// already on the device (written above), so a crash right here loses
 		// only this version's index entry — its blobs are adopted as dead and
 		// swept at the next open, and recovery's pending-archive pass
-		// re-archives the version.
-		pr := &catalog.PutRec{
-			Key:            k,
-			Version:        int64(v),
-			StateID:        stateID,
-			Size:           size,
-			StoredUnixNano: stored.UnixNano(),
-			NChunks:        rec.nchunks,
-			TailLen:        rec.tailLen,
-			TailHash:       rec.tail,
-			IsFull:         rec.isFull,
-			Full:           rec.full,
-			Mods:           modsForCatalog(rec.mods),
-		}
-		if err := s.cat.AppendPut(pr); err != nil {
-			// Unwind the insert: an unlogged version must not be served (it
-			// would silently vanish at the next restart).
-			fv.recs = fv.recs[:len(fv.recs)-1]
-			fv.entries = fv.entries[:len(fv.entries)-1]
-			fv.last = prevLast
-			if len(fv.entries) == 0 {
-				delete(sh.entries, k)
-			}
+		// re-archives the version. An unlogged version must not be served (it
+		// would silently vanish at the next restart).
+		if err := s.cat.AppendPut(rec); err != nil {
 			sh.mu.Unlock()
 			s.releaseRec(hashes, rec)
 			return PutStats{}, fmt.Errorf("archive: catalog: %w", err)
 		}
 	}
+	if len(fv.recs) == 0 {
+		sh.entries[k] = fv
+	}
+	fv.recs = append(fv.recs, rec)
+	fv.last = hashes
 	sh.mu.Unlock()
 	if s.cat != nil {
 		// Checkpoint the catalog if this append pushed the log past its
@@ -872,7 +839,7 @@ func (s *Store) PutSnapshotCtx(ctx context.Context, server, path string, v Versi
 	bar.End()
 
 	s.puts.Add(1)
-	s.logicalBytes.Add(size)
+	s.logicalBytes.Add(rec.Size)
 	s.newBytes.Add(st.NewBytes)
 	s.dedupedBytes.Add(st.DedupedBytes)
 	s.sharedChunks.Add(int64(st.SharedChunks))
@@ -900,7 +867,7 @@ func (s *Store) materialize(k string, idx int, gen uint64, v Version) (*extent.S
 	sh := s.shardFor(k)
 	sh.mu.Lock()
 	fv := sh.entries[k]
-	if fv == nil || fv.gen != gen || idx >= len(fv.recs) || fv.entries[idx].Version != v {
+	if fv == nil || fv.gen != gen || idx >= len(fv.recs) || fv.recs[idx].Version != int64(v) {
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("%w: version discarded", ErrNotFound)
 	}
@@ -910,10 +877,10 @@ func (s *Store) materialize(k string, idx int, gen uint64, v Version) (*extent.S
 	for _, h := range hashes {
 		s.addRef(h)
 	}
-	if rec.tailLen > 0 {
-		s.addRef(rec.tail)
+	if rec.TailLen > 0 {
+		s.addRef(rec.TailHash)
 	}
-	tailHash, tailLen := rec.tail, rec.tailLen
+	tailHash, tailLen := rec.TailHash, rec.TailLen
 	sh.mu.Unlock()
 
 	unpin := func() {
@@ -960,16 +927,12 @@ func (s *Store) materialize(k string, idx int, gen uint64, v Version) (*extent.S
 // Get returns a specific archived version.
 func (s *Store) Get(server, path string, v Version) (Entry, error) {
 	s.sleep(1)
-	k := key(server, path)
-	sh := s.shardFor(k)
-	sh.mu.Lock()
+	sh, fv := s.lockHistory(server, path)
 	defer sh.mu.Unlock()
-	if fv := sh.entries[k]; fv != nil {
-		for _, e := range fv.entries {
-			if e.Version == v {
-				s.restores.Add(1)
-				return e, nil
-			}
+	if fv != nil {
+		if i := fv.indexOf(v); i >= 0 {
+			s.restores.Add(1)
+			return s.entry(fv, i), nil
 		}
 	}
 	return Entry{}, fmt.Errorf("%w: %s v%d", ErrNotFound, path, v)
@@ -978,35 +941,57 @@ func (s *Store) Get(server, path string, v Version) (Entry, error) {
 // Latest returns the newest archived version of a file.
 func (s *Store) Latest(server, path string) (Entry, error) {
 	s.sleep(1)
-	k := key(server, path)
-	sh := s.shardFor(k)
-	sh.mu.Lock()
+	sh, fv := s.lockHistory(server, path)
 	defer sh.mu.Unlock()
-	fv := sh.entries[k]
-	if fv == nil || len(fv.entries) == 0 {
+	if fv == nil {
 		return Entry{}, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	s.restores.Add(1)
-	return fv.entries[len(fv.entries)-1], nil
+	return s.entry(fv, len(fv.recs)-1), nil
+}
+
+// Newest reports the newest archived version number of a file, ok false when
+// nothing is archived. Metadata only: unlike Latest it neither pays the
+// device round trip nor counts as a restore.
+func (s *Store) Newest(server, path string) (v Version, ok bool) {
+	sh, fv := s.lockHistory(server, path)
+	defer sh.mu.Unlock()
+	if fv == nil {
+		return 0, false
+	}
+	return fv.newest(), true
+}
+
+// HasVersion reports whether version v of a file is archived (metadata only,
+// like Newest).
+func (s *Store) HasVersion(server, path string, v Version) bool {
+	sh, fv := s.lockHistory(server, path)
+	defer sh.mu.Unlock()
+	return fv != nil && fv.indexOf(v) >= 0
 }
 
 // AsOf returns the newest version whose StateID is <= stateID — the version
 // that was current when the database was at that state (§4.4).
 func (s *Store) AsOf(server, path string, stateID uint64) (Entry, error) {
 	s.sleep(1)
-	k := key(server, path)
-	sh := s.shardFor(k)
-	sh.mu.Lock()
+	sh, fv := s.lockHistory(server, path)
 	defer sh.mu.Unlock()
-	if fv := sh.entries[k]; fv != nil {
-		for i := len(fv.entries) - 1; i >= 0; i-- {
-			if fv.entries[i].StateID <= stateID {
+	if fv != nil {
+		for i := len(fv.recs) - 1; i >= 0; i-- {
+			if fv.recs[i].StateID <= stateID {
 				s.restores.Add(1)
-				return fv.entries[i], nil
+				return s.entry(fv, i), nil
 			}
 		}
 	}
 	return Entry{}, fmt.Errorf("%w: %s as of state %d", ErrNotFound, path, stateID)
+}
+
+// dropped is one version leaving a history: the references releaseRec is to
+// give back once the shard lock is released.
+type dropped struct {
+	hashes []extent.Hash
+	rec    *catalog.PutRec
 }
 
 // TruncateAfter discards versions with StateID > stateID (used when the
@@ -1016,22 +1001,20 @@ func (s *Store) AsOf(server, path string, stateID uint64) (Entry, error) {
 // disagree about which versions exist (dropped blobs linger on disk until a
 // sweep, and an un-tombstoned restart would resurrect them).
 func (s *Store) TruncateAfter(server, path string, stateID uint64) error {
-	k := key(server, path)
-	sh := s.shardFor(k)
-	sh.mu.Lock()
-	fv := sh.entries[k]
+	sh, fv := s.lockHistory(server, path)
 	if fv == nil {
 		sh.mu.Unlock()
 		return nil
 	}
-	cut := len(fv.entries)
-	for i, e := range fv.entries {
-		if e.StateID > stateID {
+	k := fv.key()
+	cut := len(fv.recs)
+	for i, r := range fv.recs {
+		if r.StateID > stateID {
 			cut = i
 			break
 		}
 	}
-	if cut == len(fv.entries) {
+	if cut == len(fv.recs) {
 		sh.mu.Unlock()
 		return nil
 	}
@@ -1043,15 +1026,11 @@ func (s *Store) TruncateAfter(server, path string, stateID uint64) error {
 	}
 	// Materialize the dropped versions' hash lists before mutating the
 	// chain (their checkpoints may themselves be dropped).
-	type dropped struct {
-		hashes []extent.Hash
-		rec    *verRec
-	}
-	drops := make([]dropped, 0, len(fv.entries)-cut)
-	for i := cut; i < len(fv.entries); i++ {
+	drops := make([]dropped, 0, len(fv.recs)-cut)
+	for i := cut; i < len(fv.recs); i++ {
 		drops = append(drops, dropped{hashes: hashesAt(fv, i), rec: fv.recs[i]})
 	}
-	fv.entries = fv.entries[:cut]
+	clear(fv.recs[cut:]) // the dropped records must not stay reachable from the spare capacity
 	fv.recs = fv.recs[:cut]
 	if cut == 0 {
 		delete(sh.entries, k)
@@ -1074,16 +1053,15 @@ func (s *Store) TruncateAfter(server, path string, stateID uint64) error {
 
 // Versions lists the archived versions of a file in order.
 func (s *Store) Versions(server, path string) []Entry {
-	k := key(server, path)
-	sh := s.shardFor(k)
-	sh.mu.Lock()
+	sh, fv := s.lockHistory(server, path)
 	defer sh.mu.Unlock()
-	fv := sh.entries[k]
 	if fv == nil {
 		return nil
 	}
-	out := make([]Entry, len(fv.entries))
-	copy(out, fv.entries)
+	out := make([]Entry, len(fv.recs))
+	for i := range out {
+		out[i] = s.entry(fv, i)
+	}
 	return out
 }
 
@@ -1107,26 +1085,20 @@ func (s *Store) Files(server string) []string {
 // Drop discards every version of a file (after unlink with no recovery
 // need). Tombstone-first like TruncateAfter: a catalog failure drops nothing.
 func (s *Store) Drop(server, path string) error {
-	k := key(server, path)
-	sh := s.shardFor(k)
-	sh.mu.Lock()
-	fv := sh.entries[k]
+	sh, fv := s.lockHistory(server, path)
 	if fv == nil {
 		sh.mu.Unlock()
 		return nil
 	}
+	k := fv.key()
 	if s.cat != nil {
 		if err := s.cat.AppendDrop(k); err != nil {
 			sh.mu.Unlock()
 			return fmt.Errorf("archive: catalog: %w", err)
 		}
 	}
-	type dropped struct {
-		hashes []extent.Hash
-		rec    *verRec
-	}
-	drops := make([]dropped, 0, len(fv.entries))
-	for i := range fv.entries {
+	drops := make([]dropped, 0, len(fv.recs))
+	for i := range fv.recs {
 		drops = append(drops, dropped{hashes: hashesAt(fv, i), rec: fv.recs[i]})
 	}
 	delete(sh.entries, k)

@@ -12,7 +12,6 @@ package archive
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"datalinks/internal/catalog"
 	"datalinks/internal/extent"
@@ -25,26 +24,24 @@ import (
 var ErrChainGap = errors.New("archive: history chain gap")
 
 // HistoryMod is one changed slot of an exported delta manifest.
-type HistoryMod struct {
-	Idx  int32
-	Hash extent.Hash
-}
+type HistoryMod = catalog.Mod
 
 // HistoryRec is one version of an exported history: exactly the manifest the
 // store persists, so import replays it with the same chain semantics as a
 // catalog replay. Recs are ordered oldest-first and deltas chain through
-// their predecessors, so a history must be imported whole.
-type HistoryRec struct {
-	Version        int64
-	StateID        uint64
-	Size           int64
-	StoredUnixNano int64
-	NChunks        int
-	TailLen        int
-	TailHash       extent.Hash
-	IsFull         bool
-	Full           []extent.Hash
-	Mods           []HistoryMod
+// their predecessors, so a history must be imported whole. Key is the
+// exporting store's; an import files the record under its own.
+type HistoryRec catalog.PutRec
+
+// record is the importing store's own manifest record of hr under key k. The
+// hash lists are copied: the importer freezes what it indexes, whatever the
+// caller does with the exported records afterwards.
+func (hr *HistoryRec) record(k string) *catalog.PutRec {
+	rec := catalog.PutRec(*hr)
+	rec.Key = k
+	rec.Full = append([]extent.Hash(nil), hr.Full...)
+	rec.Mods = append([]HistoryMod(nil), hr.Mods...)
+	return &rec
 }
 
 // ImportStats reports what one ImportHistory physically did.
@@ -56,47 +53,19 @@ type ImportStats struct {
 	DedupedBytes  int64
 }
 
-// exportRec copies version index i of fv as a portable record. Caller holds
-// the entry shard lock.
-func exportRec(fv *fileVersions, i int) HistoryRec {
-	rec := fv.recs[i]
-	e := fv.entries[i]
-	hr := HistoryRec{
-		Version:        int64(e.Version),
-		StateID:        e.StateID,
-		Size:           e.Size,
-		StoredUnixNano: e.Stored.UnixNano(),
-		NChunks:        rec.nchunks,
-		TailLen:        rec.tailLen,
-		TailHash:       rec.tail,
-		IsFull:         rec.isFull,
-	}
-	if rec.isFull {
-		hr.Full = append([]extent.Hash(nil), rec.full...)
-	} else {
-		hr.Mods = make([]HistoryMod, len(rec.mods))
-		for j, m := range rec.mods {
-			hr.Mods[j] = HistoryMod{Idx: m.idx, Hash: m.hash}
-		}
-	}
-	return hr
-}
-
 // ExportHistory snapshots the version history of one file as portable
-// manifest records. The slices are fresh copies — the caller may hold them
-// across arbitrary later mutation of this store.
+// manifest records. Their hash lists are the store's own, frozen: the caller
+// may hold them across arbitrary later mutation of this store, and must not
+// write to them.
 func (s *Store) ExportHistory(server, path string) []HistoryRec {
-	k := key(server, path)
-	sh := s.shardFor(k)
-	sh.mu.Lock()
+	sh, fv := s.lockHistory(server, path)
 	defer sh.mu.Unlock()
-	fv := sh.entries[k]
 	if fv == nil {
 		return nil
 	}
 	out := make([]HistoryRec, len(fv.recs))
-	for i := range fv.recs {
-		out[i] = exportRec(fv, i)
+	for i, rec := range fv.recs {
+		out[i] = HistoryRec(*rec)
 	}
 	return out
 }
@@ -109,28 +78,19 @@ func (s *Store) ExportHistory(server, path string) []HistoryRec {
 // base (nothing to ship). ErrChainGap reports that base is not present in
 // this history; the caller falls back to a full resync.
 func (s *Store) ExportDelta(server, path string, base int64) ([]HistoryRec, error) {
-	k := key(server, path)
-	sh := s.shardFor(k)
-	sh.mu.Lock()
+	sh, fv := s.lockHistory(server, path)
 	defer sh.mu.Unlock()
-	fv := sh.entries[k]
-	if fv == nil || len(fv.entries) == 0 {
+	if fv == nil {
 		return nil, fmt.Errorf("%w: export of %s after version %d: no history", ErrChainGap, path, base)
 	}
-	idx := -1
-	for i := range fv.entries {
-		if int64(fv.entries[i].Version) == base {
-			idx = i
-			break
-		}
-	}
+	idx := fv.indexOf(Version(base))
 	if idx < 0 {
 		return nil, fmt.Errorf("%w: export of %s: version %d not in history (have %d..%d)",
-			ErrChainGap, path, base, fv.entries[0].Version, fv.entries[len(fv.entries)-1].Version)
+			ErrChainGap, path, base, fv.recs[0].Version, fv.newest())
 	}
 	out := make([]HistoryRec, 0, len(fv.recs)-idx-1)
-	for i := idx + 1; i < len(fv.recs); i++ {
-		out = append(out, exportRec(fv, i))
+	for _, rec := range fv.recs[idx+1:] {
+		out = append(out, HistoryRec(*rec))
 	}
 	return out, nil
 }
@@ -159,7 +119,7 @@ func (s *Store) ImportHistory(server, path string, recs []HistoryRec, fetch func
 	// Build the whole fileVersions aside, pinning blob references and moving
 	// bytes as needed — the same walk as a catalog replay, except a missing
 	// blob is fetched from the source instead of ending the history.
-	fv := &fileVersions{gen: genCounter.Add(1)}
+	fv := &fileVersions{gen: genCounter.Add(1), recs: make([]*catalog.PutRec, 0, len(recs))}
 	var pinned []extent.Hash // every addRef taken, for unwind
 	fail := func(err error) (ImportStats, error) {
 		for _, h := range pinned {
@@ -172,47 +132,22 @@ func (s *Store) ImportHistory(server, path string, recs []HistoryRec, fetch func
 	}
 
 	var full []extent.Hash
-	for i, hr := range recs {
-		rec := &verRec{
-			isFull:  hr.IsFull,
-			nchunks: hr.NChunks,
-			tail:    hr.TailHash,
-			tailLen: hr.TailLen,
-		}
-		if hr.IsFull {
-			rec.full = append([]extent.Hash(nil), hr.Full...)
-		} else {
-			rec.mods = make([]chunkMod, len(hr.Mods))
-			for j, m := range hr.Mods {
-				rec.mods[j] = chunkMod{idx: m.Idx, hash: m.Hash}
-			}
-		}
-		full = applyRec(full, rec)
+	for i := range recs {
+		rec := recs[i].record(k)
+		full = advance(full, rec)
 		for _, h := range full {
 			if err := ensure(h, extent.ChunkSize); err != nil {
 				return fail(err)
 			}
 		}
-		if rec.tailLen > 0 {
-			if err := ensure(rec.tail, int64(rec.tailLen)); err != nil {
+		if rec.TailLen > 0 {
+			if err := ensure(rec.TailHash, int64(rec.TailLen)); err != nil {
 				return fail(err)
 			}
 		}
 		fv.recs = append(fv.recs, rec)
-		fv.entries = append(fv.entries, Entry{
-			Server:  server,
-			Path:    path,
-			Version: Version(hr.Version),
-			StateID: hr.StateID,
-			Size:    hr.Size,
-			Stored:  time.Unix(0, hr.StoredUnixNano),
-			st:      s,
-			key:     k,
-			idx:     i,
-			gen:     fv.gen,
-		})
-		fv.last = full
 	}
+	fv.last = full
 	st.Versions = len(recs)
 
 	sh := s.shardFor(k)
@@ -225,22 +160,8 @@ func (s *Store) ImportHistory(server, path string, recs []HistoryRec, fetch func
 		// Log every version before it becomes visible, like PutSnapshot. On a
 		// partial failure, tombstone whatever was appended so a restart cannot
 		// resurrect a half-imported history.
-		for i, hr := range recs {
-			rec := fv.recs[i]
-			pr := &catalog.PutRec{
-				Key:            k,
-				Version:        hr.Version,
-				StateID:        hr.StateID,
-				Size:           hr.Size,
-				StoredUnixNano: hr.StoredUnixNano,
-				NChunks:        rec.nchunks,
-				TailLen:        rec.tailLen,
-				TailHash:       rec.tail,
-				IsFull:         rec.isFull,
-				Full:           rec.full,
-				Mods:           modsForCatalog(rec.mods),
-			}
-			if err := s.cat.AppendPut(pr); err != nil {
+		for i, rec := range fv.recs {
+			if err := s.cat.AppendPut(rec); err != nil {
 				if i > 0 {
 					_ = s.cat.AppendDrop(k)
 				}
@@ -319,17 +240,13 @@ func (s *Store) ensureBlob(h extent.Hash, logical int64, path string, fetch func
 // durability barrier as PutSnapshot at the end.
 func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(extent.Hash) (*extent.Chunk, error)) (ImportStats, error) {
 	var st ImportStats
-	k := key(server, path)
-	sh := s.shardFor(k)
-
-	sh.mu.Lock()
-	fv := sh.entries[k]
-	if fv == nil || len(fv.entries) == 0 {
+	sh, fv := s.lockHistory(server, path)
+	if fv == nil {
 		sh.mu.Unlock()
 		return st, fmt.Errorf("%w: delta into %s: no base history", ErrChainGap, path)
 	}
-	last := int64(fv.entries[len(fv.entries)-1].Version)
-	gen := fv.gen
+	k := fv.key()
+	last := int64(fv.newest())
 	full := append([]extent.Hash(nil), fv.last...)
 	sh.mu.Unlock()
 
@@ -353,69 +270,41 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 		}
 		return ImportStats{}, err
 	}
-	newRecs := make([]*verRec, len(recs))
-	fulls := make([][]extent.Hash, len(recs))
+	newRecs := make([]*catalog.PutRec, len(recs))
 	pinStart := make([]int, len(recs)+1)
-	for i, hr := range recs {
-		if hr.Version != last+1+int64(i) {
-			return fail(fmt.Errorf("%w: delta into %s: tail not contiguous at version %d", ErrChainGap, path, hr.Version))
+	for i := range recs {
+		if recs[i].Version != last+1+int64(i) {
+			return fail(fmt.Errorf("%w: delta into %s: tail not contiguous at version %d", ErrChainGap, path, recs[i].Version))
 		}
 		pinStart[i] = len(pinned)
-		rec := &verRec{
-			isFull:  hr.IsFull,
-			nchunks: hr.NChunks,
-			tail:    hr.TailHash,
-			tailLen: hr.TailLen,
-		}
-		if hr.IsFull {
-			rec.full = append([]extent.Hash(nil), hr.Full...)
-		} else {
-			rec.mods = make([]chunkMod, len(hr.Mods))
-			for j, m := range hr.Mods {
-				rec.mods[j] = chunkMod{idx: m.Idx, hash: m.Hash}
-			}
-		}
-		full = applyRec(full, rec)
+		rec := recs[i].record(k)
+		full = advance(full, rec)
 		for _, h := range full {
 			if err := s.ensureBlob(h, extent.ChunkSize, path, fetch, &st, &pinned); err != nil {
 				return fail(err)
 			}
 		}
-		if rec.tailLen > 0 {
-			if err := s.ensureBlob(rec.tail, int64(rec.tailLen), path, fetch, &st, &pinned); err != nil {
+		if rec.TailLen > 0 {
+			if err := s.ensureBlob(rec.TailHash, int64(rec.TailLen), path, fetch, &st, &pinned); err != nil {
 				return fail(err)
 			}
 		}
 		newRecs[i] = rec
-		fulls[i] = append([]extent.Hash(nil), full...)
 	}
 	pinStart[len(recs)] = len(pinned)
 
 	sh.mu.Lock()
-	cur := sh.entries[k]
-	if cur != fv || cur.gen != gen || int64(cur.entries[len(cur.entries)-1].Version) != last {
+	// A dropped and re-linked history is a different fileVersions.
+	if cur := sh.entries[k]; cur != fv || int64(cur.newest()) != last {
 		sh.mu.Unlock()
 		return fail(fmt.Errorf("%w: delta into %s: history changed during import", ErrStale, path))
 	}
-	for i, hr := range recs {
-		rec := newRecs[i]
+	for i, rec := range newRecs {
 		if s.cat != nil {
-			pr := &catalog.PutRec{
-				Key:            k,
-				Version:        hr.Version,
-				StateID:        hr.StateID,
-				Size:           hr.Size,
-				StoredUnixNano: hr.StoredUnixNano,
-				NChunks:        rec.nchunks,
-				TailLen:        rec.tailLen,
-				TailHash:       rec.tail,
-				IsFull:         rec.isFull,
-				Full:           rec.full,
-				Mods:           modsForCatalog(rec.mods),
-			}
-			if err := s.cat.AppendPut(pr); err != nil {
+			if err := s.cat.AppendPut(rec); err != nil {
 				// Records [0,i) are logged and visible — keep them. Release
 				// only the pins belonging to the records that did not land.
+				fv.last = hashesAt(fv, len(fv.recs)-1)
 				sh.mu.Unlock()
 				for _, h := range pinned[pinStart[i]:] {
 					s.releaseRef(h)
@@ -425,21 +314,9 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 			}
 		}
 		fv.recs = append(fv.recs, rec)
-		fv.entries = append(fv.entries, Entry{
-			Server:  server,
-			Path:    path,
-			Version: Version(hr.Version),
-			StateID: hr.StateID,
-			Size:    hr.Size,
-			Stored:  time.Unix(0, hr.StoredUnixNano),
-			st:      s,
-			key:     k,
-			idx:     len(fv.entries),
-			gen:     fv.gen,
-		})
-		fv.last = fulls[i]
 		st.Versions++
 	}
+	fv.last = full
 	sh.mu.Unlock()
 	if s.cat != nil {
 		_ = s.cat.CompactIfDue()

@@ -300,7 +300,7 @@ func TestCheckpointIntervalSweep(t *testing.T) {
 			sh.mu.Lock()
 			full := 0
 			for _, rec := range sh.entries[k].recs {
-				if rec.isFull {
+				if rec.IsFull {
 					full++
 				}
 			}

@@ -105,7 +105,7 @@ func TestTieredDeltaChainAllVersionsRestorable(t *testing.T) {
 	fv := sh.entries[key("fs1", "/f")]
 	full := 0
 	for _, rec := range fv.recs {
-		if rec.isFull {
+		if rec.IsFull {
 			full++
 		}
 	}

@@ -29,9 +29,10 @@
 // committers behind shared flushes at the Sync barrier (internal/fsyncer).
 //
 // The catalog keeps an in-memory shadow of the replayed state (delta-form
-// records, so shadow memory is O(changed chunks) per version, the same bound
-// as the archive's own metadata). Snapshots serialize the shadow; the archive
-// reads it back through Keys/History at open.
+// records, so shadow memory is O(changed chunks) per version). The records
+// are the archive's own: it adopts them at open through Range and hands
+// AppendPut the very record it indexes, so one *PutRec describes a version in
+// both places. Snapshots serialize the shadow.
 //
 // A catalog (like the chunkdisk directory it lives in) has a single owner
 // process at a time; two stores over one directory corrupt each other.
@@ -42,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -81,9 +83,12 @@ type Mod struct {
 	Hash extent.Hash
 }
 
-// PutRec is the durable manifest of one archived version. Full/Mods slices
-// are shared with the archive's in-memory records and must never be mutated
-// after append.
+// PutRec is the manifest of one archived version, durable and in memory: the
+// shadow and the archive's index hold the same *PutRec. A record — its
+// Full/Mods slices included — is frozen once appended or replayed. The
+// records of an open are carved from shared blocks (see arena), so a block
+// stays reachable while any record in it does: Truncate and Drop unlink
+// records, the memory follows when a block's last record goes.
 type PutRec struct {
 	Key            string // server "\x00" path
 	Version        int64
@@ -108,9 +113,46 @@ type OpenStats struct {
 	Versions        int   // total versions after replay
 }
 
-// history is the shadow state of one key.
+// history is the shadow state of one key. key is the one string every
+// record of the history (and the files map) shares.
 type history struct {
+	key  string
 	puts []*PutRec
+}
+
+// arena carves the records a replay decodes out of shared blocks instead of
+// one heap object per record, hash list and delta. It is a plain value:
+// copying it before a decode and assigning the copy back un-claims whatever
+// the decode took.
+type arena struct {
+	recs   []PutRec
+	hashes []extent.Hash
+	mods   []Mod
+}
+
+// Block sizes: a few hundred records (~40 KiB) and their hashes and deltas
+// (~16 KiB each) per allocation.
+const (
+	recBlock  = 256
+	hashBlock = 512
+	modBlock  = 512
+)
+
+// carve hands out the next n elements of *block, starting a fresh block of
+// blockLen when it runs short. The slice is capped at its own length, so an
+// append to it can never write into its neighbour; a list longer than a
+// quarter block gets an allocation of its own rather than stranding the rest
+// of one.
+func carve[T any](block *[]T, n, blockLen int) []T {
+	if n > len(*block) {
+		if n > blockLen/4 {
+			return make([]T, n)
+		}
+		*block = make([]T, blockLen)
+	}
+	out := (*block)[:n:n]
+	*block = (*block)[n:]
+	return out
 }
 
 // Config configures a catalog.
@@ -139,6 +181,7 @@ type Catalog struct {
 	logBytes   int64
 	seq        uint64
 	files      map[string]*history
+	arena      arena // replay's record blocks; Open drops it when done
 	stats      OpenStats
 	compactDue bool
 	closed     bool
@@ -146,6 +189,8 @@ type Catalog struct {
 
 // ErrClosed rejects appends after Close.
 var ErrClosed = errors.New("catalog: closed")
+
+var errPutCorrupted = errors.New("catalog: put record corrupted")
 
 // Open replays the catalog in dir (snapshot, then log), quarantining any torn
 // log tail, and returns it ready for appends.
@@ -187,6 +232,7 @@ func Open(dir string, cfg Config) (*Catalog, error) {
 		onSync = ctr.Inc
 	}
 	c.sync = fsyncer.New(cfg.Fsync, cfg.FsyncMaxDelay, f.Sync, onSync)
+	c.arena = arena{} // replay is over: appended records are the caller's
 	for _, h := range c.files {
 		c.stats.Versions += len(h.puts)
 	}
@@ -215,33 +261,46 @@ func (c *Catalog) Fsyncs() int64 {
 func (c *Catalog) path(name string) string { return filepath.Join(c.dir, name) }
 
 // loadSnapshot applies the snapshot checkpoint, returning the sequence it
-// covers (0 when there is none). A snapshot is written atomically, so a
-// decode failure is real corruption and fails the open.
+// covers (0 when there is none). The body is read through the same sliding
+// window as the log, never held whole. A snapshot is written atomically, so
+// a body that stops framing, checksumming or decoding before the file ends
+// is real corruption and fails the open — never a torn tail to quarantine.
 func (c *Catalog) loadSnapshot() (uint64, error) {
-	data, err := os.ReadFile(c.path(snapName))
+	f, err := os.Open(c.path(snapName))
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
 	}
 	if err != nil {
 		return 0, fmt.Errorf("catalog: %w", err)
 	}
-	if len(data) < len(snapMagic)+8 || [8]byte(data[:8]) != snapMagic {
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("catalog: %w", err)
+	}
+	var hdr [16]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil || [8]byte(hdr[:8]) != snapMagic {
 		return 0, fmt.Errorf("catalog: snapshot header corrupted")
 	}
-	seq := binary.LittleEndian.Uint64(data[8:16])
-	rest := data[16:]
-	for len(rest) > 0 {
-		payload, n, ok := seglog.NextFrame(rest)
-		if !ok {
-			return 0, fmt.Errorf("catalog: snapshot body corrupted")
-		}
-		if err := c.apply(payload); err != nil {
-			return 0, fmt.Errorf("catalog: snapshot: %w", err)
+	body := info.Size() - int64(len(hdr))
+	var sc seglog.Scanner
+	var applyErr error
+	valid, err := sc.ScanFrames(io.NewSectionReader(f, int64(len(hdr)), body), body, func(payload []byte) bool {
+		if applyErr = c.apply(payload); applyErr != nil {
+			return false
 		}
 		c.stats.SnapshotRecords++
-		rest = rest[n:]
+		return true
+	})
+	switch {
+	case err != nil:
+		return 0, fmt.Errorf("catalog: %w", err)
+	case applyErr != nil:
+		return 0, fmt.Errorf("catalog: snapshot: %w", applyErr)
+	case valid != body:
+		return 0, fmt.Errorf("catalog: snapshot body corrupted")
 	}
-	return seq, nil
+	return binary.LittleEndian.Uint64(hdr[8:16]), nil
 }
 
 // loadLog applies log records with sequence > snapSeq, recovering the longest
@@ -313,68 +372,105 @@ func (c *Catalog) applySeq(payload []byte, snapSeq uint64) (uint64, error) {
 // is idempotent: a put whose version is not newer than the key's newest is
 // skipped, truncates and drops of absent state are no-ops.
 func (c *Catalog) apply(payload []byte) error {
-	d := &decoder{buf: payload}
+	d := decoder{buf: payload}
 	d.uvarint() // sequence; ordering already handled by the caller
 	kind := d.byte()
-	key := d.str()
+	key := d.bytes(d.uvarint())
 	switch kind {
 	case kindPut:
-		r := &PutRec{Key: key}
-		r.Version = int64(d.uvarint())
-		r.StateID = d.uvarint()
-		r.Size = d.varint()
-		r.StoredUnixNano = d.varint()
-		r.NChunks = int(d.uvarint())
-		r.TailLen = int(d.uvarint())
-		if r.TailLen > 0 {
-			r.TailHash = d.hash()
+		h := c.files[string(key)] // no allocation: the history interns its key
+		claimed := c.arena
+		r, err := decodePut(&d, &c.arena)
+		if err != nil {
+			c.arena = claimed
+			return err
 		}
-		r.IsFull = d.byte() == 1
-		n := int(d.uvarint())
-		if d.err == nil && n > seglog.MaxRecordBytes/len(extent.Hash{}) {
-			return fmt.Errorf("catalog: absurd manifest length %d", n)
-		}
-		if r.IsFull {
-			if n > 0 {
-				r.Full = make([]extent.Hash, n)
-				for i := range r.Full {
-					r.Full[i] = d.hash()
-				}
-			}
-		} else if n > 0 {
-			r.Mods = make([]Mod, n)
-			for i := range r.Mods {
-				r.Mods[i].Idx = int32(d.uvarint())
-				r.Mods[i].Hash = d.hash()
-			}
-		}
-		if d.err != nil || d.rest() != 0 {
-			return fmt.Errorf("catalog: put record corrupted")
-		}
-		h := c.files[key]
 		if h == nil {
-			h = &history{}
-			c.files[key] = h
+			h = &history{key: string(key)}
+			c.files[h.key] = h
+		} else if n := len(h.puts); n > 0 && h.puts[n-1].Version >= r.Version {
+			c.arena = claimed // replayed duplicate
+			return nil
 		}
-		if n := len(h.puts); n > 0 && h.puts[n-1].Version >= r.Version {
-			return nil // replayed duplicate
-		}
+		r.Key = h.key
 		h.puts = append(h.puts, r)
 	case kindTruncate:
 		keep := int(d.uvarint())
 		if d.err != nil || d.rest() != 0 {
 			return fmt.Errorf("catalog: truncate record corrupted")
 		}
-		c.trimLocked(key, keep)
+		c.trimLocked(string(key), keep)
 	case kindDrop:
 		if d.err != nil || d.rest() != 0 {
 			return fmt.Errorf("catalog: drop record corrupted")
 		}
-		delete(c.files, key)
+		delete(c.files, string(key))
 	default:
+		if d.err != nil {
+			return d.err
+		}
 		return fmt.Errorf("catalog: unknown record kind %d", kind)
 	}
-	return d.err
+	return nil
+}
+
+// decodePut reads the fields of a put record after its key into a record
+// from a. Nothing is sized by a count before the bytes that remain have been
+// checked to hold that many entries, and a record whose parts contradict one
+// another — a checkpoint that does not list every chunk, a delta naming a
+// slot the version does not have — is refused here rather than met later as
+// an index out of range.
+func decodePut(d *decoder, a *arena) (*PutRec, error) {
+	r := &carve(&a.recs, 1, recBlock)[0]
+	*r = PutRec{
+		Version:        int64(d.uvarint()),
+		StateID:        d.uvarint(),
+		Size:           d.varint(),
+		StoredUnixNano: d.varint(),
+	}
+	nchunks, tailLen := d.uvarint(), d.uvarint()
+	if tailLen > 0 {
+		copy(r.TailHash[:], d.bytes(uint64(len(r.TailHash))))
+	}
+	form := d.byte()
+	n := d.uvarint()
+	const hashLen = uint64(len(extent.Hash{}))
+	if d.err != nil || form > 1 || nchunks > math.MaxInt32 || tailLen > math.MaxInt32 {
+		return nil, errPutCorrupted
+	}
+	r.IsFull = form == 1
+	if r.IsFull {
+		if n != nchunks || n > uint64(d.rest())/hashLen {
+			return nil, errPutCorrupted
+		}
+		if n > 0 {
+			r.Full = carve(&a.hashes, int(n), hashBlock)
+		}
+		for i := range r.Full {
+			copy(r.Full[i][:], d.bytes(hashLen))
+		}
+	} else {
+		// A delta slot is an index varint and a hash.
+		if n > uint64(d.rest())/(hashLen+1) {
+			return nil, errPutCorrupted
+		}
+		if n > 0 {
+			r.Mods = carve(&a.mods, int(n), modBlock)
+		}
+		for i := range r.Mods {
+			idx := d.uvarint()
+			if idx >= nchunks {
+				return nil, errPutCorrupted
+			}
+			r.Mods[i].Idx = int32(idx)
+			copy(r.Mods[i].Hash[:], d.bytes(hashLen))
+		}
+	}
+	if d.err != nil || d.rest() != 0 {
+		return nil, errPutCorrupted
+	}
+	r.NChunks, r.TailLen = int(nchunks), int(tailLen)
+	return r, nil
 }
 
 // Stats reports what Open recovered.
@@ -392,16 +488,21 @@ func (c *Catalog) LogSize() int64 {
 	return c.logBytes
 }
 
-// Keys lists every key with at least one version, sorted.
-func (c *Catalog) Keys() []string {
+// Range hands fn every history of the shadow — the key and its versions in
+// order, the shadow's own records and slice, not copies — in no particular
+// order, and cuts the history to the first keep versions fn returns WITHOUT
+// logging a record: the archive's replay adopts the records through it,
+// discards versions whose blobs are missing from the chunk store, and then
+// persists the repaired state via Compact. The catalog is locked throughout;
+// fn must not call back into it.
+func (c *Catalog) Range(fn func(key string, puts []*PutRec) (keep int)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.files))
-	for k := range c.files {
-		out = append(out, k)
+	for k, h := range c.files {
+		if keep := fn(k, h.puts); keep < len(h.puts) {
+			c.trimLocked(k, keep)
+		}
 	}
-	sort.Strings(out)
-	return out
 }
 
 // History returns the key's versions in order. The returned records are the
@@ -426,14 +527,13 @@ func (c *Catalog) AppendPut(r *PutRec) error {
 		return ErrClosed
 	}
 	c.seq++
-	payload := encodePut(c.seq, r)
-	if err := c.appendLocked(payload); err != nil {
+	if err := c.appendLocked(framePut(make([]byte, 0, maxFrameLen(r)), c.seq, r)); err != nil {
 		c.seq--
 		return err
 	}
 	h := c.files[r.Key]
 	if h == nil {
-		h = &history{}
+		h = &history{key: r.Key}
 		c.files[r.Key] = h
 	}
 	h.puts = append(h.puts, r)
@@ -451,7 +551,7 @@ func (c *Catalog) AppendTruncate(key string, keep int) error {
 	}
 	c.seq++
 	payload := encodeKeyRecord(kindTruncate, c.seq, key, uint64(keep), true)
-	if err := c.appendLocked(payload); err != nil {
+	if err := c.appendLocked(seglog.AppendFrame(nil, payload)); err != nil {
 		c.seq--
 		return err
 	}
@@ -469,7 +569,7 @@ func (c *Catalog) AppendDrop(key string) error {
 	}
 	c.seq++
 	payload := encodeKeyRecord(kindDrop, c.seq, key, 0, false)
-	if err := c.appendLocked(payload); err != nil {
+	if err := c.appendLocked(seglog.AppendFrame(nil, payload)); err != nil {
 		c.seq--
 		return err
 	}
@@ -478,18 +578,10 @@ func (c *Catalog) AppendDrop(key string) error {
 	return nil
 }
 
-// Trim cuts a key's shadow history to its first keep versions WITHOUT logging
-// a record — the archive's replay uses it to discard versions whose blobs are
-// missing from the chunk store, then persists the repaired state via Compact.
-func (c *Catalog) Trim(key string, keep int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.trimLocked(key, keep)
-}
-
 // trimLocked cuts a key's shadow history to its first keep versions.
 func (c *Catalog) trimLocked(key string, keep int) {
 	if h := c.files[key]; h != nil && keep < len(h.puts) {
+		clear(h.puts[keep:]) // the cut records must not stay reachable from the slice's spare capacity
 		h.puts = h.puts[:keep]
 		if keep == 0 {
 			delete(c.files, key)
@@ -497,12 +589,11 @@ func (c *Catalog) trimLocked(key string, keep int) {
 	}
 }
 
-// appendLocked frames and writes one payload to the log. A partial write is
+// appendLocked writes one framed record to the log. A partial write is
 // rewound (truncate + re-seek) so the next append never lands after garbage;
 // if even the rewind fails, replay's torn-tail quarantine covers it. Under
 // the always policy the record is flushed before the append returns.
-func (c *Catalog) appendLocked(payload []byte) error {
-	buf := seglog.AppendFrame(nil, payload)
+func (c *Catalog) appendLocked(buf []byte) error {
 	if _, err := c.log.Write(buf); err != nil {
 		_ = c.log.Truncate(c.logBytes)
 		_, _ = c.log.Seek(c.logBytes, io.SeekStart)
@@ -559,19 +650,23 @@ func (c *Catalog) Compact() error {
 }
 
 func (c *Catalog) compactLocked() error {
-	var buf []byte
 	var hdr [16]byte
 	copy(hdr[:8], snapMagic[:])
 	binary.LittleEndian.PutUint64(hdr[8:16], c.seq)
-	buf = append(buf, hdr[:]...)
+	size := len(hdr)
 	keys := make([]string, 0, len(c.files))
-	for k := range c.files {
+	for k, h := range c.files {
 		keys = append(keys, k)
+		for _, r := range h.puts {
+			size += maxFrameLen(r)
+		}
 	}
 	sort.Strings(keys)
+	// The records are framed in place, one buffer for the whole snapshot.
+	buf := append(make([]byte, 0, size), hdr[:]...)
 	for _, k := range keys {
 		for _, r := range c.files[k].puts {
-			buf = seglog.AppendFrame(buf, encodePut(0, r)) // snapshot records carry sequence 0
+			buf = framePut(buf, 0, r) // snapshot records carry sequence 0
 		}
 	}
 	// Under policies that sync, the snapshot and its rename are made durable
@@ -604,8 +699,22 @@ func (c *Catalog) Close() error {
 
 // --- encoding ---
 
-func encodePut(seq uint64, r *PutRec) []byte {
-	buf := make([]byte, 0, 64+len(r.Key)+32*(len(r.Full)+len(r.Mods)))
+// maxFrameLen bounds the framed length of r's put record: every varint at its
+// longest.
+func maxFrameLen(r *PutRec) int {
+	const hashLen = len(extent.Hash{})
+	return 128 + len(r.Key) + hashLen*len(r.Full) + (binary.MaxVarintLen32+hashLen)*len(r.Mods)
+}
+
+// framePut appends r's put record to dst as one frame, encoded in place.
+func framePut(dst []byte, seq uint64, r *PutRec) []byte {
+	start := len(dst)
+	dst = appendPut(seglog.BeginFrame(dst), seq, r)
+	seglog.EndFrame(dst, start)
+	return dst
+}
+
+func appendPut(buf []byte, seq uint64, r *PutRec) []byte {
 	buf = binary.AppendUvarint(buf, seq)
 	buf = append(buf, kindPut)
 	buf = binary.AppendUvarint(buf, uint64(len(r.Key)))
@@ -665,7 +774,9 @@ func (d *decoder) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
+	// A varint padded with a trailing zero byte decodes, but no encoder
+	// writes it: refusing it keeps payload bytes and records one to one.
+	if n <= 0 || (n > 1 && d.buf[n-1] == 0) {
 		d.fail()
 		return 0
 	}
@@ -673,17 +784,14 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
+// varint is binary.Varint's zig-zag over uvarint.
 func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
+	ux := d.uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
 	}
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
+	return x
 }
 
 func (d *decoder) byte() byte {
@@ -699,32 +807,19 @@ func (d *decoder) byte() byte {
 	return b
 }
 
-func (d *decoder) str() string {
-	n := d.uvarint()
+// bytes returns the next n bytes as a view of the payload (nil, latching the
+// error, when fewer remain).
+func (d *decoder) bytes(n uint64) []byte {
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if uint64(len(d.buf)) < n {
 		d.fail()
-		return ""
+		return nil
 	}
-	s := string(d.buf[:n])
+	b := d.buf[:n]
 	d.buf = d.buf[n:]
-	return s
-}
-
-func (d *decoder) hash() extent.Hash {
-	var h extent.Hash
-	if d.err != nil {
-		return h
-	}
-	if len(d.buf) < len(h) {
-		d.fail()
-		return h
-	}
-	copy(h[:], d.buf)
-	d.buf = d.buf[len(h):]
-	return h
+	return b
 }
 
 // rest reports unconsumed payload bytes (a clean record ends at zero).

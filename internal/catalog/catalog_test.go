@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"testing"
 
 	"datalinks/internal/extent"
@@ -40,6 +41,9 @@ func putRec(key string, v int64, full bool) *PutRec {
 	}
 	return r
 }
+
+// encodePut is the payload of r's put record.
+func encodePut(seq uint64, r *PutRec) []byte { return appendPut(nil, seq, r) }
 
 func mustOpen(t *testing.T, dir string) *Catalog {
 	t.Helper()
@@ -91,7 +95,12 @@ func TestRoundtrip(t *testing.T) {
 	}
 	check := func(c *Catalog, phase string) {
 		t.Helper()
-		got := c.Keys()
+		var got []string
+		c.Range(func(k string, puts []*PutRec) int {
+			got = append(got, k)
+			return len(puts)
+		})
+		sort.Strings(got)
 		if len(got) != 2 || got[0] != keys[0] || got[1] != keys[1] {
 			t.Fatalf("%s: keys = %v", phase, got)
 		}
@@ -295,8 +304,8 @@ func TestAutoCompaction(t *testing.T) {
 	}
 }
 
-// TestTrimIsPersistedByCompact: a replay-time Trim (missing-blob repair) is
-// invisible to the log but survives via the following Compact.
+// TestTrimIsPersistedByCompact: a replay-time trim through Range (missing-blob
+// repair) is invisible to the log but survives via the following Compact.
 func TestTrimIsPersistedByCompact(t *testing.T) {
 	dir := t.TempDir()
 	c := mustOpen(t, dir)
@@ -306,7 +315,7 @@ func TestTrimIsPersistedByCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.Trim(k, 2)
+	c.Range(func(_ string, _ []*PutRec) int { return 2 })
 	if err := c.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -443,18 +452,20 @@ func TestSecondTearKeepsFirstTearsEvidence(t *testing.T) {
 	}
 }
 
-// allocated reports the bytes fn allocates.
-func allocated(fn func()) int64 {
+// allocated reports the bytes and the heap objects fn allocates.
+func allocated(fn func()) (bytes, objects int64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fn()
 	runtime.ReadMemStats(&after)
-	return int64(after.TotalAlloc - before.TotalAlloc)
+	return int64(after.TotalAlloc - before.TotalAlloc), int64(after.Mallocs - before.Mallocs)
 }
 
-// TestOpenScanAllocBudget: Open reads the log through a sliding window, not
-// whole — beyond what applying the same records to an empty shadow costs, a
-// replay of 10 000 records allocates a small fraction of the log's length.
+// TestOpenScanAllocBudget: Open reads the log AND the snapshot through a
+// sliding window, not whole — beyond what applying the same records to an
+// empty shadow costs, a replay of 10 000 records allocates a small fraction
+// of the file's length — and decodes the records into shared blocks: a
+// quarter of a heap object per record, not three.
 func TestOpenScanAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -479,7 +490,7 @@ func TestOpenScanAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	replay := allocated(func() {
+	replay, _ := allocated(func() {
 		shadow := &Catalog{files: make(map[string]*history)}
 		for _, p := range payloads {
 			if err := shadow.apply(p); err != nil {
@@ -487,16 +498,36 @@ func TestOpenScanAllocBudget(t *testing.T) {
 			}
 		}
 	})
-	var reopened *Catalog
-	open := allocated(func() { reopened, err = Open(dir, cfg) })
+	reopen := func(from string, fileLen int64) *Catalog {
+		t.Helper()
+		var reopened *Catalog
+		open, objects := allocated(func() { reopened, err = Open(dir, cfg) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := reopened.Stats(); st.LogRecords+st.SnapshotRecords != records || st.TornBytes != 0 {
+			t.Fatalf("%s: reopen applied %d+%d of %d records (%d torn bytes)", from, st.SnapshotRecords, st.LogRecords, records, st.TornBytes)
+		}
+		if scan := open - replay; scan*4 >= fileLen {
+			t.Fatalf("%s: open allocated %d B, %d B more than applying the records; the file is %d B, budget 1/4 of it", from, open, scan, fileLen)
+		}
+		if objects*4 > records {
+			t.Fatalf("%s: open allocated %d objects for %d records, budget 0.25 per record", from, objects, records)
+		}
+		return reopened
+	}
+	fromLog := reopen("log", logLen)
+	if err := fromLog.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	fromLog.Close()
+	snap, err := os.Stat(filepath.Join(dir, snapName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reopened.Close()
-	if st := reopened.Stats(); st.LogRecords != records || st.TornBytes != 0 {
-		t.Fatalf("reopen applied %d of %d records (%d torn bytes)", st.LogRecords, records, st.TornBytes)
+	fromSnap := reopen("snapshot", snap.Size())
+	if st := fromSnap.Stats(); st.SnapshotRecords != records {
+		t.Fatalf("snapshot-only open loaded %d snapshot records, want %d", st.SnapshotRecords, records)
 	}
-	if scan := open - replay; scan*4 >= logLen {
-		t.Fatalf("open allocated %d B, %d B more than applying the records; the log is %d B, budget 1/4 of it", open, scan, logLen)
-	}
+	fromSnap.Close()
 }

@@ -91,8 +91,8 @@ func (m *Manager) CheckIn(t *Ticket) error {
 		return err
 	}
 	ver := archive.Version(0)
-	if vs := m.arch.Versions(m.srv, t.path); len(vs) > 0 {
-		ver = vs[len(vs)-1].Version + 1
+	if latest, ok := m.arch.Newest(m.srv, t.path); ok {
+		ver = latest + 1
 	}
 	if err := m.arch.Put(m.srv, t.path, ver, uint64(m.db.StateID()), t.Content); err != nil {
 		return err

@@ -83,8 +83,8 @@ func (s *Server) ReconcileLinks(desired map[string]datalink.ColumnOptions) error
 		}
 		// Determine the current version from the archive (restored earlier).
 		ver := int64(0)
-		if vs := s.cfg.Archive.Versions(s.cfg.Name, path); len(vs) > 0 {
-			ver = int64(vs[len(vs)-1].Version)
+		if latest, ok := s.cfg.Archive.Newest(s.cfg.Name, path); ok {
+			ver = int64(latest)
 		}
 		origUID, origMode := attr.UID, attr.Mode
 		if attr.UID == s.cfg.UID {

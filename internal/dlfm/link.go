@@ -126,10 +126,10 @@ func (s *Server) linkFile(hostTxn uint64, path string, opts datalink.ColumnOptio
 			if opts.Mode.UpdateManaged() || opts.Recovery {
 				stateID := s.cfg.Host.StateID()
 				shipVer := int64(0)
-				if vs := s.cfg.Archive.Versions(s.cfg.Name, path); len(vs) > 0 {
+				if latest, ok := s.cfg.Archive.Newest(s.cfg.Name, path); ok {
 					// Already archived (re-link after restore): the current
 					// content is the last archived version, not version 0.
-					shipVer = int64(vs[len(vs)-1].Version)
+					shipVer = int64(latest)
 				} else if err := s.archiveCurrent(path, 0, stateID); err != nil {
 					return err
 				}

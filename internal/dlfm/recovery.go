@@ -115,11 +115,10 @@ func (s *Server) physExists(path string) bool {
 // before their archive copy completed, so the archive's view IS the
 // recoverable truth.
 func (s *Server) reconcileVersionDown(fi fileInfo, rep *RecoveryReport) error {
-	versions := s.cfg.Archive.Versions(s.cfg.Name, fi.path)
-	if len(versions) == 0 {
+	latest, ok := s.cfg.Archive.Newest(s.cfg.Name, fi.path)
+	if !ok {
 		return nil // nothing archived; the materialize pass reports the loss
 	}
-	latest := versions[len(versions)-1].Version
 	if latest >= fi.version {
 		return nil
 	}
@@ -292,7 +291,7 @@ func (s *Server) compensateJournal(r journalRow, committed bool, rep *RecoveryRe
 		if committed {
 			// Eager FS changes stand. Ensure version 0 is archived.
 			if fi, ok := s.lookupFile(r.path); ok && (fi.mode.UpdateManaged() || fi.recovery) && s.physExists(r.path) {
-				if len(s.cfg.Archive.Versions(s.cfg.Name, r.path)) == 0 {
+				if _, archived := s.cfg.Archive.Newest(s.cfg.Name, r.path); !archived {
 					if err := s.archiveCurrent(r.path, 0, s.cfg.Host.StateID()); err != nil {
 						return err
 					}
@@ -355,15 +354,8 @@ func (s *Server) recoverPendingArchives(rep *RecoveryReport) error {
 		return true
 	})
 	for _, p := range rows {
-		already := false
-		for _, e := range s.cfg.Archive.Versions(s.cfg.Name, p.path) {
-			if e.Version == archive.Version(p.version) {
-				already = true
-				break
-			}
-		}
 		switch {
-		case already:
+		case s.cfg.Archive.HasVersion(s.cfg.Name, p.path, archive.Version(p.version)):
 			// The archiver finished before the crash; only the cleanup of
 			// the pending row was lost.
 		case s.physExists(p.path):
@@ -397,8 +389,7 @@ func (s *Server) recoverPendingArchives(rep *RecoveryReport) error {
 		if !fi.mode.UpdateManaged() && !fi.recovery {
 			return true
 		}
-		versions := s.cfg.Archive.Versions(s.cfg.Name, fi.path)
-		if len(versions) == 0 || versions[len(versions)-1].Version < fi.version {
+		if latest, ok := s.cfg.Archive.Newest(s.cfg.Name, fi.path); !ok || latest < fi.version {
 			lagging = append(lagging, fi)
 		}
 		return true

@@ -368,19 +368,22 @@ func WrapChunk(data []byte, h Hash) *Chunk {
 	return c
 }
 
-// Snapshot is an immutable manifest of content: shared chunks plus a private
-// tail copy. Snapshots are safe for concurrent use.
+// Snapshot is an immutable manifest of content: shared chunks plus a tail
+// nothing ever writes to. Snapshots are safe for concurrent use.
 type Snapshot struct {
 	chunks []*Chunk
 	tail   []byte
 }
 
-// BuildSnapshot assembles a snapshot from already-retained chunks and a tail
-// (copied). Ownership of the chunk references transfers to the snapshot —
-// the archive's materialization path, which pages chunks in one by one and
-// hands the finished manifest to the restore swap.
+// BuildSnapshot assembles a snapshot from already-retained chunks and a tail.
+// Ownership of both transfers to the snapshot: the chunk references, and the
+// tail bytes, which are NOT copied — the caller must never write to them
+// again (a snapshot's tail is immutable; Retain shares it, SetSnapshot copies
+// out of it). This is the archive's materialization path, which pages chunks
+// in one by one, passes the frozen bytes of the paged-in tail blob
+// (WrapChunk's contract) and hands the finished manifest to the restore swap.
 func BuildSnapshot(chunks []*Chunk, tail []byte) *Snapshot {
-	return &Snapshot{chunks: chunks, tail: append([]byte(nil), tail...)}
+	return &Snapshot{chunks: chunks, tail: tail}
 }
 
 // FromBytes builds a snapshot owning a chunked copy of p.

@@ -276,3 +276,22 @@ func TestHashedChunkIsNotMutatedInPlace(t *testing.T) {
 		t.Fatal("hash no longer matches original content")
 	}
 }
+
+// TestBuildSnapshotOwnsItsTail: the tail handed to BuildSnapshot is the
+// snapshot's from then on — not copied — and nothing reached through the
+// snapshot writes to it: Retain shares it, SetSnapshot copies out of it.
+func TestBuildSnapshotOwnsItsTail(t *testing.T) {
+	tail := bytes.Repeat([]byte{4}, 100)
+	snap := BuildSnapshot(nil, tail)
+	defer snap.Release()
+	if &snap.Tail()[0] != &tail[0] {
+		t.Fatal("BuildSnapshot copied the tail it was given")
+	}
+	b := NewBuffer()
+	b.SetSnapshot(snap)
+	b.WriteAt(0, bytes.Repeat([]byte{0xff}, 100))
+	b.WriteAt(100, []byte{1, 2, 3})
+	if held := snap.Retain(); !bytes.Equal(held.Bytes(), bytes.Repeat([]byte{4}, 100)) {
+		t.Fatal("writing to a buffer restored from the snapshot changed the snapshot's tail")
+	}
+}
