@@ -63,14 +63,14 @@ func viewOf(t *testing.T, s *Store, paths []string, maxState uint64) storeView {
 			}
 			v.AsOf[p] = append(v.AsOf[p], m)
 		}
-		v.History[p] = s.ExportHistory("fs1", p)
+		v.History[p] = exportAll(t, s, "fs1", p)
 	}
 	return v
 }
 
 // TestFoldedIndexSurvivesReopen: deltas and checkpoints, a truncate, a drop
 // and re-link of the same path, an imported history and an imported delta —
-// Versions, AsOf at every state id, ExportHistory and every version's bytes
+// Versions, AsOf at every state id, the exported history and every version's bytes
 // are identical after a reopen, the recovery counts hold from one reopen to
 // the next, and the second reopen does not rewrite the snapshot.
 func TestFoldedIndexSurvivesReopen(t *testing.T) {
@@ -140,7 +140,7 @@ func TestFoldedIndexSurvivesReopen(t *testing.T) {
 			for v := 0; v < 5; v++ {
 				put(src, "/imported", Version(v), content(50+v, 2, 33))
 			}
-			if _, err := s.ImportHistory("fs1", "/imported", src.ExportHistory("fs1", "/imported"), src.FetchBlob); err != nil {
+			if _, err := s.ImportDelta("fs1", "/imported", exportAll(t, src, "fs1", "/imported"), src.FetchBlob); err != nil {
 				t.Fatal(err)
 			}
 			for v := 5; v < 8; v++ {

@@ -19,8 +19,8 @@ import (
 
 // ErrChainGap reports a delta export or import whose base version does not
 // line up with the history on this store — the history was truncated,
-// restored, or never archived here. The caller falls back to a full resync
-// (Drop + ExportHistory/ImportHistory).
+// restored, or never archived here. The caller drops its copy and transfers
+// again from the start (ExportDelta with a negative base).
 var ErrChainGap = errors.New("archive: history chain gap")
 
 // HistoryMod is one changed slot of an exported delta manifest.
@@ -29,8 +29,9 @@ type HistoryMod = catalog.Mod
 // HistoryRec is one version of an exported history: exactly the manifest the
 // store persists, so import replays it with the same chain semantics as a
 // catalog replay. Recs are ordered oldest-first and deltas chain through
-// their predecessors, so a history must be imported whole. Key is the
-// exporting store's; an import files the record under its own.
+// their predecessors, so an import either extends the history it finds or
+// starts a new one at a checkpoint. Key is the exporting store's; an import
+// files the record under its own.
 type HistoryRec catalog.PutRec
 
 // record is the importing store's own manifest record of hr under key k. The
@@ -44,7 +45,7 @@ func (hr *HistoryRec) record(k string) *catalog.PutRec {
 	return &rec
 }
 
-// ImportStats reports what one ImportHistory physically did.
+// ImportStats reports what one ImportDelta physically did.
 type ImportStats struct {
 	Versions      int
 	MovedChunks   int   // blobs fetched from the source and stored
@@ -53,43 +54,36 @@ type ImportStats struct {
 	DedupedBytes  int64
 }
 
-// ExportHistory snapshots the version history of one file as portable
-// manifest records. Their hash lists are the store's own, frozen: the caller
-// may hold them across arbitrary later mutation of this store, and must not
-// write to them.
-func (s *Store) ExportHistory(server, path string) []HistoryRec {
-	sh, fv := s.lockHistory(server, path)
-	defer sh.mu.Unlock()
-	if fv == nil {
-		return nil
-	}
-	out := make([]HistoryRec, len(fv.recs))
-	for i, rec := range fv.recs {
-		out[i] = HistoryRec(*rec)
-	}
-	return out
-}
-
-// ExportDelta snapshots the tail of a history: every version strictly after
-// base, ordered oldest-first. The first returned record chains off version
-// base, so a store whose last version is base appends the result with
-// ImportDelta — the O(changed chunks) transfer the replication stream uses
-// to catch a lagging replica up. An empty slice means the history ends at
-// base (nothing to ship). ErrChainGap reports that base is not present in
-// this history; the caller falls back to a full resync.
+// ExportDelta snapshots the tail of a history as portable manifest records:
+// every version strictly after base, ordered oldest-first; a negative base
+// exports the history from its start (nothing archived: nothing exported).
+// The first returned record chains off version base, so a store whose last
+// version is base appends the result with ImportDelta — the O(changed chunks)
+// transfer that catches a lagging replica up, and from the start the whole
+// of a migration. An empty slice means the history ends at base (nothing to
+// ship). ErrChainGap reports that base is not present in this history; the
+// caller starts over. The records' hash lists are the store's own, frozen:
+// the caller may hold them across arbitrary later mutation of this store, and
+// must not write to them.
 func (s *Store) ExportDelta(server, path string, base int64) ([]HistoryRec, error) {
 	sh, fv := s.lockHistory(server, path)
 	defer sh.mu.Unlock()
-	if fv == nil {
+	from := 0
+	switch {
+	case fv == nil && base < 0:
+		return nil, nil
+	case fv == nil:
 		return nil, fmt.Errorf("%w: export of %s after version %d: no history", ErrChainGap, path, base)
+	case base >= 0:
+		idx := fv.indexOf(Version(base))
+		if idx < 0 {
+			return nil, fmt.Errorf("%w: export of %s: version %d not in history (have %d..%d)",
+				ErrChainGap, path, base, fv.recs[0].Version, fv.newest())
+		}
+		from = idx + 1
 	}
-	idx := fv.indexOf(Version(base))
-	if idx < 0 {
-		return nil, fmt.Errorf("%w: export of %s: version %d not in history (have %d..%d)",
-			ErrChainGap, path, base, fv.recs[0].Version, fv.newest())
-	}
-	out := make([]HistoryRec, 0, len(fv.recs)-idx-1)
-	for _, rec := range fv.recs[idx+1:] {
+	out := make([]HistoryRec, 0, len(fv.recs)-from)
+	for _, rec := range fv.recs[from:] {
 		out = append(out, HistoryRec(*rec))
 	}
 	return out, nil
@@ -97,99 +91,10 @@ func (s *Store) ExportDelta(server, path string, base int64) ([]HistoryRec, erro
 
 // FetchBlob returns the bytes of one content hash (paging in from the disk
 // tier if cold). The caller owns the returned chunk and must ReleaseChunk it.
-// This is the source side of a migration: the destination's ImportHistory
-// calls it for exactly the hashes it does not already hold.
+// This is the source side of a transfer: the destination's ImportDelta calls
+// it for exactly the hashes it does not already hold.
 func (s *Store) FetchBlob(h extent.Hash) (*extent.Chunk, error) {
 	return s.disk.Get(h)
-}
-
-// ImportHistory replays an exported history into this store. fetch is called
-// once per blob hash this store does not already hold (memory, disk, or
-// dead-but-unswept on disk — all deduplicate to zero transfer). The import is
-// all-or-nothing: on any error no version becomes visible and every pinned
-// reference is released. The destination must not already hold a history for
-// (server, path) — migration owns the path exclusively while it runs.
-func (s *Store) ImportHistory(server, path string, recs []HistoryRec, fetch func(extent.Hash) (*extent.Chunk, error)) (ImportStats, error) {
-	var st ImportStats
-	if len(recs) == 0 {
-		return st, nil
-	}
-	k := key(server, path)
-
-	// Build the whole fileVersions aside, pinning blob references and moving
-	// bytes as needed — the same walk as a catalog replay, except a missing
-	// blob is fetched from the source instead of ending the history.
-	fv := &fileVersions{gen: genCounter.Add(1), recs: make([]*catalog.PutRec, 0, len(recs))}
-	var pinned []extent.Hash // every addRef taken, for unwind
-	fail := func(err error) (ImportStats, error) {
-		for _, h := range pinned {
-			s.releaseRef(h)
-		}
-		return ImportStats{}, err
-	}
-	ensure := func(h extent.Hash, logical int64) error {
-		return s.ensureBlob(h, logical, path, fetch, &st, &pinned)
-	}
-
-	var full []extent.Hash
-	for i := range recs {
-		rec := recs[i].record(k)
-		full = advance(full, rec)
-		for _, h := range full {
-			if err := ensure(h, extent.ChunkSize); err != nil {
-				return fail(err)
-			}
-		}
-		if rec.TailLen > 0 {
-			if err := ensure(rec.TailHash, int64(rec.TailLen)); err != nil {
-				return fail(err)
-			}
-		}
-		fv.recs = append(fv.recs, rec)
-	}
-	fv.last = full
-	st.Versions = len(recs)
-
-	sh := s.shardFor(k)
-	sh.mu.Lock()
-	if existing := sh.entries[k]; existing != nil {
-		sh.mu.Unlock()
-		return fail(fmt.Errorf("%w: import of %s: history already present", ErrStale, path))
-	}
-	if s.cat != nil {
-		// Log every version before it becomes visible, like PutSnapshot. On a
-		// partial failure, tombstone whatever was appended so a restart cannot
-		// resurrect a half-imported history.
-		for i, rec := range fv.recs {
-			if err := s.cat.AppendPut(rec); err != nil {
-				if i > 0 {
-					_ = s.cat.AppendDrop(k)
-				}
-				sh.mu.Unlock()
-				return fail(fmt.Errorf("archive: import catalog %s: %w", path, err))
-			}
-		}
-	}
-	sh.entries[k] = fv
-	sh.mu.Unlock()
-	if s.cat != nil {
-		_ = s.cat.CompactIfDue()
-	}
-	// Same commit durability barrier as PutSnapshot: blobs before manifests.
-	if err := s.disk.Sync(); err != nil {
-		return st, err
-	}
-	if s.cat != nil {
-		if err := s.cat.Sync(); err != nil {
-			return st, fmt.Errorf("archive: import catalog %s: %w", path, err)
-		}
-	}
-	s.logicalBytes.Add(sumSizes(recs))
-	s.newBytes.Add(st.MovedBytes)
-	s.dedupedBytes.Add(st.DedupedBytes)
-	// Device transfer: only moved blobs travel.
-	s.sleep(int64(st.MovedChunks))
-	return st, nil
 }
 
 // ensureBlob pins one reference on h and, the first time h is fresh to the
@@ -228,27 +133,36 @@ func (s *Store) ensureBlob(h extent.Hash, logical int64, path string, fetch func
 	return nil
 }
 
-// ImportDelta appends exported tail records onto a history this store
-// already holds — the replica side of a ship frame or a catch-up transfer.
-// Records at or below the local last version are skipped, so a re-shipped
-// frame whose ack was lost lands as a no-op; the first genuinely new record
-// must be the direct successor of the local last version, anything else is
-// ErrChainGap and the caller resyncs from scratch. Blob movement and
-// deduplication follow ImportHistory: fetch runs only for hashes this store
-// does not hold. Versions become visible one at a time, each logged to the
-// durable catalog before it is served, with the same blobs-before-manifests
-// durability barrier as PutSnapshot at the end.
+// ImportDelta is the one way a history enters this store from another: it
+// appends exported records onto the history held here, or — when nothing is
+// held — starts one, which the first record must then be able to open
+// (IsFull; a delta with no predecessor is ErrChainGap). Records at or below
+// the local last version are skipped, so a re-shipped frame whose ack was
+// lost, or a migration onto a member that already holds the replica, lands as
+// a no-op that moves nothing; the first genuinely new record must be the
+// direct successor of the local last version, anything else is ErrChainGap
+// and the caller drops and starts over. fetch runs once per blob hash this
+// store does not already hold (memory, disk, or dead-but-unswept on disk — all
+// deduplicate to zero transfer). Versions become visible one at a time, each
+// logged to the durable catalog before it is served — a new history is
+// indexed only once its first version is logged, as in PutSnapshot — with the
+// same blobs-before-manifests durability barrier at the end. On an error
+// before the first append nothing changes and every pin is released; a
+// catalog failure midway keeps the logged prefix.
 func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(extent.Hash) (*extent.Chunk, error)) (ImportStats, error) {
 	var st ImportStats
 	sh, fv := s.lockHistory(server, path)
-	if fv == nil {
-		sh.mu.Unlock()
-		return st, fmt.Errorf("%w: delta into %s: no base history", ErrChainGap, path)
+	var k string
+	var full []extent.Hash
+	last := int64(-1)
+	if fv != nil {
+		k, last = fv.key(), int64(fv.newest())
+		full = append(full, fv.last...)
 	}
-	k := fv.key()
-	last := int64(fv.newest())
-	full := append([]extent.Hash(nil), fv.last...)
 	sh.mu.Unlock()
+	if fv == nil {
+		k = key(server, path)
+	}
 
 	for len(recs) > 0 && recs[0].Version <= last {
 		recs = recs[1:]
@@ -256,13 +170,18 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 	if len(recs) == 0 {
 		return st, nil
 	}
-	if recs[0].Version != last+1 {
+	switch {
+	case fv == nil && !recs[0].IsFull:
+		return st, fmt.Errorf("%w: delta into %s: no base history for version %d", ErrChainGap, path, recs[0].Version)
+	case fv != nil && recs[0].Version != last+1:
 		return st, fmt.Errorf("%w: delta into %s: have version %d, tail starts at %d",
 			ErrChainGap, path, last, recs[0].Version)
 	}
 
 	// Build the tail aside, pinning blob references per record so a partial
-	// failure can release exactly the uncommitted records' pins.
+	// failure can release exactly the uncommitted records' pins — the same
+	// walk as a catalog replay, except a missing blob is fetched from the
+	// source instead of ending the history.
 	var pinned []extent.Hash
 	fail := func(err error) (ImportStats, error) {
 		for _, h := range pinned {
@@ -273,7 +192,7 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 	newRecs := make([]*catalog.PutRec, len(recs))
 	pinStart := make([]int, len(recs)+1)
 	for i := range recs {
-		if recs[i].Version != last+1+int64(i) {
+		if recs[i].Version != recs[0].Version+int64(i) {
 			return fail(fmt.Errorf("%w: delta into %s: tail not contiguous at version %d", ErrChainGap, path, recs[i].Version))
 		}
 		pinStart[i] = len(pinned)
@@ -294,17 +213,23 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 	pinStart[len(recs)] = len(pinned)
 
 	sh.mu.Lock()
-	// A dropped and re-linked history is a different fileVersions.
-	if cur := sh.entries[k]; cur != fv || int64(cur.newest()) != last {
+	// A dropped and re-linked history is a different fileVersions, and one
+	// another importer started meanwhile is not the nil this one saw.
+	if cur := sh.entries[k]; cur != fv || (cur != nil && int64(cur.newest()) != last) {
 		sh.mu.Unlock()
 		return fail(fmt.Errorf("%w: delta into %s: history changed during import", ErrStale, path))
+	}
+	if fv == nil {
+		fv = &fileVersions{gen: genCounter.Add(1)}
 	}
 	for i, rec := range newRecs {
 		if s.cat != nil {
 			if err := s.cat.AppendPut(rec); err != nil {
 				// Records [0,i) are logged and visible — keep them. Release
 				// only the pins belonging to the records that did not land.
-				fv.last = hashesAt(fv, len(fv.recs)-1)
+				if len(fv.recs) > 0 {
+					fv.last = hashesAt(fv, len(fv.recs)-1)
+				}
 				sh.mu.Unlock()
 				for _, h := range pinned[pinStart[i]:] {
 					s.releaseRef(h)
@@ -312,6 +237,9 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 				st.Versions = i
 				return st, fmt.Errorf("archive: delta catalog %s: %w", path, err)
 			}
+		}
+		if len(fv.recs) == 0 {
+			sh.entries[k] = fv
 		}
 		fv.recs = append(fv.recs, rec)
 		st.Versions++
@@ -333,6 +261,7 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 	s.logicalBytes.Add(sumSizes(recs))
 	s.newBytes.Add(st.MovedBytes)
 	s.dedupedBytes.Add(st.DedupedBytes)
+	// Device transfer: only moved blobs travel.
 	s.sleep(int64(st.MovedChunks))
 	return st, nil
 }

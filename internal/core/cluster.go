@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -222,7 +223,7 @@ func (c *Cluster) SeedFile(path string, content []byte, uid fs.UID) error {
 	if err != nil {
 		return err
 	}
-	if i := lastSlashIdx(path); i > 0 {
+	if i := strings.LastIndexByte(path, '/'); i > 0 {
 		if err := m.Phys.MkdirAll(path[:i], clusterRoot, 0o777); err != nil {
 			return err
 		}
@@ -283,10 +284,7 @@ func (c *Cluster) probeLoop() {
 				continue
 			}
 			// Dead but still routable: record the death.
-			c.router.dropMember(id)
-			c.mu.Lock()
-			c.deadCfg[id] = m.cfg
-			c.mu.Unlock()
+			c.markDead(m)
 			c.router.reg.Counter("repl.probe_deaths").Inc()
 			if c.repl.auto && c.repl.n > 1 {
 				_, _ = c.Failover(id) // best effort; a retry rides the next tick
@@ -303,21 +301,40 @@ func (c *Cluster) KillServer(id string) error {
 	if err != nil {
 		return err
 	}
-	m.DLFM.Kill()
-	m.Archive.Crash()
-	if m.tcpClient != nil {
-		m.tcpClient.Close()
-	}
-	if m.tcpServer != nil {
-		m.tcpServer.Close()
-	}
+	killStack(m)
 	return nil
 }
 
+// markDead is the death bookkeeping FailServer and the health probe share:
+// the member stops being routable and its config waits for AbsorbDead or
+// Failover.
+func (c *Cluster) markDead(m *FileServer) {
+	c.router.dropMember(m.Name)
+	c.mu.Lock()
+	c.deadCfg[m.Name] = m.cfg
+	c.mu.Unlock()
+}
+
+// closeStack shuts one member stack down cleanly: archive jobs drain, the
+// repository checkpoints, the TCP endpoints close.
 func closeStack(m *FileServer) {
 	m.DLFM.WaitArchives()
 	m.DLFM.Close()
 	m.Archive.Close()
+	m.closeEndpoints()
+}
+
+// killStack is the machine dying: the DLFM is killed without a checkpoint,
+// the archive drops its volatile state, the TCP endpoints close. Only what
+// the durable directories already hold survives.
+func killStack(m *FileServer) {
+	m.DLFM.Kill()
+	m.Archive.Crash()
+	m.closeEndpoints()
+}
+
+// closeEndpoints closes the TCP upcall plane, if the stack runs one.
+func (m *FileServer) closeEndpoints() {
 	if m.tcpClient != nil {
 		m.tcpClient.Close()
 	}
@@ -395,10 +412,8 @@ func (c *Cluster) AddServer(sc ServerConfig) error {
 		return err
 	}
 	c.router.finishRebalance(target)
-	if c.repl.n > 1 {
-		if err := c.FlushReplication(); err != nil {
-			return err
-		}
+	if err := c.FlushReplication(); err != nil {
+		return err
 	}
 	c.Placements()
 	return nil
@@ -437,36 +452,23 @@ func (c *Cluster) RemoveServer(id string) error {
 	c.router.finishRebalance(target)
 	c.router.dropMember(id)
 	closeStack(m)
-	if c.repl.n > 1 {
-		if err := c.FlushReplication(); err != nil {
-			return err
-		}
+	if err := c.FlushReplication(); err != nil {
+		return err
 	}
 	c.Placements()
 	return nil
 }
 
-// FailServer simulates a member machine dying: the DLFM is killed without a
-// checkpoint, the archive drops its volatile state, TCP endpoints close, and
-// the member stops serving. Its durable directories (RepoDir, ArchiveDir)
-// survive for AbsorbDead.
+// FailServer simulates a member machine dying — KillServer — and records the
+// death at once instead of waiting for the health probe. The member's durable
+// directories (RepoDir, ArchiveDir) survive for AbsorbDead.
 func (c *Cluster) FailServer(id string) error {
 	m, err := c.router.member(id)
 	if err != nil {
 		return err
 	}
-	m.DLFM.Kill()
-	m.Archive.Crash()
-	if m.tcpClient != nil {
-		m.tcpClient.Close()
-	}
-	if m.tcpServer != nil {
-		m.tcpServer.Close()
-	}
-	c.router.dropMember(id)
-	c.mu.Lock()
-	c.deadCfg[id] = m.cfg
-	c.mu.Unlock()
+	killStack(m)
+	c.markDead(m)
 	return nil
 }
 
@@ -521,6 +523,9 @@ func (c *Cluster) AbsorbDead(id string) error {
 	c.mu.Lock()
 	delete(c.deadCfg, id)
 	c.mu.Unlock()
+	if err := c.FlushReplication(); err != nil {
+		return err
+	}
 	c.Placements()
 	return nil
 }
@@ -555,9 +560,10 @@ func (c *Cluster) rebalanceTo(target *ring.Ring) error {
 }
 
 // migratePath moves one linked path between members: gate new traffic, drain
-// and freeze the source, hand the archive history over (chunks dedup by
-// hash), import the repository bundle, point the router at the destination,
-// evict the source. On any failure the source remains the owner.
+// and freeze the source, bring the destination's archive history level
+// (catchUpReplica — chunks dedup by hash), import the repository bundle, point
+// the router at the destination, evict the source. On any failure the source
+// remains the owner.
 func (c *Cluster) migratePath(src, dst *FileServer, path string) error {
 	if c.migrateHook != nil {
 		if err := c.migrateHook(path, src.Name, dst.Name); err != nil {
@@ -599,20 +605,24 @@ func (c *Cluster) migratePathTraced(src, dst *FileServer, path string, sp *obs.S
 	}
 	defer b.Release()
 
+	// A destination that holds the path's replica is already level, so the
+	// transfer moves nothing and ImportBundle retires the replica row. If the
+	// handover fails the source stays the owner, and a destination that was
+	// not a replica keeps nothing of what was just imported.
 	handover := sp.Child("handover")
-	recs := src.Archive.ExportHistory(c.authority, path)
-	if _, err := dst.Archive.ImportHistory(c.authority, path, recs, src.Archive.FetchBlob); err != nil {
-		handover.End()
-		src.DLFM.AbortExport(path)
-		return err
-	}
-	if err := dst.DLFM.ImportBundle(b); err != nil {
-		handover.End()
-		_ = dst.Archive.Drop(c.authority, path)
-		src.DLFM.AbortExport(path)
-		return err
+	wasReplica := dst.DLFM.ReplicaVersion(path) >= 0
+	err = c.catchUpReplica(src, dst, path)
+	if err == nil {
+		err = dst.DLFM.ImportBundle(b)
 	}
 	handover.End()
+	if err != nil {
+		if !wasReplica {
+			_ = dst.Archive.Drop(c.authority, path)
+		}
+		src.DLFM.AbortExport(path)
+		return err
+	}
 	// The destination owns the path from here: stragglers parked on the
 	// source's freeze fail over via the session retry, new traffic routes by
 	// the override until the ring swap makes it implicit.
@@ -625,13 +635,4 @@ func (c *Cluster) migratePathTraced(src, dst *FileServer, path string, sp *obs.S
 	}
 	c.router.reg.Counter("ring.moves").Inc()
 	return nil
-}
-
-func lastSlashIdx(p string) int {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] == '/' {
-			return i
-		}
-	}
-	return -1
 }

@@ -275,48 +275,59 @@ func buildStack(sc ServerConfig, dlfmName string, clock func() time.Time, key []
 	if err != nil {
 		return nil, err
 	}
-	repoFsync, err := fsyncer.ParsePolicy(sc.RepoFsync)
-	if err != nil {
-		arch.Close()
-		return nil, fmt.Errorf("core: server %s: %w", sc.Name, err)
-	}
-	srv, recovery, err := dlfm.Open(dlfm.Config{
-		Name:                dlfmName,
-		Phys:                phys,
-		Archive:             arch,
-		Host:                host,
-		TokenKey:            key,
-		Clock:               clock,
-		OpenWait:            sc.OpenWait,
-		TokenTTL:            ttl,
-		QuarantineTTL:       sc.QuarantineTTL,
-		GCInterval:          sc.QuarantineGCInterval,
-		Metrics:             reg,
-		RepoDir:             sc.RepoDir,
-		RepoFsync:           repoFsync,
-		RepoFsyncMaxDelay:   sc.RepoFsyncMaxDelay,
-		RepoCheckpointBytes: sc.RepoCheckpointBytes,
-		Tracer:              tracer,
-	})
-	if err != nil {
-		arch.Close()
-		return nil, err
-	}
 	fsrv := &FileServer{
 		Name:      sc.Name,
 		Phys:      phys,
 		Archive:   arch,
-		DLFM:      srv,
 		NativeLFS: vfs.NewLFS(vfs.NewPassthrough(phys)),
 		Obs:       tracer,
-		Recovery:  recovery,
 		cfg:       sc,
 	}
+	dcfg, err := fsrv.dlfmConfig(dlfmName, host, key, ttl, clock, reg)
+	if err != nil {
+		arch.Close()
+		return nil, err
+	}
+	srv, recovery, err := dlfm.Open(dcfg)
+	if err != nil {
+		arch.Close()
+		return nil, err
+	}
+	fsrv.DLFM, fsrv.Recovery = srv, recovery
 	if err := wireUpcallPlane(fsrv, srv, sc); err != nil {
 		arch.Close()
 		return nil, err
 	}
 	return fsrv, nil
+}
+
+// dlfmConfig is the one place a stack's ServerConfig becomes a dlfm.Config,
+// for a fresh boot and for a crash recovery over the surviving disk alike.
+// name is the name the DLFM registers under; reg is the registry it shares
+// with the archive tier (nil: its own).
+func (f *FileServer) dlfmConfig(name string, host dlfm.Host, key []byte, ttl time.Duration, clock func() time.Time, reg *metrics.Registry) (dlfm.Config, error) {
+	repoFsync, err := fsyncer.ParsePolicy(f.cfg.RepoFsync)
+	if err != nil {
+		return dlfm.Config{}, fmt.Errorf("core: server %s: %w", f.Name, err)
+	}
+	return dlfm.Config{
+		Name:                name,
+		Phys:                f.Phys,
+		Archive:             f.Archive,
+		Host:                host,
+		TokenKey:            key,
+		Clock:               clock,
+		OpenWait:            f.cfg.OpenWait,
+		TokenTTL:            ttl,
+		QuarantineTTL:       f.cfg.QuarantineTTL,
+		GCInterval:          f.cfg.QuarantineGCInterval,
+		Metrics:             reg,
+		RepoDir:             f.cfg.RepoDir,
+		RepoFsync:           repoFsync,
+		RepoFsyncMaxDelay:   f.cfg.RepoFsyncMaxDelay,
+		RepoCheckpointBytes: f.cfg.RepoCheckpointBytes,
+		Tracer:              f.Obs,
+	}, nil
 }
 
 // wireUpcallPlane attaches the DLFS↔DLFM upcall channel to a file server:
@@ -402,15 +413,7 @@ func (sys *System) Close() {
 	sys.mu.Lock()
 	defer sys.mu.Unlock()
 	for _, s := range sys.servers {
-		s.DLFM.WaitArchives()
-		s.DLFM.Close()
-		s.Archive.Close()
-		if s.tcpClient != nil {
-			s.tcpClient.Close()
-		}
-		if s.tcpServer != nil {
-			s.tcpServer.Close()
-		}
+		closeStack(s)
 	}
 }
 
@@ -425,14 +428,7 @@ func (sys *System) Crash() {
 	sys.mu.Lock()
 	defer sys.mu.Unlock()
 	for _, s := range sys.servers {
-		s.DLFM.Kill()
-		s.Archive.Crash()
-		if s.tcpClient != nil {
-			s.tcpClient.Close()
-		}
-		if s.tcpServer != nil {
-			s.tcpServer.Close()
-		}
+		killStack(s)
 	}
 	sys.servers = make(map[string]*FileServer)
 }
@@ -450,33 +446,13 @@ func (sys *System) CrashAndRecoverServer(name string) (*dlfm.RecoveryReport, err
 	}
 	durable := old.DLFM.CrashRepo()
 	// The crash also kills the daemon's TCP endpoints.
-	if old.tcpClient != nil {
-		old.tcpClient.Close()
-	}
-	if old.tcpServer != nil {
-		old.tcpServer.Close()
-	}
-	repoFsync, err := fsyncer.ParsePolicy(old.cfg.RepoFsync)
+	old.closeEndpoints()
+	// The disk, the archive and the ring of past traces survive the crash.
+	dcfg, err := old.dlfmConfig(name, sys.Engine, sys.key, sys.ttl, sys.clock, nil)
 	if err != nil {
-		return nil, fmt.Errorf("core: server %s: %w", name, err)
+		return nil, err
 	}
-	srv, rep, err := dlfm.Recover(dlfm.Config{
-		Name:                name,
-		Phys:                old.Phys, // the disk survives
-		Archive:             old.Archive,
-		Host:                sys.Engine,
-		TokenKey:            sys.key,
-		Clock:               sys.clock,
-		OpenWait:            old.cfg.OpenWait,
-		TokenTTL:            sys.ttl,
-		QuarantineTTL:       old.cfg.QuarantineTTL,
-		GCInterval:          old.cfg.QuarantineGCInterval,
-		RepoDir:             old.cfg.RepoDir,
-		RepoFsync:           repoFsync,
-		RepoFsyncMaxDelay:   old.cfg.RepoFsyncMaxDelay,
-		RepoCheckpointBytes: old.cfg.RepoCheckpointBytes,
-		Tracer:              old.Obs, // the ring of past traces survives the crash
-	}, durable)
+	srv, rep, err := dlfm.Recover(dcfg, durable)
 	if err != nil {
 		return nil, err
 	}

@@ -114,7 +114,8 @@ func (c *Cluster) shipVersion(ctx context.Context, owner, path string, ver int64
 		sp := parent.Child("repl.ship")
 		sp.SetAttr("replica", id)
 		sp.SetAttr("version", ver)
-		err := c.shipToReplica(ctx, owner, id, path, ver, stateID, snap, mtime, meta, &retried)
+		again, err := c.shipToReplica(ctx, owner, id, path, ver, stateID, snap, mtime, meta)
+		retried = retried || again
 		if err != nil {
 			sp.SetAttr("error", err.Error())
 			if firstErr == nil {
@@ -145,35 +146,10 @@ func (c *Cluster) shipVersion(ctx context.Context, owner, path string, ver int64
 	return nil
 }
 
-// shipToReplica delivers one frame to one replica with retry/backoff. The
-// chaos hook strikes each attempt (a dropped or reset frame surfaces as the
-// same ErrConnLost class the upcall wire produces), and a lagging replica is
+// shipToReplica delivers one frame to one replica: a lagging replica is
 // caught up through the archive delta path before the frame is re-applied.
-func (c *Cluster) shipToReplica(ctx context.Context, owner, id, path string, ver int64, stateID uint64, snap *extent.Snapshot, mtime time.Time, meta dlfm.ReplicaMeta, retried *bool) error {
-	p := c.repl.policy
-	prevOnRetry := p.OnRetry
-	p.OnRetry = func(attempt int, err error, delay time.Duration) {
-		*retried = true
-		if prevOnRetry != nil {
-			prevOnRetry(attempt, err, delay)
-		}
-	}
-	classify := func(err error) retry.Class {
-		// Transport-class faults (chaos drops/resets/partitions) and a member
-		// mid-failover are worth re-attempting; everything else too — the
-		// attempts are bounded and a replica that just restarted may accept.
-		return retry.Retryable
-	}
-	return retry.Do(ctx, p, classify, func(ctx context.Context) error {
-		if ch := c.repl.chaos; ch != nil {
-			if err := ch.Strike(); err != nil {
-				return err
-			}
-		}
-		dst, err := c.router.member(id)
-		if err != nil {
-			return fmt.Errorf("%w: %v", errMemberDown, err)
-		}
+func (c *Cluster) shipToReplica(ctx context.Context, owner, id, path string, ver int64, stateID uint64, snap *extent.Snapshot, mtime time.Time, meta dlfm.ReplicaMeta) (retried bool, err error) {
+	return c.sendToReplica(ctx, id, func(dst *FileServer) error {
 		src, err := c.router.member(owner)
 		if err != nil {
 			return fmt.Errorf("%w: %v", errMemberDown, err)
@@ -189,6 +165,37 @@ func (c *Cluster) shipToReplica(ctx context.Context, owner, id, path string, ver
 	})
 }
 
+// sendToReplica runs one delivery to member id under the ship retry policy.
+// The chaos hook strikes each attempt (a dropped or reset frame surfaces as
+// the same ErrConnLost class the upcall wire produces) and the member is
+// looked up per attempt, so a ring swap mid-retry is seen. Every failure is
+// re-attempted — transport faults and a member mid-failover obviously, the
+// rest because the attempts are bounded and a replica that just restarted may
+// accept. retried reports whether any attempt was repeated.
+func (c *Cluster) sendToReplica(ctx context.Context, id string, deliver func(dst *FileServer) error) (retried bool, err error) {
+	p := c.repl.policy
+	prevOnRetry := p.OnRetry
+	p.OnRetry = func(attempt int, err error, delay time.Duration) {
+		retried = true
+		if prevOnRetry != nil {
+			prevOnRetry(attempt, err, delay)
+		}
+	}
+	err = retry.Do(ctx, p, func(error) retry.Class { return retry.Retryable }, func(context.Context) error {
+		if ch := c.repl.chaos; ch != nil {
+			if err := ch.Strike(); err != nil {
+				return err
+			}
+		}
+		dst, err := c.router.member(id)
+		if err != nil {
+			return fmt.Errorf("%w: %v", errMemberDown, err)
+		}
+		return deliver(dst)
+	})
+	return retried, err
+}
+
 // shipUnlink propagates an unlink to the replica set so a later failover
 // cannot resurrect the path. Same quorum policy as commits.
 func (c *Cluster) shipUnlink(owner, path string) error {
@@ -200,20 +207,9 @@ func (c *Cluster) shipUnlink(owner, path string) error {
 	acks := 1
 	var firstErr error
 	for _, id := range targets {
-		id := id
-		err := retry.Do(context.Background(), cfg.policy, func(error) retry.Class { return retry.Retryable },
-			func(context.Context) error {
-				if ch := cfg.chaos; ch != nil {
-					if err := ch.Strike(); err != nil {
-						return err
-					}
-				}
-				dst, err := c.router.member(id)
-				if err != nil {
-					return fmt.Errorf("%w: %v", errMemberDown, err)
-				}
-				return dst.DLFM.ApplyReplicaUnlink(path)
-			})
+		_, err := c.sendToReplica(context.Background(), id, func(dst *FileServer) error {
+			return dst.DLFM.ApplyReplicaUnlink(path)
+		})
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("replica %s: %w", id, err)
@@ -228,55 +224,34 @@ func (c *Cluster) shipUnlink(owner, path string) error {
 	return nil
 }
 
-// catchUpReplica brings dst's archive history for path up to src's: a delta
-// of the missing versions when the histories share a prefix (O(changed
-// chunks)), a full resync when they diverged (restore/truncate) or dst holds
-// nothing yet. The repl.lag_versions counter on the owner records how many
-// versions had to travel outside the synchronous ship.
+// catchUpReplica is the one way a path's archive history moves between
+// members — ship-lag catch-up, anti-entropy, live rebalance and AbsorbDead all
+// end here. It exports from src what follows the newest version dst holds and
+// imports it: O(changed chunks) when the histories share a prefix, nothing at
+// all when dst is already level (a move onto the replica holder), the whole
+// history when dst holds none. A chain gap — the histories diverged across a
+// restore or truncate, or dst ran ahead of a restored owner — drops dst's copy
+// and starts over. The repl.lag_versions counter on the source records how
+// many versions had to travel outside the synchronous ship.
 func (c *Cluster) catchUpReplica(src, dst *FileServer, path string) error {
-	reg := src.DLFM.Metrics()
-	fullResync := func(drop bool) error {
-		if drop {
-			if err := dst.Archive.Drop(c.authority, path); err != nil {
-				return err
-			}
-		}
-		recs := src.Archive.ExportHistory(c.authority, path)
-		if len(recs) == 0 {
-			return nil
-		}
-		reg.Counter("repl.lag_versions").Add(int64(len(recs)))
-		_, err := dst.Archive.ImportHistory(c.authority, path, recs, src.Archive.FetchBlob)
-		if errors.Is(err, archive.ErrStale) {
-			// Another shipper landed the history first — that is the goal.
-			return nil
-		}
-		return err
-	}
-
 	have := int64(-1)
-	if e, err := dst.Archive.Latest(c.authority, path); err == nil {
-		have = int64(e.Version)
-	}
-	if have < 0 {
-		return fullResync(false)
+	if v, ok := dst.Archive.Newest(c.authority, path); ok {
+		have = int64(v)
 	}
 	recs, err := src.Archive.ExportDelta(c.authority, path, have)
 	if errors.Is(err, archive.ErrChainGap) {
-		return fullResync(true)
+		if err := dst.Archive.Drop(c.authority, path); err != nil {
+			return err
+		}
+		recs, err = src.Archive.ExportDelta(c.authority, path, -1)
 	}
-	if err != nil {
+	if err != nil || len(recs) == 0 {
 		return err
 	}
-	if len(recs) == 0 {
-		return nil
-	}
-	reg.Counter("repl.lag_versions").Add(int64(len(recs)))
+	src.DLFM.Metrics().Counter("repl.lag_versions").Add(int64(len(recs)))
 	_, err = dst.Archive.ImportDelta(c.authority, path, recs, src.Archive.FetchBlob)
-	if errors.Is(err, archive.ErrChainGap) {
-		return fullResync(true)
-	}
 	if errors.Is(err, archive.ErrStale) {
+		// Another shipper landed the history first — that is the goal.
 		return nil
 	}
 	return err
@@ -410,11 +385,8 @@ func (c *Cluster) FlushReplication() error {
 			if c.router.placementID(p) != sid {
 				continue
 			}
-			srcLast := int64(-1)
-			if e, err := m.Archive.Latest(c.authority, p); err == nil {
-				srcLast = int64(e.Version)
-			}
-			if srcLast < 0 {
+			srcLast, ok := m.Archive.Newest(c.authority, p)
+			if !ok {
 				continue // mode without archive history: nothing to replicate
 			}
 			meta, _, mtime, err := m.DLFM.FileMeta(p)
@@ -429,7 +401,12 @@ func (c *Cluster) FlushReplication() error {
 				if err != nil {
 					continue
 				}
-				if err := c.syncReplica(m, dst, p, srcLast, mtime, meta); err != nil && firstErr == nil {
+				// History first (nothing moves when dst is level), then the row.
+				err = c.catchUpReplica(m, dst, p)
+				if err == nil {
+					err = dst.DLFM.EnsureReplicaRow(p, int64(srcLast), mtime, meta)
+				}
+				if err != nil && firstErr == nil {
 					firstErr = fmt.Errorf("core: flush %s %s→%s: %w", p, sid, tid, err)
 				}
 			}
@@ -464,26 +441,4 @@ func (c *Cluster) FlushReplication() error {
 		}
 	}
 	return firstErr
-}
-
-// syncReplica makes dst's copy of path equal src's: archive history first
-// (delta when possible), then the replica row. A replica that ran ahead of a
-// restored owner resyncs from scratch.
-func (c *Cluster) syncReplica(src, dst *FileServer, path string, srcLast int64, mtime time.Time, meta dlfm.ReplicaMeta) error {
-	have := int64(-1)
-	if e, err := dst.Archive.Latest(c.authority, path); err == nil {
-		have = int64(e.Version)
-	}
-	if have > srcLast {
-		if err := dst.Archive.Drop(c.authority, path); err != nil {
-			return err
-		}
-		have = -1
-	}
-	if have < srcLast {
-		if err := c.catchUpReplica(src, dst, path); err != nil {
-			return err
-		}
-	}
-	return dst.DLFM.EnsureReplicaRow(path, srcLast, mtime, meta)
 }

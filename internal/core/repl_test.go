@@ -523,3 +523,202 @@ func TestKillServerProbeAutoFailover(t *testing.T) {
 		t.Fatal("repl.failovers not counted by the probe-driven failover")
 	}
 }
+
+// seedReplicated links the paths, commits one update on each and waits for
+// the archives, so every path has a two-version history on its replica set.
+func seedReplicated(t *testing.T, c *Cluster, paths []string) {
+	t.Helper()
+	for i, p := range paths {
+		linkDoc(t, c, i, p, "v0 of "+p)
+		if err := commitUpdate(t, c, i, "v1 of "+p); err != nil {
+			t.Fatalf("commit %s: %v", p, err)
+		}
+	}
+	c.WaitArchives()
+}
+
+// assertMembershipChangeComposed checks what a membership change must leave
+// behind on a replicated cluster: gone is off the ring, every path is linked
+// on exactly its owner, no owner is also a replica of what it owns, a further
+// commit on every path succeeds, and the replica sets converge.
+func assertMembershipChangeComposed(t *testing.T, c *Cluster, paths []string, gone string) {
+	t.Helper()
+	for i, p := range paths {
+		owner, err := c.Owner(p)
+		if err != nil || owner == gone {
+			t.Fatalf("%s owner after %s left = %q, %v", p, gone, owner, err)
+		}
+		for _, id := range c.Members() {
+			m, _ := c.Member(id)
+			if linked := m.DLFM.IsLinked(p); linked != (id == owner) {
+				t.Fatalf("%s linked on %s = %v, owner is %s", p, id, linked, owner)
+			}
+		}
+		m, _ := c.Member(owner)
+		if v := m.DLFM.ReplicaVersion(p); v != -1 {
+			t.Fatalf("owner %s still holds a replica row for %s (version %d)", owner, p, v)
+		}
+		if err := commitUpdate(t, c, i, "v2 of "+p); err != nil {
+			t.Fatalf("commit %s after %s left: %v", p, gone, err)
+		}
+	}
+	c.WaitArchives()
+	if err := c.FlushReplication(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	for _, p := range paths {
+		owner, _ := c.Owner(p)
+		m, _ := c.Member(owner)
+		vs := m.Archive.Versions(c.Authority(), p)
+		if len(vs) != 3 || string(vs[2].Content()) != "v2 of "+p {
+			t.Fatalf("%s history on %s after %s left: %d versions, want v0..v2", p, owner, gone, len(vs))
+		}
+		if set := c.ReplicaSet(p); len(set) != 2 || set[0] != owner || set[1] == owner {
+			t.Fatalf("%s replica set %v, want owner %s and one other member", p, set, owner)
+		}
+	}
+	assertReplicasConverged(t, c, paths)
+}
+
+// TestReplicationRemoveServerMovesOntoReplicas: removing an owner hands each
+// of its paths to the very member that holds the replica, so the move must
+// find the history already there — no version travels, no byte is stored, the
+// replica row becomes the link row.
+func TestReplicationRemoveServerMovesOntoReplicas(t *testing.T) {
+	c := newReplCluster(t, 3, nil)
+	// Paths fs2 owns with fs3 as the replica, and paths fs2 has no part in:
+	// nothing but the moves can then put a byte on fs3 — the re-replication
+	// after the ring swap only ever ships to fs1.
+	var paths []string
+	moving := 0
+	for _, p := range clusterPaths(200) {
+		switch strings.Join(c.ReplicaSet(p), ",") {
+		case "fs2,fs3":
+			moving++
+		case "fs1,fs3", "fs3,fs1":
+		default:
+			continue
+		}
+		if paths = append(paths, p); len(paths) == 12 {
+			break
+		}
+	}
+	if moving == 0 {
+		t.Skip("hash placed no test path on fs2 with its replica on fs3")
+	}
+	seedReplicated(t, c, paths)
+	leaving, _ := c.Member("fs2")
+	dst, _ := c.Member("fs3")
+	before := dst.Archive.Dedup().NewBytes
+
+	if err := c.RemoveServer("fs2"); err != nil {
+		t.Fatalf("remove: %v", err)
+	}
+	if after := dst.Archive.Dedup().NewBytes; after != before {
+		t.Fatalf("%d moves onto replica holder fs3 stored %d new bytes", moving, after-before)
+	}
+	if n := leaving.DLFM.Metrics().Counter("repl.lag_versions").Value(); n != 0 {
+		t.Fatalf("%d versions travelled out of fs2; fs3 already had them all", n)
+	}
+	assertMembershipChangeComposed(t, c, paths, "fs2")
+}
+
+// TestReplicationAbsorbDeadOntoReplicas is the same composition for a dead
+// member absorbed from its durable directories.
+func TestReplicationAbsorbDeadOntoReplicas(t *testing.T) {
+	c := newReplCluster(t, 3, func(cfg *ClusterConfig) {
+		for i := range cfg.Members {
+			cfg.Members[i].RepoDir, cfg.Members[i].ArchiveDir = t.TempDir(), t.TempDir()
+		}
+	})
+	paths := clusterPaths(12)
+	seedReplicated(t, c, paths)
+	if dying, _ := c.Member("fs2"); len(dying.DLFM.LinkedPaths()) == 0 {
+		t.Skip("hash placed no test path on fs2")
+	}
+	if err := c.FailServer("fs2"); err != nil {
+		t.Fatalf("fail: %v", err)
+	}
+	if err := c.AbsorbDead("fs2"); err != nil {
+		t.Fatalf("absorb: %v", err)
+	}
+	if got := strings.Join(c.Members(), ","); got != "fs1,fs3" {
+		t.Fatalf("members after absorb: %s", got)
+	}
+	assertMembershipChangeComposed(t, c, paths, "fs2")
+}
+
+// TestReplicationFailedMoveLeavesNoStrayHistory: a move whose bundle import
+// fails leaves the source the owner; a destination that held the replica
+// keeps it (it is still the replica), one that held nothing keeps nothing.
+func TestReplicationFailedMoveLeavesNoStrayHistory(t *testing.T) {
+	c := newReplCluster(t, 3, nil)
+	p := clusterPaths(1)[0]
+	seedReplicated(t, c, []string{p})
+	set := c.ReplicaSet(p)
+	src, _ := c.Member(set[0])
+	replica, _ := c.Member(set[1])
+	var stranger *FileServer
+	for _, id := range c.Members() {
+		if id != set[0] && id != set[1] {
+			stranger, _ = c.Member(id)
+		}
+	}
+	// A directory where the file should go fails ImportBundle after the
+	// history transfer.
+	for _, m := range []*FileServer{replica, stranger} {
+		if err := m.Phys.MkdirAll(p, clusterRoot, 0o777); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, dst := range []*FileServer{stranger, replica} {
+		if err := c.migratePath(src, dst, p); err == nil {
+			t.Fatalf("move onto %s succeeded over a directory", dst.Name)
+		}
+		if owner, _ := c.Owner(p); owner != src.Name || !src.DLFM.IsLinked(p) || dst.DLFM.IsLinked(p) {
+			t.Fatalf("failed move onto %s changed the owner (now %s)", dst.Name, owner)
+		}
+	}
+	if n := len(stranger.Archive.Versions(c.Authority(), p)); n != 0 {
+		t.Fatalf("%s keeps %d versions of a path it neither owns nor replicates", stranger.Name, n)
+	}
+	if n, v := len(replica.Archive.Versions(c.Authority(), p)), replica.DLFM.ReplicaVersion(p); n != 2 || v != 1 {
+		t.Fatalf("replica %s after the failed move: %d versions, row at %d; want 2, 1", replica.Name, n, v)
+	}
+	// The source still commits and ships, and with the obstacle gone the
+	// move lands on the replica it left intact.
+	if err := commitUpdate(t, c, 0, "v2 of "+p); err != nil {
+		t.Fatalf("commit after failed moves: %v", err)
+	}
+	c.WaitArchives()
+	if err := replica.Phys.Rmdir(p, clusterRoot); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.migratePath(src, replica, p); err != nil {
+		t.Fatalf("move onto the replica: %v", err)
+	}
+	if !replica.DLFM.IsLinked(p) || replica.DLFM.ReplicaVersion(p) != -1 || len(replica.Archive.Versions(c.Authority(), p)) != 3 {
+		t.Fatalf("%s after the move: linked %v, replica row %d, %d versions", replica.Name,
+			replica.DLFM.IsLinked(p), replica.DLFM.ReplicaVersion(p), len(replica.Archive.Versions(c.Authority(), p)))
+	}
+}
+
+// TestReplicationReplicaAheadResyncs: a replica holding a version its owner
+// does not (the owner was restored behind it) is a chain gap like any other —
+// anti-entropy drops the copy and ships the owner's history from the start.
+func TestReplicationReplicaAheadResyncs(t *testing.T) {
+	c := newReplCluster(t, 3, nil)
+	paths := clusterPaths(1)
+	seedReplicated(t, c, paths)
+	replica, _ := c.Member(c.ReplicaSet(paths[0])[1])
+	if err := replica.Archive.Put(c.Authority(), paths[0], 2, 999, []byte("never committed by the owner")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FlushReplication(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if n := len(replica.Archive.Versions(c.Authority(), paths[0])); n != 2 {
+		t.Fatalf("replica has %d versions after the resync, want the owner's 2", n)
+	}
+	assertReplicasConverged(t, c, paths)
+}

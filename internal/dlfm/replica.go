@@ -278,8 +278,8 @@ func (s *Server) DropReplica(path string) error {
 // PromoteReplica turns a replica into the served copy: latest archived
 // content is materialized with the stored identity and mtime (the same
 // sequence as a shard import — mtime last, because modification detection
-// compares against it at the next write open), the dlfm_files row appears,
-// and the replica row is retired. No upcall to the old owner, no archive
+// compares against it at the next write open), and ImportBundle swaps the
+// replica row for the dlfm_files row. No upcall to the old owner, no archive
 // transfer: everything needed is already local.
 func (s *Server) PromoteReplica(path string) error {
 	ri, ok := s.replicaRow(path)
@@ -310,9 +310,6 @@ func (s *Server) PromoteReplica(path string) error {
 		Mtime:    ri.mtime,
 	}
 	if err := s.ImportBundle(b); err != nil {
-		return fmt.Errorf("dlfm: promote %s: %w", path, err)
-	}
-	if _, err := s.repo.Exec(`DELETE FROM dlfm_replicas WHERE path = ?`, sqlmini.Str(path)); err != nil {
 		return fmt.Errorf("dlfm: promote %s: %w", path, err)
 	}
 	s.cfg.Metrics.Counter("dlfm.repl.promotions").Inc()

@@ -115,8 +115,7 @@ func TestReplicaPromoteServes(t *testing.T) {
 
 	dst, dstPhys := newShardPeer(t)
 	// Replica histories build version by version, as the shipper delivers.
-	recs := src.cfg.Archive.ExportHistory("fs1", "/d/f.bin")
-	if _, err := dst.cfg.Archive.ImportHistory("fs1", "/d/f.bin", recs, src.cfg.Archive.FetchBlob); err != nil {
+	if err := copyHistory(src, dst, "/d/f.bin"); err != nil {
 		t.Fatal(err)
 	}
 	meta, ver, mtime, err := src.FileMeta("/d/f.bin")

@@ -2,6 +2,7 @@ package dlfm
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"datalinks/internal/datalink"
@@ -18,8 +19,9 @@ import (
 //     sentinel writer, so every later open parks on the path's wait queue
 //     until the migration ends. It returns a bundle: the repository row plus
 //     an O(#chunks) snapshot of the current content.
-//   - The caller moves the archive history separately (archive.ExportHistory/
-//     ImportHistory — chunk bytes travel by hash, deduped).
+//   - The caller moves the archive history separately (archive.ExportDelta/
+//     ImportDelta — chunk bytes travel by hash, deduped; nothing travels when
+//     the destination already holds the path's replica).
 //   - ImportBundle replays the bundle on the destination: content, ownership,
 //     permissions, and — critically — the source's mtime, because mtime is how
 //     commit detects modification (§4.4); a fresh mtime would make the next
@@ -175,13 +177,16 @@ func (s *Server) AbortExport(path string) {
 // ImportBundle establishes a migrated path on this server: physical content
 // with the source's mtime, at-rest ownership and permissions, and the
 // repository row. The bundle's content is not consumed. The path must not
-// already be linked here. Like ReconcileLinks, this runs outside 2PC — the
-// migration protocol above it owns atomicity.
+// already be linked here; a replica of it held here is retired in the same
+// repository transaction that writes the row — an owner is never also a
+// replica (the anti-entropy prune would drop the history it serves from).
+// Like ReconcileLinks, this runs outside 2PC — the migration protocol above
+// it owns atomicity.
 func (s *Server) ImportBundle(b *FileBundle) error {
 	if _, linked := s.lookupFile(b.Path); linked {
 		return fmt.Errorf("%w: import of %s", ErrAlreadyLinked, b.Path)
 	}
-	if i := lastSlash(b.Path); i > 0 {
+	if i := strings.LastIndexByte(b.Path, '/'); i > 0 {
 		if err := s.cfg.Phys.MkdirAll(b.Path[:i], rootCred, 0o755); err != nil {
 			return fmt.Errorf("dlfm: import mkdir %s: %w", b.Path, err)
 		}
@@ -209,24 +214,23 @@ func (s *Server) ImportBundle(b *FileBundle) error {
 	if err := s.cfg.Phys.SetMtime(node, b.Mtime); err != nil {
 		return err
 	}
-	if _, err := s.repo.Exec(
-		`INSERT INTO dlfm_files (path, mode, recovery, token_ttl, orig_uid, orig_mode, cur_version)
-		 VALUES (?, ?, ?, ?, ?, ?, ?)`,
-		sqlmini.Str(b.Path), sqlmini.Str(b.Mode.String()), sqlmini.Bool(b.Recovery),
-		sqlmini.Int(int64(b.TokenTTL)), sqlmini.Int(int64(b.OrigUID)), sqlmini.Int(int64(b.OrigMode)),
-		sqlmini.Int(b.Version)); err != nil {
+	tx := s.repo.Begin()
+	_, err = tx.Exec(`DELETE FROM dlfm_replicas WHERE path = ?`, sqlmini.Str(b.Path))
+	if err == nil {
+		_, err = tx.Exec(
+			`INSERT INTO dlfm_files (path, mode, recovery, token_ttl, orig_uid, orig_mode, cur_version)
+			 VALUES (?, ?, ?, ?, ?, ?, ?)`,
+			sqlmini.Str(b.Path), sqlmini.Str(b.Mode.String()), sqlmini.Bool(b.Recovery),
+			sqlmini.Int(int64(b.TokenTTL)), sqlmini.Int(int64(b.OrigUID)), sqlmini.Int(int64(b.OrigMode)),
+			sqlmini.Int(b.Version))
+	}
+	if err != nil {
+		tx.Abort()
+		return fmt.Errorf("dlfm: import row %s: %w", b.Path, err)
+	}
+	if err := tx.Commit(); err != nil {
 		return fmt.Errorf("dlfm: import row %s: %w", b.Path, err)
 	}
 	s.cfg.Metrics.Counter("dlfm.shard.imports").Inc()
 	return nil
-}
-
-// lastSlash returns the index of the last '/' in p, or -1.
-func lastSlash(p string) int {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] == '/' {
-			return i
-		}
-	}
-	return -1
 }

@@ -31,6 +31,17 @@ func newShardPeer(t *testing.T) (*Server, *fs.FS) {
 	return srv, phys
 }
 
+// copyHistory hands path's whole archive history from src to dst the way the
+// cluster does: one export from the start, one import.
+func copyHistory(src, dst *Server, path string) error {
+	recs, err := src.cfg.Archive.ExportDelta("fs1", path, -1)
+	if err != nil {
+		return err
+	}
+	_, err = dst.cfg.Archive.ImportDelta("fs1", path, recs, src.cfg.Archive.FetchBlob)
+	return err
+}
+
 // migrate runs the full per-path handoff between two servers, the way the
 // cluster router does: freeze+export, archive history, bundle import, evict.
 func migrate(t *testing.T, src, dst *Server, path string) {
@@ -40,8 +51,7 @@ func migrate(t *testing.T, src, dst *Server, path string) {
 		t.Fatalf("begin export: %v", err)
 	}
 	defer b.Release()
-	recs := src.cfg.Archive.ExportHistory("fs1", path)
-	if _, err := dst.cfg.Archive.ImportHistory("fs1", path, recs, src.cfg.Archive.FetchBlob); err != nil {
+	if err := copyHistory(src, dst, path); err != nil {
 		src.AbortExport(path)
 		t.Fatalf("import history: %v", err)
 	}
@@ -54,6 +64,33 @@ func migrate(t *testing.T, src, dst *Server, path string) {
 	}
 	if err := src.cfg.Archive.Drop("fs1", path); err != nil {
 		t.Fatalf("src archive drop: %v", err)
+	}
+}
+
+// TestShardImportOntoReplicaRetiresTheRow: a path migrating onto the member
+// that holds its replica finds the history already there — the transfer moves
+// nothing — and ImportBundle turns the replica row into the link row, so the
+// new owner is not left a replica of itself.
+func TestShardImportOntoReplicaRetiresTheRow(t *testing.T) {
+	src, srcPhys, _ := newServer(t)
+	linkCommitted(t, src, "/d/f.bin", "rfd")
+	dst, dstPhys := newShardPeer(t)
+	shipTo(t, src, srcPhys, dst, "/d/f.bin")
+	if dst.ReplicaVersion("/d/f.bin") < 0 {
+		t.Fatal("destination holds no replica before the move")
+	}
+	stored := dst.cfg.Archive.Dedup().NewBytes
+
+	migrate(t, src, dst, "/d/f.bin")
+
+	if got := dst.cfg.Archive.Dedup().NewBytes; got != stored {
+		t.Fatalf("move onto the replica holder stored %d new bytes", got-stored)
+	}
+	if !dst.IsLinked("/d/f.bin") || len(dst.ReplicaPaths()) != 0 {
+		t.Fatalf("after the move: linked %v, replica rows %v", dst.IsLinked("/d/f.bin"), dst.ReplicaPaths())
+	}
+	if data, err := dstPhys.ReadFile("/d/f.bin"); err != nil || len(data) == 0 {
+		t.Fatalf("destination content = %q, %v", data, err)
 	}
 }
 
