@@ -438,43 +438,16 @@ func BenchmarkE12TxnBoundary(b *testing.B) {
 	})
 }
 
-// ---------------------------------------------------------------------------
-// Parallel benchmark family: aggregate throughput as goroutines scale.
-//
-// Each sub-benchmark distributes b.N operations across a fixed number of
-// worker goroutines; ns/op therefore reports aggregate wall time per
-// operation, so a LOWER ns/op at higher goroutine counts means the stack
-// lets concurrent sessions overlap (upcall IPC latency and independent
-// lock scopes) instead of serializing them. The rigs simulate the paper's
-// DLFS→DLFM IPC hop with a fixed per-upcall latency — the realistic regime
-// the concurrency refactor targets.
-// ---------------------------------------------------------------------------
-
-// parallelGoroutineCounts are the fan-outs each parallel benchmark sweeps.
-var parallelGoroutineCounts = []int{1, 4, 16}
-
-// benchUpcallLatency is the simulated IPC cost per upcall in the parallel
-// rigs (the in-process transport sleeps this long outside all locks).
-const benchUpcallLatency = 100 * time.Microsecond
-
 // parallelRig is a system with one linked file (and one table row) per
 // worker, so writers never contend on DLFM's per-file serialization and
-// SQL row locks stay disjoint — contention measured is the stack's own.
+// SQL row locks stay disjoint — contention measured is the stack's own. It
+// serves BenchmarkSmallEditCommitStorm; aggregate read/commit throughput is
+// the ledger's hot_read / small_commit (bench/), on the real wire.
 type parallelRig struct {
-	sys      *datalinks.System
-	fsrv     *datalinks.FileServer
-	readURLs []string
-	ids      []int
+	sys  *datalinks.System
+	fsrv *datalinks.FileServer
 }
 
-func newParallelRig(b *testing.B, mode string, workers, fileSize int) *parallelRig {
-	b.Helper()
-	return newParallelRigServer(b, mode, workers, fileSize,
-		datalinks.ServerConfig{Name: "fs1", OpenWait: 30 * time.Second, UpcallLatency: benchUpcallLatency})
-}
-
-// newParallelRigServer is newParallelRig with an explicit server config (the
-// commit-storm benchmark adds the durable archive tier and its knobs).
 func newParallelRigServer(b *testing.B, mode string, workers, fileSize int, sc datalinks.ServerConfig) *parallelRig {
 	b.Helper()
 	sys, err := datalinks.Open(datalinks.Config{
@@ -493,21 +466,14 @@ func newParallelRigServer(b *testing.B, mode string, workers, fileSize int, sc d
 		content[i] = byte('a' + i%26)
 	}
 	sys.MustExec(fmt.Sprintf(`CREATE TABLE pbench (id INT PRIMARY KEY, doc DATALINK MODE %s RECOVERY NO, doc_size INT)`, mode))
-	rig := &parallelRig{sys: sys, fsrv: fsrv}
 	for w := 0; w < workers; w++ {
 		path := fmt.Sprintf("/bench/f%d.bin", w)
 		if err := fsrv.SeedFile(path, content, 100); err != nil {
 			b.Fatal(err)
 		}
 		sys.MustExec(fmt.Sprintf(`INSERT INTO pbench (id, doc) VALUES (%d, DLVALUE('dlfs://fs1%s'))`, w, path))
-		url, err := sys.QueryString(fmt.Sprintf(`SELECT DLURLCOMPLETE(doc) FROM pbench WHERE id = %d`, w))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rig.readURLs = append(rig.readURLs, url)
-		rig.ids = append(rig.ids, w)
 	}
-	return rig
+	return &parallelRig{sys: sys, fsrv: fsrv}
 }
 
 func (r *parallelRig) close() {
@@ -517,7 +483,7 @@ func (r *parallelRig) close() {
 
 // writeURL fetches a fresh tokenized write URL for worker w's row.
 func (r *parallelRig) writeURL(w int) (string, error) {
-	return r.sys.QueryString(fmt.Sprintf(`SELECT DLURLCOMPLETEWRITE(doc) FROM pbench WHERE id = %d`, r.ids[w]))
+	return r.sys.QueryString(fmt.Sprintf(`SELECT DLURLCOMPLETEWRITE(doc) FROM pbench WHERE id = %d`, w))
 }
 
 // runParallel spreads b.N calls of op across gor goroutines (worker ids are
@@ -550,65 +516,6 @@ func runParallel(b *testing.B, gor int, op func(worker int) error) {
 	case err := <-errCh:
 		b.Fatal(err)
 	default:
-	}
-}
-
-// BenchmarkParallelRead is the headline concurrency benchmark: token-gated
-// rdd open+read+close of a 64KB file. Aggregate throughput must rise with
-// goroutines — the old global FS mutex and lock-manager broadcast made this
-// flat.
-func BenchmarkParallelRead(b *testing.B) {
-	for _, gor := range parallelGoroutineCounts {
-		b.Run(fmt.Sprintf("goroutines=%d", gor), func(b *testing.B) {
-			rig := newParallelRig(b, "RDD", gor, 64<<10)
-			defer rig.close()
-			sessions := make([]*datalinks.Session, gor)
-			for w := range sessions {
-				sessions[w] = rig.sys.Session(100)
-			}
-			b.SetBytes(64 << 10)
-			runParallel(b, gor, func(w int) error {
-				f, err := sessions[w].OpenRead(rig.readURLs[w])
-				if err != nil {
-					return err
-				}
-				if _, err := f.ReadAll(); err != nil {
-					return err
-				}
-				return f.Close()
-			})
-		})
-	}
-}
-
-// BenchmarkParallelWrite drives full in-place update transactions (rfd lazy
-// write path: failed native open, write-open upcall, takeover, commit at
-// close) on per-worker files.
-func BenchmarkParallelWrite(b *testing.B) {
-	for _, gor := range parallelGoroutineCounts {
-		b.Run(fmt.Sprintf("goroutines=%d", gor), func(b *testing.B) {
-			rig := newParallelRig(b, "RFD", gor, 4096)
-			defer rig.close()
-			sessions := make([]*datalinks.Session, gor)
-			for w := range sessions {
-				sessions[w] = rig.sys.Session(100)
-			}
-			var seq atomic.Int64
-			runParallel(b, gor, func(w int) error {
-				url, err := rig.writeURL(w)
-				if err != nil {
-					return err
-				}
-				f, err := sessions[w].OpenWrite(url)
-				if err != nil {
-					return err
-				}
-				if _, err := f.WriteAt(0, []byte{byte(seq.Add(1))}); err != nil {
-					return err
-				}
-				return f.Close()
-			})
-		})
 	}
 }
 
@@ -797,28 +704,6 @@ func BenchmarkSmallEditCommitStorm(b *testing.B) {
 			b.ReportMetric(float64(tier.FilesCreated-tier0.FilesCreated)/float64(b.N), "files/commit")
 			b.ReportMetric(float64((chunk-chunk0)+(cat-cat0))/float64(b.N), "fsyncs/commit")
 			b.ReportMetric(float64(tier.PackAppends-tier0.PackAppends)/float64(b.N), "packAppends/commit")
-		})
-	}
-}
-
-// BenchmarkParallelOpenClose isolates the open/close control path (token
-// validation, read-open upcall, close upcall) without data transfer.
-func BenchmarkParallelOpenClose(b *testing.B) {
-	for _, gor := range parallelGoroutineCounts {
-		b.Run(fmt.Sprintf("goroutines=%d", gor), func(b *testing.B) {
-			rig := newParallelRig(b, "RDD", gor, 64)
-			defer rig.close()
-			sessions := make([]*datalinks.Session, gor)
-			for w := range sessions {
-				sessions[w] = rig.sys.Session(100)
-			}
-			runParallel(b, gor, func(w int) error {
-				f, err := sessions[w].OpenRead(rig.readURLs[w])
-				if err != nil {
-					return err
-				}
-				return f.Close()
-			})
 		})
 	}
 }

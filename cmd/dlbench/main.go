@@ -1,6 +1,8 @@
 // Command dlbench runs the paper-reproduction experiments: every table and
 // figure of "Database Managed External File Update" (ICDE 2001) plus the
-// quantified versions of its design arguments.
+// quantified versions of its design arguments, and the system gates (E13–E23)
+// that fail the run on a violated invariant. Perf claims are made in the
+// ledger under bench/, not here.
 //
 // Usage:
 //
@@ -8,40 +10,47 @@
 //	dlbench -exp E6         # run one experiment
 //	dlbench -list           # list experiments
 //	dlbench -markdown       # render results as markdown (EXPERIMENTS.md body)
+//	dlbench -json           # render the same tables as JSON
+//
+// Each experiment owns its flags (internal/harness: one config struct per
+// exp_*.go, bound by its flags method); dlbench -h lists them all. A count
+// or duration that is not positive, or a malformed list, is refused at parse
+// time with the flag's name.
 //
 // The E13 concurrency experiment (aggregate throughput and lock contention
-// counters vs concurrent sessions) is configurable:
+// counters vs concurrent sessions; -net puts the upcalls on real TCP):
 //
 //	dlbench -exp E13 -sessions 1,8,32 -servers 4 -ops 200 -upcall-latency 500us
 //
-// The E14 large-file update experiment (bytes archived vs bytes written) is
-// configurable, and -json emits machine-readable result tables (the CI perf
-// snapshot artifact):
+// The E14 large-file update experiment (bytes archived vs bytes written):
 //
 //	dlbench -exp E14 -filesize 64 -edits 16 -editsize 64
-//	dlbench -exp E14 -json > BENCH_E14.json
 //
 // The E15 durable tiered-archive experiment (disk spill, bounded resident
-// memory, page-in and GC counters) is configurable:
+// memory, page-in and GC counters):
 //
 //	dlbench -exp E15 -e15-files 3 -e15-filesize 8 -e15-versions 10 -e15-budget 4
-//	dlbench -exp E15 -e15-dir /var/tmp/archive -e15-compress -json > BENCH_E15.json
+//	dlbench -exp E15 -e15-dir /var/tmp/archive -e15-compress
 //
 // The E16 restart-recovery experiment commits a deterministic version
 // history, hard-restarts the process state, and proves the durable catalog
 // serves every version byte-identically with zero re-archiving. Run it twice
 // against the same -e16-dir and the second run skips the churn entirely,
-// cold-serving the first run's history:
+// cold-serving the first run's history (E18 does the same for a whole-process
+// kill, with -e18-dir / -e18-fsync):
 //
-//	dlbench -exp E16 -e16-dir /var/tmp/e16 -json > BENCH_E16.json
+//	dlbench -exp E16 -e16-dir /var/tmp/e16 -e16-fsync group
 //	dlbench -exp E16 -e16-dir /var/tmp/e16    # verify-only: zero device transfer
+//
+// The E20 chaos soak takes its fault mix from -e20-drop / -e20-reset /
+// -e20-delay / -e20-seed; the E21 scale-out rounds their cluster sizes from
+// -e21-servers 1,4,16.
 //
 // The E22 tracing experiment prices the observability plane on the E13 hot
 // path (tracing on vs off, best-of rounds) and audits every commit trace for
 // the full session→wire→lock→archive-barrier→fsync span story over real TCP:
 //
 //	dlbench -exp E22 -e22-rounds 5 -e22-sessions 8 -e22-commits 20
-//	dlbench -exp E22 -json > BENCH_E22.json
 //
 // The E23 failover experiment soaks commits against a replicated cluster
 // (Replicas=2, write quorum 2), kills a member mid-round without telling the
@@ -50,7 +59,6 @@
 // the declared budget, or on owner/replica history divergence after quiesce:
 //
 //	dlbench -exp E23 -e23-round 5s -e23-writers 32 -e23-budget 1s
-//	dlbench -exp E23 -json > BENCH_E23.json
 package main
 
 import (
@@ -58,8 +66,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"datalinks/internal/harness"
 )
@@ -69,260 +75,14 @@ func main() {
 		exp      = flag.String("exp", "", "run a single experiment by id (e.g. T1, E6)")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		markdown = flag.Bool("markdown", false, "render tables as markdown")
-		jsonOut  = flag.Bool("json", false, "render results as JSON (perf snapshots)")
-		sessions = flag.String("sessions", "", "E13: comma-separated concurrent session counts (e.g. 1,4,16)")
-		servers  = flag.Int("servers", 0, "E13: number of file servers")
-		ops      = flag.Int("ops", 0, "E13: operations per session")
-		upcallMs = flag.Duration("upcall-latency", -1, "E13: simulated DLFS→DLFM IPC latency (e.g. 200us)")
-		netMode  = flag.Bool("net", false, "E13: route upcalls over real TCP sockets and report per-op latency percentiles")
-		filesize = flag.Int("filesize", 0, "E14: linked file size in MiB")
-		edits    = flag.Int("edits", 0, "E14: edits committed per session")
-		editsize = flag.Int("editsize", 0, "E14: edit size in KiB")
-		e14sess  = flag.Int("e14-sessions", 0, "E14: concurrent sessions")
-		e15files = flag.Int("e15-files", 0, "E15: linked files")
-		e15size  = flag.Int("e15-filesize", 0, "E15: linked file size in MiB")
-		e15vers  = flag.Int("e15-versions", 0, "E15: versions committed per file")
-		e15edit  = flag.Int("e15-editsize", 0, "E15: edit size in KiB")
-		e15budg  = flag.Int("e15-budget", 0, "E15: archive LRU memory budget in MiB")
-		e15dir   = flag.String("e15-dir", "", "E15: on-disk chunk store directory (default: private temp dir)")
-		e15comp  = flag.Bool("e15-compress", false, "E15: flate-compress spilled archive chunks")
-		e16files = flag.Int("e16-files", 0, "E16: linked files")
-		e16size  = flag.Int("e16-filesize", 0, "E16: linked file size in MiB")
-		e16vers  = flag.Int("e16-versions", 0, "E16: versions committed per file")
-		e16edit  = flag.Int("e16-editsize", 0, "E16: edit size in KiB")
-		e16budg  = flag.Int("e16-budget", 0, "E16: archive LRU memory budget in MiB")
-		e16dir   = flag.String("e16-dir", "", "E16: archive directory; if it already holds an E16 history, the run only cold-serves and verifies it (default: private temp dir)")
-		e16comp  = flag.Bool("e16-compress", false, "E16: flate-compress spilled archive chunks")
-		e16fsync = flag.String("e16-fsync", "", "E16: archive fsync policy (none|group|always)")
-		e17sess  = flag.Int("e17-sessions", 0, "E17: concurrent committing sessions")
-		e17comm  = flag.Int("e17-commits", 0, "E17: commits per session")
-		e17file  = flag.Int("e17-filesize", 0, "E17: linked file size in KiB")
-		e17edit  = flag.Int("e17-editsize", 0, "E17: edit size in bytes")
-		e17dir   = flag.String("e17-dir", "", "E17: archive directory root (default: private temp dirs)")
-		e18files = flag.Int("e18-files", 0, "E18: linked files")
-		e18size  = flag.Int("e18-filesize", 0, "E18: linked file size in KiB")
-		e18vers  = flag.Int("e18-versions", 0, "E18: versions committed per file")
-		e18edit  = flag.Int("e18-editsize", 0, "E18: edit size in KiB")
-		e18ckpt  = flag.Int("e18-ckpt", 0, "E18: repository checkpoint interval in KiB")
-		e18dir   = flag.String("e18-dir", "", "E18: durable root holding repo/ and archive/; if it already holds E18 state, the run only cold-serves and verifies it (default: private temp dir)")
-		e18fsync = flag.String("e18-fsync", "", "E18: repo + archive fsync policy (none|group|always)")
-		e20sess  = flag.Int("e20-sessions", 0, "E20: concurrent client sessions")
-		e20ops   = flag.Int("e20-ops", 0, "E20: update attempts per session")
-		e20drop  = flag.Float64("e20-drop", -1, "E20: per-message drop probability (0..1)")
-		e20reset = flag.Float64("e20-reset", -1, "E20: per-message connection-reset probability (0..1)")
-		e20delay = flag.Float64("e20-delay", -1, "E20: per-message delay probability (0..1)")
-		e20seed  = flag.Int64("e20-seed", 0, "E20: chaos PRNG seed (nonzero)")
-		e21srv   = flag.String("e21-servers", "", "E21: comma-separated cluster sizes for the scale rounds (e.g. 1,4,16)")
-		e21sess  = flag.Int("e21-sessions", 0, "E21: concurrent sessions per round (half readers, half writers)")
-		e21round = flag.Duration("e21-round", 0, "E21: duration of each time-bounded round (e.g. 2s)")
-		e21files = flag.Int("e21-files", 0, "E21: linked files per round")
-		e21lat   = flag.Duration("e21-upcall-latency", -1, "E21: simulated DLFS→DLFM IPC latency per member (e.g. 1ms)")
-		e21width = flag.Int("e21-width", 0, "E21: concurrent upcall width per member")
-		e22round = flag.Int("e22-rounds", 0, "E22: interleaved overhead rounds per mode (best-of comparison)")
-		e22budg  = flag.Float64("e22-budget", 0, "E22: max tracing overhead as a fraction of untraced ops/s (e.g. 0.05)")
-		e22sess  = flag.Int("e22-sessions", 0, "E22: sessions in the commit-trace completeness phase")
-		e22comm  = flag.Int("e22-commits", 0, "E22: commits per session in the completeness phase")
-		e23srv   = flag.Int("e23-servers", 0, "E23: cluster members")
-		e23files = flag.Int("e23-files", 0, "E23: linked files")
-		e23write = flag.Int("e23-writers", 0, "E23: concurrent writer sessions")
-		e23round = flag.Duration("e23-round", 0, "E23: soak duration (e.g. 2s)")
-		e23budg  = flag.Duration("e23-budget", 0, "E23: declared failover budget — max per-path unavailability after the kill")
-		e23probe = flag.Duration("e23-probe", 0, "E23: health-probe interval (e.g. 25ms)")
+		jsonOut  = flag.Bool("json", false, "render tables as JSON")
 	)
+	for _, e := range harness.All() {
+		if e.Flags != nil {
+			e.Flags(flag.CommandLine)
+		}
+	}
 	flag.Parse()
-
-	if *sessions != "" {
-		var counts []int
-		for _, part := range strings.Split(*sessions, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "dlbench: bad -sessions value %q\n", part)
-				os.Exit(1)
-			}
-			counts = append(counts, n)
-		}
-		harness.ConcurrencySessions = counts
-	}
-	if *servers > 0 {
-		harness.ConcurrencyServers = *servers
-	}
-	if *ops > 0 {
-		harness.ConcurrencyOps = *ops
-	}
-	if *upcallMs >= 0 {
-		harness.ConcurrencyUpcallLatency = *upcallMs
-	}
-	if *netMode {
-		harness.ConcurrencyNet = true
-	}
-	if *filesize > 0 {
-		harness.LargeFileSizeMB = *filesize
-	}
-	if *edits > 0 {
-		harness.LargeFileEdits = *edits
-	}
-	if *editsize > 0 {
-		harness.LargeFileEditKB = *editsize
-	}
-	if *e14sess > 0 {
-		harness.LargeFileSessions = *e14sess
-	}
-	if *e15files > 0 {
-		harness.TieredFiles = *e15files
-	}
-	if *e15size > 0 {
-		harness.TieredFileMB = *e15size
-	}
-	if *e15vers > 0 {
-		harness.TieredVersions = *e15vers
-	}
-	if *e15edit > 0 {
-		harness.TieredEditKB = *e15edit
-	}
-	if *e15budg > 0 {
-		harness.TieredBudgetMB = *e15budg
-	}
-	if *e15dir != "" {
-		harness.TieredDir = *e15dir
-	}
-	if *e15comp {
-		harness.TieredCompress = true
-	}
-	if *e16files > 0 {
-		harness.RestartFiles = *e16files
-	}
-	if *e16size > 0 {
-		harness.RestartFileMB = *e16size
-	}
-	if *e16vers > 0 {
-		harness.RestartVersions = *e16vers
-	}
-	if *e16edit > 0 {
-		harness.RestartEditKB = *e16edit
-	}
-	if *e16budg > 0 {
-		harness.RestartBudgetMB = *e16budg
-	}
-	if *e16dir != "" {
-		harness.RestartDir = *e16dir
-	}
-	if *e16comp {
-		harness.RestartCompress = true
-	}
-	if *e16fsync != "" {
-		harness.RestartFsync = *e16fsync
-	}
-	if *e17sess > 0 {
-		harness.BatchSessions = *e17sess
-	}
-	if *e17comm > 0 {
-		harness.BatchCommits = *e17comm
-	}
-	if *e17file > 0 {
-		harness.BatchFileKB = *e17file
-	}
-	if *e17edit > 0 {
-		harness.BatchEditBytes = *e17edit
-	}
-	if *e17dir != "" {
-		harness.BatchDir = *e17dir
-	}
-	if *e18files > 0 {
-		harness.ColdFiles = *e18files
-	}
-	if *e18size > 0 {
-		harness.ColdFileKB = *e18size
-	}
-	if *e18vers > 0 {
-		harness.ColdVersions = *e18vers
-	}
-	if *e18edit > 0 {
-		harness.ColdEditKB = *e18edit
-	}
-	if *e18ckpt > 0 {
-		harness.ColdCheckpointKB = *e18ckpt
-	}
-	if *e18dir != "" {
-		harness.ColdDir = *e18dir
-	}
-	if *e18fsync != "" {
-		harness.ColdFsync = *e18fsync
-	}
-	if *e20sess > 0 {
-		harness.ChaosSessions = *e20sess
-	}
-	if *e20ops > 0 {
-		harness.ChaosOps = *e20ops
-	}
-	if *e20drop >= 0 {
-		harness.ChaosDropProb = *e20drop
-	}
-	if *e20reset >= 0 {
-		harness.ChaosResetProb = *e20reset
-	}
-	if *e20delay >= 0 {
-		harness.ChaosDelayProb = *e20delay
-	}
-	if *e20seed != 0 {
-		harness.ChaosSeed = *e20seed
-	}
-	if *e21srv != "" {
-		var counts []int
-		for _, part := range strings.Split(*e21srv, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "dlbench: bad -e21-servers value %q\n", part)
-				os.Exit(1)
-			}
-			counts = append(counts, n)
-		}
-		harness.ScaleoutServers = counts
-	}
-	if *e21sess > 0 {
-		harness.ScaleoutSessions = *e21sess
-	}
-	if *e21round > 0 {
-		harness.ScaleoutRound = *e21round
-	}
-	if *e21files > 0 {
-		harness.ScaleoutFiles = *e21files
-	}
-	if *e21lat >= 0 {
-		harness.ScaleoutUpcallLatency = *e21lat
-	}
-	if *e21width > 0 {
-		harness.ScaleoutUpcallWidth = *e21width
-	}
-	if *e22round > 0 {
-		harness.TraceOverheadRounds = *e22round
-	}
-	if *e22budg > 0 {
-		harness.TraceOverheadBudget = *e22budg
-	}
-	if *e22sess > 0 {
-		harness.TraceSessions = *e22sess
-	}
-	if *e22comm > 0 {
-		harness.TraceCommits = *e22comm
-	}
-	if *e23srv > 0 {
-		harness.FailoverServers = *e23srv
-	}
-	if *e23files > 0 {
-		harness.FailoverFiles = *e23files
-	}
-	if *e23write > 0 {
-		harness.FailoverWriters = *e23write
-	}
-	if *e23round > 0 {
-		harness.FailoverRound = *e23round
-	}
-	if *e23budg > 0 {
-		harness.FailoverBudget = *e23budg
-	}
-	if *e23probe > 0 {
-		harness.FailoverProbe = *e23probe
-	}
 
 	if *list {
 		for _, e := range harness.All() {

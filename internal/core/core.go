@@ -53,8 +53,9 @@ type ServerConfig struct {
 	// (the DLFM open-approval wait).
 	OpenWait time.Duration
 	// TCPUpcalls routes DLFS→DLFM upcalls over a real TCP loopback
-	// connection (gob-encoded), matching the kernel/daemon process split of
-	// Figure 1, instead of direct in-process calls.
+	// connection (internal/upcall's fixed binary envelope), matching the
+	// kernel/daemon process split of Figure 1, instead of direct in-process
+	// calls.
 	TCPUpcalls bool
 	// UpcallNet tunes the TCP upcall plane: client retry/backoff/deadlines/
 	// breaker and server backpressure limits and drain, plus an optional

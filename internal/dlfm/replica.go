@@ -328,7 +328,14 @@ func (s *Server) ReadReplica(path string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dlfm: replica read %s: %w", path, err)
 	}
-	return entry.Content(), nil
+	// Snapshot, not Content: a manifest whose blob is missing must fail the
+	// read, not serve an empty file.
+	snap, err := entry.Snapshot()
+	if err != nil {
+		return nil, fmt.Errorf("dlfm: replica read %s v%d: %w", path, entry.Version, err)
+	}
+	defer snap.Release()
+	return snap.Bytes(), nil
 }
 
 // shipCurrent ships the path's current on-disk state at version ver to the

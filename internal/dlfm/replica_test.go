@@ -1,15 +1,19 @@
 package dlfm
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"datalinks/internal/archive"
 	"datalinks/internal/datalink"
 	"datalinks/internal/extent"
 	"datalinks/internal/fs"
@@ -184,6 +188,49 @@ func TestReplicaUnlinkDropsEverything(t *testing.T) {
 	// Idempotent — the unlink retry delivers twice.
 	if err := dst.ApplyReplicaUnlink("/d/f.bin"); err != nil {
 		t.Fatalf("duplicate replica unlink: %v", err)
+	}
+}
+
+// TestReplicaReadFailsOnAMissingBlob: a replica whose catalog lists a version
+// it cannot materialize — the manifest-without-its-blob state E23 finds —
+// must fail the read. It used to serve an empty file with a nil error.
+func TestReplicaReadFailsOnAMissingBlob(t *testing.T) {
+	src, srcPhys, _ := newServer(t)
+	body := bytes.Repeat([]byte("replicated "), 2*extent.ChunkSize/11)
+	seedFile(t, srcPhys, "/d/f.bin", string(body))
+	linkCommitted(t, src, "/d/f.bin", "rfd")
+
+	// A disk-tier replica that keeps nothing resident, one file per blob.
+	tier := archive.TierConfig{Dir: t.TempDir(), MemoryBudget: 1, PackThreshold: -1}
+	arch, err := archive.NewTiered(0, nil, tier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer arch.Close()
+	dst, err := New(Config{Name: "fs1", Phys: fs.New(), Archive: arch, Host: newFakeHost(), TokenKey: []byte("k"), OpenWait: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipTo(t, src, srcPhys, dst, "/d/f.bin")
+	if data, err := dst.ReadReplica("/d/f.bin"); err != nil || !bytes.Equal(data, body) {
+		t.Fatalf("replica read before the loss: %d bytes, %v", len(data), err)
+	}
+
+	blobDirs, err := filepath.Glob(filepath.Join(tier.Dir, "[0-9a-f][0-9a-f]"))
+	if err != nil || len(blobDirs) == 0 {
+		t.Fatalf("no loose blobs under %s (%v)", tier.Dir, err)
+	}
+	for _, d := range blobDirs {
+		if err := os.RemoveAll(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := dst.ReadReplica("/d/f.bin")
+	if err == nil {
+		t.Fatalf("replica read with every blob gone returned %d bytes and no error", len(data))
+	}
+	if !strings.Contains(err.Error(), "/d/f.bin") {
+		t.Errorf("error does not name the path: %v", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -10,26 +9,32 @@ import (
 	"datalinks/internal/workload"
 )
 
+// batchedConfig is E17's shape: Sessions concurrent sessions each commit
+// Commits tiny in-place edits (EditBytes at rotating offsets) to their own
+// FileKB linked file. Nothing sweeps it from the command line, so it has no
+// flags; the sweep E17 exists for (packs on/off x fsync policy) is in run.
+type batchedConfig struct {
+	Sessions  int
+	Commits   int
+	FileKB    int
+	EditBytes int
+}
+
+var e17 = batchedConfig{
+	Sessions:  8,
+	Commits:   25,
+	FileKB:    96, // one 64 KiB chunk + a 32 KiB tail
+	EditBytes: 512,
+}
+
 func init() {
 	Register(Experiment{
 		ID:    "E17",
 		Title: "Batched archive writes: packfiles + group-commit fsync under a small-edit commit storm",
 		Paper: "§4.4's archive device must keep up with the update stream. After the O(delta) commit path, every small blob still cost its own create+write+rename file cycle and the catalog append had no durability policy. Packfiles turn N small blobs into one sequential append stream, and the group-commit fsync pipeline buys power-loss durability at a fraction of fsync-per-append's cost: concurrent committers coalesce behind shared fdatasyncs.",
-		Run:   runE17,
+		Run:   e17.run,
 	})
 }
-
-// The E17 knobs, exported so cmd/dlbench can sweep them from the command
-// line: BatchSessions concurrent sessions each commit BatchCommits tiny
-// in-place edits (BatchEditBytes at rotating offsets) to their own
-// BatchFileKB linked file.
-var (
-	BatchSessions  = 8
-	BatchCommits   = 25
-	BatchFileKB    = 96 // one 64 KiB chunk + a 32 KiB tail
-	BatchEditBytes = 512
-	BatchDir       = "" // "" = private temp dirs, removed afterwards
-)
 
 // batchedResult is what one commit-storm round measured.
 type batchedResult struct {
@@ -43,9 +48,9 @@ type batchedResult struct {
 	archiveBytes int64
 }
 
-// runE17 sweeps the write-path configurations over the same commit storm and
+// run sweeps the write-path configurations over the same commit storm and
 // tabulates throughput against file-creation and fsync cost.
-func runE17() ([]*Table, error) {
+func (c *batchedConfig) run() ([]*Table, error) {
 	configs := []struct {
 		label string
 		packs bool
@@ -61,17 +66,17 @@ func runE17() ([]*Table, error) {
 		Headers: []string{"config", "wall", "commits/s", "files/commit", "fsyncs/commit", "pack appends", "pack dead space", "archive KB"},
 	}
 	var baseline float64
-	for _, c := range configs {
-		r, err := batchedRound(c.packs, c.fsync)
+	for _, wp := range configs {
+		r, err := c.round(wp.packs, wp.fsync)
 		if err != nil {
-			return nil, fmt.Errorf("E17 %s: %w", c.label, err)
+			return nil, fmt.Errorf("E17 %s: %w", wp.label, err)
 		}
 		commitsPerSec := float64(r.commits) / r.wall.Seconds()
 		if baseline == 0 {
 			baseline = commitsPerSec
 		}
 		t.AddRow(
-			c.label,
+			wp.label,
 			Dur(r.wall),
 			fmt.Sprintf("%.0f (%.2fx)", commitsPerSec, commitsPerSec/baseline),
 			fmt.Sprintf("%.3f", float64(r.files)/float64(r.commits)),
@@ -81,70 +86,44 @@ func runE17() ([]*Table, error) {
 			fmt.Sprintf("%.0f", float64(r.archiveBytes)/1024),
 		)
 	}
-	t.Note("%d sessions x %d commits of %dB edits to private %dKB rfd files; every commit archives ~1 small blob + 1 catalog record", BatchSessions, BatchCommits, BatchEditBytes, BatchFileKB)
+	t.Note("%d sessions x %d commits of %dB edits to private %dKB rfd files; every commit archives ~1 small blob + 1 catalog record", c.Sessions, c.Commits, c.EditBytes, c.FileKB)
 	t.Note("packs=off costs ~1 created file per commit; packs=on appends to shared packfiles — files/commit collapses to pack creation only")
 	t.Note("fsync=always flushes per append; fsync=group coalesces concurrent committers behind shared fdatasyncs (fewer fsyncs/commit, higher commits/s at the same power-loss guarantee per commit barrier)")
 	return []*Table{t}, nil
 }
 
-// batchedRound drives one commit storm through the full stack and collects
-// the write-path counters.
-func batchedRound(packs bool, fsync string) (batchedResult, error) {
+// round drives one commit storm through the full stack and collects the
+// write-path counters.
+func (c *batchedConfig) round(packs bool, fsync string) (batchedResult, error) {
 	var r batchedResult
-	fileSize := int64(BatchFileKB) << 10
-	editSize := int64(BatchEditBytes)
-	if editSize > fileSize {
-		editSize = fileSize
-	}
+	fileSize := int64(c.FileKB) << 10
+	editSize := min(int64(c.EditBytes), fileSize)
 
-	dir := BatchDir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "dlarchive-e17-*")
-		if err != nil {
-			return r, err
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	} else {
-		sub, err := os.MkdirTemp(dir, "round-*")
-		if err != nil {
-			return r, err
-		}
-		dir = sub
+	dir, cleanup, err := workDir("", "dlarchive-e17-*")
+	if err != nil {
+		return r, err
 	}
+	defer cleanup()
 
 	packThreshold := int64(0) // chunkdisk default: packs on
 	if !packs {
 		packThreshold = -1
 	}
-	sys, err := core.NewSystem(core.Config{
-		Servers: []core.ServerConfig{{
-			Name:                 "fs1",
-			OpenWait:             30 * time.Second,
-			ArchiveDir:           dir,
-			ArchiveFsync:         fsync,
-			ArchivePackThreshold: packThreshold,
-		}},
-		LockTimeout: 30 * time.Second,
-	})
+	sys, srv, err := newSystem(core.ServerConfig{
+		Name:                 "fs1",
+		OpenWait:             30 * time.Second,
+		ArchiveDir:           dir,
+		ArchiveFsync:         fsync,
+		ArchivePackThreshold: packThreshold,
+	}, 30*time.Second)
 	if err != nil {
 		return r, err
 	}
 	defer sys.Close()
-	srv, err := sys.Server("fs1")
-	if err != nil {
-		return r, err
-	}
 	sys.DB.MustExec(`CREATE TABLE storm (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
-	paths := make([]string, BatchSessions)
-	for i := range paths {
-		paths[i] = fmt.Sprintf("/storm/f%d.bin", i)
+	for i := 0; i < c.Sessions; i++ {
 		content := workload.Content(workload.RNG(int64(7000+i)), int(fileSize))
-		if err := seedOwned(srv, paths[i], content, expUID); err != nil {
-			return r, err
-		}
-		if _, err := sys.DB.Exec(
-			fmt.Sprintf(`INSERT INTO storm VALUES (%d, DLVALUE('dlfs://fs1%s'))`, i, paths[i])); err != nil {
+		if err := seedAndLink(sys, srv, "storm", i, fmt.Sprintf("/storm/f%d.bin", i), content); err != nil {
 			return r, err
 		}
 	}
@@ -157,33 +136,19 @@ func batchedRound(packs bool, fsync string) (batchedResult, error) {
 	new0 := srv.Archive.Dedup().NewBytes
 
 	var wg sync.WaitGroup
-	errCh := make(chan error, BatchSessions)
+	var failed firstError
 	start := time.Now()
-	for w := 0; w < BatchSessions; w++ {
+	for w := 0; w < c.Sessions; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			sess := sys.NewSession(expUID)
 			rng := workload.RNG(int64(7900 + w))
-			for i := 0; i < BatchCommits; i++ {
-				row, err := sys.DB.QueryRow(fmt.Sprintf(`SELECT DLURLCOMPLETEWRITE(doc) FROM storm WHERE id = %d`, w))
-				if err != nil {
-					errCh <- err
-					return
-				}
-				f, err := sess.OpenWrite(row[0].S)
-				if err != nil {
-					errCh <- err
-					return
-				}
+			for i := 0; i < c.Commits; i++ {
 				edit := workload.Content(rng, int(editSize))
 				off := (int64(i*13+w*7) * editSize) % (fileSize - editSize + 1)
-				if _, err := f.WriteAt(off, edit); err != nil {
-					errCh <- err
-					return
-				}
-				if err := f.Close(); err != nil {
-					errCh <- err
+				if err := commitEdit(sys.DB, sess.OpenWrite, "storm", w, off, edit); err != nil {
+					failed.set(err)
 					return
 				}
 			}
@@ -192,15 +157,13 @@ func batchedRound(packs bool, fsync string) (batchedResult, error) {
 	wg.Wait()
 	srv.DLFM.WaitArchives()
 	r.wall = time.Since(start)
-	select {
-	case err := <-errCh:
+	if err := failed.get(); err != nil {
 		return r, err
-	default:
 	}
 
 	tier := srv.Archive.Tier()
 	chunk, cat := srv.Archive.Fsyncs()
-	r.commits = BatchSessions * BatchCommits
+	r.commits = c.Sessions * c.Commits
 	r.files = tier.FilesCreated - tier0.FilesCreated
 	r.fsyncs = (chunk - chunk0) + (cat - cat0)
 	r.packAppends = tier.PackAppends - tier0.PackAppends

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"flag"
 	"fmt"
 	"strconv"
 	"strings"
@@ -8,32 +9,47 @@ import (
 	"time"
 
 	"datalinks/internal/core"
-	"datalinks/internal/fs"
+	"datalinks/internal/metrics"
 	"datalinks/internal/retry"
 	"datalinks/internal/upcall"
 )
+
+// chaosConfig is E20's knobs: Sessions sessions each drive Ops committed
+// in-place updates to their own linked file over real TCP sockets while the
+// Chaos injector drops, resets, and delays wire messages with the given
+// probabilities.
+type chaosConfig struct {
+	Sessions  int
+	Ops       int // update attempts per session
+	DropProb  float64
+	ResetProb float64
+	DelayProb float64
+	Seed      int64
+}
+
+var e20 = chaosConfig{Sessions: 8, Ops: 25, DropProb: 0.06, ResetProb: 0.03, DelayProb: 0.15, Seed: 20}
+
+func (c *chaosConfig) flags(fs *flag.FlagSet) {
+	prob := func(p *float64, name, usage string) {
+		checked(fs, p, name, usage, "a probability in [0,1]",
+			func(s string) (float64, error) { return strconv.ParseFloat(s, 64) },
+			func(v float64) bool { return v >= 0 && v <= 1 })
+	}
+	prob(&c.DropProb, "e20-drop", "E20: per-message drop probability (0..1)")
+	prob(&c.ResetProb, "e20-reset", "E20: per-message connection-reset probability (0..1)")
+	prob(&c.DelayProb, "e20-delay", "E20: per-message delay probability (0..1)")
+	fs.Int64Var(&c.Seed, "e20-seed", c.Seed, "E20: chaos PRNG seed")
+}
 
 func init() {
 	Register(Experiment{
 		ID:    "E20",
 		Title: "Chaos soak: committed updates survive an unreliable upcall network",
 		Paper: "The paper's transactional file-update guarantee (open=begin, close=commit) must hold when the DLFS↔DLFM channel is a real, faulty network: message loss, connection resets, and latency spikes may slow clients down but can never lose an acknowledged commit, hang a client, or leave the daemon unable to drain.",
-		Run:   runE20,
+		Run:   e20.run,
+		Flags: e20.flags,
 	})
 }
-
-// The E20 knobs, exported so cmd/dlbench can sweep them from the command
-// line. N sessions each drive committed in-place updates to their own linked
-// file over real TCP sockets while the Chaos injector drops, resets, and
-// delays wire messages with the given probabilities.
-var (
-	ChaosSessions  = 8
-	ChaosOps       = 25 // update attempts per session
-	ChaosDropProb  = 0.06
-	ChaosResetProb = 0.03
-	ChaosDelayProb = 0.15
-	ChaosSeed      = int64(20)
-)
 
 // chaosContent encodes a session's update so verification can recover the
 // sequence number from the file bytes alone.
@@ -56,62 +72,48 @@ func chaosSeq(content []byte) int {
 	return n
 }
 
-// runE20 soaks the TCP upcall plane under injected faults, then proves the
+// run soaks the TCP upcall plane under injected faults, then proves the
 // commit guarantee: every acknowledged commit is durable (the final content
 // is never OLDER than the last ack — newer is legal, because a commit whose
 // ack was lost on the wire still committed), the daemon drains cleanly, and
 // no client hung.
-func runE20() ([]*Table, error) {
+func (c *chaosConfig) run() ([]*Table, error) {
 	ch := &upcall.Chaos{
-		Seed:      ChaosSeed,
-		DropProb:  ChaosDropProb,
-		ResetProb: ChaosResetProb,
-		DelayDist: upcall.Delay{Prob: ChaosDelayProb, Min: 200 * time.Microsecond, Max: 2 * time.Millisecond},
+		Seed:      c.Seed,
+		DropProb:  c.DropProb,
+		ResetProb: c.ResetProb,
+		DelayDist: upcall.Delay{Prob: c.DelayProb, Min: 200 * time.Microsecond, Max: 2 * time.Millisecond},
 	}
 	const opTimeout = 15 * time.Second
-	sys, err := core.NewSystem(core.Config{
-		Servers: []core.ServerConfig{{
-			Name: "fs1",
-			// Short OpenWait: a write-open retried after a lost ack hits
-			// "busy" against its own ghost open and must fail fast so the
-			// session janitor can abort the ghost and move on.
-			OpenWait:   50 * time.Millisecond,
-			TCPUpcalls: true,
-			// Tracing on: the soak doubles as the injected-vs-real latency
-			// attribution check (chaos_delay_ms lands on wire spans).
-			Trace:         true,
-			TraceCapacity: 4096,
-			UpcallNet: &upcall.NetConfig{Client: upcall.ClientConfig{
-				PoolSize:       4,
-				AttemptTimeout: 150 * time.Millisecond,
-				OpTimeout:      opTimeout,
-				Retry:          retry.Policy{MaxAttempts: 12, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond},
-				Breaker:        &retry.BreakerConfig{Threshold: 64, Cooldown: 100 * time.Millisecond},
-				Chaos:          ch,
-			}},
+	sys, srv, err := newSystem(core.ServerConfig{
+		Name: "fs1",
+		// Short OpenWait: a write-open retried after a lost ack hits
+		// "busy" against its own ghost open and must fail fast so the
+		// session janitor can abort the ghost and move on.
+		OpenWait:   50 * time.Millisecond,
+		TCPUpcalls: true,
+		// Tracing on: the soak doubles as the injected-vs-real latency
+		// attribution check (chaos_delay_ms lands on wire spans).
+		Trace:         true,
+		TraceCapacity: 4096,
+		UpcallNet: &upcall.NetConfig{Client: upcall.ClientConfig{
+			PoolSize:       4,
+			AttemptTimeout: 150 * time.Millisecond,
+			OpTimeout:      opTimeout,
+			Retry:          retry.Policy{MaxAttempts: 12, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond},
+			Breaker:        &retry.BreakerConfig{Threshold: 64, Cooldown: 100 * time.Millisecond},
+			Chaos:          ch,
 		}},
-		LockTimeout: 10 * time.Second,
-	})
+	}, 10*time.Second)
 	if err != nil {
 		return nil, err
 	}
 	defer sys.Close()
-	srv, err := sys.Server("fs1")
-	if err != nil {
-		return nil, err
-	}
 	sys.DB.MustExec(`CREATE TABLE soak (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY NO, doc_size INT)`)
-	if err := srv.Phys.MkdirAll("/c", fs.Cred{UID: fs.Root}, 0o777); err != nil {
-		return nil, err
-	}
-	paths := make([]string, ChaosSessions)
-	for i := 0; i < ChaosSessions; i++ {
+	paths := make([]string, c.Sessions)
+	for i := range paths {
 		paths[i] = fmt.Sprintf("/c/f%d.bin", i)
-		if err := seedOwned(srv, paths[i], chaosContent(i, 0), expUID); err != nil {
-			return nil, err
-		}
-		if _, err := sys.DB.Exec(
-			fmt.Sprintf(`INSERT INTO soak VALUES (%d, DLVALUE('dlfs://fs1%s'), NULL)`, i, paths[i])); err != nil {
+		if err := seedAndLink(sys, srv, "soak", i, paths[i], chaosContent(i, 0)); err != nil {
 			return nil, err
 		}
 	}
@@ -122,37 +124,36 @@ func runE20() ([]*Table, error) {
 	// moves on. At-least-once delivery means a commit can land without its
 	// ack, so acked is a lower bound on the final content, never an upper.
 	type sessionResult struct {
-		acked   int
-		acks    int
-		failed  int
-		aborts  int
-		maxOp   time.Duration
-		samples []time.Duration
+		acked  int
+		acks   int
+		failed int
+		aborts int
 	}
-	results := make([]sessionResult, ChaosSessions)
+	results := make([]sessionResult, c.Sessions)
+	var opLatency metrics.Histogram
 	var wg sync.WaitGroup
 	start := time.Now()
-	for i := 0; i < ChaosSessions; i++ {
+	for i := 0; i < c.Sessions; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			sess := sys.NewSession(expUID)
 			r := &results[id]
-			for seq := 1; seq <= ChaosOps; seq++ {
+			for seq := 1; seq <= c.Ops; seq++ {
 				opStart := time.Now()
 				err := func() error {
-					row, err := sys.DB.QueryRow(fmt.Sprintf(`SELECT DLURLCOMPLETEWRITE(doc) FROM soak WHERE id = %d`, id))
+					url, err := writeURL(sys.DB, "soak", id)
 					if err != nil {
 						return err
 					}
-					f, err := sess.OpenWrite(row[0].S)
+					f, err := sess.OpenWrite(url)
 					if err != nil {
 						// Possibly a ghost open from a lost write-open ack:
 						// abort it and retry the open once.
 						if aerr := srv.DLFM.AbortUpdateByPath(paths[id]); aerr == nil {
 							r.aborts++
 						}
-						f, err = sess.OpenWrite(row[0].S)
+						f, err = sess.OpenWrite(url)
 						if err != nil {
 							return err
 						}
@@ -163,11 +164,7 @@ func runE20() ([]*Table, error) {
 					}
 					return f.Close()
 				}()
-				d := time.Since(opStart)
-				r.samples = append(r.samples, d)
-				if d > r.maxOp {
-					r.maxOp = d
-				}
+				opLatency.Observe(time.Since(opStart))
 				if err == nil {
 					r.acked = seq
 					r.acks++
@@ -198,17 +195,11 @@ func runE20() ([]*Table, error) {
 	srv.DLFM.WaitArchives()
 
 	var lost, totalAcks, totalFails, totalAborts int
-	var allSamples []time.Duration
-	var maxOp time.Duration
 	for i := range results {
 		r := &results[i]
 		totalAcks += r.acks
 		totalFails += r.failed
 		totalAborts += r.aborts
-		allSamples = append(allSamples, r.samples...)
-		if r.maxOp > maxOp {
-			maxOp = r.maxOp
-		}
 		content, err := srv.Phys.ReadFile(paths[i])
 		if err != nil {
 			return nil, fmt.Errorf("E20: read back %s: %w", paths[i], err)
@@ -217,24 +208,25 @@ func runE20() ([]*Table, error) {
 			lost++
 		}
 	}
-	s := Summarize(allSamples)
+	s := Summarize(&opLatency)
+	maxOp := s.Max
 
 	t := &Table{
 		Caption: "E20. Chaos soak: committed-update safety under an unreliable network",
 		Headers: []string{"sessions", "ops/sess", "acked commits", "failed ops", "lost commits", "wall", "ops/s", "p50", "p95", "p99", "max op"},
 	}
 	t.AddRow(
-		fmt.Sprintf("%d", ChaosSessions),
-		fmt.Sprintf("%d", ChaosOps),
+		fmt.Sprintf("%d", c.Sessions),
+		fmt.Sprintf("%d", c.Ops),
 		fmt.Sprintf("%d", totalAcks),
 		fmt.Sprintf("%d", totalFails),
 		fmt.Sprintf("%d", lost),
 		Dur(wall),
-		fmt.Sprintf("%.0f", float64(ChaosSessions*ChaosOps)/wall.Seconds()),
-		Dur(s.P50), Dur(s.P95), Dur(quantile(allSamples, 0.99)), Dur(maxOp),
+		fmt.Sprintf("%.0f", float64(c.Sessions*c.Ops)/wall.Seconds()),
+		Dur(s.P50), Dur(s.P95), Dur(s.P99), Dur(maxOp),
 	)
 	t.Note("fault mix: drop %.0f%%, reset %.0f%%, delay %.0f%% of 0.2–2ms (seed %d); a failed op is an update whose ack never arrived — safety demands it never rolls back an EARLIER acked commit",
-		ChaosDropProb*100, ChaosResetProb*100, ChaosDelayProb*100, ChaosSeed)
+		c.DropProb*100, c.ResetProb*100, c.DelayProb*100, c.Seed)
 	t.Note("every op is bounded by the client's %v op deadline — max observed %v means zero hung clients", opTimeout, Dur(maxOp))
 
 	st := ch.Stats()

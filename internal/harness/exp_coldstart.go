@@ -2,96 +2,78 @@ package harness
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"time"
 
-	"datalinks/internal/archive"
 	"datalinks/internal/core"
-	"datalinks/internal/workload"
 )
+
+// coldConfig is E18's knobs. With an explicit Dir, a second E18 run against
+// the same directory pair skips the churn phase and verifies the durable
+// state a previous run (a previous PROCESS) left behind — the CI cold-start
+// smoke job runs exactly that.
+type coldConfig struct {
+	Files        int
+	FileKB       int
+	Versions     int
+	EditKB       int
+	CheckpointKB int    // small: force several checkpoints during churn
+	Dir          string // "" = private temp dir, removed afterwards
+	Fsync        string // repo + archive fsync policy ("", none, group, always)
+}
+
+var e18 = coldConfig{Files: 3, FileKB: 256, Versions: 6, EditKB: 32, CheckpointKB: 8}
+
+func (c *coldConfig) flags(fs *flag.FlagSet) {
+	fs.StringVar(&c.Dir, "e18-dir", c.Dir, "E18: durable root holding repo/ and archive/; if it already holds E18 state, the run only cold-serves and verifies it (default: private temp dir)")
+	fs.StringVar(&c.Fsync, "e18-fsync", c.Fsync, "E18: repo + archive fsync policy (none|group|always)")
+}
 
 func init() {
 	Register(Experiment{
 		ID:    "E18",
 		Title: "Durable repository plane: kill -9 of the whole process loses nothing",
 		Paper: "§4.2/§4.4 promise that a DLFM machine crash never loses a committed file version: the repository (WAL + checkpoints) and the archive are the durable truth. This experiment hard-kills the ENTIRE process state — repository database, archive store, and the physical file system — and cold-starts from the two on-disk directories alone. Every link, every version, and the in-flight rollback must come back byte-identical with zero re-archiving, and recovery must replay only the log tail after the last checkpoint, not the whole history.",
-		Run:   runE18,
+		Run:   e18.run,
+		Flags: e18.flags,
 	})
 }
-
-// The E18 knobs, exported so cmd/dlbench can sweep them from the command
-// line. With an explicit ColdDir, a second E18 run against the same directory
-// pair skips the churn phase and verifies the durable state a previous run
-// (a previous PROCESS) left behind — the CI cold-start smoke job runs exactly
-// that.
-var (
-	ColdFiles        = 3
-	ColdFileKB       = 256
-	ColdVersions     = 6
-	ColdEditKB       = 32
-	ColdCheckpointKB = 8  // small: force several checkpoints during churn
-	ColdDir          = "" // "" = private temp dir, removed afterwards
-	ColdFsync        = "" // repo + archive fsync policy ("", none, group, always)
-)
 
 // coldPath returns the deterministic linked-file path for file i.
 func coldPath(i int) string { return fmt.Sprintf("/cold/f%d.bin", i) }
 
-// coldExpected recomputes the exact content of every (file, version) from
-// fixed seeds, so churn and verify phases — in different processes — derive
-// the same truth from nothing but the knobs.
-func coldExpected(files int, fileSize, editSize int64, versions int) [][][]byte {
-	expected := make([][][]byte, files)
-	for i := 0; i < files; i++ {
-		model := workload.Content(workload.RNG(int64(18000+i)), int(fileSize))
-		expected[i] = append(expected[i], append([]byte(nil), model...))
-		for v := 1; v <= versions; v++ {
-			edit := workload.Content(workload.RNG(int64(18500+100*i+v)), int(editSize))
-			off := (int64(v*37+i*13) * editSize) % (fileSize - editSize + 1)
-			copy(model[off:], edit)
-			expected[i] = append(expected[i], append([]byte(nil), model...))
-		}
-	}
-	return expected
-}
-
-// coldServerConfig is the one server config both phases share.
-func coldServerConfig(repoDir, archDir string) core.ServerConfig {
-	return core.ServerConfig{
+// system opens the one server config both phases share over the two
+// directories.
+func (c *coldConfig) system(repoDir, archDir string) (*core.System, *core.FileServer, error) {
+	return newSystem(core.ServerConfig{
 		Name:                "fs1",
 		OpenWait:            30 * time.Second,
 		ArchiveDir:          archDir,
-		ArchiveFsync:        ColdFsync,
+		ArchiveFsync:        c.Fsync,
 		RepoDir:             repoDir,
-		RepoFsync:           ColdFsync,
-		RepoCheckpointBytes: int64(ColdCheckpointKB) << 10,
-	}
+		RepoFsync:           c.Fsync,
+		RepoCheckpointBytes: int64(c.CheckpointKB) << 10,
+	}, 30*time.Second)
 }
 
-// runE18 commits a deterministic workload, hard-kills the whole process
-// state (repository, archive, physical FS), cold-starts a brand-new system
-// from the repo + archive directories, and FAILS unless every link, every
-// version, and the in-flight rollback are byte-identical with zero
-// re-archiving — and unless recovery scanned only the post-checkpoint tail.
-func runE18() ([]*Table, error) {
-	fileSize := int64(ColdFileKB) << 10
-	editSize := int64(ColdEditKB) << 10
-	if editSize > fileSize {
-		editSize = fileSize
+// run commits a deterministic workload, hard-kills the whole process state
+// (repository, archive, physical FS), cold-starts a brand-new system from the
+// repo + archive directories, and FAILS unless every link, every version, and
+// the in-flight rollback are byte-identical with zero re-archiving — and
+// unless recovery scanned only the post-checkpoint tail.
+func (c *coldConfig) run() ([]*Table, error) {
+	fileSize := int64(c.FileKB) << 10
+	editSize := min(int64(c.EditKB)<<10, fileSize)
+	dir, cleanup, err := workDir(c.Dir, "dlrepo-e18-*")
+	if err != nil {
+		return nil, err
 	}
-	dir := ColdDir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "dlrepo-e18-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	}
+	defer cleanup()
 	repoDir, archDir := dir+"/repo", dir+"/archive"
-	expected := coldExpected(ColdFiles, fileSize, editSize, ColdVersions)
+	expected := genHistory(18000, c.Files, fileSize, editSize, c.Versions)
 
 	// Probe the repository directory: WAL segments or a snapshot mean a
 	// previous run (process) left durable state — verify-only mode.
@@ -108,7 +90,7 @@ func runE18() ([]*Table, error) {
 	var churnWall time.Duration
 	if !coldServe {
 		start := time.Now()
-		if err := coldChurn(repoDir, archDir, fileSize, editSize, expected); err != nil {
+		if err := c.churn(repoDir, archDir, editSize, expected); err != nil {
 			return nil, err
 		}
 		churnWall = time.Since(start)
@@ -117,19 +99,12 @@ func runE18() ([]*Table, error) {
 	// The cold start: a brand-new system over nothing but the two
 	// directories. No object survives from the churn phase.
 	start := time.Now()
-	sys, err := core.NewSystem(core.Config{
-		Servers:     []core.ServerConfig{coldServerConfig(repoDir, archDir)},
-		LockTimeout: 30 * time.Second,
-	})
+	sys, srv, err := c.system(repoDir, archDir)
 	if err != nil {
 		return nil, fmt.Errorf("E18: cold start: %w", err)
 	}
 	coldWall := time.Since(start)
 	defer sys.Close()
-	srv, err := sys.Server("fs1")
-	if err != nil {
-		return nil, err
-	}
 	rep := srv.Recovery
 	if rep == nil || rep.Repo == nil {
 		return nil, fmt.Errorf("E18: cold open of a used repository ran as a fresh boot")
@@ -150,36 +125,28 @@ func runE18() ([]*Table, error) {
 	}
 
 	// Every link survives with its mode.
-	if linked := srv.DLFM.LinkedFiles(); len(linked) != ColdFiles {
-		return nil, fmt.Errorf("E18: %d links after cold start, want %d (%v)", len(linked), ColdFiles, linked)
+	if linked := srv.DLFM.LinkedFiles(); len(linked) != c.Files {
+		return nil, fmt.Errorf("E18: %d links after cold start, want %d (%v)", len(linked), c.Files, linked)
 	}
 	verified := 0
-	for i := 0; i < ColdFiles; i++ {
+	for i := range expected {
 		path := coldPath(i)
 		if mode, ok := srv.DLFM.FileMode(path); !ok || mode.String() != "rfd" {
 			return nil, fmt.Errorf("E18: %s lost its control mode after cold start", path)
 		}
 		// Every version byte-identical from the archive.
-		vers := srv.Archive.Versions("fs1", path)
-		if len(vers) != ColdVersions+1 {
-			return nil, fmt.Errorf("E18: %s has %d versions after cold start, want %d", path, len(vers), ColdVersions+1)
+		n, err := verifyHistory(srv.Archive, "fs1", path, expected[i])
+		if err != nil {
+			return nil, fmt.Errorf("E18: after the kill: %w", err)
 		}
-		for v, e := range vers {
-			if e.Version != archive.Version(v) {
-				return nil, fmt.Errorf("E18: %s slot %d holds version %d", path, v, e.Version)
-			}
-			if !bytes.Equal(e.Content(), expected[i][v]) {
-				return nil, fmt.Errorf("E18: %s v%d diverged across the kill", path, v)
-			}
-			verified++
-		}
+		verified += n
 		// The physical file is materialized back to the last committed
 		// content — including file 0, whose in-flight junk must be gone.
 		got, err := srv.Phys.ReadFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("E18: %s not materialized on the cold FS: %w", path, err)
 		}
-		if !bytes.Equal(got, expected[i][ColdVersions]) {
+		if !bytes.Equal(got, expected[i][c.Versions]) {
 			return nil, fmt.Errorf("E18: %s content diverged after cold start", path)
 		}
 	}
@@ -202,7 +169,6 @@ func runE18() ([]*Table, error) {
 	// (The host database died with the process, so re-link through fresh SQL.)
 	sys.DB.MustExec(`CREATE TABLE cold (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
 
-	mb := func(b int64) string { return fmt.Sprintf("%.2f MiB", float64(b)/(1<<20)) }
 	t := &Table{
 		Caption: "E18. Whole-process kill: cold start from repo + archive dirs loses nothing",
 		Headers: []string{"metric", "value"},
@@ -212,8 +178,8 @@ func runE18() ([]*Table, error) {
 		mode = "verify-only cold serve (state found in -e18-dir)"
 	}
 	t.AddRow("run mode", mode)
-	t.AddRow("files x versions", fmt.Sprintf("%d x %d (+v0 each)", ColdFiles, ColdVersions))
-	t.AddRow("linked file size / edit size", fmt.Sprintf("%s / %s", mb(fileSize), mb(editSize)))
+	t.AddRow("files x versions", fmt.Sprintf("%d x %d (+v0 each)", c.Files, c.Versions))
+	t.AddRow("linked file size / edit size", fmt.Sprintf("%s / %s", mib(fileSize), mib(editSize)))
 	if !coldServe {
 		t.AddRow("churn wall time", Dur(churnWall))
 		t.AddRow("in-flight updates rolled back", fmt.Sprintf("%d (%s)", len(rep.RestoredFiles), strings.Join(rep.RestoredFiles, ",")))
@@ -225,7 +191,7 @@ func runE18() ([]*Table, error) {
 	t.AddRow("version counters reconciled down", fmt.Sprintf("%d (%s)", len(rep.ReconciledVersions), strings.Join(rep.ReconciledVersions, ",")))
 	t.AddRow("versions verified byte-identical", fmt.Sprintf("%d", verified))
 	t.AddRow("bytes re-archived on cold start", fmt.Sprintf("%d", srv.Archive.Dedup().NewBytes))
-	t.AddRow("repo checkpoint interval / fsync policy", fmt.Sprintf("%d KiB / %s", ColdCheckpointKB, orNone(ColdFsync)))
+	t.AddRow("repo checkpoint interval / fsync policy", fmt.Sprintf("%d KiB / %s", c.CheckpointKB, orNone(c.Fsync)))
 	t.Note("the whole process dies: repository, archive store AND the physical file system — only the repo and archive directories survive")
 	t.Note("byte-identity, zero re-archiving, and anchored (scanned « total) recovery are enforced, not just reported")
 	return []*Table{t}, nil
@@ -238,58 +204,23 @@ func orNone(p string) string {
 	return p
 }
 
-// coldChurn drives the deterministic workload through a full system stack
-// over the durable directories, then kills the whole process state with an
-// update still open — no checkpoint, no archive drain, no clean close.
-func coldChurn(repoDir, archDir string, fileSize, editSize int64, expected [][][]byte) error {
-	sys, err := core.NewSystem(core.Config{
-		Servers:     []core.ServerConfig{coldServerConfig(repoDir, archDir)},
-		LockTimeout: 30 * time.Second,
-	})
-	if err != nil {
-		return err
-	}
-	srv, err := sys.Server("fs1")
+// churn drives the deterministic workload through a full system stack over
+// the durable directories, then kills the whole process state with an update
+// still open — no checkpoint, no archive drain, no clean close.
+func (c *coldConfig) churn(repoDir, archDir string, editSize int64, expected [][][]byte) error {
+	sys, srv, err := c.system(repoDir, archDir)
 	if err != nil {
 		return err
 	}
 	sys.DB.MustExec(`CREATE TABLE cold (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
-	for i := 0; i < ColdFiles; i++ {
-		if err := seedOwned(srv, coldPath(i), expected[i][0], expUID); err != nil {
-			return err
-		}
-		if _, err := sys.DB.Exec(
-			fmt.Sprintf(`INSERT INTO cold VALUES (%d, DLVALUE('dlfs://fs1%s'))`, i, coldPath(i))); err != nil {
+	for i := range expected {
+		if err := seedAndLink(sys, srv, "cold", i, coldPath(i), expected[i][0]); err != nil {
 			return err
 		}
 	}
 	sess := sys.NewSession(expUID)
-	writeURL := func(i int) (string, error) {
-		row, err := sys.DB.QueryRow(fmt.Sprintf(`SELECT DLURLCOMPLETEWRITE(doc) FROM cold WHERE id = %d`, i))
-		if err != nil {
-			return "", err
-		}
-		return row[0].S, nil
-	}
-	for v := 1; v <= ColdVersions; v++ {
-		for i := 0; i < ColdFiles; i++ {
-			url, err := writeURL(i)
-			if err != nil {
-				return err
-			}
-			f, err := sess.OpenWrite(url)
-			if err != nil {
-				return err
-			}
-			edit := workload.Content(workload.RNG(int64(18500+100*i+v)), int(editSize))
-			off := (int64(v*37+i*13) * editSize) % (fileSize - editSize + 1)
-			if _, err := f.WriteAt(off, edit); err != nil {
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
+	if err := churnHistory(sys.DB, sess.OpenWrite, "cold", editSize, expected); err != nil {
+		return err
 	}
 	// Every committed version must reach the archive before the kill — the
 	// experiment tests crash durability of COMMITTED state, not a race with
@@ -298,7 +229,7 @@ func coldChurn(repoDir, archDir string, fileSize, editSize int64, expected [][][
 
 	// Die with an update transaction open on file 0, its in-flight junk
 	// uncommitted on the (volatile) physical file system.
-	url, err := writeURL(0)
+	url, err := writeURL(sys.DB, "cold", 0)
 	if err != nil {
 		return err
 	}

@@ -1,64 +1,78 @@
 package harness
 
 import (
+	"flag"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"datalinks/internal/core"
+	"datalinks/internal/metrics"
 	"datalinks/internal/upcall"
 	"datalinks/internal/workload"
 )
+
+// concurrencyConfig is E13's knobs: each of Sessions concurrent sessions is
+// driven against Servers file servers, issuing Ops operations (reads with an
+// occasional in-place update) against its own linked file.
+type concurrencyConfig struct {
+	Sessions []int
+	Servers  int
+	Ops      int
+	// UpcallLatency simulates the DLFS→DLFM IPC hop. Concurrent sessions
+	// should overlap these waits; any layer that re-serializes them shows up
+	// immediately as flat scaling.
+	UpcallLatency time.Duration
+	// Net routes every upcall over a real TCP socket (the daemon deployment)
+	// instead of in-process calls, and reports per-op latency percentiles
+	// measured through the resilient client.
+	Net bool
+}
+
+// e13 is also the hot path E22 prices tracing on, so E22 reads it too.
+var e13 = concurrencyConfig{
+	Sessions:      []int{1, 4, 16},
+	Servers:       2,
+	Ops:           100,
+	UpcallLatency: 200 * time.Microsecond,
+}
+
+func (c *concurrencyConfig) flags(fs *flag.FlagSet) {
+	fs.Var((*intList)(&c.Sessions), "sessions", "E13: comma-separated concurrent session counts (e.g. 1,4,16)")
+	posInt(fs, &c.Servers, "servers", "E13: number of file servers")
+	posInt(fs, &c.Ops, "ops", "E13: operations per session")
+	checked(fs, &c.UpcallLatency, "upcall-latency", "E13: simulated DLFS→DLFM IPC latency (e.g. 200us)",
+		"a duration >= 0", time.ParseDuration, func(d time.Duration) bool { return d >= 0 })
+	fs.BoolVar(&c.Net, "net", c.Net, "E13: route upcalls over real TCP sockets and report per-op latency percentiles")
+}
 
 func init() {
 	Register(Experiment{
 		ID:    "E13",
 		Title: "Concurrency scaling: sessions vs aggregate throughput",
 		Paper: "DataLinks exists so many clients can read and update externally stored files concurrently while the database coordinates them; the stack must not re-serialize traffic that the design leaves independent (per-file opens, token checks, content I/O).",
-		Run:   runE13,
+		Run:   e13.run,
+		Flags: e13.flags,
 	})
 }
 
-// The E13 knobs, exported so cmd/dlbench can sweep them from the command
-// line. Session counts are driven against ConcurrencyServers file servers,
-// each session issuing ConcurrencyOps operations (reads with an occasional
-// in-place update) against its own linked file.
-var (
-	ConcurrencySessions = []int{1, 4, 16}
-	ConcurrencyServers  = 2
-	ConcurrencyOps      = 100
-	// ConcurrencyUpcallLatency simulates the DLFS→DLFM IPC hop. Concurrent
-	// sessions should overlap these waits; any layer that re-serializes them
-	// shows up immediately as flat scaling.
-	ConcurrencyUpcallLatency = 200 * time.Microsecond
-	// ConcurrencyNet routes every upcall over a real TCP socket (the daemon
-	// deployment) instead of in-process calls, and reports per-op latency
-	// percentiles measured through the resilient client.
-	ConcurrencyNet = false
-	// ConcurrencyTrace turns request-scoped tracing on for every member —
-	// E22 re-runs the E13 hot path with and without it to price the
-	// instrumentation.
-	ConcurrencyTrace = false
-)
-
-// runE13 drives N concurrent sessions against M file servers and reports
+// run drives N concurrent sessions against M file servers and reports
 // aggregate throughput plus the contention counters of the two hottest
 // locks (the sqlmini lock manager and the physical FS).
-func runE13() ([]*Table, error) {
+func (c *concurrencyConfig) run() ([]*Table, error) {
 	t := &Table{
 		Caption: "E13. Aggregate throughput vs concurrent sessions",
 		Headers: []string{"sessions", "servers", "ops", "wall", "ops/s", "lock waits", "lock wait time", "shard collisions", "fs reads"},
 	}
-	if ConcurrencyNet {
+	if c.Net {
 		t.Caption = "E13. Aggregate throughput vs concurrent sessions (upcalls over TCP)"
 	}
 	var baseline float64
 	var lastStats concurrencyStats
-	for _, n := range ConcurrencySessions {
-		wall, ops, stats, err := concurrencyRound(n)
+	for _, n := range c.Sessions {
+		wall, ops, stats, err := c.round(n, false)
 		if err != nil {
 			return nil, err
 		}
@@ -68,7 +82,7 @@ func runE13() ([]*Table, error) {
 		}
 		t.AddRow(
 			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%d", ConcurrencyServers),
+			fmt.Sprintf("%d", c.Servers),
 			fmt.Sprintf("%d", ops),
 			Dur(wall),
 			fmt.Sprintf("%.0f (%.1fx)", opsPerSec, opsPerSec/baseline),
@@ -79,13 +93,12 @@ func runE13() ([]*Table, error) {
 		)
 		lastStats = stats
 	}
-	t.Note("each session loops open-read-close on its own linked rdd file (every 10th op is an in-place update); upcall IPC latency %v", ConcurrencyUpcallLatency)
+	t.Note("each session loops open-read-close on its own linked rdd file (every 10th op is an in-place update); upcall IPC latency %v", c.UpcallLatency)
 	t.Note("scaling comes from overlapping the per-open upcalls across sessions — a global lock anywhere in fs/lockmgr/dlfm flattens this curve")
 	tables := []*Table{t}
-	if ConcurrencyNet {
+	if c.Net {
 		tables = append(tables, netLatencyTable(
-			fmt.Sprintf("E13-net. Per-upcall-op latency over real sockets (%d sessions)",
-				ConcurrencySessions[len(ConcurrencySessions)-1]),
+			fmt.Sprintf("E13-net. Per-upcall-op latency over real sockets (%d sessions)", c.Sessions[len(c.Sessions)-1]),
 			lastStats.perOp))
 		tables[1].Note("measured through the resilient client: deadlines, retries and backoff included; retries=%d giveups=%d breaker_open=%d inflight_rejected=%d",
 			lastStats.retries, lastStats.giveups, lastStats.breakerOpen, lastStats.inflightRejected)
@@ -93,39 +106,22 @@ func runE13() ([]*Table, error) {
 	return tables, nil
 }
 
-// netLatencyTable renders per-op latency percentiles from merged samples.
-func netLatencyTable(caption string, perOp map[string][]time.Duration) *Table {
+// netLatencyTable renders per-op latency percentiles from the per-server
+// upcall histograms merged across members.
+func netLatencyTable(caption string, perOp map[string]*metrics.Histogram) *Table {
 	t := &Table{
 		Caption: caption,
 		Headers: []string{"op", "calls", "p50", "p95", "p99", "max"},
 	}
 	for _, op := range upcall.Ops() {
-		samples := perOp[op.String()]
-		if len(samples) == 0 {
+		h := perOp[op.String()]
+		if h == nil {
 			continue
 		}
-		s := Summarize(samples)
-		t.AddRow(op.String(), fmt.Sprintf("%d", s.N), Dur(s.P50), Dur(s.P95), Dur(quantile(samples, 0.99)), Dur(s.Max))
+		s := Summarize(h)
+		t.AddRow(op.String(), fmt.Sprintf("%d", s.N), Dur(s.P50), Dur(s.P95), Dur(s.P99), Dur(s.Max))
 	}
 	return t
-}
-
-// quantile computes an exact order-statistic quantile of a sample set.
-func quantile(samples []time.Duration, q float64) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q*float64(len(sorted))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // concurrencyStats aggregates the contention counters of one round.
@@ -134,139 +130,98 @@ type concurrencyStats struct {
 	lockWaitTime    time.Duration
 	shardCollisions int64
 	fsReads         int64
-	// TCP-mode extras: per-op latency samples merged across servers and the
-	// resilience counters of the upcall plane.
-	perOp            map[string][]time.Duration
+	// TCP-mode extras: per-op latency histograms merged across servers and
+	// the resilience counters of the upcall plane.
+	perOp            map[string]*metrics.Histogram
 	retries          int64
 	giveups          int64
 	breakerOpen      int64
 	inflightRejected int64
 }
 
-// concurrencyRound runs one session-count configuration to completion. The
-// file servers form a cluster under one authority: each session's file is
-// placed by the consistent-hash ring rather than a static modulo assignment,
-// the same routing a scale-out deployment uses (E21).
-func concurrencyRound(sessions int) (time.Duration, int64, concurrencyStats, error) {
-	members := make([]core.ServerConfig, ConcurrencyServers)
+// round runs one session-count configuration to completion, with
+// request-scoped tracing on every member if trace is set (E22 re-runs this
+// hot path with and without it to price the instrumentation). The file
+// servers form a cluster under one authority: each session's file is placed
+// by the consistent-hash ring rather than a static modulo assignment, the
+// same routing a scale-out deployment uses (E21).
+func (c *concurrencyConfig) round(sessions int, trace bool) (time.Duration, int64, concurrencyStats, error) {
+	members := make([]core.ServerConfig, c.Servers)
 	for i := range members {
 		members[i] = core.ServerConfig{
 			Name:          fmt.Sprintf("fs%d", i+1),
-			UpcallLatency: ConcurrencyUpcallLatency,
+			UpcallLatency: c.UpcallLatency,
 			OpenWait:      10 * time.Second,
-			TCPUpcalls:    ConcurrencyNet,
-			Trace:         ConcurrencyTrace,
+			TCPUpcalls:    c.Net,
+			Trace:         trace,
 		}
 	}
-	c, err := core.NewCluster(core.ClusterConfig{Members: members, LockTimeout: 10 * time.Second})
+	cl, err := core.NewCluster(core.ClusterConfig{Members: members, LockTimeout: 10 * time.Second})
 	if err != nil {
 		return 0, 0, concurrencyStats{}, err
 	}
-	defer c.Close()
-	c.DB.MustExec(`CREATE TABLE conc (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY NO, doc_size INT)`)
+	defer cl.Close()
+	cl.DB.MustExec(`CREATE TABLE conc (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY NO, doc_size INT)`)
 
-	type sessionWork struct {
-		readURL string
-		id      int
-	}
-	work := make([]sessionWork, sessions)
-	for i := 0; i < sessions; i++ {
-		path := fmt.Sprintf("/c/f%d.bin", i)
-		if err := c.SeedFile(path, workload.UniformContent(4096, i), expUID); err != nil {
+	readURLs := make([]string, sessions)
+	for i := range readURLs {
+		if err := seedAndLinkCluster(cl, "conc", i, fmt.Sprintf("/c/f%d.bin", i), workload.UniformContent(4096, i)); err != nil {
 			return 0, 0, concurrencyStats{}, err
 		}
-		if _, err := c.DB.Exec(
-			fmt.Sprintf(`INSERT INTO conc VALUES (%d, DLVALUE('%s'), NULL)`, i, c.URL(path))); err != nil {
+		if readURLs[i], err = readURL(cl.DB, "conc", i); err != nil {
 			return 0, 0, concurrencyStats{}, err
 		}
-		row, err := c.DB.QueryRow(fmt.Sprintf(`SELECT DLURLCOMPLETE(doc) FROM conc WHERE id = %d`, i))
-		if err != nil {
-			return 0, 0, concurrencyStats{}, err
-		}
-		work[i] = sessionWork{readURL: row[0].S, id: i}
 	}
 
 	var wg sync.WaitGroup
 	var ops atomic.Int64
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
+	var failed firstError
 	start := time.Now()
 	for i := 0; i < sessions; i++ {
 		wg.Add(1)
-		go func(w sessionWork) {
+		go func(id int) {
 			defer wg.Done()
-			sess := c.NewSession(expUID)
-			for k := 0; k < ConcurrencyOps; k++ {
+			sess := cl.NewSession(expUID)
+			for k := 0; k < c.Ops; k++ {
+				var err error
 				if k%10 == 9 {
-					row, err := c.DB.QueryRow(fmt.Sprintf(`SELECT DLURLCOMPLETEWRITE(doc) FROM conc WHERE id = %d`, w.id))
-					if err != nil {
-						fail(err)
-						return
-					}
-					f, err := sess.OpenWrite(row[0].S)
-					if err != nil {
-						fail(err)
-						return
-					}
-					if _, err := f.WriteAt(0, []byte{byte(k)}); err != nil {
-						fail(err)
-						return
-					}
-					if err := f.Close(); err != nil {
-						fail(err)
-						return
-					}
+					err = commitEdit(cl.DB, sess.OpenWrite, "conc", id, 0, []byte{byte(k)})
 				} else {
-					f, err := sess.OpenRead(w.readURL)
-					if err != nil {
-						fail(err)
-						return
-					}
-					if _, err := f.ReadAll(); err != nil {
-						fail(err)
-						return
-					}
-					if err := f.Close(); err != nil {
-						fail(err)
-						return
-					}
+					err = readWhole(sess.OpenRead, readURLs[id])
+				}
+				if err != nil {
+					failed.set(err)
+					return
 				}
 				ops.Add(1)
 			}
-		}(work[i])
+		}(i)
 	}
 	wg.Wait()
 	wall := time.Since(start)
-	errMu.Lock()
-	err = firstErr
-	errMu.Unlock()
-	if err != nil {
+	if err := failed.get(); err != nil {
 		return 0, 0, concurrencyStats{}, err
 	}
 
 	var stats concurrencyStats
-	stats.lockWaits, stats.lockWaitTime, stats.shardCollisions = c.DB.LockManager().ContentionStats()
-	stats.perOp = make(map[string][]time.Duration)
-	for _, name := range c.Members() {
-		srv, err := c.Member(name)
+	stats.lockWaits, stats.lockWaitTime, stats.shardCollisions = cl.DB.LockManager().ContentionStats()
+	stats.perOp = make(map[string]*metrics.Histogram)
+	for _, name := range cl.Members() {
+		srv, err := cl.Member(name)
 		if err != nil {
 			continue
 		}
 		stats.fsReads += srv.Phys.Stats.Reads.Load()
-		if ConcurrencyNet {
+		if c.Net {
 			reg := srv.Transport.Metrics()
 			// Enumerate whatever per-op latency histograms the round produced
 			// (sorted by name) instead of hand-listing the op set.
 			for _, nh := range reg.Histograms() {
 				if key, ok := strings.CutPrefix(nh.Name, "upcall.latency."); ok {
-					stats.perOp[key] = append(stats.perOp[key], nh.Hist.Samples()...)
+					if stats.perOp[key] == nil {
+						stats.perOp[key] = &metrics.Histogram{}
+					}
+					stats.perOp[key].Merge(nh.Hist)
 				}
 			}
 			stats.retries += reg.Counter("upcall.retries").Value()

@@ -65,8 +65,7 @@ func runE6() ([]*Table, error) {
 			return nil, err
 		}
 		for i := 0; i < files; i++ {
-			if _, err := sys.DB.Exec(`INSERT INTO docs (id, doc) VALUES (?, DLVALUE(?))`,
-				sqlmini.Int(int64(i)), sqlmini.Str(pop.URL("fs1", i))); err != nil {
+			if err := link(sys.DB, "docs", i, pop.URL("fs1", i)); err != nil {
 				return nil, err
 			}
 		}
@@ -81,12 +80,12 @@ func runE6() ([]*Table, error) {
 				z := workload.NewZipf(workload.RNG(int64(100+w)), files)
 				for u := 0; u < updates; u++ {
 					i := z.Next()
-					row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM docs WHERE id = ?`, sqlmini.Int(int64(i)))
+					url, err := writeURL(sys.DB, "docs", i)
 					if err != nil {
 						atomic.AddInt64(&busy, 1)
 						continue
 					}
-					f, err := sess.OpenWrite(row[0].S)
+					f, err := sess.OpenWrite(url)
 					if err != nil {
 						atomic.AddInt64(&busy, 1)
 						continue
@@ -267,11 +266,8 @@ func runE12() ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := seedOwned(srv, "/d/f.bin", workload.Content(workload.RNG(1), chunk), expUID); err != nil {
-				return nil, err
-			}
 			sys.DB.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
-			if _, err := sys.DB.Exec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f.bin'))`); err != nil {
+			if err := seedAndLink(sys, srv, "t", 1, "/d/f.bin", workload.Content(workload.RNG(1), chunk)); err != nil {
 				return nil, err
 			}
 			sess := sys.NewSession(expUID)
@@ -282,26 +278,17 @@ func runE12() ([]*Table, error) {
 				// (modelled as open-write-close per write, which is exactly
 				// what per-fs_readwrite boundaries would produce).
 				for i := 0; i < w; i++ {
-					row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`)
-					if err != nil {
-						return nil, err
-					}
-					f, err := sess.OpenWrite(row[0].S)
-					if err != nil {
-						return nil, err
-					}
-					f.WriteAt(int64(i), workload.UniformContent(1, i))
-					if err := f.Close(); err != nil {
+					if err := commitEdit(sys.DB, sess.OpenWrite, "t", 1, int64(i), workload.UniformContent(1, i)); err != nil {
 						return nil, err
 					}
 					srv.DLFM.WaitArchives()
 				}
 			} else {
-				row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`)
+				url, err := writeURL(sys.DB, "t", 1)
 				if err != nil {
 					return nil, err
 				}
-				f, err := sess.OpenWrite(row[0].S)
+				f, err := sess.OpenWrite(url)
 				if err != nil {
 					return nil, err
 				}

@@ -1,68 +1,59 @@
 package harness
 
 import (
+	"flag"
 	"fmt"
 	"sync"
 	"time"
 
 	"datalinks/internal/core"
-	"datalinks/internal/fs"
 	"datalinks/internal/workload"
 )
+
+// largeFileConfig is E14's knobs: Sessions sessions each commit Edits small
+// edits to their own large linked file, and the experiment reports how many
+// bytes the archive device physically received per byte the applications
+// wrote.
+type largeFileConfig struct {
+	Sessions int
+	SizeMB   int
+	Edits    int
+	EditKB   int
+}
+
+var e14 = largeFileConfig{Sessions: 4, SizeMB: 16, Edits: 8, EditKB: 64}
+
+func (c *largeFileConfig) flags(fs *flag.FlagSet) {
+	posInt(fs, &c.SizeMB, "filesize", "E14: linked file size in MiB")
+	posInt(fs, &c.Edits, "edits", "E14: edits committed per session")
+	posInt(fs, &c.EditKB, "editsize", "E14: edit size in KiB")
+}
 
 func init() {
 	Register(Experiment{
 		ID:    "E14",
 		Title: "Large-file update workload: bytes archived vs bytes written",
 		Paper: "§4.4 archives the last committed version on every file-update transaction, making archive cost THE per-commit constant. With flat copies a 64 KiB edit to a 64 MiB linked file pays O(64 MiB) twice (read + archive); with extent manifests and chunk dedup it pays O(changed chunks).",
-		Run:   runE14,
+		Run:   e14.run,
+		Flags: e14.flags,
 	})
 }
 
-// The E14 knobs, exported so cmd/dlbench can sweep them from the command
-// line: N sessions each commit a series of small edits to their own large
-// linked file, and the experiment reports how many bytes the archive device
-// physically received per byte the applications wrote.
-var (
-	LargeFileSessions = 4
-	LargeFileSizeMB   = 16
-	LargeFileEdits    = 8
-	LargeFileEditKB   = 64
-)
+// run drives the large-file update workload and reports the data-plane cost
+// ratios of the extent store.
+func (c *largeFileConfig) run() ([]*Table, error) {
+	fileSize := int64(c.SizeMB) << 20
+	editSize := min(int64(c.EditKB)<<10, fileSize)
 
-// runE14 drives the large-file update workload and reports the data-plane
-// cost ratios of the extent store.
-func runE14() ([]*Table, error) {
-	fileSize := int64(LargeFileSizeMB) << 20
-	editSize := int64(LargeFileEditKB) << 10
-	if editSize > fileSize {
-		editSize = fileSize
-	}
-
-	sys, err := core.NewSystem(core.Config{
-		Servers:     []core.ServerConfig{{Name: "fs1", OpenWait: 30 * time.Second}},
-		LockTimeout: 30 * time.Second,
-	})
+	sys, srv, err := newSystem(core.ServerConfig{Name: "fs1", OpenWait: 30 * time.Second}, 30*time.Second)
 	if err != nil {
 		return nil, err
 	}
 	defer sys.Close()
-	srv, err := sys.Server("fs1")
-	if err != nil {
-		return nil, err
-	}
 	sys.DB.MustExec(`CREATE TABLE big (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
-
-	for i := 0; i < LargeFileSessions; i++ {
-		path := fmt.Sprintf("/big/f%d.bin", i)
-		if err := srv.Phys.MkdirAll("/big", fs.Cred{UID: fs.Root}, 0o777); err != nil {
-			return nil, err
-		}
-		if err := seedOwned(srv, path, workload.Content(workload.RNG(int64(i)), int(fileSize)), expUID); err != nil {
-			return nil, err
-		}
-		if _, err := sys.DB.Exec(
-			fmt.Sprintf(`INSERT INTO big VALUES (%d, DLVALUE('dlfs://fs1%s'))`, i, path)); err != nil {
+	for i := 0; i < c.Sessions; i++ {
+		content := workload.Content(workload.RNG(int64(i)), int(fileSize))
+		if err := seedAndLink(sys, srv, "big", i, fmt.Sprintf("/big/f%d.bin", i), content); err != nil {
 			return nil, err
 		}
 	}
@@ -71,50 +62,35 @@ func runE14() ([]*Table, error) {
 	base := srv.Archive.Dedup()
 
 	var wg sync.WaitGroup
-	errs := make(chan error, LargeFileSessions)
+	var failed firstError
 	start := time.Now()
-	for i := 0; i < LargeFileSessions; i++ {
+	for i := 0; i < c.Sessions; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			sess := sys.NewSession(expUID)
 			rng := workload.RNG(int64(1000 + i))
-			for k := 0; k < LargeFileEdits; k++ {
-				row, err := sys.DB.QueryRow(fmt.Sprintf(`SELECT DLURLCOMPLETEWRITE(doc) FROM big WHERE id = %d`, i))
-				if err != nil {
-					errs <- err
-					return
-				}
-				f, err := sess.OpenWrite(row[0].S)
-				if err != nil {
-					errs <- err
-					return
-				}
+			for k := 0; k < c.Edits; k++ {
 				// Fresh random content per edit: the ratio then measures the
 				// O(delta) property, not dedup luck on repeated payloads.
 				edit := workload.Content(rng, int(editSize))
-				off := (int64(i*LargeFileEdits+k) * editSize * 7) % (fileSize - editSize + 1)
-				if _, err := f.WriteAt(off, edit); err != nil {
-					errs <- err
-					return
-				}
-				if err := f.Close(); err != nil {
-					errs <- err
+				off := (int64(i*c.Edits+k) * editSize * 7) % (fileSize - editSize + 1)
+				if err := commitEdit(sys.DB, sess.OpenWrite, "big", i, off, edit); err != nil {
+					failed.set(err)
 					return
 				}
 			}
 		}(i)
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
+	if err := failed.get(); err != nil {
 		return nil, err
 	}
 	srv.DLFM.WaitArchives()
 	wall := time.Since(start)
 	d := srv.Archive.Dedup()
 
-	commits := int64(LargeFileSessions * LargeFileEdits)
+	commits := int64(c.Sessions * c.Edits)
 	bytesWritten := commits * editSize
 	newBytes := d.NewBytes - base.NewBytes
 	logical := d.LogicalBytes - base.LogicalBytes
@@ -124,19 +100,18 @@ func runE14() ([]*Table, error) {
 		Caption: "E14. Large-file update workload (per-commit archive cost)",
 		Headers: []string{"metric", "value"},
 	}
-	mb := func(b int64) string { return fmt.Sprintf("%.2f MiB", float64(b)/(1<<20)) }
-	t.AddRow("sessions x edits", fmt.Sprintf("%d x %d (%d commits)", LargeFileSessions, LargeFileEdits, commits))
-	t.AddRow("linked file size", mb(fileSize))
-	t.AddRow("edit size", mb(editSize))
+	t.AddRow("sessions x edits", fmt.Sprintf("%d x %d (%d commits)", c.Sessions, c.Edits, commits))
+	t.AddRow("linked file size", mib(fileSize))
+	t.AddRow("edit size", mib(editSize))
 	t.AddRow("wall time", Dur(wall))
-	t.AddRow("bytes written by apps", mb(bytesWritten))
-	t.AddRow("bytes archived (physical)", mb(newBytes))
-	t.AddRow("bytes archived (flat-copy equivalent)", mb(logical))
+	t.AddRow("bytes written by apps", mib(bytesWritten))
+	t.AddRow("bytes archived (physical)", mib(newBytes))
+	t.AddRow("bytes archived (flat-copy equivalent)", mib(logical))
 	t.AddRow("archived/written ratio", fmt.Sprintf("%.2f", float64(newBytes)/float64(bytesWritten)))
 	t.AddRow("flat-copy ratio (old cost)", fmt.Sprintf("%.0f", float64(logical)/float64(bytesWritten)))
-	t.AddRow("chunks deduplicated", fmt.Sprintf("%d (%s saved)", d.SharedChunks-base.SharedChunks, mb(d.DedupedBytes-base.DedupedBytes)))
+	t.AddRow("chunks deduplicated", fmt.Sprintf("%d (%s saved)", d.SharedChunks-base.SharedChunks, mib(d.DedupedBytes-base.DedupedBytes)))
 	t.AddRow("archive resident bytes", fmt.Sprintf("%s (+%s for %d versions of %s logical)",
-		mb(d.ResidentBytes), mb(residentGrowth), commits, mb(logical)))
+		mib(d.ResidentBytes), mib(residentGrowth), commits, mib(logical)))
 	t.Note("archived/written near 1 means commits cost O(changed bytes); the flat-copy ratio is what the same workload cost before extent manifests (filesize/delta)")
 	t.Note("resident growth is sub-linear in versions: unchanged chunks are shared by content hash across all versions of all files")
 	return []*Table{t}, nil

@@ -3,54 +3,10 @@ package harness
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"datalinks/internal/core"
 	"datalinks/internal/fs"
 )
-
-// expSystem builds a standard one-server system for experiments.
-func expSystem(strict bool, upcallLatency time.Duration) (*core.System, *core.FileServer, error) {
-	sys, err := core.NewSystem(core.Config{
-		Servers: []core.ServerConfig{{
-			Name:          "fs1",
-			Strict:        strict,
-			UpcallLatency: upcallLatency,
-			OpenWait:      150 * time.Millisecond,
-		}},
-		LockTimeout: 500 * time.Millisecond,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	srv, err := sys.Server("fs1")
-	if err != nil {
-		return nil, nil, err
-	}
-	return sys, srv, nil
-}
-
-// seedOwned writes a file owned by uid with mode 0644.
-func seedOwned(srv *core.FileServer, path string, content []byte, uid fs.UID) error {
-	dir := path[:strings.LastIndex(path, "/")]
-	if err := srv.Phys.MkdirAll(dir, fs.Cred{UID: fs.Root}, 0o777); err != nil {
-		return err
-	}
-	if err := srv.Phys.WriteFile(path, content); err != nil {
-		return err
-	}
-	ino, err := srv.Phys.Lookup(path)
-	if err != nil {
-		return err
-	}
-	if err := srv.Phys.Chown(ino, fs.Cred{UID: fs.Root}, uid); err != nil {
-		return err
-	}
-	return srv.Phys.Chmod(ino, fs.Cred{UID: uid}, 0o644)
-}
-
-const expUID fs.UID = 500
-const otherUID fs.UID = 501
 
 func yn(allowed bool) string {
 	if allowed {
@@ -110,12 +66,9 @@ func runT1() ([]*Table, error) {
 			return nil, err
 		}
 		path := "/data/doc.bin"
-		if err := seedOwned(srv, path, []byte("content"), expUID); err != nil {
-			return nil, err
-		}
 		sys.DB.MustExec(fmt.Sprintf(
 			`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE %s RECOVERY YES)`, strings.ToUpper(mode)))
-		if _, err := sys.DB.Exec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1` + path + `'))`); err != nil {
+		if err := seedAndLink(sys, srv, "t", 1, path, []byte("content")); err != nil {
 			return nil, fmt.Errorf("link %s: %w", mode, err)
 		}
 		sess := sys.NewSession(expUID)
@@ -138,13 +91,13 @@ func runT1() ([]*Table, error) {
 		}
 		readPlain := tryOpen(bare, false)
 		readTok := false
-		if row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETE(doc) FROM t WHERE id = 1`); err == nil {
-			readTok = tryOpen(row[0].S, false)
+		if url, err := readURL(sys.DB, "t", 1); err == nil {
+			readTok = tryOpen(url, false)
 		}
 		writePlain := tryOpen(bare, true)
 		writeTok := false
-		if row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`); err == nil {
-			writeTok = tryOpen(row[0].S, true)
+		if url, err := writeURL(sys.DB, "t", 1); err == nil {
+			writeTok = tryOpen(url, true)
 		}
 		removeOK := srv.LFS.Remove(fs.Cred{UID: expUID}, path) == nil
 		if removeOK {
@@ -169,11 +122,10 @@ func runF1() ([]*Table, error) {
 		return nil, err
 	}
 	defer sys.Close()
-	if err := seedOwned(srv, "/data/a.bin", []byte("x"), expUID); err != nil {
+	sys.DB.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
+	if err := seedAndLink(sys, srv, "t", 1, "/data/a.bin", []byte("x")); err != nil {
 		return nil, err
 	}
-	sys.DB.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
-	sys.DB.MustExec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/data/a.bin'))`)
 
 	t := &Table{
 		Caption: "F1. Live component inventory (Figure 1 wiring)",

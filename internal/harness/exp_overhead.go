@@ -117,14 +117,10 @@ func runE4() ([]*Table, error) {
 			path := fmt.Sprintf("/data/f%d.bin", idx)
 			twin := fmt.Sprintf("/data/n%d.bin", idx) // unlinked twin: native baseline
 			content := workload.Content(workload.RNG(int64(idx)), size)
-			if err := seedOwned(srv, path, content, expUID); err != nil {
+			if err := seedAndLink(sys, srv, "docs", idx, path, content); err != nil {
 				return nil, err
 			}
 			if err := seedOwned(srv, twin, content, expUID); err != nil {
-				return nil, err
-			}
-			if _, err := sys.DB.Exec(`INSERT INTO docs VALUES (?, ?)`,
-				sqlmini.Int(int64(idx)), sqlmini.Str("dlfs://fs1"+path)); err != nil {
 				return nil, err
 			}
 			probes := 60
@@ -157,11 +153,11 @@ func runE4() ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETE(doc) FROM docs WHERE id = ?`, sqlmini.Int(int64(idx)))
+			url, err := readURL(sys.DB, "docs", idx)
 			if err != nil {
 				return nil, err
 			}
-			_, name, err := core.SplitURL(row[0].S)
+			_, name, err := core.SplitURL(url)
 			if err != nil {
 				return nil, err
 			}
@@ -230,17 +226,17 @@ func runE5() ([]*Table, error) {
 		url := "dlfs://fs1" + path
 		if p.mode != "unlinked" {
 			sys.DB.MustExec(fmt.Sprintf(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE %s RECOVERY YES)`, p.mode))
-			if _, err := sys.DB.Exec(`INSERT INTO t VALUES (1, DLVALUE(?))`, sqlmini.Str(url)); err != nil {
+			if err := link(sys.DB, "t", 1, url); err != nil {
 				return nil, err
 			}
 			fn := "DLURLCOMPLETE"
 			if p.write {
 				fn = "DLURLCOMPLETEWRITE"
 			}
-			row, err := sys.DB.QueryRow(fmt.Sprintf(`SELECT %s(doc) FROM t WHERE id = 1`, fn))
+			tokenized, err := tokenURL(sys.DB, fn, "t", 1)
 			switch {
 			case err == nil:
-				url = row[0].S
+				url = tokenized
 			case p.write && p.mode == "rff":
 				// rff writes are FS-controlled: no token, bare URL works.
 			default:

@@ -46,19 +46,16 @@ func runE7() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := seedOwned(srv, "/d/f.bin", []byte("v0-content"), expUID); err != nil {
-			return nil, err
-		}
 		sys.DB.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
-		if _, err := sys.DB.Exec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f.bin'))`); err != nil {
+		if err := seedAndLink(sys, srv, "t", 1, "/d/f.bin", []byte("v0-content")); err != nil {
 			return nil, err
 		}
 		sess := sys.NewSession(expUID)
-		row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`)
+		url, err := writeURL(sys.DB, "t", 1)
 		if err != nil {
 			return nil, err
 		}
-		f, err := sess.OpenWrite(row[0].S)
+		f, err := sess.OpenWrite(url)
 		if err != nil {
 			return nil, err
 		}
@@ -110,8 +107,7 @@ func runE7() ([]*Table, error) {
 		}
 		sys.DB.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
 		for i := 0; i < n; i++ {
-			if _, err := sys.DB.Exec(`INSERT INTO t VALUES (?, DLVALUE(?))`,
-				sqlmini.Int(int64(i)), sqlmini.Str(pop.URL("fs1", i))); err != nil {
+			if err := link(sys.DB, "t", i, pop.URL("fs1", i)); err != nil {
 				return nil, err
 			}
 		}
@@ -119,11 +115,11 @@ func runE7() ([]*Table, error) {
 		sess := sys.NewSession(expUID)
 		inflight := n / 2
 		for i := 0; i < inflight; i++ {
-			row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = ?`, sqlmini.Int(int64(i)))
+			url, err := writeURL(sys.DB, "t", i)
 			if err != nil {
 				return nil, err
 			}
-			f, err := sess.OpenWrite(row[0].S)
+			f, err := sess.OpenWrite(url)
 			if err != nil {
 				return nil, err
 			}
@@ -167,19 +163,8 @@ func runE8() ([]*Table, error) {
 	var snaps []snap
 	snaps = append(snaps, snap{state: sys.Engine.StateID(), note: "v0", fill: 'A', size: 1024})
 	for v := 1; v <= versions; v++ {
-		row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`)
-		if err != nil {
-			return nil, err
-		}
-		f, err := sess.OpenWrite(row[0].S)
-		if err != nil {
-			return nil, err
-		}
-		size := 1024 + v*100
-		if err := f.WriteAll(workload.UniformContent(size, v)); err != nil {
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
+		size := 1024 + v*100 // each version longer than the last: writing at 0 replaces the whole file
+		if err := commitEdit(sys.DB, sess.OpenWrite, "t", 1, 0, workload.UniformContent(size, v)); err != nil {
 			return nil, err
 		}
 		srv.DLFM.WaitArchives()

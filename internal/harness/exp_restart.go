@@ -1,97 +1,77 @@
 package harness
 
 import (
-	"bytes"
+	"flag"
 	"fmt"
-	"os"
 	"time"
 
 	"datalinks/internal/archive"
 	"datalinks/internal/core"
 	"datalinks/internal/fsyncer"
-	"datalinks/internal/workload"
 )
+
+// restartConfig is E16's knobs. With an explicit Dir, a second E16 run
+// against the same directory skips the churn phase entirely and verifies the
+// history a previous run left behind — the CI restart-recovery smoke job runs
+// exactly that: E16 twice, same -e16-dir, second run must serve with zero
+// transfer. The workload shape is fixed: both runs must derive the same
+// expected history from it.
+type restartConfig struct {
+	Files    int
+	FileMB   int
+	Versions int
+	EditKB   int
+	BudgetMB int
+	Compress bool
+	Dir      string // "" = private temp dir, removed afterwards
+	Fsync    string // fsync policy for the churn AND the reopen ("", none, group, always)
+}
+
+var e16 = restartConfig{Files: 2, FileMB: 4, Versions: 6, EditKB: 64, BudgetMB: 4}
+
+func (c *restartConfig) flags(fs *flag.FlagSet) {
+	fs.StringVar(&c.Dir, "e16-dir", c.Dir, "E16: archive directory; if it already holds an E16 history, the run only cold-serves and verifies it (default: private temp dir)")
+	fs.StringVar(&c.Fsync, "e16-fsync", c.Fsync, "E16: archive fsync policy (none|group|always)")
+}
 
 func init() {
 	Register(Experiment{
 		ID:    "E16",
 		Title: "Crash-restartable archive: cold reopen serves full history with zero re-archiving",
 		Paper: "§4.4's archive is the database-managed store of every committed version. If the version metadata lives only in process memory, a restart faces an uninterpretable chunk directory and must re-archive everything. With the durable catalog (manifest log + snapshot checkpoints), a cold-started store replays the full index, re-pins chunk refcounts, and serves point-in-time restores byte-identically with zero device transfer.",
-		Run:   runE16,
+		Run:   e16.run,
+		Flags: e16.flags,
 	})
 }
-
-// The E16 knobs, exported so cmd/dlbench can sweep them from the command
-// line. With an explicit RestartDir, a second E16 run against the same
-// directory skips the churn phase entirely and verifies the history a
-// previous run left behind — the CI restart-recovery smoke job runs exactly
-// that: E16 twice, same -e16-dir, second run must serve with zero transfer.
-var (
-	RestartFiles    = 2
-	RestartFileMB   = 4
-	RestartVersions = 6
-	RestartEditKB   = 64
-	RestartBudgetMB = 4
-	RestartDir      = "" // "" = private temp dir, removed afterwards
-	RestartCompress = false
-	RestartFsync    = "" // fsync policy for the churn AND the reopen ("", none, group, always)
-)
 
 // restartPath returns the deterministic linked-file path for file i.
 func restartPath(i int) string { return fmt.Sprintf("/restart/f%d.bin", i) }
 
-// restartExpected recomputes the exact content of every (file, version) from
-// fixed seeds — both runs of E16 derive the same truth without any state
-// carried between processes besides the archive directory itself.
-func restartExpected(files int, fileSize, editSize int64, versions int) [][][]byte {
-	expected := make([][][]byte, files)
-	for i := 0; i < files; i++ {
-		model := workload.Content(workload.RNG(int64(9000+i)), int(fileSize))
-		expected[i] = append(expected[i], append([]byte(nil), model...))
-		for v := 1; v <= versions; v++ {
-			edit := workload.Content(workload.RNG(int64(9500+100*i+v)), int(editSize))
-			off := (int64(v*31+i*17) * editSize) % (fileSize - editSize + 1)
-			copy(model[off:], edit)
-			expected[i] = append(expected[i], append([]byte(nil), model...))
-		}
-	}
-	return expected
-}
-
-// runE16 commits a deterministic version history through the full system,
+// run commits a deterministic version history through the full system,
 // hard-restarts the process state (the system is closed and a brand-new
 // archive store opened over the directory), and proves every version —
 // including point-in-time lookups — comes back byte-identical with zero
 // bytes re-archived. Any divergence or re-archiving is an error, so the CI
-// smoke job fails loudly instead of recording a bad snapshot.
-func runE16() ([]*Table, error) {
-	fileSize := int64(RestartFileMB) << 20
-	editSize := int64(RestartEditKB) << 10
-	if editSize > fileSize {
-		editSize = fileSize
-	}
-	budget := int64(RestartBudgetMB) << 20
-	fsyncPolicy, err := fsyncer.ParsePolicy(RestartFsync)
+// smoke job fails loudly.
+func (c *restartConfig) run() ([]*Table, error) {
+	fileSize := int64(c.FileMB) << 20
+	editSize := min(int64(c.EditKB)<<10, fileSize)
+	fsyncPolicy, err := fsyncer.ParsePolicy(c.Fsync)
 	if err != nil {
 		return nil, err
 	}
+	dir, cleanup, err := workDir(c.Dir, "dlarchive-e16-*")
+	if err != nil {
+		return nil, err
+	}
+	defer cleanup()
 	tier := archive.TierConfig{
-		MemoryBudget: budget,
-		Compress:     RestartCompress,
+		Dir:          dir,
+		MemoryBudget: int64(c.BudgetMB) << 20,
+		Compress:     c.Compress,
 		Fsync:        fsyncPolicy,
 	}
-
-	dir := RestartDir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "dlarchive-e16-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	}
-	tier.Dir = dir
-	expected := restartExpected(RestartFiles, fileSize, editSize, RestartVersions)
+	expected := genHistory(9000, c.Files, fileSize, editSize, c.Versions)
 
 	// Probe the directory: an existing history (a previous E16 run) means we
 	// only verify; a fresh directory gets the churn phase first.
@@ -102,11 +82,10 @@ func runE16() ([]*Table, error) {
 	coldStart := len(probe.Files("fs1")) > 0
 	store := probe
 	var churnWall, replayWall time.Duration
-	var diskAfterChurn int64
 	if !coldStart {
 		probe.Close()
 		start := time.Now()
-		if err := restartChurn(dir, budget, fileSize, editSize, expected); err != nil {
+		if err := c.churn(tier, editSize, expected); err != nil {
 			return nil, err
 		}
 		churnWall = time.Since(start)
@@ -119,42 +98,19 @@ func runE16() ([]*Table, error) {
 		replayWall = time.Since(start)
 	}
 	defer store.Close()
-	diskAfterChurn = store.Tier().DiskBytes
+	diskAfterChurn := store.Tier().DiskBytes
 	rec := store.Recovery()
 
 	// Verification: every version of every file, byte for byte, plus
 	// latest/point-in-time lookups, against a store that did not exist when
 	// the versions were committed.
 	verified := 0
-	for i := 0; i < RestartFiles; i++ {
-		path := restartPath(i)
-		vers := store.Versions("fs1", path)
-		if len(vers) != RestartVersions+1 {
-			return nil, fmt.Errorf("E16: %s has %d versions after restart, want %d", path, len(vers), RestartVersions+1)
+	for i := range expected {
+		n, err := verifyHistory(store, "fs1", restartPath(i), expected[i])
+		if err != nil {
+			return nil, fmt.Errorf("E16: after restart: %w", err)
 		}
-		for v, e := range vers {
-			if e.Version != archive.Version(v) {
-				return nil, fmt.Errorf("E16: %s slot %d holds version %d", path, v, e.Version)
-			}
-			if !bytes.Equal(e.Content(), expected[i][v]) {
-				return nil, fmt.Errorf("E16: %s v%d diverged across the restart", path, v)
-			}
-			verified++
-		}
-		latest, err := store.Latest("fs1", path)
-		if err != nil || latest.Version != archive.Version(RestartVersions) {
-			return nil, fmt.Errorf("E16: latest of %s after restart: %v", path, err)
-		}
-		// Point-in-time: the state id archived with the middle version must
-		// resolve back to exactly that version.
-		mid := vers[RestartVersions/2]
-		pit, err := store.AsOf("fs1", path, mid.StateID)
-		if err != nil || pit.Version != mid.Version {
-			return nil, fmt.Errorf("E16: as-of restore of %s to state %d returned v%d (%v)", path, mid.StateID, pit.Version, err)
-		}
-		if !bytes.Equal(pit.Content(), expected[i][RestartVersions/2]) {
-			return nil, fmt.Errorf("E16: point-in-time content of %s diverged", path)
-		}
+		verified += n
 	}
 
 	// The acceptance bar: serving all of that re-archived NOTHING.
@@ -165,7 +121,6 @@ func runE16() ([]*Table, error) {
 	}
 	final := store.Tier()
 
-	mb := func(b int64) string { return fmt.Sprintf("%.2f MiB", float64(b)/(1<<20)) }
 	t := &Table{
 		Caption: "E16. Restart recovery: durable catalog serves history from a cold start",
 		Headers: []string{"metric", "value"},
@@ -175,8 +130,8 @@ func runE16() ([]*Table, error) {
 		mode = "verify-only (history found in -e16-dir)"
 	}
 	t.AddRow("run mode", mode)
-	t.AddRow("files x versions", fmt.Sprintf("%d x %d (+v0 each)", RestartFiles, RestartVersions))
-	t.AddRow("linked file size / edit size", fmt.Sprintf("%s / %s", mb(fileSize), mb(editSize)))
+	t.AddRow("files x versions", fmt.Sprintf("%d x %d (+v0 each)", c.Files, c.Versions))
+	t.AddRow("linked file size / edit size", fmt.Sprintf("%s / %s", mib(fileSize), mib(editSize)))
 	if !coldStart {
 		t.AddRow("churn wall time", Dur(churnWall))
 		t.AddRow("catalog replay wall time (cold open)", Dur(replayWall))
@@ -185,70 +140,40 @@ func runE16() ([]*Table, error) {
 	t.AddRow("versions dropped (missing blobs)", fmt.Sprintf("%d", rec.DroppedVersions))
 	t.AddRow("torn catalog-log bytes quarantined", fmt.Sprintf("%d", rec.TornBytes))
 	t.AddRow("catalog records (snapshot / log)", fmt.Sprintf("%d / %d", rec.SnapshotRecords, rec.LogRecords))
-	t.AddRow("versions verified byte-identical", fmt.Sprintf("%d (+%d point-in-time)", verified, RestartFiles))
+	t.AddRow("versions verified byte-identical", fmt.Sprintf("%d (+%d point-in-time)", verified, c.Files))
 	t.AddRow("bytes re-archived on reopen", fmt.Sprintf("%d (spills: %d)", reArchived, spills))
 	t.AddRow("chunks paged in by verification", fmt.Sprintf("%d", final.PageIns))
-	t.AddRow("on-disk bytes (physical / logical)", fmt.Sprintf("%s / %s", mb(diskAfterChurn), mb(final.DiskLogicalBytes)))
+	t.AddRow("on-disk bytes (physical / logical)", fmt.Sprintf("%s / %s", mib(diskAfterChurn), mib(final.DiskLogicalBytes)))
 	t.AddRow("pack files / torn pack bytes", fmt.Sprintf("%d / %d", final.PackFiles, final.PackTornBytes))
-	t.AddRow("compression / fsync policy", fmt.Sprintf("%v / %s", RestartCompress, fsyncPolicy))
+	t.AddRow("compression / fsync policy", fmt.Sprintf("%v / %s", c.Compress, fsyncPolicy))
 	t.Note("the reopened store never existed while the versions were committed: the catalog (manifest log + snapshot) is the only index")
 	t.Note("zero bytes re-archived is enforced, not just reported — a catalog regression fails the experiment (and the CI restart smoke job)")
 	return []*Table{t}, nil
 }
 
-// restartChurn drives the deterministic version history through a full
-// system stack (link + in-place update transactions), then shuts everything
-// down cleanly.
-func restartChurn(dir string, budget, fileSize, editSize int64, expected [][][]byte) error {
-	sys, err := core.NewSystem(core.Config{
-		Servers: []core.ServerConfig{{
-			Name:                "fs1",
-			OpenWait:            30 * time.Second,
-			ArchiveDir:          dir,
-			ArchiveMemoryBudget: budget,
-			ArchiveCompress:     RestartCompress,
-			ArchiveFsync:        RestartFsync,
-		}},
-		LockTimeout: 30 * time.Second,
-	})
+// churn drives the deterministic version history through a full system stack
+// (link + in-place update transactions), then shuts everything down cleanly.
+func (c *restartConfig) churn(tier archive.TierConfig, editSize int64, expected [][][]byte) error {
+	sys, srv, err := newSystem(core.ServerConfig{
+		Name:                "fs1",
+		OpenWait:            30 * time.Second,
+		ArchiveDir:          tier.Dir,
+		ArchiveMemoryBudget: tier.MemoryBudget,
+		ArchiveCompress:     tier.Compress,
+		ArchiveFsync:        c.Fsync,
+	}, 30*time.Second)
 	if err != nil {
 		return err
 	}
 	defer sys.Close()
-	srv, err := sys.Server("fs1")
-	if err != nil {
-		return err
-	}
 	sys.DB.MustExec(`CREATE TABLE restart (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
-	for i := 0; i < RestartFiles; i++ {
-		if err := seedOwned(srv, restartPath(i), expected[i][0], expUID); err != nil {
-			return err
-		}
-		if _, err := sys.DB.Exec(
-			fmt.Sprintf(`INSERT INTO restart VALUES (%d, DLVALUE('dlfs://fs1%s'))`, i, restartPath(i))); err != nil {
+	for i := range expected {
+		if err := seedAndLink(sys, srv, "restart", i, restartPath(i), expected[i][0]); err != nil {
 			return err
 		}
 	}
-	sess := sys.NewSession(expUID)
-	for v := 1; v <= RestartVersions; v++ {
-		for i := 0; i < RestartFiles; i++ {
-			row, err := sys.DB.QueryRow(fmt.Sprintf(`SELECT DLURLCOMPLETEWRITE(doc) FROM restart WHERE id = %d`, i))
-			if err != nil {
-				return err
-			}
-			f, err := sess.OpenWrite(row[0].S)
-			if err != nil {
-				return err
-			}
-			edit := workload.Content(workload.RNG(int64(9500+100*i+v)), int(editSize))
-			off := (int64(v*31+i*17) * editSize) % (fileSize - editSize + 1)
-			if _, err := f.WriteAt(off, edit); err != nil {
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
+	if err := churnHistory(sys.DB, sys.NewSession(expUID).OpenWrite, "restart", editSize, expected); err != nil {
+		return err
 	}
 	srv.DLFM.WaitArchives()
 	return nil

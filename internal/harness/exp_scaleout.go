@@ -1,7 +1,7 @@
 package harness
 
 import (
-	"crypto/sha256"
+	"flag"
 	"fmt"
 	"strconv"
 	"strings"
@@ -10,41 +10,54 @@ import (
 	"time"
 
 	"datalinks/internal/core"
+	"datalinks/internal/metrics"
 	"datalinks/internal/ring"
 	"datalinks/internal/workload"
 )
+
+// scaleoutConfig is E21's knobs. Each round links Files rdd files across a
+// cluster of N members and drives Sessions sessions for Round: half the
+// sessions read zipfian-addressed files (the skew the ring has to spread),
+// half commit in-place updates round-robin over disjoint partitions of the
+// zipf-cold half of the namespace. Rounds are time-bounded so the reported
+// commits/s is the aggregate the cluster sustains — a member slowed by the
+// zipf-hot paths it owns contributes less, it does not gate the clock.
+type scaleoutConfig struct {
+	Servers  []int
+	Sessions int
+	Round    time.Duration
+	Files    int
+	// UpcallLatency simulates the DLFS→DLFM IPC hop; UpcallWidth bounds
+	// concurrent upcalls per member, so a single member models a finite
+	// machine and scaling must come from adding them. The values keep each
+	// member's capacity dominated by simulated wire time rather than host
+	// CPU, so the curve measures the architecture even on a small runner.
+	UpcallLatency time.Duration
+	UpcallWidth   int
+}
+
+var e21 = scaleoutConfig{
+	Servers:       []int{1, 4, 16},
+	Sessions:      64,
+	Round:         2 * time.Second,
+	Files:         256,
+	UpcallLatency: 4 * time.Millisecond,
+	UpcallWidth:   2,
+}
+
+func (c *scaleoutConfig) flags(fs *flag.FlagSet) {
+	fs.Var((*intList)(&c.Servers), "e21-servers", "E21: comma-separated cluster sizes for the scale rounds (e.g. 1,4,16)")
+}
 
 func init() {
 	Register(Experiment{
 		ID:    "E21",
 		Title: "Scale-out namespace: consistent-hash routing and live rebalance",
 		Paper: "The paper scopes one DLFM per file server and leaves multi-server growth to deployment. This experiment quantifies the scale-out extension: one DATALINK authority spread over N file servers by a consistent-hash ring must scale aggregate commit throughput with N under a skewed (zipfian) read load, and adding a server mid-run must migrate the reassigned paths live — no acknowledged commit lost, every migrated version history byte-identical.",
-		Run:   runE21,
+		Run:   e21.run,
+		Flags: e21.flags,
 	})
 }
-
-// The E21 knobs, exported so cmd/dlbench can sweep them from the command
-// line. Each round links ScaleoutFiles rdd files across a cluster of N
-// members and drives ScaleoutSessions sessions for ScaleoutRound: half the
-// sessions read zipfian-addressed files (the skew the ring has to spread),
-// half commit in-place updates round-robin over disjoint partitions of the
-// zipf-cold half of the namespace. Rounds are time-bounded so the reported
-// commits/s is the aggregate the cluster sustains — a member slowed by the
-// zipf-hot paths it owns contributes less, it does not gate the clock.
-var (
-	ScaleoutServers  = []int{1, 4, 16}
-	ScaleoutSessions = 64
-	ScaleoutRound    = 2 * time.Second
-	ScaleoutFiles    = 256
-	// ScaleoutUpcallLatency simulates the DLFS→DLFM IPC hop;
-	// ScaleoutUpcallWidth bounds concurrent upcalls per member, so a single
-	// member models a finite machine and scaling must come from adding them.
-	// The defaults keep each member's capacity dominated by simulated wire
-	// time rather than host CPU, so the curve measures the architecture even
-	// on a small runner.
-	ScaleoutUpcallLatency = 4 * time.Millisecond
-	ScaleoutUpcallWidth   = 2
-)
 
 // scaleoutContent encodes a path's committed sequence number so verification
 // can recover it from the file bytes alone.
@@ -72,45 +85,45 @@ func scaleoutSeq(content []byte) int64 {
 
 func scaleoutPath(i int) string { return fmt.Sprintf("/z/f%d.bin", i) }
 
-// e21Setup builds an N-member cluster, links ScaleoutFiles rdd files under
-// the shared authority, and resolves their tokenized read URLs.
-func e21Setup(servers int) (*core.Cluster, []string, []string, error) {
+// member is the server config every E21 member runs, the ones AddServer
+// brings in mid-run included.
+func (c *scaleoutConfig) member(name string) core.ServerConfig {
+	return core.ServerConfig{
+		Name:          name,
+		UpcallLatency: c.UpcallLatency,
+		UpcallWidth:   c.UpcallWidth,
+		OpenWait:      10 * time.Second,
+	}
+}
+
+// setup builds an N-member cluster, links Files rdd files under the shared
+// authority, and resolves their tokenized read URLs.
+func (c *scaleoutConfig) setup(servers int) (*core.Cluster, []string, []string, error) {
 	members := make([]core.ServerConfig, servers)
 	for i := range members {
-		members[i] = core.ServerConfig{
-			Name:          fmt.Sprintf("fs%d", i+1),
-			UpcallLatency: ScaleoutUpcallLatency,
-			UpcallWidth:   ScaleoutUpcallWidth,
-			OpenWait:      10 * time.Second,
-		}
+		members[i] = c.member(fmt.Sprintf("fs%d", i+1))
 	}
-	c, err := core.NewCluster(core.ClusterConfig{Members: members, LockTimeout: 10 * time.Second})
+	cl, err := core.NewCluster(core.ClusterConfig{Members: members, LockTimeout: 10 * time.Second})
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	fail := func(err error) (*core.Cluster, []string, []string, error) {
-		c.Close()
+		cl.Close()
 		return nil, nil, nil, err
 	}
-	c.DB.MustExec(`CREATE TABLE sc (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES, doc_size INT)`)
-	paths := make([]string, ScaleoutFiles)
-	readURLs := make([]string, ScaleoutFiles)
+	cl.DB.MustExec(`CREATE TABLE sc (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES, doc_size INT)`)
+	paths := make([]string, c.Files)
+	readURLs := make([]string, c.Files)
 	for i := range paths {
 		paths[i] = scaleoutPath(i)
-		if err := c.SeedFile(paths[i], scaleoutContent(paths[i], 0), expUID); err != nil {
+		if err := seedAndLinkCluster(cl, "sc", i, paths[i], scaleoutContent(paths[i], 0)); err != nil {
 			return fail(err)
 		}
-		if _, err := c.DB.Exec(
-			fmt.Sprintf(`INSERT INTO sc VALUES (%d, DLVALUE('%s'), NULL)`, i, c.URL(paths[i]))); err != nil {
+		if readURLs[i], err = readURL(cl.DB, "sc", i); err != nil {
 			return fail(err)
 		}
-		row, err := c.DB.QueryRow(fmt.Sprintf(`SELECT DLURLCOMPLETE(doc) FROM sc WHERE id = %d`, i))
-		if err != nil {
-			return fail(err)
-		}
-		readURLs[i] = row[0].S
 	}
-	return c, paths, readURLs, nil
+	return cl, paths, readURLs, nil
 }
 
 // e21TrafficResult aggregates one traffic phase.
@@ -118,11 +131,11 @@ type e21TrafficResult struct {
 	wall    time.Duration
 	reads   int64
 	commits int64
-	acked   []int64 // per path, the last sequence whose Close returned cleanly
-	samples []time.Duration
+	acked   []int64           // per path, the last sequence whose Close returned cleanly
+	ops     metrics.Histogram // every read and commit, any session
 }
 
-// e21Traffic drives the reader/writer session mix for one round. Reader
+// traffic drives the reader/writer session mix for one round. Reader
 // sessions loop zipfian token-gated opens; writer sessions loop in-place
 // update commits round-robin over disjoint partitions of the zipf-cold half
 // of the namespace — an rdd write-open needs a reader-free gap (the design
@@ -131,39 +144,20 @@ type e21TrafficResult struct {
 // capacity. Writer partitions are disjoint and the per-path acked sequence
 // is written under a mutex, giving verification a total order to compare
 // file bytes against.
-func e21Traffic(c *core.Cluster, paths, readURLs []string) (e21TrafficResult, error) {
-	res := e21TrafficResult{acked: make([]int64, len(paths))}
+func (c *scaleoutConfig) traffic(cl *core.Cluster, paths, readURLs []string) (*e21TrafficResult, error) {
+	res := &e21TrafficResult{acked: make([]int64, len(paths))}
 	pathMu := make([]sync.Mutex, len(paths))
-	perSession := make([][]time.Duration, ScaleoutSessions)
 	var reads, commits atomic.Int64
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	stop := make(chan struct{})
-	timer := time.AfterFunc(ScaleoutRound, func() { close(stop) })
-	defer timer.Stop()
-	stopped := func() bool {
-		select {
-		case <-stop:
-			return true
-		default:
-			return false
-		}
-	}
-	writers := ScaleoutSessions / 2
+	var failed firstError
+	stopped := stopAfter(c.Round)
+	writers := c.Sessions / 2
 	var wg sync.WaitGroup
 	start := time.Now()
-	for s := 0; s < ScaleoutSessions; s++ {
+	for s := 0; s < c.Sessions; s++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			sess := c.NewSession(expUID)
+			sess := cl.NewSession(expUID)
 			if id >= writers {
 				// Reader: zipfian over the read half of the namespace. An rdd
 				// update excludes readers for its whole open-to-commit span by
@@ -174,19 +168,10 @@ func e21Traffic(c *core.Cluster, paths, readURLs []string) (e21TrafficResult, er
 				for !stopped() {
 					i := z.Next()
 					opStart := time.Now()
-					err := func() error {
-						f, err := sess.OpenRead(readURLs[i])
-						if err != nil {
-							return err
-						}
-						if _, err := f.ReadAll(); err != nil {
-							return err
-						}
-						return f.Close()
-					}()
-					perSession[id] = append(perSession[id], time.Since(opStart))
+					err := readWhole(sess.OpenRead, readURLs[i])
+					res.ops.Observe(time.Since(opStart))
 					if err != nil {
-						fail(fmt.Errorf("reader %d on %s: %w", id, paths[i], err))
+						failed.set(fmt.Errorf("reader %d on %s: %w", id, paths[i], err))
 						return
 					}
 					reads.Add(1)
@@ -200,34 +185,19 @@ func e21Traffic(c *core.Cluster, paths, readURLs []string) (e21TrafficResult, er
 			i := len(paths)/2 + id%(len(paths)-len(paths)/2)
 			for !stopped() {
 				opStart := time.Now()
-				err := func() error {
-					pathMu[i].Lock()
-					defer pathMu[i].Unlock()
-					row, err := c.DB.QueryRow(fmt.Sprintf(`SELECT DLURLCOMPLETEWRITE(doc) FROM sc WHERE id = %d`, i))
-					if err != nil {
-						return err
-					}
-					f, err := sess.OpenWrite(row[0].S)
-					if err != nil {
-						return err
-					}
-					seq := res.acked[i] + 1
-					if err := f.WriteAll(scaleoutContent(paths[i], seq)); err != nil {
-						_ = f.Abort()
-						return err
-					}
-					if err := f.Close(); err != nil {
-						return err
-					}
+				pathMu[i].Lock()
+				seq := res.acked[i] + 1
+				err := commitEdit(cl.DB, sess.OpenWrite, "sc", i, 0, scaleoutContent(paths[i], seq))
+				if err == nil {
 					res.acked[i] = seq
-					commits.Add(1)
-					return nil
-				}()
-				perSession[id] = append(perSession[id], time.Since(opStart))
+				}
+				pathMu[i].Unlock()
+				res.ops.Observe(time.Since(opStart))
 				if err != nil {
-					fail(fmt.Errorf("writer %d on %s: %w", id, paths[i], err))
+					failed.set(fmt.Errorf("writer %d on %s: %w", id, paths[i], err))
 					return
 				}
+				commits.Add(1)
 			}
 		}(s)
 	}
@@ -235,81 +205,74 @@ func e21Traffic(c *core.Cluster, paths, readURLs []string) (e21TrafficResult, er
 	res.wall = time.Since(start)
 	res.reads = reads.Load()
 	res.commits = commits.Load()
-	for _, s := range perSession {
-		res.samples = append(res.samples, s...)
+	return res, failed.get()
+}
+
+// committedSeqs drains archiving and reads back, from each path's current
+// owner, the sequence number its final bytes encode — what E21 and E23 hold
+// against the last acknowledged sequence (E21 wants them equal; E23, which
+// tolerates a commit whose ack was refused, wants none below).
+func committedSeqs(cl *core.Cluster, paths []string) ([]int64, error) {
+	cl.WaitArchives()
+	seqs := make([]int64, len(paths))
+	for i, p := range paths {
+		m, err := ownerOf(cl, p)
+		if err != nil {
+			return nil, fmt.Errorf("owner %s: %w", p, err)
+		}
+		content, err := m.Phys.ReadFile(p)
+		if err != nil {
+			return nil, fmt.Errorf("read back %s on %s: %w", p, m.Name, err)
+		}
+		seqs[i] = scaleoutSeq(content)
 	}
-	errMu.Lock()
-	err := firstErr
-	errMu.Unlock()
-	return res, err
+	return seqs, nil
 }
 
 // e21Lost counts paths whose final bytes do not match their last
 // acknowledged commit — with client-serialized writers and every op required
 // to succeed, the file must read back exactly the acked sequence.
-func e21Lost(c *core.Cluster, paths []string, acked []int64) (int, error) {
-	c.WaitArchives()
+func e21Lost(cl *core.Cluster, paths []string, acked []int64) (int, error) {
+	seqs, err := committedSeqs(cl, paths)
 	lost := 0
-	for i, p := range paths {
-		id, err := c.Owner(p)
-		if err != nil {
-			return 0, err
-		}
-		m, err := c.Member(id)
-		if err != nil {
-			return 0, err
-		}
-		content, err := m.Phys.ReadFile(p)
-		if err != nil {
-			return 0, fmt.Errorf("read back %s on %s: %w", p, id, err)
-		}
-		if scaleoutSeq(content) != acked[i] {
+	for i, seq := range seqs {
+		if seq != acked[i] {
 			lost++
 		}
 	}
-	return lost, nil
+	return lost, err
 }
 
-// e21Digest hashes a path's full archived version history on its current
-// owner: version numbers, lengths, and content bytes.
-func e21Digest(c *core.Cluster, path string) (string, error) {
-	id, err := c.Owner(path)
+// ownerDigest is historyDigest of path on whichever member owns it now.
+func ownerDigest(cl *core.Cluster, path string) (string, error) {
+	m, err := ownerOf(cl, path)
 	if err != nil {
 		return "", err
 	}
-	m, err := c.Member(id)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	for _, e := range m.Archive.Versions(c.Authority(), path) {
-		fmt.Fprintf(h, "%d:%d:", e.Version, len(e.Content()))
-		h.Write(e.Content())
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
+	return historyDigest(m, cl.Authority(), path)
 }
 
-// runE21 measures aggregate commit throughput vs cluster size, then
-// rebalances a loaded cluster live and proves the move lost nothing.
-func runE21() ([]*Table, error) {
+// run measures aggregate commit throughput vs cluster size, then rebalances a
+// loaded cluster live and proves the move lost nothing.
+func (c *scaleoutConfig) run() ([]*Table, error) {
 	scale := &Table{
 		Caption: "E21. Aggregate throughput vs cluster size (zipfian reads over one authority)",
 		Headers: []string{"servers", "sessions", "round", "reads/s", "commits", "commits/s", "p50", "p99", "lost acked"},
 	}
 	var baseCommitRate float64
 	commitRate := make(map[int]float64)
-	for _, n := range ScaleoutServers {
-		c, paths, readURLs, err := e21Setup(n)
+	for _, n := range c.Servers {
+		cl, paths, readURLs, err := c.setup(n)
 		if err != nil {
 			return nil, err
 		}
-		res, err := e21Traffic(c, paths, readURLs)
+		res, err := c.traffic(cl, paths, readURLs)
 		if err != nil {
-			c.Close()
+			cl.Close()
 			return nil, fmt.Errorf("E21 %d-server round: %w", n, err)
 		}
-		lost, err := e21Lost(c, paths, res.acked)
-		c.Close()
+		lost, err := e21Lost(cl, paths, res.acked)
+		cl.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -318,15 +281,15 @@ func runE21() ([]*Table, error) {
 		if baseCommitRate == 0 {
 			baseCommitRate = cps
 		}
-		s := Summarize(res.samples)
+		s := Summarize(&res.ops)
 		scale.AddRow(
 			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%dr+%dw", ScaleoutSessions-ScaleoutSessions/2, ScaleoutSessions/2),
+			fmt.Sprintf("%dr+%dw", c.Sessions-c.Sessions/2, c.Sessions/2),
 			Dur(res.wall),
 			fmt.Sprintf("%.0f", float64(res.reads)/res.wall.Seconds()),
 			fmt.Sprintf("%d", res.commits),
 			fmt.Sprintf("%.0f (%.1fx)", cps, cps/baseCommitRate),
-			Dur(s.P50), Dur(quantile(res.samples, 0.99)),
+			Dur(s.P50), Dur(s.P99),
 			fmt.Sprintf("%d", lost),
 		)
 		if lost > 0 {
@@ -334,43 +297,38 @@ func runE21() ([]*Table, error) {
 		}
 	}
 	scale.Note("%d rdd files under one dlfs://cluster authority, placement by consistent hash (%d vnodes/member); every member's upcall channel is %d wide with %v IPC latency, so one member is a bounded machine",
-		ScaleoutFiles, ring.DefaultVirtualNodes, ScaleoutUpcallWidth, ScaleoutUpcallLatency)
+		c.Files, ring.DefaultVirtualNodes, c.UpcallWidth, c.UpcallLatency)
 	scale.Note("reader sessions address one half of the namespace zipfian, writer sessions each commit continuously to a dedicated file in the other half (rdd excludes readers for an update's whole open-to-commit span, so mixing the sets measures that conflict, not capacity); the member owning the hottest read paths saturates first, which is what keeps the largest cluster below perfectly linear")
 
 	// Live rebalance: start 2 members under full traffic, add a third a third
 	// of the way into the round, and let the remaining traffic ride through
 	// the migrations.
-	c, paths, readURLs, err := e21Setup(2)
+	cl, paths, readURLs, err := c.setup(2)
 	if err != nil {
 		return nil, err
 	}
-	defer c.Close()
+	defer cl.Close()
 	rebalanceDone := make(chan error, 1)
 	var rebalanceWall time.Duration
 	go func() {
-		time.Sleep(ScaleoutRound / 3)
+		time.Sleep(c.Round / 3)
 		t0 := time.Now()
-		err := c.AddServer(core.ServerConfig{
-			Name:          "fs3",
-			UpcallLatency: ScaleoutUpcallLatency,
-			UpcallWidth:   ScaleoutUpcallWidth,
-			OpenWait:      10 * time.Second,
-		})
+		err := cl.AddServer(c.member("fs3"))
 		rebalanceWall = time.Since(t0)
 		rebalanceDone <- err
 	}()
-	trafficRes, trafficErr := e21Traffic(c, paths, readURLs)
+	trafficRes, trafficErr := c.traffic(cl, paths, readURLs)
 	if err := <-rebalanceDone; err != nil {
 		return nil, fmt.Errorf("E21 FAILED: live AddServer: %w", err)
 	}
 	if trafficErr != nil {
 		return nil, fmt.Errorf("E21 FAILED: traffic during rebalance: %w", trafficErr)
 	}
-	lost, err := e21Lost(c, paths, trafficRes.acked)
+	lost, err := e21Lost(cl, paths, trafficRes.acked)
 	if err != nil {
 		return nil, err
 	}
-	ringReg := c.Router().Metrics()
+	ringReg := cl.Router().Metrics()
 	movesLive := ringReg.Counter("ring.moves").Value()
 	forwards := ringReg.Counter("ring.forwards").Value()
 
@@ -379,40 +337,35 @@ func runE21() ([]*Table, error) {
 	// owners.
 	before := make([]string, len(paths))
 	for i, p := range paths {
-		if before[i], err = e21Digest(c, p); err != nil {
-			return nil, err
+		if before[i], err = ownerDigest(cl, p); err != nil {
+			return nil, fmt.Errorf("E21 FAILED: history before the quiesced migration: %w", err)
 		}
 	}
-	if err := c.AddServer(core.ServerConfig{
-		Name:          "fs4",
-		UpcallLatency: ScaleoutUpcallLatency,
-		UpcallWidth:   ScaleoutUpcallWidth,
-		OpenWait:      10 * time.Second,
-	}); err != nil {
+	if err := cl.AddServer(c.member("fs4")); err != nil {
 		return nil, fmt.Errorf("E21 FAILED: quiesced AddServer: %w", err)
 	}
-	mismatched := 0
+	mismatched, firstMismatch := 0, ""
 	for i, p := range paths {
-		after, err := e21Digest(c, p)
-		if err != nil {
-			return nil, err
+		after, err := ownerDigest(cl, p)
+		if err == nil && after == before[i] {
+			continue
 		}
-		if after != before[i] {
-			mismatched++
+		mismatched++
+		if firstMismatch != "" {
+			continue
+		}
+		firstMismatch = p + ": digest changed across the move"
+		if err != nil {
+			firstMismatch = err.Error()
 		}
 	}
 	movesQuiesced := ringReg.Counter("ring.moves").Value() - movesLive
 
-	s := Summarize(trafficRes.samples)
+	s := Summarize(&trafficRes.ops)
+	maxOp := s.Max
 	reb := &Table{
 		Caption: "E21b. Live rebalance under load (2 → 3 members, then a quiesced 3 → 4)",
 		Headers: []string{"commits", "lost acked", "paths moved live", "rebalance wall", "forwards", "p50", "p99", "max op", "quiesced moves", "history mismatches"},
-	}
-	var maxOp time.Duration
-	for _, d := range trafficRes.samples {
-		if d > maxOp {
-			maxOp = d
-		}
 	}
 	reb.AddRow(
 		fmt.Sprintf("%d", trafficRes.commits),
@@ -420,7 +373,7 @@ func runE21() ([]*Table, error) {
 		fmt.Sprintf("%d", movesLive),
 		Dur(rebalanceWall),
 		fmt.Sprintf("%d", forwards),
-		Dur(s.P50), Dur(quantile(trafficRes.samples, 0.99)), Dur(maxOp),
+		Dur(s.P50), Dur(s.P99), Dur(maxOp),
 		fmt.Sprintf("%d", movesQuiesced),
 		fmt.Sprintf("%d", mismatched),
 	)
@@ -432,7 +385,7 @@ func runE21() ([]*Table, error) {
 		return tables, fmt.Errorf("E21 FAILED: rebalance round lost %d acked commit(s)", lost)
 	}
 	if mismatched > 0 {
-		return tables, fmt.Errorf("E21 FAILED: %d path(s) changed archived history across migration", mismatched)
+		return tables, fmt.Errorf("E21 FAILED: %d path(s) changed archived history across migration (first: %s)", mismatched, firstMismatch)
 	}
 	if maxOp > 30*time.Second {
 		return tables, fmt.Errorf("E21 FAILED: an op took %v during rebalance — a client hung", maxOp)

@@ -8,7 +8,6 @@ import (
 
 	"datalinks/internal/core"
 	"datalinks/internal/fs"
-	"datalinks/internal/sqlmini"
 	"datalinks/internal/workload"
 )
 
@@ -43,20 +42,20 @@ func runE9() ([]*Table, error) {
 		name   string
 		mode   string
 		strict bool
-		run    func(sys *core.System, srv *core.FileServer, url string) (string, bool)
+		run    func(sys *core.System, srv *core.FileServer) (string, bool)
 	}
-	openRead := func(sys *core.System, url string) (*core.File, error) {
-		row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETE(doc) FROM t WHERE id = 1`)
+	openRead := func(sys *core.System) (*core.File, error) {
+		url, err := readURL(sys.DB, "t", 1)
 		if err != nil {
 			return nil, err
 		}
-		return sys.NewSession(expUID).OpenRead(row[0].S)
+		return sys.NewSession(expUID).OpenRead(url)
 	}
 	scenarios := []scenario{
 		{
 			name: "unlink while open for read", mode: "rdd",
-			run: func(sys *core.System, srv *core.FileServer, url string) (string, bool) {
-				f, err := openRead(sys, url)
+			run: func(sys *core.System, srv *core.FileServer) (string, bool) {
+				f, err := openRead(sys)
 				if err != nil {
 					return "setup failed: " + firstLine(err), false
 				}
@@ -67,12 +66,12 @@ func runE9() ([]*Table, error) {
 		},
 		{
 			name: "unlink while open for write", mode: "rfd",
-			run: func(sys *core.System, srv *core.FileServer, url string) (string, bool) {
-				row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`)
+			run: func(sys *core.System, srv *core.FileServer) (string, bool) {
+				url, err := writeURL(sys.DB, "t", 1)
 				if err != nil {
 					return "setup failed", false
 				}
-				f, err := sys.NewSession(expUID).OpenWrite(row[0].S)
+				f, err := sys.NewSession(expUID).OpenWrite(url)
 				if err != nil {
 					return "setup failed: " + firstLine(err), false
 				}
@@ -83,8 +82,8 @@ func runE9() ([]*Table, error) {
 		},
 		{
 			name: "unlink after close", mode: "rdd",
-			run: func(sys *core.System, srv *core.FileServer, url string) (string, bool) {
-				f, err := openRead(sys, url)
+			run: func(sys *core.System, srv *core.FileServer) (string, bool) {
+				f, err := openRead(sys)
 				if err != nil {
 					return "setup failed", false
 				}
@@ -95,27 +94,27 @@ func runE9() ([]*Table, error) {
 		},
 		{
 			name: "link while file open (shipped behaviour)", mode: "rdd", strict: false,
-			run: func(sys *core.System, srv *core.FileServer, url string) (string, bool) {
+			run: func(sys *core.System, srv *core.FileServer) (string, bool) {
 				seedOwned(srv, "/d/other.bin", []byte("x"), expUID)
 				fd, err := srv.LFS.Open(fs.Cred{UID: expUID}, "/d/other.bin", fs.AccessRead)
 				if err != nil {
 					return "setup failed", false
 				}
 				defer srv.LFS.Close(fd)
-				_, err = sys.DB.Exec(`INSERT INTO t VALUES (2, DLVALUE('dlfs://fs1/d/other.bin'))`)
+				err = link(sys.DB, "t", 2, "dlfs://fs1/d/other.bin")
 				return outcome(err == nil) + " (window of inconsistency)", err == nil // paper: succeeds
 			},
 		},
 		{
 			name: "link while file open (strict extension)", mode: "rdd", strict: true,
-			run: func(sys *core.System, srv *core.FileServer, url string) (string, bool) {
+			run: func(sys *core.System, srv *core.FileServer) (string, bool) {
 				seedOwned(srv, "/d/other.bin", []byte("x"), expUID)
 				fd, err := srv.LFS.Open(fs.Cred{UID: expUID}, "/d/other.bin", fs.AccessRead)
 				if err != nil {
 					return "setup failed", false
 				}
 				defer srv.LFS.Close(fd)
-				_, err = sys.DB.Exec(`INSERT INTO t VALUES (2, DLVALUE('dlfs://fs1/d/other.bin'))`)
+				err = link(sys.DB, "t", 2, "dlfs://fs1/d/other.bin")
 				return outcome(err == nil), err != nil // fix: rejected
 			},
 		},
@@ -125,14 +124,11 @@ func runE9() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := seedOwned(srv, "/d/f.bin", []byte("v0"), expUID); err != nil {
-			return nil, err
-		}
 		sys.DB.MustExec(fmt.Sprintf(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE %s RECOVERY YES)`, sc.mode))
-		if _, err := sys.DB.Exec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f.bin'))`); err != nil {
+		if err := seedAndLink(sys, srv, "t", 1, "/d/f.bin", []byte("v0")); err != nil {
 			return nil, err
 		}
-		result, matches := sc.run(sys, srv, "dlfs://fs1/d/f.bin")
+		result, matches := sc.run(sys, srv)
 		verdict := "PASS"
 		if !matches {
 			verdict = "FAIL"
@@ -162,22 +158,12 @@ func runE10() ([]*Table, error) {
 		Headers: []string{"mode", "reads ok", "reads rejected", "torn reads", "writer busy-retries"},
 	}
 	for _, mode := range []string{"rfd", "rdd"} {
-		sys, err := core.NewSystem(core.Config{
-			Servers:     []core.ServerConfig{{Name: "fs1", OpenWait: 2 * time.Second}},
-			LockTimeout: 2 * time.Second,
-		})
+		sys, srv, err := newSystem(core.ServerConfig{Name: "fs1", OpenWait: 2 * time.Second}, 2*time.Second)
 		if err != nil {
-			return nil, err
-		}
-		srv, err := sys.Server("fs1")
-		if err != nil {
-			return nil, err
-		}
-		if err := seedOwned(srv, "/d/f.bin", workload.UniformContent(fileSize, 0), expUID); err != nil {
 			return nil, err
 		}
 		sys.DB.MustExec(fmt.Sprintf(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE %s RECOVERY YES)`, mode))
-		if _, err := sys.DB.Exec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f.bin'))`); err != nil {
+		if err := seedAndLink(sys, srv, "t", 1, "/d/f.bin", workload.UniformContent(fileSize, 0)); err != nil {
 			return nil, err
 		}
 		var readsOK, readsRejected, torn, writerBusy int64
@@ -197,11 +183,10 @@ func runE10() ([]*Table, error) {
 					}
 					url := "dlfs://fs1/d/f.bin"
 					if mode == "rdd" {
-						row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETE(doc) FROM t WHERE id = 1`)
-						if err != nil {
+						var err error
+						if url, err = readURL(sys.DB, "t", 1); err != nil {
 							continue
 						}
-						url = row[0].S
 					}
 					f, err := sess.OpenRead(url)
 					if err != nil {
@@ -233,12 +218,12 @@ func runE10() ([]*Table, error) {
 		sess := sys.NewSession(expUID)
 		for v := 1; v <= rounds; v++ {
 			for {
-				row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`)
+				url, err := writeURL(sys.DB, "t", 1)
 				if err != nil {
 					atomic.AddInt64(&writerBusy, 1)
 					continue
 				}
-				f, err := sess.OpenWrite(row[0].S)
+				f, err := sess.OpenWrite(url)
 				if err != nil {
 					atomic.AddInt64(&writerBusy, 1)
 					time.Sleep(time.Millisecond)
@@ -281,11 +266,8 @@ func runE11() ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := seedOwned(srv, "/d/f.bin", workload.Content(workload.RNG(2), 4096), expUID); err != nil {
-				return nil, err
-			}
 			sys.DB.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY NO)`)
-			if _, err := sys.DB.Exec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f.bin'))`); err != nil {
+			if err := seedAndLink(sys, srv, "t", 1, "/d/f.bin", workload.Content(workload.RNG(2), 4096)); err != nil {
 				return nil, err
 			}
 			sess := sys.NewSession(expUID)
@@ -313,5 +295,3 @@ func runE11() ([]*Table, error) {
 	t.Note("the gap between the designs is exactly the upcall count x IPC cost — the trade the paper's design optimizes, and what the strict fix of §4.5 would pay")
 	return []*Table{t}, nil
 }
-
-var _ = sqlmini.Int

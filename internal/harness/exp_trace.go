@@ -2,52 +2,60 @@ package harness
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"strings"
 	"time"
 
 	"datalinks/internal/core"
-	"datalinks/internal/fs"
 	"datalinks/internal/obs"
 	"datalinks/internal/retry"
 	"datalinks/internal/upcall"
 	"datalinks/internal/workload"
 )
 
+// traceConfig is E22's knobs.
+type traceConfig struct {
+	// OverheadRounds is how many interleaved rounds of the E13 hot path run
+	// per mode; the best round of each mode is compared.
+	OverheadRounds int
+	// OverheadBudget is the maximum throughput the tracer may cost on the
+	// E13 hot path (fraction of untraced ops/s).
+	OverheadBudget float64
+	// Sessions × Commits drive the completeness phase: every sampled commit
+	// trace must tell the whole session→fsync story.
+	Sessions int
+	Commits  int
+}
+
+var e22 = traceConfig{OverheadRounds: 5, OverheadBudget: 0.05, Sessions: 4, Commits: 15}
+
+func (c *traceConfig) flags(fs *flag.FlagSet) {
+	posInt(fs, &c.OverheadRounds, "e22-rounds", "E22: interleaved overhead rounds per mode (best-of comparison)")
+	posInt(fs, &c.Sessions, "e22-sessions", "E22: sessions in the commit-trace completeness phase")
+	posInt(fs, &c.Commits, "e22-commits", "E22: commits per session in the completeness phase")
+}
+
 func init() {
 	Register(Experiment{
 		ID:    "E22",
 		Title: "Tracing plane: overhead on the hot path, completeness of one commit's story",
 		Paper: "Per-request attribution only earns its keep if it is cheap enough to leave on and complete enough to trust: the trace of a commit must actually contain the wire hop, the lock wait, the archive barrier, and the fsync round it claims to decompose — verified, not assumed.",
-		Run:   runE22,
+		Run:   e22.run,
+		Flags: e22.flags,
 	})
 }
-
-// The E22 knobs, exported so cmd/dlbench can sweep them from the command
-// line.
-var (
-	// TraceOverheadRounds is how many interleaved rounds of the E13 hot path
-	// run per mode; the best round of each mode is compared.
-	TraceOverheadRounds = 5
-	// TraceOverheadBudget is the maximum throughput the tracer may cost on
-	// the E13 hot path (fraction of untraced ops/s).
-	TraceOverheadBudget = 0.05
-	// TraceSessions × TraceCommits drive the completeness phase: every
-	// sampled commit trace must tell the whole session→fsync story.
-	TraceSessions = 4
-	TraceCommits  = 15
-)
 
 // requiredCommitSpans is the span set a commit trace must contain, stitched
 // across the client/server boundary, for E22 to pass.
 var requiredCommitSpans = []string{"wire", "lock", "archive.barrier", "fsync"}
 
-func runE22() ([]*Table, error) {
-	overheadTable, err := e22Overhead()
+func (c *traceConfig) run() ([]*Table, error) {
+	overheadTable, err := c.overhead()
 	if err != nil {
 		return []*Table{overheadTable}, err
 	}
-	completeTable, err := e22Completeness()
+	completeTable, err := c.completeness()
 	if err != nil {
 		return []*Table{overheadTable, completeTable}, err
 	}
@@ -55,25 +63,22 @@ func runE22() ([]*Table, error) {
 	return []*Table{overheadTable, completeTable, slowTable}, err
 }
 
-// e22Overhead prices the tracer on the E13 hot path: interleaved rounds with
+// overhead prices the tracer on the E13 hot path: interleaved rounds with
 // tracing off and on, best round of each compared. FAILS beyond the budget.
-func e22Overhead() (*Table, error) {
-	sessions := ConcurrencySessions[len(ConcurrencySessions)-1]
-	savedTrace := ConcurrencyTrace
-	defer func() { ConcurrencyTrace = savedTrace }()
+func (c *traceConfig) overhead() (*Table, error) {
+	sessions := e13.Sessions[len(e13.Sessions)-1]
 
 	// One discarded warmup round, then interleaved measured rounds: noise on
 	// a loaded machine (CI, the full test suite) dwarfs the real cost per
 	// round, so each mode keeps its best round — the closest approximation
 	// of its uncontended ceiling.
-	if _, _, _, err := concurrencyRound(sessions); err != nil {
+	if _, _, _, err := e13.round(sessions, false); err != nil {
 		return nil, fmt.Errorf("E22 warmup round: %w", err)
 	}
 	best := map[bool]float64{}
-	for round := 0; round < TraceOverheadRounds; round++ {
+	for round := 0; round < c.OverheadRounds; round++ {
 		for _, traced := range []bool{false, true} {
-			ConcurrencyTrace = traced
-			wall, ops, _, err := concurrencyRound(sessions)
+			wall, ops, _, err := e13.round(sessions, traced)
 			if err != nil {
 				return nil, fmt.Errorf("E22 overhead round (traced=%v): %w", traced, err)
 			}
@@ -90,68 +95,42 @@ func e22Overhead() (*Table, error) {
 	}
 	t.AddRow("untraced", fmt.Sprintf("%d", sessions), fmt.Sprintf("%.0f", best[false]), "—")
 	t.AddRow("traced", fmt.Sprintf("%d", sessions), fmt.Sprintf("%.0f", best[true]), fmt.Sprintf("%.1f%%", overhead*100))
-	t.Note("best of %d interleaved rounds per mode; every op starts a trace (open/read/write/commit span trees into the bounded ring)", TraceOverheadRounds)
-	t.Note("budget: %.0f%% — beyond it the experiment fails", TraceOverheadBudget*100)
+	t.Note("best of %d interleaved rounds per mode; every op starts a trace (open/read/write/commit span trees into the bounded ring)", c.OverheadRounds)
+	t.Note("budget: %.0f%% — beyond it the experiment fails", c.OverheadBudget*100)
 
-	if overhead > TraceOverheadBudget {
+	if overhead > c.OverheadBudget {
 		return t, timingGate(t, "E22", "tracing costs %.1f%% of hot-path throughput (budget %.0f%%)",
-			overhead*100, TraceOverheadBudget*100)
+			overhead*100, c.OverheadBudget*100)
 	}
 	return t, nil
 }
 
-// e22Completeness commits over real TCP with tracing on and then audits every
+// completeness commits over real TCP with tracing on and then audits every
 // sampled commit trace for the full story: a wire span (the client attempt),
 // a lock span (Sync-table serialization), the archive barrier, and the fsync
 // round — stitched across the client/server boundary, in one trace.
-func e22Completeness() (*Table, error) {
-	sys, err := core.NewSystem(core.Config{
-		Servers: []core.ServerConfig{{
-			Name:          "fs1",
-			OpenWait:      10 * time.Second,
-			TCPUpcalls:    true,
-			Trace:         true,
-			TraceCapacity: 4 * TraceSessions * TraceCommits,
-		}},
-		LockTimeout: 10 * time.Second,
-	})
+func (c *traceConfig) completeness() (*Table, error) {
+	sys, srv, err := newSystem(core.ServerConfig{
+		Name:          "fs1",
+		OpenWait:      10 * time.Second,
+		TCPUpcalls:    true,
+		Trace:         true,
+		TraceCapacity: 4 * c.Sessions * c.Commits,
+	}, 10*time.Second)
 	if err != nil {
 		return nil, err
 	}
 	defer sys.Close()
-	srv, err := sys.Server("fs1")
-	if err != nil {
-		return nil, err
-	}
 	sys.DB.MustExec(`CREATE TABLE tr (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY NO, doc_size INT)`)
-	if err := srv.Phys.MkdirAll("/t", fs.Cred{UID: fs.Root}, 0o777); err != nil {
-		return nil, err
-	}
-	for i := 0; i < TraceSessions; i++ {
-		path := fmt.Sprintf("/t/f%d.bin", i)
-		if err := seedOwned(srv, path, workload.UniformContent(2048, i), expUID); err != nil {
-			return nil, err
-		}
-		if _, err := sys.DB.Exec(
-			fmt.Sprintf(`INSERT INTO tr VALUES (%d, DLVALUE('dlfs://fs1%s'), NULL)`, i, path)); err != nil {
+	for i := 0; i < c.Sessions; i++ {
+		if err := seedAndLink(sys, srv, "tr", i, fmt.Sprintf("/t/f%d.bin", i), workload.UniformContent(2048, i)); err != nil {
 			return nil, err
 		}
 	}
-	for i := 0; i < TraceSessions; i++ {
+	for i := 0; i < c.Sessions; i++ {
 		sess := sys.NewSession(expUID)
-		for seq := 0; seq < TraceCommits; seq++ {
-			row, err := sys.DB.QueryRow(fmt.Sprintf(`SELECT DLURLCOMPLETEWRITE(doc) FROM tr WHERE id = %d`, i))
-			if err != nil {
-				return nil, err
-			}
-			f, err := sess.OpenWrite(row[0].S)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := f.WriteAt(0, []byte{byte(seq)}); err != nil {
-				return nil, err
-			}
-			if err := f.Close(); err != nil {
+		for seq := 0; seq < c.Commits; seq++ {
+			if err := commitEdit(sys.DB, sess.OpenWrite, "tr", i, 0, []byte{byte(seq)}); err != nil {
 				return nil, err
 			}
 		}
@@ -164,7 +143,7 @@ func e22Completeness() (*Table, error) {
 	missing := map[string]int{}
 	var firstIncomplete string
 	unstitched := 0
-	for _, tr := range srv.Obs.Recent(4 * TraceSessions * TraceCommits) {
+	for _, tr := range srv.Obs.Recent(4 * c.Sessions * c.Commits) {
 		if tr.Op() != "commit" {
 			continue
 		}
@@ -209,7 +188,7 @@ func e22Completeness() (*Table, error) {
 	t.AddRow(fmt.Sprintf("%d", commits), fmt.Sprintf("%d", complete), fmt.Sprintf("%d", unstitched), missNote)
 	t.Note("required spans: %s — each must appear in the SAME trace as the session-side commit root", strings.Join(requiredCommitSpans, ", "))
 
-	want := TraceSessions * TraceCommits
+	want := c.Sessions * c.Commits
 	if commits != want {
 		return t, fmt.Errorf("E22 FAILED: expected %d commit traces in the ring, found %d", want, commits)
 	}
@@ -227,52 +206,30 @@ func e22SlowOp() (*Table, error) {
 	const delayMin, delayMax = 8 * time.Millisecond, 10 * time.Millisecond
 	const threshold = 4 * time.Millisecond
 	var slowLog bytes.Buffer
-	sys, err := core.NewSystem(core.Config{
-		Servers: []core.ServerConfig{{
-			Name:            "fs1",
-			OpenWait:        10 * time.Second,
-			TCPUpcalls:      true,
-			Trace:           true,
-			SlowOpThreshold: threshold,
-			SlowOpLog:       &slowLog,
-			UpcallNet: &upcall.NetConfig{Client: upcall.ClientConfig{
-				PoolSize:       2,
-				AttemptTimeout: 2 * time.Second,
-				OpTimeout:      10 * time.Second,
-				Retry:          retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
-				Chaos:          &upcall.Chaos{DelayDist: upcall.Delay{Prob: 1, Min: delayMin, Max: delayMax}},
-			}},
+	sys, srv, err := newSystem(core.ServerConfig{
+		Name:            "fs1",
+		OpenWait:        10 * time.Second,
+		TCPUpcalls:      true,
+		Trace:           true,
+		SlowOpThreshold: threshold,
+		SlowOpLog:       &slowLog,
+		UpcallNet: &upcall.NetConfig{Client: upcall.ClientConfig{
+			PoolSize:       2,
+			AttemptTimeout: 2 * time.Second,
+			OpTimeout:      10 * time.Second,
+			Retry:          retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+			Chaos:          &upcall.Chaos{DelayDist: upcall.Delay{Prob: 1, Min: delayMin, Max: delayMax}},
 		}},
-		LockTimeout: 10 * time.Second,
-	})
+	}, 10*time.Second)
 	if err != nil {
 		return nil, err
 	}
 	defer sys.Close()
-	srv, err := sys.Server("fs1")
-	if err != nil {
-		return nil, err
-	}
 	sys.DB.MustExec(`CREATE TABLE slow (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY NO, doc_size INT)`)
-	if err := seedOwned(srv, "/s/slow.bin", []byte("v1"), expUID); err != nil {
+	if err := seedAndLink(sys, srv, "slow", 1, "/s/slow.bin", []byte("v1")); err != nil {
 		return nil, err
 	}
-	if _, err := sys.DB.Exec(`INSERT INTO slow VALUES (1, DLVALUE('dlfs://fs1/s/slow.bin'), NULL)`); err != nil {
-		return nil, err
-	}
-	sess := sys.NewSession(expUID)
-	row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM slow WHERE id = 1`)
-	if err != nil {
-		return nil, err
-	}
-	f, err := sess.OpenWrite(row[0].S)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.WriteAll([]byte("v2 slow")); err != nil {
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
+	if err := commitEdit(sys.DB, sys.NewSession(expUID).OpenWrite, "slow", 1, 0, []byte("v2 slow")); err != nil {
 		return nil, err
 	}
 	srv.DLFM.WaitArchives()

@@ -5,21 +5,18 @@
 package harness
 
 import (
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"datalinks/internal/metrics"
 )
-
-func init() {
-	// The experiments report exact order-statistic percentiles; production
-	// histograms keep only buckets.
-	metrics.RetainExactSamples(true)
-}
 
 // Table is an aligned text table with a caption.
 type Table struct {
@@ -117,6 +114,60 @@ type Experiment struct {
 	Title string
 	Paper string // what the paper reported / claimed
 	Run   func() ([]*Table, error)
+	// Flags binds the experiment's knobs to command-line flags (nil: it has
+	// none). Each exp_*.go keeps its knobs in one unexported config struct
+	// whose literal is the defaults; Flags hands the fields themselves to the
+	// flag set, so there is no second copy to keep in step.
+	Flags func(*flag.FlagSet)
+}
+
+// checked binds a flag to *p that refuses, at parse time and naming the
+// flag, a value that does not parse or that ok rejects. (The flag package
+// prefixes the error with `invalid value "v" for flag -name`.)
+func checked[T any](fs *flag.FlagSet, p *T, name, usage, want string, parse func(string) (T, error), ok func(T) bool) {
+	fs.Func(name, fmt.Sprintf("%s (default %v)", usage, *p), func(s string) error {
+		v, err := parse(s)
+		if err != nil || !ok(v) {
+			return errors.New("want " + want)
+		}
+		*p = v
+		return nil
+	})
+}
+
+// posInt binds a count: an integer >= 1.
+func posInt(fs *flag.FlagSet, p *int, name, usage string) {
+	checked(fs, p, name, usage, "a positive integer", strconv.Atoi, func(n int) bool { return n > 0 })
+}
+
+// posDuration binds a duration > 0.
+func posDuration(fs *flag.FlagSet, p *time.Duration, name, usage string) {
+	checked(fs, p, name, usage, "a positive duration (e.g. 2s)", time.ParseDuration, func(d time.Duration) bool { return d > 0 })
+}
+
+// intList is the flag.Value behind every comma-separated list of positive
+// counts (-sessions, -e21-servers).
+type intList []int
+
+func (l *intList) String() string {
+	parts := make([]string, len(*l))
+	for i, n := range *l {
+		parts[i] = strconv.Itoa(n)
+	}
+	return strings.Join(parts, ",")
+}
+
+func (l *intList) Set(s string) error {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n <= 0 {
+			return fmt.Errorf("want comma-separated positive integers, got %q", part)
+		}
+		out = append(out, n)
+	}
+	*l = out
+	return nil
 }
 
 // registry holds all experiments in declaration order.
@@ -182,58 +233,40 @@ func RunOne(w io.Writer, e Experiment) error {
 	return nil
 }
 
-// Stats summarizes a series of duration samples.
+// Stats summarizes a series of duration samples. N, Mean and Max are exact;
+// the percentiles are metrics.Histogram quantiles, within 1% of the order
+// statistic — the same numbers /metrics exports for a production histogram.
 type Stats struct {
 	N    int
 	Mean time.Duration
 	P50  time.Duration
 	P95  time.Duration
-	Min  time.Duration
+	P99  time.Duration
 	Max  time.Duration
 }
 
 // Measure runs fn n times and summarizes the per-call latency.
 func Measure(n int, fn func() error) (Stats, error) {
-	samples := make([]time.Duration, 0, n)
+	var h metrics.Histogram
 	for i := 0; i < n; i++ {
 		start := time.Now()
 		if err := fn(); err != nil {
 			return Stats{}, err
 		}
-		samples = append(samples, time.Since(start))
+		h.Observe(time.Since(start))
 	}
-	return Summarize(samples), nil
+	return Summarize(&h), nil
 }
 
-// Summarize computes order statistics for a sample set.
-func Summarize(samples []time.Duration) Stats {
-	if len(samples) == 0 {
-		return Stats{}
-	}
-	sorted := make([]time.Duration, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var sum time.Duration
-	for _, s := range sorted {
-		sum += s
-	}
-	q := func(p float64) time.Duration {
-		idx := int(p*float64(len(sorted))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		return sorted[idx]
-	}
+// Summarize reads the table statistics off a histogram.
+func Summarize(h *metrics.Histogram) Stats {
 	return Stats{
-		N:    len(sorted),
-		Mean: sum / time.Duration(len(sorted)),
-		P50:  q(0.50),
-		P95:  q(0.95),
-		Min:  sorted[0],
-		Max:  sorted[len(sorted)-1],
+		N:    h.Count(),
+		Mean: h.Mean(),
+		P50:  h.Quantile(0.50),
+		P95:  h.Quantile(0.95),
+		P99:  h.Quantile(0.99),
+		Max:  h.Max(),
 	}
 }
 

@@ -2,9 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"datalinks/internal/metrics"
 )
 
 func TestTableRenderAligned(t *testing.T) {
@@ -78,12 +82,29 @@ func TestMeasureAndSummarize(t *testing.T) {
 	if err != nil || stats.N != 10 || n != 10 {
 		t.Fatalf("measure = %+v, %v (n=%d)", stats, err, n)
 	}
-	s := Summarize([]time.Duration{1 * time.Millisecond, 3 * time.Millisecond, 2 * time.Millisecond})
-	if s.Min != time.Millisecond || s.Max != 3*time.Millisecond || s.Mean != 2*time.Millisecond {
+	if _, err := Measure(3, func() error { return io.ErrUnexpectedEOF }); err != io.ErrUnexpectedEOF {
+		t.Fatalf("measure swallowed the op's error: %v", err)
+	}
+	// Stats is read off the same histogram production exports: count, mean
+	// and max exact, percentiles within its 1% contract.
+	var h metrics.Histogram
+	for i := 1; i <= 100; i++ {
+		h.Observe(time.Duration(i) * time.Millisecond)
+	}
+	s := Summarize(&h)
+	if s.N != 100 || s.Max != 100*time.Millisecond || s.Mean != 50500*time.Microsecond {
 		t.Fatalf("summarize = %+v", s)
 	}
-	if s := Summarize(nil); s.N != 0 {
-		t.Fatal("empty summarize")
+	for _, c := range []struct {
+		name      string
+		got, want time.Duration
+	}{{"p50", s.P50, 50 * time.Millisecond}, {"p95", s.P95, 95 * time.Millisecond}, {"p99", s.P99, 99 * time.Millisecond}} {
+		if off := math.Abs(float64(c.got-c.want)) / float64(c.want); off > 0.01 {
+			t.Errorf("%s = %v, want %v within 1%%", c.name, c.got, c.want)
+		}
+	}
+	if s := Summarize(&metrics.Histogram{}); s != (Stats{}) {
+		t.Fatalf("empty summarize = %+v", s)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package metrics provides cheap counters and latency recorders shared by
-// every layer of the DataLinks stack. The experiment harness reads them to
-// report deterministic per-operation costs (upcalls, syscalls, archive jobs)
-// alongside wall-clock timings.
+// every layer of the DataLinks stack. The experiment harness, the benchmark
+// ledger and the /metrics exposition all read the same counters and the same
+// fixed-size histograms, so a percentile in a table and the one on a dashboard
+// cannot disagree.
 package metrics
 
 import (
@@ -31,17 +32,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Reset sets the counter back to zero.
 func (c *Counter) Reset() { c.v.Store(0) }
 
-// exactSamples opts the whole process into retaining every raw sample next
-// to the buckets. The experiment harness turns it on so cross-server sample
-// merging and exact order statistics keep working; a long-running daemon
-// leaves it off and its histograms stay fixed-size.
-var exactSamples atomic.Bool
-
-// RetainExactSamples toggles raw-sample retention for histograms
-// process-wide. Only the test/bench harness should enable it: with it on,
-// every Observe appends to an unbounded slice again.
-func RetainExactSamples(on bool) { exactSamples.Store(on) }
-
 // Histogram records durations into fixed-size log-linear buckets: one octave
 // per power of two, 64 linear sub-buckets per octave, so any reconstructed
 // quantile is within 1/128 (0.79%) of the true sample value while memory
@@ -52,8 +42,7 @@ type Histogram struct {
 	count   int64
 	sum     time.Duration
 	max     time.Duration
-	buckets []uint64        // grown on demand, capped by bucketIndex range
-	samples []time.Duration // raw samples, only under RetainExactSamples
+	buckets []uint64 // grown on demand, capped by bucketIndex range
 }
 
 // bucketIndex maps a duration to its log-linear bucket. Durations below 64ns
@@ -98,9 +87,6 @@ func (h *Histogram) Observe(d time.Duration) {
 		h.buckets = grown
 	}
 	h.buckets[idx]++
-	if exactSamples.Load() {
-		h.samples = append(h.samples, d)
-	}
 	h.mu.Unlock()
 }
 
@@ -123,7 +109,6 @@ func (h *Histogram) Reset() {
 	h.mu.Lock()
 	h.count, h.sum, h.max = 0, 0, 0
 	h.buckets = nil
-	h.samples = nil
 	h.mu.Unlock()
 }
 
@@ -167,18 +152,27 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return h.max
 }
 
-// Samples returns a copy of the raw samples (experiments merge per-server
-// histograms before computing cross-server percentiles). Raw samples exist
-// only under RetainExactSamples; otherwise this returns nil.
-func (h *Histogram) Samples() []time.Duration {
+// Merge adds every sample o holds to h, bucket by bucket, so a quantile of h
+// afterwards is the quantile of one histogram fed both streams — how
+// per-server histograms become a cross-server one. o is copied out and
+// released before h is locked: the two locks are never held together.
+func (h *Histogram) Merge(o *Histogram) {
+	o.mu.Lock()
+	count, sum, top := o.count, o.sum, o.max
+	buckets := append([]uint64(nil), o.buckets...)
+	o.mu.Unlock()
+
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.samples == nil {
-		return nil
+	h.count += count
+	h.sum += sum
+	h.max = max(h.max, top)
+	for len(h.buckets) < len(buckets) {
+		h.buckets = append(h.buckets, 0)
 	}
-	out := make([]time.Duration, len(h.samples))
-	copy(out, h.samples)
-	return out
+	for idx, n := range buckets {
+		h.buckets[idx] += n
+	}
 }
 
 // Max returns the largest sample, or 0 if empty.

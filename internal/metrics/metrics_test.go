@@ -100,13 +100,10 @@ func TestHistogramQuantileAccuracyAcrossScales(t *testing.T) {
 	}
 }
 
-func TestHistogramBoundedWithoutOptIn(t *testing.T) {
+func TestHistogramMemoryBounded(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 200_000; i++ {
 		h.Observe(time.Duration(i) * time.Microsecond)
-	}
-	if got := h.Samples(); got != nil {
-		t.Fatalf("raw samples retained without opt-in: %d", len(got))
 	}
 	if h.Count() != 200_000 {
 		t.Fatalf("count = %d", h.Count())
@@ -117,16 +114,38 @@ func TestHistogramBoundedWithoutOptIn(t *testing.T) {
 	}
 }
 
-func TestHistogramExactSampleOptIn(t *testing.T) {
-	RetainExactSamples(true)
-	defer RetainExactSamples(false)
-	var h Histogram
-	for i := 1; i <= 10; i++ {
-		h.Observe(time.Duration(i) * time.Millisecond)
+// TestHistogramMergeEqualsOneHistogramFedBoth: merging is bucket addition, so
+// every quantile of the merged histogram is the quantile of one histogram
+// that observed both streams — not merely within the accuracy contract of it.
+func TestHistogramMergeEqualsOneHistogramFedBoth(t *testing.T) {
+	var a, b, both Histogram
+	for i := 1; i <= 700; i++ { // a short, fast stream
+		d := time.Duration(i) * 3 * time.Microsecond
+		a.Observe(d)
+		both.Observe(d)
 	}
-	got := h.Samples()
-	if len(got) != 10 || got[0] != time.Millisecond || got[9] != 10*time.Millisecond {
-		t.Fatalf("samples = %v", got)
+	for i := 1; i <= 300; i++ { // a slow one that owns the tail and the max
+		d := time.Duration(i) * 2 * time.Millisecond
+		b.Observe(d)
+		both.Observe(d)
+	}
+	a.Merge(&b)
+	for _, q := range []float64{0.5, 0.95, 0.99, 1} {
+		if got, want := a.Quantile(q), both.Quantile(q); got != want {
+			t.Errorf("q=%v: merged %v, one histogram %v", q, got, want)
+		}
+	}
+	if a.Count() != both.Count() || a.Sum() != both.Sum() || a.Max() != both.Max() {
+		t.Errorf("merged count/sum/max = %d/%v/%v, want %d/%v/%v",
+			a.Count(), a.Sum(), a.Max(), both.Count(), both.Sum(), both.Max())
+	}
+	if b.Count() != 300 {
+		t.Errorf("Merge changed its argument: count %d", b.Count())
+	}
+	var empty Histogram
+	a.Merge(&empty)
+	if a.Count() != both.Count() || a.Quantile(0.5) != both.Quantile(0.5) {
+		t.Error("merging an empty histogram changed the receiver")
 	}
 }
 
