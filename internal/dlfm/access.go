@@ -68,7 +68,7 @@ func (s *Server) UpcallCtx(ctx context.Context, req upcall.Request) (resp upcall
 	}
 	switch req.Op {
 	case upcall.OpValidateToken:
-		return s.validateToken(req), nil
+		return s.admitToken(req), nil
 	case upcall.OpReadOpen:
 		return s.readOpen(req), nil
 	case upcall.OpWriteOpen:
@@ -86,18 +86,24 @@ func reject(code upcall.Code, msg string) upcall.Response {
 	return upcall.Response{OK: false, Code: code, Err: msg}
 }
 
-// validateToken handles the fs_lookup upcall: verify the embedded token and
-// record a token entry for the user (§4.1). The entry — not the token — is
-// what fs_open later checks, bridging the lookup/open decoupling.
-func (s *Server) validateToken(req upcall.Request) upcall.Response {
+// admitToken verifies the token a request carries and records a token entry
+// for the user (§4.1). A managed open carries its token in the open request
+// itself — readOpen and writeOpen admit it before anything else, so a bad
+// token creates no open — and the entry stays behind for the tokenless opens
+// of other processes sharing the uid. It is also the whole of the standalone
+// validate_token upcall, which DLFS sends for an open that presented a token
+// but never reaches DLFM (a file the file system itself lets the caller
+// open), and dlfmd's self-check sends over TCP.
+func (s *Server) admitToken(req upcall.Request) upcall.Response {
 	tok, err := s.auth.Validate(req.Token, req.Path)
 	if err != nil {
 		return reject(upcall.CodeBadToken, fmt.Sprintf("token rejected for %s: %v", req.Path, err))
 	}
 	s.tokMu.Lock()
 	key := tokenKey{uid: fs.UID(req.UID), path: req.Path}
-	// Keep the strongest live grant: a write token subsumes a read token.
-	if cur, ok := s.tokens[key]; !ok || tok.Type.Covers(cur.typ) {
+	// Keep the strongest live grant: a write token subsumes a read token,
+	// an expired entry subsumes nothing.
+	if cur, ok := s.tokens[key]; !ok || tok.Type.Covers(cur.typ) || s.cfg.Clock().After(cur.expiry) {
 		s.tokens[key] = tokenEntry{typ: tok.Type, expiry: tok.Expiry}
 	}
 	// An entry nobody looks up again is never purged by tokenGrant, so
@@ -145,6 +151,11 @@ func (s *Server) tokenGrant(uid fs.UID, path string) (tokenEntry, bool) {
 // readOpen handles the fs_open upcall for read access to a file under full
 // database control (and, with the strict-link-check extension, any file).
 func (s *Server) readOpen(req upcall.Request) upcall.Response {
+	if req.Token != "" {
+		if resp := s.admitToken(req); !resp.OK {
+			return resp
+		}
+	}
 	fi, linked := s.lookupFile(req.Path)
 	if !linked {
 		if !req.Strict {
@@ -156,14 +167,14 @@ func (s *Server) readOpen(req upcall.Request) upcall.Response {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 		id := s.newOpenLocked(sh, idx, req.Path, fs.UID(req.UID), false)
-		s.syncFor(sh, req.Path).readers[id] = true
+		s.syncFor(sh, req.Path).readers++
 		s.cfg.Metrics.Counter("dlfm.open.read.strict").Inc()
 		return upcall.Response{OK: true, OpenID: id}
 	}
 	if fi.mode.ReadNeedsToken() {
 		grant, ok := s.tokenGrant(fs.UID(req.UID), req.Path)
 		if !ok || !grant.typ.Covers(token.Read) {
-			return reject(upcall.CodePermission, "no valid read token entry for "+req.Path)
+			return noGrant(req, "read")
 		}
 	} else if !fi.mode.FullControl() {
 		// A read upcall for a partial-control file happens only when DLFM has
@@ -179,7 +190,7 @@ func (s *Server) readOpen(req upcall.Request) upcall.Response {
 			return reject(upcall.CodePermission, req.Path+" is taken over for update")
 		}
 		id := s.newOpenLocked(sh, idx, req.Path, fs.UID(req.UID), false)
-		st.readers[id] = true
+		st.readers++
 		sh.mu.Unlock()
 		s.cfg.Metrics.Counter("dlfm.open.read.strict").Inc()
 		return upcall.Response{OK: true, OpenID: id}
@@ -193,10 +204,19 @@ func (s *Server) readOpen(req upcall.Request) upcall.Response {
 		return reject(upcall.CodeBusy, req.Path+" is being updated")
 	}
 	id := s.newOpenLocked(sh, idx, req.Path, fs.UID(req.UID), false)
-	st := s.syncFor(sh, req.Path)
-	st.readers[id] = true
+	s.syncFor(sh, req.Path).readers++
 	s.cfg.Metrics.Counter("dlfm.open.read").Inc()
 	return upcall.Response{OK: true, OpenID: id, TakeOver: fi.mode.FullControl()}
+}
+
+// noGrant is the answer to an open the token table does not cover. An open
+// that carried its own token is told the token was the problem; DLFS maps
+// both codes to a permission error.
+func noGrant(req upcall.Request, access string) upcall.Response {
+	if req.Token != "" {
+		return reject(upcall.CodeBadToken, "token does not grant "+access+" access to "+req.Path)
+	}
+	return reject(upcall.CodePermission, "no valid "+access+" token entry for "+req.Path)
 }
 
 // checkRemoveRename rejects user-level remove/rename of linked files: the
@@ -246,7 +266,7 @@ func (s *Server) newOpenLocked(sh *openShard, idx uint64, path string, uid fs.UI
 func (s *Server) syncFor(sh *openShard, path string) *syncState {
 	st, ok := sh.syncs[path]
 	if !ok {
-		st = &syncState{readers: make(map[uint64]bool)}
+		st = &syncState{}
 		sh.syncs[path] = st
 	}
 	return st
@@ -303,7 +323,7 @@ func (s *Server) SyncEntries(path string) (readers int, writer bool) {
 	if !ok {
 		return 0, false
 	}
-	return len(st.readers), st.writer != 0
+	return st.readers, st.writer != 0
 }
 
 // TokenEntryCount reports live token entries (tests).

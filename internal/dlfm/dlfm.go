@@ -125,9 +125,9 @@ type openState struct {
 // path's state changes — there is no server-wide broadcast, so traffic on
 // one file never wakes (or delays) openers of another.
 type syncState struct {
-	readers   map[uint64]bool // openID set
-	writer    uint64          // openID, 0 if none
-	archiving bool            // an archive job for this path is in flight
+	readers   int    // live read opens; only ever counted
+	writer    uint64 // openID, 0 if none
+	archiving bool   // an archive job for this path is in flight
 	waiters   []chan struct{}
 }
 
@@ -141,7 +141,7 @@ func (st *syncState) wake() {
 
 // idle reports whether the state carries no information and can be dropped.
 func (st *syncState) idle() bool {
-	return st.writer == 0 && len(st.readers) == 0 && !st.archiving && len(st.waiters) == 0
+	return st.writer == 0 && st.readers == 0 && !st.archiving && len(st.waiters) == 0
 }
 
 // takeoverState remembers the pre-takeover identity of a file (§4.2).
@@ -213,7 +213,7 @@ type Server struct {
 	tokMu  sync.RWMutex
 	tokens map[tokenKey]tokenEntry
 	// tokSwept is how many entries the last expiry sweep left (never under
-	// minTokenSweep); validateToken sweeps again when the table doubles.
+	// minTokenSweep); admitToken sweeps again when the table doubles.
 	tokSwept int
 
 	openSeed   maphash.Seed

@@ -193,15 +193,12 @@ func TestUnlinkAbortKeepsLink(t *testing.T) {
 	}
 }
 
-// openWrite performs the full token+open protocol against the server.
+// openWrite performs the token open against the server: the write token
+// rides the open request.
 func openWrite(t *testing.T, srv *Server, path string, uid fs.UID) uint64 {
 	t.Helper()
 	tok := srv.Authority().Issue(token.Write, path)
-	resp, err := srv.Upcall(upcall.Request{Op: upcall.OpValidateToken, Path: path, Token: tok, UID: int32(uid)})
-	if err != nil || !resp.OK {
-		t.Fatalf("validate: %+v, %v", resp, err)
-	}
-	resp, err = srv.Upcall(upcall.Request{Op: upcall.OpWriteOpen, Path: path, UID: int32(uid), Write: true})
+	resp, err := srv.Upcall(upcall.Request{Op: upcall.OpWriteOpen, Path: path, Token: tok, UID: int32(uid), Write: true})
 	if err != nil || !resp.OK {
 		t.Fatalf("write open: %+v, %v", resp, err)
 	}
@@ -324,6 +321,14 @@ func TestTokenEntryExpiry(t *testing.T) {
 	resp, _ = srv.Upcall(upcall.Request{Op: upcall.OpReadOpen, Path: "/d/f.bin", UID: 9})
 	if resp.OK {
 		t.Fatal("expired entry granted access")
+	}
+	// Nor does a dead grant outrank a live token: a fresh read token is
+	// admitted over the expired write entry it finds.
+	srv.Upcall(upcall.Request{Op: upcall.OpValidateToken, Path: "/d/f.bin", Token: srv.Authority().Issue(token.Write, "/d/f.bin"), UID: 9})
+	*clock = clock.Add(2 * time.Minute)
+	resp, _ = srv.Upcall(upcall.Request{Op: upcall.OpReadOpen, Path: "/d/f.bin", UID: 9, Token: srv.Authority().Issue(token.Read, "/d/f.bin")})
+	if !resp.OK {
+		t.Fatalf("live read token refused behind an expired write entry: %+v", resp)
 	}
 }
 
@@ -568,5 +573,89 @@ func TestBadTokenRejectedAtValidate(t *testing.T) {
 	}
 	if !strings.Contains(resp.Err, "token") {
 		t.Fatalf("err = %q", resp.Err)
+	}
+}
+
+// A token read of an idle rdd file — the open that admits the token and takes
+// the reader entry, and the close that drops it — is the daemon's whole share
+// of the hot read path. The budget keeps it folded and keeps the Sync
+// bookkeeping from growing a per-open container again.
+func TestReadOpenAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	srv, _, _ := newServer(t)
+	linkCommitted(t, srv, "/d/f.bin", "rdd")
+	open := upcall.Request{Op: upcall.OpReadOpen, Path: "/d/f.bin", UID: 9,
+		Token: srv.Authority().Issue(token.Read, "/d/f.bin")}
+	n := testing.AllocsPerRun(200, func() {
+		resp, err := srv.Upcall(open)
+		if err != nil || !resp.OK {
+			t.Fatalf("read open: %+v, %v", resp, err)
+		}
+		resp, err = srv.Upcall(upcall.Request{Op: upcall.OpClose, Path: "/d/f.bin", OpenID: resp.OpenID})
+		if err != nil || !resp.OK {
+			t.Fatalf("close: %+v, %v", resp, err)
+		}
+	})
+	const budget = 10 // 8 measured: the token check, the file row lookup, the open and its sync entry
+	t.Logf("read_open + close: %.0f mallocs", n)
+	if n > budget {
+		t.Errorf("read_open + close: %.0f mallocs, budget %d", n, budget)
+	}
+	if srv.OpenCount() != 0 {
+		t.Fatalf("%d opens left", srv.OpenCount())
+	}
+}
+
+// The open admits the token it carries before anything else: the verdict on
+// the token and on the open is one response.
+func TestOpenAdmitsItsOwnToken(t *testing.T) {
+	srv, _, _ := newServer(t)
+	linkCommitted(t, srv, "/d/f.bin", "rdd")
+	open := func(op upcall.Op, uid int32, tok string) upcall.Response {
+		t.Helper()
+		resp, err := srv.Upcall(upcall.Request{Op: op, Path: "/d/f.bin", UID: uid, Token: tok, Write: op == upcall.OpWriteOpen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	read := srv.Authority().Issue(token.Read, "/d/f.bin")
+	for _, op := range []upcall.Op{upcall.OpReadOpen, upcall.OpWriteOpen} {
+		if resp := open(op, 9, "r:1:forged"); resp.OK || resp.Code != upcall.CodeBadToken {
+			t.Fatalf("%s with a forged token = %+v, want CodeBadToken", op, resp)
+		}
+		if resp := open(op, 9, ""); resp.OK || resp.Code != upcall.CodePermission {
+			t.Fatalf("tokenless %s with no entry = %+v, want CodePermission", op, resp)
+		}
+	}
+	if srv.OpenCount() != 0 || srv.TokenEntryCount() != 0 {
+		t.Fatalf("refused opens left %d opens, %d token entries", srv.OpenCount(), srv.TokenEntryCount())
+	}
+	// A read token does not admit an update — and says so as a token verdict.
+	if resp := open(upcall.OpWriteOpen, 9, read); resp.OK || resp.Code != upcall.CodeBadToken {
+		t.Fatalf("write_open with a read token = %+v, want CodeBadToken", resp)
+	}
+	resp := open(upcall.OpReadOpen, 9, read)
+	if !resp.OK {
+		t.Fatalf("read_open with its token = %+v", resp)
+	}
+	if n, _ := srv.SyncEntries("/d/f.bin"); n != 1 || srv.TokenEntryCount() != 1 {
+		t.Fatalf("readers=%d token entries=%d, want 1 and 1", n, srv.TokenEntryCount())
+	}
+	// The entry it left covers the uid, not the world (§4.1).
+	twin := open(upcall.OpReadOpen, 9, "")
+	if !twin.OK {
+		t.Fatalf("same-uid tokenless read_open = %+v", twin)
+	}
+	if resp := open(upcall.OpReadOpen, 10, ""); resp.OK || resp.Code != upcall.CodePermission {
+		t.Fatalf("other-uid tokenless read_open = %+v, want CodePermission", resp)
+	}
+	for _, id := range []uint64{resp.OpenID, twin.OpenID, twin.OpenID} { // a repeated close must not drive the count negative
+		srv.Upcall(upcall.Request{Op: upcall.OpClose, Path: "/d/f.bin", OpenID: id})
+	}
+	if n, writer := srv.SyncEntries("/d/f.bin"); n != 0 || writer || srv.OpenCount() != 0 {
+		t.Fatalf("after closes: readers=%d writer=%v opens=%d", n, writer, srv.OpenCount())
 	}
 }

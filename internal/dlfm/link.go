@@ -80,7 +80,7 @@ func (s *Server) linkFile(hostTxn uint64, path string, opts datalink.ColumnOptio
 	// shipped behaviour).
 	sh, _ := s.pathShard(path)
 	sh.mu.Lock()
-	if st, ok := sh.syncs[path]; ok && (st.writer != 0 || len(st.readers) > 0) {
+	if st, ok := sh.syncs[path]; ok && (st.writer != 0 || st.readers > 0) {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %s is open", ErrFileBusy, path)
 	}
@@ -216,7 +216,7 @@ func (s *Server) unlinkFile(hostTxn uint64, path string) error {
 	// rejects the unlink (§4.5).
 	sh, _ := s.pathShard(path)
 	sh.mu.Lock()
-	if st, ok := sh.syncs[path]; ok && (st.writer != 0 || len(st.readers) > 0) {
+	if st, ok := sh.syncs[path]; ok && (st.writer != 0 || st.readers > 0) {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrFileBusy, path)
 	}
@@ -283,7 +283,7 @@ func (s *Server) hasUpdateEntry(path string) bool {
 
 // purgeTokens drops all token entries for a path. The token table is guarded
 // by tokMu (not the open/sync mutex): locking s.mu here raced every
-// validate-token upcall.
+// token admission.
 func (s *Server) purgeTokens(path string) {
 	s.tokMu.Lock()
 	defer s.tokMu.Unlock()

@@ -75,7 +75,7 @@ func (s *Server) BeginExport(path string) (*FileBundle, error) {
 	// reader's close upcall routes by path, and after the move it would reach
 	// a server that never saw its open.
 	if !s.waitLocked(sh, path, func(st *syncState) bool {
-		return st.writer == 0 && len(st.readers) == 0
+		return st.writer == 0 && st.readers == 0
 	}) {
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s (drain timed out)", ErrFileBusy, path)

@@ -28,6 +28,11 @@ import (
 // made read-only at link time) — the paper's lazy path that keeps unlinked
 // and read traffic free of upcalls.
 func (s *Server) writeOpen(ctx context.Context, req upcall.Request) upcall.Response {
+	if req.Token != "" {
+		if resp := s.admitToken(req); !resp.OK {
+			return resp
+		}
+	}
 	fi, linked := s.lookupFile(req.Path)
 	if !linked {
 		return reject(upcall.CodeNotLinked, req.Path+" is not linked")
@@ -39,7 +44,7 @@ func (s *Server) writeOpen(ctx context.Context, req upcall.Request) upcall.Respo
 	}
 	grant, ok := s.tokenGrant(fs.UID(req.UID), req.Path)
 	if !ok || !grant.typ.Covers(token.Write) {
-		return reject(upcall.CodePermission, "no valid write token entry for "+req.Path)
+		return noGrant(req, "write")
 	}
 
 	sh, idx := s.pathShard(req.Path)
@@ -49,7 +54,7 @@ func (s *Server) writeOpen(ctx context.Context, req upcall.Request) upcall.Respo
 	pred := func(st *syncState) bool { return st.writer == 0 }
 	if fi.mode.FullControl() {
 		// rdd: readers also serialize against the writer.
-		pred = func(st *syncState) bool { return st.writer == 0 && len(st.readers) == 0 }
+		pred = func(st *syncState) bool { return st.writer == 0 && st.readers == 0 }
 	}
 	lk := obs.SpanFrom(ctx).Child("lock")
 	lk.SetAttr("path", req.Path)
@@ -129,9 +134,12 @@ func (s *Server) dropOpen(id uint64) {
 	}
 	delete(sh.opens, id)
 	if sy, ok := sh.syncs[st.path]; ok {
-		delete(sy.readers, id)
-		if sy.writer == id {
-			sy.writer = 0
+		if st.write {
+			if sy.writer == id {
+				sy.writer = 0
+			}
+		} else if sy.readers > 0 {
+			sy.readers--
 		}
 		sy.wake()
 		if sy.idle() {

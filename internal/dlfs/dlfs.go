@@ -15,6 +15,13 @@
 //     upcall, let DLFM take the file over, and retry with system
 //     credentials (§4.2).
 //   - fs_read/fs_write are pure pass-through.
+//
+// One stated deviation from §4.1: the paper validates an access token at
+// fs_lookup and checks the resulting token entry at fs_open, because a kernel
+// VFS shows the name — where the token is embedded — to lookup and never to
+// open. This DLFS allocates its own vnode per lookup, so the token travels on
+// the node and rides the open upcall itself: a token open is one exchange
+// with DLFM (plus the close), not a validate followed by an open.
 package dlfs
 
 import (
@@ -61,6 +68,7 @@ type dlfsCounters struct {
 	openWriteLazy    *metrics.Counter
 	openWriteManaged *metrics.Counter
 	openReadManaged  *metrics.Counter
+	abandonFailed    *metrics.Counter
 	removeRejected   *metrics.Counter
 	renameRejected   *metrics.Counter
 }
@@ -81,6 +89,7 @@ func New(cfg Config) *DLFS {
 			openWriteLazy:    cfg.Metrics.Counter("dlfs.open.write.lazy_upcall"),
 			openWriteManaged: cfg.Metrics.Counter("dlfs.open.write.managed"),
 			openReadManaged:  cfg.Metrics.Counter("dlfs.open.read.managed"),
+			abandonFailed:    cfg.Metrics.Counter("dlfs.open.abandon_failed"),
 			removeRejected:   cfg.Metrics.Counter("dlfs.remove.rejected"),
 			renameRejected:   cfg.Metrics.Counter("dlfs.rename.rejected"),
 		},
@@ -98,6 +107,7 @@ var (
 type node struct {
 	ino  *fs.Inode
 	path string // clean path, token stripped
+	tok  string // the token the name carried, "" if none; presented at open
 }
 
 // openFile is the per-open private data.
@@ -127,36 +137,57 @@ func mapCode(resp upcall.Response) error {
 	}
 }
 
-// FsLookup resolves a name, validating any embedded access token with the
-// upcall daemon (§4.1). An invalid token fails the lookup.
+// FsLookup resolves a name. An embedded access token is stripped and kept on
+// the node; it is presented to DLFM by the open, not here — lookup makes no
+// upcall.
 func (d *DLFS) FsLookup(cred fs.Cred, name string) (vfs.Node, error) {
 	return d.FsLookupCtx(context.Background(), cred, name)
 }
 
-// FsLookupCtx is FsLookup carrying the request context into the upcall.
-func (d *DLFS) FsLookupCtx(ctx context.Context, cred fs.Cred, name string) (vfs.Node, error) {
-	path, tok, hasToken := token.Extract(name)
-	if hasToken {
-		resp, err := upcall.Call(ctx, d.cfg.Upcall, upcall.Request{
-			Op:    upcall.OpValidateToken,
-			Path:  path,
-			Token: tok,
-			UID:   int32(cred.UID),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("dlfs: upcall daemon unreachable: %w", err)
-		}
-		if !resp.OK {
-			d.ctr.tokenRejected.Inc()
-			return nil, mapCode(resp)
-		}
-		d.ctr.tokenValidated.Inc()
-	}
+// FsLookupCtx is FsLookup under a request context.
+func (d *DLFS) FsLookupCtx(_ context.Context, _ fs.Cred, name string) (vfs.Node, error) {
+	path, tok, _ := token.Extract(name)
 	ino, err := d.cfg.Phys.Lookup(path)
 	if err != nil {
 		return nil, err
 	}
-	return &node{ino: ino, path: path}, nil
+	return &node{ino: ino, path: path, tok: tok}, nil
+}
+
+// countToken records DLFM's verdict on a token presented with a request: a
+// CodeBadToken answer rejected it; any other answer came after it was
+// admitted.
+func (d *DLFS) countToken(n *node, resp upcall.Response) {
+	switch {
+	case n.tok == "":
+	case resp.Code == upcall.CodeBadToken:
+		d.ctr.tokenRejected.Inc()
+	default:
+		d.ctr.tokenValidated.Inc()
+	}
+}
+
+// validateToken presents the node's token, if it carries one, on behalf of an
+// open that never reaches DLFM, so an invalid token fails the open on every
+// path — and a valid one still leaves its token entry behind (§4.1).
+func (d *DLFS) validateToken(ctx context.Context, cred fs.Cred, n *node) error {
+	if n.tok == "" {
+		return nil
+	}
+	resp, err := upcall.Call(ctx, d.cfg.Upcall, upcall.Request{
+		Op:    upcall.OpValidateToken,
+		Path:  n.path,
+		Token: n.tok,
+		UID:   int32(cred.UID),
+	})
+	if err != nil {
+		return fmt.Errorf("dlfs: upcall daemon unreachable: %w", err)
+	}
+	d.countToken(n, resp)
+	if !resp.OK {
+		return mapCode(resp)
+	}
+	return nil
 }
 
 // FsOpen enforces the control-mode semantics of Table 1 at open time.
@@ -177,6 +208,9 @@ func (d *DLFS) FsOpenCtx(ctx context.Context, cred fs.Cred, vn vfs.Node, mode fs
 	if attr.Type == fs.TypeDir {
 		// Directories are never linked; pass through.
 		if err := d.cfg.Phys.OpenCheck(n.ino, cred, mode); err != nil {
+			return nil, err
+		}
+		if err := d.validateToken(ctx, cred, n); err != nil {
 			return nil, err
 		}
 		return &openFile{}, nil
@@ -234,18 +268,23 @@ func (e notLinkedError) Error() string { return e.msg }
 // link processing can detect open files (§4.5 future work).
 func (d *DLFS) nativeOpen(ctx context.Context, cred fs.Cred, n *node, write bool) (vfs.OpenFile, error) {
 	if !d.cfg.Strict {
+		if err := d.validateToken(ctx, cred, n); err != nil {
+			return nil, err
+		}
 		d.ctr.openNative.Inc()
 		return &openFile{write: write}, nil
 	}
 	resp, err := upcall.Call(ctx, d.cfg.Upcall, upcall.Request{
 		Op:     upcall.OpReadOpen,
 		Path:   n.path,
+		Token:  n.tok,
 		UID:    int32(cred.UID),
 		Strict: true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dlfs: upcall daemon unreachable: %w", err)
 	}
+	d.countToken(n, resp)
 	if !resp.OK {
 		return nil, mapCode(resp)
 	}
@@ -253,7 +292,8 @@ func (d *DLFS) nativeOpen(ctx context.Context, cred fs.Cred, n *node, write bool
 	return &openFile{openID: resp.OpenID, managed: true, write: write}, nil
 }
 
-// managedOpen runs the upcall-approved open protocol.
+// managedOpen runs the upcall-approved open protocol. The node's token rides
+// the open request: DLFM admits it and takes the open under one call.
 func (d *DLFS) managedOpen(ctx context.Context, cred fs.Cred, n *node, write bool) (vfs.OpenFile, error) {
 	op := upcall.OpReadOpen
 	if write {
@@ -262,12 +302,14 @@ func (d *DLFS) managedOpen(ctx context.Context, cred fs.Cred, n *node, write boo
 	resp, err := upcall.Call(ctx, d.cfg.Upcall, upcall.Request{
 		Op:    op,
 		Path:  n.path,
+		Token: n.tok,
 		UID:   int32(cred.UID),
 		Write: write,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dlfs: upcall daemon unreachable: %w", err)
 	}
+	d.countToken(n, resp)
 	if !resp.OK {
 		if resp.Code == upcall.CodeNotLinked {
 			return nil, notLinkedError{msg: resp.Err}
@@ -284,12 +326,12 @@ func (d *DLFS) managedOpen(ctx context.Context, cred fs.Cred, n *node, write boo
 	}
 	if resp.TakeOver || write {
 		if err := d.cfg.Phys.OpenCheck(n.ino, sysCred, checkMode); err != nil {
-			d.abandonOpen(n, of)
+			d.abandonOpen(ctx, n, of)
 			return nil, err
 		}
 	} else {
 		if err := d.cfg.Phys.OpenCheck(n.ino, cred, checkMode); err != nil {
-			d.abandonOpen(n, of)
+			d.abandonOpen(ctx, n, of)
 			return nil, err
 		}
 	}
@@ -298,7 +340,7 @@ func (d *DLFS) managedOpen(ctx context.Context, cred fs.Cred, n *node, write boo
 		// (§4.2). DLFM's serialization makes contention rare, but the lock
 		// is the mechanism the paper names for rfd write serialization.
 		if err := d.cfg.Phys.Lockctl(n.ino, lockOwner(of.openID), fs.LockExclusive); err != nil {
-			d.abandonOpen(n, of)
+			d.abandonOpen(ctx, n, of)
 			return nil, err
 		}
 		of.locked = true
@@ -309,19 +351,26 @@ func (d *DLFS) managedOpen(ctx context.Context, cred fs.Cred, n *node, write boo
 	return of, nil
 }
 
-// abandonOpen tells DLFM an approved open never completed.
-func (d *DLFS) abandonOpen(n *node, of *openFile) {
+// abandonOpen tells DLFM an approved open never completed. A close that
+// fails or is refused leaves the DLFM-side open — for a write, the takeover
+// and the durable update entry — in place until restart; the caller still
+// sees the error that abandoned the open, and the leak is counted.
+func (d *DLFS) abandonOpen(ctx context.Context, n *node, of *openFile) {
 	attr, err := d.cfg.Phys.Getattr(n.ino)
 	if err != nil {
+		d.ctr.abandonFailed.Inc()
 		return
 	}
-	_, _ = d.cfg.Upcall.Upcall(upcall.Request{
+	resp, err := upcall.Call(ctx, d.cfg.Upcall, upcall.Request{
 		Op:     upcall.OpClose,
 		Path:   n.path,
 		OpenID: of.openID,
 		Size:   attr.Size,
 		Mtime:  attr.Mtime.UnixNano(),
 	})
+	if err != nil || !resp.OK {
+		d.ctr.abandonFailed.Inc()
+	}
 }
 
 // FsClose ends the open. For managed opens this is the end-transaction

@@ -2,6 +2,7 @@ package dlfs
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -17,13 +18,15 @@ const user fs.UID = 100
 // scriptedDLFM is a minimal upcall service with scripted behaviour so DLFS
 // logic is tested in isolation from the real DLFM.
 type scriptedDLFM struct {
-	mu        sync.Mutex
-	calls     []upcall.Request
-	linked    map[string]bool // paths considered linked
-	writable  map[string]bool // paths where write-open is approved
-	readable  map[string]bool // full-control paths where read-open is approved
-	failToken bool
-	nextOpen  uint64
+	mu         sync.Mutex
+	calls      []upcall.Request
+	linked     map[string]bool // paths considered linked
+	writable   map[string]bool // paths where write-open is approved
+	readable   map[string]bool // full-control paths where read-open is approved
+	failToken  bool
+	failClose  error // when set, every close upcall fails with it
+	noTakeOver bool  // approve read opens without asking for system credentials
+	nextOpen   uint64
 }
 
 func newScripted() *scriptedDLFM {
@@ -38,11 +41,11 @@ func (s *scriptedDLFM) Upcall(req upcall.Request) (upcall.Response, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.calls = append(s.calls, req)
+	if req.Token != "" && s.failToken {
+		return upcall.Response{Code: upcall.CodeBadToken, Err: "bad token"}, nil
+	}
 	switch req.Op {
 	case upcall.OpValidateToken:
-		if s.failToken {
-			return upcall.Response{Code: upcall.CodeBadToken, Err: "bad token"}, nil
-		}
 		return upcall.Response{OK: true}, nil
 	case upcall.OpReadOpen:
 		if req.Strict && !s.linked[req.Path] {
@@ -51,7 +54,7 @@ func (s *scriptedDLFM) Upcall(req upcall.Request) (upcall.Response, error) {
 		}
 		if s.readable[req.Path] {
 			s.nextOpen++
-			return upcall.Response{OK: true, OpenID: s.nextOpen, TakeOver: true}, nil
+			return upcall.Response{OK: true, OpenID: s.nextOpen, TakeOver: !s.noTakeOver}, nil
 		}
 		if !s.linked[req.Path] {
 			return upcall.Response{Code: upcall.CodeNotLinked, Err: "not linked"}, nil
@@ -67,7 +70,7 @@ func (s *scriptedDLFM) Upcall(req upcall.Request) (upcall.Response, error) {
 		}
 		return upcall.Response{Code: upcall.CodePermission, Err: "writes blocked"}, nil
 	case upcall.OpClose:
-		return upcall.Response{OK: true}, nil
+		return upcall.Response{OK: true}, s.failClose
 	case upcall.OpCheckRemove, upcall.OpCheckRename:
 		if s.linked[req.Path] || s.linked[req.NewPath] {
 			return upcall.Response{Code: upcall.CodeIntegrity, Err: "linked"}, nil
@@ -126,22 +129,98 @@ func TestReadOfUnmanagedFileMakesNoUpcalls(t *testing.T) {
 	}
 }
 
-func TestTokenValidatedAtLookup(t *testing.T) {
+// A token in the name makes no upcall at lookup. It is presented at open: on
+// the open upcall itself when the open goes to DLFM, and with one
+// validate_token when the file system admits the open on its own.
+func TestTokenPresentedAtOpenNotLookup(t *testing.T) {
 	lfs, phys, svc := setup(t, false)
 	seed(t, phys, "/d/f", 0o644, user)
-	name := token.Embed("/d/f", "r:123:mac")
-	fd, err := lfs.Open(fs.Cred{UID: user}, name, fs.AccessRead)
+	seed(t, phys, "/d/fc", 0o400, dlfmUID)
+	svc.linked["/d/fc"] = true
+	svc.readable["/d/fc"] = true
+	reg := lfs.Mounted().(*DLFS).Metrics()
+	alice := fs.Cred{UID: user}
+
+	if _, err := lfs.Mounted().FsLookup(alice, token.Embed("/d/fc", "r:123:mac")); err != nil {
+		t.Fatalf("lookup: %v", err)
+	}
+	if len(svc.calls) != 0 {
+		t.Fatalf("lookup made %d upcalls: %+v", len(svc.calls), svc.calls)
+	}
+
+	// Native open: the token is validated on its own, once.
+	fd, err := lfs.Open(alice, token.Embed("/d/f", "r:123:mac"), fs.AccessRead)
 	if err != nil {
-		t.Fatalf("open with token: %v", err)
+		t.Fatalf("native open with token: %v", err)
 	}
 	lfs.Close(fd)
-	if svc.callsFor(upcall.OpValidateToken) != 1 {
-		t.Fatal("token not validated at lookup")
+	if n := svc.callsFor(upcall.OpValidateToken); n != 1 || len(svc.calls) != 1 {
+		t.Fatalf("native token open: %d validate_token of %d upcalls, want 1 of 1", n, len(svc.calls))
 	}
-	// Invalid token fails the lookup itself.
+
+	// Managed open: the token rides the open request; no validate_token.
+	fd, err = lfs.Open(alice, token.Embed("/d/fc", "r:123:mac"), fs.AccessRead)
+	if err != nil {
+		t.Fatalf("managed open with token: %v", err)
+	}
+	lfs.Close(fd)
+	if n := svc.callsFor(upcall.OpValidateToken); n != 1 {
+		t.Fatalf("managed token open sent validate_token (%d total)", n)
+	}
+	if open := svc.calls[1]; open.Op != upcall.OpReadOpen || open.Token != "r:123:mac" || open.Path != "/d/fc" {
+		t.Fatalf("open request = %+v, want read_open carrying the token", open)
+	}
+	if v, r := reg.Counter("dlfs.token.validated").Value(), reg.Counter("dlfs.token.rejected").Value(); v != 2 || r != 0 {
+		t.Fatalf("validated=%d rejected=%d, want 2 and 0", v, r)
+	}
+
+	// An invalid token fails the open on both paths, counted once each.
 	svc.failToken = true
-	if _, err := lfs.Open(fs.Cred{UID: user}, name, fs.AccessRead); !errors.Is(err, fs.ErrPermission) {
-		t.Fatalf("bad token open = %v", err)
+	for _, name := range []string{"/d/f", "/d/fc"} {
+		if _, err := lfs.Open(alice, token.Embed(name, "r:123:mac"), fs.AccessRead); !errors.Is(err, fs.ErrPermission) {
+			t.Fatalf("bad token open of %s = %v", name, err)
+		}
+	}
+	if v, r := reg.Counter("dlfs.token.validated").Value(), reg.Counter("dlfs.token.rejected").Value(); v != 2 || r != 2 {
+		t.Fatalf("validated=%d rejected=%d, want 2 and 2", v, r)
+	}
+	if lfs.OpenCount() != 0 {
+		t.Fatalf("%d descriptors leaked", lfs.OpenCount())
+	}
+}
+
+// An approved open whose physical open then fails is abandoned with a close
+// upcall. When that close fails too, the caller still sees the error that
+// abandoned the open, and the leaked DLFM-side open is counted.
+func TestFailedAbandonIsCountedAndKeepsTheOpenError(t *testing.T) {
+	lfs, phys, svc := setup(t, false)
+	// DLFM approves the read without a takeover, and the file system then
+	// refuses the user: mode 0o400 gives a non-owner nothing.
+	seed(t, phys, "/d/fc", 0o400, dlfmUID)
+	svc.linked["/d/fc"] = true
+	svc.readable["/d/fc"] = true
+	svc.noTakeOver = true
+	reg := lfs.Mounted().(*DLFS).Metrics()
+	abandonFailed := reg.Counter("dlfs.open.abandon_failed")
+
+	open := func() {
+		t.Helper()
+		_, err := lfs.Open(fs.Cred{UID: user}, "/d/fc", fs.AccessRead)
+		if !errors.Is(err, fs.ErrPermission) || strings.Contains(err.Error(), "daemon gone") {
+			t.Fatalf("open = %v, want the file system's permission error and nothing else", err)
+		}
+	}
+	open()
+	if n := abandonFailed.Value(); n != 0 {
+		t.Fatalf("abandon_failed = %d after a close that succeeded", n)
+	}
+	svc.failClose = errors.New("daemon gone")
+	open()
+	if n := abandonFailed.Value(); n != 1 {
+		t.Fatalf("abandon_failed = %d, want 1", n)
+	}
+	if n := svc.callsFor(upcall.OpClose); n != 2 {
+		t.Fatalf("%d close upcalls, want one per abandoned open", n)
 	}
 }
 

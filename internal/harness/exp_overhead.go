@@ -272,6 +272,7 @@ func runE5() ([]*Table, error) {
 		sys.Close()
 	}
 	t.Note("reads of files not under full DB control make 0 upcalls (ownership-check optimization, §4)")
-	t.Note("token-path opens cost lookup-validate + open-check + close = 3 upcalls; rfd writes add the lazy native attempt first")
+	t.Note("token-path opens cost open (token admitted in the same call) + close = 2 upcalls; rfd writes add the lazy native attempt first")
+	t.Note("deviation from §4.1: the paper validates the token at fs_lookup (3 upcalls); this DLFS owns its vnode, so the token rides the open request")
 	return []*Table{t}, nil
 }

@@ -3,8 +3,8 @@
 // execute), an expiry time, and the file path they authorize.
 //
 // The DataLinks engine generates tokens when a DATALINK column is selected;
-// the DLFM upcall daemon validates them when DLFS intercepts fs_lookup. Both
-// sides share a per-file-server secret key.
+// the DLFM upcall daemon validates them when DLFS presents them at fs_open.
+// Both sides share a per-file-server secret key.
 package token
 
 import (

@@ -201,8 +201,8 @@ func TestUpcallAllocBudget(t *testing.T) {
 		if resp, err := client.Upcall(req); err != nil || !resp.OK {
 			t.Fatalf("upcall: %+v, %v", resp, err)
 		}
-	}); n > 40 {
-		t.Errorf("Client.Upcall over loopback: %.0f mallocs per call, budget 40", n)
+	}); n > 5 {
+		t.Errorf("Client.Upcall over loopback: %.0f mallocs per call, budget 5", n)
 	} else {
 		t.Logf("Client.Upcall over loopback: %.0f mallocs per call", n)
 	}

@@ -206,27 +206,95 @@ func (s *Server) reply(conn net.Conn, wmu *sync.Mutex, e *envelope) error {
 	return writeFrame(conn, s.cfg.MaxFrame, e)
 }
 
+// connState is what the reader and the handlers of one connection share.
+type connState struct {
+	s        *Server
+	conn     net.Conn
+	handlers sync.WaitGroup // in-flight requests on this conn
+	window   chan struct{}  // per-conn request window
+	wmu      sync.Mutex     // serializes response frames
+	// free holds finished calls for the reader to decode the next request
+	// into. At most Window calls are in flight, so it never holds more.
+	free chan *call
+}
+
+// call is one request on its way through a handler goroutine. The reader
+// decodes straight into e and starts run — built once per call, and a call is
+// reused — so handing a request to its goroutine allocates nothing.
+type call struct {
+	cs  *connState
+	e   envelope
+	run func()
+}
+
+func (cs *connState) getCall() *call {
+	select {
+	case c := <-cs.free:
+		return c
+	default:
+		c := &call{cs: cs}
+		c.run = c.serve
+		return c
+	}
+}
+
+// serve answers the request in c.e, then returns c and its window slots.
+func (c *call) serve() {
+	cs, s := c.cs, c.cs.s
+	defer func() {
+		c.e = envelope{} // do not pin the request's strings while idle
+		select {
+		case cs.free <- c:
+		default:
+		}
+		<-cs.window
+		<-s.gsem
+		cs.handlers.Done()
+	}()
+	ctx := context.Background()
+	if c.e.TraceID != 0 && s.cfg.Tracer.Enabled() {
+		sp, done := s.cfg.Tracer.Adopt(obs.WireContext{Trace: c.e.TraceID, Span: c.e.SpanID}, "server")
+		sp.SetAttr("op", c.e.Req.Op.String())
+		ctx = obs.ContextWithSpan(ctx, sp)
+		defer done()
+	}
+	resp, err := Call(ctx, s.svc, c.e.Req)
+	out := envelope{Seq: c.e.Seq, Resp: resp}
+	if err != nil {
+		out.Err = err.Error()
+	}
+	if werr := s.reply(cs.conn, &cs.wmu, &out); werr != nil {
+		var ne net.Error
+		if errors.As(werr, &ne) && ne.Timeout() {
+			s.ctr.evicted.Inc() // slow client: cut it off
+		}
+		cs.conn.Close()
+	}
+}
+
 func (s *Server) serveConn(conn net.Conn) {
-	var (
-		handlers sync.WaitGroup                      // in-flight requests on this conn
-		window   = make(chan struct{}, s.cfg.Window) // per-conn request window
-		wmu      sync.Mutex                          // serializes response frames
-	)
+	cs := &connState{
+		s:      s,
+		conn:   conn,
+		window: make(chan struct{}, s.cfg.Window),
+		free:   make(chan *call, s.cfg.Window),
+	}
 	defer func() {
 		// Let in-flight handlers flush their responses before the
 		// connection closes — a drain must not abandon accepted work.
-		handlers.Wait()
+		cs.handlers.Wait()
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	c := cs.getCall()
 	for {
 		if s.draining.Load() {
 			return
 		}
-		var e envelope
-		if err := s.readRequest(conn, &e); err != nil {
+		e := &c.e
+		if err := s.readRequest(conn, e); err != nil {
 			switch {
 			case s.draining.Load() || errors.Is(err, io.EOF):
 				// Drain nudge or clean client hangup.
@@ -236,7 +304,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				// Answer before hanging up: the reply's own version byte
 				// is what tells a peer at another version why, so its
 				// first call fails typed instead of retrying a dead line.
-				_ = s.reply(conn, &wmu, &envelope{Err: err.Error()})
+				_ = s.reply(conn, &cs.wmu, &envelope{Err: err.Error()})
 			default:
 				var ne net.Error
 				if errors.As(err, &ne) && ne.Timeout() {
@@ -248,17 +316,17 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.draining.Load() {
 			// Accepted after the drain began: refuse, retryably.
 			s.ctr.drainRejected.Inc()
-			_ = s.reply(conn, &wmu, &envelope{Seq: e.Seq, Err: ErrDraining.Error(), Retryable: true})
+			_ = s.reply(conn, &cs.wmu, &envelope{Seq: e.Seq, Err: ErrDraining.Error(), Retryable: true})
 			return
 		}
 		// Backpressure: a full per-conn window or global in-flight cap
 		// answers immediately with a retryable overload instead of
 		// queueing unbounded goroutines.
 		select {
-		case window <- struct{}{}:
+		case cs.window <- struct{}{}:
 		default:
 			s.ctr.inflightRejected.Inc()
-			if err := s.reply(conn, &wmu, &envelope{Seq: e.Seq, Err: ErrOverloaded.Error(), Retryable: true}); err != nil {
+			if err := s.reply(conn, &cs.wmu, &envelope{Seq: e.Seq, Err: ErrOverloaded.Error(), Retryable: true}); err != nil {
 				return
 			}
 			continue
@@ -266,41 +334,17 @@ func (s *Server) serveConn(conn net.Conn) {
 		select {
 		case s.gsem <- struct{}{}:
 		default:
-			<-window
+			<-cs.window
 			s.ctr.inflightRejected.Inc()
-			if err := s.reply(conn, &wmu, &envelope{Seq: e.Seq, Err: ErrOverloaded.Error(), Retryable: true}); err != nil {
+			if err := s.reply(conn, &cs.wmu, &envelope{Seq: e.Seq, Err: ErrOverloaded.Error(), Retryable: true}); err != nil {
 				return
 			}
 			continue
 		}
 		s.ctr.requests.Inc()
-		handlers.Add(1)
-		go func(e envelope) {
-			defer func() {
-				<-window
-				<-s.gsem
-				handlers.Done()
-			}()
-			ctx := context.Background()
-			if e.TraceID != 0 && s.cfg.Tracer.Enabled() {
-				sp, done := s.cfg.Tracer.Adopt(obs.WireContext{Trace: e.TraceID, Span: e.SpanID}, "server")
-				sp.SetAttr("op", e.Req.Op.String())
-				ctx = obs.ContextWithSpan(ctx, sp)
-				defer done()
-			}
-			resp, err := Call(ctx, s.svc, e.Req)
-			out := envelope{Seq: e.Seq, Resp: resp}
-			if err != nil {
-				out.Err = err.Error()
-			}
-			if werr := s.reply(conn, &wmu, &out); werr != nil {
-				var ne net.Error
-				if errors.As(werr, &ne) && ne.Timeout() {
-					s.ctr.evicted.Inc() // slow client: cut it off
-				}
-				conn.Close()
-			}
-		}(e)
+		cs.handlers.Add(1)
+		go c.run()
+		c = cs.getCall()
 	}
 }
 

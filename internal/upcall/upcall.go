@@ -3,8 +3,11 @@
 // daemon (user space) — the dashed arrow in Figure 1 of the paper.
 //
 // Every design decision in §4 revolves around when this channel must be
-// crossed: token validation at lookup, token-entry checks at open, update
+// crossed: token admission and token-entry checks at open, update
 // bookkeeping at write-open and close, and link checks on remove/rename.
+// (The paper crosses it once more, validating the token at lookup; here the
+// token rides the open request — a stated deviation from §4.1, made possible
+// by DLFS owning its vnode. See package dlfs.)
 // The package therefore counts calls per operation and can inject a fixed
 // latency so experiments reproduce the paper's IPC-cost trade-offs on
 // modern hardware.
@@ -39,7 +42,7 @@ type Op uint8
 
 // Upcall operations, one per DLFS interposition point.
 const (
-	OpValidateToken Op = iota + 1 // fs_lookup with an embedded token
+	OpValidateToken Op = iota + 1 // a token presented on an open that makes no other upcall
 	OpCheckOpen                   // fs_open of a DLFM-owned (full control) file
 	OpWriteOpen                   // fs_open for write after a native EACCES (rfd path)
 	OpClose                       // fs_close of a tracked open
@@ -82,7 +85,7 @@ type Request struct {
 	Op      Op
 	Path    string // server-relative file path
 	NewPath string // rename target
-	Token   string // embedded access token, if any
+	Token   string // access token the name carried, if any; admitted by the open that carries it
 	UID     int32  // credentials of the application process
 	Write   bool   // open access includes write
 	OpenID  uint64 // correlation id assigned at open approval, echoed at close

@@ -3,11 +3,15 @@
 //
 // The FileSystem interface mirrors the vnode entry points that the AIX LFS
 // calls: fs_lookup, fs_open, fs_close, fs_read/fs_write, fs_remove,
-// fs_rename, fs_lockctl. Crucially it reproduces the open() decoupling the
-// paper's §4.1 hinges on: FsLookup receives the *name* (where an access token
-// may be embedded) and returns an opaque node; FsOpen receives only the node
-// and the access mode — not the name, and therefore not the token. DLFS must
-// bridge that gap through DLFM token entries, exactly as in the paper.
+// fs_rename, fs_lockctl. It reproduces the open() decoupling the paper's
+// §4.1 hinges on: FsLookup receives the *name* (where an access token may be
+// embedded) and returns an opaque node; FsOpen receives only the node and the
+// access mode — not the name. The paper's DLFS bridges that gap by validating
+// the token at lookup and checking a DLFM token entry at open. This DLFS
+// allocates the node itself, one per lookup, so it carries the token across
+// on the node and presents it with the open upcall — a stated deviation from
+// §4.1 that saves the lookup's round trip; the token entry is still recorded
+// for other processes of the same uid.
 //
 // The LFS implements the syscall surface applications use (Open, Read, Write,
 // Close, ...) on top of any FileSystem: it decomposes open() into
@@ -38,7 +42,8 @@ type FileSystem interface {
 	// node. It is called before FsOpen and does not know the access mode.
 	FsLookup(cred fs.Cred, name string) (Node, error)
 	// FsOpen opens a previously looked-up node with the given access mode.
-	// It does not receive the name — the decoupling of §4.1.
+	// It does not receive the name — the decoupling of §4.1; what lookup
+	// learned from the name travels on the node.
 	FsOpen(cred fs.Cred, node Node, mode fs.AccessMode) (OpenFile, error)
 	// FsClose releases an open. For DLFS this is where update transactions
 	// commit.
