@@ -35,10 +35,13 @@
 // chunks never travel — so the "block new updates until archiving completes"
 // behaviour stays observable while its cost tracks the delta, not the file.
 //
-// Locking is sharded three ways: version lists shard by (server, path) key,
-// the refcount table shards by content hash, and the chunkdisk LRU shards by
-// hash — concurrent archivers of different files never contend on a global
-// mutex. Lock order is always entry shard → dedup shard → chunkdisk shard.
+// A blob's lifetime is not decided here: chunkdisk keeps the reference count
+// beside the bytes, and this package only takes references (Put, Ref) for the
+// slots its manifests list and gives them back (Release) when a version is
+// dropped or a read is done. Locking is sharded two ways: version lists shard
+// by (server, path) key, chunkdisk by content hash — concurrent archivers of
+// different files never contend on a global mutex. Lock order is always entry
+// shard → chunkdisk shard.
 package archive
 
 import (
@@ -71,9 +74,9 @@ type Version int64
 const checkpointEvery = 16
 
 // Entry is one archived version of one file: the metadata plus a handle
-// through which the content can be materialized. Content() and Snapshot()
-// are valid while the version remains archived (they fail after a
-// TruncateAfter/Drop that discards it — the chunks may be gone).
+// through which the content can be materialized. Snapshot() is valid while
+// the version remains archived (it fails after a TruncateAfter/Drop that
+// discards it — the chunks may be gone).
 type Entry struct {
 	Server  string
 	Path    string
@@ -88,20 +91,9 @@ type Entry struct {
 	gen uint64
 }
 
-// Content materializes the archived bytes (a fresh copy), paging cold chunks
-// in from the disk tier as needed. Returns nil if the version has been
-// discarded since the entry was obtained.
-func (e Entry) Content() []byte {
-	snap, err := e.Snapshot()
-	if err != nil {
-		return nil
-	}
-	defer snap.Release()
-	return snap.Bytes()
-}
-
 // Snapshot materializes the version as an extent manifest for an O(#chunks)
-// restore swap. The caller owns the returned snapshot and must Release it.
+// restore swap, paging cold chunks in from the disk tier as needed. The
+// caller owns the returned snapshot and must Release it.
 func (e Entry) Snapshot() (*extent.Snapshot, error) {
 	if e.st == nil {
 		return nil, fmt.Errorf("%w: entry not bound to a store", ErrNotFound)
@@ -181,14 +173,6 @@ func (fv *fileVersions) indexOf(v Version) int {
 type entryShard struct {
 	mu      sync.Mutex
 	entries map[string]*fileVersions
-}
-
-// dedupShard holds a subset of the content-hash refcount table: how many
-// version slots reference each interned blob. (Byte accounting lives in
-// chunkdisk, which owns the bytes.)
-type dedupShard struct {
-	mu    sync.Mutex
-	blobs map[extent.Hash]int64
 }
 
 // PutStats reports what one Put physically did.
@@ -272,7 +256,6 @@ type RecoveryStats struct {
 // Store is an archive server. Safe for concurrent use.
 type Store struct {
 	shards  [shardCount]entryShard
-	dedup   [shardCount]dedupShard
 	disk    *chunkdisk.Store
 	cat     *catalog.Catalog // nil in memory-only mode
 	ckEvery int
@@ -310,10 +293,10 @@ func New(latency time.Duration, clock func() time.Time) *Store {
 // NewTiered returns an archive store with the durable tier configured. With
 // a directory, any version history a previous process left there (catalog +
 // chunk files) is replayed back into service before the store returns: the
-// full index is rebuilt, chunk refcounts re-pinned, and every referenced blob
-// verified present — versions referencing missing blobs are dropped rather
-// than failing the open, and a torn catalog-log tail is quarantined. See
-// Recovery for what was replayed.
+// full index is rebuilt and one blob reference taken per listed slot —
+// versions referencing missing blobs are dropped rather than failing the
+// open, and a torn catalog-log tail is quarantined. See Recovery for what was
+// replayed.
 func NewTiered(latency time.Duration, clock func() time.Time, tier TierConfig) (*Store, error) {
 	if clock == nil {
 		clock = time.Now
@@ -339,7 +322,6 @@ func NewTiered(latency time.Duration, clock func() time.Time, tier TierConfig) (
 	s.latency.Store(int64(latency))
 	for i := range s.shards {
 		s.shards[i].entries = make(map[string]*fileVersions)
-		s.dedup[i].blobs = make(map[extent.Hash]int64)
 	}
 	if tier.Dir != "" {
 		cat, err := catalog.Open(tier.Dir, catalog.Config{
@@ -377,46 +359,20 @@ func NewTiered(latency time.Duration, clock func() time.Time, tier TierConfig) (
 
 // replay rebuilds the in-memory version index by adopting the records of the
 // catalog's shadow: for every key, walk the delta chain oldest-first — one
-// hash list, advanced in place — verify every blob a version references
-// actually exists in the chunk store, and only then re-pin one blob reference
-// per chunk slot (and tail) — so a version that proves unservable never
-// un-deadens blobs it will not use. The first version referencing a missing
-// blob ends that key's history — it and everything after it are dropped
-// (later deltas chain through it, and blobs only vanish through corruption or
-// manual deletion, so the safe prefix is what remains). repaired reports
-// whether any history was trimmed (the caller then persists the repair via a
-// catalog checkpoint).
+// hash list, advanced in place — and take one blob reference per chunk slot
+// (and tail) of each version, which turns the blobs the chunk store adopted
+// as dead back into held content with zero device transfer. The first version
+// referencing a blob the store does not hold gives back what it took and ends
+// that key's history — it and everything after it are dropped (later deltas
+// chain through it, and blobs only vanish through corruption or manual
+// deletion, so the safe prefix is what remains). repaired reports whether any
+// history was trimmed (the caller then persists the repair via a catalog
+// checkpoint).
 func (s *Store) replay(cat *catalog.Catalog) (repaired bool) {
 	st := cat.Stats()
 	s.recov.TornBytes = st.TornBytes
 	s.recov.SnapshotRecords = st.SnapshotRecords
 	s.recov.LogRecords = st.LogRecords
-	// One memo for both questions asked of a blob: is it on the device, and
-	// has this open already un-deadened it.
-	const (
-		missing = iota + 1
-		present
-		claimed
-	)
-	blobs := make(map[extent.Hash]uint8)
-	has := func(h extent.Hash) bool {
-		state := blobs[h]
-		if state == 0 {
-			state = missing
-			if s.disk.Has(h) {
-				state = present
-			}
-			blobs[h] = state
-		}
-		return state != missing
-	}
-	pin := func(h extent.Hash) {
-		if blobs[h] != claimed {
-			s.disk.Claim(h)
-			blobs[h] = claimed
-		}
-		s.addRef(h)
-	}
 	var full []extent.Hash // the walk's hash list, reused from key to key
 	cat.Range(func(k string, hist []*catalog.PutRec) (keep int) {
 		if _, _, ok := splitKey(k); !ok {
@@ -426,7 +382,6 @@ func (s *Store) replay(cat *catalog.Catalog) (repaired bool) {
 		}
 		fv := &fileVersions{gen: genCounter.Add(1), recs: make([]*catalog.PutRec, 0, len(hist))}
 		full = full[:0]
-	scan:
 		for _, rec := range hist {
 			// A chain that does not start at a checkpoint, or a delta that
 			// grows the file by slots it does not fill, cannot be walked.
@@ -434,21 +389,8 @@ func (s *Store) replay(cat *catalog.Catalog) (repaired bool) {
 				break
 			}
 			full = advance(full, rec)
-			for _, h := range full {
-				if !has(h) {
-					break scan
-				}
-			}
-			if rec.TailLen > 0 && !has(rec.TailHash) {
+			if !s.refRec(full, rec) {
 				break
-			}
-			// The version is servable: un-deaden and pin its references,
-			// then index it.
-			for _, h := range full {
-				pin(h)
-			}
-			if rec.TailLen > 0 {
-				pin(rec.TailHash)
 			}
 			fv.recs = append(fv.recs, rec)
 		}
@@ -576,11 +518,6 @@ func (s *Store) shardFor(k string) *entryShard {
 	return &s.shards[maphash.String(s.seed, k)&(shardCount-1)]
 }
 
-// dedupFor picks the dedup shard for a content hash.
-func (s *Store) dedupFor(h extent.Hash) *dedupShard {
-	return &s.dedup[h[0]&(shardCount-1)]
-}
-
 // SetLatency adjusts the simulated device latency.
 func (s *Store) SetLatency(d time.Duration) { s.latency.Store(int64(d)) }
 
@@ -597,43 +534,34 @@ func (s *Store) sleep(units int64) {
 	time.Sleep(d * time.Duration(units))
 }
 
-// addRef takes one reference on a blob hash, reporting whether the blob is
-// new to the refcount table.
-func (s *Store) addRef(h extent.Hash) (fresh bool) {
-	ds := s.dedupFor(h)
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	// One map operation: the increment inserts a blob the table did not have.
-	before := len(ds.blobs)
-	ds.blobs[h]++
-	return len(ds.blobs) != before
+// refRec takes one reference per blob a version's full hash list and tail
+// name, all of which the chunk store must already hold: on the first it does
+// not, the references taken so far are given back and refRec reports false.
+func (s *Store) refRec(hashes []extent.Hash, rec *catalog.PutRec) bool {
+	for i, h := range hashes {
+		if !s.disk.Ref(h) {
+			s.releaseAll(hashes[:i])
+			return false
+		}
+	}
+	if rec.TailLen > 0 && !s.disk.Ref(rec.TailHash) {
+		s.releaseAll(hashes)
+		return false
+	}
+	return true
 }
 
-// releaseRef drops one reference; at zero the blob leaves the refcount table
-// and its storage is dropped (memory immediately, disk at the next sweep).
-func (s *Store) releaseRef(h extent.Hash) {
-	ds := s.dedupFor(h)
-	ds.mu.Lock()
-	refs := ds.blobs[h]
-	switch {
-	case refs == 1:
-		delete(ds.blobs, h)
-	case refs > 1:
-		ds.blobs[h] = refs - 1
-	}
-	ds.mu.Unlock()
-	if refs == 1 {
-		s.disk.Drop(h)
-	}
-}
-
-// releaseRec releases every blob reference a version's full hash list holds.
+// releaseRec gives back every blob reference a version holds.
 func (s *Store) releaseRec(hashes []extent.Hash, rec *catalog.PutRec) {
-	for _, h := range hashes {
-		s.releaseRef(h)
-	}
+	s.releaseAll(hashes)
 	if rec.TailLen > 0 {
-		s.releaseRef(rec.TailHash)
+		s.disk.Release(rec.TailHash)
+	}
+}
+
+func (s *Store) releaseAll(hashes []extent.Hash) {
+	for _, h := range hashes {
+		s.disk.Release(h)
 	}
 }
 
@@ -688,25 +616,16 @@ func (s *Store) PutSnapshotCtx(ctx context.Context, server, path string, v Versi
 	// rejection can unwind symmetrically and a concurrent drop of an older
 	// version can never free content this version shares.
 	for i, c := range chunks {
-		h := c.Hash()
-		hashes[i] = h
-		if s.addRef(h) {
-			wrote, err := s.disk.Put(h, c)
-			if err != nil {
-				// Undo what we interned so far; the device rejected the blob.
-				for _, uh := range hashes[:i+1] {
-					s.releaseRef(uh)
-				}
-				return PutStats{}, err
-			}
-			if wrote {
-				st.NewChunks++
-				st.NewBytes += extent.ChunkSize
-			} else {
-				// Revived a dead blob: on the device already, no transfer.
-				st.SharedChunks++
-				st.DedupedBytes += extent.ChunkSize
-			}
+		hashes[i] = c.Hash()
+		wrote, err := s.disk.Put(hashes[i], c)
+		if err != nil {
+			// The device rejected the blob: give back what was interned so far.
+			s.releaseAll(hashes[:i])
+			return PutStats{}, err
+		}
+		if wrote {
+			st.NewChunks++
+			st.NewBytes += extent.ChunkSize
 		} else {
 			st.SharedChunks++
 			st.DedupedBytes += extent.ChunkSize
@@ -716,22 +635,20 @@ func (s *Store) PutSnapshotCtx(ctx context.Context, server, path string, v Versi
 	var tailHash extent.Hash
 	if len(tail) > 0 {
 		tailHash = sha256.Sum256(tail)
-		if s.addRef(tailHash) {
+		// Ref first: a tail the device holds costs no copy.
+		wrote := false
+		if !s.disk.Ref(tailHash) {
 			tc := extent.WrapChunk(append([]byte(nil), tail...), tailHash)
-			wrote, err := s.disk.Put(tailHash, tc)
+			var err error
+			wrote, err = s.disk.Put(tailHash, tc)
 			tc.ReleaseChunk()
 			if err != nil {
-				for _, uh := range hashes {
-					s.releaseRef(uh)
-				}
-				s.releaseRef(tailHash)
+				s.releaseAll(hashes)
 				return PutStats{}, err
 			}
-			if wrote {
-				st.NewBytes += int64(len(tail))
-			} else {
-				st.DedupedBytes += int64(len(tail))
-			}
+		}
+		if wrote {
+			st.NewBytes += int64(len(tail))
 		} else {
 			st.DedupedBytes += int64(len(tail))
 		}
@@ -857,13 +774,14 @@ func (s *Store) Put(server, path string, v Version, stateID uint64, content []by
 	return err
 }
 
-// materialize rebuilds version idx of key as a caller-owned snapshot. The
-// blob refs are pinned under the shard lock (so a concurrent truncate/drop
-// cannot free them), then the chunks are fetched — possibly paging in from
-// disk — without holding any entry lock. The version check catches a slot
-// that was truncated and re-filled by a newer Put since the handle was
-// obtained: the handle must error, never serve a different version's bytes.
-func (s *Store) materialize(k string, idx int, gen uint64, v Version) (*extent.Snapshot, error) {
+// materialize rebuilds version idx of key as a caller-owned snapshot. One
+// reference per blob is taken under the shard lock (so a concurrent
+// truncate/drop cannot free them) and held until the snapshot is built; the
+// chunks are fetched — possibly paging in from disk — without any entry lock.
+// The version check catches a slot that was truncated and re-filled by a
+// newer Put since the handle was obtained: the handle must error, never serve
+// a different version's bytes.
+func (s *Store) materialize(k string, idx int, gen uint64, v Version) (snap *extent.Snapshot, err error) {
 	sh := s.shardFor(k)
 	sh.mu.Lock()
 	fv := sh.entries[k]
@@ -873,55 +791,39 @@ func (s *Store) materialize(k string, idx int, gen uint64, v Version) (*extent.S
 	}
 	rec := fv.recs[idx]
 	hashes := hashesAt(fv, idx)
-	// Pin every blob with a temporary reference.
-	for _, h := range hashes {
-		s.addRef(h)
-	}
-	if rec.TailLen > 0 {
-		s.addRef(rec.TailHash)
-	}
-	tailHash, tailLen := rec.TailHash, rec.TailLen
+	held := s.refRec(hashes, rec)
 	sh.mu.Unlock()
-
-	unpin := func() {
-		for _, h := range hashes {
-			s.releaseRef(h)
-		}
-		if tailLen > 0 {
-			s.releaseRef(tailHash)
-		}
+	if !held {
+		// An indexed version holds a reference on every blob it lists.
+		return nil, fmt.Errorf("archive: version %d of %q lists a blob that is not stored", v, k)
 	}
+	defer s.releaseRec(hashes, rec)
 
 	chunks := make([]*extent.Chunk, 0, len(hashes))
-	fail := func(err error) (*extent.Snapshot, error) {
-		for _, c := range chunks {
-			c.ReleaseChunk()
+	defer func() {
+		if err != nil {
+			for _, c := range chunks {
+				c.ReleaseChunk()
+			}
 		}
-		unpin()
-		return nil, err
-	}
+	}()
 	for _, h := range hashes {
 		c, err := s.disk.Get(h)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
 		chunks = append(chunks, c)
 	}
 	var tail []byte
-	if tailLen > 0 {
-		tc, err := s.disk.Get(tailHash)
+	if rec.TailLen > 0 {
+		tc, err := s.disk.Get(rec.TailHash)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
+		defer tc.ReleaseChunk()
 		tail = tc.Data()
-		snap := extent.BuildSnapshot(chunks, tail)
-		tc.ReleaseChunk()
-		unpin()
-		return snap, nil
 	}
-	snap := extent.BuildSnapshot(chunks, nil)
-	unpin()
-	return snap, nil
+	return extent.BuildSnapshot(chunks, tail), nil
 }
 
 // Get returns a specific archived version.

@@ -10,6 +10,19 @@ import (
 	"datalinks/internal/extent"
 )
 
+// bytesOf materializes an archived version (a fresh copy), failing the test
+// when it cannot — a version that does not materialize is never an empty one.
+func bytesOf(t testing.TB, e Entry) []byte {
+	t.Helper()
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Errorf("materialize %s v%d: %v", e.Path, e.Version, err)
+		return nil
+	}
+	defer snap.Release()
+	return snap.Bytes()
+}
+
 func TestPutGetLatest(t *testing.T) {
 	s := New(0, nil)
 	if err := s.Put("fs1", "/a", 0, 10, []byte("v0")); err != nil {
@@ -19,11 +32,11 @@ func TestPutGetLatest(t *testing.T) {
 		t.Fatalf("put v1: %v", err)
 	}
 	e, err := s.Get("fs1", "/a", 0)
-	if err != nil || string(e.Content()) != "v0" {
-		t.Fatalf("get v0 = %q, %v", e.Content(), err)
+	if err != nil || string(bytesOf(t, e)) != "v0" {
+		t.Fatalf("get v0 = %q, %v", bytesOf(t, e), err)
 	}
 	latest, err := s.Latest("fs1", "/a")
-	if err != nil || latest.Version != 1 || string(latest.Content()) != "v1" {
+	if err != nil || latest.Version != 1 || string(bytesOf(t, latest)) != "v1" {
 		t.Fatalf("latest = %+v, %v", latest, err)
 	}
 }
@@ -45,8 +58,8 @@ func TestContentIsCopied(t *testing.T) {
 	s.Put("fs1", "/a", 0, 1, buf)
 	buf[0] = 'X'
 	e, _ := s.Get("fs1", "/a", 0)
-	if string(e.Content()) != "original" {
-		t.Fatalf("stored content aliased caller buffer: %q", e.Content())
+	if string(bytesOf(t, e)) != "original" {
+		t.Fatalf("stored content aliased caller buffer: %q", bytesOf(t, e))
 	}
 }
 
@@ -64,8 +77,8 @@ func TestAsOfSelectsByStateID(t *testing.T) {
 	}
 	for _, c := range cases {
 		e, err := s.AsOf("fs1", "/a", c.state)
-		if err != nil || string(e.Content()) != c.want {
-			t.Errorf("AsOf(%d) = %q, %v; want %q", c.state, e.Content(), err, c.want)
+		if err != nil || string(bytesOf(t, e)) != c.want {
+			t.Errorf("AsOf(%d) = %q, %v; want %q", c.state, bytesOf(t, e), err, c.want)
 		}
 	}
 	if _, err := s.AsOf("fs1", "/a", 5); !errors.Is(err, ErrNotFound) {
@@ -95,8 +108,8 @@ func TestServerNamespaceIsolation(t *testing.T) {
 	s.Put("fs2", "/a", 0, 1, []byte("two"))
 	e1, _ := s.Latest("fs1", "/a")
 	e2, _ := s.Latest("fs2", "/a")
-	if string(e1.Content()) != "one" || string(e2.Content()) != "two" {
-		t.Fatalf("cross-server contamination: %q, %q", e1.Content(), e2.Content())
+	if string(bytesOf(t, e1)) != "one" || string(bytesOf(t, e2)) != "two" {
+		t.Fatalf("cross-server contamination: %q, %q", bytesOf(t, e1), bytesOf(t, e2))
 	}
 	files := s.Files("fs1")
 	if len(files) != 1 || files[0] != "/a" {
@@ -191,7 +204,7 @@ func TestDedupSharesChunks(t *testing.T) {
 	for v := 1; v <= 3; v++ {
 		want[(v%chunks)*extent.ChunkSize+7] = byte(v)
 	}
-	if !bytes.Equal(e.Content(), want) {
+	if !bytes.Equal(bytesOf(t, e), want) {
 		t.Fatal("restored v3 content mismatch")
 	}
 	// Dropping the file releases every resident chunk.
@@ -291,9 +304,6 @@ func TestStalePutLeavesAccountingIntact(t *testing.T) {
 		t.Fatal("pre-drop snapshot corrupted by drop")
 	}
 	snap.Release()
-	if e.Content() != nil {
-		t.Fatal("entry content served after its version was discarded")
-	}
 	if _, err := e.Snapshot(); err == nil {
 		t.Fatal("Snapshot() of a discarded version must fail")
 	}

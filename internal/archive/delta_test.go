@@ -42,15 +42,15 @@ func handOver(t testing.TB, src, dst *Store) (ImportStats, error) {
 	return dst.ImportDelta("auth", "/f", exportAll(t, src, "auth", "/f"), src.FetchBlob)
 }
 
-// pinnedBlobs counts the blob hashes the store holds a reference on.
+// pinnedBlobs counts the blob hashes the store holds a reference on: in
+// memory mode a blob is resident exactly while it is referenced, on disk
+// everything indexed that is not awaiting a sweep.
 func pinnedBlobs(s *Store) int {
-	n := 0
-	for i := range s.dedup {
-		s.dedup[i].mu.Lock()
-		n += len(s.dedup[i].blobs)
-		s.dedup[i].mu.Unlock()
+	t := s.Tier()
+	if s.TierDir() == "" {
+		return int(t.ResidentBlobs)
 	}
-	return n
+	return int(t.DiskBlobs - t.DeadBlobs)
 }
 
 // seedPair returns a source with versions 0..srcVers-1 of /f and a
@@ -109,7 +109,7 @@ func TestHandoffRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("dst get v%d: %v", v, err)
 		}
-		if !bytes.Equal(e.Content(), want) {
+		if !bytes.Equal(bytesOf(t, e), want) {
 			t.Fatalf("v%d content mismatch after handoff", v)
 		}
 		if e.StateID != uint64(10+v) {
@@ -122,7 +122,7 @@ func TestHandoffRoundTrip(t *testing.T) {
 		t.Fatalf("src drop: %v", err)
 	}
 	e, err := dst.Get("auth", "/f", 3)
-	if err != nil || !bytes.Equal(e.Content(), multiVersionContent(3)) {
+	if err != nil || !bytes.Equal(bytesOf(t, e), multiVersionContent(3)) {
 		t.Fatalf("dst history damaged by src drop: %v", err)
 	}
 }
@@ -146,7 +146,7 @@ func TestHandoffDedupAgainstResident(t *testing.T) {
 		t.Errorf("moved %d blobs for fully-shared content, want 0", st.MovedChunks)
 	}
 	e, err := dst.Get("auth", "/f", 0)
-	if err != nil || !bytes.Equal(e.Content(), content) {
+	if err != nil || !bytes.Equal(bytesOf(t, e), content) {
 		t.Fatalf("imported content wrong: %v", err)
 	}
 }
@@ -189,7 +189,7 @@ func TestHandoffOntoExistingHistoryIsNoOp(t *testing.T) {
 	}
 	for v := 0; v < 5; v++ {
 		e, err := dst.Get("auth", "/f", Version(v))
-		if err != nil || !bytes.Equal(e.Content(), multiVersionContent(v)) {
+		if err != nil || !bytes.Equal(bytesOf(t, e), multiVersionContent(v)) {
 			t.Fatalf("v%d wrong after handoffs: %v", v, err)
 		}
 	}
@@ -223,7 +223,7 @@ func TestHandoffFetchFailureUnwinds(t *testing.T) {
 		t.Fatalf("retry after unwind: %v", err)
 	}
 	e, err := dst.Get("auth", "/f", 0)
-	if err != nil || !bytes.Equal(e.Content(), multiVersionContent(0)) {
+	if err != nil || !bytes.Equal(bytesOf(t, e), multiVersionContent(0)) {
 		t.Fatalf("retried import wrong: %v", err)
 	}
 }
@@ -266,7 +266,7 @@ func TestHandoffTieredDestination(t *testing.T) {
 	defer re.Close()
 	for v := 0; v < 3; v++ {
 		e, err := re.Get("auth", "/f", Version(v))
-		if err != nil || !bytes.Equal(e.Content(), multiVersionContent(v)) {
+		if err != nil || !bytes.Equal(bytesOf(t, e), multiVersionContent(v)) {
 			t.Fatalf("reopened v%d wrong: %v", v, err)
 		}
 	}
@@ -295,7 +295,7 @@ func TestDeltaShipsOnlyMissingVersions(t *testing.T) {
 	}
 	for v := 0; v < 6; v++ {
 		e, err := dst.Get("auth", "/f", Version(v))
-		if err != nil || !bytes.Equal(e.Content(), multiVersionContent(v)) {
+		if err != nil || !bytes.Equal(bytesOf(t, e), multiVersionContent(v)) {
 			t.Fatalf("v%d wrong after delta import: %v", v, err)
 		}
 	}
@@ -332,7 +332,7 @@ func TestDeltaChainGap(t *testing.T) {
 	}
 	// The failed import left the destination intact.
 	e, err := dst.Get("auth", "/f", 1)
-	if err != nil || !bytes.Equal(e.Content(), multiVersionContent(1)) {
+	if err != nil || !bytes.Equal(bytesOf(t, e), multiVersionContent(1)) {
 		t.Fatalf("dst damaged by rejected import: %v", err)
 	}
 	// A delta has no predecessor in an empty store: only a checkpoint can
@@ -388,7 +388,7 @@ func TestDeltaReplicaAheadResyncs(t *testing.T) {
 		t.Fatalf("replica has %d versions after resync, owner %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Version != want[i].Version || got[i].StateID != want[i].StateID || !bytes.Equal(got[i].Content(), want[i].Content()) {
+		if got[i].Version != want[i].Version || got[i].StateID != want[i].StateID || !bytes.Equal(bytesOf(t, got[i]), bytesOf(t, want[i])) {
 			t.Fatalf("version %d differs between owner and resynced replica", want[i].Version)
 		}
 	}
@@ -418,7 +418,7 @@ func TestDeltaIdempotentReship(t *testing.T) {
 	}
 	for v := 0; v < 5; v++ {
 		e, err := dst.Get("auth", "/f", Version(v))
-		if err != nil || !bytes.Equal(e.Content(), multiVersionContent(v)) {
+		if err != nil || !bytes.Equal(bytesOf(t, e), multiVersionContent(v)) {
 			t.Fatalf("v%d wrong after re-ships: %v", v, err)
 		}
 	}
@@ -443,7 +443,7 @@ func TestDeltaFetchFailureKeepsPrefix(t *testing.T) {
 	}
 	// The destination still serves what it had, and a healthy retry converges.
 	e, err := dst.Get("auth", "/f", 1)
-	if err != nil || !bytes.Equal(e.Content(), multiVersionContent(1)) {
+	if err != nil || !bytes.Equal(bytesOf(t, e), multiVersionContent(1)) {
 		t.Fatalf("existing prefix damaged: %v", err)
 	}
 	if _, err := dst.ImportDelta("auth", "/f", recs, src.FetchBlob); err != nil {
@@ -451,7 +451,7 @@ func TestDeltaFetchFailureKeepsPrefix(t *testing.T) {
 	}
 	for v := 0; v < 6; v++ {
 		e, err := dst.Get("auth", "/f", Version(v))
-		if err != nil || !bytes.Equal(e.Content(), multiVersionContent(v)) {
+		if err != nil || !bytes.Equal(bytesOf(t, e), multiVersionContent(v)) {
 			t.Fatalf("v%d wrong after retry: %v", v, err)
 		}
 	}
@@ -483,7 +483,7 @@ func TestDeltaDurableDestination(t *testing.T) {
 	defer re.Close()
 	for v := 0; v < 4; v++ {
 		e, err := re.Get("auth", "/f", Version(v))
-		if err != nil || !bytes.Equal(e.Content(), multiVersionContent(v)) {
+		if err != nil || !bytes.Equal(bytesOf(t, e), multiVersionContent(v)) {
 			t.Fatalf("reopened v%d wrong: %v", v, err)
 		}
 	}

@@ -237,7 +237,7 @@ func TestReplayRepairKeepsThePrefix(t *testing.T) {
 		t.Fatalf("%d versions after the repair, want %d", len(got), k)
 	}
 	for v, e := range got {
-		if e.Version != Version(v) || !bytes.Equal(e.Content(), contents[v]) {
+		if e.Version != Version(v) || !bytes.Equal(bytesOf(t, e), contents[v]) {
 			t.Fatalf("version %d diverged after the repair", v)
 		}
 	}
@@ -262,7 +262,7 @@ func TestReplayRepairKeepsThePrefix(t *testing.T) {
 		t.Fatalf("recovery after the repaired store's own restart = %+v", rec)
 	}
 	e, err := s3.Latest("fs1", "/f")
-	if err != nil || e.Version != k || !bytes.Equal(e.Content(), contents[k-1]) {
+	if err != nil || e.Version != k || !bytes.Equal(bytesOf(t, e), contents[k-1]) {
 		t.Fatalf("latest after repair + put + restart: v%d, %v", e.Version, err)
 	}
 }
@@ -298,7 +298,7 @@ func TestMaterializedTailIsTheSnapshotsOwn(t *testing.T) {
 	if !bytes.Equal(snap.Bytes(), want) {
 		t.Fatal("overwriting a buffer restored from the snapshot changed the snapshot")
 	}
-	if got := e.Content(); !bytes.Equal(got, want) {
+	if got := bytesOf(t, e); !bytes.Equal(got, want) {
 		t.Fatal("a second materialization no longer returns the archived bytes")
 	}
 }

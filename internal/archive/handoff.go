@@ -97,39 +97,34 @@ func (s *Store) FetchBlob(h extent.Hash) (*extent.Chunk, error) {
 	return s.disk.Get(h)
 }
 
-// ensureBlob pins one reference on h and, the first time h is fresh to the
-// refcount table, makes sure its bytes are on this store's device — reviving
-// a dead-but-unswept disk blob in place, or fetching from the source
-// otherwise. logical is the slot's logical size, charged to the dedup
-// counters when no transfer happens. Every pin is appended to *pinned so the
-// caller can unwind symmetrically.
+// ensureBlob takes one reference on h, fetching the bytes from the source
+// only when this store's device does not hold them (live, or dead but unswept
+// and revived in place). logical is the slot's logical size, charged to the
+// dedup counters when no transfer happens (a fetch replaces it with what
+// arrived). Every reference taken is appended to *pinned so the caller can
+// unwind symmetrically.
 func (s *Store) ensureBlob(h extent.Hash, logical int64, path string, fetch func(extent.Hash) (*extent.Chunk, error), st *ImportStats, pinned *[]extent.Hash) error {
-	fresh := s.addRef(h)
+	moved := false
+	if !s.disk.Ref(h) {
+		c, err := fetch(h)
+		if err != nil {
+			return fmt.Errorf("archive: import fetch %s: %w", path, err)
+		}
+		logical = int64(len(c.Data()))
+		moved, err = s.disk.Put(h, c)
+		c.ReleaseChunk()
+		if err != nil {
+			return fmt.Errorf("archive: import store %s: %w", path, err)
+		}
+	}
 	*pinned = append(*pinned, h)
-	if !fresh {
+	if moved {
+		st.MovedChunks++
+		st.MovedBytes += logical
+	} else {
 		st.DedupedChunks++
 		st.DedupedBytes += logical
-		return nil
 	}
-	if s.disk.Has(h) {
-		// Dead-but-unswept (or adopted-orphan) blob: revive in place.
-		s.disk.Claim(h)
-		st.DedupedChunks++
-		st.DedupedBytes += logical
-		return nil
-	}
-	c, err := fetch(h)
-	if err != nil {
-		return fmt.Errorf("archive: import fetch %s: %w", path, err)
-	}
-	n := int64(len(c.Data()))
-	_, err = s.disk.Put(h, c)
-	c.ReleaseChunk()
-	if err != nil {
-		return fmt.Errorf("archive: import store %s: %w", path, err)
-	}
-	st.MovedChunks++
-	st.MovedBytes += n
 	return nil
 }
 
@@ -184,9 +179,7 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 	// source instead of ending the history.
 	var pinned []extent.Hash
 	fail := func(err error) (ImportStats, error) {
-		for _, h := range pinned {
-			s.releaseRef(h)
-		}
+		s.releaseAll(pinned)
 		return ImportStats{}, err
 	}
 	newRecs := make([]*catalog.PutRec, len(recs))
@@ -231,9 +224,7 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 					fv.last = hashesAt(fv, len(fv.recs)-1)
 				}
 				sh.mu.Unlock()
-				for _, h := range pinned[pinStart[i]:] {
-					s.releaseRef(h)
-				}
+				s.releaseAll(pinned[pinStart[i]:])
 				st.Versions = i
 				return st, fmt.Errorf("archive: delta catalog %s: %w", path, err)
 			}

@@ -101,7 +101,7 @@ func TestRestartServesFullHistory(t *testing.T) {
 					errs <- fmt.Errorf("%s v%d state id = %d", p, v, e.StateID)
 					return
 				}
-				if !bytes.Equal(e.Content(), want[p][v]) {
+				if !bytes.Equal(bytesOf(t, e), want[p][v]) {
 					errs <- fmt.Errorf("%s v%d content diverged after restart", p, v)
 				}
 			}(p, v)
@@ -142,7 +142,7 @@ func TestRestartServesFullHistory(t *testing.T) {
 	next := putBytes(t, s2, paths[0], 9, 1000, bytes.Repeat([]byte{0xAB}, C+5))
 	s3 := reopen(t, s2, tier)
 	e, err := s3.Latest("fs1", paths[0])
-	if err != nil || e.Version != 9 || !bytes.Equal(e.Content(), next) {
+	if err != nil || e.Version != 9 || !bytes.Equal(bytesOf(t, e), next) {
 		t.Fatalf("post-restart put lost: %v v%d", err, e.Version)
 	}
 }
@@ -197,7 +197,7 @@ func TestRestartRespectsTruncateAndDrop(t *testing.T) {
 	}
 	for v, want := range wantKeep {
 		e, err := s2.Get("fs1", "/t.bin", Version(v))
-		if err != nil || !bytes.Equal(e.Content(), want) {
+		if err != nil || !bytes.Equal(bytesOf(t, e), want) {
 			t.Fatalf("surviving v%d wrong after restart: %v", v, err)
 		}
 	}
@@ -215,7 +215,7 @@ func TestRestartRespectsTruncateAndDrop(t *testing.T) {
 	s3 := reopen(t, s2, TierConfig{MemoryBudget: 2 * C})
 	for v, want := range wantKeep {
 		e, err := s3.Get("fs1", "/t.bin", Version(v))
-		if err != nil || !bytes.Equal(e.Content(), want) {
+		if err != nil || !bytes.Equal(bytesOf(t, e), want) {
 			t.Fatalf("v%d wrong after GC + second restart: %v", v, err)
 		}
 	}
@@ -256,7 +256,7 @@ func TestRestartDropsVersionsWithMissingBlobs(t *testing.T) {
 		t.Fatalf("recovery = %+v, want 1 dropped / 1 served", rec)
 	}
 	e, err := s2.Latest("fs1", "/f.bin")
-	if err != nil || e.Version != 0 || !bytes.Equal(e.Content(), v0) {
+	if err != nil || e.Version != 0 || !bytes.Equal(bytesOf(t, e), v0) {
 		t.Fatalf("v0 must survive the corruption: %v (v%d)", err, e.Version)
 	}
 	if _, err := s2.Get("fs1", "/f.bin", 1); err == nil {
@@ -318,7 +318,7 @@ func TestCheckpointIntervalSweep(t *testing.T) {
 				t.Helper()
 				for v := range want {
 					e, err := s.Get("fs1", "/f.bin", Version(v))
-					if err != nil || !bytes.Equal(e.Content(), want[v]) {
+					if err != nil || !bytes.Equal(bytesOf(t, e), want[v]) {
 						t.Fatalf("%s: v%d diverged (%v)", phase, v, err)
 					}
 				}
@@ -353,7 +353,7 @@ func TestRestartWithCompression(t *testing.T) {
 	s2 := reopen(t, s, tier)
 	for v := range want {
 		e, err := s2.Get("fs1", "/z.bin", Version(v))
-		if err != nil || !bytes.Equal(e.Content(), want[v]) {
+		if err != nil || !bytes.Equal(bytesOf(t, e), want[v]) {
 			t.Fatalf("compressed v%d diverged after restart (%v)", v, err)
 		}
 	}
@@ -427,7 +427,7 @@ func TestRestartServesPackfileBackedHistory(t *testing.T) {
 	}
 	for v := range want {
 		e, err := s2.Get("fs1", "/p.bin", Version(v))
-		if err != nil || !bytes.Equal(e.Content(), want[v]) {
+		if err != nil || !bytes.Equal(bytesOf(t, e), want[v]) {
 			t.Fatalf("v%d diverged across the torn-pack restart (%v)", v, err)
 		}
 	}

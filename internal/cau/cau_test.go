@@ -10,6 +10,19 @@ import (
 	"datalinks/internal/workload"
 )
 
+// bytesOf materializes an archived version (a fresh copy), failing the test
+// when it cannot — a version that does not materialize is never an empty one.
+func bytesOf(t testing.TB, e archive.Entry) []byte {
+	t.Helper()
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Errorf("materialize %s v%d: %v", e.Path, e.Version, err)
+		return nil
+	}
+	defer snap.Release()
+	return snap.Bytes()
+}
+
 func setup(t *testing.T) (*Manager, *fs.FS, *workload.Population) {
 	t.Helper()
 	phys := fs.New()
@@ -144,7 +157,7 @@ func TestCheckInArchivesVersions(t *testing.T) {
 	c2.Content = []byte("v2")
 	m.CheckInBlind(c2)
 	vs := m.arch.Versions("fs1", pop.Paths[1])
-	if len(vs) != 2 || !bytes.Equal(vs[1].Content(), []byte("v2")) {
+	if len(vs) != 2 || !bytes.Equal(bytesOf(t, vs[1]), []byte("v2")) {
 		t.Fatalf("versions = %+v", vs)
 	}
 }

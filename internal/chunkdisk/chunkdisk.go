@@ -2,21 +2,43 @@
 // hash-addressed blob store on a real directory with a bounded in-memory LRU
 // of hot chunks in front of it.
 //
-// The archive's dedup table owns the reference counts; this package owns the
-// bytes. Every blob is written through to disk at Put time (the durability
-// point), and the LRU decides which blobs also stay resident in memory.
-// Get serves residents from memory and pages evicted blobs back in from
-// disk, verifying their content hash on the way (a corrupted or truncated
-// chunk file surfaces as an error, never as silent bad data).
+// This package owns a blob's whole lifetime: the bytes AND the count of
+// version slots that reference them, in one shard under one mutex. Put takes
+// a reference, storing the bytes only when the store does not hold them; Ref
+// takes one on bytes already held and reports false, holding nothing, when
+// they are not; Release gives one back. Three invariants are the protocol:
 //
-// Deletion is deferred: when the archive drops the last reference to a hash
-// it calls Drop, which releases the memory copy immediately but only marks
-// the disk file dead. A background sweep (archive GC) unlinks dead files in
-// batches — so TruncateAfter/Drop never pay disk I/O inline, and a hash that
-// is re-archived before the sweep is revived without a device transfer.
+//  1. A count and its liveness never change under different locks: the
+//     reference count, the resident copy, the index entry and the dead mark
+//     of a hash all live in its shard.
+//  2. A reference is never granted on bytes that are not yet on the device:
+//     a Put or Ref that meets a write in flight for its hash waits for the
+//     outcome, and a failed write leaves no count behind.
+//  3. A release to zero cannot be overtaken by a claimer: the resident copy
+//     is freed and the disk copy marked dead in the critical section that
+//     drops the count, so the next Put or Ref sees either a held blob or a
+//     dead one it revives in place.
 //
-// With Dir == "" the store runs memory-only: no spill, no eviction, and Drop
-// frees immediately — the semantics the archive had before the disk tier.
+// Counts are volatile. A store opened over an existing directory adopts every
+// blob it finds as dead — nothing references it yet — and the archive's
+// catalog replay Refs back what its histories list; the first sweep reclaims
+// the rest.
+//
+// Every blob is written through to disk at Put time (the durability point),
+// and the LRU decides which blobs also stay resident in memory. Get serves
+// residents from memory and pages evicted blobs back in from disk, verifying
+// their content hash on the way (a corrupted or truncated chunk file surfaces
+// as an error, never as silent bad data).
+//
+// Deletion is deferred: the Release that drops the last reference frees the
+// memory copy immediately but only marks the disk copy dead. A background
+// sweep (archive GC) unlinks dead files in batches — so TruncateAfter/Drop
+// never pay disk I/O inline, and a hash that is re-archived before the sweep
+// is revived without a device transfer.
+//
+// With Dir == "" the store runs memory-only: no spill, no eviction, and the
+// last Release frees immediately — the semantics the archive had before the
+// disk tier.
 //
 // Small blobs — at or below Config.PackThreshold — are batched into
 // append-only packfiles instead of costing one file each (see pack.go);
@@ -133,9 +155,9 @@ type entry struct {
 	chunk *extent.Chunk // retained while resident
 	size  int64
 	elem  *list.Element
-	// writing pins the entry against eviction until its disk write-through
-	// completes — a reader paging it "back in" before the file exists would
-	// otherwise race the first write.
+	// writing marks the entry's disk write-through as in flight: it cannot be
+	// evicted (a reader paging it "back in" before the file exists would race
+	// the first write) and nothing can take a reference on it yet.
 	writing bool
 }
 
@@ -149,9 +171,14 @@ type diskMeta struct {
 	off        int64 // payload offset within the pack
 }
 
-// shard is one stripe of the store.
+// shard is one stripe of the store: everything the store knows about the
+// hashes it owns, under one mutex.
 type shard struct {
-	mu       sync.Mutex
+	mu sync.Mutex
+	// settled is broadcast whenever a write-through or a sweep's unlink
+	// finishes: what refLocked waits on.
+	settled  sync.Cond
+	refs     map[extent.Hash]int64 // version slots referencing each held blob; > 0 means the bytes are on the device
 	resident map[extent.Hash]*entry
 	lru      *list.List // of *entry; front = hottest
 	resBytes int64
@@ -199,8 +226,9 @@ type Store struct {
 	closeErr  error
 
 	// afterPackAppend, when a test sets it, runs in Put between the pack
-	// append and the publication of the record in the index.
-	afterPackAppend func()
+	// append and the publication of the record in the index; an error it
+	// returns fails the write.
+	afterPackAppend func() error
 }
 
 // ctrInc / ctrAdd bump an optional registry mirror.
@@ -246,6 +274,8 @@ func Open(cfg Config) (*Store, error) {
 	}
 	for i := range s.shards {
 		sh := &s.shards[i]
+		sh.settled.L = &sh.mu
+		sh.refs = make(map[extent.Hash]int64)
 		sh.resident = make(map[extent.Hash]*entry)
 		sh.lru = list.New()
 		sh.onDisk = make(map[extent.Hash]diskMeta)
@@ -382,50 +412,62 @@ func (s *Store) path(h extent.Hash, compressed bool) string {
 	return filepath.Join(s.dir, hx[:2], name)
 }
 
-// Put stores the chunk's bytes under h, which the caller guarantees is the
-// chunk's content hash. It admits the chunk to the resident LRU and, in disk
-// mode, writes the blob through to disk before returning. wrote reports
-// whether a device transfer happened — false when the blob was already on
-// disk (a dead blob revived before its sweep).
+// refLocked takes one reference on h if the store holds its bytes, reviving
+// a dead blob in place. A write-through or a sweep's unlink in flight for h
+// is waited out first — referenced bytes have neither — so a false return
+// leaves the shard locked with h absent and nothing about to change that.
+// Caller holds the shard lock.
+func (s *Store) refLocked(sh *shard, h extent.Hash) bool {
+	for {
+		if n := sh.refs[h]; n > 0 {
+			sh.refs[h] = n + 1
+			return true
+		}
+		_, swept := sh.sweeping[h]
+		if e := sh.resident[h]; !swept && (e == nil || !e.writing) {
+			break
+		}
+		sh.settled.Wait()
+	}
+	if _, ok := sh.onDisk[h]; !ok {
+		return false
+	}
+	if _, wasDead := sh.dead[h]; wasDead {
+		delete(sh.dead, h)
+		s.deadBlobs.Add(-1)
+	}
+	sh.refs[h] = 1
+	return true
+}
+
+// Ref takes one reference on bytes the store already holds — live, or dead
+// but unswept and revived in place, with no device transfer either way — and
+// reports false, holding nothing, when it does not hold them.
+func (s *Store) Ref(h extent.Hash) bool {
+	sh := s.shardFor(h)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return s.refLocked(sh, h)
+}
+
+// Put takes one reference on h, which the caller guarantees is the chunk's
+// content hash, storing the bytes only if the store does not hold them: the
+// chunk is admitted to the resident LRU and, in disk mode, written through to
+// disk before Put returns. wrote reports whether a device transfer happened —
+// false when the bytes were already held. A failed write takes no reference.
 func (s *Store) Put(h extent.Hash, c *extent.Chunk) (wrote bool, err error) {
 	size := int64(len(c.Data()))
 	sh := s.shardFor(h)
-	for {
-		sh.mu.Lock()
-		if _, claimed := sh.sweeping[h]; !claimed {
-			break
-		}
-		// A sweep is unlinking this very file; wait for it to finish so our
-		// fresh write cannot be deleted under us.
-		sh.mu.Unlock()
-		time.Sleep(50 * time.Microsecond)
-	}
-	if e, ok := sh.resident[h]; ok {
-		// Already resident (another Put of the same content raced us). A
-		// resident blob is never in the dead set — Drop evicts as it marks.
-		sh.lru.MoveToFront(e.elem)
+	sh.mu.Lock()
+	if s.refLocked(sh, h) {
 		sh.mu.Unlock()
 		return false, nil
 	}
-	e := &entry{hash: h, chunk: c.RetainChunk(), size: size}
-	e.elem = sh.lru.PushFront(e)
-	sh.resident[h] = e
-	sh.resBytes += size
-	s.resBlobs.Add(1)
-	s.resBytes.Add(size)
+	e := s.admitLocked(sh, h, c, size)
 	if s.dir == "" {
+		sh.refs[h] = 1
 		sh.mu.Unlock()
 		return true, nil
-	}
-	if _, onDisk := sh.onDisk[h]; onDisk {
-		// Revive: the bytes are still on the device; no transfer needed.
-		if _, wasDead := sh.dead[h]; wasDead {
-			delete(sh.dead, h)
-			s.deadBlobs.Add(-1)
-		}
-		s.evictLocked(sh)
-		sh.mu.Unlock()
-		return false, nil
 	}
 	e.writing = true // pin until the file exists
 	sh.mu.Unlock()
@@ -449,7 +491,7 @@ func (s *Store) Put(h extent.Hash, c *extent.Chunk) (wrote bool, err error) {
 		if pack, meta.off, werr = s.packs.append(h, data, size, compressed); werr == nil {
 			meta.pack = pack.seq
 			if s.afterPackAppend != nil {
-				s.afterPackAppend()
+				werr = s.afterPackAppend()
 			}
 		}
 	} else {
@@ -460,23 +502,20 @@ func (s *Store) Put(h extent.Hash, c *extent.Chunk) (wrote bool, err error) {
 	e.writing = false
 	if werr == nil {
 		sh.onDisk[h] = meta
+		sh.refs[h] = 1
 		s.diskBlobs.Add(1)
 		s.diskBytes.Add(int64(len(data)))
 		s.diskLogical.Add(size)
 		s.spills.Add(1)
 	} else {
 		// The write-through failed: an unbacked resident blob would read
-		// fine until its eviction, then vanish — evict it now so the failure
-		// stays visible (refcount holders get "not stored", and the
-		// archiver's pending-archive row retries the version in recovery).
-		sh.lru.Remove(e.elem)
-		delete(sh.resident, h)
-		sh.resBytes -= e.size
-		e.chunk.ReleaseChunk()
-		s.resBlobs.Add(-1)
-		s.resBytes.Add(-e.size)
+		// fine until its eviction, then vanish — free it now so the failure
+		// stays visible (a Put waiting on this one stores the bytes itself,
+		// and the archiver's pending-archive row retries the version).
+		s.freeResidentLocked(sh, e)
 	}
 	s.evictLocked(sh)
+	sh.settled.Broadcast()
 	sh.mu.Unlock()
 	if pack != nil {
 		s.packs.published(pack)
@@ -537,9 +576,10 @@ func (s *Store) writeBlob(dst string, data []byte) error {
 }
 
 // Get returns a retained chunk holding the blob's bytes, paging it in from
-// disk if it was evicted. The caller must release the returned chunk. The
-// caller guarantees the blob is still referenced (the archive pins its
-// refcount across materialization), so the file cannot be swept mid-read.
+// disk if it was evicted. The caller must release the returned chunk, and
+// holds a reference on the blob across the call (the archive Refs a version's
+// blobs for the length of a materialization), so the file cannot be swept
+// mid-read.
 func (s *Store) Get(h extent.Hash) (*extent.Chunk, error) {
 	sh := s.shardFor(h)
 	sh.mu.Lock()
@@ -604,12 +644,7 @@ func (s *Store) Get(h extent.Hash) (*extent.Chunk, error) {
 		c.ReleaseChunk()
 		return r, nil
 	}
-	e := &entry{hash: h, chunk: c.RetainChunk(), size: int64(len(data))}
-	e.elem = sh.lru.PushFront(e)
-	sh.resident[h] = e
-	sh.resBytes += e.size
-	s.resBlobs.Add(1)
-	s.resBytes.Add(e.size)
+	s.admitLocked(sh, h, c, int64(len(data)))
 	s.evictLocked(sh)
 	sh.mu.Unlock()
 	return c, nil
@@ -628,8 +663,8 @@ func (s *Store) readPackBlob(h extent.Hash, meta diskMeta) ([]byte, diskMeta, er
 	cur, ok := sh.onDisk[h]
 	sh.mu.Unlock()
 	if !ok {
-		// Swept in the window. Callers pin refcounts across materialization,
-		// so this indicates a contract violation — surface it as missing.
+		// Swept in the window. Callers hold a reference across Get, so this
+		// indicates a contract violation — surface it as missing.
 		return nil, meta, fmt.Errorf("chunkdisk: blob %x not stored", h[:8])
 	}
 	meta = cur
@@ -654,75 +689,54 @@ func (s *Store) evictLocked(sh *shard) {
 			// yet and everything hotter is even less evictable.
 			return
 		}
-		sh.lru.Remove(el)
-		delete(sh.resident, e.hash)
-		sh.resBytes -= e.size
-		e.chunk.ReleaseChunk()
-		s.resBlobs.Add(-1)
-		s.resBytes.Add(-e.size)
+		s.freeResidentLocked(sh, e)
 		s.evictions.Add(1)
 	}
 }
 
-// Drop tells the store the last reference to h is gone: the resident copy is
-// released immediately (memory returns to baseline without waiting for GC)
-// and the disk file, if any, is marked dead for the next sweep.
-func (s *Store) Drop(h extent.Hash) {
+// admitLocked makes c the resident copy of h, hottest in the LRU. Caller
+// holds the shard lock.
+func (s *Store) admitLocked(sh *shard, h extent.Hash, c *extent.Chunk, size int64) *entry {
+	e := &entry{hash: h, chunk: c.RetainChunk(), size: size}
+	e.elem = sh.lru.PushFront(e)
+	sh.resident[h] = e
+	sh.resBytes += size
+	s.resBlobs.Add(1)
+	s.resBytes.Add(size)
+	return e
+}
+
+// freeResidentLocked drops e's memory copy. Caller holds the shard lock.
+func (s *Store) freeResidentLocked(sh *shard, e *entry) {
+	sh.lru.Remove(e.elem)
+	delete(sh.resident, e.hash)
+	sh.resBytes -= e.size
+	e.chunk.ReleaseChunk()
+	s.resBlobs.Add(-1)
+	s.resBytes.Add(-e.size)
+}
+
+// Release gives one reference back. At zero the resident copy is freed
+// (memory returns to baseline without waiting for GC) and the disk copy, if
+// any, is marked dead for the next sweep — in this critical section, so no
+// Put or Ref can come between the count and the mark.
+func (s *Store) Release(h extent.Hash) {
 	sh := s.shardFor(h)
 	sh.mu.Lock()
-	if e, ok := sh.resident[h]; ok {
-		sh.lru.Remove(e.elem)
-		delete(sh.resident, h)
-		sh.resBytes -= e.size
-		e.chunk.ReleaseChunk()
-		s.resBlobs.Add(-1)
-		s.resBytes.Add(-e.size)
-	}
-	if _, ok := sh.onDisk[h]; ok {
-		if _, wasDead := sh.dead[h]; !wasDead {
+	defer sh.mu.Unlock()
+	switch n := sh.refs[h]; {
+	case n > 1:
+		sh.refs[h] = n - 1
+	case n == 1:
+		delete(sh.refs, h)
+		if e, ok := sh.resident[h]; ok {
+			s.freeResidentLocked(sh, e)
+		}
+		if _, ok := sh.onDisk[h]; ok {
 			sh.dead[h] = struct{}{}
 			s.deadBlobs.Add(1)
 		}
 	}
-	sh.mu.Unlock()
-}
-
-// Has reports whether the blob is stored (resident or on disk), without any
-// side effect — the archive's replay verifies a whole version's blobs exist
-// before Claiming any of them, so a version that turns out unservable never
-// un-deadens blobs it will not reference.
-func (s *Store) Has(h extent.Hash) bool {
-	sh := s.shardFor(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.resident[h]; ok {
-		return true
-	}
-	_, ok := sh.onDisk[h]
-	return ok
-}
-
-// Claim re-pins an on-disk blob without reading or rewriting it: if the hash
-// is stored (resident, or adopted from a previous process's directory), any
-// dead mark is cleared and Claim reports true; a missing blob reports false.
-// The archive's catalog replay uses it to turn adopted-as-dead blob files
-// back into referenced content with zero device transfer — a blob the replay
-// does NOT claim stays dead and the next sweep reclaims it.
-func (s *Store) Claim(h extent.Hash) bool {
-	sh := s.shardFor(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.resident[h]; ok {
-		return true
-	}
-	if _, ok := sh.onDisk[h]; !ok {
-		return false
-	}
-	if _, wasDead := sh.dead[h]; wasDead {
-		delete(sh.dead, h)
-		s.deadBlobs.Add(-1)
-	}
-	return true
 }
 
 // Sweep reclaims every dead blob and returns how many it freed. Loose blobs
@@ -746,6 +760,11 @@ func (s *Store) Sweep() int {
 		sh.mu.Lock()
 		claim := make([]claimed, 0, len(sh.dead))
 		for h := range sh.dead {
+			if e, ok := sh.resident[h]; ok {
+				// Paged in by a Get that held no reference (the source side
+				// of a transfer racing a drop): it goes with the disk copy.
+				s.freeResidentLocked(sh, e)
+			}
 			meta := sh.onDisk[h]
 			if meta.pack != 0 {
 				// Retire the record in place: no per-blob file I/O. A reader
@@ -779,6 +798,7 @@ func (s *Store) Sweep() int {
 				s.diskLogical.Add(-meta.logical)
 			}
 			delete(sh.sweeping, cl.h)
+			sh.settled.Broadcast()
 			sh.mu.Unlock()
 			if err == nil || os.IsNotExist(err) {
 				freed++

@@ -65,8 +65,8 @@ func TestMemoryModeRoundTrip(t *testing.T) {
 	if st.Spills != 0 || st.DiskBlobs != 0 {
 		t.Fatalf("memory mode touched disk: %+v", st)
 	}
-	// Drop frees immediately in memory mode.
-	s.Drop(h)
+	// The last Release frees immediately in memory mode.
+	s.Release(h)
 	if st := s.Stats(); st.ResidentBlobs != 0 {
 		t.Fatalf("resident after drop: %+v", st)
 	}
@@ -158,7 +158,7 @@ func TestSweepFreesDeadAndSparesLive(t *testing.T) {
 	dataB, hB := blob(101, 2048)
 	put(t, s, dataA, hA)
 	put(t, s, dataB, hB)
-	s.Drop(hA)
+	s.Release(hA)
 	if st := s.Stats(); st.DeadBlobs != 1 {
 		t.Fatalf("dead=%d, want 1", st.DeadBlobs)
 	}
@@ -178,7 +178,7 @@ func TestSweepFreesDeadAndSparesLive(t *testing.T) {
 
 	// Revive: drop B, re-put the same content before the sweep — no device
 	// transfer, and the next sweep must NOT delete it.
-	s.Drop(hB)
+	s.Release(hB)
 	if wrote := put(t, s, dataB, hB); wrote {
 		t.Fatal("revived blob reported a device transfer")
 	}
@@ -230,8 +230,8 @@ func TestAdoptExistingDirAsDead(t *testing.T) {
 	}
 }
 
-// TestClaimRepinsAdoptedBlobs: Claim turns an adopted-as-dead blob back into
-// referenced content with zero I/O; unclaimed blobs still sweep.
+// TestClaimRepinsAdoptedBlobs: Ref turns an adopted-as-dead blob back into
+// referenced content with zero I/O; blobs nothing Refs still sweep.
 func TestClaimRepinsAdoptedBlobs(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(Config{Dir: dir, MemoryBudget: 16})
@@ -248,12 +248,12 @@ func TestClaimRepinsAdoptedBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s2.Claim(hA) {
+	if !s2.Ref(hA) {
 		t.Fatal("claim of an adopted blob failed")
 	}
 	var missing extent.Hash
 	missing[0] = 0xFF
-	if s2.Claim(missing) {
+	if s2.Ref(missing) {
 		t.Fatal("claim of a never-stored blob succeeded")
 	}
 	if st := s2.Stats(); st.DeadBlobs != 1 {
@@ -268,8 +268,8 @@ func TestClaimRepinsAdoptedBlobs(t *testing.T) {
 	if _, err := s2.Get(hB); err == nil {
 		t.Fatal("unclaimed blob survived the sweep")
 	}
-	// Claim is idempotent and also true for resident blobs.
-	if !s2.Claim(hA) {
+	// A second reference on the same blob is granted too.
+	if !s2.Ref(hA) {
 		t.Fatal("second claim failed")
 	}
 }
@@ -355,7 +355,7 @@ func TestCompressAdoptAndMixedMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s2.Claim(zh) {
+	if !s2.Ref(zh) {
 		t.Fatal("claim of adopted .z blob failed")
 	}
 	if got := get(t, s2, zh); !bytes.Equal(got, zdata) {
@@ -364,8 +364,8 @@ func TestCompressAdoptAndMixedMode(t *testing.T) {
 	// New blobs from this store are raw; both sweep cleanly.
 	data, h := blob(77, 4096)
 	put(t, s2, data, h)
-	s2.Drop(zh)
-	s2.Drop(h)
+	s2.Release(zh)
+	s2.Release(h)
 	if freed := s2.Sweep(); freed != 2 {
 		t.Fatalf("swept %d files, want 2 (one .z, one raw)", freed)
 	}
@@ -395,7 +395,7 @@ func diskFiles(t *testing.T, dir string) int {
 	return n
 }
 
-// TestConcurrentChurn hammers put/get/drop/sweep from many goroutines; run
+// TestConcurrentChurn hammers put/get/release/sweep from many goroutines; run
 // under -race this shakes out locking bugs in the LRU and sweep claim logic.
 func TestConcurrentChurn(t *testing.T) {
 	s, err := Open(Config{Dir: t.TempDir(), MemoryBudget: 8 << 10})
@@ -409,9 +409,8 @@ func TestConcurrentChurn(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				// Shared blobs (overlapping seeds) are never dropped —
-				// chunkdisk's contract leaves liveness tracking to the
-				// archive's refcounts, so only private blobs get dropped.
+				// Shared blobs (overlapping seeds) collect one reference per
+				// put and are never released; private blobs give theirs back.
 				data, h := blob((w+i)%12, 2048)
 				put(t, s, data, h)
 				if got := get(t, s, h); !bytes.Equal(got, data) {
@@ -425,7 +424,7 @@ func TestConcurrentChurn(t *testing.T) {
 					return
 				}
 				if i%5 == 4 {
-					s.Drop(ph)
+					s.Release(ph)
 				}
 				if i%11 == 10 {
 					s.Sweep()

@@ -478,7 +478,7 @@ func (s *Store) adoptPacks() error {
 }
 
 // adoptOnePack scans one packfile, indexing every valid record as dead
-// (Claim or a re-Put revives it, exactly like loose adoption) and
+// (Ref or a re-Put revives it, exactly like loose adoption) and
 // quarantining a torn tail — or the whole file, when it does not start with
 // the pack magic: never guess at, or delete, bytes that might matter.
 func (s *Store) adoptOnePack(sc *seglog.Scanner, path string, seq int64) error {

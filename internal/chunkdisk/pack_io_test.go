@@ -108,16 +108,17 @@ func TestCompactionLeavesAPackWithAnUnpublishedAppend(t *testing.T) {
 	// Half of the pack is garbage before the record under test arrives.
 	gone, gh := blob(1, 1000)
 	put(t, s, gone, gh)
-	s.Drop(gh)
+	s.Release(gh)
 	if freed := s.Sweep(); freed != 1 {
 		t.Fatalf("sweep freed %d, want the dropped blob", freed)
 	}
 
 	data, h := blob(2, 1000)
 	parked := false
-	s.afterPackAppend = func() {
+	s.afterPackAppend = func() error {
 		parked = true
 		s.Sweep() // the pack is sealed and half dead: a victim, but for the pin
+		return nil
 	}
 	put(t, s, data, h)
 	s.afterPackAppend = nil

@@ -79,8 +79,8 @@ func TestPackRoundTripAndRotation(t *testing.T) {
 }
 
 // TestPackAdoptionAndClaim: a reopened store indexes pack records from the
-// files alone (no separate index), Claim revives them with zero transfer,
-// and unclaimed records sweep into dead space.
+// files alone (no separate index), Ref revives them with zero transfer,
+// and records nothing Refs sweep into dead space.
 func TestPackAdoptionAndClaim(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(Config{Dir: dir, MemoryBudget: 16})
@@ -103,7 +103,7 @@ func TestPackAdoptionAndClaim(t *testing.T) {
 	if st := s2.Stats(); st.DiskBlobs != 2 || st.DeadBlobs != 2 {
 		t.Fatalf("adopted: %+v", st)
 	}
-	if !s2.Claim(hA) {
+	if !s2.Ref(hA) {
 		t.Fatal("claim of adopted pack blob failed")
 	}
 	if got := get(t, s2, hA); !bytes.Equal(got, dataA) {
@@ -181,7 +181,7 @@ func TestPackTornTailEveryByteBoundary(t *testing.T) {
 			t.Fatalf("cut=%d: torn bytes %d, want %d", cut, st.PackTornBytes, wantTorn)
 		}
 		for i := 0; i < wantRecords; i++ {
-			if !s2.Claim(hashes[i]) {
+			if !s2.Ref(hashes[i]) {
 				t.Fatalf("cut=%d: surviving record %d not claimable", cut, i)
 			}
 			if got := get(t, s2, hashes[i]); !bytes.Equal(got, datas[i]) {
@@ -277,7 +277,7 @@ func TestPackCompaction(t *testing.T) {
 	survivors := map[int]bool{0: true, 5: true, 11: true}
 	for i, h := range hashes {
 		if !survivors[i] {
-			s.Drop(h)
+			s.Release(h)
 		}
 	}
 	if freed := s.Sweep(); freed != len(hashes)-len(survivors) {
@@ -301,7 +301,7 @@ func TestPackCompaction(t *testing.T) {
 	}
 }
 
-// TestPackCompactionUnderChurn hammers Get/Put/Drop/Sweep concurrently with
+// TestPackCompactionUnderChurn hammers Get/Put/Release/Sweep concurrently with
 // tiny packs and an aggressive garbage ratio so compactions run constantly;
 // referenced (never-dropped) blobs must stay byte-identical throughout.
 // Run with -race this also shakes out the relocMu protocol.
@@ -342,7 +342,7 @@ func TestPackCompactionUnderChurn(t *testing.T) {
 					t.Errorf("worker %d: churn blob diverged", w)
 					return
 				}
-				s.Drop(h)
+				s.Release(h)
 				if i%3 == 0 {
 					s.Sweep()
 				}
@@ -461,7 +461,7 @@ func TestCrashReleasesLockAndAdoptsUnsealedPack(t *testing.T) {
 		t.Fatalf("open after crash: %v", err)
 	}
 	defer s2.Close()
-	if !s2.Claim(h) {
+	if !s2.Ref(h) {
 		t.Fatal("record from the crashed store's active pack not adopted")
 	}
 	if got := get(t, s2, h); !bytes.Equal(got, data) {

@@ -101,8 +101,9 @@ type Cluster struct {
 	probeStop chan struct{}
 	probeWG   sync.WaitGroup
 
-	// migrateHook, when set (tests only), runs before each path migration and
-	// can fail it — the crash-mid-absorb injection point.
+	// migrateHook, when set (tests only), runs before each path moves — a
+	// migration, or a failover's promote off the dead src — and can fail it:
+	// the crash-mid-absorb and failed-failover injection point.
 	migrateHook func(path, src, dst string) error
 }
 
@@ -267,16 +268,41 @@ func (c *Cluster) Close() {
 // probeLoop is the health probe: it sweeps the member set every interval and
 // converts a silently dead member (KillServer, or a crashed stack) into the
 // same bookkeeping FailServer does — and, with AutoFailover, straight into a
-// Failover, so orphaned paths come back without an operator in the loop.
+// Failover, so orphaned paths come back without an operator in the loop. A
+// Failover that returns an error is counted and tried again on every tick
+// until the member has left deadCfg: markDead already took it off the member
+// list, so nothing else would come back to it. Only the probe's own failovers
+// are retried — a FailServer awaiting AbsorbDead is the operator's.
 func (c *Cluster) probeLoop() {
 	defer c.probeWG.Done()
 	t := time.NewTicker(c.repl.probe)
 	defer t.Stop()
+	failed := make(map[string]bool)
+	failover := func(id string) {
+		if _, err := c.Failover(id); err != nil {
+			failed[id] = true
+			c.router.reg.Counter("repl.failover_errors").Inc()
+			return
+		}
+		delete(failed, id)
+	}
 	for {
 		select {
 		case <-c.probeStop:
 			return
 		case <-t.C:
+		}
+		for id := range failed {
+			c.mu.Lock()
+			_, dead := c.deadCfg[id]
+			c.mu.Unlock()
+			if !dead {
+				// Past its ring swap (what failed was the redundancy repair
+				// behind it), or absorbed meanwhile.
+				delete(failed, id)
+				continue
+			}
+			failover(id)
 		}
 		for _, id := range c.router.memberIDs() {
 			m, err := c.router.member(id)
@@ -287,7 +313,7 @@ func (c *Cluster) probeLoop() {
 			c.markDead(m)
 			c.router.reg.Counter("repl.probe_deaths").Inc()
 			if c.repl.auto && c.repl.n > 1 {
-				_, _ = c.Failover(id) // best effort; a retry rides the next tick
+				failover(id)
 			}
 		}
 	}

@@ -7,7 +7,22 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"datalinks/internal/archive"
 )
+
+// bytesOf materializes an archived version (a fresh copy), failing the test
+// when it cannot — a version that does not materialize is never an empty one.
+func bytesOf(t testing.TB, e archive.Entry) []byte {
+	t.Helper()
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Errorf("materialize %s v%d: %v", e.Path, e.Version, err)
+		return nil
+	}
+	defer snap.Release()
+	return snap.Bytes()
+}
 
 // newCluster builds an n-member scale-out deployment with a docs table.
 func newCluster(t *testing.T, n int) *Cluster {
@@ -60,8 +75,8 @@ func historyDigest(t *testing.T, c *Cluster, path string) string {
 	m, _ := c.Member(id)
 	h := sha256.New()
 	for _, e := range m.Archive.Versions(c.Authority(), path) {
-		fmt.Fprintf(h, "%d:%d:", e.Version, len(e.Content()))
-		h.Write(e.Content())
+		fmt.Fprintf(h, "%d:%d:", e.Version, len(bytesOf(t, e)))
+		h.Write(bytesOf(t, e))
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
@@ -129,7 +144,7 @@ func TestClusterLinkRoutingAndReadWrite(t *testing.T) {
 	owner, _ := c.Owner(paths[3])
 	m, _ := c.Member(owner)
 	vs := m.Archive.Versions(c.Authority(), paths[3])
-	if len(vs) != 2 || string(vs[1].Content()) != "v1 of "+paths[3] {
+	if len(vs) != 2 || string(bytesOf(t, vs[1])) != "v1 of "+paths[3] {
 		t.Fatalf("versions after commit: %d", len(vs))
 	}
 }

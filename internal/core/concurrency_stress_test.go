@@ -241,7 +241,7 @@ func TestConcurrentSessionsStress(t *testing.T) {
 			t.Fatalf("%s: content differs from last committed version", st.path)
 		}
 		vs := srv.Archive.Versions(st.server, st.path)
-		if len(vs) == 0 || !bytes.Equal(vs[len(vs)-1].Content(), st.committed) {
+		if len(vs) == 0 || !bytes.Equal(bytesOf(t, vs[len(vs)-1]), st.committed) {
 			t.Fatalf("%s: newest archived version does not match last committed content", st.path)
 		}
 		row, err := sys.DB.QueryRow(fmt.Sprintf(`SELECT doc_size FROM %s WHERE id = %d`, st.table, st.id))

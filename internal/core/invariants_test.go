@@ -68,7 +68,7 @@ func TestUpdateAtomicityProperty(t *testing.T) {
 			}
 			cur.DLFM.WaitArchives()
 			vs := cur.Archive.Versions("fs1", "/d/f.bin")
-			if len(vs) == 0 || !bytes.Equal(vs[len(vs)-1].Content(), committed) {
+			if len(vs) == 0 || !bytes.Equal(bytesOf(t, vs[len(vs)-1]), committed) {
 				return false
 			}
 			row, err := sys.DB.QueryRow(`SELECT doc_size FROM t WHERE id = 1`)

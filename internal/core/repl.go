@@ -311,7 +311,7 @@ func (c *Cluster) Failover(id string) (*FailoverReport, error) {
 			if c.router.placementID(p) != id || target.Lookup(p) != sid {
 				continue
 			}
-			if err := c.promotePath(m, p); err != nil {
+			if err := c.promotePath(m, p, id); err != nil {
 				return rep, fmt.Errorf("core: failover %s: promote %s on %s: %w", id, p, sid, err)
 			}
 			promoted[p] = true
@@ -330,7 +330,7 @@ func (c *Cluster) Failover(id string) (*FailoverReport, error) {
 			if promoted[p] || c.router.placementID(p) != id {
 				continue
 			}
-			if err := c.promotePath(m, p); err != nil {
+			if err := c.promotePath(m, p, id); err != nil {
 				return rep, fmt.Errorf("core: failover %s: promote %s on %s: %w", id, p, sid, err)
 			}
 			promoted[p] = true
@@ -352,9 +352,14 @@ func (c *Cluster) Failover(id string) (*FailoverReport, error) {
 	return rep, nil
 }
 
-// promotePath gates a path, promotes the local replica, and points the
-// router at the new owner.
-func (c *Cluster) promotePath(m *FileServer, path string) error {
+// promotePath gates a path the dead member owned, promotes the local replica,
+// and points the router at the new owner.
+func (c *Cluster) promotePath(m *FileServer, path, dead string) error {
+	if c.migrateHook != nil {
+		if err := c.migrateHook(path, dead, m.Name); err != nil {
+			return err
+		}
+	}
 	gate := c.router.gate(path)
 	defer c.router.ungate(path, gate)
 	if err := m.DLFM.PromoteReplica(path); err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,8 +47,8 @@ func memberDigest(t *testing.T, c *Cluster, id, path string) string {
 	}
 	h := sha256.New()
 	for _, e := range m.Archive.Versions(c.Authority(), path) {
-		fmt.Fprintf(h, "%d:%d:", e.Version, len(e.Content()))
-		h.Write(e.Content())
+		fmt.Fprintf(h, "%d:%d:", e.Version, len(bytesOf(t, e)))
+		h.Write(bytesOf(t, e))
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
@@ -169,7 +170,7 @@ func TestPartitionFailsQuorumWithoutRollback(t *testing.T) {
 	owner, _ := c.Owner(p)
 	m, _ := c.Member(owner)
 	vs := m.Archive.Versions(c.Authority(), p)
-	if len(vs) != 2 || string(vs[1].Content()) != "v1 of "+p {
+	if len(vs) != 2 || string(bytesOf(t, vs[1])) != "v1 of "+p {
 		t.Fatalf("owner history after partitioned commit: %d versions", len(vs))
 	}
 	// Heal: anti-entropy repairs the replica gap no later commit would fill.
@@ -265,7 +266,7 @@ func TestFailoverPromotesReplicas(t *testing.T) {
 		owner, _ := c.Owner(p)
 		m, _ := c.Member(owner)
 		vs := m.Archive.Versions(c.Authority(), p)
-		if len(vs) != 3 || string(vs[2].Content()) != "v2 of "+p {
+		if len(vs) != 3 || string(bytesOf(t, vs[2])) != "v2 of "+p {
 			t.Fatalf("%s history after failover: %d versions", p, len(vs))
 		}
 	}
@@ -454,7 +455,7 @@ func TestAbsorbDeadCrashMidAbsorb(t *testing.T) {
 		if len(vs) != 2 {
 			t.Fatalf("%s history: %d versions, want 2", p, len(vs))
 		}
-		if string(vs[0].Content()) != "v0 of "+p || string(vs[1].Content()) != "v1 of "+p {
+		if string(bytesOf(t, vs[0])) != "v0 of "+p || string(bytesOf(t, vs[1])) != "v1 of "+p {
 			t.Fatalf("%s history content corrupted", p)
 		}
 		f, err := sess.OpenRead(docURL(t, c, "DLURLCOMPLETE", i))
@@ -469,58 +470,69 @@ func TestAbsorbDeadCrashMidAbsorb(t *testing.T) {
 	}
 }
 
+// TestKillServerProbeAutoFailover: the probe notices a silent machine death
+// and fails the member over on its own — and when that Failover returns an
+// error it is counted and tried again on a later tick, not forgotten with the
+// member already off the member list.
 func TestKillServerProbeAutoFailover(t *testing.T) {
-	c := newReplCluster(t, 3, func(cfg *ClusterConfig) {
-		cfg.WriteQuorum = 1
-		cfg.ProbeInterval = 20 * time.Millisecond
-		cfg.AutoFailover = true
-	})
-	paths := clusterPaths(8)
-	for i, p := range paths {
-		linkDoc(t, c, i, p, "v0 of "+p)
-		if err := commitUpdate(t, c, i, "v1 of "+p); err != nil {
-			t.Fatalf("commit %s: %v", p, err)
-		}
-	}
-	c.WaitArchives()
-	victim, _ := c.Owner(paths[0])
-	// Silent machine death: no FailServer bookkeeping. The probe must notice
-	// and fail the member over on its own.
-	if err := c.KillServer(victim); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		allServed := true
-		for _, p := range paths {
-			owner, err := c.Owner(p)
-			if err != nil || owner == victim {
-				allServed = false
-				break
+	for _, firstFails := range []bool{false, true} {
+		t.Run(fmt.Sprintf("firstFails=%v", firstFails), func(t *testing.T) {
+			c := newReplCluster(t, 3, func(cfg *ClusterConfig) {
+				cfg.WriteQuorum = 1
+				cfg.ProbeInterval = 20 * time.Millisecond
+				cfg.AutoFailover = true
+			})
+			paths := clusterPaths(8)
+			seedReplicated(t, c, paths)
+			victim, _ := c.Owner(paths[0])
+			var promotes atomic.Int32
+			c.migrateHook = func(path, src, dst string) error {
+				if firstFails && src == victim && promotes.Add(1) == 1 {
+					return errors.New("promoting member stumbled")
+				}
+				return nil
 			}
-		}
-		if allServed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("auto failover did not restore service within 5s")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	sess := c.NewSession(alice)
-	for i, p := range paths {
-		f, err := sess.OpenRead(docURL(t, c, "DLURLCOMPLETE", i))
-		if err != nil {
-			t.Fatalf("read %s after auto failover: %v", p, err)
-		}
-		data, _ := f.ReadAll()
-		f.Close()
-		if string(data) != "v1 of "+p {
-			t.Fatalf("%s = %q after auto failover", p, data)
-		}
-	}
-	if c.router.reg.Counter("repl.failovers").Value() == 0 {
-		t.Fatal("repl.failovers not counted by the probe-driven failover")
+			// Silent machine death: no FailServer bookkeeping.
+			if err := c.KillServer(victim); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				allServed := true
+				for _, p := range paths {
+					owner, err := c.Owner(p)
+					if err != nil || owner == victim {
+						allServed = false
+						break
+					}
+				}
+				if allServed {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("auto failover did not restore service within 5s")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			sess := c.NewSession(alice)
+			for i, p := range paths {
+				f, err := sess.OpenRead(docURL(t, c, "DLURLCOMPLETE", i))
+				if err != nil {
+					t.Fatalf("read %s after auto failover: %v", p, err)
+				}
+				data, _ := f.ReadAll()
+				f.Close()
+				if string(data) != "v1 of "+p {
+					t.Fatalf("%s = %q after auto failover", p, data)
+				}
+			}
+			if c.router.reg.Counter("repl.failovers").Value() == 0 {
+				t.Fatal("repl.failovers not counted by the probe-driven failover")
+			}
+			if got := c.router.reg.Counter("repl.failover_errors").Value(); (got > 0) != firstFails {
+				t.Fatalf("repl.failover_errors = %d with firstFails=%v", got, firstFails)
+			}
+		})
 	}
 }
 
@@ -570,7 +582,7 @@ func assertMembershipChangeComposed(t *testing.T, c *Cluster, paths []string, go
 		owner, _ := c.Owner(p)
 		m, _ := c.Member(owner)
 		vs := m.Archive.Versions(c.Authority(), p)
-		if len(vs) != 3 || string(vs[2].Content()) != "v2 of "+p {
+		if len(vs) != 3 || string(bytesOf(t, vs[2])) != "v2 of "+p {
 			t.Fatalf("%s history on %s after %s left: %d versions, want v0..v2", p, owner, gone, len(vs))
 		}
 		if set := c.ReplicaSet(p); len(set) != 2 || set[0] != owner || set[1] == owner {

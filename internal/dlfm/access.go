@@ -273,13 +273,19 @@ func (s *Server) syncFor(sh *openShard, path string) *syncState {
 }
 
 // waitLocked blocks until pred holds for the path's sync state and no
-// archive is in flight for it, or the configured open-wait deadline passes.
-// Returns false on timeout. Caller holds the path's shard mutex on entry and
-// exit; the wait itself parks on the path's own channel, so only changes to
-// THIS path (or the deadline) wake it.
+// archive is in flight for it, the configured open-wait deadline passes, or
+// the server is killed. Returns false on timeout and on a dead server. Caller
+// holds the path's shard mutex on entry and exit; the wait itself parks on
+// the path's own channel, so only changes to THIS path (or the deadline, or
+// Kill) wake it.
 func (s *Server) waitLocked(sh *openShard, path string, pred func(*syncState) bool) bool {
 	deadline := time.Now().Add(s.cfg.OpenWait)
 	for {
+		select {
+		case <-s.killed:
+			return false
+		default:
+		}
 		st := s.syncFor(sh, path)
 		if pred(st) && !st.archiving {
 			return true
@@ -294,6 +300,8 @@ func (s *Server) waitLocked(sh *openShard, path string, pred func(*syncState) bo
 		timer := time.NewTimer(remaining)
 		select {
 		case <-ch:
+			timer.Stop()
+		case <-s.killed:
 			timer.Stop()
 		case <-timer.C:
 		}

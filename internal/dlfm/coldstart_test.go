@@ -138,7 +138,7 @@ func TestColdStartWholeProcessKill(t *testing.T) {
 	commitVersion(t, srv2, phys2, "/d/a.bin", []byte("post-cold-start version"))
 	srv2.WaitArchives()
 	e, err := arch2.Latest("fs1", "/d/a.bin")
-	if err != nil || !bytes.Equal(e.Content(), []byte("post-cold-start version")) {
+	if err != nil || !bytes.Equal(bytesOf(t, e), []byte("post-cold-start version")) {
 		t.Fatalf("post-cold-start version not archived (%v)", err)
 	}
 }

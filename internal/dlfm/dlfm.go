@@ -225,6 +225,9 @@ type Server struct {
 	nextJournal int64
 	agents      int64
 	closed      bool
+	// killed is closed by Kill: what a write-open parked in waitLocked, on a
+	// member whose holders died with it, wakes on.
+	killed chan struct{}
 
 	archJobs atomic.Int64 // archive goroutines in flight
 	qseq     atomic.Uint64
@@ -327,6 +330,7 @@ func New(cfg Config) (*Server, error) {
 		tokSwept: minTokenSweep,
 		openSeed: maphash.MakeSeed(),
 		subs:     make(map[uint64]*subTxn),
+		killed:   make(chan struct{}),
 	}
 	for i := range s.openShards {
 		sh := &s.openShards[i]
@@ -524,10 +528,18 @@ func (s *Server) Close() {
 // nothing is flushed, the repository log drops its volatile tail and
 // releases its directory lock. Only what already reached RepoDir and the
 // archive directory survives for the next Open. In-memory servers just
-// close their log.
+// close their log. Whoever is waiting on the dead member answers at once, as
+// callers of a dead process would: the repository's lock manager is closed
+// (a lock's holder died with the WAL and will never release it) and every
+// parked open is woken.
 func (s *Server) Kill() {
 	s.mu.Lock()
 	s.closed = true
+	select {
+	case <-s.killed:
+	default:
+		close(s.killed)
+	}
 	if s.gcStop != nil {
 		select {
 		case <-s.gcStop:
@@ -537,6 +549,7 @@ func (s *Server) Kill() {
 		s.gcStop = nil
 	}
 	s.mu.Unlock()
+	s.repo.LockManager().Close()
 	s.repo.Log().Kill()
 }
 

@@ -15,6 +15,19 @@ import (
 	"datalinks/internal/upcall"
 )
 
+// bytesOf materializes an archived version (a fresh copy), failing the test
+// when it cannot — a version that does not materialize is never an empty one.
+func bytesOf(t testing.TB, e archive.Entry) []byte {
+	t.Helper()
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Errorf("materialize %s v%d: %v", e.Path, e.Version, err)
+		return nil
+	}
+	defer snap.Release()
+	return snap.Bytes()
+}
+
 // fakeHost implements Host with controllable outcomes.
 type fakeHost struct {
 	metaErr  error
@@ -245,7 +258,7 @@ func TestWriteOpenCloseCommitsVersion(t *testing.T) {
 		t.Fatalf("meta updates = %v", host.metaLog)
 	}
 	vs := srv.cfg.Archive.Versions("fs1", "/d/f.bin")
-	if len(vs) != 2 || string(vs[1].Content()) != "v1" {
+	if len(vs) != 2 || string(bytesOf(t, vs[1])) != "v1" {
 		t.Fatalf("versions = %+v", vs)
 	}
 	attr, _ = phys.Getattr(ino)
@@ -474,7 +487,7 @@ func TestCrashRecoveryPendingArchive(t *testing.T) {
 	// completed by the dying archiver (both races are legal), the outcome
 	// must be: v1 archived, no pending rows left.
 	vs := srv2.cfg.Archive.Versions("fs1", "/d/f.bin")
-	if len(vs) != 2 || string(vs[1].Content()) != "v1" {
+	if len(vs) != 2 || string(bytesOf(t, vs[1])) != "v1" {
 		t.Fatalf("versions after recovery = %+v", vs)
 	}
 	pend, err := srv2.Repo().Table("dlfm_pending_archive")

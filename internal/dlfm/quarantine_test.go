@@ -315,7 +315,7 @@ func TestTieredCommitChurnBoundsResidency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("get v%d: %v", v, err)
 		}
-		if !bytes.Equal(e.Content(), wantContent) {
+		if !bytes.Equal(bytesOf(t, e), wantContent) {
 			t.Fatalf("v%d content diverged", v)
 		}
 	}

@@ -188,8 +188,8 @@ func TestCrashRecoveryUnderConcurrentUpdates(t *testing.T) {
 		if len(vs) == 0 {
 			t.Fatalf("%s has no archived versions after recovery", paths[i])
 		}
-		if !bytes.Equal(vs[len(vs)-1].Content(), committed[i]) {
-			t.Fatalf("%s newest archive = %q, want committed %q", paths[i], vs[len(vs)-1].Content(), committed[i])
+		if !bytes.Equal(bytesOf(t, vs[len(vs)-1]), committed[i]) {
+			t.Fatalf("%s newest archive = %q, want committed %q", paths[i], bytesOf(t, vs[len(vs)-1]), committed[i])
 		}
 	}
 	// The interrupted updates were rolled back by recovery.

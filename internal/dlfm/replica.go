@@ -211,27 +211,53 @@ func (s *Server) ApplyReplicaCommit(path string, ver int64, stateID uint64, snap
 	return nil
 }
 
-// EnsureReplicaRow upserts the dlfm_replicas row for path at version ver.
-// Rows never move backwards: a stale frame leaves a newer row untouched.
+// EnsureReplicaRow upserts the dlfm_replicas row for path at version ver in
+// one repository transaction, so the synchronous ship and a catch-up may run
+// it concurrently for one path. Rows never move backwards — a stale frame
+// leaves a newer row untouched — and a row, once present, is never absent: a
+// Failover scanning ReplicaPaths meanwhile always sees the path.
 func (s *Server) EnsureReplicaRow(path string, ver int64, mtime time.Time, meta ReplicaMeta) (err error) {
 	defer s.diedMidRequest(&err)
-	if ri, ok := s.replicaRow(path); ok {
-		if ri.version >= ver {
-			return nil
+	// The row's eight columns, then the UPDATE's version bound.
+	args := []sqlmini.Value{
+		sqlmini.Str(meta.Mode.String()), sqlmini.Bool(meta.Recovery), sqlmini.Int(int64(meta.TokenTTL)),
+		sqlmini.Int(int64(meta.OrigUID)), sqlmini.Int(int64(meta.OrigMode)), sqlmini.Int(ver),
+		sqlmini.Int(mtime.UnixNano()), sqlmini.Str(path), sqlmini.Int(ver),
+	}
+	for {
+		tx := s.repo.Begin()
+		// A row that is there is locked by the UPDATE until the commit, old
+		// enough to advance or not; only one that is not can appear under us.
+		n, err := tx.Exec(
+			`UPDATE dlfm_replicas SET mode = ?, recovery = ?, token_ttl = ?, orig_uid = ?, orig_mode = ?, cur_version = ?, mtime_ns = ?
+			 WHERE path = ? AND cur_version < ?`, args...)
+		raced := false
+		if err == nil && n == 0 {
+			if ri, present := s.replicaRow(path); present {
+				raced = ri.version < ver
+			} else {
+				_, err = tx.Exec(
+					`INSERT INTO dlfm_replicas (mode, recovery, token_ttl, orig_uid, orig_mode, cur_version, mtime_ns, path)
+					 VALUES (?, ?, ?, ?, ?, ?, ?, ?)`, args[:8]...)
+				raced = errors.Is(err, sqlmini.ErrDuplicateKey)
+			}
 		}
-		if _, err := s.repo.Exec(`DELETE FROM dlfm_replicas WHERE path = ?`, sqlmini.Str(path)); err != nil {
+		if raced {
+			// A concurrent upsert inserted an older row since the UPDATE
+			// looked: go round and advance it.
+			_ = tx.Abort()
+			continue
+		}
+		if err == nil {
+			err = tx.Commit()
+		} else {
+			_ = tx.Abort() // the statement's error is the one to report
+		}
+		if err != nil {
 			return fmt.Errorf("dlfm: replica row %s: %w", path, err)
 		}
+		return nil
 	}
-	if _, err := s.repo.Exec(
-		`INSERT INTO dlfm_replicas (path, mode, recovery, token_ttl, orig_uid, orig_mode, cur_version, mtime_ns)
-		 VALUES (?, ?, ?, ?, ?, ?, ?, ?)`,
-		sqlmini.Str(path), sqlmini.Str(meta.Mode.String()), sqlmini.Bool(meta.Recovery),
-		sqlmini.Int(int64(meta.TokenTTL)), sqlmini.Int(int64(meta.OrigUID)), sqlmini.Int(int64(meta.OrigMode)),
-		sqlmini.Int(ver), sqlmini.Int(mtime.UnixNano())); err != nil {
-		return fmt.Errorf("dlfm: replica row %s: %w", path, err)
-	}
-	return nil
 }
 
 // diedMidRequest (deferred) is the replication-plane twin of UpcallCtx's
@@ -328,8 +354,8 @@ func (s *Server) ReadReplica(path string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dlfm: replica read %s: %w", path, err)
 	}
-	// Snapshot, not Content: a manifest whose blob is missing must fail the
-	// read, not serve an empty file.
+	// A manifest whose blob is missing must fail the read, not serve an
+	// empty file.
 	snap, err := entry.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("dlfm: replica read %s v%d: %w", path, entry.Version, err)

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	"datalinks/internal/datalink"
 	"datalinks/internal/extent"
 	"datalinks/internal/fs"
+	"datalinks/internal/sqlmini"
 )
 
 // shipTo applies the owner's current state of path to a replica peer, the way
@@ -58,8 +60,8 @@ func TestReplicaApplyAndRow(t *testing.T) {
 	}
 	// The replicated history serves.
 	e, err := dst.cfg.Archive.Latest("fs1", "/d/f.bin")
-	if err != nil || string(e.Content()) != "v0" {
-		t.Fatalf("replica archive content: %q, %v", e.Content(), err)
+	if err != nil || string(bytesOf(t, e)) != "v0" {
+		t.Fatalf("replica archive content: %q, %v", bytesOf(t, e), err)
 	}
 	// Idempotent re-ship (the lost-ack retry) is a clean no-op.
 	shipTo(t, src, srcPhys, dst, "/d/f.bin")
@@ -158,7 +160,7 @@ func TestReplicaPromoteServes(t *testing.T) {
 	}
 	dst.WaitArchives()
 	vs := dst.cfg.Archive.Versions("fs1", "/d/f.bin")
-	if len(vs) != 3 || string(vs[2].Content()) != "v2" {
+	if len(vs) != 3 || string(bytesOf(t, vs[2])) != "v2" {
 		t.Fatalf("post-promotion versions = %d", len(vs))
 	}
 }
@@ -312,7 +314,7 @@ func TestQuorumFailureRejectsWithoutRollback(t *testing.T) {
 	}
 	srv.WaitArchives()
 	vs := srv.cfg.Archive.Versions("fs1", "/d/f.bin")
-	if len(vs) != 2 || string(vs[1].Content()) != "v1" {
+	if len(vs) != 2 || string(bytesOf(t, vs[1])) != "v1" {
 		t.Fatalf("v1 not archived after quorum failure: %d versions", len(vs))
 	}
 	// With the replicas back, the next update ships normally.
@@ -392,5 +394,107 @@ func TestReplicaApplyAllocsDoNotGrowWithHistory(t *testing.T) {
 	}
 	if long > short+short/10 {
 		t.Fatalf("an apply onto 1 000 versions allocates %d B, onto 10 versions %d B", long, short)
+	}
+}
+
+// TestEnsureReplicaRowConcurrentUpserts: the synchronous ship and a catch-up
+// upsert one path's row at once. No upsert fails (at the parent one of them
+// ends in "duplicate primary key"), the row never moves backwards, and once it
+// exists no scan of ReplicaPaths misses it — a Failover that scanned in such
+// a gap would skip the path and the prune pass drop its only copy.
+func TestEnsureReplicaRowConcurrentUpserts(t *testing.T) {
+	dst, _ := newShardPeer(t)
+	const path, versions = "/d/f.bin", 200
+	meta := ReplicaMeta{Mode: datalink.RFD, Recovery: true}
+	var writers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for v := int64(0); v <= versions; v++ {
+				if err := dst.EnsureReplicaRow(path, v, time.Unix(v, 0), meta); err != nil {
+					t.Errorf("upsert v%d: %v", v, err)
+					return
+				}
+			}
+		}()
+	}
+	stop, scanned := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scanned)
+		seen, last := false, int64(-1)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			present := len(dst.ReplicaPaths()) == 1
+			if seen && !present {
+				t.Error("the row was absent from ReplicaPaths after it had been present")
+				return
+			}
+			if v := dst.ReplicaVersion(path); v < last {
+				t.Errorf("row moved backwards: v%d after v%d", v, last)
+				return
+			} else if present {
+				seen, last = true, v
+			}
+		}
+	}()
+	writers.Wait()
+	close(stop)
+	<-scanned
+	if got := dst.ReplicaVersion(path); got != versions {
+		t.Fatalf("final row at v%d, want v%d", got, versions)
+	}
+}
+
+// TestKilledMemberAnswersAtOnce: whoever waits on a member when it is killed
+// — behind a repository lock whose holder died with the WAL, or parked for a
+// write-open behind a writer that will never close — gets an error at once,
+// not after the whole OpenWait.
+func TestKilledMemberAnswersAtOnce(t *testing.T) {
+	phys := fs.New()
+	phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
+	seedFile(t, phys, "/d/f.bin", "v0")
+	srv, err := New(Config{Name: "fs1", Phys: phys, Archive: archive.New(0, nil), Host: newFakeHost(), TokenKey: []byte("k"), OpenWait: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	linkCommitted(t, srv, "/d/f.bin", "rfd")
+	openWrite(t, srv, "/d/f.bin", owner)
+	if err := srv.EnsureReplicaRow("/r", 0, time.Unix(0, 0), ReplicaMeta{Mode: datalink.RFD}); err != nil {
+		t.Fatal(err)
+	}
+	holder := srv.repo.Begin()
+	if _, err := holder.Exec(`UPDATE dlfm_replicas SET cur_version = 0 WHERE path = ?`, sqlmini.Str("/r")); err != nil {
+		t.Fatal(err)
+	}
+
+	lockWaiter, parkedOpen := make(chan error, 1), make(chan error, 1)
+	go func() { lockWaiter <- srv.EnsureReplicaRow("/r", 1, time.Unix(1, 0), ReplicaMeta{Mode: datalink.RFD}) }()
+	go func() {
+		_, err := writeOpenErr(srv, "/d/f.bin", owner)
+		parkedOpen <- err
+	}()
+	select {
+	case err := <-lockWaiter:
+		t.Fatalf("lock waiter did not wait: %v", err)
+	case err := <-parkedOpen:
+		t.Fatalf("second write-open did not wait: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	srv.Kill()
+	killed := time.Now()
+	if err := <-lockWaiter; !errors.Is(err, sqlmini.ErrLockManagerClosed) {
+		t.Errorf("lock waiter: %v, want ErrLockManagerClosed", err)
+	}
+	if err := <-parkedOpen; err == nil {
+		t.Error("write-open parked on a killed member succeeded")
+	}
+	if d := time.Since(killed); d > 100*time.Millisecond {
+		t.Errorf("waiters answered %v after the kill, want within 100ms", d)
 	}
 }

@@ -99,7 +99,7 @@ func TestRecoveryFromColdStartedArchive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("get v%d from cold store: %v", v, err)
 		}
-		if !bytes.Equal(e.Content(), wantContent) {
+		if !bytes.Equal(bytesOf(t, e), wantContent) {
 			t.Fatalf("v%d diverged across the archive restart", v)
 		}
 	}
@@ -114,7 +114,7 @@ func TestRecoveryFromColdStartedArchive(t *testing.T) {
 	}
 	srv2.WaitArchives()
 	e, err := arch2.Latest("fs1", "/d/f.bin")
-	if err != nil || !bytes.Equal(e.Content(), []byte("post-recovery version")) {
+	if err != nil || !bytes.Equal(bytesOf(t, e), []byte("post-recovery version")) {
 		t.Fatalf("post-recovery version not archived (%v)", err)
 	}
 }

@@ -135,7 +135,7 @@ func TestShardExportImportRoundTrip(t *testing.T) {
 	// The migrated archive history serves every version, and src's Drop did
 	// not damage it.
 	vs := dst.cfg.Archive.Versions("fs1", "/d/f.bin")
-	if len(vs) != 2 || string(vs[0].Content()) != "v0" || string(vs[1].Content()) != "v1" {
+	if len(vs) != 2 || string(bytesOf(t, vs[0])) != "v0" || string(bytesOf(t, vs[1])) != "v1" {
 		t.Fatalf("migrated versions wrong: %d", len(vs))
 	}
 
@@ -148,7 +148,7 @@ func TestShardExportImportRoundTrip(t *testing.T) {
 	}
 	dst.WaitArchives()
 	vs = dst.cfg.Archive.Versions("fs1", "/d/f.bin")
-	if len(vs) != 3 || string(vs[2].Content()) != "v2" {
+	if len(vs) != 3 || string(bytesOf(t, vs[2])) != "v2" {
 		t.Fatalf("post-migration versions = %d", len(vs))
 	}
 }

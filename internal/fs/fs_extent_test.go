@@ -10,6 +10,19 @@ import (
 	"datalinks/internal/extent"
 )
 
+// bytesOf materializes an archived version (a fresh copy), failing the test
+// when it cannot — a version that does not materialize is never an empty one.
+func bytesOf(t testing.TB, e archive.Entry) []byte {
+	t.Helper()
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Errorf("materialize %s v%d: %v", e.Path, e.Version, err)
+		return nil
+	}
+	defer snap.Release()
+	return snap.Bytes()
+}
+
 // TestFSArchiveEquivalenceProperty drives random write/truncate/archive/
 // restore sequences through the chunked stack (fs inode content -> archive
 // manifests -> manifest-swap restore) and through a flat byte-slice model,
@@ -106,7 +119,7 @@ func TestFSArchiveEquivalenceProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(e.Content(), versions[v]) {
+				if !bytes.Equal(bytesOf(t, e), versions[v]) {
 					t.Fatalf("round %d: archived v%d mutated by later churn", round, v)
 				}
 			}

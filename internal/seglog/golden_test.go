@@ -482,7 +482,7 @@ func checkChunks(t *testing.T, dir string) {
 	}
 	for _, i := range []int{0, 1, 2, 3, 9, 4} {
 		data, h := chunkBlob(i)
-		if !s.Claim(h) {
+		if !s.Ref(h) {
 			t.Fatalf("blob %d not adopted", i)
 		}
 		c, err := s.Get(h)
@@ -494,7 +494,7 @@ func checkChunks(t *testing.T, dir string) {
 		}
 		c.ReleaseChunk()
 	}
-	if _, h := chunkBlob(5); s.Claim(h) {
+	if _, h := chunkBlob(5); s.Ref(h) {
 		t.Fatal("the torn record was adopted")
 	}
 	if torn := readFile(t, lastMatch(t, dir, "pack-*.pk")+".torn"); len(torn) != 682 {

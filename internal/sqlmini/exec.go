@@ -315,9 +315,17 @@ func (t *Txn) matchRows(tbl *Table, where Expr, args []Value, mode LockMode) ([]
 	return ids, rows, nil
 }
 
-// simpleEquality recognizes `col = literal` or `col = ?` predicates.
+// simpleEquality recognizes `col = literal` or `col = ?` predicates, alone or
+// as a conjunct of an AND: the caller evaluates the whole predicate on every
+// row the index yields, so any one equality narrows the candidates soundly.
 func simpleEquality(where Expr, args []Value) (col string, val Value, ok bool) {
 	b, isBin := where.(*Binary)
+	if isBin && b.Op == "AND" {
+		if col, val, ok = simpleEquality(b.L, args); !ok {
+			col, val, ok = simpleEquality(b.R, args)
+		}
+		return col, val, ok
+	}
 	if !isBin || b.Op != "=" {
 		return "", Value{}, false
 	}

@@ -56,36 +56,45 @@ func rowLocksHeld(db *DB, txn *Txn) int {
 // indexed from table construction, so that statement locks and evaluates one
 // row — it must not X-lock, or cost in proportion to, the rest of the table.
 func TestDatalinkUpdateIsPointLookup(t *testing.T) {
-	const update = `UPDATE files SET doc_size = ? WHERE doc = ?`
-	run := func(rows int) (locks int, allocs float64) {
-		db := testDB(t)
-		mustExec(t, db, `CREATE TABLE files (id INT PRIMARY KEY, doc DATALINK, doc_size INT)`)
-		for i := 0; i < rows; i++ {
-			mustExec(t, db, `INSERT INTO files VALUES (?, ?, 0)`, Int(int64(i)), Str(fmt.Sprintf("dlfs://s/d/f%d.bin", i)))
+	// The same row in both tables, so the statement's own strings match.
+	target := Link(datalink.MustParse("dlfs://s/d/f5.bin"))
+	for _, c := range []struct {
+		update string
+		args   []Value
+	}{
+		{`UPDATE files SET doc_size = ? WHERE doc = ?`, []Value{Int(4096), target}},
+		// One equality among ANDed conditions narrows just as well — the
+		// shape of a conditional upsert (dlfm.EnsureReplicaRow).
+		{`UPDATE files SET doc_size = ? WHERE doc = ? AND doc_size < ?`, []Value{Int(4096), target, Int(4096)}},
+	} {
+		run := func(rows int) (locks int, allocs float64) {
+			db := testDB(t)
+			mustExec(t, db, `CREATE TABLE files (id INT PRIMARY KEY, doc DATALINK, doc_size INT)`)
+			for i := 0; i < rows; i++ {
+				mustExec(t, db, `INSERT INTO files VALUES (?, ?, 0)`, Int(int64(i)), Str(fmt.Sprintf("dlfs://s/d/f%d.bin", i)))
+			}
+			txn := db.Begin()
+			if n, err := txn.Exec(c.update, c.args...); err != nil || n != 1 {
+				t.Fatalf("%s on %d rows: touched %d rows, %v", c.update, rows, n, err)
+			}
+			locks = rowLocksHeld(db, txn)
+			if err := txn.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if row := mustQuery(t, db, `SELECT doc_size FROM files WHERE id = 5`); row.Data[0][0].I != 4096 {
+				t.Fatalf("%s on %d rows: update did not land: %+v", c.update, rows, row.Data)
+			}
+			allocs = testing.AllocsPerRun(50, func() { mustExec(t, db, c.update, c.args...) })
+			return locks, allocs
 		}
-		// The same row in both tables, so the statement's own strings match.
-		target := Link(datalink.MustParse("dlfs://s/d/f5.bin"))
-		txn := db.Begin()
-		if n, err := txn.Exec(update, Int(4096), target); err != nil || n != 1 {
-			t.Fatalf("%d rows: update touched %d rows, %v", rows, n, err)
+		locksSmall, allocsSmall := run(10)
+		locksBig, allocsBig := run(1000)
+		if locksSmall != 1 || locksBig != 1 {
+			t.Errorf("%s: row locks held at commit: %d on 10 rows, %d on 1000 — want exactly the one matching row", c.update, locksSmall, locksBig)
 		}
-		locks = rowLocksHeld(db, txn)
-		if err := txn.Commit(); err != nil {
-			t.Fatal(err)
+		if !raceEnabled && allocsBig > allocsSmall {
+			t.Errorf("%s allocates %.0f objects on a 1000-row table, %.0f on a 10-row one — cost must not follow table size", c.update, allocsBig, allocsSmall)
 		}
-		if row := mustQuery(t, db, `SELECT doc_size FROM files WHERE id = 5`); row.Data[0][0].I != 4096 {
-			t.Fatalf("%d rows: update did not land: %+v", rows, row.Data)
-		}
-		allocs = testing.AllocsPerRun(50, func() { mustExec(t, db, update, Int(1), target) })
-		return locks, allocs
-	}
-	locksSmall, allocsSmall := run(10)
-	locksBig, allocsBig := run(1000)
-	if locksSmall != 1 || locksBig != 1 {
-		t.Errorf("row locks held at commit: %d on 10 rows, %d on 1000 — want exactly the one matching row", locksSmall, locksBig)
-	}
-	if !raceEnabled && allocsBig > allocsSmall {
-		t.Errorf("update allocates %.0f objects on a 1000-row table, %.0f on a 10-row one — cost must not follow table size", allocsBig, allocsSmall)
 	}
 }
 

@@ -42,6 +42,11 @@ func (t LockTarget) String() string {
 // manager's timeout; the engine treats it as a deadlock victim signal.
 var ErrLockTimeout = errors.New("sqlmini: lock wait timeout (possible deadlock)")
 
+// ErrLockManagerClosed fails every Acquire, parked or later, once the manager
+// is closed: the holders a waiter queued behind died with their process and
+// will never release.
+var ErrLockManagerClosed = errors.New("sqlmini: lock manager closed")
+
 // lockState tracks the holders of one lock target plus its wait queue.
 // Waiters are woken per target — a release on one row never disturbs
 // transactions queued on another.
@@ -91,8 +96,10 @@ type lockShard struct {
 // transactions queued on the released targets — there is no global mutex
 // and no global broadcast.
 type LockManager struct {
-	shards  [lockShards]lockShard
-	timeout time.Duration
+	shards    [lockShards]lockShard
+	timeout   time.Duration
+	closed    chan struct{}
+	closeOnce sync.Once
 
 	// held maps txn -> its locks, for strict-2PL release-all. A transaction
 	// is driven by one goroutine at a time (2PL), so entries for one txn are
@@ -120,6 +127,7 @@ func NewLockManager(timeout time.Duration) *LockManager {
 	}
 	lm := &LockManager{
 		timeout: timeout,
+		closed:  make(chan struct{}),
 		held:    make(map[uint64]map[LockTarget]LockMode),
 	}
 	for i := range lm.shards {
@@ -133,6 +141,12 @@ func NewLockManager(timeout time.Duration) *LockManager {
 // collisions). Call before concurrent use.
 func (lm *LockManager) AttachMetrics(waits, waitNs, collisions metricCounter) {
 	lm.mWaits, lm.mWaitNs, lm.mCollisions = waits, waitNs, collisions
+}
+
+// Close fails every parked and every later Acquire with ErrLockManagerClosed.
+// Idempotent.
+func (lm *LockManager) Close() {
+	lm.closeOnce.Do(func() { close(lm.closed) })
 }
 
 // shardOf hashes a target onto its stripe (FNV-1a).
@@ -165,15 +179,20 @@ func (lm *LockManager) recordHeld(txn uint64, target LockTarget, mode LockMode) 
 	lm.heldMu.Unlock()
 }
 
-// Acquire blocks until txn holds target in at least mode, or times out.
-// Re-acquiring a held lock (same or weaker mode) is a no-op; S→X upgrade is
-// granted when no other transaction holds the lock.
+// Acquire blocks until txn holds target in at least mode, times out, or the
+// manager is closed. Re-acquiring a held lock (same or weaker mode) is a
+// no-op; S→X upgrade is granted when no other transaction holds the lock.
 func (lm *LockManager) Acquire(txn uint64, target LockTarget, mode LockMode) error {
 	sh := lm.shardOf(target)
 	deadline := time.Now().Add(lm.timeout)
 	waited := time.Duration(0)
 	collided := false
 	for {
+		select {
+		case <-lm.closed:
+			return fmt.Errorf("%w: txn %d waiting for %s %s", ErrLockManagerClosed, txn, mode, target)
+		default:
+		}
 		sh.mu.Lock()
 		st, ok := sh.locks[target]
 		if !ok {
@@ -215,6 +234,8 @@ func (lm *LockManager) Acquire(txn uint64, target LockTarget, mode LockMode) err
 		timer := time.NewTimer(remaining)
 		select {
 		case <-ch:
+			timer.Stop()
+		case <-lm.closed:
 			timer.Stop()
 		case <-timer.C:
 		}

@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -81,12 +82,16 @@ func keyString(v Value) string {
 	return strconv.Itoa(int(v.K)) + "|" + v.String()
 }
 
+// ErrDuplicateKey rejects an insert whose primary key another row — committed
+// or not — already holds.
+var ErrDuplicateKey = errors.New("sqlmini: duplicate primary key")
+
 // insertLocked installs a row under a specific id. Caller holds t.mu.
 func (t *Table) insertLocked(id RowID, r Row) error {
 	if t.pkCol >= 0 {
 		k := keyString(r[t.pkCol])
 		if _, dup := t.pkIndex[k]; dup {
-			return fmt.Errorf("sqlmini: duplicate primary key %s in %s", r[t.pkCol], t.Name)
+			return fmt.Errorf("%w %s in %s", ErrDuplicateKey, r[t.pkCol], t.Name)
 		}
 		t.pkIndex[k] = id
 	}
