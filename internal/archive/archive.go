@@ -7,12 +7,22 @@
 // Storage is tiered and delta-based:
 //
 //   - Each version's metadata is a delta manifest against its predecessor —
-//     the list of chunk slots whose content hash changed, plus the new tail.
+//     the list of chunk slots whose reference changed, plus the new tail.
 //     A full manifest (checkpoint) is stored for version 0, whenever the
 //     delta would exceed half the file, and at least every checkpointEvery
 //     versions, so materializing any version walks a bounded chain.
 //     Metadata cost per version is therefore O(changed chunks), not
 //     O(file size / ChunkSize).
+//   - A slot's reference is a base chunk's hash plus an ordered list of
+//     patches, each an offset and the hash of the patch bytes, stored as a
+//     blob of its own. A version archived from an extent capture that follows
+//     the capture the path's newest version came from stores each slot the
+//     commit wrote over less than 1/patchFraction of a chunk as its
+//     predecessor's reference plus one patch, until the chain reaches
+//     maxChain, and each untouched slot as its predecessor's reference —
+//     neither hashes the live chunk, so the file goes on writing it in place.
+//     Materializing a patched slot reads the base and the patches into a
+//     buffer of the chunk's own, each verified against its hash.
 //   - Chunk and tail bytes live in a chunkdisk store: interned by content
 //     hash, written through to disk (when a directory is configured), with a
 //     bounded in-memory LRU of hot blobs. Resident memory is capped by the
@@ -34,6 +44,24 @@
 // latency of a Put is charged per NEW chunk transferred — deduplicated
 // chunks never travel — so the "block new updates until archiving completes"
 // behaviour stays observable while its cost tracks the delta, not the file.
+//
+// Three invariants make the patches safe:
+//
+//  1. A patch is stored only when the store can prove it is relative to the
+//     newest version it holds: the capture names the capture it follows, and
+//     the history records which capture its newest version was archived from
+//     (fileVersions.follows). A restore, an import, recovery's
+//     archiveCurrent, link's version 0 or a failed archive leaves no such
+//     record, and the slot's next version is stored whole.
+//  2. Nothing the archive keeps aliases a chunk the live file may still
+//     write in place — not a resident LRU entry, not a pack write, not a
+//     shipped frame. Patch bytes go straight from the live chunk to the
+//     device (chunkdisk.PutBytes keeps nothing resident; a memory-only store
+//     keeps a copy) while the capture still pins the chunk.
+//  3. Writing in place stays gated by extent's own test — the buffer is the
+//     chunk's only owner and nothing hashed it — so a snapshot, a quarantine
+//     copy or a version that still shares the chunk forces a copy, and a
+//     chunk stored whole is hashed, which pins it.
 //
 // A blob's lifetime is not decided here: chunkdisk keeps the reference count
 // beside the bytes, and this package only takes references (Put, Ref) for the
@@ -72,6 +100,48 @@ type Version int64
 // versions a full manifest is stored, so materialization applies at most this
 // many deltas on top of one checkpoint (TierConfig.CheckpointEvery overrides).
 const checkpointEvery = 16
+
+// maxChain bounds a slot's chain: its base chunk plus at most maxChain-1
+// patches. A written slot whose predecessor's chain is shorter gets a patch;
+// one whose chain is at the bound is stored whole again — which hashes, and so
+// pins, the live chunk: the file's next write to it copies the chunk once, and
+// the next chain starts from that base. At 4 a 4 KiB edit stream stores
+// (3 x 4 KiB + 64 KiB) / 4 = 19 KiB per version instead of 64, and reading a
+// version reads at most three patches besides the base.
+const maxChain = 4
+
+// patchFraction: a slot written over less than 1/patchFraction of its chunk
+// since the previous capture is stored as a patch; a larger write, as a chunk.
+const patchFraction = 4
+
+// slotRef is one chunk slot of a version: the hash of its base chunk and the
+// patches laid over it, in order. patches aliases a frozen record's list.
+type slotRef struct {
+	base    extent.Hash
+	patches []catalog.Patch
+}
+
+// chain is the number of blobs a slot reads: its base and its patches.
+func (r slotRef) chain() int { return 1 + len(r.patches) }
+
+// patchable reports whether a slot written over d since the capture its
+// reference r was archived from is stored as r plus a patch of d.
+func (r slotRef) patchable(d extent.Span) bool {
+	return d.Len() > 0 && d.Len() < extent.ChunkSize/patchFraction && r.chain() < maxChain
+}
+
+// sameSlot reports whether two slot references name the same content.
+func sameSlot(a, b slotRef) bool {
+	if a.base != b.base || len(a.patches) != len(b.patches) {
+		return false
+	}
+	for i := range a.patches {
+		if a.patches[i].Off != b.patches[i].Off || a.patches[i].Hash != b.patches[i].Hash {
+			return false
+		}
+	}
+	return true
+}
 
 // Entry is one archived version of one file: the metadata plus a handle
 // through which the content can be materialized. Snapshot() is valid while
@@ -119,16 +189,20 @@ const shardCount = 16
 var genCounter atomic.Uint64
 
 // fileVersions is the per-(server,path) version history: one manifest record
-// per version — a full hash list (checkpoint) or a delta against the version
+// per version — a full slot list (checkpoint) or a delta against the version
 // before it — and the very records the durable catalog's shadow holds, frozen
 // once they are here. An Entry is assembled from a record on demand.
 type fileVersions struct {
 	recs []*catalog.PutRec
-	// last caches the newest version's full hash list so Put diffs against
+	// last caches the newest version's full slot list so Put diffs against
 	// it without walking the delta chain. O(#chunks of one version) memory
 	// per archived file. Replaced, never written in place.
-	last []extent.Hash
+	last []slotRef
 	gen  uint64 // distinguishes re-linked histories of the same path
+	// capture names the extent capture the newest version was archived from
+	// (0: none, or not known to this process). A capture that follows it may
+	// be stored as patches against last.
+	capture uint64
 }
 
 // entry assembles the handle of version index i. Server and Path are
@@ -150,6 +224,13 @@ func (s *Store) entry(fv *fileVersions, i int) Entry {
 	}
 }
 
+// follows reports whether capture names the capture the newest version was
+// archived from — the proof invariant 1 asks for before a capture that
+// follows it is stored as patches against that version.
+func (fv *fileVersions) follows(capture uint64) bool {
+	return fv != nil && capture != 0 && fv.capture == capture
+}
+
 // key is the one "server \x00 path" string the index, the catalog and every
 // record of the history share.
 func (fv *fileVersions) key() string { return fv.recs[0].Key }
@@ -169,10 +250,12 @@ func (fv *fileVersions) indexOf(v Version) int {
 	return -1
 }
 
-// entryShard holds the version histories of a subset of (server, path) keys.
+// entryShard holds the version histories of a subset of (server, path) keys,
+// and the arena their appended records are carved from.
 type entryShard struct {
 	mu      sync.Mutex
 	entries map[string]*fileVersions
+	arena   catalog.Arena
 }
 
 // PutStats reports what one Put physically did.
@@ -276,6 +359,11 @@ type Store struct {
 	newBytes     atomic.Int64
 	dedupedBytes atomic.Int64
 	sharedChunks atomic.Int64
+
+	// beforeIndex, when a test sets it, runs in PutSnapshotCtx between
+	// interning a version's blobs and indexing the version; an error it
+	// returns fails the Put — an archive that dies mid-job.
+	beforeIndex func() error
 }
 
 // New returns a memory-only archive store (the disk tier disabled). latency
@@ -373,7 +461,7 @@ func (s *Store) replay(cat *catalog.Catalog) (repaired bool) {
 	s.recov.TornBytes = st.TornBytes
 	s.recov.SnapshotRecords = st.SnapshotRecords
 	s.recov.LogRecords = st.LogRecords
-	var full []extent.Hash // the walk's hash list, reused from key to key
+	var full []slotRef // the walk's slot list, reused from key to key
 	cat.Range(func(k string, hist []*catalog.PutRec) (keep int) {
 		if _, _, ok := splitKey(k); !ok {
 			// Not a key this store ever writes; ignore rather than guess.
@@ -404,7 +492,7 @@ func (s *Store) replay(cat *catalog.Catalog) (repaired bool) {
 		}
 		// Not the walk's list: after a missing blob that one has already
 		// advanced to the version that failed.
-		fv.last = hashesAt(fv, keep-1)
+		fv.last = slotsAt(fv, keep-1)
 		s.shardFor(k).entries[k] = fv // no shard lock: the store is not shared before NewTiered returns
 		s.recov.Files++
 		s.recov.Versions += keep
@@ -413,14 +501,42 @@ func (s *Store) replay(cat *catalog.Catalog) (repaired bool) {
 	return repaired
 }
 
-// advance moves a full hash list one version forward IN PLACE and returns it
-// (grown if the version has more chunks): the chain step of catalog replay
-// and history import, which walk a history once from its start.
-func advance(full []extent.Hash, rec *catalog.PutRec) []extent.Hash {
+// advance moves a full slot list one version forward IN PLACE and returns it
+// (grown if the version has more chunks) — the single implementation of the
+// chain step, shared by live materialization (slotsAt) and the replay and
+// import walks. A checkpoint names every slot's base, a delta only the changed
+// slots'; either way a slot the record names takes the patches the record
+// lists for it, none if it lists none, and a slot a delta does not name keeps
+// its predecessor's base and patches.
+func advance(full []slotRef, rec *catalog.PutRec) []slotRef {
 	if rec.IsFull {
-		return append(full[:0], rec.Full...)
+		full = resize(full[:0], rec.NChunks)
+		for i, h := range rec.Full {
+			full[i] = slotRef{base: h}
+		}
+	} else {
+		full = resize(full, rec.NChunks)
+		for _, m := range rec.Mods {
+			full[m.Idx] = slotRef{base: m.Hash}
+		}
 	}
-	return applyDelta(full, rec)
+	for p := rec.Patches; len(p) > 0; {
+		n := 1
+		for n < len(p) && p[n].Idx == p[0].Idx {
+			n++
+		}
+		full[p[0].Idx].patches = p[:n:n]
+		p = p[n:]
+	}
+	return full
+}
+
+// resize sets a slot list's length to n; slots it adds are empty.
+func resize(full []slotRef, n int) []slotRef {
+	if n <= len(full) {
+		return full[:n]
+	}
+	return append(full, make([]slotRef, n-len(full))...)
 }
 
 // Recovery reports what NewTiered replayed from the archive directory (zero
@@ -534,66 +650,76 @@ func (s *Store) sleep(units int64) {
 	time.Sleep(d * time.Duration(units))
 }
 
-// refRec takes one reference per blob a version's full hash list and tail
-// name, all of which the chunk store must already hold: on the first it does
-// not, the references taken so far are given back and refRec reports false.
-func (s *Store) refRec(hashes []extent.Hash, rec *catalog.PutRec) bool {
-	for i, h := range hashes {
-		if !s.disk.Ref(h) {
-			s.releaseAll(hashes[:i])
+// refRec takes one reference per blob a version's full slot list and tail
+// name — every slot's base and patches — all of which the chunk store must
+// already hold: on the first it does not, the references taken so far are
+// given back and refRec reports false.
+func (s *Store) refRec(slots []slotRef, rec *catalog.PutRec) bool {
+	for i := range slots {
+		if !s.refSlot(slots[i]) {
+			s.releaseSlots(slots[:i])
 			return false
 		}
 	}
 	if rec.TailLen > 0 && !s.disk.Ref(rec.TailHash) {
-		s.releaseAll(hashes)
+		s.releaseSlots(slots)
 		return false
 	}
 	return true
 }
 
+// refSlot takes one reference on each blob of a slot, all of them or none.
+func (s *Store) refSlot(r slotRef) bool {
+	if !s.disk.Ref(r.base) {
+		return false
+	}
+	for i, p := range r.patches {
+		if !s.disk.Ref(p.Hash) {
+			s.releaseSlot(slotRef{base: r.base, patches: r.patches[:i]})
+			return false
+		}
+	}
+	return true
+}
+
 // releaseRec gives back every blob reference a version holds.
-func (s *Store) releaseRec(hashes []extent.Hash, rec *catalog.PutRec) {
-	s.releaseAll(hashes)
+func (s *Store) releaseRec(slots []slotRef, rec *catalog.PutRec) {
+	s.releaseSlots(slots)
 	if rec.TailLen > 0 {
 		s.disk.Release(rec.TailHash)
 	}
 }
 
-func (s *Store) releaseAll(hashes []extent.Hash) {
-	for _, h := range hashes {
-		s.disk.Release(h)
+func (s *Store) releaseSlots(slots []slotRef) {
+	for _, r := range slots {
+		s.releaseSlot(r)
 	}
 }
 
-// applyDelta advances hashes by one delta record in place (resize to the
-// record's chunk count, then apply the changed slots) — the single
-// implementation of the chain-step semantics, shared by live materialization
-// (hashesAt) and the replay and import walks (advance).
-func applyDelta(hashes []extent.Hash, rec *catalog.PutRec) []extent.Hash {
-	if rec.NChunks <= len(hashes) {
-		hashes = hashes[:rec.NChunks]
-	} else {
-		hashes = append(hashes, make([]extent.Hash, rec.NChunks-len(hashes))...)
+func (s *Store) releaseSlot(r slotRef) {
+	s.disk.Release(r.base)
+	for _, p := range r.patches {
+		s.disk.Release(p.Hash)
 	}
-	for _, m := range rec.Mods {
-		hashes[m.Idx] = m.Hash
-	}
-	return hashes
 }
 
-// hashesAt materializes the full hash list of version index idx (a fresh
+// slotsAt materializes the full slot list of version index idx (a fresh
 // slice) by walking back to the nearest checkpoint and applying deltas
 // forward. Caller holds the entry shard lock.
-func hashesAt(fv *fileVersions, idx int) []extent.Hash {
+func slotsAt(fv *fileVersions, idx int) []slotRef {
 	base := idx
 	for !fv.recs[base].IsFull {
 		base--
 	}
-	hashes := append([]extent.Hash(nil), fv.recs[base].Full...)
-	for i := base + 1; i <= idx; i++ {
-		hashes = applyDelta(hashes, fv.recs[i])
+	n := 0
+	for _, r := range fv.recs[base : idx+1] {
+		n = max(n, r.NChunks)
 	}
-	return hashes
+	slots := make([]slotRef, 0, n)
+	for _, r := range fv.recs[base : idx+1] {
+		slots = advance(slots, r)
+	}
+	return slots
 }
 
 // PutSnapshot archives a version of a file from an extent manifest. The
@@ -608,118 +734,141 @@ func (s *Store) PutSnapshot(server, path string, v Version, stateID uint64, snap
 // holds a span, the commit durability barrier gets an "archive.barrier" span
 // whose "fsync" child records which group-commit round (pack and catalog)
 // made this version durable.
+//
+// A snapshot that is an extent capture following the capture this store's
+// newest version of the path was archived from is stored against that
+// version: clean slots keep its slot references, small writes become patches
+// (internSlots). Anything else — a plain snapshot, a first capture, a capture
+// following one this store never archived — is stored chunk by chunk.
 func (s *Store) PutSnapshotCtx(ctx context.Context, server, path string, v Version, stateID uint64, snap *extent.Snapshot) (PutStats, error) {
-	var st PutStats
-	chunks := snap.Chunks()
-	hashes := make([]extent.Hash, len(chunks))
-	// Intern every chunk first: the references pin the blobs, so a stale
-	// rejection can unwind symmetrically and a concurrent drop of an older
-	// version can never free content this version shares.
-	for i, c := range chunks {
-		hashes[i] = c.Hash()
-		wrote, err := s.disk.Put(hashes[i], c)
+	id, follows := snap.Captured()
+	for {
+		// Invariant 1: patch only against the version archived from the
+		// capture this one follows.
+		var prev []slotRef
+		if follows != 0 {
+			sh, fv := s.lockHistory(server, path)
+			if fv.follows(follows) {
+				prev = fv.last
+			}
+			sh.mu.Unlock()
+		}
+		// Intern every blob first: the references pin them, so a stale
+		// rejection can unwind symmetrically and a concurrent drop of an
+		// older version can never free content this version shares.
+		var st PutStats
+		slots, lists, err := s.internSlots(snap, prev, &st)
 		if err != nil {
-			// The device rejected the blob: give back what was interned so far.
-			s.releaseAll(hashes[:i])
 			return PutStats{}, err
 		}
-		if wrote {
-			st.NewChunks++
-			st.NewBytes += extent.ChunkSize
-		} else {
-			st.SharedChunks++
-			st.DedupedBytes += extent.ChunkSize
+		// The record is carved from the shard's arena once the shard is locked;
+		// until then it is built here.
+		tail := snap.Tail()
+		r := catalog.PutRec{Version: int64(v), StateID: stateID, Size: snap.Len(), NChunks: len(slots), TailLen: len(tail)}
+		if len(tail) > 0 {
+			var wrote bool
+			if r.TailHash, wrote, err = s.putTail(tail); err != nil {
+				s.releaseSlots(slots)
+				return PutStats{}, err
+			}
+			if wrote {
+				st.NewBytes += int64(len(tail))
+			} else {
+				st.DedupedBytes += int64(len(tail))
+			}
 		}
-	}
-	tail := snap.Tail()
-	var tailHash extent.Hash
-	if len(tail) > 0 {
-		tailHash = sha256.Sum256(tail)
-		// Ref first: a tail the device holds costs no copy.
-		wrote := false
-		if !s.disk.Ref(tailHash) {
-			tc := extent.WrapChunk(append([]byte(nil), tail...), tailHash)
-			var err error
-			wrote, err = s.disk.Put(tailHash, tc)
-			tc.ReleaseChunk()
-			if err != nil {
-				s.releaseAll(hashes)
+		if s.beforeIndex != nil {
+			if err := s.beforeIndex(); err != nil {
+				s.releaseRec(slots, &r)
 				return PutStats{}, err
 			}
 		}
-		if wrote {
-			st.NewBytes += int64(len(tail))
-		} else {
-			st.DedupedBytes += int64(len(tail))
+		sh, fv := s.lockHistory(server, path)
+		if prev != nil && !fv.follows(follows) {
+			// The history moved on while the blobs were interned (a restore,
+			// an import, a drop): store the capture chunk by chunk instead.
+			sh.mu.Unlock()
+			s.releaseRec(slots, &r)
+			follows = 0
+			continue
 		}
-	}
-	sh, fv := s.lockHistory(server, path)
-	var k string
-	if fv == nil {
-		// Indexed below, once its first version is logged: a history in the
-		// index is never empty.
-		fv, k = &fileVersions{gen: genCounter.Add(1)}, key(server, path)
-	} else {
-		k = fv.key()
-	}
-	rec := &catalog.PutRec{
-		Key:      k,
-		Version:  int64(v),
-		StateID:  stateID,
-		Size:     snap.Len(),
-		NChunks:  len(hashes),
-		TailLen:  len(tail),
-		TailHash: tailHash,
-	}
-	if len(fv.recs) > 0 && fv.newest() >= v {
-		last := fv.newest()
-		sh.mu.Unlock()
-		s.releaseRec(hashes, rec)
-		return PutStats{}, fmt.Errorf("%w: version %d of %s (archived %d)", ErrStale, v, path, last)
-	}
-	// Delta against the cached predecessor list; checkpoint when the delta
-	// would not save metadata or the chain is due for one.
-	var mods []catalog.Mod
-	sinceFull := 0
-	for i := len(fv.recs) - 1; i >= 0 && !fv.recs[i].IsFull; i-- {
-		sinceFull++
-	}
-	if len(fv.recs) > 0 {
-		prev := fv.last
-		for i, h := range hashes {
-			if i >= len(prev) || prev[i] != h {
-				mods = append(mods, catalog.Mod{Idx: int32(i), Hash: h})
+		if fv == nil {
+			// Indexed below, once its first version is logged: a history in
+			// the index is never empty.
+			fv, r.Key = &fileVersions{gen: genCounter.Add(1)}, key(server, path)
+		} else {
+			r.Key = fv.key()
+		}
+		if len(fv.recs) > 0 && fv.newest() >= v {
+			last := fv.newest()
+			sh.mu.Unlock()
+			s.releaseRec(slots, &r)
+			return PutStats{}, fmt.Errorf("%w: version %d of %s (archived %d)", ErrStale, v, path, last)
+		}
+		// Delta against the cached predecessor list; checkpoint when the delta
+		// would not save metadata or the chain is due for one.
+		changed := func(i int) bool { return i >= len(fv.last) || !sameSlot(fv.last[i], slots[i]) }
+		sinceFull, nmods := 0, 0
+		for i := len(fv.recs) - 1; i >= 0 && !fv.recs[i].IsFull; i-- {
+			sinceFull++
+		}
+		if len(fv.recs) > 0 {
+			for i := range slots {
+				if changed(i) {
+					nmods++
+				}
 			}
 		}
-	}
-	if len(fv.recs) == 0 || sinceFull+1 >= s.ckEvery || len(mods)*2 >= len(hashes) {
-		rec.IsFull = true
-		rec.Full = append([]extent.Hash(nil), hashes...)
-	} else {
-		rec.Mods = mods
-	}
-	st.DeltaChunks = len(mods)
-	rec.StoredUnixNano = s.clock().UnixNano()
-	if s.cat != nil {
-		// Write the manifest through to the durable catalog before the
-		// version becomes visible outside the shard lock. The chunk bytes are
-		// already on the device (written above), so a crash right here loses
-		// only this version's index entry — its blobs are adopted as dead and
-		// swept at the next open, and recovery's pending-archive pass
-		// re-archives the version. An unlogged version must not be served (it
-		// would silently vanish at the next restart).
-		if err := s.cat.AppendPut(rec); err != nil {
-			sh.mu.Unlock()
-			s.releaseRec(hashes, rec)
-			return PutStats{}, fmt.Errorf("archive: catalog: %w", err)
+		rec := sh.arena.Rec()
+		*rec = r
+		switch {
+		case len(fv.recs) == 0 || sinceFull+1 >= s.ckEvery || nmods*2 >= len(slots):
+			rec.IsFull = true
+			if len(slots) > 0 {
+				rec.Full = sh.arena.Hashes(len(slots))
+			}
+			for i := range slots {
+				rec.Full[i] = slots[i].base
+			}
+		case nmods > 0:
+			rec.Mods = sh.arena.Mods(nmods)[:0]
+			for i := range slots {
+				if changed(i) {
+					rec.Mods = append(rec.Mods, catalog.Mod{Idx: int32(i), Hash: slots[i].base})
+				}
+			}
 		}
+		linkPatches(rec, slots, lists, &sh.arena)
+		st.DeltaChunks = nmods
+		rec.StoredUnixNano = s.clock().UnixNano()
+		if s.cat != nil {
+			// Write the manifest through to the durable catalog before the
+			// version becomes visible outside the shard lock. The blobs are
+			// already on the device (written above), so a crash right here
+			// loses only this version's index entry — its blobs are adopted as
+			// dead and swept at the next open, and recovery's pending-archive
+			// pass re-archives the version. An unlogged version must not be
+			// served (it would silently vanish at the next restart).
+			if err := s.cat.AppendPut(rec); err != nil {
+				sh.mu.Unlock()
+				s.releaseRec(slots, rec)
+				return PutStats{}, fmt.Errorf("archive: catalog: %w", err)
+			}
+		}
+		if len(fv.recs) == 0 {
+			sh.entries[rec.Key] = fv
+		}
+		fv.recs = append(fv.recs, rec)
+		fv.last, fv.capture = slots, id
+		sh.mu.Unlock()
+		return st, s.afterPut(ctx, rec, st)
 	}
-	if len(fv.recs) == 0 {
-		sh.entries[k] = fv
-	}
-	fv.recs = append(fv.recs, rec)
-	fv.last = hashes
-	sh.mu.Unlock()
+}
+
+// afterPut is the tail of a Put once its version is indexed: the catalog
+// checkpoint if one is due, the commit durability barrier, the counters and
+// the simulated device transfer.
+func (s *Store) afterPut(ctx context.Context, rec *catalog.PutRec, st PutStats) error {
 	if s.cat != nil {
 		// Checkpoint the catalog if this append pushed the log past its
 		// threshold — outside the shard lock, so a large snapshot write never
@@ -736,34 +885,171 @@ func (s *Store) PutSnapshotCtx(ctx context.Context, server, path string, v Versi
 	// a barrier failure reports that its durability is not established.
 	bar := obs.SpanFrom(ctx).Child("archive.barrier")
 	fsp := bar.Child("fsync")
-	round, err := s.disk.SyncRound()
-	fsp.SetAttr("round", int64(round))
-	if err != nil {
-		fsp.End()
-		bar.End()
-		return st, err
-	}
-	if s.cat != nil {
-		cround, cerr := s.cat.SyncRound()
-		fsp.SetAttr("catalog_round", int64(cround))
-		if cerr != nil {
-			fsp.End()
-			bar.End()
-			return st, fmt.Errorf("archive: catalog: %w", cerr)
-		}
-	}
+	err := s.syncRounds(fsp)
 	fsp.End()
 	bar.End()
-
+	if err != nil {
+		return err
+	}
 	s.puts.Add(1)
 	s.logicalBytes.Add(rec.Size)
 	s.newBytes.Add(st.NewBytes)
 	s.dedupedBytes.Add(st.DedupedBytes)
 	s.sharedChunks.Add(int64(st.SharedChunks))
 
-	// Device transfer: only new chunks travel.
+	// Device transfer: only new blobs travel.
 	s.sleep(int64(st.NewChunks))
-	return st, nil
+	return nil
+}
+
+// syncRounds waits for the group-commit rounds of the pack and the catalog
+// appends, noting on fsp which rounds they were.
+func (s *Store) syncRounds(fsp *obs.Span) error {
+	round, err := s.disk.SyncRound()
+	fsp.SetInt("round", int64(round))
+	if err != nil || s.cat == nil {
+		return err
+	}
+	cround, err := s.cat.SyncRound()
+	fsp.SetInt("catalog_round", int64(cround))
+	if err != nil {
+		return fmt.Errorf("archive: catalog: %w", err)
+	}
+	return nil
+}
+
+// internSlots takes the blob references the snapshot's chunk slots need and
+// returns the version's slot list. Against prev — the slots of the version
+// archived from the capture snap follows; nil when there is none — a clean
+// slot is prev's slot, with no hash taken; a slot written over less than
+// 1/patchFraction of its chunk whose chain is short of maxChain is prev's
+// slot plus a patch of the written bytes, again with no hash of the chunk.
+// Every other slot is its chunk, hashed and stored whole. On an error
+// nothing is held.
+func (s *Store) internSlots(snap *extent.Snapshot, prev []slotRef, st *PutStats) (slots []slotRef, lists []catalog.Patch, err error) {
+	chunks := snap.Chunks()
+	slots = make([]slotRef, len(chunks))
+	// The patched slots' lists go into one array, slot after slot — the very
+	// list a delta record carries (linkPatches).
+	n := 0
+	for i := range prev[:min(len(prev), len(chunks))] {
+		if prev[i].patchable(snap.Dirty(i)) {
+			n += prev[i].chain()
+		}
+	}
+	if n > 0 {
+		lists = make([]catalog.Patch, 0, n)
+	}
+	for i, c := range chunks {
+		if i < len(prev) {
+			p, d := prev[i], snap.Dirty(i)
+			switch {
+			case d.Len() == 0:
+				if s.refSlot(p) {
+					slots[i] = p
+					st.SharedChunks++
+					st.DedupedBytes += extent.ChunkSize
+					continue
+				}
+			case p.patchable(d):
+				if s.refSlot(p) {
+					patch := c.Data()[d.Lo:d.Hi]
+					h := extent.Hash(sha256.Sum256(patch))
+					wrote, err := s.disk.PutBytes(h, patch)
+					if err != nil {
+						s.releaseSlot(p)
+						s.releaseSlots(slots[:i])
+						return nil, nil, err
+					}
+					from := len(lists)
+					lists = append(append(lists, p.patches...), catalog.Patch{Idx: int32(i), Off: d.Lo, Hash: h})
+					slots[i] = slotRef{base: p.base, patches: lists[from:len(lists):len(lists)]}
+					st.blob(wrote, int64(d.Len()))
+					st.DedupedBytes += int64(extent.ChunkSize - d.Len())
+					continue
+				}
+			}
+			// A slot whose references could not all be taken (a concurrent
+			// drop released them) is stored whole.
+		}
+		h := c.Hash()
+		wrote, err := s.disk.Put(h, c)
+		if err != nil {
+			// The device rejected the blob: give back what was interned so far.
+			s.releaseSlots(slots[:i])
+			return nil, nil, err
+		}
+		slots[i] = slotRef{base: h}
+		st.blob(wrote, extent.ChunkSize)
+	}
+	return slots, lists, nil
+}
+
+// blob counts one blob reference a Put took for n bytes: a transfer when the
+// device received it, dedup when it already held the bytes.
+func (st *PutStats) blob(wrote bool, n int64) {
+	if wrote {
+		st.NewChunks++
+		st.NewBytes += n
+	} else {
+		st.SharedChunks++
+		st.DedupedBytes += n
+	}
+}
+
+// putTail takes one reference on the blob of a version's tail, storing a copy
+// when the device does not hold it already.
+func (s *Store) putTail(tail []byte) (h extent.Hash, wrote bool, err error) {
+	h = sha256.Sum256(tail)
+	if s.disk.Ref(h) {
+		return h, false, nil
+	}
+	c := extent.WrapChunk(append([]byte(nil), tail...), h)
+	wrote, err = s.disk.Put(h, c)
+	c.ReleaseChunk()
+	return h, wrote, err
+}
+
+// linkPatches gives rec, as one list, the patches of the slots it names —
+// every slot of a checkpoint, the changed ones of a delta — and points those
+// slots at their part of that list, so a history's slot list aliases nothing
+// but frozen records. A delta names the slots internSlots patched (and ones
+// it stored whole), so it adopts the lists internSlots wrote, as they lie.
+func linkPatches(rec *catalog.PutRec, slots []slotRef, lists []catalog.Patch, a *catalog.Arena) {
+	n, adopt := 0, !rec.IsFull
+	if rec.IsFull {
+		for _, r := range slots {
+			n += len(r.patches)
+		}
+	} else {
+		for _, m := range rec.Mods {
+			ps := slots[m.Idx].patches
+			adopt = adopt && (len(ps) == 0 || n+len(ps) <= len(lists) && &ps[0] == &lists[n])
+			n += len(ps)
+		}
+	}
+	if adopt && n == len(lists) {
+		rec.Patches = lists
+		return
+	}
+	if n == 0 {
+		return
+	}
+	rec.Patches = a.Patches(n)[:0]
+	link := func(i int) {
+		from := len(rec.Patches)
+		rec.Patches = append(rec.Patches, slots[i].patches...)
+		slots[i].patches = rec.Patches[from:len(rec.Patches):len(rec.Patches)]
+	}
+	if rec.IsFull {
+		for i := range slots {
+			link(i)
+		}
+		return
+	}
+	for _, m := range rec.Mods {
+		link(int(m.Idx))
+	}
 }
 
 // Put archives a version from a flat byte slice (content is copied).
@@ -790,16 +1076,16 @@ func (s *Store) materialize(k string, idx int, gen uint64, v Version) (snap *ext
 		return nil, fmt.Errorf("%w: version discarded", ErrNotFound)
 	}
 	rec := fv.recs[idx]
-	hashes := hashesAt(fv, idx)
-	held := s.refRec(hashes, rec)
+	slots := slotsAt(fv, idx)
+	held := s.refRec(slots, rec)
 	sh.mu.Unlock()
 	if !held {
 		// An indexed version holds a reference on every blob it lists.
 		return nil, fmt.Errorf("archive: version %d of %q lists a blob that is not stored", v, k)
 	}
-	defer s.releaseRec(hashes, rec)
+	defer s.releaseRec(slots, rec)
 
-	chunks := make([]*extent.Chunk, 0, len(hashes))
+	chunks := make([]*extent.Chunk, 0, len(slots))
 	defer func() {
 		if err != nil {
 			for _, c := range chunks {
@@ -807,10 +1093,15 @@ func (s *Store) materialize(k string, idx int, gen uint64, v Version) (snap *ext
 			}
 		}
 	}()
-	for _, h := range hashes {
-		c, err := s.disk.Get(h)
+	for _, r := range slots {
+		var c *extent.Chunk
+		if len(r.patches) == 0 {
+			c, err = s.disk.Get(r.base)
+		} else {
+			c, err = s.assemble(r)
+		}
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("archive: version %d of %q: %w", v, k, err)
 		}
 		chunks = append(chunks, c)
 	}
@@ -824,6 +1115,27 @@ func (s *Store) materialize(k string, idx int, gen uint64, v Version) (snap *ext
 		tail = tc.Data()
 	}
 	return extent.BuildSnapshot(chunks, tail), nil
+}
+
+// assemble materializes a patched slot: its base read into a buffer of the
+// chunk's own, each patch read over it in order — every blob verified against
+// its hash as it comes off the device — and the result handed out frozen.
+// Nothing is paged into the LRU and no patch costs an allocation.
+func (s *Store) assemble(r slotRef) (*extent.Chunk, error) {
+	data := make([]byte, extent.ChunkSize)
+	n, err := s.disk.ReadInto(r.base, data)
+	if err != nil {
+		return nil, err
+	}
+	if n != extent.ChunkSize {
+		return nil, fmt.Errorf("base %x is %d bytes, not a chunk", r.base[:8], n)
+	}
+	for _, p := range r.patches {
+		if _, err := s.disk.ReadInto(p.Hash, data[p.Off:]); err != nil {
+			return nil, fmt.Errorf("patch at %d: %w", p.Off, err)
+		}
+	}
+	return extent.Freeze(data), nil
 }
 
 // Get returns a specific archived version.
@@ -892,8 +1204,8 @@ func (s *Store) AsOf(server, path string, stateID uint64) (Entry, error) {
 // dropped is one version leaving a history: the references releaseRec is to
 // give back once the shard lock is released.
 type dropped struct {
-	hashes []extent.Hash
-	rec    *catalog.PutRec
+	slots []slotRef
+	rec   *catalog.PutRec
 }
 
 // TruncateAfter discards versions with StateID > stateID (used when the
@@ -930,14 +1242,15 @@ func (s *Store) TruncateAfter(server, path string, stateID uint64) error {
 	// chain (their checkpoints may themselves be dropped).
 	drops := make([]dropped, 0, len(fv.recs)-cut)
 	for i := cut; i < len(fv.recs); i++ {
-		drops = append(drops, dropped{hashes: hashesAt(fv, i), rec: fv.recs[i]})
+		drops = append(drops, dropped{slots: slotsAt(fv, i), rec: fv.recs[i]})
 	}
 	clear(fv.recs[cut:]) // the dropped records must not stay reachable from the spare capacity
 	fv.recs = fv.recs[:cut]
 	if cut == 0 {
 		delete(sh.entries, k)
 	} else {
-		fv.last = hashesAt(fv, cut-1)
+		// Invariant 1: no capture follows the version that is newest now.
+		fv.last, fv.capture = slotsAt(fv, cut-1), 0
 	}
 	sh.mu.Unlock()
 	if s.cat != nil {
@@ -948,7 +1261,7 @@ func (s *Store) TruncateAfter(server, path string, stateID uint64) error {
 		_ = s.cat.Sync()
 	}
 	for _, d := range drops {
-		s.releaseRec(d.hashes, d.rec)
+		s.releaseRec(d.slots, d.rec)
 	}
 	return nil
 }
@@ -1001,7 +1314,7 @@ func (s *Store) Drop(server, path string) error {
 	}
 	drops := make([]dropped, 0, len(fv.recs))
 	for i := range fv.recs {
-		drops = append(drops, dropped{hashes: hashesAt(fv, i), rec: fv.recs[i]})
+		drops = append(drops, dropped{slots: slotsAt(fv, i), rec: fv.recs[i]})
 	}
 	delete(sh.entries, k)
 	sh.mu.Unlock()
@@ -1010,7 +1323,7 @@ func (s *Store) Drop(server, path string) error {
 		_ = s.cat.Sync() // tombstone barrier, best-effort like TruncateAfter's
 	}
 	for _, d := range drops {
-		s.releaseRec(d.hashes, d.rec)
+		s.releaseRec(d.slots, d.rec)
 	}
 	return nil
 }

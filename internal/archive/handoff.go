@@ -35,13 +35,16 @@ type HistoryMod = catalog.Mod
 type HistoryRec catalog.PutRec
 
 // record is the importing store's own manifest record of hr under key k. The
-// hash lists are copied: the importer freezes what it indexes, whatever the
-// caller does with the exported records afterwards.
+// hash and patch lists are copied: the importer freezes what it indexes,
+// whatever the caller does with the exported records afterwards.
 func (hr *HistoryRec) record(k string) *catalog.PutRec {
 	rec := catalog.PutRec(*hr)
 	rec.Key = k
 	rec.Full = append([]extent.Hash(nil), hr.Full...)
 	rec.Mods = append([]HistoryMod(nil), hr.Mods...)
+	if len(hr.Patches) > 0 {
+		rec.Patches = append([]catalog.Patch(nil), hr.Patches...)
+	}
 	return &rec
 }
 
@@ -148,7 +151,7 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 	var st ImportStats
 	sh, fv := s.lockHistory(server, path)
 	var k string
-	var full []extent.Hash
+	var full []slotRef
 	last := int64(-1)
 	if fv != nil {
 		k, last = fv.key(), int64(fv.newest())
@@ -191,9 +194,15 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 		pinStart[i] = len(pinned)
 		rec := recs[i].record(k)
 		full = advance(full, rec)
-		for _, h := range full {
-			if err := s.ensureBlob(h, extent.ChunkSize, path, fetch, &st, &pinned); err != nil {
+		for _, r := range full {
+			if err := s.ensureBlob(r.base, extent.ChunkSize, path, fetch, &st, &pinned); err != nil {
 				return fail(err)
+			}
+			for _, p := range r.patches {
+				// A patch's length is known only once it is fetched.
+				if err := s.ensureBlob(p.Hash, 0, path, fetch, &st, &pinned); err != nil {
+					return fail(err)
+				}
 			}
 		}
 		if rec.TailLen > 0 {
@@ -221,7 +230,7 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 				// Records [0,i) are logged and visible — keep them. Release
 				// only the pins belonging to the records that did not land.
 				if len(fv.recs) > 0 {
-					fv.last = hashesAt(fv, len(fv.recs)-1)
+					fv.last, fv.capture = slotsAt(fv, len(fv.recs)-1), 0
 				}
 				sh.mu.Unlock()
 				s.releaseAll(pinned[pinStart[i]:])
@@ -235,7 +244,8 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 		fv.recs = append(fv.recs, rec)
 		st.Versions++
 	}
-	fv.last = full
+	// Invariant 1: no capture of this store's follows an imported version.
+	fv.last, fv.capture = full, 0
 	sh.mu.Unlock()
 	if s.cat != nil {
 		_ = s.cat.CompactIfDue()
@@ -255,6 +265,12 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 	// Device transfer: only moved blobs travel.
 	s.sleep(int64(st.MovedChunks))
 	return st, nil
+}
+
+func (s *Store) releaseAll(hashes []extent.Hash) {
+	for _, h := range hashes {
+		s.disk.Release(h)
+	}
 }
 
 func sumSizes(recs []HistoryRec) int64 {

@@ -1,10 +1,10 @@
 // Package catalog is the durable metadata plane of the tiered archive: an
 // append-only, checksummed manifest log plus periodic snapshot checkpoints
 // that persist every archived version's delta manifest (key, version, state
-// id, changed-slot list, chunk hashes, tail hash) alongside the chunkdisk
-// blob directory. With it, the chunk directory is self-describing: a
-// restarted process replays snapshot+log and can serve the full version
-// history from cold storage with zero re-archiving.
+// id, changed-slot list, base chunk hashes, patch lists, tail hash) alongside
+// the chunkdisk blob directory. With it, the chunk directory is
+// self-describing: a restarted process replays snapshot+log and can serve the
+// full version history from cold storage with zero re-archiving.
 //
 // On-disk layout (all files live in the chunkdisk root, next to the ab/cdef
 // blob fan-out, which only uses two-character subdirectories):
@@ -75,18 +75,32 @@ const (
 	kindPut      = 1 // a version archived
 	kindTruncate = 2 // point-in-time truncate: keep only the first N versions
 	kindDrop     = 3 // whole history discarded (unlink)
+	// kindPutPatched is the put record's second version: a kindPut body
+	// followed by the version's patch list. It is written only for a version
+	// that has patches, so every other record keeps the first version's bytes.
+	kindPutPatched = 4
 )
 
-// Mod is one changed slot of a delta manifest.
+// Mod is one changed slot of a delta manifest: its base chunk's hash.
 type Mod struct {
 	Idx  int32
 	Hash extent.Hash
 }
 
+// Patch is one sub-chunk edit of a slot: bytes stored as a blob of their own
+// (Hash) that land at byte Off of slot Idx's base chunk. A slot's reference
+// is its base hash plus its patches, applied in the order the record lists
+// them.
+type Patch struct {
+	Idx  int32
+	Off  int32
+	Hash extent.Hash
+}
+
 // PutRec is the manifest of one archived version, durable and in memory: the
 // shadow and the archive's index hold the same *PutRec. A record — its
-// Full/Mods slices included — is frozen once appended or replayed. The
-// records of an open are carved from shared blocks (see arena), so a block
+// Full/Mods/Patches slices included — is frozen once appended or replayed.
+// Records are carved from shared blocks (see Arena), so a block
 // stays reachable while any record in it does: Truncate and Drop unlink
 // records, the memory follows when a block's last record goes.
 type PutRec struct {
@@ -99,8 +113,13 @@ type PutRec struct {
 	TailLen        int
 	TailHash       extent.Hash   // meaningful when TailLen > 0
 	IsFull         bool          // checkpoint manifest (Full) vs delta (Mods)
-	Full           []extent.Hash // every chunk hash, checkpoint only
+	Full           []extent.Hash // every slot's base hash, checkpoint only
 	Mods           []Mod         // changed slots, delta only
+	// Patches lists, grouped by slot in ascending Idx, the whole patch list
+	// of every slot that has one — every such slot of a checkpoint, and of a
+	// delta only the changed slots (a slot a delta does not list keeps its
+	// predecessor's base and patches).
+	Patches []Patch
 }
 
 // OpenStats reports what Open found and recovered.
@@ -120,38 +139,64 @@ type history struct {
 	puts []*PutRec
 }
 
-// arena carves the records a replay decodes out of shared blocks instead of
-// one heap object per record, hash list and delta. It is a plain value:
-// copying it before a decode and assigning the copy back un-claims whatever
-// the decode took.
-type arena struct {
-	recs   []PutRec
-	hashes []extent.Hash
-	mods   []Mod
+// Arena carves records and their lists out of shared blocks instead of one
+// heap object per record, hash list, delta and patch list: a replay decodes
+// into one, and the archive builds the records it appends from one per shard.
+// A block stays reachable while any record carved from it does. It is a plain
+// value: copying it before a decode and assigning the copy back un-claims
+// whatever the decode took. Not safe for concurrent use.
+type Arena struct {
+	recs    pool[PutRec]
+	hashes  pool[extent.Hash]
+	mods    pool[Mod]
+	patches pool[Patch]
 }
 
-// Block sizes: a few hundred records (~40 KiB) and their hashes and deltas
-// (~16 KiB each) per allocation.
+// Rec carves one zeroed record.
+func (a *Arena) Rec() *PutRec { return &a.recs.carve(1, recBlock)[0] }
+
+// Hashes carves a hash list of n.
+func (a *Arena) Hashes(n int) []extent.Hash { return a.hashes.carve(n, hashBlock) }
+
+// Mods carves a delta of n slots.
+func (a *Arena) Mods(n int) []Mod { return a.mods.carve(n, modBlock) }
+
+// Patches carves a patch list of n.
+func (a *Arena) Patches(n int) []Patch { return a.patches.carve(n, patchBlock) }
+
+// Block sizes, at most: a few hundred records (~40 KiB) and their hashes and
+// deltas (~16 KiB each) per allocation.
 const (
-	recBlock  = 256
-	hashBlock = 512
-	modBlock  = 512
+	recBlock   = 256
+	hashBlock  = 512
+	modBlock   = 512
+	patchBlock = 512
 )
 
-// carve hands out the next n elements of *block, starting a fresh block of
-// blockLen when it runs short. The slice is capped at its own length, so an
+// pool is one kind of element an Arena carves: the unclaimed rest of its
+// current block, and the length of the block before it. Blocks double from
+// a small one up to the kind's maximum, so an arena that carves a handful of
+// records costs a handful, and one that carves thousands, a few blocks.
+type pool[T any] struct {
+	free []T
+	last int
+}
+
+// carve hands out the next n elements, starting a fresh block when the
+// current one runs short. The slice is capped at its own length, so an
 // append to it can never write into its neighbour; a list longer than a
-// quarter block gets an allocation of its own rather than stranding the rest
-// of one.
-func carve[T any](block *[]T, n, blockLen int) []T {
-	if n > len(*block) {
-		if n > blockLen/4 {
+// quarter of the largest block gets an allocation of its own rather than
+// stranding the rest of one.
+func (p *pool[T]) carve(n, maxBlock int) []T {
+	if n > len(p.free) {
+		if n > maxBlock/4 {
 			return make([]T, n)
 		}
-		*block = make([]T, blockLen)
+		p.last = min(max(2*p.last, 16, n), maxBlock)
+		p.free = make([]T, p.last)
 	}
-	out := (*block)[:n:n]
-	*block = (*block)[n:]
+	out := p.free[:n:n]
+	p.free = p.free[n:]
 	return out
 }
 
@@ -178,10 +223,11 @@ type Catalog struct {
 
 	mu         sync.Mutex
 	log        *os.File
+	frame      []byte // AppendPut's frame buffer, reused under mu
 	logBytes   int64
 	seq        uint64
 	files      map[string]*history
-	arena      arena // replay's record blocks; Open drops it when done
+	arena      Arena // replay's record blocks; Open drops it when done
 	stats      OpenStats
 	compactDue bool
 	closed     bool
@@ -232,7 +278,7 @@ func Open(dir string, cfg Config) (*Catalog, error) {
 		onSync = ctr.Inc
 	}
 	c.sync = fsyncer.New(cfg.Fsync, cfg.FsyncMaxDelay, f.Sync, onSync)
-	c.arena = arena{} // replay is over: appended records are the caller's
+	c.arena = Arena{} // replay is over: appended records are the caller's
 	for _, h := range c.files {
 		c.stats.Versions += len(h.puts)
 	}
@@ -377,10 +423,10 @@ func (c *Catalog) apply(payload []byte) error {
 	kind := d.byte()
 	key := d.bytes(d.uvarint())
 	switch kind {
-	case kindPut:
+	case kindPut, kindPutPatched:
 		h := c.files[string(key)] // no allocation: the history interns its key
 		claimed := c.arena
-		r, err := decodePut(&d, &c.arena)
+		r, err := decodePut(&d, &c.arena, kind == kindPutPatched)
 		if err != nil {
 			c.arena = claimed
 			return err
@@ -415,13 +461,14 @@ func (c *Catalog) apply(payload []byte) error {
 }
 
 // decodePut reads the fields of a put record after its key into a record
-// from a. Nothing is sized by a count before the bytes that remain have been
-// checked to hold that many entries, and a record whose parts contradict one
-// another — a checkpoint that does not list every chunk, a delta naming a
-// slot the version does not have — is refused here rather than met later as
-// an index out of range.
-func decodePut(d *decoder, a *arena) (*PutRec, error) {
-	r := &carve(&a.recs, 1, recBlock)[0]
+// from a; patched is the second record version, which ends in a patch list.
+// Nothing is sized by a count before the bytes that remain have been checked
+// to hold that many entries, and a record whose parts contradict one another
+// — a checkpoint that does not list every chunk, a delta naming a slot the
+// version does not have, a patch of a slot the delta leaves unchanged — is
+// refused here rather than met later as an index out of range.
+func decodePut(d *decoder, a *Arena, patched bool) (*PutRec, error) {
+	r := a.Rec()
 	*r = PutRec{
 		Version:        int64(d.uvarint()),
 		StateID:        d.uvarint(),
@@ -444,7 +491,7 @@ func decodePut(d *decoder, a *arena) (*PutRec, error) {
 			return nil, errPutCorrupted
 		}
 		if n > 0 {
-			r.Full = carve(&a.hashes, int(n), hashBlock)
+			r.Full = a.Hashes(int(n))
 		}
 		for i := range r.Full {
 			copy(r.Full[i][:], d.bytes(hashLen))
@@ -455,7 +502,7 @@ func decodePut(d *decoder, a *arena) (*PutRec, error) {
 			return nil, errPutCorrupted
 		}
 		if n > 0 {
-			r.Mods = carve(&a.mods, int(n), modBlock)
+			r.Mods = a.Mods(int(n))
 		}
 		for i := range r.Mods {
 			idx := d.uvarint()
@@ -466,11 +513,51 @@ func decodePut(d *decoder, a *arena) (*PutRec, error) {
 			copy(r.Mods[i].Hash[:], d.bytes(hashLen))
 		}
 	}
+	if patched && !decodePatches(d, a, r, nchunks) {
+		return nil, errPutCorrupted
+	}
 	if d.err != nil || d.rest() != 0 {
 		return nil, errPutCorrupted
 	}
 	r.NChunks, r.TailLen = int(nchunks), int(tailLen)
 	return r, nil
+}
+
+// decodePatches reads a patched record's patch list into r: at least one
+// patch (a record without any is a first-version put), grouped by ascending
+// slot, each at an offset inside a chunk — and in a delta, whose changed
+// slots must then be listed in ascending order, only of a changed slot.
+func decodePatches(d *decoder, a *Arena, r *PutRec, nchunks uint64) bool {
+	const hashLen = uint64(len(extent.Hash{}))
+	n := d.uvarint()
+	// A patch is a slot varint, an offset varint and a hash.
+	if d.err != nil || n == 0 || n > uint64(d.rest())/(hashLen+2) {
+		return false
+	}
+	for i := 1; i < len(r.Mods); i++ {
+		if r.Mods[i].Idx <= r.Mods[i-1].Idx {
+			return false
+		}
+	}
+	r.Patches = a.Patches(int(n))
+	mod := 0
+	for i := range r.Patches {
+		idx, off := d.uvarint(), d.uvarint()
+		if idx >= nchunks || off >= extent.ChunkSize || (i > 0 && int32(idx) < r.Patches[i-1].Idx) {
+			return false
+		}
+		if !r.IsFull {
+			for mod < len(r.Mods) && r.Mods[mod].Idx < int32(idx) {
+				mod++
+			}
+			if mod == len(r.Mods) || r.Mods[mod].Idx != int32(idx) {
+				return false
+			}
+		}
+		r.Patches[i].Idx, r.Patches[i].Off = int32(idx), int32(off)
+		copy(r.Patches[i].Hash[:], d.bytes(hashLen))
+	}
+	return d.err == nil
 }
 
 // Stats reports what Open recovered.
@@ -527,7 +614,8 @@ func (c *Catalog) AppendPut(r *PutRec) error {
 		return ErrClosed
 	}
 	c.seq++
-	if err := c.appendLocked(framePut(make([]byte, 0, maxFrameLen(r)), c.seq, r)); err != nil {
+	c.frame = framePut(c.frame[:0], c.seq, r)
+	if err := c.appendLocked(c.frame); err != nil {
 		c.seq--
 		return err
 	}
@@ -703,7 +791,8 @@ func (c *Catalog) Close() error {
 // longest.
 func maxFrameLen(r *PutRec) int {
 	const hashLen = len(extent.Hash{})
-	return 128 + len(r.Key) + hashLen*len(r.Full) + (binary.MaxVarintLen32+hashLen)*len(r.Mods)
+	return 128 + len(r.Key) + hashLen*len(r.Full) + (binary.MaxVarintLen32+hashLen)*len(r.Mods) +
+		(2*binary.MaxVarintLen32+hashLen)*len(r.Patches)
 }
 
 // framePut appends r's put record to dst as one frame, encoded in place.
@@ -715,8 +804,12 @@ func framePut(dst []byte, seq uint64, r *PutRec) []byte {
 }
 
 func appendPut(buf []byte, seq uint64, r *PutRec) []byte {
+	kind := byte(kindPut)
+	if len(r.Patches) > 0 {
+		kind = kindPutPatched
+	}
 	buf = binary.AppendUvarint(buf, seq)
-	buf = append(buf, kindPut)
+	buf = append(buf, kind)
 	buf = binary.AppendUvarint(buf, uint64(len(r.Key)))
 	buf = append(buf, r.Key...)
 	buf = binary.AppendUvarint(buf, uint64(r.Version))
@@ -740,6 +833,14 @@ func appendPut(buf []byte, seq uint64, r *PutRec) []byte {
 		for i := range r.Mods {
 			buf = binary.AppendUvarint(buf, uint64(r.Mods[i].Idx))
 			buf = append(buf, r.Mods[i].Hash[:]...)
+		}
+	}
+	if len(r.Patches) > 0 {
+		buf = binary.AppendUvarint(buf, uint64(len(r.Patches)))
+		for i := range r.Patches {
+			buf = binary.AppendUvarint(buf, uint64(r.Patches[i].Idx))
+			buf = binary.AppendUvarint(buf, uint64(r.Patches[i].Off))
+			buf = append(buf, r.Patches[i].Hash[:]...)
 		}
 	}
 	return buf

@@ -58,8 +58,14 @@ func sameRec(a, b *PutRec) bool {
 	if a.Key != b.Key || a.Version != b.Version || a.StateID != b.StateID ||
 		a.Size != b.Size || a.StoredUnixNano != b.StoredUnixNano ||
 		a.NChunks != b.NChunks || a.TailLen != b.TailLen || a.TailHash != b.TailHash ||
-		a.IsFull != b.IsFull || len(a.Full) != len(b.Full) || len(a.Mods) != len(b.Mods) {
+		a.IsFull != b.IsFull || len(a.Full) != len(b.Full) || len(a.Mods) != len(b.Mods) ||
+		len(a.Patches) != len(b.Patches) {
 		return false
+	}
+	for i := range a.Patches {
+		if a.Patches[i] != b.Patches[i] {
+			return false
+		}
 	}
 	for i := range a.Full {
 		if a.Full[i] != b.Full[i] {
@@ -530,4 +536,51 @@ func TestOpenScanAllocBudget(t *testing.T) {
 		t.Fatalf("snapshot-only open loaded %d snapshot records, want %d", st.SnapshotRecords, records)
 	}
 	fromSnap.Close()
+}
+
+// TestPatchedRecordsRoundtrip: the second put-record version — a checkpoint
+// and a delta whose slots carry patches — survives a log replay and a
+// snapshot, beside first-version records, and only a record with patches is
+// written in it.
+func TestPatchedRecordsRoundtrip(t *testing.T) {
+	const key = "fs1\x00/p"
+	want := []*PutRec{putRec(key, 0, true), patchedRec(key, 1, false), putRec(key, 2, false), patchedRec(key, 3, true)}
+	for _, r := range want {
+		kind := encodePut(1, r)[1]
+		if (kind == kindPutPatched) != (len(r.Patches) > 0) || (kind != kindPut && kind != kindPutPatched) {
+			t.Fatalf("version %d (%d patches) written as kind %d", r.Version, len(r.Patches), kind)
+		}
+	}
+	dir := t.TempDir()
+	c := mustOpen(t, dir)
+	for _, r := range want {
+		if err := c.AppendPut(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(c *Catalog, phase string) {
+		t.Helper()
+		got := c.History(key)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d versions, want %d", phase, len(got), len(want))
+		}
+		for i := range want {
+			if !sameRec(got[i], want[i]) {
+				t.Fatalf("%s: version %d replayed as %+v", phase, i, *got[i])
+			}
+		}
+	}
+	c.Close()
+	c = mustOpen(t, dir)
+	check(c, "log replay")
+	if err := c.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	c = mustOpen(t, dir)
+	defer c.Close()
+	if st := c.Stats(); st.SnapshotRecords != len(want) || st.LogRecords != 0 {
+		t.Fatalf("snapshot open stats: %+v", st)
+	}
+	check(c, "snapshot")
 }

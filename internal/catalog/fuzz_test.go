@@ -7,7 +7,8 @@ import (
 )
 
 // fuzzSeeds are the record shapes the archive writes — a full manifest, a
-// delta, a tail-only file, an empty file — plus one truncate and one drop.
+// delta, a tail-only file, an empty file, a delta and a checkpoint whose
+// slots carry patches — plus one truncate and one drop.
 func fuzzSeeds() [][]byte {
 	const key = "fs1\x00/d/f.bin"
 	full := putRec(key, 0, true)
@@ -16,9 +17,21 @@ func fuzzSeeds() [][]byte {
 	empty := &PutRec{Key: key, Version: 3, StateID: 10, IsFull: true}
 	return [][]byte{
 		encodePut(7, full), encodePut(8, delta), encodePut(9, tailOnly), encodePut(0, empty),
+		encodePut(12, patchedRec(key, 4, false)), encodePut(0, patchedRec(key, 5, true)),
 		encodeKeyRecord(kindTruncate, 10, key, 2, true),
 		encodeKeyRecord(kindDrop, 11, key, 0, false),
 	}
+}
+
+// patchedRec is putRec with patches: slot 1 patched twice in a delta, both
+// slots in a checkpoint.
+func patchedRec(key string, v int64, full bool) *PutRec {
+	r := putRec(key, v, full)
+	r.Patches = []Patch{{Idx: 1, Off: 4096, Hash: hashOf(byte(50 + v))}, {Idx: 1, Off: 65535, Hash: hashOf(byte(60 + v))}}
+	if full {
+		r.Patches = append([]Patch{{Idx: 0, Off: 0, Hash: hashOf(byte(70 + v))}}, r.Patches...)
+	}
+	return r
 }
 
 // FuzzPutRecDecode holds the record decoder to four properties on arbitrary
@@ -78,8 +91,12 @@ func FuzzPutRecDecode(f *testing.F) {
 		for i := range r.Mods {
 			r.Mods[i] = Mod{Idx: -1, Hash: hashOf(0xee)}
 		}
+		for i := range r.Patches {
+			r.Patches[i] = Patch{Idx: -1, Off: -1, Hash: hashOf(0xee)}
+		}
 		_ = append(r.Full, hashOf(0xee))
 		_ = append(r.Mods, Mod{Idx: -1, Hash: hashOf(0xee)})
+		_ = append(r.Patches, Patch{Idx: -1, Off: -1, Hash: hashOf(0xee)})
 		if re := encodePut(seq, r2); !bytes.Equal(re, payload2) {
 			t.Fatalf("writing to one record's lists changed its neighbour:\n%x\nwas\n%x", re, payload2)
 		}

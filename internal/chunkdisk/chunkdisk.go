@@ -4,9 +4,12 @@
 //
 // This package owns a blob's whole lifetime: the bytes AND the count of
 // version slots that reference them, in one shard under one mutex. Put takes
-// a reference, storing the bytes only when the store does not hold them; Ref
-// takes one on bytes already held and reports false, holding nothing, when
-// they are not; Release gives one back. Three invariants are the protocol:
+// a reference, storing the bytes only when the store does not hold them
+// (PutBytes is Put for bytes the caller writes to again once it returns — a
+// patch cut out of a live chunk — which a disk store writes through and keeps
+// nothing of); Ref takes one on bytes already held and reports false, holding
+// nothing, when they are not; Release gives one back. Three invariants are
+// the protocol:
 //
 //  1. A count and its liveness never change under different locks: the
 //     reference count, the resident copy, the index entry and the dead mark
@@ -28,7 +31,9 @@
 // and the LRU decides which blobs also stay resident in memory. Get serves
 // residents from memory and pages evicted blobs back in from disk, verifying
 // their content hash on the way (a corrupted or truncated chunk file surfaces
-// as an error, never as silent bad data).
+// as an error, never as silent bad data). ReadInto does the same into a
+// caller's buffer without admitting anything to the LRU — how the archive
+// assembles a patched chunk from its base and patches.
 //
 // Deletion is deferred: the Release that drops the last reference frees the
 // memory copy immediately but only marks the disk copy dead. A background
@@ -171,6 +176,16 @@ type diskMeta struct {
 	off        int64 // payload offset within the pack
 }
 
+// blobState is what a shard knows of one hash: how many version slots
+// reference it — more than none means the store holds the bytes — and, in
+// disk mode, where its device copy lies. A disk store indexes a hash from its
+// write-through or adoption until a sweep reclaims it; a memory-only store,
+// while it is referenced.
+type blobState struct {
+	diskMeta
+	refs int64
+}
+
 // shard is one stripe of the store: everything the store knows about the
 // hashes it owns, under one mutex.
 type shard struct {
@@ -178,13 +193,16 @@ type shard struct {
 	// settled is broadcast whenever a write-through or a sweep's unlink
 	// finishes: what refLocked waits on.
 	settled  sync.Cond
-	refs     map[extent.Hash]int64 // version slots referencing each held blob; > 0 means the bytes are on the device
+	blobs    map[extent.Hash]blobState
 	resident map[extent.Hash]*entry
 	lru      *list.List // of *entry; front = hottest
 	resBytes int64
-	onDisk   map[extent.Hash]diskMeta
 	dead     map[extent.Hash]struct{} // on disk, unreferenced, awaiting sweep
 	sweeping map[extent.Hash]struct{} // claimed by an in-flight sweep
+	// putting holds the hashes of PutBytes write-throughs in flight: bytes
+	// with no resident copy, so a reference or a read of one waits for the
+	// outcome, as for a resident entry that is writing.
+	putting map[extent.Hash]struct{}
 }
 
 // Store is a tiered blob store. Safe for concurrent use.
@@ -275,12 +293,12 @@ func Open(cfg Config) (*Store, error) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.settled.L = &sh.mu
-		sh.refs = make(map[extent.Hash]int64)
+		sh.blobs = make(map[extent.Hash]blobState)
 		sh.resident = make(map[extent.Hash]*entry)
 		sh.lru = list.New()
-		sh.onDisk = make(map[extent.Hash]diskMeta)
 		sh.dead = make(map[extent.Hash]struct{})
 		sh.sweeping = make(map[extent.Hash]struct{})
+		sh.putting = make(map[extent.Hash]struct{})
 	}
 	if cfg.Dir == "" {
 		s.sync = fsyncer.New(fsyncer.PolicyNone, 0, func() error { return nil }, nil)
@@ -384,7 +402,7 @@ func (s *Store) adoptExisting() error {
 			sh.mu.Lock()
 			// Logical size of an adopted compressed blob is unknown until it
 			// is read; account its physical size (see Stats.DiskLogicalBytes).
-			sh.onDisk[h] = diskMeta{size: info.Size(), logical: info.Size(), compressed: compressed}
+			sh.blobs[h] = blobState{diskMeta: diskMeta{size: info.Size(), logical: info.Size(), compressed: compressed}}
 			sh.dead[h] = struct{}{}
 			sh.mu.Unlock()
 			s.diskBlobs.Add(1)
@@ -419,24 +437,28 @@ func (s *Store) path(h extent.Hash, compressed bool) string {
 // Caller holds the shard lock.
 func (s *Store) refLocked(sh *shard, h extent.Hash) bool {
 	for {
-		if n := sh.refs[h]; n > 0 {
-			sh.refs[h] = n + 1
+		if b := sh.blobs[h]; b.refs > 0 {
+			b.refs++
+			sh.blobs[h] = b
 			return true
 		}
 		_, swept := sh.sweeping[h]
-		if e := sh.resident[h]; !swept && (e == nil || !e.writing) {
+		_, putting := sh.putting[h]
+		if e := sh.resident[h]; !swept && !putting && (e == nil || !e.writing) {
 			break
 		}
 		sh.settled.Wait()
 	}
-	if _, ok := sh.onDisk[h]; !ok {
+	b, ok := sh.blobs[h]
+	if !ok {
 		return false
 	}
 	if _, wasDead := sh.dead[h]; wasDead {
 		delete(sh.dead, h)
 		s.deadBlobs.Add(-1)
 	}
-	sh.refs[h] = 1
+	b.refs = 1
+	sh.blobs[h] = b
 	return true
 }
 
@@ -465,48 +487,19 @@ func (s *Store) Put(h extent.Hash, c *extent.Chunk) (wrote bool, err error) {
 	}
 	e := s.admitLocked(sh, h, c, size)
 	if s.dir == "" {
-		sh.refs[h] = 1
+		sh.blobs[h] = blobState{refs: 1}
 		sh.mu.Unlock()
 		return true, nil
 	}
 	e.writing = true // pin until the file exists
 	sh.mu.Unlock()
 
-	// Compress outside the shard lock; keep the compressed form only when it
-	// actually shrinks the blob.
-	data := c.Data()
-	compressed := false
-	if s.compress {
-		if z := deflate(data); len(z) < len(data) {
-			data = z
-			compressed = true
-		}
-	}
-	// Small blobs append to the shared packfile (sequential writes, no file
-	// cycle); large blobs keep the loose one-file-per-hash layout.
-	var werr error
-	var pack *packMeta // where the blob went, pinned until it is in the index
-	meta := diskMeta{size: int64(len(data)), logical: size, compressed: compressed}
-	if s.packs != nil && size <= s.packThreshold {
-		if pack, meta.off, werr = s.packs.append(h, data, size, compressed); werr == nil {
-			meta.pack = pack.seq
-			if s.afterPackAppend != nil {
-				werr = s.afterPackAppend()
-			}
-		}
-	} else {
-		werr = s.writeBlob(s.path(h, compressed), data)
-	}
+	meta, pack, werr := s.writeThrough(h, c.Data())
 
 	sh.mu.Lock()
 	e.writing = false
 	if werr == nil {
-		sh.onDisk[h] = meta
-		sh.refs[h] = 1
-		s.diskBlobs.Add(1)
-		s.diskBytes.Add(int64(len(data)))
-		s.diskLogical.Add(size)
-		s.spills.Add(1)
+		s.publishLocked(sh, h, meta)
 	} else {
 		// The write-through failed: an unbacked resident blob would read
 		// fine until its eviction, then vanish — free it now so the failure
@@ -524,6 +517,81 @@ func (s *Store) Put(h extent.Hash, c *extent.Chunk) (wrote bool, err error) {
 		return false, werr
 	}
 	return true, nil
+}
+
+// PutBytes is Put for bytes the caller writes to again once it returns — a
+// patch cut out of a live chunk — so the store keeps no reference to them: a
+// memory-only store keeps a copy, its only way to serve the blob; a disk store
+// writes them through from where they lie and keeps nothing resident, and the
+// blob is read back from the device (ReadInto) when it is wanted.
+func (s *Store) PutBytes(h extent.Hash, data []byte) (wrote bool, err error) {
+	if s.dir == "" {
+		c := extent.WrapChunk(append([]byte(nil), data...), h)
+		defer c.ReleaseChunk()
+		return s.Put(h, c)
+	}
+	sh := s.shardFor(h)
+	sh.mu.Lock()
+	if s.refLocked(sh, h) {
+		sh.mu.Unlock()
+		return false, nil
+	}
+	sh.putting[h] = struct{}{}
+	sh.mu.Unlock()
+
+	meta, pack, werr := s.writeThrough(h, data)
+
+	sh.mu.Lock()
+	delete(sh.putting, h)
+	if werr == nil {
+		s.publishLocked(sh, h, meta)
+	}
+	sh.settled.Broadcast()
+	sh.mu.Unlock()
+	if pack != nil {
+		s.packs.published(pack)
+	}
+	if werr != nil {
+		return false, werr
+	}
+	return true, nil
+}
+
+// writeThrough writes a blob to the device: small blobs append to the shared
+// packfile (sequential writes, no file cycle), large blobs keep the loose
+// one-file-per-hash layout, compressed outside any lock when that shrinks
+// them. A pack the blob went to comes back pinned until the caller has
+// published the blob in the index.
+func (s *Store) writeThrough(h extent.Hash, data []byte) (meta diskMeta, pack *packMeta, err error) {
+	size := int64(len(data))
+	compressed := false
+	if s.compress {
+		if z := deflate(data); len(z) < len(data) {
+			data = z
+			compressed = true
+		}
+	}
+	meta = diskMeta{size: int64(len(data)), logical: size, compressed: compressed}
+	if s.packs != nil && size <= s.packThreshold {
+		if pack, meta.off, err = s.packs.append(h, data, size, compressed); err == nil {
+			meta.pack = pack.seq
+			if s.afterPackAppend != nil {
+				err = s.afterPackAppend()
+			}
+		}
+		return meta, pack, err
+	}
+	return meta, nil, s.writeBlob(s.path(h, compressed), data)
+}
+
+// publishLocked indexes a blob whose write-through landed, with the
+// reference its Put takes. Caller holds the shard lock.
+func (s *Store) publishLocked(sh *shard, h extent.Hash, meta diskMeta) {
+	sh.blobs[h] = blobState{diskMeta: meta, refs: 1}
+	s.diskBlobs.Add(1)
+	s.diskBytes.Add(meta.size)
+	s.diskLogical.Add(meta.logical)
+	s.spills.Add(1)
 }
 
 // deflate returns data flate-compressed at the default level.
@@ -583,7 +651,7 @@ func (s *Store) writeBlob(dst string, data []byte) error {
 func (s *Store) Get(h extent.Hash) (*extent.Chunk, error) {
 	sh := s.shardFor(h)
 	sh.mu.Lock()
-	if e, ok := sh.resident[h]; ok {
+	if e := s.residentLocked(sh, h); e != nil {
 		sh.lru.MoveToFront(e.elem)
 		c := e.chunk.RetainChunk()
 		sh.mu.Unlock()
@@ -593,7 +661,8 @@ func (s *Store) Get(h extent.Hash) (*extent.Chunk, error) {
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("chunkdisk: blob %x not stored", h[:8])
 	}
-	meta, ok := sh.onDisk[h]
+	b, ok := sh.blobs[h]
+	meta := b.diskMeta
 	if !ok {
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("chunkdisk: blob %x not stored", h[:8])
@@ -603,7 +672,7 @@ func (s *Store) Get(h extent.Hash) (*extent.Chunk, error) {
 	var data []byte
 	var err error
 	if meta.pack != 0 {
-		data, meta, err = s.readPackBlob(h, meta)
+		data, meta, err = s.readPackBlob(h, meta, nil)
 	} else {
 		data, err = os.ReadFile(s.path(h, meta.compressed))
 		if err != nil {
@@ -630,13 +699,13 @@ func (s *Store) Get(h extent.Hash) (*extent.Chunk, error) {
 		// An adopted loose ".z" blob was accounted at its physical size; the
 		// first page-in learns the real logical length — correct the books.
 		// (Pack records carry their logical length in the frame.)
-		if m, ok := sh.onDisk[h]; ok && m.compressed {
-			s.diskLogical.Add(int64(len(data)) - m.logical)
-			m.logical = int64(len(data))
-			sh.onDisk[h] = m
+		if b, ok := sh.blobs[h]; ok && b.compressed {
+			s.diskLogical.Add(int64(len(data)) - b.logical)
+			b.logical = int64(len(data))
+			sh.blobs[h] = b
 		}
 	}
-	if e, ok := sh.resident[h]; ok {
+	if e := s.residentLocked(sh, h); e != nil {
 		// A concurrent Get admitted it first; use the resident copy.
 		sh.lru.MoveToFront(e.elem)
 		r := e.chunk.RetainChunk()
@@ -650,26 +719,105 @@ func (s *Store) Get(h extent.Hash) (*extent.Chunk, error) {
 	return c, nil
 }
 
-// readPackBlob reads one pack-resident blob. The shared relocMu is held
-// across the read so compaction cannot unlink the pack under it, and the
-// index entry is re-read after locking: a blob the compactor relocated in
-// the window since the caller looked it up is found at its new address.
-func (s *Store) readPackBlob(h extent.Hash, meta diskMeta) ([]byte, diskMeta, error) {
+// ReadInto copies the bytes of blob h into dst and reports how many there
+// are: from memory when h is resident, else from the device — verified
+// against h on the way, like a page-in — and either way without admitting h
+// to the LRU, so a materialization can assemble a chunk out of a base and its
+// patches in one buffer of its own. A blob longer than dst is an error. The
+// caller holds a reference across the call, as for Get.
+func (s *Store) ReadInto(h extent.Hash, dst []byte) (int, error) {
+	sh := s.shardFor(h)
+	sh.mu.Lock()
+	resident := s.residentLocked(sh, h) != nil
+	b, ok := sh.blobs[h]
+	sh.mu.Unlock()
+	if resident || !ok || s.dir == "" || b.compressed {
+		// A resident copy, one that inflates into a buffer of its own
+		// anyway, or none at all: as Get has it.
+		c, err := s.Get(h)
+		if err != nil {
+			return 0, err
+		}
+		defer c.ReleaseChunk()
+		if len(c.Data()) > len(dst) {
+			return 0, errLonger(h, len(c.Data()), len(dst))
+		}
+		return copy(dst, c.Data()), nil
+	}
+	if b.size > int64(len(dst)) {
+		return 0, errLonger(h, int(b.size), len(dst))
+	}
+	dst = dst[:b.size]
+	var err error
+	if b.pack != 0 {
+		_, _, err = s.readPackBlob(h, b.diskMeta, dst)
+	} else {
+		err = readFileInto(s.path(h, false), dst)
+	}
+	if err != nil {
+		return 0, err
+	}
+	if sum := sha256.Sum256(dst); extent.Hash(sum) != h {
+		return 0, fmt.Errorf("chunkdisk: blob %x corrupted on disk", h[:8])
+	}
+	s.pageIns.Add(1)
+	return len(dst), nil
+}
+
+func errLonger(h extent.Hash, n, room int) error {
+	return fmt.Errorf("chunkdisk: blob %x is %d bytes, longer than the %d it is read into", h[:8], n, room)
+}
+
+// residentLocked returns h's resident entry, nil when it has none. A
+// PutBytes write-through in flight has no copy to serve: it is waited out,
+// after which the blob is on the device, or not stored. Caller holds the
+// shard lock.
+func (s *Store) residentLocked(sh *shard, h extent.Hash) *entry {
+	for {
+		if _, putting := sh.putting[h]; !putting {
+			return sh.resident[h]
+		}
+		sh.settled.Wait()
+	}
+}
+
+// readFileInto fills dst from the start of the file at path, which must be
+// exactly len(dst) bytes long.
+func readFileInto(path string, dst []byte) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("chunkdisk: %w", err)
+	}
+	defer f.Close()
+	if n, err := f.ReadAt(dst, 0); n != len(dst) {
+		return fmt.Errorf("chunkdisk: %s: read %d of %d bytes: %v", path, n, len(dst), err)
+	}
+	return nil
+}
+
+// readPackBlob reads one pack-resident blob into buf (len meta.size), or into
+// a buffer of its own when buf is nil. The shared relocMu is held across the
+// read so compaction cannot unlink the pack under it, and the index entry is
+// re-read after locking: a blob the compactor relocated in the window since
+// the caller looked it up is found at its new address.
+func (s *Store) readPackBlob(h extent.Hash, meta diskMeta, buf []byte) ([]byte, diskMeta, error) {
 	ps := s.packs
 	ps.relocMu.RLock()
 	defer ps.relocMu.RUnlock()
 	sh := s.shardFor(h)
 	sh.mu.Lock()
-	cur, ok := sh.onDisk[h]
+	cur, ok := sh.blobs[h]
 	sh.mu.Unlock()
 	if !ok {
 		// Swept in the window. Callers hold a reference across Get, so this
 		// indicates a contract violation — surface it as missing.
 		return nil, meta, fmt.Errorf("chunkdisk: blob %x not stored", h[:8])
 	}
-	meta = cur
-	data, err := ps.read(meta.pack, meta.off, meta.size)
-	return data, meta, err
+	meta = cur.diskMeta
+	if buf == nil {
+		buf = make([]byte, meta.size)
+	}
+	return buf, meta, ps.readInto(meta.pack, meta.off, buf)
 }
 
 // evictLocked drops cold residents until the shard fits its budget. Memory
@@ -724,18 +872,22 @@ func (s *Store) Release(h extent.Hash) {
 	sh := s.shardFor(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	switch n := sh.refs[h]; {
-	case n > 1:
-		sh.refs[h] = n - 1
-	case n == 1:
-		delete(sh.refs, h)
+	switch b := sh.blobs[h]; {
+	case b.refs > 1:
+		b.refs--
+		sh.blobs[h] = b
+	case b.refs == 1:
 		if e, ok := sh.resident[h]; ok {
 			s.freeResidentLocked(sh, e)
 		}
-		if _, ok := sh.onDisk[h]; ok {
-			sh.dead[h] = struct{}{}
-			s.deadBlobs.Add(1)
+		if s.dir == "" {
+			delete(sh.blobs, h)
+			break
 		}
+		b.refs = 0
+		sh.blobs[h] = b
+		sh.dead[h] = struct{}{}
+		s.deadBlobs.Add(1)
 	}
 }
 
@@ -765,12 +917,12 @@ func (s *Store) Sweep() int {
 				// of a transfer racing a drop): it goes with the disk copy.
 				s.freeResidentLocked(sh, e)
 			}
-			meta := sh.onDisk[h]
+			meta := sh.blobs[h].diskMeta
 			if meta.pack != 0 {
 				// Retire the record in place: no per-blob file I/O. A reader
 				// cannot be mid-read — dead means unreferenced, and readers
 				// pin references.
-				delete(sh.onDisk, h)
+				delete(sh.blobs, h)
 				delete(sh.dead, h)
 				s.deadBlobs.Add(-1)
 				s.diskBlobs.Add(-1)
@@ -791,8 +943,8 @@ func (s *Store) Sweep() int {
 		for _, cl := range claim {
 			err := os.Remove(s.path(cl.h, cl.compressed))
 			sh.mu.Lock()
-			if meta, ok := sh.onDisk[cl.h]; ok {
-				delete(sh.onDisk, cl.h)
+			if meta, ok := sh.blobs[cl.h]; ok {
+				delete(sh.blobs, cl.h)
 				s.diskBlobs.Add(-1)
 				s.diskBytes.Add(-meta.size)
 				s.diskLogical.Add(-meta.logical)
@@ -829,30 +981,52 @@ func (s *Store) SyncRound() (uint64, error) {
 	return s.sync.BarrierRound()
 }
 
-// Close seals the active packfile (fsyncing it under policies that sync) and
-// releases the directory lock. The store must not be used afterwards; a
+// Close seals the active packfile (fsyncing it under policies that sync),
+// drops the resident copies of a disk store — the directory holds every blob
+// — and releases the directory lock. The store must not be used afterwards; a
 // memory-only store's Close is a no-op. Idempotent.
 func (s *Store) Close() error {
 	s.closeOnce.Do(func() {
 		if s.packs != nil {
 			s.closeErr = s.packs.close(true)
 		}
+		s.dropResident()
 		s.releaseLock()
 	})
 	return s.closeErr
 }
 
 // Crash simulates process death for tests: pack handles close without any
-// flush and the directory lock is released (a real crash releases it too —
-// the pid check lets the next open steal it), but no seal-time fsync and no
-// final sweep happen. The on-disk state is exactly what the OS had.
+// flush, the memory copies go, and the directory lock is released (a real
+// crash releases it too — the pid check lets the next open steal it), but no
+// seal-time fsync and no final sweep happen. The on-disk state is exactly
+// what the OS had.
 func (s *Store) Crash() {
 	s.closeOnce.Do(func() {
 		if s.packs != nil {
 			_ = s.packs.close(false)
 		}
+		s.dropResident()
 		s.releaseLock()
 	})
+}
+
+// dropResident frees every resident copy of a disk store (a memory-only
+// store's residents are its only copy and stay).
+func (s *Store) dropResident() {
+	if s.dir == "" {
+		return
+	}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for _, e := range sh.resident {
+			if !e.writing {
+				s.freeResidentLocked(sh, e)
+			}
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // Stats returns the current tier counters.

@@ -434,3 +434,44 @@ func TestConcurrentChurn(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPutBytesKeepsNoAlias: PutBytes stores bytes its caller overwrites as
+// soon as it returns — a patch cut out of a live chunk. Both tiers serve what
+// was put, through Get and ReadInto; the disk tier keeps nothing resident.
+func TestPutBytesKeepsNoAlias(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		s, err := Open(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, h := blob(3, 4096)
+		live := append([]byte(nil), data...)
+		if wrote, err := s.PutBytes(h, live); err != nil || !wrote {
+			t.Fatalf("dir %q: PutBytes = %v, %v", dir, wrote, err)
+		}
+		for i := range live {
+			live[i] ^= 0xff
+		}
+		if got := get(t, s, h); !bytes.Equal(got, data) {
+			t.Fatalf("dir %q: the blob changed with the caller's bytes", dir)
+		}
+		buf := make([]byte, 2*len(data))
+		if n, err := s.ReadInto(h, buf); err != nil || !bytes.Equal(buf[:n], data) {
+			t.Fatalf("dir %q: ReadInto = %d, %v", dir, n, err)
+		}
+		if _, err := s.ReadInto(h, buf[:len(data)-1]); err == nil {
+			t.Fatalf("dir %q: ReadInto into a short buffer succeeded", dir)
+		}
+		if dir != "" {
+			s.Release(h)
+			s.Sweep()
+			if wrote, err := s.PutBytes(h, data); err != nil || !wrote {
+				t.Fatalf("re-put after a sweep = %v, %v", wrote, err)
+			}
+			if st := s.Stats(); st.ResidentBlobs != 0 {
+				t.Fatalf("a PutBytes blob is resident: %+v", st)
+			}
+		}
+		s.Close()
+	}
+}

@@ -16,14 +16,15 @@ package chunkdisk
 // flags bit0 marks flate-compressed data (logicalLen is the uncompressed
 // length; the content hash always covers the uncompressed bytes, verified on
 // page-in exactly like loose blobs). There is no separate index file: the
-// in-memory index (shard onDisk maps pointing at pack/offset) is rebuilt by
+// in-memory index (shard blob maps pointing at pack/offset) is rebuilt by
 // scanning the packs on open — every record's CRC verified, through one
 // record-sized window shared by all packs (seglog.Scanner), so an open holds
 // one record in memory, not the archive. A crash mid-append leaves a torn
 // final record; open keeps the longest valid prefix and quarantines the rest
 // to pack-<seq>.pk.torn (internal/seglog owns the scan-and-repair and the
 // numbered-file naming). Appends copy nothing either: the 45 header bytes
-// are built on the stack and the data goes to the file from where it lies.
+// are built in one buffer the pack set reuses, and the data goes to the file
+// from where it lies.
 //
 // One pack is ACTIVE (receiving appends) at a time; at PackTargetBytes it is
 // sealed (fsynced under policies that sync, then closed) and a new one
@@ -106,6 +107,7 @@ type packSet struct {
 	// mu guards appends, sealing/rotation, and the packs map. The active
 	// file handle is written only under it.
 	mu       sync.Mutex
+	hdr      [packRecHdrLen + packRecMeta]byte // append's record header, reused under mu
 	active   *os.File
 	activePM *packMeta
 	packs    map[int64]*packMeta
@@ -161,7 +163,9 @@ func recordLen(hdr []byte) int64 {
 	return packRecHdrLen + packRecMeta + int64(binary.LittleEndian.Uint32(hdr[0:4]))
 }
 
-// parseRecord frames one record off buf. n is total bytes consumed.
+// parseRecord frames one record off buf. n is total bytes consumed. A flags
+// byte with a bit no writer sets is refused like a bad checksum: an accepted
+// record is exactly what recordHeader and its data would write.
 func parseRecord(buf []byte) (h extent.Hash, data []byte, logical int64, compressed bool, n int, ok bool) {
 	if len(buf) < packRecHdrLen+packRecMeta {
 		return h, nil, 0, false, 0, false
@@ -176,8 +180,11 @@ func parseRecord(buf []byte) (h extent.Hash, data []byte, logical int64, compres
 	if recordCRC(buf[:n]) != sum {
 		return h, nil, 0, false, 0, false
 	}
+	if buf[44]&^packFlagCompressed != 0 {
+		return h, nil, 0, false, 0, false
+	}
 	copy(h[:], buf[12:44])
-	compressed = buf[44]&packFlagCompressed != 0
+	compressed = buf[44] == packFlagCompressed
 	data = buf[packRecHdrLen+packRecMeta : n]
 	return h, data, logical, compressed, n, true
 }
@@ -196,9 +203,9 @@ func (ps *packSet) append(h extent.Hash, data []byte, logical int64, compressed 
 		}
 	}
 	pm = ps.activePM
-	hdr := recordHeader(h, data, logical, compressed)
-	off = pm.size + int64(len(hdr))
-	_, werr := ps.active.WriteAt(hdr[:], pm.size)
+	ps.hdr = recordHeader(h, data, logical, compressed)
+	off = pm.size + int64(len(ps.hdr))
+	_, werr := ps.active.WriteAt(ps.hdr[:], pm.size)
 	if werr == nil {
 		_, werr = ps.active.WriteAt(data, off)
 	}
@@ -315,22 +322,31 @@ func (ps *packSet) flushActive() error {
 // read returns the payload bytes of a record. Caller holds relocMu (shared),
 // so the pack file cannot be unlinked mid-read.
 func (ps *packSet) read(seq, off, length int64) ([]byte, error) {
+	buf := make([]byte, length)
+	if err := ps.readInto(seq, off, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// readInto fills buf with the record payload at off in pack seq, under the
+// same contract as read.
+func (ps *packSet) readInto(seq, off int64, buf []byte) error {
 	ps.mu.Lock()
 	pm := ps.packs[seq]
 	ps.mu.Unlock()
 	if pm == nil {
-		return nil, fmt.Errorf("chunkdisk: pack %d gone", seq)
+		return fmt.Errorf("chunkdisk: pack %d gone", seq)
 	}
 	f, err := os.Open(pm.path)
 	if err != nil {
-		return nil, fmt.Errorf("chunkdisk: %w", err)
+		return fmt.Errorf("chunkdisk: %w", err)
 	}
 	defer f.Close()
-	buf := make([]byte, length)
 	if _, err := f.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("chunkdisk: pack read: %w", err)
+		return fmt.Errorf("chunkdisk: pack read: %w", err)
 	}
-	return buf, nil
+	return nil
 }
 
 // retire accounts swept records as dead space. Called by Sweep after the
@@ -393,9 +409,9 @@ func (ps *packSet) compactOne(pm *packMeta) error {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for h, meta := range sh.onDisk {
-			if meta.pack == pm.seq {
-				survivors = append(survivors, liveRec{h: h, meta: meta})
+		for h, b := range sh.blobs {
+			if b.pack == pm.seq {
+				survivors = append(survivors, liveRec{h: h, meta: b.diskMeta})
 			}
 		}
 		sh.mu.Unlock()
@@ -413,9 +429,10 @@ func (ps *packSet) compactOne(pm *packMeta) error {
 		moved.pack, moved.off = dst.seq, newOff
 		sh := s.shardFor(rec.h)
 		sh.mu.Lock()
-		cur, ok := sh.onDisk[rec.h]
+		cur, ok := sh.blobs[rec.h]
 		if ok && cur.pack == pm.seq && cur.off == rec.meta.off {
-			sh.onDisk[rec.h] = moved
+			cur.diskMeta = moved
+			sh.blobs[rec.h] = cur
 		} else {
 			// The blob was swept (or somehow relocated) between collection
 			// and now: the fresh copy is instantly dead space in its new pack.
@@ -511,13 +528,13 @@ func (s *Store) adoptOnePack(sc *seglog.Scanner, path string, seq int64) error {
 			sh := s.shardFor(h)
 			sh.mu.Lock()
 			defer sh.mu.Unlock()
-			if _, dup := sh.onDisk[h]; dup {
+			if _, dup := sh.blobs[h]; dup {
 				// The hash is already indexed (an earlier record, or a loose
 				// file): this record's bytes are dead space from the start.
 				pm.dead += int64(len(payload))
 				return true
 			}
-			sh.onDisk[h] = diskMeta{size: int64(len(payload)), logical: logical, compressed: compressed, pack: seq, off: int64(len(magic)) + off + hdrLen}
+			sh.blobs[h] = blobState{diskMeta: diskMeta{size: int64(len(payload)), logical: logical, compressed: compressed, pack: seq, off: int64(len(magic)) + off + hdrLen}}
 			sh.dead[h] = struct{}{}
 			s.diskBlobs.Add(1)
 			s.diskBytes.Add(int64(len(payload)))

@@ -112,8 +112,8 @@ func (c *Cluster) shipVersion(ctx context.Context, owner, path string, ver int64
 	var firstErr error
 	for _, id := range targets {
 		sp := parent.Child("repl.ship")
-		sp.SetAttr("replica", id)
-		sp.SetAttr("version", ver)
+		sp.SetString("replica", id)
+		sp.SetInt("version", ver)
 		again, err := c.shipToReplica(ctx, owner, id, path, ver, stateID, snap, mtime, meta)
 		retried = retried || again
 		if err != nil {
@@ -124,7 +124,7 @@ func (c *Cluster) shipVersion(ctx context.Context, owner, path string, ver int64
 		} else {
 			acks++
 			ack := sp.Child("repl.ack")
-			ack.SetAttr("replica", id)
+			ack.SetString("replica", id)
 			ack.End()
 		}
 		sp.End()

@@ -190,8 +190,8 @@ func (s *Server) ApplyReplicaCommit(path string, ver int64, stateID uint64, snap
 		return fmt.Errorf("dlfm: replica apply %s: path is owned by %s", path, s.cfg.Name)
 	}
 	last := int64(-1)
-	if e, err := s.cfg.Archive.Latest(s.cfg.Name, path); err == nil {
-		last = int64(e.Version)
+	if v, ok := s.cfg.Archive.Newest(s.cfg.Name, path); ok {
+		last = int64(v)
 	}
 	switch {
 	case last >= ver:

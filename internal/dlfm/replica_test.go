@@ -498,3 +498,35 @@ func TestKilledMemberAnswersAtOnce(t *testing.T) {
 		t.Errorf("waiters answered %v after the kill, want within 100ms", d)
 	}
 }
+
+// TestReplicaApplyCountsNoRestore: an apply asks the replica's archive only
+// for the newest version number it holds (Newest, metadata only) — Latest
+// would pay the device round trip and count a restore on every shipped
+// version. Twenty ships, each re-shipped once as a lost-ack retry, leave the
+// restore count where it was.
+func TestReplicaApplyCountsNoRestore(t *testing.T) {
+	dst, _ := newShardPeer(t)
+	meta := ReplicaMeta{Mode: datalink.RFD, Recovery: true}
+	mtime := time.Unix(1_700_000_000, 0)
+	var buf extent.Buffer
+	buf.WriteAt(0, bytes.Repeat([]byte{1}, 2*extent.ChunkSize))
+	_, before, _ := dst.cfg.Archive.Stats()
+	const ships = 20
+	for ver := int64(0); ver < ships; ver++ {
+		buf.WriteAt(ver*1000, []byte(fmt.Sprintf("version %d", ver)))
+		snap := buf.Capture()
+		for range 2 {
+			if err := dst.ApplyReplicaCommit("/d/f.bin", ver, uint64(ver+1), snap, mtime, meta); err != nil {
+				t.Fatalf("apply v%d: %v", ver, err)
+			}
+		}
+		snap.Release()
+	}
+	if _, after, _ := dst.cfg.Archive.Stats(); after != before {
+		t.Fatalf("%d ships counted %d restores on the replica", ships, after-before)
+	}
+	e, err := dst.cfg.Archive.Latest("fs1", "/d/f.bin")
+	if err != nil || e.Version != ships-1 || !bytes.Equal(bytesOf(t, e), buf.Bytes()) {
+		t.Fatalf("replica's newest version %d (%v) does not hold the last capture", e.Version, err)
+	}
+}

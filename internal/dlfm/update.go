@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"datalinks/internal/archive"
+	"datalinks/internal/extent"
 	"datalinks/internal/fs"
 	"datalinks/internal/obs"
 	"datalinks/internal/sqlmini"
@@ -286,26 +287,34 @@ func (s *Server) commitUpdate(ctx context.Context, st *openState, size int64, mt
 		sqlmini.Str(st.path), sqlmini.Int(newVer), sqlmini.Int(int64(stateID))); err != nil {
 		return err
 	}
-	s.startArchive(ctx, st.path, archive.Version(newVer), stateID)
+	// One capture of the committed content feeds the local archive and every
+	// replica: each store patches against the version it archived from the
+	// previous capture. The content is stable until dropOpen releases the
+	// writer, so the capture is exactly the committed state.
+	snap, capErr := s.cfg.Phys.CaptureFile(st.path)
+	r := s.replicator()
+	switch {
+	case capErr != nil:
+		s.startArchive(ctx, st.path, archive.Version(newVer), stateID, nil)
+	case r != nil:
+		s.startArchive(ctx, st.path, archive.Version(newVer), stateID, snap.Share())
+	default:
+		s.startArchive(ctx, st.path, archive.Version(newVer), stateID, snap)
+	}
 
 	// Ship the committed version to the path's ring successors before the
-	// close returns — the synchronous half of the replication stream. The
-	// content is stable until dropOpen releases the writer, so the snapshot
-	// here is exactly the committed state. A quorum failure surfaces as
-	// ErrReplicationQuorum after local bookkeeping completes; closeFile
-	// rejects the close without rolling back.
+	// close returns — the synchronous half of the replication stream. A
+	// quorum failure surfaces as ErrReplicationQuorum after local bookkeeping
+	// completes; closeFile rejects the close without rolling back.
 	var shipErr error
-	if r := s.replicator(); r != nil {
-		shipErr = func() error {
+	if r != nil {
+		shipErr = capErr
+		if capErr == nil {
 			meta := ReplicaMeta{Mode: fi.mode, Recovery: fi.recovery, TokenTTL: fi.tokenTTL,
 				OrigUID: fi.origUID, OrigMode: fi.origMode}
-			snap, err := s.cfg.Phys.SnapshotFile(st.path)
-			if err != nil {
-				return err
-			}
-			defer snap.Release()
-			return r.ShipCommit(ctx, st.path, newVer, stateID, snap, size, attr.Mtime, meta)
-		}()
+			shipErr = r.ShipCommit(ctx, st.path, newVer, stateID, snap, size, attr.Mtime, meta)
+			snap.Release()
+		}
 	}
 
 	if err := s.releaseTakeover(st.path, fi); err != nil {
@@ -320,22 +329,20 @@ func (s *Server) commitUpdate(ctx context.Context, st *openState, size int64, mt
 	return nil
 }
 
-// startArchive snapshots the file content and archives it in the background.
-// New update opens of the path block until the job finishes (§4.4). The
-// snapshot is an O(#chunks) manifest grab, and the archive stores only the
-// chunks this version changed — commit cost is O(delta), not O(file size).
+// startArchive archives the committed capture snap in the background, and
+// releases it when done (nil: the capture failed, which counts as an archive
+// error). New update opens of the path block until the job finishes (§4.4).
+// The capture is an O(#chunks) manifest grab, and the archive stores only
+// what this version changed — whole chunks, or patches of the bytes written —
+// so commit cost is O(delta), not O(file size).
 //
 // The "archive" span is opened synchronously — it is part of the commit
 // trace even though the trace's root finishes before the job does (the
 // paper's async-archive design). It ends when the job completes, carrying
 // the archive-barrier/fsync spans from PutSnapshotCtx underneath it.
-func (s *Server) startArchive(ctx context.Context, path string, ver archive.Version, stateID uint64) {
+func (s *Server) startArchive(ctx context.Context, path string, ver archive.Version, stateID uint64, snap *extent.Snapshot) {
 	arch := obs.SpanFrom(ctx).Child("archive")
-	arch.SetAttr("version", int64(ver))
-	snap, err := s.cfg.Phys.SnapshotFile(path)
-	if err != nil {
-		snap = nil
-	}
+	arch.SetInt("version", int64(ver))
 	lk := arch.Child("lock")
 	sh, _ := s.pathShard(path)
 	sh.mu.Lock()

@@ -13,6 +13,18 @@
 //   - internal/dlfm moves Snapshots (manifests) between the two instead of
 //     flat byte slices.
 //
+// A buffer writes a chunk in place only while it is the chunk's sole owner
+// and nothing has hashed it (refs == 1 && !hashed; a Freeze'd chunk never):
+// a snapshot, a quarantine copy or an archived version that still shares the
+// chunk forces a copy. That is what lets the commit path archive a small edit
+// as a patch. Capture is the commit path's snapshot: besides the chunks it
+// hands over the byte span of every chunk slot written since the buffer's
+// previous capture, and names that capture, so the archive can store a
+// written slot as (the version it archived from the previous capture) + (the
+// written bytes) without hashing — and so without pinning — the live chunk,
+// and a clean slot as it was. Share lets the archive job and the replica
+// ship own one capture without copying it.
+//
 // Buffers are NOT safe for concurrent use — the owning inode's lock guards
 // them. Chunks and Snapshots are immutable and may be shared freely across
 // goroutines; their reference counts are atomic.
@@ -57,6 +69,10 @@ type Chunk struct {
 	hashed   atomic.Bool
 	hashOnce sync.Once
 	hash     Hash
+
+	// frozen is set at construction (Freeze) and never written in place
+	// either, though nothing knows its hash yet.
+	frozen bool
 }
 
 // newChunk wraps data (owned by the chunk from here on) with one reference.
@@ -98,6 +114,16 @@ func (c *Chunk) Hash() Hash {
 	return c.hash
 }
 
+// Freeze wraps data (owned by the chunk from here on; callers must not modify
+// it) as a sealed chunk that is never written in place and whose hash is
+// computed only if asked for: the archive's materialization of a patched
+// slot, assembled in a private buffer.
+func Freeze(data []byte) *Chunk {
+	c := newChunk(data)
+	c.frozen = true
+	return c
+}
+
 // Data exposes the chunk's bytes. Callers must not modify them.
 func (c *Chunk) Data() []byte { return c.data }
 
@@ -128,6 +154,43 @@ type Buffer struct {
 	// whose data outlives the namespace entry for open handles). Reads still
 	// work; the first mutation or snapshot re-retains everything.
 	detached bool
+
+	// captured names the last Capture (0: none since the content was last
+	// replaced wholesale). While it is set, dirty[i] is the span of chunk slot
+	// i written since that capture: empty when untouched, the whole chunk when
+	// the slot's chunk was replaced or appended.
+	captured uint64
+	dirty    []Span
+}
+
+// Span is the byte range [Lo, Hi) of one chunk.
+type Span struct{ Lo, Hi int32 }
+
+// Len is the span's length in bytes.
+func (s Span) Len() int { return int(s.Hi - s.Lo) }
+
+// wholeChunk is the dirty span of a slot whose chunk was replaced or added.
+var wholeChunk = Span{0, ChunkSize}
+
+// touch widens slot i's dirty span over [lo, hi).
+func (b *Buffer) touch(i, lo, hi int) {
+	if b.captured == 0 {
+		return
+	}
+	d := &b.dirty[i]
+	if d.Lo == d.Hi {
+		*d = Span{int32(lo), int32(hi)}
+		return
+	}
+	d.Lo, d.Hi = min(d.Lo, int32(lo)), max(d.Hi, int32(hi))
+}
+
+// appendChunk adds a sealed chunk, wholly dirty, at the end of the body.
+func (b *Buffer) appendChunk(c *Chunk) {
+	b.chunks = append(b.chunks, c)
+	if b.captured != 0 {
+		b.dirty = append(b.dirty, wholeChunk)
+	}
 }
 
 // NewBuffer returns an empty buffer.
@@ -197,6 +260,7 @@ func (b *Buffer) overwrite(off int64, p []byte) {
 			n = len(p)
 		}
 		old := b.chunks[ci]
+		b.touch(ci, cs, cs+n)
 		switch {
 		case cs == 0 && n == ChunkSize:
 			// Full overwrite: build the new chunk straight from p.
@@ -204,9 +268,9 @@ func (b *Buffer) overwrite(off int64, p []byte) {
 			copy(data, p)
 			b.chunks[ci] = newChunk(data)
 			old.release()
-		case old.refs.Load() == 1 && !old.hashed.Load():
-			// Exclusive and never hashed: no snapshot or dedup table can see
-			// this chunk, so mutate in place.
+		case old.refs.Load() == 1 && !old.hashed.Load() && !old.frozen:
+			// Exclusive, never hashed, not frozen: no snapshot or dedup table
+			// can see this chunk, so mutate in place.
 			copy(old.data[cs:], p[:n])
 		default:
 			// Shared (or hash-pinned): copy-on-write.
@@ -241,7 +305,7 @@ func (b *Buffer) extend(newLen int64) {
 	}
 	// Whole zero chunks for the remaining body.
 	for int64(len(b.chunks)+1)*ChunkSize <= newLen {
-		b.chunks = append(b.chunks, zeroChunk.retain())
+		b.appendChunk(zeroChunk.retain())
 	}
 	// Remaining zeros go to the (empty) tail.
 	if rem := newLen - int64(len(b.chunks))*ChunkSize; rem > int64(len(b.tail)) {
@@ -262,7 +326,7 @@ func zeroFill(p []byte, n int) []byte {
 func (b *Buffer) sealTail() {
 	data := make([]byte, ChunkSize)
 	copy(data, b.tail)
-	b.chunks = append(b.chunks, newChunk(data))
+	b.appendChunk(newChunk(data))
 	b.tail = b.tail[:0]
 }
 
@@ -284,6 +348,9 @@ func (b *Buffer) Truncate(size int64) {
 		c.release()
 	}
 	b.chunks = b.chunks[:keep]
+	if b.captured != 0 {
+		b.dirty = b.dirty[:keep]
+	}
 	b.tail = newTail
 }
 
@@ -298,8 +365,28 @@ func (b *Buffer) Snapshot() *Snapshot {
 	return &Snapshot{chunks: chunks, tail: append([]byte(nil), b.tail...)}
 }
 
+// captureSeq names captures process-wide, so no two name the same state.
+var captureSeq atomic.Uint64
+
+// Capture is Snapshot for the commit path. The snapshot also carries what
+// changed since the buffer's previous capture — that capture's name and the
+// dirty span of every chunk slot — and becomes the capture the next one
+// follows. The first capture, and the first after SetSnapshot, follows none.
+func (b *Buffer) Capture() *Snapshot {
+	s := b.Snapshot()
+	s.id = captureSeq.Add(1)
+	if b.captured != 0 {
+		s.follows, s.dirty = b.captured, b.dirty
+	}
+	b.captured = s.id
+	b.dirty = make([]Span, len(b.chunks))
+	return s
+}
+
 // SetSnapshot replaces the buffer's content with the snapshot's — the
-// restore path's "manifest swap". O(#chunks) plus the tail copy.
+// restore path's "manifest swap". O(#chunks) plus the tail copy. The next
+// Capture follows none: nothing says which archived version the swapped-in
+// content is.
 func (b *Buffer) SetSnapshot(s *Snapshot) {
 	old := b.chunks
 	detached := b.detached
@@ -309,6 +396,7 @@ func (b *Buffer) SetSnapshot(s *Snapshot) {
 	}
 	b.tail = append(b.tail[:0], s.tail...)
 	b.detached = false
+	b.captured, b.dirty = 0, nil
 	if !detached {
 		for _, c := range old {
 			c.release()
@@ -373,12 +461,20 @@ func WrapChunk(data []byte, h Hash) *Chunk {
 type Snapshot struct {
 	chunks []*Chunk
 	tail   []byte
+
+	// Set by Capture: the capture's name, the one it follows (0: none) and,
+	// when it follows one, the span of each chunk slot written since.
+	id, follows uint64
+	dirty       []Span
+
+	// shared counts the owners Share added beyond the first.
+	shared atomic.Int32
 }
 
 // BuildSnapshot assembles a snapshot from already-retained chunks and a tail.
 // Ownership of both transfers to the snapshot: the chunk references, and the
 // tail bytes, which are NOT copied — the caller must never write to them
-// again (a snapshot's tail is immutable; Retain shares it, SetSnapshot copies
+// again (a snapshot's tail is immutable; Share shares it, SetSnapshot copies
 // out of it). This is the archive's materialization path, which pages chunks
 // in one by one, passes the frozen bytes of the paged-in tail blob
 // (WrapChunk's contract) and hands the finished manifest to the restore swap.
@@ -413,6 +509,15 @@ func (s *Snapshot) Chunks() []*Chunk { return s.chunks }
 // Tail exposes the manifest's tail bytes. Callers must not modify them.
 func (s *Snapshot) Tail() []byte { return s.tail }
 
+// Captured reports the capture's name and the capture it follows: both 0 for
+// a plain snapshot, follows 0 for a capture that follows none.
+func (s *Snapshot) Captured() (id, follows uint64) { return s.id, s.follows }
+
+// Dirty reports the span of chunk slot i written since the capture s
+// follows: empty when the slot is unchanged, the whole chunk when its chunk
+// was replaced or appended. Meaningful only for a capture that follows one.
+func (s *Snapshot) Dirty(i int) Span { return s.dirty[i] }
+
 // Bytes materializes the content as a fresh byte slice.
 func (s *Snapshot) Bytes() []byte {
 	out := make([]byte, 0, s.Len())
@@ -422,22 +527,24 @@ func (s *Snapshot) Bytes() []byte {
 	return append(out, s.tail...)
 }
 
-// Retain returns a new reference-holding snapshot of the same content.
-func (s *Snapshot) Retain() *Snapshot {
-	chunks := make([]*Chunk, len(s.chunks))
-	for i, c := range s.chunks {
-		chunks[i] = c.retain()
-	}
-	return &Snapshot{chunks: chunks, tail: s.tail}
+// Share adds an owner of the same snapshot — no copy, no allocation. Every
+// owner calls Release once; the chunk references go with the last.
+func (s *Snapshot) Share() *Snapshot {
+	s.shared.Add(1)
+	return s
 }
 
-// Release drops the snapshot's chunk references. The manifest structure is
-// deliberately left intact: chunk data is never freed, so a reader that
+// Release drops the snapshot's chunk references — or, while Share added
+// other owners, one owner's share. The manifest structure is deliberately
+// left intact: chunk data is never freed, so a reader that
 // still holds an alias of this snapshot (the archive hands out Entry values
 // whose Manifest pointer aliases the store's copy, and Drop/TruncateAfter
 // may release it concurrently) keeps reading valid content — release only
 // affects live accounting and dedup eligibility. Releasing twice is a bug.
 func (s *Snapshot) Release() {
+	if s.shared.Add(-1) >= 0 {
+		return
+	}
 	for _, c := range s.chunks {
 		c.release()
 	}

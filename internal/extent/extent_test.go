@@ -279,7 +279,7 @@ func TestHashedChunkIsNotMutatedInPlace(t *testing.T) {
 
 // TestBuildSnapshotOwnsItsTail: the tail handed to BuildSnapshot is the
 // snapshot's from then on — not copied — and nothing reached through the
-// snapshot writes to it: Retain shares it, SetSnapshot copies out of it.
+// snapshot writes to it: Share shares it, SetSnapshot copies out of it.
 func TestBuildSnapshotOwnsItsTail(t *testing.T) {
 	tail := bytes.Repeat([]byte{4}, 100)
 	snap := BuildSnapshot(nil, tail)
@@ -291,7 +291,108 @@ func TestBuildSnapshotOwnsItsTail(t *testing.T) {
 	b.SetSnapshot(snap)
 	b.WriteAt(0, bytes.Repeat([]byte{0xff}, 100))
 	b.WriteAt(100, []byte{1, 2, 3})
-	if held := snap.Retain(); !bytes.Equal(held.Bytes(), bytes.Repeat([]byte{4}, 100)) {
+	if held := snap.Share(); !bytes.Equal(held.Bytes(), bytes.Repeat([]byte{4}, 100)) {
 		t.Fatal("writing to a buffer restored from the snapshot changed the snapshot's tail")
 	}
+}
+
+// TestCaptureDirtySpans: a capture that follows another names it, and every
+// byte outside a slot's dirty span is the byte the previous capture held
+// there — through in-place writes, copies, whole-chunk writes, truncates and
+// extends — while a slot the previous capture did not have reads as wholly
+// dirty. SetSnapshot cuts the chain: the next capture follows none.
+func TestCaptureDirtySpans(t *testing.T) {
+	baseC, _ := Live()
+	rng := rand.New(rand.NewSource(7))
+	b := NewBuffer()
+	var m flatModel
+	prev := b.Capture()
+	prevBytes := []byte(nil)
+	for op := 0; op < 2000; op++ {
+		switch r := rng.Intn(20); {
+		case r < 2:
+			size := int64(rng.Intn(4 * ChunkSize))
+			b.Truncate(size)
+			m.Truncate(size)
+		case r < 3:
+			b.SetSnapshot(prev)
+			m = append(m[:0], prevBytes...)
+			s := b.Capture()
+			if _, follows := s.Captured(); follows != 0 {
+				t.Fatalf("op %d: the capture after SetSnapshot follows %d", op, follows)
+			}
+			prev.Release()
+			prev, prevBytes = s, s.Bytes()
+		case r < 9:
+			s := b.Capture()
+			id, follows := s.Captured()
+			if pid, _ := prev.Captured(); follows != pid || id == pid {
+				t.Fatalf("op %d: capture %d follows %d, want %d", op, id, follows, pid)
+			}
+			cur := s.Bytes()
+			for i := 0; i < s.NumChunks(); i++ {
+				d := s.Dirty(i)
+				lo, hi := i*ChunkSize, (i+1)*ChunkSize
+				if hi > len(prevBytes) {
+					if d != wholeChunk {
+						t.Fatalf("op %d: slot %d is new since the previous capture but dirty only over %v", op, i, d)
+					}
+					continue
+				}
+				if !bytes.Equal(cur[lo:lo+int(d.Lo)], prevBytes[lo:lo+int(d.Lo)]) || !bytes.Equal(cur[lo+int(d.Hi):hi], prevBytes[lo+int(d.Hi):hi]) {
+					t.Fatalf("op %d: slot %d changed outside its dirty span %v", op, i, d)
+				}
+			}
+			prev.Release()
+			prev, prevBytes = s, cur
+		default:
+			off := int64(rng.Intn(3 * ChunkSize))
+			n := rng.Intn(ChunkSize / 2)
+			if rng.Intn(5) == 0 {
+				off, n = off/ChunkSize*ChunkSize, ChunkSize
+			}
+			p := make([]byte, n)
+			rng.Read(p)
+			b.WriteAt(off, p)
+			m.WriteAt(off, p)
+		}
+		if !bytes.Equal(b.Bytes(), m) {
+			t.Fatalf("op %d: content diverged from the model", op)
+		}
+	}
+	prev.Release()
+	b.Truncate(0)
+	if endC, _ := Live(); endC != baseC {
+		t.Fatalf("captures leaked %d chunks", endC-baseC)
+	}
+}
+
+// TestCapturedChunkIsWrittenInPlace: once a capture is released, a chunk no
+// one hashed is the buffer's alone again, and a small write lands in place —
+// the copy a hashed chunk forces is what the archive's patches avoid. A
+// frozen chunk is never written in place.
+func TestCapturedChunkIsWrittenInPlace(t *testing.T) {
+	b := NewBuffer()
+	b.WriteAt(0, bytes.Repeat([]byte{1}, ChunkSize))
+	b.Capture().Release()
+	data := b.chunks[0].data
+	b.WriteAt(100, []byte{2})
+	if &b.chunks[0].data[0] != &data[0] {
+		t.Fatal("a write after the capture was released copied the chunk")
+	}
+	held := b.Capture()
+	b.WriteAt(100, []byte{3})
+	if held.Bytes()[100] != 2 {
+		t.Fatal("a write while a capture is held changed the capture")
+	}
+	held.Release()
+
+	frozen := Freeze(bytes.Repeat([]byte{4}, ChunkSize))
+	b.SetSnapshot(BuildSnapshot([]*Chunk{frozen}, nil))
+	frozen.release() // the buffer's reference is now the only one
+	b.WriteAt(0, []byte{5})
+	if frozen.data[0] != 4 {
+		t.Fatal("a frozen chunk was written in place")
+	}
+	b.Truncate(0)
 }

@@ -804,6 +804,23 @@ func (f *FS) SnapshotFile(p string) (*extent.Snapshot, error) {
 	return f.Snapshot(n)
 }
 
+// CaptureFile is SnapshotFile for the commit path: the snapshot is the
+// file's next capture (extent.Buffer.Capture), carrying what changed since
+// the previous one. A file has one commit stream — take one capture per
+// committed version and hand it to everything that archives that version.
+func (f *FS) CaptureFile(p string) (*extent.Snapshot, error) {
+	n, err := f.resolve(p)
+	if err != nil {
+		return nil, err
+	}
+	if n.typ != TypeFile {
+		return nil, ErrIsDir
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.data.Capture(), nil
+}
+
 // WriteSnapshot replaces a file's content with a manifest swap: the restore
 // path's O(#chunks) replacement for WriteFile. The snapshot itself is not
 // consumed; the file holds its own references.

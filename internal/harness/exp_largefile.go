@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"datalinks/internal/core"
+	"datalinks/internal/extent"
 	"datalinks/internal/workload"
 )
 
@@ -39,22 +40,76 @@ func init() {
 	})
 }
 
-// run drives the large-file update workload and reports the data-plane cost
-// ratios of the extent store.
+// subChunkEditKB is the edit size of E14's second pass: a 4 KiB edit touches
+// a sixteenth of a chunk, so it is archived as a patch, not a chunk.
+const subChunkEditKB = 4
+
+// largeFilePass is what one pass of the workload measured.
+type largeFilePass struct {
+	editSize, written, newBytes, logical, shared, deduped, resident, residentGrowth int64
+	wall                                                                            time.Duration
+}
+
+// run drives the large-file update workload twice — with the configured edit
+// size, and with 4 KiB edits — and reports the data-plane cost ratios of the
+// extent store. The 4 KiB pass is gated: without sub-chunk versions every
+// such edit archives its whole 64 KiB chunk (ratio 16), so its archived/
+// written ratio must stay below a third of that.
 func (c *largeFileConfig) run() ([]*Table, error) {
+	p, err := c.pass(int64(c.EditKB) << 10)
+	if err != nil {
+		return nil, err
+	}
+	small, err := c.pass(subChunkEditKB << 10)
+	if err != nil {
+		return nil, err
+	}
+	commits := int64(c.Sessions * c.Edits)
+	t := &Table{
+		Caption: "E14. Large-file update workload (per-commit archive cost)",
+		Headers: []string{"metric", "value"},
+	}
+	t.AddRow("sessions x edits", fmt.Sprintf("%d x %d (%d commits)", c.Sessions, c.Edits, commits))
+	t.AddRow("linked file size", mib(int64(c.SizeMB)<<20))
+	t.AddRow("edit size", mib(p.editSize))
+	t.AddRow("wall time", Dur(p.wall))
+	t.AddRow("bytes written by apps", mib(p.written))
+	t.AddRow("bytes archived (physical)", mib(p.newBytes))
+	t.AddRow("bytes archived (flat-copy equivalent)", mib(p.logical))
+	t.AddRow("archived/written ratio", fmt.Sprintf("%.2f", p.ratio()))
+	t.AddRow("flat-copy ratio (old cost)", fmt.Sprintf("%.0f", float64(p.logical)/float64(p.written)))
+	t.AddRow("chunks deduplicated", fmt.Sprintf("%d (%s saved)", p.shared, mib(p.deduped)))
+	t.AddRow("archive resident bytes", fmt.Sprintf("%s (+%s for %d versions of %s logical)",
+		mib(p.resident), mib(p.residentGrowth), commits, mib(p.logical)))
+	wholeChunk := float64(extent.ChunkSize) / float64(small.editSize)
+	t.AddRow(fmt.Sprintf("%d KiB edits: bytes archived (physical)", subChunkEditKB), fmt.Sprintf("%s of %s written", mib(small.newBytes), mib(small.written)))
+	t.AddRow(fmt.Sprintf("%d KiB edits: archived/written ratio", subChunkEditKB), fmt.Sprintf("%.2f (a chunk per edit: %.0f)", small.ratio(), wholeChunk))
+	t.Note("archived/written near 1 means commits cost O(changed bytes); the flat-copy ratio is what the same workload cost before extent manifests (filesize/delta)")
+	t.Note("resident growth is sub-linear in versions: unchanged chunks are shared by content hash across all versions of all files")
+	t.Note("%d KiB edits are archived as patches over the chunk an earlier version stored; the first commit to a chunk after link, and the one that would outgrow its bounded patch chain, store the chunk", subChunkEditKB)
+	if small.ratio() >= wholeChunk/3 {
+		return []*Table{t}, fmt.Errorf("E14 FAILED: %d KiB edits archive %.2f bytes per byte written, not below a third of a chunk per edit (%.2f)", subChunkEditKB, small.ratio(), wholeChunk/3)
+	}
+	return []*Table{t}, nil
+}
+
+func (p largeFilePass) ratio() float64 { return float64(p.newBytes) / float64(p.written) }
+
+// pass runs the workload once on a fresh system, with edits of editSize.
+func (c *largeFileConfig) pass(editSize int64) (largeFilePass, error) {
 	fileSize := int64(c.SizeMB) << 20
-	editSize := min(int64(c.EditKB)<<10, fileSize)
+	editSize = min(editSize, fileSize)
 
 	sys, srv, err := newSystem(core.ServerConfig{Name: "fs1", OpenWait: 30 * time.Second}, 30*time.Second)
 	if err != nil {
-		return nil, err
+		return largeFilePass{}, err
 	}
 	defer sys.Close()
 	sys.DB.MustExec(`CREATE TABLE big (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
 	for i := 0; i < c.Sessions; i++ {
 		content := workload.Content(workload.RNG(int64(i)), int(fileSize))
 		if err := seedAndLink(sys, srv, "big", i, fmt.Sprintf("/big/f%d.bin", i), content); err != nil {
-			return nil, err
+			return largeFilePass{}, err
 		}
 	}
 	// Linking archived version 0 of every file (the whole content, once).
@@ -84,35 +139,19 @@ func (c *largeFileConfig) run() ([]*Table, error) {
 	}
 	wg.Wait()
 	if err := failed.get(); err != nil {
-		return nil, err
+		return largeFilePass{}, err
 	}
 	srv.DLFM.WaitArchives()
-	wall := time.Since(start)
 	d := srv.Archive.Dedup()
-
-	commits := int64(c.Sessions * c.Edits)
-	bytesWritten := commits * editSize
-	newBytes := d.NewBytes - base.NewBytes
-	logical := d.LogicalBytes - base.LogicalBytes
-	residentGrowth := d.ResidentBytes - base.ResidentBytes
-
-	t := &Table{
-		Caption: "E14. Large-file update workload (per-commit archive cost)",
-		Headers: []string{"metric", "value"},
-	}
-	t.AddRow("sessions x edits", fmt.Sprintf("%d x %d (%d commits)", c.Sessions, c.Edits, commits))
-	t.AddRow("linked file size", mib(fileSize))
-	t.AddRow("edit size", mib(editSize))
-	t.AddRow("wall time", Dur(wall))
-	t.AddRow("bytes written by apps", mib(bytesWritten))
-	t.AddRow("bytes archived (physical)", mib(newBytes))
-	t.AddRow("bytes archived (flat-copy equivalent)", mib(logical))
-	t.AddRow("archived/written ratio", fmt.Sprintf("%.2f", float64(newBytes)/float64(bytesWritten)))
-	t.AddRow("flat-copy ratio (old cost)", fmt.Sprintf("%.0f", float64(logical)/float64(bytesWritten)))
-	t.AddRow("chunks deduplicated", fmt.Sprintf("%d (%s saved)", d.SharedChunks-base.SharedChunks, mib(d.DedupedBytes-base.DedupedBytes)))
-	t.AddRow("archive resident bytes", fmt.Sprintf("%s (+%s for %d versions of %s logical)",
-		mib(d.ResidentBytes), mib(residentGrowth), commits, mib(logical)))
-	t.Note("archived/written near 1 means commits cost O(changed bytes); the flat-copy ratio is what the same workload cost before extent manifests (filesize/delta)")
-	t.Note("resident growth is sub-linear in versions: unchanged chunks are shared by content hash across all versions of all files")
-	return []*Table{t}, nil
+	return largeFilePass{
+		editSize:       editSize,
+		wall:           time.Since(start),
+		written:        int64(c.Sessions*c.Edits) * editSize,
+		newBytes:       d.NewBytes - base.NewBytes,
+		logical:        d.LogicalBytes - base.LogicalBytes,
+		shared:         d.SharedChunks - base.SharedChunks,
+		deduped:        d.DedupedBytes - base.DedupedBytes,
+		resident:       d.ResidentBytes,
+		residentGrowth: d.ResidentBytes - base.ResidentBytes,
+	}, nil
 }

@@ -93,6 +93,21 @@ func (s *Span) SetAttr(key string, value any) {
 	s.mu.Unlock()
 }
 
+// SetInt is SetAttr for an integer. On an untraced path (a nil span) it
+// costs nothing: the value is boxed only when it is kept.
+func (s *Span) SetInt(key string, value int64) {
+	if s != nil {
+		s.SetAttr(key, value)
+	}
+}
+
+// SetString is SetAttr for a string, free on an untraced path like SetInt.
+func (s *Span) SetString(key, value string) {
+	if s != nil {
+		s.SetAttr(key, value)
+	}
+}
+
 // Attr returns the value of the named annotation (the last one wins).
 func (s *Span) Attr(key string) (any, bool) {
 	if s == nil {

@@ -50,6 +50,7 @@ func TestGoldenFixtures(t *testing.T) {
 		{"repo", nil, checkRepo},
 		{"wal", writeWAL, checkWAL},
 		{"catalog", writeCatalog, checkCatalog},
+		{"catalog-v2", writeCatalogV2, checkCatalogV2},
 		{"chunks", writeChunks, checkChunks},
 	}
 	for _, fx := range fixtures {
@@ -422,6 +423,79 @@ func checkCatalog(t *testing.T, dir string) {
 	}
 	if torn := readFile(t, filepath.Join(dir, "catalog.torn")); len(torn) != 98 {
 		t.Fatalf("catalog.torn holds %d bytes, want 98", len(torn))
+	}
+}
+
+// --- catalog-v2: the second put-record version, whose slots carry patches ---
+
+// catalogRecV2 is catalogRec over three slots: version 1 is a checkpoint with
+// patches on two slots, 2 and 4 are deltas patching slot 1 once and then
+// twice, 3 is a first-version delta, 5 a checkpoint without patches.
+func catalogRecV2(v int64) *catalog.PutRec {
+	r := catalogRec(v)
+	r.Key, r.NChunks, r.IsFull = "fs1\x00/golden/patched", 3, v == 1 || v == 5
+	r.Full, r.Mods = nil, nil
+	patch := func(idx, off int32, n byte) catalog.Patch {
+		return catalog.Patch{Idx: idx, Off: off, Hash: sha256.Sum256([]byte{4, byte(v), n})}
+	}
+	switch v {
+	case 1, 5:
+		r.Full = []extent.Hash{sha256.Sum256([]byte{1, byte(v)}), sha256.Sum256([]byte{2, byte(v)}), sha256.Sum256([]byte{3, byte(v)})}
+		if v == 1 {
+			r.Patches = []catalog.Patch{patch(0, 4096, 0), patch(2, 0, 1), patch(2, 61440, 2)}
+		}
+	case 2, 4:
+		r.Mods = []catalog.Mod{{Idx: 1, Hash: sha256.Sum256([]byte{2, 1})}}
+		r.Patches = []catalog.Patch{patch(1, 8192, 0)}
+		if v == 4 {
+			r.Patches = append(r.Patches, patch(1, 12288, 1))
+		}
+	case 3:
+		r.Mods = []catalog.Mod{{Idx: 0, Hash: sha256.Sum256([]byte{5, byte(v)})}}
+	}
+	return r
+}
+
+// writeCatalogV2 checkpoints versions 1-3 into the snapshot and leaves 4-5 in
+// the log, so both carry patched records.
+func writeCatalogV2(t *testing.T, dir string) {
+	c, err := catalog.Open(dir, catalog.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := int64(1); v <= 5; v++ {
+		if err := c.AppendPut(catalogRecV2(v)); err != nil {
+			t.Fatal(err)
+		}
+		if v == 3 {
+			if err := c.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func checkCatalogV2(t *testing.T, dir string) {
+	c, err := catalog.Open(dir, catalog.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	want := catalog.OpenStats{SnapshotRecords: 3, LogRecords: 2, Keys: 1, Versions: 5}
+	if got := c.Stats(); got != want {
+		t.Fatalf("open stats %+v, want %+v", got, want)
+	}
+	hist := c.History("fs1\x00/golden/patched")
+	if len(hist) != 5 {
+		t.Fatalf("replayed %d versions, want 5", len(hist))
+	}
+	for i, got := range hist {
+		if want := catalogRecV2(int64(i + 1)); !reflect.DeepEqual(got, want) {
+			t.Errorf("version %d replayed as %+v", i+1, *got)
+		}
 	}
 }
 
