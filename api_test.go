@@ -1,12 +1,16 @@
 package datalinks_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"datalinks"
+	"datalinks/internal/upcall"
 )
 
 func openSys(t *testing.T) (*datalinks.System, *datalinks.FileServer) {
@@ -216,4 +220,143 @@ func TestPublicAPIErrors(t *testing.T) {
 	}
 	var e error = errors.New("x")
 	_ = e
+}
+
+// TestPublicAPIReferenceStack drives the replicated three-member stack the
+// benchmark ledger measures — TCP upcalls through a pool of two, durable
+// repository and archive directories with group fsync, Replicas 2 with a
+// write quorum of 2 — through the public API, and holds every archived
+// version on the owner and its replica to the same bytes.
+func TestPublicAPIReferenceStack(t *testing.T) {
+	const (
+		files    = 8
+		fileSize = 256 << 10
+		commits  = 40
+		edit     = 4 << 10
+		uid      = 100
+	)
+	dir := t.TempDir()
+	members := make([]datalinks.ServerConfig, 3)
+	for i := range members {
+		name := fmt.Sprintf("m%d", i+1)
+		members[i] = datalinks.ServerConfig{
+			Name:         name,
+			TCPUpcalls:   true,
+			UpcallNet:    &upcall.NetConfig{Client: upcall.ClientConfig{PoolSize: 2}},
+			OpenWait:     10 * time.Second,
+			RepoDir:      filepath.Join(dir, name, "repo"),
+			RepoFsync:    "group",
+			ArchiveDir:   filepath.Join(dir, name, "archive"),
+			ArchiveFsync: "group",
+		}
+	}
+	c, err := datalinks.OpenCluster(datalinks.ClusterConfig{Members: members, Replicas: 2, WriteQuorum: 2})
+	if err != nil {
+		t.Fatalf("open cluster: %v", err)
+	}
+	t.Cleanup(c.Close)
+
+	c.MustExec(`CREATE TABLE files (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES, doc_size INT)`)
+	paths := make([]string, files)
+	shadow := make([][]byte, files)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/rdd/f%02d", i)
+		shadow[i] = bytes.Repeat([]byte{byte('a' + i)}, fileSize)
+		if err := c.SeedFile(paths[i], shadow[i], uid); err != nil {
+			t.Fatalf("seed %s: %v", paths[i], err)
+		}
+		if _, err := c.Exec(`INSERT INTO files VALUES (?, DLVALUE(?), NULL)`, i, c.URL(paths[i])); err != nil {
+			t.Fatalf("link %s: %v", paths[i], err)
+		}
+	}
+
+	sess := c.Session(uid)
+	for k := 0; k < commits; k++ {
+		id := k % files
+		off := int64(k*37%(fileSize/edit)) * edit
+		data := bytes.Repeat([]byte{byte(k)}, edit)
+		url, err := c.QueryString(`SELECT DLURLCOMPLETEWRITE(doc) FROM files WHERE id = ?`, id)
+		if err != nil {
+			t.Fatalf("commit %d: write url: %v", k, err)
+		}
+		f, err := sess.OpenWrite(url)
+		if err != nil {
+			t.Fatalf("commit %d: open: %v", k, err)
+		}
+		if _, err := f.WriteAt(off, data); err != nil {
+			t.Fatalf("commit %d: write: %v", k, err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatalf("commit %d: close: %v", k, err)
+		}
+		copy(shadow[id][off:], data)
+	}
+
+	for i, p := range paths {
+		url, err := c.QueryString(`SELECT DLURLCOMPLETE(doc) FROM files WHERE id = ?`, i)
+		if err != nil {
+			t.Fatalf("%s: read url: %v", p, err)
+		}
+		f, err := sess.OpenRead(url)
+		if err != nil {
+			t.Fatalf("%s: open read: %v", p, err)
+		}
+		got, err := f.ReadAll()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatalf("%s: read: %v", p, err)
+		}
+		if !bytes.Equal(got, shadow[i]) {
+			t.Fatalf("%s: read-back differs from the committed bytes", p)
+		}
+	}
+
+	c.WaitArchives()
+	if err := c.FlushReplication(); err != nil {
+		t.Fatalf("flush replication: %v", err)
+	}
+	type version struct {
+		n    int64
+		data []byte
+	}
+	inner := c.Internal()
+	history := func(id, p string) []version {
+		m, err := inner.Member(id)
+		if err != nil {
+			t.Fatalf("member %s: %v", id, err)
+		}
+		var out []version
+		for _, e := range m.Archive.Versions(c.Authority(), p) {
+			snap, err := e.Snapshot()
+			if err != nil {
+				t.Fatalf("%s on %s: v%d: %v", p, id, e.Version, err)
+			}
+			out = append(out, version{int64(e.Version), snap.Bytes()})
+			snap.Release()
+		}
+		return out
+	}
+	for i, p := range paths {
+		set := c.ReplicaSet(p)
+		if len(set) != 2 {
+			t.Fatalf("%s: replica set %v, want owner plus one replica", p, set)
+		}
+		owner, replica := history(set[0], p), history(set[1], p)
+		if len(owner) < 2 {
+			t.Fatalf("%s: owner %s archived %d versions, want the link plus its commits", p, set[0], len(owner))
+		}
+		if !bytes.Equal(owner[len(owner)-1].data, shadow[i]) {
+			t.Fatalf("%s: newest archived version on %s differs from the committed bytes", p, set[0])
+		}
+		if len(replica) != len(owner) {
+			t.Fatalf("%s: owner %s holds %d versions, replica %s %d", p, set[0], len(owner), set[1], len(replica))
+		}
+		for j, v := range owner {
+			if r := replica[j]; r.n != v.n || !bytes.Equal(r.data, v.data) {
+				t.Fatalf("%s: v%d on owner %s differs from v%d on replica %s", p, v.n, set[0], r.n, set[1])
+			}
+		}
+	}
 }

@@ -9,42 +9,13 @@ package datalinks
 
 import (
 	"fmt"
-	"time"
 
 	"datalinks/internal/core"
 	"datalinks/internal/fs"
 )
 
 // ClusterConfig configures a scale-out deployment.
-type ClusterConfig struct {
-	// Authority is the shared file-server name in DATALINK URLs
-	// (dlfs://<authority>/...), valid no matter which member serves a path.
-	// Defaults to "cluster".
-	Authority string
-	// Members configures the initial members; each Name is the member's id on
-	// the ring (it never appears in URLs).
-	Members []ServerConfig
-	// VirtualNodes per member on the ring (0 = the ring default of 128).
-	VirtualNodes int
-	Clock        func() time.Time
-	TokenKey     []byte
-	TokenTTL     time.Duration
-	LockTimeout  time.Duration
-
-	// Replicas is the total number of copies of every path (owner plus ring
-	// successors). 0 or 1 disables replication.
-	Replicas int
-	// WriteQuorum is how many copies (owner included) must acknowledge a
-	// commit before close returns; 0 means all Replicas.
-	WriteQuorum int
-	// ReplicaReads lets reads fall back to a surviving replica while the
-	// owner is unreachable (stale-bounded; off by default).
-	ReplicaReads bool
-	// ProbeInterval enables the member health probe; with AutoFailover a
-	// member found dead is failed over without an operator.
-	ProbeInterval time.Duration
-	AutoFailover  bool
-}
+type ClusterConfig = core.ClusterConfig
 
 // Cluster is a running scale-out DataLinks deployment.
 type Cluster struct {
@@ -53,20 +24,7 @@ type Cluster struct {
 
 // OpenCluster builds a scale-out deployment.
 func OpenCluster(cfg ClusterConfig) (*Cluster, error) {
-	c, err := core.NewCluster(core.ClusterConfig{
-		Authority:     cfg.Authority,
-		Members:       cfg.Members,
-		VirtualNodes:  cfg.VirtualNodes,
-		Clock:         cfg.Clock,
-		TokenKey:      cfg.TokenKey,
-		TokenTTL:      cfg.TokenTTL,
-		LockTimeout:   cfg.LockTimeout,
-		Replicas:      cfg.Replicas,
-		WriteQuorum:   cfg.WriteQuorum,
-		ReplicaReads:  cfg.ReplicaReads,
-		ProbeInterval: cfg.ProbeInterval,
-		AutoFailover:  cfg.AutoFailover,
-	})
+	c, err := core.NewCluster(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -30,8 +30,7 @@
 //     back in on Get/Latest/AsOf/restore.
 //   - Dropping versions (TruncateAfter, Drop, unlink) releases references;
 //     blobs that reach zero are freed from memory immediately and their disk
-//     files are unlinked later by GC (a background sweeper or explicit
-//     GCNow).
+//     files are unlinked later by GC (GCNow, and once more at Close).
 //   - With a directory configured, every version's manifest is also written
 //     through to a durable catalog (internal/catalog: append-only checksummed
 //     log + snapshot checkpoints, in the same directory), and TruncateAfter/
@@ -287,9 +286,6 @@ type TierConfig struct {
 	// MemoryBudget bounds the hot-chunk LRU (bytes); <= 0 uses the
 	// chunkdisk default. Ignored when Dir is empty.
 	MemoryBudget int64
-	// GCInterval starts a background sweeper unlinking unreferenced disk
-	// chunks this often; 0 leaves GC to explicit GCNow calls.
-	GCInterval time.Duration
 	// CheckpointEvery bounds the delta chain: a full manifest at least every
 	// this many versions (<= 0: the package default of 16; 1 makes every
 	// version a checkpoint).
@@ -298,17 +294,11 @@ type TierConfig struct {
 	// content hashes are still verified on the uncompressed bytes. Ignored
 	// when Dir is empty.
 	Compress bool
-	// CatalogCompactBytes checkpoints the catalog log once it outgrows this
-	// size (<= 0: the catalog default).
-	CatalogCompactBytes int64
 	// Fsync selects the durability policy shared by packfile/blob writes and
 	// catalog log appends: none (default — rely on the OS page cache), group
 	// (concurrent committers coalesce behind shared fdatasyncs at the commit
 	// barrier), or always (every append flushes inline). See internal/fsyncer.
 	Fsync fsyncer.Policy
-	// FsyncMaxDelay, under the group policy, lets a group-commit leader wait
-	// this long before flushing so more committers join its round.
-	FsyncMaxDelay time.Duration
 	// PackThreshold batches blobs at or below this size into packfiles
 	// (0: the chunkdisk default of one extent chunk — every tail and
 	// single-chunk delta; negative: packing disabled, every blob loose).
@@ -316,9 +306,6 @@ type TierConfig struct {
 	// PackTargetBytes seals the active packfile once it grows past this
 	// (<= 0: the chunkdisk default).
 	PackTargetBytes int64
-	// PackGarbageRatio compacts a sealed packfile once this fraction of its
-	// payload is dead (<= 0 or >= 1: the chunkdisk default).
-	PackGarbageRatio float64
 	// Metrics, if set, mirrors the tier's fsync/pack counters
 	// (chunkdisk.fsyncs, chunkdisk.pack.appends, chunkdisk.pack.dead_bytes,
 	// catalog.fsyncs) into a registry.
@@ -348,8 +335,6 @@ type Store struct {
 
 	latency atomic.Int64 // nanoseconds per device transfer unit
 
-	gcStop    chan struct{}
-	gcDone    chan struct{}
 	closeOnce sync.Once
 
 	// Stats for the experiment harness.
@@ -390,15 +375,13 @@ func NewTiered(latency time.Duration, clock func() time.Time, tier TierConfig) (
 		clock = time.Now
 	}
 	disk, err := chunkdisk.Open(chunkdisk.Config{
-		Dir:              tier.Dir,
-		MemoryBudget:     tier.MemoryBudget,
-		Compress:         tier.Compress,
-		PackThreshold:    tier.PackThreshold,
-		PackTargetBytes:  tier.PackTargetBytes,
-		PackGarbageRatio: tier.PackGarbageRatio,
-		Fsync:            tier.Fsync,
-		FsyncMaxDelay:    tier.FsyncMaxDelay,
-		Metrics:          tier.Metrics,
+		Dir:             tier.Dir,
+		MemoryBudget:    tier.MemoryBudget,
+		Compress:        tier.Compress,
+		PackThreshold:   tier.PackThreshold,
+		PackTargetBytes: tier.PackTargetBytes,
+		Fsync:           tier.Fsync,
+		Metrics:         tier.Metrics,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
@@ -412,12 +395,7 @@ func NewTiered(latency time.Duration, clock func() time.Time, tier TierConfig) (
 		s.shards[i].entries = make(map[string]*fileVersions)
 	}
 	if tier.Dir != "" {
-		cat, err := catalog.Open(tier.Dir, catalog.Config{
-			CompactBytes:  tier.CatalogCompactBytes,
-			Fsync:         tier.Fsync,
-			FsyncMaxDelay: tier.FsyncMaxDelay,
-			Metrics:       tier.Metrics,
-		})
+		cat, err := catalog.Open(tier.Dir, catalog.Config{Fsync: tier.Fsync, Metrics: tier.Metrics})
 		if err != nil {
 			disk.Close()
 			return nil, fmt.Errorf("archive: %w", err)
@@ -436,11 +414,6 @@ func NewTiered(latency time.Duration, clock func() time.Time, tier TierConfig) (
 			}
 		}
 		s.cat = cat
-	}
-	if tier.Dir != "" && tier.GCInterval > 0 {
-		s.gcStop = make(chan struct{})
-		s.gcDone = make(chan struct{})
-		go s.gcLoop(tier.GCInterval)
 	}
 	return s, nil
 }
@@ -543,36 +516,17 @@ func resize(full []slotRef, n int) []slotRef {
 // for a fresh or memory-only store).
 func (s *Store) Recovery() RecoveryStats { return s.recov }
 
-// gcLoop sweeps dead disk chunks until Close.
-func (s *Store) gcLoop(interval time.Duration) {
-	defer close(s.gcDone)
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			s.disk.Sweep()
-		case <-s.gcStop:
-			return
-		}
-	}
-}
-
 // GCNow sweeps dead disk chunks immediately, returning how many files were
 // freed (tests and explicit maintenance).
 func (s *Store) GCNow() int { return s.disk.Sweep() }
 
-// Close stops the background GC (if any), sweeps dead disk chunks one final
-// time, closes the durable catalog and the disk tier (sealing the active
-// packfile and releasing the archive-dir lock). A memory-only store remains
-// usable afterwards; a tiered store rejects further Puts (its catalog is
-// closed) but keeps serving memory-resident reads. Idempotent.
+// Close sweeps dead disk chunks one final time, closes the durable catalog
+// and the disk tier (sealing the active packfile and releasing the
+// archive-dir lock). A memory-only store remains usable afterwards; a tiered
+// store rejects further Puts (its catalog is closed) but keeps serving
+// memory-resident reads. Idempotent.
 func (s *Store) Close() {
 	s.closeOnce.Do(func() {
-		if s.gcStop != nil {
-			close(s.gcStop)
-			<-s.gcDone
-		}
 		s.disk.Sweep()
 		if s.cat != nil {
 			s.cat.Close()
@@ -587,10 +541,6 @@ func (s *Store) Close() {
 // crash releases it too, via the lockfile's dead-pid check).
 func (s *Store) Crash() {
 	s.closeOnce.Do(func() {
-		if s.gcStop != nil {
-			close(s.gcStop)
-			<-s.gcDone
-		}
 		if s.cat != nil {
 			s.cat.Close()
 		}

@@ -48,7 +48,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"datalinks/internal/extent"
 	"datalinks/internal/fsyncer"
@@ -67,7 +66,7 @@ const (
 var snapMagic = [8]byte{'D', 'L', 'C', 'A', 'T', 'S', 'N', '1'}
 
 // DefaultCompactBytes triggers a snapshot checkpoint once the log grows past
-// this size (the archive can override via its tier config).
+// this size (Config.CompactBytes overrides it).
 const DefaultCompactBytes = 4 << 20
 
 // Record kinds.
@@ -207,9 +206,6 @@ type Config struct {
 	CompactBytes int64
 	// Fsync selects the append durability policy (none | group | always).
 	Fsync fsyncer.Policy
-	// FsyncMaxDelay, under the group policy, is the leader's coalescing
-	// window before flushing.
-	FsyncMaxDelay time.Duration
 	// Metrics, if set, mirrors catalog.fsyncs into a registry.
 	Metrics *metrics.Registry
 }
@@ -277,7 +273,7 @@ func Open(dir string, cfg Config) (*Catalog, error) {
 		ctr := cfg.Metrics.Counter("catalog.fsyncs")
 		onSync = ctr.Inc
 	}
-	c.sync = fsyncer.New(cfg.Fsync, cfg.FsyncMaxDelay, f.Sync, onSync)
+	c.sync = fsyncer.New(cfg.Fsync, 0, f.Sync, onSync)
 	c.arena = Arena{} // replay is over: appended records are the caller's
 	for _, h := range c.files {
 		c.stats.Versions += len(h.puts)

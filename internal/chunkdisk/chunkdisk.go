@@ -70,7 +70,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"datalinks/internal/dirlock"
 	"datalinks/internal/extent"
@@ -119,9 +118,6 @@ type Config struct {
 	// internal/fsyncer. The default (PolicyNone) matches the historical
 	// rely-on-the-OS behaviour.
 	Fsync fsyncer.Policy
-	// FsyncMaxDelay, under PolicyGroup, lets a group-commit leader wait this
-	// long before flushing so more committers coalesce into its round.
-	FsyncMaxDelay time.Duration
 	// Metrics, if set, mirrors the tier counters (chunkdisk.fsyncs,
 	// chunkdisk.pack.appends, chunkdisk.pack.dead_bytes) into a registry.
 	Metrics *metrics.Registry
@@ -315,7 +311,7 @@ func Open(cfg Config) (*Store, error) {
 	}
 	// The flush callback does its own fsync counting (a barrier with no
 	// active pack syncs nothing and must not count) — no onSync hook.
-	s.sync = fsyncer.New(cfg.Fsync, cfg.FsyncMaxDelay, s.flushForGroup, nil)
+	s.sync = fsyncer.New(cfg.Fsync, 0, s.flushForGroup, nil)
 	if err := s.adoptExisting(); err != nil {
 		s.releaseLock()
 		return nil, err
@@ -894,8 +890,8 @@ func (s *Store) Release(h extent.Hash) {
 // Sweep reclaims every dead blob and returns how many it freed. Loose blobs
 // unlink their file; pack-resident blobs retire in place (the index entry
 // goes away, the bytes become dead space) and packs whose garbage ratio
-// crossed the threshold are compacted. The archive's background GC calls
-// this on a timer.
+// crossed the threshold are compacted. The archive calls it from GCNow and
+// once more at Close.
 func (s *Store) Sweep() int {
 	if s.dir == "" {
 		return 0

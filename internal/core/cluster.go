@@ -36,20 +36,19 @@ import (
 
 var clusterRoot = fs.Cred{UID: fs.Root}
 
-// ClusterConfig configures a scale-out deployment.
+// ClusterConfig configures a scale-out deployment. It is the public
+// datalinks.ClusterConfig (a type alias).
 type ClusterConfig struct {
 	// Authority is the file-server name in DATALINK URLs
 	// (dlfs://<authority>/...). Defaults to "cluster".
 	Authority string
 	// Members configures the initial member stacks; each ServerConfig.Name is
 	// the member id on the ring. At least one member is required.
-	Members []ServerConfig
-	// VirtualNodes per member (0 = ring.DefaultVirtualNodes).
-	VirtualNodes int
-	Clock        func() time.Time
-	TokenKey     []byte
-	TokenTTL     time.Duration
-	LockTimeout  time.Duration
+	Members     []ServerConfig
+	Clock       func() time.Time
+	TokenKey    []byte
+	TokenTTL    time.Duration
+	LockTimeout time.Duration
 
 	// Replicas is the total number of copies of every path's archive history
 	// and link row, owner included: the owner plus its Replicas-1 distinct
@@ -156,7 +155,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		clock:     cfg.Clock,
 		key:       cfg.TokenKey,
 		ttl:       cfg.TokenTTL,
-		router:    newRouter(cfg.Authority, ring.New(cfg.VirtualNodes, ids...)),
+		router:    newRouter(cfg.Authority, ring.New(0, ids...)),
 		repl:      repl,
 		deadCfg:   make(map[string]ServerConfig),
 	}

@@ -43,8 +43,6 @@ type ServerConfig struct {
 	// IPC channel — per-server capacity that scale-out experiments divide
 	// work across.
 	UpcallWidth int
-	// ArchiveLatency simulates the archive device per operation (§4.4).
-	ArchiveLatency time.Duration
 	// Strict enables the §4.5 strict-link-check extension on this server: an
 	// upcall on every open, closing the link-while-open window at a per-open
 	// cost.
@@ -70,14 +68,6 @@ type ServerConfig struct {
 	// ArchiveMemoryBudget bounds the archive's hot-chunk LRU in bytes
 	// (<= 0: chunkdisk default). Only meaningful with ArchiveDir set.
 	ArchiveMemoryBudget int64
-	// ArchiveGCInterval runs the archive's background sweeper that unlinks
-	// unreferenced on-disk chunks this often (0: explicit GCNow only). Only
-	// meaningful with ArchiveDir.
-	ArchiveGCInterval time.Duration
-	// ArchiveCheckpointEvery bounds the archive's delta chains: a full
-	// manifest at least every this many versions (<= 0: the archive default
-	// of 16).
-	ArchiveCheckpointEvery int
 	// ArchiveCompress flate-compresses spilled archive chunks when that
 	// shrinks them (hashes still verify the uncompressed bytes). Only
 	// meaningful with ArchiveDir set.
@@ -89,20 +79,15 @@ type ServerConfig struct {
 	// group commit), or "always" (every append flushes inline). Only
 	// meaningful with ArchiveDir set.
 	ArchiveFsync string
-	// ArchiveFsyncMaxDelay, under "group", lets the group-commit leader wait
-	// this long before flushing so more commits coalesce into one flush.
-	ArchiveFsyncMaxDelay time.Duration
 	// ArchivePackThreshold batches archive blobs at or below this size into
 	// packfiles — many small commits become one sequential append instead of
 	// one file each. 0 uses the default (one 64 KiB chunk, covering tails
 	// and single-chunk deltas); negative disables packing (one file per
 	// blob). Only meaningful with ArchiveDir set.
 	ArchivePackThreshold int64
-	// QuarantineTTL expires quarantined in-flight versions after this age
-	// (0: keep forever); QuarantineGCInterval runs the background quarantine
-	// sweeper (0: explicit SweepQuarantine only).
-	QuarantineTTL        time.Duration
-	QuarantineGCInterval time.Duration
+	// QuarantineTTL expires quarantined in-flight versions older than this
+	// when SweepQuarantine runs (0: keep forever).
+	QuarantineTTL time.Duration
 	// RepoDir enables the durable repository plane: the file server's
 	// metadata database logs to CRC-framed WAL segments under this real
 	// directory and periodically snapshots itself to repo.snap, so a fresh
@@ -113,9 +98,6 @@ type ServerConfig struct {
 	// (rely on the OS page cache), "group" (coalesced fdatasyncs), or
 	// "always" (every flush syncs inline). Only meaningful with RepoDir set.
 	RepoFsync string
-	// RepoFsyncMaxDelay, under "group", is the group-commit leader's
-	// coalescing window before it flushes.
-	RepoFsyncMaxDelay time.Duration
 	// RepoCheckpointBytes takes a repository checkpoint after roughly this
 	// many logged bytes (<= 0: the dlfm default of 1 MiB).
 	RepoCheckpointBytes int64
@@ -262,16 +244,13 @@ func buildStack(sc ServerConfig, dlfmName string, clock func() time.Time, key []
 			Log:             slowLog,
 		})
 	}
-	arch, err := archive.NewTiered(sc.ArchiveLatency, clock, archive.TierConfig{
-		Dir:             sc.ArchiveDir,
-		MemoryBudget:    sc.ArchiveMemoryBudget,
-		GCInterval:      sc.ArchiveGCInterval,
-		CheckpointEvery: sc.ArchiveCheckpointEvery,
-		Compress:        sc.ArchiveCompress,
-		Fsync:           fsyncPolicy,
-		FsyncMaxDelay:   sc.ArchiveFsyncMaxDelay,
-		PackThreshold:   sc.ArchivePackThreshold,
-		Metrics:         reg,
+	arch, err := archive.NewTiered(0, clock, archive.TierConfig{
+		Dir:           sc.ArchiveDir,
+		MemoryBudget:  sc.ArchiveMemoryBudget,
+		Compress:      sc.ArchiveCompress,
+		Fsync:         fsyncPolicy,
+		PackThreshold: sc.ArchivePackThreshold,
+		Metrics:       reg,
 	})
 	if err != nil {
 		return nil, err
@@ -321,11 +300,9 @@ func (f *FileServer) dlfmConfig(name string, host dlfm.Host, key []byte, ttl tim
 		OpenWait:            f.cfg.OpenWait,
 		TokenTTL:            ttl,
 		QuarantineTTL:       f.cfg.QuarantineTTL,
-		GCInterval:          f.cfg.QuarantineGCInterval,
 		Metrics:             reg,
 		RepoDir:             f.cfg.RepoDir,
 		RepoFsync:           repoFsync,
-		RepoFsyncMaxDelay:   f.cfg.RepoFsyncMaxDelay,
 		RepoCheckpointBytes: f.cfg.RepoCheckpointBytes,
 		Tracer:              f.Obs,
 	}, nil
@@ -445,9 +422,12 @@ func (sys *System) CrashAndRecoverServer(name string) (*dlfm.RecoveryReport, err
 	if !ok {
 		return nil, fmt.Errorf("core: no file server %q", name)
 	}
-	durable := old.DLFM.CrashRepo()
+	durable, crashErr := old.DLFM.CrashRepo()
 	// The crash also kills the daemon's TCP endpoints.
 	old.closeEndpoints()
+	if crashErr != nil {
+		return nil, fmt.Errorf("core: crash server %s: %w", name, crashErr)
+	}
 	// The disk, the archive and the ring of past traces survive the crash.
 	dcfg, err := old.dlfmConfig(name, sys.Engine, sys.key, sys.ttl, sys.clock, nil)
 	if err != nil {

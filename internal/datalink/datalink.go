@@ -169,9 +169,6 @@ func (l Link) IsZero() bool { return l.Server == "" && l.Path == "" }
 // SQL/MED scalar functions (subset). DLURLCOMPLETE is produced by the engine
 // because it embeds a freshly issued token; the pure-string ones live here.
 
-// DLValue constructs a Link from a URL string (the DLVALUE scalar function).
-func DLValue(url string) (Link, error) { return Parse(url) }
-
 // DLURLPath returns the path component with no token (DLURLPATHONLY).
 func DLURLPath(l Link) string { return l.Path }
 

@@ -87,7 +87,7 @@ func (s *Server) ReconcileLinks(desired map[string]datalink.ColumnOptions) error
 			ver = int64(latest)
 		}
 		origUID, origMode := attr.UID, attr.Mode
-		if attr.UID == s.cfg.UID {
+		if attr.UID == DefaultUID {
 			// The file is still in its taken-over state from before the
 			// restore; we no longer know the original identity unless a
 			// version-0 archive entry can tell us. Default to root-owned

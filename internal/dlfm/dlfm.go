@@ -61,23 +61,17 @@ type Host interface {
 
 // Config configures a DLFM server.
 type Config struct {
-	Name       string // file server name (the DATALINK URL authority)
-	Phys       *fs.FS // physical file system of this server
-	Archive    *archive.Store
-	Host       Host
-	TokenKey   []byte // shared secret with the DataLinks engine
-	Clock      func() time.Time
-	UID        fs.UID // DLFM process uid; DefaultUID if zero
-	Quarantine string
+	Name     string // file server name (the DATALINK URL authority)
+	Phys     *fs.FS // physical file system of this server
+	Archive  *archive.Store
+	Host     Host
+	TokenKey []byte // shared secret with the DataLinks engine
+	Clock    func() time.Time
 	// QuarantineTTL expires quarantined in-flight versions this long after
 	// they were written (§4.2 moves them aside "for possible manual
 	// recovery"; without expiry they accumulate unbounded). Zero keeps them
-	// forever.
+	// forever. Expiry happens when SweepQuarantine runs.
 	QuarantineTTL time.Duration
-	// GCInterval runs the background quarantine sweeper this often when
-	// QuarantineTTL is set; zero leaves expiry to explicit SweepQuarantine
-	// calls.
-	GCInterval time.Duration
 	// OpenWait bounds how long write-open approval waits for conflicting
 	// opens and pending archives before returning CodeBusy.
 	OpenWait time.Duration
@@ -88,10 +82,8 @@ type Config struct {
 	// the repo.snap checkpoint and the repo.lock single-owner lockfile live
 	// there, and Open cold-starts from whatever the directory holds.
 	RepoDir string
-	// RepoFsync is the repository WAL durability policy; RepoFsyncMaxDelay
-	// the group-commit coalescing window.
-	RepoFsync         fsyncer.Policy
-	RepoFsyncMaxDelay time.Duration
+	// RepoFsync is the repository WAL durability policy.
+	RepoFsync fsyncer.Policy
 	// RepoCheckpointBytes triggers automatic repository checkpoints once
 	// this many log bytes accumulate (DefaultRepoCheckpointBytes when 0 and
 	// RepoDir is set).
@@ -231,7 +223,6 @@ type Server struct {
 
 	archJobs atomic.Int64 // archive goroutines in flight
 	qseq     atomic.Uint64
-	gcStop   chan struct{}
 
 	// repl holds the owner-side shard replicator (SetReplicator); nil box or
 	// nil interface means replication is off and ships are no-ops.
@@ -255,14 +246,7 @@ func Open(cfg Config) (*Server, *RecoveryReport, error) {
 		s, err := New(cfg)
 		return s, nil, err
 	}
-	if cfg.RepoCheckpointBytes <= 0 {
-		cfg.RepoCheckpointBytes = DefaultRepoCheckpointBytes
-	}
-	lg, err := wal.Open(wal.Config{
-		Dir:           cfg.RepoDir,
-		Fsync:         cfg.RepoFsync,
-		FsyncMaxDelay: cfg.RepoFsyncMaxDelay,
-	})
+	lg, err := wal.Open(wal.Config{Dir: cfg.RepoDir, Fsync: cfg.RepoFsync})
 	if err != nil {
 		return nil, nil, fmt.Errorf("dlfm: repository log: %w", err)
 	}
@@ -291,13 +275,17 @@ func Open(cfg Config) (*Server, *RecoveryReport, error) {
 
 // repoOptions builds the sqlmini options for the repository database.
 func repoOptions(cfg Config) sqlmini.Options {
+	checkpoint := cfg.RepoCheckpointBytes
+	if cfg.RepoDir != "" && checkpoint <= 0 {
+		checkpoint = DefaultRepoCheckpointBytes
+	}
 	return sqlmini.Options{
 		Clock:           cfg.Clock,
 		Log:             cfg.RepoLog,
 		LockTimeout:     cfg.OpenWait,
 		Metrics:         cfg.Metrics,
 		Dir:             cfg.RepoDir,
-		CheckpointBytes: cfg.RepoCheckpointBytes,
+		CheckpointBytes: checkpoint,
 	}
 }
 
@@ -308,12 +296,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
-	}
-	if cfg.UID == 0 {
-		cfg.UID = DefaultUID
-	}
-	if cfg.Quarantine == "" {
-		cfg.Quarantine = DefaultQuarantineDir
 	}
 	if cfg.OpenWait <= 0 {
 		cfg.OpenWait = 5 * time.Second
@@ -348,15 +330,10 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	if err := cfg.Phys.MkdirAll(cfg.Quarantine, fs.Cred{UID: fs.Root}, 0o700); err != nil {
+	if err := cfg.Phys.MkdirAll(DefaultQuarantineDir, fs.Cred{UID: fs.Root}, 0o700); err != nil {
 		return nil, fmt.Errorf("dlfm: quarantine dir: %w", err)
 	}
 	s.seedQuarantineSeq()
-	if cfg.QuarantineTTL > 0 && cfg.GCInterval > 0 {
-		s.gcStop = make(chan struct{})
-		s.wg.Add(1)
-		go s.quarantineGCLoop(cfg.GCInterval)
-	}
 	return s, nil
 }
 
@@ -457,7 +434,7 @@ func (s *Server) Authority() *token.Authority { return s.auth }
 func (s *Server) Repo() *sqlmini.DB { return s.repo }
 
 // UID returns the uid DLFM runs as.
-func (s *Server) UID() fs.UID { return s.cfg.UID }
+func (s *Server) UID() fs.UID { return DefaultUID }
 
 // Metrics returns the server's metrics registry.
 func (s *Server) Metrics() *metrics.Registry { return s.cfg.Metrics }
@@ -503,9 +480,9 @@ func (a *Agent) UnlinkFile(hostTxn uint64, path string) error {
 	return a.srv.UnlinkFile(hostTxn, path)
 }
 
-// Close waits for background work (archiver goroutines, the quarantine
-// sweeper) to finish. A disk-backed repository takes a final checkpoint and
-// closes its log, so the next Open replays almost nothing.
+// Close waits for the archiver goroutines to finish. A disk-backed
+// repository takes a final checkpoint and closes its log, so the next Open
+// replays almost nothing.
 func (s *Server) Close() {
 	s.mu.Lock()
 	closed := s.closed
@@ -513,9 +490,6 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	if closed {
 		return
-	}
-	if s.gcStop != nil {
-		close(s.gcStop)
 	}
 	s.wg.Wait()
 	if s.cfg.RepoDir != "" {
@@ -539,14 +513,6 @@ func (s *Server) Kill() {
 	case <-s.killed:
 	default:
 		close(s.killed)
-	}
-	if s.gcStop != nil {
-		select {
-		case <-s.gcStop:
-		default:
-			close(s.gcStop)
-		}
-		s.gcStop = nil
 	}
 	s.mu.Unlock()
 	s.repo.LockManager().Close()

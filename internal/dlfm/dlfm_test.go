@@ -405,7 +405,10 @@ func TestCrashRecoveryInDoubtCommit(t *testing.T) {
 	}
 	host.outcomes[hostTxn] = true // the host committed
 
-	durable := srv.CrashRepo()
+	durable, err := srv.CrashRepo()
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv2, rep, err := Recover(Config{
 		Name: "fs1", Phys: phys, Archive: srv.cfg.Archive, Host: host, TokenKey: []byte("k"),
 	}, durable)
@@ -432,7 +435,10 @@ func TestCrashRecoveryInDoubtPresumedAbort(t *testing.T) {
 	srv.PrepareXRM(hostTxn)
 	// Host never decided (unknown outcome -> presumed abort).
 
-	durable := srv.CrashRepo()
+	durable, err := srv.CrashRepo()
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv2, rep, err := Recover(Config{
 		Name: "fs1", Phys: phys, Archive: srv.cfg.Archive, Host: host, TokenKey: []byte("k"),
 	}, durable)
@@ -475,7 +481,10 @@ func TestCrashRecoveryPendingArchive(t *testing.T) {
 	}
 	// Crash while the archive job hangs; only then un-jam the device so
 	// recovery can use it.
-	durable := srv.CrashRepo()
+	durable, err := srv.CrashRepo()
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv.cfg.Archive.SetLatency(0)
 	srv2, _, err := Recover(Config{
 		Name: "fs1", Phys: phys, Archive: srv.cfg.Archive, Host: newFakeHost(), TokenKey: []byte("k"),

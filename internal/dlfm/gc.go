@@ -3,7 +3,6 @@ package dlfm
 import (
 	"strconv"
 	"strings"
-	"time"
 
 	"datalinks/internal/fs"
 )
@@ -14,8 +13,7 @@ import (
 // forever — one per abort — and cap how long a server can run. When
 // Config.QuarantineTTL is set, quarantined files older than the TTL (by file
 // mtime, which the manifest-swap write stamps from the shared clock) are
-// deleted, either by the background sweeper (Config.GCInterval) or by an
-// explicit SweepQuarantine call.
+// deleted whenever SweepQuarantine runs.
 
 // seedQuarantineSeq advances the quarantine-name sequence counter past any
 // surviving quarantine files: a recovered server restarts the in-memory
@@ -23,7 +21,7 @@ import (
 // otherwise regenerate a pre-crash name and overwrite its content. Names end
 // in ".<seq>"; non-conforming entries are ignored.
 func (s *Server) seedQuarantineSeq() {
-	names, err := s.cfg.Phys.ReadDir(s.cfg.Quarantine)
+	names, err := s.cfg.Phys.ReadDir(DefaultQuarantineDir)
 	if err != nil {
 		return
 	}
@@ -40,21 +38,6 @@ func (s *Server) seedQuarantineSeq() {
 	s.qseq.Store(max)
 }
 
-// quarantineGCLoop sweeps expired quarantine files until Close.
-func (s *Server) quarantineGCLoop(interval time.Duration) {
-	defer s.wg.Done()
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			s.SweepQuarantine()
-		case <-s.gcStop:
-			return
-		}
-	}
-}
-
 // SweepQuarantine deletes quarantined files older than the configured TTL,
 // returning how many it expired. A zero TTL never expires anything.
 func (s *Server) SweepQuarantine() int {
@@ -62,14 +45,14 @@ func (s *Server) SweepQuarantine() int {
 	if ttl <= 0 {
 		return 0
 	}
-	names, err := s.cfg.Phys.ReadDir(s.cfg.Quarantine)
+	names, err := s.cfg.Phys.ReadDir(DefaultQuarantineDir)
 	if err != nil {
 		return 0
 	}
 	now := s.cfg.Clock()
 	expired := 0
 	for _, name := range names {
-		p := s.cfg.Quarantine + "/" + name
+		p := DefaultQuarantineDir + "/" + name
 		node, err := s.cfg.Phys.Lookup(p)
 		if err != nil {
 			continue
@@ -94,7 +77,7 @@ func (s *Server) SweepQuarantine() int {
 // QuarantinedFiles lists the current quarantine directory (status tooling
 // and tests).
 func (s *Server) QuarantinedFiles() []string {
-	names, err := s.cfg.Phys.ReadDir(s.cfg.Quarantine)
+	names, err := s.cfg.Phys.ReadDir(DefaultQuarantineDir)
 	if err != nil {
 		return nil
 	}

@@ -151,7 +151,7 @@ func (s *Server) applyLinkState(node *fs.Inode, mode datalink.ControlMode) error
 	switch {
 	case mode.FullControl():
 		// rdb, rdd: DLFM takes over the file and marks it read-only (§2.2).
-		if err := s.cfg.Phys.Chown(node, rootCred, s.cfg.UID); err != nil {
+		if err := s.cfg.Phys.Chown(node, rootCred, DefaultUID); err != nil {
 			return err
 		}
 		return s.cfg.Phys.Chmod(node, rootCred, 0o400)
@@ -177,7 +177,7 @@ func (s *Server) restoreLinkState(path string, fi fileInfo) error {
 	}
 	switch {
 	case fi.mode.FullControl():
-		if err := s.cfg.Phys.Chown(node, rootCred, s.cfg.UID); err != nil {
+		if err := s.cfg.Phys.Chown(node, rootCred, DefaultUID); err != nil {
 			return err
 		}
 		return s.cfg.Phys.Chmod(node, rootCred, 0o400)

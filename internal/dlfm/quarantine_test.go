@@ -121,7 +121,10 @@ func TestQuarantineSeqSurvivesRecovery(t *testing.T) {
 	if err := phys.WriteFile("/d/f.bin", []byte("junk two")); err != nil {
 		t.Fatal(err)
 	}
-	durable := srv.CrashRepo()
+	durable, err := srv.CrashRepo()
+	if err != nil {
+		t.Fatal(err)
+	}
 	clock := func() time.Time { return now }
 	srv2, _, err := Recover(Config{
 		Name: "fs1", Phys: phys, Archive: srv.cfg.Archive, Host: host,
@@ -246,7 +249,10 @@ func TestRecoveryRestoresFromDiskTier(t *testing.T) {
 	if err := phys.WriteFile("/d/f.bin", []byte("in-flight junk")); err != nil {
 		t.Fatal(err)
 	}
-	durable := srv.CrashRepo()
+	durable, err := srv.CrashRepo()
+	if err != nil {
+		t.Fatal(err)
+	}
 	pageInsBefore := arch.Tier().PageIns
 	srv2, rep, err := Recover(cfg, durable)
 	if err != nil {

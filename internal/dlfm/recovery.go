@@ -56,9 +56,6 @@ type RecoveryReport struct {
 // survive the crash as "disk" state.
 func Recover(cfg Config, crashedLog *wal.Log) (*Server, *RecoveryReport, error) {
 	cfg.RepoLog = crashedLog
-	if cfg.RepoDir != "" && cfg.RepoCheckpointBytes <= 0 {
-		cfg.RepoCheckpointBytes = DefaultRepoCheckpointBytes
-	}
 	repo, repoRep, err := sqlmini.Recover(crashedLog, repoOptions(cfg))
 	if err != nil {
 		return nil, nil, fmt.Errorf("dlfm: repository recovery: %w", err)
@@ -182,8 +179,9 @@ func (s *Server) materializeMissingFiles(rep *RecoveryReport) error {
 }
 
 // CrashRepo simulates a DLFM machine crash, returning the durable repository
-// log for Recover. The physical FS and archive survive as-is.
-func (s *Server) CrashRepo() *wal.Log {
+// log for Recover. The physical FS and archive survive as-is. An error means
+// the repository directory could not be reopened.
+func (s *Server) CrashRepo() (*wal.Log, error) {
 	return s.repo.Crash()
 }
 

@@ -168,7 +168,10 @@ func TestCrashRecoveryUnderConcurrentUpdates(t *testing.T) {
 	}
 
 	// Crash while phase-A archive jobs may still be in flight, then recover.
-	durable := srv.CrashRepo()
+	durable, err := srv.CrashRepo()
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv2, rep, err := Recover(cfg, durable)
 	if err != nil {
 		t.Fatalf("recover: %v", err)

@@ -59,7 +59,10 @@ func TestRecoveryFromColdStartedArchive(t *testing.T) {
 	if err := phys.WriteFile("/d/f.bin", []byte("in-flight junk")); err != nil {
 		t.Fatal(err)
 	}
-	durable := srv.CrashRepo()
+	durable, err := srv.CrashRepo()
+	if err != nil {
+		t.Fatal(err)
+	}
 	arch1.Close()
 
 	arch2, err := archive.NewTiered(0, nil, archive.TierConfig{Dir: dir, MemoryBudget: budget})

@@ -107,7 +107,7 @@ func (s *Server) takeOver(path string) error {
 		sh.takeovers[path] = &takeoverState{origUID: attr.UID, origMode: attr.Mode}
 	}
 	sh.mu.Unlock()
-	if err := s.cfg.Phys.Chown(node, rootCred, s.cfg.UID); err != nil {
+	if err := s.cfg.Phys.Chown(node, rootCred, DefaultUID); err != nil {
 		return err
 	}
 	return s.cfg.Phys.Chmod(node, rootCred, 0o600)
@@ -403,21 +403,9 @@ func (s *Server) WaitArchives() {
 	}
 }
 
-// AbortUpdate explicitly rolls back an in-flight update transaction: the
-// last committed version is restored and the in-flight content quarantined.
-// Exposed to the engine/core layer; a crash takes the same path in recovery.
-func (s *Server) AbortUpdate(openID uint64) error {
-	sh := s.openShardOf(openID)
-	sh.mu.Lock()
-	st, ok := sh.opens[openID]
-	sh.mu.Unlock()
-	if !ok || !st.write {
-		return fmt.Errorf("dlfm: open %d is not an in-flight update", openID)
-	}
-	return s.rollbackUpdate(st)
-}
-
-// AbortUpdateByPath rolls back the in-flight update transaction on a path.
+// AbortUpdateByPath explicitly rolls back the in-flight update transaction on
+// a path: the last committed version is restored and the in-flight content
+// quarantined. A crash takes the same path in recovery.
 func (s *Server) AbortUpdateByPath(path string) error {
 	sh, _ := s.pathShard(path)
 	sh.mu.Lock()
@@ -457,7 +445,7 @@ func (s *Server) restoreLastCommitted(path string) error {
 	current, err := s.cfg.Phys.SnapshotFile(path)
 	switch {
 	case err == nil:
-		qname := fmt.Sprintf("%s/%s.%d.%06d", s.cfg.Quarantine,
+		qname := fmt.Sprintf("%s/%s.%d.%06d", DefaultQuarantineDir,
 			url.PathEscape(strings.TrimPrefix(path, "/")),
 			s.cfg.Clock().UnixNano(), s.qseq.Add(1))
 		err = s.cfg.Phys.WriteFileSnapshot(qname, current)

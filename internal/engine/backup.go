@@ -112,7 +112,10 @@ func (e *Engine) adoptRestoredLog(prefix *wal.Log, stateID uint64) error {
 // reference to the engine and resolve in-doubt transactions against the
 // recovered outcome map.
 func (e *Engine) RecoverHost() error {
-	durable := e.db.Crash()
+	durable, err := e.db.Crash()
+	if err != nil {
+		return fmt.Errorf("engine: host crash: %w", err)
+	}
 	db, _, err := sqlmini.Recover(durable, sqlmini.Options{Clock: e.clock, Metrics: e.reg})
 	if err != nil {
 		return fmt.Errorf("engine: host recovery: %w", err)

@@ -124,13 +124,6 @@ func (s *Syncer) AfterWrite() error {
 	return s.doFlush()
 }
 
-// Rounds reports how many group-commit flush rounds have completed.
-func (s *Syncer) Rounds() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.completes
-}
-
 // Barrier is the commit hook: under PolicyGroup it returns only after a
 // flush that started after the caller's writes has completed, sharing that
 // flush with every concurrent committer. PolicyAlways already flushed per

@@ -19,7 +19,7 @@ import (
 // cluster of N members and drives Sessions sessions for Round: half the
 // sessions read zipfian-addressed files (the skew the ring has to spread),
 // half commit in-place updates round-robin over disjoint partitions of the
-// zipf-cold half of the namespace. Rounds are time-bounded so the reported
+// zipf-cold half of the namespace. Each round is time-bounded so the reported
 // commits/s is the aggregate the cluster sustains — a member slowed by the
 // zipf-hot paths it owns contributes less, it does not gate the clock.
 type scaleoutConfig struct {

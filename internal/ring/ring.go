@@ -5,7 +5,7 @@
 // answer is identical across processes and across restarts — a requirement
 // for routing DATALINK URLs minted before the current process started.
 //
-// Each member contributes VirtualNodes points to the ring ("member#0",
+// Each member contributes vnodes points to the ring ("member#0",
 // "member#1", ...); a key is owned by the member of the first point at or
 // clockwise after hash(key). Virtual nodes keep the per-member share near
 // K/n and, more importantly, make membership changes minimal: adding or
@@ -17,7 +17,7 @@ package ring
 
 import "sort"
 
-// DefaultVirtualNodes is the vnode count used when Config leaves it zero.
+// DefaultVirtualNodes is the vnode count New uses when passed zero.
 // 128 points per member keeps the max/mean member share under ~1.3 for small
 // clusters, which E21 reports as shard skew.
 const DefaultVirtualNodes = 128

@@ -275,7 +275,10 @@ func TestCheckpointMemoryAnchoredRecovery(t *testing.T) {
 	total := db.Log().TailLSN()
 	mustExec(t, db, `UPDATE t SET v = 0 WHERE id = 3`)
 
-	durable := db.Crash()
+	durable, err := db.Crash()
+	if err != nil {
+		t.Fatal(err)
+	}
 	db2, rep, err := Recover(durable, Options{LockTimeout: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -350,8 +353,11 @@ func TestRecoverRejectsOrphanRecord(t *testing.T) {
 	if _, err := lg.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	durable := lg.Crash()
-	_, _, err := Recover(durable, Options{LockTimeout: 500 * time.Millisecond})
+	durable, err := lg.Crash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Recover(durable, Options{LockTimeout: 500 * time.Millisecond})
 	if !errors.Is(err, ErrOrphanRecord) {
 		t.Fatalf("err = %v, want ErrOrphanRecord", err)
 	}
@@ -366,8 +372,11 @@ func TestRecoverRejectsOrphanCLR(t *testing.T) {
 	if _, err := lg.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	durable := lg.Crash()
-	_, _, err := Recover(durable, Options{LockTimeout: 500 * time.Millisecond})
+	durable, err := lg.Crash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Recover(durable, Options{LockTimeout: 500 * time.Millisecond})
 	if !errors.Is(err, ErrOrphanRecord) {
 		t.Fatalf("err = %v, want ErrOrphanRecord", err)
 	}

@@ -314,23 +314,8 @@ func (lm *LockManager) Holding(txn uint64, target LockTarget) LockMode {
 	return lm.held[txn][target]
 }
 
-// WaitStats reports cumulative blocked time and number of waits.
-func (lm *LockManager) WaitStats() (time.Duration, int64) {
-	return time.Duration(lm.waitTimeNs.Load()), lm.waits.Load()
-}
-
 // ContentionStats reports waits, cumulative blocked time and shard
 // collisions — the counters the concurrency experiments surface.
 func (lm *LockManager) ContentionStats() (waits int64, waitTime time.Duration, shardCollisions int64) {
 	return lm.waits.Load(), time.Duration(lm.waitTimeNs.Load()), lm.collisions.Load()
-}
-
-// ShardCount reports the stripe count of the lock table.
-func (lm *LockManager) ShardCount() int { return lockShards }
-
-// ResetWaitStats zeroes the wait accounting between experiment runs.
-func (lm *LockManager) ResetWaitStats() {
-	lm.waitTimeNs.Store(0)
-	lm.waits.Store(0)
-	lm.collisions.Store(0)
 }

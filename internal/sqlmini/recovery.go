@@ -27,8 +27,9 @@ type RecoveryReport struct {
 
 // Crash simulates a machine failure: the volatile log tail is discarded and
 // the database becomes unusable. The returned log is the durable prefix a
-// restart would find on disk; feed it to Recover.
-func (db *DB) Crash() *wal.Log {
+// restart would find on disk; feed it to Recover. An error means a
+// disk-backed log could not be reopened.
+func (db *DB) Crash() (*wal.Log, error) {
 	return db.log.Crash()
 }
 

@@ -9,7 +9,10 @@ import (
 // recoverDB crashes db and runs restart recovery.
 func recoverDB(t *testing.T, db *DB) (*DB, *RecoveryReport) {
 	t.Helper()
-	durable := db.Crash()
+	durable, err := db.Crash()
+	if err != nil {
+		t.Fatal(err)
+	}
 	db2, rep, err := Recover(durable, Options{LockTimeout: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("recover: %v", err)
@@ -280,7 +283,10 @@ func TestRecoveryCounterProperty(t *testing.T) {
 			}
 			db.Log().Flush() // its records are durable, its commit is not
 		}
-		durable := db.Crash()
+		durable, err := db.Crash()
+		if err != nil {
+			return false
+		}
 		db2, _, err := Recover(durable, Options{})
 		if err != nil {
 			return false

@@ -627,14 +627,3 @@ func (db *DB) undoOne(rec wal.Record, txnID uint64) error {
 	})
 	return err
 }
-
-// ActiveTxns returns the ids of currently active transactions.
-func (db *DB) ActiveTxns() []uint64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make([]uint64, 0, len(db.active))
-	for id := range db.active {
-		out = append(out, id)
-	}
-	return out
-}

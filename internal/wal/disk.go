@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"datalinks/internal/dirlock"
 	"datalinks/internal/fsyncer"
@@ -46,8 +45,6 @@ type Config struct {
 	SegmentBytes int64
 	// Fsync selects the durability policy for Flush/FlushTo.
 	Fsync fsyncer.Policy
-	// FsyncMaxDelay is the group-commit coalescing window under PolicyGroup.
-	FsyncMaxDelay time.Duration
 }
 
 // diskLog is the stable-storage side of a Log. The pending buffer and the
@@ -92,7 +89,7 @@ func Open(cfg Config) (*Log, error) {
 		lock.Release()
 		return nil, err
 	}
-	d.sync = fsyncer.New(cfg.Fsync, cfg.FsyncMaxDelay, d.flushActive, nil)
+	d.sync = fsyncer.New(cfg.Fsync, 0, d.flushActive, nil)
 	return l, nil
 }
 

@@ -96,7 +96,10 @@ func TestDiskCrashDropsUnflushedTail(t *testing.T) {
 	mustAppend(t, l, RecUpdate, 1, []byte("volatile"))
 	mustAppend(t, l, RecCommit, 1, nil)
 
-	l2 := l.Crash()
+	l2, err := l.Crash()
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer l2.Close()
 	if l2.TailLSN() != 2 {
 		t.Fatalf("tail after crash = %d, want 2 (unflushed tail must vanish)", l2.TailLSN())
@@ -107,6 +110,32 @@ func TestDiskCrashDropsUnflushedTail(t *testing.T) {
 	// The reopened log continues the LSN sequence.
 	if lsn := mustAppend(t, l2, RecBegin, 2, nil); lsn != 3 {
 		t.Fatalf("next LSN after crash = %d, want 3", lsn)
+	}
+}
+
+func TestDiskCrashReopenFailureIsAnError(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "wal")
+	l := openDisk(t, dir, 0)
+	mustAppend(t, l, RecBegin, 1, nil)
+	if _, err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// The directory vanishes under the running log and a regular file takes
+	// its path, so the post-crash reopen cannot create it again.
+	if err := os.Rename(dir, filepath.Join(root, "moved")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := l.Crash()
+	if err == nil {
+		l2.Close()
+		t.Fatal("crash over an unopenable directory returned no error")
+	}
+	if l2 != nil {
+		t.Fatalf("crash returned a log alongside its error %v", err)
 	}
 }
 

@@ -324,8 +324,9 @@ func (l *Log) Prefix(to LSN) *Log {
 // drops its unwritten tail, closes its files, releases the directory lock
 // and reopens the directory — the returned log holds whatever the "disk"
 // (the OS page cache included; this is a process kill, not a power cut)
-// retained. The original log is closed either way.
-func (l *Log) Crash() *Log {
+// retained; an error means the directory could not be reopened. The
+// original log is closed either way, and the in-memory backend never fails.
+func (l *Log) Crash() (*Log, error) {
 	l.mu.Lock()
 	if l.disk != nil {
 		cfg := l.disk.cfg
@@ -333,9 +334,9 @@ func (l *Log) Crash() *Log {
 		l.mu.Unlock()
 		reopened, err := Open(cfg)
 		if err != nil {
-			panic(fmt.Sprintf("wal: reopen after crash: %v", err))
+			return nil, fmt.Errorf("wal: reopen after crash: %w", err)
 		}
-		return reopened
+		return reopened, nil
 	}
 	defer l.mu.Unlock()
 	l.closed = true
@@ -343,7 +344,7 @@ func (l *Log) Crash() *Log {
 		base:    l.base,
 		records: append([]Record(nil), l.records[:l.flushed-l.base]...),
 		flushed: l.flushed,
-	}
+	}, nil
 }
 
 // Kill simulates the process dying without a successor in hand: buffered

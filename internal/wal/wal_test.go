@@ -91,7 +91,10 @@ func TestCrashDiscardsVolatileTail(t *testing.T) {
 	l.Flush()
 	l.Append(Record{Type: RecCommit, TxnID: 1}) // not flushed
 
-	recovered := l.Crash()
+	recovered, err := l.Crash()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if recovered.TailLSN() != 2 {
 		t.Fatalf("recovered tail = %d, want 2", recovered.TailLSN())
 	}
@@ -167,7 +170,10 @@ func TestCrashPreservesDurablePrefixProperty(t *testing.T) {
 		for i := 0; i < after; i++ {
 			l.Append(Record{Type: RecUpdate, TxnID: uint64(1000 + i)})
 		}
-		rec := l.Crash()
+		rec, err := l.Crash()
+		if err != nil {
+			return false
+		}
 		if rec.TailLSN() != LSN(before) {
 			return false
 		}
