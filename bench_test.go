@@ -640,35 +640,23 @@ func BenchmarkLargeFileRead(b *testing.B) {
 // BenchmarkSmallEditCommitStorm is the batched-write-path benchmark: 8
 // concurrent sessions commit tiny edits to private small rfd files with the
 // durable archive tier on, so every commit archives ~1 small blob and 1
-// catalog record. Sub-benchmarks sweep packfiles on/off and the fsync
-// policy; files/commit and fsyncs/commit are reported alongside ns/op
-// (aggregate wall time per commit). Packfiles must collapse files/commit
-// (loose ≈ 1, packed ≈ 1/64) and raise commits/s at fsync=none; group must
-// beat always on aggregate commits/s at this concurrency.
+// catalog record. Sub-benchmarks sweep the fsync policy; files/commit and
+// fsyncs/commit are reported alongside ns/op (aggregate wall time per
+// commit). Packfiles keep files/commit at pack creation only (≈ 1/64); group
+// must beat always on aggregate commits/s at this concurrency.
 func BenchmarkSmallEditCommitStorm(b *testing.B) {
 	const (
 		gor      = 8
 		fileSize = 96 << 10 // one 64 KiB chunk + a 32 KiB tail
 		editSize = 512
 	)
-	cases := []struct {
-		name          string
-		packThreshold int64
-		fsync         string
-	}{
-		{"packs=off/fsync=none", -1, "none"},
-		{"packs=on/fsync=none", 0, "none"},
-		{"packs=on/fsync=always", 0, "always"},
-		{"packs=on/fsync=group", 0, "group"},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
+	for _, fsync := range []string{"none", "always", "group"} {
+		b.Run("fsync="+fsync, func(b *testing.B) {
 			rig := newParallelRigServer(b, "RFD", gor, fileSize, datalinks.ServerConfig{
-				Name:                 "fs1",
-				OpenWait:             30 * time.Second,
-				ArchiveDir:           b.TempDir(),
-				ArchiveFsync:         c.fsync,
-				ArchivePackThreshold: c.packThreshold,
+				Name:         "fs1",
+				OpenWait:     30 * time.Second,
+				ArchiveDir:   b.TempDir(),
+				ArchiveFsync: fsync,
 			})
 			defer rig.close()
 			arch := rig.fsrv.Internal().Archive

@@ -30,14 +30,14 @@
 //     back in on Get/Latest/AsOf/restore.
 //   - Dropping versions (TruncateAfter, Drop, unlink) releases references;
 //     blobs that reach zero are freed from memory immediately and their disk
-//     files are unlinked later by GC (GCNow, and once more at Close).
+//     records are reclaimed later by GC (GCNow, and once more at Close).
 //   - With a directory configured, every version's manifest is also written
 //     through to a durable catalog (internal/catalog: append-only checksummed
 //     log + snapshot checkpoints, in the same directory), and TruncateAfter/
 //     Drop append tombstones. NewTiered over an existing directory replays
 //     the catalog: the whole version history comes back into service with
 //     zero re-archiving, which is what makes the archive a database-managed
-//     store rather than a cache over the chunk files.
+//     store rather than a cache over the chunk packs.
 //
 // A configurable latency models the paper's tertiary archive device. The
 // latency of a Put is charged per NEW chunk transferred — deduplicated
@@ -290,7 +290,7 @@ type TierConfig struct {
 	// this many versions (<= 0: the package default of 16; 1 makes every
 	// version a checkpoint).
 	CheckpointEvery int
-	// Compress flate-compresses spilled chunk files when that shrinks them;
+	// Compress flate-compresses spilled chunks when that shrinks them;
 	// content hashes are still verified on the uncompressed bytes. Ignored
 	// when Dir is empty.
 	Compress bool
@@ -299,10 +299,6 @@ type TierConfig struct {
 	// (concurrent committers coalesce behind shared fdatasyncs at the commit
 	// barrier), or always (every append flushes inline). See internal/fsyncer.
 	Fsync fsyncer.Policy
-	// PackThreshold batches blobs at or below this size into packfiles
-	// (0: the chunkdisk default of one extent chunk — every tail and
-	// single-chunk delta; negative: packing disabled, every blob loose).
-	PackThreshold int64
 	// PackTargetBytes seals the active packfile once it grows past this
 	// (<= 0: the chunkdisk default).
 	PackTargetBytes int64
@@ -365,7 +361,7 @@ func New(latency time.Duration, clock func() time.Time) *Store {
 
 // NewTiered returns an archive store with the durable tier configured. With
 // a directory, any version history a previous process left there (catalog +
-// chunk files) is replayed back into service before the store returns: the
+// chunk packs) is replayed back into service before the store returns: the
 // full index is rebuilt and one blob reference taken per listed slot —
 // versions referencing missing blobs are dropped rather than failing the
 // open, and a torn catalog-log tail is quarantined. See Recovery for what was
@@ -378,7 +374,6 @@ func NewTiered(latency time.Duration, clock func() time.Time, tier TierConfig) (
 		Dir:             tier.Dir,
 		MemoryBudget:    tier.MemoryBudget,
 		Compress:        tier.Compress,
-		PackThreshold:   tier.PackThreshold,
 		PackTargetBytes: tier.PackTargetBytes,
 		Fsync:           tier.Fsync,
 		Metrics:         tier.Metrics,

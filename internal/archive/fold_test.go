@@ -7,7 +7,6 @@ package archive
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -203,7 +202,7 @@ func TestFoldedIndexSurvivesReopen(t *testing.T) {
 func TestReplayRepairKeepsThePrefix(t *testing.T) {
 	const C = extent.ChunkSize
 	const versions, k = 6, 3
-	tier := TierConfig{Dir: t.TempDir(), MemoryBudget: 2 * C, PackThreshold: -1} // loose blobs: one file per hash
+	tier := TierConfig{Dir: t.TempDir(), MemoryBudget: 2 * C}
 	s, err := NewTiered(0, nil, tier)
 	if err != nil {
 		t.Fatal(err)
@@ -218,11 +217,7 @@ func TestReplayRepairKeepsThePrefix(t *testing.T) {
 		contents = append(contents, putBytes(t, s, "/f", Version(v), uint64(v+1), model))
 	}
 	s.Close()
-	sum := sha256.Sum256(unique(k))
-	hx := hex.EncodeToString(sum[:])
-	if err := os.Remove(filepath.Join(tier.Dir, hx[:2], hx[2:])); err != nil {
-		t.Fatal(err)
-	}
+	cutBlob(t, tier.Dir, sha256.Sum256(unique(k)))
 
 	s2, err := NewTiered(0, nil, tier)
 	if err != nil {

@@ -3,7 +3,7 @@ package archive
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -221,33 +221,57 @@ func TestRestartRespectsTruncateAndDrop(t *testing.T) {
 	}
 }
 
-// TestRestartDropsVersionsWithMissingBlobs: if a chunk file referenced by the
-// newest version is deleted behind the store's back, reopen quarantines that
-// version (and would-be successors) instead of failing open or serving
-// corrupt data — earlier versions keep working.
+// cutBlob removes blob h's record from the pack holding it in a closed
+// store's directory, as if it had never been written. A record is
+// self-framing — dataLen | logicalLen | crc | hash | flags | data after the
+// pack's magic, see chunkdisk/pack.go — so the rest of the pack still scans.
+func cutBlob(t *testing.T, dir string, h extent.Hash) {
+	t.Helper()
+	const magicLen, hdrLen = 8, 4 + 4 + 4 + 32 + 1
+	packs, err := filepath.Glob(filepath.Join(dir, "pack-*.pk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range packs {
+		pack, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := magicLen; off+hdrLen <= len(pack); {
+			end := off + hdrLen + int(binary.LittleEndian.Uint32(pack[off:]))
+			if bytes.Equal(pack[off+12:off+44], h[:]) {
+				if err := os.WriteFile(path, append(pack[:off:off], pack[end:]...), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			off = end
+		}
+	}
+	t.Fatalf("no pack under %s holds blob %x", dir, h[:8])
+}
+
+// TestRestartDropsVersionsWithMissingBlobs: if a chunk referenced by the
+// newest version is cut out of its pack behind the store's back, reopen
+// quarantines that version (and would-be successors) instead of failing open
+// or serving corrupt data — earlier versions keep working.
 func TestRestartDropsVersionsWithMissingBlobs(t *testing.T) {
 	const C = extent.ChunkSize
 	dir := t.TempDir()
-	// Loose layout (packs off): the test deletes a chunk FILE by its hash path.
-	s, err := NewTiered(0, nil, TierConfig{Dir: dir, MemoryBudget: 2 * C, PackThreshold: -1})
+	s, err := NewTiered(0, nil, TierConfig{Dir: dir, MemoryBudget: 2 * C})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := bytes.Repeat([]byte{1}, C+9)
 	v0 := putBytes(t, s, "/f.bin", 0, 1, base)
-	// v1 appends one unique chunk whose on-disk file we can locate by hash.
+	// v1 appends one unique chunk whose pack record we can locate by hash.
 	unique := bytes.Repeat([]byte{2}, C)
 	v1content := append(append([]byte(nil), base[:C]...), unique...)
 	putBytes(t, s, "/f.bin", 1, 2, v1content)
 	s.Close()
+	cutBlob(t, dir, sha256.Sum256(unique))
 
-	sum := sha256.Sum256(unique)
-	hx := hex.EncodeToString(sum[:])
-	if err := os.Remove(filepath.Join(dir, hx[:2], hx[2:])); err != nil {
-		t.Fatalf("removing the unique chunk file: %v", err)
-	}
-
-	s2, err := NewTiered(0, nil, TierConfig{Dir: dir, MemoryBudget: 2 * C, PackThreshold: -1})
+	s2, err := NewTiered(0, nil, TierConfig{Dir: dir, MemoryBudget: 2 * C})
 	if err != nil {
 		t.Fatalf("open with a missing blob must not fail: %v", err)
 	}
@@ -263,7 +287,7 @@ func TestRestartDropsVersionsWithMissingBlobs(t *testing.T) {
 		t.Fatal("version with a missing blob still served")
 	}
 	// The drop is persisted: a further restart agrees without re-validating.
-	s3 := reopen(t, s2, TierConfig{MemoryBudget: 2 * C, PackThreshold: -1})
+	s3 := reopen(t, s2, TierConfig{MemoryBudget: 2 * C})
 	if got := len(s3.Versions("fs1", "/f.bin")); got != 1 {
 		t.Fatalf("second restart sees %d versions, want 1", got)
 	}

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 
 	"datalinks/internal/extent"
@@ -20,27 +20,23 @@ func newTiered(t *testing.T, budget int64) *Store {
 	return s
 }
 
-// diskBlobFiles counts blob files physically present under the store's dir
-// (the two-hex-digit fan-out subdirectories; the catalog's own files at the
-// root are not blobs).
-func diskBlobFiles(t *testing.T, s *Store) int {
+// strayFiles lists what the store's directory holds outside its one layout:
+// pack-<seq>.pk (and its .torn quarantine), catalog.* and archive.lock.
+func strayFiles(t *testing.T, s *Store) []string {
 	t.Helper()
-	n := 0
-	subdirs, err := os.ReadDir(s.TierDir())
+	entries, err := os.ReadDir(s.TierDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sub := range subdirs {
-		if !sub.IsDir() || len(sub.Name()) != 2 {
-			continue
+	var stray []string
+	for _, e := range entries {
+		name := e.Name()
+		pack := strings.HasPrefix(name, "pack-") && (strings.HasSuffix(name, ".pk") || strings.HasSuffix(name, ".pk.torn"))
+		if e.IsDir() || !pack && !strings.HasPrefix(name, "catalog.") && name != "archive.lock" {
+			stray = append(stray, name)
 		}
-		files, err := os.ReadDir(filepath.Join(s.TierDir(), sub.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n += len(files)
 	}
-	return n
+	return stray
 }
 
 // TestTieredDeltaChainAllVersionsRestorable: enough versions to cross
@@ -120,7 +116,7 @@ func TestTieredDeltaChainAllVersionsRestorable(t *testing.T) {
 }
 
 // TestTieredSpillGCReturnsToBaseline: after unlink (Drop) and TruncateAfter
-// churn plus a GC sweep, live extent chunks AND on-disk chunk files return
+// churn plus a GC sweep, live extent chunks AND on-disk blobs return
 // to their baselines — nothing leaks in either tier.
 func TestTieredSpillGCReturnsToBaseline(t *testing.T) {
 	baseChunks, baseBytes := extent.Live()
@@ -142,8 +138,11 @@ func TestTieredSpillGCReturnsToBaseline(t *testing.T) {
 			snap.Release()
 		}
 	}
-	if diskBlobFiles(t, s) == 0 && s.Tier().PackAppends == 0 {
+	if s.Tier().PackAppends == 0 {
 		t.Fatal("nothing on disk after 30 versions")
+	}
+	if stray := strayFiles(t, s); len(stray) != 0 {
+		t.Fatalf("files outside the pack layout: %v", stray)
 	}
 
 	// Point-in-time truncate, then read a surviving version (page-in), then
@@ -174,8 +173,8 @@ func TestTieredSpillGCReturnsToBaseline(t *testing.T) {
 	if freed == 0 {
 		t.Fatal("GC freed nothing")
 	}
-	if n := diskBlobFiles(t, s); n != 0 {
-		t.Fatalf("%d loose blob files survive GC with zero versions archived", n)
+	if stray := strayFiles(t, s); len(stray) != 0 {
+		t.Fatalf("files outside the pack layout after GC: %v", stray)
 	}
 	st := s.Tier()
 	if st.DiskBlobs != 0 || st.DiskBytes != 0 || st.DeadBlobs != 0 {

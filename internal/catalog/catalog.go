@@ -6,8 +6,8 @@
 // self-describing: a restarted process replays snapshot+log and can serve the
 // full version history from cold storage with zero re-archiving.
 //
-// On-disk layout (all files live in the chunkdisk root, next to the ab/cdef
-// blob fan-out, which only uses two-character subdirectories):
+// On-disk layout (all files live in the chunkdisk root, next to its
+// pack-<seq>.pk packfiles):
 //
 //	catalog.snap      last snapshot checkpoint (seglog atomic replace)
 //	catalog.log       records appended since the snapshot

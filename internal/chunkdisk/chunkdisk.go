@@ -30,25 +30,25 @@
 // Every blob is written through to disk at Put time (the durability point),
 // and the LRU decides which blobs also stay resident in memory. Get serves
 // residents from memory and pages evicted blobs back in from disk, verifying
-// their content hash on the way (a corrupted or truncated chunk file surfaces
-// as an error, never as silent bad data). ReadInto does the same into a
-// caller's buffer without admitting anything to the LRU — how the archive
-// assembles a patched chunk from its base and patches.
+// their content hash on the way (a corrupted or truncated pack record
+// surfaces as an error, never as silent bad data). ReadInto does the same
+// into a caller's buffer without admitting anything to the LRU — how the
+// archive assembles a patched chunk from its base and patches.
 //
 // Deletion is deferred: the Release that drops the last reference frees the
-// memory copy immediately but only marks the disk copy dead. A background
-// sweep (archive GC) unlinks dead files in batches — so TruncateAfter/Drop
-// never pay disk I/O inline, and a hash that is re-archived before the sweep
-// is revived without a device transfer.
+// memory copy immediately but only marks the disk copy dead. A sweep (archive
+// GC) retires dead records in place — so TruncateAfter/Drop never pay disk
+// I/O inline, and a hash that is re-archived before the sweep is revived
+// without a device transfer.
 //
 // With Dir == "" the store runs memory-only: no spill, no eviction, and the
 // last Release frees immediately — the semantics the archive had before the
 // disk tier.
 //
-// Small blobs — at or below Config.PackThreshold — are batched into
-// append-only packfiles instead of costing one file each (see pack.go);
-// large blobs keep the loose one-file-per-hash layout. Config.Fsync selects
-// the durability policy for all of it (none | group | always, see
+// Every blob is appended to a packfile (see pack.go): one sequential append
+// stream, no file per blob. A directory an older store left loose blobs in
+// (ab/cdef…, one file per hash) is converted when it is opened. Config.Fsync
+// selects the durability policy (none | group | always, see
 // internal/fsyncer), and a single-owner lockfile (archive.lock) keeps two
 // processes from corrupting one directory.
 //
@@ -96,18 +96,12 @@ type Config struct {
 	MemoryBudget int64
 	// Compress writes spilled blobs through compress/flate when that makes
 	// them smaller (a blob that would grow — e.g. already-random content —
-	// stays raw; the decision is per blob, recorded in the file name's ".z"
-	// suffix). Content hashes are always verified on the UNCOMPRESSED bytes,
-	// so a corrupted compressed file still surfaces as an error on page-in.
-	// A store opened without Compress still reads ".z" blobs left by an
-	// earlier compressed store, and vice versa.
+	// stays raw; the decision is per blob, recorded in its pack record's
+	// flags). Content hashes are always verified on the UNCOMPRESSED bytes,
+	// so a corrupted compressed record still surfaces as an error on page-in.
+	// A store opened without Compress still reads compressed records left by
+	// an earlier compressed store, and vice versa.
 	Compress bool
-	// PackThreshold batches blobs whose (uncompressed) size is at or below
-	// this into packfiles: 0 uses DefaultPackThreshold (one extent chunk,
-	// so tails and single-chunk deltas batch), negative disables packing
-	// entirely (every blob loose — the pre-packfile layout). Ignored in
-	// memory-only mode.
-	PackThreshold int64
 	// PackTargetBytes seals the active packfile once it grows past this
 	// (<= 0: DefaultPackTargetBytes).
 	PackTargetBytes int64
@@ -128,15 +122,13 @@ type Stats struct {
 	Spills        int64 // blobs written to disk
 	PageIns       int64 // blobs read back from disk on Get
 	Evictions     int64 // resident blobs dropped by the LRU
-	GCFreed       int64 // dead disk files unlinked by Sweep
+	GCFreed       int64 // dead disk blobs reclaimed by Sweep
 	ResidentBlobs int64 // blobs currently in the LRU
 	ResidentBytes int64 // bytes currently in the LRU
 	DiskBlobs     int64 // blobs currently on disk (incl. dead, pre-sweep)
 	DiskBytes     int64 // physical bytes currently on disk (post-compression)
-	// DiskLogicalBytes is the uncompressed size of the on-disk blobs whose
-	// logical size is known: everything written by this process, plus adopted
-	// raw blobs. An adopted ".z" blob is counted at its physical size until
-	// its first page-in learns (and corrects to) the real logical length.
+	// DiskLogicalBytes is the uncompressed size of the on-disk blobs (every
+	// pack record carries it in its frame).
 	DiskLogicalBytes int64
 	DeadBlobs        int64 // disk blobs awaiting sweep
 
@@ -147,7 +139,7 @@ type Stats struct {
 	PackDeadBytes   int64 // dead payload bytes awaiting compaction
 	PackCompactions int64 // packfiles evacuated and unlinked
 	PackTornBytes   int64 // invalid pack suffix quarantined at open
-	FilesCreated    int64 // files this store created (loose blobs + packs)
+	FilesCreated    int64 // packfiles this store created
 }
 
 // entry is one resident blob.
@@ -162,13 +154,13 @@ type entry struct {
 	writing bool
 }
 
-// diskMeta describes one on-disk blob: a loose file (pack == 0) or a record
-// inside packfile pack at byte offset off.
+// diskMeta describes one on-disk blob: a record inside packfile pack whose
+// payload starts at byte offset off.
 type diskMeta struct {
 	size       int64 // physical payload length
 	logical    int64 // uncompressed length (== size for raw blobs)
-	compressed bool  // flate-encoded (".z" suffix for loose blobs)
-	pack       int64 // packfile sequence, 0 = loose file
+	compressed bool  // flate-encoded
+	pack       int64 // packfile sequence
 	off        int64 // payload offset within the pack
 }
 
@@ -186,15 +178,14 @@ type blobState struct {
 // hashes it owns, under one mutex.
 type shard struct {
 	mu sync.Mutex
-	// settled is broadcast whenever a write-through or a sweep's unlink
-	// finishes: what refLocked waits on.
+	// settled is broadcast whenever a write-through finishes: what refLocked
+	// waits on.
 	settled  sync.Cond
 	blobs    map[extent.Hash]blobState
 	resident map[extent.Hash]*entry
 	lru      *list.List // of *entry; front = hottest
 	resBytes int64
 	dead     map[extent.Hash]struct{} // on disk, unreferenced, awaiting sweep
-	sweeping map[extent.Hash]struct{} // claimed by an in-flight sweep
 	// putting holds the hashes of PutBytes write-throughs in flight: bytes
 	// with no resident copy, so a reference or a read of one waits for the
 	// outcome, as for a resident entry that is writing.
@@ -203,13 +194,12 @@ type shard struct {
 
 // Store is a tiered blob store. Safe for concurrent use.
 type Store struct {
-	dir           string // "" = memory-only
-	budget        int64  // per shard
-	compress      bool
-	packThreshold int64 // pack blobs at or below this; < 0 = packs disabled
-	shards        [shardCount]shard
+	dir      string // "" = memory-only
+	budget   int64  // per shard
+	compress bool
+	shards   [shardCount]shard
 
-	packs *packSet        // nil when packing is disabled or memory-only
+	packs *packSet        // nil in memory-only mode
 	sync  *fsyncer.Syncer // durability policy (never nil)
 	lock  *dirlock.Lock   // archive.lock we own (nil when not held)
 
@@ -264,23 +254,19 @@ func (s *Store) countFsync() {
 	s.ctrInc(s.mFsyncs)
 }
 
-// Open returns a store over cfg.Dir, creating the directory if needed. Blob
-// files already present (a previous process's store) are adopted as dead:
-// nothing references them yet, so the first sweep reclaims whatever the new
-// archive does not re-intern first. Open takes single ownership of the
-// directory via an archive.lock file (O_EXCL + pid): a second live store
-// over the same directory fails fast instead of corrupting the first, and a
-// lock left by a dead process is stolen.
+// Open returns a store over cfg.Dir, creating the directory if needed. Blobs
+// already present (a previous process's store) are adopted as dead: nothing
+// references them yet, so the first sweep reclaims whatever the new archive
+// does not re-intern first. Open takes single ownership of the directory via
+// an archive.lock file (O_EXCL + pid): a second live store over the same
+// directory fails fast instead of corrupting the first, and a lock left by a
+// dead process is stolen.
 func Open(cfg Config) (*Store, error) {
 	budget := cfg.MemoryBudget
 	if budget <= 0 {
 		budget = DefaultMemoryBudget
 	}
 	s := &Store{dir: cfg.Dir, budget: budget / shardCount, compress: cfg.Compress}
-	s.packThreshold = cfg.PackThreshold
-	if s.packThreshold == 0 {
-		s.packThreshold = DefaultPackThreshold
-	}
 	if cfg.Metrics != nil {
 		s.mFsyncs = cfg.Metrics.Counter("chunkdisk.fsyncs")
 		s.mPackAppends = cfg.Metrics.Counter("chunkdisk.pack.appends")
@@ -293,7 +279,6 @@ func Open(cfg Config) (*Store, error) {
 		sh.resident = make(map[extent.Hash]*entry)
 		sh.lru = list.New()
 		sh.dead = make(map[extent.Hash]struct{})
-		sh.sweeping = make(map[extent.Hash]struct{})
 		sh.putting = make(map[extent.Hash]struct{})
 	}
 	if cfg.Dir == "" {
@@ -306,35 +291,22 @@ func Open(cfg Config) (*Store, error) {
 	if err := s.acquireLock(); err != nil {
 		return nil, err
 	}
-	if s.packThreshold > 0 {
-		s.packs = newPackSet(s, cfg.Dir, cfg.PackTargetBytes, cfg.PackGarbageRatio)
-	}
-	// The flush callback does its own fsync counting (a barrier with no
-	// active pack syncs nothing and must not count) — no onSync hook.
-	s.sync = fsyncer.New(cfg.Fsync, 0, s.flushForGroup, nil)
-	if err := s.adoptExisting(); err != nil {
+	s.packs = newPackSet(s, cfg.Dir, cfg.PackTargetBytes, cfg.PackGarbageRatio)
+	// The group-commit flush: one fdatasync of the active pack covers every
+	// append that completed before the round began. It does its own fsync
+	// counting (a barrier with no active pack syncs nothing and must not
+	// count) — no onSync hook.
+	s.sync = fsyncer.New(cfg.Fsync, 0, s.packs.flushActive, nil)
+	if err := s.adoptPacks(); err != nil {
 		s.releaseLock()
 		return nil, err
 	}
-	if s.packs != nil {
-		if err := s.adoptPacks(); err != nil {
-			s.releaseLock()
-			return nil, err
-		}
+	if err := s.migrateLoose(); err != nil {
+		s.packs.close(false)
+		s.releaseLock()
+		return nil, err
 	}
 	return s, nil
-}
-
-// flushForGroup is the group-commit flush callback: one fdatasync of the
-// active packfile covers every pack append that completed before the round
-// began. (Loose blobs sync individually at write time under group/always —
-// each lives in its own file, so there is nothing to coalesce. The counting
-// happens via the syncer's onSync hook.)
-func (s *Store) flushForGroup() error {
-	if s.packs == nil {
-		return nil
-	}
-	return s.packs.flushActive()
 }
 
 // lockName is the single-owner lockfile kept in the store directory.
@@ -361,13 +333,20 @@ func (s *Store) releaseLock() {
 	}
 }
 
-// adoptExisting indexes blob files left by a previous store over the same
-// directory, marking them dead until something re-interns them.
-func (s *Store) adoptExisting() error {
+// migrateLoose moves the blobs an older store left loose — dir/ab/cdef…, one
+// file per hash, ".z" when flate-compressed — into the packs, indexed dead
+// like every adopted blob. A file whose content does not match its name stays
+// where it is, unindexed: replay drops the versions that list it, as for any
+// missing blob. The packs written to are synced before the first loose file
+// goes, whatever the policy, since until then the file is the only copy; a
+// crash midway only repeats work. Runs during Open, after adoptPacks.
+func (s *Store) migrateLoose() error {
 	subdirs, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("chunkdisk: %w", err)
 	}
+	first := s.packs.nextSeq // the packs this open appends to
+	var gone []string        // loose files a pack holds, stranded temp files
 	for _, sub := range subdirs {
 		if !sub.IsDir() || len(sub.Name()) != 2 {
 			continue
@@ -377,37 +356,88 @@ func (s *Store) adoptExisting() error {
 			return fmt.Errorf("chunkdisk: %w", err)
 		}
 		for _, fi := range files {
-			if strings.HasSuffix(fi.Name(), seglog.TmpSuffix) {
-				// A crash mid-writeBlob strands its temp file; nothing will
-				// ever reference it, so reclaim it now.
-				os.Remove(filepath.Join(s.dir, sub.Name(), fi.Name()))
-				continue
-			}
+			path := filepath.Join(s.dir, sub.Name(), fi.Name())
 			name, compressed := strings.CutSuffix(fi.Name(), ".z")
 			raw, err := hex.DecodeString(sub.Name() + name)
-			if err != nil || len(raw) != len(extent.Hash{}) {
+			switch {
+			case strings.HasSuffix(fi.Name(), seglog.TmpSuffix): // a crash mid-write stranded it
+			case err != nil || len(raw) != len(extent.Hash{}):
 				continue // not a blob file; leave it alone
+			default:
+				if packed, err := s.packLoose(extent.Hash(raw), path, compressed); err != nil {
+					return err
+				} else if !packed {
+					continue
+				}
 			}
-			info, err := fi.Info()
-			if err != nil {
-				continue
-			}
-			var h extent.Hash
-			copy(h[:], raw)
-			sh := s.shardFor(h)
-			sh.mu.Lock()
-			// Logical size of an adopted compressed blob is unknown until it
-			// is read; account its physical size (see Stats.DiskLogicalBytes).
-			sh.blobs[h] = blobState{diskMeta: diskMeta{size: info.Size(), logical: info.Size(), compressed: compressed}}
-			sh.dead[h] = struct{}{}
-			sh.mu.Unlock()
-			s.diskBlobs.Add(1)
-			s.diskBytes.Add(info.Size())
-			s.diskLogical.Add(info.Size())
-			s.deadBlobs.Add(1)
+			gone = append(gone, path)
 		}
 	}
+	// The loose files go once their bytes, and the names of the packs that
+	// now hold them, are durable.
+	for seq := first; seq < s.packs.nextSeq; seq++ {
+		f, err := os.Open(s.packs.files.Path(uint64(seq)))
+		if err == nil {
+			err = f.Sync()
+			f.Close()
+		}
+		if err != nil {
+			return fmt.Errorf("chunkdisk: %w", err)
+		}
+	}
+	if first < s.packs.nextSeq {
+		if err := seglog.SyncDir(s.dir); err != nil {
+			return fmt.Errorf("chunkdisk: %w", err)
+		}
+	}
+	for _, path := range gone {
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("chunkdisk: %w", err)
+		}
+		os.Remove(filepath.Dir(path)) // succeeds once the fan-out dir is empty
+	}
 	return nil
+}
+
+// packLoose appends the loose blob file at path to the active pack as it lies
+// and indexes it dead — unless a pack already holds h. It reports false,
+// writing nothing, when the bytes do not hash to h.
+func (s *Store) packLoose(h extent.Hash, path string, compressed bool) (bool, error) {
+	if _, held := s.shardFor(h).blobs[h]; held {
+		return true, nil
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return false, fmt.Errorf("chunkdisk: %w", err)
+	}
+	logical := data
+	if compressed {
+		if logical, err = inflate(data); err != nil {
+			return false, nil
+		}
+	}
+	if sha256.Sum256(logical) != h {
+		return false, nil
+	}
+	pm, off, err := s.packs.append(h, data, int64(len(logical)), compressed)
+	if err != nil {
+		return false, err
+	}
+	s.indexDeadLocked(s.shardFor(h), h, diskMeta{size: int64(len(data)), logical: int64(len(logical)), compressed: compressed, pack: pm.seq, off: off})
+	s.packs.published(pm)
+	return true, nil
+}
+
+// indexDeadLocked indexes an adopted blob as dead: on disk, referenced by
+// nothing until a Ref or a re-Put revives it. Caller holds the shard lock (or
+// is Open, before any concurrency).
+func (s *Store) indexDeadLocked(sh *shard, h extent.Hash, meta diskMeta) {
+	sh.blobs[h] = blobState{diskMeta: meta}
+	sh.dead[h] = struct{}{}
+	s.diskBlobs.Add(1)
+	s.diskBytes.Add(meta.size)
+	s.diskLogical.Add(meta.logical)
+	s.deadBlobs.Add(1)
 }
 
 // shardFor picks the shard owning a hash.
@@ -415,22 +445,11 @@ func (s *Store) shardFor(h extent.Hash) *shard {
 	return &s.shards[h[0]&(shardCount-1)]
 }
 
-// path returns the blob file for a hash: dir/ab/cdef… (two-level fan-out),
-// with a ".z" suffix for flate-compressed blobs.
-func (s *Store) path(h extent.Hash, compressed bool) string {
-	hx := hex.EncodeToString(h[:])
-	name := hx[2:]
-	if compressed {
-		name += ".z"
-	}
-	return filepath.Join(s.dir, hx[:2], name)
-}
-
 // refLocked takes one reference on h if the store holds its bytes, reviving
-// a dead blob in place. A write-through or a sweep's unlink in flight for h
-// is waited out first — referenced bytes have neither — so a false return
-// leaves the shard locked with h absent and nothing about to change that.
-// Caller holds the shard lock.
+// a dead blob in place. A write-through in flight for h is waited out first —
+// referenced bytes are on the device — so a false return leaves the shard
+// locked with h absent and nothing about to change that. Caller holds the
+// shard lock.
 func (s *Store) refLocked(sh *shard, h extent.Hash) bool {
 	for {
 		if b := sh.blobs[h]; b.refs > 0 {
@@ -438,9 +457,8 @@ func (s *Store) refLocked(sh *shard, h extent.Hash) bool {
 			sh.blobs[h] = b
 			return true
 		}
-		_, swept := sh.sweeping[h]
 		_, putting := sh.putting[h]
-		if e := sh.resident[h]; !swept && !putting && (e == nil || !e.writing) {
+		if e := sh.resident[h]; !putting && (e == nil || !e.writing) {
 			break
 		}
 		sh.settled.Wait()
@@ -506,12 +524,10 @@ func (s *Store) Put(h extent.Hash, c *extent.Chunk) (wrote bool, err error) {
 	s.evictLocked(sh)
 	sh.settled.Broadcast()
 	sh.mu.Unlock()
-	if pack != nil {
-		s.packs.published(pack)
-	}
 	if werr != nil {
 		return false, werr
 	}
+	s.packs.published(pack)
 	return true, nil
 }
 
@@ -544,20 +560,17 @@ func (s *Store) PutBytes(h extent.Hash, data []byte) (wrote bool, err error) {
 	}
 	sh.settled.Broadcast()
 	sh.mu.Unlock()
-	if pack != nil {
-		s.packs.published(pack)
-	}
 	if werr != nil {
 		return false, werr
 	}
+	s.packs.published(pack)
 	return true, nil
 }
 
-// writeThrough writes a blob to the device: small blobs append to the shared
-// packfile (sequential writes, no file cycle), large blobs keep the loose
-// one-file-per-hash layout, compressed outside any lock when that shrinks
-// them. A pack the blob went to comes back pinned until the caller has
-// published the blob in the index.
+// writeThrough appends a blob to the shared packfile, compressed outside any
+// lock when that shrinks it. The pack comes back pinned until the caller has
+// published the blob in the index; a failed write leaves no pin, and any
+// record it did append is dead space.
 func (s *Store) writeThrough(h extent.Hash, data []byte) (meta diskMeta, pack *packMeta, err error) {
 	size := int64(len(data))
 	compressed := false
@@ -568,16 +581,17 @@ func (s *Store) writeThrough(h extent.Hash, data []byte) (meta diskMeta, pack *p
 		}
 	}
 	meta = diskMeta{size: int64(len(data)), logical: size, compressed: compressed}
-	if s.packs != nil && size <= s.packThreshold {
-		if pack, meta.off, err = s.packs.append(h, data, size, compressed); err == nil {
-			meta.pack = pack.seq
-			if s.afterPackAppend != nil {
-				err = s.afterPackAppend()
-			}
-		}
-		return meta, pack, err
+	if pack, meta.off, err = s.packs.append(h, data, size, compressed); err != nil {
+		return meta, nil, err
 	}
-	return meta, nil, s.writeBlob(s.path(h, compressed), data)
+	meta.pack = pack.seq
+	if s.afterPackAppend != nil {
+		if err = s.afterPackAppend(); err != nil {
+			s.packs.abandon(pack, meta.size)
+			return meta, nil, err
+		}
+	}
+	return meta, pack, nil
 }
 
 // publishLocked indexes a blob whose write-through landed, with the
@@ -613,32 +627,6 @@ func inflate(data []byte) ([]byte, error) {
 	return out, err
 }
 
-// writeBlob persists data atomically (seglog.ReplaceFile). Under policies
-// that sync, the data is fdatasynced before the rename — a loose blob lives
-// in its own file, so group commit has nothing to coalesce and both group
-// and always flush inline here.
-func (s *Store) writeBlob(dst string, data []byte) error {
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return fmt.Errorf("chunkdisk: %w", err)
-	}
-	syncing := s.sync.Policy() != fsyncer.PolicyNone
-	fsyncs, err := seglog.ReplaceFile(dst, data, syncing)
-	if err == nil && syncing {
-		// A possibly fresh fan-out subdir must survive a power loss too: sync
-		// the root for the subdir's own entry.
-		if err = seglog.SyncDir(s.dir); err == nil {
-			fsyncs++
-		}
-	}
-	s.fsyncs.Add(int64(fsyncs))
-	s.ctrAdd(s.mFsyncs, int64(fsyncs))
-	if err != nil {
-		return fmt.Errorf("chunkdisk: %w", err)
-	}
-	s.filesCreated.Add(1)
-	return nil
-}
-
 // Get returns a retained chunk holding the blob's bytes, paging it in from
 // disk if it was evicted. The caller must release the returned chunk, and
 // holds a reference on the blob across the call (the archive Refs a version's
@@ -657,24 +645,13 @@ func (s *Store) Get(h extent.Hash) (*extent.Chunk, error) {
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("chunkdisk: blob %x not stored", h[:8])
 	}
-	b, ok := sh.blobs[h]
-	meta := b.diskMeta
+	_, ok := sh.blobs[h]
+	sh.mu.Unlock()
 	if !ok {
-		sh.mu.Unlock()
 		return nil, fmt.Errorf("chunkdisk: blob %x not stored", h[:8])
 	}
-	sh.mu.Unlock()
 
-	var data []byte
-	var err error
-	if meta.pack != 0 {
-		data, meta, err = s.readPackBlob(h, meta, nil)
-	} else {
-		data, err = os.ReadFile(s.path(h, meta.compressed))
-		if err != nil {
-			err = fmt.Errorf("chunkdisk: %w", err)
-		}
-	}
+	data, meta, err := s.readPackBlob(h, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -691,16 +668,6 @@ func (s *Store) Get(h extent.Hash) (*extent.Chunk, error) {
 	s.pageIns.Add(1)
 
 	sh.mu.Lock()
-	if meta.pack == 0 && meta.compressed && meta.logical != int64(len(data)) {
-		// An adopted loose ".z" blob was accounted at its physical size; the
-		// first page-in learns the real logical length — correct the books.
-		// (Pack records carry their logical length in the frame.)
-		if b, ok := sh.blobs[h]; ok && b.compressed {
-			s.diskLogical.Add(int64(len(data)) - b.logical)
-			b.logical = int64(len(data))
-			sh.blobs[h] = b
-		}
-	}
 	if e := s.residentLocked(sh, h); e != nil {
 		// A concurrent Get admitted it first; use the resident copy.
 		sh.lru.MoveToFront(e.elem)
@@ -744,13 +711,7 @@ func (s *Store) ReadInto(h extent.Hash, dst []byte) (int, error) {
 		return 0, errLonger(h, int(b.size), len(dst))
 	}
 	dst = dst[:b.size]
-	var err error
-	if b.pack != 0 {
-		_, _, err = s.readPackBlob(h, b.diskMeta, dst)
-	} else {
-		err = readFileInto(s.path(h, false), dst)
-	}
-	if err != nil {
+	if _, _, err := s.readPackBlob(h, dst); err != nil {
 		return 0, err
 	}
 	if sum := sha256.Sum256(dst); extent.Hash(sum) != h {
@@ -777,26 +738,13 @@ func (s *Store) residentLocked(sh *shard, h extent.Hash) *entry {
 	}
 }
 
-// readFileInto fills dst from the start of the file at path, which must be
-// exactly len(dst) bytes long.
-func readFileInto(path string, dst []byte) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("chunkdisk: %w", err)
-	}
-	defer f.Close()
-	if n, err := f.ReadAt(dst, 0); n != len(dst) {
-		return fmt.Errorf("chunkdisk: %s: read %d of %d bytes: %v", path, n, len(dst), err)
-	}
-	return nil
-}
-
-// readPackBlob reads one pack-resident blob into buf (len meta.size), or into
-// a buffer of its own when buf is nil. The shared relocMu is held across the
-// read so compaction cannot unlink the pack under it, and the index entry is
-// re-read after locking: a blob the compactor relocated in the window since
-// the caller looked it up is found at its new address.
-func (s *Store) readPackBlob(h extent.Hash, meta diskMeta, buf []byte) ([]byte, diskMeta, error) {
+// readPackBlob reads blob h's pack record into buf, which is as long as the
+// record, or into a buffer of its own when buf is nil, and reports where it
+// was. The shared
+// relocMu is held across the read so compaction cannot unlink the pack under
+// it, and the index entry is looked up after locking: a blob the compactor
+// relocated since the caller looked it up is found at its new address.
+func (s *Store) readPackBlob(h extent.Hash, buf []byte) ([]byte, diskMeta, error) {
 	ps := s.packs
 	ps.relocMu.RLock()
 	defer ps.relocMu.RUnlock()
@@ -807,9 +755,9 @@ func (s *Store) readPackBlob(h extent.Hash, meta diskMeta, buf []byte) ([]byte, 
 	if !ok {
 		// Swept in the window. Callers hold a reference across Get, so this
 		// indicates a contract violation — surface it as missing.
-		return nil, meta, fmt.Errorf("chunkdisk: blob %x not stored", h[:8])
+		return nil, diskMeta{}, fmt.Errorf("chunkdisk: blob %x not stored", h[:8])
 	}
-	meta = cur.diskMeta
+	meta := cur.diskMeta
 	if buf == nil {
 		buf = make([]byte, meta.size)
 	}
@@ -887,79 +835,44 @@ func (s *Store) Release(h extent.Hash) {
 	}
 }
 
-// Sweep reclaims every dead blob and returns how many it freed. Loose blobs
-// unlink their file; pack-resident blobs retire in place (the index entry
-// goes away, the bytes become dead space) and packs whose garbage ratio
-// crossed the threshold are compacted. The archive calls it from GCNow and
-// once more at Close.
+// Sweep reclaims every dead blob and returns how many it freed. Each retires
+// in place — the index entry goes away, the record's bytes become dead space
+// — with no file I/O; packs whose garbage ratio crossed the threshold are
+// then compacted. The archive calls it from GCNow and once more at Close.
 func (s *Store) Sweep() int {
 	if s.dir == "" {
 		return 0
 	}
 	freed := 0
-	type claimed struct {
-		h          extent.Hash
-		compressed bool
-	}
 	packDead := make(map[int64]int64)
 	packBlobs := make(map[int64]int64)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		claim := make([]claimed, 0, len(sh.dead))
 		for h := range sh.dead {
 			if e, ok := sh.resident[h]; ok {
 				// Paged in by a Get that held no reference (the source side
 				// of a transfer racing a drop): it goes with the disk copy.
 				s.freeResidentLocked(sh, e)
 			}
+			// A reader cannot be mid-read: dead means unreferenced, and
+			// readers pin references.
 			meta := sh.blobs[h].diskMeta
-			if meta.pack != 0 {
-				// Retire the record in place: no per-blob file I/O. A reader
-				// cannot be mid-read — dead means unreferenced, and readers
-				// pin references.
-				delete(sh.blobs, h)
-				delete(sh.dead, h)
-				s.deadBlobs.Add(-1)
-				s.diskBlobs.Add(-1)
-				s.diskBytes.Add(-meta.size)
-				s.diskLogical.Add(-meta.logical)
-				packDead[meta.pack] += meta.size
-				packBlobs[meta.pack]++
-				freed++
-				s.gcFreed.Add(1)
-				continue
-			}
-			claim = append(claim, claimed{h: h, compressed: meta.compressed})
-			sh.sweeping[h] = struct{}{}
+			delete(sh.blobs, h)
 			delete(sh.dead, h)
 			s.deadBlobs.Add(-1)
+			s.diskBlobs.Add(-1)
+			s.diskBytes.Add(-meta.size)
+			s.diskLogical.Add(-meta.logical)
+			s.gcFreed.Add(1)
+			packDead[meta.pack] += meta.size
+			packBlobs[meta.pack]++
+			freed++
 		}
 		sh.mu.Unlock()
-		for _, cl := range claim {
-			err := os.Remove(s.path(cl.h, cl.compressed))
-			sh.mu.Lock()
-			if meta, ok := sh.blobs[cl.h]; ok {
-				delete(sh.blobs, cl.h)
-				s.diskBlobs.Add(-1)
-				s.diskBytes.Add(-meta.size)
-				s.diskLogical.Add(-meta.logical)
-			}
-			delete(sh.sweeping, cl.h)
-			sh.settled.Broadcast()
-			sh.mu.Unlock()
-			if err == nil || os.IsNotExist(err) {
-				freed++
-				s.gcFreed.Add(1)
-			}
-		}
 	}
-	if s.packs != nil {
-		if len(packDead) > 0 {
-			s.packs.retire(packDead, packBlobs)
-		}
-		s.packs.maybeCompact()
-	}
+	s.packs.retire(packDead, packBlobs)
+	s.packs.maybeCompact()
 	return freed
 }
 

@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
 	"datalinks/internal/extent"
+	"datalinks/internal/seglog"
 )
 
 // blob builds a deterministic test blob and its hash. The body cycles every
@@ -78,8 +79,7 @@ func TestMemoryModeRoundTrip(t *testing.T) {
 func TestDiskSpillPageInAndVerify(t *testing.T) {
 	dir := t.TempDir()
 	// Budget of 16 bytes = 1 per shard: everything evicts after write.
-	// Packing disabled: this test corrupts a LOOSE blob file by path.
-	s, err := Open(Config{Dir: dir, MemoryBudget: 16, PackThreshold: -1})
+	s, err := Open(Config{Dir: dir, MemoryBudget: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,15 +107,42 @@ func TestDiskSpillPageInAndVerify(t *testing.T) {
 		t.Fatalf("pageIns=%d, want %d", st.PageIns, n)
 	}
 
-	// Corrupt a blob file on disk: Get must refuse it, not return bad data.
+	// Corrupt a blob's record on disk: Get must refuse it, not return bad data.
 	h := blobs[7]
-	hx := fmt.Sprintf("%x", h[:])
-	path := filepath.Join(dir, hx[:2], hx[2:])
-	if err := os.WriteFile(path, []byte("corrupted"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	overwriteRecord(t, s, h, []byte("corrupted"))
 	if _, err := s.Get(h); err == nil {
 		t.Fatal("corrupted blob served without error")
+	}
+}
+
+// indexed returns where the store's index says h lies on disk.
+func indexed(t *testing.T, s *Store, h extent.Hash) diskMeta {
+	t.Helper()
+	sh := s.shardFor(h)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	b, ok := sh.blobs[h]
+	if !ok {
+		t.Fatalf("blob %x not indexed", h[:8])
+	}
+	return b.diskMeta
+}
+
+// overwriteRecord writes junk over the start of h's pack record payload, at
+// the offset the index holds.
+func overwriteRecord(t *testing.T, s *Store, h extent.Hash, junk []byte) {
+	t.Helper()
+	meta := indexed(t, s, h)
+	if int64(len(junk)) > meta.size {
+		t.Fatalf("%d bytes of junk over a %d-byte record", len(junk), meta.size)
+	}
+	f, err := os.OpenFile(s.packs.files.Path(uint64(meta.pack)), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(junk, meta.off); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -284,12 +311,11 @@ func compressible(seed, size int) ([]byte, extent.Hash) {
 }
 
 // TestCompressRoundTripAndStats: compressible blobs are stored flate-encoded
-// (".z", physical < logical), incompressible blobs stay raw, and both page
-// back in byte-identical with the hash check on uncompressed bytes.
+// (physical < logical), incompressible blobs stay raw, and both page back in
+// byte-identical with the hash check on uncompressed bytes.
 func TestCompressRoundTripAndStats(t *testing.T) {
 	dir := t.TempDir()
-	// Loose layout under test (the ".z" naming); packs off.
-	s, err := Open(Config{Dir: dir, MemoryBudget: 16, Compress: true, PackThreshold: -1})
+	s, err := Open(Config{Dir: dir, MemoryBudget: 16, Compress: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,13 +339,11 @@ func TestCompressRoundTripAndStats(t *testing.T) {
 	if st.DiskBytes >= st.DiskLogicalBytes {
 		t.Fatalf("no compression win: %d physical vs %d logical", st.DiskBytes, st.DiskLogicalBytes)
 	}
-	hx := fmt.Sprintf("%x", zh[:])
-	if _, err := os.Stat(filepath.Join(dir, hx[:2], hx[2:]+".z")); err != nil {
-		t.Fatalf("compressible blob not stored as .z: %v", err)
+	if meta := indexed(t, s, zh); !meta.compressed || meta.size >= meta.logical {
+		t.Fatalf("compressible blob not stored compressed: %+v", meta)
 	}
-	rx := fmt.Sprintf("%x", rh[:])
-	if _, err := os.Stat(filepath.Join(dir, rx[:2], rx[2:])); err != nil {
-		t.Fatalf("incompressible blob not stored raw: %v", err)
+	if meta := indexed(t, s, rh); meta.compressed || meta.size != int64(len(raw)) {
+		t.Fatalf("incompressible blob not stored raw: %+v", meta)
 	}
 	if got := get(t, s, zh); !bytes.Equal(got, zdata) {
 		t.Fatal("compressed blob diverged after page-in")
@@ -328,21 +352,19 @@ func TestCompressRoundTripAndStats(t *testing.T) {
 		t.Fatal("raw blob diverged after page-in")
 	}
 
-	// A corrupted .z file must fail the (uncompressed) hash check or the
-	// decoder, never serve bad bytes.
-	if err := os.WriteFile(filepath.Join(dir, hx[:2], hx[2:]+".z"), deflate([]byte("junk")), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// A corrupted compressed record must fail the (uncompressed) hash check
+	// or the decoder, never serve bad bytes.
+	overwriteRecord(t, s, zh, deflate([]byte("junk")))
 	if _, err := s.Get(zh); err == nil {
 		t.Fatal("corrupted compressed blob served")
 	}
 }
 
-// TestCompressAdoptAndMixedMode: a store without Compress reads ".z" blobs an
-// earlier store left, and vice versa; sweep removes the right file either way.
+// TestCompressAdoptAndMixedMode: a store without Compress reads compressed
+// records an earlier store left, and vice versa; sweep retires both kinds.
 func TestCompressAdoptAndMixedMode(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := Open(Config{Dir: dir, MemoryBudget: 16, Compress: true, PackThreshold: -1})
+	s1, err := Open(Config{Dir: dir, MemoryBudget: 16, Compress: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,31 +372,35 @@ func TestCompressAdoptAndMixedMode(t *testing.T) {
 	put(t, s1, zdata, zh)
 	s1.Close()
 
-	// Uncompressed store adopts and serves the .z blob.
-	s2, err := Open(Config{Dir: dir, MemoryBudget: 16, PackThreshold: -1})
+	// Uncompressed store adopts and serves the compressed blob.
+	s2, err := Open(Config{Dir: dir, MemoryBudget: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !s2.Ref(zh) {
-		t.Fatal("claim of adopted .z blob failed")
+		t.Fatal("claim of adopted compressed blob failed")
 	}
 	if got := get(t, s2, zh); !bytes.Equal(got, zdata) {
-		t.Fatal("adopted .z blob diverged")
+		t.Fatal("adopted compressed blob diverged")
 	}
 	// New blobs from this store are raw; both sweep cleanly.
 	data, h := blob(77, 4096)
 	put(t, s2, data, h)
+	if indexed(t, s2, h).compressed {
+		t.Fatal("a store without Compress compressed a blob")
+	}
 	s2.Release(zh)
 	s2.Release(h)
 	if freed := s2.Sweep(); freed != 2 {
-		t.Fatalf("swept %d files, want 2 (one .z, one raw)", freed)
+		t.Fatalf("swept %d blobs, want 2 (one compressed, one raw)", freed)
 	}
-	if n := diskFiles(t, dir); n != 0 {
-		t.Fatalf("%d blob files left after mixed-mode sweep", n)
+	if st := s2.Stats(); st.DiskBlobs != 0 || st.DiskBytes != 0 || st.DiskLogicalBytes != 0 {
+		t.Fatalf("blobs left after mixed-mode sweep: %+v", st)
 	}
 }
 
-// diskFiles counts files in the two-hex-digit fan-out.
+// diskFiles counts files in the two-hex-digit fan-out an older store kept
+// loose blobs in.
 func diskFiles(t *testing.T, dir string) int {
 	t.Helper()
 	n := 0
@@ -393,6 +419,95 @@ func diskFiles(t *testing.T, dir string) int {
 		n += len(files)
 	}
 	return n
+}
+
+// writeLoose leaves data where a store from before packfiles kept blob h —
+// dir/ab/cdef…, ".z" when the data is flate-compressed — and returns the path.
+func writeLoose(t *testing.T, dir string, h extent.Hash, data []byte, compressed bool) string {
+	t.Helper()
+	hx := hex.EncodeToString(h[:])
+	path := filepath.Join(dir, hx[:2], hx[2:])
+	if compressed {
+		path += ".z"
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestLooseBlobsMoveIntoAPack: a directory an older store left loose blobs in
+// is converted when it is opened. A raw blob and a compressed one move into a
+// pack with their bytes unchanged, a loose copy of a blob a pack holds is just
+// removed, a stranded temp file goes, and a file whose content does not match
+// its name stays where it is, unindexed. The second open has nothing to move.
+func TestLooseBlobsMoveIntoAPack(t *testing.T) {
+	dir := t.TempDir()
+	packed, ph := blob(1, 3000)
+	s, err := Open(Config{Dir: dir, MemoryBudget: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put(t, s, packed, ph)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, rh := blob(2, 5000)
+	zdata, zh := compressible(3, 8<<10)
+	rawPath := writeLoose(t, dir, rh, raw, false)
+	writeLoose(t, dir, zh, deflate(zdata), true)
+	writeLoose(t, dir, ph, packed, false)
+	if err := os.WriteFile(rawPath+seglog.TmpSuffix, raw[:100], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, wrongH := blob(4, 100)
+	wrong := writeLoose(t, dir, wrongH, []byte("not the bytes the name hashes to"), false)
+
+	for i, appends := range []int64{2, 0} {
+		open := i + 1
+		s, err := Open(Config{Dir: dir, MemoryBudget: 16})
+		if err != nil {
+			t.Fatalf("open %d: %v", open, err)
+		}
+		if st := s.Stats(); st.DiskBlobs != 3 || st.DeadBlobs != 3 || st.PackAppends != appends {
+			t.Fatalf("open %d: %+v, want 3 blobs adopted dead and %d appends", open, st, appends)
+		}
+		for _, b := range []struct {
+			data []byte
+			h    extent.Hash
+		}{{packed, ph}, {raw, rh}, {zdata, zh}} {
+			if !s.Ref(b.h) {
+				t.Fatalf("open %d: blob %x not adopted", open, b.h[:4])
+			}
+			if got := get(t, s, b.h); !bytes.Equal(got, b.data) {
+				t.Fatalf("open %d: blob %x diverged", open, b.h[:4])
+			}
+		}
+		if z := indexed(t, s, zh); !z.compressed || z.size != int64(len(deflate(zdata))) {
+			t.Fatalf("open %d: the compressed blob was not packed as it lay: %+v", open, z)
+		}
+		if r := indexed(t, s, rh); r.compressed || r.size != int64(len(raw)) {
+			t.Fatalf("open %d: the raw blob was not packed as it lay: %+v", open, r)
+		}
+		if s.Ref(wrongH) {
+			t.Fatalf("open %d: a loose file that does not hash to its name was adopted", open)
+		}
+		if n := diskFiles(t, dir); n != 1 {
+			t.Fatalf("open %d: %d files left in the fan-out, want the mismatched one", open, n)
+		}
+		if _, err := os.Stat(wrong); err != nil {
+			t.Fatalf("open %d: the mismatched file is gone: %v", open, err)
+		}
+		if dirs, _ := filepath.Glob(filepath.Join(dir, "[0-9a-f][0-9a-f]")); len(dirs) != 1 {
+			t.Fatalf("open %d: fan-out dirs %v, want only the mismatched file's", open, dirs)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestConcurrentChurn hammers put/get/release/sweep from many goroutines; run

@@ -39,9 +39,9 @@ func TestLifetimeModel(t *testing.T) {
 
 func runSchedule(t *testing.T, seed int64, dir string) {
 	rng := rand.New(rand.NewSource(seed))
-	// Small packs that compact early, blobs on both sides of the pack
-	// threshold, and an LRU that keeps next to nothing resident.
-	cfg := Config{Dir: dir, MemoryBudget: 4 << 10, PackThreshold: 1024, PackTargetBytes: 4 << 10, PackGarbageRatio: 0.3, Compress: seed%3 == 0}
+	// Small packs that compact early, blobs from 100 B to 1.4 KiB, and an LRU
+	// that keeps next to nothing resident.
+	cfg := Config{Dir: dir, MemoryBudget: 4 << 10, PackTargetBytes: 4 << 10, PackGarbageRatio: 0.3, Compress: seed%3 == 0}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,25 +1,23 @@
 package chunkdisk
 
-// Packfile side of the store: blobs at or below Config.PackThreshold —
-// version tails and single-chunk deltas, i.e. the overwhelming majority of
-// blobs a small-edit commit storm produces — are APPENDED to shared,
-// CRC-framed packfiles instead of costing one create+write+rename file cycle
-// each. N small commits become one sequential append stream.
+// Packfile side of the store: every blob — chunk, version tail or patch — is
+// APPENDED to a shared, CRC-framed packfile instead of costing a
+// create+write+rename file cycle of its own. N small commits become one
+// sequential append stream.
 //
-// Layout: pack-<seq>.pk files at the store root, next to the ab/cdef loose
-// fan-out. A pack starts with an 8-byte magic and then holds self-framing
-// records:
+// Layout: pack-<seq>.pk files at the store root. A pack starts with an 8-byte
+// magic and then holds self-framing records:
 //
 //	uint32 dataLen | uint32 logicalLen | uint32 CRC-32(lengths‖hash‖flags‖data)
 //	| hash [32] | flags [1] | data [dataLen]
 //
 // flags bit0 marks flate-compressed data (logicalLen is the uncompressed
 // length; the content hash always covers the uncompressed bytes, verified on
-// page-in exactly like loose blobs). There is no separate index file: the
-// in-memory index (shard blob maps pointing at pack/offset) is rebuilt by
-// scanning the packs on open — every record's CRC verified, through one
-// record-sized window shared by all packs (seglog.Scanner), so an open holds
-// one record in memory, not the archive. A crash mid-append leaves a torn
+// every page-in). There is no separate index file: the in-memory index (shard
+// blob maps pointing at pack/offset) is rebuilt by scanning the packs on open
+// — every record's CRC verified, through one record-sized window shared by
+// all packs (seglog.Scanner), so an open holds one record in memory, not the
+// archive. A crash mid-append leaves a torn
 // final record; open keeps the longest valid prefix and quarantines the rest
 // to pack-<seq>.pk.torn (internal/seglog owns the scan-and-repair and the
 // numbered-file naming). Appends copy nothing either: the 45 header bytes
@@ -53,9 +51,6 @@ import (
 
 // Pack tuning defaults (Config overrides).
 const (
-	// DefaultPackThreshold packs blobs at or below this logical size — one
-	// extent chunk, so every tail and every single-chunk delta batches.
-	DefaultPackThreshold = 64 << 10
 	// DefaultPackTargetBytes seals the active pack once it grows past this.
 	DefaultPackTargetBytes = 4 << 20
 	// DefaultPackGarbageRatio compacts a sealed pack once this fraction of
@@ -193,7 +188,8 @@ func parseRecord(buf []byte) (h extent.Hash, data []byte, logical int64, compres
 // needed, and returns the pack it went to and the data's byte offset there.
 // Under PolicyAlways the append is fsynced before returning. The pack comes
 // back pinned against compaction: the caller publishes the record in the
-// index and then calls published.
+// index and then calls published — or abandon, if it never will. A failed
+// append leaves no pin, and a record it wrote before failing is dead space.
 func (ps *packSet) append(h extent.Hash, data []byte, logical int64, compressed bool) (pm *packMeta, off int64, err error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
@@ -225,24 +221,36 @@ func (ps *packSet) append(h extent.Hash, data []byte, logical int64, compressed 
 		// Per-append flush, directly on the handle we hold (the syncer's
 		// group callback re-locks ps.mu and is only for the Barrier path).
 		if serr := ps.active.Sync(); serr != nil {
+			ps.retireLocked(pm, int64(len(data)), 1)
 			return nil, 0, fmt.Errorf("chunkdisk: pack fsync: %w", serr)
 		}
 		ps.s.countFsync()
 	}
 	if pm.size >= ps.target {
-		if err := ps.sealActiveLocked(); err != nil {
-			return nil, 0, err
+		// Seal: the next append starts a fresh pack.
+		if err := ps.retireActiveLocked(true); err != nil {
+			ps.retireLocked(pm, int64(len(data)), 1)
+			return nil, 0, fmt.Errorf("chunkdisk: pack seal: %w", err)
 		}
 	}
 	pm.inflight++
 	return pm, off, nil
 }
 
-// published releases append's pin once the record is in the index (or will
-// never be: the fresh copy of a record swept mid-compaction).
+// published releases append's pin once the record is in the index.
 func (ps *packSet) published(pm *packMeta) {
 	ps.mu.Lock()
 	pm.inflight--
+	ps.mu.Unlock()
+}
+
+// abandon releases append's pin on a record that will never be in the index
+// — its write-through failed after the append, or it is the fresh copy of a
+// record swept mid-compaction — and accounts it as dead space.
+func (ps *packSet) abandon(pm *packMeta, size int64) {
+	ps.mu.Lock()
+	pm.inflight--
+	ps.retireLocked(pm, size, 1)
 	ps.mu.Unlock()
 }
 
@@ -292,15 +300,6 @@ func (ps *packSet) retireActiveLocked(doSync bool) error {
 	return serr
 }
 
-// sealActiveLocked rotates to a fresh pack at the size target. Caller holds
-// ps.mu.
-func (ps *packSet) sealActiveLocked() error {
-	if err := ps.retireActiveLocked(true); err != nil {
-		return fmt.Errorf("chunkdisk: pack seal: %w", err)
-	}
-	return nil
-}
-
 // flushActive fsyncs the active pack (the group-commit flush callback); the
 // flush is counted HERE, only when a file was actually synced — the barrier
 // with no active pack is free. Holding ps.mu across the fsync keeps sealing
@@ -319,18 +318,9 @@ func (ps *packSet) flushActive() error {
 	return err
 }
 
-// read returns the payload bytes of a record. Caller holds relocMu (shared),
-// so the pack file cannot be unlinked mid-read.
-func (ps *packSet) read(seq, off, length int64) ([]byte, error) {
-	buf := make([]byte, length)
-	if err := ps.readInto(seq, off, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// readInto fills buf with the record payload at off in pack seq, under the
-// same contract as read.
+// readInto fills buf with the record payload at off in pack seq. The caller
+// holds relocMu shared or, compacting, compactMu, so the pack file cannot be
+// unlinked mid-read.
 func (ps *packSet) readInto(seq, off int64, buf []byte) error {
 	ps.mu.Lock()
 	pm := ps.packs[seq]
@@ -355,16 +345,20 @@ func (ps *packSet) retire(deadBySeq map[int64]int64, blobsBySeq map[int64]int64)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	for seq, bytes := range deadBySeq {
-		pm := ps.packs[seq]
-		if pm == nil {
-			continue
+		if pm := ps.packs[seq]; pm != nil {
+			ps.retireLocked(pm, bytes, blobsBySeq[seq])
 		}
-		pm.live -= bytes
-		pm.dead += bytes
-		pm.blobs -= blobsBySeq[seq]
-		ps.s.packDeadBytes.Add(bytes)
-		ps.s.ctrAdd(ps.s.mPackDead, bytes)
 	}
+}
+
+// retireLocked moves blobs records of pm, bytes of payload in all, from live
+// to dead space. Caller holds ps.mu.
+func (ps *packSet) retireLocked(pm *packMeta, bytes, blobs int64) {
+	pm.live -= bytes
+	pm.dead += bytes
+	pm.blobs -= blobs
+	ps.s.packDeadBytes.Add(bytes)
+	ps.s.ctrAdd(ps.s.mPackDead, bytes)
 }
 
 // maybeCompact evacuates sealed packs whose garbage ratio crossed the
@@ -417,8 +411,8 @@ func (ps *packSet) compactOne(pm *packMeta) error {
 		sh.mu.Unlock()
 	}
 	for _, rec := range survivors {
-		data, err := ps.read(pm.seq, rec.meta.off, rec.meta.size)
-		if err != nil {
+		data := make([]byte, rec.meta.size)
+		if err := ps.readInto(pm.seq, rec.meta.off, data); err != nil {
 			return err
 		}
 		dst, newOff, err := ps.append(rec.h, data, rec.meta.logical, rec.meta.compressed)
@@ -439,9 +433,10 @@ func (ps *packSet) compactOne(pm *packMeta) error {
 			ok = false
 		}
 		sh.mu.Unlock()
-		ps.published(dst)
-		if !ok {
-			ps.retire(map[int64]int64{dst.seq: moved.size}, map[int64]int64{dst.seq: 1})
+		if ok {
+			ps.published(dst)
+		} else {
+			ps.abandon(dst, moved.size)
 		}
 	}
 	// Survivors must be durable in their new home before the old one goes
@@ -494,10 +489,10 @@ func (s *Store) adoptPacks() error {
 	return nil
 }
 
-// adoptOnePack scans one packfile, indexing every valid record as dead
-// (Ref or a re-Put revives it, exactly like loose adoption) and
-// quarantining a torn tail — or the whole file, when it does not start with
-// the pack magic: never guess at, or delete, bytes that might matter.
+// adoptOnePack scans one packfile, indexing every valid record as dead (Ref
+// or a re-Put revives it) and quarantining a torn tail — or the whole file,
+// when it does not start with the pack magic: never guess at, or delete,
+// bytes that might matter.
 func (s *Store) adoptOnePack(sc *seglog.Scanner, path string, seq int64) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -529,17 +524,12 @@ func (s *Store) adoptOnePack(sc *seglog.Scanner, path string, seq int64) error {
 			sh.mu.Lock()
 			defer sh.mu.Unlock()
 			if _, dup := sh.blobs[h]; dup {
-				// The hash is already indexed (an earlier record, or a loose
-				// file): this record's bytes are dead space from the start.
+				// The hash is already indexed by an earlier record: this
+				// record's bytes are dead space from the start.
 				pm.dead += int64(len(payload))
 				return true
 			}
-			sh.blobs[h] = blobState{diskMeta: diskMeta{size: int64(len(payload)), logical: logical, compressed: compressed, pack: seq, off: int64(len(magic)) + off + hdrLen}}
-			sh.dead[h] = struct{}{}
-			s.diskBlobs.Add(1)
-			s.diskBytes.Add(int64(len(payload)))
-			s.diskLogical.Add(logical)
-			s.deadBlobs.Add(1)
+			s.indexDeadLocked(sh, h, diskMeta{size: int64(len(payload)), logical: logical, compressed: compressed, pack: seq, off: int64(len(magic)) + off + hdrLen})
 			pm.live += int64(len(payload))
 			pm.blobs++
 			return true

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -59,7 +60,7 @@ func TestAppendWritesTheFramesOfTheOracle(t *testing.T) {
 	add(compressible(3, 8<<10))
 	add(blob(4, 1))
 	add(incompressible(5, 3000))
-	add(blob(6, int(DefaultPackThreshold)))
+	add(blob(6, extent.ChunkSize))
 	add(compressible(7, 700))
 	add(blob(8, 0))
 	if err := s.Close(); err != nil {
@@ -143,6 +144,40 @@ func TestCompactionLeavesAPackWithAnUnpublishedAppend(t *testing.T) {
 	}
 }
 
+// TestFailedWriteThroughIsDeadSpace: a record appended by a Put that then
+// fails is in no index, so it is dead space from the start — not live bytes
+// that keep its pack's garbage ratio low and its blob count above zero
+// forever. Once the one published blob goes too, the pack is all garbage and
+// the sweep compacts it away.
+func TestFailedWriteThroughIsDeadSpace(t *testing.T) {
+	s, err := Open(Config{Dir: t.TempDir(), MemoryBudget: 16, PackTargetBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	kept, kh := blob(1, 100)
+	put(t, s, kept, kh)
+	injected := errors.New("injected write failure")
+	s.afterPackAppend = func() error { return injected }
+	lost, lh := blob(2, 3000) // seals the pack
+	c := extent.WrapChunk(lost, lh)
+	if _, err := s.Put(lh, c); err != injected {
+		t.Fatalf("put with a failing write-through = %v", err)
+	}
+	c.ReleaseChunk()
+	s.afterPackAppend = nil
+	if st := s.Stats(); st.PackDeadBytes != 3000 {
+		t.Fatalf("the failed put's record is not dead space: %+v", st)
+	}
+	s.Release(kh)
+	if freed := s.Sweep(); freed != 1 {
+		t.Fatalf("sweep freed %d, want the released blob", freed)
+	}
+	if st := s.Stats(); st.PackFiles != 0 || st.PackDeadBytes != 0 || st.PackCompactions != 1 {
+		t.Fatalf("a pack holding only garbage survived the sweep: %+v", st)
+	}
+}
+
 // allocated reports the bytes fn allocates.
 func allocated(fn func()) uint64 {
 	var before, after runtime.MemStats
@@ -166,7 +201,7 @@ func TestPutAllocBudget(t *testing.T) {
 	const warm, measured = 32, 128 // the measured puts rotate the 4 MiB pack twice
 	chunks := make([]*extent.Chunk, warm+measured)
 	for i := range chunks {
-		data, h := blob(i, int(DefaultPackThreshold))
+		data, h := blob(i, extent.ChunkSize)
 		chunks[i] = extent.WrapChunk(data, h)
 	}
 	putAll := func(cs []*extent.Chunk) {
@@ -202,7 +237,7 @@ func TestOpenAllocBudget(t *testing.T) {
 	}
 	const blobs = 520 // 8 chunk-sized records seal a pack
 	for i := 0; i < blobs; i++ {
-		data, h := blob(i, int(DefaultPackThreshold))
+		data, h := blob(i, extent.ChunkSize)
 		put(t, s, data, h)
 	}
 	if err := s.Close(); err != nil {

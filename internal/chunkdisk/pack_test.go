@@ -29,9 +29,9 @@ func packFilesOnDisk(t *testing.T, dir string) []string {
 	return out
 }
 
-// TestPackRoundTripAndRotation: small blobs land in packfiles (no loose
-// files), packs seal and rotate at the target size, and every blob pages
-// back in byte-identical.
+// TestPackRoundTripAndRotation: blobs land in packfiles (no loose files),
+// packs seal and rotate at the target size, and every blob pages back in
+// byte-identical.
 func TestPackRoundTripAndRotation(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{Dir: dir, MemoryBudget: 16, PackTargetBytes: 16 << 10})
@@ -56,7 +56,7 @@ func TestPackRoundTripAndRotation(t *testing.T) {
 		t.Fatalf("packFiles = %d; a 16 KiB target over ~%d KiB of blobs must rotate", st.PackFiles, n)
 	}
 	if got := diskFiles(t, dir); got != 0 {
-		t.Fatalf("%d loose files for blobs under the pack threshold", got)
+		t.Fatalf("%d loose files for packed blobs", got)
 	}
 	if st.FilesCreated != st.PackFiles {
 		t.Fatalf("filesCreated = %d, want one per pack (%d)", st.FilesCreated, st.PackFiles)
@@ -67,14 +67,14 @@ func TestPackRoundTripAndRotation(t *testing.T) {
 			t.Fatalf("pack blob %d diverged after page-in", i)
 		}
 	}
-	// Blobs above the threshold stay loose.
-	big, bh := blob(999, int(DefaultPackThreshold)+1)
+	// A blob longer than a chunk is packed too.
+	big, bh := blob(999, extent.ChunkSize+1)
 	put(t, s, big, bh)
-	if got := diskFiles(t, dir); got != 1 {
-		t.Fatalf("%d loose files after an above-threshold put, want 1", got)
+	if st := s.Stats(); st.PackAppends != n+1 || diskFiles(t, dir) != 0 {
+		t.Fatalf("a blob longer than a chunk was not packed: %+v", st)
 	}
 	if got := get(t, s, bh); !bytes.Equal(got, big) {
-		t.Fatal("loose blob diverged")
+		t.Fatal("packed long blob diverged")
 	}
 }
 
@@ -250,7 +250,7 @@ func TestPackSecondTearKeepsFirstTearsEvidence(t *testing.T) {
 	}
 }
 
-// TestPackCompaction: sweeping most of a sealed pack's records pushes its
+// TestPackCompaction: retiring most of a sealed pack's records pushes its
 // garbage ratio over the threshold; compaction rewrites the survivors and
 // unlinks the file, and the survivors stay readable.
 func TestPackCompaction(t *testing.T) {
@@ -285,7 +285,7 @@ func TestPackCompaction(t *testing.T) {
 	}
 	after := s.Stats()
 	if after.PackCompactions == 0 {
-		t.Fatalf("no compactions after sweeping %d/%d records: %+v", len(hashes)-len(survivors), len(hashes), after)
+		t.Fatalf("no compactions after a sweep retired %d/%d records: %+v", len(hashes)-len(survivors), len(hashes), after)
 	}
 	if after.PackFiles >= before.PackFiles {
 		t.Fatalf("compaction did not retire packs: %d -> %d", before.PackFiles, after.PackFiles)
@@ -387,8 +387,7 @@ func TestPackCompressedRecords(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Survives adoption with the exact logical length (no page-in correction
-	// needed — the frame carries it).
+	// Survives adoption with the exact logical length: the frame carries it.
 	s2, err := Open(Config{Dir: dir, MemoryBudget: 16})
 	if err != nil {
 		t.Fatal(err)

@@ -79,12 +79,6 @@ type ServerConfig struct {
 	// group commit), or "always" (every append flushes inline). Only
 	// meaningful with ArchiveDir set.
 	ArchiveFsync string
-	// ArchivePackThreshold batches archive blobs at or below this size into
-	// packfiles — many small commits become one sequential append instead of
-	// one file each. 0 uses the default (one 64 KiB chunk, covering tails
-	// and single-chunk deltas); negative disables packing (one file per
-	// blob). Only meaningful with ArchiveDir set.
-	ArchivePackThreshold int64
 	// QuarantineTTL expires quarantined in-flight versions older than this
 	// when SweepQuarantine runs (0: keep forever).
 	QuarantineTTL time.Duration
@@ -245,12 +239,11 @@ func buildStack(sc ServerConfig, dlfmName string, clock func() time.Time, key []
 		})
 	}
 	arch, err := archive.NewTiered(0, clock, archive.TierConfig{
-		Dir:           sc.ArchiveDir,
-		MemoryBudget:  sc.ArchiveMemoryBudget,
-		Compress:      sc.ArchiveCompress,
-		Fsync:         fsyncPolicy,
-		PackThreshold: sc.ArchivePackThreshold,
-		Metrics:       reg,
+		Dir:          sc.ArchiveDir,
+		MemoryBudget: sc.ArchiveMemoryBudget,
+		Compress:     sc.ArchiveCompress,
+		Fsync:        fsyncPolicy,
+		Metrics:      reg,
 	})
 	if err != nil {
 		return nil, err

@@ -123,7 +123,8 @@ func (s *Server) admitToken(req upcall.Request) upcall.Response {
 	return upcall.Response{OK: true}
 }
 
-// minTokenSweep keeps a near-empty token table from sweeping on every insert.
+// minTokenSweep keeps a near-empty token table from being swept on every
+// insert.
 const minTokenSweep = 64
 
 // tokenGrant returns the live token entry for (uid, path), if any. The fast

@@ -202,8 +202,8 @@ func TestReplicaReadFailsOnAMissingBlob(t *testing.T) {
 	seedFile(t, srcPhys, "/d/f.bin", string(body))
 	linkCommitted(t, src, "/d/f.bin", "rfd")
 
-	// A disk-tier replica that keeps nothing resident, one file per blob.
-	tier := archive.TierConfig{Dir: t.TempDir(), MemoryBudget: 1, PackThreshold: -1}
+	// A disk-tier replica that keeps nothing resident.
+	tier := archive.TierConfig{Dir: t.TempDir(), MemoryBudget: 1}
 	arch, err := archive.NewTiered(0, nil, tier)
 	if err != nil {
 		t.Fatal(err)
@@ -218,12 +218,12 @@ func TestReplicaReadFailsOnAMissingBlob(t *testing.T) {
 		t.Fatalf("replica read before the loss: %d bytes, %v", len(data), err)
 	}
 
-	blobDirs, err := filepath.Glob(filepath.Join(tier.Dir, "[0-9a-f][0-9a-f]"))
-	if err != nil || len(blobDirs) == 0 {
-		t.Fatalf("no loose blobs under %s (%v)", tier.Dir, err)
+	packs, err := filepath.Glob(filepath.Join(tier.Dir, "pack-*.pk"))
+	if err != nil || len(packs) == 0 {
+		t.Fatalf("no packs under %s (%v)", tier.Dir, err)
 	}
-	for _, d := range blobDirs {
-		if err := os.RemoveAll(d); err != nil {
+	for _, p := range packs {
+		if err := os.Remove(p); err != nil {
 			t.Fatal(err)
 		}
 	}

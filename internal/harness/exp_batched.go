@@ -12,7 +12,7 @@ import (
 // batchedConfig is E17's shape: Sessions concurrent sessions each commit
 // Commits tiny in-place edits (EditBytes at rotating offsets) to their own
 // FileKB linked file. Nothing sweeps it from the command line, so it has no
-// flags; the sweep E17 exists for (packs on/off x fsync policy) is in run.
+// flags; the sweep E17 exists for (the fsync policy) is in run.
 type batchedConfig struct {
 	Sessions  int
 	Commits   int
@@ -31,7 +31,7 @@ func init() {
 	Register(Experiment{
 		ID:    "E17",
 		Title: "Batched archive writes: packfiles + group-commit fsync under a small-edit commit storm",
-		Paper: "§4.4's archive device must keep up with the update stream. After the O(delta) commit path, every small blob still cost its own create+write+rename file cycle and the catalog append had no durability policy. Packfiles turn N small blobs into one sequential append stream, and the group-commit fsync pipeline buys power-loss durability at a fraction of fsync-per-append's cost: concurrent committers coalesce behind shared fdatasyncs.",
+		Paper: "§4.4's archive device must keep up with the update stream. Packfiles turn N small blobs into one sequential append stream — a file is created per pack, not per blob — and the group-commit fsync pipeline buys power-loss durability at a fraction of fsync-per-append's cost: concurrent committers coalesce behind shared fdatasyncs.",
 		Run:   e17.run,
 	})
 }
@@ -48,38 +48,37 @@ type batchedResult struct {
 	archiveBytes int64
 }
 
-// run sweeps the write-path configurations over the same commit storm and
-// tabulates throughput against file-creation and fsync cost.
+// maxFilesPerCommit is E17's gate: packfiles make file creation a per-pack
+// cost, so a storm that creates more than one file per eight commits is
+// writing blobs somewhere else.
+const maxFilesPerCommit = 1.0 / 8
+
+// run sweeps the fsync policies over the same commit storm and tabulates
+// throughput against file-creation and fsync cost. It fails when any row
+// creates more than maxFilesPerCommit files per commit — a count, so it gates
+// under go test too.
 func (c *batchedConfig) run() ([]*Table, error) {
-	configs := []struct {
-		label string
-		packs bool
-		fsync string
-	}{
-		{"packs=off fsync=none", false, "none"},
-		{"packs=on  fsync=none", true, "none"},
-		{"packs=on  fsync=always", true, "always"},
-		{"packs=on  fsync=group", true, "group"},
-	}
 	t := &Table{
 		Caption: "E17. Small-edit commit storm: packfile batching and fsync policy",
-		Headers: []string{"config", "wall", "commits/s", "files/commit", "fsyncs/commit", "pack appends", "pack dead space", "archive KB"},
+		Headers: []string{"fsync", "wall", "commits/s", "files/commit", "fsyncs/commit", "pack appends", "pack dead space", "archive KB"},
 	}
-	var baseline float64
-	for _, wp := range configs {
-		r, err := c.round(wp.packs, wp.fsync)
+	var baseline, worstFiles float64
+	for _, fsync := range []string{"none", "always", "group"} {
+		r, err := c.round(fsync)
 		if err != nil {
-			return nil, fmt.Errorf("E17 %s: %w", wp.label, err)
+			return nil, fmt.Errorf("E17 fsync=%s: %w", fsync, err)
 		}
 		commitsPerSec := float64(r.commits) / r.wall.Seconds()
 		if baseline == 0 {
 			baseline = commitsPerSec
 		}
+		files := float64(r.files) / float64(r.commits)
+		worstFiles = max(worstFiles, files)
 		t.AddRow(
-			wp.label,
+			fsync,
 			Dur(r.wall),
 			fmt.Sprintf("%.0f (%.2fx)", commitsPerSec, commitsPerSec/baseline),
-			fmt.Sprintf("%.3f", float64(r.files)/float64(r.commits)),
+			fmt.Sprintf("%.3f", files),
 			fmt.Sprintf("%.2f", float64(r.fsyncs)/float64(r.commits)),
 			fmt.Sprintf("%d", r.packAppends),
 			fmt.Sprintf("%.1f KiB", float64(r.packDead)/1024),
@@ -87,14 +86,17 @@ func (c *batchedConfig) run() ([]*Table, error) {
 		)
 	}
 	t.Note("%d sessions x %d commits of %dB edits to private %dKB rfd files; every commit archives ~1 small blob + 1 catalog record", c.Sessions, c.Commits, c.EditBytes, c.FileKB)
-	t.Note("packs=off costs ~1 created file per commit; packs=on appends to shared packfiles — files/commit collapses to pack creation only")
+	t.Note("every blob is appended to a shared packfile: files/commit is pack creation only, gated at most %.3f", maxFilesPerCommit)
 	t.Note("fsync=always flushes per append; fsync=group coalesces concurrent committers behind shared fdatasyncs (fewer fsyncs/commit, higher commits/s at the same power-loss guarantee per commit barrier)")
+	if worstFiles > maxFilesPerCommit {
+		return []*Table{t}, fmt.Errorf("E17 FAILED: a storm created %.3f files per commit, above %.3f", worstFiles, maxFilesPerCommit)
+	}
 	return []*Table{t}, nil
 }
 
 // round drives one commit storm through the full stack and collects the
 // write-path counters.
-func (c *batchedConfig) round(packs bool, fsync string) (batchedResult, error) {
+func (c *batchedConfig) round(fsync string) (batchedResult, error) {
 	var r batchedResult
 	fileSize := int64(c.FileKB) << 10
 	editSize := min(int64(c.EditBytes), fileSize)
@@ -105,16 +107,11 @@ func (c *batchedConfig) round(packs bool, fsync string) (batchedResult, error) {
 	}
 	defer cleanup()
 
-	packThreshold := int64(0) // chunkdisk default: packs on
-	if !packs {
-		packThreshold = -1
-	}
 	sys, srv, err := newSystem(core.ServerConfig{
-		Name:                 "fs1",
-		OpenWait:             30 * time.Second,
-		ArchiveDir:           dir,
-		ArchiveFsync:         fsync,
-		ArchivePackThreshold: packThreshold,
+		Name:         "fs1",
+		OpenWait:     30 * time.Second,
+		ArchiveDir:   dir,
+		ArchiveFsync: fsync,
 	}, 30*time.Second)
 	if err != nil {
 		return r, err

@@ -158,10 +158,9 @@ func TestExperimentFlags(t *testing.T) {
 func TestHistoryDigestFailsOnAMissingBlob(t *testing.T) {
 	dir := t.TempDir()
 	sys, srv, err := newSystem(core.ServerConfig{
-		Name:                 "fs1",
-		ArchiveDir:           dir,
-		ArchiveMemoryBudget:  1,  // nothing stays resident
-		ArchivePackThreshold: -1, // one file per blob
+		Name:                "fs1",
+		ArchiveDir:          dir,
+		ArchiveMemoryBudget: 1, // nothing stays resident
 	}, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -180,12 +179,12 @@ func TestHistoryDigestFailsOnAMissingBlob(t *testing.T) {
 		t.Fatalf("digest of an intact history: %q, %v", whole, err)
 	}
 
-	blobDirs, err := filepath.Glob(filepath.Join(dir, "[0-9a-f][0-9a-f]"))
-	if err != nil || len(blobDirs) == 0 {
-		t.Fatalf("no loose blobs under %s (%v)", dir, err)
+	packs, err := filepath.Glob(filepath.Join(dir, "pack-*.pk"))
+	if err != nil || len(packs) == 0 {
+		t.Fatalf("no packs under %s (%v)", dir, err)
 	}
-	for _, d := range blobDirs {
-		if err := os.RemoveAll(d); err != nil {
+	for _, p := range packs {
+		if err := os.Remove(p); err != nil {
 			t.Fatal(err)
 		}
 	}

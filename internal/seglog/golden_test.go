@@ -8,11 +8,14 @@ package seglog_test
 // the current code must recover exactly the records, stats and torn-byte
 // counts pinned below.
 //
-// Two fixtures are the two sides of a format change instead. repo is the
-// gob era: sqlmini logged gob payloads until PR 18, nothing writes those any
-// more, so it has no writer and is only opened and recovered. repo-v2 is the
-// same kind of repository written by PR 18's fixed-layout payload codec and
-// segment-sealing checkpoint, checked both ways.
+// Two pairs of fixtures are the two sides of a format change instead. repo is
+// the gob era: sqlmini logged gob payloads until PR 18, nothing writes those
+// any more, so it has no writer and is only opened and recovered. repo-v2 is
+// the same kind of repository written by PR 18's fixed-layout payload codec
+// and segment-sealing checkpoint, checked both ways. chunks holds a blob in
+// the loose one-file-per-hash layout nothing writes any more: it is only
+// opened, which moves that blob into a pack. chunks-v2 is the same inputs
+// written by the current code, every blob packed, checked both ways.
 
 import (
 	"bytes"
@@ -51,7 +54,8 @@ func TestGoldenFixtures(t *testing.T) {
 		{"wal", writeWAL, checkWAL},
 		{"catalog", writeCatalog, checkCatalog},
 		{"catalog-v2", writeCatalogV2, checkCatalogV2},
-		{"chunks", writeChunks, checkChunks},
+		{"chunks", nil, checkChunks},
+		{"chunks-v2", writeChunksV2, checkChunksV2},
 	}
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
@@ -499,13 +503,14 @@ func checkCatalogV2(t *testing.T, dir string) {
 	}
 }
 
-// --- chunks: a sealed pack, an unsealed pack with a torn tail, a loose blob ---
+// --- chunks: a sealed pack, an unsealed pack with a torn tail and a loose
+// blob (read-only); chunks-v2: the same blobs all packed, the last pack torn ---
 
-var chunksConfig = chunkdisk.Config{MemoryBudget: 16, Compress: true, PackThreshold: 1024, PackTargetBytes: 2048}
+var chunksConfig = chunkdisk.Config{MemoryBudget: 16, Compress: true, PackTargetBytes: 2048}
 
-// chunkBlob builds blob i: blob 0 is compressible (it becomes the fixture's
-// flate-compressed pack record), blob 9 exceeds the pack threshold and goes
-// loose, the rest are incompressible pack records.
+// chunkBlob builds blob i: blob 0 is compressible (it becomes the fixtures'
+// flate-compressed pack record), blob 9 is longer (the chunks fixture's loose
+// blob), the rest are incompressible.
 func chunkBlob(i int) ([]byte, extent.Hash) {
 	size := 600 + 10*i
 	if i == 9 {
@@ -522,38 +527,22 @@ func chunkBlob(i int) ([]byte, extent.Hash) {
 	return data, sha256.Sum256(data)
 }
 
-func writeChunks(t *testing.T, dir string) {
+func openChunks(t *testing.T, dir string) *chunkdisk.Store {
+	t.Helper()
 	cfg := chunksConfig
 	cfg.Dir = dir
 	s, err := chunkdisk.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range []int{0, 1, 2, 3, 9, 4, 5} {
-		data, h := chunkBlob(i)
-		c := extent.WrapChunk(data, h)
-		_, err := s.Put(h, c)
-		c.ReleaseChunk()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Crash() // the active pack is never sealed
-	tear(t, lastMatch(t, dir, "pack-*.pk"), 13)
+	return s
 }
 
-func checkChunks(t *testing.T, dir string) {
-	cfg := chunksConfig
-	cfg.Dir = dir
-	s, err := chunkdisk.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	want := chunkdisk.Stats{DiskBlobs: 6, DiskBytes: 4012, DiskLogicalBytes: 4600, DeadBlobs: 6, PackFiles: 2, PackTornBytes: 682}
-	if got := s.Stats(); got != want {
-		t.Fatalf("open stats %+v, want %+v", got, want)
-	}
+// serveChunks holds an opened chunks fixture to its contents: blobs 0-4 and 9
+// adopted and served, the torn blob 5 not, its bytes in the quarantine of the
+// pack it was torn out of.
+func serveChunks(t *testing.T, s *chunkdisk.Store, tornPack string) {
+	t.Helper()
 	for _, i := range []int{0, 1, 2, 3, 9, 4} {
 		data, h := chunkBlob(i)
 		if !s.Ref(h) {
@@ -571,9 +560,53 @@ func checkChunks(t *testing.T, dir string) {
 	if _, h := chunkBlob(5); s.Ref(h) {
 		t.Fatal("the torn record was adopted")
 	}
-	if torn := readFile(t, lastMatch(t, dir, "pack-*.pk")+".torn"); len(torn) != 682 {
+	if torn := readFile(t, tornPack+".torn"); len(torn) != 682 {
 		t.Fatalf("pack quarantine holds %d bytes, want 682", len(torn))
 	}
+}
+
+// checkChunks opens the fixture an older store wrote, whose blob 9 lies
+// loose in dir/12/…: the open moves it into a new pack, leaves no fan-out
+// dir, and serves it with the rest.
+func checkChunks(t *testing.T, dir string) {
+	s := openChunks(t, dir)
+	defer s.Close()
+	want := chunkdisk.Stats{DiskBlobs: 6, DiskBytes: 4012, DiskLogicalBytes: 4600, DeadBlobs: 6, PackAppends: 1, PackFiles: 3, PackTornBytes: 682, FilesCreated: 1}
+	if got := s.Stats(); got != want {
+		t.Fatalf("open stats %+v, want %+v", got, want)
+	}
+	if fanOut := matches(t, dir, "[0-9a-f][0-9a-f]"); len(fanOut) != 0 {
+		t.Fatalf("fan-out dirs left after the open: %v", fanOut)
+	}
+	if packs := matches(t, dir, "pack-*.pk"); len(packs) != 3 {
+		t.Fatalf("packs %v, want the fixture's two and the one blob 9 moved into", packs)
+	}
+	serveChunks(t, s, filepath.Join(dir, "pack-00000002.pk"))
+}
+
+func writeChunksV2(t *testing.T, dir string) {
+	s := openChunks(t, dir)
+	for _, i := range []int{0, 1, 2, 3, 9, 4, 5} {
+		data, h := chunkBlob(i)
+		c := extent.WrapChunk(data, h)
+		_, err := s.Put(h, c)
+		c.ReleaseChunk()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Crash() // the active pack is never sealed
+	tear(t, lastMatch(t, dir, "pack-*.pk"), 13)
+}
+
+func checkChunksV2(t *testing.T, dir string) {
+	s := openChunks(t, dir)
+	defer s.Close()
+	want := chunkdisk.Stats{DiskBlobs: 6, DiskBytes: 4012, DiskLogicalBytes: 4600, DeadBlobs: 6, PackFiles: 3, PackTornBytes: 682}
+	if got := s.Stats(); got != want {
+		t.Fatalf("open stats %+v, want %+v", got, want)
+	}
+	serveChunks(t, s, lastMatch(t, dir, "pack-*.pk"))
 }
 
 // --- helpers ---

@@ -1,8 +1,8 @@
 // Package seglog holds the on-disk mechanisms the durable logs share — the
 // repository WAL (internal/wal), the archive catalog (internal/catalog), the
-// packfiles and loose blobs (internal/chunkdisk) and the repository
-// checkpoint (internal/sqlmini): one record frame, one torn-tail repair, one
-// atomic file replace, one directory fsync, one numbered-file naming scheme.
+// packfiles (internal/chunkdisk) and the repository checkpoint
+// (internal/sqlmini): one record frame, one torn-tail repair, one atomic file
+// replace, one directory fsync, one numbered-file naming scheme.
 // Payload formats, in-memory state, locking and the fsync policy
 // (internal/fsyncer) stay with each caller; every function here that can
 // fsync takes the caller's policy as a plain bool and returns every error.

@@ -168,6 +168,12 @@ func (a *Authority) Validate(tok, path string) (Token, error) {
 	if err != nil {
 		return Token{}, ErrBadToken
 	}
+	// One encoding only: "+1060" and "01060" parse to the 1060 Issue writes,
+	// but only "1060" is that token.
+	var canon [20]byte
+	if string(strconv.AppendInt(canon[:0], expiry, 10)) != parts[1] {
+		return Token{}, ErrBadToken
+	}
 	want := a.mac(typ, path, expiry)
 	if !hmac.Equal([]byte(want), []byte(parts[2])) {
 		// Distinguish wrong-path from forged-MAC only as far as telling the

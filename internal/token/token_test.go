@@ -69,6 +69,53 @@ func TestValidateRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesOtherSpellingsOfTheExpiry: an issued token validates
+// only as issued — the same expiry with a sign or a leading zero is refused.
+func TestValidateRefusesOtherSpellingsOfTheExpiry(t *testing.T) {
+	a := NewAuthority([]byte("secret"), fixedClock(time.Unix(1000, 0)), time.Minute)
+	tok := a.Issue(Read, "/f")
+	if tok[:7] != "r:1060:" {
+		t.Fatalf("issued %q, want expiry 1060", tok)
+	}
+	if _, err := a.Validate(tok, "/f"); err != nil {
+		t.Fatalf("issued token refused: %v", err)
+	}
+	for _, expiry := range []string{"+1060", "01060", "001060"} {
+		respelled := "r:" + expiry + tok[6:]
+		if _, err := a.Validate(respelled, "/f"); !errors.Is(err, ErrBadToken) {
+			t.Errorf("%q = %v, want ErrBadToken", respelled, err)
+		}
+	}
+}
+
+// FuzzValidate holds Validate to two properties on arbitrary token and path
+// strings: it never panics, and a token it accepts for a path is exactly the
+// string Issue would have written for that path and expiry.
+func FuzzValidate(f *testing.F) {
+	a := NewAuthority([]byte("fuzz"), fixedClock(time.Unix(1_700_000_000, 0)), time.Minute)
+	for _, path := range []string{"/f", "/d/clip.mpg", "", "/a:b"} {
+		for _, typ := range []Type{Read, Write, Execute} {
+			f.Add(a.Issue(typ, path), path)
+		}
+	}
+	tok := a.Issue(Write, "/f") // w:1700000060:<mac>
+	for _, bad := range []string{"", "r", "r:123", "z:123:abc", "r:notanumber:abc", ":::",
+		"w:+" + tok[2:], "w:0" + tok[2:], tok + ":", tok[:len(tok)-1], "W" + tok[1:],
+		a.IssueWithTTL(Read, "/f", -time.Minute)} {
+		f.Add(bad, "/f")
+	}
+	f.Fuzz(func(t *testing.T, tok, path string) {
+		got, err := a.Validate(tok, path)
+		if err != nil {
+			return
+		}
+		expiry := got.Expiry.Unix()
+		if re := fmt.Sprintf("%s:%d:%s", got.Type, expiry, a.mac(got.Type, path, expiry)); re != tok || got.Path != path {
+			t.Fatalf("accepted %q for %q, which re-encodes to %q for %q", tok, path, re, got.Path)
+		}
+	})
+}
+
 func TestIssueWithTTL(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	a := NewAuthority([]byte("secret"), fixedClock(now), time.Minute)
