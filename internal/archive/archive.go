@@ -24,10 +24,10 @@
 //     Materializing a patched slot reads the base and the patches into a
 //     buffer of the chunk's own, each verified against its hash.
 //   - Chunk and tail bytes live in a chunkdisk store: interned by content
-//     hash, written through to disk (when a directory is configured), with a
-//     bounded in-memory LRU of hot blobs. Resident memory is capped by the
-//     LRU budget no matter how many versions accumulate; cold chunks page
-//     back in on Get/Latest/AsOf/restore.
+//     hash, written through to disk (when a directory is configured) from
+//     the capture as they lie, with a bounded in-memory LRU that only reads
+//     fill. Resident memory is capped by the LRU budget no matter how many
+//     versions accumulate; chunks page in on Get/Latest/AsOf/restore.
 //   - Dropping versions (TruncateAfter, Drop, unlink) releases references;
 //     blobs that reach zero are freed from memory immediately and their disk
 //     records are reclaimed later by GC (GCNow, and once more at Close).
@@ -54,13 +54,15 @@
 //     record, and the slot's next version is stored whole.
 //  2. Nothing the archive keeps aliases a chunk the live file may still
 //     write in place — not a resident LRU entry, not a pack write, not a
-//     shipped frame. Patch bytes go straight from the live chunk to the
-//     device (chunkdisk.PutBytes keeps nothing resident; a memory-only store
-//     keeps a copy) while the capture still pins the chunk.
-//  3. Writing in place stays gated by extent's own test — the buffer is the
-//     chunk's only owner and nothing hashed it — so a snapshot, a quarantine
-//     copy or a version that still shares the chunk forces a copy, and a
-//     chunk stored whole is hashed, which pins it.
+//     shipped frame. Patches, whole chunks and tails go straight from the
+//     capture to the device while the capture still holds the chunk
+//     (chunkdisk.Put and PutBytes keep nothing in a disk store); a
+//     memory-only store, whose copy is the only one, copies a patch or tail
+//     and pins a whole chunk.
+//  3. Writing in place is gated by extent's own test — the buffer is the
+//     chunk's only owner and no store pinned it — so a snapshot, a quarantine
+//     copy or a version that still shares the chunk forces a copy. Hashing
+//     a chunk does not pin it: an in-place write forgets the hash.
 //
 // A blob's lifetime is not decided here: chunkdisk keeps the reference count
 // beside the bytes, and this package only takes references (Put, Ref) for the
@@ -102,11 +104,11 @@ const checkpointEvery = 16
 
 // maxChain bounds a slot's chain: its base chunk plus at most maxChain-1
 // patches. A written slot whose predecessor's chain is shorter gets a patch;
-// one whose chain is at the bound is stored whole again — which hashes, and so
-// pins, the live chunk: the file's next write to it copies the chunk once, and
-// the next chain starts from that base. At 4 a 4 KiB edit stream stores
-// (3 x 4 KiB + 64 KiB) / 4 = 19 KiB per version instead of 64, and reading a
-// version reads at most three patches besides the base.
+// one whose chain is at the bound is stored whole again, written through from
+// the live chunk without pinning it — the file's next write to it still lands
+// in place — and the next chain starts from that base. At 4 a 4 KiB edit
+// stream stores (3 x 4 KiB + 64 KiB) / 4 = 19 KiB per version instead of 64,
+// and reading a version reads at most three patches besides the base.
 const maxChain = 4
 
 // patchFraction: a slot written over less than 1/patchFraction of its chunk
@@ -333,6 +335,10 @@ type Store struct {
 
 	closeOnce sync.Once
 
+	// compactFailures counts catalog checkpoints that failed
+	// (archive.catalog.compact_failures): the log keeps growing meanwhile.
+	compactFailures *metrics.Counter
+
 	// Stats for the experiment harness.
 	puts         atomic.Int64
 	restores     atomic.Int64
@@ -345,6 +351,9 @@ type Store struct {
 	// interning a version's blobs and indexing the version; an error it
 	// returns fails the Put — an archive that dies mid-job.
 	beforeIndex func() error
+	// tombstoneSyncErr, when a test sets it, runs after the tombstone barrier
+	// of TruncateAfter and Drop; an error it returns is the barrier's.
+	tombstoneSyncErr func() error
 }
 
 // New returns a memory-only archive store (the disk tier disabled). latency
@@ -381,7 +390,10 @@ func NewTiered(latency time.Duration, clock func() time.Time, tier TierConfig) (
 	if err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
 	}
-	s := &Store{seed: maphash.MakeSeed(), clock: clock, disk: disk, ckEvery: tier.CheckpointEvery}
+	s := &Store{seed: maphash.MakeSeed(), clock: clock, disk: disk, ckEvery: tier.CheckpointEvery, compactFailures: &metrics.Counter{}}
+	if tier.Metrics != nil {
+		s.compactFailures = tier.Metrics.Counter("archive.catalog.compact_failures")
+	}
 	if s.ckEvery <= 0 {
 		s.ckEvery = checkpointEvery
 	}
@@ -814,13 +826,7 @@ func (s *Store) PutSnapshotCtx(ctx context.Context, server, path string, v Versi
 // checkpoint if one is due, the commit durability barrier, the counters and
 // the simulated device transfer.
 func (s *Store) afterPut(ctx context.Context, rec *catalog.PutRec, st PutStats) error {
-	if s.cat != nil {
-		// Checkpoint the catalog if this append pushed the log past its
-		// threshold — outside the shard lock, so a large snapshot write never
-		// stalls this shard's readers. Best-effort: on failure the log keeps
-		// growing and a later append retries.
-		_ = s.cat.CompactIfDue()
-	}
+	s.compactCatalog()
 	// Commit durability barrier (group policy; no-op under none/always):
 	// one coalesced fdatasync covers this commit's pack appends, then one
 	// covers its catalog append — shared with every concurrent committer.
@@ -844,6 +850,33 @@ func (s *Store) afterPut(ctx context.Context, rec *catalog.PutRec, st PutStats) 
 
 	// Device transfer: only new blobs travel.
 	s.sleep(int64(st.NewChunks))
+	return nil
+}
+
+// compactCatalog checkpoints the catalog if an append pushed its log past the
+// threshold — outside the shard lock, so a large snapshot write never stalls
+// the shard's readers. A failure is counted, not returned: the log keeps
+// growing and a later append retries.
+func (s *Store) compactCatalog() {
+	if s.cat != nil && s.cat.CompactIfDue() != nil {
+		s.compactFailures.Inc()
+	}
+}
+
+// tombstoneBarrier is the commit barrier of a TruncateAfter or Drop
+// tombstone: the round that makes it durable.
+func (s *Store) tombstoneBarrier() error {
+	if s.cat == nil {
+		return nil
+	}
+	s.compactCatalog()
+	err := s.cat.Sync()
+	if err == nil && s.tombstoneSyncErr != nil {
+		err = s.tombstoneSyncErr()
+	}
+	if err != nil {
+		return fmt.Errorf("archive: catalog: %w", err)
+	}
 	return nil
 }
 
@@ -942,16 +975,11 @@ func (st *PutStats) blob(wrote bool, n int64) {
 	}
 }
 
-// putTail takes one reference on the blob of a version's tail, storing a copy
-// when the device does not hold it already.
+// putTail takes one reference on the blob of a version's tail, writing the
+// snapshot's tail through as it lies when the device does not hold it.
 func (s *Store) putTail(tail []byte) (h extent.Hash, wrote bool, err error) {
 	h = sha256.Sum256(tail)
-	if s.disk.Ref(h) {
-		return h, false, nil
-	}
-	c := extent.WrapChunk(append([]byte(nil), tail...), h)
-	wrote, err = s.disk.Put(h, c)
-	c.ReleaseChunk()
+	wrote, err = s.disk.PutBytes(h, tail)
 	return h, wrote, err
 }
 
@@ -1198,17 +1226,15 @@ func (s *Store) TruncateAfter(server, path string, stateID uint64) error {
 		fv.last, fv.capture = slotsAt(fv, cut-1), 0
 	}
 	sh.mu.Unlock()
-	if s.cat != nil {
-		_ = s.cat.CompactIfDue()
-		// The tombstone follows the same commit barrier as puts (best-effort:
-		// the in-memory truncate already happened; a failed flush only widens
-		// the window in which a crash resurrects the dropped suffix).
-		_ = s.cat.Sync()
-	}
+	// The tombstone follows the same commit barrier as puts. The versions are
+	// already gone from the index, so their references go back either way; a
+	// failed flush is reported, as afterPut reports a put's: a crash now could
+	// resurrect the dropped suffix.
+	err := s.tombstoneBarrier()
 	for _, d := range drops {
 		s.releaseRec(d.slots, d.rec)
 	}
-	return nil
+	return err
 }
 
 // Versions lists the archived versions of a file in order.
@@ -1263,14 +1289,11 @@ func (s *Store) Drop(server, path string) error {
 	}
 	delete(sh.entries, k)
 	sh.mu.Unlock()
-	if s.cat != nil {
-		_ = s.cat.CompactIfDue()
-		_ = s.cat.Sync() // tombstone barrier, best-effort like TruncateAfter's
-	}
+	err := s.tombstoneBarrier() // reported after the releases, like TruncateAfter's
 	for _, d := range drops {
 		s.releaseRec(d.slots, d.rec)
 	}
-	return nil
+	return err
 }
 
 // Stats reports operation counts for benchmarks. bytes is the logical size

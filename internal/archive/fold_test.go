@@ -271,6 +271,9 @@ func TestMaterializedTailIsTheSnapshotsOwn(t *testing.T) {
 	s := newTiered(t, 16) // evict everything
 	want := append(bytes.Repeat([]byte{7}, C), bytes.Repeat([]byte{9}, 1000)...)
 	putBytes(t, s, "/f", 0, 1, want)
+	for v := 1; v <= 8; v++ {
+		putBytes(t, s, "/other", Version(v), uint64(v+1), bytes.Repeat([]byte{byte(v)}, 500))
+	}
 	e, err := s.Latest("fs1", "/f")
 	if err != nil {
 		t.Fatal(err)
@@ -281,8 +284,8 @@ func TestMaterializedTailIsTheSnapshotsOwn(t *testing.T) {
 	}
 	defer snap.Release()
 	before := s.Tier().Evictions
-	for v := 1; v <= 8; v++ { // push the tail blob out of the LRU
-		putBytes(t, s, "/other", Version(v), uint64(v+1), bytes.Repeat([]byte{byte(v)}, 500))
+	for _, o := range s.Versions("fs1", "/other") { // page-ins push the tail blob out of the LRU
+		bytesOf(t, o)
 	}
 	if s.Tier().Evictions == before {
 		t.Fatal("nothing was evicted")

@@ -247,9 +247,7 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 	// Invariant 1: no capture of this store's follows an imported version.
 	fv.last, fv.capture = full, 0
 	sh.mu.Unlock()
-	if s.cat != nil {
-		_ = s.cat.CompactIfDue()
-	}
+	s.compactCatalog()
 	// Same commit durability barrier as PutSnapshot: blobs before manifests.
 	if err := s.disk.Sync(); err != nil {
 		return st, err

@@ -5,11 +5,10 @@
 // This package owns a blob's whole lifetime: the bytes AND the count of
 // version slots that reference them, in one shard under one mutex. Put takes
 // a reference, storing the bytes only when the store does not hold them
-// (PutBytes is Put for bytes the caller writes to again once it returns — a
-// patch cut out of a live chunk — which a disk store writes through and keeps
-// nothing of); Ref takes one on bytes already held and reports false, holding
-// nothing, when they are not; Release gives one back. Three invariants are
-// the protocol:
+// (PutBytes is Put for bytes that are not a chunk of their own — a patch cut
+// out of a live chunk, a version's tail); Ref takes one on bytes already held
+// and reports false, holding nothing, when they are not; Release gives one
+// back. Three invariants are the protocol:
 //
 //  1. A count and its liveness never change under different locks: the
 //     reference count, the resident copy, the index entry and the dead mark
@@ -27,13 +26,15 @@
 // catalog replay Refs back what its histories list; the first sweep reclaims
 // the rest.
 //
-// Every blob is written through to disk at Put time (the durability point),
-// and the LRU decides which blobs also stay resident in memory. Get serves
-// residents from memory and pages evicted blobs back in from disk, verifying
-// their content hash on the way (a corrupted or truncated pack record
-// surfaces as an error, never as silent bad data). ReadInto does the same
-// into a caller's buffer without admitting anything to the LRU — how the
-// archive assembles a patched chunk from its base and patches.
+// A disk store writes every blob through at Put time (the durability point),
+// from where the caller's bytes lie, and keeps nothing of them: the live file
+// goes on writing the chunk it stored. The LRU is a read cache — Get pages a
+// blob in from disk, verifying its content hash on the way (a corrupted or
+// truncated pack record surfaces as an error, never as silent bad data), and
+// keeps it resident for the next Get. ReadInto reads into a caller's buffer
+// without admitting anything — how the archive assembles a patched chunk from
+// its base and patches. Every chunk the LRU admits is pinned (extent.Chunk.Pin)
+// so no buffer a materialization handed it to writes it in place.
 //
 // Deletion is deferred: the Release that drops the last reference frees the
 // memory copy immediately but only marks the disk copy dead. A sweep (archive
@@ -41,9 +42,9 @@
 // I/O inline, and a hash that is re-archived before the sweep is revived
 // without a device transfer.
 //
-// With Dir == "" the store runs memory-only: no spill, no eviction, and the
-// last Release frees immediately — the semantics the archive had before the
-// disk tier.
+// With Dir == "" the store runs memory-only: Put keeps (and pins) the chunk
+// it is given, its only copy; no spill, no eviction, and the last Release
+// frees immediately — the semantics the archive had before the disk tier.
 //
 // Every blob is appended to a packfile (see pack.go): one sequential append
 // stream, no file per blob. A directory an older store left loose blobs in
@@ -148,10 +149,6 @@ type entry struct {
 	chunk *extent.Chunk // retained while resident
 	size  int64
 	elem  *list.Element
-	// writing marks the entry's disk write-through as in flight: it cannot be
-	// evicted (a reader paging it "back in" before the file exists would race
-	// the first write) and nothing can take a reference on it yet.
-	writing bool
 }
 
 // diskMeta describes one on-disk blob: a record inside packfile pack whose
@@ -186,9 +183,8 @@ type shard struct {
 	lru      *list.List // of *entry; front = hottest
 	resBytes int64
 	dead     map[extent.Hash]struct{} // on disk, unreferenced, awaiting sweep
-	// putting holds the hashes of PutBytes write-throughs in flight: bytes
-	// with no resident copy, so a reference or a read of one waits for the
-	// outcome, as for a resident entry that is writing.
+	// putting holds the hashes of write-throughs in flight: a reference or a
+	// read of one waits for the outcome.
 	putting map[extent.Hash]struct{}
 }
 
@@ -457,8 +453,7 @@ func (s *Store) refLocked(sh *shard, h extent.Hash) bool {
 			sh.blobs[h] = b
 			return true
 		}
-		_, putting := sh.putting[h]
-		if e := sh.resident[h]; !putting && (e == nil || !e.writing) {
+		if _, putting := sh.putting[h]; !putting {
 			break
 		}
 		sh.settled.Wait()
@@ -487,55 +482,31 @@ func (s *Store) Ref(h extent.Hash) bool {
 }
 
 // Put takes one reference on h, which the caller guarantees is the chunk's
-// content hash, storing the bytes only if the store does not hold them: the
-// chunk is admitted to the resident LRU and, in disk mode, written through to
-// disk before Put returns. wrote reports whether a device transfer happened —
-// false when the bytes were already held. A failed write takes no reference.
+// content hash, storing the bytes only if the store does not hold them: a
+// disk store writes them through before Put returns, as PutBytes does, and
+// keeps nothing; a memory-only store keeps the chunk itself, pinned. wrote
+// reports whether a device transfer happened — false when the bytes were
+// already held. A failed write takes no reference.
 func (s *Store) Put(h extent.Hash, c *extent.Chunk) (wrote bool, err error) {
-	size := int64(len(c.Data()))
+	if s.dir != "" {
+		return s.PutBytes(h, c.Data())
+	}
 	sh := s.shardFor(h)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if s.refLocked(sh, h) {
-		sh.mu.Unlock()
 		return false, nil
 	}
-	e := s.admitLocked(sh, h, c, size)
-	if s.dir == "" {
-		sh.blobs[h] = blobState{refs: 1}
-		sh.mu.Unlock()
-		return true, nil
-	}
-	e.writing = true // pin until the file exists
-	sh.mu.Unlock()
-
-	meta, pack, werr := s.writeThrough(h, c.Data())
-
-	sh.mu.Lock()
-	e.writing = false
-	if werr == nil {
-		s.publishLocked(sh, h, meta)
-	} else {
-		// The write-through failed: an unbacked resident blob would read
-		// fine until its eviction, then vanish — free it now so the failure
-		// stays visible (a Put waiting on this one stores the bytes itself,
-		// and the archiver's pending-archive row retries the version).
-		s.freeResidentLocked(sh, e)
-	}
-	s.evictLocked(sh)
-	sh.settled.Broadcast()
-	sh.mu.Unlock()
-	if werr != nil {
-		return false, werr
-	}
-	s.packs.published(pack)
+	s.admitLocked(sh, h, c, int64(len(c.Data())))
+	sh.blobs[h] = blobState{refs: 1}
 	return true, nil
 }
 
-// PutBytes is Put for bytes the caller writes to again once it returns — a
-// patch cut out of a live chunk — so the store keeps no reference to them: a
-// memory-only store keeps a copy, its only way to serve the blob; a disk store
-// writes them through from where they lie and keeps nothing resident, and the
-// blob is read back from the device (ReadInto) when it is wanted.
+// PutBytes is Put for bytes that are not a chunk of their own — a patch cut
+// out of a live chunk, a version's tail — which the caller may write to again
+// once it returns: a memory-only store keeps a copy, its only way to serve the
+// blob; a disk store writes them through from where they lie, and the blob is
+// read back from the device when it is wanted.
 func (s *Store) PutBytes(h extent.Hash, data []byte) (wrote bool, err error) {
 	if s.dir == "" {
 		c := extent.WrapChunk(append([]byte(nil), data...), h)
@@ -726,9 +697,8 @@ func errLonger(h extent.Hash, n, room int) error {
 }
 
 // residentLocked returns h's resident entry, nil when it has none. A
-// PutBytes write-through in flight has no copy to serve: it is waited out,
-// after which the blob is on the device, or not stored. Caller holds the
-// shard lock.
+// write-through in flight has no copy to serve: it is waited out, after which
+// the blob is on the device, or not stored. Caller holds the shard lock.
 func (s *Store) residentLocked(sh *shard, h extent.Hash) *entry {
 	for {
 		if _, putting := sh.putting[h]; !putting {
@@ -775,27 +745,21 @@ func (s *Store) evictLocked(sh *shard) {
 		if el == nil {
 			return
 		}
-		e := el.Value.(*entry)
-		if e.writing {
-			// The coldest entry is mid-write-through; it cannot be dropped
-			// yet and everything hotter is even less evictable.
-			return
-		}
-		s.freeResidentLocked(sh, e)
+		s.freeResidentLocked(sh, el.Value.(*entry))
 		s.evictions.Add(1)
 	}
 }
 
-// admitLocked makes c the resident copy of h, hottest in the LRU. Caller
-// holds the shard lock.
-func (s *Store) admitLocked(sh *shard, h extent.Hash, c *extent.Chunk, size int64) *entry {
+// admitLocked makes c the resident copy of h, hottest in the LRU, and pins
+// it. Caller holds the shard lock.
+func (s *Store) admitLocked(sh *shard, h extent.Hash, c *extent.Chunk, size int64) {
+	c.Pin()
 	e := &entry{hash: h, chunk: c.RetainChunk(), size: size}
 	e.elem = sh.lru.PushFront(e)
 	sh.resident[h] = e
 	sh.resBytes += size
 	s.resBlobs.Add(1)
 	s.resBytes.Add(size)
-	return e
 }
 
 // freeResidentLocked drops e's memory copy. Caller holds the shard lock.
@@ -930,9 +894,7 @@ func (s *Store) dropResident() {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for _, e := range sh.resident {
-			if !e.writing {
-				s.freeResidentLocked(sh, e)
-			}
+			s.freeResidentLocked(sh, e)
 		}
 		sh.mu.Unlock()
 	}

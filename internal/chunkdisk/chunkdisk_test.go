@@ -146,33 +146,79 @@ func overwriteRecord(t *testing.T, s *Store, h extent.Hash, junk []byte) {
 	}
 }
 
+// TestLRUKeepsHotBlobsResident: the LRU is a read cache. A disk Put writes
+// through and keeps nothing resident; Get page-ins fill the LRU up to its
+// budget, evicting the coldest, and a blob read again while still hot is
+// served from memory.
 func TestLRUKeepsHotBlobsResident(t *testing.T) {
-	// All blobs share one shard? No — hashes spread; use a budget that holds
-	// roughly half the blobs and verify hot ones survive eviction.
 	s, err := Open(Config{Dir: t.TempDir(), MemoryBudget: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var hashes []extent.Hash
 	for i := 0; i < 64; i++ {
-		data, h := blob(i, 1024)
+		data, h := blob(i, 4096)
 		hashes = append(hashes, h)
 		put(t, s, data, h)
 	}
-	st := s.Stats()
-	if st.ResidentBytes > 64<<10 {
-		t.Fatalf("resident %d exceeds budget", st.ResidentBytes)
+	if st := s.Stats(); st.ResidentBlobs != 0 || st.ResidentBytes != 0 {
+		t.Fatalf("a disk Put left blobs resident: %+v", st)
 	}
-	if st.Evictions == 0 {
-		// 64 KiB of blobs against a 4 KiB per-shard budget must evict.
-		t.Fatalf("no evictions: %+v", st)
-	}
-	// Every blob still readable (memory or page-in).
+	// Every blob pages in; 256 KiB of them against a 4 KiB per-shard budget
+	// must evict.
 	for i, h := range hashes {
-		data, _ := blob(i, 1024)
+		data, _ := blob(i, 4096)
 		if got := get(t, s, h); !bytes.Equal(got, data) {
 			t.Fatalf("blob %d lost", i)
 		}
+	}
+	st := s.Stats()
+	if st.PageIns != 64 || st.ResidentBlobs == 0 || st.ResidentBytes > 64<<10 || st.Evictions == 0 {
+		t.Fatalf("page-ins did not fill the LRU within its budget: %+v", st)
+	}
+	// The blob read last is the hottest of its shard: served from memory.
+	get(t, s, hashes[len(hashes)-1])
+	if got := s.Stats().PageIns; got != st.PageIns {
+		t.Fatalf("a hot blob was paged in again (%d page-ins, want %d)", got, st.PageIns)
+	}
+}
+
+// TestResidentChunksArePinned: a chunk the store hands out — a memory-only
+// store's copy, which is the very chunk Put was given, or a page-in — is
+// pinned, so a buffer restored from it copies before it writes, even once
+// the store and the original file let go: a reader still holding the chunk
+// (an unlinked file open for reading) never sees it change.
+func TestResidentChunksArePinned(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		s, err := Open(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, h := blob(7, extent.ChunkSize)
+		var live extent.Buffer
+		live.WriteAt(0, data)
+		snap := live.Snapshot()
+		if _, err := s.Put(h, snap.Chunks()[0]); err != nil {
+			t.Fatal(err)
+		}
+		snap.Release()
+		c, err := s.Get(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Release(h)
+		live.Truncate(0)
+		held := c.Data()
+		restored := extent.BuildSnapshot([]*extent.Chunk{c}, nil)
+		var b extent.Buffer
+		b.SetSnapshot(restored)
+		restored.Release() // b is the chunk's only owner now
+		b.WriteAt(0, []byte{^data[0]})
+		if held[0] != data[0] {
+			t.Fatalf("dir %q: a chunk the store handed out was written in place", dir)
+		}
+		b.Truncate(0)
+		s.Close()
 	}
 }
 

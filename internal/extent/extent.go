@@ -14,16 +14,20 @@
 //     flat byte slices.
 //
 // A buffer writes a chunk in place only while it is the chunk's sole owner
-// and nothing has hashed it (refs == 1 && !hashed; a Freeze'd chunk never):
-// a snapshot, a quarantine copy or an archived version that still shares the
-// chunk forces a copy. That is what lets the commit path archive a small edit
-// as a patch. Capture is the commit path's snapshot: besides the chunks it
-// hands over the byte span of every chunk slot written since the buffer's
-// previous capture, and names that capture, so the archive can store a
-// written slot as (the version it archived from the previous capture) + (the
-// written bytes) without hashing — and so without pinning — the live chunk,
-// and a clean slot as it was. Share lets the archive job and the replica
-// ship own one capture without copying it.
+// and the chunk is not pinned (refs == 1 && !pinned). A chunk is pinned when
+// it passes through a store — WrapChunk and Freeze build pinned chunks, and a
+// store that keeps a caller's chunk (chunkdisk's resident copies) pins it —
+// so a detached reader of a stored chunk never sees it change. Being hashed
+// does not pin: an in-place write forgets the memoized hash. A snapshot, a
+// quarantine copy or an archived version that still shares the chunk forces
+// a copy. That is what lets the commit path archive a small edit as a patch,
+// and a whole chunk without the file's next write copying it. Capture is the
+// commit path's snapshot: besides the chunks it hands over the byte span of
+// every chunk slot written since the buffer's previous capture, and names
+// that capture, so the archive can store a written slot as (the version it
+// archived from the previous capture) + (the written bytes) without hashing
+// the live chunk, and a clean slot as it was. Share lets the archive job and
+// the replica ship own one capture without copying it.
 //
 // Buffers are NOT safe for concurrent use — the owning inode's lock guards
 // them. Chunks and Snapshots are immutable and may be shared freely across
@@ -63,16 +67,16 @@ type Chunk struct {
 	refs atomic.Int64
 
 	// The content hash is memoized: unchanged chunks carried across file
-	// versions are hashed once ever, which is what keeps archive dedup
-	// O(changed chunks) per version. A hashed chunk is never mutated in
-	// place (the hash would go stale under the dedup table).
-	hashed   atomic.Bool
-	hashOnce sync.Once
-	hash     Hash
+	// versions are hashed once, which is what keeps archive dedup O(changed
+	// chunks) per version. hashed publishes hash; only the chunk's sole owner
+	// clears it, when it writes the chunk in place.
+	hashed atomic.Bool
+	hashMu sync.Mutex
+	hash   Hash
 
-	// frozen is set at construction (Freeze) and never written in place
-	// either, though nothing knows its hash yet.
-	frozen bool
+	// pinned: the chunk passed through a store, so it is never written in
+	// place, even once the buffer is its only owner.
+	pinned atomic.Bool
 }
 
 // newChunk wraps data (owned by the chunk from here on) with one reference.
@@ -107,20 +111,27 @@ func (c *Chunk) release() {
 
 // Hash returns the memoized content hash of the chunk.
 func (c *Chunk) Hash() Hash {
-	c.hashOnce.Do(func() {
-		c.hashed.Store(true)
-		c.hash = sha256.Sum256(c.data)
-	})
+	if !c.hashed.Load() {
+		c.hashMu.Lock()
+		if !c.hashed.Load() {
+			c.hash = sha256.Sum256(c.data)
+			c.hashed.Store(true)
+		}
+		c.hashMu.Unlock()
+	}
 	return c.hash
 }
 
+// Pin marks the chunk as held by a store: no buffer writes it in place from
+// then on. chunkdisk pins every chunk it keeps resident.
+func (c *Chunk) Pin() { c.pinned.Store(true) }
+
 // Freeze wraps data (owned by the chunk from here on; callers must not modify
-// it) as a sealed chunk that is never written in place and whose hash is
-// computed only if asked for: the archive's materialization of a patched
-// slot, assembled in a private buffer.
+// it) as a pinned chunk whose hash is computed only if asked for: the
+// archive's materialization of a patched slot, assembled in a private buffer.
 func Freeze(data []byte) *Chunk {
 	c := newChunk(data)
-	c.frozen = true
+	c.Pin()
 	return c
 }
 
@@ -268,12 +279,13 @@ func (b *Buffer) overwrite(off int64, p []byte) {
 			copy(data, p)
 			b.chunks[ci] = newChunk(data)
 			old.release()
-		case old.refs.Load() == 1 && !old.hashed.Load() && !old.frozen:
-			// Exclusive, never hashed, not frozen: no snapshot or dedup table
-			// can see this chunk, so mutate in place.
+		case old.refs.Load() == 1 && !old.pinned.Load():
+			// Exclusive and in no store: no snapshot or stored copy can see
+			// this chunk, so mutate in place; its old hash no longer holds.
 			copy(old.data[cs:], p[:n])
+			old.hashed.Store(false)
 		default:
-			// Shared (or hash-pinned): copy-on-write.
+			// Shared or pinned: copy-on-write.
 			data := make([]byte, ChunkSize)
 			copy(data, old.data)
 			copy(data[cs:], p[:n])
@@ -443,16 +455,14 @@ func (b *Buffer) reattach() {
 }
 
 // WrapChunk wraps data (owned by the chunk from here on; callers must not
-// modify it) as a sealed chunk whose content hash is already known — the
-// disk tier's page-in path, which verifies the hash against the file before
-// wrapping. Pre-setting the hash marks the chunk hash-pinned, so it can
-// never become eligible for in-place mutation.
+// modify it) as a pinned chunk whose content hash is already known — the disk
+// tier's page-in path, which verifies the hash against the file before
+// wrapping.
 func WrapChunk(data []byte, h Hash) *Chunk {
 	c := newChunk(data)
-	c.hashOnce.Do(func() {
-		c.hashed.Store(true)
-		c.hash = h
-	})
+	c.hash = h
+	c.hashed.Store(true)
+	c.Pin()
 	return c
 }
 

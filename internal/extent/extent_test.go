@@ -2,6 +2,7 @@ package extent
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math/rand"
 	"testing"
 )
@@ -254,26 +255,68 @@ func TestHashStableAndDistinct(t *testing.T) {
 	}
 }
 
-// TestHashedChunkIsNotMutatedInPlace guards the dedup-correctness rule: once
-// a chunk's hash is taken (it may be in an archive dedup table), writes must
-// copy, never mutate.
-func TestHashedChunkIsNotMutatedInPlace(t *testing.T) {
+// TestPinnedChunkIsCopiedOnWrite guards what a store's pin promises: a chunk
+// that passed through a store — paged in (WrapChunk), assembled (Freeze) or
+// kept resident (Pin) — is copied on write even once the buffer writing it is
+// its only owner, so a reader still holding it (an unlinked file open for
+// reading) never sees it change.
+func TestPinnedChunkIsCopiedOnWrite(t *testing.T) {
+	stores := map[string]func(data []byte) *Chunk{
+		"page-in": func(data []byte) *Chunk { return WrapChunk(data, sha256.Sum256(data)) },
+		"freeze":  Freeze,
+		"admit": func(data []byte) *Chunk {
+			c := newChunk(data)
+			c.Pin()
+			return c
+		},
+	}
+	for name, store := range stores {
+		c := store(bytes.Repeat([]byte{5}, ChunkSize))
+		b := NewBuffer()
+		b.SetSnapshot(BuildSnapshot([]*Chunk{c}, nil))
+		data := c.Data()
+		c.release() // the buffer's reference is now the only one
+		b.WriteAt(0, []byte{99})
+		if data[0] != 5 {
+			t.Fatalf("%s: a pinned chunk was written in place", name)
+		}
+		if got := b.Bytes(); got[0] != 99 || got[1] != 5 {
+			t.Fatalf("%s: the buffer lost the write", name)
+		}
+		b.Truncate(0)
+	}
+}
+
+// TestInPlaceWriteForgetsHash: being hashed does not pin a chunk — once the
+// snapshot that was hashed is released, a small write lands in place — and
+// the memoized hash goes with the old bytes, so Hash matches what the chunk
+// holds now. A snapshot still held forces a copy, and keeps its hash.
+func TestInPlaceWriteForgetsHash(t *testing.T) {
 	b := NewBuffer()
 	b.WriteAt(0, bytes.Repeat([]byte{5}, ChunkSize))
 	snap := b.Snapshot()
-	h := snap.Chunks()[0].Hash()
-	data := snap.Chunks()[0].Data()
-	snap.Release() // refs back to 1, but the chunk is hash-pinned
-	b.WriteAt(0, []byte{99})
-	if data[0] != 5 {
-		t.Fatal("hashed chunk mutated in place")
+	if h := snap.Chunks()[0].Hash(); h != sha256.Sum256(snap.Bytes()) {
+		t.Fatal("hash does not match the content")
 	}
-	b2 := NewBuffer()
-	b2.WriteAt(0, bytes.Repeat([]byte{5}, ChunkSize))
-	s2 := b2.Snapshot()
-	defer s2.Release()
-	if s2.Chunks()[0].Hash() != h {
-		t.Fatal("hash no longer matches original content")
+	snap.Release()
+	data := b.chunks[0].data
+	b.WriteAt(7, []byte{99})
+	if &b.chunks[0].data[0] != &data[0] {
+		t.Fatal("a write to a hashed chunk the buffer alone owns copied it")
+	}
+	if h := b.chunks[0].Hash(); h != sha256.Sum256(b.Bytes()) {
+		t.Fatal("an in-place write left the old hash memoized")
+	}
+
+	held := b.Snapshot()
+	defer held.Release()
+	h := held.Chunks()[0].Hash()
+	b.WriteAt(7, []byte{100})
+	if held.Bytes()[7] != 99 || held.Chunks()[0].Hash() != h {
+		t.Fatal("a write while a snapshot is held changed the snapshot")
+	}
+	if h := b.chunks[0].Hash(); h != sha256.Sum256(b.Bytes()) {
+		t.Fatal("the copy's hash does not match its content")
 	}
 }
 
@@ -367,10 +410,10 @@ func TestCaptureDirtySpans(t *testing.T) {
 	}
 }
 
-// TestCapturedChunkIsWrittenInPlace: once a capture is released, a chunk no
-// one hashed is the buffer's alone again, and a small write lands in place —
-// the copy a hashed chunk forces is what the archive's patches avoid. A
-// frozen chunk is never written in place.
+// TestCapturedChunkIsWrittenInPlace: once a capture is released, the chunk
+// is the buffer's alone again, and a small write lands in place — the copy a
+// pinned chunk forces is what the archive's patches and write-through puts
+// avoid.
 func TestCapturedChunkIsWrittenInPlace(t *testing.T) {
 	b := NewBuffer()
 	b.WriteAt(0, bytes.Repeat([]byte{1}, ChunkSize))
@@ -386,13 +429,5 @@ func TestCapturedChunkIsWrittenInPlace(t *testing.T) {
 		t.Fatal("a write while a capture is held changed the capture")
 	}
 	held.Release()
-
-	frozen := Freeze(bytes.Repeat([]byte{4}, ChunkSize))
-	b.SetSnapshot(BuildSnapshot([]*Chunk{frozen}, nil))
-	frozen.release() // the buffer's reference is now the only one
-	b.WriteAt(0, []byte{5})
-	if frozen.data[0] != 4 {
-		t.Fatal("a frozen chunk was written in place")
-	}
 	b.Truncate(0)
 }
