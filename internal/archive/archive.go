@@ -30,7 +30,9 @@
 //     versions accumulate; chunks page in on Get/Latest/AsOf/restore.
 //   - Dropping versions (TruncateAfter, Drop, unlink) releases references;
 //     blobs that reach zero are freed from memory immediately and their disk
-//     records are reclaimed later by GC (GCNow, and once more at Close).
+//     records are reclaimed later by GC (GCNow, and once more at Close). A
+//     Held version (Entry.Hold) keeps its own references until Release, so
+//     a file installed from it and not yet read survives its history's drop.
 //   - With a directory configured, every version's manifest is also written
 //     through to a durable catalog (internal/catalog: append-only checksummed
 //     log + snapshot checkpoints, in the same directory), and TruncateAfter/
@@ -166,10 +168,59 @@ type Entry struct {
 // restore swap, paging cold chunks in from the disk tier as needed. The
 // caller owns the returned snapshot and must Release it.
 func (e Entry) Snapshot() (*extent.Snapshot, error) {
-	if e.st == nil {
-		return nil, fmt.Errorf("%w: entry not bound to a store", ErrNotFound)
+	h, err := e.hold()
+	if err != nil {
+		return nil, err
 	}
-	return e.st.materialize(e.key, e.idx, e.gen, e.Version)
+	defer h.Release()
+	return h.Load()
+}
+
+// Hold takes a reference on every blob of the version and returns them as a
+// Held: its content stays loadable, byte for byte, until Release, whatever
+// happens to the version meanwhile — a Drop, a TruncateAfter or a pack
+// compaction frees nothing a Held names. Metadata only: nothing is read.
+func (e Entry) Hold() (*Held, error) {
+	h, err := e.hold()
+	if err != nil {
+		return nil, err
+	}
+	return &h, nil
+}
+
+// hold is Hold by value, so Snapshot's Held, which lives for the call only,
+// stays off the heap.
+func (e Entry) hold() (Held, error) {
+	if e.st == nil {
+		return Held{}, fmt.Errorf("%w: entry not bound to a store", ErrNotFound)
+	}
+	return e.st.hold(e.key, e.idx, e.gen, e.Version)
+}
+
+// Held is an archived version whose blobs the holder keeps referenced (see
+// Entry.Hold). Load and Release are not safe to call concurrently with each
+// other; Size is.
+type Held struct {
+	st       *Store
+	key      string
+	v        Version
+	slots    []slotRef
+	rec      *catalog.PutRec
+	released bool
+}
+
+// Size is the version's length in bytes.
+func (h *Held) Size() int64 { return h.rec.Size }
+
+// Release gives the blob references back; once the version is also gone
+// from the index its blobs reach a count of zero and are reclaimed as any
+// dropped version's. A second Release is a no-op.
+func (h *Held) Release() {
+	if h.released {
+		return
+	}
+	h.released = true
+	h.st.releaseRec(h.slots, h.rec)
 }
 
 // Errors.
@@ -1033,20 +1084,18 @@ func (s *Store) Put(server, path string, v Version, stateID uint64, content []by
 	return err
 }
 
-// materialize rebuilds version idx of key as a caller-owned snapshot. One
-// reference per blob is taken under the shard lock (so a concurrent
-// truncate/drop cannot free them) and held until the snapshot is built; the
-// chunks are fetched — possibly paging in from disk — without any entry lock.
-// The version check catches a slot that was truncated and re-filled by a
-// newer Put since the handle was obtained: the handle must error, never serve
-// a different version's bytes.
-func (s *Store) materialize(k string, idx int, gen uint64, v Version) (snap *extent.Snapshot, err error) {
+// hold takes one reference per blob of version idx of key under the shard
+// lock, so a concurrent truncate/drop cannot free them. The version check
+// catches a slot that was truncated and re-filled by a newer Put since the
+// handle was obtained: the handle must error, never serve a different
+// version's bytes.
+func (s *Store) hold(k string, idx int, gen uint64, v Version) (Held, error) {
 	sh := s.shardFor(k)
 	sh.mu.Lock()
 	fv := sh.entries[k]
 	if fv == nil || fv.gen != gen || idx >= len(fv.recs) || fv.recs[idx].Version != int64(v) {
 		sh.mu.Unlock()
-		return nil, fmt.Errorf("%w: version discarded", ErrNotFound)
+		return Held{}, fmt.Errorf("%w: version discarded", ErrNotFound)
 	}
 	rec := fv.recs[idx]
 	slots := slotsAt(fv, idx)
@@ -1054,11 +1103,20 @@ func (s *Store) materialize(k string, idx int, gen uint64, v Version) (snap *ext
 	sh.mu.Unlock()
 	if !held {
 		// An indexed version holds a reference on every blob it lists.
-		return nil, fmt.Errorf("archive: version %d of %q lists a blob that is not stored", v, k)
+		return Held{}, fmt.Errorf("archive: version %d of %q lists a blob that is not stored", v, k)
 	}
-	defer s.releaseRec(slots, rec)
+	return Held{st: s, key: k, v: v, slots: slots, rec: rec}, nil
+}
 
-	chunks := make([]*extent.Chunk, 0, len(slots))
+// Load materializes the held version as a caller-owned snapshot, fetching
+// the chunks — possibly paging in from disk — without any entry lock. The
+// caller must Release the snapshot. Load may be called again after an error.
+func (h *Held) Load() (snap *extent.Snapshot, err error) {
+	if h.released {
+		return nil, fmt.Errorf("%w: version %d of %q was released", ErrNotFound, h.v, h.key)
+	}
+	s, rec, k, v := h.st, h.rec, h.key, h.v
+	chunks := make([]*extent.Chunk, 0, len(h.slots))
 	defer func() {
 		if err != nil {
 			for _, c := range chunks {
@@ -1066,7 +1124,7 @@ func (s *Store) materialize(k string, idx int, gen uint64, v Version) (snap *ext
 			}
 		}
 	}()
-	for _, r := range slots {
+	for _, r := range h.slots {
 		var c *extent.Chunk
 		if len(r.patches) == 0 {
 			c, err = s.disk.Get(r.base)
@@ -1080,9 +1138,9 @@ func (s *Store) materialize(k string, idx int, gen uint64, v Version) (snap *ext
 	}
 	var tail []byte
 	if rec.TailLen > 0 {
-		tc, err := s.disk.Get(rec.TailHash)
-		if err != nil {
-			return nil, err
+		var tc *extent.Chunk
+		if tc, err = s.disk.Get(rec.TailHash); err != nil {
+			return nil, fmt.Errorf("archive: version %d of %q: tail: %w", v, k, err)
 		}
 		defer tc.ReleaseChunk()
 		tail = tc.Data()

@@ -44,8 +44,9 @@ func commitVersion(t *testing.T, srv *Server, phys *fs.FS, path string, content 
 // repository, AND the RAM-backed physical file system. Only the repository
 // directory (WAL + snapshot) and the archive directory survive. A cold Open
 // from those two directories must rebuild every link byte-identically:
-// untouched files materialized from the archive, the in-flight update rolled
-// back to its last committed version, and nothing re-archived.
+// untouched files installed from the archive and loaded on their first read,
+// the in-flight update rolled back to its last committed version, and
+// nothing re-archived.
 func TestColdStartWholeProcessKill(t *testing.T) {
 	root := t.TempDir()
 	repoDir, archDir := root+"/repo", root+"/archive"
@@ -105,7 +106,7 @@ func TestColdStartWholeProcessKill(t *testing.T) {
 	if len(rep2.LostFiles) != 0 {
 		t.Fatalf("lost files on a fully archived workload: %v", rep2.LostFiles)
 	}
-	// b.bin was at rest: materialized. a.bin was mid-update: rolled back.
+	// b.bin was at rest: installed. a.bin was mid-update: rolled back.
 	if len(rep2.MaterializedFiles) != 1 || rep2.MaterializedFiles[0] != "/d/b.bin" {
 		t.Fatalf("materialized = %v, want [/d/b.bin]", rep2.MaterializedFiles)
 	}
@@ -119,6 +120,19 @@ func TestColdStartWholeProcessKill(t *testing.T) {
 	if d := arch2.Dedup(); d.NewBytes != 0 {
 		t.Fatalf("cold start transferred %d new bytes to the archive", d.NewBytes)
 	}
+	// b.bin is installed, not loaded: it has its size, and its bytes stay in
+	// the archive until something reads them.
+	if n := phys2.Stats.DeferredLoads.Load(); n != 0 {
+		t.Fatalf("cold start loaded %d deferred files before any read", n)
+	}
+	if ino, err := phys2.Lookup("/d/b.bin"); err != nil {
+		t.Fatal(err)
+	} else if attr, _ := phys2.Getattr(ino); attr.Size != int64(len(want["/d/b.bin"])) {
+		t.Fatalf("installed b.bin has size %d, want %d", attr.Size, len(want["/d/b.bin"]))
+	}
+	if n := phys2.Stats.DeferredLoads.Load(); n != 0 {
+		t.Fatalf("a stat loaded b.bin (%d loads)", n)
+	}
 	for p, wantContent := range want {
 		got, err := phys2.ReadFile(p)
 		if err != nil || !bytes.Equal(got, wantContent) {
@@ -127,6 +141,9 @@ func TestColdStartWholeProcessKill(t *testing.T) {
 		if !srv2.IsLinked(p) {
 			t.Fatalf("%s not linked after cold start", p)
 		}
+	}
+	if n := phys2.Stats.DeferredLoads.Load(); n != 1 {
+		t.Fatalf("reading both files loaded %d deferred files, want b.bin alone", n)
 	}
 	// The in-flight junk never existed on the cold phys, so nothing to
 	// quarantine.
@@ -234,5 +251,70 @@ func TestColdStartConcurrentInFlightQuarantine(t *testing.T) {
 		if !found {
 			t.Fatalf("in-flight content of %s missing from quarantine %v", p, q)
 		}
+	}
+}
+
+// TestColdStartUnlinkBeforeFirstRead: a cold start installs a linked file
+// without reading it, then a committed unlink drops its archived history
+// (Archive.Drop) and a sweep reclaims whatever nothing references — all
+// before anyone read the file. The first read must still return the file's
+// last committed version: the install holds the version's blobs, it does not
+// just remember where they were.
+func TestColdStartUnlinkBeforeFirstRead(t *testing.T) {
+	root := t.TempDir()
+	repoDir, archDir := root+"/repo", root+"/archive"
+	const path = "/d/big.bin"
+
+	phys1 := fs.New()
+	phys1.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
+	cfg, arch1 := coldConfig(t, phys1, repoDir, archDir)
+	srv, _, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedFile(t, phys1, path, "v0")
+	linkCommitted(t, srv, path, "rfd")
+	var want []byte
+	for v := 1; v <= 3; v++ {
+		want = bytes.Repeat([]byte(fmt.Sprintf("version %d of a file larger than one chunk ", v)), 2500)
+		commitVersion(t, srv, phys1, path, want)
+	}
+	srv.WaitArchives()
+	srv.Kill()
+	arch1.Close()
+
+	phys2 := fs.New()
+	cfg2, arch2 := coldConfig(t, phys2, repoDir, archDir)
+	defer arch2.Close()
+	srv2, rep, err := Open(cfg2)
+	if err != nil {
+		t.Fatalf("cold open: %v", err)
+	}
+	defer srv2.Close()
+	if len(rep.MaterializedFiles) != 1 || rep.MaterializedFiles[0] != path {
+		t.Fatalf("materialized = %v, want [%s]", rep.MaterializedFiles, path)
+	}
+
+	const hostTxn = 4242
+	if err := srv2.UnlinkFile(hostTxn, path); err != nil {
+		t.Fatalf("unlink: %v", err)
+	}
+	if err := srv2.PrepareXRM(hostTxn); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv2.CommitXRM(hostTxn); err != nil {
+		t.Fatal(err)
+	}
+	if v := arch2.Versions("fs1", path); len(v) != 0 {
+		t.Fatalf("committed unlink left %d archived versions", len(v))
+	}
+	arch2.GCNow()
+	if n := phys2.Stats.DeferredLoads.Load(); n != 0 {
+		t.Fatalf("the unlink loaded the file (%d loads)", n)
+	}
+
+	got, err := phys2.ReadFile(path)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("first read after the unlink: %d bytes, %v; want the last committed version (%d bytes)", len(got), err, len(want))
 	}
 }

@@ -40,11 +40,12 @@ type RecoveryReport struct {
 	ResolvedAbort    []uint64 // host txns resolved as aborted (incl. presumed)
 	RestoredFiles    []string // files rolled back to their last committed version
 	ArchivedVersions []string // committed versions archived during recovery
-	// Cold-start reconciliation: files whose content had to be materialized
-	// from the archive because the physical file system did not survive,
+	// Cold-start reconciliation: files installed from their newest archived
+	// version because the physical file system did not survive — each
+	// installed deferred, its bytes loaded from the archive on first access —
 	// version counters walked back to the newest archived version (the
 	// committed bytes died with the process before archiving finished), and
-	// linked files with no archived copy to materialize from.
+	// linked files with no archived copy to install from.
 	MaterializedFiles  []string
 	ReconciledVersions []string
 	LostFiles          []string
@@ -128,14 +129,22 @@ func (s *Server) reconcileVersionDown(fi fileInfo, rep *RecoveryReport) error {
 	return nil
 }
 
-// writeRestored writes an archive snapshot to the physical path, creating
-// parent directories first — on a cold-started file system not even the
-// directory tree survived.
-func (s *Server) writeRestored(p string, snap *extent.Snapshot) error {
+// mkdirParent creates the parent directories of a restored path — on a
+// cold-started file system not even the directory tree survived.
+func (s *Server) mkdirParent(p string) error {
 	if dir := pathpkg.Dir(p); dir != "" && dir != "/" && dir != "." {
 		if err := s.cfg.Phys.MkdirAll(dir, rootCred, 0o777); err != nil {
 			return fmt.Errorf("dlfm: restore %s: %w", p, err)
 		}
+	}
+	return nil
+}
+
+// writeRestored writes an archive snapshot to the physical path, creating
+// parent directories first.
+func (s *Server) writeRestored(p string, snap *extent.Snapshot) error {
+	if err := s.mkdirParent(p); err != nil {
+		return err
 	}
 	return s.cfg.Phys.WriteFileSnapshot(p, snap)
 }
@@ -143,7 +152,13 @@ func (s *Server) writeRestored(p string, snap *extent.Snapshot) error {
 // materializeMissingFiles restores linked files that no longer exist on the
 // physical file system from their newest archived version — the cold-start
 // counterpart of §4.2's restore, for when the whole machine (not just DLFM)
-// lost its volatile state. Files mid-update are left to the in-flight pass;
+// lost its volatile state. Each is installed deferred: the file exists at
+// the version's size, holding a reference on every blob of the version
+// (archive.Entry.Hold), and its bytes are read on first access — so a cold
+// start costs the files' metadata, and each file's bytes are paid for when,
+// and if, it is touched. The held references keep those bytes loadable
+// across a committed unlink (Archive.Drop) or a restore's truncate. Files
+// mid-update are left to the in-flight pass, which restores them eagerly;
 // files with no archived copy are reported lost.
 func (s *Server) materializeMissingFiles(rep *RecoveryReport) error {
 	tbl, err := s.repo.Table("dlfm_files")
@@ -164,14 +179,16 @@ func (s *Server) materializeMissingFiles(rep *RecoveryReport) error {
 			rep.LostFiles = append(rep.LostFiles, fi.path)
 			continue
 		}
-		snap, err := entry.Snapshot()
+		held, err := entry.Hold()
 		if err != nil {
 			return fmt.Errorf("dlfm: materialize %s v%d: %w", fi.path, entry.Version, err)
 		}
-		err = s.writeRestored(fi.path, snap)
-		snap.Release()
-		if err != nil {
+		if err := s.mkdirParent(fi.path); err != nil {
+			held.Release()
 			return err
+		}
+		if err := s.cfg.Phys.WriteFileDeferred(fi.path, held); err != nil {
+			return fmt.Errorf("dlfm: materialize %s v%d: %w", fi.path, entry.Version, err)
 		}
 		rep.MaterializedFiles = append(rep.MaterializedFiles, fi.path)
 	}
@@ -276,7 +293,9 @@ func (s *Server) resolveInDoubt(rep *RecoveryReport) error {
 				return err
 			}
 		}
-		_, _ = s.repo.Exec(`DELETE FROM dlfm_txns WHERE host_txn = ?`, sqlmini.Int(int64(hostTxn)))
+		if _, err := s.repo.Exec(`DELETE FROM dlfm_txns WHERE host_txn = ?`, sqlmini.Int(int64(hostTxn))); err != nil {
+			return fmt.Errorf("dlfm: clear the journal of host txn %d: %w", hostTxn, err)
+		}
 	}
 	return nil
 }

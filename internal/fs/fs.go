@@ -10,6 +10,15 @@
 // including partially written files — which is precisely why the DLFM
 // archive-restore protocol of the paper is needed for update atomicity.
 //
+// A file's content may be deferred (WriteFileDeferred): the file exists at
+// its size, and its bytes are loaded on the first access that needs them.
+// Cold-start recovery installs every linked file that did not survive this
+// way, from its archived version, so a restart costs what is touched rather
+// than every linked file's bytes. Loading happens under the inode's write
+// lock, at most once; a whole replace (WriteSnapshot, Truncate to 0, another
+// WriteFileDeferred) drops the deferred content unread, and a load that fails
+// leaves it deferred and reports ErrIO — no access ever sees empty bytes.
+//
 // Locking is deliberately fine-grained so concurrent clients scale:
 //
 //   - Every directory carries its own namespace lock (Inode.nsMu) guarding
@@ -113,7 +122,22 @@ var (
 	ErrNotEmpty   = errors.New("fs: directory not empty")
 	ErrLocked     = errors.New("fs: file locked")
 	ErrInvalid    = errors.New("fs: invalid argument")
+	ErrIO         = errors.New("fs: input/output error")
 )
+
+// Deferred is file content the file system holds without having read it:
+// its length, a way to read it and a way to give it up. FS calls every method
+// under the owning inode's write lock (Size under its read lock), so an
+// implementation needs no lock of its own for calls from one file.
+type Deferred interface {
+	// Size is the content's length, reported before anything is read.
+	Size() int64
+	// Load reads the content as a caller-owned snapshot. An error leaves the
+	// content deferred; the next access calls Load again.
+	Load() (*extent.Snapshot, error)
+	// Release gives up the content, loaded or not. FS calls it once.
+	Release()
+}
 
 // NodeType distinguishes files from directories.
 type NodeType uint8
@@ -150,6 +174,9 @@ type Inode struct {
 	mode  FileMode
 	mtime time.Time
 	data  extent.Buffer
+	// pending, when set, is the file's content, not yet read into data
+	// (which is then empty): the first content access loads it.
+	pending Deferred
 
 	// nsMu is this directory's namespace lock, guarding children. Mutating
 	// a directory takes it exclusive; resolution and listing take it shared.
@@ -202,6 +229,8 @@ type Stats struct {
 	Removes  atomic.Int64
 	Renames  atomic.Int64
 	Setattrs atomic.Int64
+	// DeferredLoads counts deferred contents read in (one per file loaded).
+	DeferredLoads atomic.Int64
 }
 
 // FS is an in-memory file system. All methods are safe for concurrent use.
@@ -468,6 +497,9 @@ func (f *FS) Remove(p string, cred Cred) error {
 	if !permCheck(dir, cred, AccessWrite) {
 		return ErrPermission
 	}
+	if err := f.loadNow(n); err != nil {
+		return err
+	}
 	delete(dir.children, base)
 	if n.nlink.Add(-1) == 0 {
 		f.releaseContent(n)
@@ -477,8 +509,10 @@ func (f *FS) Remove(p string, cred Cred) error {
 }
 
 // releaseContent drops the chunk references of a fully unlinked inode. The
-// content stays readable for open handles; extent accounting just stops
-// counting it as live (a later write through a handle re-retains).
+// content stays readable for open handles — the unlink loaded any deferred
+// content first (loadNow), while the name still found the file; extent
+// accounting just stops counting it as live (a later write through a handle
+// re-retains).
 func (f *FS) releaseContent(n *Inode) {
 	n.mu.Lock()
 	n.data.ReleaseRefs()
@@ -600,6 +634,9 @@ func (f *FS) Rename(oldp, newp string, cred Cred) error {
 		if existing.typ == TypeDir {
 			return ErrIsDir
 		}
+		if err := f.loadNow(existing); err != nil {
+			return err
+		}
 		if existing.nlink.Add(-1) == 0 {
 			f.releaseContent(existing)
 		}
@@ -609,6 +646,65 @@ func (f *FS) Rename(oldp, newp string, cred Cred) error {
 	f.touch(oldDir)
 	if newDir != oldDir {
 		f.touch(newDir)
+	}
+	return nil
+}
+
+// size is the file's length, deferred content included. Caller holds n.mu.
+func (n *Inode) size() int64 {
+	if n.pending != nil {
+		return n.pending.Size()
+	}
+	return n.data.Len()
+}
+
+// load reads deferred content into the file's buffer; a no-op when there is
+// none. Loading is not a modification: mtime stays. On an error the content
+// stays deferred. Caller holds n.mu exclusively.
+func (f *FS) load(n *Inode) error {
+	if n.pending == nil {
+		return nil
+	}
+	snap, err := n.pending.Load()
+	if err != nil {
+		return fmt.Errorf("%w: loading deferred content of inode %d: %w", ErrIO, n.ino, err)
+	}
+	n.data.SetSnapshot(snap)
+	snap.Release()
+	n.dropPending()
+	f.Stats.DeferredLoads.Add(1)
+	return nil
+}
+
+// loadNow is load under the inode's write lock.
+func (f *FS) loadNow(n *Inode) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return f.load(n)
+}
+
+// dropPending releases deferred content and forgets it: once it is loaded,
+// or unread when a whole replace discards it. Caller holds n.mu exclusively.
+func (n *Inode) dropPending() {
+	if n.pending != nil {
+		n.pending.Release()
+		n.pending = nil
+	}
+}
+
+// rlockLoaded read-locks n with its content loaded. A reader that finds the
+// content deferred drops the read lock, loads under the write lock — where a
+// concurrent reader that got there first has already loaded it, so N readers
+// load once — and reads under the read lock like any other. On an error no
+// lock is held.
+func (f *FS) rlockLoaded(n *Inode) error {
+	n.mu.RLock()
+	for n.pending != nil {
+		n.mu.RUnlock()
+		if err := f.loadNow(n); err != nil {
+			return err
+		}
+		n.mu.RLock()
 	}
 	return nil
 }
@@ -625,7 +721,9 @@ func (f *FS) ReadAt(n *Inode, off int64, p []byte) (int, error) {
 	if off < 0 {
 		return 0, ErrInvalid
 	}
-	n.mu.RLock()
+	if err := f.rlockLoaded(n); err != nil {
+		return 0, err
+	}
 	defer n.mu.RUnlock()
 	return n.data.ReadAt(off, p), nil
 }
@@ -643,6 +741,9 @@ func (f *FS) WriteAt(n *Inode, off int64, p []byte) (int, error) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if err := f.load(n); err != nil {
+		return 0, err
+	}
 	n.data.WriteAt(off, p)
 	// Clock read under the inode lock: concurrent writers must leave data
 	// and mtime consistent (DLFM's modification detection compares mtimes).
@@ -650,7 +751,8 @@ func (f *FS) WriteAt(n *Inode, off int64, p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Truncate sets the file length to size.
+// Truncate sets the file length to size. Truncating to 0 drops deferred
+// content unread; any other size loads it first.
 func (f *FS) Truncate(n *Inode, size int64) error {
 	if n == nil || n.typ != TypeFile {
 		return ErrInvalid
@@ -660,6 +762,11 @@ func (f *FS) Truncate(n *Inode, size int64) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if size == 0 {
+		n.dropPending()
+	} else if err := f.load(n); err != nil {
+		return err
+	}
 	n.data.Truncate(size)
 	n.mtime = f.clock()
 	return nil
@@ -677,7 +784,7 @@ func (f *FS) Getattr(n *Inode) (Attr, error) {
 		Type:  n.typ,
 		UID:   n.uid,
 		Mode:  n.mode,
-		Size:  n.data.Len(),
+		Size:  n.size(),
 		Mtime: n.mtime,
 	}, nil
 }
@@ -752,23 +859,32 @@ func (f *FS) ReadFile(p string) ([]byte, error) {
 	if n.typ != TypeFile {
 		return nil, ErrIsDir
 	}
-	n.mu.RLock()
+	if err := f.rlockLoaded(n); err != nil {
+		return nil, err
+	}
 	defer n.mu.RUnlock()
 	return n.data.Bytes(), nil
+}
+
+// lookupOrCreate resolves the file at p, creating it owned by root if it
+// does not exist — the root-semantics entry of the whole-file writers.
+func (f *FS) lookupOrCreate(p string) (*Inode, error) {
+	n, err := f.Lookup(p)
+	if errors.Is(err, ErrNotExist) {
+		n, err = f.Create(p, Cred{UID: Root}, 0o644)
+		if errors.Is(err, ErrExist) {
+			// A concurrent writer created it between lookup and create.
+			n, err = f.Lookup(p)
+		}
+	}
+	return n, err
 }
 
 // WriteFile replaces the whole content of the file at p, creating it if
 // needed. It bypasses permission checks (root semantics) — a convenience for
 // tests and restore paths only.
 func (f *FS) WriteFile(p string, data []byte) error {
-	n, err := f.Lookup(p)
-	if errors.Is(err, ErrNotExist) {
-		n, err = f.Create(p, Cred{UID: Root}, 0o644)
-		if errors.Is(err, ErrExist) {
-			// A concurrent WriteFile created it between lookup and create.
-			n, err = f.Lookup(p)
-		}
-	}
+	n, err := f.lookupOrCreate(p)
 	if err != nil {
 		return err
 	}
@@ -789,6 +905,9 @@ func (f *FS) Snapshot(n *Inode) (*extent.Snapshot, error) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if err := f.load(n); err != nil {
+		return nil, err
+	}
 	return n.data.Snapshot(), nil
 }
 
@@ -818,12 +937,16 @@ func (f *FS) CaptureFile(p string) (*extent.Snapshot, error) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if err := f.load(n); err != nil {
+		return nil, err
+	}
 	return n.data.Capture(), nil
 }
 
 // WriteSnapshot replaces a file's content with a manifest swap: the restore
 // path's O(#chunks) replacement for WriteFile. The snapshot itself is not
-// consumed; the file holds its own references.
+// consumed; the file holds its own references. Deferred content is dropped
+// unread.
 func (f *FS) WriteSnapshot(n *Inode, snap *extent.Snapshot) error {
 	if n == nil || n.typ != TypeFile {
 		return ErrInvalid
@@ -833,6 +956,7 @@ func (f *FS) WriteSnapshot(n *Inode, snap *extent.Snapshot) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.dropPending()
 	n.data.SetSnapshot(snap)
 	n.mtime = f.clock()
 	return nil
@@ -841,17 +965,35 @@ func (f *FS) WriteSnapshot(n *Inode, snap *extent.Snapshot) error {
 // WriteFileSnapshot is WriteSnapshot by path, creating the file if needed
 // (root semantics, like WriteFile).
 func (f *FS) WriteFileSnapshot(p string, snap *extent.Snapshot) error {
-	n, err := f.Lookup(p)
-	if errors.Is(err, ErrNotExist) {
-		n, err = f.Create(p, Cred{UID: Root}, 0o644)
-		if errors.Is(err, ErrExist) {
-			n, err = f.Lookup(p)
-		}
-	}
+	n, err := f.lookupOrCreate(p)
 	if err != nil {
 		return err
 	}
 	return f.WriteSnapshot(n, snap)
+}
+
+// WriteFileDeferred replaces the content of the file at p with d, creating
+// the file if needed (root semantics, like WriteFile), without reading it:
+// the file reports d's size at once, its mtime is now, as after
+// WriteFileSnapshot, and the first access that needs bytes loads them. The
+// file owns d from the call on — it releases d when the content is loaded or
+// replaced, and at once when the call fails.
+func (f *FS) WriteFileDeferred(p string, d Deferred) error {
+	n, err := f.lookupOrCreate(p)
+	if err == nil && n.typ != TypeFile {
+		err = ErrIsDir
+	}
+	if err != nil {
+		d.Release()
+		return err
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.dropPending()
+	n.data.Truncate(0)
+	n.pending = d
+	n.mtime = f.clock()
+	return nil
 }
 
 // Lockctl implements advisory whole-file locking (the fs_lockctl entry
@@ -1002,7 +1144,7 @@ func (f *FS) Walk(p string, fn func(path string, attr Attr)) error {
 	rec = func(prefix string, n *Inode) {
 		if n.typ == TypeFile {
 			n.mu.RLock()
-			attr := Attr{Ino: n.ino, Type: n.typ, UID: n.uid, Mode: n.mode, Size: n.data.Len(), Mtime: n.mtime}
+			attr := Attr{Ino: n.ino, Type: n.typ, UID: n.uid, Mode: n.mode, Size: n.size(), Mtime: n.mtime}
 			n.mu.RUnlock()
 			fn(prefix, attr)
 			return
