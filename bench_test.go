@@ -31,7 +31,7 @@ func newBenchRig(b *testing.B, mode string, fileSize int) *benchRig {
 }
 
 // newBenchRigServer is newBenchRig with an explicit server config (the
-// tiered-archive benchmarks add a disk store and an LRU budget).
+// large-file commit benchmark sets an archive LRU budget).
 func newBenchRigServer(b *testing.B, mode string, fileSize int, sc datalinks.ServerConfig) *benchRig {
 	b.Helper()
 	sys, err := datalinks.Open(datalinks.Config{
@@ -538,11 +538,18 @@ func archPhysicalBytes(a *archive.Store) int64 {
 const largeEditSize = 64 << 10
 
 // BenchmarkLargeFileCommit measures one full in-place update transaction
-// (open, 64 KiB write, close = commit + archive) against a 64 MiB rfd file.
+// (open, 64 KiB write, close = commit + archive) against a 64 MiB rfd file,
+// with an archive LRU budget of 1/8 of the file: every commit writes its new
+// bytes through to the archive's packs and resident memory stays bounded.
 // archKB/op reports how many bytes the archive device physically received
-// per commit — the paper's per-update constant this PR makes O(delta).
+// per commit — O(delta), not O(file size); residentMB the LRU at the end,
+// spills/op the blobs written per commit.
 func BenchmarkLargeFileCommit(b *testing.B) {
-	rig := newBenchRig(b, "RFD", largeFileSize)
+	rig := newBenchRigServer(b, "RFD", largeFileSize, datalinks.ServerConfig{
+		Name:                "fs1",
+		OpenWait:            5 * time.Second,
+		ArchiveMemoryBudget: 8 << 20,
+	})
 	defer rig.sys.Close()
 	arch := rig.fsrv.Internal().Archive
 	edit := make([]byte, largeEditSize)
@@ -557,45 +564,6 @@ func BenchmarkLargeFileCommit(b *testing.B) {
 		}
 		// Unique payload per commit: a repeating payload would dedup against
 		// earlier versions and under-report the true per-commit delta.
-		binary.LittleEndian.PutUint64(edit, uint64(i)+1)
-		off := int64(i%(largeFileSize/largeEditSize)) * largeEditSize
-		if _, err := f.WriteAt(off, edit); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-		rig.fsrv.WaitArchives()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(archPhysicalBytes(arch)-startBytes)/float64(b.N)/1024, "archKB/op")
-}
-
-// BenchmarkLargeFileCommitTiered is BenchmarkLargeFileCommit with the
-// durable archive tier enabled and an LRU budget far below the file size:
-// every commit write-throughs its new chunk to the on-disk store and the
-// archive's resident memory stays bounded. The per-commit cost must stay the
-// same order as the memory-only benchmark — the disk tier writes O(delta)
-// bytes, not O(file size).
-func BenchmarkLargeFileCommitTiered(b *testing.B) {
-	rig := newBenchRigServer(b, "RFD", largeFileSize, datalinks.ServerConfig{
-		Name:                "fs1",
-		OpenWait:            5 * time.Second,
-		ArchiveDir:          b.TempDir(),
-		ArchiveMemoryBudget: 8 << 20, // 1/8 of the linked file
-	})
-	defer rig.sys.Close()
-	arch := rig.fsrv.Internal().Archive
-	edit := make([]byte, largeEditSize)
-	startBytes := archPhysicalBytes(arch)
-	b.SetBytes(largeEditSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		url := rig.writeURL(b)
-		f, err := rig.sess.OpenWrite(url)
-		if err != nil {
-			b.Fatal(err)
-		}
 		binary.LittleEndian.PutUint64(edit, uint64(i)+1)
 		off := int64(i%(largeFileSize/largeEditSize)) * largeEditSize
 		if _, err := f.WriteAt(off, edit); err != nil {

@@ -3,8 +3,9 @@
 // user-space daemon on each file server and DLFS reaches it via IPC.
 //
 // The daemon owns an in-memory physical file system seeded from -seed flags
-// and a local archive store. A DLFS configured with upcall.Dial(addr) can
-// mount against it from another process.
+// and a local archive store, whose packs and catalog live in a private
+// temporary directory removed when the daemon exits. A DLFS configured with
+// upcall.Dial(addr) can mount against it from another process.
 //
 //	dlfmd -addr 127.0.0.1:7707 -name fs1 -seed /data/a.txt=hello -selftest
 package main
@@ -94,10 +95,14 @@ func main() {
 			Log:             obs.NewLogger(os.Stderr, obs.LevelDebug),
 		})
 	}
+	var err error
+	if arch, err = archive.NewTiered(0, nil, archive.TierConfig{}); err != nil {
+		fatal(err)
+	}
 	srv, err := dlfm.New(dlfm.Config{
 		Name:     *name,
 		Phys:     phys,
-		Archive:  archive.New(0, nil),
+		Archive:  arch,
 		Host:     &standaloneHost{},
 		TokenKey: []byte(*key),
 		Metrics:  reg,
@@ -151,6 +156,7 @@ func main() {
 		fmt.Println("dlfmd: selftest passed (token validated over TCP)")
 		client.Close()
 		server.Close()
+		arch.Close()
 		return
 	}
 
@@ -163,9 +169,11 @@ func main() {
 		// hard. Report the dirty shutdown to the supervisor.
 		fmt.Fprintln(os.Stderr, "dlfmd:", err)
 		srv.Close()
+		arch.Close()
 		os.Exit(2)
 	}
 	srv.Close()
+	arch.Close()
 	fmt.Println("dlfmd: drained cleanly")
 }
 
@@ -191,7 +199,14 @@ func parentDir(p string) string {
 	return p[:i]
 }
 
+// arch is the daemon's archive store; every exit path closes it, which
+// removes its directory.
+var arch *archive.Store
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "dlfmd:", err)
+	if arch != nil {
+		arch.Close()
+	}
 	os.Exit(1)
 }

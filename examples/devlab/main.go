@@ -26,7 +26,12 @@ func main() {
 	if err := phys.WriteFile("/src/release.go", base); err != nil {
 		log.Fatal(err)
 	}
-	mgr := cau.New(phys, archive.New(0, nil), "lab", nil)
+	arch, err := archive.NewTiered(0, nil, archive.TierConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer arch.Close()
+	mgr := cau.New(phys, arch, "lab", nil)
 
 	// Two developers take private copies of the same file. No locks.
 	alice, err := mgr.Copy("dlfs://lab/src/release.go")

@@ -24,22 +24,26 @@
 //     Materializing a patched slot reads the base and the patches into a
 //     buffer of the chunk's own, each verified against its hash.
 //   - Chunk and tail bytes live in a chunkdisk store: interned by content
-//     hash, written through to disk (when a directory is configured) from
-//     the capture as they lie, with a bounded in-memory LRU that only reads
-//     fill. Resident memory is capped by the LRU budget no matter how many
-//     versions accumulate; chunks page in on Get/Latest/AsOf/restore.
+//     hash, written through to disk from the capture as they lie, with a
+//     bounded in-memory LRU that only reads fill. Resident memory is capped
+//     by the LRU budget no matter how many versions accumulate; chunks page
+//     in on Get/Latest/AsOf/restore.
 //   - Dropping versions (TruncateAfter, Drop, unlink) releases references;
 //     blobs that reach zero are freed from memory immediately and their disk
 //     records are reclaimed later by GC (GCNow, and once more at Close). A
 //     Held version (Entry.Hold) keeps its own references until Release, so
 //     a file installed from it and not yet read survives its history's drop.
-//   - With a directory configured, every version's manifest is also written
-//     through to a durable catalog (internal/catalog: append-only checksummed
-//     log + snapshot checkpoints, in the same directory), and TruncateAfter/
-//     Drop append tombstones. NewTiered over an existing directory replays
-//     the catalog: the whole version history comes back into service with
-//     zero re-archiving, which is what makes the archive a database-managed
-//     store rather than a cache over the chunk packs.
+//   - Every version's manifest is also written through to a durable catalog
+//     (internal/catalog: append-only checksummed log + snapshot checkpoints,
+//     in the same directory), and TruncateAfter/Drop append tombstones.
+//     NewTiered over an existing directory replays the catalog: the whole
+//     version history comes back into service with zero re-archiving, which
+//     is what makes the archive a database-managed store rather than a cache
+//     over the chunk packs.
+//   - A store opened without a directory runs the same code over a private
+//     one it creates, and removes it at Close or Crash. Its memory is bounded
+//     by the LRU budget like any store's, and dead blobs stay in their packs
+//     until a sweep (GCNow, Close).
 //
 // A configurable latency models the paper's tertiary archive device. The
 // latency of a Put is charged per NEW chunk transferred — deduplicated
@@ -58,9 +62,7 @@
 //     write in place — not a resident LRU entry, not a pack write, not a
 //     shipped frame. Patches, whole chunks and tails go straight from the
 //     capture to the device while the capture still holds the chunk
-//     (chunkdisk.Put and PutBytes keep nothing in a disk store); a
-//     memory-only store, whose copy is the only one, copies a patch or tail
-//     and pins a whole chunk.
+//     (chunkdisk.Put and PutBytes keep nothing).
 //  3. Writing in place is gated by extent's own test — the buffer is the
 //     chunk's only owner and no store pinned it — so a snapshot, a quarantine
 //     copy or a version that still shares the chunk forces a copy. Hashing
@@ -81,6 +83,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -330,22 +333,21 @@ type DedupStats struct {
 
 // TierConfig configures the durable tier.
 type TierConfig struct {
-	// Dir is the on-disk chunk store root; "" keeps the store memory-only.
-	// With a directory, the store also keeps a durable catalog (manifest log
-	// + snapshot checkpoints) there, and NewTiered replays it: a restarted
-	// process serves the full pre-restart version history with zero
-	// re-archiving.
+	// Dir is the on-disk store root: chunk packs and a durable catalog
+	// (manifest log + snapshot checkpoints), which NewTiered replays — a
+	// restarted process serves the full pre-restart version history with
+	// zero re-archiving. "" gives the store a private directory of its own
+	// (os.MkdirTemp), which Close and Crash remove.
 	Dir string
 	// MemoryBudget bounds the hot-chunk LRU (bytes); <= 0 uses the
-	// chunkdisk default. Ignored when Dir is empty.
+	// chunkdisk default.
 	MemoryBudget int64
 	// CheckpointEvery bounds the delta chain: a full manifest at least every
 	// this many versions (<= 0: the package default of 16; 1 makes every
 	// version a checkpoint).
 	CheckpointEvery int
 	// Compress flate-compresses spilled chunks when that shrinks them;
-	// content hashes are still verified on the uncompressed bytes. Ignored
-	// when Dir is empty.
+	// content hashes are still verified on the uncompressed bytes.
 	Compress bool
 	// Fsync selects the durability policy shared by packfile/blob writes and
 	// catalog log appends: none (default — rely on the OS page cache), group
@@ -374,9 +376,12 @@ type RecoveryStats struct {
 
 // Store is an archive server. Safe for concurrent use.
 type Store struct {
-	shards  [shardCount]entryShard
-	disk    *chunkdisk.Store
-	cat     *catalog.Catalog // nil in memory-only mode
+	shards [shardCount]entryShard
+	disk   *chunkdisk.Store
+	cat    *catalog.Catalog
+	// private is the directory NewTiered made for a store opened without
+	// one ("" otherwise): Close and Crash remove it.
+	private string
 	ckEvery int
 	recov   RecoveryStats
 	seed    maphash.Seed
@@ -407,28 +412,31 @@ type Store struct {
 	tombstoneSyncErr func() error
 }
 
-// New returns a memory-only archive store (the disk tier disabled). latency
-// is the simulated device cost per transfer unit (one chunk's worth of new
-// data for Put, one round trip for Get); zero means instant.
-func New(latency time.Duration, clock func() time.Time) *Store {
-	s, err := NewTiered(latency, clock, TierConfig{})
-	if err != nil {
-		// Memory-only construction cannot fail.
-		panic(err)
-	}
-	return s
-}
-
-// NewTiered returns an archive store with the durable tier configured. With
-// a directory, any version history a previous process left there (catalog +
-// chunk packs) is replayed back into service before the store returns: the
-// full index is rebuilt and one blob reference taken per listed slot —
-// versions referencing missing blobs are dropped rather than failing the
-// open, and a torn catalog-log tail is quarantined. See Recovery for what was
-// replayed.
+// NewTiered returns an archive store over tier.Dir. latency is the simulated
+// device cost per transfer unit (one chunk's worth of new data for Put, one
+// round trip for Get); zero means instant. Any version history a previous
+// process left in the directory (catalog + chunk packs) is replayed back into
+// service before the store returns: the full index is rebuilt and one blob
+// reference taken per listed slot — versions referencing missing blobs are
+// dropped rather than failing the open, and a torn catalog-log tail is
+// quarantined. See Recovery for what was replayed.
 func NewTiered(latency time.Duration, clock func() time.Time, tier TierConfig) (*Store, error) {
 	if clock == nil {
 		clock = time.Now
+	}
+	var private string
+	if tier.Dir == "" {
+		var err error
+		if private, err = os.MkdirTemp("", "datalinks-archive-*"); err != nil {
+			return nil, fmt.Errorf("archive: %w", err)
+		}
+		tier.Dir = private
+	}
+	fail := func(err error) (*Store, error) {
+		if private != "" {
+			os.RemoveAll(private)
+		}
+		return nil, fmt.Errorf("archive: %w", err)
 	}
 	disk, err := chunkdisk.Open(chunkdisk.Config{
 		Dir:             tier.Dir,
@@ -439,9 +447,9 @@ func NewTiered(latency time.Duration, clock func() time.Time, tier TierConfig) (
 		Metrics:         tier.Metrics,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("archive: %w", err)
+		return fail(err)
 	}
-	s := &Store{seed: maphash.MakeSeed(), clock: clock, disk: disk, ckEvery: tier.CheckpointEvery, compactFailures: &metrics.Counter{}}
+	s := &Store{seed: maphash.MakeSeed(), clock: clock, disk: disk, private: private, ckEvery: tier.CheckpointEvery, compactFailures: &metrics.Counter{}}
 	if tier.Metrics != nil {
 		s.compactFailures = tier.Metrics.Counter("archive.catalog.compact_failures")
 	}
@@ -452,27 +460,24 @@ func NewTiered(latency time.Duration, clock func() time.Time, tier TierConfig) (
 	for i := range s.shards {
 		s.shards[i].entries = make(map[string]*fileVersions)
 	}
-	if tier.Dir != "" {
-		cat, err := catalog.Open(tier.Dir, catalog.Config{Fsync: tier.Fsync, Metrics: tier.Metrics})
-		if err != nil {
-			disk.Close()
-			return nil, fmt.Errorf("archive: %w", err)
-		}
-		repaired := s.replay(cat)
-		// Persist the folded-in log and any repairs as a fresh checkpoint so
-		// the next open starts from a snapshot and an empty log. A clean
-		// snapshot-only open (nothing to fold, nothing repaired) skips the
-		// rewrite — cold-open cost must not grow with archive size for a
-		// no-op.
-		if cat.LogSize() > 0 || s.recov.TornBytes > 0 || repaired {
-			if err := cat.Compact(); err != nil {
-				cat.Close()
-				disk.Close()
-				return nil, fmt.Errorf("archive: %w", err)
-			}
-		}
-		s.cat = cat
+	cat, err := catalog.Open(tier.Dir, catalog.Config{Fsync: tier.Fsync, Metrics: tier.Metrics})
+	if err != nil {
+		disk.Close()
+		return fail(err)
 	}
+	repaired := s.replay(cat)
+	// Persist the folded-in log and any repairs as a fresh checkpoint so the
+	// next open starts from a snapshot and an empty log. A clean
+	// snapshot-only open (nothing to fold, nothing repaired) skips the
+	// rewrite — cold-open cost must not grow with archive size for a no-op.
+	if cat.LogSize() > 0 || s.recov.TornBytes > 0 || repaired {
+		if err := cat.Compact(); err != nil {
+			cat.Close()
+			disk.Close()
+			return fail(err)
+		}
+	}
+	s.cat = cat
 	return s, nil
 }
 
@@ -571,7 +576,7 @@ func resize(full []slotRef, n int) []slotRef {
 }
 
 // Recovery reports what NewTiered replayed from the archive directory (zero
-// for a fresh or memory-only store).
+// for a fresh store).
 func (s *Store) Recovery() RecoveryStats { return s.recov }
 
 // GCNow sweeps dead disk chunks immediately, returning how many files were
@@ -580,41 +585,43 @@ func (s *Store) GCNow() int { return s.disk.Sweep() }
 
 // Close sweeps dead disk chunks one final time, closes the durable catalog
 // and the disk tier (sealing the active packfile and releasing the
-// archive-dir lock). A memory-only store remains usable afterwards; a tiered
-// store rejects further Puts (its catalog is closed) but keeps serving
-// memory-resident reads. Idempotent.
+// archive-dir lock), then removes the private directory of a store opened
+// without one. The store must not be used afterwards. Idempotent.
 func (s *Store) Close() {
 	s.closeOnce.Do(func() {
 		s.disk.Sweep()
-		if s.cat != nil {
-			s.cat.Close()
-		}
+		s.cat.Close()
 		s.disk.Close()
+		s.removePrivate()
 	})
 }
 
 // Crash simulates the archive process dying for tests: no final sweep, no
 // pack seal fsync — the directory is left exactly as the OS had it, and the
 // single-owner lock is released so a successor store can open it (a real
-// crash releases it too, via the lockfile's dead-pid check).
+// crash releases it too, via the lockfile's dead-pid check). A private
+// directory goes, as at Close: nothing can open it again.
 func (s *Store) Crash() {
 	s.closeOnce.Do(func() {
-		if s.cat != nil {
-			s.cat.Close()
-		}
+		s.cat.Close()
 		s.disk.Crash()
+		s.removePrivate()
 	})
+}
+
+// removePrivate removes the directory NewTiered made for a store opened
+// without one.
+func (s *Store) removePrivate() {
+	if s.private != "" {
+		os.RemoveAll(s.private)
+	}
 }
 
 // Fsyncs reports the physical fdatasync calls the durable tier has issued:
 // chunk/pack flushes (chunkdisk) and manifest-log flushes (catalog). Both
 // are zero under FsyncPolicy none.
 func (s *Store) Fsyncs() (chunk, cat int64) {
-	chunk = s.disk.Stats().Fsyncs
-	if s.cat != nil {
-		cat = s.cat.Fsyncs()
-	}
-	return chunk, cat
+	return s.disk.Stats().Fsyncs, s.cat.Fsyncs()
 }
 
 func key(server, path string) string { return server + "\x00" + path }
@@ -849,19 +856,17 @@ func (s *Store) PutSnapshotCtx(ctx context.Context, server, path string, v Versi
 		linkPatches(rec, slots, lists, &sh.arena)
 		st.DeltaChunks = nmods
 		rec.StoredUnixNano = s.clock().UnixNano()
-		if s.cat != nil {
-			// Write the manifest through to the durable catalog before the
-			// version becomes visible outside the shard lock. The blobs are
-			// already on the device (written above), so a crash right here
-			// loses only this version's index entry — its blobs are adopted as
-			// dead and swept at the next open, and recovery's pending-archive
-			// pass re-archives the version. An unlogged version must not be
-			// served (it would silently vanish at the next restart).
-			if err := s.cat.AppendPut(rec); err != nil {
-				sh.mu.Unlock()
-				s.releaseRec(slots, rec)
-				return PutStats{}, fmt.Errorf("archive: catalog: %w", err)
-			}
+		// Write the manifest through to the durable catalog before the
+		// version becomes visible outside the shard lock. The blobs are
+		// already on the device (written above), so a crash right here loses
+		// only this version's index entry — its blobs are adopted as dead and
+		// swept at the next open, and recovery's pending-archive pass
+		// re-archives the version. An unlogged version must not be served (it
+		// would silently vanish at the next restart).
+		if err := s.cat.AppendPut(rec); err != nil {
+			sh.mu.Unlock()
+			s.releaseRec(slots, rec)
+			return PutStats{}, fmt.Errorf("archive: catalog: %w", err)
 		}
 		if len(fv.recs) == 0 {
 			sh.entries[rec.Key] = fv
@@ -909,7 +914,7 @@ func (s *Store) afterPut(ctx context.Context, rec *catalog.PutRec, st PutStats) 
 // the shard's readers. A failure is counted, not returned: the log keeps
 // growing and a later append retries.
 func (s *Store) compactCatalog() {
-	if s.cat != nil && s.cat.CompactIfDue() != nil {
+	if s.cat.CompactIfDue() != nil {
 		s.compactFailures.Inc()
 	}
 }
@@ -917,9 +922,6 @@ func (s *Store) compactCatalog() {
 // tombstoneBarrier is the commit barrier of a TruncateAfter or Drop
 // tombstone: the round that makes it durable.
 func (s *Store) tombstoneBarrier() error {
-	if s.cat == nil {
-		return nil
-	}
 	s.compactCatalog()
 	err := s.cat.Sync()
 	if err == nil && s.tombstoneSyncErr != nil {
@@ -936,7 +938,7 @@ func (s *Store) tombstoneBarrier() error {
 func (s *Store) syncRounds(fsp *obs.Span) error {
 	round, err := s.disk.SyncRound()
 	fsp.SetInt("round", int64(round))
-	if err != nil || s.cat == nil {
+	if err != nil {
 		return err
 	}
 	cround, err := s.cat.SyncRound()
@@ -1263,11 +1265,9 @@ func (s *Store) TruncateAfter(server, path string, stateID uint64) error {
 		sh.mu.Unlock()
 		return nil
 	}
-	if s.cat != nil {
-		if err := s.cat.AppendTruncate(k, cut); err != nil {
-			sh.mu.Unlock()
-			return fmt.Errorf("archive: catalog: %w", err)
-		}
+	if err := s.cat.AppendTruncate(k, cut); err != nil {
+		sh.mu.Unlock()
+		return fmt.Errorf("archive: catalog: %w", err)
 	}
 	// Materialize the dropped versions' hash lists before mutating the
 	// chain (their checkpoints may themselves be dropped).
@@ -1335,11 +1335,9 @@ func (s *Store) Drop(server, path string) error {
 		return nil
 	}
 	k := fv.key()
-	if s.cat != nil {
-		if err := s.cat.AppendDrop(k); err != nil {
-			sh.mu.Unlock()
-			return fmt.Errorf("archive: catalog: %w", err)
-		}
+	if err := s.cat.AppendDrop(k); err != nil {
+		sh.mu.Unlock()
+		return fmt.Errorf("archive: catalog: %w", err)
 	}
 	drops := make([]dropped, 0, len(fv.recs))
 	for i := range fv.recs {
@@ -1362,8 +1360,8 @@ func (s *Store) Stats() (puts, restores, bytes int64) {
 }
 
 // Dedup reports the chunk-dedup counters. ResidentBytes is memory-resident
-// bytes only: with the disk tier enabled it is bounded by the LRU budget,
-// while the full deduplicated content lives in Tier().DiskBytes.
+// bytes only, bounded by the LRU budget, while the full deduplicated content
+// lives in Tier().DiskBytes.
 func (s *Store) Dedup() DedupStats {
 	return DedupStats{
 		LogicalBytes:  s.logicalBytes.Load(),
@@ -1377,5 +1375,6 @@ func (s *Store) Dedup() DedupStats {
 // Tier reports the durable-tier counters (spill, page-in, eviction, GC).
 func (s *Store) Tier() chunkdisk.Stats { return s.disk.Stats() }
 
-// TierDir reports the on-disk store root ("" when memory-only).
+// TierDir reports the on-disk store root: TierConfig.Dir, or the private
+// directory of a store opened without one.
 func (s *Store) TierDir() string { return s.disk.Dir() }

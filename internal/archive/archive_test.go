@@ -24,7 +24,7 @@ func bytesOf(t testing.TB, e Entry) []byte {
 }
 
 func TestPutGetLatest(t *testing.T) {
-	s := New(0, nil)
+	s := newTiered(t, 0)
 	if err := s.Put("fs1", "/a", 0, 10, []byte("v0")); err != nil {
 		t.Fatalf("put v0: %v", err)
 	}
@@ -42,7 +42,7 @@ func TestPutGetLatest(t *testing.T) {
 }
 
 func TestVersionsMustIncrease(t *testing.T) {
-	s := New(0, nil)
+	s := newTiered(t, 0)
 	s.Put("fs1", "/a", 1, 10, []byte("v1"))
 	if err := s.Put("fs1", "/a", 1, 20, []byte("dup")); err == nil {
 		t.Fatal("duplicate version accepted")
@@ -53,7 +53,7 @@ func TestVersionsMustIncrease(t *testing.T) {
 }
 
 func TestContentIsCopied(t *testing.T) {
-	s := New(0, nil)
+	s := newTiered(t, 0)
 	buf := []byte("original")
 	s.Put("fs1", "/a", 0, 1, buf)
 	buf[0] = 'X'
@@ -64,7 +64,7 @@ func TestContentIsCopied(t *testing.T) {
 }
 
 func TestAsOfSelectsByStateID(t *testing.T) {
-	s := New(0, nil)
+	s := newTiered(t, 0)
 	s.Put("fs1", "/a", 0, 10, []byte("v0"))
 	s.Put("fs1", "/a", 1, 20, []byte("v1"))
 	s.Put("fs1", "/a", 2, 30, []byte("v2"))
@@ -87,7 +87,7 @@ func TestAsOfSelectsByStateID(t *testing.T) {
 }
 
 func TestTruncateAfter(t *testing.T) {
-	s := New(0, nil)
+	s := newTiered(t, 0)
 	s.Put("fs1", "/a", 0, 10, []byte("v0"))
 	s.Put("fs1", "/a", 1, 20, []byte("v1"))
 	s.Put("fs1", "/a", 2, 30, []byte("v2"))
@@ -103,7 +103,7 @@ func TestTruncateAfter(t *testing.T) {
 }
 
 func TestServerNamespaceIsolation(t *testing.T) {
-	s := New(0, nil)
+	s := newTiered(t, 0)
 	s.Put("fs1", "/a", 0, 1, []byte("one"))
 	s.Put("fs2", "/a", 0, 1, []byte("two"))
 	e1, _ := s.Latest("fs1", "/a")
@@ -118,7 +118,7 @@ func TestServerNamespaceIsolation(t *testing.T) {
 }
 
 func TestDrop(t *testing.T) {
-	s := New(0, nil)
+	s := newTiered(t, 0)
 	s.Put("fs1", "/a", 0, 1, []byte("x"))
 	s.Drop("fs1", "/a")
 	if _, err := s.Latest("fs1", "/a"); !errors.Is(err, ErrNotFound) {
@@ -127,7 +127,8 @@ func TestDrop(t *testing.T) {
 }
 
 func TestLatencyInjection(t *testing.T) {
-	s := New(4*time.Millisecond, nil)
+	s := newTiered(t, 0)
+	s.SetLatency(4 * time.Millisecond)
 	start := time.Now()
 	s.Put("fs1", "/a", 0, 1, []byte("x"))
 	if d := time.Since(start); d < 4*time.Millisecond {
@@ -142,7 +143,7 @@ func TestLatencyInjection(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	s := New(0, nil)
+	s := newTiered(t, 0)
 	s.Put("fs1", "/a", 0, 1, []byte("abcd"))
 	s.Latest("fs1", "/a")
 	puts, restores, bytes := s.Stats()
@@ -152,9 +153,9 @@ func TestStats(t *testing.T) {
 }
 
 // TestDedupSharesChunks: archiving mostly-identical versions stores only
-// the changed chunks — resident bytes grow by the delta, not the file size.
+// the changed chunks — stored bytes grow by the delta, not the file size.
 func TestDedupSharesChunks(t *testing.T) {
-	s := New(0, nil)
+	s := newTiered(t, 0)
 	const chunks = 16
 	content := make([]byte, chunks*extent.ChunkSize)
 	for i := range content {
@@ -172,7 +173,7 @@ func TestDedupSharesChunks(t *testing.T) {
 	if st.NewChunks != chunks || st.SharedChunks != 0 {
 		t.Fatalf("v0 put: %+v", st)
 	}
-	base := s.Dedup().ResidentBytes
+	base := s.Tier().DiskLogicalBytes
 
 	// Ten one-chunk edits, each archived as a full version.
 	for v := 1; v <= 10; v++ {
@@ -188,9 +189,9 @@ func TestDedupSharesChunks(t *testing.T) {
 		}
 	}
 	d := s.Dedup()
-	grown := d.ResidentBytes - base
+	grown := s.Tier().DiskLogicalBytes - base
 	if grown != 10*extent.ChunkSize {
-		t.Fatalf("resident grew %d; want %d (one chunk per version)", grown, 10*extent.ChunkSize)
+		t.Fatalf("stored bytes grew %d; want %d (one chunk per version)", grown, 10*extent.ChunkSize)
 	}
 	if d.LogicalBytes != 11*int64(len(content)) {
 		t.Fatalf("logical bytes = %d", d.LogicalBytes)
@@ -207,17 +208,18 @@ func TestDedupSharesChunks(t *testing.T) {
 	if !bytes.Equal(bytesOf(t, e), want) {
 		t.Fatal("restored v3 content mismatch")
 	}
-	// Dropping the file releases every resident chunk.
+	// Dropping the file releases every chunk; the sweep reclaims them all.
 	s.Drop("fs1", "/big")
-	if r := s.Dedup().ResidentBytes; r != 0 {
-		t.Fatalf("resident after drop = %d", r)
+	s.GCNow()
+	if r := s.Tier().DiskLogicalBytes; r != 0 {
+		t.Fatalf("stored bytes after drop = %d", r)
 	}
 }
 
 // TestStalePutIsTyped: recovery relies on re-archiving an existing version
 // being distinguishable (a crashed archiver may have completed it already).
 func TestStalePutIsTyped(t *testing.T) {
-	s := New(0, nil)
+	s := newTiered(t, 0)
 	s.Put("fs1", "/a", 1, 10, []byte("v1"))
 	if err := s.Put("fs1", "/a", 1, 20, []byte("dup")); !errors.Is(err, ErrStale) {
 		t.Fatalf("dup put error = %v; want ErrStale", err)
@@ -229,7 +231,8 @@ func TestStalePutIsTyped(t *testing.T) {
 // asserted deterministically; the wall-clock checks are lower bounds only
 // (upper bounds flake on loaded runners).
 func TestPutLatencyChargedPerNewChunk(t *testing.T) {
-	s := New(2*time.Millisecond, nil)
+	s := newTiered(t, 0)
+	s.SetLatency(2 * time.Millisecond)
 	content := make([]byte, 4*extent.ChunkSize)
 	for i := range content {
 		content[i] = byte(i % 251) // 251 ∤ ChunkSize: every chunk is distinct
@@ -262,10 +265,10 @@ func TestPutLatencyChargedPerNewChunk(t *testing.T) {
 }
 
 // TestStalePutLeavesAccountingIntact: a rejected (stale) Put must unwind its
-// interning exactly — resident bytes stay what the accepted versions hold,
-// and handed-out entries keep reading valid content after Drop.
+// interning exactly — once swept, stored bytes are what the accepted versions
+// hold — and handed-out entries keep reading valid content after Drop.
 func TestStalePutLeavesAccountingIntact(t *testing.T) {
-	s := New(0, nil)
+	s := newTiered(t, 0)
 	content := make([]byte, 2*extent.ChunkSize+100)
 	for i := range content {
 		content[i] = byte(i % 251)
@@ -273,17 +276,18 @@ func TestStalePutLeavesAccountingIntact(t *testing.T) {
 	if err := s.Put("fs1", "/f", 1, 10, content); err != nil {
 		t.Fatal(err)
 	}
-	resident := s.Dedup().ResidentBytes
-	if resident != 2*extent.ChunkSize+100 {
-		t.Fatalf("resident = %d", resident)
+	stored := s.Tier().DiskLogicalBytes
+	if stored != 2*extent.ChunkSize+100 {
+		t.Fatalf("stored = %d", stored)
 	}
 	// Stale re-put of v1 with different content: rejected, no accounting drift.
 	other := bytes.Repeat([]byte{9}, len(content))
 	if err := s.Put("fs1", "/f", 1, 20, other); !errors.Is(err, ErrStale) {
 		t.Fatalf("stale put error = %v", err)
 	}
-	if got := s.Dedup().ResidentBytes; got != resident {
-		t.Fatalf("resident after stale put = %d, want %d", got, resident)
+	s.GCNow()
+	if got := s.Tier().DiskLogicalBytes; got != stored {
+		t.Fatalf("stored after stale put = %d, want %d", got, stored)
 	}
 	// A snapshot materialized before the drop stays readable after it (the
 	// retained chunks outlive the store's release); the entry handle itself
@@ -297,8 +301,9 @@ func TestStalePutLeavesAccountingIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Drop("fs1", "/f")
-	if got := s.Dedup().ResidentBytes; got != 0 {
-		t.Fatalf("resident after drop = %d", got)
+	s.GCNow()
+	if got := s.Tier().DiskLogicalBytes; got != 0 {
+		t.Fatalf("stored after drop = %d", got)
 	}
 	if !bytes.Equal(snap.Bytes(), content) {
 		t.Fatal("pre-drop snapshot corrupted by drop")
@@ -319,7 +324,7 @@ func TestAsOfProperty(t *testing.T) {
 		if len(deltas) > 20 {
 			deltas = deltas[:20]
 		}
-		s := New(0, nil)
+		s := newTiered(t, 0)
 		state := uint64(0)
 		var states []uint64
 		for i, d := range deltas {

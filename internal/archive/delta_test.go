@@ -42,14 +42,10 @@ func handOver(t testing.TB, src, dst *Store) (ImportStats, error) {
 	return dst.ImportDelta("auth", "/f", exportAll(t, src, "auth", "/f"), src.FetchBlob)
 }
 
-// pinnedBlobs counts the blob hashes the store holds a reference on: in
-// memory mode a blob is resident exactly while it is referenced, on disk
+// pinnedBlobs counts the blob hashes the store holds a reference on:
 // everything indexed that is not awaiting a sweep.
 func pinnedBlobs(s *Store) int {
 	t := s.Tier()
-	if s.TierDir() == "" {
-		return int(t.ResidentBlobs)
-	}
 	return int(t.DiskBlobs - t.DeadBlobs)
 }
 
@@ -58,13 +54,13 @@ func pinnedBlobs(s *Store) int {
 // the chains match).
 func seedPair(t *testing.T, srcVers, dstVers int) (src, dst *Store) {
 	t.Helper()
-	src = New(0, nil)
+	src = newTiered(t, 0)
 	for v := 0; v < srcVers; v++ {
 		if err := src.Put("auth", "/f", Version(v), uint64(10+v), multiVersionContent(v)); err != nil {
 			t.Fatalf("src put v%d: %v", v, err)
 		}
 	}
-	dst = New(0, nil)
+	dst = newTiered(t, 0)
 	if dstVers > 0 {
 		recs := exportAll(t, src, "auth", "/f")
 		if _, err := dst.ImportDelta("auth", "/f", recs[:dstVers], src.FetchBlob); err != nil {
@@ -75,7 +71,7 @@ func seedPair(t *testing.T, srcVers, dstVers int) (src, dst *Store) {
 }
 
 func TestHandoffRoundTrip(t *testing.T) {
-	src := New(0, nil)
+	src := newTiered(t, 0)
 	for v := 0; v < 5; v++ {
 		if err := src.Put("auth", "/f", Version(v), uint64(10+v), multiVersionContent(v)); err != nil {
 			t.Fatalf("put v%d: %v", v, err)
@@ -86,7 +82,7 @@ func TestHandoffRoundTrip(t *testing.T) {
 		t.Fatalf("exported %d recs, want 5", len(recs))
 	}
 
-	dst := New(0, nil)
+	dst := newTiered(t, 0)
 	st, err := dst.ImportDelta("auth", "/f", recs, src.FetchBlob)
 	if err != nil {
 		t.Fatalf("import: %v", err)
@@ -128,8 +124,8 @@ func TestHandoffRoundTrip(t *testing.T) {
 }
 
 func TestHandoffDedupAgainstResident(t *testing.T) {
-	src := New(0, nil)
-	dst := New(0, nil)
+	src := newTiered(t, 0)
+	dst := newTiered(t, 0)
 	content := multiVersionContent(0)
 	// The destination already archived identical content under another path.
 	if err := dst.Put("auth", "/other", 0, 1, content); err != nil {
@@ -196,11 +192,11 @@ func TestHandoffOntoExistingHistoryIsNoOp(t *testing.T) {
 }
 
 func TestHandoffFetchFailureUnwinds(t *testing.T) {
-	src := New(0, nil)
+	src := newTiered(t, 0)
 	if err := src.Put("auth", "/f", 0, 1, multiVersionContent(0)); err != nil {
 		t.Fatal(err)
 	}
-	dst := New(0, nil)
+	dst := newTiered(t, 0)
 	calls := 0
 	failing := func(h extent.Hash) (*extent.Chunk, error) {
 		calls++
@@ -229,7 +225,7 @@ func TestHandoffFetchFailureUnwinds(t *testing.T) {
 }
 
 func TestHandoffTieredDestination(t *testing.T) {
-	src := New(0, nil)
+	src := newTiered(t, 0)
 	for v := 0; v < 3; v++ {
 		if err := src.Put("auth", "/f", Version(v), uint64(v+1), multiVersionContent(v)); err != nil {
 			t.Fatal(err)
@@ -340,7 +336,7 @@ func TestDeltaChainGap(t *testing.T) {
 	if recs[0].IsFull {
 		t.Fatal("tail starts at a checkpoint; the test needs a delta record")
 	}
-	empty := New(0, nil)
+	empty := newTiered(t, 0)
 	if _, err := empty.ImportDelta("auth", "/f", recs, src.FetchBlob); !errors.Is(err, ErrChainGap) {
 		t.Fatalf("delta into empty store: %v, want ErrChainGap", err)
 	}

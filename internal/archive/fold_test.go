@@ -81,7 +81,7 @@ func TestFoldedIndexSurvivesReopen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			src := New(0, nil) // the other store of the imports
+			src := newTiered(t, 0) // the other store of the imports
 			state := uint64(0)
 			content := func(seed, chunks, tail int) []byte {
 				b := make([]byte, chunks*C+tail)

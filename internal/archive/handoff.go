@@ -225,18 +225,16 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 		fv = &fileVersions{gen: genCounter.Add(1)}
 	}
 	for i, rec := range newRecs {
-		if s.cat != nil {
-			if err := s.cat.AppendPut(rec); err != nil {
-				// Records [0,i) are logged and visible — keep them. Release
-				// only the pins belonging to the records that did not land.
-				if len(fv.recs) > 0 {
-					fv.last, fv.capture = slotsAt(fv, len(fv.recs)-1), 0
-				}
-				sh.mu.Unlock()
-				s.releaseAll(pinned[pinStart[i]:])
-				st.Versions = i
-				return st, fmt.Errorf("archive: delta catalog %s: %w", path, err)
+		if err := s.cat.AppendPut(rec); err != nil {
+			// Records [0,i) are logged and visible — keep them. Release only
+			// the pins belonging to the records that did not land.
+			if len(fv.recs) > 0 {
+				fv.last, fv.capture = slotsAt(fv, len(fv.recs)-1), 0
 			}
+			sh.mu.Unlock()
+			s.releaseAll(pinned[pinStart[i]:])
+			st.Versions = i
+			return st, fmt.Errorf("archive: delta catalog %s: %w", path, err)
 		}
 		if len(fv.recs) == 0 {
 			sh.entries[k] = fv
@@ -252,10 +250,8 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 	if err := s.disk.Sync(); err != nil {
 		return st, err
 	}
-	if s.cat != nil {
-		if err := s.cat.Sync(); err != nil {
-			return st, fmt.Errorf("archive: delta catalog %s: %w", path, err)
-		}
+	if err := s.cat.Sync(); err != nil {
+		return st, fmt.Errorf("archive: delta catalog %s: %w", path, err)
 	}
 	s.logicalBytes.Add(sumSizes(recs))
 	s.newBytes.Add(st.MovedBytes)

@@ -10,22 +10,9 @@ import (
 	"datalinks/internal/extent"
 )
 
-// tiers runs fn against a memory-only and a durable store.
+// tiers runs fn against a durable store, as subtest "durable".
 func tiers(t *testing.T, fn func(t *testing.T, s *Store)) {
-	for _, tier := range []string{"memory", "durable"} {
-		t.Run(tier, func(t *testing.T) {
-			var cfg TierConfig
-			if tier == "durable" {
-				cfg.Dir = t.TempDir()
-			}
-			s, err := NewTiered(0, nil, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			fn(t, s)
-		})
-	}
+	t.Run("durable", func(t *testing.T) { fn(t, newTiered(t, 0)) })
 }
 
 // TestReleaseToZeroNeverStrandsAClaimer: one writer keeps losing Puts of a
@@ -106,7 +93,7 @@ func TestReleaseToZeroNeverStrandsAClaimer(t *testing.T) {
 // references are all given back.
 func TestTwoWritersOneVersion(t *testing.T) {
 	tiers(t, func(t *testing.T, s *Store) {
-		src := New(0, nil)
+		src := newTiered(t, 0)
 		defer src.Close()
 		base := bytes.Repeat([]byte{7}, extent.ChunkSize)
 		const rounds = 200

@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"datalinks/internal/extent"
 )
 
-func newTiered(t *testing.T, budget int64) *Store {
+func newTiered(t testing.TB, budget int64) *Store {
 	t.Helper()
 	s, err := NewTiered(0, nil, TierConfig{Dir: t.TempDir(), MemoryBudget: budget})
 	if err != nil {
@@ -37,6 +38,76 @@ func strayFiles(t *testing.T, s *Store) []string {
 		}
 	}
 	return stray
+}
+
+// TestStoreWithoutDirRunsDurableCode: a store opened without a directory
+// runs the durable code over a private one — packs and a catalog on disk,
+// memory bounded by the LRU budget through a churn that pages far more than
+// the budget back in — and removes that directory at Close, as a second store
+// does at Crash.
+func TestStoreWithoutDirRunsDurableCode(t *testing.T) {
+	const C = extent.ChunkSize
+	const budget = 16 * C // one chunk per shard
+	s, err := NewTiered(0, nil, TierConfig{MemoryBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	dir := s.TierDir()
+	if dir == "" {
+		t.Fatal("a store opened without a directory reports none")
+	}
+	rng := rand.New(rand.NewSource(37))
+	var want [][]byte
+	for v := 0; v < 48; v++ {
+		content := make([]byte, 3*C+int(rng.Int31n(C)))
+		rng.Read(content)
+		if err := s.Put("fs1", "/f", Version(v), uint64(v+1), content); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, content)
+		// Read an older version back: page-ins fill the LRU.
+		e, err := s.Get("fs1", "/f", Version(rng.Intn(v+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytesOf(t, e)
+		if r := s.Tier().ResidentBytes; r > budget {
+			t.Fatalf("version %d: %d bytes resident over a %d-byte budget", v, r, budget)
+		}
+	}
+	for v, e := range s.Versions("fs1", "/f") {
+		if !bytes.Equal(bytesOf(t, e), want[v]) {
+			t.Fatalf("version %d does not materialize", v)
+		}
+	}
+	if st := s.Tier(); st.ResidentBytes > budget || st.Evictions == 0 {
+		t.Fatalf("the LRU did not bound the churn: %+v", st)
+	}
+	if packs, _ := filepath.Glob(filepath.Join(dir, "pack-*.pk")); len(packs) == 0 {
+		t.Fatalf("no pack in %s", dir)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "catalog.log")); err != nil {
+		t.Fatalf("no catalog: %v", err)
+	}
+	s.Close()
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("%s survives Close: %v", dir, err)
+	}
+
+	crashed, err := NewTiered(0, nil, TierConfig{MemoryBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(crashed.Close)
+	if err := crashed.Put("fs1", "/f", 0, 1, want[0]); err != nil {
+		t.Fatal(err)
+	}
+	dir = crashed.TierDir()
+	crashed.Crash()
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("%s survives Crash: %v", dir, err)
+	}
 }
 
 // TestTieredDeltaChainAllVersionsRestorable: enough versions to cross
@@ -192,7 +263,7 @@ func TestTieredSpillGCReturnsToBaseline(t *testing.T) {
 // truncated away must error once a newer Put refills its slot — never serve
 // the new version's bytes under the old version's metadata.
 func TestEntryHandleInvalidAfterTruncateRefill(t *testing.T) {
-	s := New(0, nil)
+	s := newTiered(t, 0)
 	for v := 1; v <= 3; v++ {
 		if err := s.Put("fs1", "/f", Version(v), uint64(v), bytes.Repeat([]byte{byte(v)}, 100)); err != nil {
 			t.Fatal(err)

@@ -85,8 +85,8 @@ func TestSmallCommitAllocBudget(t *testing.T) {
 }
 
 // TestArchiverRacesInPlaceWrites: one goroutine archives every capture onto
-// a disk store and a memory-only replica — hashing the chunks it stores whole,
-// writing them through, keeping the replica's copies — while the writer goes
+// an owner with a two-chunk LRU and a replica with the default one — hashing
+// the chunks it stores whole, writing them through — while the writer goes
 // on editing the file under a mutex, as fs's inode lock has it, in place
 // wherever it may. Every version on both stores reads back as the model
 // committed it; under -race, a write in place to a chunk an archiver still
@@ -101,7 +101,7 @@ func TestArchiverRacesInPlaceWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer owner.Close()
-	replica := New(0, nil)
+	replica := newTiered(t, 0)
 	defer replica.Close()
 
 	type capture struct {

@@ -10,6 +10,18 @@ import (
 	"datalinks/internal/workload"
 )
 
+// newArchive opens an archive store over a test directory, closed when the
+// test ends.
+func newArchive(t testing.TB) *archive.Store {
+	t.Helper()
+	arch, err := archive.NewTiered(0, nil, archive.TierConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(arch.Close)
+	return arch
+}
+
 // bytesOf materializes an archived version (a fresh copy), failing the test
 // when it cannot — a version that does not materialize is never an empty one.
 func bytesOf(t testing.TB, e archive.Entry) []byte {
@@ -26,7 +38,7 @@ func bytesOf(t testing.TB, e archive.Entry) []byte {
 func setup(t *testing.T) (*Manager, *fs.FS, *workload.Population) {
 	t.Helper()
 	phys := fs.New()
-	arch := archive.New(0, nil)
+	arch := newArchive(t)
 	pop, err := workload.Seed(phys, "/w", 2, 64, 100, workload.RNG(2))
 	if err != nil {
 		t.Fatalf("seed: %v", err)
@@ -148,8 +160,6 @@ func TestWorkCopySingleUse(t *testing.T) {
 
 func TestCheckInArchivesVersions(t *testing.T) {
 	m, _, pop := setup(t)
-	arch := archive.New(0, nil)
-	_ = arch
 	c1, _ := m.Copy(pop.URL("fs1", 1))
 	c1.Content = []byte("v1")
 	m.CheckInBlind(c1)

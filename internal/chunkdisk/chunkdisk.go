@@ -26,9 +26,9 @@
 // catalog replay Refs back what its histories list; the first sweep reclaims
 // the rest.
 //
-// A disk store writes every blob through at Put time (the durability point),
-// from where the caller's bytes lie, and keeps nothing of them: the live file
-// goes on writing the chunk it stored. The LRU is a read cache — Get pages a
+// Every blob is written through at Put time (the durability point), from
+// where the caller's bytes lie, and the store keeps nothing of them: the live
+// file goes on writing the chunk it stored. The LRU is a read cache — Get pages a
 // blob in from disk, verifying its content hash on the way (a corrupted or
 // truncated pack record surfaces as an error, never as silent bad data), and
 // keeps it resident for the next Get. ReadInto reads into a caller's buffer
@@ -41,10 +41,6 @@
 // GC) retires dead records in place — so TruncateAfter/Drop never pay disk
 // I/O inline, and a hash that is re-archived before the sweep is revived
 // without a device transfer.
-//
-// With Dir == "" the store runs memory-only: Put keeps (and pins) the chunk
-// it is given, its only copy; no spill, no eviction, and the last Release
-// frees immediately — the semantics the archive had before the disk tier.
 //
 // Every blob is appended to a packfile (see pack.go): one sequential append
 // stream, no file per blob. A directory an older store left loose blobs in
@@ -64,6 +60,7 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -88,12 +85,10 @@ const DefaultMemoryBudget = 64 << 20
 
 // Config configures a store.
 type Config struct {
-	// Dir is the root of the on-disk store. Empty means memory-only (no
-	// spill, no eviction — the pre-tier archive semantics).
+	// Dir is the root of the on-disk store (required).
 	Dir string
 	// MemoryBudget is the LRU budget in bytes; <= 0 means
-	// DefaultMemoryBudget. Ignored in memory-only mode (nothing backs an
-	// evicted chunk there).
+	// DefaultMemoryBudget.
 	MemoryBudget int64
 	// Compress writes spilled blobs through compress/flate when that makes
 	// them smaller (a blob that would grow — e.g. already-random content —
@@ -162,10 +157,8 @@ type diskMeta struct {
 }
 
 // blobState is what a shard knows of one hash: how many version slots
-// reference it — more than none means the store holds the bytes — and, in
-// disk mode, where its device copy lies. A disk store indexes a hash from its
-// write-through or adoption until a sweep reclaims it; a memory-only store,
-// while it is referenced.
+// reference it and where its device copy lies. A hash is indexed from its
+// write-through or adoption until a sweep reclaims it.
 type blobState struct {
 	diskMeta
 	refs int64
@@ -190,12 +183,12 @@ type shard struct {
 
 // Store is a tiered blob store. Safe for concurrent use.
 type Store struct {
-	dir      string // "" = memory-only
-	budget   int64  // per shard
+	dir      string
+	budget   int64 // per shard
 	compress bool
 	shards   [shardCount]shard
 
-	packs *packSet        // nil in memory-only mode
+	packs *packSet
 	sync  *fsyncer.Syncer // durability policy (never nil)
 	lock  *dirlock.Lock   // archive.lock we own (nil when not held)
 
@@ -258,6 +251,9 @@ func (s *Store) countFsync() {
 // directory fails fast instead of corrupting the first, and a lock left by a
 // dead process is stolen.
 func Open(cfg Config) (*Store, error) {
+	if cfg.Dir == "" {
+		return nil, errors.New("chunkdisk: Config.Dir is required")
+	}
 	budget := cfg.MemoryBudget
 	if budget <= 0 {
 		budget = DefaultMemoryBudget
@@ -276,10 +272,6 @@ func Open(cfg Config) (*Store, error) {
 		sh.lru = list.New()
 		sh.dead = make(map[extent.Hash]struct{})
 		sh.putting = make(map[extent.Hash]struct{})
-	}
-	if cfg.Dir == "" {
-		s.sync = fsyncer.New(fsyncer.PolicyNone, 0, func() error { return nil }, nil)
-		return s, nil
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("chunkdisk: %w", err)
@@ -482,37 +474,19 @@ func (s *Store) Ref(h extent.Hash) bool {
 }
 
 // Put takes one reference on h, which the caller guarantees is the chunk's
-// content hash, storing the bytes only if the store does not hold them: a
-// disk store writes them through before Put returns, as PutBytes does, and
-// keeps nothing; a memory-only store keeps the chunk itself, pinned. wrote
-// reports whether a device transfer happened — false when the bytes were
-// already held. A failed write takes no reference.
+// content hash, storing the bytes only if the store does not hold them: they
+// are written through before Put returns, as PutBytes does, and nothing of the
+// chunk is kept. wrote reports whether a device transfer happened — false when
+// the bytes were already held. A failed write takes no reference.
 func (s *Store) Put(h extent.Hash, c *extent.Chunk) (wrote bool, err error) {
-	if s.dir != "" {
-		return s.PutBytes(h, c.Data())
-	}
-	sh := s.shardFor(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if s.refLocked(sh, h) {
-		return false, nil
-	}
-	s.admitLocked(sh, h, c, int64(len(c.Data())))
-	sh.blobs[h] = blobState{refs: 1}
-	return true, nil
+	return s.PutBytes(h, c.Data())
 }
 
 // PutBytes is Put for bytes that are not a chunk of their own — a patch cut
 // out of a live chunk, a version's tail — which the caller may write to again
-// once it returns: a memory-only store keeps a copy, its only way to serve the
-// blob; a disk store writes them through from where they lie, and the blob is
-// read back from the device when it is wanted.
+// once it returns: they are written through from where they lie, and the blob
+// is read back from the device when it is wanted.
 func (s *Store) PutBytes(h extent.Hash, data []byte) (wrote bool, err error) {
-	if s.dir == "" {
-		c := extent.WrapChunk(append([]byte(nil), data...), h)
-		defer c.ReleaseChunk()
-		return s.Put(h, c)
-	}
 	sh := s.shardFor(h)
 	sh.mu.Lock()
 	if s.refLocked(sh, h) {
@@ -612,10 +586,6 @@ func (s *Store) Get(h extent.Hash) (*extent.Chunk, error) {
 		sh.mu.Unlock()
 		return c, nil
 	}
-	if s.dir == "" {
-		sh.mu.Unlock()
-		return nil, fmt.Errorf("chunkdisk: blob %x not stored", h[:8])
-	}
 	_, ok := sh.blobs[h]
 	sh.mu.Unlock()
 	if !ok {
@@ -665,7 +635,7 @@ func (s *Store) ReadInto(h extent.Hash, dst []byte) (int, error) {
 	resident := s.residentLocked(sh, h) != nil
 	b, ok := sh.blobs[h]
 	sh.mu.Unlock()
-	if resident || !ok || s.dir == "" || b.compressed {
+	if resident || !ok || b.compressed {
 		// A resident copy, one that inflates into a buffer of its own
 		// anyway, or none at all: as Get has it.
 		c, err := s.Get(h)
@@ -734,12 +704,8 @@ func (s *Store) readPackBlob(h extent.Hash, buf []byte) ([]byte, diskMeta, error
 	return buf, meta, ps.readInto(meta.pack, meta.off, buf)
 }
 
-// evictLocked drops cold residents until the shard fits its budget. Memory
-// mode never evicts (there is no disk copy to page back from).
+// evictLocked drops cold residents until the shard fits its budget.
 func (s *Store) evictLocked(sh *shard) {
-	if s.dir == "" {
-		return
-	}
 	for sh.resBytes > s.budget {
 		el := sh.lru.Back()
 		if el == nil {
@@ -773,8 +739,8 @@ func (s *Store) freeResidentLocked(sh *shard, e *entry) {
 }
 
 // Release gives one reference back. At zero the resident copy is freed
-// (memory returns to baseline without waiting for GC) and the disk copy, if
-// any, is marked dead for the next sweep — in this critical section, so no
+// (memory returns to baseline without waiting for GC) and the disk copy is
+// marked dead for the next sweep — in this critical section, so no
 // Put or Ref can come between the count and the mark.
 func (s *Store) Release(h extent.Hash) {
 	sh := s.shardFor(h)
@@ -788,10 +754,6 @@ func (s *Store) Release(h extent.Hash) {
 		if e, ok := sh.resident[h]; ok {
 			s.freeResidentLocked(sh, e)
 		}
-		if s.dir == "" {
-			delete(sh.blobs, h)
-			break
-		}
 		b.refs = 0
 		sh.blobs[h] = b
 		sh.dead[h] = struct{}{}
@@ -804,9 +766,6 @@ func (s *Store) Release(h extent.Hash) {
 // — with no file I/O; packs whose garbage ratio crossed the threshold are
 // then compacted. The archive calls it from GCNow and once more at Close.
 func (s *Store) Sweep() int {
-	if s.dir == "" {
-		return 0
-	}
 	freed := 0
 	packDead := make(map[int64]int64)
 	packBlobs := make(map[int64]int64)
@@ -854,15 +813,15 @@ func (s *Store) SyncRound() (uint64, error) {
 	return s.sync.BarrierRound()
 }
 
+// errClosed fails a write to a closed store.
+var errClosed = errors.New("chunkdisk: store closed")
+
 // Close seals the active packfile (fsyncing it under policies that sync),
-// drops the resident copies of a disk store — the directory holds every blob
-// — and releases the directory lock. The store must not be used afterwards; a
-// memory-only store's Close is a no-op. Idempotent.
+// drops the resident copies — the directory holds every blob — and releases
+// the directory lock. The store must not be used afterwards. Idempotent.
 func (s *Store) Close() error {
 	s.closeOnce.Do(func() {
-		if s.packs != nil {
-			s.closeErr = s.packs.close(true)
-		}
+		s.closeErr = s.packs.close(true)
 		s.dropResident()
 		s.releaseLock()
 	})
@@ -876,20 +835,14 @@ func (s *Store) Close() error {
 // what the OS had.
 func (s *Store) Crash() {
 	s.closeOnce.Do(func() {
-		if s.packs != nil {
-			_ = s.packs.close(false)
-		}
+		_ = s.packs.close(false)
 		s.dropResident()
 		s.releaseLock()
 	})
 }
 
-// dropResident frees every resident copy of a disk store (a memory-only
-// store's residents are its only copy and stay).
+// dropResident frees every resident copy.
 func (s *Store) dropResident() {
-	if s.dir == "" {
-		return
-	}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
@@ -923,5 +876,5 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Dir reports the on-disk root ("" in memory-only mode).
+// Dir reports the on-disk root.
 func (s *Store) Dir() string { return s.dir }

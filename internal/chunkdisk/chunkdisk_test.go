@@ -50,29 +50,31 @@ func get(t *testing.T, s *Store, h extent.Hash) []byte {
 	return data
 }
 
-func TestMemoryModeRoundTrip(t *testing.T) {
-	s, err := Open(Config{})
+// TestOpenRequiresDir: a store has one mode, on a directory.
+func TestOpenRequiresDir(t *testing.T) {
+	if s, err := Open(Config{}); err == nil {
+		s.Close()
+		t.Fatal("a store opened without a directory")
+	}
+}
+
+// TestClosedStoreRefusesWrites: a write that races Close or Crash — an
+// archive job of a server being killed — fails, and opens no pack in a
+// directory the store has let go of (a successor may own it, or it is being
+// removed).
+func TestClosedStoreRefusesWrites(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, h := blob(1, 1000)
-	if !put(t, s, data, h) {
-		t.Fatal("first put reported no store")
+	s.Crash()
+	data, h := blob(1, 100)
+	if _, err := s.PutBytes(h, data); err == nil {
+		t.Fatal("a crashed store accepted a write")
 	}
-	if got := get(t, s, h); !bytes.Equal(got, data) {
-		t.Fatal("round trip diverged")
-	}
-	st := s.Stats()
-	if st.Spills != 0 || st.DiskBlobs != 0 {
-		t.Fatalf("memory mode touched disk: %+v", st)
-	}
-	// The last Release frees immediately in memory mode.
-	s.Release(h)
-	if st := s.Stats(); st.ResidentBlobs != 0 {
-		t.Fatalf("resident after drop: %+v", st)
-	}
-	if _, err := s.Get(h); err == nil {
-		t.Fatal("get after drop succeeded")
+	if packs, _ := filepath.Glob(filepath.Join(dir, "pack-*.pk")); len(packs) != 0 {
+		t.Fatalf("a write after the crash opened %v", packs)
 	}
 }
 
@@ -183,43 +185,40 @@ func TestLRUKeepsHotBlobsResident(t *testing.T) {
 	}
 }
 
-// TestResidentChunksArePinned: a chunk the store hands out — a memory-only
-// store's copy, which is the very chunk Put was given, or a page-in — is
+// TestResidentChunksArePinned: a chunk the store hands out — a page-in — is
 // pinned, so a buffer restored from it copies before it writes, even once
 // the store and the original file let go: a reader still holding the chunk
 // (an unlinked file open for reading) never sees it change.
 func TestResidentChunksArePinned(t *testing.T) {
-	for _, dir := range []string{"", t.TempDir()} {
-		s, err := Open(Config{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, h := blob(7, extent.ChunkSize)
-		var live extent.Buffer
-		live.WriteAt(0, data)
-		snap := live.Snapshot()
-		if _, err := s.Put(h, snap.Chunks()[0]); err != nil {
-			t.Fatal(err)
-		}
-		snap.Release()
-		c, err := s.Get(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Release(h)
-		live.Truncate(0)
-		held := c.Data()
-		restored := extent.BuildSnapshot([]*extent.Chunk{c}, nil)
-		var b extent.Buffer
-		b.SetSnapshot(restored)
-		restored.Release() // b is the chunk's only owner now
-		b.WriteAt(0, []byte{^data[0]})
-		if held[0] != data[0] {
-			t.Fatalf("dir %q: a chunk the store handed out was written in place", dir)
-		}
-		b.Truncate(0)
-		s.Close()
+	s, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer s.Close()
+	data, h := blob(7, extent.ChunkSize)
+	var live extent.Buffer
+	live.WriteAt(0, data)
+	snap := live.Snapshot()
+	if _, err := s.Put(h, snap.Chunks()[0]); err != nil {
+		t.Fatal(err)
+	}
+	snap.Release()
+	c, err := s.Get(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Release(h)
+	live.Truncate(0)
+	held := c.Data()
+	restored := extent.BuildSnapshot([]*extent.Chunk{c}, nil)
+	var b extent.Buffer
+	b.SetSnapshot(restored)
+	restored.Release() // b is the chunk's only owner now
+	b.WriteAt(0, []byte{^data[0]})
+	if held[0] != data[0] {
+		t.Fatal("a chunk the store handed out was written in place")
+	}
+	b.Truncate(0)
 }
 
 func TestSweepFreesDeadAndSparesLive(t *testing.T) {
@@ -597,42 +596,38 @@ func TestConcurrentChurn(t *testing.T) {
 }
 
 // TestPutBytesKeepsNoAlias: PutBytes stores bytes its caller overwrites as
-// soon as it returns — a patch cut out of a live chunk. Both tiers serve what
-// was put, through Get and ReadInto; the disk tier keeps nothing resident.
+// soon as it returns — a patch cut out of a live chunk. The store serves what
+// was put, through Get and ReadInto, and keeps nothing resident.
 func TestPutBytesKeepsNoAlias(t *testing.T) {
-	for _, dir := range []string{"", t.TempDir()} {
-		s, err := Open(Config{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, h := blob(3, 4096)
-		live := append([]byte(nil), data...)
-		if wrote, err := s.PutBytes(h, live); err != nil || !wrote {
-			t.Fatalf("dir %q: PutBytes = %v, %v", dir, wrote, err)
-		}
-		for i := range live {
-			live[i] ^= 0xff
-		}
-		if got := get(t, s, h); !bytes.Equal(got, data) {
-			t.Fatalf("dir %q: the blob changed with the caller's bytes", dir)
-		}
-		buf := make([]byte, 2*len(data))
-		if n, err := s.ReadInto(h, buf); err != nil || !bytes.Equal(buf[:n], data) {
-			t.Fatalf("dir %q: ReadInto = %d, %v", dir, n, err)
-		}
-		if _, err := s.ReadInto(h, buf[:len(data)-1]); err == nil {
-			t.Fatalf("dir %q: ReadInto into a short buffer succeeded", dir)
-		}
-		if dir != "" {
-			s.Release(h)
-			s.Sweep()
-			if wrote, err := s.PutBytes(h, data); err != nil || !wrote {
-				t.Fatalf("re-put after a sweep = %v, %v", wrote, err)
-			}
-			if st := s.Stats(); st.ResidentBlobs != 0 {
-				t.Fatalf("a PutBytes blob is resident: %+v", st)
-			}
-		}
-		s.Close()
+	s, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	data, h := blob(3, 4096)
+	live := append([]byte(nil), data...)
+	if wrote, err := s.PutBytes(h, live); err != nil || !wrote {
+		t.Fatalf("PutBytes = %v, %v", wrote, err)
+	}
+	for i := range live {
+		live[i] ^= 0xff
+	}
+	if got := get(t, s, h); !bytes.Equal(got, data) {
+		t.Fatal("the blob changed with the caller's bytes")
+	}
+	buf := make([]byte, 2*len(data))
+	if n, err := s.ReadInto(h, buf); err != nil || !bytes.Equal(buf[:n], data) {
+		t.Fatalf("ReadInto = %d, %v", n, err)
+	}
+	if _, err := s.ReadInto(h, buf[:len(data)-1]); err == nil {
+		t.Fatal("ReadInto into a short buffer succeeded")
+	}
+	s.Release(h)
+	s.Sweep()
+	if wrote, err := s.PutBytes(h, data); err != nil || !wrote {
+		t.Fatalf("re-put after a sweep = %v, %v", wrote, err)
+	}
+	if st := s.Stats(); st.ResidentBlobs != 0 {
+		t.Fatalf("a PutBytes blob is resident: %+v", st)
 	}
 }

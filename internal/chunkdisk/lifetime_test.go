@@ -14,7 +14,7 @@ import (
 
 // modelBlob is what the model knows of one hash: the bytes, how many
 // references the schedule holds, and whether the store holds the bytes —
-// referenced, or (disk mode) dead and awaiting a sweep.
+// referenced, or dead and awaiting a sweep.
 type modelBlob struct {
 	data []byte
 	h    extent.Hash
@@ -29,11 +29,7 @@ type modelBlob struct {
 // is Ref'd.
 func TestLifetimeModel(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
-		dir := ""
-		if seed%4 != 0 {
-			dir = t.TempDir()
-		}
-		runSchedule(t, seed, dir)
+		runSchedule(t, seed, t.TempDir())
 	}
 }
 
@@ -92,9 +88,7 @@ func runSchedule(t *testing.T, seed int64, dir string) {
 				continue // only what was taken is given back
 			}
 			s.Release(b.h)
-			if b.refs--; b.refs == 0 && dir == "" {
-				b.held = false
-			}
+			b.refs--
 		case op < 17:
 			// Dead but unswept still reads (a transfer's source side holds
 			// no reference of its own).
@@ -120,7 +114,7 @@ func runSchedule(t *testing.T, seed int64, dir string) {
 					fail(step, "unreferenced blob %d survived the sweep", i)
 				}
 			}
-		case dir != "":
+		default:
 			if rng.Intn(2) == 0 {
 				s.Crash()
 			} else if err := s.Close(); err != nil {

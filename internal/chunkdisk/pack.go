@@ -107,6 +107,7 @@ type packSet struct {
 	activePM *packMeta
 	packs    map[int64]*packMeta
 	nextSeq  int64
+	closed   bool // set by close: no append opens a pack after it
 
 	// relocMu orders pack reads against compaction's retire-and-unlink:
 	// page-ins hold it shared for the duration of the file read, compaction
@@ -193,6 +194,9 @@ func parseRecord(buf []byte) (h extent.Hash, data []byte, logical int64, compres
 func (ps *packSet) append(h extent.Hash, data []byte, logical int64, compressed bool) (pm *packMeta, off int64, err error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
+	if ps.closed {
+		return nil, 0, errClosed
+	}
 	if ps.active == nil {
 		if err := ps.openActiveLocked(); err != nil {
 			return nil, 0, err
@@ -464,11 +468,14 @@ func (ps *packSet) compactOne(pm *packMeta) error {
 	return nil
 }
 
-// close retires the active pack. clean=true (Close) syncs it under policies
-// that sync; a Crash skips even that.
+// close retires the active pack and refuses every later append, so a write
+// racing Close or Crash never opens a pack in a directory that is being
+// removed or that a successor store owns. clean=true (Close) syncs it under
+// policies that sync; a Crash skips even that.
 func (ps *packSet) close(clean bool) error {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
+	ps.closed = true
 	return ps.retireActiveLocked(clean)
 }
 

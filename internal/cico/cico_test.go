@@ -12,11 +12,23 @@ import (
 	"datalinks/internal/workload"
 )
 
+// newArchive opens an archive store over a test directory, closed when the
+// test ends.
+func newArchive(t testing.TB) *archive.Store {
+	t.Helper()
+	arch, err := archive.NewTiered(0, nil, archive.TierConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(arch.Close)
+	return arch
+}
+
 func setup(t *testing.T) (*Manager, *fs.FS, *workload.Population) {
 	t.Helper()
 	db := sqlmini.NewDB(sqlmini.Options{LockTimeout: time.Second})
 	phys := fs.New()
-	arch := archive.New(0, nil)
+	arch := newArchive(t)
 	pop, err := workload.Seed(phys, "/w", 3, 128, 100, workload.RNG(1))
 	if err != nil {
 		t.Fatalf("seed: %v", err)

@@ -60,24 +60,23 @@ type ServerConfig struct {
 	// Chaos fault injector (nil: production defaults). With TCPUpcalls unset,
 	// only the Chaos injector applies (wrapped around the in-process service).
 	UpcallNet *upcall.NetConfig
-	// ArchiveDir enables the durable archive tier: committed versions'
-	// chunks persist to this real directory (hash-addressed) and only a
-	// bounded LRU of hot chunks stays in memory. Empty keeps the archive
-	// memory-only.
+	// ArchiveDir is the archive's directory: committed versions' chunks
+	// persist to packfiles there beside the version catalog, and only a
+	// bounded LRU of hot chunks stays in memory. Empty gives the archive a
+	// private temporary directory, removed when the server closes or
+	// crashes.
 	ArchiveDir string
 	// ArchiveMemoryBudget bounds the archive's hot-chunk LRU in bytes
-	// (<= 0: chunkdisk default). Only meaningful with ArchiveDir set.
+	// (<= 0: chunkdisk default).
 	ArchiveMemoryBudget int64
 	// ArchiveCompress flate-compresses spilled archive chunks when that
-	// shrinks them (hashes still verify the uncompressed bytes). Only
-	// meaningful with ArchiveDir set.
+	// shrinks them (hashes still verify the uncompressed bytes).
 	ArchiveCompress bool
 	// ArchiveFsync selects the archive tier's durability policy: "" or
 	// "none" (rely on the OS flushing — fastest, a power loss can lose the
 	// newest commits' archive copies), "group" (commits are acknowledged
 	// only after an fdatasync, but concurrent committers share flushes —
-	// group commit), or "always" (every append flushes inline). Only
-	// meaningful with ArchiveDir set.
+	// group commit), or "always" (every append flushes inline).
 	ArchiveFsync string
 	// QuarantineTTL expires quarantined in-flight versions older than this
 	// when SweepQuarantine runs (0: keep forever).

@@ -23,6 +23,7 @@ func newSys(t *testing.T, mode string) (*System, *FileServer) {
 	if err != nil {
 		t.Fatalf("new system: %v", err)
 	}
+	t.Cleanup(sys.Close)
 	srv, _ := sys.Server("fs1")
 	if err := srv.Phys.MkdirAll("/movies", fs.Cred{UID: fs.Root}, 0o777); err != nil {
 		t.Fatalf("mkdir: %v", err)
@@ -390,6 +391,7 @@ func TestExpiredTokenRejected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("new system: %v", err)
 	}
+	defer sys.Close()
 	srv, _ := sys.Server("fs1")
 	srv.Phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
 	srv.Phys.WriteFile("/d/f", []byte("x"))
@@ -579,6 +581,7 @@ func TestStrictModeClosesLinkWindow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("new system: %v", err)
 	}
+	defer sys.Close()
 	srv, _ := sys.Server("fs1")
 	srv.Phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
 	srv.Phys.WriteFile("/d/f", []byte("x"))
@@ -619,6 +622,7 @@ func TestMetadataCompanionColumnsOptional(t *testing.T) {
 	if err != nil {
 		t.Fatalf("new: %v", err)
 	}
+	defer sys.Close()
 	srv, _ := sys.Server("fs1")
 	srv.Phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
 	srv.Phys.WriteFile("/d/f", []byte("x"))

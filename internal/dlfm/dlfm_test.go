@@ -15,6 +15,18 @@ import (
 	"datalinks/internal/upcall"
 )
 
+// newArchive opens an archive store over a test directory, closed when the
+// test ends.
+func newArchive(t testing.TB) *archive.Store {
+	t.Helper()
+	arch, err := archive.NewTiered(0, nil, archive.TierConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(arch.Close)
+	return arch
+}
+
 // bytesOf materializes an archived version (a fresh copy), failing the test
 // when it cannot — a version that does not materialize is never an empty one.
 func bytesOf(t testing.TB, e archive.Entry) []byte {
@@ -82,7 +94,7 @@ func newServer(t *testing.T) (*Server, *fs.FS, *fakeHost) {
 	srv, err := New(Config{
 		Name:     "fs1",
 		Phys:     phys,
-		Archive:  archive.New(0, nil),
+		Archive:  newArchive(t),
 		Host:     host,
 		TokenKey: []byte("k"),
 		OpenWait: 100 * time.Millisecond,
@@ -314,7 +326,7 @@ func TestTokenEntryExpiry(t *testing.T) {
 	phys.WriteFile("/d/f.bin", []byte("x"))
 	host := newFakeHost()
 	srv, err := New(Config{
-		Name: "fs1", Phys: phys, Archive: archive.New(0, nil), Host: host,
+		Name: "fs1", Phys: phys, Archive: newArchive(t), Host: host,
 		TokenKey: []byte("k"), Clock: func() time.Time { return *clock }, TokenTTL: time.Minute,
 	})
 	if err != nil {
@@ -351,7 +363,7 @@ func TestTokenEntryExpiry(t *testing.T) {
 func TestTokenTableShedsExpiredGrants(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	srv, err := New(Config{
-		Name: "fs1", Phys: fs.New(), Archive: archive.New(0, nil), Host: newFakeHost(),
+		Name: "fs1", Phys: fs.New(), Archive: newArchive(t), Host: newFakeHost(),
 		TokenKey: []byte("k"), Clock: func() time.Time { return now }, TokenTTL: time.Minute,
 	})
 	if err != nil {
@@ -505,6 +517,30 @@ func TestCrashRecoveryPendingArchive(t *testing.T) {
 	}
 	if pend.Len() != 0 {
 		t.Fatalf("pending-archive rows left: %d", pend.Len())
+	}
+}
+
+// TestPendingClearFailureIsCounted: an archive job whose version lands but
+// whose pending-archive row cannot be deleted — the repository log closed
+// under it — counts the failure instead of dropping the error.
+func TestPendingClearFailureIsCounted(t *testing.T) {
+	srv, phys, _ := newServer(t)
+	linkCommitted(t, srv, "/d/f.bin", "rfd")
+	id := openWrite(t, srv, "/d/f.bin", owner)
+	phys.WriteFile("/d/f.bin", []byte("v1"))
+	// The job sleeps the device latency after indexing the version: the log
+	// closes in that window.
+	srv.cfg.Archive.SetLatency(200 * time.Millisecond)
+	if resp := closeFile(t, srv, phys, "/d/f.bin", id); !resp.OK {
+		t.Fatalf("close rejected: %+v", resp)
+	}
+	srv.Repo().Log().Close()
+	srv.WaitArchives()
+	if !srv.cfg.Archive.HasVersion("fs1", "/d/f.bin", 1) {
+		t.Fatal("version 1 not archived")
+	}
+	if got := srv.Metrics().Counter("dlfm.archive.pending_clear_failures").Value(); got != 1 {
+		t.Fatalf("pending_clear_failures = %d, want 1", got)
 	}
 }
 

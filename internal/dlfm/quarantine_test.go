@@ -19,10 +19,15 @@ func newFrozenServer(t *testing.T, now *time.Time, ttl time.Duration) (*Server, 
 	phys := fs.NewWithClock(clock)
 	phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
 	host := newFakeHost()
+	arch, err := archive.NewTiered(0, clock, archive.TierConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(arch.Close)
 	srv, err := New(Config{
 		Name:          "fs1",
 		Phys:          phys,
-		Archive:       archive.New(0, clock),
+		Archive:       arch,
 		Host:          host,
 		TokenKey:      []byte("k"),
 		Clock:         clock,

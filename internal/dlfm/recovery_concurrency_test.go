@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"datalinks/internal/archive"
 	"datalinks/internal/fs"
 	"datalinks/internal/sqlmini"
 	"datalinks/internal/token"
@@ -85,7 +84,8 @@ func TestCrashRecoveryUnderConcurrentUpdates(t *testing.T) {
 	phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
 	// A slow archive device keeps archive jobs of phase A in flight while
 	// the crash hits.
-	arch := archive.New(3*time.Millisecond, nil)
+	arch := newArchive(t)
+	arch.SetLatency(3 * time.Millisecond)
 	host := &lockedHost{inner: newFakeHost()}
 	cfg := Config{
 		Name:     "fs1",

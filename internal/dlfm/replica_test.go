@@ -458,7 +458,7 @@ func TestKilledMemberAnswersAtOnce(t *testing.T) {
 	phys := fs.New()
 	phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
 	seedFile(t, phys, "/d/f.bin", "v0")
-	srv, err := New(Config{Name: "fs1", Phys: phys, Archive: archive.New(0, nil), Host: newFakeHost(), TokenKey: []byte("k"), OpenWait: 10 * time.Second})
+	srv, err := New(Config{Name: "fs1", Phys: phys, Archive: newArchive(t), Host: newFakeHost(), TokenKey: []byte("k"), OpenWait: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"datalinks/internal/archive"
 	"datalinks/internal/fs"
 	"datalinks/internal/token"
 	"datalinks/internal/upcall"
@@ -20,7 +19,7 @@ func newShardPeer(t *testing.T) (*Server, *fs.FS) {
 	srv, err := New(Config{
 		Name:     "fs1",
 		Phys:     phys,
-		Archive:  archive.New(0, nil),
+		Archive:  newArchive(t),
 		Host:     newFakeHost(),
 		TokenKey: []byte("k"),
 		OpenWait: 100 * time.Millisecond,

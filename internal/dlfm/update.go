@@ -390,7 +390,12 @@ func (s *Server) startArchive(ctx context.Context, path string, ver archive.Vers
 		s.cfg.Metrics.Counter("dlfm.archive.bytes_new").Add(st.NewBytes)
 		s.cfg.Metrics.Counter("dlfm.archive.bytes_deduped").Add(st.DedupedBytes)
 		s.cfg.Metrics.Counter("dlfm.archive.chunks_shared").Add(int64(st.SharedChunks))
-		_, _ = s.repo.Exec(`DELETE FROM dlfm_pending_archive WHERE path = ?`, sqlmini.Str(path))
+		if _, err := s.repo.Exec(`DELETE FROM dlfm_pending_archive WHERE path = ?`, sqlmini.Str(path)); err != nil {
+			// The version is archived; only its pending row stays behind.
+			// That is harmless: recoverPendingArchives finds the version
+			// with HasVersion and deletes the row without re-archiving.
+			s.cfg.Metrics.Counter("dlfm.archive.pending_clear_failures").Inc()
+		}
 		s.cfg.Metrics.Counter("dlfm.archive.jobs").Inc()
 	}()
 }

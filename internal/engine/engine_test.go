@@ -13,6 +13,18 @@ import (
 	"datalinks/internal/token"
 )
 
+// newArchive opens an archive store over a test directory, closed when the
+// test ends.
+func newArchive(t testing.TB) *archive.Store {
+	t.Helper()
+	arch, err := archive.NewTiered(0, nil, archive.TierConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(arch.Close)
+	return arch
+}
+
 const owner fs.UID = 100
 
 // rig wires a host DB + engine + one DLFM over a shared physical FS.
@@ -33,7 +45,7 @@ func newRig(t *testing.T) *rig {
 	srv, err := dlfm.New(dlfm.Config{
 		Name:     "fs1",
 		Phys:     phys,
-		Archive:  archive.New(0, nil),
+		Archive:  newArchive(t),
 		Host:     eng,
 		TokenKey: key,
 	})
@@ -260,7 +272,7 @@ func TestMultiServerLinks(t *testing.T) {
 	phys2.MkdirAll("/e", fs.Cred{UID: fs.Root}, 0o777)
 	phys2.WriteFile("/e/g.bin", []byte("y"))
 	srv2, err := dlfm.New(dlfm.Config{
-		Name: "fs2", Phys: phys2, Archive: archive.New(0, nil), Host: r.eng, TokenKey: []byte("shared-key"),
+		Name: "fs2", Phys: phys2, Archive: newArchive(t), Host: r.eng, TokenKey: []byte("shared-key"),
 	})
 	if err != nil {
 		t.Fatal(err)

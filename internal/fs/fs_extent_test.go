@@ -10,6 +10,18 @@ import (
 	"datalinks/internal/extent"
 )
 
+// newArchive opens an archive store over a test directory, closed when the
+// test ends.
+func newArchive(t testing.TB) *archive.Store {
+	t.Helper()
+	arch, err := archive.NewTiered(0, nil, archive.TierConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(arch.Close)
+	return arch
+}
+
 // bytesOf materializes an archived version (a fresh copy), failing the test
 // when it cannot — a version that does not materialize is never an empty one.
 func bytesOf(t testing.TB, e archive.Entry) []byte {
@@ -34,7 +46,7 @@ func TestFSArchiveEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 8; round++ {
 		f := New()
-		arch := archive.New(0, nil)
+		arch := newArchive(t)
 		path := "/f.bin"
 		n, err := f.Create(path, Cred{UID: Root}, 0o644)
 		if err != nil {
@@ -133,7 +145,7 @@ func TestFSArchiveEquivalenceProperty(t *testing.T) {
 func TestChunkRefcountLeak(t *testing.T) {
 	baseChunks, baseBytes := extent.Live()
 	f := New()
-	arch := archive.New(0, nil)
+	arch := newArchive(t)
 	rng := rand.New(rand.NewSource(11))
 
 	const files = 4

@@ -114,6 +114,7 @@ func runE6() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer arch.Close()
 		mgr, err := cico.New(db, phys, arch, "fs1", nil)
 		if err != nil {
 			return nil, err
@@ -169,6 +170,7 @@ func runE6() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer arch.Close()
 		mgr := cau.New(phys, arch, "fs1", nil)
 		var done, busy int64
 		start := time.Now()
@@ -241,10 +243,14 @@ func runE6() ([]*Table, error) {
 }
 
 // plainFileSetup seeds files outside DataLinks for the baseline disciplines.
+// The caller closes the archive.
 func plainFileSetup(files, size int) (*fs.FS, *archive.Store, *workload.Population, error) {
 	phys := fs.New()
-	arch := archive.New(0, nil)
 	pop, err := workload.Seed(phys, "/w", files, size, expUID, workload.RNG(77))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	arch, err := archive.NewTiered(0, nil, archive.TierConfig{})
 	if err != nil {
 		return nil, nil, nil, err
 	}

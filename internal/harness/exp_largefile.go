@@ -85,7 +85,7 @@ func (c *largeFileConfig) run() ([]*Table, error) {
 	t.AddRow(fmt.Sprintf("%d KiB edits: bytes archived (physical)", subChunkEditKB), fmt.Sprintf("%s of %s written", mib(small.newBytes), mib(small.written)))
 	t.AddRow(fmt.Sprintf("%d KiB edits: archived/written ratio", subChunkEditKB), fmt.Sprintf("%.2f (a chunk per edit: %.0f)", small.ratio(), wholeChunk))
 	t.Note("archived/written near 1 means commits cost O(changed bytes); the flat-copy ratio is what the same workload cost before extent manifests (filesize/delta)")
-	t.Note("resident growth is sub-linear in versions: unchanged chunks are shared by content hash across all versions of all files")
+	t.Note("archive resident bytes reads the archive's LRU, a read cache no commit fills: every blob is written through to the packs (a server without ArchiveDir keeps them in a private directory), so what the archive stores is the physical row; unchanged chunks are shared by content hash across all versions of all files")
 	t.Note("%d KiB edits are archived as patches over the chunk an earlier version stored; the first commit to a chunk after link, and the one that would outgrow its bounded patch chain, store the chunk", subChunkEditKB)
 	if small.ratio() >= wholeChunk/3 {
 		return []*Table{t}, fmt.Errorf("E14 FAILED: %d KiB edits archive %.2f bytes per byte written, not below a third of a chunk per edit (%.2f)", subChunkEditKB, small.ratio(), wholeChunk/3)
