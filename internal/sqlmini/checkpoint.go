@@ -70,9 +70,10 @@ func (db *DB) Checkpoint() (bool, error) {
 }
 
 // maybeCheckpoint fires a checkpoint when the log odometer passes the
-// configured threshold. Called on every transaction finish; contention and
-// failure are both non-events (the log remains authoritative, a checkpoint
-// is only an optimization until the next one lands).
+// configured threshold. Called on every transaction finish; contention is a
+// non-event and failure only a counted one, sqlmini.checkpoint.failures (the
+// log remains authoritative, a checkpoint is only an optimization until the
+// next one lands).
 func (db *DB) maybeCheckpoint() {
 	if db.ckptBytes <= 0 || db.log.SizeSinceCheckpoint() < db.ckptBytes {
 		return
@@ -81,7 +82,9 @@ func (db *DB) maybeCheckpoint() {
 		return
 	}
 	defer db.ckptMu.Unlock()
-	_, _ = db.checkpointLocked()
+	if _, err := db.checkpointLocked(); err != nil {
+		db.ckptFailures.Inc()
+	}
 }
 
 // captureDurable takes the quiescent image and forces the log up to its
@@ -145,7 +148,7 @@ func (db *DB) checkpointLocked() (bool, error) {
 	return true, nil
 }
 
-// captureQuiescent copies every table. Caller holds db.mu with db.active
+// captureQuiescent images every table. Caller holds db.mu with db.active
 // empty, so no writer can race the per-table latches.
 func (db *DB) captureQuiescent() *dbSnapshot {
 	snap := &dbSnapshot{}
@@ -166,7 +169,8 @@ func (db *DB) captureQuiescent() *dbSnapshot {
 	return snap
 }
 
-// snapTable copies one table under its latch.
+// snapTable images one table under its latch. The rows are the installed
+// slices, never written again, so the image shares them instead of copying.
 func snapTable(t *Table) tableSnap {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -188,7 +192,7 @@ func snapTable(t *Table) tableSnap {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		ts.RowIDs = append(ts.RowIDs, id)
-		ts.Rows = append(ts.Rows, t.rows[id].Clone())
+		ts.Rows = append(ts.Rows, t.rows[id])
 	}
 	return ts
 }

@@ -355,6 +355,7 @@ func (t *Txn) execUpdate(s *UpdateStmt, args []Value) (int, error) {
 	}
 	n := 0
 	for i, id := range ids {
+		// Copy on write: rows[i] is the installed row, which readers share.
 		newRow := rows[i].Clone()
 		for _, set := range s.Set {
 			ci := tbl.ColIndex(set.Column)

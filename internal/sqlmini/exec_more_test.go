@@ -43,9 +43,11 @@ func rowLocksHeld(db *DB, txn *Txn) int {
 	db.lm.heldMu.Lock()
 	defer db.lm.heldMu.Unlock()
 	n := 0
-	for target := range db.lm.held[txn.id] {
-		if !target.Whole {
-			n++
+	if set, ok := db.lm.held[txn.id]; ok {
+		for _, target := range set.targets {
+			if !target.Whole {
+				n++
+			}
 		}
 	}
 	return n

@@ -47,32 +47,72 @@ var ErrLockTimeout = errors.New("sqlmini: lock wait timeout (possible deadlock)"
 // will never release.
 var ErrLockManagerClosed = errors.New("sqlmini: lock manager closed")
 
+// lockHolder is one transaction holding a target, in the strongest mode
+// it asked for.
+type lockHolder struct {
+	txn  uint64
+	mode LockMode
+}
+
 // lockState tracks the holders of one lock target plus its wait queue.
 // Waiters are woken per target — a release on one row never disturbs
-// transactions queued on another.
+// transactions queued on another. A target has one X holder or a few S
+// holders, so holders is a short slice searched in place; a state whose
+// last holder left goes back to its shard's free list, slices and all, and
+// the next target to lock reuses it.
 type lockState struct {
-	holders map[uint64]LockMode // txnID -> strongest mode held
+	holders []lockHolder
 	waiters []chan struct{}
 }
 
+// holder returns the index of txn among the holders, or -1.
+func (s *lockState) holder(txn uint64) int {
+	for i := range s.holders {
+		if s.holders[i].txn == txn {
+			return i
+		}
+	}
+	return -1
+}
+
 func (s *lockState) compatible(txn uint64, mode LockMode) bool {
-	for id, held := range s.holders {
-		if id == txn {
+	for _, h := range s.holders {
+		if h.txn == txn {
 			continue
 		}
-		if mode == LockX || held == LockX {
+		if mode == LockX || h.mode == LockX {
 			return false
 		}
 	}
 	return true
 }
 
+// grant records txn as holding the target in mode: a new holder, or an
+// upgrade of the one at index i (-1 when txn held nothing).
+func (s *lockState) grant(i int, txn uint64, mode LockMode) {
+	if i >= 0 {
+		s.holders[i].mode = mode
+		return
+	}
+	s.holders = append(s.holders, lockHolder{txn: txn, mode: mode})
+}
+
+// release drops txn from the holders.
+func (s *lockState) release(txn uint64) {
+	if i := s.holder(txn); i >= 0 {
+		last := len(s.holders) - 1
+		s.holders[i] = s.holders[last]
+		s.holders = s.holders[:last]
+	}
+}
+
 // wake releases every waiter queued on this target.
 func (s *lockState) wake() {
-	for _, ch := range s.waiters {
+	for i, ch := range s.waiters {
 		close(ch)
+		s.waiters[i] = nil
 	}
-	s.waiters = nil
+	s.waiters = s.waiters[:0]
 }
 
 // lockShards is the number of stripes the lock table is split into. Targets
@@ -80,11 +120,46 @@ func (s *lockState) wake() {
 // rarely contend on the same mutex. Power of two for cheap masking.
 const lockShards = 64
 
-// lockShard is one stripe of the lock table.
+// lockShard is one stripe of the lock table. The map is made on the
+// shard's first acquire, so a manager nobody locks through costs no maps.
 type lockShard struct {
 	mu    sync.Mutex
 	locks map[LockTarget]*lockState
-	_     [48]byte // pad the struct to 64 bytes so shards don't share cache lines
+	free  []*lockState // released states kept for reuse, at most maxFreeStates
+	_     [24]byte     // pad the struct to 64 bytes so shards don't share cache lines
+}
+
+// maxFreeStates bounds a shard's free list: enough for the targets a shard
+// sees locked at once in steady state, without keeping a burst's worth.
+const maxFreeStates = 16
+
+// state returns target's lock state, making (or reusing) one if none exists.
+func (sh *lockShard) state(target LockTarget) *lockState {
+	st, ok := sh.locks[target]
+	if ok {
+		return st
+	}
+	if sh.locks == nil {
+		sh.locks = make(map[LockTarget]*lockState)
+	}
+	if n := len(sh.free); n > 0 {
+		st = sh.free[n-1]
+		sh.free[n-1] = nil
+		sh.free = sh.free[:n-1]
+	} else {
+		st = &lockState{}
+	}
+	sh.locks[target] = st
+	return st
+}
+
+// retire removes a state with no holders left from the table, keeping it
+// for reuse. Its waiters were woken: they look the target up afresh.
+func (sh *lockShard) retire(target LockTarget, st *lockState) {
+	delete(sh.locks, target)
+	if len(sh.free) < maxFreeStates {
+		sh.free = append(sh.free, st)
+	}
 }
 
 // LockManager implements strict two-phase locking with timeout-based
@@ -103,9 +178,12 @@ type LockManager struct {
 
 	// held maps txn -> its locks, for strict-2PL release-all. A transaction
 	// is driven by one goroutine at a time (2PL), so entries for one txn are
-	// not themselves contended; the mutex only guards the outer map.
-	heldMu sync.Mutex
-	held   map[uint64]map[LockTarget]LockMode
+	// not themselves contended; the mutex guards the map and heldFree, the
+	// sets of finished transactions kept for the next ones (at most
+	// maxFreeStates).
+	heldMu   sync.Mutex
+	held     map[uint64]*heldSet
+	heldFree []*heldSet
 
 	// Contention accounting, read by the E6/E13 experiments and exported to
 	// a metrics registry when one is attached.
@@ -120,20 +198,25 @@ type LockManager struct {
 // metrics.Counter satisfies it. Nil means "not attached".
 type metricCounter interface{ Add(int64) }
 
+// heldSet is the targets one transaction holds, one entry per target (an
+// upgrade adds none; the mode lives in the target's lockState). It is reused
+// by a later transaction once this one releases.
+type heldSet struct{ targets []LockTarget }
+
+// maxHeldReuse bounds the capacity of a held set kept for reuse: a
+// transaction that scanned a big table does not pin its lock list forever.
+const maxHeldReuse = 256
+
 // NewLockManager returns a manager with the given wait timeout.
 func NewLockManager(timeout time.Duration) *LockManager {
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	lm := &LockManager{
+	return &LockManager{
 		timeout: timeout,
 		closed:  make(chan struct{}),
-		held:    make(map[uint64]map[LockTarget]LockMode),
+		held:    make(map[uint64]*heldSet),
 	}
-	for i := range lm.shards {
-		lm.shards[i].locks = make(map[LockTarget]*lockState)
-	}
-	return lm
 }
 
 // AttachMetrics mirrors the contention counters into a metrics registry
@@ -167,15 +250,21 @@ func (lm *LockManager) shardOf(target LockTarget) *lockShard {
 	return &lm.shards[h&(lockShards-1)]
 }
 
-// recordHeld notes that txn now holds target in mode.
-func (lm *LockManager) recordHeld(txn uint64, target LockTarget, mode LockMode) {
+// recordHeld notes that txn now holds target, which it did not before.
+func (lm *LockManager) recordHeld(txn uint64, target LockTarget) {
 	lm.heldMu.Lock()
-	byTxn, ok := lm.held[txn]
+	set, ok := lm.held[txn]
 	if !ok {
-		byTxn = make(map[LockTarget]LockMode)
-		lm.held[txn] = byTxn
+		if n := len(lm.heldFree); n > 0 {
+			set = lm.heldFree[n-1]
+			lm.heldFree[n-1] = nil
+			lm.heldFree = lm.heldFree[:n-1]
+		} else {
+			set = &heldSet{}
+		}
+		lm.held[txn] = set
 	}
-	byTxn[target] = mode
+	set.targets = append(set.targets, target)
 	lm.heldMu.Unlock()
 }
 
@@ -194,23 +283,22 @@ func (lm *LockManager) Acquire(txn uint64, target LockTarget, mode LockMode) err
 		default:
 		}
 		sh.mu.Lock()
-		st, ok := sh.locks[target]
-		if !ok {
-			st = &lockState{holders: make(map[uint64]LockMode)}
-			sh.locks[target] = st
-		}
+		st := sh.state(target)
 		if !collided && len(sh.locks) > 1 {
 			collided = true
 			lm.noteCollision()
 		}
-		if held, has := st.holders[txn]; has && (held == LockX || held == mode) {
+		i := st.holder(txn)
+		if i >= 0 && (st.holders[i].mode == LockX || st.holders[i].mode == mode) {
 			sh.mu.Unlock()
 			return nil // already strong enough
 		}
 		if st.compatible(txn, mode) {
-			st.holders[txn] = mode
+			st.grant(i, txn, mode)
 			sh.mu.Unlock()
-			lm.recordHeld(txn, target, mode)
+			if i < 0 {
+				lm.recordHeld(txn, target)
+			}
 			if waited > 0 {
 				lm.noteWait(waited)
 			}
@@ -267,12 +355,9 @@ func (lm *LockManager) noteCollision() {
 func (lm *LockManager) TryAcquire(txn uint64, target LockTarget, mode LockMode) error {
 	sh := lm.shardOf(target)
 	sh.mu.Lock()
-	st, ok := sh.locks[target]
-	if !ok {
-		st = &lockState{holders: make(map[uint64]LockMode)}
-		sh.locks[target] = st
-	}
-	if held, has := st.holders[txn]; has && (held == LockX || held == mode) {
+	st := sh.state(target)
+	i := st.holder(txn)
+	if i >= 0 && (st.holders[i].mode == LockX || st.holders[i].mode == mode) {
 		sh.mu.Unlock()
 		return nil
 	}
@@ -280,9 +365,11 @@ func (lm *LockManager) TryAcquire(txn uint64, target LockTarget, mode LockMode) 
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: txn %d needs %s %s", ErrLockTimeout, txn, mode, target)
 	}
-	st.holders[txn] = mode
+	st.grant(i, txn, mode)
 	sh.mu.Unlock()
-	lm.recordHeld(txn, target, mode)
+	if i < 0 {
+		lm.recordHeld(txn, target)
+	}
 	return nil
 }
 
@@ -290,28 +377,47 @@ func (lm *LockManager) TryAcquire(txn uint64, target LockTarget, mode LockMode) 
 // transactions queued on those targets.
 func (lm *LockManager) ReleaseAll(txn uint64) {
 	lm.heldMu.Lock()
-	targets := lm.held[txn]
+	set, ok := lm.held[txn]
 	delete(lm.held, txn)
 	lm.heldMu.Unlock()
-	for target := range targets {
+	if !ok {
+		return
+	}
+	for _, target := range set.targets {
 		sh := lm.shardOf(target)
 		sh.mu.Lock()
 		if st, ok := sh.locks[target]; ok {
-			delete(st.holders, txn)
+			st.release(txn)
 			st.wake()
 			if len(st.holders) == 0 {
-				delete(sh.locks, target)
+				sh.retire(target, st)
 			}
 		}
 		sh.mu.Unlock()
 	}
+	if cap(set.targets) > maxHeldReuse {
+		return // let a big set go rather than pin it
+	}
+	clear(set.targets) // drop the table names
+	set.targets = set.targets[:0]
+	lm.heldMu.Lock()
+	if len(lm.heldFree) < maxFreeStates {
+		lm.heldFree = append(lm.heldFree, set)
+	}
+	lm.heldMu.Unlock()
 }
 
 // Holding reports the mode txn holds on target (0 when none).
 func (lm *LockManager) Holding(txn uint64, target LockTarget) LockMode {
-	lm.heldMu.Lock()
-	defer lm.heldMu.Unlock()
-	return lm.held[txn][target]
+	sh := lm.shardOf(target)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if st, ok := sh.locks[target]; ok {
+		if i := st.holder(txn); i >= 0 {
+			return st.holders[i].mode
+		}
+	}
+	return 0
 }
 
 // ContentionStats reports waits, cumulative blocked time and shard

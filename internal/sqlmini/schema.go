@@ -3,8 +3,8 @@ package sqlmini
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -23,6 +23,13 @@ type Column struct {
 
 // Table is a heap of rows plus its schema and indexes. Access is guarded by
 // the owning DB's lock manager and the table's own latch (short-term mutex).
+//
+// A row installed in the table is never written again: Update installs a
+// new slice and leaves the old one as it was. So Get, Scan and the
+// checkpoint hand out the installed slice itself, and a reader may keep it
+// after the latch is gone; the price is that nobody may write to a row they
+// got from the table — build a new one (execUpdate's copy-on-write) and
+// install that.
 type Table struct {
 	Name    string
 	Columns []Column
@@ -31,11 +38,11 @@ type Table struct {
 	rows   map[RowID]Row
 	nextID RowID
 	// pkIndex maps the primary key value to the row id, when a PK exists.
-	pkIndex map[string]RowID
+	pkIndex map[indexKey]RowID
 	pkCol   int // -1 when no primary key
-	// secondary hash indexes: column index -> value-string -> set of row ids.
+	// secondary hash indexes: column index -> value key -> set of row ids.
 	// Every DATALINK column has one from construction (see newTable).
-	secondary map[int]map[string]map[RowID]struct{}
+	secondary map[int]map[indexKey]map[RowID]struct{}
 }
 
 // RowID identifies a row within a table for its whole life.
@@ -52,16 +59,16 @@ func newTable(name string, cols []Column) *Table {
 		Name:      name,
 		Columns:   cols,
 		rows:      make(map[RowID]Row),
-		pkIndex:   make(map[string]RowID),
+		pkIndex:   make(map[indexKey]RowID),
 		pkCol:     -1,
-		secondary: make(map[int]map[string]map[RowID]struct{}),
+		secondary: make(map[int]map[indexKey]map[RowID]struct{}),
 	}
 	for i, c := range cols {
 		if c.PrimaryKey {
 			t.pkCol = i
 		}
 		if c.Kind == KindLink {
-			t.secondary[i] = make(map[string]map[RowID]struct{})
+			t.secondary[i] = make(map[indexKey]map[RowID]struct{})
 		}
 	}
 	return t
@@ -77,9 +84,37 @@ func (t *Table) ColIndex(name string) int {
 	return -1
 }
 
-// keyString canonicalizes a value for index keys.
-func keyString(v Value) string {
-	return strconv.Itoa(int(v.K)) + "|" + v.String()
+// indexKey is a value's identity in the primary-key and secondary indexes:
+// comparable, so a lookup builds no string. The kind is part of it; a float
+// is its bits, a time its UTC microsecond (the precision a TIMESTAMP
+// displays at, so two times that print alike collide as duplicate keys), a
+// link its server and path.
+type indexKey struct {
+	k    Kind
+	i    int64
+	s, t string
+}
+
+// keyOf canonicalizes a value for index keys.
+func keyOf(v Value) indexKey {
+	key := indexKey{k: v.K}
+	switch v.K {
+	case KindInt:
+		key.i = v.I
+	case KindFloat:
+		key.i = int64(math.Float64bits(v.F))
+	case KindString:
+		key.s = v.S
+	case KindBool:
+		if v.B {
+			key.i = 1
+		}
+	case KindTime:
+		key.i = v.T.UnixMicro()
+	case KindLink:
+		key.s, key.t = v.L.Server, v.L.Path
+	}
+	return key
 }
 
 // ErrDuplicateKey rejects an insert whose primary key another row — committed
@@ -89,7 +124,7 @@ var ErrDuplicateKey = errors.New("sqlmini: duplicate primary key")
 // insertLocked installs a row under a specific id. Caller holds t.mu.
 func (t *Table) insertLocked(id RowID, r Row) error {
 	if t.pkCol >= 0 {
-		k := keyString(r[t.pkCol])
+		k := keyOf(r[t.pkCol])
 		if _, dup := t.pkIndex[k]; dup {
 			return fmt.Errorf("%w %s in %s", ErrDuplicateKey, r[t.pkCol], t.Name)
 		}
@@ -97,13 +132,7 @@ func (t *Table) insertLocked(id RowID, r Row) error {
 	}
 	t.rows[id] = r
 	for col, idx := range t.secondary {
-		k := keyString(r[col])
-		set, ok := idx[k]
-		if !ok {
-			set = make(map[RowID]struct{})
-			idx[k] = set
-		}
-		set[id] = struct{}{}
+		indexAdd(idx, keyOf(r[col]), id)
 	}
 	if id >= t.nextID {
 		t.nextID = id + 1
@@ -118,22 +147,37 @@ func (t *Table) deleteLocked(id RowID) (Row, bool) {
 		return nil, false
 	}
 	if t.pkCol >= 0 {
-		delete(t.pkIndex, keyString(r[t.pkCol]))
+		delete(t.pkIndex, keyOf(r[t.pkCol]))
 	}
 	for col, idx := range t.secondary {
-		k := keyString(r[col])
-		if set, ok := idx[k]; ok {
-			delete(set, id)
-			if len(set) == 0 {
-				delete(idx, k)
-			}
-		}
+		indexRemove(idx, keyOf(r[col]), id)
 	}
 	delete(t.rows, id)
 	return r, true
 }
 
-// Insert allocates a row id and installs the row (no logging; Txn does that).
+// indexAdd files id under k in a secondary index.
+func indexAdd(idx map[indexKey]map[RowID]struct{}, k indexKey, id RowID) {
+	set, ok := idx[k]
+	if !ok {
+		set = make(map[RowID]struct{})
+		idx[k] = set
+	}
+	set[id] = struct{}{}
+}
+
+// indexRemove takes id out from under k in a secondary index.
+func indexRemove(idx map[indexKey]map[RowID]struct{}, k indexKey, id RowID) {
+	if set, ok := idx[k]; ok {
+		delete(set, id)
+		if len(set) == 0 {
+			delete(idx, k)
+		}
+	}
+}
+
+// Insert allocates a row id and installs the row, which the table owns from
+// here on (no logging; Txn does that).
 func (t *Table) Insert(r Row) (RowID, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -144,7 +188,8 @@ func (t *Table) Insert(r Row) (RowID, error) {
 	return id, nil
 }
 
-// InsertAt reinstalls a row under a known id (redo/undo paths).
+// InsertAt reinstalls a row under a known id (redo/undo paths); the table
+// owns it from here on.
 func (t *Table) InsertAt(id RowID, r Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -158,31 +203,43 @@ func (t *Table) Delete(id RowID) (Row, bool) {
 	return t.deleteLocked(id)
 }
 
-// Update replaces the row under id, returning its prior image.
+// Update installs r as the row under id, returning its prior image, which
+// stays as it was. The table owns r from here on. An index is re-keyed only
+// when its column's key changed; a new primary key another row holds fails
+// the update and leaves the table unchanged.
 func (t *Table) Update(id RowID, r Row) (Row, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old, ok := t.deleteLocked(id)
+	old, ok := t.rows[id]
 	if !ok {
 		return nil, fmt.Errorf("sqlmini: update of missing row %d in %s", id, t.Name)
 	}
-	if err := t.insertLocked(id, r); err != nil {
-		// Restore the old row so the table is unchanged on error.
-		_ = t.insertLocked(id, old)
-		return nil, err
+	if t.pkCol >= 0 {
+		if was, now := keyOf(old[t.pkCol]), keyOf(r[t.pkCol]); was != now {
+			if _, dup := t.pkIndex[now]; dup {
+				return nil, fmt.Errorf("%w %s in %s", ErrDuplicateKey, r[t.pkCol], t.Name)
+			}
+			delete(t.pkIndex, was)
+			t.pkIndex[now] = id
+		}
 	}
+	for col, idx := range t.secondary {
+		if was, now := keyOf(old[col]), keyOf(r[col]); was != now {
+			indexRemove(idx, was, id)
+			indexAdd(idx, now, id)
+		}
+	}
+	t.rows[id] = r
 	return old, nil
 }
 
-// Get returns a copy of the row under id.
+// Get returns the row under id: the installed slice, shared with every other
+// reader. Never write to it; to change the row, Update a new one.
 func (t *Table) Get(id RowID) (Row, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	r, ok := t.rows[id]
-	if !ok {
-		return nil, false
-	}
-	return r.Clone(), true
+	return r, ok
 }
 
 // LookupPK finds the row id for a primary-key value.
@@ -192,7 +249,7 @@ func (t *Table) LookupPK(v Value) (RowID, bool) {
 	if t.pkCol < 0 {
 		return 0, false
 	}
-	id, ok := t.pkIndex[keyString(v)]
+	id, ok := t.pkIndex[keyOf(v)]
 	return id, ok
 }
 
@@ -205,7 +262,7 @@ func (t *Table) LookupIndex(col int, v Value) (ids []RowID, ok bool) {
 	if !exists {
 		return nil, false
 	}
-	set := idx[keyString(v)]
+	set := idx[keyOf(v)]
 	for id := range set {
 		ids = append(ids, id)
 	}
@@ -222,15 +279,9 @@ func (t *Table) AddIndex(col int) {
 	if _, ok := t.secondary[col]; ok {
 		return
 	}
-	idx := make(map[string]map[RowID]struct{})
+	idx := make(map[indexKey]map[RowID]struct{})
 	for id, r := range t.rows {
-		k := keyString(r[col])
-		set, ok := idx[k]
-		if !ok {
-			set = make(map[RowID]struct{})
-			idx[k] = set
-		}
-		set[id] = struct{}{}
+		indexAdd(idx, keyOf(r[col]), id)
 	}
 	t.secondary[col] = idx
 }
@@ -254,8 +305,9 @@ func (t *Table) HasIndex(col int) bool {
 	return ok
 }
 
-// Scan calls fn with every (id, row) pair in ascending id order. The row is
-// a copy; mutations require Update.
+// Scan calls fn with every (id, row) pair in ascending id order, as the table
+// stood when the scan began. Each row is the installed slice, shared with
+// every other reader: never write to it; to change a row, Update a new one.
 func (t *Table) Scan(fn func(RowID, Row) bool) {
 	t.mu.RLock()
 	ids := make([]RowID, 0, len(t.rows))
@@ -265,7 +317,7 @@ func (t *Table) Scan(fn func(RowID, Row) bool) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	rows := make([]Row, len(ids))
 	for i, id := range ids {
-		rows[i] = t.rows[id].Clone()
+		rows[i] = t.rows[id]
 	}
 	t.mu.RUnlock()
 	for i, id := range ids {

@@ -64,7 +64,15 @@ type DB struct {
 	mu      sync.Mutex
 	nextTxn uint64
 	active  map[uint64]*Txn
-	outcome map[uint64]bool // finished txns: true=committed
+	// outcome holds the fate of every finished transaction a participant
+	// may ask about (true=committed): those with enlisted XRMs, and those
+	// restart recovery resolved.
+	outcome map[uint64]bool
+
+	// Failures nobody waits on, counted for an operator: a participant's
+	// phase-2 commit or abort (it re-resolves at its recovery) and an
+	// automatic checkpoint (the log stays authoritative).
+	xrmCommitFailures, xrmAbortFailures, ckptFailures *metrics.Counter
 
 	// Checkpointing: dir holds repo.snap (empty = embedded checkpoints),
 	// ckptBytes is the automatic trigger, ckptMu serializes checkpoints.
@@ -85,7 +93,9 @@ type Options struct {
 	LockTimeout time.Duration
 	Log         *wal.Log // reuse an existing log (recovery); nil = fresh
 	// Metrics, when set, receives the lock manager's contention counters
-	// (sqlmini.lock.waits / wait_ns / shard_collisions).
+	// (sqlmini.lock.waits / wait_ns / shard_collisions) and the failure
+	// counters sqlmini.xrm.commit_failures, sqlmini.xrm.abort_failures and
+	// sqlmini.checkpoint.failures.
 	Metrics *metrics.Registry
 	// Dir is the repository directory holding the disk WAL segments and the
 	// repo.snap checkpoint snapshot. Empty keeps checkpoints embedded in the
@@ -117,6 +127,15 @@ func NewDB(opts Options) *DB {
 		dir:       opts.Dir,
 		ckptBytes: opts.CheckpointBytes,
 	}
+	counter := func(name string) *metrics.Counter {
+		if opts.Metrics == nil {
+			return new(metrics.Counter)
+		}
+		return opts.Metrics.Counter(name)
+	}
+	db.xrmCommitFailures = counter("sqlmini.xrm.commit_failures")
+	db.xrmAbortFailures = counter("sqlmini.xrm.abort_failures")
+	db.ckptFailures = counter("sqlmini.checkpoint.failures")
 	if opts.Metrics != nil {
 		db.lm.AttachMetrics(
 			opts.Metrics.Counter("sqlmini.lock.waits"),
@@ -170,7 +189,9 @@ func (db *DB) Table(name string) (*Table, error) { return db.cat.get(name) }
 
 // Outcome reports whether a finished transaction committed. The second
 // return is false while the transaction is still active or unknown — DLFM
-// recovery polls this to resolve in-doubt sub-transactions.
+// recovery polls this to resolve in-doubt sub-transactions. Only a
+// transaction that enlisted an XRM, or that restart recovery resolved, is
+// known: nobody else can ask.
 func (db *DB) Outcome(txnID uint64) (committed, known bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -291,7 +312,8 @@ func (t *Txn) callHook(table *Table, op DMLOp, old, new Row) error {
 
 // InsertRow inserts a row (typed, coerced) into the named table with full
 // locking, logging and hook processing. Exposed for engine-internal use;
-// SQL INSERT goes through the executor which calls this.
+// SQL INSERT goes through the executor which calls this. The table owns r
+// from here on: the caller must not write it again.
 func (t *Txn) InsertRow(tbl *Table, r Row) (RowID, error) {
 	if t.state != TxnActive {
 		return 0, errTxnDone
@@ -299,7 +321,7 @@ func (t *Txn) InsertRow(tbl *Table, r Row) (RowID, error) {
 	if err := t.callHook(tbl, DMLInsert, nil, r); err != nil {
 		return 0, err
 	}
-	id, err := tbl.Insert(r.Clone())
+	id, err := tbl.Insert(r)
 	if err != nil {
 		return 0, err
 	}
@@ -339,7 +361,8 @@ func (t *Txn) DeleteRow(tbl *Table, id RowID) error {
 	return nil
 }
 
-// UpdateRow replaces a locked row with logging and hook processing.
+// UpdateRow replaces a locked row with logging and hook processing. The
+// table owns new from here on: the caller must not write it again.
 func (t *Txn) UpdateRow(tbl *Table, id RowID, new Row) error {
 	if t.state != TxnActive {
 		return errTxnDone
@@ -354,7 +377,7 @@ func (t *Txn) UpdateRow(tbl *Table, id RowID, new Row) error {
 	if err := t.callHook(tbl, DMLUpdate, old, new); err != nil {
 		return err
 	}
-	if _, err := tbl.Update(id, new.Clone()); err != nil {
+	if _, err := tbl.Update(id, new); err != nil {
 		return err
 	}
 	if err := t.logChange(logPayload{Op: opUpdate, Table: tbl.Name, Row: id, Before: old, After: new}); err != nil {
@@ -486,11 +509,11 @@ func (t *Txn) Commit() error {
 	}
 	t.state = TxnCommitted
 	// Phase 2: tell participants. Participant failure after the commit point
-	// does not change the outcome; participants re-resolve at recovery.
+	// does not change the outcome; the participant re-resolves at its
+	// recovery, and the failure is counted.
 	for _, x := range t.xrms {
-		if err := x.CommitXRM(t.id); err != nil {
-			// Log-and-continue semantics: outcome is already decided.
-			_ = err
+		if x.CommitXRM(t.id) != nil {
+			t.db.xrmCommitFailures.Inc()
 		}
 	}
 	t.finish(true)
@@ -535,8 +558,8 @@ func (t *Txn) Abort() error {
 	}
 	t.state = TxnAborted
 	for _, x := range t.xrms {
-		if err := x.AbortXRM(t.id); err != nil {
-			_ = err // participant will re-resolve at its recovery
+		if x.AbortXRM(t.id) != nil {
+			t.db.xrmAbortFailures.Inc() // the participant re-resolves at its recovery
 		}
 	}
 	t.finish(false)
@@ -546,12 +569,13 @@ func (t *Txn) Abort() error {
 	return nil
 }
 
-// finish releases locks and records the outcome — except a read-only
-// transaction's, which no participant or log record can ever ask about.
+// finish releases locks and records the outcome of a transaction with
+// enlisted XRMs — the only ones a participant can ask Outcome about. The
+// rest would grow the map by one entry per logged transaction, forever.
 func (t *Txn) finish(committed bool) {
 	t.db.mu.Lock()
 	delete(t.db.active, t.id)
-	if !t.readOnly() {
+	if len(t.xrms) > 0 {
 		t.db.outcome[t.id] = committed
 	}
 	t.db.mu.Unlock()

@@ -6,6 +6,14 @@
 // ARIES-style restart recovery, and two-phase commit with external resource
 // managers — the hook DLFM plugs into so link/unlink and file-update
 // transactions share the host transaction's fate (§2.2 of the paper).
+//
+// Hot data is served in place, not copied per access. A row installed in a
+// Table is never written again, so reads (Table.Get, Table.Scan, the
+// executor, the checkpoint image) share the installed slice; an UPDATE
+// builds a new row and installs that. Index keys are comparable structs,
+// not rendered strings, and the lock manager reuses its per-target states
+// and per-transaction held sets, so a steady-state acquire allocates
+// nothing.
 package sqlmini
 
 import (
@@ -163,9 +171,33 @@ func Compare(a, b Value) (int, error) {
 			return 0, nil
 		}
 	case KindLink:
-		return strings.Compare(a.L.URL(), b.L.URL()), nil
+		// The order of the URLs, "dlfs://"+Server+Path; the scheme is common
+		// to both, so compare the rest without building either string.
+		return compareJoined(a.L.Server, a.L.Path, b.L.Server, b.L.Path), nil
 	default:
 		return 0, fmt.Errorf("sqlmini: cannot compare kind %s", a.K)
+	}
+}
+
+// compareJoined orders a1+a2 against b1+b2 byte by byte, as strings.Compare
+// would order the concatenations.
+func compareJoined(a1, a2, b1, b2 string) int {
+	for {
+		if a1 == "" {
+			a1, a2 = a2, ""
+		}
+		if b1 == "" {
+			b1, b2 = b2, ""
+		}
+		if a1 == "" || b1 == "" {
+			// At least one side is used up: the shorter string sorts first.
+			return strings.Compare(a1, b1)
+		}
+		n := min(len(a1), len(b1))
+		if c := strings.Compare(a1[:n], b1[:n]); c != 0 {
+			return c
+		}
+		a1, b1 = a1[n:], b1[n:]
 	}
 }
 
@@ -206,10 +238,12 @@ func CoerceTo(v Value, k Kind) (Value, error) {
 	}
 }
 
-// Row is an ordered tuple of values matching a table's column order.
+// Row is an ordered tuple of values matching a table's column order. A row
+// installed in a Table is never written again (see Table).
 type Row []Value
 
-// Clone deep-copies a row.
+// Clone copies a row. Values hold no mutable references (strings are
+// immutable), so this is a deep copy.
 func (r Row) Clone() Row {
 	out := make(Row, len(r))
 	copy(out, r)

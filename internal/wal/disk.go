@@ -105,7 +105,7 @@ func (d *diskLog) replay(l *Log) error {
 	quarantine := filepath.Join(d.cfg.Dir, tornName)
 
 	var (
-		recs []Record
+		recs recTail
 		base LSN
 		next LSN
 		kept []uint64 // segments that survive the repair
@@ -124,10 +124,8 @@ func (d *diskLog) replay(l *Log) error {
 		// segment, is not a continuation of the valid prefix.
 		valid := 0
 		if !torn && LSN(first) == next {
-			var fileRecs []Record
-			valid, fileRecs = decodeFrames(data, next)
-			recs = append(recs, fileRecs...)
-			next += LSN(len(fileRecs))
+			valid = decodeFrames(data, next, &recs)
+			next = base + LSN(recs.n) + 1
 			if valid == len(data) {
 				kept = append(kept, first)
 				continue
@@ -145,7 +143,7 @@ func (d *diskLog) replay(l *Log) error {
 
 	// Open (or create) the active segment.
 	if len(kept) == 0 {
-		first := base + LSN(len(recs)) + 1
+		first := base + LSN(recs.n) + 1
 		f, err := d.files.Create(uint64(first), nil, syncing)
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
@@ -165,14 +163,14 @@ func (d *diskLog) replay(l *Log) error {
 		d.seg, d.segSize = f, size
 	}
 	d.segs = kept
-	d.written = base + LSN(len(recs))
+	d.written = base + LSN(recs.n)
 
 	l.base = base
 	l.records = recs
 	l.flushed = d.written
 	since := int64(0)
-	for _, r := range recs {
-		if r.Type == RecCheckpoint && len(r.Payload) > 0 {
+	for i := 0; i < recs.n; i++ {
+		if r := recs.at(i); r.Type == RecCheckpoint && len(r.Payload) > 0 {
 			since = 0
 		} else {
 			since += int64(len(r.Payload)) + recOverheadBytes
@@ -219,7 +217,7 @@ func (l *Log) writePendingLocked() error {
 		return fmt.Errorf("wal: writing %s: %w", d.seg.Name(), err)
 	}
 	d.segSize += int64(len(d.pending))
-	d.written = l.base + LSN(len(l.records))
+	d.written = l.base + LSN(l.records.n)
 	d.pending = d.pending[:0]
 	return nil
 }
@@ -278,7 +276,8 @@ func (l *Log) SealSegment() error {
 // that straddles keepFrom (a transaction flushed between the snapshot and the
 // checkpoint's SealSegment) keeps its pre-anchor records, recovery re-reads
 // them, and the sequence gate is what prevents double-apply. The in-memory
-// backend trims exactly.
+// backend trims exactly. Either way the in-memory tail drops its leading
+// blocks without copying a surviving record.
 func (l *Log) TruncateHead(keepFrom LSN) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -293,7 +292,7 @@ func (l *Log) TruncateHead(keepFrom LSN) error {
 	}
 	if l.disk == nil {
 		newBase := keepFrom - 1
-		l.records = append([]Record(nil), l.records[newBase-l.base:]...)
+		l.records.dropHead(int(newBase - l.base))
 		l.base = newBase
 		return nil
 	}
@@ -315,7 +314,7 @@ func (l *Log) TruncateHead(keepFrom LSN) error {
 	if keep > 0 {
 		d.segs = append([]uint64(nil), d.segs[keep:]...)
 		newBase := LSN(d.segs[0]) - 1
-		l.records = append([]Record(nil), l.records[newBase-l.base:]...)
+		l.records.dropHead(int(newBase - l.base))
 		l.base = newBase
 		if err == nil && d.cfg.Fsync != fsyncer.PolicyNone {
 			err = seglog.SyncDir(d.cfg.Dir)
@@ -403,11 +402,12 @@ func decodeRecord(b []byte) (Record, error) {
 	return rec, nil
 }
 
-// decodeFrames walks the frame stream, returning the length of the valid
-// prefix and its records. `next` is the LSN the first record must carry;
-// any framing, decode, or sequence anomaly ends the valid prefix.
-func decodeFrames(data []byte, next LSN) (valid int, recs []Record) {
-	valid = seglog.ValidPrefix(data, func(rest []byte) (int, bool) {
+// decodeFrames walks the frame stream, pushing its records onto recs and
+// returning the length of the valid prefix. `next` is the LSN the first
+// record must carry; any framing, decode, or sequence anomaly ends the valid
+// prefix.
+func decodeFrames(data []byte, next LSN, recs *recTail) (valid int) {
+	return seglog.ValidPrefix(data, func(rest []byte) (int, bool) {
 		payload, n, ok := seglog.NextFrame(rest)
 		if !ok {
 			return 0, false
@@ -416,9 +416,8 @@ func decodeFrames(data []byte, next LSN) (valid int, recs []Record) {
 		if err != nil || rec.LSN != next {
 			return 0, false
 		}
-		recs = append(recs, rec)
+		recs.push(rec)
 		next++
 		return n, true
 	})
-	return valid, recs
 }

@@ -186,15 +186,16 @@ func TestDiskTornTailEveryByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefix, recs := decodeFrames(whole, 1)
-	if prefix != len(whole) || len(recs) != 5 {
-		t.Fatalf("seed file does not decode cleanly: %d/%d bytes, %d records", prefix, len(whole), len(recs))
+	var recs recTail
+	if prefix := decodeFrames(whole, 1, &recs); prefix != len(whole) || recs.n != 5 {
+		t.Fatalf("seed file does not decode cleanly: %d/%d bytes, %d records", prefix, len(whole), recs.n)
 	}
 	// The valid prefix of the file minus one byte ends exactly where the
 	// last frame starts.
-	lastStart, recs4 := decodeFrames(whole[:len(whole)-1], 1)
-	if len(recs4) != 4 {
-		t.Fatalf("expected 4 records before the last frame, got %d", len(recs4))
+	var recs4 recTail
+	lastStart := decodeFrames(whole[:len(whole)-1], 1, &recs4)
+	if recs4.n != 4 {
+		t.Fatalf("expected 4 records before the last frame, got %d", recs4.n)
 	}
 
 	for cut := lastStart; cut < len(whole); cut++ {
@@ -214,7 +215,7 @@ func TestDiskTornTailEveryByte(t *testing.T) {
 		}
 		got := logRecords(t, l2)
 		for i := range got {
-			if string(got[i].Payload) != string(recs4[i].Payload) {
+			if string(got[i].Payload) != string(recs4.at(i).Payload) {
 				t.Fatalf("cut=%d: record %d payload differs", cut, i)
 			}
 		}
@@ -254,9 +255,10 @@ func TestDiskTornTailCorruptedByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lastStart, recs4 := decodeFrames(whole[:len(whole)-1], 1)
-	if len(recs4) != 4 {
-		t.Fatalf("want 4 records before last frame, got %d", len(recs4))
+	var recs4 recTail
+	lastStart := decodeFrames(whole[:len(whole)-1], 1, &recs4)
+	if recs4.n != 4 {
+		t.Fatalf("want 4 records before last frame, got %d", recs4.n)
 	}
 	for pos := lastStart; pos < len(whole); pos++ {
 		dir := t.TempDir()
@@ -559,4 +561,64 @@ func TestDiskOverlapBetweenSegmentsQuarantined(t *testing.T) {
 	if l3.TornBytes() != 0 || l3.TailLSN() != LSN(segs[1]) {
 		t.Fatalf("reopen after repair: torn=%d tail=%d, want 0/%d", l3.TornBytes(), l3.TailLSN(), segs[1])
 	}
+}
+
+// Close reports the final write's or sync's failure instead of dropping it:
+// the records it was flushing may not be on stable storage. The log is
+// closed (and its directory unlocked) either way.
+func TestCloseReportsWriteAndSyncErrors(t *testing.T) {
+	// swapSegment replaces the active segment's handle with one opened by
+	// open, so the next write or sync through it fails.
+	swapSegment := func(t *testing.T, l *Log, open func(name string) *os.File) {
+		t.Helper()
+		d := l.disk
+		d.fileMu.Lock()
+		defer d.fileMu.Unlock()
+		name := d.seg.Name()
+		d.seg.Close()
+		d.seg = open(name)
+	}
+	t.Run("write", func(t *testing.T) {
+		dir := t.TempDir()
+		l, err := Open(Config{Dir: dir, Fsync: fsyncer.PolicyGroup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustAppend(t, l, RecUpdate, 1, []byte("buffered"))
+		swapSegment(t, l, func(name string) *os.File {
+			f, err := os.Open(name) // read-only: the write fails
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		})
+		if err := l.Close(); err == nil || !strings.Contains(err.Error(), "writing") {
+			t.Fatalf("Close with an unwritable segment = %v, want the write error", err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatalf("second Close = %v, want nil", err)
+		}
+		l2 := openDisk(t, dir, 0) // the lock was released
+		l2.Close()
+	})
+	t.Run("sync", func(t *testing.T) {
+		dir := t.TempDir()
+		l, err := Open(Config{Dir: dir, Fsync: fsyncer.PolicyGroup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		swapSegment(t, l, func(name string) *os.File {
+			f, err := os.Open(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Close() // closed: the sync fails
+			return f
+		})
+		if err := l.Close(); err == nil || !strings.Contains(err.Error(), "syncing") {
+			t.Fatalf("Close with an unsyncable segment = %v, want the sync error", err)
+		}
+		l2 := openDisk(t, dir, 0)
+		l2.Close()
+	})
 }

@@ -117,9 +117,10 @@ func TestSealedEmptySegmentSurvivesReopen(t *testing.T) {
 }
 
 // Append frames the header and the payload it was handed straight into the
-// pending buffer: with that buffer and the record mirror already grown, it
-// allocates nothing (parent: the defensive copy and encodeRecord's temporary,
-// both of payload size).
+// pending buffer: with that buffer grown and the tail's block already
+// allocated (AllocsPerRun's warm-up call does it, and every measured record
+// fits in that block), it allocates nothing (parent: the defensive copy and
+// encodeRecord's temporary, both of payload size).
 func TestAppendAllocatesNoPayloadBuffer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -129,7 +130,6 @@ func TestAppendAllocatesNoPayloadBuffer(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xab}, 256)
 	const runs = 200
 	l.mu.Lock()
-	l.records = make([]Record, 0, 2*runs)
 	l.disk.pending = make([]byte, 0, 2*runs*(len(payload)+64))
 	l.mu.Unlock()
 	if n := testing.AllocsPerRun(runs, func() {

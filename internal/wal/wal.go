@@ -10,6 +10,11 @@
 // same record stream in seglog-framed, size-bounded segment files under a
 // locked directory, with Flush/FlushTo routed through an fsyncer policy; a
 // reopen replays the longest valid prefix and quarantines any torn tail.
+//
+// Both backends keep the retained tail in memory (Read and Scan serve it)
+// as fixed-size blocks of records: an append fills the last block or adds a
+// fresh one and never copies an earlier record, and a checkpoint's
+// TruncateHead drops whole blocks instead of reallocating the survivors.
 package wal
 
 import (
@@ -86,11 +91,17 @@ var ErrClosed = errors.New("wal: log closed")
 // After a checkpoint truncates the head (TruncateHead), records below the
 // base LSN are gone: Read and Scan serve only (base, tail]. Recovery anchors
 // at the checkpoint, so it never asks for the truncated prefix.
+//
+// The retained tail is a recTail of fixed-size record blocks. A Scan works
+// on a copy of the recTail taken under mu and reads it after unlocking: the
+// slots that copy covers are never written again, and a head drop replaces
+// the block index rather than editing it, so the copy stays valid across
+// any concurrent Append or TruncateHead.
 type Log struct {
 	mu       sync.Mutex
-	base     LSN      // records[i] has LSN base+i+1
-	records  []Record // the retained tail of the log
-	flushed  LSN      // highest durable LSN
+	base     LSN     // records.at(i) has LSN base+i+1
+	records  recTail // the retained tail of the log
+	flushed  LSN     // highest durable LSN
 	closed   bool
 	flushCnt int64
 	// sizeSinceCkpt approximates log bytes appended since the last
@@ -103,6 +114,71 @@ type Log struct {
 // New returns an empty in-memory log.
 func New() *Log { return &Log{} }
 
+// blockRecords is the number of records in one block of the retained tail:
+// 255 records of 64 bytes plus the allocator's 8-byte header fill a 16 KiB
+// size class, where 256 would spill into the 18 KiB one.
+const blockRecords = 255
+
+// recBlock is one block of the retained tail. Each slot is written once, by
+// the Append that fills it, and never again: not by a later append, not by
+// a head drop.
+type recBlock [blockRecords]Record
+
+// recTail is a run of records held in blocks: record i is slot off+i of the
+// concatenated blocks. Appends fill the last block or add a fresh one, so an
+// earlier record is never copied or moved; dropHead forgets whole leading
+// blocks by building a new (small) block index. A value copy is a stable
+// view of the records it covers.
+type recTail struct {
+	blocks []*recBlock
+	off    int // slot in blocks[0] of record 0
+	n      int // records held
+}
+
+// at returns record i, 0 <= i < n.
+func (t *recTail) at(i int) *Record {
+	j := t.off + i
+	return &t.blocks[j/blockRecords][j%blockRecords]
+}
+
+// push appends one record.
+func (t *recTail) push(rec Record) {
+	j := t.off + t.n
+	if j == len(t.blocks)*blockRecords {
+		t.blocks = append(t.blocks, new(recBlock))
+	}
+	t.blocks[j/blockRecords][j%blockRecords] = rec
+	t.n++
+}
+
+// dropHead forgets the first k records, 0 <= k <= n. Whole blocks leave
+// through a fresh index; the blocks themselves are never cleared, because a
+// view taken before the drop may still be reading them.
+func (t *recTail) dropHead(k int) {
+	j := t.off + k
+	if whole := j / blockRecords; whole > 0 {
+		t.blocks = append([]*recBlock(nil), t.blocks[whole:]...)
+	}
+	t.off = j % blockRecords
+	t.n -= k
+}
+
+// prefix returns a separate tail holding the first n records. Full blocks
+// are shared — neither tail writes a slot of them again — and the partial
+// last block is copied, since both tails go on appending into their own.
+func (t *recTail) prefix(n int) recTail {
+	j := t.off + n
+	whole := j / blockRecords
+	p := recTail{blocks: make([]*recBlock, whole, whole+1), off: t.off, n: n}
+	copy(p.blocks, t.blocks[:whole])
+	if r := j % blockRecords; r > 0 {
+		b := new(recBlock)
+		copy(b[:r], t.blocks[whole][:r])
+		p.blocks = append(p.blocks, b)
+	}
+	return p
+}
+
 // Append adds a record to the log buffer and returns its LSN. The record is
 // not durable until Flush (or FlushTo covering it) is called. Append takes
 // ownership of rec.Payload: the log keeps that slice (Read and Scan serve
@@ -113,8 +189,8 @@ func (l *Log) Append(rec Record) (LSN, error) {
 	if l.closed {
 		return NilLSN, ErrClosed
 	}
-	rec.LSN = l.base + LSN(len(l.records)) + 1
-	l.records = append(l.records, rec)
+	rec.LSN = l.base + LSN(l.records.n) + 1
+	l.records.push(rec)
 	if rec.Type == RecCheckpoint && len(rec.Payload) > 0 {
 		l.sizeSinceCkpt = 0
 	} else {
@@ -140,7 +216,7 @@ func (l *Log) Flush() (LSN, error) {
 		l.mu.Unlock()
 		return NilLSN, ErrClosed
 	}
-	target := l.base + LSN(len(l.records))
+	target := l.base + LSN(l.records.n)
 	if l.disk != nil {
 		if err := l.writePendingLocked(); err != nil {
 			l.mu.Unlock()
@@ -174,8 +250,8 @@ func (l *Log) FlushTo(lsn LSN) error {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	if lsn > l.base+LSN(len(l.records)) {
-		tail := l.base + LSN(len(l.records))
+	if lsn > l.base+LSN(l.records.n) {
+		tail := l.base + LSN(l.records.n)
 		l.mu.Unlock()
 		return fmt.Errorf("wal: flush to %d beyond tail %d", lsn, tail)
 	}
@@ -187,7 +263,7 @@ func (l *Log) FlushTo(lsn LSN) error {
 		}
 	}
 	if needSync {
-		l.flushed = l.base + LSN(len(l.records))
+		l.flushed = l.base + LSN(l.records.n)
 		if lsn > l.flushed {
 			l.flushed = lsn
 		}
@@ -210,7 +286,7 @@ func (l *Log) FlushTo(lsn LSN) error {
 func (l *Log) TailLSN() LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.base + LSN(len(l.records))
+	return l.base + LSN(l.records.n)
 }
 
 // Base returns the LSN below which records have been truncated away by a
@@ -258,7 +334,7 @@ func (l *Log) LastCheckpoint() LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for i := int(l.flushed - l.base); i > 0; i-- {
-		r := l.records[i-1]
+		r := l.records.at(i - 1)
 		if r.Type == RecCheckpoint && len(r.Payload) > 0 {
 			return r.LSN
 		}
@@ -270,10 +346,10 @@ func (l *Log) LastCheckpoint() LSN {
 func (l *Log) Read(lsn LSN) (Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if lsn == NilLSN || lsn > l.base+LSN(len(l.records)) || lsn <= l.base {
-		return Record{}, fmt.Errorf("wal: no record at LSN %d (log covers %d..%d)", lsn, l.base+1, l.base+LSN(len(l.records)))
+	if lsn == NilLSN || lsn > l.base+LSN(l.records.n) || lsn <= l.base {
+		return Record{}, fmt.Errorf("wal: no record at LSN %d (log covers %d..%d)", lsn, l.base+1, l.base+LSN(l.records.n))
 	}
-	return l.records[lsn-l.base-1], nil
+	return *l.records.at(int(lsn - l.base - 1)), nil
 }
 
 // Scan calls fn on every record in [from, to] in LSN order. A zero `to`
@@ -283,7 +359,7 @@ func (l *Log) Scan(from, to LSN, fn func(Record) bool) error {
 	l.mu.Lock()
 	recs := l.records
 	base := l.base
-	tail := base + LSN(len(recs))
+	tail := base + LSN(recs.n)
 	l.mu.Unlock()
 	if from <= base {
 		from = base + 1
@@ -292,7 +368,7 @@ func (l *Log) Scan(from, to LSN, fn func(Record) bool) error {
 		to = tail
 	}
 	for lsn := from; lsn <= to; lsn++ {
-		if !fn(recs[lsn-base-1]) {
+		if !fn(*recs.at(int(lsn - base - 1))) {
 			return nil
 		}
 	}
@@ -306,15 +382,15 @@ func (l *Log) Scan(from, to LSN, fn func(Record) bool) error {
 func (l *Log) Prefix(to LSN) *Log {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if to > l.base+LSN(len(l.records)) {
-		to = l.base + LSN(len(l.records))
+	if to > l.base+LSN(l.records.n) {
+		to = l.base + LSN(l.records.n)
 	}
 	if to < l.base {
 		to = l.base
 	}
 	return &Log{
 		base:    l.base,
-		records: append([]Record(nil), l.records[:to-l.base]...),
+		records: l.records.prefix(int(to - l.base)),
 		flushed: to,
 	}
 }
@@ -342,7 +418,7 @@ func (l *Log) Crash() (*Log, error) {
 	l.closed = true
 	return &Log{
 		base:    l.base,
-		records: append([]Record(nil), l.records[:l.flushed-l.base]...),
+		records: l.records.prefix(int(l.flushed - l.base)),
 		flushed: l.flushed,
 	}, nil
 }
@@ -374,19 +450,25 @@ func (l *Log) killLocked() {
 
 // Close marks the log closed. The disk backend first writes its buffered
 // tail (and syncs it under a syncing policy) so a clean shutdown loses
-// nothing, then releases the directory lock. Further appends fail.
-func (l *Log) Close() {
+// nothing, then releases the directory lock. Further appends fail. The
+// error is the final write's or sync's: the log is closed either way, but
+// records it reports may not have reached stable storage. Closing a closed
+// log returns nil.
+func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return
+		return nil
 	}
+	var err error
 	if d := l.disk; d != nil {
-		_ = l.writePendingLocked()
+		err = l.writePendingLocked()
 		d.fileMu.Lock()
 		if d.seg != nil {
 			if d.sync.Policy() != fsyncer.PolicyNone {
-				_ = d.seg.Sync()
+				if serr := d.seg.Sync(); serr != nil && err == nil {
+					err = fmt.Errorf("wal: syncing %s at close: %w", d.seg.Name(), serr)
+				}
 			}
 			d.seg.Close()
 			d.seg = nil
@@ -395,4 +477,5 @@ func (l *Log) Close() {
 		d.lock.Release()
 	}
 	l.closed = true
+	return err
 }
