@@ -13,6 +13,16 @@ import (
 	"datalinks/internal/upcall"
 )
 
+// closeAtEnd closes c when the test ends and fails the test on a close
+// error.
+func closeAtEnd(t testing.TB, c interface{ Close() error }) {
+	t.Cleanup(func() {
+		if err := c.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+}
+
 func openSys(t *testing.T) (*datalinks.System, *datalinks.FileServer) {
 	t.Helper()
 	sys, err := datalinks.Open(datalinks.Config{
@@ -22,7 +32,7 @@ func openSys(t *testing.T) (*datalinks.System, *datalinks.FileServer) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	t.Cleanup(sys.Close)
+	closeAtEnd(t, sys)
 	fsrv, err := sys.FileServer("fs1")
 	if err != nil {
 		t.Fatalf("file server: %v", err)
@@ -254,7 +264,7 @@ func TestPublicAPIReferenceStack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open cluster: %v", err)
 	}
-	t.Cleanup(c.Close)
+	closeAtEnd(t, c)
 
 	c.MustExec(`CREATE TABLE files (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES, doc_size INT)`)
 	paths := make([]string, files)

@@ -31,8 +31,9 @@ func OpenCluster(cfg ClusterConfig) (*Cluster, error) {
 	return &Cluster{inner: c}, nil
 }
 
-// Close shuts down every member stack.
-func (c *Cluster) Close() { c.inner.Close() }
+// Close shuts down every member stack. The error joins every member's
+// failure to close its repository log.
+func (c *Cluster) Close() error { return c.inner.Close() }
 
 // Authority returns the cluster's shared file-server name.
 func (c *Cluster) Authority() string { return c.inner.Authority() }

@@ -2,10 +2,11 @@
 // protocol over TCP — the deployment shape of Figure 1, where DLFM is a
 // user-space daemon on each file server and DLFS reaches it via IPC.
 //
-// The daemon owns an in-memory physical file system seeded from -seed flags
-// and a local archive store, whose packs and catalog live in a private
-// temporary directory removed when the daemon exits. A DLFS configured with
-// upcall.Dial(addr) can mount against it from another process.
+// The daemon owns an in-memory physical file system seeded from -seed flags,
+// a local archive store and its repository, whose packs, catalog and WAL
+// live in private temporary directories removed when the daemon exits. A
+// DLFS configured with upcall.Dial(addr) can mount against it from another
+// process.
 //
 //	dlfmd -addr 127.0.0.1:7707 -name fs1 -seed /data/a.txt=hello -selftest
 package main
@@ -99,16 +100,19 @@ func main() {
 	if arch, err = archive.NewTiered(0, nil, archive.TierConfig{}); err != nil {
 		fatal(err)
 	}
-	srv, err := dlfm.New(dlfm.Config{
+	if repoDir, err = os.MkdirTemp("", "datalinks-repo-*"); err != nil {
+		fatal(err)
+	}
+	if srv, _, err = dlfm.Open(dlfm.Config{
 		Name:     *name,
 		Phys:     phys,
 		Archive:  arch,
 		Host:     &standaloneHost{},
 		TokenKey: []byte(*key),
+		RepoDir:  repoDir,
 		Metrics:  reg,
 		Tracer:   tracer,
-	})
-	if err != nil {
+	}); err != nil {
 		fatal(err)
 	}
 	server, bound, err := upcall.ServeConfig(srv, *addr, upcall.ServerConfig{
@@ -156,8 +160,7 @@ func main() {
 		fmt.Println("dlfmd: selftest passed (token validated over TCP)")
 		client.Close()
 		server.Close()
-		arch.Close()
-		return
+		exit(0)
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -168,13 +171,10 @@ func main() {
 		// In-flight work did not finish in time; connections were closed
 		// hard. Report the dirty shutdown to the supervisor.
 		fmt.Fprintln(os.Stderr, "dlfmd:", err)
-		srv.Close()
-		arch.Close()
-		os.Exit(2)
+		exit(2)
 	}
-	srv.Close()
-	arch.Close()
 	fmt.Println("dlfmd: drained cleanly")
+	exit(0)
 }
 
 type seed struct{ path, content string }
@@ -199,14 +199,33 @@ func parentDir(p string) string {
 	return p[:i]
 }
 
-// arch is the daemon's archive store; every exit path closes it, which
-// removes its directory.
-var arch *archive.Store
+// The daemon's stores and the repository's directory; every exit path goes
+// through exit, which closes the stores and removes their directories.
+var (
+	arch    *archive.Store
+	srv     *dlfm.Server
+	repoDir string
+)
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "dlfmd:", err)
+	exit(1)
+}
+
+// exit closes the DLFM and the archive, removes the repository's directory,
+// and exits with code — at least 1 when the repository log fails to close.
+func exit(code int) {
+	if srv != nil {
+		if err := srv.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "dlfmd: closing the repository:", err)
+			code = max(code, 1)
+		}
+	}
 	if arch != nil {
 		arch.Close()
 	}
-	os.Exit(1)
+	if repoDir != "" {
+		os.RemoveAll(repoDir)
+	}
+	os.Exit(code)
 }

@@ -73,8 +73,9 @@ func Open(cfg Config) (*System, error) {
 	return &System{core: c}, nil
 }
 
-// Close shuts the system down, draining background archive jobs.
-func (s *System) Close() { s.core.Close() }
+// Close shuts the system down, draining background archive jobs. The error
+// joins every file server's failure to close its repository log.
+func (s *System) Close() error { return s.core.Close() }
 
 // Internal exposes the underlying core system for advanced use (experiment
 // harnesses, admin tools). The core API is internal and may change.

@@ -17,7 +17,9 @@ package core
 // durable directories, and the metrics.
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -250,18 +252,21 @@ func (c *Cluster) WaitArchives() {
 	}
 }
 
-// Close shuts down every member stack.
-func (c *Cluster) Close() {
+// Close shuts down every member stack. The error joins every member's
+// failure to close its repository log.
+func (c *Cluster) Close() error {
 	if c.probeStop != nil {
 		close(c.probeStop)
 		c.probeWG.Wait()
 		c.probeStop = nil
 	}
+	var errs []error
 	for _, id := range c.router.memberIDs() {
 		if m, err := c.router.member(id); err == nil {
-			closeStack(m)
+			errs = append(errs, closeStack(m))
 		}
 	}
+	return errors.Join(errs...)
 }
 
 // probeLoop is the health probe: it sweeps the member set every interval and
@@ -341,21 +346,37 @@ func (c *Cluster) markDead(m *FileServer) {
 }
 
 // closeStack shuts one member stack down cleanly: archive jobs drain, the
-// repository checkpoints, the TCP endpoints close.
-func closeStack(m *FileServer) {
+// repository checkpoints and closes its log, the TCP endpoints close, and a
+// private repository directory goes. The error is the log's close.
+func closeStack(m *FileServer) error {
 	m.DLFM.WaitArchives()
-	m.DLFM.Close()
+	err := m.DLFM.Close()
 	m.Archive.Close()
 	m.closeEndpoints()
+	m.removePrivateRepo()
+	if err != nil {
+		return fmt.Errorf("core: close server %s: %w", m.Name, err)
+	}
+	return nil
 }
 
 // killStack is the machine dying: the DLFM is killed without a checkpoint,
 // the archive drops its volatile state, the TCP endpoints close. Only what
-// the durable directories already hold survives.
+// the configured directories already hold survives; a private repository
+// directory dies with the machine.
 func killStack(m *FileServer) {
 	m.DLFM.Kill()
 	m.Archive.Crash()
 	m.closeEndpoints()
+	m.removePrivateRepo()
+}
+
+// removePrivateRepo removes the repository directory buildStack made for a
+// server without RepoDir. Its DLFM is closed or killed by then.
+func (m *FileServer) removePrivateRepo() {
+	if m.cfg.RepoDir == "" {
+		os.RemoveAll(m.repoDir)
+	}
 }
 
 // closeEndpoints closes the TCP upcall plane, if the stack runs one.
@@ -432,7 +453,7 @@ func (c *Cluster) AddServer(sc ServerConfig) error {
 		// nothing moved, beginRebalance's registration is rolled back too.
 		if !c.hasOverrideTo(sc.Name) {
 			c.router.dropMember(sc.Name)
-			closeStack(fsrv)
+			return errors.Join(err, closeStack(fsrv))
 		}
 		return err
 	}
@@ -476,12 +497,12 @@ func (c *Cluster) RemoveServer(id string) error {
 	}
 	c.router.finishRebalance(target)
 	c.router.dropMember(id)
-	closeStack(m)
+	closeErr := closeStack(m)
 	if err := c.FlushReplication(); err != nil {
-		return err
+		return errors.Join(closeErr, err)
 	}
 	c.Placements()
-	return nil
+	return closeErr
 }
 
 // FailServer simulates a member machine dying — KillServer — and records the
@@ -502,7 +523,8 @@ func (c *Cluster) FailServer(id string) error {
 // replay rebuilds the link set; linked contents materialize from the archive),
 // every recovered path migrates to its owner on the ring without the dead
 // member, and the member leaves the ring. Requires the failed member to have
-// run with RepoDir set — a purely volatile member leaves nothing to absorb.
+// run with RepoDir set — a member without one ran over a private directory
+// that died with it, leaving nothing to absorb.
 func (c *Cluster) AbsorbDead(id string) error {
 	c.mu.Lock()
 	sc, dead := c.deadCfg[id]
@@ -524,8 +546,7 @@ func (c *Cluster) AbsorbDead(id string) error {
 	}
 	target := c.router.currentRing().Without(id)
 	if len(target.Members()) == 0 {
-		closeStack(fsrv)
-		return fmt.Errorf("core: no surviving members to absorb %q into", id)
+		return errors.Join(fmt.Errorf("core: no surviving members to absorb %q into", id), closeStack(fsrv))
 	}
 	// Re-enter the ring long enough to drain: traffic for its paths resumes
 	// against the recovered stack while they migrate out one by one.
@@ -539,20 +560,19 @@ func (c *Cluster) AbsorbDead(id string) error {
 		// stayed routable and the retry found the member "already present".
 		c.router.abortRebalance()
 		c.router.dropMember(id)
-		closeStack(fsrv)
-		return err
+		return errors.Join(err, closeStack(fsrv))
 	}
 	c.router.finishRebalance(target)
 	c.router.dropMember(id)
-	closeStack(fsrv)
+	closeErr := closeStack(fsrv)
 	c.mu.Lock()
 	delete(c.deadCfg, id)
 	c.mu.Unlock()
 	if err := c.FlushReplication(); err != nil {
-		return err
+		return errors.Join(closeErr, err)
 	}
 	c.Placements()
-	return nil
+	return closeErr
 }
 
 // rebalanceTo migrates every path whose owner differs between the current

@@ -38,7 +38,7 @@ func newCluster(t *testing.T, n int) *Cluster {
 	if err != nil {
 		t.Fatalf("new cluster: %v", err)
 	}
-	t.Cleanup(c.Close)
+	closeAtEnd(t, c)
 	c.DB.MustExec(`CREATE TABLE docs (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
 	return c
 }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -81,18 +82,20 @@ type ServerConfig struct {
 	// QuarantineTTL expires quarantined in-flight versions older than this
 	// when SweepQuarantine runs (0: keep forever).
 	QuarantineTTL time.Duration
-	// RepoDir enables the durable repository plane: the file server's
-	// metadata database logs to CRC-framed WAL segments under this real
-	// directory and periodically snapshots itself to repo.snap, so a fresh
-	// Open over the same directory (plus ArchiveDir) cold-starts the server
-	// after a whole-process kill. Empty keeps the repository in memory.
+	// RepoDir is the repository's directory: the file server's metadata
+	// database logs to CRC-framed WAL segments there and periodically
+	// snapshots itself to repo.snap, so a fresh Open over the same directory
+	// (plus ArchiveDir) cold-starts the server after a whole-process kill.
+	// Empty gives the repository a private temporary directory, removed when
+	// the server closes or crashes.
 	RepoDir string
 	// RepoFsync selects the repository WAL durability policy: "" or "none"
 	// (rely on the OS page cache), "group" (coalesced fdatasyncs), or
-	// "always" (every flush syncs inline). Only meaningful with RepoDir set.
+	// "always" (every flush syncs inline).
 	RepoFsync string
-	// RepoCheckpointBytes takes a repository checkpoint after roughly this
-	// many logged bytes (<= 0: the dlfm default of 1 MiB).
+	// RepoCheckpointBytes takes a repository checkpoint, and truncates the
+	// log below it, after roughly this many logged bytes (<= 0: the dlfm
+	// default of 1 MiB).
 	RepoCheckpointBytes int64
 	// Trace enables request-scoped tracing on this server: every top-level
 	// operation (open, read, write, commit/close, link/unlink, migration
@@ -142,6 +145,10 @@ type FileServer struct {
 	// cold-start recovery instead of a fresh boot.
 	Recovery *dlfm.RecoveryReport
 	cfg      ServerConfig
+	// repoDir is the repository's directory: cfg.RepoDir, or a private one
+	// buildStack made, which the stack removes once the DLFM is closed or
+	// killed.
+	repoDir string
 
 	// TCP deployment resources (nil for in-process upcalls).
 	tcpServer *upcall.Server
@@ -212,7 +219,7 @@ func (sys *System) addServer(sc ServerConfig) (*FileServer, error) {
 }
 
 // buildStack constructs one file server stack: physical FS, archive tier,
-// DLFM (durable repository when configured), and the DLFS upcall plane.
+// DLFM over its repository directory, and the DLFS upcall plane.
 // dlfmName is the name the DLFM registers under — a System passes the
 // server's own name, a Cluster passes the shared authority so DATALINK URLs,
 // archive keys, and host metadata stay identical across members.
@@ -254,35 +261,36 @@ func buildStack(sc ServerConfig, dlfmName string, clock func() time.Time, key []
 		NativeLFS: vfs.NewLFS(vfs.NewPassthrough(phys)),
 		Obs:       tracer,
 		cfg:       sc,
+		repoDir:   sc.RepoDir,
 	}
-	dcfg, err := fsrv.dlfmConfig(dlfmName, host, key, ttl, clock, reg)
-	if err != nil {
+	if sc.RepoDir == "" {
+		if fsrv.repoDir, err = os.MkdirTemp("", "datalinks-repo-*"); err != nil {
+			arch.Close()
+			return nil, fmt.Errorf("core: server %s: %w", sc.Name, err)
+		}
+	}
+	if err := fsrv.openDLFM(dlfmName, host, key, ttl, clock, reg); err != nil {
 		arch.Close()
+		fsrv.removePrivateRepo()
 		return nil, err
 	}
-	srv, recovery, err := dlfm.Open(dcfg)
-	if err != nil {
-		arch.Close()
-		return nil, err
-	}
-	fsrv.DLFM, fsrv.Recovery = srv, recovery
-	if err := wireUpcallPlane(fsrv, srv, sc); err != nil {
-		arch.Close()
-		return nil, err
+	if err := wireUpcallPlane(fsrv, fsrv.DLFM, sc); err != nil {
+		return nil, errors.Join(err, closeStack(fsrv))
 	}
 	return fsrv, nil
 }
 
-// dlfmConfig is the one place a stack's ServerConfig becomes a dlfm.Config,
-// for a fresh boot and for a crash recovery over the surviving disk alike.
-// name is the name the DLFM registers under; reg is the registry it shares
-// with the archive tier (nil: its own).
-func (f *FileServer) dlfmConfig(name string, host dlfm.Host, key []byte, ttl time.Duration, clock func() time.Time, reg *metrics.Registry) (dlfm.Config, error) {
+// openDLFM opens the stack's DLFM over its repository directory, for a
+// fresh boot and for a crash recovery over the surviving disk alike: it is
+// the one place a stack's ServerConfig becomes a dlfm.Config. name is the
+// name the DLFM registers under; reg is the registry it shares with the
+// archive tier (nil: its own).
+func (f *FileServer) openDLFM(name string, host dlfm.Host, key []byte, ttl time.Duration, clock func() time.Time, reg *metrics.Registry) error {
 	repoFsync, err := fsyncer.ParsePolicy(f.cfg.RepoFsync)
 	if err != nil {
-		return dlfm.Config{}, fmt.Errorf("core: server %s: %w", f.Name, err)
+		return fmt.Errorf("core: server %s: %w", f.Name, err)
 	}
-	return dlfm.Config{
+	f.DLFM, f.Recovery, err = dlfm.Open(dlfm.Config{
 		Name:                name,
 		Phys:                f.Phys,
 		Archive:             f.Archive,
@@ -293,11 +301,12 @@ func (f *FileServer) dlfmConfig(name string, host dlfm.Host, key []byte, ttl tim
 		TokenTTL:            ttl,
 		QuarantineTTL:       f.cfg.QuarantineTTL,
 		Metrics:             reg,
-		RepoDir:             f.cfg.RepoDir,
+		RepoDir:             f.repoDir,
 		RepoFsync:           repoFsync,
 		RepoCheckpointBytes: f.cfg.RepoCheckpointBytes,
 		Tracer:              f.Obs,
-	}, nil
+	})
+	return err
 }
 
 // wireUpcallPlane attaches the DLFS↔DLFM upcall channel to a file server:
@@ -378,13 +387,16 @@ func (sys *System) ServerNames() []string {
 	return out
 }
 
-// Close shuts down background work on every server.
-func (sys *System) Close() {
+// Close shuts down background work on every server. The error joins every
+// server's failure to close its repository log.
+func (sys *System) Close() error {
 	sys.mu.Lock()
 	defer sys.mu.Unlock()
+	var errs []error
 	for _, s := range sys.servers {
-		closeStack(s)
+		errs = append(errs, closeStack(s))
 	}
+	return errors.Join(errs...)
 }
 
 // Crash simulates a whole-process kill (kill -9 of the deployment): every
@@ -404,7 +416,8 @@ func (sys *System) Crash() {
 }
 
 // CrashAndRecoverServer simulates a crash of one file server machine and
-// runs DLFM restart recovery (§4.2/§4.4): in-flight updates roll back to
+// runs DLFM restart recovery (§4.2/§4.4): the DLFM is killed and opened
+// again over the same repository directory, in-flight updates roll back to
 // the last committed version, in-doubt sub-transactions resolve against the
 // host, pending archives complete.
 func (sys *System) CrashAndRecoverServer(name string) (*dlfm.RecoveryReport, error) {
@@ -414,38 +427,31 @@ func (sys *System) CrashAndRecoverServer(name string) (*dlfm.RecoveryReport, err
 	if !ok {
 		return nil, fmt.Errorf("core: no file server %q", name)
 	}
-	durable, crashErr := old.DLFM.CrashRepo()
+	old.DLFM.Kill()
 	// The crash also kills the daemon's TCP endpoints.
 	old.closeEndpoints()
-	if crashErr != nil {
-		return nil, fmt.Errorf("core: crash server %s: %w", name, crashErr)
-	}
-	// The disk, the archive and the ring of past traces survive the crash.
-	dcfg, err := old.dlfmConfig(name, sys.Engine, sys.key, sys.ttl, sys.clock, nil)
-	if err != nil {
-		return nil, err
-	}
-	srv, rep, err := dlfm.Recover(dcfg, durable)
-	if err != nil {
-		return nil, err
-	}
+	// The disk (the repository directory with it), the archive and the ring
+	// of past traces survive the crash.
 	fresh := &FileServer{
 		Name:      name,
 		Phys:      old.Phys,
 		Archive:   old.Archive,
-		DLFM:      srv,
 		NativeLFS: old.NativeLFS,
 		Obs:       old.Obs,
 		cfg:       old.cfg,
+		repoDir:   old.repoDir,
 	}
-	if err := wireUpcallPlane(fresh, srv, old.cfg); err != nil {
+	if err := fresh.openDLFM(name, sys.Engine, sys.key, sys.ttl, sys.clock, nil); err != nil {
+		return nil, fmt.Errorf("core: recover server %s: %w", name, err)
+	}
+	if err := wireUpcallPlane(fresh, fresh.DLFM, old.cfg); err != nil {
 		return nil, err
 	}
 	sys.mu.Lock()
 	sys.servers[name] = fresh
 	sys.mu.Unlock()
-	sys.Engine.AttachFileServer(srv, sys.key, sys.ttl)
-	return rep, nil
+	sys.Engine.AttachFileServer(fresh.DLFM, sys.key, sys.ttl)
+	return fresh.Recovery, nil
 }
 
 // RecoverHost crashes and recovers the host database, refreshing the

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +15,16 @@ import (
 const alice fs.UID = 100
 const bob fs.UID = 101
 
+// closeAtEnd closes c when the test ends and fails the test on a close
+// error.
+func closeAtEnd(t testing.TB, c interface{ Close() error }) {
+	t.Cleanup(func() {
+		if err := c.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+}
+
 // newSys builds a one-server system with a movies table and one linked clip.
 func newSys(t *testing.T, mode string) (*System, *FileServer) {
 	t.Helper()
@@ -23,7 +35,7 @@ func newSys(t *testing.T, mode string) (*System, *FileServer) {
 	if err != nil {
 		t.Fatalf("new system: %v", err)
 	}
-	t.Cleanup(sys.Close)
+	closeAtEnd(t, sys)
 	srv, _ := sys.Server("fs1")
 	if err := srv.Phys.MkdirAll("/movies", fs.Cred{UID: fs.Root}, 0o777); err != nil {
 		t.Fatalf("mkdir: %v", err)
@@ -470,6 +482,93 @@ func TestCrashRecoveryKeepsCommittedUpdate(t *testing.T) {
 	if string(data) != "v1 committed" {
 		t.Fatalf("committed content lost in recovery: %q", data)
 	}
+}
+
+// TestServerWithoutRepoDirRunsDurableRepository: a server configured without
+// RepoDir runs the disk WAL, repo.snap included, in a private directory. The
+// directory goes when the server closes, crashes or fails, and a
+// crash-restart reopens it and keeps a committed update.
+func TestServerWithoutRepoDirRunsDurableRepository(t *testing.T) {
+	repoDirOf := func(t *testing.T, m *FileServer) string {
+		t.Helper()
+		dir := m.DLFM.Repo().Log().Dir()
+		if dir == "" {
+			t.Fatalf("%s: the repository log has no directory", m.Name)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "repo.snap")); err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
+		}
+		return dir
+	}
+	gone := func(t *testing.T, dir, after string) {
+		t.Helper()
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Fatalf("private repository %s survived %s (%v)", dir, after, err)
+		}
+	}
+
+	t.Run("system", func(t *testing.T) {
+		sys, srv := newSys(t, "rfd")
+		dir := repoDirOf(t, srv)
+		f, err := sys.NewSession(alice).OpenWrite(urlFor(t, sys, "DLURLCOMPLETEWRITE"))
+		if err != nil {
+			t.Fatalf("open write: %v", err)
+		}
+		f.WriteAll([]byte("v1 committed"))
+		if err := f.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		srv.DLFM.WaitArchives()
+		if _, err := sys.CrashAndRecoverServer("fs1"); err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		newSrv, _ := sys.Server("fs1")
+		if got := repoDirOf(t, newSrv); got != dir {
+			t.Fatalf("the restart opened %s, not the crashed server's %s", got, dir)
+		}
+		row, err := newSrv.DLFM.Repo().QueryRow(`SELECT cur_version FROM dlfm_files WHERE path = ?`, sqlmini.Str("/movies/clip1.mpg"))
+		if err != nil || row[0].I != 1 {
+			t.Fatalf("repository version after the restart = %v (%v), want 1", row, err)
+		}
+		if data, _ := newSrv.Phys.ReadFile("/movies/clip1.mpg"); string(data) != "v1 committed" {
+			t.Fatalf("committed content lost in recovery: %q", data)
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		gone(t, dir, "Close")
+	})
+
+	t.Run("system crash", func(t *testing.T) {
+		sys, srv := newSys(t, "rfd")
+		dir := repoDirOf(t, srv)
+		sys.Crash()
+		gone(t, dir, "Crash")
+	})
+
+	t.Run("cluster", func(t *testing.T) {
+		c := newCluster(t, 3)
+		dirs := map[string]string{}
+		for _, id := range c.Members() {
+			m, err := c.Member(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dirs[id] = repoDirOf(t, m)
+		}
+		if err := c.FailServer("fs2"); err != nil {
+			t.Fatal(err)
+		}
+		gone(t, dirs["fs2"], "FailServer")
+		if err := c.AbsorbDead("fs2"); err == nil {
+			t.Fatal("AbsorbDead absorbed a member whose private repository died with it")
+		}
+		if err := c.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		gone(t, dirs["fs1"], "Close")
+		gone(t, dirs["fs3"], "Close")
+	})
 }
 
 func TestPointInTimeRestore(t *testing.T) {

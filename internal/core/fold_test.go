@@ -40,7 +40,7 @@ func foldSys(t *testing.T, mode string) (*System, *FileServer, *time.Time) {
 	if err != nil {
 		t.Fatalf("new system: %v", err)
 	}
-	t.Cleanup(sys.Close)
+	closeAtEnd(t, sys)
 	srv, _ := sys.Server("fs1")
 	if err := srv.Phys.MkdirAll("/movies", fs.Cred{UID: fs.Root}, 0o777); err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ func newTwoServerSys(t *testing.T) (*System, *FileServer, *FileServer) {
 	if err != nil {
 		t.Fatalf("new system: %v", err)
 	}
-	t.Cleanup(sys.Close)
+	closeAtEnd(t, sys)
 	east, _ := sys.Server("east")
 	west, _ := sys.Server("west")
 	for _, srv := range []*FileServer{east, west} {

@@ -24,7 +24,7 @@ func newTCPSys(t *testing.T) (*System, *FileServer) {
 	if err != nil {
 		t.Fatalf("new tcp system: %v", err)
 	}
-	t.Cleanup(sys.Close)
+	closeAtEnd(t, sys)
 	srv, _ := sys.Server("fs1")
 	if err := srv.Phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ func newWaitServer(t *testing.T) (*Server, *fs.FS) {
 	phys := fs.New()
 	phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
 	seedFile(t, phys, "/d/f.bin", "v0")
-	srv, err := New(Config{
+	srv := openServer(t, Config{
 		Name:     "fs1",
 		Phys:     phys,
 		Archive:  newArchive(t),
@@ -26,9 +26,6 @@ func newWaitServer(t *testing.T) (*Server, *fs.FS) {
 		TokenKey: []byte("k"),
 		OpenWait: 5 * time.Second,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return srv, phys
 }
 

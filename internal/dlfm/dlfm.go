@@ -76,17 +76,14 @@ type Config struct {
 	// opens and pending archives before returning CodeBusy.
 	OpenWait time.Duration
 	TokenTTL time.Duration
-	// RepoLog reuses an existing repository log (restart recovery).
-	RepoLog *wal.Log
-	// RepoDir, when set, puts the repository plane on disk: WAL segments,
+	// RepoDir is the repository's directory, and required: WAL segments,
 	// the repo.snap checkpoint and the repo.lock single-owner lockfile live
 	// there, and Open cold-starts from whatever the directory holds.
 	RepoDir string
 	// RepoFsync is the repository WAL durability policy.
 	RepoFsync fsyncer.Policy
 	// RepoCheckpointBytes triggers automatic repository checkpoints once
-	// this many log bytes accumulate (DefaultRepoCheckpointBytes when 0 and
-	// RepoDir is set).
+	// this many log bytes accumulate (DefaultRepoCheckpointBytes when 0).
 	RepoCheckpointBytes int64
 	Metrics             *metrics.Registry
 	// Tracer, when set, records request-scoped traces for the operations the
@@ -95,8 +92,8 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-// DefaultRepoCheckpointBytes is the automatic checkpoint trigger for
-// disk-backed repositories when Config.RepoCheckpointBytes is zero.
+// DefaultRepoCheckpointBytes is the automatic checkpoint trigger when
+// Config.RepoCheckpointBytes is zero.
 const DefaultRepoCheckpointBytes = 1 << 20
 
 // openState tracks one approved open between its open and close upcalls.
@@ -235,64 +232,16 @@ type Server struct {
 	wg sync.WaitGroup
 }
 
-// Open starts a DLFM server from its durable state: when RepoDir is set it
-// opens the disk WAL (taking the repo.lock), and either starts fresh (empty
-// directory) or runs full cold-start recovery — repository WAL replay,
-// in-doubt resolution, archive reconciliation, in-flight rollback and file
-// materialization. Without RepoDir it is New. The returned report is nil on
-// a fresh start.
+// Open starts a DLFM server from its durable state in RepoDir, which is
+// required: it opens the disk WAL (taking the repo.lock) and runs full
+// cold-start recovery — repository WAL replay, schema repair, in-doubt
+// resolution, archive reconciliation, in-flight rollback and file
+// materialization. An empty directory recovers to an empty repository and
+// gets its schema. A crash-restart is Kill followed by Open over the same
+// directory. The returned report is nil on a fresh start.
 func Open(cfg Config) (*Server, *RecoveryReport, error) {
-	if cfg.RepoDir == "" {
-		s, err := New(cfg)
-		return s, nil, err
-	}
-	lg, err := wal.Open(wal.Config{Dir: cfg.RepoDir, Fsync: cfg.RepoFsync})
-	if err != nil {
-		return nil, nil, fmt.Errorf("dlfm: repository log: %w", err)
-	}
-	cfg.RepoLog = lg
-	if lg.TailLSN() == wal.NilLSN && lg.Base() == wal.NilLSN {
-		// Nothing ever logged and nothing checkpointed: a fresh repository.
-		s, err := New(cfg)
-		if err != nil {
-			lg.Close()
-			return nil, nil, err
-		}
-		// Seed repo.snap so a pre-first-checkpoint crash still cold-starts.
-		if _, err := s.repo.Checkpoint(); err != nil {
-			s.Kill()
-			return nil, nil, fmt.Errorf("dlfm: initial checkpoint: %w", err)
-		}
-		return s, nil, nil
-	}
-	s, rep, err := Recover(cfg, lg)
-	if err != nil {
-		lg.Kill()
-		return nil, nil, err
-	}
-	return s, rep, nil
-}
-
-// repoOptions builds the sqlmini options for the repository database.
-func repoOptions(cfg Config) sqlmini.Options {
-	checkpoint := cfg.RepoCheckpointBytes
-	if cfg.RepoDir != "" && checkpoint <= 0 {
-		checkpoint = DefaultRepoCheckpointBytes
-	}
-	return sqlmini.Options{
-		Clock:           cfg.Clock,
-		Log:             cfg.RepoLog,
-		LockTimeout:     cfg.OpenWait,
-		Metrics:         cfg.Metrics,
-		Dir:             cfg.RepoDir,
-		CheckpointBytes: checkpoint,
-	}
-}
-
-// New starts a DLFM server with a fresh repository.
-func New(cfg Config) (*Server, error) {
 	if cfg.Phys == nil || cfg.Archive == nil {
-		return nil, errors.New("dlfm: Phys and Archive are required")
+		return nil, nil, errors.New("dlfm: Phys and Archive are required")
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -303,7 +252,36 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	repo := sqlmini.NewDB(repoOptions(cfg))
+	if cfg.RepoCheckpointBytes <= 0 {
+		cfg.RepoCheckpointBytes = DefaultRepoCheckpointBytes
+	}
+	lg, err := wal.Open(wal.Config{Dir: cfg.RepoDir, Fsync: cfg.RepoFsync})
+	if err != nil {
+		return nil, nil, fmt.Errorf("dlfm: repository log in RepoDir %q: %w", cfg.RepoDir, err)
+	}
+	s, rep, err := start(cfg, lg)
+	if err != nil {
+		lg.Kill()
+		return nil, nil, err
+	}
+	return s, rep, nil
+}
+
+// start builds a server over lg, its opened repository log, and runs
+// restart recovery. The report is nil for a fresh repository.
+func start(cfg Config, lg *wal.Log) (*Server, *RecoveryReport, error) {
+	// Nothing ever logged and nothing checkpointed: a fresh repository.
+	fresh := lg.TailLSN() == wal.NilLSN && lg.Base() == wal.NilLSN
+	repo, repoRep, err := sqlmini.Recover(lg, sqlmini.Options{
+		Clock:           cfg.Clock,
+		LockTimeout:     cfg.OpenWait,
+		Metrics:         cfg.Metrics,
+		Dir:             cfg.RepoDir,
+		CheckpointBytes: cfg.RepoCheckpointBytes,
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("dlfm: repository recovery: %w", err)
+	}
 	s := &Server{
 		cfg:      cfg,
 		repo:     repo,
@@ -323,18 +301,18 @@ func New(cfg Config) (*Server, error) {
 	for op := upcall.Op(1); op < upcallOpRange; op++ {
 		s.upcallCtrs[op] = cfg.Metrics.Counter("dlfm.upcall." + op.String())
 	}
-	// A truly fresh repository (no pre-existing log records) needs its
-	// schema; a log with history gets its schema from replay/snapshot.
-	if cfg.RepoLog == nil || (cfg.RepoLog.TailLSN() == wal.NilLSN && cfg.RepoLog.Base() == wal.NilLSN) {
-		if err := s.createRepoTables(); err != nil {
-			return nil, err
-		}
-	}
 	if err := cfg.Phys.MkdirAll(DefaultQuarantineDir, fs.Cred{UID: fs.Root}, 0o700); err != nil {
-		return nil, fmt.Errorf("dlfm: quarantine dir: %w", err)
+		return nil, nil, fmt.Errorf("dlfm: quarantine dir: %w", err)
 	}
 	s.seedQuarantineSeq()
-	return s, nil
+	rep := &RecoveryReport{Repo: repoRep}
+	if err := s.runRecovery(rep); err != nil {
+		return nil, nil, err
+	}
+	if fresh {
+		return s, nil, nil
+	}
+	return s, rep, nil
 }
 
 // repoSchema pairs each repository table with its DDL so first boot can
@@ -392,22 +370,9 @@ var repoSchema = []struct {
 // is a no-op, so this is safe to exec on every boot path.
 const repoTxnIndexDDL = `CREATE INDEX ON dlfm_txns (host_txn)`
 
-// createRepoTables creates the DLFM repository schema.
-func (s *Server) createRepoTables() error {
-	for _, t := range repoSchema {
-		if _, err := s.repo.Exec(t.ddl); err != nil {
-			return fmt.Errorf("dlfm: repo schema: %w", err)
-		}
-	}
-	if _, err := s.repo.Exec(repoTxnIndexDDL); err != nil {
-		return fmt.Errorf("dlfm: repo schema: %w", err)
-	}
-	return nil
-}
-
-// ensureRepoTables creates any repository table a crash during first-boot
-// schema creation left missing. Existing tables (the common case after
-// recovery) are untouched.
+// ensureRepoTables creates every repository table the repository lacks:
+// all of them on a fresh one, whatever a crash during first-boot schema
+// creation left missing otherwise. Existing tables are untouched.
 func (s *Server) ensureRepoTables() error {
 	for _, t := range repoSchema {
 		if _, err := s.repo.Table(t.table); err == nil {
@@ -480,32 +445,33 @@ func (a *Agent) UnlinkFile(hostTxn uint64, path string) error {
 	return a.srv.UnlinkFile(hostTxn, path)
 }
 
-// Close waits for the archiver goroutines to finish. A disk-backed
-// repository takes a final checkpoint and closes its log, so the next Open
-// replays almost nothing.
-func (s *Server) Close() {
+// Close waits for the archiver goroutines to finish, takes a final
+// repository checkpoint so the next Open replays almost nothing, and closes
+// the log. The checkpoint is best effort — the log alone suffices — so a
+// failed one is only counted, dlfm.repo.close_checkpoint_failures. The error
+// is the log's: records it reports may not have reached the disk.
+func (s *Server) Close() error {
 	s.mu.Lock()
 	closed := s.closed
 	s.closed = true
 	s.mu.Unlock()
 	if closed {
-		return
+		return nil
 	}
 	s.wg.Wait()
-	if s.cfg.RepoDir != "" {
-		_, _ = s.repo.Checkpoint() // best effort; the log alone suffices
-		s.repo.Log().Close()
+	if _, err := s.repo.Checkpoint(); err != nil {
+		s.cfg.Metrics.Counter("dlfm.repo.close_checkpoint_failures").Inc()
 	}
+	return s.repo.Log().Close()
 }
 
 // Kill simulates the whole process dying (kill -9): nothing is waited for,
 // nothing is flushed, the repository log drops its volatile tail and
 // releases its directory lock. Only what already reached RepoDir and the
-// archive directory survives for the next Open. In-memory servers just
-// close their log. Whoever is waiting on the dead member answers at once, as
-// callers of a dead process would: the repository's lock manager is closed
-// (a lock's holder died with the WAL and will never release it) and every
-// parked open is woken.
+// archive directory survives for the next Open. Whoever is waiting on the
+// dead member answers at once, as callers of a dead process would: the
+// repository's lock manager is closed (a lock's holder died with the WAL and
+// will never release it) and every parked open is woken.
 func (s *Server) Kill() {
 	s.mu.Lock()
 	s.closed = true

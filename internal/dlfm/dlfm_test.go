@@ -3,6 +3,8 @@ package dlfm
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +27,36 @@ func newArchive(t testing.TB) *archive.Store {
 	}
 	t.Cleanup(arch.Close)
 	return arch
+}
+
+// openServer starts a server over a fresh test repository directory; it is
+// killed when the test ends.
+func openServer(t testing.TB, cfg Config) *Server {
+	t.Helper()
+	cfg.RepoDir = t.TempDir()
+	srv, rep, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("open dlfm: %v", err)
+	}
+	if rep != nil {
+		t.Fatalf("fresh repository ran recovery: %+v", rep)
+	}
+	t.Cleanup(srv.Kill)
+	return srv
+}
+
+// reopen is the restart after a crash: dead was killed, and a server opens
+// over its repository directory with cfg, whose Phys and Archive survived.
+// It is killed when the test ends.
+func reopen(t testing.TB, dead *Server, cfg Config) (*Server, *RecoveryReport) {
+	t.Helper()
+	cfg.RepoDir = dead.cfg.RepoDir
+	srv, rep, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	t.Cleanup(srv.Kill)
+	return srv, rep
 }
 
 // bytesOf materializes an archived version (a fresh copy), failing the test
@@ -91,7 +123,7 @@ func newServer(t *testing.T) (*Server, *fs.FS, *fakeHost) {
 	phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
 	seedFile(t, phys, "/d/f.bin", "v0")
 	host := newFakeHost()
-	srv, err := New(Config{
+	srv := openServer(t, Config{
 		Name:     "fs1",
 		Phys:     phys,
 		Archive:  newArchive(t),
@@ -99,9 +131,6 @@ func newServer(t *testing.T) (*Server, *fs.FS, *fakeHost) {
 		TokenKey: []byte("k"),
 		OpenWait: 100 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatalf("new dlfm: %v", err)
-	}
 	return srv, phys, host
 }
 
@@ -325,13 +354,10 @@ func TestTokenEntryExpiry(t *testing.T) {
 	phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
 	phys.WriteFile("/d/f.bin", []byte("x"))
 	host := newFakeHost()
-	srv, err := New(Config{
+	srv := openServer(t, Config{
 		Name: "fs1", Phys: phys, Archive: newArchive(t), Host: host,
 		TokenKey: []byte("k"), Clock: func() time.Time { return *clock }, TokenTTL: time.Minute,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	linkCommitted(t, srv, "/d/f.bin", "rdd")
 	tok := srv.Authority().Issue(token.Read, "/d/f.bin")
 	resp, _ := srv.Upcall(upcall.Request{Op: upcall.OpValidateToken, Path: "/d/f.bin", Token: tok, UID: 9})
@@ -362,13 +388,10 @@ func TestTokenEntryExpiry(t *testing.T) {
 // its size follows the live grants, not the history.
 func TestTokenTableShedsExpiredGrants(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	srv, err := New(Config{
+	srv := openServer(t, Config{
 		Name: "fs1", Phys: fs.New(), Archive: newArchive(t), Host: newFakeHost(),
 		TokenKey: []byte("k"), Clock: func() time.Time { return now }, TokenTTL: time.Minute,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const live = 10 // grants inside their TTL at any moment
 	peak := 0
 	for i := 0; i < 10_000; i++ {
@@ -417,16 +440,10 @@ func TestCrashRecoveryInDoubtCommit(t *testing.T) {
 	}
 	host.outcomes[hostTxn] = true // the host committed
 
-	durable, err := srv.CrashRepo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2, rep, err := Recover(Config{
+	srv.Kill()
+	srv2, rep := reopen(t, srv, Config{
 		Name: "fs1", Phys: phys, Archive: srv.cfg.Archive, Host: host, TokenKey: []byte("k"),
-	}, durable)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
+	})
 	if len(rep.ResolvedCommit) != 1 {
 		t.Fatalf("resolved commits = %v", rep.ResolvedCommit)
 	}
@@ -447,16 +464,10 @@ func TestCrashRecoveryInDoubtPresumedAbort(t *testing.T) {
 	srv.PrepareXRM(hostTxn)
 	// Host never decided (unknown outcome -> presumed abort).
 
-	durable, err := srv.CrashRepo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2, rep, err := Recover(Config{
+	srv.Kill()
+	srv2, rep := reopen(t, srv, Config{
 		Name: "fs1", Phys: phys, Archive: srv.cfg.Archive, Host: host, TokenKey: []byte("k"),
-	}, durable)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
+	})
 	if len(rep.ResolvedAbort) != 1 {
 		t.Fatalf("resolved aborts = %v", rep.ResolvedAbort)
 	}
@@ -493,17 +504,11 @@ func TestCrashRecoveryPendingArchive(t *testing.T) {
 	}
 	// Crash while the archive job hangs; only then un-jam the device so
 	// recovery can use it.
-	durable, err := srv.CrashRepo()
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv.Kill()
 	srv.cfg.Archive.SetLatency(0)
-	srv2, _, err := Recover(Config{
+	srv2, _ := reopen(t, srv, Config{
 		Name: "fs1", Phys: phys, Archive: srv.cfg.Archive, Host: newFakeHost(), TokenKey: []byte("k"),
-	}, durable)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
+	})
 	// Whether recovery re-archived the version itself or found it already
 	// completed by the dying archiver (both races are legal), the outcome
 	// must be: v1 archived, no pending rows left.
@@ -541,6 +546,100 @@ func TestPendingClearFailureIsCounted(t *testing.T) {
 	}
 	if got := srv.Metrics().Counter("dlfm.archive.pending_clear_failures").Value(); got != 1 {
 		t.Fatalf("pending_clear_failures = %d, want 1", got)
+	}
+}
+
+// TestUpdateClearFailureIsCounted: an unmodified close whose update row
+// cannot be deleted — the repository's lock manager closed under it — counts
+// the failure instead of dropping the error, and the next restart's
+// in-flight pass restores the path and deletes the leftover row.
+func TestUpdateClearFailureIsCounted(t *testing.T) {
+	srv, phys, _ := newServer(t)
+	linkCommitted(t, srv, "/d/f.bin", "rfd")
+	id := openWrite(t, srv, "/d/f.bin", owner)
+	srv.Repo().LockManager().Close()
+	if resp := closeFile(t, srv, phys, "/d/f.bin", id); !resp.OK {
+		t.Fatalf("unmodified close rejected: %+v", resp)
+	}
+	if got := srv.Metrics().Counter("dlfm.updates.clear_failures").Value(); got != 1 {
+		t.Fatalf("updates.clear_failures = %d, want 1", got)
+	}
+	srv.Kill()
+	srv2, rep := reopen(t, srv, srv.cfg)
+	if len(rep.RestoredFiles) != 1 || rep.RestoredFiles[0] != "/d/f.bin" {
+		t.Fatalf("restored files = %v, want the leftover row's path", rep.RestoredFiles)
+	}
+	if left := srv2.UpdatesInFlight(); len(left) != 0 {
+		t.Fatalf("update rows after recovery: %v", left)
+	}
+}
+
+// TestJournalCleanupFailureIsCounted: a committed link whose journal rows
+// cannot be deleted — the repository's lock manager closed between prepare
+// and commit, and the commit itself takes no lock — counts the failure
+// instead of dropping the error, and the leftover rows do not disturb the
+// next restart.
+func TestJournalCleanupFailureIsCounted(t *testing.T) {
+	srv, phys, _ := newServer(t)
+	seedFile(t, phys, "/d/g.bin", "g0")
+	const hostTxn = 502
+	if err := srv.LinkFile(hostTxn, "/d/g.bin", datalink.ColumnOptions{Mode: datalink.RFD, Recovery: true}); err != nil {
+		t.Fatalf("link: %v", err)
+	}
+	if err := srv.PrepareXRM(hostTxn); err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	srv.Repo().LockManager().Close()
+	if err := srv.CommitXRM(hostTxn); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	if got := srv.Metrics().Counter("dlfm.journal.cleanup_failures").Value(); got != 1 {
+		t.Fatalf("journal.cleanup_failures = %d, want 1", got)
+	}
+	srv.WaitArchives()
+	srv.Kill()
+	srv2, rep := reopen(t, srv, srv.cfg)
+	if journal, err := srv2.Repo().Table("dlfm_txns"); err != nil || journal.Len() == 0 {
+		t.Fatalf("no leftover journal row after the restart (%v)", err)
+	}
+	if len(rep.ResolvedCommit)+len(rep.ResolvedAbort) != 0 {
+		t.Fatalf("recovery resolved a finished transaction: commit %v, abort %v", rep.ResolvedCommit, rep.ResolvedAbort)
+	}
+	if !srv2.IsLinked("/d/g.bin") {
+		t.Fatal("committed link lost in recovery")
+	}
+}
+
+// TestCloseCountsCheckpointFailure: Close's final checkpoint is best effort —
+// the log alone suffices — so a failed one is counted and Close still
+// closes the log without an error.
+func TestCloseCountsCheckpointFailure(t *testing.T) {
+	srv, _, _ := newServer(t)
+	// A directory where repo.snap belongs: the snapshot's atomic replace
+	// cannot rename over it.
+	snap := filepath.Join(srv.cfg.RepoDir, "repo.snap")
+	if err := os.Remove(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(snap, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if got := srv.Metrics().Counter("dlfm.repo.close_checkpoint_failures").Value(); got != 1 {
+		t.Fatalf("repo.close_checkpoint_failures = %d, want 1", got)
+	}
+}
+
+func TestOpenRequiresRepoDir(t *testing.T) {
+	srv, _, err := Open(Config{Name: "fs1", Phys: fs.New(), Archive: newArchive(t), Host: newFakeHost(), TokenKey: []byte("k")})
+	if err == nil {
+		srv.Kill()
+		t.Fatal("Open without RepoDir started a server")
+	}
+	if !strings.Contains(err.Error(), "RepoDir") {
+		t.Fatalf("error does not name RepoDir: %v", err)
 	}
 }
 

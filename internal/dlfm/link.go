@@ -363,7 +363,11 @@ func (s *Server) AbortXRM(hostTxn uint64) error {
 	return firstErr
 }
 
-// cleanupJournal removes resolved journal rows for a host transaction.
+// cleanupJournal removes resolved journal rows for a host transaction. A
+// failed delete is counted, dlfm.journal.cleanup_failures, not returned.
 func (s *Server) cleanupJournal(hostTxn uint64) {
-	_, _ = s.repo.Exec(`DELETE FROM dlfm_txns WHERE host_txn = ?`, sqlmini.Int(int64(hostTxn)))
+	if _, err := s.repo.Exec(`DELETE FROM dlfm_txns WHERE host_txn = ?`, sqlmini.Int(int64(hostTxn))); err != nil {
+		// At restart resolveInDoubt skips the row: it reads only in-doubt rows.
+		s.cfg.Metrics.Counter("dlfm.journal.cleanup_failures").Inc()
+	}
 }

@@ -24,7 +24,7 @@ func newFrozenServer(t *testing.T, now *time.Time, ttl time.Duration) (*Server, 
 		t.Fatal(err)
 	}
 	t.Cleanup(arch.Close)
-	srv, err := New(Config{
+	srv := openServer(t, Config{
 		Name:          "fs1",
 		Phys:          phys,
 		Archive:       arch,
@@ -34,9 +34,6 @@ func newFrozenServer(t *testing.T, now *time.Time, ttl time.Duration) (*Server, 
 		OpenWait:      100 * time.Millisecond,
 		QuarantineTTL: ttl,
 	})
-	if err != nil {
-		t.Fatalf("new dlfm: %v", err)
-	}
 	return srv, phys, host
 }
 
@@ -126,18 +123,12 @@ func TestQuarantineSeqSurvivesRecovery(t *testing.T) {
 	if err := phys.WriteFile("/d/f.bin", []byte("junk two")); err != nil {
 		t.Fatal(err)
 	}
-	durable, err := srv.CrashRepo()
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv.Kill()
 	clock := func() time.Time { return now }
-	srv2, _, err := Recover(Config{
+	srv2, _ := reopen(t, srv, Config{
 		Name: "fs1", Phys: phys, Archive: srv.cfg.Archive, Host: host,
 		TokenKey: []byte("k"), Clock: clock,
-	}, durable)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
+	})
 	defer srv2.Close()
 
 	q := srv2.QuarantinedFiles()
@@ -225,10 +216,7 @@ func TestRecoveryRestoresFromDiskTier(t *testing.T) {
 		Name: "fs1", Phys: phys, Archive: arch, Host: host,
 		TokenKey: []byte("k"), OpenWait: 100 * time.Millisecond,
 	}
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := openServer(t, cfg)
 
 	// Commit a multi-chunk version so the restore needs real chunk page-ins.
 	committed := make([]byte, 3*64<<10+777)
@@ -254,15 +242,9 @@ func TestRecoveryRestoresFromDiskTier(t *testing.T) {
 	if err := phys.WriteFile("/d/f.bin", []byte("in-flight junk")); err != nil {
 		t.Fatal(err)
 	}
-	durable, err := srv.CrashRepo()
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv.Kill()
 	pageInsBefore := arch.Tier().PageIns
-	srv2, rep, err := Recover(cfg, durable)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
+	srv2, rep := reopen(t, srv, cfg)
 	defer srv2.Close()
 	if len(rep.RestoredFiles) != 1 {
 		t.Fatalf("restored files = %v", rep.RestoredFiles)
@@ -292,13 +274,10 @@ func TestTieredCommitChurnBoundsResidency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer arch.Close()
-	srv, err := New(Config{
+	srv := openServer(t, Config{
 		Name: "fs1", Phys: phys, Archive: arch, Host: host,
 		TokenKey: []byte("k"), OpenWait: 100 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer srv.Close()
 
 	content := make([]byte, 2*64<<10+99)

@@ -9,7 +9,6 @@ import (
 	"datalinks/internal/extent"
 	"datalinks/internal/fs"
 	"datalinks/internal/sqlmini"
-	"datalinks/internal/wal"
 )
 
 func intToUID(v int64) fs.UID       { return fs.UID(v) }
@@ -51,53 +50,38 @@ type RecoveryReport struct {
 	LostFiles          []string
 }
 
-// Recover rebuilds a DLFM server after a crash. crashedLog is the durable
-// prefix of the repository WAL (from Server.CrashRepo or sqlmini semantics);
-// cfg must reference the same physical file system and archive store, which
-// survive the crash as "disk" state.
-func Recover(cfg Config, crashedLog *wal.Log) (*Server, *RecoveryReport, error) {
-	cfg.RepoLog = crashedLog
-	repo, repoRep, err := sqlmini.Recover(crashedLog, repoOptions(cfg))
-	if err != nil {
-		return nil, nil, fmt.Errorf("dlfm: repository recovery: %w", err)
-	}
-	s, err := New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Adopt the recovered repository in place of the fresh one New made.
-	s.repo = repo
-	rep := &RecoveryReport{Repo: repoRep}
-
-	// A crash in the middle of first-boot schema creation can leave a
-	// half-created repository; fill in whatever is missing.
+// runRecovery runs restart recovery over the recovered repository database,
+// filling in rep.
+func (s *Server) runRecovery(rep *RecoveryReport) error {
+	// A fresh repository gets its schema here, and a crash in the middle of
+	// that leaves a half-created one; fill in whatever is missing.
 	if err := s.ensureRepoTables(); err != nil {
-		return nil, nil, err
+		return err
 	}
 
 	// The reboot cleared all kernel state on this machine, including the
 	// advisory locks DLFS held for in-flight updates.
-	cfg.Phys.ClearAllLocks()
+	s.cfg.Phys.ClearAllLocks()
 
 	if err := s.seedCounters(); err != nil {
-		return nil, nil, err
+		return err
 	}
 	if err := s.resolveInDoubt(rep); err != nil {
-		return nil, nil, err
+		return err
 	}
 	if err := s.recoverPendingArchives(rep); err != nil {
-		return nil, nil, err
+		return err
 	}
 	if err := s.materializeMissingFiles(rep); err != nil {
-		return nil, nil, err
+		return err
 	}
 	if err := s.recoverInFlightUpdates(rep); err != nil {
-		return nil, nil, err
+		return err
 	}
 	if err := s.reestablishLinkStates(); err != nil {
-		return nil, nil, err
+		return err
 	}
-	return s, rep, nil
+	return nil
 }
 
 // physExists reports whether path survived on the physical file system —
@@ -193,13 +177,6 @@ func (s *Server) materializeMissingFiles(rep *RecoveryReport) error {
 		rep.MaterializedFiles = append(rep.MaterializedFiles, fi.path)
 	}
 	return nil
-}
-
-// CrashRepo simulates a DLFM machine crash, returning the durable repository
-// log for Recover. The physical FS and archive survive as-is. An error means
-// the repository directory could not be reopened.
-func (s *Server) CrashRepo() (*wal.Log, error) {
-	return s.repo.Crash()
 }
 
 // seedCounters re-seeds the journal-id counter past any surviving rows.

@@ -95,10 +95,7 @@ func TestCrashRecoveryUnderConcurrentUpdates(t *testing.T) {
 		TokenKey: []byte("k"),
 		OpenWait: 5 * time.Second,
 	}
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := openServer(t, cfg)
 
 	const files = 6
 	committed := make([][]byte, files)
@@ -168,14 +165,8 @@ func TestCrashRecoveryUnderConcurrentUpdates(t *testing.T) {
 	}
 
 	// Crash while phase-A archive jobs may still be in flight, then recover.
-	durable, err := srv.CrashRepo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2, rep, err := Recover(cfg, durable)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
+	srv.Kill()
+	srv2, rep := reopen(t, srv, cfg)
 	defer srv2.Close()
 
 	// Every file is back at its last committed content.

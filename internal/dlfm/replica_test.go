@@ -209,10 +209,7 @@ func TestReplicaReadFailsOnAMissingBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer arch.Close()
-	dst, err := New(Config{Name: "fs1", Phys: fs.New(), Archive: arch, Host: newFakeHost(), TokenKey: []byte("k"), OpenWait: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dst := openServer(t, Config{Name: "fs1", Phys: fs.New(), Archive: arch, Host: newFakeHost(), TokenKey: []byte("k"), OpenWait: 100 * time.Millisecond})
 	shipTo(t, src, srcPhys, dst, "/d/f.bin")
 	if data, err := dst.ReadReplica("/d/f.bin"); err != nil || !bytes.Equal(data, body) {
 		t.Fatalf("replica read before the loss: %d bytes, %v", len(data), err)
@@ -458,10 +455,7 @@ func TestKilledMemberAnswersAtOnce(t *testing.T) {
 	phys := fs.New()
 	phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
 	seedFile(t, phys, "/d/f.bin", "v0")
-	srv, err := New(Config{Name: "fs1", Phys: phys, Archive: newArchive(t), Host: newFakeHost(), TokenKey: []byte("k"), OpenWait: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := openServer(t, Config{Name: "fs1", Phys: phys, Archive: newArchive(t), Host: newFakeHost(), TokenKey: []byte("k"), OpenWait: 10 * time.Second})
 	linkCommitted(t, srv, "/d/f.bin", "rfd")
 	openWrite(t, srv, "/d/f.bin", owner)
 	if err := srv.EnsureReplicaRow("/r", 0, time.Unix(0, 0), ReplicaMeta{Mode: datalink.RFD}); err != nil {

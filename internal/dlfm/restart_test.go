@@ -30,10 +30,7 @@ func TestRecoveryFromColdStartedArchive(t *testing.T) {
 		Name: "fs1", Phys: phys, Archive: arch1, Host: host,
 		TokenKey: []byte("k"), OpenWait: 100 * time.Millisecond,
 	}
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := openServer(t, cfg)
 
 	seedFile(t, phys, "/d/f.bin", "v0 content")
 	linkCommitted(t, srv, "/d/f.bin", "rfd")
@@ -59,10 +56,7 @@ func TestRecoveryFromColdStartedArchive(t *testing.T) {
 	if err := phys.WriteFile("/d/f.bin", []byte("in-flight junk")); err != nil {
 		t.Fatal(err)
 	}
-	durable, err := srv.CrashRepo()
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv.Kill()
 	arch1.Close()
 
 	arch2, err := archive.NewTiered(0, nil, archive.TierConfig{Dir: dir, MemoryBudget: budget})
@@ -75,10 +69,7 @@ func TestRecoveryFromColdStartedArchive(t *testing.T) {
 	}
 
 	cfg.Archive = arch2
-	srv2, rep, err := Recover(cfg, durable)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
+	srv2, rep := reopen(t, srv, cfg)
 	defer srv2.Close()
 
 	// Nothing was re-archived: the catalog already knew every version.

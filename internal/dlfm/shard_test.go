@@ -16,7 +16,7 @@ import (
 func newShardPeer(t *testing.T) (*Server, *fs.FS) {
 	t.Helper()
 	phys := fs.New()
-	srv, err := New(Config{
+	srv := openServer(t, Config{
 		Name:     "fs1",
 		Phys:     phys,
 		Archive:  newArchive(t),
@@ -24,9 +24,6 @@ func newShardPeer(t *testing.T) (*Server, *fs.FS) {
 		TokenKey: []byte("k"),
 		OpenWait: 100 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatalf("new peer: %v", err)
-	}
 	return srv, phys
 }
 

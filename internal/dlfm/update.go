@@ -149,9 +149,13 @@ func (s *Server) dropOpen(id uint64) {
 	}
 }
 
-// clearUpdateEntry removes the durable update row for a path.
+// clearUpdateEntry removes the durable update row for a path. A failed
+// delete is counted, dlfm.updates.clear_failures, not returned.
 func (s *Server) clearUpdateEntry(path string) {
-	_, _ = s.repo.Exec(`DELETE FROM dlfm_updates WHERE path = ?`, sqlmini.Str(path))
+	if _, err := s.repo.Exec(`DELETE FROM dlfm_updates WHERE path = ?`, sqlmini.Str(path)); err != nil {
+		// At restart recoverInFlightUpdates restores the path and deletes the row.
+		s.cfg.Metrics.Counter("dlfm.updates.clear_failures").Inc()
+	}
 }
 
 // closeFile handles the fs_close upcall — end transaction for write opens.
@@ -366,7 +370,7 @@ func (s *Server) startArchive(ctx context.Context, path string, ver archive.Vers
 			sh.mu.Unlock()
 			s.archJobs.Add(-1)
 		}()
-		// A simulated machine crash (CrashRepo) can race this job; the
+		// A simulated machine crash (Kill) can race this job; the
 		// repository rejects writes after the crash, which surfaces as a
 		// panic from the closed WAL. That is the "archiver died mid-job"
 		// case the durable pending-archive row exists for — recovery

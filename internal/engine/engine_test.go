@@ -27,6 +27,19 @@ func newArchive(t testing.TB) *archive.Store {
 
 const owner fs.UID = 100
 
+// openDLFM starts a DLFM over a test repository directory; it is killed
+// when the test ends.
+func openDLFM(t *testing.T, cfg dlfm.Config) *dlfm.Server {
+	t.Helper()
+	cfg.RepoDir = t.TempDir()
+	srv, _, err := dlfm.Open(cfg)
+	if err != nil {
+		t.Fatalf("dlfm: %v", err)
+	}
+	t.Cleanup(srv.Kill)
+	return srv
+}
+
 // rig wires a host DB + engine + one DLFM over a shared physical FS.
 type rig struct {
 	db   *sqlmini.DB
@@ -42,16 +55,13 @@ func newRig(t *testing.T) *rig {
 	phys := fs.New()
 	phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
 	key := []byte("shared-key")
-	srv, err := dlfm.New(dlfm.Config{
+	srv := openDLFM(t, dlfm.Config{
 		Name:     "fs1",
 		Phys:     phys,
 		Archive:  newArchive(t),
 		Host:     eng,
 		TokenKey: key,
 	})
-	if err != nil {
-		t.Fatalf("dlfm: %v", err)
-	}
 	eng.AttachFileServer(srv, key, 0)
 	return &rig{db: db, eng: eng, srv: srv, phys: phys}
 }
@@ -271,12 +281,9 @@ func TestMultiServerLinks(t *testing.T) {
 	phys2 := fs.New()
 	phys2.MkdirAll("/e", fs.Cred{UID: fs.Root}, 0o777)
 	phys2.WriteFile("/e/g.bin", []byte("y"))
-	srv2, err := dlfm.New(dlfm.Config{
+	srv2 := openDLFM(t, dlfm.Config{
 		Name: "fs2", Phys: phys2, Archive: newArchive(t), Host: r.eng, TokenKey: []byte("shared-key"),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	r.eng.AttachFileServer(srv2, []byte("shared-key"), 0)
 	r.seed(t, "/d/f.bin", "x")
 	r.db.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RFF)`)
