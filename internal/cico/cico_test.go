@@ -9,6 +9,7 @@ import (
 	"datalinks/internal/archive"
 	"datalinks/internal/fs"
 	"datalinks/internal/sqlmini"
+	"datalinks/internal/wal"
 	"datalinks/internal/workload"
 )
 
@@ -26,7 +27,12 @@ func newArchive(t testing.TB) *archive.Store {
 
 func setup(t *testing.T) (*Manager, *fs.FS, *workload.Population) {
 	t.Helper()
-	db := sqlmini.NewDB(sqlmini.Options{LockTimeout: time.Second})
+	lg, err := wal.Open(wal.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lg.Close() })
+	db := sqlmini.NewDB(sqlmini.Options{Log: lg, LockTimeout: time.Second})
 	phys := fs.New()
 	arch := newArchive(t)
 	pop, err := workload.Seed(phys, "/w", 3, 128, 100, workload.RNG(1))

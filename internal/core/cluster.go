@@ -122,16 +122,16 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if len(cfg.TokenKey) == 0 {
 		cfg.TokenKey = []byte("datalinks-shared-secret")
 	}
-	reg := metrics.NewRegistry()
-	db := sqlmini.NewDB(sqlmini.Options{Clock: cfg.Clock, LockTimeout: cfg.LockTimeout, Metrics: reg})
-	eng := engine.New(db, engine.Options{Clock: cfg.Clock, Metrics: reg})
-
 	ids := make([]string, 0, len(cfg.Members))
 	for _, sc := range cfg.Members {
 		if sc.Name == "" {
 			return nil, fmt.Errorf("core: cluster member without a name")
 		}
 		ids = append(ids, sc.Name)
+	}
+	eng, err := engine.Open(sqlmini.Options{Clock: cfg.Clock, LockTimeout: cfg.LockTimeout, Metrics: metrics.NewRegistry()})
+	if err != nil {
+		return nil, err
 	}
 	repl := replConfig{
 		n:      cfg.Replicas,
@@ -151,7 +151,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		repl.quorum = repl.n
 	}
 	c := &Cluster{
-		DB:        db,
+		DB:        eng.DB(),
 		Engine:    eng,
 		authority: cfg.Authority,
 		clock:     cfg.Clock,
@@ -252,8 +252,9 @@ func (c *Cluster) WaitArchives() {
 	}
 }
 
-// Close shuts down every member stack. The error joins every member's
-// failure to close its repository log.
+// Close shuts down every member stack, then the host database. The error
+// joins every member's failure to close its repository log and the host's
+// to remove its log directory.
 func (c *Cluster) Close() error {
 	if c.probeStop != nil {
 		close(c.probeStop)
@@ -266,7 +267,7 @@ func (c *Cluster) Close() error {
 			errs = append(errs, closeStack(m))
 		}
 	}
-	return errors.Join(errs...)
+	return errors.Join(append(errs, c.Engine.Close())...)
 }
 
 // probeLoop is the health probe: it sweeps the member set every interval and

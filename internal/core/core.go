@@ -186,11 +186,12 @@ func NewSystem(cfg Config) (*System, error) {
 	if len(cfg.TokenKey) == 0 {
 		cfg.TokenKey = []byte("datalinks-shared-secret")
 	}
-	reg := metrics.NewRegistry()
-	db := sqlmini.NewDB(sqlmini.Options{Clock: cfg.Clock, LockTimeout: cfg.LockTimeout, Metrics: reg})
-	eng := engine.New(db, engine.Options{Clock: cfg.Clock, Metrics: reg})
+	eng, err := engine.Open(sqlmini.Options{Clock: cfg.Clock, LockTimeout: cfg.LockTimeout, Metrics: metrics.NewRegistry()})
+	if err != nil {
+		return nil, err
+	}
 	sys := &System{
-		DB:      db,
+		DB:      eng.DB(),
 		Engine:  eng,
 		clock:   cfg.Clock,
 		key:     cfg.TokenKey,
@@ -199,6 +200,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	for _, sc := range cfg.Servers {
 		if _, err := sys.addServer(sc); err != nil {
+			sys.Close()
 			return nil, err
 		}
 	}
@@ -387,8 +389,9 @@ func (sys *System) ServerNames() []string {
 	return out
 }
 
-// Close shuts down background work on every server. The error joins every
-// server's failure to close its repository log.
+// Close shuts down background work on every server, then the host
+// database. The error joins every server's failure to close its repository
+// log and the host's to remove its log directory.
 func (sys *System) Close() error {
 	sys.mu.Lock()
 	defer sys.mu.Unlock()
@@ -396,7 +399,7 @@ func (sys *System) Close() error {
 	for _, s := range sys.servers {
 		errs = append(errs, closeStack(s))
 	}
-	return errors.Join(errs...)
+	return errors.Join(append(errs, sys.Engine.Close())...)
 }
 
 // Crash simulates a whole-process kill (kill -9 of the deployment): every
@@ -405,7 +408,7 @@ func (sys *System) Close() error {
 // planes already wrote (repository WAL segments + snapshot under RepoDir,
 // archive chunks + catalog under ArchiveDir) survives for a later NewSystem
 // over the same directories to cold-start from. The RAM-backed physical file
-// systems die with the process.
+// systems and the host database die with the process.
 func (sys *System) Crash() {
 	sys.mu.Lock()
 	defer sys.mu.Unlock()
@@ -413,6 +416,7 @@ func (sys *System) Crash() {
 		killStack(s)
 	}
 	sys.servers = make(map[string]*FileServer)
+	sys.Engine.Close()
 }
 
 // CrashAndRecoverServer simulates a crash of one file server machine and

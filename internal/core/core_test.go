@@ -608,6 +608,132 @@ func TestPointInTimeRestore(t *testing.T) {
 	}
 }
 
+// TestRestoreThenHostCrashes: the host database runs the disk WAL and never
+// checkpoints, so a restore followed by host crashes replays the whole log
+// each time — the second crash the first recovery's CLRs and END included —
+// and keeps serving the restored state. A second restore still reaches back
+// to the link.
+func TestRestoreThenHostCrashes(t *testing.T) {
+	sys, srv := newSys(t, "rdd")
+	sLink := sys.Engine.StateID()
+	write := func(content string) uint64 {
+		t.Helper()
+		f, err := sys.NewSession(alice).OpenWrite(urlFor(t, sys, "DLURLCOMPLETEWRITE"))
+		if err != nil {
+			t.Fatalf("open write: %v", err)
+		}
+		f.WriteAll([]byte(content))
+		if err := f.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		srv.DLFM.WaitArchives()
+		return sys.Engine.StateID()
+	}
+	sA := write("version A")
+	write("version B")
+	check := func(after string, state uint64) {
+		t.Helper()
+		db := sys.Engine.DB()
+		row, err := db.QueryRow(`SELECT clip_size FROM movies WHERE id = 1`)
+		if err != nil || row[0].I != int64(len("version A")) {
+			t.Fatalf("after %s: clip_size = %v (%v), want A's", after, row, err)
+		}
+		if row, err := db.QueryRow(`SELECT COUNT(*) FROM movies`); err != nil || row[0].I != 1 {
+			t.Fatalf("after %s: %v rows (%v), want 1", after, row, err)
+		}
+		if data, _ := srv.Phys.ReadFile("/movies/clip1.mpg"); string(data) != "version A" {
+			t.Fatalf("after %s: content %q, want A's", after, data)
+		}
+		if got := sys.Engine.StateID(); got != state {
+			t.Fatalf("after %s: state id %d, want %d", after, got, state)
+		}
+		if _, err := os.Stat(filepath.Join(db.Log().Dir(), "repo.snap")); !os.IsNotExist(err) || db.Log().Base() != 0 {
+			t.Fatalf("after %s: the host checkpointed (repo.snap: %v, log base %d)", after, err, db.Log().Base())
+		}
+	}
+
+	if err := sys.Engine.RestoreToState(sA); err != nil {
+		t.Fatalf("restore to A: %v", err)
+	}
+	check("the restore", sA)
+	if err := sys.RecoverHost(); err != nil {
+		t.Fatalf("host recovery: %v", err)
+	}
+	check("a host crash", sA)
+	// A loser the next crash undoes, and the one after replays as finished.
+	txn := sys.DB.Begin()
+	if _, err := txn.Exec(`INSERT INTO movies (id, title) VALUES (2, 'loser')`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.DB.Log().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RecoverHost(); err != nil {
+		t.Fatalf("host recovery: %v", err)
+	}
+	undone := sys.Engine.StateID()
+	if undone == sA {
+		t.Fatal("the loser's undo logged nothing")
+	}
+	check("a host crash with a loser", undone)
+	if err := sys.RecoverHost(); err != nil {
+		t.Fatalf("host recovery: %v", err)
+	}
+	check("a host crash after the loser's undo", undone)
+
+	if err := sys.Engine.RestoreToState(sLink); err != nil {
+		t.Fatalf("restore to the link: %v", err)
+	}
+	if data, _ := srv.Phys.ReadFile("/movies/clip1.mpg"); string(data) != "v0 content" || sys.Engine.StateID() != sLink {
+		t.Fatalf("restore to the link: content %q at state %d, want %q at %d", data, sys.Engine.StateID(), "v0 content", sLink)
+	}
+}
+
+// TestHostLogDirectoryIsPrivate: the host database logs to a private
+// datalinks-host-* directory that goes when the system closes or crashes
+// and when the cluster closes.
+func TestHostLogDirectoryIsPrivate(t *testing.T) {
+	hostDir := func(t *testing.T, db *sqlmini.DB) string {
+		t.Helper()
+		dir := db.Log().Dir()
+		if !strings.HasPrefix(filepath.Base(dir), "datalinks-host-") {
+			t.Fatalf("host log directory %q, want a private datalinks-host-* one", dir)
+		}
+		if _, err := os.Stat(dir); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	gone := func(t *testing.T, dir, after string) {
+		t.Helper()
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Fatalf("host log directory %s survived %s (%v)", dir, after, err)
+		}
+	}
+	t.Run("system close", func(t *testing.T) {
+		sys, _ := newSys(t, "rfd")
+		dir := hostDir(t, sys.DB)
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		gone(t, dir, "Close")
+	})
+	t.Run("system crash", func(t *testing.T) {
+		sys, _ := newSys(t, "rfd")
+		dir := hostDir(t, sys.DB)
+		sys.Crash()
+		gone(t, dir, "Crash")
+	})
+	t.Run("cluster close", func(t *testing.T) {
+		c := newCluster(t, 2)
+		dir := hostDir(t, c.DB)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		gone(t, dir, "Close")
+	})
+}
+
 func TestUserTxnMultiFile(t *testing.T) {
 	sys, srv := newSys(t, "rfd")
 	srv.Phys.WriteFile("/movies/clip2.mpg", []byte("c2 v0"))

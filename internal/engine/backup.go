@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"datalinks/internal/datalink"
 	"datalinks/internal/sqlmini"
@@ -15,50 +14,42 @@ import (
 // every recovery-enabled linked file to the version that was current at that
 // state, from the archive.
 
-// BackupImage is a coordinated backup of the host database. File contents
-// are NOT in the image — they live in the archive, keyed by state id, which
-// is exactly the paper's design.
-type BackupImage struct {
-	StateID uint64
-	TakenAt time.Time
-	log     *wal.Log
-}
-
-// Backup captures the current database state. The image can be restored with
-// RestoreToState or carried to a fresh Engine via RestoreImage.
-func (e *Engine) Backup() *BackupImage {
-	stateID := e.db.StateID()
-	return &BackupImage{
-		StateID: uint64(stateID),
-		TakenAt: e.clock(),
-		log:     e.db.Log().Prefix(stateID),
-	}
-}
-
 // RestoreToState rewinds the host database to the given state identifier and
 // directs every attached DLFM to restore its files to the matching versions.
-// After the call the engine serves the restored database.
+// After the call the engine serves the restored database. The database is
+// rebuilt by recovery over a copy of the log's records up to the state id,
+// in a fresh private directory; the live database is replaced, and its
+// directory removed, only once that recovery has succeeded.
 func (e *Engine) RestoreToState(stateID uint64) error {
-	prefix := e.db.Log().Prefix(wal.LSN(stateID))
-	return e.adoptRestoredLog(prefix, stateID)
-}
-
-// RestoreImage restores from a captured backup image (same protocol, using
-// the image's log copy — e.g. after the live database was lost entirely).
-func (e *Engine) RestoreImage(img *BackupImage) error {
-	return e.adoptRestoredLog(img.log.Prefix(wal.LSN(img.StateID)), img.StateID)
-}
-
-// adoptRestoredLog rebuilds the database from a log prefix, swaps it in, and
-// reconciles the file servers.
-func (e *Engine) adoptRestoredLog(prefix *wal.Log, stateID uint64) error {
-	db, _, err := sqlmini.Recover(prefix, sqlmini.Options{Clock: e.clock, Metrics: e.reg})
+	lg, err := openHostLog()
 	if err != nil {
+		return err
+	}
+	var appendErr error
+	err = e.db.Log().Scan(wal.NilLSN, wal.LSN(stateID), func(rec wal.Record) bool {
+		_, appendErr = lg.Append(rec)
+		return appendErr == nil
+	})
+	if err == nil {
+		err = appendErr
+	}
+	if err == nil {
+		_, err = lg.Flush()
+	}
+	var db *sqlmini.DB
+	if err == nil {
+		db, _, err = sqlmini.Recover(lg, sqlmini.Options{Clock: e.clock, Metrics: e.reg})
+	}
+	if err != nil {
+		_ = discardHostLog(lg) // the restore's error is the one to report
 		return fmt.Errorf("engine: database restore: %w", err)
 	}
 	e.mu.Lock()
+	old := e.db
 	e.db = db
 	e.mu.Unlock()
+	// The restore stands even if the old directory cannot be removed.
+	_ = discardHostLog(old.Log())
 	db.SetDMLHook(e.dmlHook)
 	e.registerTokenFns()
 	if err := e.RebuildRegistry(); err != nil {
@@ -118,6 +109,7 @@ func (e *Engine) RecoverHost() error {
 	}
 	db, _, err := sqlmini.Recover(durable, sqlmini.Options{Clock: e.clock, Metrics: e.reg})
 	if err != nil {
+		durable.Kill()
 		return fmt.Errorf("engine: host recovery: %w", err)
 	}
 	e.mu.Lock()

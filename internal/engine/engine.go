@@ -9,6 +9,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -16,9 +17,11 @@ import (
 
 	"datalinks/internal/datalink"
 	"datalinks/internal/dlfm"
+	"datalinks/internal/fsyncer"
 	"datalinks/internal/metrics"
 	"datalinks/internal/sqlmini"
 	"datalinks/internal/token"
+	"datalinks/internal/wal"
 )
 
 // Conn is the engine's connection to one file-server authority. For a single
@@ -110,32 +113,64 @@ type Engine struct {
 // named columns must exist in the linking table.
 type ContentHook func(content []byte) map[string]sqlmini.Value
 
-// Options configures an engine.
-type Options struct {
-	Clock   func() time.Time
-	Metrics *metrics.Registry
-}
-
-// New attaches a DataLinks engine to a host database: it installs the DML
-// hook and the token-issuing scalar functions.
-func New(db *sqlmini.DB, opts Options) *Engine {
+// Open starts a DataLinks engine over a fresh host database and installs
+// the DML hook and the token-issuing scalar functions. opts configures the
+// database's Clock, LockTimeout and Metrics; its log is the engine's own,
+// in a private directory that Close removes. The host database never
+// checkpoints, so that log keeps the whole history RestoreToState rebuilds
+// past states from.
+func Open(opts sqlmini.Options) (*Engine, error) {
+	if opts.Log != nil || opts.Dir != "" || opts.CheckpointBytes != 0 {
+		return nil, errors.New("engine: the host database's log and checkpoints are the engine's own")
+	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = metrics.NewRegistry()
 	}
+	var err error
+	if opts.Log, err = openHostLog(); err != nil {
+		return nil, err
+	}
 	e := &Engine{
-		db:           db,
+		db:           sqlmini.NewDB(opts),
 		clock:        opts.Clock,
 		reg:          opts.Metrics,
 		servers:      make(map[string]*serverConn),
 		registry:     make(map[string]registration),
 		contentHooks: make(map[string]ContentHook),
 	}
-	db.SetDMLHook(e.dmlHook)
+	e.db.SetDMLHook(e.dmlHook)
 	e.registerTokenFns()
-	return e
+	return e, nil
+}
+
+// openHostLog opens an empty host database log in a fresh private
+// directory. Nothing in it outlives the process, so it is never fsynced.
+func openHostLog() (*wal.Log, error) {
+	dir, err := os.MkdirTemp("", "datalinks-host-*")
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	lg, err := wal.Open(wal.Config{Dir: dir, Fsync: fsyncer.PolicyNone})
+	if err != nil {
+		os.RemoveAll(dir)
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	return lg, nil
+}
+
+// discardHostLog drops a host database log and removes its directory.
+func discardHostLog(lg *wal.Log) error {
+	lg.Kill()
+	return os.RemoveAll(lg.Dir())
+}
+
+// Close ends the host database: its log is dropped and its directory
+// removed. Closing a closed engine is a no-op.
+func (e *Engine) Close() error {
+	return discardHostLog(e.DB().Log())
 }
 
 // DB returns the host database.

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"datalinks/internal/fs"
 	"datalinks/internal/sqlmini"
 	"datalinks/internal/token"
+	"datalinks/internal/wal"
 )
 
 // newArchive opens an archive store over a test directory, closed when the
@@ -50,8 +53,11 @@ type rig struct {
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
-	db := sqlmini.NewDB(sqlmini.Options{LockTimeout: 500 * time.Millisecond})
-	eng := New(db, Options{})
+	eng, err := Open(sqlmini.Options{LockTimeout: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
 	phys := fs.New()
 	phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
 	key := []byte("shared-key")
@@ -63,7 +69,7 @@ func newRig(t *testing.T) *rig {
 		TokenKey: key,
 	})
 	eng.AttachFileServer(srv, key, 0)
-	return &rig{db: db, eng: eng, srv: srv, phys: phys}
+	return &rig{db: eng.DB(), eng: eng, srv: srv, phys: phys}
 }
 
 func (r *rig) seed(t *testing.T, path, content string) {
@@ -249,26 +255,44 @@ func (n *noopXRM) PrepareXRM(uint64) error { n.prepared = true; return nil }
 func (n *noopXRM) CommitXRM(uint64) error  { n.committed = true; return nil }
 func (n *noopXRM) AbortXRM(uint64) error   { n.aborted = true; return nil }
 
-func TestBackupAndRestoreImage(t *testing.T) {
+// RestoreToState rebuilds the database in a fresh directory and removes the
+// live one only after that succeeds; a restore that cannot start leaves the
+// live database serving.
+func TestRestoreToStateReplacesTheLogDirectory(t *testing.T) {
 	r := newRig(t)
 	r.seed(t, "/d/f.bin", "v0")
 	r.db.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
 	r.db.MustExec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f.bin'))`)
-	img := r.eng.Backup()
-	if img.StateID == 0 {
-		t.Fatal("backup state id zero")
-	}
-	// Mutate after the backup.
+	state := r.eng.StateID()
 	r.db.MustExec(`DELETE FROM t WHERE id = 1`)
 	if r.srv.IsLinked("/d/f.bin") {
 		t.Fatal("unlink failed")
 	}
-	// Restore the image: the row and the link come back.
-	if err := r.eng.RestoreImage(img); err != nil {
+
+	tmp := os.Getenv("TMPDIR")
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	if err := r.eng.RestoreToState(state); err == nil {
+		t.Fatal("restore without a directory to rebuild in succeeded")
+	}
+	if r.eng.DB() != r.db {
+		t.Fatal("a failed restore replaced the live database")
+	}
+	r.db.MustExec(`INSERT INTO t VALUES (2, NULL)`)
+	t.Setenv("TMPDIR", tmp)
+
+	oldDir := r.db.Log().Dir()
+	if err := r.eng.RestoreToState(state); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	rows, err := r.eng.DB().Query(`SELECT COUNT(*) FROM t`)
-	if err != nil || rows.Data[0][0].I != 1 {
+	if _, err := os.Stat(oldDir); !os.IsNotExist(err) {
+		t.Fatalf("the replaced log directory %s is still there: %v", oldDir, err)
+	}
+	db := r.eng.DB()
+	if db.Log().Dir() == oldDir || db.StateID() != wal.LSN(state) {
+		t.Fatalf("restored log in %s at state %d, want a new directory at state %d", db.Log().Dir(), db.StateID(), state)
+	}
+	rows, err := db.Query(`SELECT id FROM t`)
+	if err != nil || len(rows.Data) != 1 || rows.Data[0][0].I != 1 {
 		t.Fatalf("restored rows = %v, %v", rows, err)
 	}
 	if !r.srv.IsLinked("/d/f.bin") {

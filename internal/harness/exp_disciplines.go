@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"datalinks/internal/cico"
 	"datalinks/internal/fs"
 	"datalinks/internal/sqlmini"
+	"datalinks/internal/wal"
 	"datalinks/internal/workload"
 )
 
@@ -109,7 +111,17 @@ func runE6() ([]*Table, error) {
 
 	// --- CICO: check-out locks the file for the whole edit ---
 	{
-		db := sqlmini.NewDB(sqlmini.Options{LockTimeout: 2 * time.Second})
+		logDir, err := os.MkdirTemp("", "datalinks-host-*")
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(logDir)
+		lg, err := wal.Open(wal.Config{Dir: logDir})
+		if err != nil {
+			return nil, err
+		}
+		defer lg.Close()
+		db := sqlmini.NewDB(sqlmini.Options{Log: lg, LockTimeout: 2 * time.Second})
 		phys, arch, pop, err := plainFileSetup(files, fileSize)
 		if err != nil {
 			return nil, err

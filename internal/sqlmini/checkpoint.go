@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -24,21 +25,22 @@ import (
 // no transaction spans a checkpoint, so no loser or in-doubt backchain ever
 // reaches below the anchor, and the undo pass never needs truncated records.
 //
-// Disk mode (Options.Dir set) writes the snapshot to repo.snap in the WAL
-// directory (seglog's atomic replace), seals the active log segment, then
-// logs a reference checkpoint record — the first of a fresh segment — and
-// truncates the log head: every sealed segment, so all of the log below the
-// anchor unless a transaction flushed in between. The sequencing is the gate
-// against double-apply: the snapshot file carries its anchor LSN, recovery
-// replays strictly after it, and a crash between the rename and the truncate
-// merely leaves extra pre-anchor records that the anchored scan skips. The
-// in-memory mode embeds the snapshot in the checkpoint record itself.
+// A checkpoint writes the snapshot to repo.snap in Options.Dir (seglog's
+// atomic replace), seals the active log segment, then logs a reference
+// checkpoint record — the first of a fresh segment — and truncates the log
+// head: every sealed segment, so all of the log below the anchor unless a
+// transaction flushed in between. The sequencing is the gate against
+// double-apply: the snapshot file carries its anchor LSN, recovery replays
+// strictly after it, and a crash between the rename and the truncate merely
+// leaves extra pre-anchor records that the anchored scan skips.
+//
+// A database without Options.Dir never checkpoints, so its log keeps the
+// whole history: the host database relies on that to rebuild any past state
+// from a prefix of its log.
 
-// Checkpoint payload kinds (first byte of a RecCheckpoint payload).
-const (
-	ckptEmbedded byte = 0x01 // gob snapshot follows (in-memory mode)
-	ckptRef      byte = 0x02 // uvarint anchor LSN follows; state in repo.snap
-)
+// ckptRef is the first byte of a RecCheckpoint payload; the uvarint anchor
+// LSN follows, and the state is in repo.snap.
+const ckptRef byte = 0x02
 
 // snapFileName is the checkpoint snapshot in the repository directory.
 const snapFileName = "repo.snap"
@@ -62,7 +64,7 @@ type dbSnapshot struct {
 
 // Checkpoint attempts a quiescent checkpoint. It returns false (with no
 // error) when active transactions make the database non-quiescent; the next
-// trigger retries.
+// trigger retries. A database without Options.Dir returns an error.
 func (db *DB) Checkpoint() (bool, error) {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
@@ -75,7 +77,7 @@ func (db *DB) Checkpoint() (bool, error) {
 // log remains authoritative, a checkpoint is only an optimization until the
 // next one lands).
 func (db *DB) maybeCheckpoint() {
-	if db.ckptBytes <= 0 || db.log.SizeSinceCheckpoint() < db.ckptBytes {
+	if db.dir == "" || db.ckptBytes <= 0 || db.log.SizeSinceCheckpoint() < db.ckptBytes {
 		return
 	}
 	if !db.ckptMu.TryLock() {
@@ -109,40 +111,31 @@ func (db *DB) captureDurable() (*dbSnapshot, error) {
 
 // checkpointLocked does the work; caller holds ckptMu.
 func (db *DB) checkpointLocked() (bool, error) {
+	if db.dir == "" {
+		return false, errors.New("sqlmini: checkpoint needs Options.Dir")
+	}
 	snap, err := db.captureDurable()
 	if snap == nil {
 		return false, err
 	}
-
-	if db.dir != "" {
-		if err := writeSnapFile(db.dir, snap); err != nil {
-			return false, err
-		}
-		// Seal the segment the snapshot supersedes: the checkpoint record
-		// opens a fresh one, TruncateHead below drops every segment before
-		// it, and the next open replays the records since this checkpoint,
-		// not since the last size-triggered rotation.
-		if err := db.log.SealSegment(); err != nil {
-			return false, err
-		}
-		payload := binary.AppendUvarint([]byte{ckptRef}, uint64(snap.SnapLSN))
-		if _, err := db.log.Append(wal.Record{Type: wal.RecCheckpoint, Payload: payload}); err != nil {
-			return false, err
-		}
-		if _, err := db.log.Flush(); err != nil {
-			return false, err
-		}
-		if err := db.log.TruncateHead(snap.SnapLSN + 1); err != nil {
-			return false, err
-		}
-		return true, nil
+	if err := writeSnapFile(db.dir, snap); err != nil {
+		return false, err
 	}
-
-	payload := encodeSnapshot([]byte{ckptEmbedded}, snap)
+	// Seal the segment the snapshot supersedes: the checkpoint record opens
+	// a fresh one, TruncateHead below drops every segment before it, and the
+	// next open replays the records since this checkpoint, not since the
+	// last size-triggered rotation.
+	if err := db.log.SealSegment(); err != nil {
+		return false, err
+	}
+	payload := binary.AppendUvarint([]byte{ckptRef}, uint64(snap.SnapLSN))
 	if _, err := db.log.Append(wal.Record{Type: wal.RecCheckpoint, Payload: payload}); err != nil {
 		return false, err
 	}
 	if _, err := db.log.Flush(); err != nil {
+		return false, err
+	}
+	if err := db.log.TruncateHead(snap.SnapLSN + 1); err != nil {
 		return false, err
 	}
 	return true, nil

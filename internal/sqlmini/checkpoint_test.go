@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"datalinks/internal/metrics"
+	"datalinks/internal/seglog"
 	"datalinks/internal/wal"
 )
 
@@ -241,7 +243,7 @@ func TestCheckpointSealsSegment(t *testing.T) {
 }
 
 func TestCheckpointSkipsWhileBusy(t *testing.T) {
-	db := testDB(t)
+	db := diskDB(t, t.TempDir())
 	mustExec(t, db, `CREATE TABLE t (id INT)`)
 	txn := db.Begin()
 	if _, err := txn.Exec(`INSERT INTO t VALUES (1)`); err != nil {
@@ -263,39 +265,70 @@ func TestCheckpointSkipsWhileBusy(t *testing.T) {
 	}
 }
 
-func TestCheckpointMemoryAnchoredRecovery(t *testing.T) {
-	db := testDB(t)
+// Without Options.Dir a database never checkpoints: an explicit checkpoint
+// is refused and logs nothing, an automatic trigger never fires, and
+// recovery replays the whole log and appends no closing checkpoint.
+func TestNoDirNeverCheckpoints(t *testing.T) {
+	reg := metrics.NewRegistry()
+	db := NewDB(Options{Log: testLog(t), Metrics: reg, CheckpointBytes: 1, LockTimeout: 500 * time.Millisecond})
 	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v INT)`)
 	for i := 1; i <= 30; i++ {
 		mustExec(t, db, `INSERT INTO t VALUES (?, ?)`, Int(int64(i)), Int(int64(i)))
 	}
-	if ok, err := db.Checkpoint(); err != nil || !ok {
-		t.Fatalf("checkpoint: ok=%v err=%v", ok, err)
-	}
 	total := db.Log().TailLSN()
-	mustExec(t, db, `UPDATE t SET v = 0 WHERE id = 3`)
+	if ok, err := db.Checkpoint(); err == nil || ok {
+		t.Fatalf("checkpoint without a dir: ok=%v err=%v, want an error", ok, err)
+	}
+	if db.Log().TailLSN() != total || reg.Counter("sqlmini.checkpoint.failures").Value() != 0 {
+		t.Fatalf("tail %d -> %d, %d checkpoint failures: a checkpoint was attempted", total, db.Log().TailLSN(), reg.Counter("sqlmini.checkpoint.failures").Value())
+	}
 
 	durable, err := db.Crash()
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { durable.Close() })
 	db2, rep, err := Recover(durable, Options{LockTimeout: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.SnapshotUsed {
-		t.Fatal("embedded checkpoint not used")
+	if rep.SnapshotUsed || rep.RecordsScanned != int(total) || db2.Log().TailLSN() != total {
+		t.Fatalf("recovery: %+v, tail %d; want the whole log of %d records replayed and nothing appended", rep, db2.Log().TailLSN(), total)
 	}
-	if rep.RecordsScanned >= int(total) {
-		t.Fatalf("RecordsScanned = %d, want « %d", rep.RecordsScanned, total)
-	}
-	rows := mustQuery(t, db2, `SELECT v FROM t WHERE id = 3`)
-	if rows.Data[0][0].I != 0 {
-		t.Fatalf("tail update lost: %+v", rows.Data)
-	}
-	rows = mustQuery(t, db2, `SELECT COUNT(*) FROM t`)
-	if rows.Data[0][0].I != 30 {
+	if rows := mustQuery(t, db2, `SELECT COUNT(*) FROM t`); rows.Data[0][0].I != 30 {
 		t.Fatalf("count = %d, want 30", rows.Data[0][0].I)
+	}
+}
+
+// A closing checkpoint that Recover cannot write is counted, and the
+// recovered database still serves.
+func TestRecoverCountsFailedClosingCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	db := diskDB(t, dir)
+	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY)`)
+	mustExec(t, db, `INSERT INTO t VALUES (1)`)
+	db.Log().Kill()
+	// A non-empty directory where the snapshot's temp file goes: the
+	// snapshot write must fail.
+	if err := os.MkdirAll(filepath.Join(dir, snapFileName+seglog.TmpSuffix, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	lg, err := wal.Open(wal.Config{Dir: dir, SegmentBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	reg := metrics.NewRegistry()
+	db2, _, err := Recover(lg, Options{Dir: dir, Metrics: reg, LockTimeout: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if got := reg.Counter("sqlmini.checkpoint.failures").Value(); got != 1 {
+		t.Fatalf("sqlmini.checkpoint.failures = %d, want 1", got)
+	}
+	mustExec(t, db2, `INSERT INTO t VALUES (2)`)
+	if rows := mustQuery(t, db2, `SELECT COUNT(*) FROM t`); rows.Data[0][0].I != 2 {
+		t.Fatalf("count = %d, want 2", rows.Data[0][0].I)
 	}
 }
 
@@ -345,7 +378,7 @@ func TestRecoverRefusesTruncatedLogWithoutSnapshot(t *testing.T) {
 }
 
 func TestRecoverRejectsOrphanRecord(t *testing.T) {
-	lg := wal.New()
+	lg := testLog(t)
 	p := encodePayload(logPayload{Op: opInsert, Table: "t", Row: 1})
 	if _, err := lg.Append(wal.Record{Type: wal.RecUpdate, TxnID: 0, Payload: p}); err != nil {
 		t.Fatal(err)
@@ -357,6 +390,7 @@ func TestRecoverRejectsOrphanRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer durable.Close()
 	_, _, err = Recover(durable, Options{LockTimeout: 500 * time.Millisecond})
 	if !errors.Is(err, ErrOrphanRecord) {
 		t.Fatalf("err = %v, want ErrOrphanRecord", err)
@@ -364,7 +398,7 @@ func TestRecoverRejectsOrphanRecord(t *testing.T) {
 }
 
 func TestRecoverRejectsOrphanCLR(t *testing.T) {
-	lg := wal.New()
+	lg := testLog(t)
 	p := encodePayload(logPayload{Op: opDelete, Table: "t", Row: 1})
 	if _, err := lg.Append(wal.Record{Type: wal.RecCLR, TxnID: 0, Payload: p}); err != nil {
 		t.Fatal(err)
@@ -376,6 +410,7 @@ func TestRecoverRejectsOrphanCLR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer durable.Close()
 	_, _, err = Recover(durable, Options{LockTimeout: 500 * time.Millisecond})
 	if !errors.Is(err, ErrOrphanRecord) {
 		t.Fatalf("err = %v, want ErrOrphanRecord", err)

@@ -178,7 +178,7 @@ func TestLexerTotalProperty(t *testing.T) {
 // Property: string literals with embedded quotes round-trip through
 // INSERT + SELECT.
 func TestStringLiteralRoundTripProperty(t *testing.T) {
-	db := NewDB(Options{})
+	db := NewDB(Options{Log: testLog(t)})
 	db.MustExec(`CREATE TABLE s (v VARCHAR)`)
 	prop := func(raw string) bool {
 		if len(raw) > 64 {

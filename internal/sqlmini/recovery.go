@@ -25,10 +25,10 @@ type RecoveryReport struct {
 	CommittedTxns []uint64
 }
 
-// Crash simulates a machine failure: the volatile log tail is discarded and
-// the database becomes unusable. The returned log is the durable prefix a
-// restart would find on disk; feed it to Recover. An error means a
-// disk-backed log could not be reopened.
+// Crash simulates a process kill: the unwritten log tail is discarded and
+// the database becomes unusable. The returned log is the log directory
+// reopened, what a restart would find on disk; feed it to Recover. An error
+// means the directory could not be reopened.
 func (db *DB) Crash() (*wal.Log, error) {
 	return db.log.Crash()
 }
@@ -38,17 +38,18 @@ func (db *DB) Crash() (*wal.Log, error) {
 // Prepared (in-doubt) transactions are redone, re-locked, and left pending
 // for ResolveInDoubt — the 2PC coordinator decides their fate.
 //
-// Both scanning passes are anchored at the last durable checkpoint: the
+// Both scanning passes are anchored at the checkpoint in opts.Dir: the
 // snapshot image seeds the catalog at the anchor LSN, and only the log tail
 // after it is replayed. Checkpoints are quiescent, so no backchain of a
 // loser or in-doubt transaction reaches below the anchor. Without a
-// checkpoint the passes run from the log's start, as before.
+// checkpoint the passes run from the log's start. Recovery ends with a
+// checkpoint when opts.Dir is set.
 func Recover(durable *wal.Log, opts Options) (*DB, *RecoveryReport, error) {
 	opts.Log = durable
 	db := NewDB(opts)
 	rep := &RecoveryReport{}
 
-	anchor, err := db.loadCheckpoint(durable, opts.Dir, rep)
+	anchor, err := db.loadCheckpoint(opts.Dir, rep)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -145,7 +146,10 @@ func Recover(durable *wal.Log, opts Options) (*DB, *RecoveryReport, error) {
 		case ti.state == TxnCommitted:
 			rep.CommittedTxns = append(rep.CommittedTxns, id)
 			db.outcome[id] = true
-		case ti.state == TxnAborted && ti.ended:
+		case ti.ended:
+			// Rolled back to its END: aborted, or a loser an earlier
+			// recovery undid. The log has no checkpoint to hide it when
+			// the database has no Dir, so it is seen again.
 			db.outcome[id] = false
 		case ti.state == TxnPrepared:
 			rep.InDoubtTxns = append(rep.InDoubtTxns, id)
@@ -168,57 +172,36 @@ func Recover(durable *wal.Log, opts Options) (*DB, *RecoveryReport, error) {
 	if _, err := db.log.Flush(); err != nil {
 		return nil, nil, err
 	}
-	// A fresh checkpoint caps what the next restart must replay. Best
-	// effort: in-doubt transactions keep the database non-quiescent, and a
-	// failed snapshot write only postpones the optimization.
-	_, _ = db.Checkpoint()
+	// A fresh checkpoint caps what the next restart must replay. In-doubt
+	// transactions keep the database non-quiescent, which only postpones
+	// it; a failed one is counted (the log stays authoritative).
+	if opts.Dir != "" {
+		if _, err := db.Checkpoint(); err != nil {
+			db.ckptFailures.Inc()
+		}
+	}
 	return db, rep, nil
 }
 
-// loadCheckpoint seeds db from the newest durable checkpoint and returns its
-// anchor LSN (NilLSN when no checkpoint exists). Disk-backed databases read
-// repo.snap; in-memory logs carry the snapshot inside the checkpoint record.
-func (db *DB) loadCheckpoint(durable *wal.Log, dir string, rep *RecoveryReport) (wal.LSN, error) {
-	if dir != "" {
-		snap, err := loadSnapFile(dir)
-		if err != nil {
-			return wal.NilLSN, err
-		}
-		if snap == nil {
-			return wal.NilLSN, nil
-		}
-		if err := db.applySnapshot(snap); err != nil {
-			return wal.NilLSN, err
-		}
-		rep.AnchorLSN = snap.SnapLSN
-		rep.SnapshotUsed = true
-		return snap.SnapLSN, nil
-	}
-	ck := durable.LastCheckpoint()
-	if ck == wal.NilLSN {
+// loadCheckpoint seeds db from repo.snap in dir and returns its anchor LSN
+// (NilLSN when there is no directory or no snapshot in it).
+func (db *DB) loadCheckpoint(dir string, rep *RecoveryReport) (wal.LSN, error) {
+	if dir == "" {
 		return wal.NilLSN, nil
 	}
-	rec, err := durable.Read(ck)
+	snap, err := loadSnapFile(dir)
 	if err != nil {
 		return wal.NilLSN, err
 	}
-	switch rec.Payload[0] {
-	case ckptEmbedded:
-		snap, err := decodeSnapshot(rec.Payload[1:])
-		if err != nil {
-			return wal.NilLSN, err
-		}
-		if err := db.applySnapshot(snap); err != nil {
-			return wal.NilLSN, err
-		}
-		rep.AnchorLSN = snap.SnapLSN
-		rep.SnapshotUsed = true
-		return snap.SnapLSN, nil
-	case ckptRef:
-		return wal.NilLSN, fmt.Errorf("sqlmini: checkpoint at LSN %d references a disk snapshot but no repository directory is configured", ck)
-	default:
-		return wal.NilLSN, fmt.Errorf("sqlmini: checkpoint at LSN %d has unknown payload kind %#x", ck, rec.Payload[0])
+	if snap == nil {
+		return wal.NilLSN, nil
 	}
+	if err := db.applySnapshot(snap); err != nil {
+		return wal.NilLSN, err
+	}
+	rep.AnchorLSN = snap.SnapLSN
+	rep.SnapshotUsed = true
+	return snap.SnapLSN, nil
 }
 
 // redoOne replays a single logged change.

@@ -246,6 +246,37 @@ func TestRecoveryAfterRecoveryIsStable(t *testing.T) {
 	mustExec(t, db3, `INSERT INTO t VALUES (3, 3)`)
 }
 
+// A loser undone by one recovery (CLRs, then END) is finished for the next:
+// without a checkpoint that recovery replays it, and neither undoes it again
+// nor logs another END.
+func TestRecoveryDoesNotUndoALoserTwice(t *testing.T) {
+	db := testDB(t)
+	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v INT)`)
+	mustExec(t, db, `INSERT INTO t VALUES (1, 1)`)
+	txn := db.Begin()
+	if _, err := txn.Exec(`UPDATE t SET v = 2 WHERE id = 1`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Log().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	db2, rep := recoverDB(t, db)
+	if len(rep.LoserTxns) != 1 {
+		t.Fatalf("first recovery: losers %v, want the one in flight", rep.LoserTxns)
+	}
+	tail := db2.Log().TailLSN()
+	db3, rep := recoverDB(t, db2)
+	if len(rep.LoserTxns) != 0 || db3.Log().TailLSN() != tail {
+		t.Fatalf("second recovery: losers %v, tail %d -> %d; want none and nothing logged", rep.LoserTxns, tail, db3.Log().TailLSN())
+	}
+	if c, known := db3.Outcome(txn.ID()); !known || c {
+		t.Fatalf("outcome of the undone loser: committed=%v known=%v", c, known)
+	}
+	if rows := mustQuery(t, db3, `SELECT v FROM t WHERE id = 1`); rows.Data[0][0].I != 1 {
+		t.Fatalf("v = %d, want 1", rows.Data[0][0].I)
+	}
+}
+
 // Property: for any interleaving of committed and aborted increments, with
 // one in-flight increment caught by the crash, the recovered counter equals
 // the number of committed increments. (Uncommitted work other than the final
@@ -256,7 +287,7 @@ func TestRecoveryCounterProperty(t *testing.T) {
 		if len(pattern) > 25 {
 			pattern = pattern[:25]
 		}
-		db := NewDB(Options{LockTimeout: 500 * time.Millisecond})
+		db := NewDB(Options{Log: testLog(t), LockTimeout: 500 * time.Millisecond})
 		db.MustExec(`CREATE TABLE c (id INT PRIMARY KEY, n INT)`)
 		db.MustExec(`INSERT INTO c VALUES (1, 0)`)
 		want := int64(0)

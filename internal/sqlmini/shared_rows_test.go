@@ -140,7 +140,7 @@ func (f *failingXRM) AbortXRM(uint64) error  { return errors.New("abort refused"
 // operator sees it.
 func TestXRMPhaseTwoFailuresAreCounted(t *testing.T) {
 	reg := metrics.NewRegistry()
-	db := NewDB(Options{Metrics: reg, LockTimeout: 500 * time.Millisecond})
+	db := NewDB(Options{Log: testLog(t), Metrics: reg, LockTimeout: 500 * time.Millisecond})
 	mustExec(t, db, `CREATE TABLE t (id INT)`)
 
 	txn := db.Begin()
@@ -173,6 +173,7 @@ func TestXRMPhaseTwoFailuresAreCounted(t *testing.T) {
 func TestAutomaticCheckpointFailureIsCounted(t *testing.T) {
 	reg := metrics.NewRegistry()
 	db := NewDB(Options{
+		Log:             testLog(t),
 		Metrics:         reg,
 		Dir:             filepath.Join(t.TempDir(), "missing"), // repo.snap cannot be written
 		CheckpointBytes: 1,

@@ -5,11 +5,24 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"datalinks/internal/wal"
 )
+
+// testLog opens an empty log over a fresh test directory, closed at cleanup.
+func testLog(t *testing.T) *wal.Log {
+	t.Helper()
+	lg, err := wal.Open(wal.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lg.Close() })
+	return lg
+}
 
 func testDB(t *testing.T) *DB {
 	t.Helper()
-	return NewDB(Options{LockTimeout: 500 * time.Millisecond})
+	return NewDB(Options{Log: testLog(t), LockTimeout: 500 * time.Millisecond})
 }
 
 func mustExec(t *testing.T, db *DB, sql string, args ...Value) int {

@@ -74,7 +74,7 @@ type DB struct {
 	// automatic checkpoint (the log stays authoritative).
 	xrmCommitFailures, xrmAbortFailures, ckptFailures *metrics.Counter
 
-	// Checkpointing: dir holds repo.snap (empty = embedded checkpoints),
+	// Checkpointing: dir holds repo.snap (empty = never checkpoint),
 	// ckptBytes is the automatic trigger, ckptMu serializes checkpoints.
 	dir       string
 	ckptBytes int64
@@ -91,15 +91,17 @@ type DB struct {
 type Options struct {
 	Clock       func() time.Time
 	LockTimeout time.Duration
-	Log         *wal.Log // reuse an existing log (recovery); nil = fresh
+	// Log is the database's write-ahead log (wal.Open), required: a fresh
+	// database takes an empty one, Recover the one it replays.
+	Log *wal.Log
 	// Metrics, when set, receives the lock manager's contention counters
 	// (sqlmini.lock.waits / wait_ns / shard_collisions) and the failure
 	// counters sqlmini.xrm.commit_failures, sqlmini.xrm.abort_failures and
 	// sqlmini.checkpoint.failures.
 	Metrics *metrics.Registry
-	// Dir is the repository directory holding the disk WAL segments and the
-	// repo.snap checkpoint snapshot. Empty keeps checkpoints embedded in the
-	// (in-memory) log.
+	// Dir is where checkpoints write the repo.snap snapshot, usually the
+	// log's own directory. Empty means the database never checkpoints and
+	// its log keeps the whole history.
 	Dir string
 	// CheckpointBytes triggers an automatic quiescent checkpoint once this
 	// many log bytes accumulate past the previous one. Zero disables
@@ -107,18 +109,17 @@ type Options struct {
 	CheckpointBytes int64
 }
 
-// NewDB creates an empty database.
+// NewDB creates an empty database over opts.Log.
 func NewDB(opts Options) *DB {
+	if opts.Log == nil {
+		panic("sqlmini: Options.Log is required")
+	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	lg := opts.Log
-	if lg == nil {
-		lg = wal.New()
-	}
 	db := &DB{
 		cat:       newCatalog(),
-		log:       lg,
+		log:       opts.Log,
 		lm:        NewLockManager(opts.LockTimeout),
 		clock:     opts.Clock,
 		active:    make(map[uint64]*Txn),
@@ -227,8 +228,9 @@ func (db *DB) Begin() *Txn {
 // append logs one record of this transaction, preceded by its begin record
 // the first time. A transaction that never logs anything and has no
 // participants — a query — therefore leaves the log alone (readOnly): a
-// host database serving token SELECTs must not grow its log, which in memory
-// mode is its heap, by a begin and a commit record per read.
+// host database serving token SELECTs must not grow its log, which never
+// checkpoints and keeps its tail in memory, by a begin and a commit record
+// per read.
 func (t *Txn) append(rec wal.Record) (wal.LSN, error) {
 	if !t.begun {
 		if _, err := t.db.log.Append(wal.Record{Type: wal.RecBegin, TxnID: t.id}); err != nil {

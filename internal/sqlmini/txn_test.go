@@ -76,7 +76,7 @@ func TestTxnDoubleFinish(t *testing.T) {
 }
 
 func TestWriteWriteBlocking(t *testing.T) {
-	db := NewDB(Options{LockTimeout: 3 * time.Second})
+	db := NewDB(Options{Log: testLog(t), LockTimeout: 3 * time.Second})
 	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v INT)`)
 	mustExec(t, db, `INSERT INTO t VALUES (1, 0)`)
 
@@ -115,7 +115,7 @@ func TestWriteWriteBlocking(t *testing.T) {
 }
 
 func TestReadBlocksOnUncommittedWrite(t *testing.T) {
-	db := NewDB(Options{LockTimeout: 200 * time.Millisecond})
+	db := NewDB(Options{Log: testLog(t), LockTimeout: 200 * time.Millisecond})
 	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v INT)`)
 	mustExec(t, db, `INSERT INTO t VALUES (1, 0)`)
 
@@ -135,7 +135,7 @@ func TestReadBlocksOnUncommittedWrite(t *testing.T) {
 }
 
 func TestConcurrentDisjointRowUpdates(t *testing.T) {
-	db := NewDB(Options{LockTimeout: 5 * time.Second})
+	db := NewDB(Options{Log: testLog(t), LockTimeout: 5 * time.Second})
 	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v INT)`)
 	for i := 0; i < 8; i++ {
 		mustExec(t, db, `INSERT INTO t VALUES (?, 0)`, Int(int64(i)))
@@ -166,7 +166,7 @@ func TestConcurrentDisjointRowUpdates(t *testing.T) {
 }
 
 func TestLostUpdatePrevented(t *testing.T) {
-	db := NewDB(Options{LockTimeout: 5 * time.Second})
+	db := NewDB(Options{Log: testLog(t), LockTimeout: 5 * time.Second})
 	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v INT)`)
 	mustExec(t, db, `INSERT INTO t VALUES (1, 0)`)
 	var wg sync.WaitGroup
@@ -190,7 +190,7 @@ func TestLostUpdatePrevented(t *testing.T) {
 }
 
 func TestSelectForUpdateTakesXLock(t *testing.T) {
-	db := NewDB(Options{LockTimeout: 150 * time.Millisecond})
+	db := NewDB(Options{Log: testLog(t), LockTimeout: 150 * time.Millisecond})
 	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v INT)`)
 	mustExec(t, db, `INSERT INTO t VALUES (1, 0)`)
 
@@ -250,7 +250,7 @@ func TestTryAcquireNowait(t *testing.T) {
 }
 
 func TestDeadlockResolvedByTimeout(t *testing.T) {
-	db := NewDB(Options{LockTimeout: 200 * time.Millisecond})
+	db := NewDB(Options{Log: testLog(t), LockTimeout: 200 * time.Millisecond})
 	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v INT)`)
 	mustExec(t, db, `INSERT INTO t VALUES (1, 0), (2, 0)`)
 

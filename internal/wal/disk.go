@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"datalinks/internal/dirlock"
 	"datalinks/internal/fsyncer"
@@ -37,7 +36,7 @@ func segments(dir string) seglog.Segments {
 	return seglog.Segments{Dir: dir, Prefix: "wal-", Suffix: ".log", Width: 16}
 }
 
-// Config describes a disk-backed log directory.
+// Config describes a log directory.
 type Config struct {
 	// Dir is the log directory; created if missing, locked while open.
 	Dir string
@@ -47,26 +46,7 @@ type Config struct {
 	Fsync fsyncer.Policy
 }
 
-// diskLog is the stable-storage side of a Log. The pending buffer and the
-// written watermark are guarded by the owning Log's mu; the file handle and
-// segment list by fileMu (lock order: mu before fileMu), so the fsyncer's
-// flush callback can sync the active segment without blocking appends.
-type diskLog struct {
-	cfg       Config
-	lock      *dirlock.Lock
-	sync      *fsyncer.Syncer
-	pending   []byte // frames appended since the last write (under Log.mu)
-	written   LSN    // highest LSN whose frame reached the file (under Log.mu)
-	tornBytes int64  // bytes quarantined to wal.torn at open
-
-	fileMu  sync.Mutex
-	files   seglog.Segments
-	seg     *os.File // active (last) segment
-	segSize int64
-	segs    []uint64 // first LSN of every segment, ascending; the last is active
-}
-
-// Open opens (or creates) a disk-backed log directory, taking single
+// Open opens (or creates) a log directory, taking single
 // ownership of it, replaying the longest valid record prefix and
 // quarantining any torn tail.
 func Open(cfg Config) (*Log, error) {
@@ -83,26 +63,25 @@ func Open(cfg Config) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	d := &diskLog{cfg: cfg, lock: lock, files: segments(cfg.Dir)}
-	l := &Log{disk: d}
-	if err := d.replay(l); err != nil {
+	l := &Log{cfg: cfg, lock: lock, files: segments(cfg.Dir)}
+	if err := l.replay(); err != nil {
 		lock.Release()
 		return nil, err
 	}
-	d.sync = fsyncer.New(cfg.Fsync, 0, d.flushActive, nil)
+	l.sync = fsyncer.New(cfg.Fsync, 0, l.flushActive, nil)
 	return l, nil
 }
 
 // replay loads every segment into l, reading each file once. The first
 // invalid byte ends the valid prefix: that segment's tail, and every later
 // segment whole, is quarantined.
-func (d *diskLog) replay(l *Log) error {
-	segs, err := d.files.List()
+func (l *Log) replay() error {
+	segs, err := l.files.List()
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	syncing := d.cfg.Fsync != fsyncer.PolicyNone
-	quarantine := filepath.Join(d.cfg.Dir, tornName)
+	syncing := l.cfg.Fsync != fsyncer.PolicyNone
+	quarantine := filepath.Join(l.cfg.Dir, tornName)
 
 	var (
 		recs recTail
@@ -115,7 +94,7 @@ func (d *diskLog) replay(l *Log) error {
 		if i == 0 {
 			base, next = LSN(first)-1, LSN(first)
 		}
-		path := d.files.Path(first)
+		path := l.files.Path(first)
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
@@ -135,7 +114,7 @@ func (d *diskLog) replay(l *Log) error {
 		if err := seglog.RepairTail(path, int64(valid), quarantine, syncing); err != nil {
 			return fmt.Errorf("wal: %s: %w", path, err)
 		}
-		d.tornBytes += int64(len(data) - valid)
+		l.tornBytes += int64(len(data) - valid)
 		if valid > 0 {
 			kept = append(kept, first)
 		}
@@ -144,14 +123,14 @@ func (d *diskLog) replay(l *Log) error {
 	// Open (or create) the active segment.
 	if len(kept) == 0 {
 		first := base + LSN(recs.n) + 1
-		f, err := d.files.Create(uint64(first), nil, syncing)
+		f, err := l.files.Create(uint64(first), nil, syncing)
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
 		kept = []uint64{uint64(first)}
-		d.seg, d.segSize = f, 0
+		l.seg, l.segSize = f, 0
 	} else {
-		f, err := os.OpenFile(d.files.Path(kept[len(kept)-1]), os.O_RDWR, 0o644)
+		f, err := os.OpenFile(l.files.Path(kept[len(kept)-1]), os.O_RDWR, 0o644)
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
@@ -160,14 +139,14 @@ func (d *diskLog) replay(l *Log) error {
 			f.Close()
 			return fmt.Errorf("wal: %w", err)
 		}
-		d.seg, d.segSize = f, size
+		l.seg, l.segSize = f, size
 	}
-	d.segs = kept
-	d.written = base + LSN(recs.n)
+	l.segs = kept
+	l.written = base + LSN(recs.n)
 
 	l.base = base
 	l.records = recs
-	l.flushed = d.written
+	l.flushed = l.written
 	since := int64(0)
 	for i := 0; i < recs.n; i++ {
 		if r := recs.at(i); r.Type == RecCheckpoint && len(r.Payload) > 0 {
@@ -183,64 +162,63 @@ func (d *diskLog) replay(l *Log) error {
 // flushActive is the fsyncer callback: sync the active segment. Sealed
 // segments were synced at rotation, so the active file is the only one with
 // bytes possibly outside stable storage.
-func (d *diskLog) flushActive() error {
-	d.fileMu.Lock()
-	defer d.fileMu.Unlock()
-	if d.seg == nil {
+func (l *Log) flushActive() error {
+	l.fileMu.Lock()
+	defer l.fileMu.Unlock()
+	if l.seg == nil {
 		return nil
 	}
-	return d.seg.Sync()
+	return l.seg.Sync()
 }
 
 // writePendingLocked moves the buffered frames into the active segment,
 // rotating first if the segment is full. Caller holds l.mu.
 func (l *Log) writePendingLocked() error {
-	d := l.disk
-	if len(d.pending) == 0 {
+	if len(l.pending) == 0 {
 		return nil
 	}
-	d.fileMu.Lock()
-	defer d.fileMu.Unlock()
-	if d.seg == nil {
+	l.fileMu.Lock()
+	defer l.fileMu.Unlock()
+	if l.seg == nil {
 		return ErrClosed
 	}
-	if d.segSize >= d.cfg.SegmentBytes {
-		if err := d.rotateLocked(d.written + 1); err != nil {
+	if l.segSize >= l.cfg.SegmentBytes {
+		if err := l.rotateLocked(l.written + 1); err != nil {
 			return err
 		}
 	}
-	if _, err := d.seg.Write(d.pending); err != nil {
+	if _, err := l.seg.Write(l.pending); err != nil {
 		// Rewind any partial write so the frame stream stays aligned;
 		// pending is kept intact for a retry.
-		d.seg.Truncate(d.segSize)
-		d.seg.Seek(d.segSize, io.SeekStart)
-		return fmt.Errorf("wal: writing %s: %w", d.seg.Name(), err)
+		l.seg.Truncate(l.segSize)
+		l.seg.Seek(l.segSize, io.SeekStart)
+		return fmt.Errorf("wal: writing %s: %w", l.seg.Name(), err)
 	}
-	d.segSize += int64(len(d.pending))
-	d.written = l.base + LSN(l.records.n)
-	d.pending = d.pending[:0]
+	l.segSize += int64(len(l.pending))
+	l.written = l.base + LSN(l.records.n)
+	l.pending = l.pending[:0]
 	return nil
 }
 
 // rotateLocked seals the active segment and starts a new one whose first
-// record will be `first`. Caller holds l.mu and d.fileMu.
-func (d *diskLog) rotateLocked(first LSN) error {
-	syncing := d.cfg.Fsync != fsyncer.PolicyNone
+// record will be `first`. Caller holds l.mu and l.fileMu.
+func (l *Log) rotateLocked(first LSN) error {
+	syncing := l.cfg.Fsync != fsyncer.PolicyNone
 	if syncing {
 		// Seal the outgoing segment so the flush callback only ever needs
 		// to sync the active one.
-		if err := d.seg.Sync(); err != nil {
+		if err := l.seg.Sync(); err != nil {
 			return fmt.Errorf("wal: sealing segment: %w", err)
 		}
 	}
-	f, err := d.files.Create(uint64(first), nil, syncing)
+	f, err := l.files.Create(uint64(first), nil, syncing)
 	if err != nil {
 		return fmt.Errorf("wal: starting segment: %w", err)
 	}
-	d.seg.Close()
-	d.seg = f
-	d.segSize = 0
-	d.segs = append(d.segs, uint64(first))
+	l.seg.Close()
+	l.seg = f
+	l.segSize = 0
+	l.segs = append(l.segs, uint64(first))
 	return nil
 }
 
@@ -248,36 +226,30 @@ func (d *diskLog) rotateLocked(first LSN) error {
 // record appended is the first of its file. A checkpoint calls it right
 // before logging its record: TruncateHead deletes only whole sealed segments,
 // and this is what puts every record the checkpoint supersedes into one. An
-// active segment that is still empty is kept; the in-memory backend has no
-// segments to seal.
+// active segment that is still empty is kept.
 func (l *Log) SealSegment() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	d := l.disk
-	if d == nil {
-		return nil
-	}
 	if err := l.writePendingLocked(); err != nil {
 		return err
 	}
-	d.fileMu.Lock()
-	defer d.fileMu.Unlock()
-	if d.segSize == 0 {
+	l.fileMu.Lock()
+	defer l.fileMu.Unlock()
+	if l.segSize == 0 {
 		return nil
 	}
-	return d.rotateLocked(d.written + 1)
+	return l.rotateLocked(l.written + 1)
 }
 
 // TruncateHead discards log records below keepFrom, the checkpoint anchor's
-// successor. The disk backend deletes only whole sealed segments — a segment
-// that straddles keepFrom (a transaction flushed between the snapshot and the
+// successor. It deletes only whole sealed segments — a segment that
+// straddles keepFrom (a transaction flushed between the snapshot and the
 // checkpoint's SealSegment) keeps its pre-anchor records, recovery re-reads
 // them, and the sequence gate is what prevents double-apply. The in-memory
-// backend trims exactly. Either way the in-memory tail drops its leading
-// blocks without copying a surviving record.
+// tail drops its leading blocks without copying a surviving record.
 func (l *Log) TruncateHead(keepFrom LSN) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -290,34 +262,27 @@ func (l *Log) TruncateHead(keepFrom LSN) error {
 	if keepFrom <= l.base+1 {
 		return nil
 	}
-	if l.disk == nil {
-		newBase := keepFrom - 1
-		l.records.dropHead(int(newBase - l.base))
-		l.base = newBase
-		return nil
-	}
-	d := l.disk
-	d.fileMu.Lock()
-	defer d.fileMu.Unlock()
+	l.fileMu.Lock()
+	defer l.fileMu.Unlock()
 	keep := 0
-	for keep+1 < len(d.segs) && LSN(d.segs[keep+1]) <= keepFrom {
+	for keep+1 < len(l.segs) && LSN(l.segs[keep+1]) <= keepFrom {
 		keep++
 	}
 	var err error
 	for i := 0; i < keep && err == nil; i++ {
 		// Oldest first, stopping at the first failure: a hole below a
 		// surviving segment would read as a gap at the next open.
-		if err = os.Remove(d.files.Path(d.segs[i])); err != nil {
+		if err = os.Remove(l.files.Path(l.segs[i])); err != nil {
 			keep = i
 		}
 	}
 	if keep > 0 {
-		d.segs = append([]uint64(nil), d.segs[keep:]...)
-		newBase := LSN(d.segs[0]) - 1
+		l.segs = append([]uint64(nil), l.segs[keep:]...)
+		newBase := LSN(l.segs[0]) - 1
 		l.records.dropHead(int(newBase - l.base))
 		l.base = newBase
-		if err == nil && d.cfg.Fsync != fsyncer.PolicyNone {
-			err = seglog.SyncDir(d.cfg.Dir)
+		if err == nil && l.cfg.Fsync != fsyncer.PolicyNone {
+			err = seglog.SyncDir(l.cfg.Dir)
 		}
 	}
 	if err != nil {
@@ -326,29 +291,14 @@ func (l *Log) TruncateHead(keepFrom LSN) error {
 	return nil
 }
 
-// Dir returns the disk backend's directory ("" for the in-memory backend).
-func (l *Log) Dir() string {
-	if l.disk == nil {
-		return ""
-	}
-	return l.disk.cfg.Dir
-}
+// Dir returns the log's directory.
+func (l *Log) Dir() string { return l.cfg.Dir }
 
 // TornBytes reports how many bytes the open-time repair quarantined.
-func (l *Log) TornBytes() int64 {
-	if l.disk == nil {
-		return 0
-	}
-	return l.disk.tornBytes
-}
+func (l *Log) TornBytes() int64 { return l.tornBytes }
 
-// SyncCount reports physical fsyncs issued by the disk backend.
-func (l *Log) SyncCount() int64 {
-	if l.disk == nil {
-		return 0
-	}
-	return l.disk.sync.Count()
-}
+// SyncCount reports physical fsyncs issued by the log.
+func (l *Log) SyncCount() int64 { return l.sync.Count() }
 
 // appendRecordHeader serializes the record's header fields; the frame's
 // payload is this header followed by rec.Payload.

@@ -70,9 +70,6 @@ func TestSealSegmentThenTruncateHead(t *testing.T) {
 		}
 		l2.Close()
 	}
-	if err := New().SealSegment(); err != nil {
-		t.Fatalf("in-memory SealSegment: %v", err)
-	}
 }
 
 // A crash right after the seal leaves an empty last segment; the next open
@@ -130,7 +127,7 @@ func TestAppendAllocatesNoPayloadBuffer(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xab}, 256)
 	const runs = 200
 	l.mu.Lock()
-	l.disk.pending = make([]byte, 0, 2*runs*(len(payload)+64))
+	l.pending = make([]byte, 0, 2*runs*(len(payload)+64))
 	l.mu.Unlock()
 	if n := testing.AllocsPerRun(runs, func() {
 		if _, err := l.Append(Record{Type: RecUpdate, TxnID: 9, PrevLSN: 1 << 40, Payload: payload}); err != nil {

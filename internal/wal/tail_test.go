@@ -8,19 +8,27 @@ import (
 	"unsafe"
 )
 
-// fillMemory appends n update records to a fresh in-memory log; record i
-// (LSN i) carries payload "r<i>".
-func fillMemory(t *testing.T, n int) *Log {
+// fillLog appends n update records to a fresh log; record i (LSN i) carries
+// payload "r<i>". A segment is sealed right before each LSN in sealAt, so
+// TruncateHead can drop exactly the records below it.
+func fillLog(t *testing.T, n int, sealAt ...LSN) *Log {
 	t.Helper()
-	l := New()
+	l := newLog(t)
 	for i := 1; i <= n; i++ {
+		for _, s := range sealAt {
+			if s == LSN(i) {
+				if err := l.SealSegment(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		mustAppend(t, l, RecUpdate, uint64(i), []byte(fmt.Sprintf("r%d", i)))
 	}
 	return l
 }
 
 // checkRange reads every LSN in [from, to] through Read and Scan and checks
-// each is the record fillMemory (or a later append) put there.
+// each is the record fillLog (or a later append) put there.
 func checkRange(t *testing.T, l *Log, from, to LSN) {
 	t.Helper()
 	if l.TailLSN() != to {
@@ -60,7 +68,7 @@ func checkRange(t *testing.T, l *Log, from, to LSN) {
 func TestTailAtBlockBoundaries(t *testing.T) {
 	for _, n := range []int{blockRecords - 1, blockRecords, blockRecords + 1, blockRecords + 2} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			l := fillMemory(t, n)
+			l := fillLog(t, n)
 			checkRange(t, l, 1, LSN(n))
 			mustAppend(t, l, RecUpdate, 0, []byte(fmt.Sprintf("r%d", n+1)))
 			checkRange(t, l, 1, LSN(n+1))
@@ -73,7 +81,7 @@ func TestTailAtBlockBoundaries(t *testing.T) {
 func TestTailTruncateHeadAcrossBlocks(t *testing.T) {
 	for _, keepFrom := range []LSN{2, blockRecords, blockRecords + 1, blockRecords + 2, 2*blockRecords + 1} {
 		t.Run(fmt.Sprint(keepFrom), func(t *testing.T) {
-			l := fillMemory(t, 2*blockRecords+1)
+			l := fillLog(t, 2*blockRecords+1, keepFrom)
 			if _, err := l.Flush(); err != nil {
 				t.Fatal(err)
 			}
@@ -95,44 +103,30 @@ func TestTailTruncateHeadAcrossBlocks(t *testing.T) {
 	}
 }
 
-// Prefix and Crash cut a separate log at a point inside, at the end of and
-// past a block; the cut logs and the original keep appending without seeing
-// each other's records.
+// Crash cuts the log at its durable prefix, a point inside, at the end of
+// and past a block; the reopened log keeps appending after it.
 func TestTailPrefixAndCrashAcrossBlocks(t *testing.T) {
 	for _, cut := range []LSN{blockRecords - 1, blockRecords, blockRecords + 1} {
 		t.Run(fmt.Sprint(cut), func(t *testing.T) {
-			l := fillMemory(t, int(cut))
+			l := fillLog(t, int(cut))
 			if _, err := l.Flush(); err != nil {
 				t.Fatal(err)
 			}
 			for i := cut + 1; i <= 2*blockRecords; i++ {
 				mustAppend(t, l, RecUpdate, uint64(i), []byte(fmt.Sprintf("r%d", i)))
 			}
-			p := l.Prefix(cut)
-			checkRange(t, p, 1, cut)
-			if p.DurableLSN() != cut {
-				t.Fatalf("prefix durable %d, want %d", p.DurableLSN(), cut)
-			}
-			mustAppend(t, p, RecUpdate, 0, []byte(fmt.Sprintf("r%d", cut+1)))
-			checkRange(t, p, 1, cut+1)
-			checkRange(t, l, 1, 2*blockRecords) // the original is untouched
-			if r, _ := l.Read(cut + 1); r.TxnID != uint64(cut+1) {
-				t.Fatalf("the prefix's append landed in the original: %+v", r)
-			}
+			checkRange(t, l, 1, 2*blockRecords)
 
 			c, err := l.Crash() // keeps the durable prefix, 1..cut
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer c.Close()
 			checkRange(t, c, 1, cut)
 			for i := cut + 1; i <= cut+blockRecords; i++ {
 				mustAppend(t, c, RecUpdate, 0, []byte(fmt.Sprintf("r%d", i)))
 			}
 			checkRange(t, c, 1, cut+blockRecords)
-			checkRange(t, p, 1, cut+1)
-			if r, _ := p.Read(cut + 1); r.TxnID != 0 {
-				t.Fatalf("the crashed log's appends landed in the prefix: %+v", r)
-			}
 		})
 	}
 }
@@ -140,8 +134,10 @@ func TestTailPrefixAndCrashAcrossBlocks(t *testing.T) {
 // A Scan's view must stay valid while appends fill and add blocks and
 // checkpoints drop them: every record it hands out is the one at its LSN.
 // Run under -race, this also proves the view and the writers share no slot.
+// Every flush seals its segment, so each TruncateHead drops the records of
+// the segments below its cut.
 func TestTailScanRacesAppendAndTruncate(t *testing.T) {
-	l := New()
+	l := newLog(t)
 	const total = 4 * blockRecords
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -154,6 +150,10 @@ func TestTailScanRacesAppendAndTruncate(t *testing.T) {
 			}
 			if i%37 == 0 {
 				if _, err := l.Flush(); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := l.SealSegment(); err != nil {
 					t.Error(err)
 					return
 				}
@@ -195,21 +195,36 @@ func allocated(fn func()) (mallocs, bytes uint64) {
 // Append's amortized cost is at most one allocation per record, and its
 // bytes are the records' own: a block per blockRecords records plus the
 // small block index, never a copy of the records before it. TruncateHead
-// allocates only a new block index, whatever it keeps.
+// allocates only a new block index, whatever it keeps. The frame buffer is
+// pre-sized, so the budget measures the record tail, not the buffer's
+// growth; the segment sealed between the two measured runs is what
+// TruncateHead drops.
 func TestAppendAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
-	l := New()
+	l := newLog(t)
 	payload := []byte("p")
 	const n = 16 * blockRecords
-	mallocs, bytes := allocated(func() {
-		for i := 0; i < n; i++ {
-			if _, err := l.Append(Record{Type: RecUpdate, TxnID: 1, Payload: payload}); err != nil {
-				t.Fatal(err)
+	const keepFrom = 3*blockRecords + 100
+	l.mu.Lock()
+	l.pending = make([]byte, 0, n*64)
+	l.mu.Unlock()
+	appendN := func(k int) (mallocs, bytes uint64) {
+		return allocated(func() {
+			for i := 0; i < k; i++ {
+				if _, err := l.Append(Record{Type: RecUpdate, TxnID: 1, Payload: payload}); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
+	mallocs, bytes := appendN(keepFrom - 1)
+	if err := l.SealSegment(); err != nil {
+		t.Fatal(err)
+	}
+	m2, b2 := appendN(n - (keepFrom - 1))
+	mallocs, bytes = mallocs+m2, bytes+b2
 	recBytes := uint64(n) * uint64(unsafe.Sizeof(Record{}))
 	if mallocs > n {
 		t.Errorf("%d appends: %d mallocs, want <= 1 per record", n, mallocs)
@@ -221,7 +236,7 @@ func TestAppendAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, bytes = allocated(func() {
-		if err := l.TruncateHead(3*blockRecords + 100); err != nil {
+		if err := l.TruncateHead(keepFrom); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -229,7 +244,7 @@ func TestAppendAllocBudget(t *testing.T) {
 		t.Errorf("TruncateHead keeping %d records allocated %d bytes: the survivors were copied", l.records.n, bytes)
 	}
 	checkRecords := l.records.n
-	if checkRecords != n-(3*blockRecords+99) {
-		t.Fatalf("%d records kept, want %d", checkRecords, n-(3*blockRecords+99))
+	if checkRecords != n-(keepFrom-1) {
+		t.Fatalf("%d records kept, want %d", checkRecords, n-(keepFrom-1))
 	}
 }

@@ -2,17 +2,15 @@
 // backchaining, group flush, and crash simulation. Both the host database
 // (internal/sqlmini) and the DLFM repository log through this package.
 //
-// The log has two backends. The in-memory backend (New) models stable
-// storage explicitly: records appended with Append are buffered and volatile
-// until Flush makes them durable, and Crash() discards the volatile tail,
-// exactly what a power failure would do — recovery tests exercise every
-// interleaving of "logged but not forced". The disk backend (Open) puts the
-// same record stream in seglog-framed, size-bounded segment files under a
-// locked directory, with Flush/FlushTo routed through an fsyncer policy; a
-// reopen replays the longest valid prefix and quarantines any torn tail.
+// A log is a directory (Open): the record stream lives in seglog-framed,
+// size-bounded segment files under a single-owner lock, with Flush/FlushTo
+// routed through an fsyncer policy. Appended records are buffered and
+// volatile until a flush writes them; Crash drops that buffer, closes the
+// files and reopens the directory, which replays the longest valid prefix
+// and quarantines any torn tail.
 //
-// Both backends keep the retained tail in memory (Read and Scan serve it)
-// as fixed-size blocks of records: an append fills the last block or adds a
+// The retained tail is also held in memory (Read and Scan serve it) as
+// fixed-size blocks of records: an append fills the last block or adds a
 // fresh one and never copies an earlier record, and a checkpoint's
 // TruncateHead drops whole blocks instead of reallocating the survivors.
 package wal
@@ -20,8 +18,10 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 
+	"datalinks/internal/dirlock"
 	"datalinks/internal/fsyncer"
 	"datalinks/internal/seglog"
 )
@@ -97,6 +97,11 @@ var ErrClosed = errors.New("wal: log closed")
 // slots that copy covers are never written again, and a head drop replaces
 // the block index rather than editing it, so the copy stays valid across
 // any concurrent Append or TruncateHead.
+//
+// The pending buffer and the written watermark are guarded by mu; the file
+// handle and segment list by fileMu (lock order: mu before fileMu), so the
+// fsyncer's flush callback can sync the active segment without blocking
+// appends.
 type Log struct {
 	mu       sync.Mutex
 	base     LSN     // records.at(i) has LSN base+i+1
@@ -108,11 +113,19 @@ type Log struct {
 	// checkpoint record — the trigger for the next one.
 	sizeSinceCkpt int64
 
-	disk *diskLog // nil = in-memory backend
-}
+	cfg       Config
+	lock      *dirlock.Lock
+	sync      *fsyncer.Syncer
+	pending   []byte // frames appended since the last write (under mu)
+	written   LSN    // highest LSN whose frame reached the file (under mu)
+	tornBytes int64  // bytes quarantined to wal.torn at open
 
-// New returns an empty in-memory log.
-func New() *Log { return &Log{} }
+	fileMu  sync.Mutex
+	files   seglog.Segments
+	seg     *os.File // active (last) segment
+	segSize int64
+	segs    []uint64 // first LSN of every segment, ascending; the last is active
+}
 
 // blockRecords is the number of records in one block of the retained tail:
 // 255 records of 64 bytes plus the allocator's 8-byte header fill a 16 KiB
@@ -163,22 +176,6 @@ func (t *recTail) dropHead(k int) {
 	t.n -= k
 }
 
-// prefix returns a separate tail holding the first n records. Full blocks
-// are shared — neither tail writes a slot of them again — and the partial
-// last block is copied, since both tails go on appending into their own.
-func (t *recTail) prefix(n int) recTail {
-	j := t.off + n
-	whole := j / blockRecords
-	p := recTail{blocks: make([]*recBlock, whole, whole+1), off: t.off, n: n}
-	copy(p.blocks, t.blocks[:whole])
-	if r := j % blockRecords; r > 0 {
-		b := new(recBlock)
-		copy(b[:r], t.blocks[whole][:r])
-		p.blocks = append(p.blocks, b)
-	}
-	return p
-}
-
 // Append adds a record to the log buffer and returns its LSN. The record is
 // not durable until Flush (or FlushTo covering it) is called. Append takes
 // ownership of rec.Payload: the log keeps that slice (Read and Scan serve
@@ -196,13 +193,10 @@ func (l *Log) Append(rec Record) (LSN, error) {
 	} else {
 		l.sizeSinceCkpt += int64(len(rec.Payload)) + recOverheadBytes
 	}
-	if l.disk != nil {
-		// Header and payload are framed where they will be written from.
-		d := l.disk
-		start := len(d.pending)
-		d.pending = append(appendRecordHeader(seglog.BeginFrame(d.pending), rec), rec.Payload...)
-		seglog.EndFrame(d.pending, start)
-	}
+	// Header and payload are framed where they will be written from.
+	start := len(l.pending)
+	l.pending = append(appendRecordHeader(seglog.BeginFrame(l.pending), rec), rec.Payload...)
+	seglog.EndFrame(l.pending, start)
 	return rec.LSN, nil
 }
 
@@ -217,33 +211,28 @@ func (l *Log) Flush() (LSN, error) {
 		return NilLSN, ErrClosed
 	}
 	target := l.base + LSN(l.records.n)
-	if l.disk != nil {
-		if err := l.writePendingLocked(); err != nil {
-			l.mu.Unlock()
-			return NilLSN, err
-		}
+	if err := l.writePendingLocked(); err != nil {
+		l.mu.Unlock()
+		return NilLSN, err
 	}
 	if target > l.flushed {
 		l.flushed = target
 		l.flushCnt++
 	}
-	d := l.disk
 	l.mu.Unlock()
-	if d != nil {
-		if err := d.sync.AfterWrite(); err != nil {
-			return NilLSN, err
-		}
-		if err := d.sync.Barrier(); err != nil {
-			return NilLSN, err
-		}
+	if err := l.sync.AfterWrite(); err != nil {
+		return NilLSN, err
+	}
+	if err := l.sync.Barrier(); err != nil {
+		return NilLSN, err
 	}
 	return target, nil
 }
 
 // FlushTo makes records up to and including lsn durable. Flushing an LSN that
-// is already durable is a no-op (group commit piggybacking). On the disk
-// backend the whole buffered tail is written (frames are cheap to write; the
-// fsync barrier is the expensive part and covers exactly the caller's LSN).
+// is already durable is a no-op (group commit piggybacking). The whole
+// buffered tail is written (frames are cheap to write; the fsync barrier is
+// the expensive part and covers exactly the caller's LSN).
 func (l *Log) FlushTo(lsn LSN) error {
 	l.mu.Lock()
 	if l.closed {
@@ -255,31 +244,21 @@ func (l *Log) FlushTo(lsn LSN) error {
 		l.mu.Unlock()
 		return fmt.Errorf("wal: flush to %d beyond tail %d", lsn, tail)
 	}
-	needSync := lsn > l.flushed
-	if l.disk != nil && needSync {
-		if err := l.writePendingLocked(); err != nil {
-			l.mu.Unlock()
-			return err
-		}
+	if lsn <= l.flushed {
+		l.mu.Unlock()
+		return nil
 	}
-	if needSync {
-		l.flushed = l.base + LSN(l.records.n)
-		if lsn > l.flushed {
-			l.flushed = lsn
-		}
-		l.flushCnt++
+	if err := l.writePendingLocked(); err != nil {
+		l.mu.Unlock()
+		return err
 	}
-	d := l.disk
+	l.flushed = l.base + LSN(l.records.n)
+	l.flushCnt++
 	l.mu.Unlock()
-	if d != nil && needSync {
-		if err := d.sync.AfterWrite(); err != nil {
-			return err
-		}
-		if err := d.sync.Barrier(); err != nil {
-			return err
-		}
+	if err := l.sync.AfterWrite(); err != nil {
+		return err
 	}
-	return nil
+	return l.sync.Barrier()
 }
 
 // TailLSN returns the LSN of the most recently appended record (durable or not).
@@ -320,27 +299,8 @@ func (l *Log) SizeSinceCheckpoint() int64 {
 	return l.sizeSinceCkpt
 }
 
-// SyncPolicy reports the disk backend's fsync policy (PolicyNone in memory).
-func (l *Log) SyncPolicy() fsyncer.Policy {
-	if l.disk == nil {
-		return fsyncer.PolicyNone
-	}
-	return l.disk.sync.Policy()
-}
-
-// LastCheckpoint returns the LSN of the newest durable checkpoint record
-// that carries a payload (an anchor), or NilLSN.
-func (l *Log) LastCheckpoint() LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i := int(l.flushed - l.base); i > 0; i-- {
-		r := l.records.at(i - 1)
-		if r.Type == RecCheckpoint && len(r.Payload) > 0 {
-			return r.LSN
-		}
-	}
-	return NilLSN
-}
+// SyncPolicy reports the log's fsync policy.
+func (l *Log) SyncPolicy() fsyncer.Policy { return l.sync.Policy() }
 
 // Read returns the record at the given LSN.
 func (l *Log) Read(lsn LSN) (Record, error) {
@@ -375,52 +335,22 @@ func (l *Log) Scan(from, to LSN, fn func(Record) bool) error {
 	return nil
 }
 
-// Prefix returns a new, fully durable in-memory log holding the records with
-// LSN <= to. Point-in-time restore rebuilds a database from such a prefix
-// (§4.4 of the paper: restore the database to a previous state, then restore
-// the files according to the restored state identifier).
-func (l *Log) Prefix(to LSN) *Log {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if to > l.base+LSN(l.records.n) {
-		to = l.base + LSN(l.records.n)
-	}
-	if to < l.base {
-		to = l.base
-	}
-	return &Log{
-		base:    l.base,
-		records: l.records.prefix(int(to - l.base)),
-		flushed: to,
-	}
-}
-
-// Crash simulates a machine failure and restart. The in-memory backend
-// returns a new Log containing only the durable prefix. The disk backend
-// drops its unwritten tail, closes its files, releases the directory lock
-// and reopens the directory — the returned log holds whatever the "disk"
-// (the OS page cache included; this is a process kill, not a power cut)
-// retained; an error means the directory could not be reopened. The
-// original log is closed either way, and the in-memory backend never fails.
+// Crash simulates a process kill and restart: the unwritten tail is
+// dropped, the files close, the directory lock is released and the
+// directory is reopened. The returned log holds whatever the "disk" (the OS
+// page cache included; this is a process kill, not a power cut) retained;
+// an error means the directory could not be reopened. The original log is
+// closed either way.
 func (l *Log) Crash() (*Log, error) {
 	l.mu.Lock()
-	if l.disk != nil {
-		cfg := l.disk.cfg
-		l.killLocked()
-		l.mu.Unlock()
-		reopened, err := Open(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("wal: reopen after crash: %w", err)
-		}
-		return reopened, nil
+	cfg := l.cfg
+	l.killLocked()
+	l.mu.Unlock()
+	reopened, err := Open(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("wal: reopen after crash: %w", err)
 	}
-	defer l.mu.Unlock()
-	l.closed = true
-	return &Log{
-		base:    l.base,
-		records: l.records.prefix(int(l.flushed - l.base)),
-		flushed: l.flushed,
-	}, nil
+	return reopened, nil
 }
 
 // Kill simulates the process dying without a successor in hand: buffered
@@ -436,46 +366,40 @@ func (l *Log) Kill() {
 // killLocked is Kill under l.mu.
 func (l *Log) killLocked() {
 	l.closed = true
-	if d := l.disk; d != nil {
-		d.pending = nil
-		d.fileMu.Lock()
-		if d.seg != nil {
-			d.seg.Close()
-			d.seg = nil
-		}
-		d.fileMu.Unlock()
-		d.lock.Release()
+	l.pending = nil
+	l.fileMu.Lock()
+	if l.seg != nil {
+		l.seg.Close()
+		l.seg = nil
 	}
+	l.fileMu.Unlock()
+	l.lock.Release()
 }
 
-// Close marks the log closed. The disk backend first writes its buffered
-// tail (and syncs it under a syncing policy) so a clean shutdown loses
-// nothing, then releases the directory lock. Further appends fail. The
-// error is the final write's or sync's: the log is closed either way, but
-// records it reports may not have reached stable storage. Closing a closed
-// log returns nil.
+// Close marks the log closed. It first writes the buffered tail (and syncs
+// it under a syncing policy) so a clean shutdown loses nothing, then
+// releases the directory lock. Further appends fail. The error is the final
+// write's or sync's: the log is closed either way, but records it reports
+// may not have reached stable storage. Closing a closed log returns nil.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return nil
 	}
-	var err error
-	if d := l.disk; d != nil {
-		err = l.writePendingLocked()
-		d.fileMu.Lock()
-		if d.seg != nil {
-			if d.sync.Policy() != fsyncer.PolicyNone {
-				if serr := d.seg.Sync(); serr != nil && err == nil {
-					err = fmt.Errorf("wal: syncing %s at close: %w", d.seg.Name(), serr)
-				}
+	err := l.writePendingLocked()
+	l.fileMu.Lock()
+	if l.seg != nil {
+		if l.sync.Policy() != fsyncer.PolicyNone {
+			if serr := l.seg.Sync(); serr != nil && err == nil {
+				err = fmt.Errorf("wal: syncing %s at close: %w", l.seg.Name(), serr)
 			}
-			d.seg.Close()
-			d.seg = nil
 		}
-		d.fileMu.Unlock()
-		d.lock.Release()
+		l.seg.Close()
+		l.seg = nil
 	}
+	l.fileMu.Unlock()
+	l.lock.Release()
 	l.closed = true
 	return err
 }

@@ -5,8 +5,16 @@ import (
 	"testing/quick"
 )
 
+// newLog opens an empty log over a fresh test directory, closed at cleanup.
+func newLog(t *testing.T) *Log {
+	t.Helper()
+	l := openDisk(t, t.TempDir(), 0)
+	t.Cleanup(func() { l.Close() })
+	return l
+}
+
 func TestAppendAssignsSequentialLSNs(t *testing.T) {
-	l := New()
+	l := newLog(t)
 	for i := 1; i <= 5; i++ {
 		lsn, err := l.Append(Record{Type: RecUpdate, TxnID: 1})
 		if err != nil {
@@ -22,7 +30,7 @@ func TestAppendAssignsSequentialLSNs(t *testing.T) {
 }
 
 func TestFlushMakesDurable(t *testing.T) {
-	l := New()
+	l := newLog(t)
 	l.Append(Record{Type: RecBegin, TxnID: 1})
 	if l.DurableLSN() != 0 {
 		t.Fatalf("durable before flush = %d, want 0", l.DurableLSN())
@@ -37,7 +45,7 @@ func TestFlushMakesDurable(t *testing.T) {
 }
 
 func TestFlushToIsIdempotent(t *testing.T) {
-	l := New()
+	l := newLog(t)
 	l.Append(Record{Type: RecBegin, TxnID: 1})
 	l.Append(Record{Type: RecCommit, TxnID: 1})
 	if err := l.FlushTo(2); err != nil {
@@ -53,7 +61,7 @@ func TestFlushToIsIdempotent(t *testing.T) {
 }
 
 func TestFlushToBeyondTailErrors(t *testing.T) {
-	l := New()
+	l := newLog(t)
 	if err := l.FlushTo(3); err == nil {
 		t.Fatal("flush beyond tail should error")
 	}
@@ -62,7 +70,7 @@ func TestFlushToBeyondTailErrors(t *testing.T) {
 // Append takes ownership of the payload it is handed: the record Read serves
 // is that slice, not a copy of it.
 func TestAppendOwnsPayload(t *testing.T) {
-	l := New()
+	l := newLog(t)
 	buf := []byte("hello")
 	l.Append(Record{Type: RecUpdate, TxnID: 1, Payload: buf})
 	rec, err := l.Read(1)
@@ -75,7 +83,7 @@ func TestAppendOwnsPayload(t *testing.T) {
 }
 
 func TestReadOutOfRange(t *testing.T) {
-	l := New()
+	l := newLog(t)
 	if _, err := l.Read(0); err == nil {
 		t.Fatal("read of NilLSN should error")
 	}
@@ -85,7 +93,7 @@ func TestReadOutOfRange(t *testing.T) {
 }
 
 func TestCrashDiscardsVolatileTail(t *testing.T) {
-	l := New()
+	l := newLog(t)
 	l.Append(Record{Type: RecBegin, TxnID: 1})
 	l.Append(Record{Type: RecUpdate, TxnID: 1})
 	l.Flush()
@@ -95,6 +103,7 @@ func TestCrashDiscardsVolatileTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer recovered.Close()
 	if recovered.TailLSN() != 2 {
 		t.Fatalf("recovered tail = %d, want 2", recovered.TailLSN())
 	}
@@ -110,7 +119,7 @@ func TestCrashDiscardsVolatileTail(t *testing.T) {
 }
 
 func TestScanRange(t *testing.T) {
-	l := New()
+	l := newLog(t)
 	for i := 0; i < 10; i++ {
 		l.Append(Record{Type: RecUpdate, TxnID: uint64(i)})
 	}
@@ -134,7 +143,7 @@ func TestScanRange(t *testing.T) {
 }
 
 func TestBackchainTraversal(t *testing.T) {
-	l := New()
+	l := newLog(t)
 	var prev LSN
 	for i := 0; i < 4; i++ {
 		lsn, _ := l.Append(Record{Type: RecUpdate, TxnID: 9, PrevLSN: prev})
@@ -160,7 +169,7 @@ func TestBackchainTraversal(t *testing.T) {
 // contains exactly the records appended before the last flush, in order.
 func TestCrashPreservesDurablePrefixProperty(t *testing.T) {
 	prop := func(nBefore, nAfter uint8) bool {
-		l := New()
+		l := newLog(t)
 		before := int(nBefore % 50)
 		after := int(nAfter % 50)
 		for i := 0; i < before; i++ {
@@ -174,6 +183,7 @@ func TestCrashPreservesDurablePrefixProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		defer rec.Close()
 		if rec.TailLSN() != LSN(before) {
 			return false
 		}
@@ -189,27 +199,6 @@ func TestCrashPreservesDurablePrefixProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPrefixForPointInTimeRestore(t *testing.T) {
-	l := New()
-	for i := 0; i < 10; i++ {
-		l.Append(Record{Type: RecUpdate, TxnID: uint64(i)})
-	}
-	l.Flush()
-	p := l.Prefix(4)
-	if p.TailLSN() != 4 || p.DurableLSN() != 4 {
-		t.Fatalf("prefix tail=%d durable=%d", p.TailLSN(), p.DurableLSN())
-	}
-	// The prefix is independent: appends to it don't touch the original.
-	p.Append(Record{Type: RecCommit, TxnID: 99})
-	if l.TailLSN() != 10 {
-		t.Fatalf("original mutated: tail=%d", l.TailLSN())
-	}
-	// Prefix beyond the tail clamps.
-	if q := l.Prefix(99); q.TailLSN() != 10 {
-		t.Fatalf("clamped prefix tail = %d", q.TailLSN())
 	}
 }
 
