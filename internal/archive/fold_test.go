@@ -9,6 +9,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -368,5 +369,67 @@ func TestReopenAllocBudget(t *testing.T) {
 	})
 	if objects > parentPutObjects-2*puts {
 		t.Fatalf("%d one-chunk delta Puts allocated %d objects, not at least two a Put fewer than the %d before the index was folded", puts, objects, parentPutObjects)
+	}
+}
+
+// TestReopenScalesWithHistories: what a reopen allocates follows the number
+// of histories, not of versions. The same files edited in place with four
+// times the versions each — 512-byte edits, as a commit archives them: a
+// patch per version — reopen in at most a quarter more objects: a history's
+// records come back in one slice, versions are carved from shared blocks,
+// and the blob index is sized once from the pack footers.
+func TestReopenScalesWithHistories(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	const keys = 32
+	reopenObjects := func(perKey int) int64 {
+		tier := TierConfig{Dir: t.TempDir(), MemoryBudget: 8 * extent.ChunkSize}
+		s, err := NewTiered(0, nil, tier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(41))
+		files := make([]extent.Buffer, keys)
+		content := make([]byte, 2*extent.ChunkSize+100)
+		edit := make([]byte, 512)
+		for v := 0; v < perKey; v++ {
+			for k := range files {
+				if v == 0 {
+					rng.Read(content)
+					files[k].WriteAt(0, content)
+				} else {
+					rng.Read(edit)
+					files[k].WriteAt(int64(rng.Intn(len(content)-len(edit))), edit)
+				}
+				snap := files[k].Capture()
+				if _, err := s.PutSnapshot("fs1", fmt.Sprintf("/d/f%02d", k), Version(v), uint64(v*keys+k+1), snap); err != nil {
+					t.Fatal(err)
+				}
+				snap.Release()
+			}
+		}
+		s.Close()
+		// The first reopen checkpoints the catalog into its snapshot; the
+		// second is the steady state every later one sees.
+		s2, err := NewTiered(0, nil, tier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2.Close()
+		objects := mallocs(func() { s2, err = NewTiered(0, nil, tier) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		if rec := s2.Recovery(); rec.Versions != keys*perKey || rec.DroppedVersions != 0 {
+			t.Fatalf("recovery = %+v", rec)
+		}
+		return objects
+	}
+	few, many := reopenObjects(16), reopenObjects(64)
+	t.Logf("%d histories reopen in %d objects at 16 versions each, %d at 64", keys, few, many)
+	if float64(many) > 1.25*float64(few) {
+		t.Fatalf("four times the versions took %d objects to reopen, %.2fx the %d of one time (budget 1.25x)", many, float64(many)/float64(few), few)
 	}
 }

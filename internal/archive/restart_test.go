@@ -222,10 +222,12 @@ func TestRestartRespectsTruncateAndDrop(t *testing.T) {
 }
 
 // cutBlob removes blob h's record from the pack holding it in a closed
-// store's directory, as if it had never been written. A record is
-// self-framing — dataLen | logicalLen | crc | hash | flags | data after the
-// pack's magic, see chunkdisk/pack.go — so the rest of the pack still scans.
-func cutBlob(t *testing.T, dir string, h extent.Hash) {
+// store's directory, as if it had never been written, and returns the pack's
+// path. A record is self-framing — dataLen | logicalLen | crc | hash | flags
+// | data after the pack's magic, see chunkdisk/pack.go — so the rest of the
+// pack still scans; the footer a sealed pack ends in no longer agrees with
+// the file's length, so the next open scans the pack instead of trusting it.
+func cutBlob(t *testing.T, dir string, h extent.Hash) string {
 	t.Helper()
 	const magicLen, hdrLen = 8, 4 + 4 + 4 + 32 + 1
 	packs, err := filepath.Glob(filepath.Join(dir, "pack-*.pk"))
@@ -243,12 +245,13 @@ func cutBlob(t *testing.T, dir string, h extent.Hash) {
 				if err := os.WriteFile(path, append(pack[:off:off], pack[end:]...), 0o644); err != nil {
 					t.Fatal(err)
 				}
-				return
+				return path
 			}
 			off = end
 		}
 	}
 	t.Fatalf("no pack under %s holds blob %x", dir, h[:8])
+	return ""
 }
 
 // TestRestartDropsVersionsWithMissingBlobs: if a chunk referenced by the
@@ -269,13 +272,27 @@ func TestRestartDropsVersionsWithMissingBlobs(t *testing.T) {
 	v1content := append(append([]byte(nil), base[:C]...), unique...)
 	putBytes(t, s, "/f.bin", 1, 2, v1content)
 	s.Close()
-	cutBlob(t, dir, sha256.Sum256(unique))
+	footer := []byte("DLPFOOT1") // the magic a sealed pack ends in
+	pack := cutBlob(t, dir, sha256.Sum256(unique))
+	cut, err := os.ReadFile(pack)
+	if err != nil || !bytes.HasSuffix(cut, footer) {
+		t.Fatalf("the cut pack (%v) does not end in the footer its clean close wrote", err)
+	}
 
 	s2, err := NewTiered(0, nil, TierConfig{Dir: dir, MemoryBudget: 2 * C})
 	if err != nil {
 		t.Fatalf("open with a missing blob must not fail: %v", err)
 	}
 	defer s2.Close()
+	// The footer lists the cut record, so it is not trusted: the pack is
+	// scanned, the stale footer quarantined whole and a fresh one written.
+	torn, err := os.ReadFile(pack + ".torn")
+	if err != nil || !bytes.HasSuffix(cut, torn) || !bytes.HasSuffix(torn, footer) || s2.Tier().PackTornBytes != int64(len(torn)) {
+		t.Fatalf("the cut pack's stale footer was not quarantined: %d torn bytes (%v), stats %d", len(torn), err, s2.Tier().PackTornBytes)
+	}
+	if again, err := os.ReadFile(pack); err != nil || !bytes.HasSuffix(again, footer) || bytes.Equal(again, cut) {
+		t.Fatalf("the scanned pack was not footered afresh (%v)", err)
+	}
 	if rec := s2.Recovery(); rec.DroppedVersions != 1 || rec.Versions != 1 {
 		t.Fatalf("recovery = %+v, want 1 dropped / 1 served", rec)
 	}

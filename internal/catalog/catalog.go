@@ -326,14 +326,16 @@ func (c *Catalog) loadSnapshot() (uint64, error) {
 	}
 	body := info.Size() - int64(len(hdr))
 	var sc seglog.Scanner
+	var run snapRun
 	var applyErr error
 	valid, err := sc.ScanFrames(io.NewSectionReader(f, int64(len(hdr)), body), body, func(payload []byte) bool {
-		if applyErr = c.apply(payload); applyErr != nil {
+		if applyErr = c.apply(payload, &run); applyErr != nil {
 			return false
 		}
 		c.stats.SnapshotRecords++
 		return true
 	})
+	run.flush()
 	switch {
 	case err != nil:
 		return 0, fmt.Errorf("catalog: %w", err)
@@ -402,18 +404,51 @@ func (c *Catalog) applySeq(payload []byte, snapSeq uint64) (uint64, error) {
 		c.stats.StaleSkipped++
 		return seq, nil
 	}
-	if err := c.apply(payload); err != nil {
+	if err := c.apply(payload, nil); err != nil {
 		return 0, err
 	}
 	c.stats.LogRecords++
 	return seq, nil
 }
 
+// snapRun gathers the records of one key that a snapshot lists back to back
+// — a snapshot writes each history in one piece — so that the history gets
+// them in one slice of its exact length rather than one append at a time.
+type snapRun struct {
+	h    *history
+	puts []*PutRec // reused from key to key
+}
+
+// flush hands the gathered records to their history.
+func (r *snapRun) flush() {
+	if len(r.puts) == 0 {
+		return
+	}
+	puts := make([]*PutRec, len(r.h.puts)+len(r.puts))
+	copy(puts[copy(puts, r.h.puts):], r.puts)
+	r.h.puts = puts
+	clear(r.puts)
+	r.puts = r.puts[:0]
+}
+
+// newest is the last version gathered for h, nil when there is none yet.
+func (r *snapRun) newest(h *history) *PutRec {
+	if r != nil && r.h == h && len(r.puts) > 0 {
+		return r.puts[len(r.puts)-1]
+	}
+	if n := len(h.puts); n > 0 {
+		return h.puts[n-1]
+	}
+	return nil
+}
+
 // apply decodes one payload and updates the shadow. Every payload — snapshot
 // body (sequence zero) or log — starts with its sequence varint. Application
 // is idempotent: a put whose version is not newer than the key's newest is
-// skipped, truncates and drops of absent state are no-ops.
-func (c *Catalog) apply(payload []byte) error {
+// skipped, truncates and drops of absent state are no-ops. A snapshot's
+// replay passes a run, which puts gather in until the key changes; the log's
+// passes nil.
+func (c *Catalog) apply(payload []byte, run *snapRun) error {
 	d := decoder{buf: payload}
 	d.uvarint() // sequence; ordering already handled by the caller
 	kind := d.byte()
@@ -430,12 +465,26 @@ func (c *Catalog) apply(payload []byte) error {
 		if h == nil {
 			h = &history{key: string(key)}
 			c.files[h.key] = h
-		} else if n := len(h.puts); n > 0 && h.puts[n-1].Version >= r.Version {
+		} else if last := run.newest(h); last != nil && last.Version >= r.Version {
 			c.arena = claimed // replayed duplicate
 			return nil
 		}
 		r.Key = h.key
-		h.puts = append(h.puts, r)
+		if run == nil {
+			h.puts = append(h.puts, r)
+			return nil
+		}
+		if run.h != h {
+			run.flush()
+			run.h = h
+		}
+		run.puts = append(run.puts, r)
+		return nil
+	}
+	if run != nil {
+		run.flush() // a truncate or drop sees the history whole
+	}
+	switch kind {
 	case kindTruncate:
 		keep := int(d.uvarint())
 		if d.err != nil || d.rest() != 0 {

@@ -499,7 +499,7 @@ func TestOpenScanAllocBudget(t *testing.T) {
 	replay, _ := allocated(func() {
 		shadow := &Catalog{files: make(map[string]*history)}
 		for _, p := range payloads {
-			if err := shadow.apply(p); err != nil {
+			if err := shadow.apply(p, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

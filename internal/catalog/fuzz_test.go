@@ -58,7 +58,7 @@ func FuzzPutRecDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		c := &Catalog{files: make(map[string]*history)}
 		var err error
-		grew, _ := allocated(func() { err = c.apply(payload) })
+		grew, _ := allocated(func() { err = c.apply(payload, nil) })
 		// One block of each kind, a history and its key, and slack for the
 		// runtime's own bookkeeping: nothing that grows with a claimed count.
 		if budget := int64(256<<10 + 4*len(payload)); !raceEnabled && grew > budget {
@@ -81,7 +81,7 @@ func FuzzPutRecDecode(f *testing.F) {
 		twin := *r
 		twin.Key += "'"
 		payload2 := encodePut(seq, &twin)
-		if err := c.apply(payload2); err != nil {
+		if err := c.apply(payload2, nil); err != nil {
 			t.Fatalf("re-keyed copy of an accepted record refused: %v", err)
 		}
 		r2 := c.files[twin.Key].puts[0]

@@ -11,15 +11,15 @@
 // back. Three invariants are the protocol:
 //
 //  1. A count and its liveness never change under different locks: the
-//     reference count, the resident copy, the index entry and the dead mark
-//     of a hash all live in its shard.
+//     reference count, the resident copy and the index entry of a hash all
+//     live in its shard, and a blob is dead exactly when it is indexed with
+//     no reference.
 //  2. A reference is never granted on bytes that are not yet on the device:
 //     a Put or Ref that meets a write in flight for its hash waits for the
 //     outcome, and a failed write leaves no count behind.
 //  3. A release to zero cannot be overtaken by a claimer: the resident copy
-//     is freed and the disk copy marked dead in the critical section that
-//     drops the count, so the next Put or Ref sees either a held blob or a
-//     dead one it revives in place.
+//     is freed in the critical section that drops the count, so the next Put
+//     or Ref sees either a held blob or a dead one it revives in place.
 //
 // Counts are volatile. A store opened over an existing directory adopts every
 // blob it finds as dead — nothing references it yet — and the archive's
@@ -158,7 +158,8 @@ type diskMeta struct {
 
 // blobState is what a shard knows of one hash: how many version slots
 // reference it and where its device copy lies. A hash is indexed from its
-// write-through or adoption until a sweep reclaims it.
+// write-through or adoption until a sweep reclaims it; with refs == 0 it is
+// dead, on disk and awaiting the sweep.
 type blobState struct {
 	diskMeta
 	refs int64
@@ -175,7 +176,6 @@ type shard struct {
 	resident map[extent.Hash]*entry
 	lru      *list.List // of *entry; front = hottest
 	resBytes int64
-	dead     map[extent.Hash]struct{} // on disk, unreferenced, awaiting sweep
 	// putting holds the hashes of write-throughs in flight: a reference or a
 	// read of one waits for the outcome.
 	putting map[extent.Hash]struct{}
@@ -215,6 +215,10 @@ type Store struct {
 	packTornBytes   atomic.Int64
 	filesCreated    atomic.Int64
 
+	// scannedPacks counts the packs Open indexed by scanning their records
+	// rather than from a footer.
+	scannedPacks int
+
 	closeOnce sync.Once
 	closeErr  error
 
@@ -222,6 +226,10 @@ type Store struct {
 	// append and the publication of the record in the index; an error it
 	// returns fails the write.
 	afterPackAppend func() error
+	// afterFooterWrite, when a test sets it, runs when a pack's footer has
+	// been written and before the fsync; an error it returns stops the seal
+	// there, the pack not marked sealed.
+	afterFooterWrite func() error
 }
 
 // ctrInc / ctrAdd bump an optional registry mirror.
@@ -270,7 +278,6 @@ func Open(cfg Config) (*Store, error) {
 		sh.blobs = make(map[extent.Hash]blobState)
 		sh.resident = make(map[extent.Hash]*entry)
 		sh.lru = list.New()
-		sh.dead = make(map[extent.Hash]struct{})
 		sh.putting = make(map[extent.Hash]struct{})
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -421,7 +428,6 @@ func (s *Store) packLoose(h extent.Hash, path string, compressed bool) (bool, er
 // is Open, before any concurrency).
 func (s *Store) indexDeadLocked(sh *shard, h extent.Hash, meta diskMeta) {
 	sh.blobs[h] = blobState{diskMeta: meta}
-	sh.dead[h] = struct{}{}
 	s.diskBlobs.Add(1)
 	s.diskBytes.Add(meta.size)
 	s.diskLogical.Add(meta.logical)
@@ -454,10 +460,7 @@ func (s *Store) refLocked(sh *shard, h extent.Hash) bool {
 	if !ok {
 		return false
 	}
-	if _, wasDead := sh.dead[h]; wasDead {
-		delete(sh.dead, h)
-		s.deadBlobs.Add(-1)
-	}
+	s.deadBlobs.Add(-1) // indexed with no reference: dead until now
 	b.refs = 1
 	sh.blobs[h] = b
 	return true
@@ -740,8 +743,8 @@ func (s *Store) freeResidentLocked(sh *shard, e *entry) {
 
 // Release gives one reference back. At zero the resident copy is freed
 // (memory returns to baseline without waiting for GC) and the disk copy is
-// marked dead for the next sweep — in this critical section, so no
-// Put or Ref can come between the count and the mark.
+// dead, left for the next sweep — in this critical section, so no Put or Ref
+// can come between the count and the free.
 func (s *Store) Release(h extent.Hash) {
 	sh := s.shardFor(h)
 	sh.mu.Lock()
@@ -756,7 +759,6 @@ func (s *Store) Release(h extent.Hash) {
 		}
 		b.refs = 0
 		sh.blobs[h] = b
-		sh.dead[h] = struct{}{}
 		s.deadBlobs.Add(1)
 	}
 }
@@ -772,7 +774,10 @@ func (s *Store) Sweep() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for h := range sh.dead {
+		for h, b := range sh.blobs {
+			if b.refs != 0 {
+				continue
+			}
 			if e, ok := sh.resident[h]; ok {
 				// Paged in by a Get that held no reference (the source side
 				// of a transfer racing a drop): it goes with the disk copy.
@@ -780,9 +785,8 @@ func (s *Store) Sweep() int {
 			}
 			// A reader cannot be mid-read: dead means unreferenced, and
 			// readers pin references.
-			meta := sh.blobs[h].diskMeta
+			meta := b.diskMeta
 			delete(sh.blobs, h)
-			delete(sh.dead, h)
 			s.deadBlobs.Add(-1)
 			s.diskBlobs.Add(-1)
 			s.diskBytes.Add(-meta.size)

@@ -13,16 +13,34 @@ package chunkdisk
 //
 // flags bit0 marks flate-compressed data (logicalLen is the uncompressed
 // length; the content hash always covers the uncompressed bytes, verified on
-// every page-in). There is no separate index file: the in-memory index (shard
-// blob maps pointing at pack/offset) is rebuilt by scanning the packs on open
-// — every record's CRC verified, through one record-sized window shared by
-// all packs (seglog.Scanner), so an open holds one record in memory, not the
-// archive. A crash mid-append leaves a torn
-// final record; open keeps the longest valid prefix and quarantines the rest
-// to pack-<seq>.pk.torn (internal/seglog owns the scan-and-repair and the
-// numbered-file naming). Appends copy nothing either: the 45 header bytes
-// are built in one buffer the pack set reuses, and the data goes to the file
-// from where it lies.
+// every page-in). Appends copy nothing: the 45 header bytes are built in one
+// buffer the pack set reuses, and the data goes to the file from where it
+// lies.
+//
+// A sealed pack ends in a footer, its index: one entry per record, then a
+// trailer (see footer.go). The footer is written when the pack is sealed or
+// at a clean Close, never by a Crash, and an open indexes a footered pack from
+// its footer alone — one tail read instead of every record. The footer is
+// trusted to its own CRC, to agreeing with the file's length, and to the seal
+// mark: one byte of the pack magic, rewritten from packMagic to
+// sealedPackMagic only once the footer is durable. The mark is what makes the
+// footer the sealer's: an unsealed pack ends in the payload of its last
+// record, bytes a writer chose, and those may be shaped like a footer with a
+// good CRC; data appended to a pack never reaches its first bytes. The
+// records a trusted footer lists are not re-read at open, and each blob is
+// verified against its content hash when it is read, as every page-in is. A
+// pack that is not marked sealed or whose footer is missing, torn or
+// disagrees with the file — the active pack of a crashed process, a pack
+// written before footers, a pack cut by hand — is scanned instead: every
+// record's CRC verified, through one record-sized window shared by all packs
+// (seglog.Scanner), so an open holds one record in memory, not the archive. A
+// crash mid-append leaves a torn final record; the scan keeps the longest
+// valid prefix and quarantines the rest (a torn footer included) to
+// pack-<seq>.pk.torn (internal/seglog owns the scan-and-repair and the
+// numbered-file naming), and then writes the pack its footer and mark, so the
+// next open reads that instead. A sealed pack's mark is cleared before its
+// tail is cut, so a crash mid-repair never leaves a marked pack ending in a
+// record's payload.
 //
 // One pack is ACTIVE (receiving appends) at a time; at PackTargetBytes it is
 // sealed (fsynced under policies that sync, then closed) and a new one
@@ -58,8 +76,17 @@ const (
 	DefaultPackGarbageRatio = 0.5
 )
 
-// packMagic identifies a packfile (format name + version).
-var packMagic = [8]byte{'D', 'L', 'P', 'A', 'C', 'K', '0', '1'}
+// packMagic identifies a packfile (format name + version); a sealed pack
+// whose footer is durable starts with sealedPackMagic instead, the two
+// differing only in the byte at sealMarkAt.
+var (
+	packMagic       = [8]byte{'D', 'L', 'P', 'A', 'C', 'K', '0', '1'}
+	sealedPackMagic = [8]byte{'D', 'L', 'P', 'A', 'C', 'K', 'S', '1'}
+)
+
+// sealMarkAt is the offset of the seal mark: a one-byte write, which no
+// crash tears.
+const sealMarkAt = 6
 
 const (
 	packRecHdrLen = 4 + 4 + 4 // dataLen | logicalLen | crc
@@ -108,6 +135,10 @@ type packSet struct {
 	packs    map[int64]*packMeta
 	nextSeq  int64
 	closed   bool // set by close: no append opens a pack after it
+	// entries lists the active pack's records for its footer, and footer is
+	// the buffer the footer is built in: both are reused from pack to pack.
+	entries []footerEntry
+	footer  []byte
 
 	// relocMu orders pack reads against compaction's retire-and-unlink:
 	// page-ins hold it shared for the duration of the file read, compaction
@@ -216,6 +247,7 @@ func (ps *packSet) append(h extent.Hash, data []byte, logical int64, compressed 
 		_ = ps.active.Truncate(pm.size)
 		return nil, 0, fmt.Errorf("chunkdisk: pack append: %w", werr)
 	}
+	ps.entries = append(ps.entries, footerEntry{hash: h, off: pm.size, size: int64(len(data)), logical: logical, compressed: compressed})
 	pm.size = off + int64(len(data))
 	pm.live += int64(len(data))
 	pm.blobs++
@@ -274,17 +306,16 @@ func (ps *packSet) openActiveLocked() error {
 	ps.packs[seq] = pm
 	ps.active = f
 	ps.activePM = pm
+	ps.entries = ps.entries[:0]
 	ps.s.filesCreated.Add(1)
 	ps.s.packFiles.Add(1)
 	return nil
 }
 
-// retireActiveLocked takes the active pack out of service: doSync=true (a
-// seal, or a clean Close) fsyncs it first under policies that sync — a
-// sealed pack is never written again, so this is its last chance to reach
-// stable storage; doSync=false (Crash) just closes the handle. Caller holds
-// ps.mu.
-func (ps *packSet) retireActiveLocked(doSync bool) error {
+// retireActiveLocked takes the active pack out of service: clean=true (a
+// seal, or a clean Close) seals the file (sealFile); clean=false (Crash) just
+// closes the handle. Caller holds ps.mu.
+func (ps *packSet) retireActiveLocked(clean bool) error {
 	f, pm := ps.active, ps.activePM
 	if f == nil {
 		return nil
@@ -293,8 +324,9 @@ func (ps *packSet) retireActiveLocked(doSync bool) error {
 	ps.activePM = nil
 	pm.sealed = true
 	var serr error
-	if doSync && ps.s.sync.Policy() != fsyncer.PolicyNone {
-		if serr = f.Sync(); serr == nil {
+	if clean {
+		var synced bool
+		if synced, serr = ps.s.sealFile(f, ps.entries, pm.size); synced {
 			ps.s.countFsync()
 		}
 	}
@@ -479,16 +511,30 @@ func (ps *packSet) close(clean bool) error {
 	return ps.retireActiveLocked(clean)
 }
 
+// adopter is what one open reads every pack through: a footer reader and a
+// scan window, each reused from pack to pack.
+type adopter struct {
+	footers footerReader
+	sc      seglog.Scanner
+}
+
 // adoptPacks indexes the packfiles a previous process left in the directory,
-// truncating torn tails. Runs during Open, before any concurrency.
+// truncating torn tails. Runs during Open, before any concurrency. The shard
+// maps are sized first from the record counts the footers claim, so indexing
+// them does not grow them step by step.
 func (s *Store) adoptPacks() error {
 	seqs, err := s.packs.files.List()
 	if err != nil {
 		return fmt.Errorf("chunkdisk: %w", err)
 	}
-	var sc seglog.Scanner // one window for every pack of this open
-	for _, seq := range seqs {
-		if err := s.adoptOnePack(&sc, s.packs.files.Path(seq), int64(seq)); err != nil {
+	paths := make([]string, len(seqs))
+	for i, seq := range seqs {
+		paths[i] = s.packs.files.Path(seq)
+	}
+	var ad adopter
+	s.presizeIndex(&ad.footers, paths)
+	for i, seq := range seqs {
+		if err := s.adoptOnePack(&ad, paths[i], int64(seq)); err != nil {
 			return err
 		}
 		s.packs.nextSeq = int64(seq) + 1
@@ -496,67 +542,91 @@ func (s *Store) adoptPacks() error {
 	return nil
 }
 
-// adoptOnePack scans one packfile, indexing every valid record as dead (Ref
-// or a re-Put revives it) and quarantining a torn tail — or the whole file,
-// when it does not start with the pack magic: never guess at, or delete,
-// bytes that might matter.
-func (s *Store) adoptOnePack(sc *seglog.Scanner, path string, seq int64) error {
+// fileSize reports the length of an open file without the allocation of a
+// Stat.
+func fileSize(f *os.File) (int64, error) {
+	return f.Seek(0, io.SeekEnd)
+}
+
+// presizeIndex makes each shard's blob map room for its share of the records
+// the sealed packs' footers count — hashes spread evenly over the shards —
+// plus a quarter for the spread. A pack not marked sealed, or without a
+// readable trailer, counts nothing.
+func (s *Store) presizeIndex(fr *footerReader, paths []string) {
+	total := 0
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			continue
+		}
+		if size, err := fileSize(f); err == nil && readMagic(f, size) == sealedPackMagic {
+			n, _, _ := fr.trailer(f, size)
+			total += n
+		}
+		f.Close()
+	}
+	if total == 0 {
+		return
+	}
+	perShard := total/shardCount + total/(4*shardCount) + 8
+	for i := range s.shards {
+		s.shards[i].blobs = make(map[extent.Hash]blobState, perShard)
+	}
+}
+
+// readMagic returns the first bytes of a pack of size bytes: zero when it is
+// too short to hold them or they cannot be read.
+func readMagic(f *os.File, size int64) (magic [len(packMagic)]byte) {
+	if size >= int64(len(magic)) {
+		if _, err := f.ReadAt(magic[:], 0); err != nil {
+			return [len(packMagic)]byte{}
+		}
+	}
+	return magic
+}
+
+// adoptOnePack indexes one packfile, every record as dead (Ref or a re-Put
+// revives it): from its footer when it is marked sealed and the footer is
+// valid, else by scanning its records, quarantining a torn tail — or the
+// whole file, when it does not start with a pack magic: never guess at, or
+// delete, bytes that might matter — and sealing what is left.
+func (s *Store) adoptOnePack(ad *adopter, path string, seq int64) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("chunkdisk: %w", err)
 	}
 	defer f.Close()
-	info, err := f.Stat()
+	size, err := fileSize(f)
 	if err != nil {
 		return fmt.Errorf("chunkdisk: %w", err)
 	}
-	size := info.Size()
 	pm := &packMeta{seq: seq, path: path, sealed: true}
-	var magic [len(packMagic)]byte
-	if size >= int64(len(magic)) {
-		if _, err := f.ReadAt(magic[:], 0); err != nil {
+	magic := readMagic(f, size)
+	valid, trusted := int64(0), false
+	if magic == sealedPackMagic {
+		valid, trusted = ad.footers.read(f, size)
+	}
+	if !trusted && (magic == packMagic || magic == sealedPackMagic) {
+		s.scannedPacks++
+		if valid, err = s.scanPack(ad, f, size); err != nil {
 			return fmt.Errorf("chunkdisk: pack %d: %w", seq, err)
 		}
 	}
-	valid := int64(0)
-	if magic == packMagic {
-		const hdrLen = packRecHdrLen + packRecMeta
-		body := io.NewSectionReader(f, int64(len(magic)), size-int64(len(magic)))
-		n, err := sc.Scan(body, body.Size(), hdrLen, recordLen, func(rec []byte, off int64) bool {
-			h, payload, logical, compressed, _, ok := parseRecord(rec)
-			if !ok {
-				return false
+	entries := ad.footers.entries
+	if !trusted {
+		if valid == 0 {
+			// Not a pack: the file goes, its bytes quarantined.
+			if err := s.repairTail(path, size, 0); err != nil {
+				return fmt.Errorf("chunkdisk: pack %d: %w", seq, err)
 			}
-			sh := s.shardFor(h)
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			if _, dup := sh.blobs[h]; dup {
-				// The hash is already indexed by an earlier record: this
-				// record's bytes are dead space from the start.
-				pm.dead += int64(len(payload))
-				return true
-			}
-			s.indexDeadLocked(sh, h, diskMeta{size: int64(len(payload)), logical: logical, compressed: compressed, pack: seq, off: int64(len(magic)) + off + hdrLen})
-			pm.live += int64(len(payload))
-			pm.blobs++
-			return true
-		})
-		if err != nil {
+			return nil
+		}
+		if err := s.repairPack(path, size, valid, magic == sealedPackMagic, entries); err != nil {
 			return fmt.Errorf("chunkdisk: pack %d: %w", seq, err)
 		}
-		valid = int64(len(magic)) + n
 	}
-	if torn := size - valid; torn > 0 || valid == 0 {
-		// Open-time repair flushes are not metered: Stats.Fsyncs prices the
-		// write path.
-		syncing := s.sync.Policy() != fsyncer.PolicyNone
-		if err := seglog.RepairTail(path, valid, path+".torn", syncing); err != nil {
-			return fmt.Errorf("chunkdisk: pack %d: %w", seq, err)
-		}
-		s.packTornBytes.Add(torn)
-	}
-	if valid == 0 {
-		return nil // not a pack: the file is gone, its bytes quarantined
+	for i := range entries {
+		s.adoptRecord(pm, &entries[i])
 	}
 	pm.size = valid
 	s.packs.packs[seq] = pm
@@ -564,4 +634,111 @@ func (s *Store) adoptOnePack(sc *seglog.Scanner, path string, seq int64) error {
 	s.packDeadBytes.Add(pm.dead)
 	s.ctrAdd(s.mPackDead, pm.dead)
 	return nil
+}
+
+// repairTail quarantines the bytes of the size-byte file at path past valid,
+// removing the file when valid is 0. Open-time repair flushes are not
+// metered: Stats.Fsyncs prices the write path.
+func (s *Store) repairTail(path string, size, valid int64) error {
+	syncing := s.sync.Policy() != fsyncer.PolicyNone
+	if err := seglog.RepairTail(path, valid, path+".torn", syncing); err != nil {
+		return err
+	}
+	s.packTornBytes.Add(size - valid)
+	return nil
+}
+
+// repairPack cuts a scanned pack of size bytes back to its valid prefix, if
+// it has torn bytes past it, and seals what is left with the footer of the
+// records entries lists. A pack marked sealed has its mark cleared — durably,
+// under policies that sync — before the cut.
+func (s *Store) repairPack(path string, size, valid int64, marked bool, entries []footerEntry) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	if valid < size {
+		if marked {
+			err = writeSealMark(f, false)
+			if err == nil && s.sync.Policy() != fsyncer.PolicyNone {
+				err = f.Sync()
+			}
+		}
+		if err == nil {
+			err = s.repairTail(path, size, valid)
+		}
+	}
+	if err == nil {
+		_, err = s.sealFile(f, entries, valid)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// scanPack verifies the records in the first body bytes of a pack, lists
+// them in ad.footers.entries and returns where their longest valid prefix
+// ends.
+func (s *Store) scanPack(ad *adopter, f *os.File, body int64) (int64, error) {
+	const hdrLen = packRecHdrLen + packRecMeta
+	ad.footers.entries = ad.footers.entries[:0]
+	records := io.NewSectionReader(f, int64(len(packMagic)), body-int64(len(packMagic)))
+	n, err := ad.sc.Scan(records, records.Size(), hdrLen, recordLen, func(rec []byte, off int64) bool {
+		h, payload, logical, compressed, _, ok := parseRecord(rec)
+		if ok {
+			ad.footers.entries = append(ad.footers.entries, footerEntry{hash: h, off: int64(len(packMagic)) + off,
+				size: int64(len(payload)), logical: logical, compressed: compressed})
+		}
+		return ok
+	})
+	return int64(len(packMagic)) + n, err
+}
+
+// sealFile seals the pack file f, whose body is bodyLen bytes: it appends
+// the footer of the records entries lists, fsyncs the pack under policies
+// that sync — a sealed pack is never written again, so this is its last
+// chance to reach stable storage — and only then marks it sealed. It
+// reports whether it fsynced. The mark itself is not synced: a mark lost to
+// a machine crash costs the next open a scan of the pack, nothing more.
+// Under PolicyNone nothing is synced, so the page cache orders the two
+// writes and a machine crash may keep the mark without the footer: that
+// policy gives up what a machine crash leaves on disk.
+func (s *Store) sealFile(f *os.File, entries []footerEntry, bodyLen int64) (synced bool, err error) {
+	s.packs.footer = appendFooter(s.packs.footer[:0], entries, bodyLen)
+	if _, err = f.WriteAt(s.packs.footer, bodyLen); err == nil && s.afterFooterWrite != nil {
+		err = s.afterFooterWrite()
+	}
+	if err == nil && s.sync.Policy() != fsyncer.PolicyNone {
+		if err = f.Sync(); err == nil {
+			synced = true
+		}
+	}
+	if err == nil {
+		err = writeSealMark(f, true)
+	}
+	return synced, err
+}
+
+// writeSealMark sets or clears a pack's seal mark.
+func writeSealMark(f *os.File, sealed bool) error {
+	mark := packMagic[sealMarkAt : sealMarkAt+1]
+	if sealed {
+		mark = sealedPackMagic[sealMarkAt : sealMarkAt+1]
+	}
+	_, err := f.WriteAt(mark, sealMarkAt)
+	return err
+}
+
+// adoptRecord indexes one record of pack pm as dead — unless an earlier
+// record holds its hash, when its bytes are dead space from the start.
+func (s *Store) adoptRecord(pm *packMeta, e *footerEntry) {
+	sh := s.shardFor(e.hash)
+	if _, dup := sh.blobs[e.hash]; dup {
+		pm.dead += e.size
+		return
+	}
+	s.indexDeadLocked(sh, e.hash, e.meta(pm.seq))
+	pm.live += e.size
+	pm.blobs++
 }

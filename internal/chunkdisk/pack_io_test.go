@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -48,13 +49,15 @@ func TestAppendWritesTheFramesOfTheOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := append([]byte(nil), packMagic[:]...)
+	want := append([]byte(nil), sealedPackMagic[:]...)
+	var entries []footerEntry
 	add := func(data []byte, h extent.Hash) {
 		put(t, s, data, h)
 		stored, compressed := data, false
 		if z := deflate(data); len(z) < len(data) {
 			stored, compressed = z, true
 		}
+		entries = append(entries, footerEntry{hash: h, off: int64(len(want)), size: int64(len(stored)), logical: int64(len(data)), compressed: compressed})
 		want = append(want, frameRecord(h, stored, int64(len(data)), compressed)...)
 	}
 	add(compressible(3, 8<<10))
@@ -74,8 +77,15 @@ func TestAppendWritesTheFramesOfTheOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("pack is %d bytes, the oracle's frames %d; first difference at %d", len(got), len(want), firstDiff(got, want))
+	// The clean Close sealed the pack: the sealed magic, the frames, then a
+	// footer listing them.
+	var fr footerReader
+	body, ok := fr.read(bytes.NewReader(got), int64(len(got)))
+	if !ok || !reflect.DeepEqual(fr.entries, entries) {
+		t.Fatalf("the sealed pack's footer (ok=%v) lists %+v, want %+v", ok, fr.entries, entries)
+	}
+	if got = got[:body]; !bytes.Equal(got, want) {
+		t.Fatalf("pack body is %d bytes, the oracle's frames %d; first difference at %d", len(got), len(want), firstDiff(got, want))
 	}
 }
 
@@ -222,9 +232,11 @@ func TestPutAllocBudget(t *testing.T) {
 	}
 }
 
-// TestOpenAllocBudget: reopening a directory of sealed packs verifies every
-// record through one record-sized window — what it allocates is the index,
-// a small fraction of the bytes on disk.
+// TestOpenAllocBudget: reopening a directory of sealed packs allocates the
+// index, a small fraction of the bytes on disk. A footered pack costs a read
+// of its footer and nothing per record beyond the index entry; a pack
+// without one is scanned, every record verified through one record-sized
+// window.
 func TestOpenAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -255,17 +267,29 @@ func TestOpenAllocBudget(t *testing.T) {
 	if len(packs) < 64 || onDisk < 32<<20 {
 		t.Fatalf("fixture too small: %d packs, %d bytes", len(packs), onDisk)
 	}
-	var s2 *Store
-	got := allocated(func() { s2, err = Open(cfg) })
-	if err != nil {
-		t.Fatal(err)
+	reopen := func(t *testing.T, scanned int, budget uint64) {
+		var s2 *Store
+		got := allocated(func() { s2, err = Open(cfg) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		if st := s2.Stats(); st.DiskBlobs != blobs || st.PackTornBytes != 0 || s2.scannedPacks != scanned {
+			t.Fatalf("reopen adopted %d of %d blobs (%d torn bytes), scanning %d packs, want %d",
+				st.DiskBlobs, blobs, st.PackTornBytes, s2.scannedPacks, scanned)
+		}
+		if got > budget {
+			t.Fatalf("open allocated %d B over %d B of packs, budget %d", got, onDisk, budget)
+		}
+		t.Logf("open allocated %d B over %d B in %d packs", got, onDisk, len(packs))
 	}
-	defer s2.Close()
-	if st := s2.Stats(); st.DiskBlobs != blobs || st.PackTornBytes != 0 {
-		t.Fatalf("reopen adopted %d of %d blobs (%d torn bytes)", st.DiskBlobs, blobs, st.PackTornBytes)
-	}
-	if got > uint64(onDisk)/8 {
-		t.Fatalf("open allocated %d B over %d B of packs, budget 1/8", got, onDisk)
-	}
-	t.Logf("open allocated %d B over %d B in %d packs", got, onDisk, len(packs))
+	// Footered: 512 B per blob — its index entry, its share of the presized
+	// map, and of its pack's open and footer read — however large the blobs.
+	t.Run("footered", func(t *testing.T) { reopen(t, 0, blobs*512) })
+	t.Run("scanned", func(t *testing.T) {
+		for _, name := range packs {
+			stripFooter(t, filepath.Join(dir, name))
+		}
+		reopen(t, len(packs), uint64(onDisk)/8)
+	})
 }

@@ -13,6 +13,31 @@ import (
 	"datalinks/internal/fsyncer"
 )
 
+// stripFooter cuts a pack's footer off, if it has one, and clears its seal
+// mark, leaving the records to the end of the file as a crash, or a writer
+// before footers, leaves them.
+func stripFooter(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fr footerReader
+	if body, ok := fr.read(f, info.Size()); ok {
+		if err := f.Truncate(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := writeSealMark(f, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // packFilesOnDisk lists pack-*.pk files in a directory.
 func packFilesOnDisk(t *testing.T, dir string) []string {
 	t.Helper()
@@ -138,9 +163,7 @@ func TestPackTornTailEveryByteBoundary(t *testing.T) {
 		hashes = append(hashes, h)
 		put(t, s, data, h)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	s.Crash() // an active pack: records to the end, no footer
 	packs := packFilesOnDisk(t, master)
 	if len(packs) != 1 {
 		t.Fatalf("expected one pack, got %v", packs)
@@ -193,8 +216,8 @@ func TestPackTornTailEveryByteBoundary(t *testing.T) {
 				t.Fatalf("cut=%d: torn tail not quarantined: %v", cut, err)
 			}
 			info, err := os.Stat(filepath.Join(dir, packs[0]))
-			if err != nil || info.Size() != int64(lastStart) {
-				t.Fatalf("cut=%d: pack not truncated to valid prefix (%v, %d)", cut, err, info.Size())
+			if err != nil || info.Size() != int64(lastStart)+footerLen(wantRecords) {
+				t.Fatalf("cut=%d: pack not truncated to valid prefix and footered (%v, %d)", cut, err, info.Size())
 			}
 		}
 		// The truncated pack keeps accepting service: a new put + reopen.
@@ -220,12 +243,11 @@ func TestPackSecondTearKeepsFirstTearsEvidence(t *testing.T) {
 		data, h := blob(30+i, 500)
 		put(t, s, data, h)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	s.Crash()
 	pack := filepath.Join(dir, packFilesOnDisk(t, dir)[0])
 	var evidence []byte
 	for round, cut := range []int{5, 9} {
+		stripFooter(t, pack) // the open before this round wrote one
 		whole, err := os.ReadFile(pack)
 		if err != nil {
 			t.Fatal(err)

@@ -105,6 +105,11 @@ func (c *Chunk) release() {
 		liveChunks.Add(-1)
 		liveBytes.Add(-int64(len(c.data)))
 	} else if n < 0 {
+		// An invariant, not an input check: every release pairs with a
+		// retain. The model tests are its proof: TestBufferMatchesFlatModel
+		// and the archive's TestArchiveModel drive seeded schedules of
+		// writes, truncates, snapshots, restores and releases against a
+		// model, and would reach here on the first unpaired release.
 		panic("extent: chunk over-released")
 	}
 }

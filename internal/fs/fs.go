@@ -295,10 +295,9 @@ func (f *FS) resolve(p string) (*Inode, error) {
 		return nil, err
 	}
 	cur := f.root
-	if p == "/" {
-		return cur, nil
-	}
-	for _, part := range strings.Split(strings.TrimPrefix(p, "/"), "/") {
+	for rest := p[1:]; rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, "/")
 		if cur.typ != TypeDir {
 			return nil, ErrNotDir
 		}
@@ -455,22 +454,45 @@ func (f *FS) Mkdir(p string, cred Cred, mode FileMode) (*Inode, error) {
 	return n, nil
 }
 
-// MkdirAll creates p and any missing parents, ignoring ErrExist.
+// MkdirAll creates p and any missing parents, ignoring ErrExist: it returns
+// what a Mkdir of each prefix of p in turn would, stopping at the first error
+// other than ErrExist.
 func (f *FS) MkdirAll(p string, cred Cred, mode FileMode) error {
 	p, err := clean(p)
 	if err != nil {
 		return err
 	}
-	if p == "/" {
-		return nil
+	// The prefixes that exist are resolved, not made: a Mkdir of one fails
+	// with ErrNotDir under a non-directory, ErrPermission in a directory cred
+	// may not write, and with ErrExist, ignored, otherwise. A path that
+	// exists whole is resolved and nothing is made.
+	cur, rest := f.root, p[1:]
+	for rest != "" {
+		part, tail, _ := strings.Cut(rest, "/")
+		if cur.typ != TypeDir {
+			return ErrNotDir
+		}
+		if !permCheck(cur, cred, AccessWrite) {
+			return ErrPermission
+		}
+		cur.nsMu.RLock()
+		child, ok := cur.children[part]
+		cur.nsMu.RUnlock()
+		if !ok {
+			break
+		}
+		cur, rest = child, tail
 	}
-	parts := strings.Split(strings.TrimPrefix(p, "/"), "/")
-	cur := ""
-	for _, part := range parts {
-		cur += "/" + part
-		if _, err := f.Mkdir(cur, cred, mode); err != nil && !errors.Is(err, ErrExist) {
+	// Each prefix from the first missing one on is made, p[:end] for every
+	// separator after it and the end of p.
+	for end := len(p) - len(rest); rest != ""; {
+		part, tail, _ := strings.Cut(rest, "/")
+		end += len(part)
+		if _, err := f.Mkdir(p[:end], cred, mode); err != nil && !errors.Is(err, ErrExist) {
 			return err
 		}
+		end++ // the separator
+		rest = tail
 	}
 	return nil
 }

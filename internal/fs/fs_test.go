@@ -2,6 +2,7 @@ package fs
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -365,5 +366,65 @@ func TestPathCleaning(t *testing.T) {
 	}
 	if _, err := f.Lookup(""); !errors.Is(err, ErrInvalid) {
 		t.Errorf("empty path: %v", err)
+	}
+}
+
+// mkdirEachPrefix is how MkdirAll worked before it resolved the existing
+// part of a path: a Mkdir of every prefix in turn, ErrExist ignored. It is
+// the oracle for what MkdirAll returns and makes.
+func mkdirEachPrefix(f *FS, p string, cred Cred, mode FileMode) error {
+	p, err := clean(p)
+	if err != nil || p == "/" {
+		return err
+	}
+	cur := ""
+	for _, part := range strings.Split(p[1:], "/") {
+		cur += "/" + part
+		if _, err := f.Mkdir(cur, cred, mode); err != nil && !errors.Is(err, ErrExist) {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestMkdirAllReturnsWhatEachMkdirWould: over a tree with a file, a
+// directory anyone may write and one only root may, MkdirAll gives
+// every path and caller the error, and leaves the tree, that a Mkdir of each
+// prefix gives — an existing path included, which it resolves rather than
+// makes.
+func TestMkdirAllReturnsWhatEachMkdirWould(t *testing.T) {
+	build := func() *FS {
+		f := New()
+		for _, d := range []string{"/pub", "/locked/in"} {
+			if err := f.MkdirAll(d, root, 0o777); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := f.Create("/pub/file", root, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		locked, _ := f.Lookup("/locked")
+		if err := f.Chmod(locked, root, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	paths := []string{"/", "pub", "/pub", "/pub/", "/pub/a/b", "/pub/./a/../c", "/pub/file", "/pub/file/x",
+		"/locked", "/locked/in", "/locked/in/x", "/locked/new", "/new/deep/er", ""}
+	for _, cred := range []Cred{root, alice, bob} {
+		for _, p := range paths {
+			got, want := build(), build()
+			gotErr, wantErr := got.MkdirAll(p, cred, 0o755), mkdirEachPrefix(want, p, cred, 0o755)
+			if gotErr != wantErr {
+				t.Errorf("uid %d, MkdirAll(%q) = %v, a Mkdir of each prefix %v", cred.UID, p, gotErr, wantErr)
+			}
+			for _, q := range []string{"/pub/a/b", "/pub/c", "/locked/in/x", "/locked/new", "/new/deep/er"} {
+				_, gerr := got.Lookup(q)
+				_, werr := want.Lookup(q)
+				if gerr != werr {
+					t.Errorf("uid %d, after MkdirAll(%q): %s is %v, %v after a Mkdir of each prefix", cred.UID, p, q, gerr, werr)
+				}
+			}
+		}
 	}
 }

@@ -8,14 +8,16 @@ package seglog_test
 // the current code must recover exactly the records, stats and torn-byte
 // counts pinned below.
 //
-// Two pairs of fixtures are the two sides of a format change instead. repo is
-// the gob era: sqlmini logged gob payloads until PR 18, nothing writes those
-// any more, so it has no writer and is only opened and recovered. repo-v2 is
-// the same kind of repository written by PR 18's fixed-layout payload codec
-// and segment-sealing checkpoint, checked both ways. chunks holds a blob in
-// the loose one-file-per-hash layout nothing writes any more: it is only
-// opened, which moves that blob into a pack. chunks-v2 is the same inputs
-// written by the current code, every blob packed, checked both ways.
+// Two series of fixtures are the sides of format changes instead; only the
+// newest of each has a writer, the older ones are only opened and recovered.
+// repo is the gob era: sqlmini logged gob payloads until PR 18. repo-v2 is
+// the same kind of repository written by the fixed-layout payload codec and
+// the segment-sealing checkpoint, its repo.snap still a gob image. repo-v3 is
+// repo-v2's inputs written by the current code, repo.snap in the payload
+// codec's fixed layout. chunks holds a blob in the loose one-file-per-hash
+// layout: opening it moves that blob into a pack. chunks-v2 is the same
+// inputs with every blob packed, no pack footered; chunks-v3 is them written
+// by the current code, the sealed packs footered and the crashed one not.
 
 import (
 	"bytes"
@@ -41,21 +43,20 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden from the code under test")
 
 func TestGoldenFixtures(t *testing.T) {
-	// repo-v2 runs first: repo.snap is a gob stream, whose user type ids are
-	// handed out per process in order of first use — the write must see the
-	// same fresh process state the fixture's writer saw.
 	fixtures := []struct {
 		name  string
 		write func(t *testing.T, dir string) // nil: read-only fixture
 		check func(t *testing.T, dir string)
 	}{
-		{"repo-v2", writeRepoV2, checkRepoV2},
 		{"repo", nil, checkRepo},
+		{"repo-v2", nil, checkRepoV2},
+		{"repo-v3", writeRepoV3, checkRepoV3},
 		{"wal", writeWAL, checkWAL},
 		{"catalog", writeCatalog, checkCatalog},
 		{"catalog-v2", writeCatalogV2, checkCatalogV2},
 		{"chunks", nil, checkChunks},
-		{"chunks-v2", writeChunksV2, checkChunksV2},
+		{"chunks-v2", nil, checkChunksV2},
+		{"chunks-v3", writeChunksV3, checkChunksV3},
 	}
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
@@ -150,14 +151,15 @@ func checkWAL(t *testing.T, dir string) {
 	}
 }
 
-// --- repo-v2: a checkpointed sqlmini repository (repo.snap + WAL tail) ---
+// --- repo-v2, repo-v3: a checkpointed sqlmini repository (repo.snap + WAL
+// tail), its snapshot a gob image in v2 and the fixed layout in v3 ---
 
-// goldenTime is the TIMESTAMP the v2 fixture logs.
+// goldenTime is the TIMESTAMP the v2 and v3 fixtures log.
 var goldenTime = time.Date(2001, 4, 2, 9, 30, 0, 123456789, time.UTC)
 
-// writeRepoV2 logs every payload op and every value kind after a checkpoint,
+// writeRepoV3 logs every payload op and every value kind after a checkpoint,
 // across a segment rotation, and tears the last transaction's commit record.
-func writeRepoV2(t *testing.T, dir string) {
+func writeRepoV3(t *testing.T, dir string) {
 	lg, err := wal.Open(wal.Config{Dir: dir, SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +186,27 @@ func writeRepoV2(t *testing.T, dir string) {
 	tear(t, lastMatch(t, dir, "wal-*.log"), 3)
 }
 
+// checkRepoV2 recovers the fixture whose repo.snap is a gob image: a gob
+// stream starts with a message length, never zero.
 func checkRepoV2(t *testing.T, dir string) {
+	if snap := readFile(t, filepath.Join(dir, "repo.snap")); snap[4] == 0x00 {
+		t.Fatal("repo-v2's repo.snap is not a gob image")
+	}
+	checkCheckpointedRepo(t, dir)
+}
+
+// checkRepoV3 recovers the fixture whose repo.snap is in the fixed layout,
+// which starts with 0x00 after the file's CRC.
+func checkRepoV3(t *testing.T, dir string) {
+	if snap := readFile(t, filepath.Join(dir, "repo.snap")); snap[4] != 0x00 {
+		t.Fatal("repo-v3's repo.snap is not in the fixed layout")
+	}
+	checkCheckpointedRepo(t, dir)
+}
+
+// checkCheckpointedRepo holds a recovered repo-v2 or repo-v3 to what
+// writeRepoV3 logged.
+func checkCheckpointedRepo(t *testing.T, dir string) {
 	if segs := matches(t, dir, "wal-*.log"); len(segs) != 2 {
 		t.Fatalf("fixture has segments %v, want two", segs)
 	}
@@ -241,7 +263,7 @@ func checkRepoV2(t *testing.T, dir string) {
 // --- repo: the gob-era repository, read-only ---
 
 // The fixture was written by the code before PR 18 from the inputs of
-// writeRepoV2 less everything between the UPDATE and the last INSERT, with a
+// writeRepoV3 less everything between the UPDATE and the last INSERT, with a
 // 512-byte segment bound; its log payloads are gob streams.
 func checkRepo(t *testing.T, dir string) {
 	lg, err := wal.Open(wal.Config{Dir: dir, SegmentBytes: 512})
@@ -504,7 +526,8 @@ func checkCatalogV2(t *testing.T, dir string) {
 }
 
 // --- chunks: a sealed pack, an unsealed pack with a torn tail and a loose
-// blob (read-only); chunks-v2: the same blobs all packed, the last pack torn ---
+// blob (read-only); chunks-v2 (read-only) and chunks-v3: the same blobs all
+// packed, the last pack torn, only v3's sealed packs footered ---
 
 var chunksConfig = chunkdisk.Config{MemoryBudget: 16, Compress: true, PackTargetBytes: 2048}
 
@@ -584,7 +607,7 @@ func checkChunks(t *testing.T, dir string) {
 	serveChunks(t, s, filepath.Join(dir, "pack-00000002.pk"))
 }
 
-func writeChunksV2(t *testing.T, dir string) {
+func writeChunksV3(t *testing.T, dir string) {
 	s := openChunks(t, dir)
 	for _, i := range []int{0, 1, 2, 3, 9, 4, 5} {
 		data, h := chunkBlob(i)
@@ -599,7 +622,21 @@ func writeChunksV2(t *testing.T, dir string) {
 	tear(t, lastMatch(t, dir, "pack-*.pk"), 13)
 }
 
+// checkChunksV2 opens the fixture whose packs have no footers: the open
+// scans every pack and leaves each one footered.
 func checkChunksV2(t *testing.T, dir string) {
+	checkFooters(t, dir, false, false, false)
+	checkPackedChunks(t, dir)
+}
+
+// checkChunksV3 opens the fixture whose sealed packs are footered and whose
+// crashed pack is not: the open repairs that one and footers it too.
+func checkChunksV3(t *testing.T, dir string) {
+	checkFooters(t, dir, true, true, false)
+	checkPackedChunks(t, dir)
+}
+
+func checkPackedChunks(t *testing.T, dir string) {
 	s := openChunks(t, dir)
 	defer s.Close()
 	want := chunkdisk.Stats{DiskBlobs: 6, DiskBytes: 4012, DiskLogicalBytes: 4600, DeadBlobs: 6, PackFiles: 3, PackTornBytes: 682}
@@ -607,6 +644,24 @@ func checkChunksV2(t *testing.T, dir string) {
 		t.Fatalf("open stats %+v, want %+v", got, want)
 	}
 	serveChunks(t, s, lastMatch(t, dir, "pack-*.pk"))
+	checkFooters(t, dir, true, true, true)
+}
+
+// checkFooters holds each pack in dir, in order, to being sealed — starting
+// with the sealed pack magic and ending in the footer magic — or neither.
+func checkFooters(t *testing.T, dir string, footered ...bool) {
+	t.Helper()
+	packs := matches(t, dir, "pack-*.pk")
+	if len(packs) != len(footered) {
+		t.Fatalf("packs %v, want %d", packs, len(footered))
+	}
+	for i, path := range packs {
+		pack := readFile(t, path)
+		marked, ends := bytes.HasPrefix(pack, []byte("DLPACKS1")), bytes.HasSuffix(pack, []byte("DLPFOOT1"))
+		if marked != footered[i] || ends != footered[i] {
+			t.Errorf("%s: sealed mark %v, footer %v, want %v", filepath.Base(path), marked, ends, footered[i])
+		}
+	}
 }
 
 // --- helpers ---

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"datalinks/internal/seglog"
 	"datalinks/internal/wal"
@@ -216,16 +217,136 @@ func (db *DB) applySnapshot(snap *dbSnapshot) error {
 	return nil
 }
 
-// encodeSnapshot returns prefix followed by the gob image of snap.
-func encodeSnapshot(prefix []byte, snap *dbSnapshot) []byte {
-	buf := bytes.NewBuffer(prefix)
-	if err := gob.NewEncoder(buf).Encode(snap); err != nil {
-		panic(fmt.Sprintf("sqlmini: snapshot encode: %v", err)) // all types are gob-safe
+// The stored form of a dbSnapshot, version 1, built from the log payload's
+// own pieces (payload.go): strings, rows and column lists are laid out as a
+// payload lays them out.
+//
+//	0x00 | version | anchor LSN | next txn | table count | tables
+//
+//	table = name string | columns | index count, then each indexed column's
+//	        position | next row id | row count, then per row its row id and
+//	        the row
+//
+// Every number is a uvarint. The leading 0x00 is what tells this layout from
+// the gob image repo.snap held before it: a gob stream starts with a message
+// length, which is never zero. Old images stay readable (decodeGobSnapshot);
+// nothing writes them any more.
+const (
+	snapMagic   byte = 0x00
+	snapVersion byte = 1
+)
+
+// snapshotLen bounds the encoded size of snap (a TIMESTAMP may come out a
+// byte under its bound), so encodeSnapshot allocates once.
+func snapshotLen(snap *dbSnapshot) int {
+	n := 2 + uvarintLen(uint64(snap.SnapLSN)) + uvarintLen(snap.NextTxn) + uvarintLen(uint64(len(snap.Tables)))
+	for i := range snap.Tables {
+		ts := &snap.Tables[i]
+		n += stringLen(ts.Name) + columnsLen(ts.Columns) + uvarintLen(uint64(len(ts.Indexes))) +
+			uvarintLen(uint64(ts.NextID)) + uvarintLen(uint64(len(ts.Rows)))
+		for _, ci := range ts.Indexes {
+			n += uvarintLen(uint64(ci))
+		}
+		for j := range ts.Rows {
+			n += uvarintLen(uint64(ts.RowIDs[j])) + rowLen(ts.Rows[j])
+		}
 	}
-	return buf.Bytes()
+	return n
 }
 
+// encodeSnapshot returns prefix followed by the stored form of snap.
+func encodeSnapshot(prefix []byte, snap *dbSnapshot) []byte {
+	b := append(make([]byte, 0, len(prefix)+snapshotLen(snap)), prefix...)
+	b = append(b, snapMagic, snapVersion)
+	b = binary.AppendUvarint(b, uint64(snap.SnapLSN))
+	b = binary.AppendUvarint(b, snap.NextTxn)
+	b = binary.AppendUvarint(b, uint64(len(snap.Tables)))
+	for i := range snap.Tables {
+		ts := &snap.Tables[i]
+		b = appendString(b, ts.Name)
+		b = appendColumns(b, ts.Columns)
+		b = binary.AppendUvarint(b, uint64(len(ts.Indexes)))
+		for _, ci := range ts.Indexes {
+			b = binary.AppendUvarint(b, uint64(ci))
+		}
+		b = binary.AppendUvarint(b, uint64(ts.NextID))
+		b = binary.AppendUvarint(b, uint64(len(ts.Rows)))
+		for j := range ts.Rows {
+			b = binary.AppendUvarint(b, uint64(ts.RowIDs[j]))
+			b = appendRow(b, ts.Rows[j])
+		}
+	}
+	return b
+}
+
+// decodeSnapshot is the inverse of encodeSnapshot; an image that does not
+// start with 0x00 goes to the gob decoder. The rows share one string copy of
+// b and a few blocks of values (see newSharedReader): a snapshot's rows are
+// installed as they are, so the copy stays reachable while any of them holds
+// a string cut from it. Table and column names, which live as long as their
+// tables, are copied out of it, so they never keep it.
 func decodeSnapshot(b []byte) (*dbSnapshot, error) {
+	if len(b) == 0 || b[0] != snapMagic {
+		return decodeGobSnapshot(b)
+	}
+	r := newSharedReader(b[1:])
+	r.field = "snapshot version"
+	if r.byte() != snapVersion {
+		r.fail()
+	}
+	r.field = "snapshot header"
+	snap := &dbSnapshot{SnapLSN: wal.LSN(r.uvarint()), NextTxn: r.uvarint()}
+	// A table takes at least a name, a column list, an index count, a next
+	// row id and a row count: a byte each.
+	snap.Tables = make([]tableSnap, r.count(5))
+	for i := range snap.Tables {
+		ts := &snap.Tables[i]
+		r.field = "table name"
+		ts.Name = strings.Clone(r.str())
+		r.field = "column list"
+		ts.Columns = r.columns()
+		for j := range ts.Columns {
+			ts.Columns[j].Name = strings.Clone(ts.Columns[j].Name)
+		}
+		r.field = "index list"
+		if n := r.count(1); n > 0 {
+			ts.Indexes = make([]int, n)
+			for j := range ts.Indexes {
+				ci := r.uvarint()
+				if ci >= uint64(len(ts.Columns)) {
+					r.fail()
+				}
+				ts.Indexes[j] = int(ci)
+			}
+		}
+		r.field = "row list"
+		ts.NextID = RowID(r.uvarint())
+		// A row takes at least its id and its value count.
+		if n := r.count(2); n > 0 {
+			ts.RowIDs, ts.Rows = make([]RowID, n), make([]Row, n)
+			for j := range ts.Rows {
+				ts.RowIDs[j] = RowID(r.uvarint())
+				ts.Rows[j] = r.row()
+			}
+		}
+		if r.err != nil {
+			break
+		}
+	}
+	r.field = "trailing bytes"
+	if len(r.b) > 0 {
+		r.fail()
+	}
+	if r.err != nil {
+		return nil, fmt.Errorf("sqlmini: snapshot decode: %w", r.err)
+	}
+	return snap, nil
+}
+
+// decodeGobSnapshot reads the gob image of a dbSnapshot: read-only, for a
+// repo.snap written before the stored form above. Nothing encodes it any
+// more.
+func decodeGobSnapshot(b []byte) (*dbSnapshot, error) {
 	var snap dbSnapshot
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("sqlmini: snapshot decode: %w", err)
@@ -233,8 +354,8 @@ func decodeSnapshot(b []byte) (*dbSnapshot, error) {
 	return &snap, nil
 }
 
-// writeSnapFile persists the snapshot as repo.snap: a CRC-32 of the gob image,
-// then the image. The replace is always fsynced, whatever the WAL's policy:
+// writeSnapFile persists the snapshot as repo.snap: a CRC-32 of the stored
+// form, then the stored form. The replace is always fsynced, whatever the WAL's policy:
 // the caller deletes the log segments this file supersedes, and a failure to
 // make it (or its rename) durable must stop that.
 func writeSnapFile(dir string, snap *dbSnapshot) error {

@@ -141,22 +141,19 @@ func appendRow(b []byte, r Row) []byte {
 	return b
 }
 
-// encodePayload lays p out in one buffer sized up front.
-func encodePayload(p logPayload) []byte {
-	n := 3 + stringLen(p.Table) + uvarintLen(uint64(p.Row)) + rowLen(p.Before) + rowLen(p.After) +
-		uvarintLen(uint64(len(p.Cols))) + stringLen(p.Col)
-	for i := range p.Cols {
-		n += stringLen(p.Cols[i].Name) + 5 + uvarintLen(zigzag(int64(p.Cols[i].DL.TokenTTLSecs)))
+// columnsLen is the encoded size of cols.
+func columnsLen(cols []Column) int {
+	n := uvarintLen(uint64(len(cols)))
+	for i := range cols {
+		n += stringLen(cols[i].Name) + 5 + uvarintLen(zigzag(int64(cols[i].DL.TokenTTLSecs)))
 	}
-	b := make([]byte, 0, n)
-	b = append(b, payloadMagic, payloadVersion, byte(p.Op))
-	b = appendString(b, p.Table)
-	b = binary.AppendUvarint(b, uint64(p.Row))
-	b = appendRow(b, p.Before)
-	b = appendRow(b, p.After)
-	b = binary.AppendUvarint(b, uint64(len(p.Cols)))
-	for i := range p.Cols {
-		c := &p.Cols[i]
+	return n
+}
+
+func appendColumns(b []byte, cols []Column) []byte {
+	b = binary.AppendUvarint(b, uint64(len(cols)))
+	for i := range cols {
+		c := &cols[i]
 		var flags byte
 		if c.PrimaryKey {
 			flags |= colPrimaryKey
@@ -171,6 +168,20 @@ func encodePayload(p logPayload) []byte {
 		b = append(b, byte(c.Kind), flags, byte(c.DL.Mode.Integrity), byte(c.DL.Mode.Read), byte(c.DL.Mode.Write))
 		b = binary.AppendVarint(b, int64(c.DL.TokenTTLSecs))
 	}
+	return b
+}
+
+// encodePayload lays p out in one buffer sized up front.
+func encodePayload(p logPayload) []byte {
+	n := 3 + stringLen(p.Table) + uvarintLen(uint64(p.Row)) + rowLen(p.Before) + rowLen(p.After) +
+		columnsLen(p.Cols) + stringLen(p.Col)
+	b := make([]byte, 0, n)
+	b = append(b, payloadMagic, payloadVersion, byte(p.Op))
+	b = appendString(b, p.Table)
+	b = binary.AppendUvarint(b, uint64(p.Row))
+	b = appendRow(b, p.Before)
+	b = appendRow(b, p.After)
+	b = appendColumns(b, p.Cols)
 	return appendString(b, p.Col)
 }
 
@@ -178,10 +189,31 @@ func encodePayload(p logPayload) []byte {
 // sets err — naming the top-level field being read — and every later read
 // returns zero values, so a decoder checks once, at the end. Nothing is sized
 // by a claim that was not first checked against the bytes remaining.
+//
+// A reader with s set (a snapshot's: see newSharedReader) copies nothing per
+// value: strings are cut out of s and rows carved out of shared blocks.
 type payloadReader struct {
 	b     []byte
 	field string
 	err   error
+
+	s     string  // the bytes b started as, when set
+	block []Value // the unclaimed rest of the block rows are carved from
+	grown int     // the length of that block
+}
+
+// rowBlock is how many values a shared block holds, at most. Blocks double
+// from a small one up to it, so a snapshot of a handful of rows costs a
+// handful of values and one of thousands a few blocks.
+const rowBlock = 512
+
+// newSharedReader reads b through one string copy of it. Every string it
+// returns is a piece of that copy and every row a piece of a block shared
+// with its neighbours, so a string keeps the whole copy reachable, and a row
+// its block, for as long as either is held — as the catalog's Arena says of
+// its record blocks.
+func newSharedReader(b []byte) payloadReader {
+	return payloadReader{b: b, s: string(b)}
 }
 
 func (r *payloadReader) fail() {
@@ -223,7 +255,31 @@ func (r *payloadReader) varint() int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-func (r *payloadReader) str() string { return string(r.take(r.uvarint())) }
+func (r *payloadReader) str() string {
+	n := r.uvarint()
+	at := len(r.s) - len(r.b)
+	b := r.take(n)
+	if r.s == "" || b == nil {
+		return string(b)
+	}
+	return r.s[at : at+len(b)]
+}
+
+// newRow makes a row of n values, from the shared blocks when the reader has
+// them; a row is capped at its length, so an append to it never writes into
+// its neighbour.
+func (r *payloadReader) newRow(n int) Row {
+	if r.s == "" || n > rowBlock/4 {
+		return make(Row, n)
+	}
+	if n > len(r.block) {
+		r.grown = min(max(2*r.grown, 16, n), rowBlock)
+		r.block = make([]Value, r.grown)
+	}
+	row := r.block[:n:n]
+	r.block = r.block[n:]
+	return row
+}
 
 // count reads an element count, refusing one the remaining bytes cannot hold
 // at minBytes per element.
@@ -241,7 +297,7 @@ func (r *payloadReader) row() Row {
 	if n == 0 {
 		return nil
 	}
-	row := make(Row, n)
+	row := r.newRow(n)
 	for i := range row {
 		v := &row[i]
 		v.K = Kind(r.byte())

@@ -70,9 +70,10 @@ type DB struct {
 	outcome map[uint64]bool
 
 	// Failures nobody waits on, counted for an operator: a participant's
-	// phase-2 commit or abort (it re-resolves at its recovery) and an
-	// automatic checkpoint (the log stays authoritative).
-	xrmCommitFailures, xrmAbortFailures, ckptFailures *metrics.Counter
+	// phase-2 commit or abort (it re-resolves at its recovery), an automatic
+	// checkpoint (the log stays authoritative) and the in-memory undo of a
+	// change whose log append failed (see undoFailed).
+	xrmCommitFailures, xrmAbortFailures, ckptFailures, undoFailures *metrics.Counter
 
 	// Checkpointing: dir holds repo.snap (empty = never checkpoint),
 	// ckptBytes is the automatic trigger, ckptMu serializes checkpoints.
@@ -96,8 +97,8 @@ type Options struct {
 	Log *wal.Log
 	// Metrics, when set, receives the lock manager's contention counters
 	// (sqlmini.lock.waits / wait_ns / shard_collisions) and the failure
-	// counters sqlmini.xrm.commit_failures, sqlmini.xrm.abort_failures and
-	// sqlmini.checkpoint.failures.
+	// counters sqlmini.xrm.commit_failures, sqlmini.xrm.abort_failures,
+	// sqlmini.checkpoint.failures and sqlmini.undo_failures.
 	Metrics *metrics.Registry
 	// Dir is where checkpoints write the repo.snap snapshot, usually the
 	// log's own directory. Empty means the database never checkpoints and
@@ -137,6 +138,7 @@ func NewDB(opts Options) *DB {
 	db.xrmCommitFailures = counter("sqlmini.xrm.commit_failures")
 	db.xrmAbortFailures = counter("sqlmini.xrm.abort_failures")
 	db.ckptFailures = counter("sqlmini.checkpoint.failures")
+	db.undoFailures = counter("sqlmini.undo_failures")
 	if opts.Metrics != nil {
 		db.lm.AttachMetrics(
 			opts.Metrics.Counter("sqlmini.lock.waits"),
@@ -357,7 +359,7 @@ func (t *Txn) DeleteRow(tbl *Table, id RowID) error {
 	}
 	tbl.Delete(id)
 	if err := t.logChange(logPayload{Op: opDelete, Table: tbl.Name, Row: id, Before: old}); err != nil {
-		_ = tbl.InsertAt(id, old)
+		t.undoFailed(tbl.InsertAt(id, old))
 		return err
 	}
 	return nil
@@ -383,10 +385,22 @@ func (t *Txn) UpdateRow(tbl *Table, id RowID, new Row) error {
 		return err
 	}
 	if err := t.logChange(logPayload{Op: opUpdate, Table: tbl.Name, Row: id, Before: old, After: new}); err != nil {
-		_, _ = tbl.Update(id, old)
+		_, uerr := tbl.Update(id, old)
+		t.undoFailed(uerr)
 		return err
 	}
 	return nil
+}
+
+// undoFailed counts, in sqlmini.undo_failures, an in-memory undo that failed
+// after the change's log append did. It can: the row lock covers the row,
+// not its old key, so between the change and its undo another transaction
+// may take the primary key the undo puts back. The table then keeps the
+// unlogged change until restart recovery rebuilds it from the log.
+func (t *Txn) undoFailed(err error) {
+	if err != nil {
+		t.db.undoFailures.Inc()
+	}
 }
 
 // readLockRow takes a shared lock for reads within the transaction.

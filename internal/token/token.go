@@ -47,16 +47,22 @@ func (t Type) String() string {
 
 // ParseType inverts String.
 func ParseType(s string) (Type, error) {
+	if t, ok := parseType(s); ok {
+		return t, nil
+	}
+	return 0, fmt.Errorf("token: unknown type %q", s)
+}
+
+func parseType(s string) (Type, bool) {
 	switch s {
 	case "r":
-		return Read, nil
+		return Read, true
 	case "w":
-		return Write, nil
+		return Write, true
 	case "x":
-		return Execute, nil
-	default:
-		return 0, fmt.Errorf("token: unknown type %q", s)
+		return Execute, true
 	}
+	return 0, false
 }
 
 // Covers reports whether a token of type t authorizes access needing `need`.
@@ -122,9 +128,13 @@ func NewAuthority(key []byte, clock func() time.Time, ttl time.Duration) *Author
 	return a
 }
 
+// macLen is the length of a token's MAC: the first 16 bytes of the HMAC, in
+// hex.
+const macLen = 32
+
 // mac computes the HMAC over the token's canonical form,
-// "<type>\x00<path>\x00<expiry>".
-func (a *Authority) mac(typ Type, path string, expiry int64) string {
+// "<type>\x00<path>\x00<expiry>", into hex.
+func (a *Authority) mac(hexMAC *[macLen]byte, typ Type, path string, expiry int64) {
 	st := a.macs.Get().(*macState)
 	defer a.macs.Put(st)
 	b := append(st.buf[:0], typ.String()...)
@@ -137,45 +147,48 @@ func (a *Authority) mac(typ Type, path string, expiry int64) string {
 	n := len(b)
 	b = st.h.Sum(b)
 	st.buf = b
-	return hex.EncodeToString(b[n : n+16])
+	hex.Encode(hexMAC[:], b[n:n+macLen/2])
 }
 
 // Issue creates a signed token string authorizing `typ` access to path.
 // Format: <type>:<expiry-unix>:<mac>.
 func (a *Authority) Issue(typ Type, path string) string {
-	expiry := a.clock().Add(a.ttl).Unix()
-	return fmt.Sprintf("%s:%d:%s", typ, expiry, a.mac(typ, path, expiry))
+	return a.IssueWithTTL(typ, path, a.ttl)
 }
 
 // IssueWithTTL creates a token with a caller-chosen lifetime.
 func (a *Authority) IssueWithTTL(typ Type, path string, ttl time.Duration) string {
 	expiry := a.clock().Add(ttl).Unix()
-	return fmt.Sprintf("%s:%d:%s", typ, expiry, a.mac(typ, path, expiry))
+	var sum [macLen]byte
+	a.mac(&sum, typ, path, expiry)
+	return fmt.Sprintf("%s:%d:%s", typ, expiry, sum[:])
 }
 
 // Validate checks a token string against the path it is being used for and
-// returns the decoded token.
+// returns the decoded token. It allocates nothing.
 func (a *Authority) Validate(tok, path string) (Token, error) {
-	parts := strings.SplitN(tok, ":", 3)
-	if len(parts) != 3 {
+	typStr, rest, ok1 := strings.Cut(tok, ":")
+	expStr, macStr, ok2 := strings.Cut(rest, ":")
+	if !ok1 || !ok2 {
 		return Token{}, ErrBadToken
 	}
-	typ, err := ParseType(parts[0])
-	if err != nil {
+	typ, ok := parseType(typStr)
+	if !ok {
 		return Token{}, ErrBadToken
 	}
-	expiry, err := strconv.ParseInt(parts[1], 10, 64)
+	expiry, err := strconv.ParseInt(expStr, 10, 64)
 	if err != nil {
 		return Token{}, ErrBadToken
 	}
 	// One encoding only: "+1060" and "01060" parse to the 1060 Issue writes,
 	// but only "1060" is that token.
 	var canon [20]byte
-	if string(strconv.AppendInt(canon[:0], expiry, 10)) != parts[1] {
+	if string(strconv.AppendInt(canon[:0], expiry, 10)) != expStr {
 		return Token{}, ErrBadToken
 	}
-	want := a.mac(typ, path, expiry)
-	if !hmac.Equal([]byte(want), []byte(parts[2])) {
+	var want, got [macLen]byte
+	a.mac(&want, typ, path, expiry)
+	if len(macStr) != macLen || !hmac.Equal(want[:], got[:copy(got[:], macStr)]) {
 		// Distinguish wrong-path from forged-MAC only as far as telling the
 		// caller validation failed; both are rejections.
 		return Token{}, ErrBadMAC

@@ -110,7 +110,9 @@ func FuzzValidate(f *testing.F) {
 			return
 		}
 		expiry := got.Expiry.Unix()
-		if re := fmt.Sprintf("%s:%d:%s", got.Type, expiry, a.mac(got.Type, path, expiry)); re != tok || got.Path != path {
+		var sum [macLen]byte
+		a.mac(&sum, got.Type, path, expiry)
+		if re := fmt.Sprintf("%s:%d:%s", got.Type, expiry, sum[:]); re != tok || got.Path != path {
 			t.Fatalf("accepted %q for %q, which re-encodes to %q for %q", tok, path, re, got.Path)
 		}
 	})
@@ -227,7 +229,9 @@ func TestMacMatchesFreshHMAC(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				typ, path, expiry := Type(i%3+1), fmt.Sprintf("/d/%d/f%d.bin", g, i), int64(1_700_000_000+i*g)
-				if got := a.mac(typ, path, expiry); got != want(typ, path, expiry) {
+				var sum [macLen]byte
+				a.mac(&sum, typ, path, expiry)
+				if got := string(sum[:]); got != want(typ, path, expiry) {
 					t.Errorf("mac(%s, %s, %d) = %s, want %s", typ, path, expiry, got, want(typ, path, expiry))
 					return
 				}
@@ -235,4 +239,25 @@ func TestMacMatchesFreshHMAC(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestValidateAllocsNothing: validating a good token — the check every token
+// open makes — allocates nothing: the fields are cut out of the token where
+// it lies and the MAC is computed and compared in arrays on the stack.
+func TestValidateAllocsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	a := NewAuthority([]byte("secret"), fixedClock(time.Unix(1_700_000_000, 0)), time.Minute)
+	tok := a.Issue(Read, "/movies/clip.mpg")
+	if _, err := a.Validate(tok, "/movies/clip.mpg"); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := a.Validate(tok, "/movies/clip.mpg"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Validate allocates %.1f objects per call, want 0", n)
+	}
 }
