@@ -1,7 +1,8 @@
-// Benchmarks, one per reproduced table/figure of the paper (see DESIGN.md's
-// experiment index). Each exercises the hot path of its experiment under
-// testing.B; the full paper-style tables are generated by cmd/dlbench, which
-// shares the same harness code.
+// Benchmarks of the data plane's cost shape: a large-file commit and read
+// that must track the edited range, not the file, and a batched small-commit
+// storm across fsync policies. The paper's tables and figures are generated
+// by cmd/dlbench (dlbench -exp <ID>), which TestRunAllExperiments runs; the
+// end-to-end performance ledger is the bench module.
 package datalinks_test
 
 import (
@@ -14,7 +15,6 @@ import (
 
 	"datalinks"
 	"datalinks/internal/archive"
-	"datalinks/internal/harness"
 )
 
 // benchSystem builds a system with one linked file and returns tokenized
@@ -72,370 +72,6 @@ func (r *benchRig) writeURL(b *testing.B) string {
 		b.Fatal(err)
 	}
 	return url
-}
-
-// BenchmarkT1ControlModes measures the enforcement check itself: an open
-// attempt against each control mode (Table 1 semantics on the hot path).
-func BenchmarkT1ControlModes(b *testing.B) {
-	for _, mode := range []string{"RFF", "RFB", "RDB", "RFD", "RDD"} {
-		b.Run(mode, func(b *testing.B) {
-			rig := newBenchRig(b, mode, 4096)
-			defer rig.sys.Close()
-			url := "dlfs://fs1/bench/file.bin"
-			if mode == "RDB" || mode == "RDD" {
-				url = rig.readURL(b)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f, err := rig.sess.OpenRead(url)
-				if err != nil {
-					b.Fatal(err)
-				}
-				f.Close()
-			}
-		})
-	}
-}
-
-// BenchmarkF1ArchitectureDump regenerates the Figure 1 component inventory.
-func BenchmarkF1ArchitectureDump(b *testing.B) {
-	e, ok := harness.Find("F1")
-	if !ok {
-		b.Fatal("F1 not registered")
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkF2ApplicationView regenerates the Figure 2 walk-through.
-func BenchmarkF2ApplicationView(b *testing.B) {
-	e, ok := harness.Find("F2")
-	if !ok {
-		b.Fatal("F2 not registered")
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE3TokenRetrieval is the §3.2 host-side cost: SELECT of a
-// DATALINK column with token generation vs a plain column.
-func BenchmarkE3TokenRetrieval(b *testing.B) {
-	rig := newBenchRig(b, "RDD", 64)
-	defer rig.sys.Close()
-	b.Run("PlainColumn", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rig.sys.Query(`SELECT doc_size FROM bench WHERE id = 1`); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("DLURLCOMPLETE", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rig.sys.Query(`SELECT DLURLCOMPLETE(doc) FROM bench WHERE id = 1`); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkE4OpenReadClose is the §3.2 file-side cost on a 1MB file.
-func BenchmarkE4OpenReadClose(b *testing.B) {
-	const size = 1 << 20
-	b.Run("NativeFS", func(b *testing.B) {
-		rig := newBenchRig(b, "RFD", size)
-		defer rig.sys.Close()
-		// rfd read path touches no upcalls but still flows through DLFS;
-		// compare against it with the bare URL.
-		url := "dlfs://fs1/bench/file.bin"
-		b.SetBytes(size)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f, err := rig.sess.OpenRead(url)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := f.ReadAll(); err != nil {
-				b.Fatal(err)
-			}
-			f.Close()
-		}
-	})
-	b.Run("DLFSWithToken", func(b *testing.B) {
-		rig := newBenchRig(b, "RDD", size)
-		defer rig.sys.Close()
-		url := rig.readURL(b)
-		b.SetBytes(size)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f, err := rig.sess.OpenRead(url)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := f.ReadAll(); err != nil {
-				b.Fatal(err)
-			}
-			f.Close()
-		}
-	})
-}
-
-// BenchmarkE5OpenLatency measures the bare open+close per mode and access.
-func BenchmarkE5OpenLatency(b *testing.B) {
-	cases := []struct {
-		name  string
-		mode  string
-		write bool
-	}{
-		{"RfdRead", "RFD", false},
-		{"RddRead", "RDD", false},
-		{"RfdWriteTxn", "RFD", true},
-		{"RddWriteTxn", "RDD", true},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			rig := newBenchRig(b, c.mode, 4096)
-			defer rig.sys.Close()
-			var url string
-			if c.write {
-				url = rig.writeURL(b)
-			} else if c.mode == "RDD" {
-				url = rig.readURL(b)
-			} else {
-				url = "dlfs://fs1/bench/file.bin"
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var f *datalinks.File
-				var err error
-				if c.write {
-					f, err = rig.sess.OpenWrite(url)
-				} else {
-					f, err = rig.sess.OpenRead(url)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := f.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE6UpdateDisciplines measures one full update under each
-// discipline (uncontended; the contended comparison is dlbench -exp E6).
-func BenchmarkE6UpdateDisciplines(b *testing.B) {
-	b.Run("UIP", func(b *testing.B) {
-		rig := newBenchRig(b, "RFD", 8192)
-		defer rig.sys.Close()
-		payload := make([]byte, 8192)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			url := rig.writeURL(b)
-			f, err := rig.sess.OpenWrite(url)
-			if err != nil {
-				b.Fatal(err)
-			}
-			payload[0] = byte(i)
-			if _, err := f.WriteAt(0, payload); err != nil {
-				b.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				b.Fatal(err)
-			}
-			rig.fsrv.WaitArchives()
-		}
-	})
-}
-
-// BenchmarkE7CrashRecovery measures restart recovery with one in-flight
-// update (the restore path of §4.2).
-func BenchmarkE7CrashRecovery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		rig := newBenchRig(b, "RFD", 64<<10)
-		url := rig.writeURL(b)
-		f, err := rig.sess.OpenWrite(url)
-		if err != nil {
-			b.Fatal(err)
-		}
-		f.WriteAt(0, []byte("scribble"))
-		b.StartTimer()
-		if _, err := rig.sys.CrashAndRecoverServer("fs1"); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		rig.sys.Close()
-		b.StartTimer()
-	}
-}
-
-// BenchmarkE8PointInTimeRestore measures a coordinated restore.
-func BenchmarkE8PointInTimeRestore(b *testing.B) {
-	rig := newBenchRig(b, "RDD", 4096)
-	defer rig.sys.Close()
-	// Two committed states to flip between.
-	s1 := rig.sys.StateID()
-	url := rig.writeURL(b)
-	f, err := rig.sess.OpenWrite(url)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f.WriteAll([]byte("state two content"))
-	if err := f.Close(); err != nil {
-		b.Fatal(err)
-	}
-	rig.fsrv.WaitArchives()
-	s2 := rig.sys.StateID()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		target := s1
-		if i%2 == 0 {
-			target = s2
-		}
-		if err := rig.sys.RestoreToState(target); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE9UnlinkSync measures a full link+unlink cycle (two host
-// transactions with DLFM sub-transactions).
-func BenchmarkE9UnlinkSync(b *testing.B) {
-	sys, err := datalinks.Open(datalinks.Config{Servers: []datalinks.ServerConfig{{Name: "fs1"}}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-	fsrv, _ := sys.FileServer("fs1")
-	if err := fsrv.SeedFile("/d/f.bin", []byte("x"), 100); err != nil {
-		b.Fatal(err)
-	}
-	sys.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY NO)`)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Exec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f.bin'))`); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.Exec(`DELETE FROM t WHERE id = 1`); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE10RfdAnomaly measures one writer round against the anomaly
-// detector's read (uncontended baseline for the E10 table).
-func BenchmarkE10RfdAnomaly(b *testing.B) {
-	rig := newBenchRig(b, "RFD", 64<<10)
-	defer rig.sys.Close()
-	payload := make([]byte, 64<<10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		url := rig.writeURL(b)
-		f, err := rig.sess.OpenWrite(url)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := range payload {
-			payload[j] = byte('A' + i%26)
-		}
-		f.WriteAt(0, payload)
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-		rig.fsrv.WaitArchives()
-		r, err := rig.sess.OpenRead("dlfs://fs1/bench/file.bin")
-		if err != nil {
-			b.Fatal(err)
-		}
-		r.ReadAll()
-		r.Close()
-	}
-}
-
-// BenchmarkE11OwnershipOptimization contrasts the two read-open designs.
-func BenchmarkE11OwnershipOptimization(b *testing.B) {
-	for _, strict := range []bool{false, true} {
-		name := "OwnershipCheck"
-		if strict {
-			name = "UpcallPerOpen"
-		}
-		b.Run(name, func(b *testing.B) {
-			sys, err := datalinks.Open(datalinks.Config{
-				Servers: []datalinks.ServerConfig{{Name: "fs1", Strict: strict}},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sys.Close()
-			fsrv, _ := sys.FileServer("fs1")
-			if err := fsrv.SeedFile("/d/f.bin", []byte("x"), 100); err != nil {
-				b.Fatal(err)
-			}
-			sys.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY NO)`)
-			sys.MustExec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f.bin'))`)
-			sess := sys.Session(100)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f, err := sess.OpenRead("dlfs://fs1/d/f.bin")
-				if err != nil {
-					b.Fatal(err)
-				}
-				f.Close()
-			}
-		})
-	}
-}
-
-// BenchmarkE12TxnBoundary contrasts the §3.1 transaction boundaries for an
-// 8-write update.
-func BenchmarkE12TxnBoundary(b *testing.B) {
-	const writes = 8
-	b.Run("OpenClose", func(b *testing.B) {
-		rig := newBenchRig(b, "RFD", 4096)
-		defer rig.sys.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			url := rig.writeURL(b)
-			f, err := rig.sess.OpenWrite(url)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for w := 0; w < writes; w++ {
-				f.WriteAt(int64(w), []byte{byte(i)})
-			}
-			if err := f.Close(); err != nil {
-				b.Fatal(err)
-			}
-			rig.fsrv.WaitArchives()
-		}
-	})
-	b.Run("PerWrite", func(b *testing.B) {
-		rig := newBenchRig(b, "RFD", 4096)
-		defer rig.sys.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for w := 0; w < writes; w++ {
-				url := rig.writeURL(b)
-				f, err := rig.sess.OpenWrite(url)
-				if err != nil {
-					b.Fatal(err)
-				}
-				f.WriteAt(int64(w), []byte{byte(i)})
-				if err := f.Close(); err != nil {
-					b.Fatal(err)
-				}
-				rig.fsrv.WaitArchives()
-			}
-		}
-	})
 }
 
 // parallelRig is a system with one linked file (and one table row) per

@@ -5,9 +5,9 @@ package core
 // layer resolves ownership through the router (engine link/unlink, token
 // issuing, session opens, metadata write-back), and membership can change
 // while commits continue: paths that land on a new owner migrate live — drain,
-// freeze, archive-history handoff, bundle import, evict — behind per-path
-// gates, so an update is either committed by the old owner before the move or
-// by the new owner after it, never lost in between.
+// freeze, catch-up, promote, evict — behind per-path gates, so an update is
+// either committed by the old owner before the move or by the new owner after
+// it, never lost in between.
 //
 // All members run their DLFM under the cluster's shared authority name, so
 // dlfs://<authority>/<path> URLs stay valid across migrations, archive
@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"datalinks/internal/datalink"
-	"datalinks/internal/dlfm"
 	"datalinks/internal/engine"
 	"datalinks/internal/fs"
 	"datalinks/internal/metrics"
@@ -606,10 +605,10 @@ func (c *Cluster) rebalanceTo(target *ring.Ring) error {
 }
 
 // migratePath moves one linked path between members: gate new traffic, drain
-// and freeze the source, bring the destination's archive history level
-// (catchUpReplica — chunks dedup by hash), import the repository bundle, point
-// the router at the destination, evict the source. On any failure the source
-// remains the owner.
+// and freeze the source, make the destination a caught-up replica
+// (catchUpReplica, then a replica row from the source's FileMeta), promote it
+// as a failover does, point the router at it, evict the source. On failure the
+// source stays the owner and a destination that was no replica keeps nothing.
 func (c *Cluster) migratePath(src, dst *FileServer, path string) error {
 	if c.migrateHook != nil {
 		if err := c.migrateHook(path, src.Name, dst.Name); err != nil {
@@ -636,10 +635,9 @@ func (c *Cluster) migratePathTraced(src, dst *FileServer, path string, sp *obs.S
 	// Drain + freeze. A long-running writer can exceed one OpenWait; retry a
 	// few times before giving up on the whole rebalance.
 	drain := sp.Child("drain")
-	var b *dlfm.FileBundle
 	var err error
 	for attempt := 0; ; attempt++ {
-		b, err = src.DLFM.BeginExport(path)
+		err = src.DLFM.BeginExport(path)
 		if err == nil || attempt >= 2 {
 			drain.SetAttr("attempts", int64(attempt+1))
 			break
@@ -649,22 +647,23 @@ func (c *Cluster) migratePathTraced(src, dst *FileServer, path string, sp *obs.S
 	if err != nil {
 		return err
 	}
-	defer b.Release()
 
-	// A destination that holds the path's replica is already level, so the
-	// transfer moves nothing and ImportBundle retires the replica row. If the
-	// handover fails the source stays the owner, and a destination that was
-	// not a replica keeps nothing of what was just imported.
 	handover := sp.Child("handover")
 	wasReplica := dst.DLFM.ReplicaVersion(path) >= 0
-	err = c.catchUpReplica(src, dst, path)
+	meta, ver, mtime, err := src.DLFM.FileMeta(path)
 	if err == nil {
-		err = dst.DLFM.ImportBundle(b)
+		err = c.catchUpReplica(src, dst, path)
+	}
+	if err == nil {
+		err = dst.DLFM.EnsureReplicaRow(path, ver, mtime, meta)
+	}
+	if err == nil {
+		err = dst.DLFM.PromoteReplica(path)
 	}
 	handover.End()
 	if err != nil {
 		if !wasReplica {
-			_ = dst.Archive.Drop(c.authority, path)
+			_ = dst.DLFM.DropReplica(path)
 		}
 		src.DLFM.AbortExport(path)
 		return err

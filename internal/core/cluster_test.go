@@ -255,6 +255,68 @@ func TestClusterRemoveServerDrains(t *testing.T) {
 	}
 }
 
+// TestClusterFailedMoveLeavesTheSourceServing: a move whose destination step
+// fails — here the promote's install, after the history and the replica row
+// reached the destination — leaves the source the owner, serving reads and
+// commits, and the destination holding nothing of the path: no history, no
+// replica row, no link row.
+func TestClusterFailedMoveLeavesTheSourceServing(t *testing.T) {
+	c := newCluster(t, 2)
+	p := clusterPaths(1)[0]
+	linkDoc(t, c, 0, p, "v0 of "+p)
+	srcID, _ := c.Owner(p)
+	src, _ := c.Member(srcID)
+	var dst *FileServer
+	for _, id := range c.Members() {
+		if id != srcID {
+			dst, _ = c.Member(id)
+		}
+	}
+	// A file where the path's parent directory should go.
+	if err := dst.Phys.WriteFile("/c", []byte("in the way")); err != nil {
+		t.Fatal(err)
+	}
+	moves := c.Router().Metrics().Counter("ring.moves").Value()
+	if err := c.migratePath(src, dst, p); err == nil {
+		t.Fatal("move onto a destination that cannot install the file succeeded")
+	}
+	if owner, _ := c.Owner(p); owner != srcID || !src.DLFM.IsLinked(p) {
+		t.Fatalf("failed move changed the owner to %s (source linked %v)", owner, src.DLFM.IsLinked(p))
+	}
+	if dst.DLFM.IsLinked(p) || dst.DLFM.ReplicaVersion(p) != -1 || len(dst.Archive.Versions(c.Authority(), p)) != 0 {
+		t.Fatalf("destination keeps: linked %v, replica row %d, %d versions",
+			dst.DLFM.IsLinked(p), dst.DLFM.ReplicaVersion(p), len(dst.Archive.Versions(c.Authority(), p)))
+	}
+	if got := c.Router().Metrics().Counter("ring.moves").Value(); got != moves {
+		t.Fatalf("a failed move counted in ring.moves (%d → %d)", moves, got)
+	}
+	if err := commitUpdate(t, c, 0, "v1 of "+p); err != nil {
+		t.Fatalf("commit after the failed move: %v", err)
+	}
+	f, err := c.NewSession(bob).OpenRead(docURL(t, c, "DLURLCOMPLETE", 0))
+	if err != nil {
+		t.Fatalf("read open after the failed move: %v", err)
+	}
+	data, _ := f.ReadAll()
+	f.Close()
+	if string(data) != "v1 of "+p {
+		t.Fatalf("read after the failed move = %q", data)
+	}
+
+	// With the obstacle gone the move lands, history and all.
+	if err := dst.Phys.Remove("/c", clusterRoot); err != nil {
+		t.Fatal(err)
+	}
+	c.WaitArchives()
+	if err := c.migratePath(src, dst, p); err != nil {
+		t.Fatalf("move after the obstacle went: %v", err)
+	}
+	if vs := dst.Archive.Versions(c.Authority(), p); len(vs) != 2 || !dst.DLFM.IsLinked(p) || src.DLFM.IsLinked(p) {
+		t.Fatalf("after the move: %d versions on the destination, linked there %v, on the source %v",
+			len(vs), dst.DLFM.IsLinked(p), src.DLFM.IsLinked(p))
+	}
+}
+
 // TestClusterMigrateVsCommitRace runs concurrent update transactions against
 // every path while a new member joins mid-stream. The invariant is the E21
 // FAIL condition: no acked commit may be lost — after the dust settles each

@@ -12,10 +12,10 @@ package core
 //
 // On member death, Failover promotes the first live successor of every
 // orphaned path: the successor already holds the full history and the
-// promotion identity, so the path serves again after a gate + materialize —
-// no AbsorbDead, no cold start, no data movement. The ring swaps to the
-// survivor set and FlushReplication (the anti-entropy pass) repairs
-// redundancy against the new successor lists.
+// promotion identity, so the path serves again after a gate and a deferred
+// install — no AbsorbDead, no cold start, no byte read until first access (a
+// live move ends in the same promote). The ring swaps to the survivor set and
+// FlushReplication (anti-entropy) repairs redundancy against the new lists.
 
 import (
 	"context"
@@ -365,6 +365,8 @@ func (c *Cluster) promotePath(m *FileServer, path, dead string) error {
 	if err := m.DLFM.PromoteReplica(path); err != nil {
 		return err
 	}
+	// Failover promotions only; a live move counts in ring.moves.
+	m.DLFM.Metrics().Counter("dlfm.repl.promotions").Inc()
 	c.router.setOverride(path, m.Name)
 	return nil
 }

@@ -660,8 +660,8 @@ func TestReplicationAbsorbDeadOntoReplicas(t *testing.T) {
 	assertMembershipChangeComposed(t, c, paths, "fs2")
 }
 
-// TestReplicationFailedMoveLeavesNoStrayHistory: a move whose bundle import
-// fails leaves the source the owner; a destination that held the replica
+// TestReplicationFailedMoveLeavesNoStrayHistory: a move whose promote on the
+// destination fails leaves the source the owner; a destination that held the replica
 // keeps it (it is still the replica), one that held nothing keeps nothing.
 func TestReplicationFailedMoveLeavesNoStrayHistory(t *testing.T) {
 	c := newReplCluster(t, 3, nil)
@@ -676,7 +676,7 @@ func TestReplicationFailedMoveLeavesNoStrayHistory(t *testing.T) {
 			stranger, _ = c.Member(id)
 		}
 	}
-	// A directory where the file should go fails ImportBundle after the
+	// A directory where the file should go fails the promote after the
 	// history transfer.
 	for _, m := range []*FileServer{replica, stranger} {
 		if err := m.Phys.MkdirAll(p, clusterRoot, 0o777); err != nil {
@@ -733,4 +733,66 @@ func TestReplicationReplicaAheadResyncs(t *testing.T) {
 		t.Fatalf("replica has %d versions after the resync, want the owner's 2", n)
 	}
 	assertReplicasConverged(t, c, paths)
+}
+
+// TestReplicationPruneKeepsTheOwnersHistory: an owner holding a replica row
+// beside its link row (what a dead owner's ship racing the promote used to
+// leave) loses only that row to the anti-entropy prune. The history is the
+// one it serves from; dropping it left the owner with no versions while its
+// replica kept every one — E23's "hold different bytes" red.
+func TestReplicationPruneKeepsTheOwnersHistory(t *testing.T) {
+	c := newReplCluster(t, 3, nil)
+	paths := clusterPaths(4)
+	seedReplicated(t, c, paths)
+	for _, p := range paths {
+		owner := ownerMember(t, c, p)
+		meta, ver, mtime, err := owner.DLFM.FileMeta(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := owner.DLFM.EnsureReplicaRow(p, ver, mtime, meta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.FlushReplication(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	for _, p := range paths {
+		owner := ownerMember(t, c, p)
+		if n := len(owner.Archive.Versions(c.Authority(), p)); n != 2 {
+			t.Fatalf("%s: owner %s keeps %d versions after the prune, want 2", p, owner.Name, n)
+		}
+		if owner.DLFM.ReplicaVersion(p) >= 0 {
+			t.Fatalf("%s: owner %s still holds a replica row", p, owner.Name)
+		}
+	}
+	strays := int64(0)
+	for _, id := range c.Members() {
+		m, _ := c.Member(id)
+		strays += m.DLFM.Metrics().Counter("dlfm.repl.stray_rows").Value()
+	}
+	if strays != int64(len(paths)) {
+		t.Fatalf("dlfm.repl.stray_rows = %d, want %d", strays, len(paths))
+	}
+	for i, p := range paths {
+		if err := commitUpdate(t, c, i, "v2 of "+p); err != nil {
+			t.Fatalf("commit %s: %v", p, err)
+		}
+	}
+	c.WaitArchives()
+	assertReplicasConverged(t, c, paths)
+}
+
+// ownerMember returns the member that owns path.
+func ownerMember(t *testing.T, c *Cluster, path string) *FileServer {
+	t.Helper()
+	id, err := c.Owner(path)
+	if err != nil {
+		t.Fatalf("owner %s: %v", path, err)
+	}
+	m, err := c.Member(id)
+	if err != nil {
+		t.Fatalf("member %s: %v", id, err)
+	}
+	return m
 }

@@ -224,6 +224,9 @@ type Server struct {
 	// repl holds the owner-side shard replicator (SetReplicator); nil box or
 	// nil interface means replication is off and ships are no-ops.
 	repl atomic.Pointer[replicatorBox]
+	// promoteMu orders replica applies (read side) against promotes: a ship
+	// that passed its not-linked check lands before the promote, never after.
+	promoteMu sync.RWMutex
 
 	// upcallCtrs caches the per-op dispatch counters (indexed by upcall.Op)
 	// so the upcall hot path skips the registry lookup and name formatting.

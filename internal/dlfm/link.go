@@ -123,7 +123,7 @@ func (s *Server) linkFile(hostTxn uint64, path string, opts datalink.ColumnOptio
 			// Archive the initial version so an aborted first update can be
 			// rolled back (§4.2) and point-in-time restore has a floor. The
 			// manifest snapshot keeps link cost O(#chunks).
-			if opts.Mode.UpdateManaged() || opts.Recovery {
+			if keepsHistory(opts.Mode, opts.Recovery) {
 				stateID := s.cfg.Host.StateID()
 				shipVer := int64(0)
 				if latest, ok := s.cfg.Archive.Newest(s.cfg.Name, path); ok {

@@ -163,18 +163,30 @@ func (s *Server) materializeMissingFiles(rep *RecoveryReport) error {
 			rep.LostFiles = append(rep.LostFiles, fi.path)
 			continue
 		}
-		held, err := entry.Hold()
-		if err != nil {
-			return fmt.Errorf("dlfm: materialize %s v%d: %w", fi.path, entry.Version, err)
-		}
-		if err := s.mkdirParent(fi.path); err != nil {
-			held.Release()
-			return err
-		}
-		if err := s.cfg.Phys.WriteFileDeferred(fi.path, held); err != nil {
-			return fmt.Errorf("dlfm: materialize %s v%d: %w", fi.path, entry.Version, err)
+		if err := s.installDeferred(entry); err != nil {
+			return fmt.Errorf("dlfm: materialize %s: %w", fi.path, err)
 		}
 		rep.MaterializedFiles = append(rep.MaterializedFiles, fi.path)
+	}
+	return nil
+}
+
+// installDeferred installs an archived version as the file at its path
+// without reading it — cold start and a promote both end here. The file
+// holds a reference on every blob of the version from now on (Entry.Hold),
+// so a later Drop of the history cannot free the bytes before the first
+// access loads them; parent directories are created first.
+func (s *Server) installDeferred(e archive.Entry) error {
+	held, err := e.Hold()
+	if err != nil {
+		return fmt.Errorf("v%d: %w", e.Version, err)
+	}
+	if err := s.mkdirParent(e.Path); err != nil {
+		held.Release()
+		return err
+	}
+	if err := s.cfg.Phys.WriteFileDeferred(e.Path, held); err != nil {
+		return fmt.Errorf("v%d: %w", e.Version, err)
 	}
 	return nil
 }
@@ -284,7 +296,7 @@ func (s *Server) compensateJournal(r journalRow, committed bool, rep *RecoveryRe
 	case "link":
 		if committed {
 			// Eager FS changes stand. Ensure version 0 is archived.
-			if fi, ok := s.lookupFile(r.path); ok && (fi.mode.UpdateManaged() || fi.recovery) && s.physExists(r.path) {
+			if fi, ok := s.lookupFile(r.path); ok && keepsHistory(fi.mode, fi.recovery) && s.physExists(r.path) {
 				if _, archived := s.cfg.Archive.Newest(s.cfg.Name, r.path); !archived {
 					if err := s.archiveCurrent(r.path, 0, s.cfg.Host.StateID()); err != nil {
 						return err
@@ -380,7 +392,7 @@ func (s *Server) recoverPendingArchives(rep *RecoveryReport) error {
 	var lagging []fileInfo
 	files.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
 		fi := decodeFileRow(row)
-		if !fi.mode.UpdateManaged() && !fi.recovery {
+		if !keepsHistory(fi.mode, fi.recovery) {
 			return true
 		}
 		if latest, ok := s.cfg.Archive.Newest(s.cfg.Name, fi.path); !ok || latest < fi.version {

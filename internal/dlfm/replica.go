@@ -5,9 +5,9 @@ package dlfm
 // commit barrier) plus one dlfm_replicas repository row carrying the identity
 // needed to promote — but no physical file and no dlfm_files row, so the
 // linked-file namespace, rebalance, and recovery scans never see replicas.
-// Promotion (failover) materializes the latest archived content exactly like
-// a shard import and moves the row into dlfm_files; from that instant the
-// path serves again with no cold start and no data movement.
+// Promotion — of a dead owner's successor, or of a live move's caught-up
+// destination (shard.go) — installs the latest archived version deferred and
+// moves the row into dlfm_files: the path serves again with no data movement.
 //
 // The owner side is a Replicator installed by the cluster layer after the
 // stack is built: commitUpdate, link, and unlink call it synchronously inside
@@ -186,6 +186,8 @@ func (s *Server) ApplyReplicaCommit(path string, ver int64, stateID uint64, snap
 	if closed {
 		return fmt.Errorf("dlfm: replica apply %s: server %s closed", path, s.cfg.Name)
 	}
+	s.promoteMu.RLock()
+	defer s.promoteMu.RUnlock()
 	if _, linked := s.lookupFile(path); linked {
 		return fmt.Errorf("dlfm: replica apply %s: path is owned by %s", path, s.cfg.Name)
 	}
@@ -278,11 +280,18 @@ func (s *Server) diedMidRequest(err *error) {
 
 // ApplyReplicaUnlink removes a replica after the owner unlinked the path:
 // row and archive history both go (unlink semantics — §4.2's unlink restores
-// the file to the user and the database forgets it).
+// the file to the user and the database forgets it). On a server that links
+// the path only the row goes: a replica row beside a link row is stray
+// (dlfm.repl.stray_rows counts them), and the history is the one this server
+// serves from.
 func (s *Server) ApplyReplicaUnlink(path string) (err error) {
 	defer s.diedMidRequest(&err)
 	if _, err := s.repo.Exec(`DELETE FROM dlfm_replicas WHERE path = ?`, sqlmini.Str(path)); err != nil {
 		return fmt.Errorf("dlfm: replica unlink %s: %w", path, err)
+	}
+	if s.IsLinked(path) {
+		s.cfg.Metrics.Counter("dlfm.repl.stray_rows").Inc()
+		return nil
 	}
 	if err := s.cfg.Archive.Drop(s.cfg.Name, path); err != nil {
 		return fmt.Errorf("dlfm: replica unlink %s: %w", path, err)
@@ -301,13 +310,14 @@ func (s *Server) DropReplica(path string) error {
 	return nil
 }
 
-// PromoteReplica turns a replica into the served copy: latest archived
-// content is materialized with the stored identity and mtime (the same
-// sequence as a shard import — mtime last, because modification detection
-// compares against it at the next write open), and ImportBundle swaps the
-// replica row for the dlfm_files row. No upcall to the old owner, no archive
-// transfer: everything needed is already local.
+// PromoteReplica turns a replica into the served copy (failover and live
+// move): the latest archived version is installed deferred — bytes load on
+// first access — and one repository transaction swaps the replica row for
+// the dlfm_files row, so an owner is never also a replica. Everything needed
+// is local; on failure nothing installed stays behind.
 func (s *Server) PromoteReplica(path string) error {
+	s.promoteMu.Lock()
+	defer s.promoteMu.Unlock()
 	ri, ok := s.replicaRow(path)
 	if !ok {
 		return fmt.Errorf("%w: %s on %s", ErrNoReplica, path, s.cfg.Name)
@@ -319,26 +329,64 @@ func (s *Server) PromoteReplica(path string) error {
 	if err != nil {
 		return fmt.Errorf("dlfm: promote %s: no archived content: %w", path, err)
 	}
-	snap, err := entry.Snapshot()
+	if err := s.installDeferred(entry); err != nil {
+		return fmt.Errorf("dlfm: promote %s: %w", path, err)
+	}
+	if err := s.promoteInstalled(ri, entry.Version); err != nil {
+		// Best effort: the promote's own failure is the one to report.
+		_ = s.cfg.Phys.Remove(path, rootCred)
+		return fmt.Errorf("dlfm: promote %s: %w", path, err)
+	}
+	return nil
+}
+
+// promoteInstalled finishes a promote over the installed file. A mode that
+// keeps no history drops the one it was moved with (the installed file holds
+// its blobs). The stored identity goes on in the order a link applies it —
+// original owner and permissions, then the control mode's at-rest
+// constraints — and the mtime last: every step before dirties it, and
+// modification detection compares against exactly this value at the next
+// write open (§4.4). Then the replica row becomes the link row at ver.
+func (s *Server) promoteInstalled(ri replicaInfo, ver archive.Version) error {
+	m := ri.meta
+	if !keepsHistory(m.Mode, m.Recovery) {
+		if err := s.cfg.Archive.Drop(s.cfg.Name, ri.path); err != nil {
+			return err
+		}
+	}
+	node, err := s.cfg.Phys.Lookup(ri.path)
 	if err != nil {
-		return fmt.Errorf("dlfm: promote %s: %w", path, err)
+		return err
 	}
-	defer snap.Release()
-	b := &FileBundle{
-		Path:     path,
-		Mode:     ri.meta.Mode,
-		Recovery: ri.meta.Recovery,
-		TokenTTL: ri.meta.TokenTTL,
-		OrigUID:  ri.meta.OrigUID,
-		OrigMode: ri.meta.OrigMode,
-		Version:  int64(entry.Version),
-		Content:  snap,
-		Mtime:    ri.mtime,
+	if err := s.cfg.Phys.Chown(node, rootCred, m.OrigUID); err != nil {
+		return err
 	}
-	if err := s.ImportBundle(b); err != nil {
-		return fmt.Errorf("dlfm: promote %s: %w", path, err)
+	if err := s.cfg.Phys.Chmod(node, rootCred, m.OrigMode); err != nil {
+		return err
 	}
-	s.cfg.Metrics.Counter("dlfm.repl.promotions").Inc()
+	if err := s.applyLinkState(node, m.Mode); err != nil {
+		return err
+	}
+	if err := s.cfg.Phys.SetMtime(node, ri.mtime); err != nil {
+		return err
+	}
+	tx := s.repo.Begin()
+	_, err = tx.Exec(`DELETE FROM dlfm_replicas WHERE path = ?`, sqlmini.Str(ri.path))
+	if err == nil {
+		_, err = tx.Exec(
+			`INSERT INTO dlfm_files (path, mode, recovery, token_ttl, orig_uid, orig_mode, cur_version)
+			 VALUES (?, ?, ?, ?, ?, ?, ?)`,
+			sqlmini.Str(ri.path), sqlmini.Str(m.Mode.String()), sqlmini.Bool(m.Recovery),
+			sqlmini.Int(int64(m.TokenTTL)), sqlmini.Int(int64(m.OrigUID)), sqlmini.Int(int64(m.OrigMode)),
+			sqlmini.Int(int64(ver)))
+	}
+	if err != nil {
+		tx.Abort()
+		return fmt.Errorf("link row: %w", err)
+	}
+	if err := tx.Commit(); err != nil {
+		return fmt.Errorf("link row: %w", err)
+	}
 	return nil
 }
 

@@ -524,3 +524,36 @@ func TestReplicaApplyCountsNoRestore(t *testing.T) {
 		t.Fatalf("replica's newest version %d (%v) does not hold the last capture", e.Version, err)
 	}
 }
+
+// TestReplicaApplyRacingPromote: a ship that passed its not-linked check
+// while its replica is promoted lands before the promote, never after it —
+// after, it would leave the new owner a replica row beside its link row (the
+// anti-entropy prune's to remove) and a history ahead of the version it
+// serves.
+func TestReplicaApplyRacingPromote(t *testing.T) {
+	const path = "/d/f.bin"
+	for round := 0; round < 20; round++ {
+		src, srcPhys, _ := newServer(t)
+		linkCommitted(t, src, path, "rfd")
+		dst, _ := newShardPeer(t)
+		shipTo(t, src, srcPhys, dst, path)
+		meta, _, mtime, err := src.FileMeta(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := extent.FromBytes([]byte("v1"))
+		applied := make(chan error, 1)
+		go func() { applied <- dst.ApplyReplicaCommit(path, 1, src.cfg.Host.StateID(), snap, mtime, meta) }()
+		if err := dst.PromoteReplica(path); err != nil {
+			t.Fatalf("round %d: promote: %v", round, err)
+		}
+		<-applied
+		snap.Release()
+		_, ver, _, err := dst.FileMeta(path)
+		newest, _ := dst.cfg.Archive.Newest("fs1", path)
+		if err != nil || dst.ReplicaVersion(path) >= 0 || archive.Version(ver) != newest {
+			t.Fatalf("round %d: owner serves v%d (%v), history ends at v%d, replica row at %d",
+				round, ver, err, newest, dst.ReplicaVersion(path))
+		}
+	}
+}

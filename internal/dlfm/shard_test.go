@@ -1,12 +1,15 @@
 package dlfm
 
 import (
+	"bytes"
 	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"datalinks/internal/datalink"
 	"datalinks/internal/fs"
+	"datalinks/internal/sqlmini"
 	"datalinks/internal/token"
 	"datalinks/internal/upcall"
 )
@@ -27,33 +30,43 @@ func newShardPeer(t *testing.T) (*Server, *fs.FS) {
 	return srv, phys
 }
 
-// copyHistory hands path's whole archive history from src to dst the way the
-// cluster does: one export from the start, one import.
+// copyHistory brings dst's archive history of path level with src's the way
+// the cluster's catch-up does: export what follows dst's newest version (the
+// whole history when it holds none), import it.
 func copyHistory(src, dst *Server, path string) error {
-	recs, err := src.cfg.Archive.ExportDelta("fs1", path, -1)
-	if err != nil {
+	have := int64(-1)
+	if v, ok := dst.cfg.Archive.Newest("fs1", path); ok {
+		have = int64(v)
+	}
+	recs, err := src.cfg.Archive.ExportDelta("fs1", path, have)
+	if err != nil || len(recs) == 0 {
 		return err
 	}
 	_, err = dst.cfg.Archive.ImportDelta("fs1", path, recs, src.cfg.Archive.FetchBlob)
 	return err
 }
 
-// migrate runs the full per-path handoff between two servers, the way the
-// cluster router does: freeze+export, archive history, bundle import, evict.
+// migrate runs the full per-path move between two servers, the way the
+// cluster router does: freeze, catch the destination's history up, give it
+// the replica row from the source's FileMeta, promote it, evict the source.
 func migrate(t *testing.T, src, dst *Server, path string) {
 	t.Helper()
-	b, err := src.BeginExport(path)
-	if err != nil {
+	if err := src.BeginExport(path); err != nil {
 		t.Fatalf("begin export: %v", err)
 	}
-	defer b.Release()
-	if err := copyHistory(src, dst, path); err != nil {
-		src.AbortExport(path)
-		t.Fatalf("import history: %v", err)
+	meta, ver, mtime, err := src.FileMeta(path)
+	if err == nil {
+		err = copyHistory(src, dst, path)
 	}
-	if err := dst.ImportBundle(b); err != nil {
+	if err == nil {
+		err = dst.EnsureReplicaRow(path, ver, mtime, meta)
+	}
+	if err == nil {
+		err = dst.PromoteReplica(path)
+	}
+	if err != nil {
 		src.AbortExport(path)
-		t.Fatalf("import bundle: %v", err)
+		t.Fatalf("hand %s over: %v", path, err)
 	}
 	if err := src.EndExport(path, true); err != nil {
 		t.Fatalf("end export: %v", err)
@@ -65,7 +78,7 @@ func migrate(t *testing.T, src, dst *Server, path string) {
 
 // TestShardImportOntoReplicaRetiresTheRow: a path migrating onto the member
 // that holds its replica finds the history already there — the transfer moves
-// nothing — and ImportBundle turns the replica row into the link row, so the
+// nothing — and the promote turns the replica row into the link row, so the
 // new owner is not left a replica of itself.
 func TestShardImportOntoReplicaRetiresTheRow(t *testing.T) {
 	src, srcPhys, _ := newServer(t)
@@ -172,29 +185,25 @@ func TestBeginExportDrainsAndTimesOut(t *testing.T) {
 	linkCommitted(t, src, "/d/f.bin", "rfd")
 	id := openWrite(t, src, "/d/f.bin", owner)
 	// A writer is in flight: the export drain must give up within OpenWait.
-	if _, err := src.BeginExport("/d/f.bin"); !errors.Is(err, ErrFileBusy) {
+	if err := src.BeginExport("/d/f.bin"); !errors.Is(err, ErrFileBusy) {
 		t.Fatalf("export with writer in flight = %v, want ErrFileBusy", err)
 	}
 	if resp := closeFile(t, src, srcPhys, "/d/f.bin", id); !resp.OK {
 		t.Fatalf("close: %+v", resp)
 	}
 	// Writer gone: the drain succeeds now.
-	b, err := src.BeginExport("/d/f.bin")
-	if err != nil {
+	if err := src.BeginExport("/d/f.bin"); err != nil {
 		t.Fatalf("export after drain: %v", err)
 	}
-	b.Release()
 	src.AbortExport("/d/f.bin")
 }
 
 func TestExportFreezeBlocksOpensUntilAbort(t *testing.T) {
 	src, _, _ := newServer(t)
 	linkCommitted(t, src, "/d/f.bin", "rfd")
-	b, err := src.BeginExport("/d/f.bin")
-	if err != nil {
+	if err := src.BeginExport("/d/f.bin"); err != nil {
 		t.Fatalf("begin export: %v", err)
 	}
-	defer b.Release()
 
 	tok := src.Authority().Issue(token.Write, "/d/f.bin")
 	if resp, err := src.Upcall(upcall.Request{Op: upcall.OpValidateToken, Path: "/d/f.bin", Token: tok, UID: int32(owner)}); err != nil || !resp.OK {
@@ -221,7 +230,7 @@ func TestExportFreezeBlocksOpensUntilAbort(t *testing.T) {
 
 func TestBeginExportNotLinked(t *testing.T) {
 	src, _, _ := newServer(t)
-	if _, err := src.BeginExport("/d/f.bin"); !errors.Is(err, ErrNotLinked) {
+	if err := src.BeginExport("/d/f.bin"); !errors.Is(err, ErrNotLinked) {
 		t.Fatalf("export of unlinked path = %v, want ErrNotLinked", err)
 	}
 }
@@ -234,11 +243,9 @@ func TestEndExportEvictPurgesEverything(t *testing.T) {
 	if resp, _ := src.Upcall(upcall.Request{Op: upcall.OpValidateToken, Path: "/d/f.bin", Token: tok, UID: 9}); !resp.OK {
 		t.Fatalf("validate: %+v", resp)
 	}
-	b, err := src.BeginExport("/d/f.bin")
-	if err != nil {
+	if err := src.BeginExport("/d/f.bin"); err != nil {
 		t.Fatalf("begin export: %v", err)
 	}
-	b.Release()
 	if err := src.EndExport("/d/f.bin", true); err != nil {
 		t.Fatalf("end export: %v", err)
 	}
@@ -259,20 +266,231 @@ func TestEndExportEvictPurgesEverything(t *testing.T) {
 	}
 }
 
-func TestImportBundleRejectsLinkedPath(t *testing.T) {
-	src, _, _ := newServer(t)
+// TestPromoteReplicaRejectsLinkedPath: a member never promotes over a path it
+// already serves, and the refusal leaves the local file and its replica row
+// as they were.
+func TestPromoteReplicaRejectsLinkedPath(t *testing.T) {
+	src, srcPhys, _ := newServer(t)
 	linkCommitted(t, src, "/d/f.bin", "rfd")
-	b, err := src.BeginExport("/d/f.bin")
+	dst, dstPhys := newShardPeer(t)
+	shipTo(t, src, srcPhys, dst, "/d/f.bin")
+	dstPhys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
+	seedFile(t, dstPhys, "/d/f.bin", "local")
+	if err := dst.cfg.Archive.Drop("fs1", "/d/f.bin"); err != nil {
+		t.Fatal(err)
+	}
+	linkCommitted(t, dst, "/d/f.bin", "rfd")
+	if err := dst.PromoteReplica("/d/f.bin"); !errors.Is(err, ErrAlreadyLinked) {
+		t.Fatalf("promote over a linked path = %v, want ErrAlreadyLinked", err)
+	}
+	if data, err := dstPhys.ReadFile("/d/f.bin"); err != nil || string(data) != "local" {
+		t.Fatalf("refused promote left %q, %v", data, err)
+	}
+	if dst.ReplicaVersion("/d/f.bin") != 0 {
+		t.Fatal("refused promote retired the replica row")
+	}
+}
+
+// TestShardMoveOfUnarchivedModeCarriesCurrentBytes: an RFF RECOVERY NO path
+// keeps no history, and the file system may change it after link. A move
+// archives the frozen file for the handover and drops that history again on
+// both sides: the destination serves the current bytes with the source's
+// owner, mode and mtime, and neither member keeps a history or a replica row.
+// Neither an abandoned move nor one the source crashed in leaves a history
+// that a later move would take for the current bytes.
+func TestShardMoveOfUnarchivedModeCarriesCurrentBytes(t *testing.T) {
+	const path = "/d/f.bin"
+	src, srcPhys, _ := newServer(t)
+	hostTxn := uint64(time.Now().UnixNano())
+	if err := src.LinkFile(hostTxn, path, datalink.ColumnOptions{Mode: datalink.RFF}); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.PrepareXRM(hostTxn); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.CommitXRM(hostTxn); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(src.cfg.Archive.Versions("fs1", path)); n != 0 {
+		t.Fatalf("RFF RECOVERY NO link archived %d versions", n)
+	}
+	// An abandoned move leaves no history behind.
+	if err := src.BeginExport(path); err != nil {
+		t.Fatal(err)
+	}
+	src.AbortExport(path)
+	if n := len(src.cfg.Archive.Versions("fs1", path)); n != 0 {
+		t.Fatalf("aborted move left %d versions", n)
+	}
+	// A move the source dies in does (its freeze archived the file), and
+	// the restarted source must not hand that copy over.
+	if err := src.BeginExport(path); err != nil {
+		t.Fatal(err)
+	}
+	src.Kill()
+	src, _ = reopen(t, src, src.cfg)
+
+	// Through the native mount, as RFF allows.
+	if err := srcPhys.WriteFile(path, []byte("changed after link")); err != nil {
+		t.Fatal(err)
+	}
+	ino, _ := srcPhys.Lookup(path)
+	mtime := time.Unix(1_000_000, 42)
+	if err := srcPhys.SetMtime(ino, mtime); err != nil {
+		t.Fatal(err)
+	}
+	srcAttr, _ := srcPhys.Getattr(ino)
+
+	dst, dstPhys := newShardPeer(t)
+	migrate(t, src, dst, path)
+	dst.cfg.Archive.GCNow()
+
+	if data, err := dstPhys.ReadFile(path); err != nil || string(data) != "changed after link" {
+		t.Fatalf("destination content = %q, %v", data, err)
+	}
+	dino, _ := dstPhys.Lookup(path)
+	attr, _ := dstPhys.Getattr(dino)
+	if attr.UID != srcAttr.UID || attr.Mode != srcAttr.Mode || !attr.Mtime.Equal(mtime) {
+		t.Fatalf("destination uid %d mode %o mtime %v; source had %d %o %v",
+			attr.UID, attr.Mode, attr.Mtime, srcAttr.UID, srcAttr.Mode, mtime)
+	}
+	for name, m := range map[string]*Server{"source": src, "destination": dst} {
+		if n := len(m.cfg.Archive.Versions("fs1", path)); n != 0 || len(m.ReplicaPaths()) != 0 {
+			t.Fatalf("%s keeps %d versions and replica rows %v", name, n, m.ReplicaPaths())
+		}
+	}
+	if !dst.IsLinked(path) || src.IsLinked(path) {
+		t.Fatalf("after the move: linked on dst %v, on src %v", dst.IsLinked(path), src.IsLinked(path))
+	}
+}
+
+// TestShardMoveOfFSWritableHistoryCarriesCurrentBytes: an RFF RECOVERY YES
+// path keeps a history, but the file system controls its writes, so a write
+// through the native mount changes the file without minting a version. The
+// move archives the changed bytes as the next version, the destination serves
+// them and numbers from there; an unchanged file moves without a new version.
+func TestShardMoveOfFSWritableHistoryCarriesCurrentBytes(t *testing.T) {
+	const path = "/d/f.bin"
+	src, srcPhys, _ := newServer(t)
+	hostTxn := uint64(time.Now().UnixNano())
+	if err := src.LinkFile(hostTxn, path, datalink.ColumnOptions{Mode: datalink.RFF, Recovery: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.PrepareXRM(hostTxn); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.CommitXRM(hostTxn); err != nil {
+		t.Fatal(err)
+	}
+	if err := srcPhys.WriteFile(path, []byte("changed after link")); err != nil {
+		t.Fatal(err)
+	}
+
+	dst, dstPhys := newShardPeer(t)
+	migrate(t, src, dst, path)
+
+	if data, err := dstPhys.ReadFile(path); err != nil || string(data) != "changed after link" {
+		t.Fatalf("destination content = %q, %v", data, err)
+	}
+	if _, ver, _, err := dst.FileMeta(path); err != nil || ver != 1 {
+		t.Fatalf("destination cur_version = %d, %v; want 1", ver, err)
+	}
+	if vs := dst.cfg.Archive.Versions("fs1", path); len(vs) != 2 || vs[1].Version != 1 {
+		t.Fatalf("destination history %+v; want v0 and v1", vs)
+	}
+
+	// Nothing changed since: the move back adds no version.
+	back, backPhys := newShardPeer(t)
+	migrate(t, dst, back, path)
+	if data, err := backPhys.ReadFile(path); err != nil || string(data) != "changed after link" {
+		t.Fatalf("second destination content = %q, %v", data, err)
+	}
+	if n := len(back.cfg.Archive.Versions("fs1", path)); n != 2 {
+		t.Fatalf("unchanged file moved with %d versions; want 2", n)
+	}
+}
+
+// TestShardMoveArchivesTheVersionAFailedJobLost: a committed version whose
+// archive job failed is still on the source's file (and in its pending-archive
+// row). The move archives it under the commit's state id before the handover,
+// so the destination serves it and numbers on from it.
+func TestShardMoveArchivesTheVersionAFailedJobLost(t *testing.T) {
+	const path = "/d/f.bin"
+	src, srcPhys, host := newServer(t)
+	linkCommitted(t, src, path, "rfd")
+	id := openWrite(t, src, path, owner)
+	srcPhys.WriteFile(path, []byte("v1"))
+	if resp := closeFile(t, src, srcPhys, path, id); !resp.OK {
+		t.Fatalf("close: %+v", resp)
+	}
+	src.WaitArchives()
+	// Undo the job's work as if it had failed: v1 leaves the history, the
+	// pending row stays.
+	vs := src.cfg.Archive.Versions("fs1", path)
+	if len(vs) != 2 {
+		t.Fatalf("%d versions before the move", len(vs))
+	}
+	if err := src.cfg.Archive.TruncateAfter("fs1", path, vs[0].StateID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.repo.Exec(`INSERT INTO dlfm_pending_archive (path, version, state_id) VALUES (?, ?, ?)`,
+		sqlmini.Str(path), sqlmini.Int(1), sqlmini.Int(int64(vs[1].StateID))); err != nil {
+		t.Fatal(err)
+	}
+	host.state += 5
+
+	dst, dstPhys := newShardPeer(t)
+	migrate(t, src, dst, path)
+	got := dst.cfg.Archive.Versions("fs1", path)
+	if len(got) != 2 || string(bytesOf(t, got[1])) != "v1" || got[1].StateID != vs[1].StateID {
+		t.Fatalf("destination history: %d versions, want v0 and v1 at state %d", len(got), vs[1].StateID)
+	}
+	if data, err := dstPhys.ReadFile(path); err != nil || string(data) != "v1" {
+		t.Fatalf("destination content = %q, %v", data, err)
+	}
+}
+
+// TestPromoteReplicaLoadsNothing: a promote installs the latest version
+// deferred — it reads no byte of it — and the first read loads exactly that
+// version.
+func TestPromoteReplicaLoadsNothing(t *testing.T) {
+	const path = "/d/f.bin"
+	src, srcPhys, _ := newServer(t)
+	linkCommitted(t, src, path, "rfd")
+	id := openWrite(t, src, path, owner)
+	srcPhys.WriteFile(path, bytes.Repeat([]byte("version one "), 20000))
+	if resp := closeFile(t, src, srcPhys, path, id); !resp.OK {
+		t.Fatalf("close: %+v", resp)
+	}
+	src.WaitArchives()
+
+	dst, dstPhys := newShardPeer(t)
+	if err := copyHistory(src, dst, path); err != nil {
+		t.Fatal(err)
+	}
+	meta, ver, mtime, err := src.FileMeta(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Release()
-	defer src.AbortExport("/d/f.bin")
-	dst, dstPhys := newShardPeer(t)
-	dstPhys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
-	seedFile(t, dstPhys, "/d/f.bin", "local")
-	linkCommitted(t, dst, "/d/f.bin", "rfd")
-	if err := dst.ImportBundle(b); !errors.Is(err, ErrAlreadyLinked) {
-		t.Fatalf("import over linked path = %v, want ErrAlreadyLinked", err)
+	if err := dst.EnsureReplicaRow(path, ver, mtime, meta); err != nil {
+		t.Fatal(err)
+	}
+	loads := dstPhys.Stats.DeferredLoads.Load()
+	if err := dst.PromoteReplica(path); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	if n := dstPhys.Stats.DeferredLoads.Load(); n != loads {
+		t.Fatalf("the promote loaded the file (%d loads)", n-loads)
+	}
+	got, err := dstPhys.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := dstPhys.Stats.DeferredLoads.Load(); n != loads+1 {
+		t.Fatalf("first read: %d loads, want 1", n-loads)
+	}
+	latest, err := dst.cfg.Archive.Latest("fs1", path)
+	if err != nil || !bytes.Equal(got, bytesOf(t, latest)) {
+		t.Fatalf("first read returned %d bytes, not the latest version (%v)", len(got), err)
 	}
 }

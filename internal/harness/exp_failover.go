@@ -189,17 +189,17 @@ func e23Lost(cl *core.Cluster, paths []string, acked []int64) (int, error) {
 	return lost, err
 }
 
-// e23ReplicaDigests compares every path's history digest on its owner
-// against every replica in its successor set. It returns how many replicas
-// diverge and what the first divergence is: two digests that differ, or — the
-// case a digest used to hide by hashing a missing blob as an empty version —
-// a history one side cannot materialize, with the member, path, version and
-// error.
+// e23ReplicaDigests compares every path's history on its owner against every
+// replica in its successor set. It returns how many replicas diverge and what
+// the first divergence is: two histories whose bytes differ, with both
+// copies' per-version dump, or a history one side cannot materialize (a
+// missing blob is never summed as an empty version), with the member, path,
+// version and error.
 func e23ReplicaDigests(cl *core.Cluster, paths []string) (diverged int, first string) {
-	digest := func(id, path string) (string, error) {
+	digest := func(id, path string) (history, error) {
 		m, err := cl.Member(id)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		return historyDigest(m, cl.Authority(), path)
 	}
@@ -208,7 +208,7 @@ func e23ReplicaDigests(cl *core.Cluster, paths []string) (diverged int, first st
 		ownerDigest, ownerErr := digest(set[0], p)
 		for _, id := range set[1:] {
 			d, err := digest(id, p)
-			if ownerErr == nil && err == nil && d == ownerDigest {
+			if ownerErr == nil && err == nil && d.sameBytes(ownerDigest) {
 				continue
 			}
 			diverged++
@@ -221,7 +221,8 @@ func e23ReplicaDigests(cl *core.Cluster, paths []string) (diverged int, first st
 			case err != nil:
 				first = "replica " + err.Error()
 			default:
-				first = fmt.Sprintf("%s: replica %s and owner %s hold different bytes", p, id, set[0])
+				first = fmt.Sprintf("%s: replica %s and owner %s hold different bytes", p, id, set[0]) +
+					dump("replica "+id, d, "owner "+set[0], ownerDigest)
 			}
 		}
 	}
@@ -301,13 +302,13 @@ func (c *failoverConfig) run() ([]*Table, error) {
 		fmt.Sprintf("%d", diverged),
 	)
 	tbl.Note("the kill is silent (no FailServer bookkeeping): the %v health probe detects the dead member and promotes each orphaned path's replica on its ring successor in place — no AbsorbDead, no cold start, no archive transfer; %d closes were rejected during the outage window and every one of them is accounted for (an acked close is never among them)", c.Probe, res.failed)
-	tbl.Note("quiesce = WaitArchives + FlushReplication (anti-entropy), then every path's (version, length, bytes) history digest is compared owner vs every replica; quorum-failed closes during the outage: %d", quorumFails)
+	tbl.Note("quiesce = WaitArchives + FlushReplication (anti-entropy), then every path's history — (version, size, sha256) of each version — is compared owner vs every replica, and a mismatch prints both copies with their state ids; quorum-failed closes during the outage: %d", quorumFails)
 
 	if lost > 0 {
 		return []*Table{tbl}, fmt.Errorf("E23 FAILED: %d acked commit(s) lost across the kill", lost)
 	}
 	if diverged > 0 {
-		return []*Table{tbl}, fmt.Errorf("E23 FAILED: %d replica history digest(s) diverge from their owner after quiesce (first: %s)", diverged, firstDiverged)
+		return []*Table{tbl}, fmt.Errorf("E23 FAILED: %d replica history digest(s) diverge from their owner after quiesce; first: %s", diverged, firstDiverged)
 	}
 	if neverBack > 0 {
 		return []*Table{tbl}, timingGate(tbl, "E23", "%d victim path(s) never served a commit again after the kill", neverBack)

@@ -244,10 +244,10 @@ func e21Lost(cl *core.Cluster, paths []string, acked []int64) (int, error) {
 }
 
 // ownerDigest is historyDigest of path on whichever member owns it now.
-func ownerDigest(cl *core.Cluster, path string) (string, error) {
+func ownerDigest(cl *core.Cluster, path string) (history, error) {
 	m, err := ownerOf(cl, path)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	return historyDigest(m, cl.Authority(), path)
 }
@@ -335,7 +335,7 @@ func (c *scaleoutConfig) run() ([]*Table, error) {
 	// Quiesced migration byte-fidelity: digest every path's archived history,
 	// grow the ring again, and require every digest unchanged on the new
 	// owners.
-	before := make([]string, len(paths))
+	before := make([]history, len(paths))
 	for i, p := range paths {
 		if before[i], err = ownerDigest(cl, p); err != nil {
 			return nil, fmt.Errorf("E21 FAILED: history before the quiesced migration: %w", err)
@@ -347,14 +347,14 @@ func (c *scaleoutConfig) run() ([]*Table, error) {
 	mismatched, firstMismatch := 0, ""
 	for i, p := range paths {
 		after, err := ownerDigest(cl, p)
-		if err == nil && after == before[i] {
+		if err == nil && after.sameBytes(before[i]) {
 			continue
 		}
 		mismatched++
 		if firstMismatch != "" {
 			continue
 		}
-		firstMismatch = p + ": digest changed across the move"
+		firstMismatch = p + ": history changed across the move" + dump("before the move", before[i], "after, on the new owner", after)
 		if err != nil {
 			firstMismatch = err.Error()
 		}
@@ -377,15 +377,15 @@ func (c *scaleoutConfig) run() ([]*Table, error) {
 		fmt.Sprintf("%d", movesQuiesced),
 		fmt.Sprintf("%d", mismatched),
 	)
-	reb.Note("a move drains the path's in-flight opens, freezes it, hands the archive history over chunk-deduped, imports the repository row, and evicts the source; a forward is an op that waited out a move gate")
-	reb.Note("history digests hash (version, length, bytes) of every archived version before and after the quiesced migration — byte fidelity, not just latest-content equality")
+	reb.Note("a move drains the path's in-flight opens, freezes it, catches the new owner's archive history up chunk-deduped, promotes it there as a failover would, and evicts the source; a forward is an op that waited out a move gate")
+	reb.Note("history mismatches compare (version, size, sha256) of every archived version before and after the quiesced migration — byte fidelity, not just latest-content equality; a mismatch prints both copies with their state ids")
 
 	tables := []*Table{scale, reb}
 	if lost > 0 {
 		return tables, fmt.Errorf("E21 FAILED: rebalance round lost %d acked commit(s)", lost)
 	}
 	if mismatched > 0 {
-		return tables, fmt.Errorf("E21 FAILED: %d path(s) changed archived history across migration (first: %s)", mismatched, firstMismatch)
+		return tables, fmt.Errorf("E21 FAILED: %d path(s) changed archived history across migration; first: %s", mismatched, firstMismatch)
 	}
 	if maxOp > 30*time.Second {
 		return tables, fmt.Errorf("E21 FAILED: an op took %v during rebalance — a client hung", maxOp)

@@ -256,25 +256,112 @@ func sameBytes(e archive.Entry, want []byte) error {
 	return nil
 }
 
-// historyDigest hashes the whole archived history of path as member m holds
-// it — (version, length, bytes) of every version — so two members, or one
-// member before and after a migration, hold the same history iff the digests
-// match. A version that does not materialize is an error naming the member,
-// path and version; hashing it as empty would let a manifest without its blob
-// pass for a short file.
-func historyDigest(m *core.FileServer, authority, path string) (string, error) {
-	h := sha256.New()
+// versionSum is one archived version as a history comparison sees it.
+type versionSum struct {
+	version archive.Version
+	stateID uint64
+	size    int
+	sum     [sha256.Size]byte
+}
+
+// history is a path's whole archived history as one member holds it.
+type history []versionSum
+
+// historyDigest reads the whole archived history of path as member m holds
+// it — (version, state id, size, sha256) of every version. Two members, or
+// one member before and after a migration, hold the same history iff
+// sameBytes says so. A version that does not materialize is an error naming
+// the member, path and version; summing it as empty would let a manifest
+// without its blob pass for a short file.
+func historyDigest(m *core.FileServer, authority, path string) (history, error) {
+	var h history
 	for _, e := range m.Archive.Versions(authority, path) {
 		snap, err := e.Snapshot()
 		if err != nil {
-			return "", fmt.Errorf("%s: %s v%d: %w", m.Name, path, e.Version, err)
+			return nil, fmt.Errorf("%s: %s v%d: %w", m.Name, path, e.Version, err)
 		}
 		content := snap.Bytes()
 		snap.Release()
-		fmt.Fprintf(h, "%d:%d:", e.Version, len(content))
-		h.Write(content)
+		h = append(h, versionSum{version: e.Version, stateID: e.StateID, size: len(content), sum: sha256.Sum256(content)})
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
+	return h, nil
+}
+
+// sameBytes reports whether two versions have the same number and bytes.
+// State ids are not compared — dump prints them, for a reader hunting where
+// two copies parted.
+func (v versionSum) sameBytes(o versionSum) bool {
+	return v.version == o.version && v.size == o.size && v.sum == o.sum
+}
+
+// sameBytes reports whether two histories hold the same versions with the
+// same bytes.
+func (h history) sameBytes(o history) bool {
+	if len(h) != len(o) {
+		return false
+	}
+	for i := range h {
+		if !h[i].sameBytes(o[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// dump prints h and o side by side after a newline, one version per line and
+// aligned by version number, as "v<version> state <id> size <n> sha256 <first
+// 8 bytes>"; a version only one side holds shows "-" on the other, and a line
+// whose two sides differ is starred. A run of more than three lines of one
+// kind (alike, differing, or one side only) keeps its first and last line
+// around a "… n more" line, so a long history stays readable.
+func dump(labelH string, h history, labelO string, o history) string {
+	type row struct {
+		kind        int // 0 alike, 1 differ, 2 h only, 3 o only
+		left, right string
+	}
+	line := func(v versionSum) string {
+		return fmt.Sprintf("v%d state %d size %d sha256 %x", v.version, v.stateID, v.size, v.sum[:8])
+	}
+	var rows []row
+	for i, j := 0, 0; i < len(h) || j < len(o); {
+		switch {
+		case j == len(o) || i < len(h) && h[i].version < o[j].version:
+			rows = append(rows, row{2, line(h[i]), "-"})
+			i++
+		case i == len(h) || o[j].version < h[i].version:
+			rows = append(rows, row{3, "-", line(o[j])})
+			j++
+		default:
+			r := row{0, line(h[i]), line(o[j])}
+			if !h[i].sameBytes(o[j]) {
+				r.kind = 1
+			}
+			rows = append(rows, r)
+			i, j = i+1, j+1
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "\n  %-56s | %s", labelH, labelO)
+	for start := 0; start < len(rows); {
+		end := start + 1
+		for end < len(rows) && rows[end].kind == rows[start].kind {
+			end++
+		}
+		for k, n := start, end-start; k < end; k++ {
+			if n > 3 && k == start+1 {
+				fmt.Fprintf(&b, "\n  … %d more", n-2)
+				k = end - 2
+				continue
+			}
+			mark := "*"
+			if rows[k].kind == 0 {
+				mark = " "
+			}
+			fmt.Fprintf(&b, "\n%s %-56s | %s", mark, rows[k].left, rows[k].right)
+		}
+		start = end
+	}
+	return b.String()
 }
 
 // ownerOf returns the member that currently owns path.

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"datalinks/internal/archive"
 	"datalinks/internal/core"
 	"datalinks/internal/extent"
 	"datalinks/internal/workload"
@@ -175,8 +176,8 @@ func TestHistoryDigestFailsOnAMissingBlob(t *testing.T) {
 	}
 	srv.DLFM.WaitArchives()
 	whole, err := historyDigest(srv, "fs1", "/d/f.bin")
-	if err != nil || whole == "" {
-		t.Fatalf("digest of an intact history: %q, %v", whole, err)
+	if err != nil || len(whole) != 2 {
+		t.Fatalf("digest of an intact history: %d versions, %v", len(whole), err)
 	}
 
 	packs, err := filepath.Glob(filepath.Join(dir, "pack-*.pk"))
@@ -196,5 +197,59 @@ func TestHistoryDigestFailsOnAMissingBlob(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %s", err, want)
 		}
+	}
+}
+
+// TestHistoryDumpStarsWhereCopiesPart: the dump printed beside a digest
+// mismatch shows both copies version by version, stars each version whose
+// bytes differ or that one side lacks, and leaves a state-id-only difference
+// unstarred (it is printed, not compared).
+func TestHistoryDumpStarsWhereCopiesPart(t *testing.T) {
+	a := history{
+		{version: 0, stateID: 3, size: 2, sum: sha256.Sum256([]byte("v0"))},
+		{version: 1, stateID: 5, size: 2, sum: sha256.Sum256([]byte("v1"))},
+		{version: 2, stateID: 7, size: 2, sum: sha256.Sum256([]byte("v2"))},
+	}
+	b := history{a[0], a[1]}
+	b[0].stateID = 4
+	b[1].sum = sha256.Sum256([]byte("x1"))
+	if a.sameBytes(b) || !a.sameBytes(a) || !a[:1].sameBytes(b[:1]) {
+		t.Fatal("sameBytes compares state ids or misses a byte difference")
+	}
+	lines := strings.Split(dump("replica fs2", a, "owner fs1", b), "\n")
+	if len(lines) != 5 || !strings.Contains(lines[1], "replica fs2") || !strings.Contains(lines[1], "owner fs1") {
+		t.Fatalf("dump header: %q", lines)
+	}
+	for i, want := range []string{" v0 state 3", "* v1 state 5", "* v2 state 7"} {
+		got := strings.ReplaceAll(lines[i+2], "  ", " ")
+		if !strings.HasPrefix(got, want) {
+			t.Errorf("line %d = %q, want prefix %q", i+2, lines[i+2], want)
+		}
+	}
+	if !strings.Contains(lines[2], "v0 state 4") || !strings.HasSuffix(lines[4], "| -") {
+		t.Errorf("dump does not show both sides: %q", lines)
+	}
+}
+
+// TestHistoryDumpAlignsByVersion: a copy that lacks the other's first
+// versions lines up version by version — the versions both hold are not
+// starred — and long runs fold to their ends.
+func TestHistoryDumpAlignsByVersion(t *testing.T) {
+	var full history
+	for v := 0; v < 10; v++ {
+		full = append(full, versionSum{version: archive.Version(v), stateID: uint64(10 * v), size: 1, sum: sha256.Sum256([]byte{byte(v)})})
+	}
+	lines := strings.Split(dump("replica fs1", full, "owner fs2", full[5:]), "\n")[2:]
+	want := []string{"* v0 state 0", "  … 3 more", "* v4 state 40", "  v5 state 50", "  … 3 more", "  v9 state 90"}
+	if len(lines) != len(want) {
+		t.Fatalf("dump = %q", lines)
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(lines[i], w) {
+			t.Errorf("line %d = %q, want prefix %q", i, lines[i], w)
+		}
+	}
+	if !strings.HasSuffix(lines[0], "| -") || !strings.HasSuffix(lines[3], "| v5 state 50 size 1 sha256 "+fmt.Sprintf("%x", full[5].sum[:8])) {
+		t.Errorf("dump does not align the two sides: %q", lines)
 	}
 }
