@@ -38,7 +38,7 @@ func (s *System) NewCheckOutManager(server string) (*CheckOutManager, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := cico.New(s.core.DB, srv.Phys, srv.Archive, server, nil)
+	m, err := cico.New(s.core.DB(), srv.Phys, srv.Archive, server, nil)
 	if err != nil {
 		return nil, err
 	}

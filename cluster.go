@@ -3,13 +3,13 @@ package datalinks
 // Public surface of the scale-out namespace: a Cluster runs one DataLinks
 // authority across several file servers. Link paths place on a consistent-
 // hash ring of members; membership can change while update transactions
-// continue — paths whose owner changes migrate live (drain, freeze, archive
-// handoff, evict) and no acknowledged commit is ever lost. See
-// internal/core/cluster.go for the protocol.
+// continue — paths whose owner changes migrate live (drain, freeze, history
+// catch-up, promote on the new owner, evict) and no acknowledged commit is
+// ever lost. A stack enters the ring only through AddServer and leaves it only
+// through RemoveServer or Failover. See internal/core/cluster.go for the
+// protocol.
 
 import (
-	"fmt"
-
 	"datalinks/internal/core"
 	"datalinks/internal/fs"
 )
@@ -17,9 +17,14 @@ import (
 // ClusterConfig configures a scale-out deployment.
 type ClusterConfig = core.ClusterConfig
 
+// ErrNoDurableRepo is AddServer's (and AbsorbDead's) refusal to restart a
+// failed member whose repository did not survive it.
+var ErrNoDurableRepo = core.ErrNoDurableRepo
+
 // Cluster is a running scale-out DataLinks deployment.
 type Cluster struct {
 	inner *core.Cluster
+	hostSQL
 }
 
 // OpenCluster builds a scale-out deployment.
@@ -28,7 +33,7 @@ func OpenCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{inner: c}, nil
+	return &Cluster{inner: c, hostSQL: hostSQL{c.DB}}, nil
 }
 
 // Close shuts down every member stack. The error joins every member's
@@ -51,18 +56,23 @@ func (c *Cluster) Owner(path string) (string, error) { return c.inner.Owner(path
 func (c *Cluster) Placements() map[string]int { return c.inner.Placements() }
 
 // AddServer grows the cluster by one member, migrating the paths the ring
-// reassigns to it while commits continue.
+// reassigns to it while commits continue. Given a failed member's config it
+// restarts that member over its durable directories instead, on the unchanged
+// ring; a failed member without RepoDir is refused (ErrNoDurableRepo) before
+// anything changes.
 func (c *Cluster) AddServer(sc ServerConfig) error { return c.inner.AddServer(sc) }
 
 // RemoveServer drains a member gracefully and shuts its stack down.
 func (c *Cluster) RemoveServer(id string) error { return c.inner.RemoveServer(id) }
 
 // FailServer simulates a member machine dying; its durable directories
-// survive for AbsorbDead.
+// survive for a restart (AddServer with its config) or AbsorbDead.
 func (c *Cluster) FailServer(id string) error { return c.inner.FailServer(id) }
 
-// AbsorbDead cold-starts a failed member's durable state and migrates its
-// namespace to the surviving members.
+// AbsorbDead moves a failed member's namespace to the surviving members: it
+// restarts the member (AddServer with its config), then drains it
+// (RemoveServer). If the drain fails partway the member stays live, serving
+// what it has not moved yet, and RemoveServer finishes the job.
 func (c *Cluster) AbsorbDead(id string) error { return c.inner.AbsorbDead(id) }
 
 // KillServer kills a member's processes without informing the cluster — only
@@ -75,8 +85,8 @@ type FailoverReport = core.FailoverReport
 
 // Failover recovers a failed member's paths from their replicas: each
 // orphaned path is promoted on its first live ring successor, which already
-// holds the full history — no cold start, no AbsorbDead. Requires
-// Replicas > 1.
+// holds the full history — no cold start. Requires Replicas > 1 and a member
+// no restart brought back.
 func (c *Cluster) Failover(id string) (*FailoverReport, error) { return c.inner.Failover(id) }
 
 // ReplicaSet reports the members holding copies of a path: the current owner
@@ -95,61 +105,6 @@ func (c *Cluster) SeedFile(path string, content []byte, owner int32) error {
 
 // WaitArchives drains async archive jobs on every member.
 func (c *Cluster) WaitArchives() { c.inner.WaitArchives() }
-
-// Exec runs a DDL/DML statement with ?-placeholders.
-func (c *Cluster) Exec(sql string, args ...any) (int, error) {
-	vals, err := toValues(args)
-	if err != nil {
-		return 0, err
-	}
-	return c.inner.DB.Exec(sql, vals...)
-}
-
-// MustExec is Exec that panics on error.
-func (c *Cluster) MustExec(sql string, args ...any) int {
-	n, err := c.Exec(sql, args...)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
-// Query runs a SELECT with ?-placeholders.
-func (c *Cluster) Query(sql string, args ...any) (*Rows, error) {
-	vals, err := toValues(args)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := c.inner.DB.Query(sql, vals...)
-	if err != nil {
-		return nil, err
-	}
-	out := &Rows{Cols: rows.Cols}
-	for _, r := range rows.Data {
-		converted := make([]any, len(r))
-		for i, v := range r {
-			converted[i] = fromValue(v)
-		}
-		out.Data = append(out.Data, converted)
-	}
-	return out, nil
-}
-
-// QueryString runs a SELECT expected to return one string value.
-func (c *Cluster) QueryString(sql string, args ...any) (string, error) {
-	rows, err := c.Query(sql, args...)
-	if err != nil {
-		return "", err
-	}
-	if len(rows.Data) != 1 || len(rows.Data[0]) != 1 {
-		return "", fmt.Errorf("datalinks: expected one value, got %dx%d", len(rows.Data), len(rows.Cols))
-	}
-	str, ok := rows.Data[0][0].(string)
-	if !ok {
-		return "", fmt.Errorf("datalinks: value is %T, not string", rows.Data[0][0])
-	}
-	return str, nil
-}
 
 // Session returns an application identity with the given uid. Opens resolve
 // the path's current owner through the ring and fail over once if a

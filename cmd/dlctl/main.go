@@ -163,8 +163,8 @@ func ringDemo() {
 
 // failoverDemo exercises replicated shards end to end: every path's committed
 // history lives on its owner and its ring successor, a member machine dies,
-// and Failover promotes the surviving replicas in place — no cold start, no
-// archive handoff, reads and writes continue on the survivors.
+// and Failover promotes the surviving replicas in place — no cold start and
+// no history travels; reads and writes continue on the survivors.
 func failoverDemo() {
 	fmt.Println("== dlctl failover: successor replication, promote in place ==")
 	c, err := datalinks.OpenCluster(datalinks.ClusterConfig{

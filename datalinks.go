@@ -62,6 +62,7 @@ type Config = core.Config
 // System is a running DataLinks deployment.
 type System struct {
 	core *core.System
+	hostSQL
 }
 
 // Open builds a System.
@@ -70,7 +71,7 @@ func Open(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{core: c}, nil
+	return &System{core: c, hostSQL: hostSQL{c.DB}}, nil
 }
 
 // Close shuts the system down, draining background archive jobs. The error
@@ -147,18 +148,25 @@ type Rows struct {
 	Data [][]any
 }
 
+// hostSQL is the SQL surface System and Cluster share: every statement runs
+// on the host database the engine serves at the time of the call, so a
+// restore or a host recovery needs no handle refresh.
+type hostSQL struct {
+	db func() *sqlmini.DB
+}
+
 // Exec runs a DDL/DML statement with ?-placeholders, returning affected rows.
-func (s *System) Exec(sql string, args ...any) (int, error) {
+func (h hostSQL) Exec(sql string, args ...any) (int, error) {
 	vals, err := toValues(args)
 	if err != nil {
 		return 0, err
 	}
-	return s.core.DB.Exec(sql, vals...)
+	return h.db().Exec(sql, vals...)
 }
 
 // MustExec is Exec that panics on error (setup code, examples).
-func (s *System) MustExec(sql string, args ...any) int {
-	n, err := s.Exec(sql, args...)
+func (h hostSQL) MustExec(sql string, args ...any) int {
+	n, err := h.Exec(sql, args...)
 	if err != nil {
 		panic(err)
 	}
@@ -166,12 +174,12 @@ func (s *System) MustExec(sql string, args ...any) int {
 }
 
 // Query runs a SELECT with ?-placeholders.
-func (s *System) Query(sql string, args ...any) (*Rows, error) {
+func (h hostSQL) Query(sql string, args ...any) (*Rows, error) {
 	vals, err := toValues(args)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := s.core.DB.Query(sql, vals...)
+	rows, err := h.db().Query(sql, vals...)
 	if err != nil {
 		return nil, err
 	}
@@ -188,8 +196,8 @@ func (s *System) Query(sql string, args ...any) (*Rows, error) {
 
 // QueryString runs a SELECT expected to return one string value — the
 // common shape for fetching tokenized URLs via DLURLCOMPLETE[WRITE].
-func (s *System) QueryString(sql string, args ...any) (string, error) {
-	rows, err := s.Query(sql, args...)
+func (h hostSQL) QueryString(sql string, args ...any) (string, error) {
+	rows, err := h.Query(sql, args...)
 	if err != nil {
 		return "", err
 	}
@@ -220,11 +228,7 @@ func (s *System) StateID() uint64 { return s.core.Engine.StateID() }
 // restores every recovery-enabled linked file to the matching version —
 // the coordinated point-in-time restore of §4.4.
 func (s *System) RestoreToState(stateID uint64) error {
-	if err := s.core.Engine.RestoreToState(stateID); err != nil {
-		return err
-	}
-	s.core.DB = s.core.Engine.DB()
-	return nil
+	return s.core.Engine.RestoreToState(stateID)
 }
 
 // CrashAndRecoverServer simulates a crash and restart of one file server:

@@ -54,14 +54,14 @@ func TestChaosTCPLifecycle(t *testing.T) {
 	srv.Phys.Chown(ino, fs.Cred{UID: fs.Root}, alice)
 	srv.Phys.Chmod(ino, fs.Cred{UID: alice}, 0o644)
 
-	sys.DB.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES, doc_size INT)`)
-	if _, err := sys.DB.Exec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f.bin'), NULL)`); err != nil {
+	sys.DB().MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES, doc_size INT)`)
+	if _, err := sys.DB().Exec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f.bin'), NULL)`); err != nil {
 		t.Fatalf("link: %v", err)
 	}
 	sess := sys.NewSession(alice)
 	const rounds = 8
 	for i := 1; i <= rounds; i++ {
-		row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`)
+		row, err := sys.DB().QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`)
 		if err != nil {
 			t.Fatalf("round %d token: %v", i, err)
 		}
@@ -81,7 +81,7 @@ func TestChaosTCPLifecycle(t *testing.T) {
 	if want := fmt.Sprintf("v%d under chaos", rounds); string(data) != want {
 		t.Fatalf("final content = %q, want %q", data, want)
 	}
-	mrow, err := sys.DB.QueryRow(`SELECT doc_size FROM t WHERE id = 1`)
+	mrow, err := sys.DB().QueryRow(`SELECT doc_size FROM t WHERE id = 1`)
 	if err != nil || mrow[0].I != int64(len(fmt.Sprintf("v%d under chaos", rounds))) {
 		t.Fatalf("metadata = %v, %v", mrow, err)
 	}

@@ -62,11 +62,6 @@ type ClusterConfig struct {
 	// rolled back — the owner's copy is durable and anti-entropy
 	// (FlushReplication) repairs the gap.
 	WriteQuorum int
-	// ReplicaReads lets ReadFileContent fall back to a surviving replica
-	// when the owner is unreachable. Staleness is bounded: a replica can be
-	// behind by at most the commits the owner had not quorum-acked. Off by
-	// default — reads fail until Failover promotes.
-	ReplicaReads bool
 	// ReplRetry shapes per-replica ship retry (zero value = retry defaults).
 	ReplRetry retry.Policy
 	// ReplChaos, when set, injects transport faults into the replication
@@ -74,17 +69,19 @@ type ClusterConfig struct {
 	// partitions), the same fault model the upcall wire runs under.
 	ReplChaos *upcall.Chaos
 	// ProbeInterval enables the health probe: every interval each member is
-	// checked, and one found dead gets FailServer bookkeeping (plus, with
-	// AutoFailover, a Failover). 0 disables probing.
+	// checked, and one found dead gets FailServer bookkeeping and, with
+	// Replicas > 1, a Failover. 0 disables probing.
 	ProbeInterval time.Duration
-	// AutoFailover makes the health probe run Failover on a dead member.
-	AutoFailover bool
 }
+
+// ErrNoDurableRepo refuses to restart a failed member whose repository does
+// not survive it: one that ran without RepoDir (its private directory died
+// with it), or a restart config naming a different RepoDir.
+var ErrNoDurableRepo = errors.New("core: failed member has no durable repository")
 
 // Cluster is a running scale-out deployment: one host database and engine,
 // N file-server stacks behind a consistent-hash router.
 type Cluster struct {
-	DB     *sqlmini.DB
 	Engine *engine.Engine
 
 	authority string
@@ -96,7 +93,7 @@ type Cluster struct {
 	repl replConfig
 
 	mu      sync.Mutex
-	deadCfg map[string]ServerConfig // failed members awaiting AbsorbDead or Failover
+	deadCfg map[string]ServerConfig // failed members awaiting a restart or Failover
 
 	probeStop chan struct{}
 	probeWG   sync.WaitGroup
@@ -137,7 +134,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		quorum: cfg.WriteQuorum,
 		policy: cfg.ReplRetry,
 		chaos:  cfg.ReplChaos,
-		auto:   cfg.AutoFailover,
 		probe:  cfg.ProbeInterval,
 	}
 	if repl.n < 1 {
@@ -150,7 +146,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		repl.quorum = repl.n
 	}
 	c := &Cluster{
-		DB:        eng.DB(),
 		Engine:    eng,
 		authority: cfg.Authority,
 		clock:     cfg.Clock,
@@ -160,8 +155,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		repl:      repl,
 		deadCfg:   make(map[string]ServerConfig),
 	}
-	c.router.replicas = repl.n
-	c.router.replicaReads = cfg.ReplicaReads
 	for _, sc := range cfg.Members {
 		fsrv, err := buildStack(sc, cfg.Authority, cfg.Clock, cfg.TokenKey, cfg.TokenTTL, eng)
 		if err != nil {
@@ -192,6 +185,10 @@ func (c *Cluster) attachReplicator(fsrv *FileServer) {
 
 // Authority returns the cluster's shared file-server name.
 func (c *Cluster) Authority() string { return c.authority }
+
+// DB returns the host database the engine currently serves (a restore or a
+// host recovery replaces it).
+func (c *Cluster) DB() *sqlmini.DB { return c.Engine.DB() }
 
 // Router returns the cluster's path router.
 func (c *Cluster) Router() *Router { return c.router }
@@ -271,12 +268,12 @@ func (c *Cluster) Close() error {
 
 // probeLoop is the health probe: it sweeps the member set every interval and
 // converts a silently dead member (KillServer, or a crashed stack) into the
-// same bookkeeping FailServer does — and, with AutoFailover, straight into a
+// same bookkeeping FailServer does — and, with Replicas > 1, straight into a
 // Failover, so orphaned paths come back without an operator in the loop. A
 // Failover that returns an error is counted and tried again on every tick
 // until the member has left deadCfg: markDead already took it off the member
 // list, so nothing else would come back to it. Only the probe's own failovers
-// are retried — a FailServer awaiting AbsorbDead is the operator's.
+// are retried — a FailServer awaiting a restart is the operator's.
 func (c *Cluster) probeLoop() {
 	defer c.probeWG.Done()
 	t := time.NewTicker(c.repl.probe)
@@ -302,7 +299,7 @@ func (c *Cluster) probeLoop() {
 			c.mu.Unlock()
 			if !dead {
 				// Past its ring swap (what failed was the redundancy repair
-				// behind it), or absorbed meanwhile.
+				// behind it), or restarted meanwhile.
 				delete(failed, id)
 				continue
 			}
@@ -316,7 +313,7 @@ func (c *Cluster) probeLoop() {
 			// Dead but still routable: record the death.
 			c.markDead(m)
 			c.router.reg.Counter("repl.probe_deaths").Inc()
-			if c.repl.auto && c.repl.n > 1 {
+			if c.repl.n > 1 {
 				failover(id)
 			}
 		}
@@ -336,8 +333,8 @@ func (c *Cluster) KillServer(id string) error {
 }
 
 // markDead is the death bookkeeping FailServer and the health probe share:
-// the member stops being routable and its config waits for AbsorbDead or
-// Failover.
+// the member stops being routable and its config waits for a restart
+// (AddServer, AbsorbDead) or Failover.
 func (c *Cluster) markDead(m *FileServer) {
 	c.router.dropMember(m.Name)
 	c.mu.Lock()
@@ -430,6 +427,14 @@ func (c *Cluster) Placements() map[string]int {
 // member, and the ring swaps. Commits against non-moving paths proceed
 // throughout; commits against a moving path drain before the move or route to
 // the new owner after it.
+//
+// For a failed member still on the ring (FailServer or the health probe marked
+// it dead, and no Failover took its paths) AddServer is a restart: the stack
+// reopens over the member's durable directories — repository WAL replay
+// rebuilds its link set, linked contents install from its archive — and the
+// ring stays as it is, so the member serves its paths again. A failed member
+// whose repository did not survive is refused with ErrNoDurableRepo before
+// anything changes; its replicas stay where Failover can promote them.
 func (c *Cluster) AddServer(sc ServerConfig) error {
 	if sc.Name == "" {
 		return fmt.Errorf("core: cluster member without a name")
@@ -439,6 +444,12 @@ func (c *Cluster) AddServer(sc ServerConfig) error {
 	if _, err := c.router.member(sc.Name); err == nil {
 		return fmt.Errorf("core: member %q already in the cluster", sc.Name)
 	}
+	c.mu.Lock()
+	dead, restart := c.deadCfg[sc.Name]
+	c.mu.Unlock()
+	if restart && (dead.RepoDir == "" || sc.RepoDir != dead.RepoDir) {
+		return fmt.Errorf("%w: %q", ErrNoDurableRepo, sc.Name)
+	}
 	fsrv, err := buildStack(sc, c.authority, c.clock, c.key, c.ttl, c.Engine)
 	if err != nil {
 		return err
@@ -446,18 +457,25 @@ func (c *Cluster) AddServer(sc ServerConfig) error {
 	c.attachReplicator(fsrv)
 	target := c.router.currentRing().With(sc.Name)
 	c.router.beginRebalance(target, fsrv)
+	if restart {
+		// Live again: a Failover queued behind rebalanceMu finds nothing to do.
+		c.mu.Lock()
+		delete(c.deadCfg, sc.Name)
+		c.mu.Unlock()
+	}
 	if err := c.rebalanceTo(target); err != nil {
 		c.router.abortRebalance()
-		// The joining member keeps any paths that already migrated onto it
+		// A joining member keeps any paths that already migrated onto it
 		// (their overrides route there), so its stack must stay up — but if
-		// nothing moved, beginRebalance's registration is rolled back too.
-		if !c.hasOverrideTo(sc.Name) {
+		// nothing moved, beginRebalance's registration is rolled back too. A
+		// restarted member owns its own paths either way.
+		if !restart && !c.hasOverrideTo(sc.Name) {
 			c.router.dropMember(sc.Name)
 			return errors.Join(err, closeStack(fsrv))
 		}
 		return err
 	}
-	c.router.finishRebalance(target)
+	c.router.adoptRing(target)
 	if err := c.FlushReplication(); err != nil {
 		return err
 	}
@@ -478,7 +496,9 @@ func (c *Cluster) hasOverrideTo(id string) bool {
 }
 
 // RemoveServer drains a member gracefully: every path it owns migrates to the
-// ring without it, the ring swaps, and the stack shuts down.
+// ring without it, the ring swaps, and the stack shuts down. If a move fails,
+// the member stays and serves what it still owns; a second RemoveServer
+// finishes the drain.
 func (c *Cluster) RemoveServer(id string) error {
 	c.router.rebalanceMu.Lock()
 	defer c.router.rebalanceMu.Unlock()
@@ -495,7 +515,7 @@ func (c *Cluster) RemoveServer(id string) error {
 		c.router.abortRebalance()
 		return err
 	}
-	c.router.finishRebalance(target)
+	c.router.adoptRing(target)
 	c.router.dropMember(id)
 	closeErr := closeStack(m)
 	if err := c.FlushReplication(); err != nil {
@@ -507,7 +527,8 @@ func (c *Cluster) RemoveServer(id string) error {
 
 // FailServer simulates a member machine dying — KillServer — and records the
 // death at once instead of waiting for the health probe. The member's durable
-// directories (RepoDir, ArchiveDir) survive for AbsorbDead.
+// directories (RepoDir, ArchiveDir) survive for a restart (AddServer with its
+// config) or AbsorbDead.
 func (c *Cluster) FailServer(id string) error {
 	m, err := c.router.member(id)
 	if err != nil {
@@ -518,13 +539,12 @@ func (c *Cluster) FailServer(id string) error {
 	return nil
 }
 
-// AbsorbDead recovers a failed member's files under the surviving members:
-// the dead member's durable directories are cold-started (repository WAL
-// replay rebuilds the link set; linked contents materialize from the archive),
-// every recovered path migrates to its owner on the ring without the dead
-// member, and the member leaves the ring. Requires the failed member to have
-// run with RepoDir set — a member without one ran over a private directory
-// that died with it, leaving nothing to absorb.
+// AbsorbDead recovers a failed member's files under the surviving members: it
+// restarts the member from its durable directories (AddServer with the config
+// it ran under) and then drains it (RemoveServer). A member without RepoDir is
+// refused with ErrNoDurableRepo. If the drain fails partway, the member stays
+// live and serves the paths it has not moved yet; RemoveServer(id) finishes
+// the job.
 func (c *Cluster) AbsorbDead(id string) error {
 	c.mu.Lock()
 	sc, dead := c.deadCfg[id]
@@ -532,47 +552,10 @@ func (c *Cluster) AbsorbDead(id string) error {
 	if !dead {
 		return fmt.Errorf("core: member %q has not failed", id)
 	}
-	if sc.RepoDir == "" {
-		return fmt.Errorf("core: member %q has no durable repository to absorb", id)
+	if err := c.AddServer(sc); err != nil {
+		return fmt.Errorf("core: absorb %s: restart: %w", id, err)
 	}
-	c.router.rebalanceMu.Lock()
-	defer c.router.rebalanceMu.Unlock()
-	// Cold-start the dead member's durable state under a fresh stack. The
-	// RAM file system died with the machine; dlfm.Open's recovery rebuilds
-	// the link set from the WAL and re-materializes contents from the archive.
-	fsrv, err := buildStack(sc, c.authority, c.clock, c.key, c.ttl, c.Engine)
-	if err != nil {
-		return fmt.Errorf("core: absorb %s: cold start: %w", id, err)
-	}
-	target := c.router.currentRing().Without(id)
-	if len(target.Members()) == 0 {
-		return errors.Join(fmt.Errorf("core: no surviving members to absorb %q into", id), closeStack(fsrv))
-	}
-	// Re-enter the ring long enough to drain: traffic for its paths resumes
-	// against the recovered stack while they migrate out one by one.
-	c.router.beginRebalance(target, fsrv)
-	if err := c.rebalanceTo(target); err != nil {
-		// A partial absorb must leave the cluster where a second AbsorbDead
-		// can finish the job: paths that migrated keep their overrides (they
-		// live on survivors now), the recovered stack closes — its durable
-		// dirs hold everything that did not move — and, crucially, it leaves
-		// the member table. Without the dropMember here the closed stack
-		// stayed routable and the retry found the member "already present".
-		c.router.abortRebalance()
-		c.router.dropMember(id)
-		return errors.Join(err, closeStack(fsrv))
-	}
-	c.router.finishRebalance(target)
-	c.router.dropMember(id)
-	closeErr := closeStack(fsrv)
-	c.mu.Lock()
-	delete(c.deadCfg, id)
-	c.mu.Unlock()
-	if err := c.FlushReplication(); err != nil {
-		return errors.Join(closeErr, err)
-	}
-	c.Placements()
-	return closeErr
+	return c.RemoveServer(id)
 }
 
 // rebalanceTo migrates every path whose owner differs between the current

@@ -39,7 +39,7 @@ func newCluster(t *testing.T, n int) *Cluster {
 		t.Fatalf("new cluster: %v", err)
 	}
 	closeAtEnd(t, c)
-	c.DB.MustExec(`CREATE TABLE docs (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
+	c.DB().MustExec(`CREATE TABLE docs (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
 	return c
 }
 
@@ -49,7 +49,7 @@ func linkDoc(t *testing.T, c *Cluster, id int, path, content string) {
 	if err := c.SeedFile(path, []byte(content), alice); err != nil {
 		t.Fatalf("seed %s: %v", path, err)
 	}
-	if _, err := c.DB.Exec(fmt.Sprintf(
+	if _, err := c.DB().Exec(fmt.Sprintf(
 		`INSERT INTO docs (id, doc) VALUES (%d, DLVALUE('%s'))`, id, c.URL(path))); err != nil {
 		t.Fatalf("link %s: %v", path, err)
 	}
@@ -58,7 +58,7 @@ func linkDoc(t *testing.T, c *Cluster, id int, path, content string) {
 // docURL fetches the tokenized URL for one doc row.
 func docURL(t *testing.T, c *Cluster, fn string, id int) string {
 	t.Helper()
-	row, err := c.DB.QueryRow(fmt.Sprintf(`SELECT %s(doc) FROM docs WHERE id = %d`, fn, id))
+	row, err := c.DB().QueryRow(fmt.Sprintf(`SELECT %s(doc) FROM docs WHERE id = %d`, fn, id))
 	if err != nil {
 		t.Fatalf("%s: %v", fn, err)
 	}
@@ -413,7 +413,7 @@ func TestClusterFailAbsorbDead(t *testing.T) {
 		t.Fatalf("new cluster: %v", err)
 	}
 	defer c.Close()
-	c.DB.MustExec(`CREATE TABLE docs (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
+	c.DB().MustExec(`CREATE TABLE docs (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
 	paths := clusterPaths(10)
 	sess := c.NewSession(alice)
 	onFs2 := 0
@@ -475,5 +475,32 @@ func TestClusterFailAbsorbDead(t *testing.T) {
 		if vs := m.Archive.Versions(c.Authority(), p); len(vs) != 2 {
 			t.Fatalf("%s history after absorb: %d versions, want 2", p, len(vs))
 		}
+	}
+}
+
+// TestClusterDBFollowsARestore: DB is the database the engine serves now. A
+// restore replaces the host database and closes the old one; a handle kept
+// from before used to fail every statement with "wal: log closed".
+func TestClusterDBFollowsARestore(t *testing.T) {
+	c := newCluster(t, 2)
+	p := clusterPaths(1)[0]
+	linkDoc(t, c, 0, p, "v0 of "+p)
+	c.WaitArchives()
+	state := c.Engine.StateID()
+	if _, err := c.DB().Exec(`INSERT INTO docs (id) VALUES (1)`); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Engine.RestoreToState(state); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	rows, err := c.DB().Query(`SELECT id FROM docs`)
+	if err != nil {
+		t.Fatalf("query after the restore: %v", err)
+	}
+	if len(rows.Data) != 1 || rows.Data[0][0].I != 0 {
+		t.Fatalf("docs after the restore: %v, want only doc 0", rows.Data)
+	}
+	if _, err := c.DB().Exec(`INSERT INTO docs (id) VALUES (2)`); err != nil {
+		t.Fatalf("insert after the restore: %v", err)
 	}
 }

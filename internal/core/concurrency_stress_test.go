@@ -34,9 +34,9 @@ func TestConcurrentSessionsStress(t *testing.T) {
 	}
 	defer sys.Close()
 
-	sys.DB.MustExec(`CREATE TABLE srfd (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES, doc_size INT)`)
-	sys.DB.MustExec(`CREATE TABLE srdd (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES, doc_size INT)`)
-	sys.DB.MustExec(`CREATE TABLE schurn (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY NO)`)
+	sys.DB().MustExec(`CREATE TABLE srfd (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES, doc_size INT)`)
+	sys.DB().MustExec(`CREATE TABLE srdd (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES, doc_size INT)`)
+	sys.DB().MustExec(`CREATE TABLE schurn (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY NO)`)
 
 	const (
 		writers = 8
@@ -73,7 +73,7 @@ func TestConcurrentSessionsStress(t *testing.T) {
 		ino, _ := srv.Phys.Lookup(path)
 		srv.Phys.Chown(ino, fs.Cred{UID: fs.Root}, alice)
 		srv.Phys.Chmod(ino, fs.Cred{UID: alice}, 0o644)
-		if _, err := sys.DB.Exec(fmt.Sprintf(
+		if _, err := sys.DB().Exec(fmt.Sprintf(
 			`INSERT INTO %s VALUES (%d, DLVALUE('dlfs://%s%s'), NULL)`, table, i, server, path)); err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestConcurrentSessionsStress(t *testing.T) {
 		ino, _ := srv.Phys.Lookup("/s/shared.bin")
 		srv.Phys.Chown(ino, fs.Cred{UID: fs.Root}, alice)
 		srv.Phys.Chmod(ino, fs.Cred{UID: alice}, 0o644)
-		sys.DB.MustExec(`INSERT INTO srdd VALUES (1000, DLVALUE('dlfs://fs1/s/shared.bin'), NULL)`)
+		sys.DB().MustExec(`INSERT INTO srdd VALUES (1000, DLVALUE('dlfs://fs1/s/shared.bin'), NULL)`)
 	}
 
 	var wg sync.WaitGroup
@@ -104,7 +104,7 @@ func TestConcurrentSessionsStress(t *testing.T) {
 			defer wg.Done()
 			sess := sys.NewSession(alice)
 			for k := 1; k <= iters; k++ {
-				row, err := sys.DB.QueryRow(fmt.Sprintf(
+				row, err := sys.DB().QueryRow(fmt.Sprintf(
 					`SELECT DLURLCOMPLETEWRITE(doc) FROM %s WHERE id = %d`, st.table, st.id))
 				if err != nil {
 					errCh <- fmt.Errorf("writer %d url: %w", st.id, err)
@@ -126,7 +126,7 @@ func TestConcurrentSessionsStress(t *testing.T) {
 				}
 				st.committed = next
 				if st.table == "srdd" {
-					row, err := sys.DB.QueryRow(fmt.Sprintf(
+					row, err := sys.DB().QueryRow(fmt.Sprintf(
 						`SELECT DLURLCOMPLETE(doc) FROM srdd WHERE id = %d`, st.id))
 					if err != nil {
 						errCh <- fmt.Errorf("writer %d read url: %w", st.id, err)
@@ -160,7 +160,7 @@ func TestConcurrentSessionsStress(t *testing.T) {
 			defer wg.Done()
 			sess := sys.NewSession(alice)
 			for k := 0; k < iters*2; k++ {
-				row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETE(doc) FROM srdd WHERE id = 1000`)
+				row, err := sys.DB().QueryRow(`SELECT DLURLCOMPLETE(doc) FROM srdd WHERE id = 1000`)
 				if err != nil {
 					errCh <- fmt.Errorf("reader %d url: %w", r, err)
 					return
@@ -207,12 +207,12 @@ func TestConcurrentSessionsStress(t *testing.T) {
 			srv.Phys.Chmod(ino, fs.Cred{UID: alice}, 0o644)
 			id := 2000 + c
 			for k := 0; k < iters; k++ {
-				if _, err := sys.DB.Exec(fmt.Sprintf(
+				if _, err := sys.DB().Exec(fmt.Sprintf(
 					`INSERT INTO schurn VALUES (%d, DLVALUE('dlfs://%s%s'))`, id, server, path)); err != nil {
 					errCh <- fmt.Errorf("churner %d link: %w", c, err)
 					return
 				}
-				if _, err := sys.DB.Exec(fmt.Sprintf(`DELETE FROM schurn WHERE id = %d`, id)); err != nil {
+				if _, err := sys.DB().Exec(fmt.Sprintf(`DELETE FROM schurn WHERE id = %d`, id)); err != nil {
 					errCh <- fmt.Errorf("churner %d unlink: %w", c, err)
 					return
 				}
@@ -244,7 +244,7 @@ func TestConcurrentSessionsStress(t *testing.T) {
 		if len(vs) == 0 || !bytes.Equal(bytesOf(t, vs[len(vs)-1]), st.committed) {
 			t.Fatalf("%s: newest archived version does not match last committed content", st.path)
 		}
-		row, err := sys.DB.QueryRow(fmt.Sprintf(`SELECT doc_size FROM %s WHERE id = %d`, st.table, st.id))
+		row, err := sys.DB().QueryRow(fmt.Sprintf(`SELECT doc_size FROM %s WHERE id = %d`, st.table, st.id))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -166,7 +166,6 @@ func (f *FileServer) UpcallClient() *upcall.Client { return f.tcpClient }
 
 // System is a running DataLinks deployment.
 type System struct {
-	DB      *sqlmini.DB
 	Engine  *engine.Engine
 	clock   func() time.Time
 	key     []byte
@@ -174,6 +173,10 @@ type System struct {
 	mu      sync.Mutex
 	servers map[string]*FileServer
 }
+
+// DB returns the host database the engine currently serves (a restore or a
+// host recovery replaces it).
+func (sys *System) DB() *sqlmini.DB { return sys.Engine.DB() }
 
 // NewSystem builds and wires a complete deployment.
 func NewSystem(cfg Config) (*System, error) {
@@ -191,7 +194,6 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	sys := &System{
-		DB:      eng.DB(),
 		Engine:  eng,
 		clock:   cfg.Clock,
 		key:     cfg.TokenKey,
@@ -458,17 +460,9 @@ func (sys *System) CrashAndRecoverServer(name string) (*dlfm.RecoveryReport, err
 	return fresh.Recovery, nil
 }
 
-// RecoverHost crashes and recovers the host database, refreshing the
-// system's handle to the rebuilt instance.
-func (sys *System) RecoverHost() error {
-	if err := sys.Engine.RecoverHost(); err != nil {
-		return err
-	}
-	sys.mu.Lock()
-	sys.DB = sys.Engine.DB()
-	sys.mu.Unlock()
-	return nil
-}
+// RecoverHost crashes and recovers the host database; DB serves the rebuilt
+// instance afterwards.
+func (sys *System) RecoverHost() error { return sys.Engine.RecoverHost() }
 
 // Session is an application identity working against the system.
 type Session struct {

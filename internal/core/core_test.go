@@ -48,14 +48,14 @@ func newSys(t *testing.T, mode string) (*System, *FileServer) {
 	srv.Phys.Chown(ino, fs.Cred{UID: fs.Root}, alice)
 	srv.Phys.Chmod(ino, fs.Cred{UID: alice}, 0o644)
 
-	sys.DB.MustExec(`CREATE TABLE movies (
+	sys.DB().MustExec(`CREATE TABLE movies (
 		id INT PRIMARY KEY,
 		title VARCHAR,
 		clip DATALINK MODE ` + strings.ToUpper(mode) + ` RECOVERY YES,
 		clip_size INT,
 		clip_mtime TIMESTAMP
 	)`)
-	if _, err := sys.DB.Exec(`INSERT INTO movies (id, title, clip) VALUES (1, 'Casablanca', DLVALUE('dlfs://fs1/movies/clip1.mpg'))`); err != nil {
+	if _, err := sys.DB().Exec(`INSERT INTO movies (id, title, clip) VALUES (1, 'Casablanca', DLVALUE('dlfs://fs1/movies/clip1.mpg'))`); err != nil {
 		t.Fatalf("link insert: %v", err)
 	}
 	return sys, srv
@@ -64,7 +64,7 @@ func newSys(t *testing.T, mode string) (*System, *FileServer) {
 // urlFor fetches the tokenized URL for the movie's clip.
 func urlFor(t *testing.T, sys *System, fn string) string {
 	t.Helper()
-	row, err := sys.DB.QueryRow(`SELECT ` + fn + `(clip) FROM movies WHERE id = 1`)
+	row, err := sys.DB().QueryRow(`SELECT ` + fn + `(clip) FROM movies WHERE id = 1`)
 	if err != nil {
 		t.Fatalf("select %s: %v", fn, err)
 	}
@@ -98,7 +98,7 @@ func TestLinkFullControlTakesOver(t *testing.T) {
 func TestLinkRollbackRestoresPermissions(t *testing.T) {
 	sys, srv := newSys(t, "rdd")
 	srv.Phys.WriteFile("/movies/clip2.mpg", []byte("x"))
-	txn := sys.DB.Begin()
+	txn := sys.DB().Begin()
 	if _, err := txn.Exec(`INSERT INTO movies (id, title, clip) VALUES (2, 'Vertigo', DLVALUE('dlfs://fs1/movies/clip2.mpg'))`); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
@@ -204,7 +204,7 @@ func TestUpdateInPlaceCommit(t *testing.T) {
 		t.Fatalf("content = %q", data)
 	}
 	// Metadata auto-updated in the same transaction (§4.3).
-	row, err := sys.DB.QueryRow(`SELECT clip_size FROM movies WHERE id = 1`)
+	row, err := sys.DB().QueryRow(`SELECT clip_size FROM movies WHERE id = 1`)
 	if err != nil {
 		t.Fatalf("select size: %v", err)
 	}
@@ -331,11 +331,11 @@ func TestUnlinkRejectedWhileOpen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open read: %v", err)
 	}
-	if _, err := sys.DB.Exec(`DELETE FROM movies WHERE id = 1`); err == nil {
+	if _, err := sys.DB().Exec(`DELETE FROM movies WHERE id = 1`); err == nil {
 		t.Fatal("unlink succeeded while the file was open for read")
 	}
 	rf.Close()
-	if _, err := sys.DB.Exec(`DELETE FROM movies WHERE id = 1`); err != nil {
+	if _, err := sys.DB().Exec(`DELETE FROM movies WHERE id = 1`); err != nil {
 		t.Fatalf("unlink after close: %v", err)
 	}
 	// After unlink the file is unprotected again.
@@ -381,7 +381,7 @@ func TestRFBWritesBlocked(t *testing.T) {
 	if _, err := sess.OpenWrite("dlfs://fs1/movies/clip1.mpg"); !errors.Is(err, fs.ErrPermission) {
 		t.Fatalf("rfb write = %v, want permission denied", err)
 	}
-	if _, err := sys.DB.Query(`SELECT DLURLCOMPLETEWRITE(clip) FROM movies WHERE id = 1`); err == nil {
+	if _, err := sys.DB().Query(`SELECT DLURLCOMPLETEWRITE(clip) FROM movies WHERE id = 1`); err == nil {
 		t.Fatal("write token issued for rfb-linked file")
 	}
 	// Reads are free (FS-controlled).
@@ -407,9 +407,9 @@ func TestExpiredTokenRejected(t *testing.T) {
 	srv, _ := sys.Server("fs1")
 	srv.Phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
 	srv.Phys.WriteFile("/d/f", []byte("x"))
-	sys.DB.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
-	sys.DB.MustExec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f'))`)
-	row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETE(doc) FROM t WHERE id = 1`)
+	sys.DB().MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
+	sys.DB().MustExec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f'))`)
+	row, err := sys.DB().QueryRow(`SELECT DLURLCOMPLETE(doc) FROM t WHERE id = 1`)
 	if err != nil {
 		t.Fatalf("token: %v", err)
 	}
@@ -560,8 +560,8 @@ func TestServerWithoutRepoDirRunsDurableRepository(t *testing.T) {
 			t.Fatal(err)
 		}
 		gone(t, dirs["fs2"], "FailServer")
-		if err := c.AbsorbDead("fs2"); err == nil {
-			t.Fatal("AbsorbDead absorbed a member whose private repository died with it")
+		if err := c.AbsorbDead("fs2"); !errors.Is(err, ErrNoDurableRepo) {
+			t.Fatalf("AbsorbDead of a member whose private repository died with it: %v, want ErrNoDurableRepo", err)
 		}
 		if err := c.Close(); err != nil {
 			t.Fatalf("close: %v", err)
@@ -661,11 +661,11 @@ func TestRestoreThenHostCrashes(t *testing.T) {
 	}
 	check("a host crash", sA)
 	// A loser the next crash undoes, and the one after replays as finished.
-	txn := sys.DB.Begin()
+	txn := sys.DB().Begin()
 	if _, err := txn.Exec(`INSERT INTO movies (id, title) VALUES (2, 'loser')`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.DB.Log().Flush(); err != nil {
+	if _, err := sys.DB().Log().Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RecoverHost(); err != nil {
@@ -712,7 +712,7 @@ func TestHostLogDirectoryIsPrivate(t *testing.T) {
 	}
 	t.Run("system close", func(t *testing.T) {
 		sys, _ := newSys(t, "rfd")
-		dir := hostDir(t, sys.DB)
+		dir := hostDir(t, sys.DB())
 		if err := sys.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -720,13 +720,13 @@ func TestHostLogDirectoryIsPrivate(t *testing.T) {
 	})
 	t.Run("system crash", func(t *testing.T) {
 		sys, _ := newSys(t, "rfd")
-		dir := hostDir(t, sys.DB)
+		dir := hostDir(t, sys.DB())
 		sys.Crash()
 		gone(t, dir, "Crash")
 	})
 	t.Run("cluster close", func(t *testing.T) {
 		c := newCluster(t, 2)
-		dir := hostDir(t, c.DB)
+		dir := hostDir(t, c.DB())
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -737,12 +737,12 @@ func TestHostLogDirectoryIsPrivate(t *testing.T) {
 func TestUserTxnMultiFile(t *testing.T) {
 	sys, srv := newSys(t, "rfd")
 	srv.Phys.WriteFile("/movies/clip2.mpg", []byte("c2 v0"))
-	sys.DB.MustExec(`INSERT INTO movies (id, title, clip) VALUES (2, 'Metropolis', DLVALUE('dlfs://fs1/movies/clip2.mpg'))`)
+	sys.DB().MustExec(`INSERT INTO movies (id, title, clip) VALUES (2, 'Metropolis', DLVALUE('dlfs://fs1/movies/clip2.mpg'))`)
 
 	sess := sys.NewSession(alice)
 	u := sess.BeginUserTxn()
-	r1, _ := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(clip) FROM movies WHERE id = 1`)
-	r2, _ := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(clip) FROM movies WHERE id = 2`)
+	r1, _ := sys.DB().QueryRow(`SELECT DLURLCOMPLETEWRITE(clip) FROM movies WHERE id = 1`)
+	r2, _ := sys.DB().QueryRow(`SELECT DLURLCOMPLETEWRITE(clip) FROM movies WHERE id = 2`)
 	f1, err := u.OpenWrite(r1[0].S)
 	if err != nil {
 		t.Fatalf("open 1: %v", err)
@@ -810,18 +810,18 @@ func TestStrictModeClosesLinkWindow(t *testing.T) {
 	srv, _ := sys.Server("fs1")
 	srv.Phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
 	srv.Phys.WriteFile("/d/f", []byte("x"))
-	sys.DB.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RDD)`)
+	sys.DB().MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RDD)`)
 
 	// Open the (unlinked) file, then try to link it: strict mode rejects.
 	fd, err := srv.LFS.Open(fs.Cred{UID: alice}, "/d/f", fs.AccessRead)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if _, err := sys.DB.Exec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f'))`); err == nil {
+	if _, err := sys.DB().Exec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f'))`); err == nil {
 		t.Fatal("strict mode allowed linking an open file")
 	}
 	srv.LFS.Close(fd)
-	if _, err := sys.DB.Exec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f'))`); err != nil {
+	if _, err := sys.DB().Exec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f'))`); err != nil {
 		t.Fatalf("link after close: %v", err)
 	}
 }
@@ -835,7 +835,7 @@ func TestLinkWindowExistsWithoutStrict(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if _, err := sys.DB.Exec(`INSERT INTO movies (id, title, clip) VALUES (9, 'w', DLVALUE('dlfs://fs1/movies/open.dat'))`); err != nil {
+	if _, err := sys.DB().Exec(`INSERT INTO movies (id, title, clip) VALUES (9, 'w', DLVALUE('dlfs://fs1/movies/open.dat'))`); err != nil {
 		t.Fatalf("link while open (window) should succeed: %v", err)
 	}
 	srv.LFS.Close(fd)
@@ -851,9 +851,9 @@ func TestMetadataCompanionColumnsOptional(t *testing.T) {
 	srv, _ := sys.Server("fs1")
 	srv.Phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
 	srv.Phys.WriteFile("/d/f", []byte("x"))
-	sys.DB.MustExec(`CREATE TABLE bare (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
-	sys.DB.MustExec(`INSERT INTO bare VALUES (1, DLVALUE('dlfs://fs1/d/f'))`)
-	row, _ := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM bare WHERE id = 1`)
+	sys.DB().MustExec(`CREATE TABLE bare (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
+	sys.DB().MustExec(`INSERT INTO bare VALUES (1, DLVALUE('dlfs://fs1/d/f'))`)
+	row, _ := sys.DB().QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM bare WHERE id = 1`)
 	sess := sys.NewSession(alice)
 	f, err := sess.OpenWrite(row[0].S)
 	if err != nil {
@@ -915,7 +915,7 @@ func TestHostCrashRecoveryOutcomeResolution(t *testing.T) {
 		t.Fatalf("content after double recovery = %q", data)
 	}
 	// The committed metadata survived host recovery.
-	row, err := sys.DB.QueryRow(`SELECT clip_size FROM movies WHERE id = 1`)
+	row, err := sys.DB().QueryRow(`SELECT clip_size FROM movies WHERE id = 1`)
 	if err != nil || row[0].I != int64(len("v1 committed")) {
 		t.Fatalf("metadata after recovery = %v, %v", row, err)
 	}
@@ -923,7 +923,7 @@ func TestHostCrashRecoveryOutcomeResolution(t *testing.T) {
 
 func TestSQLVisibleState(t *testing.T) {
 	sys, _ := newSys(t, "rdd")
-	rows, err := sys.DB.Query(`SELECT DLURLPATHONLY(clip), DLURLSERVER(clip) FROM movies WHERE id = 1`)
+	rows, err := sys.DB().Query(`SELECT DLURLPATHONLY(clip), DLURLSERVER(clip) FROM movies WHERE id = 1`)
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}

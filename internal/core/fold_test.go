@@ -45,7 +45,7 @@ func foldSys(t *testing.T, mode string) (*System, *FileServer, *time.Time) {
 	if err := srv.Phys.MkdirAll("/movies", fs.Cred{UID: fs.Root}, 0o777); err != nil {
 		t.Fatal(err)
 	}
-	sys.DB.MustExec(`CREATE TABLE movies (id INT PRIMARY KEY, clip DATALINK MODE ` + strings.ToUpper(mode) + ` RECOVERY YES)`)
+	sys.DB().MustExec(`CREATE TABLE movies (id INT PRIMARY KEY, clip DATALINK MODE ` + strings.ToUpper(mode) + ` RECOVERY YES)`)
 	for i, p := range []string{clipPath, otherPath} {
 		if err := srv.Phys.WriteFile(p, []byte("v0 content")); err != nil {
 			t.Fatal(err)
@@ -53,7 +53,7 @@ func foldSys(t *testing.T, mode string) (*System, *FileServer, *time.Time) {
 		ino, _ := srv.Phys.Lookup(p)
 		srv.Phys.Chown(ino, fs.Cred{UID: fs.Root}, alice)
 		srv.Phys.Chmod(ino, fs.Cred{UID: alice}, 0o644)
-		sys.DB.MustExec(fmt.Sprintf(`INSERT INTO movies VALUES (%d, DLVALUE('dlfs://fs1%s'))`, i+1, p))
+		sys.DB().MustExec(fmt.Sprintf(`INSERT INTO movies VALUES (%d, DLVALUE('dlfs://fs1%s'))`, i+1, p))
 	}
 	return sys, srv, &now
 }
@@ -62,7 +62,7 @@ func foldSys(t *testing.T, mode string) (*System, *FileServer, *time.Time) {
 // for movie id ("" when the mode hands out none for that access).
 func clipToken(t *testing.T, sys *System, fn string, id int) string {
 	t.Helper()
-	row, err := sys.DB.QueryRow(fmt.Sprintf(`SELECT %s(clip) FROM movies WHERE id = %d`, fn, id))
+	row, err := sys.DB().QueryRow(fmt.Sprintf(`SELECT %s(clip) FROM movies WHERE id = %d`, fn, id))
 	if err != nil {
 		t.Fatalf("select %s: %v", fn, err)
 	}
@@ -288,8 +288,8 @@ func TestFoldedReadersSerialiseAgainstTheWriter(t *testing.T) {
 	if err := srv.Phys.WriteFile(clipPath, version(0)); err != nil {
 		t.Fatal(err)
 	}
-	sys.DB.MustExec(`CREATE TABLE movies (id INT PRIMARY KEY, clip DATALINK MODE RDD RECOVERY YES)`)
-	sys.DB.MustExec(`INSERT INTO movies VALUES (1, DLVALUE('` + clipURL + `'))`)
+	sys.DB().MustExec(`CREATE TABLE movies (id INT PRIMARY KEY, clip DATALINK MODE RDD RECOVERY YES)`)
+	sys.DB().MustExec(`INSERT INTO movies VALUES (1, DLVALUE('` + clipURL + `'))`)
 	readURL := token.Embed(clipURL, clipToken(t, sys, "DLURLCOMPLETE", 1))
 	writeURL := token.Embed(clipURL, clipToken(t, sys, "DLURLCOMPLETEWRITE", 1))
 

@@ -52,8 +52,8 @@ func TestUpdateAtomicityProperty(t *testing.T) {
 		ino, _ := srv.Phys.Lookup("/d/f.bin")
 		srv.Phys.Chown(ino, fs.Cred{UID: fs.Root}, alice)
 		srv.Phys.Chmod(ino, fs.Cred{UID: alice}, 0o644)
-		sys.DB.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES, doc_size INT)`)
-		if _, err := sys.DB.Exec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f.bin'), NULL)`); err != nil {
+		sys.DB().MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES, doc_size INT)`)
+		if _, err := sys.DB().Exec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f.bin'), NULL)`); err != nil {
 			return false
 		}
 		sess := sys.NewSession(alice)
@@ -71,7 +71,7 @@ func TestUpdateAtomicityProperty(t *testing.T) {
 			if len(vs) == 0 || !bytes.Equal(bytesOf(t, vs[len(vs)-1]), committed) {
 				return false
 			}
-			row, err := sys.DB.QueryRow(`SELECT doc_size FROM t WHERE id = 1`)
+			row, err := sys.DB().QueryRow(`SELECT doc_size FROM t WHERE id = 1`)
 			if err != nil {
 				return false
 			}
@@ -84,7 +84,7 @@ func TestUpdateAtomicityProperty(t *testing.T) {
 		for i, step := range schedule {
 			switch op(step % 4) {
 			case opCommit:
-				row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`)
+				row, err := sys.DB().QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`)
 				if err != nil {
 					return false
 				}
@@ -103,7 +103,7 @@ func TestUpdateAtomicityProperty(t *testing.T) {
 				committed = next
 				lastCommittedSize = int64(len(next))
 			case opAbort:
-				row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`)
+				row, err := sys.DB().QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`)
 				if err != nil {
 					return false
 				}
@@ -116,7 +116,7 @@ func TestUpdateAtomicityProperty(t *testing.T) {
 					return false
 				}
 			case opCrash:
-				row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`)
+				row, err := sys.DB().QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`)
 				if err != nil {
 					return false
 				}
@@ -130,7 +130,7 @@ func TestUpdateAtomicityProperty(t *testing.T) {
 				}
 				sess = sys.NewSession(alice) // sessions outlive the server handle
 			case opRead:
-				row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETE(doc) FROM t WHERE id = 1`)
+				row, err := sys.DB().QueryRow(`SELECT DLURLCOMPLETE(doc) FROM t WHERE id = 1`)
 				if err != nil {
 					return false
 				}

@@ -41,9 +41,9 @@ func newTwoServerSys(t *testing.T) (*System, *FileServer, *FileServer) {
 
 func TestMultiServerLinkTransactionSpansServers(t *testing.T) {
 	sys, east, west := newTwoServerSys(t)
-	sys.DB.MustExec(`CREATE TABLE mirror (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
+	sys.DB().MustExec(`CREATE TABLE mirror (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
 	// One transaction links a file on each server.
-	txn := sys.DB.Begin()
+	txn := sys.DB().Begin()
 	if _, err := txn.Exec(`INSERT INTO mirror VALUES (1, DLVALUE('dlfs://east/d/f.bin'))`); err != nil {
 		t.Fatalf("east link: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestMultiServerLinkTransactionSpansServers(t *testing.T) {
 	}
 
 	// And an aborted transaction touching both undoes both.
-	txn = sys.DB.Begin()
+	txn = sys.DB().Begin()
 	if _, err := txn.Exec(`DELETE FROM mirror`); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
@@ -70,13 +70,13 @@ func TestMultiServerLinkTransactionSpansServers(t *testing.T) {
 
 func TestMultiServerUserTxnAcrossServers(t *testing.T) {
 	sys, east, west := newTwoServerSys(t)
-	sys.DB.MustExec(`CREATE TABLE mirror (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
-	sys.DB.MustExec(`INSERT INTO mirror VALUES (1, DLVALUE('dlfs://east/d/f.bin')), (2, DLVALUE('dlfs://west/d/f.bin'))`)
+	sys.DB().MustExec(`CREATE TABLE mirror (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
+	sys.DB().MustExec(`INSERT INTO mirror VALUES (1, DLVALUE('dlfs://east/d/f.bin')), (2, DLVALUE('dlfs://west/d/f.bin'))`)
 
 	sess := sys.NewSession(alice)
 	u := sess.BeginUserTxn()
-	r1, _ := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM mirror WHERE id = 1`)
-	r2, _ := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM mirror WHERE id = 2`)
+	r1, _ := sys.DB().QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM mirror WHERE id = 1`)
+	r2, _ := sys.DB().QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM mirror WHERE id = 2`)
 	f1, err := u.OpenWrite(r1[0].S)
 	if err != nil {
 		t.Fatalf("east open: %v", err)
@@ -100,18 +100,18 @@ func TestMultiServerUserTxnAcrossServers(t *testing.T) {
 func TestMultiServerCrashIsolatedToOneServer(t *testing.T) {
 	sys, east, west := newTwoServerSys(t)
 	_ = east
-	sys.DB.MustExec(`CREATE TABLE mirror (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
-	sys.DB.MustExec(`INSERT INTO mirror VALUES (1, DLVALUE('dlfs://east/d/f.bin')), (2, DLVALUE('dlfs://west/d/f.bin'))`)
+	sys.DB().MustExec(`CREATE TABLE mirror (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
+	sys.DB().MustExec(`INSERT INTO mirror VALUES (1, DLVALUE('dlfs://east/d/f.bin')), (2, DLVALUE('dlfs://west/d/f.bin'))`)
 	sess := sys.NewSession(alice)
 
 	// In-flight update on east; committed update on west.
-	r1, _ := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM mirror WHERE id = 1`)
+	r1, _ := sys.DB().QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM mirror WHERE id = 1`)
 	fe, err := sess.OpenWrite(r1[0].S)
 	if err != nil {
 		t.Fatalf("east open: %v", err)
 	}
 	fe.WriteAll([]byte("east garbage"))
-	r2, _ := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM mirror WHERE id = 2`)
+	r2, _ := sys.DB().QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM mirror WHERE id = 2`)
 	fw, err := sess.OpenWrite(r2[0].S)
 	if err != nil {
 		t.Fatalf("west open: %v", err)
@@ -139,12 +139,12 @@ func TestMultiServerCrashIsolatedToOneServer(t *testing.T) {
 
 func TestMultiServerRestoreCoversAllServers(t *testing.T) {
 	sys, east, west := newTwoServerSys(t)
-	sys.DB.MustExec(`CREATE TABLE mirror (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
-	sys.DB.MustExec(`INSERT INTO mirror VALUES (1, DLVALUE('dlfs://east/d/f.bin')), (2, DLVALUE('dlfs://west/d/f.bin'))`)
+	sys.DB().MustExec(`CREATE TABLE mirror (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
+	sys.DB().MustExec(`INSERT INTO mirror VALUES (1, DLVALUE('dlfs://east/d/f.bin')), (2, DLVALUE('dlfs://west/d/f.bin'))`)
 	s0 := sys.Engine.StateID()
 	sess := sys.NewSession(alice)
 	for _, id := range []int{1, 2} {
-		row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM mirror WHERE id = ?`, intVal(id))
+		row, err := sys.DB().QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM mirror WHERE id = ?`, intVal(id))
 		if err != nil {
 			t.Fatalf("url %d: %v", id, err)
 		}

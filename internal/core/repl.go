@@ -13,9 +13,9 @@ package core
 // On member death, Failover promotes the first live successor of every
 // orphaned path: the successor already holds the full history and the
 // promotion identity, so the path serves again after a gate and a deferred
-// install — no AbsorbDead, no cold start, no byte read until first access (a
-// live move ends in the same promote). The ring swaps to the survivor set and
-// FlushReplication (anti-entropy) repairs redundancy against the new lists.
+// install — no cold start, no byte read until first access (a live move ends
+// in the same promote). The ring swaps to the survivor set and FlushReplication
+// (anti-entropy) repairs redundancy against the new lists.
 
 import (
 	"context"
@@ -42,7 +42,6 @@ type replConfig struct {
 	quorum int          // acks (owner included) required per commit
 	policy retry.Policy // per-replica ship retry
 	chaos  *upcall.Chaos
-	auto   bool          // run Failover automatically when the probe sees a death
 	probe  time.Duration // health-probe interval (0: no probe)
 }
 
@@ -225,13 +224,13 @@ func (c *Cluster) shipUnlink(owner, path string) error {
 }
 
 // catchUpReplica is the one way a path's archive history moves between
-// members — ship-lag catch-up, anti-entropy, live rebalance and AbsorbDead all
-// end here. It exports from src what follows the newest version dst holds and
-// imports it: O(changed chunks) when the histories share a prefix, nothing at
-// all when dst is already level (a move onto the replica holder), the whole
-// history when dst holds none. A chain gap — the histories diverged across a
-// restore or truncate, or dst ran ahead of a restored owner — drops dst's copy
-// and starts over. The repl.lag_versions counter on the source records how
+// members — ship-lag catch-up, anti-entropy and live rebalance (AbsorbDead's
+// drain included) all end here. It exports from src what follows the newest
+// version dst holds and imports it: O(changed chunks) when the histories share
+// a prefix, nothing at all when dst is already level (a move onto the replica
+// holder), the whole history when dst holds none. A chain gap — the histories
+// diverged across a restore or truncate, or dst ran ahead of a restored owner
+// — drops dst's copy and starts over. The repl.lag_versions counter on the source records how
 // many versions had to travel outside the synchronous ship.
 func (c *Cluster) catchUpReplica(src, dst *FileServer, path string) error {
 	have := int64(-1)
@@ -273,22 +272,25 @@ type FailoverReport struct {
 // Failover recovers a failed member's paths from their replicas: every
 // orphaned path is promoted on its first live ring successor — which, by the
 // successor-list property, is exactly the member the ring without the dead
-// node assigns it to — then the ring swaps and the anti-entropy pass repairs
-// redundancy. No AbsorbDead, no cold start from the dead member's disks: the
-// survivors already hold everything. Requires Replicas > 1 and a member that
-// FailServer (or the health probe) marked dead.
+// node assigns it to — or, when that member holds no replica (it joined after
+// the last ship, or lagged), on the first survivor that does, where its
+// override keeps routing correct after the ring swap. Then the ring swaps and
+// the anti-entropy pass repairs redundancy. No cold start from the dead
+// member's disks: the survivors already hold everything. Requires Replicas > 1
+// and a member that FailServer (or the health probe) marked dead and that no
+// restart brought back.
 func (c *Cluster) Failover(id string) (*FailoverReport, error) {
 	if c.repl.n <= 1 {
 		return nil, fmt.Errorf("core: failover of %q needs Replicas > 1", id)
 	}
+	c.router.rebalanceMu.Lock()
+	defer c.router.rebalanceMu.Unlock()
 	c.mu.Lock()
 	_, dead := c.deadCfg[id]
 	c.mu.Unlock()
 	if !dead {
 		return nil, fmt.Errorf("core: member %q has not failed", id)
 	}
-	c.router.rebalanceMu.Lock()
-	defer c.router.rebalanceMu.Unlock()
 	start := time.Now()
 	cur := c.router.currentRing()
 	if !cur.Has(id) {
@@ -298,48 +300,41 @@ func (c *Cluster) Failover(id string) (*FailoverReport, error) {
 	if len(target.Members()) == 0 {
 		return nil, fmt.Errorf("core: no surviving members to fail %q over to", id)
 	}
-	rep := &FailoverReport{}
-	promoted := make(map[string]bool)
-	// Pass 1: each survivor promotes the orphaned paths the survivor ring
-	// assigns to it — the designated first live successor.
+	// Each orphaned path's surviving replica holders, in member order.
+	var orphans []string
+	holders := make(map[string][]*FileServer)
 	for _, sid := range c.router.memberIDs() {
 		m, err := c.router.member(sid)
 		if err != nil {
 			continue
 		}
 		for _, p := range m.DLFM.ReplicaPaths() {
-			if c.router.placementID(p) != id || target.Lookup(p) != sid {
+			if c.router.placementID(p) != id {
 				continue
 			}
-			if err := c.promotePath(m, p, id); err != nil {
-				return rep, fmt.Errorf("core: failover %s: promote %s on %s: %w", id, p, sid, err)
+			if holders[p] == nil {
+				orphans = append(orphans, p)
 			}
-			promoted[p] = true
-			rep.Promoted = append(rep.Promoted, p)
+			holders[p] = append(holders[p], m)
 		}
 	}
-	// Pass 2: orphaned paths whose designated successor holds no replica
-	// (it joined after the last ship, or lagged) promote wherever one
-	// survives — the override keeps routing correct after the ring swap.
-	for _, sid := range c.router.memberIDs() {
-		m, err := c.router.member(sid)
-		if err != nil {
-			continue
-		}
-		for _, p := range m.DLFM.ReplicaPaths() {
-			if promoted[p] || c.router.placementID(p) != id {
-				continue
+	rep := &FailoverReport{}
+	for _, p := range orphans {
+		m := holders[p][0]
+		for _, h := range holders[p] {
+			if h.Name == target.Lookup(p) {
+				m = h
+				break
 			}
-			if err := c.promotePath(m, p, id); err != nil {
-				return rep, fmt.Errorf("core: failover %s: promote %s on %s: %w", id, p, sid, err)
-			}
-			promoted[p] = true
-			rep.Promoted = append(rep.Promoted, p)
 		}
+		if err := c.promotePath(m, p, id); err != nil {
+			return rep, fmt.Errorf("core: failover %s: promote %s on %s: %w", id, p, m.Name, err)
+		}
+		rep.Promoted = append(rep.Promoted, p)
 	}
 	c.router.adoptRing(target)
 	c.mu.Lock()
-	delete(c.deadCfg, id) // failover supersedes AbsorbDead
+	delete(c.deadCfg, id) // the member's paths live on the survivors now
 	c.mu.Unlock()
 	c.router.reg.Counter("repl.failovers").Inc()
 	rep.Elapsed = time.Since(start)

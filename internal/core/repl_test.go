@@ -33,7 +33,7 @@ func newReplCluster(t *testing.T, n int, mut func(*ClusterConfig)) *Cluster {
 		t.Fatalf("new cluster: %v", err)
 	}
 	closeAtEnd(t, c)
-	c.DB.MustExec(`CREATE TABLE docs (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
+	c.DB().MustExec(`CREATE TABLE docs (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
 	return c
 }
 
@@ -326,42 +326,10 @@ func TestPartitionDuringFailover(t *testing.T) {
 	assertReplicasConverged(t, c, paths)
 }
 
-func TestReplicaReadsWhenOwnerDown(t *testing.T) {
-	c := newReplCluster(t, 3, func(cfg *ClusterConfig) {
-		cfg.WriteQuorum = 1
-		cfg.ReplicaReads = true
-	})
-	paths := clusterPaths(6)
-	for i, p := range paths {
-		linkDoc(t, c, i, p, "v0 of "+p)
-		if err := commitUpdate(t, c, i, "v1 of "+p); err != nil {
-			t.Fatalf("commit %s: %v", p, err)
-		}
-	}
-	c.WaitArchives()
-	p := paths[0]
-	owner, _ := c.Owner(p)
-	if err := c.FailServer(owner); err != nil {
-		t.Fatal(err)
-	}
-	// No failover has run — the owner is simply dark. The read falls back to
-	// the replica, stale-bounded by the quorum-acked version.
-	data, err := c.router.ReadFileContent(p)
-	if err != nil {
-		t.Fatalf("replica read with owner down: %v", err)
-	}
-	if string(data) != "v1 of "+p {
-		t.Fatalf("replica read = %q, want v1", data)
-	}
-	if c.router.reg.Counter("repl.stale_reads").Value() == 0 {
-		t.Fatal("repl.stale_reads not counted")
-	}
-}
-
-// TestAbsorbDeadCrashMidAbsorb kills the absorbing process partway through
-// (the migrate hook fails after two paths) and asserts a second AbsorbDead
-// converges: every path lands exactly once, with its full history, and the
-// half-recovered stack is neither routable nor double-imported.
+// TestAbsorbDeadCrashMidAbsorb fails the drain partway through (the migrate
+// hook fails after two paths): the restarted member stays live and serves the
+// paths it still owns, the two that moved serve from fs1, and RemoveServer
+// finishes the job — every path lands exactly once, with its full history.
 func TestAbsorbDeadCrashMidAbsorb(t *testing.T) {
 	members := []ServerConfig{
 		{Name: "fs1", OpenWait: 300 * time.Millisecond,
@@ -374,7 +342,7 @@ func TestAbsorbDeadCrashMidAbsorb(t *testing.T) {
 		t.Fatalf("new cluster: %v", err)
 	}
 	defer c.Close()
-	c.DB.MustExec(`CREATE TABLE docs (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
+	c.DB().MustExec(`CREATE TABLE docs (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
 	paths := clusterPaths(12)
 	sess := c.NewSession(alice)
 	onFs2 := 0
@@ -402,7 +370,7 @@ func TestAbsorbDeadCrashMidAbsorb(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First absorb dies after two successful migrations.
+	// The drain dies after two successful migrations.
 	injected := errors.New("absorbing process killed")
 	migrated := 0
 	c.migrateHook = func(path, src, dst string) error {
@@ -416,29 +384,37 @@ func TestAbsorbDeadCrashMidAbsorb(t *testing.T) {
 		return nil
 	}
 	if err := c.AbsorbDead("fs2"); !errors.Is(err, injected) {
-		t.Fatalf("first absorb: %v, want injected kill", err)
+		t.Fatalf("absorb: %v, want injected kill", err)
 	}
-	// The half-recovered stack must NOT stay routable: its processes are
-	// closed, so leaving it in the member table would wedge every lookup
-	// that resolves to it — and block the retry.
-	if got := strings.Join(c.Members(), ","); got != "fs1" {
-		t.Fatalf("members after crashed absorb: %s, want fs1", got)
+	// The restart succeeded, so fs2 is a live member again: the two paths
+	// that moved serve from fs1, the rest from fs2.
+	if got := strings.Join(c.Members(), ","); got != "fs1,fs2" {
+		t.Fatalf("members after the failed drain: %s, want fs1,fs2", got)
 	}
-	// Paths that migrated before the crash serve from fs1 already.
-	served := 0
-	for _, p := range paths {
-		if owner, err := c.Owner(p); err == nil && owner == "fs1" {
-			served++
+	moved := 0
+	for i, p := range paths {
+		owner, err := c.Owner(p)
+		if err != nil {
+			t.Fatalf("%s unserved after the failed drain: %v", p, err)
+		}
+		if c.Router().Ring().Lookup(p) == "fs2" && owner == "fs1" {
+			moved++
+		}
+		if got, err := readDoc(t, c, i); err != nil || got != "v1 of "+p {
+			t.Fatalf("%s after the failed drain = %q, %v", p, got, err)
 		}
 	}
-	if served < 2 {
-		t.Fatalf("only %d paths served after partial absorb, want the 2 migrated ones at least", served)
+	if moved != 2 {
+		t.Fatalf("%d of fs2's paths serve from fs1 after the failed drain, want the 2 that moved", moved)
+	}
+	if _, err := c.Failover("fs2"); err == nil {
+		t.Fatal("Failover accepted a member the restart brought back")
 	}
 
-	// Second absorb converges.
+	// RemoveServer finishes the drain.
 	c.migrateHook = nil
-	if err := c.AbsorbDead("fs2"); err != nil {
-		t.Fatalf("second absorb: %v", err)
+	if err := c.RemoveServer("fs2"); err != nil {
+		t.Fatalf("finishing remove: %v", err)
 	}
 	m, _ := c.Member("fs1")
 	linked := m.DLFM.LinkedPaths()
@@ -458,20 +434,126 @@ func TestAbsorbDeadCrashMidAbsorb(t *testing.T) {
 		if string(bytesOf(t, vs[0])) != "v0 of "+p || string(bytesOf(t, vs[1])) != "v1 of "+p {
 			t.Fatalf("%s history content corrupted", p)
 		}
-		f, err := sess.OpenRead(docURL(t, c, "DLURLCOMPLETE", i))
-		if err != nil {
-			t.Fatalf("read %s: %v", p, err)
+		if got, err := readDoc(t, c, i); err != nil || got != "v1 of "+p {
+			t.Fatalf("%s after convergence = %q, %v", p, got, err)
 		}
-		data, _ := f.ReadAll()
-		f.Close()
-		if string(data) != "v1 of "+p {
-			t.Fatalf("%s = %q after convergence", p, data)
+	}
+}
+
+// restartFixture fails fs2 of a 3-member replicated cluster after every path
+// has v0 and v1 on its replica set, and returns fs2's config and the paths it
+// owned. durable gives every member its own RepoDir and ArchiveDir.
+func restartFixture(t *testing.T, durable bool) (*Cluster, ServerConfig, []string) {
+	t.Helper()
+	c := newReplCluster(t, 3, func(cfg *ClusterConfig) {
+		if !durable {
+			return
+		}
+		for i := range cfg.Members {
+			cfg.Members[i].RepoDir, cfg.Members[i].ArchiveDir = t.TempDir(), t.TempDir()
+		}
+	})
+	paths := clusterPaths(12)
+	seedReplicated(t, c, paths)
+	var owned []string
+	for _, p := range paths {
+		if owner, _ := c.Owner(p); owner == "fs2" {
+			owned = append(owned, p)
+		}
+	}
+	if len(owned) == 0 {
+		t.Skip("hash placed no test path on fs2")
+	}
+	fs2, _ := c.Member("fs2")
+	sc := fs2.cfg
+	if err := c.FailServer("fs2"); err != nil {
+		t.Fatal(err)
+	}
+	return c, sc, owned
+}
+
+// readDoc reads path (doc id i) through a session.
+func readDoc(t *testing.T, c *Cluster, i int) (string, error) {
+	t.Helper()
+	f, err := c.NewSession(alice).OpenRead(docURL(t, c, "DLURLCOMPLETE", i))
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	data, err := f.ReadAll()
+	return string(data), err
+}
+
+// TestRestartThenFailoverIsRefused: AddServer with a failed member's config
+// restarts it over its durable directories, so a Failover queued behind the
+// restart finds a live member and must promote nothing — it used to promote
+// every orphan onto the survivors while fs2 still linked them.
+func TestRestartThenFailoverIsRefused(t *testing.T) {
+	c, sc, owned := restartFixture(t, true)
+	if err := c.AddServer(sc); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if rep, err := c.Failover("fs2"); err == nil {
+		t.Fatalf("failover of a restarted member promoted %v", rep.Promoted)
+	}
+	for _, p := range owned {
+		if owner, err := c.Owner(p); err != nil || owner != "fs2" {
+			t.Fatalf("%s owner after the restart = %q, %v; want fs2", p, owner, err)
+		}
+		for _, id := range []string{"fs1", "fs3"} {
+			if m, _ := c.Member(id); m.DLFM.IsLinked(p) {
+				t.Fatalf("%s linked on %s as well as on the restarted fs2", p, id)
+			}
+		}
+	}
+	for i, p := range clusterPaths(12) {
+		if got, err := readDoc(t, c, i); err != nil || got != "v1 of "+p {
+			t.Fatalf("%s after the restart = %q, %v", p, got, err)
+		}
+	}
+	assertReplicasConverged(t, c, owned)
+}
+
+// TestRestartWithoutRepositoryIsRefused: a failed member that ran over a
+// private repository directory has nothing to restart from. AddServer must
+// refuse it with ErrNoDurableRepo and change nothing — it used to start an
+// empty stack whose replication flush pruned every replica of its paths — so
+// Failover can still recover every orphan.
+func TestRestartWithoutRepositoryIsRefused(t *testing.T) {
+	c, sc, owned := restartFixture(t, false)
+	if err := c.AddServer(sc); !errors.Is(err, ErrNoDurableRepo) {
+		t.Fatalf("restart without a repository: %v, want ErrNoDurableRepo", err)
+	}
+	if got := strings.Join(c.Members(), ","); got != "fs1,fs3" {
+		t.Fatalf("members after the refused restart: %s", got)
+	}
+	for _, p := range owned {
+		held := 0
+		for _, id := range c.Members() {
+			if m, _ := c.Member(id); m.DLFM.ReplicaVersion(p) == 1 {
+				held++
+			}
+		}
+		if held == 0 {
+			t.Fatalf("%s lost its replica to the refused restart", p)
+		}
+	}
+	rep, err := c.Failover("fs2")
+	if err != nil {
+		t.Fatalf("failover after the refused restart: %v", err)
+	}
+	if len(rep.Promoted) != len(owned) {
+		t.Fatalf("failover promoted %d paths, want fs2's %d", len(rep.Promoted), len(owned))
+	}
+	for i, p := range clusterPaths(12) {
+		if got, err := readDoc(t, c, i); err != nil || got != "v1 of "+p {
+			t.Fatalf("%s after failover = %q, %v", p, got, err)
 		}
 	}
 }
 
 // TestKillServerProbeAutoFailover: the probe notices a silent machine death
-// and fails the member over on its own — and when that Failover returns an
+// and, with Replicas > 1, fails the member over on its own — and when that Failover returns an
 // error it is counted and tried again on a later tick, not forgotten with the
 // member already off the member list.
 func TestKillServerProbeAutoFailover(t *testing.T) {
@@ -480,7 +562,6 @@ func TestKillServerProbeAutoFailover(t *testing.T) {
 			c := newReplCluster(t, 3, func(cfg *ClusterConfig) {
 				cfg.WriteQuorum = 1
 				cfg.ProbeInterval = 20 * time.Millisecond
-				cfg.AutoFailover = true
 			})
 			paths := clusterPaths(8)
 			seedReplicated(t, c, paths)
@@ -795,4 +876,36 @@ func ownerMember(t *testing.T, c *Cluster, path string) *FileServer {
 		t.Fatalf("member %s: %v", id, err)
 	}
 	return m
+}
+
+// TestRingSwapDropsOverridesToRemovedMembers: a failover that promotes off the
+// designated successor routes the path by an override. Once the path is
+// unlinked and that member removed, the ring swap must drop the override with
+// the member, or a new link of the path places on a member that is gone.
+func TestRingSwapDropsOverridesToRemovedMembers(t *testing.T) {
+	c := newReplCluster(t, 4, func(cfg *ClusterConfig) { cfg.Replicas = 3 })
+	p := clusterPaths(1)[0]
+	seedReplicated(t, c, []string{p})
+	set := c.ReplicaSet(p) // owner, designated successor, second successor
+	designated, _ := c.Member(set[1])
+	if err := designated.DLFM.DropReplica(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FailServer(set[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Failover(set[0]); err != nil {
+		t.Fatalf("failover: %v", err)
+	}
+	if owner, _ := c.Owner(p); owner != set[2] {
+		t.Fatalf("%s promoted on %s, want the only holder %s", p, owner, set[2])
+	}
+	c.DB().MustExec(`DELETE FROM docs WHERE id = 0`)
+	if err := c.RemoveServer(set[2]); err != nil {
+		t.Fatalf("remove: %v", err)
+	}
+	linkDoc(t, c, 0, p, "relinked "+p)
+	if got, err := readDoc(t, c, 0); err != nil || got != "relinked "+p {
+		t.Fatalf("%s after the relink = %q, %v", p, got, err)
+	}
 }

@@ -35,10 +35,6 @@ type Router struct {
 	members   map[string]*FileServer
 	overrides map[string]string        // path -> member id, until the next ring swap
 	moving    map[string]chan struct{} // per-path migration gates
-
-	// Replication routing (set once by the cluster before traffic).
-	replicas     int  // total copies per path; <=1 disables replica routing
-	replicaReads bool // serve reads from a replica when the owner is down
 }
 
 func newRouter(authority string, r *ring.Ring) *Router {
@@ -86,14 +82,16 @@ func (r *Router) placementID(path string) string {
 	return r.ring.Lookup(path)
 }
 
-// adoptRing swaps the ring after a failover. Unlike finishRebalance it keeps
-// the overrides the new ring does NOT imply (pass-2 promotions landed paths
-// off their ring-designated successor) and drops only the ones it does, so
-// the override table stays minimal without ever breaking routing.
+// adoptRing swaps the ring at the end of a membership change or a failover
+// and drops the pending ring. It drops the overrides the new ring implies —
+// after a complete rebalance that is every override of a linked path — and
+// those naming a member off it, and keeps the rest (a failover promotion off
+// the designated successor routes by its override), so the override table
+// stays minimal without ever breaking routing.
 func (r *Router) adoptRing(target *ring.Ring) {
 	r.mu.Lock()
 	for p, id := range r.overrides {
-		if target.Lookup(p) == id {
+		if target.Lookup(p) == id || !target.Has(id) {
 			delete(r.overrides, p)
 		}
 	}
@@ -229,16 +227,6 @@ func (r *Router) beginRebalance(target *ring.Ring, joining *FileServer) {
 	r.mu.Unlock()
 }
 
-// finishRebalance swaps the ring; every override becomes implied by the new
-// ring, so the override table resets.
-func (r *Router) finishRebalance(target *ring.Ring) {
-	r.mu.Lock()
-	r.ring = target
-	r.pending = nil
-	r.overrides = make(map[string]string)
-	r.mu.Unlock()
-}
-
 // abortRebalance drops the pending ring after a failed rebalance. Overrides
 // for paths that did migrate remain — those paths live on their new member
 // and must keep routing there even under the old ring.
@@ -281,38 +269,13 @@ func (r *Router) Unlink(hostTxn uint64, path string) (sqlmini.XRM, error) {
 	return m.DLFM, nil
 }
 
-// ReadFileContent reads a linked file's content from its owner; with replica
-// reads enabled, an unreachable owner falls back to the newest surviving
-// replica (staleness bounded by repl.lag_versions — at most the commits the
-// owner had not yet quorum-acked).
+// ReadFileContent reads a linked file's content from its owner.
 func (r *Router) ReadFileContent(path string) ([]byte, error) {
 	m, err := r.owner(path)
 	if err != nil {
-		if r.replicaReads && r.replicas > 1 {
-			if data, rerr := r.readFromReplica(path); rerr == nil {
-				return data, nil
-			}
-		}
 		return nil, err
 	}
 	return m.DLFM.ReadFileContent(path)
-}
-
-// readFromReplica serves path from the first successor holding a replica.
-func (r *Router) readFromReplica(path string) ([]byte, error) {
-	for _, id := range r.successorsFor(path, r.replicas+1) {
-		m, err := r.member(id)
-		if err != nil {
-			continue
-		}
-		data, err := m.DLFM.ReadReplica(path)
-		if err != nil {
-			continue
-		}
-		r.reg.Counter("repl.stale_reads").Inc()
-		return data, nil
-	}
-	return nil, fmt.Errorf("core: no live replica of %s", path)
 }
 
 // RestoreAsOf rewinds every member's files to the state id (§4.4 coordinated

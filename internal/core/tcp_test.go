@@ -40,13 +40,13 @@ func newTCPSys(t *testing.T) (*System, *FileServer) {
 
 func TestTCPUpcallFullLifecycle(t *testing.T) {
 	sys, srv := newTCPSys(t)
-	sys.DB.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES, doc_size INT)`)
-	if _, err := sys.DB.Exec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f.bin'), NULL)`); err != nil {
+	sys.DB().MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES, doc_size INT)`)
+	if _, err := sys.DB().Exec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f.bin'), NULL)`); err != nil {
 		t.Fatalf("link: %v", err)
 	}
 
 	// Token read over the wire.
-	row, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETE(doc) FROM t WHERE id = 1`)
+	row, err := sys.DB().QueryRow(`SELECT DLURLCOMPLETE(doc) FROM t WHERE id = 1`)
 	if err != nil {
 		t.Fatalf("token: %v", err)
 	}
@@ -64,7 +64,7 @@ func TestTCPUpcallFullLifecycle(t *testing.T) {
 	}
 
 	// Update transaction over the wire.
-	row, _ = sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`)
+	row, _ = sys.DB().QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`)
 	w, err := sess.OpenWrite(row[0].S)
 	if err != nil {
 		t.Fatalf("write open over tcp: %v", err)
@@ -76,7 +76,7 @@ func TestTCPUpcallFullLifecycle(t *testing.T) {
 		t.Fatalf("commit over tcp: %v", err)
 	}
 	srv.DLFM.WaitArchives()
-	mrow, err := sys.DB.QueryRow(`SELECT doc_size FROM t WHERE id = 1`)
+	mrow, err := sys.DB().QueryRow(`SELECT doc_size FROM t WHERE id = 1`)
 	if err != nil || mrow[0].I != int64(len("v1 over tcp!")) {
 		t.Fatalf("metadata = %v, %v", mrow, err)
 	}
@@ -93,12 +93,12 @@ func TestTCPUpcallFullLifecycle(t *testing.T) {
 
 func TestTCPUpcallCrashRecoveryRedials(t *testing.T) {
 	sys, _ := newTCPSys(t)
-	sys.DB.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
-	if _, err := sys.DB.Exec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f.bin'))`); err != nil {
+	sys.DB().MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
+	if _, err := sys.DB().Exec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f.bin'))`); err != nil {
 		t.Fatalf("link: %v", err)
 	}
 	sess := sys.NewSession(alice)
-	row, _ := sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`)
+	row, _ := sys.DB().QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`)
 	f, err := sess.OpenWrite(row[0].S)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -113,7 +113,7 @@ func TestTCPUpcallCrashRecoveryRedials(t *testing.T) {
 		t.Fatalf("content after recovery = %q", data)
 	}
 	// The recovered daemon serves on a fresh TCP endpoint.
-	row, _ = sys.DB.QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`)
+	row, _ = sys.DB().QueryRow(`SELECT DLURLCOMPLETEWRITE(doc) FROM t WHERE id = 1`)
 	f2, err := sess.OpenWrite(row[0].S)
 	if err != nil {
 		t.Fatalf("open after recovery over tcp: %v", err)

@@ -390,28 +390,6 @@ func (s *Server) promoteInstalled(ri replicaInfo, ver archive.Version) error {
 	return nil
 }
 
-// ReadReplica materializes the latest replicated content of path — the
-// stale-bounded read served when the owner is partitioned and the cluster
-// allows replica reads. The staleness bound is the replication lag: at most
-// the versions the owner committed after this replica's last acked frame.
-func (s *Server) ReadReplica(path string) ([]byte, error) {
-	if _, ok := s.replicaRow(path); !ok {
-		return nil, fmt.Errorf("%w: %s on %s", ErrNoReplica, path, s.cfg.Name)
-	}
-	entry, err := s.cfg.Archive.Latest(s.cfg.Name, path)
-	if err != nil {
-		return nil, fmt.Errorf("dlfm: replica read %s: %w", path, err)
-	}
-	// A manifest whose blob is missing must fail the read, not serve an
-	// empty file.
-	snap, err := entry.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("dlfm: replica read %s v%d: %w", path, entry.Version, err)
-	}
-	defer snap.Release()
-	return snap.Bytes(), nil
-}
-
 // shipCurrent ships the path's current on-disk state at version ver to the
 // replica set (no-op without a replicator). Used by link — commit ships are
 // issued inline by commitUpdate, which already holds the snapshot inputs.

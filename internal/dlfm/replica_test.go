@@ -194,8 +194,9 @@ func TestReplicaUnlinkDropsEverything(t *testing.T) {
 }
 
 // TestReplicaReadFailsOnAMissingBlob: a replica whose catalog lists a version
-// it cannot materialize — the manifest-without-its-blob state E23 finds —
-// must fail the read. It used to serve an empty file with a nil error.
+// it cannot materialize — the manifest-without-its-blob state E23 finds — is
+// promoted without a load (the install is deferred), so the first read of the
+// promoted file must fail and name the path, not serve an empty file.
 func TestReplicaReadFailsOnAMissingBlob(t *testing.T) {
 	src, srcPhys, _ := newServer(t)
 	body := bytes.Repeat([]byte("replicated "), 2*extent.ChunkSize/11)
@@ -209,10 +210,11 @@ func TestReplicaReadFailsOnAMissingBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer arch.Close()
-	dst := openServer(t, Config{Name: "fs1", Phys: fs.New(), Archive: arch, Host: newFakeHost(), TokenKey: []byte("k"), OpenWait: 100 * time.Millisecond})
+	dstPhys := fs.New()
+	dst := openServer(t, Config{Name: "fs1", Phys: dstPhys, Archive: arch, Host: newFakeHost(), TokenKey: []byte("k"), OpenWait: 100 * time.Millisecond})
 	shipTo(t, src, srcPhys, dst, "/d/f.bin")
-	if data, err := dst.ReadReplica("/d/f.bin"); err != nil || !bytes.Equal(data, body) {
-		t.Fatalf("replica read before the loss: %d bytes, %v", len(data), err)
+	if latest, err := arch.Latest("fs1", "/d/f.bin"); err != nil || !bytes.Equal(bytesOf(t, latest), body) {
+		t.Fatalf("replica history before the loss: %v", err)
 	}
 
 	packs, err := filepath.Glob(filepath.Join(tier.Dir, "pack-*.pk"))
@@ -224,26 +226,15 @@ func TestReplicaReadFailsOnAMissingBlob(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	data, err := dst.ReadReplica("/d/f.bin")
+	if err := dst.PromoteReplica("/d/f.bin"); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	data, err := dstPhys.ReadFile("/d/f.bin")
 	if err == nil {
-		t.Fatalf("replica read with every blob gone returned %d bytes and no error", len(data))
+		t.Fatalf("first read with every blob gone returned %d bytes and no error", len(data))
 	}
 	if !strings.Contains(err.Error(), "/d/f.bin") {
 		t.Errorf("error does not name the path: %v", err)
-	}
-}
-
-func TestReplicaRead(t *testing.T) {
-	src, srcPhys, _ := newServer(t)
-	linkCommitted(t, src, "/d/f.bin", "rfd")
-	dst, _ := newShardPeer(t)
-	shipTo(t, src, srcPhys, dst, "/d/f.bin")
-	data, err := dst.ReadReplica("/d/f.bin")
-	if err != nil || string(data) != "v0" {
-		t.Fatalf("replica read = %q, %v", data, err)
-	}
-	if _, err := dst.ReadReplica("/d/other.bin"); !errors.Is(err, ErrNoReplica) {
-		t.Fatalf("read of missing replica: %v, want ErrNoReplica", err)
 	}
 }
 

@@ -117,7 +117,7 @@ func (c *batchedConfig) round(fsync string) (batchedResult, error) {
 		return r, err
 	}
 	defer sys.Close()
-	sys.DB.MustExec(`CREATE TABLE storm (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
+	sys.DB().MustExec(`CREATE TABLE storm (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
 	for i := 0; i < c.Sessions; i++ {
 		content := workload.Content(workload.RNG(int64(7000+i)), int(fileSize))
 		if err := seedAndLink(sys, srv, "storm", i, fmt.Sprintf("/storm/f%d.bin", i), content); err != nil {
@@ -144,7 +144,7 @@ func (c *batchedConfig) round(fsync string) (batchedResult, error) {
 			for i := 0; i < c.Commits; i++ {
 				edit := workload.Content(rng, int(editSize))
 				off := (int64(i*13+w*7) * editSize) % (fileSize - editSize + 1)
-				if err := commitEdit(sys.DB, sess.OpenWrite, "storm", w, off, edit); err != nil {
+				if err := commitEdit(sys.DB(), sess.OpenWrite, "storm", w, off, edit); err != nil {
 					failed.set(err)
 					return
 				}

@@ -109,7 +109,7 @@ func (c *chaosConfig) run() ([]*Table, error) {
 		return nil, err
 	}
 	defer sys.Close()
-	sys.DB.MustExec(`CREATE TABLE soak (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY NO, doc_size INT)`)
+	sys.DB().MustExec(`CREATE TABLE soak (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY NO, doc_size INT)`)
 	paths := make([]string, c.Sessions)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/c/f%d.bin", i)
@@ -142,7 +142,7 @@ func (c *chaosConfig) run() ([]*Table, error) {
 			for seq := 1; seq <= c.Ops; seq++ {
 				opStart := time.Now()
 				err := func() error {
-					url, err := writeURL(sys.DB, "soak", id)
+					url, err := writeURL(sys.DB(), "soak", id)
 					if err != nil {
 						return err
 					}

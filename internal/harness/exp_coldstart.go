@@ -167,7 +167,7 @@ func (c *coldConfig) run() ([]*Table, error) {
 
 	// And the recovered system keeps serving updates on the restored state.
 	// (The host database died with the process, so re-link through fresh SQL.)
-	sys.DB.MustExec(`CREATE TABLE cold (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
+	sys.DB().MustExec(`CREATE TABLE cold (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
 
 	t := &Table{
 		Caption: "E18. Whole-process kill: cold start from repo + archive dirs loses nothing",
@@ -212,14 +212,14 @@ func (c *coldConfig) churn(repoDir, archDir string, editSize int64, expected [][
 	if err != nil {
 		return err
 	}
-	sys.DB.MustExec(`CREATE TABLE cold (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
+	sys.DB().MustExec(`CREATE TABLE cold (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
 	for i := range expected {
 		if err := seedAndLink(sys, srv, "cold", i, coldPath(i), expected[i][0]); err != nil {
 			return err
 		}
 	}
 	sess := sys.NewSession(expUID)
-	if err := churnHistory(sys.DB, sess.OpenWrite, "cold", editSize, expected); err != nil {
+	if err := churnHistory(sys.DB(), sess.OpenWrite, "cold", editSize, expected); err != nil {
 		return err
 	}
 	// Every committed version must reach the archive before the kill — the
@@ -229,7 +229,7 @@ func (c *coldConfig) churn(repoDir, archDir string, editSize int64, expected [][
 
 	// Die with an update transaction open on file 0, its in-flight junk
 	// uncommitted on the (volatile) physical file system.
-	url, err := writeURL(sys.DB, "cold", 0)
+	url, err := writeURL(sys.DB(), "cold", 0)
 	if err != nil {
 		return err
 	}

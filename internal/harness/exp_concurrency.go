@@ -161,14 +161,14 @@ func (c *concurrencyConfig) round(sessions int, trace bool) (time.Duration, int6
 		return 0, 0, concurrencyStats{}, err
 	}
 	defer cl.Close()
-	cl.DB.MustExec(`CREATE TABLE conc (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY NO, doc_size INT)`)
+	cl.DB().MustExec(`CREATE TABLE conc (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY NO, doc_size INT)`)
 
 	readURLs := make([]string, sessions)
 	for i := range readURLs {
 		if err := seedAndLinkCluster(cl, "conc", i, fmt.Sprintf("/c/f%d.bin", i), workload.UniformContent(4096, i)); err != nil {
 			return 0, 0, concurrencyStats{}, err
 		}
-		if readURLs[i], err = readURL(cl.DB, "conc", i); err != nil {
+		if readURLs[i], err = readURL(cl.DB(), "conc", i); err != nil {
 			return 0, 0, concurrencyStats{}, err
 		}
 	}
@@ -185,7 +185,7 @@ func (c *concurrencyConfig) round(sessions int, trace bool) (time.Duration, int6
 			for k := 0; k < c.Ops; k++ {
 				var err error
 				if k%10 == 9 {
-					err = commitEdit(cl.DB, sess.OpenWrite, "conc", id, 0, []byte{byte(k)})
+					err = commitEdit(cl.DB(), sess.OpenWrite, "conc", id, 0, []byte{byte(k)})
 				} else {
 					err = readWhole(sess.OpenRead, readURLs[id])
 				}
@@ -204,7 +204,7 @@ func (c *concurrencyConfig) round(sessions int, trace bool) (time.Duration, int6
 	}
 
 	var stats concurrencyStats
-	stats.lockWaits, stats.lockWaitTime, stats.shardCollisions = cl.DB.LockManager().ContentionStats()
+	stats.lockWaits, stats.lockWaitTime, stats.shardCollisions = cl.DB().LockManager().ContentionStats()
 	stats.perOp = make(map[string]*metrics.Histogram)
 	for _, name := range cl.Members() {
 		srv, err := cl.Member(name)

@@ -60,14 +60,14 @@ func runE6() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys.DB.MustExec(`CREATE TABLE docs (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES, doc_size INT)`)
+		sys.DB().MustExec(`CREATE TABLE docs (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES, doc_size INT)`)
 		rng := workload.RNG(6)
 		pop, err := workload.Seed(srv.Phys, "/w", files, fileSize, expUID, rng)
 		if err != nil {
 			return nil, err
 		}
 		for i := 0; i < files; i++ {
-			if err := link(sys.DB, "docs", i, pop.URL("fs1", i)); err != nil {
+			if err := link(sys.DB(), "docs", i, pop.URL("fs1", i)); err != nil {
 				return nil, err
 			}
 		}
@@ -82,7 +82,7 @@ func runE6() ([]*Table, error) {
 				z := workload.NewZipf(workload.RNG(int64(100+w)), files)
 				for u := 0; u < updates; u++ {
 					i := z.Next()
-					url, err := writeURL(sys.DB, "docs", i)
+					url, err := writeURL(sys.DB(), "docs", i)
 					if err != nil {
 						atomic.AddInt64(&busy, 1)
 						continue
@@ -284,7 +284,7 @@ func runE12() ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			sys.DB.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
+			sys.DB().MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
 			if err := seedAndLink(sys, srv, "t", 1, "/d/f.bin", workload.Content(workload.RNG(1), chunk)); err != nil {
 				return nil, err
 			}
@@ -296,13 +296,13 @@ func runE12() ([]*Table, error) {
 				// (modelled as open-write-close per write, which is exactly
 				// what per-fs_readwrite boundaries would produce).
 				for i := 0; i < w; i++ {
-					if err := commitEdit(sys.DB, sess.OpenWrite, "t", 1, int64(i), workload.UniformContent(1, i)); err != nil {
+					if err := commitEdit(sys.DB(), sess.OpenWrite, "t", 1, int64(i), workload.UniformContent(1, i)); err != nil {
 						return nil, err
 					}
 					srv.DLFM.WaitArchives()
 				}
 			} else {
-				url, err := writeURL(sys.DB, "t", 1)
+				url, err := writeURL(sys.DB(), "t", 1)
 				if err != nil {
 					return nil, err
 				}

@@ -68,12 +68,11 @@ func (c *failoverConfig) setup() (*core.Cluster, []string, error) {
 		Replicas:      2,
 		WriteQuorum:   2,
 		ProbeInterval: c.Probe,
-		AutoFailover:  true,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	cl.DB.MustExec(`CREATE TABLE fo (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
+	cl.DB().MustExec(`CREATE TABLE fo (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
 	paths := make([]string, c.Files)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/r/f%d.bin", i)
@@ -147,7 +146,7 @@ func (c *failoverConfig) traffic(cl *core.Cluster, paths []string) (*e23Result, 
 				for i := w; i < len(paths) && !stopped(); i += writers {
 					pathMu[i].Lock()
 					seq := res.acked[i] + 1
-					err := commitEdit(cl.DB, sess.OpenWrite, "fo", i, 0, scaleoutContent(paths[i], seq))
+					err := commitEdit(cl.DB(), sess.OpenWrite, "fo", i, 0, scaleoutContent(paths[i], seq))
 					if err == nil {
 						res.acked[i] = seq
 						if res.killed.Load() && res.firstOKAt[i].IsZero() {

@@ -105,7 +105,7 @@ func (c *largeFileConfig) pass(editSize int64) (largeFilePass, error) {
 		return largeFilePass{}, err
 	}
 	defer sys.Close()
-	sys.DB.MustExec(`CREATE TABLE big (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
+	sys.DB().MustExec(`CREATE TABLE big (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
 	for i := 0; i < c.Sessions; i++ {
 		content := workload.Content(workload.RNG(int64(i)), int(fileSize))
 		if err := seedAndLink(sys, srv, "big", i, fmt.Sprintf("/big/f%d.bin", i), content); err != nil {
@@ -130,7 +130,7 @@ func (c *largeFileConfig) pass(editSize int64) (largeFilePass, error) {
 				// O(delta) property, not dedup luck on repeated payloads.
 				edit := workload.Content(rng, int(editSize))
 				off := (int64(i*c.Edits+k) * editSize * 7) % (fileSize - editSize + 1)
-				if err := commitEdit(sys.DB, sess.OpenWrite, "big", i, off, edit); err != nil {
+				if err := commitEdit(sys.DB(), sess.OpenWrite, "big", i, off, edit); err != nil {
 					failed.set(err)
 					return
 				}

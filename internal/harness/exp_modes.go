@@ -66,7 +66,7 @@ func runT1() ([]*Table, error) {
 			return nil, err
 		}
 		path := "/data/doc.bin"
-		sys.DB.MustExec(fmt.Sprintf(
+		sys.DB().MustExec(fmt.Sprintf(
 			`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE %s RECOVERY YES)`, strings.ToUpper(mode)))
 		if err := seedAndLink(sys, srv, "t", 1, path, []byte("content")); err != nil {
 			return nil, fmt.Errorf("link %s: %w", mode, err)
@@ -91,12 +91,12 @@ func runT1() ([]*Table, error) {
 		}
 		readPlain := tryOpen(bare, false)
 		readTok := false
-		if url, err := readURL(sys.DB, "t", 1); err == nil {
+		if url, err := readURL(sys.DB(), "t", 1); err == nil {
 			readTok = tryOpen(url, false)
 		}
 		writePlain := tryOpen(bare, true)
 		writeTok := false
-		if url, err := writeURL(sys.DB, "t", 1); err == nil {
+		if url, err := writeURL(sys.DB(), "t", 1); err == nil {
 			writeTok = tryOpen(url, true)
 		}
 		removeOK := srv.LFS.Remove(fs.Cred{UID: expUID}, path) == nil
@@ -122,7 +122,7 @@ func runF1() ([]*Table, error) {
 		return nil, err
 	}
 	defer sys.Close()
-	sys.DB.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
+	sys.DB().MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
 	if err := seedAndLink(sys, srv, "t", 1, "/data/a.bin", []byte("x")); err != nil {
 		return nil, err
 	}
@@ -131,7 +131,7 @@ func runF1() ([]*Table, error) {
 		Caption: "F1. Live component inventory (Figure 1 wiring)",
 		Headers: []string{"component", "location", "detail"},
 	}
-	t.AddRow("DBMS (sqlmini)", "host", fmt.Sprintf("%d tables, state id %d", len(sys.DB.TableNames()), sys.DB.StateID()))
+	t.AddRow("DBMS (sqlmini)", "host", fmt.Sprintf("%d tables, state id %d", len(sys.DB().TableNames()), sys.DB().StateID()))
 	t.AddRow("DataLinks engine", "host", fmt.Sprintf("servers=%v, linked=%v", sys.Engine.ServerNames(), sys.Engine.LinkedFiles()))
 	t.AddRow("DLFM main daemon", "file server fs1", fmt.Sprintf("child agents spawned: %d", srv.DLFM.AgentCount()))
 	t.AddRow("DLFM repository", "file server fs1", fmt.Sprintf("tables: %v", srv.DLFM.Repo().TableNames()))
@@ -158,20 +158,20 @@ func runF2() ([]*Table, error) {
 	if err := seedOwned(srv, "/images/john.gif", []byte("GIF89a john"), expUID); err != nil {
 		return nil, err
 	}
-	sys.DB.MustExec(`CREATE TABLE employee (name VARCHAR PRIMARY KEY, dept VARCHAR, picture DATALINK MODE RDB RECOVERY NO)`)
-	sys.DB.MustExec(`INSERT INTO employee VALUES ('john', 'research', DLVALUE('dlfs://fs1/images/john.gif'))`)
+	sys.DB().MustExec(`CREATE TABLE employee (name VARCHAR PRIMARY KEY, dept VARCHAR, picture DATALINK MODE RDB RECOVERY NO)`)
+	sys.DB().MustExec(`INSERT INTO employee VALUES ('john', 'research', DLVALUE('dlfs://fs1/images/john.gif'))`)
 
 	t := &Table{
 		Caption: "F2. Application view of one linked file (Figure 2)",
 		Headers: []string{"step", "API", "result"},
 	}
-	rows, err := sys.DB.Query(`SELECT name, dept, DLURLPATHONLY(picture) FROM employee`)
+	rows, err := sys.DB().Query(`SELECT name, dept, DLURLPATHONLY(picture) FROM employee`)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("1. SQL SELECT", "db client API",
 		fmt.Sprintf("name=%s dept=%s picture=%s", rows.Data[0][0].S, rows.Data[0][1].S, rows.Data[0][2].S))
-	urlRow, err := sys.DB.QueryRow(`SELECT DLURLCOMPLETE(picture) FROM employee WHERE name = 'john'`)
+	urlRow, err := sys.DB().QueryRow(`SELECT DLURLCOMPLETE(picture) FROM employee WHERE name = 'john'`)
 	if err != nil {
 		return nil, err
 	}

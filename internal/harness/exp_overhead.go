@@ -46,9 +46,9 @@ func runE3() ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys.DB.MustExec(`CREATE TABLE docs (id INT PRIMARY KEY, plain VARCHAR, doc DATALINK MODE RDD RECOVERY NO)`)
+	sys.DB().MustExec(`CREATE TABLE docs (id INT PRIMARY KEY, plain VARCHAR, doc DATALINK MODE RDD RECOVERY NO)`)
 	for i := 0; i < rows; i++ {
-		if _, err := sys.DB.Exec(`INSERT INTO docs VALUES (?, ?, ?)`,
+		if _, err := sys.DB().Exec(`INSERT INTO docs VALUES (?, ?, ?)`,
 			sqlmini.Int(int64(i)), sqlmini.Str(pop.URL("fs1", i)), sqlmini.Str(pop.URL("fs1", i))); err != nil {
 			return nil, err
 		}
@@ -59,7 +59,7 @@ func runE3() ([]*Table, error) {
 		return Measure(probes, func() error {
 			id := sqlmini.Int(int64(i % rows))
 			i++
-			_, err := sys.DB.QueryRow(stmt, id)
+			_, err := sys.DB().QueryRow(stmt, id)
 			return err
 		})
 	}
@@ -108,7 +108,7 @@ func runE4() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys.DB.MustExec(`CREATE TABLE docs (id INT PRIMARY KEY, doc DATALINK MODE RDB RECOVERY NO)`)
+		sys.DB().MustExec(`CREATE TABLE docs (id INT PRIMARY KEY, doc DATALINK MODE RDB RECOVERY NO)`)
 		t := &Table{
 			Caption: fmt.Sprintf("E4. open+read+close, native vs DataLinks(rdb, read token), IPC latency %v", ipc),
 			Headers: []string{"file size", "native", "dlfs+token", "overhead", "overhead %", "upcalls/op"},
@@ -153,7 +153,7 @@ func runE4() ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			url, err := readURL(sys.DB, "docs", idx)
+			url, err := readURL(sys.DB(), "docs", idx)
 			if err != nil {
 				return nil, err
 			}
@@ -225,15 +225,15 @@ func runE5() ([]*Table, error) {
 		}
 		url := "dlfs://fs1" + path
 		if p.mode != "unlinked" {
-			sys.DB.MustExec(fmt.Sprintf(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE %s RECOVERY YES)`, p.mode))
-			if err := link(sys.DB, "t", 1, url); err != nil {
+			sys.DB().MustExec(fmt.Sprintf(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE %s RECOVERY YES)`, p.mode))
+			if err := link(sys.DB(), "t", 1, url); err != nil {
 				return nil, err
 			}
 			fn := "DLURLCOMPLETE"
 			if p.write {
 				fn = "DLURLCOMPLETEWRITE"
 			}
-			tokenized, err := tokenURL(sys.DB, fn, "t", 1)
+			tokenized, err := tokenURL(sys.DB(), fn, "t", 1)
 			switch {
 			case err == nil:
 				url = tokenized

@@ -46,12 +46,12 @@ func runE7() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys.DB.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
+		sys.DB().MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
 		if err := seedAndLink(sys, srv, "t", 1, "/d/f.bin", []byte("v0-content")); err != nil {
 			return nil, err
 		}
 		sess := sys.NewSession(expUID)
-		url, err := writeURL(sys.DB, "t", 1)
+		url, err := writeURL(sys.DB(), "t", 1)
 		if err != nil {
 			return nil, err
 		}
@@ -105,9 +105,9 @@ func runE7() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys.DB.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
+		sys.DB().MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
 		for i := 0; i < n; i++ {
-			if err := link(sys.DB, "t", i, pop.URL("fs1", i)); err != nil {
+			if err := link(sys.DB(), "t", i, pop.URL("fs1", i)); err != nil {
 				return nil, err
 			}
 		}
@@ -115,7 +115,7 @@ func runE7() ([]*Table, error) {
 		sess := sys.NewSession(expUID)
 		inflight := n / 2
 		for i := 0; i < inflight; i++ {
-			url, err := writeURL(sys.DB, "t", i)
+			url, err := writeURL(sys.DB(), "t", i)
 			if err != nil {
 				return nil, err
 			}
@@ -149,8 +149,8 @@ func runE8() ([]*Table, error) {
 	if err := seedOwned(srv, "/d/f.bin", workload.UniformContent(1024, 0), expUID); err != nil {
 		return nil, err
 	}
-	sys.DB.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, note VARCHAR, doc DATALINK MODE RDD RECOVERY YES, doc_size INT)`)
-	if _, err := sys.DB.Exec(`INSERT INTO t (id, note, doc) VALUES (1, 'v0', DLVALUE('dlfs://fs1/d/f.bin'))`); err != nil {
+	sys.DB().MustExec(`CREATE TABLE t (id INT PRIMARY KEY, note VARCHAR, doc DATALINK MODE RDD RECOVERY YES, doc_size INT)`)
+	if _, err := sys.DB().Exec(`INSERT INTO t (id, note, doc) VALUES (1, 'v0', DLVALUE('dlfs://fs1/d/f.bin'))`); err != nil {
 		return nil, err
 	}
 	sess := sys.NewSession(expUID)
@@ -164,12 +164,12 @@ func runE8() ([]*Table, error) {
 	snaps = append(snaps, snap{state: sys.Engine.StateID(), note: "v0", fill: 'A', size: 1024})
 	for v := 1; v <= versions; v++ {
 		size := 1024 + v*100 // each version longer than the last: writing at 0 replaces the whole file
-		if err := commitEdit(sys.DB, sess.OpenWrite, "t", 1, 0, workload.UniformContent(size, v)); err != nil {
+		if err := commitEdit(sys.DB(), sess.OpenWrite, "t", 1, 0, workload.UniformContent(size, v)); err != nil {
 			return nil, err
 		}
 		srv.DLFM.WaitArchives()
 		note := fmt.Sprintf("v%d", v)
-		if _, err := sys.DB.Exec(`UPDATE t SET note = ? WHERE id = 1`, sqlmini.Str(note)); err != nil {
+		if _, err := sys.DB().Exec(`UPDATE t SET note = ? WHERE id = 1`, sqlmini.Str(note)); err != nil {
 			return nil, err
 		}
 		snaps = append(snaps, snap{state: sys.Engine.StateID(), note: note, fill: byte('A' + v), size: size})

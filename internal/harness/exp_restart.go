@@ -166,13 +166,13 @@ func (c *restartConfig) churn(tier archive.TierConfig, editSize int64, expected 
 		return err
 	}
 	defer sys.Close()
-	sys.DB.MustExec(`CREATE TABLE restart (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
+	sys.DB().MustExec(`CREATE TABLE restart (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
 	for i := range expected {
 		if err := seedAndLink(sys, srv, "restart", i, restartPath(i), expected[i][0]); err != nil {
 			return err
 		}
 	}
-	if err := churnHistory(sys.DB, sys.NewSession(expUID).OpenWrite, "restart", editSize, expected); err != nil {
+	if err := churnHistory(sys.DB(), sys.NewSession(expUID).OpenWrite, "restart", editSize, expected); err != nil {
 		return err
 	}
 	srv.DLFM.WaitArchives()

@@ -111,7 +111,7 @@ func (c *scaleoutConfig) setup(servers int) (*core.Cluster, []string, []string, 
 		cl.Close()
 		return nil, nil, nil, err
 	}
-	cl.DB.MustExec(`CREATE TABLE sc (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES, doc_size INT)`)
+	cl.DB().MustExec(`CREATE TABLE sc (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES, doc_size INT)`)
 	paths := make([]string, c.Files)
 	readURLs := make([]string, c.Files)
 	for i := range paths {
@@ -119,7 +119,7 @@ func (c *scaleoutConfig) setup(servers int) (*core.Cluster, []string, []string, 
 		if err := seedAndLinkCluster(cl, "sc", i, paths[i], scaleoutContent(paths[i], 0)); err != nil {
 			return fail(err)
 		}
-		if readURLs[i], err = readURL(cl.DB, "sc", i); err != nil {
+		if readURLs[i], err = readURL(cl.DB(), "sc", i); err != nil {
 			return fail(err)
 		}
 	}
@@ -187,7 +187,7 @@ func (c *scaleoutConfig) traffic(cl *core.Cluster, paths, readURLs []string) (*e
 				opStart := time.Now()
 				pathMu[i].Lock()
 				seq := res.acked[i] + 1
-				err := commitEdit(cl.DB, sess.OpenWrite, "sc", i, 0, scaleoutContent(paths[i], seq))
+				err := commitEdit(cl.DB(), sess.OpenWrite, "sc", i, 0, scaleoutContent(paths[i], seq))
 				if err == nil {
 					res.acked[i] = seq
 				}

@@ -45,7 +45,7 @@ func runE9() ([]*Table, error) {
 		run    func(sys *core.System, srv *core.FileServer) (string, bool)
 	}
 	openRead := func(sys *core.System) (*core.File, error) {
-		url, err := readURL(sys.DB, "t", 1)
+		url, err := readURL(sys.DB(), "t", 1)
 		if err != nil {
 			return nil, err
 		}
@@ -60,14 +60,14 @@ func runE9() ([]*Table, error) {
 					return "setup failed: " + firstLine(err), false
 				}
 				defer f.Close()
-				_, err = sys.DB.Exec(`DELETE FROM t WHERE id = 1`)
+				_, err = sys.DB().Exec(`DELETE FROM t WHERE id = 1`)
 				return outcome(err == nil), err != nil // paper: rejected
 			},
 		},
 		{
 			name: "unlink while open for write", mode: "rfd",
 			run: func(sys *core.System, srv *core.FileServer) (string, bool) {
-				url, err := writeURL(sys.DB, "t", 1)
+				url, err := writeURL(sys.DB(), "t", 1)
 				if err != nil {
 					return "setup failed", false
 				}
@@ -76,7 +76,7 @@ func runE9() ([]*Table, error) {
 					return "setup failed: " + firstLine(err), false
 				}
 				defer f.Close()
-				_, err = sys.DB.Exec(`DELETE FROM t WHERE id = 1`)
+				_, err = sys.DB().Exec(`DELETE FROM t WHERE id = 1`)
 				return outcome(err == nil), err != nil // paper: rejected
 			},
 		},
@@ -88,7 +88,7 @@ func runE9() ([]*Table, error) {
 					return "setup failed", false
 				}
 				f.Close()
-				_, err = sys.DB.Exec(`DELETE FROM t WHERE id = 1`)
+				_, err = sys.DB().Exec(`DELETE FROM t WHERE id = 1`)
 				return outcome(err == nil), err == nil // paper: allowed
 			},
 		},
@@ -101,7 +101,7 @@ func runE9() ([]*Table, error) {
 					return "setup failed", false
 				}
 				defer srv.LFS.Close(fd)
-				err = link(sys.DB, "t", 2, "dlfs://fs1/d/other.bin")
+				err = link(sys.DB(), "t", 2, "dlfs://fs1/d/other.bin")
 				return outcome(err == nil) + " (window of inconsistency)", err == nil // paper: succeeds
 			},
 		},
@@ -114,7 +114,7 @@ func runE9() ([]*Table, error) {
 					return "setup failed", false
 				}
 				defer srv.LFS.Close(fd)
-				err = link(sys.DB, "t", 2, "dlfs://fs1/d/other.bin")
+				err = link(sys.DB(), "t", 2, "dlfs://fs1/d/other.bin")
 				return outcome(err == nil), err != nil // fix: rejected
 			},
 		},
@@ -124,7 +124,7 @@ func runE9() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys.DB.MustExec(fmt.Sprintf(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE %s RECOVERY YES)`, sc.mode))
+		sys.DB().MustExec(fmt.Sprintf(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE %s RECOVERY YES)`, sc.mode))
 		if err := seedAndLink(sys, srv, "t", 1, "/d/f.bin", []byte("v0")); err != nil {
 			return nil, err
 		}
@@ -162,7 +162,7 @@ func runE10() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys.DB.MustExec(fmt.Sprintf(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE %s RECOVERY YES)`, mode))
+		sys.DB().MustExec(fmt.Sprintf(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE %s RECOVERY YES)`, mode))
 		if err := seedAndLink(sys, srv, "t", 1, "/d/f.bin", workload.UniformContent(fileSize, 0)); err != nil {
 			return nil, err
 		}
@@ -184,7 +184,7 @@ func runE10() ([]*Table, error) {
 					url := "dlfs://fs1/d/f.bin"
 					if mode == "rdd" {
 						var err error
-						if url, err = readURL(sys.DB, "t", 1); err != nil {
+						if url, err = readURL(sys.DB(), "t", 1); err != nil {
 							continue
 						}
 					}
@@ -218,7 +218,7 @@ func runE10() ([]*Table, error) {
 		sess := sys.NewSession(expUID)
 		for v := 1; v <= rounds; v++ {
 			for {
-				url, err := writeURL(sys.DB, "t", 1)
+				url, err := writeURL(sys.DB(), "t", 1)
 				if err != nil {
 					atomic.AddInt64(&writerBusy, 1)
 					continue
@@ -266,7 +266,7 @@ func runE11() ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			sys.DB.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY NO)`)
+			sys.DB().MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY NO)`)
 			if err := seedAndLink(sys, srv, "t", 1, "/d/f.bin", workload.Content(workload.RNG(2), 4096)); err != nil {
 				return nil, err
 			}

@@ -68,7 +68,7 @@ func (c *tieredConfig) run() ([]*Table, error) {
 		return nil, err
 	}
 	defer sys.Close()
-	sys.DB.MustExec(`CREATE TABLE tiered (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
+	sys.DB().MustExec(`CREATE TABLE tiered (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
 
 	paths := make([]string, c.Files)
 	committed := make([][]byte, c.Files)
@@ -90,7 +90,7 @@ func (c *tieredConfig) run() ([]*Table, error) {
 		for i := 0; i < c.Files; i++ {
 			edit := workload.Content(rng, int(editSize))
 			off := (int64(v*c.Files+i) * editSize * 13) % (fileSize - editSize + 1)
-			if err := commitEdit(sys.DB, sess.OpenWrite, "tiered", i, off, edit); err != nil {
+			if err := commitEdit(sys.DB(), sess.OpenWrite, "tiered", i, off, edit); err != nil {
 				return nil, err
 			}
 			copy(committed[i][off:], edit)
@@ -108,7 +108,7 @@ func (c *tieredConfig) run() ([]*Table, error) {
 	// Phase 2: rollbacks. The in-flight junk is quarantined and the last
 	// committed version restored — paging its evicted chunks back in.
 	for i := 0; i < c.Files; i++ {
-		url, err := writeURL(sys.DB, "tiered", i)
+		url, err := writeURL(sys.DB(), "tiered", i)
 		if err != nil {
 			return nil, err
 		}

@@ -121,7 +121,7 @@ func (c *traceConfig) completeness() (*Table, error) {
 		return nil, err
 	}
 	defer sys.Close()
-	sys.DB.MustExec(`CREATE TABLE tr (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY NO, doc_size INT)`)
+	sys.DB().MustExec(`CREATE TABLE tr (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY NO, doc_size INT)`)
 	for i := 0; i < c.Sessions; i++ {
 		if err := seedAndLink(sys, srv, "tr", i, fmt.Sprintf("/t/f%d.bin", i), workload.UniformContent(2048, i)); err != nil {
 			return nil, err
@@ -130,7 +130,7 @@ func (c *traceConfig) completeness() (*Table, error) {
 	for i := 0; i < c.Sessions; i++ {
 		sess := sys.NewSession(expUID)
 		for seq := 0; seq < c.Commits; seq++ {
-			if err := commitEdit(sys.DB, sess.OpenWrite, "tr", i, 0, []byte{byte(seq)}); err != nil {
+			if err := commitEdit(sys.DB(), sess.OpenWrite, "tr", i, 0, []byte{byte(seq)}); err != nil {
 				return nil, err
 			}
 		}
@@ -225,11 +225,11 @@ func e22SlowOp() (*Table, error) {
 		return nil, err
 	}
 	defer sys.Close()
-	sys.DB.MustExec(`CREATE TABLE slow (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY NO, doc_size INT)`)
+	sys.DB().MustExec(`CREATE TABLE slow (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY NO, doc_size INT)`)
 	if err := seedAndLink(sys, srv, "slow", 1, "/s/slow.bin", []byte("v1")); err != nil {
 		return nil, err
 	}
-	if err := commitEdit(sys.DB, sys.NewSession(expUID).OpenWrite, "slow", 1, 0, []byte("v2 slow")); err != nil {
+	if err := commitEdit(sys.DB(), sys.NewSession(expUID).OpenWrite, "slow", 1, 0, []byte("v2 slow")); err != nil {
 		return nil, err
 	}
 	srv.DLFM.WaitArchives()

@@ -85,7 +85,7 @@ func seedAndLink(sys *core.System, srv *core.FileServer, table string, id int, p
 	if err := seedOwned(srv, path, content, expUID); err != nil {
 		return err
 	}
-	return link(sys.DB, table, id, "dlfs://"+srv.Name+path)
+	return link(sys.DB(), table, id, "dlfs://"+srv.Name+path)
 }
 
 // seedAndLinkCluster is seedAndLink on the member the ring places path on,
@@ -94,7 +94,7 @@ func seedAndLinkCluster(c *core.Cluster, table string, id int, path string, cont
 	if err := c.SeedFile(path, content, expUID); err != nil {
 		return err
 	}
-	return link(c.DB, table, id, c.URL(path))
+	return link(c.DB(), table, id, c.URL(path))
 }
 
 // tokenURL selects fn(doc) — DLURLCOMPLETE or DLURLCOMPLETEWRITE — for row id:

@@ -167,11 +167,11 @@ func TestHistoryDigestFailsOnAMissingBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	sys.DB.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
+	sys.DB().MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
 	if err := seedAndLink(sys, srv, "t", 1, "/d/f.bin", workload.Content(workload.RNG(1), 3*extent.ChunkSize)); err != nil {
 		t.Fatal(err)
 	}
-	if err := commitEdit(sys.DB, sys.NewSession(expUID).OpenWrite, "t", 1, 0, []byte("edit")); err != nil {
+	if err := commitEdit(sys.DB(), sys.NewSession(expUID).OpenWrite, "t", 1, 0, []byte("edit")); err != nil {
 		t.Fatal(err)
 	}
 	srv.DLFM.WaitArchives()
