@@ -247,6 +247,56 @@ func TestUnlinkAbortKeepsLink(t *testing.T) {
 	}
 }
 
+// TestUnlinkWaitsForTheArchiveJob: an unlink right after a close waits for
+// the close's archive job. Otherwise the job indexes its version into the
+// history the unlink's Drop removed, a re-link adopts that stale version as
+// already archived, and an aborted update restores bytes from before the
+// unlink.
+func TestUnlinkWaitsForTheArchiveJob(t *testing.T) {
+	const path = "/d/f.bin"
+	phys := fs.New()
+	phys.MkdirAll("/d", rootCred, 0o777)
+	seedFile(t, phys, path, "v0")
+	srv := openServer(t, Config{
+		Name: "fs1", Phys: phys, Archive: newArchive(t), Host: newFakeHost(),
+		TokenKey: []byte("k"), OpenWait: 5 * time.Second,
+	})
+	linkCommitted(t, srv, path, "rfd")
+	id := openWrite(t, srv, path, owner)
+	phys.WriteFile(path, []byte("old-v1"))
+	srv.cfg.Archive.SetLatency(200 * time.Millisecond) // holds the job
+	if resp := closeFile(t, srv, phys, path, id); !resp.OK {
+		t.Fatalf("close: %+v", resp)
+	}
+	const hostTxn = 79
+	if err := srv.UnlinkFile(hostTxn, path); err != nil {
+		t.Fatalf("unlink: %v", err)
+	}
+	if n := srv.archJobs.Load(); n != 0 {
+		t.Fatalf("UnlinkFile returned with %d archive jobs in flight", n)
+	}
+	srv.cfg.Archive.SetLatency(0)
+	if err := srv.PrepareXRM(hostTxn); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.CommitXRM(hostTxn); err != nil {
+		t.Fatal(err)
+	}
+	srv.WaitArchives()
+
+	// Re-link the path with new bytes: an aborted update restores those.
+	seedFile(t, phys, path, "fresh")
+	linkCommitted(t, srv, path, "rfd")
+	openWrite(t, srv, path, owner)
+	phys.WriteFile(path, []byte("in-flight"))
+	if err := srv.AbortUpdateByPath(path); err != nil {
+		t.Fatalf("abort: %v", err)
+	}
+	if got, err := phys.ReadFile(path); err != nil || string(got) != "fresh" {
+		t.Fatalf("abort restored %q, %v; want the re-linked bytes", got, err)
+	}
+}
+
 // openWrite performs the token open against the server: the write token
 // rides the open request.
 func openWrite(t *testing.T, srv *Server, path string, uid fs.UID) uint64 {
@@ -515,6 +565,49 @@ func TestCrashRecoveryPendingArchive(t *testing.T) {
 	vs := srv2.cfg.Archive.Versions("fs1", "/d/f.bin")
 	if len(vs) != 2 || string(bytesOf(t, vs[1])) != "v1" {
 		t.Fatalf("versions after recovery = %+v", vs)
+	}
+	pend, err := srv2.Repo().Table("dlfm_pending_archive")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pend.Len() != 0 {
+		t.Fatalf("pending-archive rows left: %d", pend.Len())
+	}
+}
+
+// TestRecoveryDoesNotArchiveAnUnlinkedPath: a pending-archive row for a path
+// that is no longer linked is stale. Recovery archives nothing for it and
+// deletes the row.
+func TestRecoveryDoesNotArchiveAnUnlinkedPath(t *testing.T) {
+	const path = "/d/f.bin"
+	srv, phys, host := newServer(t)
+	linkCommitted(t, srv, path, "rfd")
+	commitVersion(t, srv, phys, path, []byte("v1"))
+	srv.WaitArchives()
+	const hostTxn = 80
+	if err := srv.UnlinkFile(hostTxn, path); err != nil {
+		t.Fatalf("unlink: %v", err)
+	}
+	if err := srv.PrepareXRM(hostTxn); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.CommitXRM(hostTxn); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.repo.Exec(`INSERT INTO dlfm_pending_archive (path, version, state_id) VALUES (?, ?, ?)`,
+		sqlmini.Str(path), sqlmini.Int(1), sqlmini.Int(int64(host.state))); err != nil {
+		t.Fatal(err)
+	}
+
+	srv.Kill()
+	srv2, rep := reopen(t, srv, Config{
+		Name: "fs1", Phys: phys, Archive: srv.cfg.Archive, Host: host, TokenKey: []byte("k"),
+	})
+	if len(rep.ArchivedVersions) != 0 {
+		t.Fatalf("recovery archived %v for an unlinked path", rep.ArchivedVersions)
+	}
+	if vs := srv2.cfg.Archive.Versions("fs1", path); len(vs) != 0 {
+		t.Fatalf("the unlinked path has a history of %d versions again", len(vs))
 	}
 	pend, err := srv2.Repo().Table("dlfm_pending_archive")
 	if err != nil {

@@ -124,19 +124,18 @@ func (s *Server) linkFile(hostTxn uint64, path string, opts datalink.ColumnOptio
 			// rolled back (§4.2) and point-in-time restore has a floor. The
 			// manifest snapshot keeps link cost O(#chunks).
 			if keepsHistory(opts.Mode, opts.Recovery) {
+				// A path that already has a history (a re-link after a
+				// restore) archives nothing: the current content is the
+				// newest archived version, not version 0.
 				stateID := s.cfg.Host.StateID()
-				shipVer := int64(0)
-				if latest, ok := s.cfg.Archive.Newest(s.cfg.Name, path); ok {
-					// Already archived (re-link after restore): the current
-					// content is the last archived version, not version 0.
-					shipVer = int64(latest)
-				} else if err := s.archiveCurrent(path, 0, stateID); err != nil {
+				shipVer, _, err := s.archiveBehind(path, 0, stateID)
+				if err != nil {
 					return err
 				}
 				// Replicate the link in the same stream as commits: the
 				// successors get the history floor and the promotion
 				// identity, so a failover right after link loses nothing.
-				return s.shipCurrent(context.Background(), path, shipVer, stateID)
+				return s.shipCurrent(context.Background(), path, int64(shipVer), stateID)
 			}
 			return nil
 		},
@@ -213,14 +212,21 @@ func (s *Server) unlinkFile(hostTxn uint64, path string) error {
 		return fmt.Errorf("%w: %s", ErrNotLinked, path)
 	}
 	// Synchronization with open files: any Sync entry or update entry
-	// rejects the unlink (§4.5).
+	// rejects the unlink (§4.5). The path's archive job is drained first,
+	// as a write open would: a job still running at commit would index its
+	// version into the history Drop removes.
 	sh, _ := s.pathShard(path)
 	sh.mu.Lock()
-	if st, ok := sh.syncs[path]; ok && (st.writer != 0 || st.readers > 0) {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrFileBusy, path)
+	drained := s.waitLocked(sh, path, func(*syncState) bool { return true })
+	st := s.syncFor(sh, path)
+	busy := !drained || st.writer != 0 || st.readers > 0
+	if st.idle() {
+		delete(sh.syncs, path)
 	}
 	sh.mu.Unlock()
+	if busy {
+		return fmt.Errorf("%w: %s", ErrFileBusy, path)
+	}
 	if s.hasUpdateEntry(path) {
 		return fmt.Errorf("%w: %s (update in progress)", ErrFileBusy, path)
 	}

@@ -21,13 +21,22 @@ func intToMode(v int64) fs.FileMode { return fs.FileMode(v) }
 //     asking the host database for the outcome of the bound host
 //     transaction — presumed abort if the host never logged a commit.
 //     File-system side effects are compensated accordingly.
-//  3. Every durable update entry marks a file whose update transaction was
-//     in flight: its in-flight content is quarantined and the last committed
-//     version restored from the archive.
-//  4. Committed-but-unarchived versions (pending-archive rows, or a version
-//     counter ahead of the archive) are archived now.
-//  5. The canonical at-rest permission state is re-established for every
-//     linked file (a crash during a takeover leaves DLFM-owned files).
+//  3. One scan of the linked files decides each file, in this order:
+//     a. An update entry marks an update caught in flight: its in-flight
+//        content is quarantined and the last committed version restored
+//        from the archive.
+//     b. A file missing from the physical file system (a cold start) walks
+//        its version counter down to the newest archived version and is
+//        installed from it deferred, or is reported lost when nothing is
+//        archived.
+//     c. A file that keeps a history behind its version counter — the
+//        archive copy of a committed version never finished — is archived
+//        at the counter (archiveBehind).
+//     d. The canonical at-rest permission state is re-established (a crash
+//        during a takeover leaves DLFM-owned files), unless the file was
+//        lost or (a) already did it.
+//  4. The pending-archive rows are deleted: (c) archived what every linked
+//     file lacked, and a row for a path no longer linked is stale.
 //
 // Token entries, Sync entries and open states are volatile by design: a
 // machine crash ends every open.
@@ -69,19 +78,65 @@ func (s *Server) runRecovery(rep *RecoveryReport) error {
 	if err := s.resolveInDoubt(rep); err != nil {
 		return err
 	}
-	if err := s.recoverPendingArchives(rep); err != nil {
+	tbl, err := s.repo.Table("dlfm_files")
+	if err != nil {
 		return err
 	}
-	if err := s.materializeMissingFiles(rep); err != nil {
-		return err
+	var files []fileInfo
+	tbl.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
+		files = append(files, decodeFileRow(row))
+		return true
+	})
+	for _, fi := range files {
+		if err := s.recoverFile(fi, rep); err != nil {
+			return err
+		}
 	}
-	if err := s.recoverInFlightUpdates(rep); err != nil {
-		return err
+	_, err = s.repo.Exec(`DELETE FROM dlfm_pending_archive`)
+	return err
+}
+
+// recoverFile decides one linked file at restart, in the order the header
+// lists.
+func (s *Server) recoverFile(fi fileInfo, rep *RecoveryReport) error {
+	switch {
+	case s.hasUpdateEntry(fi.path):
+		if err := s.restoreLastCommitted(fi.path); err != nil {
+			return err
+		}
+		rep.RestoredFiles = append(rep.RestoredFiles, fi.path)
+		return nil // the restore re-established the at-rest state
+	case !s.physExists(fi.path):
+		// The committed bytes beyond the newest archived version died with
+		// the process before their archive copy completed, so the archive's
+		// view is the recoverable truth.
+		entry, err := s.cfg.Archive.Latest(s.cfg.Name, fi.path)
+		if err != nil {
+			rep.LostFiles = append(rep.LostFiles, fi.path)
+			return nil
+		}
+		if entry.Version < fi.version {
+			if _, err := s.repo.Exec(`UPDATE dlfm_files SET cur_version = ? WHERE path = ?`,
+				sqlmini.Int(int64(entry.Version)), sqlmini.Str(fi.path)); err != nil {
+				return err
+			}
+			rep.ReconciledVersions = append(rep.ReconciledVersions,
+				fmt.Sprintf("%s: v%d -> v%d", fi.path, fi.version, entry.Version))
+		}
+		if err := s.installDeferred(entry); err != nil {
+			return fmt.Errorf("dlfm: materialize %s: %w", fi.path, err)
+		}
+		rep.MaterializedFiles = append(rep.MaterializedFiles, fi.path)
+	case keepsHistory(fi.mode, fi.recovery):
+		_, archived, err := s.archiveBehind(fi.path, fi.version, s.cfg.Host.StateID())
+		if err != nil {
+			return err
+		}
+		if archived {
+			rep.ArchivedVersions = append(rep.ArchivedVersions, fmt.Sprintf("%s@v%d", fi.path, fi.version))
+		}
 	}
-	if err := s.reestablishLinkStates(); err != nil {
-		return err
-	}
-	return nil
+	return s.restoreLinkState(fi.path, fi)
 }
 
 // physExists reports whether path survived on the physical file system —
@@ -90,27 +145,6 @@ func (s *Server) runRecovery(rep *RecoveryReport) error {
 func (s *Server) physExists(path string) bool {
 	_, err := s.cfg.Phys.Lookup(path)
 	return err == nil
-}
-
-// reconcileVersionDown walks a file's version counter back to the newest
-// archived version: the committed bytes beyond it died with the process
-// before their archive copy completed, so the archive's view IS the
-// recoverable truth.
-func (s *Server) reconcileVersionDown(fi fileInfo, rep *RecoveryReport) error {
-	latest, ok := s.cfg.Archive.Newest(s.cfg.Name, fi.path)
-	if !ok {
-		return nil // nothing archived; the materialize pass reports the loss
-	}
-	if latest >= fi.version {
-		return nil
-	}
-	if _, err := s.repo.Exec(`UPDATE dlfm_files SET cur_version = ? WHERE path = ?`,
-		sqlmini.Int(int64(latest)), sqlmini.Str(fi.path)); err != nil {
-		return err
-	}
-	rep.ReconciledVersions = append(rep.ReconciledVersions,
-		fmt.Sprintf("%s: v%d -> v%d", fi.path, fi.version, latest))
-	return nil
 }
 
 // mkdirParent creates the parent directories of a restored path — on a
@@ -133,49 +167,14 @@ func (s *Server) writeRestored(p string, snap *extent.Snapshot) error {
 	return s.cfg.Phys.WriteFileSnapshot(p, snap)
 }
 
-// materializeMissingFiles restores linked files that no longer exist on the
-// physical file system from their newest archived version — the cold-start
-// counterpart of §4.2's restore, for when the whole machine (not just DLFM)
-// lost its volatile state. Each is installed deferred: the file exists at
-// the version's size, holding a reference on every blob of the version
-// (archive.Entry.Hold), and its bytes are read on first access — so a cold
-// start costs the files' metadata, and each file's bytes are paid for when,
-// and if, it is touched. The held references keep those bytes loadable
-// across a committed unlink (Archive.Drop) or a restore's truncate. Files
-// mid-update are left to the in-flight pass, which restores them eagerly;
-// files with no archived copy are reported lost.
-func (s *Server) materializeMissingFiles(rep *RecoveryReport) error {
-	tbl, err := s.repo.Table("dlfm_files")
-	if err != nil {
-		return err
-	}
-	var missing []fileInfo
-	tbl.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
-		fi := decodeFileRow(row)
-		if !s.physExists(fi.path) && !s.hasUpdateEntry(fi.path) {
-			missing = append(missing, fi)
-		}
-		return true
-	})
-	for _, fi := range missing {
-		entry, err := s.cfg.Archive.Latest(s.cfg.Name, fi.path)
-		if err != nil {
-			rep.LostFiles = append(rep.LostFiles, fi.path)
-			continue
-		}
-		if err := s.installDeferred(entry); err != nil {
-			return fmt.Errorf("dlfm: materialize %s: %w", fi.path, err)
-		}
-		rep.MaterializedFiles = append(rep.MaterializedFiles, fi.path)
-	}
-	return nil
-}
-
 // installDeferred installs an archived version as the file at its path
-// without reading it — cold start and a promote both end here. The file
-// holds a reference on every blob of the version from now on (Entry.Hold),
-// so a later Drop of the history cannot free the bytes before the first
-// access loads them; parent directories are created first.
+// without reading it — cold start and a promote both end here: the file
+// exists at the version's size and its bytes are read on first access, so a
+// cold start costs the files' metadata, and each file's bytes are paid for
+// when, and if, it is touched. The file holds a reference on every blob of
+// the version from now on (Entry.Hold), so a later Drop of the history or a
+// restore's truncate cannot free the bytes before the first access loads
+// them; parent directories are created first.
 func (s *Server) installDeferred(e archive.Entry) error {
 	held, err := e.Hold()
 	if err != nil {
@@ -278,7 +277,7 @@ func (s *Server) resolveInDoubt(rep *RecoveryReport) error {
 		}
 		// Compensate or complete the file-system side effects.
 		for _, r := range rows {
-			if err := s.compensateJournal(r, committed, rep); err != nil {
+			if err := s.compensateJournal(r, committed); err != nil {
 				return err
 			}
 		}
@@ -291,19 +290,11 @@ func (s *Server) resolveInDoubt(rep *RecoveryReport) error {
 
 // compensateJournal applies the post-outcome file-system action for one
 // journaled side effect.
-func (s *Server) compensateJournal(r journalRow, committed bool, rep *RecoveryReport) error {
+func (s *Server) compensateJournal(r journalRow, committed bool) error {
 	switch r.action {
 	case "link":
 		if committed {
-			// Eager FS changes stand. Ensure version 0 is archived.
-			if fi, ok := s.lookupFile(r.path); ok && keepsHistory(fi.mode, fi.recovery) && s.physExists(r.path) {
-				if _, archived := s.cfg.Archive.Newest(s.cfg.Name, r.path); !archived {
-					if err := s.archiveCurrent(r.path, 0, s.cfg.Host.StateID()); err != nil {
-						return err
-					}
-					rep.ArchivedVersions = append(rep.ArchivedVersions, r.path)
-				}
-			}
+			// Eager FS changes stand; the per-file scan archives version 0.
 			return nil
 		}
 		// Aborted link: undo the eager permission/ownership change.
@@ -333,93 +324,28 @@ func (s *Server) compensateJournal(r journalRow, committed bool, rep *RecoveryRe
 		return s.cfg.Archive.Drop(s.cfg.Name, r.path)
 	case "close":
 		// The repository outcome (version counter, update-entry deletion)
-		// was already resolved with the transaction; the later passes handle
-		// restore/archive from that state.
+		// was already resolved with the transaction; the per-file scan
+		// restores or archives from that state.
 		return nil
 	default:
 		return fmt.Errorf("dlfm: unknown journal action %q", r.action)
 	}
 }
 
-// recoverPendingArchives archives committed versions whose archive copy was
-// interrupted, and reconciles version counters with the archive.
-func (s *Server) recoverPendingArchives(rep *RecoveryReport) error {
-	// Pass 1: explicit pending-archive rows (exact state ids).
-	tbl, err := s.repo.Table("dlfm_pending_archive")
-	if err != nil {
-		return err
+// archiveBehind is the one rule for a history that ends before ver, the
+// file's cur_version (an empty history counts): the file's current bytes are
+// archived as ver, under the state id the path's pending-archive row gives
+// ver — the one its commit was given — or stateID when there is none. It
+// returns the newest archived version afterwards and whether it archived.
+func (s *Server) archiveBehind(path string, ver archive.Version, stateID uint64) (archive.Version, bool, error) {
+	if newest, ok := s.cfg.Archive.Newest(s.cfg.Name, path); ok && newest >= ver {
+		return newest, false, nil
 	}
-	type pending struct {
-		path    string
-		version int64
-		stateID int64
+	if row, err := s.repo.QueryRow(`SELECT state_id FROM dlfm_pending_archive WHERE path = ? AND version = ?`,
+		sqlmini.Str(path), sqlmini.Int(int64(ver))); err == nil {
+		stateID = uint64(row[0].I)
 	}
-	var rows []pending
-	tbl.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
-		rows = append(rows, pending{path: row[0].S, version: row[1].I, stateID: row[2].I})
-		return true
-	})
-	for _, p := range rows {
-		switch {
-		case s.cfg.Archive.HasVersion(s.cfg.Name, p.path, archive.Version(p.version)):
-			// The archiver finished before the crash; only the cleanup of
-			// the pending row was lost.
-		case s.physExists(p.path):
-			if err := s.archiveCurrent(p.path, archive.Version(p.version), uint64(p.stateID)); err != nil {
-				return err
-			}
-			rep.ArchivedVersions = append(rep.ArchivedVersions, fmt.Sprintf("%s@v%d", p.path, p.version))
-		default:
-			// Cold start: the committed bytes lived only on the volatile
-			// file system and were never archived. Walk the counter back to
-			// what the archive actually holds.
-			if fi, ok := s.lookupFile(p.path); ok {
-				if err := s.reconcileVersionDown(fi, rep); err != nil {
-					return err
-				}
-			}
-		}
-		if _, err := s.repo.Exec(`DELETE FROM dlfm_pending_archive WHERE path = ?`, sqlmini.Str(p.path)); err != nil {
-			return err
-		}
-	}
-	// Pass 2: version counters ahead of the archive (crash between the
-	// commit point and the pending-archive insert).
-	files, err := s.repo.Table("dlfm_files")
-	if err != nil {
-		return err
-	}
-	var lagging []fileInfo
-	files.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
-		fi := decodeFileRow(row)
-		if !keepsHistory(fi.mode, fi.recovery) {
-			return true
-		}
-		if latest, ok := s.cfg.Archive.Newest(s.cfg.Name, fi.path); !ok || latest < fi.version {
-			lagging = append(lagging, fi)
-		}
-		return true
-	})
-	for _, fi := range lagging {
-		// Skip files that are mid-update (their update entry triggers a
-		// restore instead).
-		if s.hasUpdateEntry(fi.path) {
-			continue
-		}
-		if !s.physExists(fi.path) {
-			// Cold start: the bytes for the newer version are gone. Adopt the
-			// archive's newest version as the current one.
-			if err := s.reconcileVersionDown(fi, rep); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := s.archiveCurrent(fi.path, fi.version, s.cfg.Host.StateID()); err != nil {
-			return err
-		}
-		rep.ArchivedVersions = append(rep.ArchivedVersions, fmt.Sprintf("%s@v%d", fi.path, fi.version))
-	}
-	return nil
+	return ver, true, s.archiveCurrent(path, ver, stateID)
 }
 
 // archiveCurrent archives the file's current content as the given version
@@ -435,42 +361,6 @@ func (s *Server) archiveCurrent(path string, ver archive.Version, stateID uint64
 	snap.Release()
 	if err != nil && !errors.Is(err, archive.ErrStale) {
 		return err
-	}
-	return nil
-}
-
-// recoverInFlightUpdates rolls back updates caught open by the crash.
-func (s *Server) recoverInFlightUpdates(rep *RecoveryReport) error {
-	for _, path := range s.UpdatesInFlight() {
-		if err := s.restoreLastCommitted(path); err != nil {
-			return err
-		}
-		rep.RestoredFiles = append(rep.RestoredFiles, path)
-	}
-	return nil
-}
-
-// reestablishLinkStates restores at-rest ownership/permissions for every
-// linked file (idempotent; cleans up interrupted takeovers).
-func (s *Server) reestablishLinkStates() error {
-	tbl, err := s.repo.Table("dlfm_files")
-	if err != nil {
-		return err
-	}
-	var all []fileInfo
-	tbl.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
-		all = append(all, decodeFileRow(row))
-		return true
-	})
-	for _, fi := range all {
-		if err := s.restoreLinkState(fi.path, fi); err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				// Reported as lost by the materialize pass; nothing at rest
-				// to re-establish.
-				continue
-			}
-			return err
-		}
 	}
 	return nil
 }

@@ -81,38 +81,30 @@ func (s *Server) BeginExport(path string) error {
 
 // archiveFrozen makes the archive history end at the frozen file. A mode
 // that keeps no history has none (any a crashed move left behind is stale),
-// and a failed archive job left one behind cur_version: the file is archived
-// at cur_version. A native write to a mode whose writes the file system
-// controls mints no version, so a file that differs from its newest version
-// is archived as the next one and cur_version follows. A pending-archive row
-// for the version carries the state id its commit was given.
+// so the file is archived afresh. A native write to a mode whose writes the
+// file system controls mints no version, so a file that differs from its
+// newest version becomes the next one and cur_version follows. Then a
+// history behind cur_version — a failed archive job left it there — is
+// archived at cur_version (archiveBehind).
 func (s *Server) archiveFrozen(fi fileInfo) error {
-	ver := fi.version
 	newest, ok := s.cfg.Archive.Newest(s.cfg.Name, fi.path)
 	switch {
 	case !keepsHistory(fi.mode, fi.recovery):
 		if err := s.cfg.Archive.Drop(s.cfg.Name, fi.path); err != nil {
 			return err
 		}
-	case !ok || newest < fi.version:
-	case fi.mode.Write != datalink.CtlFS:
-		return nil // nothing but a commit writes the file
-	default:
+	case ok && newest >= fi.version && fi.mode.Write == datalink.CtlFS:
 		if same, err := s.matchesArchived(fi.path, newest); err != nil || same {
 			return err
 		}
-		ver = newest + 1
+		fi.version = newest + 1
 		if _, err := s.repo.Exec(`UPDATE dlfm_files SET cur_version = ? WHERE path = ?`,
-			sqlmini.Int(int64(ver)), sqlmini.Str(fi.path)); err != nil {
+			sqlmini.Int(int64(fi.version)), sqlmini.Str(fi.path)); err != nil {
 			return err
 		}
 	}
-	stateID := s.cfg.Host.StateID()
-	if row, err := s.repo.QueryRow(`SELECT state_id FROM dlfm_pending_archive WHERE path = ? AND version = ?`,
-		sqlmini.Str(fi.path), sqlmini.Int(int64(ver))); err == nil {
-		stateID = uint64(row[0].I)
-	}
-	return s.archiveCurrent(fi.path, ver, stateID)
+	_, _, err := s.archiveBehind(fi.path, fi.version, s.cfg.Host.StateID())
+	return err
 }
 
 // matchesArchived reports whether the file at path holds its archived

@@ -153,7 +153,8 @@ func (s *Server) dropOpen(id uint64) {
 // delete is counted, dlfm.updates.clear_failures, not returned.
 func (s *Server) clearUpdateEntry(path string) {
 	if _, err := s.repo.Exec(`DELETE FROM dlfm_updates WHERE path = ?`, sqlmini.Str(path)); err != nil {
-		// At restart recoverInFlightUpdates restores the path and deletes the row.
+		// At restart recovery's per-file scan restores the path and deletes
+		// the row.
 		s.cfg.Metrics.Counter("dlfm.updates.clear_failures").Inc()
 	}
 }
@@ -396,8 +397,8 @@ func (s *Server) startArchive(ctx context.Context, path string, ver archive.Vers
 		s.cfg.Metrics.Counter("dlfm.archive.chunks_shared").Add(int64(st.SharedChunks))
 		if _, err := s.repo.Exec(`DELETE FROM dlfm_pending_archive WHERE path = ?`, sqlmini.Str(path)); err != nil {
 			// The version is archived; only its pending row stays behind.
-			// That is harmless: recoverPendingArchives finds the version
-			// with HasVersion and deletes the row without re-archiving.
+			// That is harmless: at restart archiveBehind finds the history
+			// at cur_version, and recovery deletes the row unused.
 			s.cfg.Metrics.Counter("dlfm.archive.pending_clear_failures").Inc()
 		}
 		s.cfg.Metrics.Counter("dlfm.archive.jobs").Inc()

@@ -22,7 +22,6 @@ type restartConfig struct {
 	Versions int
 	EditKB   int
 	BudgetMB int
-	Compress bool
 	Dir      string // "" = private temp dir, removed afterwards
 	Fsync    string // fsync policy for the churn AND the reopen ("", none, group, always)
 }
@@ -68,7 +67,6 @@ func (c *restartConfig) run() ([]*Table, error) {
 	tier := archive.TierConfig{
 		Dir:          dir,
 		MemoryBudget: int64(c.BudgetMB) << 20,
-		Compress:     c.Compress,
 		Fsync:        fsyncPolicy,
 	}
 	expected := genHistory(9000, c.Files, fileSize, editSize, c.Versions)
@@ -145,7 +143,7 @@ func (c *restartConfig) run() ([]*Table, error) {
 	t.AddRow("chunks paged in by verification", fmt.Sprintf("%d", final.PageIns))
 	t.AddRow("on-disk bytes (physical / logical)", fmt.Sprintf("%s / %s", mib(diskAfterChurn), mib(final.DiskLogicalBytes)))
 	t.AddRow("pack files / torn pack bytes", fmt.Sprintf("%d / %d", final.PackFiles, final.PackTornBytes))
-	t.AddRow("compression / fsync policy", fmt.Sprintf("%v / %s", c.Compress, fsyncPolicy))
+	t.AddRow("fsync policy", fsyncPolicy.String())
 	t.Note("the reopened store never existed while the versions were committed: the catalog (manifest log + snapshot) is the only index")
 	t.Note("zero bytes re-archived is enforced, not just reported — a catalog regression fails the experiment (and the CI restart smoke job)")
 	return []*Table{t}, nil
@@ -159,7 +157,6 @@ func (c *restartConfig) churn(tier archive.TierConfig, editSize int64, expected 
 		OpenWait:            30 * time.Second,
 		ArchiveDir:          tier.Dir,
 		ArchiveMemoryBudget: tier.MemoryBudget,
-		ArchiveCompress:     tier.Compress,
 		ArchiveFsync:        c.Fsync,
 	}, 30*time.Second)
 	if err != nil {
