@@ -130,16 +130,17 @@ func fromValue(v sqlmini.Value) any {
 	}
 }
 
-func toValues(args []any) ([]sqlmini.Value, error) {
-	vals := make([]sqlmini.Value, len(args))
-	for i, a := range args {
+// toValues appends the converted arguments to dst. The callers pass a small
+// array on their stack: sqlmini keeps no statement's argument slice.
+func toValues(dst []sqlmini.Value, args []any) ([]sqlmini.Value, error) {
+	for _, a := range args {
 		v, err := toValue(a)
 		if err != nil {
 			return nil, err
 		}
-		vals[i] = v
+		dst = append(dst, v)
 	}
-	return vals, nil
+	return dst, nil
 }
 
 // Rows is a query result.
@@ -157,7 +158,8 @@ type hostSQL struct {
 
 // Exec runs a DDL/DML statement with ?-placeholders, returning affected rows.
 func (h hostSQL) Exec(sql string, args ...any) (int, error) {
-	vals, err := toValues(args)
+	var buf [4]sqlmini.Value
+	vals, err := toValues(buf[:0], args)
 	if err != nil {
 		return 0, err
 	}
@@ -175,7 +177,8 @@ func (h hostSQL) MustExec(sql string, args ...any) int {
 
 // Query runs a SELECT with ?-placeholders.
 func (h hostSQL) Query(sql string, args ...any) (*Rows, error) {
-	vals, err := toValues(args)
+	var buf [4]sqlmini.Value
+	vals, err := toValues(buf[:0], args)
 	if err != nil {
 		return nil, err
 	}
@@ -183,13 +186,21 @@ func (h hostSQL) Query(sql string, args ...any) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Rows{Cols: rows.Cols}
+	// The column names are the query's own slice, made for this result. The
+	// values of all rows go into one slab.
+	out := &Rows{Cols: rows.Cols, Data: make([][]any, len(rows.Data))}
+	n := 0
 	for _, r := range rows.Data {
-		converted := make([]any, len(r))
+		n += len(r)
+	}
+	slab := make([]any, n)
+	for ri, r := range rows.Data {
+		row := slab[:len(r):len(r)]
+		slab = slab[len(r):]
 		for i, v := range r {
-			converted[i] = fromValue(v)
+			row[i] = fromValue(v)
 		}
-		out.Data = append(out.Data, converted)
+		out.Data[ri] = row
 	}
 	return out, nil
 }

@@ -113,8 +113,8 @@ func TestPackCorpusIsRealRecords(t *testing.T) {
 
 // FuzzPackRecordDecode holds the pack record parser — what a pack scan at
 // open trusts to rebuild the index — to two properties on arbitrary bytes: it
-// never panics, and a record it accepts is exactly the bytes recordHeader and
-// the record's data write, with recordLen agreeing on where it ends.
+// never panics, and a record it accepts is exactly the bytes putRecordHeader
+// and the record's data write, with recordLen agreeing on where it ends.
 func FuzzPackRecordDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		h, data, logical, compressed, n, ok := parseRecord(buf)
@@ -124,7 +124,8 @@ func FuzzPackRecordDecode(f *testing.F) {
 		if n > len(buf) || recordLen(buf) != int64(n) {
 			t.Fatalf("accepted a %d-byte record out of %d bytes (recordLen %d)", n, len(buf), recordLen(buf))
 		}
-		hdr := recordHeader(h, data, logical, compressed)
+		var hdr [packRecHdrLen + packRecMeta]byte
+		putRecordHeader(&hdr, h, data, logical, compressed)
 		if re := append(hdr[:], data...); !bytes.Equal(re, buf[:n]) {
 			t.Fatalf("accepted record\n%x\nre-encodes to\n%x", buf[:n], re)
 		}

@@ -170,19 +170,21 @@ func recordCRC(frame []byte) uint32 {
 	return crc32.Update(c, crc32.IEEETable, frame[12:])
 }
 
-// recordHeader builds the bytes that precede a record's data on disk. The
-// checksum is folded over the header and then over data where it lies: the
-// record is never assembled in memory.
-func recordHeader(h extent.Hash, data []byte, logical int64, compressed bool) (hdr [packRecHdrLen + packRecMeta]byte) {
+// putRecordHeader writes the bytes that precede a record's data on disk
+// into hdr. The checksum is folded over the header and then over data where
+// it lies: the record is never assembled in memory. The header is built in
+// place because the checksum's slice of it escapes: an array returned by
+// value would be a heap object per record.
+func putRecordHeader(hdr *[packRecHdrLen + packRecMeta]byte, h extent.Hash, data []byte, logical int64, compressed bool) {
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(data)))
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(logical))
 	copy(hdr[12:44], h[:])
+	hdr[44] = 0
 	if compressed {
 		hdr[44] = packFlagCompressed
 	}
 	sum := crc32.Update(recordCRC(hdr[:]), crc32.IEEETable, data)
 	binary.LittleEndian.PutUint32(hdr[8:12], sum)
-	return hdr
 }
 
 // recordLen reads the length of the whole record off its header.
@@ -192,7 +194,7 @@ func recordLen(hdr []byte) int64 {
 
 // parseRecord frames one record off buf. n is total bytes consumed. A flags
 // byte with a bit no writer sets is refused like a bad checksum: an accepted
-// record is exactly what recordHeader and its data would write.
+// record is exactly what putRecordHeader and its data would write.
 func parseRecord(buf []byte) (h extent.Hash, data []byte, logical int64, compressed bool, n int, ok bool) {
 	if len(buf) < packRecHdrLen+packRecMeta {
 		return h, nil, 0, false, 0, false
@@ -234,7 +236,7 @@ func (ps *packSet) append(h extent.Hash, data []byte, logical int64, compressed 
 		}
 	}
 	pm = ps.activePM
-	ps.hdr = recordHeader(h, data, logical, compressed)
+	putRecordHeader(&ps.hdr, h, data, logical, compressed)
 	off = pm.size + int64(len(ps.hdr))
 	_, werr := ps.active.WriteAt(ps.hdr[:], pm.size)
 	if werr == nil {

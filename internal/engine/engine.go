@@ -97,6 +97,8 @@ type Engine struct {
 	db    *sqlmini.DB
 	clock func() time.Time
 	reg   *metrics.Registry
+	// tokens counts issued tokens by type: engine.tokens.r, .w and .x.
+	tokens [token.Execute + 1]*metrics.Counter
 
 	mu       sync.Mutex
 	servers  map[string]*serverConn
@@ -140,6 +142,9 @@ func Open(opts sqlmini.Options) (*Engine, error) {
 		servers:      make(map[string]*serverConn),
 		registry:     make(map[string]registration),
 		contentHooks: make(map[string]ContentHook),
+	}
+	for typ := token.Read; typ <= token.Execute; typ++ {
+		e.tokens[typ] = e.reg.Counter("engine.tokens." + typ.String())
 	}
 	e.db.SetDMLHook(e.dmlHook)
 	e.registerTokenFns()
@@ -222,11 +227,14 @@ func (e *Engine) conn(server string) (*serverConn, error) {
 
 func regKey(server, path string) string { return server + "\x00" + path }
 
-// lookupReg finds the registration for a linked file.
+// lookupReg finds the registration for a linked file. The key regKey would
+// make is built on the stack: a map index by string(bytes) makes no string.
 func (e *Engine) lookupReg(server, path string) (registration, bool) {
+	var buf [128]byte
+	key := append(append(append(buf[:0], server...), 0), path...)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	r, ok := e.registry[regKey(server, path)]
+	r, ok := e.registry[string(key)]
 	return r, ok
 }
 
@@ -338,49 +346,72 @@ func (e *Engine) registerTokenFns() {
 	})
 }
 
+// completeURL returns the link's URL with a token appended after token.Sep
+// when the access needs one, built in one buffer: the string is the one
+// allocation.
 func (e *Engine) completeURL(args []sqlmini.Value, typ token.Type) (sqlmini.Value, error) {
 	if len(args) != 1 || args[0].Kind() != sqlmini.KindLink {
 		return sqlmini.Value{}, errors.New("DLURLCOMPLETE takes one DATALINK argument")
 	}
 	l, _ := args[0].AsLink()
-	tok, err := e.IssueToken(l, typ)
+	var buf [256]byte
+	b := append(buf[:0], datalink.Scheme+"://"...)
+	b = append(b, l.Server...)
+	b = append(b, l.Path...)
+	url := len(b)
+	b, err := e.appendToken(append(b, token.Sep...), l, typ)
 	if err != nil {
 		return sqlmini.Value{}, err
 	}
-	if tok == "" {
-		return sqlmini.Str(l.URL()), nil
+	if len(b) == url+len(token.Sep) {
+		b = b[:url] // no token needed
 	}
-	return sqlmini.Str(l.URL() + token.Sep + tok), nil
+	return sqlmini.Str(string(b)), nil
 }
 
 // IssueToken issues an access token for a linked file. Returns "" (no token
 // needed) for files whose requested access is file-system controlled.
 func (e *Engine) IssueToken(l datalink.Link, typ token.Type) (string, error) {
+	var buf [128]byte
+	tok, err := e.appendToken(buf[:0], l, typ)
+	if err != nil || len(tok) == 0 {
+		return "", err
+	}
+	return string(tok), nil
+}
+
+// appendToken appends the token IssueToken issues to dst, and nothing when
+// the access needs none.
+func (e *Engine) appendToken(dst []byte, l datalink.Link, typ token.Type) ([]byte, error) {
+	if typ < token.Read || typ > token.Execute {
+		return nil, fmt.Errorf("engine: unknown token type %s", typ)
+	}
 	reg, linked := e.lookupReg(l.Server, l.Path)
 	if !linked {
 		// Unlinked (nff or foreign) reference: no token to issue.
-		return "", nil
+		return dst, nil
 	}
 	c, err := e.conn(l.Server)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	mode := reg.opts.Mode
 	switch typ {
 	case token.Read:
 		if !mode.ReadNeedsToken() {
-			return "", nil // reads are FS-controlled; no token needed
+			return dst, nil // reads are FS-controlled; no token needed
 		}
 	case token.Write:
 		if !mode.UpdateManaged() {
-			return "", fmt.Errorf("engine: %s is linked in %s mode: no write tokens", l.URL(), mode)
+			return nil, fmt.Errorf("engine: %s is linked in %s mode: no write tokens", l.URL(), mode)
 		}
 	}
-	e.reg.Counter("engine.tokens." + typ.String()).Inc()
+	e.tokens[typ].Inc()
+	ttl := c.auth.TTL()
 	if reg.opts.TokenTTLSecs > 0 {
-		return c.auth.IssueWithTTL(typ, l.Path, time.Duration(reg.opts.TokenTTLSecs)*time.Second), nil
+		ttl = time.Duration(reg.opts.TokenTTLSecs) * time.Second
 	}
-	return c.auth.Issue(typ, l.Path), nil
+	return c.auth.AppendIssue(dst, typ, l.Path, ttl), nil
 }
 
 // LinkedMode reports the control mode a file is linked under, per the
@@ -418,7 +449,10 @@ func (e *Engine) contentHook(table, column string) (ContentHook, bool) {
 // convention reproduced from §4.3: if the linking table has companion
 // columns named <linkcol>_size (integer) and/or <linkcol>_mtime (timestamp),
 // they are updated in the same transaction as DLFM's version bookkeeping;
-// registered content hooks contribute further columns.
+// registered content hooks contribute further columns. The state id it
+// returns, which tags the new file version, is that transaction's commit
+// record: another transaction may have moved the log's durable tail past it
+// by the time Commit returns.
 func (e *Engine) MetaUpdate(server, path string, size int64, mtime time.Time, sub sqlmini.XRM) (uint64, error) {
 	txn := e.db.Begin()
 	txn.Enlist(sub)
@@ -438,7 +472,7 @@ func (e *Engine) MetaUpdate(server, path string, size int64, mtime time.Time, su
 		return 0, err
 	}
 	e.reg.Counter("engine.meta_updates").Inc()
-	return uint64(e.db.StateID()), nil
+	return uint64(txn.CommitLSN()), nil
 }
 
 // applyContentHook runs the hook over the file's content and updates the

@@ -183,6 +183,40 @@ func TestTokenIssuingRespectsModes(t *testing.T) {
 	}
 }
 
+// A token SELECT through the engine allocates its answer — the Txn, the
+// Rows, its Cols and Data, the output Row — and the tokenized URL, built in
+// one string: no join scaffolding, no argument slice for DLURLCOMPLETE, no
+// token string of its own, no counter name and no registry key (22 before).
+func TestTokenSelectAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	r := newRig(t)
+	const path = "/d/a-path-longer-than-a-small-string-buffer.bin"
+	r.seed(t, path, "x")
+	r.db.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
+	r.db.MustExec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1` + path + `'))`)
+	const budget = 6
+	args := []sqlmini.Value{sqlmini.Int(1)}
+	var url string
+	if n := testing.AllocsPerRun(200, func() {
+		row, err := r.db.QueryRow(`SELECT DLURLCOMPLETE(doc) FROM t WHERE id = ?`, args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		url = row[0].S
+	}); n > budget {
+		t.Fatalf("token SELECT by primary key: %.0f allocs, want <= %d", n, budget)
+	}
+	name, tok, ok := token.Extract(url)
+	if !ok || name != "dlfs://fs1"+path {
+		t.Fatalf("URL %q", url)
+	}
+	if _, err := r.srv.Authority().Validate(tok, path); err != nil {
+		t.Fatalf("issued token rejected by DLFM: %v", err)
+	}
+}
+
 func TestLinkedModeAndIssueToken(t *testing.T) {
 	r := newRig(t)
 	r.seed(t, "/d/f.bin", "x")
@@ -246,6 +280,56 @@ func TestMetaUpdateWritesCompanionColumns(t *testing.T) {
 	if row[0].I != 4321 || !row[1].T.Equal(mt) {
 		t.Fatalf("companion columns = %+v", row)
 	}
+}
+
+// The state id MetaUpdate returns is its own transaction's commit record,
+// even when another transaction commits — and moves the log's durable tail —
+// before MetaUpdate returns. Tagging the version with the later state would
+// let RestoreToState to a state between the two keep the row but drop the
+// version.
+func TestMetaUpdateReturnsItsOwnCommitState(t *testing.T) {
+	r := newRig(t)
+	r.seed(t, "/d/f.bin", "x")
+	r.db.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES, doc_size INT)`)
+	r.db.MustExec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f.bin'), NULL)`)
+	r.db.MustExec(`CREATE TABLE other (id INT PRIMARY KEY, n INT)`)
+	r.db.MustExec(`INSERT INTO other VALUES (1, 0)`)
+	sub := &committingXRM{db: r.db}
+	state, err := r.eng.MetaUpdate("fs1", "/d/f.bin", 7, time.Unix(1_700_000_000, 0), sub)
+	if err != nil {
+		t.Fatalf("meta update: %v", err)
+	}
+	if sub.err != nil {
+		t.Fatalf("second transaction: %v", sub.err)
+	}
+	if state >= uint64(sub.later) {
+		t.Fatalf("MetaUpdate returned state %d, not before the later commit's %d", state, sub.later)
+	}
+	rec, err := r.db.Log().Read(wal.LSN(state))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Type != wal.RecCommit || rec.TxnID != sub.hostTxn {
+		t.Fatalf("state %d is a type-%d record of txn %d, want the commit of txn %d", state, rec.Type, rec.TxnID, sub.hostTxn)
+	}
+}
+
+// committingXRM commits a second host transaction from its phase-2 commit:
+// a concurrent committer whose flush lands between MetaUpdate's commit and
+// its return.
+type committingXRM struct {
+	noopXRM
+	db      *sqlmini.DB
+	hostTxn uint64
+	later   wal.LSN
+	err     error
+}
+
+func (c *committingXRM) CommitXRM(hostTxn uint64) error {
+	c.hostTxn = hostTxn
+	_, c.err = c.db.Exec(`UPDATE other SET n = n + 1 WHERE id = 1`)
+	c.later = c.db.StateID()
+	return nil
 }
 
 type noopXRM struct{ prepared, committed, aborted bool }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Rows is the result of a query.
@@ -245,7 +246,9 @@ func (t *Txn) execInsert(s *InsertStmt, args []Value) (int, error) {
 
 // matchRows scans tbl, locking each candidate row in `mode`, and returns the
 // ids and rows satisfying the predicate. Uses the PK or a secondary index for
-// simple equality predicates when available.
+// simple equality predicates when available. A primary-key hit comes back in
+// one-element arrays the transaction owns: the slices are valid until the
+// next matchRows on this transaction.
 func (t *Txn) matchRows(tbl *Table, where Expr, args []Value, mode LockMode) ([]RowID, []Row, error) {
 	var ids []RowID
 	var rows []Row
@@ -260,7 +263,7 @@ func (t *Txn) matchRows(tbl *Table, where Expr, args []Value, mode LockMode) ([]
 		}
 		match := true
 		if where != nil {
-			v, err := t.eval(where, rowEnv(tbl, row), args)
+			v, err := t.eval(where, env{{tbl, row}}, args)
 			if err != nil {
 				if errors.Is(err, errNullCompare) {
 					return nil // UNKNOWN predicate = no match
@@ -283,6 +286,7 @@ func (t *Txn) matchRows(tbl *Table, where Expr, args []Value, mode LockMode) ([]
 				val = cv
 			}
 			if tbl.pkCol == tbl.ColIndex(col) && tbl.pkCol >= 0 {
+				ids, rows = t.pkID[:0], t.pkRow[:0]
 				if id, found := tbl.LookupPK(val); found {
 					if err := tryRow(id); err != nil {
 						return nil, nil, err
@@ -355,14 +359,17 @@ func (t *Txn) execUpdate(s *UpdateStmt, args []Value) (int, error) {
 	}
 	n := 0
 	for i, id := range ids {
-		// Copy on write: rows[i] is the installed row, which readers share.
-		newRow := rows[i].Clone()
+		// Copy on write: old is the installed row, which readers share. It is
+		// read out of rows once: a function in a SET expression may run a
+		// statement whose matchRows reuses a primary-key hit's scratch.
+		old := rows[i]
+		newRow := old.Clone()
 		for _, set := range s.Set {
 			ci := tbl.ColIndex(set.Column)
 			if ci < 0 {
 				return n, fmt.Errorf("sqlmini: no column %q in %s", set.Column, s.Table)
 			}
-			v, err := t.eval(set.Value, rowEnv(tbl, rows[i]), args)
+			v, err := t.eval(set.Value, env{{tbl, old}}, args)
 			if err != nil {
 				return n, err
 			}
@@ -402,32 +409,39 @@ func (t *Txn) execDelete(s *DeleteStmt, args []Value) (int, error) {
 	return n, nil
 }
 
-// env is the scope for expression evaluation: the current row of one table,
-// chained to the rows of the tables before it in the FROM list. Column
-// references resolve against the table's schema in place — no per-row name
-// map is built.
-type env struct {
-	tbl  *Table
-	row  Row
-	next *env
+// binding is one table's current row in an expression's scope.
+type binding struct {
+	tbl *Table
+	row Row
 }
 
-func rowEnv(tbl *Table, row Row) *env { return &env{tbl: tbl, row: row} }
+// env is the scope for expression evaluation: the current row of each table
+// in the FROM list, in FROM order. Column references resolve against the
+// tables' schemas in place — no per-row name map is built. An empty env means
+// no columns are in scope (INSERT values).
+type env []binding
 
-// lookup resolves a column reference, innermost (latest-joined) table first;
-// a qualified reference only considers the table it names.
-func (e *env) lookup(ref *ColRef) (Value, bool) {
-	for ; e != nil; e = e.next {
-		if ref.Table != "" && !strings.EqualFold(ref.Table, e.tbl.Name) {
+// lookup resolves a column reference, latest-joined table first; a qualified
+// reference only considers the table it names.
+func (e env) lookup(ref *ColRef) (Value, bool) {
+	for i := len(e) - 1; i >= 0; i-- {
+		b := &e[i]
+		if ref.Table != "" && !strings.EqualFold(ref.Table, b.tbl.Name) {
 			continue
 		}
-		if ci := e.tbl.ColIndex(ref.Name); ci >= 0 {
-			return e.row[ci], true
+		if ci := b.tbl.ColIndex(ref.Name); ci >= 0 {
+			return b.row[ci], true
 		}
 	}
 	return Value{}, false
 }
 
+// execSelect enumerates the combinations of the FROM tables' matching rows in
+// one nested loop over a reused env, the first table turning slowest, and
+// turns each into an output row as it is produced — or folds it into the
+// aggregates. A one-table query keeps its env and cursor on the stack, so it
+// allocates its answer (Rows, Cols, Data and one Row per match) and nothing
+// else.
 func (t *Txn) execSelect(s *SelectStmt, args []Value) (*Rows, error) {
 	if len(s.Tables) == 0 {
 		return nil, errors.New("sqlmini: SELECT needs FROM")
@@ -436,113 +450,98 @@ func (t *Txn) execSelect(s *SelectStmt, args []Value) (*Rows, error) {
 	if s.ForUpdate {
 		lockMode = LockX
 	}
-	// Gather the row sets of each table, then cross-join.
-	type tableRows struct {
-		tbl  *Table
-		rows []Row
+	var scope1 [1]binding
+	var curs1 [1]cursor
+	scope, curs := env(scope1[:]), curs1[:]
+	join := len(s.Tables) > 1
+	if join {
+		scope, curs = make(env, len(s.Tables)), make([]cursor, len(s.Tables))
 	}
-	var sets []tableRows
+	width := 0
 	for i, name := range s.Tables {
 		tbl, err := t.db.cat.get(name)
 		if err != nil {
 			return nil, err
 		}
-		// Push the WHERE down only for single-table queries; joins filter on
-		// the joined row below.
+		// A one-table query filters in matchRows, where an index can narrow
+		// the candidates; a join filters each combination below. A join's
+		// tables are therefore scanned, and none of their row sets is the
+		// primary-key scratch the next matchRows would reuse.
 		var where Expr
-		if len(s.Tables) == 1 {
+		if !join {
 			where = s.Where
 		}
 		_, rows, err := t.matchRows(tbl, where, args, lockMode)
 		if err != nil {
 			return nil, err
 		}
-		sets = append(sets, tableRows{tbl: tbl, rows: rows})
-		_ = i
+		scope[i].tbl, curs[i].rows = tbl, rows
+		width += len(tbl.Columns)
 	}
 
-	// Build joined environments.
-	var envs []*env
-	var joinedRows [][]Row
-	var build func(i int, acc *env, rowAcc []Row)
-	build = func(i int, acc *env, rowAcc []Row) {
-		if i == len(sets) {
-			envs = append(envs, acc)
-			joined := make([]Row, len(rowAcc))
-			copy(joined, rowAcc)
-			joinedRows = append(joinedRows, joined)
-			return
-		}
-		for _, row := range sets[i].rows {
-			build(i+1, &env{tbl: sets[i].tbl, row: row, next: acc}, append(rowAcc, row))
-		}
-	}
-	build(0, nil, nil)
-
-	// Join-level filtering for multi-table queries.
-	if len(s.Tables) > 1 && s.Where != nil {
-		var fe []*env
-		var fr [][]Row
-		for i, e := range envs {
-			v, err := t.eval(s.Where, e, args)
-			if err != nil {
-				if errors.Is(err, errNullCompare) {
-					continue
-				}
-				return nil, err
-			}
-			if v.K == KindBool && v.B {
-				fe = append(fe, e)
-				fr = append(fr, joinedRows[i])
-			}
-		}
-		envs, joinedRows = fe, fr
-	}
-
-	// Column list for SELECT *.
-	var out Rows
+	out := &Rows{}
+	var aggs []aggState
 	if s.Star {
-		for _, set := range sets {
-			for _, c := range set.tbl.Columns {
+		out.Cols = make([]string, 0, width)
+		for _, b := range scope {
+			for _, c := range b.tbl.Columns {
 				out.Cols = append(out.Cols, c.Name)
 			}
 		}
-		for _, jr := range joinedRows {
-			var row Row
-			for _, r := range jr {
-				row = append(row, r...)
-			}
-			out.Data = append(out.Data, row)
+	} else {
+		out.Cols = make([]string, len(s.Items))
+		for i, item := range s.Items {
+			out.Cols[i] = itemName(item, i)
 		}
-	} else if isAggregate(s.Items) {
-		row, err := t.evalAggregates(s.Items, envs, args)
-		if err != nil {
+		var err error
+		if aggs, err = newAggStates(s.Items); err != nil {
 			return nil, err
 		}
-		for i, item := range s.Items {
-			out.Cols = append(out.Cols, itemName(item, i))
+	}
+
+	for more := firstCombination(scope, curs); more; more = nextCombination(scope, curs) {
+		if join && s.Where != nil {
+			v, err := t.eval(s.Where, scope, args)
+			if err != nil && !errors.Is(err, errNullCompare) {
+				return nil, err
+			}
+			if err != nil || v.K != KindBool || !v.B {
+				continue
+			}
 		}
-		out.Data = append(out.Data, row)
-		return &out, nil
-	} else {
-		for i, item := range s.Items {
-			out.Cols = append(out.Cols, itemName(item, i))
-		}
-		for _, e := range envs {
+		switch {
+		case s.Star:
+			row := make(Row, 0, width)
+			for _, b := range scope {
+				row = append(row, b.row...)
+			}
+			out.Data = append(out.Data, row)
+		case aggs != nil:
+			if err := t.foldAggregates(aggs, scope, args); err != nil {
+				return nil, err
+			}
+		default:
 			row := make(Row, len(s.Items))
 			for i, item := range s.Items {
-				v, err := t.eval(item.Expr, e, args)
+				v, err := t.eval(item.Expr, scope, args)
 				if err != nil {
-					if errors.Is(err, errNullCompare) {
-						v = Null()
-					} else {
+					if !errors.Is(err, errNullCompare) {
 						return nil, err
 					}
+					v = Null()
 				}
 				row[i] = v
 			}
 			out.Data = append(out.Data, row)
 		}
+	}
+	if aggs != nil {
+		row := make(Row, len(aggs))
+		for i := range aggs {
+			row[i] = aggs[i].result()
+		}
+		out.Data = append(out.Data, row)
+		return out, nil
 	}
 
 	if s.OrderBy != "" {
@@ -570,7 +569,43 @@ func (t *Txn) execSelect(s *SelectStmt, args []Value) (*Rows, error) {
 	if s.Limit >= 0 && len(out.Data) > s.Limit {
 		out.Data = out.Data[:s.Limit]
 	}
-	return &out, nil
+	return out, nil
+}
+
+// cursor is one FROM table's matching rows and the position of the current
+// one during a SELECT's enumeration.
+type cursor struct {
+	rows []Row
+	at   int
+}
+
+// firstCombination puts every table on its first row; false when one has
+// none.
+func firstCombination(scope env, curs []cursor) bool {
+	for i := range curs {
+		if len(curs[i].rows) == 0 {
+			return false
+		}
+		curs[i].at = 0
+		scope[i].row = curs[i].rows[0]
+	}
+	return true
+}
+
+// nextCombination moves to the next combination, the last table turning
+// fastest; false once every combination was visited.
+func nextCombination(scope env, curs []cursor) bool {
+	for i := len(curs) - 1; i >= 0; i-- {
+		c := &curs[i]
+		if c.at++; c.at == len(c.rows) {
+			c.at = 0
+		}
+		scope[i].row = c.rows[c.at]
+		if c.at != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func itemName(item SelectItem, i int) string {
@@ -588,93 +623,109 @@ func itemName(item SelectItem, i int) string {
 
 var aggregateNames = map[string]bool{"COUNT": true, "SUM": true, "MIN": true, "MAX": true, "AVG": true}
 
-func isAggregate(items []SelectItem) bool {
-	for _, item := range items {
-		if c, ok := item.Expr.(*Call); ok && aggregateNames[c.Name] {
-			return true
-		}
-	}
-	return false
+// aggState folds one aggregate item of the select list over the
+// combinations as they are produced.
+type aggState struct {
+	call    *Call
+	n       int64 // values folded in: NULLs are skipped
+	sum     float64
+	isFloat bool
+	best    Value // MIN, MAX
 }
 
-func (t *Txn) evalAggregates(items []SelectItem, envs []*env, args []Value) (Row, error) {
-	row := make(Row, len(items))
+// newAggStates returns one state per item when the select list aggregates,
+// nil when it does not.
+func newAggStates(items []SelectItem) ([]aggState, error) {
+	aggregate := false
+	for _, item := range items {
+		if c, ok := item.Expr.(*Call); ok && aggregateNames[c.Name] {
+			aggregate = true
+		}
+	}
+	if !aggregate {
+		return nil, nil
+	}
+	aggs := make([]aggState, len(items))
 	for i, item := range items {
 		c, ok := item.Expr.(*Call)
 		if !ok || !aggregateNames[c.Name] {
 			return nil, fmt.Errorf("sqlmini: mixing aggregates and plain columns needs GROUP BY (unsupported)")
 		}
-		var vals []Value
-		for _, e := range envs {
-			if c.Star {
-				vals = append(vals, Int(1))
-				continue
-			}
-			if len(c.Args) != 1 {
-				return nil, fmt.Errorf("sqlmini: %s takes one argument", c.Name)
-			}
-			v, err := t.eval(c.Args[0], e, args)
-			if err != nil {
-				if errors.Is(err, errNullCompare) {
-					continue
-				}
-				return nil, err
-			}
-			if !v.IsNull() {
-				vals = append(vals, v)
-			}
+		if !c.Star && len(c.Args) != 1 {
+			return nil, fmt.Errorf("sqlmini: %s takes one argument", c.Name)
 		}
-		switch c.Name {
-		case "COUNT":
-			row[i] = Int(int64(len(vals)))
-		case "SUM", "AVG":
-			sum := 0.0
-			isFloat := false
-			for _, v := range vals {
-				n, ok := v.numeric()
-				if !ok {
-					return nil, fmt.Errorf("sqlmini: %s over non-numeric value", c.Name)
-				}
-				if v.K == KindFloat {
-					isFloat = true
-				}
-				sum += n
-			}
-			if c.Name == "AVG" {
-				if len(vals) == 0 {
-					row[i] = Null()
-				} else {
-					row[i] = Float(sum / float64(len(vals)))
-				}
-			} else if isFloat {
-				row[i] = Float(sum)
-			} else {
-				row[i] = Int(int64(sum))
-			}
-		case "MIN", "MAX":
-			if len(vals) == 0 {
-				row[i] = Null()
-				continue
-			}
-			best := vals[0]
-			for _, v := range vals[1:] {
-				cres, err := Compare(v, best)
-				if err != nil {
-					return nil, err
-				}
-				if (c.Name == "MIN" && cres < 0) || (c.Name == "MAX" && cres > 0) {
-					best = v
-				}
-			}
-			row[i] = best
-		}
+		aggs[i].call = c
 	}
-	return row, nil
+	return aggs, nil
 }
 
-// eval evaluates an expression in an environment. A nil env means no columns
-// are in scope (INSERT values).
-func (t *Txn) eval(e Expr, scope *env, args []Value) (Value, error) {
+// foldAggregates folds the current combination into every aggregate.
+func (t *Txn) foldAggregates(aggs []aggState, scope env, args []Value) error {
+	for i := range aggs {
+		a := &aggs[i]
+		v := Int(1) // COUNT(*)
+		if !a.call.Star {
+			var err error
+			v, err = t.eval(a.call.Args[0], scope, args)
+			if errors.Is(err, errNullCompare) || err == nil && v.IsNull() {
+				continue
+			}
+			if err != nil {
+				return err
+			}
+		}
+		switch a.call.Name {
+		case "SUM", "AVG":
+			n, ok := v.numeric()
+			if !ok {
+				return fmt.Errorf("sqlmini: %s over non-numeric value", a.call.Name)
+			}
+			a.isFloat = a.isFloat || v.K == KindFloat
+			a.sum += n
+		case "MIN", "MAX":
+			if a.n > 0 {
+				c, err := Compare(v, a.best)
+				if err != nil {
+					return err
+				}
+				if a.call.Name == "MIN" && c < 0 || a.call.Name == "MAX" && c > 0 {
+					a.best = v
+				}
+			} else {
+				a.best = v
+			}
+		}
+		a.n++
+	}
+	return nil
+}
+
+// result is the aggregate over everything folded in.
+func (a *aggState) result() Value {
+	switch a.call.Name {
+	case "COUNT":
+		return Int(a.n)
+	case "SUM":
+		if a.isFloat {
+			return Float(a.sum)
+		}
+		return Int(int64(a.sum))
+	case "AVG":
+		if a.n == 0 {
+			return Null()
+		}
+		return Float(a.sum / float64(a.n))
+	default: // MIN, MAX
+		if a.n == 0 {
+			return Null()
+		}
+		return a.best
+	}
+}
+
+// eval evaluates an expression in an environment. An empty env means no
+// columns are in scope (INSERT values).
+func (t *Txn) eval(e Expr, scope env, args []Value) (Value, error) {
 	switch x := e.(type) {
 	case *Lit:
 		return x.V, nil
@@ -684,7 +735,7 @@ func (t *Txn) eval(e Expr, scope *env, args []Value) (Value, error) {
 		}
 		return args[x.Idx], nil
 	case *ColRef:
-		if scope == nil {
+		if len(scope) == 0 {
 			return Value{}, fmt.Errorf("sqlmini: column %q not allowed here", x.Name)
 		}
 		v, ok := scope.lookup(x)
@@ -736,21 +787,36 @@ func (t *Txn) eval(e Expr, scope *env, args []Value) (Value, error) {
 		if !ok {
 			return Value{}, fmt.Errorf("sqlmini: unknown function %s", x.Name)
 		}
-		vals := make([]Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := t.eval(a, scope, args)
-			if err != nil {
-				return Value{}, err
-			}
-			vals[i] = v
-		}
-		return fn(t, vals)
+		return t.call(fn, x.Args, scope, args)
 	default:
 		return Value{}, fmt.Errorf("sqlmini: unhandled expression %T", e)
 	}
 }
 
-func (t *Txn) evalBinary(x *Binary, scope *env, args []Value) (Value, error) {
+// fnArgs recycles the slices scalar-function arguments are evaluated into.
+var fnArgs = sync.Pool{New: func() any { return new([]Value) }}
+
+// call evaluates a function's arguments into a slice from fnArgs and calls
+// it. The slice goes back after the call, cleared so it holds on to nothing;
+// a call nested in an argument takes a slice of its own.
+func (t *Txn) call(fn ScalarFn, argExprs []Expr, scope env, args []Value) (Value, error) {
+	buf := fnArgs.Get().(*[]Value)
+	defer fnArgs.Put(buf)
+	vals := (*buf)[:0]
+	for _, a := range argExprs {
+		v, err := t.eval(a, scope, args)
+		if err != nil {
+			return Value{}, err
+		}
+		vals = append(vals, v)
+	}
+	*buf = vals
+	v, err := fn(t, vals)
+	clear(vals)
+	return v, err
+}
+
+func (t *Txn) evalBinary(x *Binary, scope env, args []Value) (Value, error) {
 	// AND/OR get three-valued logic with short-circuit.
 	if x.Op == "AND" || x.Op == "OR" {
 		l, err := t.eval(x.L, scope, args)

@@ -181,8 +181,13 @@ func TestNestedFunctionCalls(t *testing.T) {
 	db := testDB(t)
 	mustExec(t, db, `CREATE TABLE t (s VARCHAR)`)
 	mustExec(t, db, `INSERT INTO t VALUES ('MiXeD')`)
-	rows := mustQuery(t, db, `SELECT UPPER(LOWER(s)), LENGTH(UPPER(s)) FROM t`)
-	if rows.Data[0][0].S != "MIXED" || rows.Data[0][1].I != 5 {
+	// A call nested in another's arguments evaluates into a slice of its
+	// own: the outer call's first argument survives the second.
+	db.RegisterFn("PAIR", func(_ *Txn, args []Value) (Value, error) {
+		return Str(args[0].S + "/" + args[1].S), nil
+	})
+	rows := mustQuery(t, db, `SELECT UPPER(LOWER(s)), LENGTH(UPPER(s)), PAIR(UPPER(s), PAIR(s, LOWER('X'))) FROM t`)
+	if rows.Data[0][0].S != "MIXED" || rows.Data[0][1].I != 5 || rows.Data[0][2].S != "MIXED/MiXeD/x" {
 		t.Fatalf("nested = %+v", rows.Data[0])
 	}
 }

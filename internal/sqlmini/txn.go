@@ -51,7 +51,8 @@ const (
 type DMLHook func(txn *Txn, table *Table, op DMLOp, old, new Row) error
 
 // ScalarFn is a SQL scalar function implementation. The transaction is
-// passed so functions like DLURLCOMPLETE can issue tokens in context.
+// passed so functions like DLURLCOMPLETE can issue tokens in context. args
+// is valid only during the call: the executor reuses it.
 type ScalarFn func(txn *Txn, args []Value) (Value, error)
 
 // DB is a sqlmini database instance.
@@ -214,6 +215,11 @@ type Txn struct {
 	// for post-commit work like releasing in-memory link state.
 	onCommit []func()
 	onAbort  []func()
+
+	// pkID and pkRow back matchRows' answer for a primary-key hit, valid
+	// until the next matchRows on this transaction.
+	pkID  [1]RowID
+	pkRow [1]Row
 }
 
 // Begin starts a new transaction.
@@ -256,6 +262,17 @@ func (t *Txn) DB() *DB { return t.db }
 
 // State returns the current transaction state.
 func (t *Txn) State() TxnState { return t.state }
+
+// CommitLSN returns the LSN of the transaction's commit record once it has
+// committed: the first database state that includes its changes, which the
+// log's durable tail may already have passed by another committer's flush.
+// A read-only transaction logs no commit record and returns NilLSN.
+func (t *Txn) CommitLSN() wal.LSN {
+	if t.state != TxnCommitted {
+		return wal.NilLSN
+	}
+	return t.lastLSN
+}
 
 // Enlist registers an external resource manager in this transaction. A
 // participant is enlisted once; duplicates are ignored.

@@ -158,11 +158,30 @@ func (a *Authority) Issue(typ Type, path string) string {
 
 // IssueWithTTL creates a token with a caller-chosen lifetime.
 func (a *Authority) IssueWithTTL(typ Type, path string, ttl time.Duration) string {
+	var buf [tokenMax]byte
+	return string(a.AppendIssue(buf[:0], typ, path, ttl))
+}
+
+// AppendIssue appends to dst the token IssueWithTTL would return, so a caller
+// can build the token into a larger string, such as the URL it rides on,
+// without allocating the token on its own.
+func (a *Authority) AppendIssue(dst []byte, typ Type, path string, ttl time.Duration) []byte {
 	expiry := a.clock().Add(ttl).Unix()
 	var sum [macLen]byte
 	a.mac(&sum, typ, path, expiry)
-	return fmt.Sprintf("%s:%d:%s", typ, expiry, sum[:])
+	dst = append(dst, typ.String()...)
+	dst = append(dst, ':')
+	dst = strconv.AppendInt(dst, expiry, 10)
+	dst = append(dst, ':')
+	return append(dst, sum[:]...)
 }
+
+// tokenMax bounds a token's length: a one-letter type, a signed 64-bit
+// expiry, two colons and the MAC.
+const tokenMax = 1 + 1 + 20 + 1 + macLen
+
+// TTL returns the lifetime Issue gives a token.
+func (a *Authority) TTL() time.Duration { return a.ttl }
 
 // Validate checks a token string against the path it is being used for and
 // returns the decoded token. It allocates nothing.

@@ -241,6 +241,26 @@ func TestMacMatchesFreshHMAC(t *testing.T) {
 	wg.Wait()
 }
 
+// TestIssueAllocatesOnlyTheToken: the token is formatted in an array on the
+// stack, so Issue's one allocation is the string it returns (3 with fmt),
+// and AppendIssue into a buffer with room allocates nothing.
+func TestIssueAllocatesOnlyTheToken(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	a := NewAuthority([]byte("secret"), fixedClock(time.Unix(1_700_000_000, 0)), time.Minute)
+	if n := testing.AllocsPerRun(100, func() { a.Issue(Write, "/movies/clip.mpg") }); n != 1 {
+		t.Fatalf("Issue allocates %.1f objects per call, want 1", n)
+	}
+	buf := make([]byte, 0, 128)
+	if n := testing.AllocsPerRun(100, func() { a.AppendIssue(buf, Read, "/movies/clip.mpg", time.Hour) }); n != 0 {
+		t.Fatalf("AppendIssue allocates %.1f objects per call, want 0", n)
+	}
+	if got, want := string(a.AppendIssue([]byte("x;"), Read, "/f", time.Hour)), "x;"+a.IssueWithTTL(Read, "/f", time.Hour); got != want {
+		t.Fatalf("AppendIssue = %q, want %q", got, want)
+	}
+}
+
 // TestValidateAllocsNothing: validating a good token — the check every token
 // open makes — allocates nothing: the fields are cut out of the token where
 // it lies and the MAC is computed and compared in arrays on the stack.
