@@ -101,7 +101,6 @@ func TestPublicAPIUpdateLifecycle(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
-	fsrv.WaitArchives()
 	if vs := fsrv.Versions("/docs/b.txt"); len(vs) != 2 {
 		t.Fatalf("versions = %v", vs)
 	}
@@ -166,7 +165,6 @@ func TestPublicAPIRestore(t *testing.T) {
 	f, _ := sys.Session(100).OpenWrite(url)
 	f.WriteAll([]byte("v1"))
 	f.Close()
-	fsrv.WaitArchives()
 
 	if err := sys.RestoreToState(s0); err != nil {
 		t.Fatalf("restore: %v", err)
@@ -323,7 +321,6 @@ func TestPublicAPIReferenceStack(t *testing.T) {
 		}
 	}
 
-	c.WaitArchives()
 	if err := c.FlushReplication(); err != nil {
 		t.Fatalf("flush replication: %v", err)
 	}

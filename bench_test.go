@@ -113,7 +113,6 @@ func newParallelRigServer(b *testing.B, mode string, workers, fileSize int, sc d
 }
 
 func (r *parallelRig) close() {
-	r.fsrv.WaitArchives()
 	r.sys.Close()
 }
 
@@ -208,7 +207,6 @@ func BenchmarkLargeFileCommit(b *testing.B) {
 		if err := f.Close(); err != nil {
 			b.Fatal(err)
 		}
-		rig.fsrv.WaitArchives()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(archPhysicalBytes(arch)-startBytes)/float64(b.N)/1024, "archKB/op")
@@ -269,7 +267,6 @@ func BenchmarkSmallEditCommitStorm(b *testing.B) {
 				sessions[w] = rig.sys.Session(100)
 			}
 			// Baseline after seeding/link-time v0 archives.
-			rig.fsrv.WaitArchives()
 			tier0 := arch.Tier()
 			chunk0, cat0 := arch.Fsyncs()
 			var seq atomic.Int64
@@ -290,7 +287,6 @@ func BenchmarkSmallEditCommitStorm(b *testing.B) {
 				}
 				return f.Close()
 			})
-			rig.fsrv.WaitArchives()
 			tier := arch.Tier()
 			chunk, cat := arch.Fsyncs()
 			b.ReportMetric(float64(tier.FilesCreated-tier0.FilesCreated)/float64(b.N), "files/commit")

@@ -103,9 +103,6 @@ func (c *Cluster) SeedFile(path string, content []byte, owner int32) error {
 	return c.inner.SeedFile(path, content, fs.UID(owner))
 }
 
-// WaitArchives drains async archive jobs on every member.
-func (c *Cluster) WaitArchives() { c.inner.WaitArchives() }
-
 // Session returns an application identity with the given uid. Opens resolve
 // the path's current owner through the ring and fail over once if a
 // migration races the open.

@@ -79,7 +79,6 @@ func main() {
 		must(err)
 		must(f.WriteAll([]byte("contract v2 SIGNED")))
 		must(f.Close())
-		fsrv.WaitArchives()
 		data, _ := fsrv.ReadFile("/docs/contract.pdf")
 		fmt.Printf("after update: %q (versions %v)\n", data, fsrv.Versions("/docs/contract.pdf"))
 
@@ -196,7 +195,6 @@ func failoverDemo() {
 		must(f.Close())
 		_ = p
 	}
-	c.WaitArchives()
 
 	fmt.Printf("\nmembers %v; replica sets (owner first, then successors):\n", c.Members())
 	for _, p := range paths {
@@ -294,7 +292,6 @@ func traceDemo() {
 	must(err)
 	must(f.WriteAll([]byte("contract v2 SIGNED")))
 	must(f.Close())
-	fsrv.WaitArchives()
 
 	tracer := fsrv.Internal().Obs
 	fmt.Println("\nslowest traces (span trees; chaos delays the wire 3–4ms per upcall):")

@@ -188,7 +188,6 @@ func dot(sys *datalinks.System, sess *datalinks.Session, line string) bool {
 			fmt.Println("error:", err)
 			break
 		}
-		fsrv.WaitArchives()
 		fmt.Println(fsrv.Versions(arg(2)))
 	case ".linked":
 		fsrv, err := sys.FileServer(arg(1))

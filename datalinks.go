@@ -74,7 +74,7 @@ func Open(cfg Config) (*System, error) {
 	return &System{core: c, hostSQL: hostSQL{c.DB}}, nil
 }
 
-// Close shuts the system down, draining background archive jobs. The error
+// Close shuts the system down. The error
 // joins every file server's failure to close its repository log.
 func (s *System) Close() error { return s.core.Close() }
 
@@ -435,11 +435,6 @@ func (f *FileServer) LinkedFiles() []string { return f.inner.DLFM.LinkedFiles() 
 
 // UpcallCount reports the total DLFS-to-DLFM upcalls so far.
 func (f *FileServer) UpcallCount() int64 { return f.inner.Transport.Calls() }
-
-// WaitArchives blocks until in-flight archive jobs complete. Archiving after
-// a committed update is asynchronous (§4.4); call this before inspecting
-// Versions in tests or scripts.
-func (f *FileServer) WaitArchives() { f.inner.DLFM.WaitArchives() }
 
 // Versions lists the archived version numbers of a linked file.
 func (f *FileServer) Versions(path string) []int64 {

@@ -91,7 +91,6 @@ func main() {
 	if err := w.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fsrv.WaitArchives() // archiving after commit is asynchronous (§4.4)
 	fmt.Println("\nrecut vertigo clip; archived versions:", fsrv.Versions("/clips/vertigo.mpg"))
 
 	// While the catalog references a clip, the file system refuses to

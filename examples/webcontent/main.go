@@ -12,6 +12,7 @@ import (
 	"log"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"datalinks"
 )
@@ -97,11 +98,10 @@ func main() {
 				break
 			}
 		}
-		// Let the archiver drain before the next revision — and give the
-		// web-server goroutine a window to serve (on a single-CPU box the
-		// editor would otherwise publish all revisions before the reader
-		// is ever scheduled).
-		fsrv.WaitArchives()
+		// Give the web-server goroutine a window to serve before the next
+		// revision (on a single-CPU box the editor would otherwise publish
+		// all revisions before the reader is ever scheduled).
+		time.Sleep(time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()

@@ -231,7 +231,8 @@ var (
 	ErrNotFound = errors.New("archive: no such version")
 	// ErrStale rejects a Put whose version is not newer than what is already
 	// archived. Recovery treats it as benign: the version already made it to
-	// the device (e.g. an archiver that survived the crash completed it).
+	// the device (e.g. a close still in its put when the crash hit completed
+	// it).
 	ErrStale = errors.New("archive: version not newer than archived")
 )
 
@@ -860,9 +861,11 @@ func (s *Store) PutSnapshotCtx(ctx context.Context, server, path string, v Versi
 		// version becomes visible outside the shard lock. The blobs are
 		// already on the device (written above), so a crash right here loses
 		// only this version's index entry — its blobs are adopted as dead and
-		// swept at the next open, and recovery's pending-archive pass
-		// re-archives the version. An unlogged version must not be served (it
-		// would silently vanish at the next restart).
+		// swept at the next open, and the close that carried the version
+		// never returned: restart recovery re-archives it from the live file
+		// (archiveBehind) or, after a cold start, walks cur_version down. An
+		// unlogged version must not be served (it would silently vanish at
+		// the next restart).
 		if err := s.cat.AppendPut(rec); err != nil {
 			sh.mu.Unlock()
 			s.releaseRec(slots, rec)

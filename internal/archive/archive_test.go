@@ -217,7 +217,8 @@ func TestDedupSharesChunks(t *testing.T) {
 }
 
 // TestStalePutIsTyped: recovery relies on re-archiving an existing version
-// being distinguishable (a crashed archiver may have completed it already).
+// being distinguishable (a close still in its put when the process was
+// killed may have completed it already).
 func TestStalePutIsTyped(t *testing.T) {
 	s := newTiered(t, 0)
 	s.Put("fs1", "/a", 1, 10, []byte("v1"))

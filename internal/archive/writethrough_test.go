@@ -108,8 +108,8 @@ func TestArchiverRacesInPlaceWrites(t *testing.T) {
 		v    Version
 		snap *extent.Snapshot
 	}
-	// The archiver may lag a few commits behind, as dlfm's archive jobs do,
-	// so the writer edits chunks several held captures still share.
+	// The archiver lags a few commits behind the writer, so the writer
+	// edits chunks several held captures still share.
 	captures := make(chan capture, 4)
 	var archived sync.WaitGroup
 	archived.Add(1)

@@ -58,8 +58,8 @@ func TestOpenRequiresDir(t *testing.T) {
 	}
 }
 
-// TestClosedStoreRefusesWrites: a write that races Close or Crash — an
-// archive job of a server being killed — fails, and opens no pack in a
+// TestClosedStoreRefusesWrites: a write that races Close or Crash — the
+// archive put of a close on a server being killed — fails, and opens no pack in a
 // directory the store has let go of (a successor may own it, or it is being
 // removed).
 func TestClosedStoreRefusesWrites(t *testing.T) {

@@ -76,7 +76,6 @@ func TestChaosTCPLifecycle(t *testing.T) {
 			t.Fatalf("round %d commit under chaos: %v", i, err)
 		}
 	}
-	srv.DLFM.WaitArchives()
 	data, _ := srv.Phys.ReadFile("/d/f.bin")
 	if want := fmt.Sprintf("v%d under chaos", rounds); string(data) != want {
 		t.Fatalf("final content = %q, want %q", data, want)

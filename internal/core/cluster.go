@@ -239,15 +239,6 @@ func (c *Cluster) SeedFile(path string, content []byte, uid fs.UID) error {
 	return m.Phys.Chmod(ino, fs.Cred{UID: uid}, 0o644)
 }
 
-// WaitArchives drains async archiving on every member.
-func (c *Cluster) WaitArchives() {
-	for _, id := range c.router.memberIDs() {
-		if m, err := c.router.member(id); err == nil {
-			m.DLFM.WaitArchives()
-		}
-	}
-}
-
 // Close shuts down every member stack, then the host database. The error
 // joins every member's failure to close its repository log and the host's
 // to remove its log directory.
@@ -342,11 +333,10 @@ func (c *Cluster) markDead(m *FileServer) {
 	c.mu.Unlock()
 }
 
-// closeStack shuts one member stack down cleanly: archive jobs drain, the
-// repository checkpoints and closes its log, the TCP endpoints close, and a
+// closeStack shuts one member stack down cleanly: the repository
+// checkpoints and closes its log, the TCP endpoints close, and a
 // private repository directory goes. The error is the log's close.
 func closeStack(m *FileServer) error {
-	m.DLFM.WaitArchives()
 	err := m.DLFM.Close()
 	m.Archive.Close()
 	m.closeEndpoints()

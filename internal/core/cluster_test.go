@@ -140,7 +140,6 @@ func TestClusterLinkRoutingAndReadWrite(t *testing.T) {
 	if err := wf.Close(); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
-	c.WaitArchives()
 	owner, _ := c.Owner(paths[3])
 	m, _ := c.Member(owner)
 	vs := m.Archive.Versions(c.Authority(), paths[3])
@@ -169,7 +168,6 @@ func TestClusterAddServerMigratesMinimally(t *testing.T) {
 			}
 		}
 	}
-	c.WaitArchives()
 	before := make(map[string]string, len(paths))
 	ownersBefore := make(map[string]string, len(paths))
 	for _, p := range paths {
@@ -307,7 +305,6 @@ func TestClusterFailedMoveLeavesTheSourceServing(t *testing.T) {
 	if err := dst.Phys.Remove("/c", clusterRoot); err != nil {
 		t.Fatal(err)
 	}
-	c.WaitArchives()
 	if err := c.migratePath(src, dst, p); err != nil {
 		t.Fatalf("move after the obstacle went: %v", err)
 	}
@@ -377,7 +374,6 @@ func TestClusterMigrateVsCommitRace(t *testing.T) {
 	time.Sleep(30 * time.Millisecond) // and after it
 	close(stop)
 	wg.Wait()
-	c.WaitArchives()
 
 	sess := c.NewSession(bob)
 	for i, p := range paths {
@@ -436,7 +432,6 @@ func TestClusterFailAbsorbDead(t *testing.T) {
 	if onFs2 == 0 {
 		t.Skip("hash placed no test path on fs2")
 	}
-	c.WaitArchives() // everything durable before the machine dies
 
 	if err := c.FailServer("fs2"); err != nil {
 		t.Fatalf("fail: %v", err)
@@ -485,7 +480,6 @@ func TestClusterDBFollowsARestore(t *testing.T) {
 	c := newCluster(t, 2)
 	p := clusterPaths(1)[0]
 	linkDoc(t, c, 0, p, "v0 of "+p)
-	c.WaitArchives()
 	state := c.Engine.StateID()
 	if _, err := c.DB().Exec(`INSERT INTO docs (id) VALUES (1)`); err != nil {
 		t.Fatal(err)

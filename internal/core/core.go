@@ -48,8 +48,8 @@ type ServerConfig struct {
 	// upcall on every open, closing the link-while-open window at a per-open
 	// cost.
 	Strict bool
-	// OpenWait bounds how long opens wait for conflicting opens/archives
-	// (the DLFM open-approval wait).
+	// OpenWait bounds how long opens wait for conflicting opens (the DLFM
+	// open-approval wait); a write open lasts until its close has archived.
 	OpenWait time.Duration
 	// TCPUpcalls routes DLFS→DLFM upcalls over a real TCP loopback
 	// connection (internal/upcall's fixed binary envelope), matching the
@@ -425,7 +425,8 @@ func (sys *System) Crash() {
 // runs DLFM restart recovery (§4.2/§4.4): the DLFM is killed and opened
 // again over the same repository directory, in-flight updates roll back to
 // the last committed version, in-doubt sub-transactions resolve against the
-// host, pending archives complete.
+// host, and a version whose archive put failed at its close is archived from
+// the live file under its commit's state id.
 func (sys *System) CrashAndRecoverServer(name string) (*dlfm.RecoveryReport, error) {
 	sys.mu.Lock()
 	old, ok := sys.servers[name]

@@ -196,7 +196,6 @@ func TestUpdateInPlaceCommit(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatalf("close (commit): %v", err)
 	}
-	srv.DLFM.WaitArchives()
 
 	// Content committed.
 	data, _ := srv.Phys.ReadFile("/movies/clip1.mpg")
@@ -255,7 +254,6 @@ func TestUpdateAbortRestoresLastCommitted(t *testing.T) {
 	if err := f2.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	srv.DLFM.WaitArchives()
 }
 
 func TestWriteWriteSerialization(t *testing.T) {
@@ -458,7 +456,6 @@ func TestCrashRecoveryRestoresInFlightUpdate(t *testing.T) {
 	if err := f2.Close(); err != nil {
 		t.Fatalf("close after recovery: %v", err)
 	}
-	newSrv.DLFM.WaitArchives()
 	data, _ = newSrv.Phys.ReadFile("/movies/clip1.mpg")
 	if string(data) != "v1 after recovery" {
 		t.Fatalf("content = %q", data)
@@ -466,14 +463,13 @@ func TestCrashRecoveryRestoresInFlightUpdate(t *testing.T) {
 }
 
 func TestCrashRecoveryKeepsCommittedUpdate(t *testing.T) {
-	sys, srv := newSys(t, "rfd")
+	sys, _ := newSys(t, "rfd")
 	sess := sys.NewSession(alice)
 	f, _ := sess.OpenWrite(urlFor(t, sys, "DLURLCOMPLETEWRITE"))
 	f.WriteAll([]byte("v1 committed"))
 	if err := f.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	srv.DLFM.WaitArchives()
 	if _, err := sys.CrashAndRecoverServer("fs1"); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -518,7 +514,6 @@ func TestServerWithoutRepoDirRunsDurableRepository(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		srv.DLFM.WaitArchives()
 		if _, err := sys.CrashAndRecoverServer("fs1"); err != nil {
 			t.Fatalf("recover: %v", err)
 		}
@@ -587,7 +582,6 @@ func TestPointInTimeRestore(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatalf("close %d: %v", i, err)
 		}
-		srv.DLFM.WaitArchives()
 		states = append(states, sys.Engine.StateID())
 		contents = append(contents, content)
 	}
@@ -626,7 +620,6 @@ func TestRestoreThenHostCrashes(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		srv.DLFM.WaitArchives()
 		return sys.Engine.StateID()
 	}
 	sA := write("version A")
@@ -792,7 +785,6 @@ func TestUnmodifiedCloseCreatesNoVersion(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	srv.DLFM.WaitArchives()
 	versions := srv.Archive.Versions("fs1", "/movies/clip1.mpg")
 	if len(versions) != 1 {
 		t.Fatalf("unmodified close created a version: %+v", versions)
@@ -900,7 +892,6 @@ func TestHostCrashRecoveryOutcomeResolution(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	srv.DLFM.WaitArchives()
 
 	// Crash both: the host database and the file server.
 	if err := sys.RecoverHost(); err != nil {

@@ -140,7 +140,6 @@ func TestTokenOpenIsOneUpcallPlusClose(t *testing.T) {
 					t.Fatalf("commit: %v", err)
 				}
 			})
-			srv.DLFM.WaitArchives()
 			// One count per presented token: the read's and the update's.
 			reg := srv.DLFS.Metrics()
 			if v, r := reg.Counter("dlfs.token.validated").Value(), reg.Counter("dlfs.token.rejected").Value(); v != 2 || r != 0 {
@@ -344,7 +343,6 @@ func TestFoldedReadersSerialiseAgainstTheWriter(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	srv.DLFM.WaitArchives()
 	if n := srv.DLFM.OpenCount(); n != 0 {
 		t.Fatalf("%d opens left at DLFM", n)
 	}

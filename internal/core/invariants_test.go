@@ -66,7 +66,6 @@ func TestUpdateAtomicityProperty(t *testing.T) {
 			if err != nil || !bytes.Equal(data, committed) {
 				return false
 			}
-			cur.DLFM.WaitArchives()
 			vs := cur.Archive.Versions("fs1", "/d/f.bin")
 			if len(vs) == 0 || !bytes.Equal(bytesOf(t, vs[len(vs)-1]), committed) {
 				return false
@@ -134,8 +133,6 @@ func TestUpdateAtomicityProperty(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				cur, _ := sys.Server("fs1")
-				cur.DLFM.WaitArchives() // a fresh reader may race the archiver's flag
 				f, err := sess.OpenRead(row[0].S)
 				if err != nil {
 					return false

@@ -120,7 +120,6 @@ func TestMultiServerCrashIsolatedToOneServer(t *testing.T) {
 	if err := fw.Close(); err != nil {
 		t.Fatalf("west commit: %v", err)
 	}
-	west.DLFM.WaitArchives()
 
 	// Crash east only.
 	if _, err := sys.CrashAndRecoverServer("east"); err != nil {
@@ -157,8 +156,6 @@ func TestMultiServerRestoreCoversAllServers(t *testing.T) {
 			t.Fatalf("close %d: %v", id, err)
 		}
 	}
-	east.DLFM.WaitArchives()
-	west.DLFM.WaitArchives()
 
 	if err := sys.Engine.RestoreToState(s0); err != nil {
 		t.Fatalf("restore: %v", err)

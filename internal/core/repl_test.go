@@ -93,7 +93,6 @@ func TestReplicationShipsOnCommit(t *testing.T) {
 			t.Fatalf("commit %s: %v", p, err)
 		}
 	}
-	c.WaitArchives()
 	for _, p := range paths {
 		set := c.ReplicaSet(p)
 		if len(set) != 2 || set[0] == set[1] {
@@ -138,7 +137,6 @@ func TestReplicationRetriesThroughChaos(t *testing.T) {
 		t.Fatal("chaos injected nothing — the test exercised no faults")
 	}
 	chaos.Enable(false)
-	c.WaitArchives()
 	if err := c.FlushReplication(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
@@ -154,7 +152,6 @@ func TestPartitionFailsQuorumWithoutRollback(t *testing.T) {
 	})
 	p := clusterPaths(1)[0]
 	linkDoc(t, c, 0, p, "v0 of "+p)
-	c.WaitArchives()
 
 	chaos.Partition(true)
 	err := commitUpdate(t, c, 0, "v1 of "+p)
@@ -166,7 +163,6 @@ func TestPartitionFailsQuorumWithoutRollback(t *testing.T) {
 	}
 	// The owner committed and archived the version — the writer's rejection
 	// reports under-replication, not loss.
-	c.WaitArchives()
 	owner, _ := c.Owner(p)
 	m, _ := c.Member(owner)
 	vs := m.Archive.Versions(c.Authority(), p)
@@ -191,7 +187,6 @@ func TestFailoverPromotesReplicas(t *testing.T) {
 			t.Fatalf("commit %s: %v", p, err)
 		}
 	}
-	c.WaitArchives()
 	victim := ""
 	for _, p := range paths {
 		owner, _ := c.Owner(p)
@@ -258,7 +253,6 @@ func TestFailoverPromotesReplicas(t *testing.T) {
 			t.Fatalf("post-failover commit %s: %v", p, err)
 		}
 	}
-	c.WaitArchives()
 	if err := c.FlushReplication(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
@@ -290,7 +284,6 @@ func TestPartitionDuringFailover(t *testing.T) {
 			t.Fatalf("commit %s: %v", p, err)
 		}
 	}
-	c.WaitArchives()
 	victim := c.Members()[0]
 	if err := c.FailServer(victim); err != nil {
 		t.Fatal(err)
@@ -365,7 +358,6 @@ func TestAbsorbDeadCrashMidAbsorb(t *testing.T) {
 	if onFs2 < 3 {
 		t.Skipf("hash placed only %d paths on fs2", onFs2)
 	}
-	c.WaitArchives()
 	if err := c.FailServer("fs2"); err != nil {
 		t.Fatal(err)
 	}
@@ -627,7 +619,6 @@ func seedReplicated(t *testing.T, c *Cluster, paths []string) {
 			t.Fatalf("commit %s: %v", p, err)
 		}
 	}
-	c.WaitArchives()
 }
 
 // assertMembershipChangeComposed checks what a membership change must leave
@@ -655,7 +646,6 @@ func assertMembershipChangeComposed(t *testing.T, c *Cluster, paths []string, go
 			t.Fatalf("commit %s after %s left: %v", p, gone, err)
 		}
 	}
-	c.WaitArchives()
 	if err := c.FlushReplication(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
@@ -783,7 +773,6 @@ func TestReplicationFailedMoveLeavesNoStrayHistory(t *testing.T) {
 	if err := commitUpdate(t, c, 0, "v2 of "+p); err != nil {
 		t.Fatalf("commit after failed moves: %v", err)
 	}
-	c.WaitArchives()
 	if err := replica.Phys.Rmdir(p, clusterRoot); err != nil {
 		t.Fatal(err)
 	}
@@ -860,7 +849,6 @@ func TestReplicationPruneKeepsTheOwnersHistory(t *testing.T) {
 			t.Fatalf("commit %s: %v", p, err)
 		}
 	}
-	c.WaitArchives()
 	assertReplicasConverged(t, c, paths)
 }
 

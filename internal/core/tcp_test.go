@@ -75,7 +75,6 @@ func TestTCPUpcallFullLifecycle(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("commit over tcp: %v", err)
 	}
-	srv.DLFM.WaitArchives()
 	mrow, err := sys.DB().QueryRow(`SELECT doc_size FROM t WHERE id = 1`)
 	if err != nil || mrow[0].I != int64(len("v1 over tcp!")) {
 		t.Fatalf("metadata = %v, %v", mrow, err)

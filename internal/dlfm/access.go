@@ -273,12 +273,11 @@ func (s *Server) syncFor(sh *openShard, path string) *syncState {
 	return st
 }
 
-// waitLocked blocks until pred holds for the path's sync state and no
-// archive is in flight for it, the configured open-wait deadline passes, or
-// the server is killed. Returns false on timeout and on a dead server. Caller
-// holds the path's shard mutex on entry and exit; the wait itself parks on
-// the path's own channel, so only changes to THIS path (or the deadline, or
-// Kill) wake it.
+// waitLocked blocks until pred holds for the path's sync state, the
+// configured open-wait deadline passes, or the server is killed. Returns
+// false on timeout and on a dead server. Caller holds the path's shard mutex
+// on entry and exit; the wait itself parks on the path's own channel, so
+// only changes to THIS path (or the deadline, or Kill) wake it.
 func (s *Server) waitLocked(sh *openShard, path string, pred func(*syncState) bool) bool {
 	deadline := time.Now().Add(s.cfg.OpenWait)
 	for {
@@ -288,7 +287,7 @@ func (s *Server) waitLocked(sh *openShard, path string, pred func(*syncState) bo
 		default:
 		}
 		st := s.syncFor(sh, path)
-		if pred(st) && !st.archiving {
+		if pred(st) {
 			return true
 		}
 		remaining := time.Until(deadline)

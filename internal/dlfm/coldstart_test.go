@@ -76,7 +76,6 @@ func TestColdStartWholeProcessKill(t *testing.T) {
 	content := []byte("b.bin committed version 1 " + strings.Repeat("y", 900))
 	commitVersion(t, srv, phys1, "/d/b.bin", content)
 	want["/d/b.bin"] = content
-	srv.WaitArchives()
 
 	// An update is in flight on a.bin when the machine dies.
 	openWrite(t, srv, "/d/a.bin", owner)
@@ -153,7 +152,6 @@ func TestColdStartWholeProcessKill(t *testing.T) {
 
 	// The recovered server keeps working on top of the restored state.
 	commitVersion(t, srv2, phys2, "/d/a.bin", []byte("post-cold-start version"))
-	srv2.WaitArchives()
 	e, err := arch2.Latest("fs1", "/d/a.bin")
 	if err != nil || !bytes.Equal(bytesOf(t, e), []byte("post-cold-start version")) {
 		t.Fatalf("post-cold-start version not archived (%v)", err)
@@ -188,7 +186,6 @@ func TestColdStartConcurrentInFlightQuarantine(t *testing.T) {
 		commitVersion(t, srv, phys, p, content)
 		want[p] = content
 	}
-	srv.WaitArchives()
 
 	// Concurrent in-flight updates, then the process dies mid-update.
 	errs := make(chan error, files)
@@ -279,7 +276,6 @@ func TestColdStartUnlinkBeforeFirstRead(t *testing.T) {
 		want = bytes.Repeat([]byte(fmt.Sprintf("version %d of a file larger than one chunk ", v)), 2500)
 		commitVersion(t, srv, phys1, path, want)
 	}
-	srv.WaitArchives()
 	srv.Kill()
 	arch1.Close()
 

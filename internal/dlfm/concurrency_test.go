@@ -134,7 +134,6 @@ func TestSequentialWritersSerializeViaWait(t *testing.T) {
 		}(int32(200 + i))
 	}
 	wg.Wait()
-	srv.WaitArchives()
 	if observedMax != 1 {
 		t.Fatalf("write-write serialization violated: %d writers concurrent", observedMax)
 	}

@@ -2,8 +2,9 @@
 // user-space daemon on each file server that owns the DataLinks repository,
 // executes link/unlink as sub-transactions of host database transactions
 // (two-phase commit), services upcalls from DLFS (token validation, open and
-// close processing), coordinates in-place update transactions, drives the
-// archiver, and recovers all of it after a crash.
+// close processing), coordinates in-place update transactions, archives
+// every committed version before its close returns, and recovers all of it
+// after a crash.
 //
 // The repository is itself a transactional database (an instance of
 // internal/sqlmini with its own WAL) — mirroring the real DLFM, which was
@@ -73,7 +74,8 @@ type Config struct {
 	// forever. Expiry happens when SweepQuarantine runs.
 	QuarantineTTL time.Duration
 	// OpenWait bounds how long write-open approval waits for conflicting
-	// opens and pending archives before returning CodeBusy.
+	// opens — a writer's lasts until its close has archived — before
+	// returning CodeBusy.
 	OpenWait time.Duration
 	TokenTTL time.Duration
 	// RepoDir is the repository's directory, and required: WAL segments,
@@ -110,14 +112,13 @@ type openState struct {
 // (§4.5). Entries are volatile: a crash ends every open.
 //
 // Each path carries its own wait queue: an open blocked on this file's
-// writer or archive job parks on a channel here and is woken only when THIS
+// writer parks on a channel here and is woken only when THIS
 // path's state changes — there is no server-wide broadcast, so traffic on
 // one file never wakes (or delays) openers of another.
 type syncState struct {
-	readers   int    // live read opens; only ever counted
-	writer    uint64 // openID, 0 if none
-	archiving bool   // an archive job for this path is in flight
-	waiters   []chan struct{}
+	readers int    // live read opens; only ever counted
+	writer  uint64 // openID, 0 if none; held until the close has archived
+	waiters []chan struct{}
 }
 
 // wake releases every waiter parked on this path's state.
@@ -130,7 +131,7 @@ func (st *syncState) wake() {
 
 // idle reports whether the state carries no information and can be dropped.
 func (st *syncState) idle() bool {
-	return st.writer == 0 && st.readers == 0 && !st.archiving && len(st.waiters) == 0
+	return st.writer == 0 && st.readers == 0 && len(st.waiters) == 0
 }
 
 // takeoverState remembers the pre-takeover identity of a file (§4.2).
@@ -218,8 +219,7 @@ type Server struct {
 	// member whose holders died with it, wakes on.
 	killed chan struct{}
 
-	archJobs atomic.Int64 // archive goroutines in flight
-	qseq     atomic.Uint64
+	qseq atomic.Uint64
 
 	// repl holds the owner-side shard replicator (SetReplicator); nil box or
 	// nil interface means replication is off and ships are no-ops.
@@ -231,8 +231,6 @@ type Server struct {
 	// upcallCtrs caches the per-op dispatch counters (indexed by upcall.Op)
 	// so the upcall hot path skips the registry lookup and name formatting.
 	upcallCtrs [upcallOpRange]*metrics.Counter
-
-	wg sync.WaitGroup
 }
 
 // Open starts a DLFM server from its durable state in RepoDir, which is
@@ -448,11 +446,11 @@ func (a *Agent) UnlinkFile(hostTxn uint64, path string) error {
 	return a.srv.UnlinkFile(hostTxn, path)
 }
 
-// Close waits for the archiver goroutines to finish, takes a final
-// repository checkpoint so the next Open replays almost nothing, and closes
-// the log. The checkpoint is best effort — the log alone suffices — so a
-// failed one is only counted, dlfm.repo.close_checkpoint_failures. The error
-// is the log's: records it reports may not have reached the disk.
+// Close takes a final repository checkpoint so the next Open replays almost
+// nothing, and closes the log. The checkpoint is best effort — the log alone
+// suffices — so a failed one is only counted,
+// dlfm.repo.close_checkpoint_failures. The error is the log's: records it
+// reports may not have reached the disk.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	closed := s.closed
@@ -461,7 +459,6 @@ func (s *Server) Close() error {
 	if closed {
 		return nil
 	}
-	s.wg.Wait()
 	if _, err := s.repo.Checkpoint(); err != nil {
 		s.cfg.Metrics.Counter("dlfm.repo.close_checkpoint_failures").Inc()
 	}

@@ -247,12 +247,12 @@ func TestUnlinkAbortKeepsLink(t *testing.T) {
 	}
 }
 
-// TestUnlinkWaitsForTheArchiveJob: an unlink right after a close waits for
-// the close's archive job. Otherwise the job indexes its version into the
-// history the unlink's Drop removed, a re-link adopts that stale version as
-// already archived, and an aborted update restores bytes from before the
-// unlink.
-func TestUnlinkWaitsForTheArchiveJob(t *testing.T) {
+// TestUnlinkAfterACloseDropsItsVersion: an unlink right after a close drops
+// the close's version with the rest of the history — the close archived
+// before it returned, so nothing indexes the version afterwards. Otherwise a
+// re-link adopts that stale version as already archived, and an aborted
+// update restores bytes from before the unlink.
+func TestUnlinkAfterACloseDropsItsVersion(t *testing.T) {
 	const path = "/d/f.bin"
 	phys := fs.New()
 	phys.MkdirAll("/d", rootCred, 0o777)
@@ -262,27 +262,20 @@ func TestUnlinkWaitsForTheArchiveJob(t *testing.T) {
 		TokenKey: []byte("k"), OpenWait: 5 * time.Second,
 	})
 	linkCommitted(t, srv, path, "rfd")
-	id := openWrite(t, srv, path, owner)
-	phys.WriteFile(path, []byte("old-v1"))
-	srv.cfg.Archive.SetLatency(200 * time.Millisecond) // holds the job
-	if resp := closeFile(t, srv, phys, path, id); !resp.OK {
-		t.Fatalf("close: %+v", resp)
-	}
+	commitVersion(t, srv, phys, path, []byte("old-v1"))
 	const hostTxn = 79
 	if err := srv.UnlinkFile(hostTxn, path); err != nil {
 		t.Fatalf("unlink: %v", err)
 	}
-	if n := srv.archJobs.Load(); n != 0 {
-		t.Fatalf("UnlinkFile returned with %d archive jobs in flight", n)
-	}
-	srv.cfg.Archive.SetLatency(0)
 	if err := srv.PrepareXRM(hostTxn); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.CommitXRM(hostTxn); err != nil {
 		t.Fatal(err)
 	}
-	srv.WaitArchives()
+	if vs := srv.cfg.Archive.Versions("fs1", path); len(vs) != 0 {
+		t.Fatalf("the unlinked path kept %d versions", len(vs))
+	}
 
 	// Re-link the path with new bytes: an aborted update restores those.
 	seedFile(t, phys, path, "fresh")
@@ -343,7 +336,6 @@ func TestWriteOpenCloseCommitsVersion(t *testing.T) {
 	if !resp.OK {
 		t.Fatalf("close rejected: %+v", resp)
 	}
-	srv.WaitArchives()
 	// Metadata was pushed to the host, version archived, takeover released.
 	if len(host.metaLog) != 1 || host.metaLog[0] != "/d/f.bin" {
 		t.Fatalf("meta updates = %v", host.metaLog)
@@ -532,49 +524,6 @@ func TestCrashRecoveryInDoubtPresumedAbort(t *testing.T) {
 	}
 }
 
-func TestCrashRecoveryPendingArchive(t *testing.T) {
-	srv, phys, _ := newServer(t)
-	linkCommitted(t, srv, "/d/f.bin", "rfd")
-	id := openWrite(t, srv, "/d/f.bin", owner)
-	phys.WriteFile("/d/f.bin", []byte("v1"))
-
-	// Block the archiver with huge latency so the close commits but the
-	// archive job hangs; then crash.
-	srv.cfg.Archive.SetLatency(time.Hour)
-	done := make(chan upcall.Response, 1)
-	go func() {
-		ino, _ := phys.Lookup("/d/f.bin")
-		attr, _ := phys.Getattr(ino)
-		resp, _ := srv.Upcall(upcall.Request{Op: upcall.OpClose, Path: "/d/f.bin", OpenID: id, Size: attr.Size, Mtime: attr.Mtime.UnixNano()})
-		done <- resp
-	}()
-	resp := <-done
-	if !resp.OK {
-		t.Fatalf("close: %+v", resp)
-	}
-	// Crash while the archive job hangs; only then un-jam the device so
-	// recovery can use it.
-	srv.Kill()
-	srv.cfg.Archive.SetLatency(0)
-	srv2, _ := reopen(t, srv, Config{
-		Name: "fs1", Phys: phys, Archive: srv.cfg.Archive, Host: newFakeHost(), TokenKey: []byte("k"),
-	})
-	// Whether recovery re-archived the version itself or found it already
-	// completed by the dying archiver (both races are legal), the outcome
-	// must be: v1 archived, no pending rows left.
-	vs := srv2.cfg.Archive.Versions("fs1", "/d/f.bin")
-	if len(vs) != 2 || string(bytesOf(t, vs[1])) != "v1" {
-		t.Fatalf("versions after recovery = %+v", vs)
-	}
-	pend, err := srv2.Repo().Table("dlfm_pending_archive")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pend.Len() != 0 {
-		t.Fatalf("pending-archive rows left: %d", pend.Len())
-	}
-}
-
 // TestRecoveryDoesNotArchiveAnUnlinkedPath: a pending-archive row for a path
 // that is no longer linked is stale. Recovery archives nothing for it and
 // deletes the row.
@@ -583,7 +532,6 @@ func TestRecoveryDoesNotArchiveAnUnlinkedPath(t *testing.T) {
 	srv, phys, host := newServer(t)
 	linkCommitted(t, srv, path, "rfd")
 	commitVersion(t, srv, phys, path, []byte("v1"))
-	srv.WaitArchives()
 	const hostTxn = 80
 	if err := srv.UnlinkFile(hostTxn, path); err != nil {
 		t.Fatalf("unlink: %v", err)
@@ -615,30 +563,6 @@ func TestRecoveryDoesNotArchiveAnUnlinkedPath(t *testing.T) {
 	}
 	if pend.Len() != 0 {
 		t.Fatalf("pending-archive rows left: %d", pend.Len())
-	}
-}
-
-// TestPendingClearFailureIsCounted: an archive job whose version lands but
-// whose pending-archive row cannot be deleted — the repository log closed
-// under it — counts the failure instead of dropping the error.
-func TestPendingClearFailureIsCounted(t *testing.T) {
-	srv, phys, _ := newServer(t)
-	linkCommitted(t, srv, "/d/f.bin", "rfd")
-	id := openWrite(t, srv, "/d/f.bin", owner)
-	phys.WriteFile("/d/f.bin", []byte("v1"))
-	// The job sleeps the device latency after indexing the version: the log
-	// closes in that window.
-	srv.cfg.Archive.SetLatency(200 * time.Millisecond)
-	if resp := closeFile(t, srv, phys, "/d/f.bin", id); !resp.OK {
-		t.Fatalf("close rejected: %+v", resp)
-	}
-	srv.Repo().Log().Close()
-	srv.WaitArchives()
-	if !srv.cfg.Archive.HasVersion("fs1", "/d/f.bin", 1) {
-		t.Fatal("version 1 not archived")
-	}
-	if got := srv.Metrics().Counter("dlfm.archive.pending_clear_failures").Value(); got != 1 {
-		t.Fatalf("pending_clear_failures = %d, want 1", got)
 	}
 }
 
@@ -689,7 +613,6 @@ func TestJournalCleanupFailureIsCounted(t *testing.T) {
 	if got := srv.Metrics().Counter("dlfm.journal.cleanup_failures").Value(); got != 1 {
 		t.Fatalf("journal.cleanup_failures = %d, want 1", got)
 	}
-	srv.WaitArchives()
 	srv.Kill()
 	srv2, rep := reopen(t, srv, srv.cfg)
 	if journal, err := srv2.Repo().Table("dlfm_txns"); err != nil || journal.Len() == 0 {

@@ -212,17 +212,13 @@ func (s *Server) unlinkFile(hostTxn uint64, path string) error {
 		return fmt.Errorf("%w: %s", ErrNotLinked, path)
 	}
 	// Synchronization with open files: any Sync entry or update entry
-	// rejects the unlink (§4.5). The path's archive job is drained first,
-	// as a write open would: a job still running at commit would index its
-	// version into the history Drop removes.
+	// rejects the unlink (§4.5). A writer holds its Sync entry until its
+	// close has archived, so no archive put outlives it into the history
+	// Drop removes.
 	sh, _ := s.pathShard(path)
 	sh.mu.Lock()
-	drained := s.waitLocked(sh, path, func(*syncState) bool { return true })
-	st := s.syncFor(sh, path)
-	busy := !drained || st.writer != 0 || st.readers > 0
-	if st.idle() {
-		delete(sh.syncs, path)
-	}
+	st, ok := sh.syncs[path]
+	busy := ok && (st.writer != 0 || st.readers > 0)
 	sh.mu.Unlock()
 	if busy {
 		return fmt.Errorf("%w: %s", ErrFileBusy, path)

@@ -232,7 +232,6 @@ func TestRecoveryRestoresFromDiskTier(t *testing.T) {
 	if resp := closeFile(t, srv, phys, "/d/f.bin", id); !resp.OK {
 		t.Fatalf("commit close: %+v", resp)
 	}
-	srv.WaitArchives()
 	if arch.Tier().Spills == 0 {
 		t.Fatal("nothing spilled to the disk tier")
 	}
@@ -294,7 +293,6 @@ func TestTieredCommitChurnBoundsResidency(t *testing.T) {
 		if resp := closeFile(t, srv, phys, "/d/f.bin", id); !resp.OK {
 			t.Fatalf("close v%d: %+v", v, resp)
 		}
-		srv.WaitArchives()
 		want[v] = append([]byte(nil), content...)
 	}
 	if got := arch.Tier().ResidentBytes; got > budget {

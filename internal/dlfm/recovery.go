@@ -29,9 +29,10 @@ func intToMode(v int64) fs.FileMode { return fs.FileMode(v) }
 //        its version counter down to the newest archived version and is
 //        installed from it deferred, or is reported lost when nothing is
 //        archived.
-//     c. A file that keeps a history behind its version counter — the
-//        archive copy of a committed version never finished — is archived
-//        at the counter (archiveBehind).
+//     c. A file that keeps a history behind its version counter — a
+//        close's archive put failed, or the process died between a commit
+//        point and the end of its put — is archived at the counter
+//        (archiveBehind).
 //     d. The canonical at-rest permission state is re-established (a crash
 //        during a takeover leaves DLFM-owned files), unless the file was
 //        lost or (a) already did it.
@@ -52,7 +53,8 @@ type RecoveryReport struct {
 	// version because the physical file system did not survive — each
 	// installed deferred, its bytes loaded from the archive on first access —
 	// version counters walked back to the newest archived version (the
-	// committed bytes died with the process before archiving finished), and
+	// committed bytes died with the process in a close that never returned,
+	// before its archive put finished), and
 	// linked files with no archived copy to install from.
 	MaterializedFiles  []string
 	ReconciledVersions []string
@@ -108,8 +110,8 @@ func (s *Server) recoverFile(fi fileInfo, rep *RecoveryReport) error {
 		return nil // the restore re-established the at-rest state
 	case !s.physExists(fi.path):
 		// The committed bytes beyond the newest archived version died with
-		// the process before their archive copy completed, so the archive's
-		// view is the recoverable truth.
+		// the process in a close that never returned, before its archive put
+		// finished, so the archive's view is the recoverable truth.
 		entry, err := s.cfg.Archive.Latest(s.cfg.Name, fi.path)
 		if err != nil {
 			rep.LostFiles = append(rep.LostFiles, fi.path)
@@ -334,8 +336,8 @@ func (s *Server) compensateJournal(r journalRow, committed bool) error {
 
 // archiveBehind is the one rule for a history that ends before ver, the
 // file's cur_version (an empty history counts): the file's current bytes are
-// archived as ver, under the state id the path's pending-archive row gives
-// ver — the one its commit was given — or stateID when there is none. It
+// archived as ver, under the state id the pending-archive row of a failed put
+// gives ver — the one its commit was given — or stateID when there is none. It
 // returns the newest archived version afterwards and whether it archived.
 func (s *Server) archiveBehind(path string, ver archive.Version, stateID uint64) (archive.Version, bool, error) {
 	if newest, ok := s.cfg.Archive.Newest(s.cfg.Name, path); ok && newest >= ver {
@@ -349,9 +351,10 @@ func (s *Server) archiveBehind(path string, ver archive.Version, stateID uint64)
 }
 
 // archiveCurrent archives the file's current content as the given version
-// via a manifest snapshot. A stale-version rejection is benign here: an
-// archiver goroutine that survived the simulated crash may have completed
-// the same version concurrently — the copy is already on the device.
+// via a manifest snapshot. A stale-version rejection is benign here: a close
+// that was still in its archive put when the simulated crash hit may have
+// completed the same version concurrently — the copy is already on the
+// device.
 func (s *Server) archiveCurrent(path string, ver archive.Version, stateID uint64) error {
 	snap, err := s.cfg.Phys.SnapshotFile(path)
 	if err != nil {

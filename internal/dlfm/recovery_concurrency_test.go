@@ -75,15 +75,15 @@ func closeFileErr(srv *Server, phys *fs.FS, path string, openID uint64) error {
 }
 
 // TestCrashRecoveryUnderConcurrentUpdates crashes the DLFM while several
-// in-place updates are open in parallel and the background archiver is
-// still copying previously committed versions. Restart recovery must bring
-// every file back to its last committed content: in-flight updates roll
-// back, pending archives complete.
+// in-place updates are open in parallel, after a phase of parallel commits
+// over a slow archive device. Restart recovery must bring every file back to
+// its last committed content: in-flight updates roll back, and every
+// committed version is in the archive.
 func TestCrashRecoveryUnderConcurrentUpdates(t *testing.T) {
 	phys := fs.New()
 	phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
-	// A slow archive device keeps archive jobs of phase A in flight while
-	// the crash hits.
+	// A slow archive device stretches every phase-A close, so the parallel
+	// closes overlap in their archive puts.
 	arch := newArchive(t)
 	arch.SetLatency(3 * time.Millisecond)
 	host := &lockedHost{inner: newFakeHost()}
@@ -108,7 +108,7 @@ func TestCrashRecoveryUnderConcurrentUpdates(t *testing.T) {
 	}
 
 	// Phase A: parallel committed updates. Each file gets a new committed
-	// version; the slow archiver copies them in the background.
+	// version, archived before its close returns.
 	var wg sync.WaitGroup
 	errs := make(chan error, files)
 	for i := 0; i < files; i++ {
@@ -164,7 +164,7 @@ func TestCrashRecoveryUnderConcurrentUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crash while phase-A archive jobs may still be in flight, then recover.
+	// Crash with the phase-B updates in flight, then recover.
 	srv.Kill()
 	srv2, rep := reopen(t, srv, cfg)
 	defer srv2.Close()
@@ -216,5 +216,4 @@ func TestCrashRecoveryUnderConcurrentUpdates(t *testing.T) {
 			t.Fatalf("post-recovery update lost on %s", paths[i])
 		}
 	}
-	srv2.WaitArchives()
 }

@@ -117,7 +117,6 @@ func TestReplicaPromoteServes(t *testing.T) {
 	if resp := closeFile(t, src, srcPhys, "/d/f.bin", id); !resp.OK {
 		t.Fatalf("close: %+v", resp)
 	}
-	src.WaitArchives()
 
 	dst, dstPhys := newShardPeer(t)
 	// Replica histories build version by version, as the shipper delivers.
@@ -158,7 +157,6 @@ func TestReplicaPromoteServes(t *testing.T) {
 	if resp := closeFile(t, dst, dstPhys, "/d/f.bin", id); !resp.OK {
 		t.Fatalf("post-promotion close: %+v", resp)
 	}
-	dst.WaitArchives()
 	vs := dst.cfg.Archive.Versions("fs1", "/d/f.bin")
 	if len(vs) != 3 || string(bytesOf(t, vs[2])) != "v2" {
 		t.Fatalf("post-promotion versions = %d", len(vs))
@@ -300,7 +298,6 @@ func TestQuorumFailureRejectsWithoutRollback(t *testing.T) {
 	if string(data) != "v1" {
 		t.Fatalf("content rolled back to %q after quorum failure", data)
 	}
-	srv.WaitArchives()
 	vs := srv.cfg.Archive.Versions("fs1", "/d/f.bin")
 	if len(vs) != 2 || string(bytesOf(t, vs[1])) != "v1" {
 		t.Fatalf("v1 not archived after quorum failure: %d versions", len(vs))

@@ -46,7 +46,6 @@ func TestRecoveryFromColdStartedArchive(t *testing.T) {
 		if resp := closeFile(t, srv, phys, "/d/f.bin", id); !resp.OK {
 			t.Fatalf("close v%d: %+v", v, resp)
 		}
-		srv.WaitArchives()
 		want[v] = append([]byte(nil), content...)
 	}
 
@@ -106,7 +105,6 @@ func TestRecoveryFromColdStartedArchive(t *testing.T) {
 	if resp := closeFile(t, srv2, phys, "/d/f.bin", id); !resp.OK {
 		t.Fatalf("post-recovery close: %+v", resp)
 	}
-	srv2.WaitArchives()
 	e, err := arch2.Latest("fs1", "/d/f.bin")
 	if err != nil || !bytes.Equal(bytesOf(t, e), []byte("post-recovery version")) {
 		t.Fatalf("post-recovery version not archived (%v)", err)

@@ -12,10 +12,10 @@ import (
 // Shard handoff: the source's half of moving a path between DLFM servers.
 // A move is catch-up + promote, the same way a failover ends:
 //
-//   - BeginExport drains the path (waits for in-flight opens and archive jobs
-//     exactly like a write open would), freezes it by installing a sentinel
-//     writer — every later open parks on the path's wait queue until the
-//     move ends — and makes the archive history end at the frozen content.
+//   - BeginExport drains the path (waits for in-flight opens exactly like a
+//     write open would), freezes it by installing a sentinel writer — every
+//     later open parks on the path's wait queue until the move ends — and
+//     makes the archive history end at the frozen content.
 //   - The caller hands the history over (archive.ExportDelta/ImportDelta —
 //     chunk bytes travel by hash, deduped; nothing travels when the
 //     destination already holds the path's replica), writes the destination
@@ -51,9 +51,9 @@ func keepsHistory(mode datalink.ControlMode, recovery bool) bool {
 func (s *Server) BeginExport(path string) error {
 	sh, _ := s.pathShard(path)
 	sh.mu.Lock()
-	// Drain: no writer, no readers, no archive job. Readers drain too — a
-	// reader's close upcall routes by path, and after the move it would reach
-	// a server that never saw its open.
+	// Drain: no writer (a close archives before it lets go), no readers.
+	// Readers drain too — a reader's close upcall routes by path, and after
+	// the move it would reach a server that never saw its open.
 	if !s.waitLocked(sh, path, func(st *syncState) bool {
 		return st.writer == 0 && st.readers == 0
 	}) {
@@ -84,7 +84,7 @@ func (s *Server) BeginExport(path string) error {
 // so the file is archived afresh. A native write to a mode whose writes the
 // file system controls mints no version, so a file that differs from its
 // newest version becomes the next one and cur_version follows. Then a
-// history behind cur_version — a failed archive job left it there — is
+// history behind cur_version — a failed archive put left it there — is
 // archived at cur_version (archiveBehind).
 func (s *Server) archiveFrozen(fi fileInfo) error {
 	newest, ok := s.cfg.Archive.Newest(s.cfg.Name, fi.path)

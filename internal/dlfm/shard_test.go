@@ -111,7 +111,6 @@ func TestShardExportImportRoundTrip(t *testing.T) {
 	if resp := closeFile(t, src, srcPhys, "/d/f.bin", id); !resp.OK {
 		t.Fatalf("close: %+v", resp)
 	}
-	src.WaitArchives()
 	srcIno, _ := srcPhys.Lookup("/d/f.bin")
 	srcAttr, _ := srcPhys.Getattr(srcIno)
 
@@ -155,7 +154,6 @@ func TestShardExportImportRoundTrip(t *testing.T) {
 	if resp := closeFile(t, dst, dstPhys, "/d/f.bin", id); !resp.OK {
 		t.Fatalf("post-migration close: %+v", resp)
 	}
-	dst.WaitArchives()
 	vs = dst.cfg.Archive.Versions("fs1", "/d/f.bin")
 	if len(vs) != 3 || string(bytesOf(t, vs[2])) != "v2" {
 		t.Fatalf("post-migration versions = %d", len(vs))
@@ -411,8 +409,8 @@ func TestShardMoveOfFSWritableHistoryCarriesCurrentBytes(t *testing.T) {
 }
 
 // TestShardMoveArchivesTheVersionAFailedJobLost: a committed version whose
-// archive job failed is still on the source's file (and in its pending-archive
-// row). The move archives it under the commit's state id before the handover,
+// archive put failed is still on the source's file (and in its
+// pending-archive row). The move archives it under the commit's state id before the handover,
 // so the destination serves it and numbers on from it.
 func TestShardMoveArchivesTheVersionAFailedJobLost(t *testing.T) {
 	const path = "/d/f.bin"
@@ -423,9 +421,8 @@ func TestShardMoveArchivesTheVersionAFailedJobLost(t *testing.T) {
 	if resp := closeFile(t, src, srcPhys, path, id); !resp.OK {
 		t.Fatalf("close: %+v", resp)
 	}
-	src.WaitArchives()
-	// Undo the job's work as if it had failed: v1 leaves the history, the
-	// pending row stays.
+	// Undo the put as if it had failed: v1 leaves the history, and the
+	// pending row a failed put writes goes in.
 	vs := src.cfg.Archive.Versions("fs1", path)
 	if len(vs) != 2 {
 		t.Fatalf("%d versions before the move", len(vs))
@@ -462,7 +459,6 @@ func TestPromoteReplicaLoadsNothing(t *testing.T) {
 	if resp := closeFile(t, src, srcPhys, path, id); !resp.OK {
 		t.Fatalf("close: %+v", resp)
 	}
-	src.WaitArchives()
 
 	dst, dstPhys := newShardPeer(t)
 	if err := copyHistory(src, dst, path); err != nil {

@@ -50,8 +50,9 @@ func (s *Server) writeOpen(ctx context.Context, req upcall.Request) upcall.Respo
 
 	sh, idx := s.pathShard(req.Path)
 	sh.mu.Lock()
-	// Wait until no conflicting open and no pending archive (§4.4: "any new
-	// update request to the file is blocked until the archiving completes").
+	// Wait until no conflicting open. A writer holds the path until its
+	// close has archived (§4.4: "any new update request to the file is
+	// blocked until the archiving completes").
 	pred := func(st *syncState) bool { return st.writer == 0 }
 	if fi.mode.FullControl() {
 		// rdd: readers also serialize against the writer.
@@ -161,10 +162,12 @@ func (s *Server) clearUpdateEntry(path string) {
 
 // closeFile handles the fs_close upcall — end transaction for write opens.
 func (s *Server) closeFile(ctx context.Context, req upcall.Request) upcall.Response {
+	lk := obs.SpanFrom(ctx).Child("lock")
 	sh := s.openShardOf(req.OpenID)
 	sh.mu.Lock()
 	st, ok := sh.opens[req.OpenID]
 	sh.mu.Unlock()
+	lk.End()
 	if !ok {
 		return reject(upcall.CodeInternal, fmt.Sprintf("unknown open id %d", req.OpenID))
 	}
@@ -174,15 +177,20 @@ func (s *Server) closeFile(ctx context.Context, req upcall.Request) upcall.Respo
 		return upcall.Response{OK: true}
 	}
 	if err := s.commitUpdate(ctx, st, req.Size, time.Unix(0, req.Mtime)); err != nil {
-		if errors.Is(err, ErrReplicationQuorum) {
+		if notArchived := errors.Is(err, ErrNotArchived); notArchived || errors.Is(err, ErrReplicationQuorum) {
 			// The commit point passed — host metadata and repository row both
-			// carry the new version — but not enough replicas acked it. The
-			// close still fails (the application must not treat the write as
+			// carry the new version — but the archive put failed or not
+			// enough replicas acked it. The close still fails (the
+			// application must not treat the write as archived or
 			// replicated), yet the content must NOT roll back: restoring the
 			// old bytes would diverge from the committed host state. The
 			// at-least-once retry discipline already makes "file newer than
 			// the last ack" a legal state for the writer to observe.
-			return reject(upcall.CodeInternal, "file-update committed but under-replicated: "+err.Error())
+			what := "under-replicated"
+			if notArchived {
+				what = "not archived"
+			}
+			return reject(upcall.CodeInternal, "file-update committed but "+what+": "+err.Error())
 		}
 		// The close fails and the update rolls back — the application sees
 		// the error from close(2), matching "processing of file close
@@ -196,6 +204,12 @@ func (s *Server) closeFile(ctx context.Context, req upcall.Request) upcall.Respo
 	s.cfg.Metrics.Counter("dlfm.close.write").Inc()
 	return upcall.Response{OK: true}
 }
+
+// ErrNotArchived reports a commit that is durable and visible on the owner
+// but whose archive put failed. Like ErrReplicationQuorum, the close that
+// carried it is rejected WITHOUT rolling the file back; the version's
+// pending-archive row lets the next restart archive it from the live file.
+var ErrNotArchived = errors.New("dlfm: archive put failed")
 
 // updateSub is the DLFM side of a file-update transaction's 2PC: a repo
 // transaction that prepares/commits/aborts with the host metadata update.
@@ -286,40 +300,32 @@ func (s *Server) commitUpdate(ctx context.Context, st *openState, size int64, mt
 		return fmt.Errorf("metadata update failed: %w", err)
 	}
 
-	// Commit point passed. Record the committed-but-unarchived version, then
-	// archive asynchronously (§4.4).
-	if _, err := s.repo.Exec(`INSERT INTO dlfm_pending_archive (path, version, state_id) VALUES (?, ?, ?)`,
-		sqlmini.Str(st.path), sqlmini.Int(newVer), sqlmini.Int(int64(stateID))); err != nil {
-		return err
-	}
-	// One capture of the committed content feeds the local archive and every
+	// Commit point passed. The close archives the committed version before
+	// it returns: internal/fs is RAM, so a version acknowledged before its
+	// archive copy would die with the process. The writer slot covers the
+	// put, which is §4.4's "an update waits until archiving completes". One
+	// capture of the committed content feeds the local archive and every
 	// replica: each store patches against the version it archived from the
 	// previous capture. The content is stable until dropOpen releases the
 	// writer, so the capture is exactly the committed state.
 	snap, capErr := s.cfg.Phys.CaptureFile(st.path)
-	r := s.replicator()
-	switch {
-	case capErr != nil:
-		s.startArchive(ctx, st.path, archive.Version(newVer), stateID, nil)
-	case r != nil:
-		s.startArchive(ctx, st.path, archive.Version(newVer), stateID, snap.Share())
-	default:
-		s.startArchive(ctx, st.path, archive.Version(newVer), stateID, snap)
-	}
+	archErr := s.archiveCommitted(ctx, st.path, newVer, stateID, snap, capErr)
 
 	// Ship the committed version to the path's ring successors before the
 	// close returns — the synchronous half of the replication stream. A
 	// quorum failure surfaces as ErrReplicationQuorum after local bookkeeping
 	// completes; closeFile rejects the close without rolling back.
 	var shipErr error
-	if r != nil {
+	if r := s.replicator(); r != nil {
 		shipErr = capErr
 		if capErr == nil {
 			meta := ReplicaMeta{Mode: fi.mode, Recovery: fi.recovery, TokenTTL: fi.tokenTTL,
 				OrigUID: fi.origUID, OrigMode: fi.origMode}
 			shipErr = r.ShipCommit(ctx, st.path, newVer, stateID, snap, size, attr.Mtime, meta)
-			snap.Release()
 		}
+	}
+	if capErr == nil {
+		snap.Release()
 	}
 
 	if err := s.releaseTakeover(st.path, fi); err != nil {
@@ -329,89 +335,69 @@ func (s *Server) commitUpdate(ctx context.Context, st *openState, size int64, mt
 	s.cfg.Metrics.Counter("dlfm.versions.committed").Inc()
 	if shipErr != nil {
 		s.cfg.Metrics.Counter("dlfm.repl.quorum_failures").Inc()
+	}
+	switch {
+	case archErr != nil:
+		return archErr
+	case shipErr != nil:
 		return fmt.Errorf("%w: %v", ErrReplicationQuorum, shipErr)
 	}
 	return nil
 }
 
-// startArchive archives the committed capture snap in the background, and
-// releases it when done (nil: the capture failed, which counts as an archive
-// error). New update opens of the path block until the job finishes (§4.4).
-// The capture is an O(#chunks) manifest grab, and the archive stores only
-// what this version changed — whole chunks, or patches of the bytes written —
-// so commit cost is O(delta), not O(file size).
-//
-// The "archive" span is opened synchronously — it is part of the commit
-// trace even though the trace's root finishes before the job does (the
-// paper's async-archive design). It ends when the job completes, carrying
-// the archive-barrier/fsync spans from PutSnapshotCtx underneath it.
-func (s *Server) startArchive(ctx context.Context, path string, ver archive.Version, stateID uint64, snap *extent.Snapshot) {
+// archiveCommitted puts the committed capture snap into the archive as
+// version ver, under the close's "archive" span (capErr: the capture
+// failed). The capture is an O(#chunks) manifest grab, and the archive
+// stores only what this version changed — whole chunks, or patches of the
+// bytes written — so the put is O(delta), not O(file size). A failed put is
+// the only writer of a pending-archive row: at the next restart
+// archiveBehind archives the version under the commit's own state id. The
+// error wraps ErrNotArchived.
+func (s *Server) archiveCommitted(ctx context.Context, path string, ver int64, stateID uint64, snap *extent.Snapshot, capErr error) error {
 	arch := obs.SpanFrom(ctx).Child("archive")
-	arch.SetInt("version", int64(ver))
-	lk := arch.Child("lock")
-	sh, _ := s.pathShard(path)
-	sh.mu.Lock()
-	s.syncFor(sh, path).archiving = true
-	sh.mu.Unlock()
-	lk.End()
-	s.archJobs.Add(1)
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer arch.End()
-		defer func() {
-			sh.mu.Lock()
-			if sy, ok := sh.syncs[path]; ok {
-				sy.archiving = false
-				sy.wake()
-				if sy.idle() {
-					delete(sh.syncs, path)
-				}
-			}
-			sh.mu.Unlock()
-			s.archJobs.Add(-1)
-		}()
-		// A simulated machine crash (Kill) can race this job; the
-		// repository rejects writes after the crash, which surfaces as a
-		// panic from the closed WAL. That is the "archiver died mid-job"
-		// case the durable pending-archive row exists for — recovery
-		// completes the copy. Absorb it here like the process death it is.
-		defer func() {
-			if recover() != nil {
-				s.cfg.Metrics.Counter("dlfm.archive.interrupted").Inc()
-			}
-		}()
-		if snap == nil {
-			s.cfg.Metrics.Counter("dlfm.archive.errors").Inc()
-			return
+	arch.SetInt("version", ver)
+	err := capErr
+	if err == nil {
+		var st archive.PutStats
+		st, err = s.cfg.Archive.PutSnapshotCtx(obs.ContextWithSpan(ctx, arch), s.cfg.Name, path, archive.Version(ver), stateID, snap)
+		if err == nil {
+			s.cfg.Metrics.Counter("dlfm.archive.bytes_new").Add(st.NewBytes)
+			s.cfg.Metrics.Counter("dlfm.archive.bytes_deduped").Add(st.DedupedBytes)
+			s.cfg.Metrics.Counter("dlfm.archive.chunks_shared").Add(int64(st.SharedChunks))
+			s.cfg.Metrics.Counter("dlfm.archive.jobs").Inc()
 		}
-		st, err := s.cfg.Archive.PutSnapshotCtx(
-			obs.ContextWithSpan(context.Background(), arch), s.cfg.Name, path, ver, stateID, snap)
-		snap.Release()
-		if err != nil {
-			s.cfg.Metrics.Counter("dlfm.archive.errors").Inc()
-			return
-		}
-		s.cfg.Metrics.Counter("dlfm.archive.bytes_new").Add(st.NewBytes)
-		s.cfg.Metrics.Counter("dlfm.archive.bytes_deduped").Add(st.DedupedBytes)
-		s.cfg.Metrics.Counter("dlfm.archive.chunks_shared").Add(int64(st.SharedChunks))
-		if _, err := s.repo.Exec(`DELETE FROM dlfm_pending_archive WHERE path = ?`, sqlmini.Str(path)); err != nil {
-			// The version is archived; only its pending row stays behind.
-			// That is harmless: at restart archiveBehind finds the history
-			// at cur_version, and recovery deletes the row unused.
-			s.cfg.Metrics.Counter("dlfm.archive.pending_clear_failures").Inc()
-		}
-		s.cfg.Metrics.Counter("dlfm.archive.jobs").Inc()
-	}()
+	}
+	arch.End()
+	if err == nil {
+		return nil
+	}
+	s.cfg.Metrics.Counter("dlfm.archive.errors").Inc()
+	if perr := s.setPendingArchive(path, ver, stateID); perr != nil {
+		err = fmt.Errorf("%v (pending-archive row: %v)", err, perr)
+	}
+	return fmt.Errorf("%w: v%d: %v", ErrNotArchived, ver, err)
 }
 
-// WaitArchives blocks until all in-flight archive jobs complete (tests and
-// orderly shutdown).
-func (s *Server) WaitArchives() {
-	for s.archJobs.Load() > 0 {
-		time.Sleep(time.Millisecond)
+// setPendingArchive makes ver the path's pending-archive row, replacing the
+// row of an earlier failed put: recovery archives only cur_version.
+func (s *Server) setPendingArchive(path string, ver int64, stateID uint64) error {
+	tx := s.repo.Begin()
+	_, err := tx.Exec(`DELETE FROM dlfm_pending_archive WHERE path = ?`, sqlmini.Str(path))
+	if err == nil {
+		_, err = tx.Exec(`INSERT INTO dlfm_pending_archive (path, version, state_id) VALUES (?, ?, ?)`,
+			sqlmini.Str(path), sqlmini.Int(ver), sqlmini.Int(int64(stateID)))
 	}
+	if err != nil {
+		tx.Abort()
+		return err
+	}
+	return tx.Commit()
 }
+
+// WaitArchives returns at once: the archive put is part of the close, so no
+// archive work outlives the close that committed it. It stays because the
+// benchmark module calls it.
+func (s *Server) WaitArchives() {}
 
 // AbortUpdateByPath explicitly rolls back the in-flight update transaction on
 // a path: the last committed version is restored and the in-flight content

@@ -26,8 +26,7 @@
 // every chunk slot written since the buffer's previous capture, and names
 // that capture, so the archive can store a written slot as (the version it
 // archived from the previous capture) + (the written bytes) without hashing
-// the live chunk, and a clean slot as it was. Share lets the archive job and
-// the replica ship own one capture without copying it.
+// the live chunk, and a clean slot as it was.
 //
 // Buffers are NOT safe for concurrent use — the owning inode's lock guards
 // them. Chunks and Snapshots are immutable and may be shared freely across
@@ -481,9 +480,6 @@ type Snapshot struct {
 	// when it follows one, the span of each chunk slot written since.
 	id, follows uint64
 	dirty       []Span
-
-	// shared counts the owners Share added beyond the first.
-	shared atomic.Int32
 }
 
 // BuildSnapshot assembles a snapshot from already-retained chunks and a tail.
@@ -542,24 +538,13 @@ func (s *Snapshot) Bytes() []byte {
 	return append(out, s.tail...)
 }
 
-// Share adds an owner of the same snapshot — no copy, no allocation. Every
-// owner calls Release once; the chunk references go with the last.
-func (s *Snapshot) Share() *Snapshot {
-	s.shared.Add(1)
-	return s
-}
-
-// Release drops the snapshot's chunk references — or, while Share added
-// other owners, one owner's share. The manifest structure is deliberately
-// left intact: chunk data is never freed, so a reader that
+// Release drops the snapshot's chunk references. The manifest structure is
+// deliberately left intact: chunk data is never freed, so a reader that
 // still holds an alias of this snapshot (the archive hands out Entry values
 // whose Manifest pointer aliases the store's copy, and Drop/TruncateAfter
 // may release it concurrently) keeps reading valid content — release only
 // affects live accounting and dedup eligibility. Releasing twice is a bug.
 func (s *Snapshot) Release() {
-	if s.shared.Add(-1) >= 0 {
-		return
-	}
 	for _, c := range s.chunks {
 		c.release()
 	}

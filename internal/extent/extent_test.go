@@ -322,7 +322,7 @@ func TestInPlaceWriteForgetsHash(t *testing.T) {
 
 // TestBuildSnapshotOwnsItsTail: the tail handed to BuildSnapshot is the
 // snapshot's from then on — not copied — and nothing reached through the
-// snapshot writes to it: Share shares it, SetSnapshot copies out of it.
+// snapshot writes to it: SetSnapshot copies out of it.
 func TestBuildSnapshotOwnsItsTail(t *testing.T) {
 	tail := bytes.Repeat([]byte{4}, 100)
 	snap := BuildSnapshot(nil, tail)
@@ -334,7 +334,7 @@ func TestBuildSnapshotOwnsItsTail(t *testing.T) {
 	b.SetSnapshot(snap)
 	b.WriteAt(0, bytes.Repeat([]byte{0xff}, 100))
 	b.WriteAt(100, []byte{1, 2, 3})
-	if held := snap.Share(); !bytes.Equal(held.Bytes(), bytes.Repeat([]byte{4}, 100)) {
+	if !bytes.Equal(snap.Bytes(), bytes.Repeat([]byte{4}, 100)) {
 		t.Fatal("writing to a buffer restored from the snapshot changed the snapshot's tail")
 	}
 }

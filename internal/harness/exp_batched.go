@@ -127,7 +127,6 @@ func (c *batchedConfig) round(fsync string) (batchedResult, error) {
 
 	// Baseline the counters after seeding/linking (v0 archives included the
 	// whole file; the storm is what we measure).
-	srv.DLFM.WaitArchives()
 	tier0 := srv.Archive.Tier()
 	chunk0, cat0 := srv.Archive.Fsyncs()
 	new0 := srv.Archive.Dedup().NewBytes
@@ -152,7 +151,6 @@ func (c *batchedConfig) round(fsync string) (batchedResult, error) {
 		}(w)
 	}
 	wg.Wait()
-	srv.DLFM.WaitArchives()
 	r.wall = time.Since(start)
 	if err := failed.get(); err != nil {
 		return r, err

@@ -192,7 +192,6 @@ func (c *chaosConfig) run() ([]*Table, error) {
 	drainStart := time.Now()
 	drainErr := srv.UpcallServer().Drain(10 * time.Second)
 	drainWall := time.Since(drainStart)
-	srv.DLFM.WaitArchives()
 
 	var lost, totalAcks, totalFails, totalAborts int
 	for i := range results {

@@ -222,10 +222,8 @@ func (c *coldConfig) churn(repoDir, archDir string, editSize int64, expected [][
 	if err := churnHistory(sys.DB(), sess.OpenWrite, "cold", editSize, expected); err != nil {
 		return err
 	}
-	// Every committed version must reach the archive before the kill — the
-	// experiment tests crash durability of COMMITTED state, not a race with
-	// the asynchronous archiver.
-	srv.DLFM.WaitArchives()
+	// No drain before the kill: a close returns only once its version is in
+	// the archive, so every acknowledged version must survive it.
 
 	// Die with an update transaction open on file 0, its in-flight junk
 	// uncommitted on the (volatile) physical file system.

@@ -104,7 +104,6 @@ func runE6() ([]*Table, error) {
 		}
 		wg.Wait()
 		elapsed := time.Since(start)
-		srv.DLFM.WaitArchives()
 		results = append(results, e6Result{name: "UIP (rfd)", updates: done, busyErrors: busy, elapsed: elapsed})
 		sys.Close()
 	}
@@ -299,7 +298,6 @@ func runE12() ([]*Table, error) {
 					if err := commitEdit(sys.DB(), sess.OpenWrite, "t", 1, int64(i), workload.UniformContent(1, i)); err != nil {
 						return nil, err
 					}
-					srv.DLFM.WaitArchives()
 				}
 			} else {
 				url, err := writeURL(sys.DB(), "t", 1)
@@ -316,7 +314,6 @@ func runE12() ([]*Table, error) {
 				if err := f.Close(); err != nil {
 					return nil, err
 				}
-				srv.DLFM.WaitArchives()
 			}
 			elapsed := time.Since(start)
 			versions := len(srv.Archive.Versions("fs1", "/d/f.bin")) - 1 // minus v0

@@ -301,7 +301,7 @@ func (c *failoverConfig) run() ([]*Table, error) {
 		fmt.Sprintf("%d", diverged),
 	)
 	tbl.Note("the kill is silent (no FailServer bookkeeping): the %v health probe detects the dead member and promotes each orphaned path's replica on its ring successor in place — no AbsorbDead, no cold start, no archive transfer; %d closes were rejected during the outage window and every one of them is accounted for (an acked close is never among them)", c.Probe, res.failed)
-	tbl.Note("quiesce = WaitArchives + FlushReplication (anti-entropy), then every path's history — (version, size, sha256) of each version — is compared owner vs every replica, and a mismatch prints both copies with their state ids; quorum-failed closes during the outage: %d", quorumFails)
+	tbl.Note("quiesce = FlushReplication (anti-entropy; a close archives before it returns, so there is no archive work to wait for), then every path's history — (version, size, sha256) of each version — is compared owner vs every replica, and a mismatch prints both copies with their state ids; quorum-failed closes during the outage: %d", quorumFails)
 
 	if lost > 0 {
 		return []*Table{tbl}, fmt.Errorf("E23 FAILED: %d acked commit(s) lost across the kill", lost)

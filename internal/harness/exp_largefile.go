@@ -141,7 +141,6 @@ func (c *largeFileConfig) pass(editSize int64) (largeFilePass, error) {
 	if err := failed.get(); err != nil {
 		return largeFilePass{}, err
 	}
-	srv.DLFM.WaitArchives()
 	d := srv.Archive.Dedup()
 	return largeFilePass{
 		editSize:       editSize,

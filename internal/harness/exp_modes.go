@@ -86,7 +86,6 @@ func runT1() ([]*Table, error) {
 				return false
 			}
 			f.Close()
-			srv.DLFM.WaitArchives()
 			return true
 		}
 		readPlain := tryOpen(bare, false)

@@ -70,7 +70,6 @@ func runE7() ([]*Table, error) {
 			if err := f.Close(); err != nil {
 				return nil, err
 			}
-			srv.DLFM.WaitArchives()
 		}
 		if _, err := sys.CrashAndRecoverServer("fs1"); err != nil {
 			return nil, err
@@ -167,7 +166,6 @@ func runE8() ([]*Table, error) {
 		if err := commitEdit(sys.DB(), sess.OpenWrite, "t", 1, 0, workload.UniformContent(size, v)); err != nil {
 			return nil, err
 		}
-		srv.DLFM.WaitArchives()
 		note := fmt.Sprintf("v%d", v)
 		if _, err := sys.DB().Exec(`UPDATE t SET note = ? WHERE id = 1`, sqlmini.Str(note)); err != nil {
 			return nil, err

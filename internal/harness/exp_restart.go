@@ -172,6 +172,5 @@ func (c *restartConfig) churn(tier archive.TierConfig, editSize int64, expected 
 	if err := churnHistory(sys.DB(), sys.NewSession(expUID).OpenWrite, "restart", editSize, expected); err != nil {
 		return err
 	}
-	srv.DLFM.WaitArchives()
 	return nil
 }

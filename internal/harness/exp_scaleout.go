@@ -213,7 +213,6 @@ func (c *scaleoutConfig) traffic(cl *core.Cluster, paths, readURLs []string) (*e
 // against the last acknowledged sequence (E21 wants them equal; E23, which
 // tolerates a commit whose ack was refused, wants none below).
 func committedSeqs(cl *core.Cluster, paths []string) ([]int64, error) {
-	cl.WaitArchives()
 	seqs := make([]int64, len(paths))
 	for i, p := range paths {
 		m, err := ownerOf(cl, p)

@@ -241,7 +241,6 @@ func runE10() ([]*Table, error) {
 		}
 		close(stop)
 		wg.Wait()
-		srv.DLFM.WaitArchives()
 		t.AddRow(mode,
 			fmt.Sprintf("%d", readsOK),
 			fmt.Sprintf("%d", readsRejected),

@@ -96,11 +96,9 @@ func (c *tieredConfig) run() ([]*Table, error) {
 			copy(committed[i][off:], edit)
 		}
 		if v == c.Versions/2 {
-			srv.DLFM.WaitArchives()
 			midStateID = sys.Engine.StateID()
 		}
 	}
-	srv.DLFM.WaitArchives()
 	churnWall := time.Since(start)
 	churn := srv.Archive.Tier()
 	dedup := srv.Archive.Dedup()

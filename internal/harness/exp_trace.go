@@ -135,9 +135,6 @@ func (c *traceConfig) completeness() (*Table, error) {
 			}
 		}
 	}
-	// The archive span subtree (lock, barrier, fsync) completes on the async
-	// archiver goroutine; the audit must not race it.
-	srv.DLFM.WaitArchives()
 
 	commits, complete := 0, 0
 	missing := map[string]int{}
@@ -232,7 +229,6 @@ func e22SlowOp() (*Table, error) {
 	if err := commitEdit(sys.DB(), sys.NewSession(expUID).OpenWrite, "slow", 1, 0, []byte("v2 slow")); err != nil {
 		return nil, err
 	}
-	srv.DLFM.WaitArchives()
 
 	var slow *obs.Trace
 	for _, tr := range srv.Obs.Slowest(16) {

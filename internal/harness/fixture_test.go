@@ -174,7 +174,6 @@ func TestHistoryDigestFailsOnAMissingBlob(t *testing.T) {
 	if err := commitEdit(sys.DB(), sys.NewSession(expUID).OpenWrite, "t", 1, 0, []byte("edit")); err != nil {
 		t.Fatal(err)
 	}
-	srv.DLFM.WaitArchives()
 	whole, err := historyDigest(srv, "fs1", "/d/f.bin")
 	if err != nil || len(whole) != 2 {
 		t.Fatalf("digest of an intact history: %d versions, %v", len(whole), err)

@@ -20,8 +20,8 @@ type TraceJSON struct {
 	Root       SpanJSON `json:"root"`
 }
 
-// JSON renders the trace for serving. Spans still open (an asynchronous
-// archive job outliving its commit) render with duration 0.
+// JSON renders the trace for serving. Spans still open render with
+// duration 0.
 func (t *Trace) JSON() TraceJSON {
 	if t == nil {
 		return TraceJSON{}
