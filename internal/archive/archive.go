@@ -799,6 +799,9 @@ func (s *Store) PutSnapshotCtx(ctx context.Context, server, path string, v Versi
 				return PutStats{}, err
 			}
 		}
+		// Device transfer: only new blobs travel, and the version is not
+		// indexed until they have — a crash mid-transfer loses it.
+		s.sleep(int64(st.NewChunks))
 		sh, fv := s.lockHistory(server, path)
 		if prev != nil && !fv.follows(follows) {
 			// The history moved on while the blobs were interned (a restore,
@@ -882,8 +885,7 @@ func (s *Store) PutSnapshotCtx(ctx context.Context, server, path string, v Versi
 }
 
 // afterPut is the tail of a Put once its version is indexed: the catalog
-// checkpoint if one is due, the commit durability barrier, the counters and
-// the simulated device transfer.
+// checkpoint if one is due, the commit durability barrier and the counters.
 func (s *Store) afterPut(ctx context.Context, rec *catalog.PutRec, st PutStats) error {
 	s.compactCatalog()
 	// Commit durability barrier (group policy; no-op under none/always):
@@ -906,9 +908,6 @@ func (s *Store) afterPut(ctx context.Context, rec *catalog.PutRec, st PutStats) 
 	s.newBytes.Add(st.NewBytes)
 	s.dedupedBytes.Add(st.DedupedBytes)
 	s.sharedChunks.Add(int64(st.SharedChunks))
-
-	// Device transfer: only new blobs travel.
-	s.sleep(int64(st.NewChunks))
 	return nil
 }
 

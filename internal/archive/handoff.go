@@ -213,6 +213,8 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 		newRecs[i] = rec
 	}
 	pinStart[len(recs)] = len(pinned)
+	// Device transfer: only moved blobs travel, before any record is logged.
+	s.sleep(int64(st.MovedChunks))
 
 	sh.mu.Lock()
 	// A dropped and re-linked history is a different fileVersions, and one
@@ -256,8 +258,6 @@ func (s *Store) ImportDelta(server, path string, recs []HistoryRec, fetch func(e
 	s.logicalBytes.Add(sumSizes(recs))
 	s.newBytes.Add(st.MovedBytes)
 	s.dedupedBytes.Add(st.DedupedBytes)
-	// Device transfer: only moved blobs travel.
-	s.sleep(int64(st.MovedChunks))
 	return st, nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"datalinks/internal/extent"
 	"datalinks/internal/fsyncer"
@@ -307,6 +308,44 @@ func TestRestartDropsVersionsWithMissingBlobs(t *testing.T) {
 	s3 := reopen(t, s2, TierConfig{MemoryBudget: 2 * C})
 	if got := len(s3.Versions("fs1", "/f.bin")); got != 1 {
 		t.Fatalf("second restart sees %d versions, want 1", got)
+	}
+}
+
+// TestCrashMidTransferLosesTheVersion: the simulated device transfer comes
+// before the version is indexed, so a store that dies while a put is still
+// transferring comes back without that version — a slow device delays
+// durability, not only the put's return.
+func TestCrashMidTransferLosesTheVersion(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewTiered(0, nil, TierConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	putBytes(t, s, "/f.bin", 0, 1, []byte("v0"))
+	s.SetLatency(500 * time.Millisecond)
+	done := make(chan error, 1)
+	go func() {
+		snap := extent.FromBytes([]byte("v1, still on its way to the device"))
+		defer snap.Release()
+		_, err := s.PutSnapshot("fs1", "/f.bin", 1, 2, snap)
+		done <- err
+	}()
+	time.Sleep(100 * time.Millisecond) // the put is interned and transferring
+	s.Crash()
+	if err := <-done; err == nil {
+		t.Error("a put whose store died mid-transfer returned success")
+	}
+
+	s2, err := NewTiered(0, nil, TierConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.HasVersion("fs1", "/f.bin", 1) {
+		t.Fatal("the reopened store serves a version whose transfer never finished")
+	}
+	if !s2.HasVersion("fs1", "/f.bin", 0) {
+		t.Fatal("the reopened store lost the version before it")
 	}
 }
 

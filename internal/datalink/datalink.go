@@ -148,15 +148,6 @@ func Parse(url string) (Link, error) {
 	return l, nil
 }
 
-// MustParse is Parse that panics on error; for tests and literals.
-func MustParse(url string) Link {
-	l, err := Parse(url)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
 // URL renders the link as a DATALINK URL.
 func (l Link) URL() string { return Scheme + "://" + l.Server + l.Path }
 

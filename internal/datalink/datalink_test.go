@@ -90,7 +90,10 @@ func TestParseURLErrors(t *testing.T) {
 }
 
 func TestScalarHelpers(t *testing.T) {
-	l := MustParse("dlfs://fsrv/a/b.txt")
+	l, err := Parse("dlfs://fsrv/a/b.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if DLURLPath(l) != "/a/b.txt" {
 		t.Errorf("DLURLPath = %s", DLURLPath(l))
 	}

@@ -4,12 +4,10 @@ import (
 	"flag"
 	"fmt"
 	"strconv"
-	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"datalinks/internal/core"
-	"datalinks/internal/metrics"
 	"datalinks/internal/retry"
 	"datalinks/internal/upcall"
 )
@@ -51,27 +49,6 @@ func init() {
 	})
 }
 
-// chaosContent encodes a session's update so verification can recover the
-// sequence number from the file bytes alone.
-func chaosContent(session, seq int) []byte {
-	return []byte(fmt.Sprintf("s%d-seq%06d chaos soak payload", session, seq))
-}
-
-// chaosSeq parses the sequence number back out of file content (-1: not a
-// chaos payload).
-func chaosSeq(content []byte) int {
-	parts := strings.SplitN(string(content), " ", 2)
-	i := strings.Index(parts[0], "-seq")
-	if i < 0 {
-		return -1
-	}
-	n, err := strconv.Atoi(parts[0][i+4:])
-	if err != nil {
-		return -1
-	}
-	return n
-}
-
 // run soaks the TCP upcall plane under injected faults, then proves the
 // commit guarantee: every acknowledged commit is durable (the final content
 // is never OLDER than the last ack — newer is legal, because a commit whose
@@ -109,106 +86,45 @@ func (c *chaosConfig) run() ([]*Table, error) {
 		return nil, err
 	}
 	defer sys.Close()
-	sys.DB().MustExec(`CREATE TABLE soak (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY NO, doc_size INT)`)
-	paths := make([]string, c.Sessions)
-	for i := range paths {
-		paths[i] = fmt.Sprintf("/c/f%d.bin", i)
-		if err := seedAndLink(sys, srv, "soak", i, paths[i], chaosContent(i, 0)); err != nil {
-			return nil, err
-		}
+	s, err := systemSoak(sys, srv, "soak", "doc DATALINK MODE RDD RECOVERY NO, doc_size INT", c.Sessions, "/c/f%d.bin", firstPayload)
+	if err != nil {
+		return nil, err
 	}
 
-	// Soak. Each session tracks the newest sequence number the system
-	// ACKNOWLEDGED (a clean Close return). An op that fails anywhere is
-	// unacked: the janitor aborts any ghost in-update state and the session
-	// moves on. At-least-once delivery means a commit can land without its
-	// ack, so acked is a lower bound on the final content, never an upper.
-	type sessionResult struct {
-		acked  int
-		acks   int
-		failed int
-		aborts int
+	// Soak. Each session commits to its own file. An op that fails anywhere
+	// is unacked — it may or may not have applied, and a write-open retried
+	// after a lost ack finds its own ghost open busy — so the janitor aborts
+	// any ghost in-update state and the session moves on. At-least-once
+	// delivery means a commit can land without its ack, so acked is a lower
+	// bound on the final content, never an upper.
+	var aborts atomic.Int64
+	ghostAbort := func(i int) {
+		if srv.DLFM.AbortUpdateByPath(s.paths[i]) == nil {
+			aborts.Add(1)
+		}
 	}
-	results := make([]sessionResult, c.Sessions)
-	var opLatency metrics.Histogram
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < c.Sessions; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			sess := sys.NewSession(expUID)
-			r := &results[id]
-			for seq := 1; seq <= c.Ops; seq++ {
-				opStart := time.Now()
-				err := func() error {
-					url, err := writeURL(sys.DB(), "soak", id)
-					if err != nil {
-						return err
-					}
-					f, err := sess.OpenWrite(url)
-					if err != nil {
-						// Possibly a ghost open from a lost write-open ack:
-						// abort it and retry the open once.
-						if aerr := srv.DLFM.AbortUpdateByPath(paths[id]); aerr == nil {
-							r.aborts++
-						}
-						f, err = sess.OpenWrite(url)
-						if err != nil {
-							return err
-						}
-					}
-					if err := f.WriteAll(chaosContent(id, seq)); err != nil {
-						_ = f.Abort()
-						return err
-					}
-					return f.Close()
-				}()
-				opLatency.Observe(time.Since(opStart))
-				if err == nil {
-					r.acked = seq
-					r.acks++
-				} else {
-					r.failed++
-					// The commit may or may not have applied; clear any
-					// ghost in-update state so the next op starts clean.
-					if aerr := srv.DLFM.AbortUpdateByPath(paths[id]); aerr == nil {
-						r.aborts++
-					}
-				}
-			}
-			// A trailing unacked op can leave the file mid-update; roll it
-			// back so the verification below sees committed state only.
-			if aerr := srv.DLFM.AbortUpdateByPath(paths[id]); aerr == nil {
-				r.aborts++
-			}
-		}(i)
+	res, _ := s.write(writeRound{
+		writers:      c.Sessions,
+		ops:          c.Ops,
+		afterFailure: ghostAbort,
+	})
+	// A trailing unacked op can leave a file mid-update; roll it back so the
+	// verification below sees committed state only.
+	for i := range s.paths {
+		ghostAbort(i)
 	}
-	wg.Wait()
-	wall := time.Since(start)
 
 	// Stop injecting, drain the daemon gracefully, then verify.
 	ch.Enable(false)
 	drainStart := time.Now()
 	drainErr := srv.UpcallServer().Drain(10 * time.Second)
 	drainWall := time.Since(drainStart)
-
-	var lost, totalAcks, totalFails, totalAborts int
-	for i := range results {
-		r := &results[i]
-		totalAcks += r.acks
-		totalFails += r.failed
-		totalAborts += r.aborts
-		content, err := srv.Phys.ReadFile(paths[i])
-		if err != nil {
-			return nil, fmt.Errorf("E20: read back %s: %w", paths[i], err)
-		}
-		if got := chaosSeq(content); got < r.acked {
-			lost++
-		}
+	lost, err := lostAcked(s.read, s.paths, res.acked, false)
+	if err != nil {
+		return nil, fmt.Errorf("E20: %w", err)
 	}
-	s := Summarize(&opLatency)
-	maxOp := s.Max
+	sum := Summarize(&res.ops)
+	maxOp := sum.Max
 
 	t := &Table{
 		Caption: "E20. Chaos soak: committed-update safety under an unreliable network",
@@ -217,12 +133,12 @@ func (c *chaosConfig) run() ([]*Table, error) {
 	t.AddRow(
 		fmt.Sprintf("%d", c.Sessions),
 		fmt.Sprintf("%d", c.Ops),
-		fmt.Sprintf("%d", totalAcks),
-		fmt.Sprintf("%d", totalFails),
+		fmt.Sprintf("%d", res.commits),
+		fmt.Sprintf("%d", res.failed),
 		fmt.Sprintf("%d", lost),
-		Dur(wall),
-		fmt.Sprintf("%.0f", float64(c.Sessions*c.Ops)/wall.Seconds()),
-		Dur(s.P50), Dur(s.P95), Dur(s.P99), Dur(maxOp),
+		Dur(res.wall),
+		fmt.Sprintf("%.0f", float64(c.Sessions*c.Ops)/res.wall.Seconds()),
+		Dur(sum.P50), Dur(sum.P95), Dur(sum.P99), Dur(maxOp),
 	)
 	t.Note("fault mix: drop %.0f%%, reset %.0f%%, delay %.0f%% of 0.2–2ms (seed %d); a failed op is an update whose ack never arrived — safety demands it never rolls back an EARLIER acked commit",
 		c.DropProb*100, c.ResetProb*100, c.DelayProb*100, c.Seed)
@@ -247,7 +163,7 @@ func (c *chaosConfig) run() ([]*Table, error) {
 		fmt.Sprintf("%d", reg.Counter("upcall.breaker_open").Value()),
 		fmt.Sprintf("%d", reg.Counter("upcall.inflight_rejected").Value()),
 		fmt.Sprintf("%d", reg.Counter("upcall.conns_retired").Value()),
-		fmt.Sprintf("%d", totalAborts),
+		fmt.Sprintf("%d", aborts.Load()),
 		drainCell,
 	)
 	ft.Note("a ghost abort clears in-update state left by an op whose request was applied but whose ack was lost (at-least-once delivery)")

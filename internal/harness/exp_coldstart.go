@@ -42,13 +42,15 @@ func init() {
 	})
 }
 
-// coldPath returns the deterministic linked-file path for file i.
-func coldPath(i int) string { return fmt.Sprintf("/cold/f%d.bin", i) }
+// coldPaths places E18's linked file i.
+const coldPaths = "/cold/f%d.bin"
 
-// system opens the one server config both phases share over the two
+func coldPath(i int) string { return fmt.Sprintf(coldPaths, i) }
+
+// server is the one server config both phases share over the two
 // directories.
-func (c *coldConfig) system(repoDir, archDir string) (*core.System, *core.FileServer, error) {
-	return newSystem(core.ServerConfig{
+func (c *coldConfig) server(repoDir, archDir string) core.ServerConfig {
+	return core.ServerConfig{
 		Name:                "fs1",
 		OpenWait:            30 * time.Second,
 		ArchiveDir:          archDir,
@@ -56,7 +58,7 @@ func (c *coldConfig) system(repoDir, archDir string) (*core.System, *core.FileSe
 		RepoDir:             repoDir,
 		RepoFsync:           c.Fsync,
 		RepoCheckpointBytes: int64(c.CheckpointKB) << 10,
-	}, 30*time.Second)
+	}
 }
 
 // run commits a deterministic workload, hard-kills the whole process state
@@ -90,7 +92,9 @@ func (c *coldConfig) run() ([]*Table, error) {
 	var churnWall time.Duration
 	if !coldServe {
 		start := time.Now()
-		if err := c.churn(repoDir, archDir, editSize, expected); err != nil {
+		// No drain before the kill: a close returns only once its version is
+		// in the archive, so every acknowledged version must survive it.
+		if err := durableChurn(c.server(repoDir, archDir), "cold", coldPaths, editSize, expected, true); err != nil {
 			return nil, err
 		}
 		churnWall = time.Since(start)
@@ -99,7 +103,7 @@ func (c *coldConfig) run() ([]*Table, error) {
 	// The cold start: a brand-new system over nothing but the two
 	// directories. No object survives from the churn phase.
 	start := time.Now()
-	sys, srv, err := c.system(repoDir, archDir)
+	sys, srv, err := newSystem(c.server(repoDir, archDir), 30*time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("E18: cold start: %w", err)
 	}
@@ -167,7 +171,7 @@ func (c *coldConfig) run() ([]*Table, error) {
 
 	// And the recovered system keeps serving updates on the restored state.
 	// (The host database died with the process, so re-link through fresh SQL.)
-	sys.DB().MustExec(`CREATE TABLE cold (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
+	sys.DB().MustExec(`CREATE TABLE cold (id INT PRIMARY KEY, ` + historyCols + `)`)
 
 	t := &Table{
 		Caption: "E18. Whole-process kill: cold start from repo + archive dirs loses nothing",
@@ -202,42 +206,4 @@ func orNone(p string) string {
 		return "none"
 	}
 	return p
-}
-
-// churn drives the deterministic workload through a full system stack over
-// the durable directories, then kills the whole process state with an update
-// still open — no checkpoint, no archive drain, no clean close.
-func (c *coldConfig) churn(repoDir, archDir string, editSize int64, expected [][][]byte) error {
-	sys, srv, err := c.system(repoDir, archDir)
-	if err != nil {
-		return err
-	}
-	sys.DB().MustExec(`CREATE TABLE cold (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
-	for i := range expected {
-		if err := seedAndLink(sys, srv, "cold", i, coldPath(i), expected[i][0]); err != nil {
-			return err
-		}
-	}
-	sess := sys.NewSession(expUID)
-	if err := churnHistory(sys.DB(), sess.OpenWrite, "cold", editSize, expected); err != nil {
-		return err
-	}
-	// No drain before the kill: a close returns only once its version is in
-	// the archive, so every acknowledged version must survive it.
-
-	// Die with an update transaction open on file 0, its in-flight junk
-	// uncommitted on the (volatile) physical file system.
-	url, err := writeURL(sys.DB(), "cold", 0)
-	if err != nil {
-		return err
-	}
-	f, err := sess.OpenWrite(url)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteAt(0, []byte("in-flight junk that must never survive the kill")); err != nil {
-		return err
-	}
-	sys.Crash() // kill -9: no Close, no checkpoint, no drain
-	return nil
 }

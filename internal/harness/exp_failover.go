@@ -3,8 +3,6 @@ package harness
 import (
 	"flag"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"datalinks/internal/core"
@@ -53,195 +51,56 @@ func init() {
 	})
 }
 
-// setup builds the replicated cluster and links Files rdd files.
-func (c *failoverConfig) setup() (*core.Cluster, []string, error) {
+// run soaks committed updates while a member machine dies mid-round and
+// proves the three replication invariants.
+func (c *failoverConfig) run() ([]*Table, error) {
 	members := make([]core.ServerConfig, c.Servers)
 	for i := range members {
-		members[i] = core.ServerConfig{
-			Name:     fmt.Sprintf("fs%d", i+1),
-			OpenWait: 10 * time.Second,
-		}
+		members[i] = core.ServerConfig{Name: fmt.Sprintf("fs%d", i+1), OpenWait: 10 * time.Second}
 	}
-	cl, err := core.NewCluster(core.ClusterConfig{
+	cl, s, err := clusterSoak(core.ClusterConfig{
 		Members:       members,
 		LockTimeout:   10 * time.Second,
 		Replicas:      2,
 		WriteQuorum:   2,
 		ProbeInterval: c.Probe,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	cl.DB().MustExec(`CREATE TABLE fo (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES)`)
-	paths := make([]string, c.Files)
-	for i := range paths {
-		paths[i] = fmt.Sprintf("/r/f%d.bin", i)
-		if err := seedAndLinkCluster(cl, "fo", i, paths[i], scaleoutContent(paths[i], 0)); err != nil {
-			cl.Close()
-			return nil, nil, err
-		}
-	}
-	return cl, paths, nil
-}
-
-// e23Result aggregates the soak.
-type e23Result struct {
-	commits     int64 // acked closes
-	failed      int64 // closes rejected during the outage window (tolerated)
-	acked       []int64
-	firstOKAt   []time.Time // per path, first acked commit after the kill
-	killedAt    time.Time
-	killed      atomic.Bool // set once killedAt is; what the writers poll
-	victim      string
-	victimPaths map[string]bool
-}
-
-// traffic soaks commits across all paths and kills the victim mid-round.
-// Unlike the scale-out round, writer errors are TOLERATED: the outage window
-// legitimately rejects commits against orphaned paths (and quorum-fails
-// commits whose successor died) until the failover lands. The invariant is
-// not "every op succeeds" but "every op that was ACKED survives".
-func (c *failoverConfig) traffic(cl *core.Cluster, paths []string) (*e23Result, error) {
-	res := &e23Result{
-		acked:       make([]int64, len(paths)),
-		firstOKAt:   make([]time.Time, len(paths)),
-		victimPaths: make(map[string]bool),
-	}
-	writers := min(c.Writers, len(paths))
-	pathMu := make([]sync.Mutex, len(paths))
-	var commits, failed atomic.Int64
-	stopped := stopAfter(c.Round)
-
-	// The kill: a third into the round, the member owning paths[0] dies
-	// silently — no FailServer bookkeeping, the probe must notice.
-	var killErr error
-	var killWG sync.WaitGroup
-	killWG.Add(1)
-	go func() {
-		defer killWG.Done()
-		time.Sleep(c.Round / 3)
-		victim, err := cl.Owner(paths[0])
-		if err != nil {
-			killErr = err
-			return
-		}
-		for _, p := range paths {
-			if owner, err := cl.Owner(p); err == nil && owner == victim {
-				res.victimPaths[p] = true
-			}
-		}
-		res.victim = victim
-		res.killedAt = time.Now()
-		res.killed.Store(true)
-		killErr = cl.KillServer(victim)
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sess := cl.NewSession(expUID)
-			for !stopped() {
-				for i := w; i < len(paths) && !stopped(); i += writers {
-					pathMu[i].Lock()
-					seq := res.acked[i] + 1
-					err := commitEdit(cl.DB(), sess.OpenWrite, "fo", i, 0, scaleoutContent(paths[i], seq))
-					if err == nil {
-						res.acked[i] = seq
-						if res.killed.Load() && res.firstOKAt[i].IsZero() {
-							res.firstOKAt[i] = time.Now()
-						}
-					}
-					pathMu[i].Unlock()
-					if err != nil {
-						failed.Add(1)
-					} else {
-						commits.Add(1)
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	killWG.Wait()
-	if killErr != nil {
-		return nil, fmt.Errorf("kill: %w", killErr)
-	}
-	res.commits = commits.Load()
-	res.failed = failed.Load()
-	return res, nil
-}
-
-// e23Lost counts paths whose final bytes encode a sequence BELOW the last
-// acked one. Above is legal: a close rejected for replication quorum still
-// committed on the owner ("newer than the ack" is the at-least-once rule);
-// below means an acknowledged commit evaporated.
-func e23Lost(cl *core.Cluster, paths []string, acked []int64) (int, error) {
-	seqs, err := committedSeqs(cl, paths)
-	lost := 0
-	for i, seq := range seqs {
-		if seq < acked[i] {
-			lost++
-		}
-	}
-	return lost, err
-}
-
-// e23ReplicaDigests compares every path's history on its owner against every
-// replica in its successor set. It returns how many replicas diverge and what
-// the first divergence is: two histories whose bytes differ, with both
-// copies' per-version dump, or a history one side cannot materialize (a
-// missing blob is never summed as an empty version), with the member, path,
-// version and error.
-func e23ReplicaDigests(cl *core.Cluster, paths []string) (diverged int, first string) {
-	digest := func(id, path string) (history, error) {
-		m, err := cl.Member(id)
-		if err != nil {
-			return nil, err
-		}
-		return historyDigest(m, cl.Authority(), path)
-	}
-	for _, p := range paths {
-		set := cl.ReplicaSet(p)
-		ownerDigest, ownerErr := digest(set[0], p)
-		for _, id := range set[1:] {
-			d, err := digest(id, p)
-			if ownerErr == nil && err == nil && d.sameBytes(ownerDigest) {
-				continue
-			}
-			diverged++
-			if first != "" {
-				continue
-			}
-			switch {
-			case ownerErr != nil:
-				first = "owner " + ownerErr.Error()
-			case err != nil:
-				first = "replica " + err.Error()
-			default:
-				first = fmt.Sprintf("%s: replica %s and owner %s hold different bytes", p, id, set[0]) +
-					dump("replica "+id, d, "owner "+set[0], ownerDigest)
-			}
-		}
-	}
-	return diverged, first
-}
-
-// run soaks committed updates while a member machine dies mid-round and
-// proves the three replication invariants.
-func (c *failoverConfig) run() ([]*Table, error) {
-	cl, paths, err := c.setup()
+	}, "fo", "doc DATALINK MODE RDD RECOVERY YES", c.Files, "/r/f%d.bin")
 	if err != nil {
 		return nil, err
 	}
 	defer cl.Close()
 
-	res, err := c.traffic(cl, paths)
-	if err != nil {
-		return nil, fmt.Errorf("E23 soak: %w", err)
+	// The soak: writers commit across all paths, round robin. Unlike the
+	// scale-out round, writer errors are TOLERATED: the outage window
+	// legitimately rejects commits against orphaned paths (and quorum-fails
+	// commits whose successor died) until the failover lands. The invariant
+	// is not "every op succeeds" but "every op that was ACKED survives".
+	// The kill: a third into the round, the member owning paths[0] dies
+	// silently — no FailServer bookkeeping, the probe must notice.
+	var victim string
+	victimPaths := make(map[string]bool)
+	res, _ := s.write(writeRound{
+		writers:    min(c.Writers, len(s.paths)),
+		stop:       stopAfter(c.Round),
+		eventAfter: c.Round / 3,
+		event: func() error {
+			id, err := cl.Owner(s.paths[0])
+			if err != nil {
+				return err
+			}
+			for _, p := range s.paths {
+				if owner, err := cl.Owner(p); err == nil && owner == id {
+					victimPaths[p] = true
+				}
+			}
+			victim = id
+			return cl.KillServer(id)
+		},
+	})
+	if res.eventErr != nil {
+		return nil, fmt.Errorf("E23 soak: kill: %w", res.eventErr)
 	}
-	if res.victim == "" {
+	if victim == "" {
 		return nil, fmt.Errorf("E23: the kill never ran")
 	}
 
@@ -249,30 +108,39 @@ func (c *failoverConfig) run() ([]*Table, error) {
 	// first acked commit after it.
 	var maxDark time.Duration
 	neverBack := 0
-	for i, p := range paths {
-		if !res.victimPaths[p] {
+	for i, p := range s.paths {
+		if !victimPaths[p] {
 			continue
 		}
-		if res.firstOKAt[i].IsZero() {
+		if res.firstAck[i].IsZero() {
 			neverBack++
 			continue
 		}
-		if dark := res.firstOKAt[i].Sub(res.killedAt); dark > maxDark {
+		if dark := res.firstAck[i].Sub(res.eventAt); dark > maxDark {
 			maxDark = dark
 		}
 	}
 
-	// Quiesce: drain archiving, then run the anti-entropy pass — a commit
-	// that quorum-failed during the outage left a replica gap no later ship
-	// heals, and the ring swap stranded replicas on retired successor sets.
-	lost, err := e23Lost(cl, paths, res.acked)
+	// Quiesce: run the anti-entropy pass — a commit that quorum-failed during
+	// the outage left a replica gap no later ship heals, and the ring swap
+	// stranded replicas on retired successor sets. Then every replica's
+	// history must hold its owner's bytes.
+	lost, err := lostAcked(s.read, s.paths, res.acked, false)
 	if err != nil {
 		return nil, err
 	}
 	if err := cl.FlushReplication(); err != nil {
 		return nil, fmt.Errorf("E23 quiesce flush: %w", err)
 	}
-	diverged, firstDiverged := e23ReplicaDigests(cl, paths)
+	var pairs [][2]heldCopy
+	for _, p := range s.paths {
+		set := cl.ReplicaSet(p)
+		owner := heldBy(cl, "owner "+set[0], set[0], p)
+		for _, id := range set[1:] {
+			pairs = append(pairs, [2]heldCopy{heldBy(cl, "replica "+id, id, p), owner})
+		}
+	}
+	diverged, firstDiverged := sameHistories(pairs)
 
 	failovers := cl.Router().Metrics().Counter("repl.failovers").Value()
 	var promotions, quorumFails int64
@@ -292,7 +160,7 @@ func (c *failoverConfig) run() ([]*Table, error) {
 		Dur(c.Round),
 		fmt.Sprintf("%d", res.commits),
 		fmt.Sprintf("%d", res.failed),
-		fmt.Sprintf("%d on %s", len(res.victimPaths), res.victim),
+		fmt.Sprintf("%d on %s", len(victimPaths), victim),
 		fmt.Sprintf("%d", promotions),
 		fmt.Sprintf("%d", failovers),
 		Dur(maxDark),

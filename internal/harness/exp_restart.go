@@ -43,8 +43,8 @@ func init() {
 	})
 }
 
-// restartPath returns the deterministic linked-file path for file i.
-func restartPath(i int) string { return fmt.Sprintf("/restart/f%d.bin", i) }
+// restartPaths places E16's linked file i.
+const restartPaths = "/restart/f%d.bin"
 
 // run commits a deterministic version history through the full system,
 // hard-restarts the process state (the system is closed and a brand-new
@@ -83,7 +83,14 @@ func (c *restartConfig) run() ([]*Table, error) {
 	if !coldStart {
 		probe.Close()
 		start := time.Now()
-		if err := c.churn(tier, editSize, expected); err != nil {
+		sc := core.ServerConfig{
+			Name:                "fs1",
+			OpenWait:            30 * time.Second,
+			ArchiveDir:          tier.Dir,
+			ArchiveMemoryBudget: tier.MemoryBudget,
+			ArchiveFsync:        c.Fsync,
+		}
+		if err := durableChurn(sc, "restart", restartPaths, editSize, expected, false); err != nil {
 			return nil, err
 		}
 		churnWall = time.Since(start)
@@ -104,7 +111,7 @@ func (c *restartConfig) run() ([]*Table, error) {
 	// the versions were committed.
 	verified := 0
 	for i := range expected {
-		n, err := verifyHistory(store, "fs1", restartPath(i), expected[i])
+		n, err := verifyHistory(store, "fs1", fmt.Sprintf(restartPaths, i), expected[i])
 		if err != nil {
 			return nil, fmt.Errorf("E16: after restart: %w", err)
 		}
@@ -147,30 +154,4 @@ func (c *restartConfig) run() ([]*Table, error) {
 	t.Note("the reopened store never existed while the versions were committed: the catalog (manifest log + snapshot) is the only index")
 	t.Note("zero bytes re-archived is enforced, not just reported — a catalog regression fails the experiment (and the CI restart smoke job)")
 	return []*Table{t}, nil
-}
-
-// churn drives the deterministic version history through a full system stack
-// (link + in-place update transactions), then shuts everything down cleanly.
-func (c *restartConfig) churn(tier archive.TierConfig, editSize int64, expected [][][]byte) error {
-	sys, srv, err := newSystem(core.ServerConfig{
-		Name:                "fs1",
-		OpenWait:            30 * time.Second,
-		ArchiveDir:          tier.Dir,
-		ArchiveMemoryBudget: tier.MemoryBudget,
-		ArchiveFsync:        c.Fsync,
-	}, 30*time.Second)
-	if err != nil {
-		return err
-	}
-	defer sys.Close()
-	sys.DB().MustExec(`CREATE TABLE restart (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
-	for i := range expected {
-		if err := seedAndLink(sys, srv, "restart", i, restartPath(i), expected[i][0]); err != nil {
-			return err
-		}
-	}
-	if err := churnHistory(sys.DB(), sys.NewSession(expUID).OpenWrite, "restart", editSize, expected); err != nil {
-		return err
-	}
-	return nil
 }

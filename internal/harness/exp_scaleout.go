@@ -3,8 +3,6 @@ package harness
 import (
 	"flag"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,32 +57,6 @@ func init() {
 	})
 }
 
-// scaleoutContent encodes a path's committed sequence number so verification
-// can recover it from the file bytes alone.
-func scaleoutContent(path string, seq int64) []byte {
-	return []byte(fmt.Sprintf("seq%06d %s scale-out payload", seq, path))
-}
-
-// scaleoutSeq parses the sequence number back out of file content (-1: not a
-// scale-out payload).
-func scaleoutSeq(content []byte) int64 {
-	s := string(content)
-	if !strings.HasPrefix(s, "seq") {
-		return -1
-	}
-	end := strings.IndexByte(s, ' ')
-	if end < 0 {
-		return -1
-	}
-	n, err := strconv.ParseInt(s[3:end], 10, 64)
-	if err != nil {
-		return -1
-	}
-	return n
-}
-
-func scaleoutPath(i int) string { return fmt.Sprintf("/z/f%d.bin", i) }
-
 // member is the server config every E21 member runs, the ones AddServer
 // brings in mid-run included.
 func (c *scaleoutConfig) member(name string) core.ServerConfig {
@@ -96,159 +68,83 @@ func (c *scaleoutConfig) member(name string) core.ServerConfig {
 	}
 }
 
-// setup builds an N-member cluster, links Files rdd files under the shared
-// authority, and resolves their tokenized read URLs.
-func (c *scaleoutConfig) setup(servers int) (*core.Cluster, []string, []string, error) {
+// setup builds an N-member cluster and links Files rdd files under the
+// shared authority.
+func (c *scaleoutConfig) setup(servers int) (*core.Cluster, *soak, error) {
 	members := make([]core.ServerConfig, servers)
 	for i := range members {
 		members[i] = c.member(fmt.Sprintf("fs%d", i+1))
 	}
-	cl, err := core.NewCluster(core.ClusterConfig{Members: members, LockTimeout: 10 * time.Second})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	fail := func(err error) (*core.Cluster, []string, []string, error) {
-		cl.Close()
-		return nil, nil, nil, err
-	}
-	cl.DB().MustExec(`CREATE TABLE sc (id INT PRIMARY KEY, doc DATALINK MODE RDD RECOVERY YES, doc_size INT)`)
-	paths := make([]string, c.Files)
-	readURLs := make([]string, c.Files)
-	for i := range paths {
-		paths[i] = scaleoutPath(i)
-		if err := seedAndLinkCluster(cl, "sc", i, paths[i], scaleoutContent(paths[i], 0)); err != nil {
-			return fail(err)
-		}
-		if readURLs[i], err = readURL(cl.DB(), "sc", i); err != nil {
-			return fail(err)
-		}
-	}
-	return cl, paths, readURLs, nil
+	return clusterSoak(core.ClusterConfig{Members: members, LockTimeout: 10 * time.Second},
+		"sc", "doc DATALINK MODE RDD RECOVERY YES, doc_size INT", c.Files, "/z/f%d.bin")
 }
 
-// e21TrafficResult aggregates one traffic phase.
-type e21TrafficResult struct {
-	wall    time.Duration
-	reads   int64
-	commits int64
-	acked   []int64           // per path, the last sequence whose Close returned cleanly
-	ops     metrics.Histogram // every read and commit, any session
-}
-
-// traffic drives the reader/writer session mix for one round. Reader
-// sessions loop zipfian token-gated opens; writer sessions loop in-place
-// update commits round-robin over disjoint partitions of the zipf-cold half
-// of the namespace — an rdd write-open needs a reader-free gap (the design
-// serializes reads against updates with no read locks), so updating the
-// hottest read targets would measure writer starvation, not cluster
-// capacity. Writer partitions are disjoint and the per-path acked sequence
-// is written under a mutex, giving verification a total order to compare
-// file bytes against.
-func (c *scaleoutConfig) traffic(cl *core.Cluster, paths, readURLs []string) (*e21TrafficResult, error) {
-	res := &e21TrafficResult{acked: make([]int64, len(paths))}
-	pathMu := make([]sync.Mutex, len(paths))
-	var reads, commits atomic.Int64
+// traffic drives the reader/writer session mix for one round, with event
+// (if any) a third of the way in, and returns the writers' round with every
+// read merged into its latencies, and the read count. Reader sessions loop
+// zipfian token-gated opens; writer sessions loop in-place update commits
+// over the zipf-cold half of the namespace — an rdd write-open needs a
+// reader-free gap (the design serializes reads against updates with no read
+// locks), so updating the hottest read targets would measure writer
+// starvation, not cluster capacity. Any failed read or commit fails the
+// round.
+func (c *scaleoutConfig) traffic(cl *core.Cluster, s *soak, event func() error) (*roundResult, int64, error) {
+	readURLs := make([]string, len(s.paths))
+	for i := range readURLs {
+		var err error
+		if readURLs[i], err = readURL(s.db, s.table, i); err != nil {
+			return nil, 0, err
+		}
+	}
+	stop := stopAfter(c.Round)
+	writers, half := c.Sessions/2, len(s.paths)/2
+	var reads atomic.Int64
+	var readOps metrics.Histogram
 	var failed firstError
-	stopped := stopAfter(c.Round)
-	writers := c.Sessions / 2
 	var wg sync.WaitGroup
-	start := time.Now()
-	for s := 0; s < c.Sessions; s++ {
+	for id := writers; id < c.Sessions; id++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
+			// Reader: zipfian over the read half of the namespace. An rdd
+			// update excludes readers for its whole open-to-commit span by
+			// design, so files under a continuous update stream would
+			// starve readers out of their OpenWait — that conflict is
+			// measured elsewhere; here it would just poison the curve.
 			sess := cl.NewSession(expUID)
-			if id >= writers {
-				// Reader: zipfian over the read half of the namespace. An rdd
-				// update excludes readers for its whole open-to-commit span by
-				// design, so files under a continuous update stream would
-				// starve readers out of their OpenWait — that conflict is
-				// measured elsewhere; here it would just poison the curve.
-				z := workload.NewZipf(workload.RNG(int64(id)+1), len(paths)/2)
-				for !stopped() {
-					i := z.Next()
-					opStart := time.Now()
-					err := readWhole(sess.OpenRead, readURLs[i])
-					res.ops.Observe(time.Since(opStart))
-					if err != nil {
-						failed.set(fmt.Errorf("reader %d on %s: %w", id, paths[i], err))
-						return
-					}
-					reads.Add(1)
-				}
-				return
-			}
-			// Writer: one dedicated file from the zipf-cold half. A writer
-			// cycling over paths on several members would couple its pace to
-			// the slowest member it visits; one file per writer lets commits
-			// against healthy members flow at their own rate.
-			i := len(paths)/2 + id%(len(paths)-len(paths)/2)
-			for !stopped() {
+			z := workload.NewZipf(workload.RNG(int64(id)+1), half)
+			for !stop() {
+				i := z.Next()
 				opStart := time.Now()
-				pathMu[i].Lock()
-				seq := res.acked[i] + 1
-				err := commitEdit(cl.DB(), sess.OpenWrite, "sc", i, 0, scaleoutContent(paths[i], seq))
-				if err == nil {
-					res.acked[i] = seq
-				}
-				pathMu[i].Unlock()
-				res.ops.Observe(time.Since(opStart))
+				err := readWhole(sess.OpenRead, readURLs[i])
+				readOps.Observe(time.Since(opStart))
 				if err != nil {
-					failed.set(fmt.Errorf("writer %d on %s: %w", id, paths[i], err))
+					failed.set(fmt.Errorf("reader %d on %s: %w", id, s.paths[i], err))
 					return
 				}
-				commits.Add(1)
+				reads.Add(1)
 			}
-		}(s)
+		}(id)
 	}
+	// Writer: one dedicated file from the zipf-cold half. A writer cycling
+	// over paths on several members would couple its pace to the slowest
+	// member it visits; one file per writer lets commits against healthy
+	// members flow at their own rate.
+	res, err := s.write(writeRound{
+		writers:    writers,
+		first:      half,
+		end:        min(half+writers, len(s.paths)),
+		stop:       stop,
+		failFast:   true,
+		event:      event,
+		eventAfter: c.Round / 3,
+	})
 	wg.Wait()
-	res.wall = time.Since(start)
-	res.reads = reads.Load()
-	res.commits = commits.Load()
-	return res, failed.get()
-}
-
-// committedSeqs drains archiving and reads back, from each path's current
-// owner, the sequence number its final bytes encode — what E21 and E23 hold
-// against the last acknowledged sequence (E21 wants them equal; E23, which
-// tolerates a commit whose ack was refused, wants none below).
-func committedSeqs(cl *core.Cluster, paths []string) ([]int64, error) {
-	seqs := make([]int64, len(paths))
-	for i, p := range paths {
-		m, err := ownerOf(cl, p)
-		if err != nil {
-			return nil, fmt.Errorf("owner %s: %w", p, err)
-		}
-		content, err := m.Phys.ReadFile(p)
-		if err != nil {
-			return nil, fmt.Errorf("read back %s on %s: %w", p, m.Name, err)
-		}
-		seqs[i] = scaleoutSeq(content)
+	res.ops.Merge(&readOps)
+	if err == nil {
+		err = failed.get()
 	}
-	return seqs, nil
-}
-
-// e21Lost counts paths whose final bytes do not match their last
-// acknowledged commit — with client-serialized writers and every op required
-// to succeed, the file must read back exactly the acked sequence.
-func e21Lost(cl *core.Cluster, paths []string, acked []int64) (int, error) {
-	seqs, err := committedSeqs(cl, paths)
-	lost := 0
-	for i, seq := range seqs {
-		if seq != acked[i] {
-			lost++
-		}
-	}
-	return lost, err
-}
-
-// ownerDigest is historyDigest of path on whichever member owns it now.
-func ownerDigest(cl *core.Cluster, path string) (history, error) {
-	m, err := ownerOf(cl, path)
-	if err != nil {
-		return nil, err
-	}
-	return historyDigest(m, cl.Authority(), path)
+	return res, reads.Load(), err
 }
 
 // run measures aggregate commit throughput vs cluster size, then rebalances a
@@ -261,16 +157,16 @@ func (c *scaleoutConfig) run() ([]*Table, error) {
 	var baseCommitRate float64
 	commitRate := make(map[int]float64)
 	for _, n := range c.Servers {
-		cl, paths, readURLs, err := c.setup(n)
+		cl, s, err := c.setup(n)
 		if err != nil {
 			return nil, err
 		}
-		res, err := c.traffic(cl, paths, readURLs)
+		res, reads, err := c.traffic(cl, s, nil)
 		if err != nil {
 			cl.Close()
 			return nil, fmt.Errorf("E21 %d-server round: %w", n, err)
 		}
-		lost, err := e21Lost(cl, paths, res.acked)
+		lost, err := lostAcked(s.read, s.paths, res.acked, true)
 		cl.Close()
 		if err != nil {
 			return nil, err
@@ -280,15 +176,15 @@ func (c *scaleoutConfig) run() ([]*Table, error) {
 		if baseCommitRate == 0 {
 			baseCommitRate = cps
 		}
-		s := Summarize(&res.ops)
+		sum := Summarize(&res.ops)
 		scale.AddRow(
 			fmt.Sprintf("%d", n),
 			fmt.Sprintf("%dr+%dw", c.Sessions-c.Sessions/2, c.Sessions/2),
 			Dur(res.wall),
-			fmt.Sprintf("%.0f", float64(res.reads)/res.wall.Seconds()),
+			fmt.Sprintf("%.0f", float64(reads)/res.wall.Seconds()),
 			fmt.Sprintf("%d", res.commits),
 			fmt.Sprintf("%.0f (%.1fx)", cps, cps/baseCommitRate),
-			Dur(s.P50), Dur(s.P99),
+			Dur(sum.P50), Dur(sum.P99),
 			fmt.Sprintf("%d", lost),
 		)
 		if lost > 0 {
@@ -302,28 +198,25 @@ func (c *scaleoutConfig) run() ([]*Table, error) {
 	// Live rebalance: start 2 members under full traffic, add a third a third
 	// of the way into the round, and let the remaining traffic ride through
 	// the migrations.
-	cl, paths, readURLs, err := c.setup(2)
+	cl, s, err := c.setup(2)
 	if err != nil {
 		return nil, err
 	}
 	defer cl.Close()
-	rebalanceDone := make(chan error, 1)
 	var rebalanceWall time.Duration
-	go func() {
-		time.Sleep(c.Round / 3)
+	trafficRes, _, trafficErr := c.traffic(cl, s, func() error {
 		t0 := time.Now()
 		err := cl.AddServer(c.member("fs3"))
 		rebalanceWall = time.Since(t0)
-		rebalanceDone <- err
-	}()
-	trafficRes, trafficErr := c.traffic(cl, paths, readURLs)
-	if err := <-rebalanceDone; err != nil {
-		return nil, fmt.Errorf("E21 FAILED: live AddServer: %w", err)
+		return err
+	})
+	if trafficRes != nil && trafficRes.eventErr != nil {
+		return nil, fmt.Errorf("E21 FAILED: live AddServer: %w", trafficRes.eventErr)
 	}
 	if trafficErr != nil {
 		return nil, fmt.Errorf("E21 FAILED: traffic during rebalance: %w", trafficErr)
 	}
-	lost, err := e21Lost(cl, paths, trafficRes.acked)
+	lost, err := lostAcked(s.read, s.paths, trafficRes.acked, true)
 	if err != nil {
 		return nil, err
 	}
@@ -334,34 +227,23 @@ func (c *scaleoutConfig) run() ([]*Table, error) {
 	// Quiesced migration byte-fidelity: digest every path's archived history,
 	// grow the ring again, and require every digest unchanged on the new
 	// owners.
-	before := make([]history, len(paths))
-	for i, p := range paths {
-		if before[i], err = ownerDigest(cl, p); err != nil {
-			return nil, fmt.Errorf("E21 FAILED: history before the quiesced migration: %w", err)
+	pairs := make([][2]heldCopy, len(s.paths))
+	for i, p := range s.paths {
+		if pairs[i][0] = heldBy(cl, "before the move", "", p); pairs[i][0].err != nil {
+			return nil, fmt.Errorf("E21 FAILED: history before the quiesced migration: %w", pairs[i][0].err)
 		}
 	}
 	if err := cl.AddServer(c.member("fs4")); err != nil {
 		return nil, fmt.Errorf("E21 FAILED: quiesced AddServer: %w", err)
 	}
-	mismatched, firstMismatch := 0, ""
-	for i, p := range paths {
-		after, err := ownerDigest(cl, p)
-		if err == nil && after.sameBytes(before[i]) {
-			continue
-		}
-		mismatched++
-		if firstMismatch != "" {
-			continue
-		}
-		firstMismatch = p + ": history changed across the move" + dump("before the move", before[i], "after, on the new owner", after)
-		if err != nil {
-			firstMismatch = err.Error()
-		}
+	for i, p := range s.paths {
+		pairs[i][1] = heldBy(cl, "after, on the new owner", "", p)
 	}
+	mismatched, firstMismatch := sameHistories(pairs)
 	movesQuiesced := ringReg.Counter("ring.moves").Value() - movesLive
 
-	s := Summarize(&trafficRes.ops)
-	maxOp := s.Max
+	sum := Summarize(&trafficRes.ops)
+	maxOp := sum.Max
 	reb := &Table{
 		Caption: "E21b. Live rebalance under load (2 → 3 members, then a quiesced 3 → 4)",
 		Headers: []string{"commits", "lost acked", "paths moved live", "rebalance wall", "forwards", "p50", "p99", "max op", "quiesced moves", "history mismatches"},
@@ -372,7 +254,7 @@ func (c *scaleoutConfig) run() ([]*Table, error) {
 		fmt.Sprintf("%d", movesLive),
 		Dur(rebalanceWall),
 		fmt.Sprintf("%d", forwards),
-		Dur(s.P50), Dur(s.P99), Dur(maxOp),
+		Dur(sum.P50), Dur(sum.P99), Dur(maxOp),
 		fmt.Sprintf("%d", movesQuiesced),
 		fmt.Sprintf("%d", mismatched),
 	)

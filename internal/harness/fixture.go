@@ -194,20 +194,6 @@ func genHistory(seed int64, files int, fileSize, editSize int64, versions int) [
 	return expected
 }
 
-// churnHistory commits genHistory's versions 1..n of every file through the
-// full stack, file i being row i of table (already linked at expected[i][0]).
-func churnHistory(db *sqlmini.DB, openWrite func(string) (*core.File, error), table string, editSize int64, expected [][][]byte) error {
-	for v := 1; v < len(expected[0]); v++ {
-		for i := range expected {
-			off := editOffset(i, v, int64(len(expected[i][v])), editSize)
-			if err := commitEdit(db, openWrite, table, i, off, expected[i][v][off:off+editSize]); err != nil {
-				return fmt.Errorf("file %d v%d: %w", i, v, err)
-			}
-		}
-	}
-	return nil
-}
-
 // verifyHistory checks that store serves exactly expected for path: one
 // archived version per expected one, numbered from 0, each materializing
 // byte-identical; the newest is Latest; and the state id archived with the
@@ -362,15 +348,6 @@ func dump(labelH string, h history, labelO string, o history) string {
 		start = end
 	}
 	return b.String()
-}
-
-// ownerOf returns the member that currently owns path.
-func ownerOf(c *core.Cluster, path string) (*core.FileServer, error) {
-	id, err := c.Owner(path)
-	if err != nil {
-		return nil, err
-	}
-	return c.Member(id)
 }
 
 // firstError keeps the first error any of a round's goroutines reports.

@@ -10,6 +10,16 @@ import (
 // Additional executor coverage: NULL propagation, DATALINK predicates,
 // three-table joins, alias ordering, and update coercion errors.
 
+// mustLink is the DATALINK value of url, which must parse.
+func mustLink(t testing.TB, url string) Value {
+	t.Helper()
+	l, err := datalink.Parse(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Link(l)
+}
+
 func TestNullPropagationInArithmetic(t *testing.T) {
 	db := testDB(t)
 	mustExec(t, db, `CREATE TABLE t (a INT, b INT)`)
@@ -26,7 +36,7 @@ func TestDatalinkEqualityPredicate(t *testing.T) {
 	db := testDB(t)
 	mustExec(t, db, `CREATE TABLE t (id INT, doc DATALINK)`)
 	mustExec(t, db, `INSERT INTO t VALUES (1, DLVALUE('dlfs://s/a')), (2, DLVALUE('dlfs://s/b'))`)
-	rows := mustQuery(t, db, `SELECT id FROM t WHERE doc = ?`, Link(datalink.MustParse("dlfs://s/b")))
+	rows := mustQuery(t, db, `SELECT id FROM t WHERE doc = ?`, mustLink(t, "dlfs://s/b"))
 	if len(rows.Data) != 1 || rows.Data[0][0].I != 2 {
 		t.Fatalf("rows = %+v", rows.Data)
 	}
@@ -59,7 +69,7 @@ func rowLocksHeld(db *DB, txn *Txn) int {
 // row — it must not X-lock, or cost in proportion to, the rest of the table.
 func TestDatalinkUpdateIsPointLookup(t *testing.T) {
 	// The same row in both tables, so the statement's own strings match.
-	target := Link(datalink.MustParse("dlfs://s/d/f5.bin"))
+	target := mustLink(t, "dlfs://s/d/f5.bin")
 	for _, c := range []struct {
 		update string
 		args   []Value
@@ -124,7 +134,7 @@ func TestDatalinkIndexIsDerivedFromSchema(t *testing.T) {
 	if !tbl2.HasIndex(doc) {
 		t.Fatal("DATALINK index missing after recovery")
 	}
-	if ids, _ := tbl2.LookupIndex(doc, Link(datalink.MustParse("dlfs://s/b"))); len(ids) != 1 {
+	if ids, _ := tbl2.LookupIndex(doc, mustLink(t, "dlfs://s/b")); len(ids) != 1 {
 		t.Fatalf("recovered index finds %v for dlfs://s/b", ids)
 	}
 }

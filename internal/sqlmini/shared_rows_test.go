@@ -79,10 +79,10 @@ func TestUpdateCopiesOnWrite(t *testing.T) {
 	if got, _ := tbl.Get(id); !reflect.DeepEqual(got, after) || !reflect.DeepEqual(before, prior) {
 		t.Fatalf("after abort: row %v (want %v), first read %v (want %v)", got, after, before, prior)
 	}
-	if ids, _ := tbl.LookupIndex(2, Link(datalink.MustParse("dlfs://s/b"))); len(ids) != 1 || ids[0] != id {
+	if ids, _ := tbl.LookupIndex(2, mustLink(t, "dlfs://s/b")); len(ids) != 1 || ids[0] != id {
 		t.Fatalf("link index after the abort: %v", ids)
 	}
-	if ids, _ := tbl.LookupIndex(2, Link(datalink.MustParse("dlfs://s/a"))); len(ids) != 0 {
+	if ids, _ := tbl.LookupIndex(2, mustLink(t, "dlfs://s/a")); len(ids) != 0 {
 		t.Fatalf("link index still files the replaced value: %v", ids)
 	}
 }
@@ -105,7 +105,7 @@ func TestTableUpdateRekeysOnlyChangedKeys(t *testing.T) {
 	if !ok {
 		t.Fatal("new key not indexed")
 	}
-	if ids, _ := tbl.LookupIndex(1, Link(datalink.MustParse("dlfs://s/a"))); len(ids) != 1 || ids[0] != id {
+	if ids, _ := tbl.LookupIndex(1, mustLink(t, "dlfs://s/a")); len(ids) != 1 || ids[0] != id {
 		t.Fatalf("unchanged link key lost its row: %v", ids)
 	}
 	if r := mustQuery(t, db, `SELECT id, v FROM t WHERE doc = DLVALUE('dlfs://s/a')`); len(r.Data) != 1 || r.Data[0][0].I != 3 || r.Data[0][1].I != 1 {
