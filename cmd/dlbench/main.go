@@ -46,11 +46,11 @@
 // -e20-delay / -e20-seed; the E21 scale-out rounds their cluster sizes from
 // -e21-servers 1,4,16.
 //
-// The E22 tracing experiment prices the observability plane on the E13 hot
-// path (tracing on vs off, best-of rounds) and audits every commit trace for
-// the full session→wire→lock→archive-barrier→fsync span story over real TCP:
+// The E22 tracing experiment audits every commit trace for the full
+// session→wire→lock→archive-barrier→fsync span story over real TCP, and
+// checks that a wire-delayed commit is attributed to the wire:
 //
-//	dlbench -exp E22 -e22-rounds 5 -e22-sessions 8 -e22-commits 20
+//	dlbench -exp E22 -e22-sessions 8 -e22-commits 20
 //
 // The E23 failover experiment soaks commits against a replicated cluster
 // (Replicas=2, write quorum 2), kills a member mid-round without telling the

@@ -96,3 +96,16 @@ func TestChaosTCPLifecycle(t *testing.T) {
 		t.Fatal("no retries recorded despite injected faults")
 	}
 }
+
+// A Chaos injector faults the upcall wire, so a server without TCPUpcalls
+// refuses one instead of ignoring it.
+func TestChaosWithoutTCPUpcallsIsRefused(t *testing.T) {
+	sys, err := NewSystem(Config{Servers: []ServerConfig{{
+		Name:      "fs1",
+		UpcallNet: &upcall.NetConfig{Client: upcall.ClientConfig{Chaos: &upcall.Chaos{DropProb: 1}}},
+	}}})
+	if err == nil {
+		sys.Close()
+		t.Fatal("a Chaos injector without TCPUpcalls was accepted")
+	}
+}

@@ -37,12 +37,14 @@ import (
 
 var clusterRoot = fs.Cred{UID: fs.Root}
 
+// clusterAuthority is a cluster's file-server name in DATALINK URLs
+// (dlfs://cluster/...): every member's DLFM registers under it, so URLs,
+// archive keys and host metadata are the same on every member.
+const clusterAuthority = "cluster"
+
 // ClusterConfig configures a scale-out deployment. It is the public
 // datalinks.ClusterConfig (a type alias).
 type ClusterConfig struct {
-	// Authority is the file-server name in DATALINK URLs
-	// (dlfs://<authority>/...). Defaults to "cluster".
-	Authority string
 	// Members configures the initial member stacks; each ServerConfig.Name is
 	// the member id on the ring. At least one member is required.
 	Members     []ServerConfig
@@ -84,11 +86,10 @@ var ErrNoDurableRepo = errors.New("core: failed member has no durable repository
 type Cluster struct {
 	Engine *engine.Engine
 
-	authority string
-	clock     func() time.Time
-	key       []byte
-	ttl       time.Duration
-	router    *Router
+	clock  func() time.Time
+	key    []byte
+	ttl    time.Duration
+	router *Router
 
 	repl replConfig
 
@@ -106,9 +107,6 @@ type Cluster struct {
 
 // NewCluster builds and wires a scale-out deployment.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	if cfg.Authority == "" {
-		cfg.Authority = "cluster"
-	}
 	if len(cfg.Members) == 0 {
 		return nil, fmt.Errorf("core: cluster needs at least one member")
 	}
@@ -146,17 +144,16 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		repl.quorum = repl.n
 	}
 	c := &Cluster{
-		Engine:    eng,
-		authority: cfg.Authority,
-		clock:     cfg.Clock,
-		key:       cfg.TokenKey,
-		ttl:       cfg.TokenTTL,
-		router:    newRouter(cfg.Authority, ring.New(0, ids...)),
-		repl:      repl,
-		deadCfg:   make(map[string]ServerConfig),
+		Engine:  eng,
+		clock:   cfg.Clock,
+		key:     cfg.TokenKey,
+		ttl:     cfg.TokenTTL,
+		router:  newRouter(clusterAuthority, ring.New(0, ids...)),
+		repl:    repl,
+		deadCfg: make(map[string]ServerConfig),
 	}
 	for _, sc := range cfg.Members {
-		fsrv, err := buildStack(sc, cfg.Authority, cfg.Clock, cfg.TokenKey, cfg.TokenTTL, eng)
+		fsrv, err := buildStack(sc, clusterAuthority, cfg.Clock, cfg.TokenKey, cfg.TokenTTL, eng)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -166,7 +163,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	// One engine connection for the whole authority: the router resolves
 	// which member processes each link.
-	eng.AttachConn(cfg.Authority, c.router, cfg.TokenKey, cfg.TokenTTL)
+	eng.AttachConn(clusterAuthority, c.router, cfg.TokenKey, cfg.TokenTTL)
 	if repl.probe > 0 {
 		c.probeStop = make(chan struct{})
 		c.probeWG.Add(1)
@@ -184,7 +181,7 @@ func (c *Cluster) attachReplicator(fsrv *FileServer) {
 }
 
 // Authority returns the cluster's shared file-server name.
-func (c *Cluster) Authority() string { return c.authority }
+func (c *Cluster) Authority() string { return clusterAuthority }
 
 // DB returns the host database the engine currently serves (a restore or a
 // host recovery replaces it).
@@ -210,7 +207,7 @@ func (c *Cluster) Owner(path string) (string, error) {
 
 // URL returns the DATALINK URL for a path under this cluster's authority.
 func (c *Cluster) URL(path string) string {
-	return datalink.Link{Server: c.authority, Path: path}.URL()
+	return datalink.Link{Server: clusterAuthority, Path: path}.URL()
 }
 
 // SeedFile creates an (unlinked) file on the member the ring places it on,
@@ -379,8 +376,8 @@ func (m *FileServer) closeEndpoints() {
 // Metrics aggregates every component registry, including the ring's.
 func (c *Cluster) Metrics() map[string]*metrics.Registry {
 	out := map[string]*metrics.Registry{
-		"engine":              c.Engine.Metrics(),
-		"ring:" + c.authority: c.router.reg,
+		"engine":                   c.Engine.Metrics(),
+		"ring:" + clusterAuthority: c.router.reg,
 	}
 	for _, id := range c.router.memberIDs() {
 		if m, err := c.router.member(id); err == nil {
@@ -440,7 +437,7 @@ func (c *Cluster) AddServer(sc ServerConfig) error {
 	if restart && (dead.RepoDir == "" || sc.RepoDir != dead.RepoDir) {
 		return fmt.Errorf("%w: %q", ErrNoDurableRepo, sc.Name)
 	}
-	fsrv, err := buildStack(sc, c.authority, c.clock, c.key, c.ttl, c.Engine)
+	fsrv, err := buildStack(sc, clusterAuthority, c.clock, c.key, c.ttl, c.Engine)
 	if err != nil {
 		return err
 	}
@@ -648,7 +645,7 @@ func (c *Cluster) migratePathTraced(src, dst *FileServer, path string, sp *obs.S
 	if err := src.DLFM.EndExport(path, true); err != nil {
 		return err
 	}
-	if err := src.Archive.Drop(c.authority, path); err != nil {
+	if err := src.Archive.Drop(clusterAuthority, path); err != nil {
 		return err
 	}
 	c.router.reg.Counter("ring.moves").Inc()

@@ -32,8 +32,8 @@ func (s *ClusterSession) open(url string, mode fs.AccessMode) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	if server != s.c.authority {
-		return nil, fmt.Errorf("core: URL authority %q is not this cluster (%q)", server, s.c.authority)
+	if server != clusterAuthority {
+		return nil, fmt.Errorf("core: URL authority %q is not this cluster (%q)", server, clusterAuthority)
 	}
 	cleanPath, _, _ := token.Extract(name)
 	var lastErr error

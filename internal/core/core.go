@@ -58,8 +58,8 @@ type ServerConfig struct {
 	TCPUpcalls bool
 	// UpcallNet tunes the TCP upcall plane: client retry/backoff/deadlines/
 	// breaker and server backpressure limits and drain, plus an optional
-	// Chaos fault injector (nil: production defaults). With TCPUpcalls unset,
-	// only the Chaos injector applies (wrapped around the in-process service).
+	// Chaos fault injector (nil: production defaults). A Chaos injector
+	// needs TCPUpcalls: it faults the wire, and in-process calls have none.
 	UpcallNet *upcall.NetConfig
 	// ArchiveDir is the archive's directory: committed versions' chunks
 	// persist to packfiles there beside the version catalog, and only a
@@ -228,6 +228,9 @@ func (sys *System) addServer(sc ServerConfig) (*FileServer, error) {
 // server's own name, a Cluster passes the shared authority so DATALINK URLs,
 // archive keys, and host metadata stay identical across members.
 func buildStack(sc ServerConfig, dlfmName string, clock func() time.Time, key []byte, ttl time.Duration, host dlfm.Host) (*FileServer, error) {
+	if sc.UpcallNet != nil && sc.UpcallNet.Client.Chaos != nil && !sc.TCPUpcalls {
+		return nil, fmt.Errorf("core: server %s: a Chaos injector needs TCPUpcalls", sc.Name)
+	}
 	phys := fs.NewWithClock(clock)
 	fsyncPolicy, err := fsyncer.ParsePolicy(sc.ArchiveFsync)
 	if err != nil {
@@ -326,8 +329,7 @@ func wireUpcallPlane(fsrv *FileServer, srv *dlfm.Server, sc ServerConfig) error 
 		netCfg = *sc.UpcallNet
 	}
 	var svc upcall.Service = srv
-	switch {
-	case sc.TCPUpcalls:
+	if sc.TCPUpcalls {
 		if netCfg.Server.Metrics == nil {
 			netCfg.Server.Metrics = upReg
 		}
@@ -351,10 +353,6 @@ func wireUpcallPlane(fsrv *FileServer, srv *dlfm.Server, sc ServerConfig) error 
 		fsrv.tcpServer = tcpServer
 		fsrv.tcpClient = client
 		svc = client
-	case netCfg.Client.Chaos != nil:
-		// In-process deployment with fault injection: no retry layer in
-		// front, so injected faults surface directly to DLFS callers.
-		svc = netCfg.Client.Chaos.WrapService(srv)
 	}
 	transport := upcall.NewInProcWidth(svc, sc.UpcallLatency, sc.UpcallWidth, upReg)
 	mount := dlfs.New(dlfs.Config{

@@ -234,21 +234,21 @@ func (c *Cluster) shipUnlink(owner, path string) error {
 // many versions had to travel outside the synchronous ship.
 func (c *Cluster) catchUpReplica(src, dst *FileServer, path string) error {
 	have := int64(-1)
-	if v, ok := dst.Archive.Newest(c.authority, path); ok {
+	if v, ok := dst.Archive.Newest(clusterAuthority, path); ok {
 		have = int64(v)
 	}
-	recs, err := src.Archive.ExportDelta(c.authority, path, have)
+	recs, err := src.Archive.ExportDelta(clusterAuthority, path, have)
 	if errors.Is(err, archive.ErrChainGap) {
-		if err := dst.Archive.Drop(c.authority, path); err != nil {
+		if err := dst.Archive.Drop(clusterAuthority, path); err != nil {
 			return err
 		}
-		recs, err = src.Archive.ExportDelta(c.authority, path, -1)
+		recs, err = src.Archive.ExportDelta(clusterAuthority, path, -1)
 	}
 	if err != nil || len(recs) == 0 {
 		return err
 	}
 	src.DLFM.Metrics().Counter("repl.lag_versions").Add(int64(len(recs)))
-	_, err = dst.Archive.ImportDelta(c.authority, path, recs, src.Archive.FetchBlob)
+	_, err = dst.Archive.ImportDelta(clusterAuthority, path, recs, src.Archive.FetchBlob)
 	if errors.Is(err, archive.ErrStale) {
 		// Another shipper landed the history first — that is the goal.
 		return nil
@@ -387,7 +387,7 @@ func (c *Cluster) FlushReplication() error {
 			if c.router.placementID(p) != sid {
 				continue
 			}
-			srcLast, ok := m.Archive.Newest(c.authority, p)
+			srcLast, ok := m.Archive.Newest(clusterAuthority, p)
 			if !ok {
 				continue // mode without archive history: nothing to replicate
 			}

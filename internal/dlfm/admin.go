@@ -54,14 +54,8 @@ func (s *Server) ReconcileLinks(desired map[string]datalink.ColumnOptions) error
 			return err
 		}
 		s.clearUpdateEntry(path)
-		node, err := s.cfg.Phys.Lookup(path)
-		if err == nil {
-			if err := s.cfg.Phys.Chown(node, rootCred, fi.origUID); err != nil {
-				return err
-			}
-			if err := s.cfg.Phys.Chmod(node, rootCred, fi.origMode); err != nil {
-				return err
-			}
+		if err := s.release(fi); err != nil {
+			return err
 		}
 		s.purgeTokens(path)
 	}
@@ -86,23 +80,24 @@ func (s *Server) ReconcileLinks(desired map[string]datalink.ColumnOptions) error
 		if latest, ok := s.cfg.Archive.Newest(s.cfg.Name, path); ok {
 			ver = int64(latest)
 		}
-		origUID, origMode := attr.UID, attr.Mode
+		fi := fileInfo{path: path, mode: opts.Mode, recovery: opts.Recovery, origUID: attr.UID, origMode: attr.Mode}
 		if attr.UID == DefaultUID {
 			// The file is still in its taken-over state from before the
 			// restore; we no longer know the original identity unless a
 			// version-0 archive entry can tell us. Default to root-owned
 			// read-only; the administrator can chown afterwards.
-			origUID, origMode = fs.Root, 0o644
+			fi.origUID, fi.origMode = fs.Root, 0o644
 		}
 		if _, err := s.repo.Exec(
 			`INSERT INTO dlfm_files (path, mode, recovery, token_ttl, orig_uid, orig_mode, cur_version)
 			 VALUES (?, ?, ?, ?, ?, ?, ?)`,
 			sqlmini.Str(path), sqlmini.Str(opts.Mode.String()), sqlmini.Bool(opts.Recovery),
-			sqlmini.Int(int64(opts.TokenTTLSecs)), sqlmini.Int(int64(origUID)), sqlmini.Int(int64(origMode)),
+			sqlmini.Int(int64(opts.TokenTTLSecs)), sqlmini.Int(int64(fi.origUID)), sqlmini.Int(int64(fi.origMode)),
 			sqlmini.Int(ver)); err != nil {
 			return err
 		}
-		if err := s.applyLinkState(node, opts.Mode); err != nil {
+		// The at-rest state the next close would set.
+		if err := s.setAtRest(fi); err != nil {
 			return err
 		}
 	}

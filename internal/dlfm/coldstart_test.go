@@ -141,8 +141,9 @@ func TestColdStartWholeProcessKill(t *testing.T) {
 			t.Fatalf("%s not linked after cold start", p)
 		}
 	}
-	if n := phys2.Stats.DeferredLoads.Load(); n != 1 {
-		t.Fatalf("reading both files loaded %d deferred files, want b.bin alone", n)
+	// a.bin's restore installs deferred as well, so each file loads once.
+	if n := phys2.Stats.DeferredLoads.Load(); n != 2 {
+		t.Fatalf("reading both files loaded %d deferred files, want 2", n)
 	}
 	// The in-flight junk never existed on the cold phys, so nothing to
 	// quarantine.

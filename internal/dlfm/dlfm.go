@@ -153,17 +153,11 @@ type tokenEntry struct {
 	expiry time.Time
 }
 
-// subTxn is a repository sub-transaction bound to a host transaction.
+// subTxn is a repository sub-transaction bound to a host transaction, with
+// the journal rows of the file-system side effects it made.
 type subTxn struct {
-	repo  *sqlmini.Txn
-	comps []compensation // file system compensation actions
-}
-
-// compensation reverses or applies a file-system side effect depending on
-// the transaction outcome.
-type compensation struct {
-	onAbort  func() error // run if the host transaction aborts
-	onCommit func() error // run once the host transaction commits
+	repo *sqlmini.Txn
+	rows []journalRow
 }
 
 // openShardCount stripes the open/sync bookkeeping by path hash (like the

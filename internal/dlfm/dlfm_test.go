@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -521,6 +522,115 @@ func TestCrashRecoveryInDoubtPresumedAbort(t *testing.T) {
 	attr, _ := phys.Getattr(ino)
 	if attr.UID != owner || attr.Mode != 0o644 {
 		t.Fatalf("permissions not compensated: uid=%d mode=%o", attr.UID, attr.Mode)
+	}
+}
+
+// atRest is what a link or unlink outcome leaves of one file: its owner,
+// mode and archive history (version, state id, bytes), and the server's
+// linked files.
+type atRest struct {
+	uid     fs.UID
+	mode    fs.FileMode
+	history []string
+	linked  []string
+}
+
+func observeAtRest(t *testing.T, srv *Server, phys *fs.FS, path string) atRest {
+	t.Helper()
+	ino, err := phys.Lookup(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attr, _ := phys.Getattr(ino)
+	got := atRest{uid: attr.UID, mode: attr.Mode, linked: srv.LinkedFiles()}
+	for _, e := range srv.cfg.Archive.Versions(srv.cfg.Name, path) {
+		got.history = append(got.history, fmt.Sprintf("v%d@%d %q", e.Version, e.StateID, bytesOf(t, e)))
+	}
+	return got
+}
+
+// TestJournalOutcomeParity: a link or unlink sub-transaction leaves the same
+// owner, mode, archive history and linked files whether its outcome arrives
+// live (CommitXRM, AbortXRM) or at restart, for a sub-transaction that was
+// prepared, killed and resolved through the host's TxnOutcome — both run
+// the one journal rule.
+func TestJournalOutcomeParity(t *testing.T) {
+	const path, hostTxn = "/d/g.bin", 700
+	cases := []struct {
+		name      string
+		unlink    bool
+		committed bool
+	}{
+		{"link-abort", false, false},
+		{"link-commit", false, true},
+		{"unlink-commit", true, true},
+	}
+	for _, mode := range []datalink.ControlMode{datalink.RFF, datalink.RFD, datalink.RDD} {
+		for _, c := range cases {
+			run := func(restart bool) atRest {
+				srv, phys, host := newServer(t)
+				seedFile(t, phys, path, "g0")
+				opts := datalink.ColumnOptions{Mode: mode, Recovery: true}
+				var err error
+				if c.unlink {
+					linkCommitted(t, srv, path, mode.String())
+					if mode.UpdateManaged() {
+						commitVersion(t, srv, phys, path, []byte("g1"))
+					}
+					err = srv.UnlinkFile(hostTxn, path)
+				} else {
+					err = srv.LinkFile(hostTxn, path, opts)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := srv.PrepareXRM(hostTxn); err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case restart:
+					host.outcomes[hostTxn] = c.committed
+					srv.Kill()
+					srv, _ = reopen(t, srv, Config{Name: "fs1", Phys: phys, Archive: srv.cfg.Archive,
+						Host: host, TokenKey: []byte("k")})
+				case c.committed:
+					err = srv.CommitXRM(hostTxn)
+				default:
+					err = srv.AbortXRM(hostTxn)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return observeAtRest(t, srv, phys, path)
+			}
+			live, recovered := run(false), run(true)
+			if !reflect.DeepEqual(live, recovered) {
+				t.Errorf("%s %s: live outcome %+v, restart outcome %+v", mode, c.name, live, recovered)
+			}
+		}
+	}
+}
+
+// TestReconcileRelinkMatchesTheNextClose: a file ReconcileLinks re-links
+// while it is still taken over gets the at-rest state the next close sets.
+func TestReconcileRelinkMatchesTheNextClose(t *testing.T) {
+	const path = "/d/g.bin"
+	for _, mode := range []datalink.ControlMode{datalink.RFD, datalink.RDD} {
+		srv, phys, _ := newServer(t)
+		seedFile(t, phys, path, "g0")
+		ino, _ := phys.Lookup(path)
+		phys.Chown(ino, rootCred, srv.UID())
+		phys.Chmod(ino, rootCred, 0o600)
+		if err := srv.ReconcileLinks(map[string]datalink.ColumnOptions{path: {Mode: mode, Recovery: true}}); err != nil {
+			t.Fatal(err)
+		}
+		relinked := observeAtRest(t, srv, phys, path)
+		commitVersion(t, srv, phys, path, []byte("g1"))
+		closed := observeAtRest(t, srv, phys, path)
+		if relinked.uid != closed.uid || relinked.mode != closed.mode {
+			t.Errorf("%s: re-link left uid %d mode %o, the next close uid %d mode %o",
+				mode, relinked.uid, relinked.mode, closed.uid, closed.mode)
+		}
 	}
 }
 

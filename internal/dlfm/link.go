@@ -1,7 +1,6 @@
 package dlfm
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -96,101 +95,54 @@ func (s *Server) linkFile(hostTxn uint64, path string, opts datalink.ColumnOptio
 	if err != nil {
 		return fmt.Errorf("%w: %s", ErrAlreadyLinked, path)
 	}
-	// Journal the side effect for 2PC recovery.
-	_, err = sub.repo.Exec(
-		`INSERT INTO dlfm_txns (id, repo_txn, host_txn, action, path, orig_uid, orig_mode, recovery)
-		 VALUES (?, ?, ?, 'link', ?, ?, ?, ?)`,
-		sqlmini.Int(s.journalID()), sqlmini.Int(int64(sub.repo.ID())), sqlmini.Int(int64(hostTxn)),
-		sqlmini.Str(path), sqlmini.Int(int64(attr.UID)), sqlmini.Int(int64(attr.Mode)), sqlmini.Bool(opts.Recovery))
+	fi := fileInfo{path: path, mode: opts.Mode, recovery: opts.Recovery, origUID: attr.UID, origMode: attr.Mode}
+	r, err := s.journal(sub.repo, hostTxn, "link", fi)
 	if err != nil {
 		return err
 	}
-
-	// Apply the file-system constraints for the control mode (§2.2, §4).
-	if err := s.applyLinkState(node, opts.Mode); err != nil {
+	sub.rows = append(sub.rows, r)
+	// Apply the file-system constraints for the control mode (§2.2, §4); an
+	// abort gives the file back to its owner (compensateJournal).
+	if err := s.setAtRest(fi); err != nil {
 		return err
 	}
-	origUID, origMode := attr.UID, attr.Mode
-	sub.comps = append(sub.comps, compensation{
-		onAbort: func() error {
-			// Undo the takeover / permission change.
-			if err := s.cfg.Phys.Chown(node, rootCred, origUID); err != nil {
-				return err
-			}
-			return s.cfg.Phys.Chmod(node, rootCred, origMode)
-		},
-		onCommit: func() error {
-			// Archive the initial version so an aborted first update can be
-			// rolled back (§4.2) and point-in-time restore has a floor. The
-			// manifest snapshot keeps link cost O(#chunks).
-			if keepsHistory(opts.Mode, opts.Recovery) {
-				// A path that already has a history (a re-link after a
-				// restore) archives nothing: the current content is the
-				// newest archived version, not version 0.
-				stateID := s.cfg.Host.StateID()
-				shipVer, _, err := s.archiveBehind(path, 0, stateID)
-				if err != nil {
-					return err
-				}
-				// Replicate the link in the same stream as commits: the
-				// successors get the history floor and the promotion
-				// identity, so a failover right after link loses nothing.
-				return s.shipCurrent(context.Background(), path, int64(shipVer), stateID)
-			}
-			return nil
-		},
-	})
 	s.cfg.Metrics.Counter("dlfm.link").Inc()
 	return nil
 }
 
-// applyLinkState sets the ownership and permission bits a control mode
-// requires (Table 1 semantics).
-func (s *Server) applyLinkState(node *fs.Inode, mode datalink.ControlMode) error {
-	switch {
-	case mode.FullControl():
-		// rdb, rdd: DLFM takes over the file and marks it read-only (§2.2).
-		if err := s.cfg.Phys.Chown(node, rootCred, DefaultUID); err != nil {
-			return err
-		}
-		return s.cfg.Phys.Chmod(node, rootCred, 0o400)
-	case mode.Write != datalink.CtlFS:
-		// rfb, rfd: ownership unchanged, write permission disabled.
-		attr, err := s.cfg.Phys.Getattr(node)
-		if err != nil {
-			return err
-		}
-		return s.cfg.Phys.Chmod(node, rootCred, attr.Mode&^0o222)
-	default:
-		// rff: referential integrity only; no permission change.
-		return nil
-	}
-}
-
-// restoreLinkState re-establishes the canonical at-rest state for a linked
-// file (used when a write takeover ends, and by recovery). Idempotent.
-func (s *Server) restoreLinkState(path string, fi fileInfo) error {
-	node, err := s.cfg.Phys.Lookup(path)
+// setAtRest gives a file the owner and permission bits its control mode
+// requires at rest (Table 1): DLFM owns a full-control file read-only (§2.2),
+// a DB-write mode keeps its owner without write permission, and rff — or
+// NFF, a file DLFM gives back to its owner — keeps its original owner and
+// mode. Link, close, restore, promote, reconciliation and recovery all end
+// here. Idempotent.
+func (s *Server) setAtRest(fi fileInfo) error {
+	node, err := s.cfg.Phys.Lookup(fi.path)
 	if err != nil {
 		return err
 	}
+	uid, mode := fi.origUID, fi.origMode
 	switch {
 	case fi.mode.FullControl():
-		if err := s.cfg.Phys.Chown(node, rootCred, DefaultUID); err != nil {
-			return err
-		}
-		return s.cfg.Phys.Chmod(node, rootCred, 0o400)
+		uid, mode = DefaultUID, 0o400
 	case fi.mode.Write != datalink.CtlFS:
-		if err := s.cfg.Phys.Chown(node, rootCred, fi.origUID); err != nil {
-			return err
-		}
-		return s.cfg.Phys.Chmod(node, rootCred, fi.origMode&^0o222)
-	default:
-		if err := s.cfg.Phys.Chown(node, rootCred, fi.origUID); err != nil {
-			return err
-		}
-		return s.cfg.Phys.Chmod(node, rootCred, fi.origMode)
+		mode &^= 0o222
 	}
+	if err := s.cfg.Phys.Chown(node, rootCred, uid); err != nil {
+		return err
+	}
+	return s.cfg.Phys.Chmod(node, rootCred, mode)
+}
+
+// release gives a file DLFM stops controlling back to its original owner and
+// mode, setAtRest's no-control case. A file that is gone has nothing to give
+// back.
+func (s *Server) release(fi fileInfo) error {
+	if !s.physExists(fi.path) {
+		return nil
+	}
+	fi.mode = datalink.NFF
+	return s.setAtRest(fi)
 }
 
 // UnlinkFile stops managing a file as part of host transaction hostTxn.
@@ -235,40 +187,13 @@ func (s *Server) unlinkFile(hostTxn uint64, path string) error {
 	if n == 0 {
 		return fmt.Errorf("%w: %s", ErrNotLinked, path)
 	}
-	_, err = sub.repo.Exec(
-		`INSERT INTO dlfm_txns (id, repo_txn, host_txn, action, path, orig_uid, orig_mode, recovery)
-		 VALUES (?, ?, ?, 'unlink', ?, ?, ?, ?)`,
-		sqlmini.Int(s.journalID()), sqlmini.Int(int64(sub.repo.ID())), sqlmini.Int(int64(hostTxn)),
-		sqlmini.Str(path), sqlmini.Int(int64(fi.origUID)), sqlmini.Int(int64(fi.origMode)), sqlmini.Bool(fi.recovery))
+	// The file-system restoration waits for the commit (compensateJournal):
+	// the file stays protected if the transaction rolls back.
+	r, err := s.journal(sub.repo, hostTxn, "unlink", fi)
 	if err != nil {
 		return err
 	}
-	// File-system restoration is deferred to commit: the file stays
-	// protected if the transaction rolls back.
-	sub.comps = append(sub.comps, compensation{
-		onCommit: func() error {
-			node, err := s.cfg.Phys.Lookup(path)
-			if err != nil {
-				return err
-			}
-			if err := s.cfg.Phys.Chown(node, rootCred, fi.origUID); err != nil {
-				return err
-			}
-			if err := s.cfg.Phys.Chmod(node, rootCred, fi.origMode); err != nil {
-				return err
-			}
-			if err := s.cfg.Archive.Drop(s.cfg.Name, path); err != nil {
-				return err
-			}
-			s.purgeTokens(path)
-			// Unlink rides the replication stream too: replicas drop their
-			// history and row so a later failover cannot resurrect the path.
-			if r := s.replicator(); r != nil {
-				return r.ShipUnlink(path)
-			}
-			return nil
-		},
-	})
+	sub.rows = append(sub.rows, r)
 	s.cfg.Metrics.Counter("dlfm.unlink").Inc()
 	return nil
 }
@@ -316,32 +241,18 @@ func (s *Server) PrepareXRM(hostTxn uint64) error {
 
 // CommitXRM finishes the sub-transaction on the host's commit.
 func (s *Server) CommitXRM(hostTxn uint64) error {
-	s.mu.Lock()
-	sub, ok := s.subs[hostTxn]
-	delete(s.subs, hostTxn)
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("dlfm: no sub-transaction for host txn %d", hostTxn)
-	}
-	if err := sub.repo.Commit(); err != nil {
-		return err
-	}
-	var firstErr error
-	for _, c := range sub.comps {
-		if c.onCommit != nil {
-			if err := c.onCommit(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	// The journal rows served their purpose; clean them up outside the
-	// resolved transaction.
-	s.cleanupJournal(hostTxn)
-	return firstErr
+	return s.endSub(hostTxn, true)
 }
 
 // AbortXRM rolls the sub-transaction back on the host's abort.
 func (s *Server) AbortXRM(hostTxn uint64) error {
+	return s.endSub(hostTxn, false)
+}
+
+// endSub ends the sub-transaction of hostTxn with the host's outcome and
+// resolves the journal rows it wrote, as restart recovery resolves the rows
+// of one left in doubt.
+func (s *Server) endSub(hostTxn uint64, committed bool) error {
 	s.mu.Lock()
 	sub, ok := s.subs[hostTxn]
 	delete(s.subs, hostTxn)
@@ -349,20 +260,18 @@ func (s *Server) AbortXRM(hostTxn uint64) error {
 	if !ok {
 		return fmt.Errorf("dlfm: no sub-transaction for host txn %d", hostTxn)
 	}
-	if err := sub.repo.Abort(); err != nil {
+	end := sub.repo.Abort
+	if committed {
+		end = sub.repo.Commit
+	}
+	if err := end(); err != nil {
 		return err
 	}
-	var firstErr error
-	// Undo eager file-system changes in reverse order.
-	for i := len(sub.comps) - 1; i >= 0; i-- {
-		if sub.comps[i].onAbort != nil {
-			if err := sub.comps[i].onAbort(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
+	err := s.resolveJournal(sub.rows, committed)
+	// The journal rows served their purpose; clean them up outside the
+	// resolved transaction.
 	s.cleanupJournal(hostTxn)
-	return firstErr
+	return err
 }
 
 // cleanupJournal removes resolved journal rows for a host transaction. A

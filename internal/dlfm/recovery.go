@@ -1,18 +1,15 @@
 package dlfm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	pathpkg "path"
 
 	"datalinks/internal/archive"
-	"datalinks/internal/extent"
 	"datalinks/internal/fs"
 	"datalinks/internal/sqlmini"
 )
-
-func intToUID(v int64) fs.UID       { return fs.UID(v) }
-func intToMode(v int64) fs.FileMode { return fs.FileMode(v) }
 
 // Restart recovery (§4.2, §4.4):
 //
@@ -20,11 +17,12 @@ func intToMode(v int64) fs.FileMode { return fs.FileMode(v) }
 //  2. In-doubt sub-transactions (prepared at crash time) are resolved by
 //     asking the host database for the outcome of the bound host
 //     transaction — presumed abort if the host never logged a commit.
-//     File-system side effects are compensated accordingly.
+//     File-system side effects are finished or undone by compensateJournal,
+//     the rule CommitXRM and AbortXRM run for a live outcome.
 //  3. One scan of the linked files decides each file, in this order:
 //     a. An update entry marks an update caught in flight: its in-flight
-//        content is quarantined and the last committed version restored
-//        from the archive.
+//        content is quarantined and the last committed version installed
+//        from the archive deferred.
 //     b. A file missing from the physical file system (a cold start) walks
 //        its version counter down to the newest archived version and is
 //        installed from it deferred, or is reported lost when nothing is
@@ -33,7 +31,7 @@ func intToMode(v int64) fs.FileMode { return fs.FileMode(v) }
 //        close's archive put failed, or the process died between a commit
 //        point and the end of its put — is archived at the counter
 //        (archiveBehind).
-//     d. The canonical at-rest permission state is re-established (a crash
+//     d. The at-rest permission state is re-established (setAtRest; a crash
 //        during a takeover leaves DLFM-owned files), unless the file was
 //        lost or (a) already did it.
 //  4. The pending-archive rows are deleted: (c) archived what every linked
@@ -138,7 +136,7 @@ func (s *Server) recoverFile(fi fileInfo, rep *RecoveryReport) error {
 			rep.ArchivedVersions = append(rep.ArchivedVersions, fmt.Sprintf("%s@v%d", fi.path, fi.version))
 		}
 	}
-	return s.restoreLinkState(fi.path, fi)
+	return s.setAtRest(fi)
 }
 
 // physExists reports whether path survived on the physical file system —
@@ -160,20 +158,12 @@ func (s *Server) mkdirParent(p string) error {
 	return nil
 }
 
-// writeRestored writes an archive snapshot to the physical path, creating
-// parent directories first.
-func (s *Server) writeRestored(p string, snap *extent.Snapshot) error {
-	if err := s.mkdirParent(p); err != nil {
-		return err
-	}
-	return s.cfg.Phys.WriteFileSnapshot(p, snap)
-}
-
 // installDeferred installs an archived version as the file at its path
-// without reading it — cold start and a promote both end here: the file
-// exists at the version's size and its bytes are read on first access, so a
-// cold start costs the files' metadata, and each file's bytes are paid for
-// when, and if, it is touched. The file holds a reference on every blob of
+// without reading it — the one way an archived version becomes the file:
+// cold start, a promote, a rollback and a coordinated restore all end here.
+// The file exists at the version's size and its bytes are read on first
+// access, so an install costs the version's metadata, and each file's bytes
+// are paid for when, and if, it is touched. The file holds a reference on every blob of
 // the version from now on (Entry.Hold), so a later Drop of the history or a
 // restore's truncate cannot free the bytes before the first access loads
 // them; parent directories are created first.
@@ -211,21 +201,34 @@ func (s *Server) seedCounters() error {
 	return nil
 }
 
-// journalRow is a decoded dlfm_txns row.
+// journalRow is a decoded dlfm_txns row: one file-system side effect of a
+// sub-transaction. Of file it carries the path and, for link and unlink, the
+// original owner and mode and the recovery option.
 type journalRow struct {
-	id       int64
-	repoTxn  uint64
-	hostTxn  uint64
-	action   string
-	path     string
-	origUID  int64
-	origMode int64
-	recovery bool
+	id      int64
+	repoTxn uint64
+	hostTxn uint64
+	action  string
+	file    fileInfo
+}
+
+// journal writes the dlfm_txns row for one side effect of host transaction
+// hostTxn inside tx — the one writer of the journal, for link, unlink and
+// close — and returns it.
+func (s *Server) journal(tx *sqlmini.Txn, hostTxn uint64, action string, fi fileInfo) (journalRow, error) {
+	r := journalRow{id: s.journalID(), repoTxn: tx.ID(), hostTxn: hostTxn, action: action, file: fi}
+	_, err := tx.Exec(
+		`INSERT INTO dlfm_txns (id, repo_txn, host_txn, action, path, orig_uid, orig_mode, recovery)
+		 VALUES (?, ?, ?, ?, ?, ?, ?, ?)`,
+		sqlmini.Int(r.id), sqlmini.Int(int64(r.repoTxn)), sqlmini.Int(int64(hostTxn)), sqlmini.Str(action),
+		sqlmini.Str(fi.path), sqlmini.Int(int64(fi.origUID)), sqlmini.Int(int64(fi.origMode)), sqlmini.Bool(fi.recovery))
+	return r, err
 }
 
 // journalRowsFor reads the journal rows written by one in-doubt repository
-// transaction. The rows were redone by repository recovery and are readable
-// by direct scan (the executor's locks don't apply to storage-level scans).
+// transaction, in journal order. The rows were redone by repository recovery
+// and are readable by direct scan (the executor's locks don't apply to
+// storage-level scans).
 func (s *Server) journalRowsFor(repoTxn uint64) ([]journalRow, error) {
 	tbl, err := s.repo.Table("dlfm_txns")
 	if err != nil {
@@ -235,14 +238,12 @@ func (s *Server) journalRowsFor(repoTxn uint64) ([]journalRow, error) {
 	tbl.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
 		if uint64(row[1].I) == repoTxn {
 			out = append(out, journalRow{
-				id:       row[0].I,
-				repoTxn:  uint64(row[1].I),
-				hostTxn:  uint64(row[2].I),
-				action:   row[3].S,
-				path:     row[4].S,
-				origUID:  row[5].I,
-				origMode: row[6].I,
-				recovery: row[7].B,
+				id:      row[0].I,
+				repoTxn: uint64(row[1].I),
+				hostTxn: uint64(row[2].I),
+				action:  row[3].S,
+				file: fileInfo{path: row[4].S, origUID: fs.UID(row[5].I),
+					origMode: fs.FileMode(row[6].I), recovery: row[7].B},
 			})
 		}
 		return true
@@ -277,11 +278,8 @@ func (s *Server) resolveInDoubt(rep *RecoveryReport) error {
 		} else {
 			rep.ResolvedAbort = append(rep.ResolvedAbort, hostTxn)
 		}
-		// Compensate or complete the file-system side effects.
-		for _, r := range rows {
-			if err := s.compensateJournal(r, committed); err != nil {
-				return err
-			}
+		if err := s.resolveJournal(rows, committed); err != nil {
+			return err
 		}
 		if _, err := s.repo.Exec(`DELETE FROM dlfm_txns WHERE host_txn = ?`, sqlmini.Int(int64(hostTxn))); err != nil {
 			return fmt.Errorf("dlfm: clear the journal of host txn %d: %w", hostTxn, err)
@@ -290,44 +288,72 @@ func (s *Server) resolveInDoubt(rep *RecoveryReport) error {
 	return nil
 }
 
-// compensateJournal applies the post-outcome file-system action for one
-// journaled side effect.
-func (s *Server) compensateJournal(r journalRow, committed bool) error {
-	switch r.action {
-	case "link":
-		if committed {
-			// Eager FS changes stand; the per-file scan archives version 0.
-			return nil
-		}
-		// Aborted link: undo the eager permission/ownership change.
-		node, err := s.cfg.Phys.Lookup(r.path)
-		if err != nil {
-			return nil // file vanished; nothing to restore
-		}
-		if err := s.cfg.Phys.Chown(node, rootCred, intToUID(r.origUID)); err != nil {
-			return err
-		}
-		return s.cfg.Phys.Chmod(node, rootCred, intToMode(r.origMode))
-	case "unlink":
+// resolveJournal finishes or undoes the side effects a sub-transaction
+// journaled, once its outcome is known: a commit in journal order, an abort
+// in reverse. Every row is resolved; the first error is returned.
+func (s *Server) resolveJournal(rows []journalRow, committed bool) error {
+	var firstErr error
+	for i := range rows {
+		r := rows[i]
 		if !committed {
-			return nil // deferred FS change never ran
+			r = rows[len(rows)-1-i]
 		}
-		// Committed unlink: complete the deferred restoration.
-		node, err := s.cfg.Phys.Lookup(r.path)
-		if err != nil {
+		if err := s.compensateJournal(r, committed); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// compensateJournal applies the post-outcome file-system action for one
+// journaled side effect. It is the one rule for it: the live outcome and
+// restart recovery both end here. At restart no replicator is attached, so
+// the ships are no-ops.
+func (s *Server) compensateJournal(r journalRow, committed bool) error {
+	path := r.file.path
+	switch {
+	case r.action == "link" && committed:
+		// Archive the initial version so an aborted first update can be
+		// rolled back (§4.2) and point-in-time restore has a floor, and ship
+		// it in the same stream as commits: the successors get the history
+		// floor and the promotion identity, so a failover right after link
+		// loses nothing. A path that already has a history (a re-link after
+		// a restore) archives nothing: the current content is the newest
+		// archived version, not version 0. A file no longer linked, or
+		// missing after a cold start, is the per-file scan's to decide.
+		fi, linked := s.lookupFile(path)
+		if !linked || !keepsHistory(fi.mode, fi.recovery) || !s.physExists(path) {
 			return nil
 		}
-		if err := s.cfg.Phys.Chown(node, rootCred, intToUID(r.origUID)); err != nil {
+		stateID := s.cfg.Host.StateID()
+		ver, _, err := s.archiveBehind(path, 0, stateID)
+		if err != nil {
 			return err
 		}
-		if err := s.cfg.Phys.Chmod(node, rootCred, intToMode(r.origMode)); err != nil {
+		return s.shipCurrent(context.Background(), path, int64(ver), stateID)
+	case r.action == "link":
+		// Undo the eager takeover / permission change.
+		return s.release(r.file)
+	case r.action == "unlink" && committed:
+		// The deferred restoration: the owner gets the file back, the
+		// history and the tokens go, and the unlink rides the replication
+		// stream so a later failover cannot resurrect the path.
+		if err := s.release(r.file); err != nil {
 			return err
 		}
-		return s.cfg.Archive.Drop(s.cfg.Name, r.path)
-	case "close":
-		// The repository outcome (version counter, update-entry deletion)
-		// was already resolved with the transaction; the per-file scan
-		// restores or archives from that state.
+		if err := s.cfg.Archive.Drop(s.cfg.Name, path); err != nil {
+			return err
+		}
+		s.purgeTokens(path)
+		if rep := s.replicator(); rep != nil {
+			return rep.ShipUnlink(path)
+		}
+		return nil
+	case r.action == "unlink", r.action == "close":
+		// An aborted unlink changed nothing on the file system. A close's
+		// repository outcome (version counter, update-entry deletion) was
+		// resolved with the transaction; the per-file scan restores or
+		// archives from that state.
 		return nil
 	default:
 		return fmt.Errorf("dlfm: unknown journal action %q", r.action)

@@ -342,9 +342,8 @@ func (s *Server) PromoteReplica(path string) error {
 
 // promoteInstalled finishes a promote over the installed file. A mode that
 // keeps no history drops the one it was moved with (the installed file holds
-// its blobs). The stored identity goes on in the order a link applies it —
-// original owner and permissions, then the control mode's at-rest
-// constraints — and the mtime last: every step before dirties it, and
+// its blobs). The control mode's at-rest owner and permissions go on
+// (setAtRest), and the mtime last: every step before dirties it, and
 // modification detection compares against exactly this value at the next
 // write open (§4.4). Then the replica row becomes the link row at ver.
 func (s *Server) promoteInstalled(ri replicaInfo, ver archive.Version) error {
@@ -354,17 +353,11 @@ func (s *Server) promoteInstalled(ri replicaInfo, ver archive.Version) error {
 			return err
 		}
 	}
+	if err := s.setAtRest(fileInfo{path: ri.path, mode: m.Mode, origUID: m.OrigUID, origMode: m.OrigMode}); err != nil {
+		return err
+	}
 	node, err := s.cfg.Phys.Lookup(ri.path)
 	if err != nil {
-		return err
-	}
-	if err := s.cfg.Phys.Chown(node, rootCred, m.OrigUID); err != nil {
-		return err
-	}
-	if err := s.cfg.Phys.Chmod(node, rootCred, m.OrigMode); err != nil {
-		return err
-	}
-	if err := s.applyLinkState(node, m.Mode); err != nil {
 		return err
 	}
 	if err := s.cfg.Phys.SetMtime(node, ri.mtime); err != nil {

@@ -120,7 +120,7 @@ func (s *Server) releaseTakeover(path string, fi fileInfo) error {
 	sh.mu.Lock()
 	delete(sh.takeovers, path)
 	sh.mu.Unlock()
-	return s.restoreLinkState(path, fi)
+	return s.setAtRest(fi)
 }
 
 // dropOpen discards open and sync state for an open id, waking only the
@@ -225,12 +225,7 @@ func (u *updateSub) XRMName() string { return "dlfm-update:" + u.s.cfg.Name }
 
 // PrepareXRM journals the host binding, then prepares the repo transaction.
 func (u *updateSub) PrepareXRM(hostTxn uint64) error {
-	_, err := u.repo.Exec(
-		`INSERT INTO dlfm_txns (id, repo_txn, host_txn, action, path, orig_uid, orig_mode, recovery)
-		 VALUES (?, ?, ?, 'close', ?, 0, 0, FALSE)`,
-		sqlmini.Int(u.s.journalID()), sqlmini.Int(int64(u.repo.ID())),
-		sqlmini.Int(int64(hostTxn)), sqlmini.Str(u.path))
-	if err != nil {
+	if _, err := u.s.journal(u.repo, hostTxn, "close", fileInfo{path: u.path}); err != nil {
 		return err
 	}
 	return u.repo.Prepare()
@@ -424,9 +419,10 @@ func (s *Server) rollbackUpdate(st *openState) error {
 }
 
 // restoreLastCommitted quarantines the in-flight content of path and
-// restores the newest archived version. Also used by restart recovery. Both
-// moves are manifest swaps: the quarantine copy shares its chunks with the
-// in-flight file, and the restore shares its chunks with the archive.
+// restores the newest archived version. Also used by restart recovery. The
+// quarantine copy is a manifest swap that shares its chunks with the
+// in-flight file, and the restore a deferred install (installDeferred) that
+// reads nothing.
 func (s *Server) restoreLastCommitted(path string) error {
 	fi, linked := s.lookupFile(path)
 	if !linked {
@@ -455,20 +451,14 @@ func (s *Server) restoreLastCommitted(path string) error {
 	default:
 		return err
 	}
-	// Restore the last committed version from the archive (paging its
-	// chunks back in from the disk tier if they were spilled).
+	// Install the last committed version from the archive, deferred: its
+	// bytes load on the file's first access.
 	entry, err := s.cfg.Archive.Latest(s.cfg.Name, path)
 	if err != nil {
 		return fmt.Errorf("dlfm: no archived version of %s to restore: %w", path, err)
 	}
-	snap, err := entry.Snapshot()
-	if err != nil {
-		return fmt.Errorf("dlfm: materialize %s v%d: %w", path, entry.Version, err)
-	}
-	err = s.writeRestored(path, snap)
-	snap.Release()
-	if err != nil {
-		return err
+	if err := s.installDeferred(entry); err != nil {
+		return fmt.Errorf("dlfm: restore %s: %w", path, err)
 	}
 	s.clearUpdateEntry(path)
 	if err := s.releaseTakeover(path, fi); err != nil {
@@ -486,39 +476,31 @@ func (s *Server) RestoreAsOf(stateID uint64) error {
 	if err != nil {
 		return err
 	}
-	type target struct {
-		fi fileInfo
-	}
-	var targets []target
+	var targets []fileInfo
 	tbl.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
-		fi := decodeFileRow(row)
-		if fi.recovery {
-			targets = append(targets, target{fi: fi})
+		if fi := decodeFileRow(row); fi.recovery {
+			targets = append(targets, fi)
 		}
 		return true
 	})
-	for _, t := range targets {
-		entry, err := s.cfg.Archive.AsOf(s.cfg.Name, t.fi.path, stateID)
+	for _, fi := range targets {
+		entry, err := s.cfg.Archive.AsOf(s.cfg.Name, fi.path, stateID)
 		if err != nil {
-			return fmt.Errorf("dlfm: restore %s as of %d: %w", t.fi.path, stateID, err)
+			return fmt.Errorf("dlfm: restore %s as of %d: %w", fi.path, stateID, err)
 		}
-		snap, err := entry.Snapshot()
-		if err != nil {
-			return fmt.Errorf("dlfm: materialize %s v%d: %w", t.fi.path, entry.Version, err)
+		// Installed deferred: the install holds the version's blobs, so the
+		// truncate below frees none of them.
+		if err := s.installDeferred(entry); err != nil {
+			return fmt.Errorf("dlfm: restore %s: %w", fi.path, err)
 		}
-		err = s.cfg.Phys.WriteFileSnapshot(t.fi.path, snap)
-		snap.Release()
-		if err != nil {
-			return err
-		}
-		if err := s.cfg.Archive.TruncateAfter(s.cfg.Name, t.fi.path, stateID); err != nil {
-			return fmt.Errorf("dlfm: truncate archive of %s: %w", t.fi.path, err)
+		if err := s.cfg.Archive.TruncateAfter(s.cfg.Name, fi.path, stateID); err != nil {
+			return fmt.Errorf("dlfm: truncate archive of %s: %w", fi.path, err)
 		}
 		if _, err := s.repo.Exec(`UPDATE dlfm_files SET cur_version = ? WHERE path = ?`,
-			sqlmini.Int(int64(entry.Version)), sqlmini.Str(t.fi.path)); err != nil {
+			sqlmini.Int(int64(entry.Version)), sqlmini.Str(fi.path)); err != nil {
 			return err
 		}
-		if err := s.restoreLinkState(t.fi.path, t.fi); err != nil {
+		if err := s.setAtRest(fi); err != nil {
 			return err
 		}
 	}

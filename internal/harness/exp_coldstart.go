@@ -165,13 +165,15 @@ func (c *coldConfig) run() ([]*Table, error) {
 	if len(rep.ArchivedVersions) != 0 {
 		return nil, fmt.Errorf("E18: cold start re-archived %v", rep.ArchivedVersions)
 	}
-	if d := srv.Archive.Dedup(); d.NewBytes != 0 {
-		return nil, fmt.Errorf("E18: cold start transferred %d new bytes to the archive", d.NewBytes)
+	reArchived := srv.Archive.Dedup().NewBytes
+	if reArchived != 0 {
+		return nil, fmt.Errorf("E18: cold start transferred %d new bytes to the archive", reArchived)
 	}
 
 	// And the recovered system keeps serving updates on the restored state.
-	// (The host database died with the process, so re-link through fresh SQL.)
-	sys.DB().MustExec(`CREATE TABLE cold (id INT PRIMARY KEY, ` + historyCols + `)`)
+	if err := coldCommit(sys, srv); err != nil {
+		return nil, fmt.Errorf("E18: after the cold start: %w", err)
+	}
 
 	t := &Table{
 		Caption: "E18. Whole-process kill: cold start from repo + archive dirs loses nothing",
@@ -194,11 +196,51 @@ func (c *coldConfig) run() ([]*Table, error) {
 	t.AddRow("files materialized from the archive", fmt.Sprintf("%d", len(rep.MaterializedFiles)))
 	t.AddRow("version counters reconciled down", fmt.Sprintf("%d (%s)", len(rep.ReconciledVersions), strings.Join(rep.ReconciledVersions, ",")))
 	t.AddRow("versions verified byte-identical", fmt.Sprintf("%d", verified))
-	t.AddRow("bytes re-archived on cold start", fmt.Sprintf("%d", srv.Archive.Dedup().NewBytes))
+	t.AddRow("bytes re-archived on cold start", fmt.Sprintf("%d", reArchived))
+	t.AddRow("fresh link → commit → read back → unlink after cold start", "ok")
 	t.AddRow("repo checkpoint interval / fsync policy", fmt.Sprintf("%d KiB / %s", c.CheckpointKB, orNone(c.Fsync)))
 	t.Note("the whole process dies: repository, archive store AND the physical file system — only the repo and archive directories survive")
 	t.Note("byte-identity, zero re-archiving, and anchored (scanned « total) recovery are enforced, not just reported")
 	return []*Table{t}, nil
+}
+
+// coldCommit links a fresh file on the cold-started server through SQL (the
+// host database died with the process), commits one update to it, reads the
+// update back and unlinks the file, so a second run over the same
+// directories still finds exactly the churned links.
+func coldCommit(sys *core.System, srv *core.FileServer) error {
+	const path = "/cold/fresh.bin"
+	sys.DB().MustExec(`CREATE TABLE cold (id INT PRIMARY KEY, ` + historyCols + `)`)
+	if err := seedAndLink(sys, srv, "cold", 0, path, []byte("fresh v0")); err != nil {
+		return fmt.Errorf("link %s: %w", path, err)
+	}
+	want := []byte("fresh v1")
+	sess := sys.NewSession(expUID)
+	if err := commitEdit(sys.DB(), sess.OpenWrite, "cold", 0, 0, want); err != nil {
+		return fmt.Errorf("commit to %s: %w", path, err)
+	}
+	url, err := readURL(sys.DB(), "cold", 0)
+	if err != nil {
+		return err
+	}
+	f, err := sess.OpenRead(url)
+	if err != nil {
+		return fmt.Errorf("read %s: %w", path, err)
+	}
+	got, err := f.ReadAll()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("read %s: %w", path, err)
+	}
+	if !bytes.Equal(got, want) {
+		return fmt.Errorf("%s reads %q after its commit, want %q", path, got, want)
+	}
+	if _, err := sys.DB().Exec(`DELETE FROM cold WHERE id = 0`); err != nil {
+		return fmt.Errorf("unlink %s: %w", path, err)
+	}
+	return nil
 }
 
 func orNone(p string) string {

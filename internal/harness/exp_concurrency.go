@@ -72,7 +72,7 @@ func (c *concurrencyConfig) run() ([]*Table, error) {
 	var baseline float64
 	var lastStats concurrencyStats
 	for _, n := range c.Sessions {
-		wall, ops, stats, err := c.round(n, false)
+		wall, ops, stats, err := c.round(n)
 		if err != nil {
 			return nil, err
 		}
@@ -139,13 +139,11 @@ type concurrencyStats struct {
 	inflightRejected int64
 }
 
-// round runs one session-count configuration to completion, with
-// request-scoped tracing on every member if trace is set (E22 re-runs this
-// hot path with and without it to price the instrumentation). The file
+// round runs one session-count configuration to completion. The file
 // servers form a cluster under one authority: each session's file is placed
 // by the consistent-hash ring rather than a static modulo assignment, the
 // same routing a scale-out deployment uses (E21).
-func (c *concurrencyConfig) round(sessions int, trace bool) (time.Duration, int64, concurrencyStats, error) {
+func (c *concurrencyConfig) round(sessions int) (time.Duration, int64, concurrencyStats, error) {
 	members := make([]core.ServerConfig, c.Servers)
 	for i := range members {
 		members[i] = core.ServerConfig{
@@ -153,7 +151,6 @@ func (c *concurrencyConfig) round(sessions int, trace bool) (time.Duration, int6
 			UpcallLatency: c.UpcallLatency,
 			OpenWait:      10 * time.Second,
 			TCPUpcalls:    c.Net,
-			Trace:         trace,
 		}
 	}
 	cl, err := core.NewCluster(core.ClusterConfig{Members: members, LockTimeout: 10 * time.Second})

@@ -12,9 +12,10 @@ import (
 // copies of every path and a write quorum of 2; Writers sessions soak in-place
 // update commits for Round, one member is killed silently (no FailServer
 // bookkeeping — the health probe has to notice) a third of the way in, and
-// the run fails if any acked commit is lost, any orphaned path stays dark
-// longer than Budget, or any replica's post-quiesce history digest diverges
-// from its owner's.
+// the run fails if a victim path serves less than its last acknowledged
+// commit right after its failover, any acked commit is lost, any orphaned
+// path stays dark longer than Budget, or any replica's post-quiesce history
+// digest diverges from its owner's.
 type failoverConfig struct {
 	Servers int
 	Files   int
@@ -76,25 +77,37 @@ func (c *failoverConfig) run() ([]*Table, error) {
 	// commits whose successor died) until the failover lands. The invariant
 	// is not "every op succeeds" but "every op that was ACKED survives".
 	// The kill: a third into the round, the member owning paths[0] dies
-	// silently — no FailServer bookkeeping, the probe must notice.
+	// silently — no FailServer bookkeeping, the probe must notice. Its paths
+	// hold still from the kill until each has been read once on its new
+	// owner, so no commit after the kill can hide a version the failover
+	// lost.
 	var victim string
 	victimPaths := make(map[string]bool)
+	var check failoverCheck
 	res, _ := s.write(writeRound{
 		writers:    min(c.Writers, len(s.paths)),
 		stop:       stopAfter(c.Round),
 		eventAfter: c.Round / 3,
-		event: func() error {
+		event: func(lock pathLocker) error {
 			id, err := cl.Owner(s.paths[0])
 			if err != nil {
 				return err
 			}
-			for _, p := range s.paths {
+			var idx []int
+			for i, p := range s.paths {
 				if owner, err := cl.Owner(p); err == nil && owner == id {
 					victimPaths[p] = true
+					idx = append(idx, i)
 				}
 			}
 			victim = id
-			return cl.KillServer(id)
+			acked, unlock := lock(idx)
+			defer unlock()
+			if err := cl.KillServer(id); err != nil {
+				return err
+			}
+			check = c.checkFailedOver(cl, s, id, idx, acked)
+			return nil
 		},
 	})
 	if res.eventErr != nil {
@@ -153,7 +166,7 @@ func (c *failoverConfig) run() ([]*Table, error) {
 
 	tbl := &Table{
 		Caption: "E23. Mid-soak member kill with ring-successor replication (Replicas=2, quorum=2)",
-		Headers: []string{"writers", "round", "acked commits", "rejected (outage)", "victim paths", "promoted", "failovers", "max dark", "budget", "lost acked", "digest mismatches"},
+		Headers: []string{"writers", "round", "acked commits", "rejected (outage)", "victim paths", "promoted", "failovers", "max dark", "budget", "lost at failover", "lost acked", "digest mismatches"},
 	}
 	tbl.AddRow(
 		fmt.Sprintf("%d", c.Writers),
@@ -165,12 +178,17 @@ func (c *failoverConfig) run() ([]*Table, error) {
 		fmt.Sprintf("%d", failovers),
 		Dur(maxDark),
 		Dur(c.Budget),
+		fmt.Sprintf("%d of %d", check.lost, check.read),
 		fmt.Sprintf("%d", lost),
 		fmt.Sprintf("%d", diverged),
 	)
 	tbl.Note("the kill is silent (no FailServer bookkeeping): the %v health probe detects the dead member and promotes each orphaned path's replica on its ring successor in place — no AbsorbDead, no cold start, no archive transfer; %d closes were rejected during the outage window and every one of them is accounted for (an acked close is never among them)", c.Probe, res.failed)
 	tbl.Note("quiesce = FlushReplication (anti-entropy; a close archives before it returns, so there is no archive work to wait for), then every path's history — (version, size, sha256) of each version — is compared owner vs every replica, and a mismatch prints both copies with their state ids; quorum-failed closes during the outage: %d", quorumFails)
 
+	tbl.Note("lost at failover: each victim path is read once on its new owner, before any commit after the kill can land on it, and must serve its last acknowledged sequence from before the kill or a later one")
+	if check.lost > 0 {
+		return []*Table{tbl}, fmt.Errorf("E23 FAILED: %d victim path(s) served less than their last acknowledged commit after the failover; first: %s", check.lost, check.first)
+	}
 	if lost > 0 {
 		return []*Table{tbl}, fmt.Errorf("E23 FAILED: %d acked commit(s) lost across the kill", lost)
 	}
@@ -184,4 +202,46 @@ func (c *failoverConfig) run() ([]*Table, error) {
 		return []*Table{tbl}, timingGate(tbl, "E23", "a path stayed dark %v after the kill (budget %v)", maxDark, c.Budget)
 	}
 	return []*Table{tbl}, nil
+}
+
+// failoverCheck is what checkFailedOver found: of the victim paths it read,
+// how many lost an acknowledged version, and the first of them.
+type failoverCheck struct {
+	read, lost int
+	first      string
+}
+
+// checkFailedOver reads the victim paths idx of s — whose last
+// acknowledged sequences before the kill of dead are acked — each once it
+// is served again, waiting up to the budget; a path still dark then is the
+// darkness gate's.
+func (c *failoverConfig) checkFailedOver(cl *core.Cluster, s *soak, dead string, idx []int, acked []int64) failoverCheck {
+	var ch failoverCheck
+	deadline := time.Now().Add(c.Budget)
+	for k, i := range idx {
+		p := s.paths[i]
+		for {
+			if id, err := cl.Owner(p); err == nil && id != dead {
+				break
+			}
+			if time.Now().After(deadline) {
+				break
+			}
+			time.Sleep(c.Probe / 5)
+		}
+		if id, err := cl.Owner(p); err != nil || id == dead {
+			continue
+		}
+		ch.read++
+		content, err := s.read(p)
+		seq := payloadSeq(content)
+		if err == nil && seq >= acked[k] {
+			continue
+		}
+		ch.lost++
+		if ch.first == "" {
+			ch.first = fmt.Sprintf("%s: acked %d before the kill, serves %d (%v)", p, acked[k], seq, err)
+		}
+	}
+	return ch
 }

@@ -88,7 +88,7 @@ func (c *scaleoutConfig) setup(servers int) (*core.Cluster, *soak, error) {
 // locks), so updating the hottest read targets would measure writer
 // starvation, not cluster capacity. Any failed read or commit fails the
 // round.
-func (c *scaleoutConfig) traffic(cl *core.Cluster, s *soak, event func() error) (*roundResult, int64, error) {
+func (c *scaleoutConfig) traffic(cl *core.Cluster, s *soak, event func(pathLocker) error) (*roundResult, int64, error) {
 	readURLs := make([]string, len(s.paths))
 	for i := range readURLs {
 		var err error
@@ -204,7 +204,7 @@ func (c *scaleoutConfig) run() ([]*Table, error) {
 	}
 	defer cl.Close()
 	var rebalanceWall time.Duration
-	trafficRes, _, trafficErr := c.traffic(cl, s, func() error {
+	trafficRes, _, trafficErr := c.traffic(cl, s, func(pathLocker) error {
 		t0 := time.Now()
 		err := cl.AddServer(c.member("fs3"))
 		rebalanceWall = time.Since(t0)

@@ -14,24 +14,17 @@ import (
 	"datalinks/internal/workload"
 )
 
-// traceConfig is E22's knobs.
+// traceConfig is E22's knobs: Sessions × Commits drive the completeness
+// phase, where every sampled commit trace must tell the whole session→fsync
+// story.
 type traceConfig struct {
-	// OverheadRounds is how many interleaved rounds of the E13 hot path run
-	// per mode; the best round of each mode is compared.
-	OverheadRounds int
-	// OverheadBudget is the maximum throughput the tracer may cost on the
-	// E13 hot path (fraction of untraced ops/s).
-	OverheadBudget float64
-	// Sessions × Commits drive the completeness phase: every sampled commit
-	// trace must tell the whole session→fsync story.
 	Sessions int
 	Commits  int
 }
 
-var e22 = traceConfig{OverheadRounds: 5, OverheadBudget: 0.05, Sessions: 4, Commits: 15}
+var e22 = traceConfig{Sessions: 4, Commits: 15}
 
 func (c *traceConfig) flags(fs *flag.FlagSet) {
-	posInt(fs, &c.OverheadRounds, "e22-rounds", "E22: interleaved overhead rounds per mode (best-of comparison)")
 	posInt(fs, &c.Sessions, "e22-sessions", "E22: sessions in the commit-trace completeness phase")
 	posInt(fs, &c.Commits, "e22-commits", "E22: commits per session in the completeness phase")
 }
@@ -39,8 +32,8 @@ func (c *traceConfig) flags(fs *flag.FlagSet) {
 func init() {
 	Register(Experiment{
 		ID:    "E22",
-		Title: "Tracing plane: overhead on the hot path, completeness of one commit's story",
-		Paper: "Per-request attribution only earns its keep if it is cheap enough to leave on and complete enough to trust: the trace of a commit must actually contain the wire hop, the lock wait, the archive barrier, and the fsync round it claims to decompose — verified, not assumed.",
+		Title: "Tracing plane: completeness of one commit's story, attribution of a slow one",
+		Paper: "Per-request attribution only earns its keep if it is complete enough to trust: the trace of a commit must actually contain the wire hop, the lock wait, the archive barrier, and the fsync round it claims to decompose — verified, not assumed.",
 		Run:   e22.run,
 		Flags: e22.flags,
 	})
@@ -51,58 +44,12 @@ func init() {
 var requiredCommitSpans = []string{"wire", "lock", "archive.barrier", "fsync"}
 
 func (c *traceConfig) run() ([]*Table, error) {
-	overheadTable, err := c.overhead()
-	if err != nil {
-		return []*Table{overheadTable}, err
-	}
 	completeTable, err := c.completeness()
 	if err != nil {
-		return []*Table{overheadTable, completeTable}, err
+		return []*Table{completeTable}, err
 	}
 	slowTable, err := e22SlowOp()
-	return []*Table{overheadTable, completeTable, slowTable}, err
-}
-
-// overhead prices the tracer on the E13 hot path: interleaved rounds with
-// tracing off and on, best round of each compared. FAILS beyond the budget.
-func (c *traceConfig) overhead() (*Table, error) {
-	sessions := e13.Sessions[len(e13.Sessions)-1]
-
-	// One discarded warmup round, then interleaved measured rounds: noise on
-	// a loaded machine (CI, the full test suite) dwarfs the real cost per
-	// round, so each mode keeps its best round — the closest approximation
-	// of its uncontended ceiling.
-	if _, _, _, err := e13.round(sessions, false); err != nil {
-		return nil, fmt.Errorf("E22 warmup round: %w", err)
-	}
-	best := map[bool]float64{}
-	for round := 0; round < c.OverheadRounds; round++ {
-		for _, traced := range []bool{false, true} {
-			wall, ops, _, err := e13.round(sessions, traced)
-			if err != nil {
-				return nil, fmt.Errorf("E22 overhead round (traced=%v): %w", traced, err)
-			}
-			if rate := float64(ops) / wall.Seconds(); rate > best[traced] {
-				best[traced] = rate
-			}
-		}
-	}
-	overhead := 1 - best[true]/best[false]
-
-	t := &Table{
-		Caption: "E22a. Tracing overhead on the E13 hot path",
-		Headers: []string{"mode", "sessions", "best ops/s", "overhead"},
-	}
-	t.AddRow("untraced", fmt.Sprintf("%d", sessions), fmt.Sprintf("%.0f", best[false]), "—")
-	t.AddRow("traced", fmt.Sprintf("%d", sessions), fmt.Sprintf("%.0f", best[true]), fmt.Sprintf("%.1f%%", overhead*100))
-	t.Note("best of %d interleaved rounds per mode; every op starts a trace (open/read/write/commit span trees into the bounded ring)", c.OverheadRounds)
-	t.Note("budget: %.0f%% — beyond it the experiment fails", c.OverheadBudget*100)
-
-	if overhead > c.OverheadBudget {
-		return t, timingGate(t, "E22", "tracing costs %.1f%% of hot-path throughput (budget %.0f%%)",
-			overhead*100, c.OverheadBudget*100)
-	}
-	return t, nil
+	return []*Table{completeTable, slowTable}, err
 }
 
 // completeness commits over real TCP with tracing on and then audits every
@@ -169,7 +116,7 @@ func (c *traceConfig) completeness() (*Table, error) {
 	}
 
 	t := &Table{
-		Caption: "E22b. Commit-trace completeness over real TCP (wire → lock → archive barrier → fsync)",
+		Caption: "E22a. Commit-trace completeness over real TCP (wire → lock → archive barrier → fsync)",
 		Headers: []string{"commit traces", "complete", "unstitched", "missing spans"},
 	}
 	missNote := "none"
@@ -238,7 +185,7 @@ func e22SlowOp() (*Table, error) {
 		}
 	}
 	t := &Table{
-		Caption: "E22c. Slow-op surfacing: a wire-delayed commit, attributed",
+		Caption: "E22b. Slow-op surfacing: a wire-delayed commit, attributed",
 		Headers: []string{"commit wall", "wire chaos_delay_ms", "dlfm span", "slow_op log lines"},
 	}
 	if slow == nil {

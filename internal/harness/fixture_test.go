@@ -118,7 +118,7 @@ func TestExperimentFlags(t *testing.T) {
 		{"-exp", "E18", "-e18-dir", "/var/tmp/e18", "-e18-fsync", "group"},
 		{"-exp", "E20", "-e20-drop", "0.1", "-e20-reset", "0", "-e20-delay", "1", "-e20-seed", "7"},
 		{"-exp", "E21", "-e21-servers", "1,4,16"},
-		{"-exp", "E22", "-e22-rounds", "5", "-e22-sessions", "8", "-e22-commits", "20"},
+		{"-exp", "E22", "-e22-sessions", "8", "-e22-commits", "20"},
 		{"-exp", "E23", "-e23-round", "5s", "-e23-writers", "32", "-e23-budget", "1s"},
 	}
 	for _, args := range accepted {
@@ -139,7 +139,7 @@ func TestExperimentFlags(t *testing.T) {
 
 	rejected := [][]string{
 		{"-sessions", "1,x"}, {"-sessions", "0"}, {"-sessions", ""}, {"-e21-servers", "4,-1"},
-		{"-servers", "0"}, {"-ops", "-3"}, {"-e15-files", "none"}, {"-e22-rounds", "0"},
+		{"-servers", "0"}, {"-ops", "-3"}, {"-e15-files", "none"}, {"-e22-sessions", "0"},
 		{"-e23-round", "0s"}, {"-e23-budget", "-1s"}, {"-e23-round", "soon"},
 		{"-upcall-latency", "-1ms"}, {"-e20-drop", "1.5"}, {"-e20-delay", "-0.1"},
 	}

@@ -34,8 +34,8 @@ func (t *Table) Note(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
-// timingGate turns a violated wall-clock gate — E21's >= 3x scaling, E22's
-// tracing overhead budget, E23's darkness budget — into the run's error, or,
+// timingGate turns a violated wall-clock gate — E21's >= 3x scaling, E23's
+// darkness budget — into the run's error, or,
 // where the clock cannot be trusted, into a note on t. Those gates are
 // statements about the uninstrumented system with the machine to itself:
 // the race detector multiplies per-op CPU cost, and `go test ./...` shares

@@ -172,10 +172,15 @@ type writeRound struct {
 	failFast     bool
 	afterFailure func(i int) // runs after each failed commit on row i
 	// event, when set, runs once, eventAfter into the round, beside the
-	// writers.
-	event      func() error
+	// writers; with its pathLocker it can hold rows still meanwhile.
+	event      func(pathLocker) error
 	eventAfter time.Duration
 }
+
+// pathLocker locks rows idx against the writers, once the commits in flight
+// on them have ended, and returns their acknowledged sequences and the
+// unlock.
+type pathLocker func(idx []int) (acked []int64, unlock func())
 
 // roundResult is what one round acknowledged.
 type roundResult struct {
@@ -202,6 +207,18 @@ func (s *soak) write(r writeRound) (*roundResult, error) {
 	var commits, failed atomic.Int64
 	var eventStarted atomic.Bool
 	var first firstError
+	lock := func(idx []int) ([]int64, func()) {
+		acked := make([]int64, len(idx))
+		for k, i := range idx {
+			pathMu[i].Lock()
+			acked[k] = res.acked[i]
+		}
+		return acked, func() {
+			for _, i := range idx {
+				pathMu[i].Unlock()
+			}
+		}
+	}
 	eventDone := make(chan struct{})
 	go func() {
 		defer close(eventDone)
@@ -209,7 +226,7 @@ func (s *soak) write(r writeRound) (*roundResult, error) {
 			time.Sleep(r.eventAfter)
 			res.eventAt = time.Now()
 			eventStarted.Store(true)
-			res.eventErr = r.event()
+			res.eventErr = r.event(lock)
 		}
 	}()
 	var wg sync.WaitGroup

@@ -209,6 +209,13 @@ func FuzzParse(f *testing.F) {
 	for _, s := range sqlSeeds(f) {
 		f.Add(s)
 	}
+	// An INSERT whose VALUES mix placeholders with string, number and
+	// boolean literals: the callers now bind every journal value, so the
+	// extracted seeds no longer hold this shape.
+	f.Add(`INSERT INTO dlfm_txns (id, repo_txn, host_txn, action, path, orig_uid, orig_mode, recovery)
+		 VALUES (?, ?, ?, 'link', ?, ?, ?, ?)`)
+	f.Add(`INSERT INTO dlfm_txns (id, repo_txn, host_txn, action, path, orig_uid, orig_mode, recovery)
+		 VALUES (?, ?, ?, 'close', ?, 0, 0, FALSE)`)
 	var c stmtCache
 	f.Fuzz(func(t *testing.T, src string) {
 		plain, perr := Parse(src)

@@ -1,15 +1,12 @@
 package upcall
 
 import (
-	"context"
 	"errors"
 	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"datalinks/internal/obs"
 )
 
 // Delay is a uniform injected-latency distribution: with probability Prob,
@@ -30,8 +27,8 @@ type Delay struct {
 //   - Partition: while set, every dial and every in-flight message fails
 //     (a full network partition).
 //
-// Wrap an in-process Service with WrapService, or a TCP client's dialer
-// with WrapDial (every connection's reads/writes then roll the dice).
+// Wrap a TCP client's dialer with WrapDial (every connection's reads/writes
+// then roll the dice), or consult Strike per message of another stream.
 // Enable(false) turns all injection off — a soak can end with a clean
 // verification phase over the same transport.
 type Chaos struct {
@@ -137,53 +134,10 @@ func (c *Chaos) Strike() error {
 	return nil
 }
 
-// WrapService wraps an in-process Service with fault injection. Faults are
-// injected before the call reaches the service, modelling a request lost
-// or delayed on its way to the daemon.
-func (c *Chaos) WrapService(svc Service) Service {
-	return &chaosService{c: c, svc: svc}
-}
-
-type chaosService struct {
-	c   *Chaos
-	svc Service
-}
-
-func (s *chaosService) Upcall(req Request) (Response, error) {
-	return s.UpcallCtx(context.Background(), req)
-}
-
-// UpcallCtx injects faults, attributing any injected delay to the request's
-// span (attr chaos_delay_ms) so traces separate injected from real latency.
-func (s *chaosService) UpcallCtx(ctx context.Context, req Request) (Response, error) {
-	if !s.c.active() {
-		return Call(ctx, s.svc, req)
-	}
-	if s.c.partitioned.Load() {
-		s.c.partHits.Add(1)
-		return Response{}, connLost(errChaosPartitioned)
-	}
-	delay, drop, reset := s.c.roll()
-	if delay > 0 {
-		time.Sleep(delay)
-		obs.SpanFrom(ctx).SetAttr("chaos_delay_ms", float64(delay.Nanoseconds())/1e6)
-	}
-	if reset {
-		s.c.resets.Add(1)
-		return Response{}, connLost(errChaosReset)
-	}
-	if drop {
-		s.c.drops.Add(1)
-		return Response{}, connLost(errChaosDropped)
-	}
-	return Call(ctx, s.svc, req)
-}
-
 // WrapDial wraps a DialFunc so every connection it opens injects faults at
-// the read/write level (nil dial = the production TCP dialer). Unlike
-// WrapService, a dropped write here is swallowed silently — the request
-// may or may not have reached the daemon, and only the reader's deadline
-// uncovers it. That is the case that makes retry discipline hard, so it is
+// the read/write level (nil dial = the production TCP dialer). A dropped
+// write is swallowed silently — the request may or may not have reached the
+// daemon, and only the reader's deadline uncovers it. That is the case that makes retry discipline hard, so it is
 // the one the chaos tests lean on.
 func (c *Chaos) WrapDial(dial DialFunc) DialFunc {
 	if dial == nil {

@@ -695,42 +695,6 @@ func TestChaosDeterministic(t *testing.T) {
 	}
 }
 
-// WrapService injects connection-scoped faults in-process, and Enable(false)
-// turns them all off.
-func TestChaosWrapService(t *testing.T) {
-	inner := &echoService{resp: Response{OK: true}}
-	ch := &Chaos{DropProb: 1}
-	svc := ch.WrapService(inner)
-	if _, err := svc.Upcall(Request{Op: OpClose}); !errors.Is(err, ErrConnLost) {
-		t.Fatalf("err = %v, want ErrConnLost", err)
-	}
-	if ch.Stats().Drops != 1 {
-		t.Fatalf("stats = %+v", ch.Stats())
-	}
-	inner.mu.Lock()
-	n := len(inner.calls)
-	inner.mu.Unlock()
-	if n != 0 {
-		t.Fatal("dropped request still reached the service")
-	}
-
-	ch.Enable(false)
-	if resp, err := svc.Upcall(Request{Op: OpClose}); err != nil || !resp.OK {
-		t.Fatalf("disabled chaos still faulted: %+v, %v", resp, err)
-	}
-
-	ch.Enable(true)
-	ch.DropProb = 0
-	ch.Partition(true)
-	if _, err := svc.Upcall(Request{Op: OpClose}); !errors.Is(err, ErrConnLost) {
-		t.Fatalf("partition err = %v, want ErrConnLost", err)
-	}
-	ch.Partition(false)
-	if resp, err := svc.Upcall(Request{Op: OpClose}); err != nil || !resp.OK {
-		t.Fatalf("partition heal: %+v, %v", resp, err)
-	}
-}
-
 // Soak: a real server, a chaos-wrapped client, and every op must still
 // succeed via retries while faults are provably injected.
 func TestChaosSoakOverTCP(t *testing.T) {
