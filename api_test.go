@@ -367,3 +367,81 @@ func TestPublicAPIReferenceStack(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterUserTxnSpansMembers commits one user transaction over two paths
+// the ring places on different members, through the same Session type a
+// System hands out, and reads both back.
+func TestClusterUserTxnSpansMembers(t *testing.T) {
+	const uid = 100
+	c, err := datalinks.OpenCluster(datalinks.ClusterConfig{Members: []datalinks.ServerConfig{
+		{Name: "m1", OpenWait: time.Second}, {Name: "m2", OpenWait: time.Second}, {Name: "m3", OpenWait: time.Second},
+	}})
+	if err != nil {
+		t.Fatalf("open cluster: %v", err)
+	}
+	closeAtEnd(t, c)
+	c.MustExec(`CREATE TABLE docs (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES)`)
+
+	// The first two candidate paths with different owners.
+	var paths []string
+	var owners []string
+	for i := 0; len(paths) < 2 && i < 64; i++ {
+		p := fmt.Sprintf("/u/f%02d", i)
+		o, err := c.Owner(p)
+		if err != nil {
+			t.Fatalf("owner %s: %v", p, err)
+		}
+		if len(owners) == 0 || owners[0] != o {
+			paths, owners = append(paths, p), append(owners, o)
+		}
+	}
+	if len(paths) != 2 {
+		t.Fatalf("no two paths on different members among 64 candidates")
+	}
+	for i, p := range paths {
+		if err := c.SeedFile(p, []byte("v0"), uid); err != nil {
+			t.Fatalf("seed %s: %v", p, err)
+		}
+		if _, err := c.Exec(`INSERT INTO docs VALUES (?, DLVALUE(?))`, i, c.URL(p)); err != nil {
+			t.Fatalf("link %s: %v", p, err)
+		}
+	}
+
+	var sess *datalinks.Session = c.Session(uid)
+	u := sess.BeginUserTxn()
+	want := []string{"first member's edit", "second"}
+	for i := range paths {
+		url, err := c.QueryString(`SELECT DLURLCOMPLETEWRITE(doc) FROM docs WHERE id = ?`, i)
+		if err != nil {
+			t.Fatalf("write url %d: %v", i, err)
+		}
+		f, err := u.OpenWrite(url)
+		if err != nil {
+			t.Fatalf("open %s on %s: %v", paths[i], owners[i], err)
+		}
+		if err := f.WriteAll([]byte(want[i])); err != nil {
+			t.Fatalf("write %s: %v", paths[i], err)
+		}
+	}
+	if err := u.Commit(); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+
+	for i, p := range paths {
+		f, err := sess.OpenRead(c.URL(p))
+		if err != nil {
+			t.Fatalf("open read %s: %v", p, err)
+		}
+		size, err := f.Size()
+		if err != nil || size != int64(len(want[i])) {
+			t.Fatalf("%s: size = %d, %v; want %d", p, size, err, len(want[i]))
+		}
+		got, err := f.ReadAll()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil || string(got) != want[i] {
+			t.Fatalf("%s on %s: read %q, %v; want %q", p, owners[i], got, err, want[i])
+		}
+	}
+}

@@ -104,35 +104,9 @@ func (c *Cluster) SeedFile(path string, content []byte, owner int32) error {
 }
 
 // Session returns an application identity with the given uid. Opens resolve
-// the path's current owner through the ring and fail over once if a
+// the path's current owner through the ring and follow it once if a
 // migration races the open.
-func (c *Cluster) Session(uid int32) *ClusterSession {
-	return &ClusterSession{inner: c.inner.NewSession(fs.UID(uid))}
-}
-
-// ClusterSession is an application identity against a Cluster.
-type ClusterSession struct {
-	inner *core.ClusterSession
-}
-
-// OpenRead opens a linked file for reading (URL from DLURLCOMPLETE).
-func (s *ClusterSession) OpenRead(url string) (*File, error) {
-	f, err := s.inner.OpenRead(url)
-	if err != nil {
-		return nil, err
-	}
-	return &File{inner: f}, nil
-}
-
-// OpenWrite begins an in-place update transaction (URL from
-// DLURLCOMPLETEWRITE).
-func (s *ClusterSession) OpenWrite(url string) (*File, error) {
-	f, err := s.inner.OpenWrite(url)
-	if err != nil {
-		return nil, err
-	}
-	return &File{inner: f}, nil
-}
+func (c *Cluster) Session(uid int32) *Session { return c.inner.NewSession(fs.UID(uid)) }
 
 // Internal exposes the core cluster (experiment harnesses, admin tools).
 func (c *Cluster) Internal() *core.Cluster { return c.inner }

@@ -40,6 +40,11 @@
 //	f, _ := sys.Session(100).OpenWrite(url)
 //	f.WriteAll([]byte("<html>v2</html>"))
 //	f.Close() // commit: metadata updated, version archived
+//
+// A Cluster (OpenCluster) spreads one DataLinks authority over several file
+// servers. Its Session is the same type a System hands out, so files, user
+// transactions (Session.BeginUserTxn) and their semantics are the same on
+// both deployments; only the way a URL picks its file server differs.
 package datalinks
 
 import (
@@ -262,102 +267,20 @@ func (s *System) Crash() { s.core.Crash() }
 func (f *FileServer) Recovery() *dlfm.RecoveryReport { return f.inner.Recovery }
 
 // Session returns an application identity with the given uid.
-func (s *System) Session(uid int32) *Session {
-	return &Session{inner: s.core.NewSession(fs.UID(uid))}
-}
+func (s *System) Session(uid int32) *Session { return s.core.NewSession(fs.UID(uid)) }
 
 // Session is an application identity; files are opened through it with the
-// standard file-system API semantics.
-type Session struct {
-	inner *core.Session
-}
-
-// OpenRead opens a linked file for reading. Pass the URL returned by
-// DLURLCOMPLETE — it carries the read token when the mode requires one.
-func (s *Session) OpenRead(url string) (*File, error) {
-	f, err := s.inner.OpenRead(url)
-	if err != nil {
-		return nil, err
-	}
-	return &File{inner: f}, nil
-}
-
-// OpenWrite begins an in-place update transaction. Pass the URL returned by
-// DLURLCOMPLETEWRITE.
-func (s *Session) OpenWrite(url string) (*File, error) {
-	f, err := s.inner.OpenWrite(url)
-	if err != nil {
-		return nil, err
-	}
-	return &File{inner: f}, nil
-}
-
-// BeginUserTxn groups several file updates under one user transaction.
-func (s *Session) BeginUserTxn() *UserTxn {
-	return &UserTxn{inner: s.inner.BeginUserTxn()}
-}
+// standard file-system API semantics. A System and a Cluster hand out the
+// same Session.
+type Session = core.Session
 
 // File is an open linked file. For write opens, Close commits the update
 // transaction and Abort rolls it back to the last committed version.
-type File struct {
-	inner *core.File
-}
+type File = core.File
 
-// Read reads from the current offset; 0 bytes with nil error is EOF.
-func (f *File) Read(p []byte) (int, error) { return f.inner.Read(p) }
-
-// ReadAll reads the entire file.
-func (f *File) ReadAll() ([]byte, error) { return f.inner.ReadAll() }
-
-// Write writes at the current offset.
-func (f *File) Write(p []byte) (int, error) { return f.inner.Write(p) }
-
-// WriteAt writes at an absolute offset.
-func (f *File) WriteAt(off int64, p []byte) (int, error) { return f.inner.WriteAt(off, p) }
-
-// ReadAt reads at an absolute offset without moving the file offset.
-func (f *File) ReadAt(off int64, p []byte) (int, error) { return f.inner.ReadAt(off, p) }
-
-// WriteAll replaces the whole file content.
-func (f *File) WriteAll(p []byte) error { return f.inner.WriteAll(p) }
-
-// Truncate sets the file length.
-func (f *File) Truncate(size int64) error { return f.inner.Truncate(size) }
-
-// Size returns the current file size.
-func (f *File) Size() (int64, error) {
-	attr, err := f.inner.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return attr.Size, nil
-}
-
-// Close ends the access; for write opens this commits the update.
-func (f *File) Close() error { return f.inner.Close() }
-
-// Abort rolls an in-place update back to the last committed version.
-func (f *File) Abort() error { return f.inner.Abort() }
-
-// UserTxn is a multi-file update transaction (§3.1's nested transactions).
-type UserTxn struct {
-	inner *core.UserTxn
-}
-
-// OpenWrite begins a file-update sub-transaction.
-func (u *UserTxn) OpenWrite(url string) (*File, error) {
-	f, err := u.inner.OpenWrite(url)
-	if err != nil {
-		return nil, err
-	}
-	return &File{inner: f}, nil
-}
-
-// Commit commits every sub-transaction in order.
-func (u *UserTxn) Commit() error { return u.inner.Commit() }
-
-// Abort rolls back every in-flight sub-transaction.
-func (u *UserTxn) Abort() error { return u.inner.Abort() }
+// UserTxn is a multi-file update transaction (§3.1's nested transactions),
+// begun with Session.BeginUserTxn.
+type UserTxn = core.UserTxn
 
 // RegisterContentHook derives user-metadata columns from file content on
 // every committed update of files linked through (table, column): the
@@ -395,29 +318,7 @@ func (s *System) FileServer(name string) (*FileServer, error) {
 // SeedFile creates (or replaces) a file owned by the given uid — setup
 // convenience for populating a file server before linking.
 func (f *FileServer) SeedFile(path string, content []byte, owner int32) error {
-	dir := path
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			dir = path[:i]
-			break
-		}
-	}
-	if dir != "" {
-		if err := f.inner.Phys.MkdirAll(dir, fs.Cred{UID: fs.Root}, 0o777); err != nil {
-			return err
-		}
-	}
-	if err := f.inner.Phys.WriteFile(path, content); err != nil {
-		return err
-	}
-	ino, err := f.inner.Phys.Lookup(path)
-	if err != nil {
-		return err
-	}
-	if err := f.inner.Phys.Chown(ino, fs.Cred{UID: fs.Root}, fs.UID(owner)); err != nil {
-		return err
-	}
-	return f.inner.Phys.Chmod(ino, fs.Cred{UID: fs.UID(owner)}, 0o644)
+	return f.inner.SeedFile(path, content, fs.UID(owner))
 }
 
 // ReadFile reads a file's content directly (administrative access).

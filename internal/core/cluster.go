@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -34,8 +33,6 @@ import (
 	"datalinks/internal/sqlmini"
 	"datalinks/internal/upcall"
 )
-
-var clusterRoot = fs.Cred{UID: fs.Root}
 
 // clusterAuthority is a cluster's file-server name in DATALINK URLs
 // (dlfs://cluster/...): every member's DLFM registers under it, so URLs,
@@ -218,22 +215,22 @@ func (c *Cluster) SeedFile(path string, content []byte, uid fs.UID) error {
 	if err != nil {
 		return err
 	}
-	if i := strings.LastIndexByte(path, '/'); i > 0 {
-		if err := m.Phys.MkdirAll(path[:i], clusterRoot, 0o777); err != nil {
-			return err
-		}
+	return m.SeedFile(path, content, uid)
+}
+
+// NewSession returns a session with the given uid. Its opens resolve the
+// path's current owner through the router.
+func (c *Cluster) NewSession(uid fs.UID) *Session {
+	return &Session{r: c, cred: fs.Cred{UID: uid}}
+}
+
+// resolve serves a URL under the cluster's authority from the path's current
+// owner.
+func (c *Cluster) resolve(server, path string) (*FileServer, error) {
+	if server != clusterAuthority {
+		return nil, fmt.Errorf("core: URL authority %q is not this cluster (%q)", server, clusterAuthority)
 	}
-	if err := m.Phys.WriteFile(path, content); err != nil {
-		return err
-	}
-	ino, err := m.Phys.Lookup(path)
-	if err != nil {
-		return err
-	}
-	if err := m.Phys.Chown(ino, clusterRoot, uid); err != nil {
-		return err
-	}
-	return m.Phys.Chmod(ino, fs.Cred{UID: uid}, 0o644)
+	return c.router.owner(path)
 }
 
 // Close shuts down every member stack, then the host database. The error

@@ -302,7 +302,7 @@ func TestClusterFailedMoveLeavesTheSourceServing(t *testing.T) {
 	}
 
 	// With the obstacle gone the move lands, history and all.
-	if err := dst.Phys.Remove("/c", clusterRoot); err != nil {
+	if err := dst.Phys.Remove("/c", rootCred); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.migratePath(src, dst, p); err != nil {

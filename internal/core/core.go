@@ -164,6 +164,31 @@ func (f *FileServer) UpcallServer() *upcall.Server { return f.tcpServer }
 // upcalls). Experiments use it for the retry/giveup/breaker counters.
 func (f *FileServer) UpcallClient() *upcall.Client { return f.tcpClient }
 
+// rootCred is the superuser, for administrative file system calls.
+var rootCred = fs.Cred{UID: fs.Root}
+
+// SeedFile creates (or replaces) an unlinked file owned by uid with mode
+// 0644, making its parent directory first when the path has one — setup for
+// populating a file server before linking.
+func (f *FileServer) SeedFile(path string, content []byte, uid fs.UID) error {
+	if i := strings.LastIndexByte(path, '/'); i > 0 {
+		if err := f.Phys.MkdirAll(path[:i], rootCred, 0o777); err != nil {
+			return err
+		}
+	}
+	if err := f.Phys.WriteFile(path, content); err != nil {
+		return err
+	}
+	ino, err := f.Phys.Lookup(path)
+	if err != nil {
+		return err
+	}
+	if err := f.Phys.Chown(ino, rootCred, uid); err != nil {
+		return err
+	}
+	return f.Phys.Chmod(ino, fs.Cred{UID: uid}, 0o644)
+}
+
 // System is a running DataLinks deployment.
 type System struct {
 	Engine  *engine.Engine
@@ -463,16 +488,27 @@ func (sys *System) CrashAndRecoverServer(name string) (*dlfm.RecoveryReport, err
 // instance afterwards.
 func (sys *System) RecoverHost() error { return sys.Engine.RecoverHost() }
 
-// Session is an application identity working against the system.
+// Session is an application identity working against a deployment; files are
+// opened through it with the standard file-system API semantics. A System and
+// a Cluster hand out the same Session: they differ only in how a URL picks the
+// member that serves it.
 type Session struct {
-	sys  *System
+	r    resolver
 	cred fs.Cred
+}
+
+// resolver picks the member that serves a URL's authority and clean path.
+type resolver interface {
+	resolve(server, path string) (*FileServer, error)
 }
 
 // NewSession returns a session with the given uid.
 func (sys *System) NewSession(uid fs.UID) *Session {
-	return &Session{sys: sys, cred: fs.Cred{UID: uid}}
+	return &Session{r: sys, cred: fs.Cred{UID: uid}}
 }
+
+// resolve serves a URL from the file server its authority names.
+func (sys *System) resolve(server, _ string) (*FileServer, error) { return sys.Server(server) }
 
 // Cred returns the session's credentials.
 func (s *Session) Cred() fs.Cred { return s.cred }
@@ -484,7 +520,6 @@ var errAborted = errors.New("core: update aborted")
 // file-update transaction: Close commits, Abort rolls back to the last
 // committed version.
 type File struct {
-	sess    *Session
 	srv     *FileServer
 	path    string
 	fd      vfs.FD
@@ -507,37 +542,56 @@ func SplitURL(url string) (server, fsName string, err error) {
 	return l.Server, name, nil
 }
 
-// open opens a URL through the DataLinks file system.
+// open opens a URL through the DataLinks file system of the member the
+// resolver picks. If a migration lands between resolving and the open (the
+// open reaches a member the path just left), the open retries once against
+// the new owner — the same URL, the same token, a different member. (A
+// System's member changes only when CrashAndRecoverServer replaced it.) When
+// the second resolution names the same member, the first error was real.
 func (s *Session) open(url string, mode fs.AccessMode) (*File, error) {
 	server, name, err := SplitURL(url)
 	if err != nil {
 		return nil, err
 	}
-	srv, err := s.sys.Server(server)
-	if err != nil {
-		return nil, err
-	}
 	cleanPath, _, _ := token.Extract(name)
-	tr := srv.Obs.Start("open")
-	root := tr.Root()
-	root.SetAttr("path", cleanPath)
-	root.SetAttr("server", server)
-	fd, err := srv.LFS.OpenCtx(obs.ContextWithSpan(context.Background(), root), s.cred, name, mode)
-	if err != nil {
-		root.SetAttr("error", err.Error())
+	var lastErr error
+	var last *FileServer
+	for attempt := 0; attempt < 2; attempt++ {
+		m, err := s.r.resolve(server, cleanPath)
+		if err != nil {
+			return nil, err
+		}
+		if m == last {
+			return nil, lastErr
+		}
+		tr := m.Obs.Start("open")
+		root := tr.Root()
+		root.SetAttr("path", cleanPath)
+		root.SetAttr("server", m.Name)
+		if attempt > 0 {
+			// The first member rejected the open because the path moved away
+			// mid-flight; this attempt followed the ring forward.
+			root.SetAttr("ring_forwarded", true)
+		}
+		fd, err := m.LFS.OpenCtx(obs.ContextWithSpan(context.Background(), root), s.cred, name, mode)
+		if err != nil {
+			root.SetAttr("error", err.Error())
+		}
 		tr.Finish()
-		return nil, err
+		if err == nil {
+			return &File{srv: m, path: cleanPath, fd: fd, write: mode&fs.AccessWrite != 0}, nil
+		}
+		lastErr, last = err, m
 	}
-	tr.Finish()
-	return &File{sess: s, srv: srv, path: cleanPath, fd: fd, write: mode&fs.AccessWrite != 0}, nil
+	return nil, lastErr
 }
 
-// OpenRead opens a linked file for reading. The URL should come from
-// DLURLCOMPLETE (it carries the read token when one is required).
+// OpenRead opens a linked file for reading. Pass the URL returned by
+// DLURLCOMPLETE — it carries the read token when the mode requires one.
 func (s *Session) OpenRead(url string) (*File, error) { return s.open(url, fs.AccessRead) }
 
-// OpenWrite begins an in-place update transaction on a linked file. The URL
-// should come from DLURLCOMPLETEWRITE (it carries the write token).
+// OpenWrite begins an in-place update transaction on a linked file. Pass the
+// URL returned by DLURLCOMPLETEWRITE — it carries the write token.
 func (s *Session) OpenWrite(url string) (*File, error) { return s.open(url, fs.ReadWrite) }
 
 // trace records one data-plane operation as a single-span trace (these ops
@@ -556,7 +610,7 @@ func (f *File) trace(op string) func(err error) {
 	}
 }
 
-// Read reads from the current offset.
+// Read reads from the current offset; 0 bytes with nil error is EOF.
 func (f *File) Read(p []byte) (int, error) {
 	done := f.trace("read")
 	n, err := f.srv.LFS.Read(f.fd, p)
@@ -611,6 +665,12 @@ func (f *File) Truncate(size int64) error {
 
 // Stat returns the file's attributes.
 func (f *File) Stat() (fs.Attr, error) { return f.srv.LFS.Stat(f.fd) }
+
+// Size returns the current file size.
+func (f *File) Size() (int64, error) {
+	attr, err := f.Stat()
+	return attr.Size, err
+}
 
 // SeekTo repositions the descriptor to an absolute offset.
 func (f *File) SeekTo(off int64) error { return f.srv.LFS.Seek(f.fd, off) }
@@ -675,9 +735,11 @@ func (f *File) WriteAll(p []byte) error {
 	return nil
 }
 
-// UserTxn groups several file updates as sub-transactions of one logical
-// user transaction (§3.1's nested-transaction sketch): Commit closes the
-// files in order; the first failure aborts every remaining in-flight update.
+// UserTxn is a multi-file update transaction: several file updates run as
+// sub-transactions of one logical user transaction (§3.1's nested-transaction
+// sketch). Commit closes the files in order; the first failure aborts every
+// remaining in-flight update. It works the same against a System and a
+// Cluster, whose members may each own some of its files.
 type UserTxn struct {
 	sess  *Session
 	files []*File

@@ -750,7 +750,7 @@ func TestReplicationFailedMoveLeavesNoStrayHistory(t *testing.T) {
 	// A directory where the file should go fails the promote after the
 	// history transfer.
 	for _, m := range []*FileServer{replica, stranger} {
-		if err := m.Phys.MkdirAll(p, clusterRoot, 0o777); err != nil {
+		if err := m.Phys.MkdirAll(p, rootCred, 0o777); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -773,7 +773,7 @@ func TestReplicationFailedMoveLeavesNoStrayHistory(t *testing.T) {
 	if err := commitUpdate(t, c, 0, "v2 of "+p); err != nil {
 		t.Fatalf("commit after failed moves: %v", err)
 	}
-	if err := replica.Phys.Rmdir(p, clusterRoot); err != nil {
+	if err := replica.Phys.Rmdir(p, rootCred); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.migratePath(src, replica, p); err != nil {

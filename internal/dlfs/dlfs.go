@@ -28,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"datalinks/internal/fs"
 	"datalinks/internal/metrics"
@@ -115,11 +116,16 @@ type openFile struct {
 	openID  uint64 // DLFM correlation id; 0 for native opens
 	managed bool   // true when DLFM approved this open (close must upcall)
 	write   bool
-	locked  bool // holds the fs_lockctl exclusive lock (rfd writes)
+	// owner names the fs_lockctl exclusive lock this open holds (rfd
+	// writes); "" when it holds none.
+	owner string
 }
 
 // lockOwner names the lockctl owner for a managed write open.
-func lockOwner(id uint64) string { return fmt.Sprintf("dlfs-upd-%d", id) }
+func lockOwner(id uint64) string {
+	var buf [32]byte
+	return string(strconv.AppendUint(append(buf[:0], "dlfs-upd-"...), id, 10))
+}
 
 // mapCode translates a DLFM rejection into a file system error.
 func mapCode(resp upcall.Response) error {
@@ -339,11 +345,12 @@ func (d *DLFS) managedOpen(ctx context.Context, cred fs.Cred, n *node, write boo
 		// Explicit file locking through fs_lockctl for the update window
 		// (§4.2). DLFM's serialization makes contention rare, but the lock
 		// is the mechanism the paper names for rfd write serialization.
-		if err := d.cfg.Phys.Lockctl(n.ino, lockOwner(of.openID), fs.LockExclusive); err != nil {
+		owner := lockOwner(of.openID)
+		if err := d.cfg.Phys.Lockctl(n.ino, owner, fs.LockExclusive); err != nil {
 			d.abandonOpen(ctx, n, of)
 			return nil, err
 		}
-		of.locked = true
+		of.owner = owner
 		d.ctr.openWriteManaged.Inc()
 	} else {
 		d.ctr.openReadManaged.Inc()
@@ -403,9 +410,9 @@ func (d *DLFS) FsCloseCtx(ctx context.Context, cred fs.Cred, vn vfs.Node, ofi vf
 		Size:   attr.Size,
 		Mtime:  attr.Mtime.UnixNano(),
 	})
-	if of.locked {
-		_ = d.cfg.Phys.TryLockctl(n.ino, lockOwner(of.openID), fs.LockUnlock)
-		of.locked = false
+	if of.owner != "" {
+		_ = d.cfg.Phys.TryLockctl(n.ino, of.owner, fs.LockUnlock)
+		of.owner = ""
 	}
 	if err != nil {
 		return fmt.Errorf("dlfs: close upcall: %w", err)

@@ -101,7 +101,7 @@ func runT1() ([]*Table, error) {
 		removeOK := srv.LFS.Remove(fs.Cred{UID: expUID}, path) == nil
 		if removeOK {
 			// Recreate for the rename probe.
-			if err := seedOwned(srv, path, []byte("content"), expUID); err != nil {
+			if err := srv.SeedFile(path, []byte("content"), expUID); err != nil {
 				return nil, err
 			}
 		}
@@ -154,7 +154,7 @@ func runF2() ([]*Table, error) {
 		return nil, err
 	}
 	defer sys.Close()
-	if err := seedOwned(srv, "/images/john.gif", []byte("GIF89a john"), expUID); err != nil {
+	if err := srv.SeedFile("/images/john.gif", []byte("GIF89a john"), expUID); err != nil {
 		return nil, err
 	}
 	sys.DB().MustExec(`CREATE TABLE employee (name VARCHAR PRIMARY KEY, dept VARCHAR, picture DATALINK MODE RDB RECOVERY NO)`)

@@ -120,7 +120,7 @@ func runE4() ([]*Table, error) {
 			if err := seedAndLink(sys, srv, "docs", idx, path, content); err != nil {
 				return nil, err
 			}
-			if err := seedOwned(srv, twin, content, expUID); err != nil {
+			if err := srv.SeedFile(twin, content, expUID); err != nil {
 				return nil, err
 			}
 			probes := 60
@@ -220,7 +220,7 @@ func runE5() ([]*Table, error) {
 			return nil, err
 		}
 		path := "/data/p.bin"
-		if err := seedOwned(srv, path, workload.Content(workload.RNG(9), 4096), expUID); err != nil {
+		if err := srv.SeedFile(path, workload.Content(workload.RNG(9), 4096), expUID); err != nil {
 			return nil, err
 		}
 		url := "dlfs://fs1" + path

@@ -145,7 +145,7 @@ func runE8() ([]*Table, error) {
 		return nil, err
 	}
 	defer sys.Close()
-	if err := seedOwned(srv, "/d/f.bin", workload.UniformContent(1024, 0), expUID); err != nil {
+	if err := srv.SeedFile("/d/f.bin", workload.UniformContent(1024, 0), expUID); err != nil {
 		return nil, err
 	}
 	sys.DB().MustExec(`CREATE TABLE t (id INT PRIMARY KEY, note VARCHAR, doc DATALINK MODE RDD RECOVERY YES, doc_size INT)`)

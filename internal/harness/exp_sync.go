@@ -95,7 +95,7 @@ func runE9() ([]*Table, error) {
 		{
 			name: "link while file open (shipped behaviour)", mode: "rdd", strict: false,
 			run: func(sys *core.System, srv *core.FileServer) (string, bool) {
-				seedOwned(srv, "/d/other.bin", []byte("x"), expUID)
+				srv.SeedFile("/d/other.bin", []byte("x"), expUID)
 				fd, err := srv.LFS.Open(fs.Cred{UID: expUID}, "/d/other.bin", fs.AccessRead)
 				if err != nil {
 					return "setup failed", false
@@ -108,7 +108,7 @@ func runE9() ([]*Table, error) {
 		{
 			name: "link while file open (strict extension)", mode: "rdd", strict: true,
 			run: func(sys *core.System, srv *core.FileServer) (string, bool) {
-				seedOwned(srv, "/d/other.bin", []byte("x"), expUID)
+				srv.SeedFile("/d/other.bin", []byte("x"), expUID)
 				fd, err := srv.LFS.Open(fs.Cred{UID: expUID}, "/d/other.bin", fs.AccessRead)
 				if err != nil {
 					return "setup failed", false

@@ -53,25 +53,6 @@ func expSystem(strict bool, upcallLatency time.Duration) (*core.System, *core.Fi
 	}, 500*time.Millisecond)
 }
 
-// seedOwned writes a file owned by uid with mode 0644.
-func seedOwned(srv *core.FileServer, path string, content []byte, uid fs.UID) error {
-	dir := path[:strings.LastIndex(path, "/")]
-	if err := srv.Phys.MkdirAll(dir, fs.Cred{UID: fs.Root}, 0o777); err != nil {
-		return err
-	}
-	if err := srv.Phys.WriteFile(path, content); err != nil {
-		return err
-	}
-	ino, err := srv.Phys.Lookup(path)
-	if err != nil {
-		return err
-	}
-	if err := srv.Phys.Chown(ino, fs.Cred{UID: fs.Root}, uid); err != nil {
-		return err
-	}
-	return srv.Phys.Chmod(ino, fs.Cred{UID: uid}, 0o644)
-}
-
 // link makes url the doc of row id in table — the INSERT whose DLVALUE runs
 // the link sub-transaction at the owning DLFM. Every experiment table keys
 // its rows by an INT id and names its DATALINK column doc.
@@ -82,7 +63,7 @@ func link(db *sqlmini.DB, table string, id int, url string) error {
 
 // seedAndLink creates path on srv holding content and links it as row id.
 func seedAndLink(sys *core.System, srv *core.FileServer, table string, id int, path string, content []byte) error {
-	if err := seedOwned(srv, path, content, expUID); err != nil {
+	if err := srv.SeedFile(path, content, expUID); err != nil {
 		return err
 	}
 	return link(sys.DB(), table, id, "dlfs://"+srv.Name+path)
