@@ -55,9 +55,10 @@
 //  1. A patch is stored only when the store can prove it is relative to the
 //     newest version it holds: the capture names the capture it follows, and
 //     the history records which capture its newest version was archived from
-//     (fileVersions.follows). A restore, an import, recovery's
-//     archiveCurrent, link's version 0 or a failed archive leaves no such
-//     record, and the slot's next version is stored whole.
+//     (fileVersions.follows). A restore, an import, a plain snapshot or a
+//     failed archive leaves no such record, and the slot's next version is
+//     stored whole. (Link's version 0 and recovery's archiveCurrent archive
+//     a capture, as a close does.)
 //  2. Nothing the archive keeps aliases a chunk the live file may still
 //     write in place — not a resident LRU entry, not a pack write, not a
 //     shipped frame. Patches, whole chunks and tails go straight from the
@@ -180,9 +181,9 @@ func (e Entry) Snapshot() (*extent.Snapshot, error) {
 }
 
 // Hold takes a reference on every blob of the version and returns them as a
-// Held: its content stays loadable, byte for byte, until Release, whatever
-// happens to the version meanwhile — a Drop, a TruncateAfter or a pack
-// compaction frees nothing a Held names. Metadata only: nothing is read.
+// Held: its content stays loadable, byte for byte, until its last Release,
+// whatever happens to the version meanwhile — a Drop, a TruncateAfter or a
+// pack compaction frees nothing a Held names. Metadata only: nothing is read.
 func (e Entry) Hold() (*Held, error) {
 	h, err := e.hold()
 	if err != nil {
@@ -201,29 +202,76 @@ func (e Entry) hold() (Held, error) {
 }
 
 // Held is an archived version whose blobs the holder keeps referenced (see
-// Entry.Hold). Load and Release are not safe to call concurrently with each
-// other; Size is.
+// Entry.Hold). It is the chunk source (extent.Source) of a file installed
+// from the version or archived as it: ReadSlot and ReadTail read one slot or
+// the tail, and Retain and Release count its sharers — the blob references
+// go back at the last Release. Every method is safe for concurrent use,
+// except that nothing may be called after the last Release.
 type Held struct {
-	st       *Store
-	key      string
-	v        Version
-	slots    []slotRef
-	rec      *catalog.PutRec
-	released bool
+	st    *Store
+	key   string
+	v     Version
+	slots []slotRef
+	rec   *catalog.PutRec
+	// refs counts the sharers (atomically; a plain field so hold can return
+	// a Held by value).
+	refs int32
 }
 
 // Size is the version's length in bytes.
 func (h *Held) Size() int64 { return h.rec.Size }
 
-// Release gives the blob references back; once the version is also gone
-// from the index its blobs reach a count of zero and are reclaimed as any
-// dropped version's. A second Release is a no-op.
+// Retain adds a sharer.
+func (h *Held) Retain() { atomic.AddInt32(&h.refs, 1) }
+
+// Release drops a sharer. At the last one the blob references go back; once
+// the version is also gone from the index its blobs reach a count of zero
+// and are reclaimed as any dropped version's.
 func (h *Held) Release() {
-	if h.released {
-		return
+	if atomic.AddInt32(&h.refs, -1) == 0 {
+		h.st.releaseRec(h.slots, h.rec)
 	}
-	h.released = true
-	h.st.releaseRec(h.slots, h.rec)
+}
+
+// ReadSlot reads chunk slot i of the held version into dst (ChunkSize
+// bytes): its base and patches, each verified against its hash, without
+// admitting anything to the read cache.
+func (h *Held) ReadSlot(i int, dst []byte) error {
+	if err := h.live(); err != nil {
+		return err
+	}
+	if i < 0 || i >= len(h.slots) {
+		return fmt.Errorf("archive: version %d of %q has no chunk slot %d", h.v, h.key, i)
+	}
+	if err := h.st.readSlot(h.slots[i], dst); err != nil {
+		return fmt.Errorf("archive: version %d of %q: slot %d: %w", h.v, h.key, i, err)
+	}
+	return nil
+}
+
+// ReadTail reads the held version's tail into dst, which is as long as it.
+func (h *Held) ReadTail(dst []byte) error {
+	if err := h.live(); err != nil {
+		return err
+	}
+	if len(dst) != h.rec.TailLen {
+		return fmt.Errorf("archive: version %d of %q: tail is %d bytes, not %d", h.v, h.key, h.rec.TailLen, len(dst))
+	}
+	if len(dst) == 0 {
+		return nil
+	}
+	if _, err := h.st.disk.ReadInto(h.rec.TailHash, dst); err != nil {
+		return fmt.Errorf("archive: version %d of %q: tail: %w", h.v, h.key, err)
+	}
+	return nil
+}
+
+// live fails a read of a hold whose last sharer released it.
+func (h *Held) live() error {
+	if atomic.LoadInt32(&h.refs) <= 0 {
+		return fmt.Errorf("%w: version %d of %q was released", ErrNotFound, h.v, h.key)
+	}
+	return nil
 }
 
 // Errors.
@@ -1005,8 +1053,25 @@ func (s *Store) internSlots(snap *extent.Snapshot, prev []slotRef, st *PutStats)
 			// A slot whose references could not all be taken (a concurrent
 			// drop released them) is stored whole.
 		}
+		if c == nil {
+			// An absent slot holds its source's bytes: a source this store
+			// holds names them, and anything else is read.
+			if r, ok := s.sourceSlot(snap, i); ok && s.refSlot(r) {
+				slots[i] = r
+				st.SharedChunks++
+				st.DedupedBytes += extent.ChunkSize
+				continue
+			}
+			if c, err = snap.Load(i); err != nil {
+				s.releaseSlots(slots[:i])
+				return nil, nil, err
+			}
+		}
 		h := c.Hash()
 		wrote, err := s.disk.Put(h, c)
+		if chunks[i] == nil {
+			c.ReleaseChunk()
+		}
 		if err != nil {
 			// The device rejected the blob: give back what was interned so far.
 			s.releaseSlots(slots[:i])
@@ -1016,6 +1081,16 @@ func (s *Store) internSlots(snap *extent.Snapshot, prev []slotRef, st *PutStats)
 		st.blob(wrote, extent.ChunkSize)
 	}
 	return slots, lists, nil
+}
+
+// sourceSlot is the reference of snap's absent slot i when its source is a
+// version this store holds.
+func (s *Store) sourceSlot(snap *extent.Snapshot, i int) (slotRef, bool) {
+	h, ok := snap.Source().(*Held)
+	if !ok || h.st != s || i >= len(h.slots) {
+		return slotRef{}, false
+	}
+	return h.slots[i], true
 }
 
 // blob counts one blob reference a Put took for n bytes: a transfer when the
@@ -1101,23 +1176,50 @@ func (s *Store) hold(k string, idx int, gen uint64, v Version) (Held, error) {
 		sh.mu.Unlock()
 		return Held{}, fmt.Errorf("%w: version discarded", ErrNotFound)
 	}
+	return s.holdLocked(sh, fv, idx)
+}
+
+// holdLocked is hold once the version is found; it unlocks the shard. The
+// newest version's slot list is fv.last, which is replaced and never written
+// in place, so the hold aliases it; an older one's is materialized.
+func (s *Store) holdLocked(sh *entryShard, fv *fileVersions, idx int) (Held, error) {
 	rec := fv.recs[idx]
-	slots := slotsAt(fv, idx)
+	slots := fv.last
+	if idx != len(fv.recs)-1 {
+		slots = slotsAt(fv, idx)
+	}
 	held := s.refRec(slots, rec)
 	sh.mu.Unlock()
 	if !held {
 		// An indexed version holds a reference on every blob it lists.
-		return Held{}, fmt.Errorf("archive: version %d of %q lists a blob that is not stored", v, k)
+		return Held{}, fmt.Errorf("archive: version %d of %q lists a blob that is not stored", rec.Version, rec.Key)
 	}
-	return Held{st: s, key: k, v: v, slots: slots, rec: rec}, nil
+	return Held{st: s, key: rec.Key, v: Version(rec.Version), slots: slots, rec: rec, refs: 1}, nil
+}
+
+// HoldNewest holds version v of a file if it is the newest archived one —
+// the source the commit path hands the file system once v is archived from
+// the file's capture. Metadata only, like Newest: no device round trip, no
+// restore counted.
+func (s *Store) HoldNewest(server, path string, v Version) (*Held, error) {
+	sh, fv := s.lockHistory(server, path)
+	if fv == nil || fv.newest() != v {
+		sh.mu.Unlock()
+		return nil, fmt.Errorf("%w: %s v%d is not the newest version", ErrNotFound, path, v)
+	}
+	h, err := s.holdLocked(sh, fv, len(fv.recs)-1)
+	if err != nil {
+		return nil, err
+	}
+	return &h, nil
 }
 
 // Load materializes the held version as a caller-owned snapshot, fetching
 // the chunks — possibly paging in from disk — without any entry lock. The
 // caller must Release the snapshot. Load may be called again after an error.
 func (h *Held) Load() (snap *extent.Snapshot, err error) {
-	if h.released {
-		return nil, fmt.Errorf("%w: version %d of %q was released", ErrNotFound, h.v, h.key)
+	if err := h.live(); err != nil {
+		return nil, err
 	}
 	s, rec, k, v := h.st, h.rec, h.key, h.v
 	chunks := make([]*extent.Chunk, 0, len(h.slots))
@@ -1152,25 +1254,34 @@ func (h *Held) Load() (snap *extent.Snapshot, err error) {
 	return extent.BuildSnapshot(chunks, tail), nil
 }
 
-// assemble materializes a patched slot: its base read into a buffer of the
-// chunk's own, each patch read over it in order — every blob verified against
-// its hash as it comes off the device — and the result handed out frozen.
-// Nothing is paged into the LRU and no patch costs an allocation.
+// assemble materializes a patched slot into a chunk of its own, handed out
+// frozen.
 func (s *Store) assemble(r slotRef) (*extent.Chunk, error) {
 	data := make([]byte, extent.ChunkSize)
-	n, err := s.disk.ReadInto(r.base, data)
-	if err != nil {
+	if err := s.readSlot(r, data); err != nil {
 		return nil, err
 	}
+	return extent.Freeze(data), nil
+}
+
+// readSlot reads a slot into dst (ChunkSize bytes): its base, then each
+// patch over it in order — every blob verified against its hash as it comes
+// off the device. Nothing is paged into the LRU and no patch costs an
+// allocation.
+func (s *Store) readSlot(r slotRef, dst []byte) error {
+	n, err := s.disk.ReadInto(r.base, dst)
+	if err != nil {
+		return err
+	}
 	if n != extent.ChunkSize {
-		return nil, fmt.Errorf("base %x is %d bytes, not a chunk", r.base[:8], n)
+		return fmt.Errorf("base %x is %d bytes, not a chunk", r.base[:8], n)
 	}
 	for _, p := range r.patches {
-		if _, err := s.disk.ReadInto(p.Hash, data[p.Off:]); err != nil {
-			return nil, fmt.Errorf("patch at %d: %w", p.Off, err)
+		if _, err := s.disk.ReadInto(p.Hash, dst[p.Off:]); err != nil {
+			return fmt.Errorf("patch at %d: %w", p.Off, err)
 		}
 	}
-	return extent.Freeze(data), nil
+	return nil
 }
 
 // Get returns a specific archived version.

@@ -47,14 +47,17 @@ package chunkdisk
 // starts. Sweep retires dead pack records in place — the index entry goes
 // away, the bytes become dead space — and when a sealed pack's garbage ratio
 // exceeds PackGarbageRatio its surviving records are rewritten into the
-// active pack and the old file is unlinked (compaction). Readers and the
-// compactor synchronize on relocMu: a page-in holds it shared across the
-// read, compaction holds it exclusive only for the final retire-and-unlink,
-// and re-reads the index entry after locking so a blob moved under it is
-// found at its new address. Lock order is relocMu → shard mutex.
+// active pack and the old file is unlinked (compaction). Every read of a pack
+// goes through one read handle the pack keeps open from its first read until
+// it is unlinked or the store closes. Readers and the compactor synchronize
+// on relocMu: a page-in holds it shared across the read, compaction holds it
+// exclusive only for the final close-retire-and-unlink, and re-reads the
+// index entry after locking so a blob moved under it is found at its new
+// address. Lock order is relocMu → packSet.mu → shard mutex.
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -108,6 +111,10 @@ type packMeta struct {
 	// (append takes it, published releases it). Compaction finds a pack's
 	// survivors in the index, so it leaves a pack alone while this is non-zero.
 	inflight int
+	// rf is the pack's read handle: opened by its first read, closed when
+	// the pack is unlinked or the store closes, each under relocMu held
+	// exclusive, so no read is in flight on it. Set and cleared under mu.
+	rf *os.File
 }
 
 // garbage reports the dead fraction of the pack's payload.
@@ -356,25 +363,49 @@ func (ps *packSet) flushActive() error {
 	return err
 }
 
-// readInto fills buf with the record payload at off in pack seq. The caller
-// holds relocMu shared or, compacting, compactMu, so the pack file cannot be
-// unlinked mid-read.
+// ErrPackGone fails a read of a pack that compaction unlinked or a closed
+// store no longer serves.
+var ErrPackGone = errors.New("chunkdisk: pack gone")
+
+// readInto fills buf with the record payload at off in pack seq, through the
+// pack's read handle. The caller holds relocMu shared or, compacting,
+// compactMu, so the pack file cannot be unlinked mid-read.
 func (ps *packSet) readInto(seq, off int64, buf []byte) error {
-	ps.mu.Lock()
-	pm := ps.packs[seq]
-	ps.mu.Unlock()
-	if pm == nil {
-		return fmt.Errorf("chunkdisk: pack %d gone", seq)
-	}
-	f, err := os.Open(pm.path)
+	f, err := ps.reader(seq)
 	if err != nil {
-		return fmt.Errorf("chunkdisk: %w", err)
+		return err
 	}
-	defer f.Close()
 	if _, err := f.ReadAt(buf, off); err != nil {
 		return fmt.Errorf("chunkdisk: pack read: %w", err)
 	}
 	return nil
+}
+
+// reader returns pack seq's read handle, opening it on first use.
+func (ps *packSet) reader(seq int64) (*os.File, error) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	pm := ps.packs[seq]
+	if pm == nil || ps.closed {
+		return nil, fmt.Errorf("%w: pack %d", ErrPackGone, seq)
+	}
+	if pm.rf == nil {
+		f, err := os.Open(pm.path)
+		if err != nil {
+			return nil, fmt.Errorf("chunkdisk: %w", err)
+		}
+		pm.rf = f
+	}
+	return pm.rf, nil
+}
+
+// closeReaderLocked closes pm's read handle. Caller holds relocMu exclusive
+// and mu.
+func closeReaderLocked(pm *packMeta) {
+	if pm.rf != nil {
+		pm.rf.Close()
+		pm.rf = nil
+	}
 }
 
 // retire accounts swept records as dead space. Called by Sweep after the
@@ -485,16 +516,21 @@ func (ps *packSet) compactOne(pm *packMeta) error {
 		}
 	}
 	// Retire the file: exclusive relocMu waits out in-flight page-ins that
-	// resolved to the old address.
+	// resolved to the old address, and its read handle closes with it.
 	ps.relocMu.Lock()
+	ps.mu.Lock()
+	closeReaderLocked(pm)
+	ps.mu.Unlock()
 	err := os.Remove(pm.path)
+	if err == nil || os.IsNotExist(err) {
+		ps.mu.Lock()
+		delete(ps.packs, pm.seq)
+		ps.mu.Unlock()
+	}
 	ps.relocMu.Unlock()
 	if err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	ps.mu.Lock()
-	delete(ps.packs, pm.seq)
-	ps.mu.Unlock()
 	s.packFiles.Add(-1)
 	s.packDeadBytes.Add(-pm.dead)
 	s.ctrAdd(s.mPackDead, -pm.dead)
@@ -502,14 +538,20 @@ func (ps *packSet) compactOne(pm *packMeta) error {
 	return nil
 }
 
-// close retires the active pack and refuses every later append, so a write
-// racing Close or Crash never opens a pack in a directory that is being
-// removed or that a successor store owns. clean=true (Close) syncs it under
-// policies that sync; a Crash skips even that.
+// close retires the active pack, closes every read handle and refuses every
+// later append and read, so a write racing Close or Crash never opens a pack
+// in a directory that is being removed or that a successor store owns.
+// clean=true (Close) syncs it under policies that sync; a Crash skips even
+// that.
 func (ps *packSet) close(clean bool) error {
+	ps.relocMu.Lock()
+	defer ps.relocMu.Unlock()
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	ps.closed = true
+	for _, pm := range ps.packs {
+		closeReaderLocked(pm)
+	}
 	return ps.retireActiveLocked(clean)
 }
 

@@ -2,6 +2,7 @@ package chunkdisk
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -320,6 +321,93 @@ func TestPackCompaction(t *testing.T) {
 		} else if _, err := s.Get(hashes[i]); err == nil {
 			t.Fatalf("swept record %d still served", i)
 		}
+	}
+}
+
+// fdsOn counts this process's open file descriptors on path, unlinked or
+// not.
+func fdsOn(t *testing.T, path string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	n := 0
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.TrimSuffix(target, " (deleted)") == path {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPackReadHandleClosesWithThePack: reads of a pack share one read
+// handle; compaction closes it with the pack, so a read of the unlinked pack
+// is ErrPackGone and no descriptor outlives it, and Close closes the rest.
+func TestPackReadHandleClosesWithThePack(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir, MemoryBudget: 16, PackTargetBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hashes []extent.Hash
+	var datas [][]byte
+	for i := 0; i < 12; i++ {
+		data, h := blob(300+i, 1024)
+		datas, hashes = append(datas, data), append(hashes, h)
+		put(t, s, data, h)
+	}
+	meta := func(h extent.Hash) diskMeta {
+		sh := s.shardFor(h)
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.blobs[h].diskMeta
+	}
+	first := meta(hashes[0])
+	firstPath := s.packs.files.Path(uint64(first.pack))
+	// Three reads of the first pack, sealed by now, open one handle.
+	for i := 0; i < 3; i++ {
+		if _, err := s.ReadInto(hashes[0], make([]byte, 1024)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fdsOn(t, firstPath); got != 1 {
+		t.Fatalf("three reads of one pack hold %d descriptors on it, want 1", got)
+	}
+	// Compact the first pack away: everything in it but one survivor dies.
+	for i := 1; i < len(hashes); i++ {
+		if meta(hashes[i]).pack == first.pack {
+			s.Release(hashes[i])
+		}
+	}
+	s.Sweep()
+	if moved := meta(hashes[0]); moved.pack == first.pack {
+		t.Fatalf("pack %d was not compacted", first.pack)
+	}
+	if _, err := os.Stat(firstPath); !os.IsNotExist(err) {
+		t.Fatalf("the compacted pack is still on disk (%v)", err)
+	}
+	if got := fdsOn(t, firstPath); got != 0 {
+		t.Fatalf("%d descriptors outlive the compacted pack", got)
+	}
+	err = s.packs.readInto(first.pack, first.off, make([]byte, first.size))
+	if !errors.Is(err, ErrPackGone) {
+		t.Fatalf("read of the compacted pack = %v, want ErrPackGone", err)
+	}
+	if got := fdsOn(t, firstPath); got != 0 {
+		t.Fatalf("the failed read left %d descriptors on the pack", got)
+	}
+	// The survivor reads from its new pack.
+	if got := get(t, s, hashes[0]); !bytes.Equal(got, datas[0]) {
+		t.Fatal("the survivor diverged after compaction")
+	}
+	moved := s.packs.files.Path(uint64(meta(hashes[0]).pack))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fdsOn(t, moved); got != 0 {
+		t.Fatalf("%d descriptors on the survivor's pack outlive Close", got)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"datalinks/internal/archive"
+	"datalinks/internal/chunkdisk"
 	"datalinks/internal/datalink"
 	"datalinks/internal/dlfm"
 	"datalinks/internal/dlfs"
@@ -67,8 +68,13 @@ type ServerConfig struct {
 	// private temporary directory, removed when the server closes or
 	// crashes.
 	ArchiveDir string
-	// ArchiveMemoryBudget bounds the archive's hot-chunk LRU in bytes
-	// (<= 0: chunkdisk default).
+	// ArchiveMemoryBudget bounds the member's committed chunks in memory,
+	// in bytes (<= 0: chunkdisk.DefaultMemoryBudget, 64 MiB): the archive's
+	// read cache stays within it, and once the linked files' resident chunks
+	// and that cache together pass it, the file system pages clean chunks —
+	// archived at a close and not written since — out, to load back from
+	// the archive on their next read. Chunks an open update wrote stay in
+	// memory until its close, on top of the budget.
 	ArchiveMemoryBudget int64
 	// ArchiveCompress flate-compresses spilled archive chunks when that
 	// shrinks them (hashes still verify the uncompressed bytes).
@@ -286,6 +292,14 @@ func buildStack(sc ServerConfig, dlfmName string, clock func() time.Time, key []
 	if err != nil {
 		return nil, err
 	}
+	// One budget bounds the member's resident committed chunks: the file
+	// system pages clean chunks out while they and the archive's read cache
+	// together pass it.
+	budget := sc.ArchiveMemoryBudget
+	if budget <= 0 {
+		budget = chunkdisk.DefaultMemoryBudget
+	}
+	phys.SetMemoryBudget(budget, func() int64 { return arch.Tier().ResidentBytes }, reg)
 	fsrv := &FileServer{
 		Name:      sc.Name,
 		Phys:      phys,

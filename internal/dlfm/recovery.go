@@ -161,12 +161,13 @@ func (s *Server) mkdirParent(p string) error {
 // installDeferred installs an archived version as the file at its path
 // without reading it — the one way an archived version becomes the file:
 // cold start, a promote, a rollback and a coordinated restore all end here.
-// The file exists at the version's size and its bytes are read on first
-// access, so an install costs the version's metadata, and each file's bytes
-// are paid for when, and if, it is touched. The file holds a reference on every blob of
-// the version from now on (Entry.Hold), so a later Drop of the history or a
-// restore's truncate cannot free the bytes before the first access loads
-// them; parent directories are created first.
+// The file exists at the version's size and each access reads only the
+// chunks it touches, so an install costs the version's metadata, and a
+// file's bytes are paid for when, and as far as, it is touched. The version
+// is the file's chunk source from now on: the file holds a reference on
+// every blob of it (Entry.Hold), so a later Drop of the history or a
+// restore's truncate cannot free bytes the file has not loaded yet; parent
+// directories are created first.
 func (s *Server) installDeferred(e archive.Entry) error {
 	held, err := e.Hold()
 	if err != nil {
@@ -377,18 +378,21 @@ func (s *Server) archiveBehind(path string, ver archive.Version, stateID uint64)
 }
 
 // archiveCurrent archives the file's current content as the given version
-// via a manifest snapshot. A stale-version rejection is benign here: a close
-// that was still in its archive put when the simulated crash hit may have
-// completed the same version concurrently — the copy is already on the
-// device.
+// from a capture, as a close does, and hands the file the version as its
+// chunk source. A stale-version rejection is benign here: a close that was
+// still in its archive put when the simulated crash hit may have completed
+// the same version concurrently — the copy is already on the device.
 func (s *Server) archiveCurrent(path string, ver archive.Version, stateID uint64) error {
-	snap, err := s.cfg.Phys.SnapshotFile(path)
+	snap, err := s.cfg.Phys.CaptureFile(path)
 	if err != nil {
 		return err
 	}
+	defer snap.Release()
 	_, err = s.cfg.Archive.PutSnapshot(s.cfg.Name, path, ver, stateID, snap)
-	snap.Release()
-	if err != nil && !errors.Is(err, archive.ErrStale) {
+	switch {
+	case err == nil:
+		s.handSource(path, int64(ver), snap)
+	case !errors.Is(err, archive.ErrStale):
 		return err
 	}
 	return nil

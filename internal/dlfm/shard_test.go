@@ -449,7 +449,7 @@ func TestShardMoveArchivesTheVersionAFailedJobLost(t *testing.T) {
 
 // TestPromoteReplicaLoadsNothing: a promote installs the latest version
 // deferred — it reads no byte of it — and the first read loads exactly that
-// version.
+// version, one load per chunk slot and one for the tail.
 func TestPromoteReplicaLoadsNothing(t *testing.T) {
 	const path = "/d/f.bin"
 	src, srcPhys, _ := newServer(t)
@@ -482,8 +482,9 @@ func TestPromoteReplicaLoadsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := dstPhys.Stats.DeferredLoads.Load(); n != loads+1 {
-		t.Fatalf("first read: %d loads, want 1", n-loads)
+	// 240 000 bytes: three chunks and a tail.
+	if n := dstPhys.Stats.DeferredLoads.Load(); n != loads+4 {
+		t.Fatalf("first read: %d loads, want 4", n-loads)
 	}
 	latest, err := dst.cfg.Archive.Latest("fs1", path)
 	if err != nil || !bytes.Equal(got, bytesOf(t, latest)) {

@@ -305,6 +305,9 @@ func (s *Server) commitUpdate(ctx context.Context, st *openState, size int64, mt
 	// writer, so the capture is exactly the committed state.
 	snap, capErr := s.cfg.Phys.CaptureFile(st.path)
 	archErr := s.archiveCommitted(ctx, st.path, newVer, stateID, snap, capErr)
+	if archErr == nil {
+		s.handSource(st.path, newVer, snap)
+	}
 
 	// Ship the committed version to the path's ring successors before the
 	// close returns — the synchronous half of the replication stream. A
@@ -373,6 +376,19 @@ func (s *Server) archiveCommitted(ctx context.Context, path string, ver int64, s
 	return fmt.Errorf("%w: v%d: %v", ErrNotArchived, ver, err)
 }
 
+// handSource gives the file at path the version ver just archived from its
+// capture snap as its chunk source: from here on its clean chunks may leave
+// memory and load back from the archive. Best effort — a file without a
+// source only keeps its chunks resident.
+func (s *Server) handSource(path string, ver int64, snap *extent.Snapshot) {
+	held, err := s.cfg.Archive.HoldNewest(s.cfg.Name, path, archive.Version(ver))
+	if err != nil {
+		return
+	}
+	id, _ := snap.Captured()
+	_ = s.cfg.Phys.SetSource(path, id, held)
+}
+
 // setPendingArchive makes ver the path's pending-archive row, replacing the
 // row of an earlier failed put: recovery archives only cur_version.
 func (s *Server) setPendingArchive(path string, ver int64, stateID uint64) error {
@@ -421,8 +437,9 @@ func (s *Server) rollbackUpdate(st *openState) error {
 // restoreLastCommitted quarantines the in-flight content of path and
 // restores the newest archived version. Also used by restart recovery. The
 // quarantine copy is a manifest swap that shares its chunks with the
-// in-flight file, and the restore a deferred install (installDeferred) that
-// reads nothing.
+// in-flight file — chunks the file has absent are loaded into it, so the
+// copy holds no source — and the restore a deferred install
+// (installDeferred) that reads nothing.
 func (s *Server) restoreLastCommitted(path string) error {
 	fi, linked := s.lookupFile(path)
 	if !linked {

@@ -28,13 +28,28 @@
 // archived from the previous capture) + (the written bytes) without hashing
 // the live chunk, and a clean slot as it was.
 //
+// A chunk slot may be absent: its bytes are not in memory but in the buffer's
+// Source, the archived version the file's committed content was stored as.
+// Install starts a buffer with every slot and its tail absent (a deferred
+// install: nothing is read), and PageOut drops a clean slot — one not written
+// since the capture the source was archived from (Attach) — back to absent.
+// Reads need the slots they touch present (LoadRange); a write replaces the
+// slots it covers whole without reading them and needs only the ones it
+// covers in part (LoadEdges). A snapshot of a buffer with absent slots has
+// them absent too and keeps the source, so a consumer that needs the bytes
+// loads them through it (Snapshot.Load) and one that does not — the archive
+// storing an unwritten slot as its predecessor's reference — reads nothing.
+//
 // Buffers are NOT safe for concurrent use — the owning inode's lock guards
-// them. Chunks and Snapshots are immutable and may be shared freely across
-// goroutines; their reference counts are atomic.
+// them; the one exception is ReadAt, which only sets a chunk's referenced bit
+// (atomically) and so runs under a shared lock. Chunks and Snapshots are
+// immutable and may be shared freely across goroutines; their reference
+// counts are atomic.
 package extent
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -76,6 +91,11 @@ type Chunk struct {
 	// pinned: the chunk passed through a store, so it is never written in
 	// place, even once the buffer is its only owner.
 	pinned atomic.Bool
+
+	// used is the slot's referenced bit: a read sets it, and PageOut clears
+	// it on its first pass over the slot and drops the chunk on the next one
+	// that finds it still clear (second chance).
+	used atomic.Bool
 }
 
 // newChunk wraps data (owned by the chunk from here on) with one reference.
@@ -158,12 +178,24 @@ var zeroChunk = newChunk(make([]byte, ChunkSize))
 // Buffer is mutable content: sealed chunks plus a tail shorter than
 // ChunkSize. The zero value is an empty buffer.
 //
-// Invariant: length = len(chunks)*ChunkSize + len(tail), 0 <= len(tail) <
-// ChunkSize. The tail's backing array grows geometrically (append), fixing
+// Invariant: length = len(chunks)*ChunkSize + len(tail) + absentTail, 0 <=
+// len(tail)+absentTail < ChunkSize, and at most one of the two non-zero. The tail's backing array grows geometrically (append), fixing
 // the quadratic reallocate-per-write append path of a flat []byte.
 type Buffer struct {
-	chunks []*Chunk
+	chunks []*Chunk // nil: an absent slot, whose bytes src holds
 	tail   []byte
+	// absentTail is the length of a tail still in src (0: the tail is
+	// present, possibly empty). Only Install makes it non-zero.
+	absentTail int
+
+	// src is where absent slots load from. srcCapture names the capture src
+	// was archived from: while it is the buffer's last capture, a slot not
+	// written since holds exactly src's bytes and may be paged out.
+	src        Source
+	srcCapture uint64
+	// resident is the bytes of the present slots, the shared zero chunk not
+	// counted.
+	resident int64
 
 	// detached marks a buffer whose references were dropped (unlinked file
 	// whose data outlives the namespace entry for open handles). Reads still
@@ -173,9 +205,39 @@ type Buffer struct {
 	// captured names the last Capture (0: none since the content was last
 	// replaced wholesale). While it is set, dirty[i] is the span of chunk slot
 	// i written since that capture: empty when untouched, the whole chunk when
-	// the slot's chunk was replaced or appended.
+	// the slot's chunk was replaced or appended. dirty is made on the first
+	// write after a capture; slots past its end are untouched.
 	captured uint64
 	dirty    []Span
+}
+
+// Source holds the bytes of a buffer's absent slots: the archived version the
+// content was stored as. ReadSlot fills dst (ChunkSize bytes) with chunk
+// slot i and ReadTail fills dst with the tail, both verified against the
+// store. Retain and Release count the buffers and snapshots that share the
+// source; the last Release gives it up. ReadSlot and ReadTail may be called
+// concurrently.
+type Source interface {
+	Size() int64
+	ReadSlot(i int, dst []byte) error
+	ReadTail(dst []byte) error
+	Retain()
+	Release()
+}
+
+// counted reports whether a slot holding c takes memory of its own: present
+// and not the shared zero chunk.
+func counted(c *Chunk) bool { return c != nil && c != zeroChunk }
+
+// setSlot puts c in slot i, keeping the resident count.
+func (b *Buffer) setSlot(i int, c *Chunk) {
+	if counted(b.chunks[i]) {
+		b.resident -= ChunkSize
+	}
+	if counted(c) {
+		b.resident += ChunkSize
+	}
+	b.chunks[i] = c
 }
 
 // Span is the byte range [Lo, Hi) of one chunk.
@@ -192,6 +254,9 @@ func (b *Buffer) touch(i, lo, hi int) {
 	if b.captured == 0 {
 		return
 	}
+	if len(b.dirty) < len(b.chunks) {
+		b.dirty = append(b.dirty, make([]Span, len(b.chunks)-len(b.dirty))...)
+	}
 	d := &b.dirty[i]
 	if d.Lo == d.Hi {
 		*d = Span{int32(lo), int32(hi)}
@@ -202,25 +267,204 @@ func (b *Buffer) touch(i, lo, hi int) {
 
 // appendChunk adds a sealed chunk, wholly dirty, at the end of the body.
 func (b *Buffer) appendChunk(c *Chunk) {
-	b.chunks = append(b.chunks, c)
-	if b.captured != 0 {
-		b.dirty = append(b.dirty, wholeChunk)
-	}
+	b.chunks = append(b.chunks, nil)
+	b.setSlot(len(b.chunks)-1, c)
+	b.touch(len(b.chunks)-1, 0, ChunkSize)
 }
 
 // NewBuffer returns an empty buffer.
 func NewBuffer() *Buffer { return &Buffer{} }
 
-// Len returns the content length.
+// Len returns the content length, absent slots and tail included.
 func (b *Buffer) Len() int64 {
-	return int64(len(b.chunks))*ChunkSize + int64(len(b.tail))
+	return b.bodyLen() + int64(len(b.tail)+b.absentTail)
 }
 
-// NumChunks reports how many sealed chunks the buffer holds (tests).
+// bodyLen is the length of the sealed chunks.
+func (b *Buffer) bodyLen() int64 { return int64(len(b.chunks)) * ChunkSize }
+
+// NumChunks reports how many sealed chunk slots the buffer has.
 func (b *Buffer) NumChunks() int { return len(b.chunks) }
 
+// Resident reports the bytes of the buffer's present chunk slots (the shared
+// zero chunk, which costs nothing per slot, not counted).
+func (b *Buffer) Resident() int64 { return b.resident }
+
+// Install replaces the content with src's, reading nothing: every slot and
+// the tail start absent, and load from src when first needed. The buffer
+// owns src from here on. The installed content counts as a capture src was
+// archived from, so a slot loaded and not written since may be paged out.
+func (b *Buffer) Install(src Source) {
+	size := src.Size()
+	b.drop()
+	b.chunks = make([]*Chunk, size/ChunkSize)
+	b.tail, b.absentTail = b.tail[:0], int(size%ChunkSize)
+	b.captured, b.dirty = captureSeq.Add(1), nil
+	b.setSource(src, b.captured)
+}
+
+// Attach makes src, the version archived from the buffer's capture id, the
+// source of its absent and clean slots. It reports false, taking nothing,
+// when the buffer was captured again or replaced since: then src does not
+// describe it. A previous source is given up — every slot it could load is
+// src's too, unchanged since capture id.
+func (b *Buffer) Attach(id uint64, src Source) bool {
+	if id == 0 || id != b.captured {
+		return false
+	}
+	b.setSource(src, id)
+	return true
+}
+
+// setSource replaces the source.
+func (b *Buffer) setSource(src Source, id uint64) {
+	if b.src != nil {
+		b.src.Release()
+	}
+	b.src, b.srcCapture = src, id
+}
+
+// drop gives up every chunk reference and the source, leaving the buffer
+// empty.
+func (b *Buffer) drop() {
+	if !b.detached {
+		for _, c := range b.chunks {
+			if c != nil {
+				c.release()
+			}
+		}
+	}
+	b.chunks, b.tail, b.absentTail = nil, b.tail[:0], 0
+	b.resident, b.detached = 0, false
+	b.setSource(nil, 0)
+}
+
+// Absent reports whether [off, off+n) touches an absent slot or tail.
+func (b *Buffer) Absent(off, n int64) bool {
+	if b.src == nil {
+		return false
+	}
+	end := min(off+n, b.Len())
+	for i := off / ChunkSize; i*ChunkSize < end; i++ {
+		if i >= int64(len(b.chunks)) {
+			return b.absentTail > 0
+		}
+		if b.chunks[i] == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// LoadRange loads every absent slot [off, off+n) touches, and the tail when
+// the range reaches it, reporting how many it loaded. On an error the slots
+// loaded so far stay.
+func (b *Buffer) LoadRange(off, n int64) (int, error) {
+	loaded := 0
+	end := min(off+n, b.Len())
+	for i := off / ChunkSize; i*ChunkSize < end; i++ {
+		if i >= int64(len(b.chunks)) {
+			return b.loadTail(loaded)
+		}
+		if b.chunks[i] == nil {
+			if err := b.loadSlot(int(i)); err != nil {
+				return loaded, err
+			}
+			loaded++
+		}
+	}
+	return loaded, nil
+}
+
+// LoadEdges loads what a write over [off, end) — or a Truncate to off, with
+// end == off — needs: the absent slots it covers only in part and, when it
+// reaches past the sealed chunks, the absent tail. Slots it covers whole are
+// replaced unread.
+func (b *Buffer) LoadEdges(off, end int64) (int, error) {
+	loaded := 0
+	for _, at := range [2]int64{off, end} {
+		i := at / ChunkSize
+		if at%ChunkSize != 0 && i < int64(len(b.chunks)) && b.chunks[i] == nil {
+			if err := b.loadSlot(int(i)); err != nil {
+				return loaded, err
+			}
+			loaded++
+		}
+	}
+	if end > b.bodyLen() {
+		return b.loadTail(loaded)
+	}
+	return loaded, nil
+}
+
+// loadSlot reads absent slot i from the source into a chunk of its own. A
+// detached buffer holds no references, so the chunk's is dropped at once.
+func (b *Buffer) loadSlot(i int) error {
+	data := make([]byte, ChunkSize)
+	if err := b.src.ReadSlot(i, data); err != nil {
+		return fmt.Errorf("extent: loading chunk slot %d: %w", i, err)
+	}
+	c := newChunk(data)
+	b.setSlot(i, c)
+	if b.detached {
+		c.release()
+	}
+	return nil
+}
+
+// loadTail reads an absent tail from the source; loaded counts the slots
+// loaded before it.
+func (b *Buffer) loadTail(loaded int) (int, error) {
+	if b.absentTail == 0 {
+		return loaded, nil
+	}
+	tail := make([]byte, b.absentTail)
+	if err := b.src.ReadTail(tail); err != nil {
+		return loaded, fmt.Errorf("extent: loading the tail: %w", err)
+	}
+	b.tail, b.absentTail = tail, 0
+	return loaded + 1, nil
+}
+
+// PageOut drops clean slots back to absent, from slot from on, until it has
+// freed want bytes, and reports the slot to resume at (NumChunks when it
+// reached the end) and the bytes freed. A slot is clean when the source was
+// archived from the buffer's last capture and the slot was not written
+// since; a dirty slot, the tail and a buffer without such a source are never
+// paged out. Second chance: a slot whose referenced bit is set has it
+// cleared and is passed over.
+func (b *Buffer) PageOut(from int, want int64) (next int, freed int64) {
+	if !b.Pageable() {
+		return len(b.chunks), 0
+	}
+	for i := from; i < len(b.chunks); i++ {
+		if freed >= want {
+			return i, freed
+		}
+		c := b.chunks[i]
+		if !counted(c) || i < len(b.dirty) && b.dirty[i].Len() > 0 {
+			continue
+		}
+		if c.used.Load() {
+			c.used.Store(false)
+			continue
+		}
+		b.setSlot(i, nil)
+		c.release()
+		freed += ChunkSize
+	}
+	return len(b.chunks), freed
+}
+
+// Pageable reports whether PageOut may find clean slots: the buffer has a
+// source archived from its last capture and is not detached.
+func (b *Buffer) Pageable() bool {
+	return b.src != nil && b.captured != 0 && b.srcCapture == b.captured && !b.detached
+}
+
 // ReadAt copies content at off into p, returning the bytes copied. Reading
-// at or past EOF returns 0.
+// at or past EOF returns 0. The range must be present (LoadRange). ReadAt
+// sets the referenced bit of each chunk it reads.
 func (b *Buffer) ReadAt(off int64, p []byte) int {
 	size := b.Len()
 	if off < 0 || off >= size {
@@ -235,7 +479,11 @@ func (b *Buffer) ReadAt(off int64, p []byte) int {
 		cs := int(off % ChunkSize)
 		var src []byte
 		if ci < len(b.chunks) {
-			src = b.chunks[ci].data[cs:]
+			c := b.chunks[ci]
+			if !c.used.Load() {
+				c.used.Store(true)
+			}
+			src = c.data[cs:]
 		} else {
 			src = b.tail[off-int64(len(b.chunks))*ChunkSize:]
 			// The tail is the final segment; one copy finishes the read.
@@ -250,7 +498,8 @@ func (b *Buffer) ReadAt(off int64, p []byte) int {
 
 // WriteAt writes p at off, zero-filling any gap past the current end (like
 // a sparse write). Only the chunks the write touches are copied; a write
-// that fully covers a chunk replaces it without reading the old content.
+// that fully covers a chunk replaces it without reading the old content, so
+// only the slots LoadEdges names must be present.
 func (b *Buffer) WriteAt(off int64, p []byte) {
 	b.reattach()
 	end := off + int64(len(p))
@@ -281,8 +530,12 @@ func (b *Buffer) overwrite(off int64, p []byte) {
 			// Full overwrite: build the new chunk straight from p.
 			data := make([]byte, ChunkSize)
 			copy(data, p)
-			b.chunks[ci] = newChunk(data)
-			old.release()
+			b.setSlot(ci, newChunk(data))
+			if old != nil {
+				old.release()
+			}
+		case old == nil:
+			panic(fmt.Sprintf("extent: partial write to absent slot %d (LoadEdges first)", ci))
 		case old.refs.Load() == 1 && !old.pinned.Load():
 			// Exclusive and in no store: no snapshot or stored copy can see
 			// this chunk, so mutate in place; its old hash no longer holds.
@@ -293,7 +546,7 @@ func (b *Buffer) overwrite(off int64, p []byte) {
 			data := make([]byte, ChunkSize)
 			copy(data, old.data)
 			copy(data[cs:], p[:n])
-			b.chunks[ci] = newChunk(data)
+			b.setSlot(ci, newChunk(data))
 			old.release()
 		}
 		p = p[n:]
@@ -308,6 +561,7 @@ func (b *Buffer) extend(newLen int64) {
 	if newLen <= cur {
 		return
 	}
+	b.needTail()
 	// Fill the tail up to a chunk boundary (or the target) with zeros.
 	if len(b.tail) > 0 || newLen < int64(len(b.chunks)+1)*ChunkSize {
 		want := newLen - int64(len(b.chunks))*ChunkSize
@@ -346,9 +600,27 @@ func (b *Buffer) sealTail() {
 	b.tail = b.tail[:0]
 }
 
-// Truncate sets the length to size, zero-extending if it grows.
+// needTail is the invariant every reader and writer of the tail keeps: it
+// was loaded first (LoadRange, LoadEdges).
+func (b *Buffer) needTail() {
+	if b.absentTail > 0 {
+		panic("extent: the tail is absent (LoadEdges first)")
+	}
+}
+
+// Truncate sets the length to size, zero-extending if it grows. Only the
+// slot or tail that size cuts in part must be present (LoadEdges(size,
+// size)).
 func (b *Buffer) Truncate(size int64) {
 	b.reattach()
+	b.truncate(size)
+	if len(b.chunks) == 0 && b.absentTail == 0 {
+		// Nothing is left that the source could load or page out.
+		b.setSource(nil, 0)
+	}
+}
+
+func (b *Buffer) truncate(size int64) {
 	if size >= b.Len() {
 		b.extend(size)
 		return
@@ -356,29 +628,53 @@ func (b *Buffer) Truncate(size int64) {
 	keep := int(size / ChunkSize)
 	rem := int(size % ChunkSize)
 	if keep >= len(b.chunks) {
-		b.tail = b.tail[:size-int64(len(b.chunks))*ChunkSize]
+		if size == b.bodyLen() {
+			b.tail, b.absentTail = b.tail[:0], 0
+			return
+		}
+		b.needTail()
+		b.tail = b.tail[:size-b.bodyLen()]
 		return
 	}
-	newTail := append(b.tail[:0], b.chunks[keep].data[:rem]...)
-	for _, c := range b.chunks[keep:] {
-		c.release()
+	var newTail []byte
+	if rem > 0 {
+		if b.chunks[keep] == nil {
+			panic(fmt.Sprintf("extent: truncate into absent slot %d (LoadEdges first)", keep))
+		}
+		newTail = append(b.tail[:0], b.chunks[keep].data[:rem]...)
+	} else {
+		newTail = b.tail[:0]
+	}
+	for i := keep; i < len(b.chunks); i++ {
+		if c := b.chunks[i]; c != nil {
+			b.setSlot(i, nil)
+			c.release()
+		}
 	}
 	b.chunks = b.chunks[:keep]
-	if b.captured != 0 {
+	if len(b.dirty) > keep {
 		b.dirty = b.dirty[:keep]
 	}
-	b.tail = newTail
+	b.tail, b.absentTail = newTail, 0
 }
 
 // Snapshot captures the current content in O(#chunks): sealed chunks are
-// retained by reference, only the tail (< ChunkSize) is copied.
+// retained by reference, only the tail (< ChunkSize) is copied. Absent slots
+// stay absent in the snapshot, which shares the buffer's source; the tail
+// must be present.
 func (b *Buffer) Snapshot() *Snapshot {
 	b.reattach()
+	b.needTail()
 	chunks := make([]*Chunk, len(b.chunks))
 	for i, c := range b.chunks {
-		chunks[i] = c.retain()
+		if c != nil {
+			chunks[i] = c.retain()
+		}
 	}
-	return &Snapshot{chunks: chunks, tail: append([]byte(nil), b.tail...)}
+	if b.src != nil {
+		b.src.Retain()
+	}
+	return &Snapshot{chunks: chunks, tail: append([]byte(nil), b.tail...), src: b.src}
 }
 
 // captureSeq names captures process-wide, so no two name the same state.
@@ -394,30 +690,38 @@ func (b *Buffer) Capture() *Snapshot {
 	if b.captured != 0 {
 		s.follows, s.dirty = b.captured, b.dirty
 	}
-	b.captured = s.id
-	b.dirty = make([]Span, len(b.chunks))
+	b.captured, b.dirty = s.id, nil
 	return s
 }
 
 // SetSnapshot replaces the buffer's content with the snapshot's — the
-// restore path's "manifest swap". O(#chunks) plus the tail copy. The next
-// Capture follows none: nothing says which archived version the swapped-in
-// content is.
-func (b *Buffer) SetSnapshot(s *Snapshot) {
-	old := b.chunks
-	detached := b.detached
-	b.chunks = make([]*Chunk, len(s.chunks))
-	for i, c := range s.chunks {
-		b.chunks[i] = c.retain()
+// restore path's "manifest swap". O(#chunks) plus the tail copy; a slot the
+// snapshot has absent is loaded through its source, and on an error the
+// buffer is left as it was. The next Capture follows none: nothing says
+// which archived version the swapped-in content is.
+func (b *Buffer) SetSnapshot(s *Snapshot) error {
+	chunks := make([]*Chunk, len(s.chunks))
+	for i := range s.chunks {
+		c, err := s.Load(i)
+		if err != nil {
+			for _, c := range chunks[:i] {
+				c.release()
+			}
+			return err
+		}
+		chunks[i] = c
 	}
-	b.tail = append(b.tail[:0], s.tail...)
-	b.detached = false
-	b.captured, b.dirty = 0, nil
-	if !detached {
-		for _, c := range old {
-			c.release()
+	tail := append(b.tail[:0], s.tail...)
+	b.tail = nil
+	b.drop()
+	b.chunks, b.tail = chunks, tail
+	for _, c := range chunks {
+		if counted(c) {
+			b.resident += ChunkSize
 		}
 	}
+	b.captured, b.dirty = 0, nil
+	return nil
 }
 
 // SetBytes replaces the buffer's content with a copy of p.
@@ -426,7 +730,8 @@ func (b *Buffer) SetBytes(p []byte) {
 	b.WriteAt(0, p)
 }
 
-// Bytes materializes the whole content as a fresh byte slice.
+// Bytes materializes the whole content as a fresh byte slice. The content
+// must be present (LoadRange).
 func (b *Buffer) Bytes() []byte {
 	out := make([]byte, b.Len())
 	b.ReadAt(0, out)
@@ -436,13 +741,23 @@ func (b *Buffer) Bytes() []byte {
 // ReleaseRefs drops the buffer's chunk references without discarding the
 // structure: reads keep working (unlinked file held open), but the chunks no
 // longer count as live unless something else references them. A later
-// mutation or snapshot re-retains.
+// mutation or snapshot re-retains. The source stays while a slot or the tail
+// is absent, so a reader can still load it; with nothing absent it is given
+// up.
 func (b *Buffer) ReleaseRefs() {
 	if b.detached {
 		return
 	}
+	absent := b.absentTail > 0
 	for _, c := range b.chunks {
-		c.release()
+		if c == nil {
+			absent = true
+		} else {
+			c.release()
+		}
+	}
+	if !absent {
+		b.setSource(nil, 0)
 	}
 	b.detached = true
 }
@@ -453,7 +768,9 @@ func (b *Buffer) reattach() {
 		return
 	}
 	for _, c := range b.chunks {
-		c.retain()
+		if c != nil {
+			c.retain()
+		}
 	}
 	b.detached = false
 }
@@ -471,10 +788,12 @@ func WrapChunk(data []byte, h Hash) *Chunk {
 }
 
 // Snapshot is an immutable manifest of content: shared chunks plus a tail
-// nothing ever writes to. Snapshots are safe for concurrent use.
+// nothing ever writes to. A nil chunk is an absent slot, whose bytes src
+// holds. Snapshots are safe for concurrent use.
 type Snapshot struct {
 	chunks []*Chunk
 	tail   []byte
+	src    Source
 
 	// Set by Capture: the capture's name, the one it follows (0: none) and,
 	// when it follows one, the span of each chunk slot written since.
@@ -513,9 +832,27 @@ func (s *Snapshot) Len() int64 {
 // NumChunks reports the number of sealed chunks in the manifest.
 func (s *Snapshot) NumChunks() int { return len(s.chunks) }
 
-// Chunks exposes the manifest's chunks (archive interning). Callers must not
-// modify the returned slice or the chunks.
+// Chunks exposes the manifest's chunks (archive interning); a nil one is an
+// absent slot (Load). Callers must not modify the returned slice or the
+// chunks.
 func (s *Snapshot) Chunks() []*Chunk { return s.chunks }
+
+// Source is where the snapshot's absent slots load from (nil when it has
+// none).
+func (s *Snapshot) Source() Source { return s.src }
+
+// Load returns slot i as a caller-owned chunk reference: the present chunk,
+// or an absent slot read through the source.
+func (s *Snapshot) Load(i int) (*Chunk, error) {
+	if c := s.chunks[i]; c != nil {
+		return c.retain(), nil
+	}
+	data := make([]byte, ChunkSize)
+	if err := s.src.ReadSlot(i, data); err != nil {
+		return nil, fmt.Errorf("extent: loading chunk slot %d: %w", i, err)
+	}
+	return newChunk(data), nil
+}
 
 // Tail exposes the manifest's tail bytes. Callers must not modify them.
 func (s *Snapshot) Tail() []byte { return s.tail }
@@ -527,13 +864,26 @@ func (s *Snapshot) Captured() (id, follows uint64) { return s.id, s.follows }
 // Dirty reports the span of chunk slot i written since the capture s
 // follows: empty when the slot is unchanged, the whole chunk when its chunk
 // was replaced or appended. Meaningful only for a capture that follows one.
-func (s *Snapshot) Dirty(i int) Span { return s.dirty[i] }
+func (s *Snapshot) Dirty(i int) Span {
+	if i < len(s.dirty) {
+		return s.dirty[i]
+	}
+	return Span{}
+}
 
-// Bytes materializes the content as a fresh byte slice.
+// Bytes materializes the content as a fresh byte slice, reading absent slots
+// through the source. It is for content whose source cannot fail — tests,
+// and materialized archive versions, which have no absent slots: a failing
+// source panics. Callers that must handle the error use Load.
 func (s *Snapshot) Bytes() []byte {
 	out := make([]byte, 0, s.Len())
-	for _, c := range s.chunks {
+	for i := range s.chunks {
+		c, err := s.Load(i)
+		if err != nil {
+			panic(err)
+		}
 		out = append(out, c.data...)
+		c.release()
 	}
 	return append(out, s.tail...)
 }
@@ -546,7 +896,12 @@ func (s *Snapshot) Bytes() []byte {
 // affects live accounting and dedup eligibility. Releasing twice is a bug.
 func (s *Snapshot) Release() {
 	for _, c := range s.chunks {
-		c.release()
+		if c != nil {
+			c.release()
+		}
+	}
+	if s.src != nil {
+		s.src.Release()
 	}
 }
 

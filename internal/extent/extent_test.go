@@ -151,51 +151,136 @@ func TestReleaseRefsResurrection(t *testing.T) {
 	}
 }
 
+// flatSource is a chunk source over a flat copy of the content it stands
+// for; it counts its sharers, and every one of them must give it back.
+type flatSource struct {
+	content []byte
+	refs    int
+	all     *[]*flatSource // every source of the test, to check at the end
+}
+
+func newFlatSource(content []byte, all *[]*flatSource) *flatSource {
+	s := &flatSource{content: append([]byte(nil), content...), refs: 1, all: all}
+	*all = append(*all, s)
+	return s
+}
+
+func (s *flatSource) Size() int64 { return int64(len(s.content)) }
+
+func (s *flatSource) ReadSlot(i int, dst []byte) error {
+	if s.refs <= 0 {
+		panic("read of a released source")
+	}
+	copy(dst, s.content[i*ChunkSize:(i+1)*ChunkSize])
+	return nil
+}
+
+func (s *flatSource) ReadTail(dst []byte) error {
+	copy(dst, s.content[len(s.content)-len(dst):])
+	return nil
+}
+
+func (s *flatSource) Retain() { s.refs++ }
+
+func (s *flatSource) Release() {
+	if s.refs--; s.refs < 0 {
+		panic("source over-released")
+	}
+}
+
 // TestBufferMatchesFlatModel drives random writes and truncates through a
 // Buffer (with interleaved snapshot/restore churn) and a flat byte slice,
-// asserting byte-for-byte equivalence throughout.
+// asserting byte-for-byte equivalence throughout. Commits hand the buffer a
+// source holding the captured content (Attach), installs start it over with
+// every slot absent (Install), and page-outs and fault-ins move clean slots
+// out of and back into memory; every access first loads what extent asks it
+// to, as the file system does. A page-out that drops a slot written since
+// the commit — a dirty slot — diverges from the model at the next read of
+// it.
 func TestBufferMatchesFlatModel(t *testing.T) {
 	baseC, _ := Live()
 	rng := rand.New(rand.NewSource(42))
+	var sources []*flatSource
+	must := func(_ int, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	pageOuts, faultIns := 0, 0
 	for round := 0; round < 20; round++ {
 		b := NewBuffer()
 		var m flatModel
 		var snaps []*Snapshot
 		var snapModels [][]byte
-		for op := 0; op < 120; op++ {
-			switch rng.Intn(10) {
+		for op := 0; op < 160; op++ {
+			switch rng.Intn(16) {
 			case 0, 1: // truncate
 				size := int64(rng.Intn(4 * ChunkSize))
+				must(b.LoadEdges(size, size))
 				b.Truncate(size)
 				m.Truncate(size)
 			case 2: // snapshot
+				must(b.LoadEdges(b.Len(), b.Len()))
 				snaps = append(snaps, b.Snapshot())
 				snapModels = append(snapModels, append([]byte(nil), m...))
 			case 3: // restore a random snapshot
 				if len(snaps) > 0 {
 					i := rng.Intn(len(snaps))
-					b.SetSnapshot(snaps[i])
+					if err := b.SetSnapshot(snaps[i]); err != nil {
+						t.Fatal(err)
+					}
 					m = append(m[:0], snapModels[i]...)
 				}
+			case 4, 5: // commit: the capture's content becomes the source
+				must(b.LoadEdges(b.Len(), b.Len()))
+				c := b.Capture()
+				id, _ := c.Captured()
+				if !b.Attach(id, newFlatSource(c.Bytes(), &sources)) {
+					t.Fatalf("round %d op %d: attach of the last capture refused", round, op)
+				}
+				c.Release()
+			case 6: // install: every slot absent
+				b.Install(newFlatSource(m, &sources))
+			case 7, 8: // page out
+				before := b.Resident()
+				_, freed := b.PageOut(rng.Intn(b.NumChunks()+1), int64(rng.Intn(4*ChunkSize)))
+				if b.Resident() != before-freed {
+					t.Fatalf("round %d op %d: page-out freed %d, resident %d -> %d", round, op, freed, before, b.Resident())
+				}
+				pageOuts += int(freed / ChunkSize)
+			case 9: // fault in a range
+				off := int64(rng.Intn(4 * ChunkSize))
+				n, err := b.LoadRange(off, int64(rng.Intn(2*ChunkSize)))
+				must(n, err)
+				faultIns += n
 			default: // write
 				off := int64(rng.Intn(3 * ChunkSize))
 				n := rng.Intn(ChunkSize * 2)
 				p := make([]byte, n)
 				rng.Read(p)
+				must(b.LoadEdges(off, off+int64(n)))
 				b.WriteAt(off, p)
 				m.WriteAt(off, p)
 			}
 			if b.Len() != int64(len(m)) {
 				t.Fatalf("round %d op %d: len %d vs model %d", round, op, b.Len(), len(m))
 			}
+			resident := int64(0)
+			for _, c := range b.chunks {
+				if counted(c) {
+					resident += ChunkSize
+				}
+			}
+			if resident != b.Resident() {
+				t.Fatalf("round %d op %d: resident %d, present chunks hold %d", round, op, b.Resident(), resident)
+			}
 		}
-		if !bytes.Equal(b.Bytes(), m) {
-			t.Fatalf("round %d: content diverged from model", round)
-		}
-		// Random-range reads agree too.
+		// Random-range reads agree.
 		for i := 0; i < 20; i++ {
 			off := int64(rng.Intn(len(m) + 1))
 			p := make([]byte, rng.Intn(ChunkSize))
+			must(b.LoadRange(off, int64(len(p))))
 			n := b.ReadAt(off, p)
 			want := len(m) - int(off)
 			if want > len(p) {
@@ -208,13 +293,28 @@ func TestBufferMatchesFlatModel(t *testing.T) {
 				t.Fatalf("round %d: ReadAt(%d, %d) diverged", round, off, len(p))
 			}
 		}
-		for _, s := range snaps {
+		must(b.LoadRange(0, b.Len()))
+		if !bytes.Equal(b.Bytes(), m) {
+			t.Fatalf("round %d: content diverged from model", round)
+		}
+		for i, s := range snaps {
+			if !bytes.Equal(s.Bytes(), snapModels[i]) {
+				t.Fatalf("round %d: snapshot %d diverged from its model", round, i)
+			}
 			s.Release()
 		}
 		b.Truncate(0)
 	}
+	if pageOuts == 0 || faultIns == 0 {
+		t.Fatalf("%d page-outs, %d fault-ins: the schedule does not cover paging", pageOuts, faultIns)
+	}
 	if endC, _ := Live(); endC != baseC {
 		t.Fatalf("model churn leaked %d chunks", endC-baseC)
+	}
+	for i, s := range sources {
+		if s.refs != 0 {
+			t.Fatalf("source %d has %d sharers left", i, s.refs)
+		}
 	}
 }
 

@@ -10,14 +10,20 @@
 // including partially written files — which is precisely why the DLFM
 // archive-restore protocol of the paper is needed for update atomicity.
 //
-// A file's content may be deferred (WriteFileDeferred): the file exists at
-// its size, and its bytes are loaded on the first access that needs them.
-// Cold-start recovery installs every linked file that did not survive this
-// way, from its archived version, so a restart costs what is touched rather
-// than every linked file's bytes. Loading happens under the inode's write
-// lock, at most once; a whole replace (WriteSnapshot, Truncate to 0, another
-// WriteFileDeferred) drops the deferred content unread, and a load that fails
-// leaves it deferred and reports ErrIO — no access ever sees empty bytes.
+// A file's content pages against a chunk source (extent.Source), the
+// archived version its committed bytes were stored as. WriteFileDeferred
+// installs a file from one without reading it: the file exists at its size,
+// and each access loads only the chunks it touches. Cold-start recovery, a
+// promote, a rollback and a restore install every file this way, so they
+// cost what is touched rather than every file's bytes. SetSource hands a
+// committed file the version its capture was archived as, and from then on
+// the file system may page a clean chunk — one not written since — out of
+// memory: once the resident chunk bytes of all files pass the budget
+// (SetMemoryBudget), clean chunks are dropped by second chance, a read giving
+// a chunk its second chance. A dirty chunk, a tail and a file without a
+// source never leave. Loading happens under the inode's write lock; a load
+// that fails leaves the chunk absent and reports ErrIO — no access ever sees
+// empty bytes.
 //
 // Locking is deliberately fine-grained so concurrent clients scale:
 //
@@ -58,6 +64,7 @@ import (
 	"time"
 
 	"datalinks/internal/extent"
+	"datalinks/internal/metrics"
 )
 
 // UID identifies a user. UID 0 is root and bypasses permission checks.
@@ -125,20 +132,6 @@ var (
 	ErrIO         = errors.New("fs: input/output error")
 )
 
-// Deferred is file content the file system holds without having read it:
-// its length, a way to read it and a way to give it up. FS calls every method
-// under the owning inode's write lock (Size under its read lock), so an
-// implementation needs no lock of its own for calls from one file.
-type Deferred interface {
-	// Size is the content's length, reported before anything is read.
-	Size() int64
-	// Load reads the content as a caller-owned snapshot. An error leaves the
-	// content deferred; the next access calls Load again.
-	Load() (*extent.Snapshot, error)
-	// Release gives up the content, loaded or not. FS calls it once.
-	Release()
-}
-
 // NodeType distinguishes files from directories.
 type NodeType uint8
 
@@ -174,9 +167,13 @@ type Inode struct {
 	mode  FileMode
 	mtime time.Time
 	data  extent.Buffer
-	// pending, when set, is the file's content, not yet read into data
-	// (which is then empty): the first content access loads it.
-	pending Deferred
+	// unlinked: the inode's resident chunks left the file system's count
+	// when its last name went; what handles load after stays uncounted.
+	unlinked bool
+
+	// ring is the inode's index in the pager's ring plus one (0: not in
+	// it). Guarded by the pager's mu.
+	ring int
 
 	// nsMu is this directory's namespace lock, guarding children. Mutating
 	// a directory takes it exclusive; resolution and listing take it shared.
@@ -229,7 +226,8 @@ type Stats struct {
 	Removes  atomic.Int64
 	Renames  atomic.Int64
 	Setattrs atomic.Int64
-	// DeferredLoads counts deferred contents read in (one per file loaded).
+	// DeferredLoads counts chunks read in from a source (a chunk slot or a
+	// tail, one each).
 	DeferredLoads atomic.Int64
 }
 
@@ -240,6 +238,37 @@ type FS struct {
 	clock Clock
 
 	Stats Stats
+	pg    pager
+}
+
+// pager keeps the file system's resident chunk bytes within a budget. Every
+// change to an inode's resident bytes is added to resident under the inode's
+// lock; once resident plus the shared bytes pass the budget, a clock hand
+// walks the ring of inodes that have a source and pages clean chunks out
+// (extent.Buffer.PageOut), taking each inode's lock only if it is free.
+type pager struct {
+	budget int64        // 0: nothing is paged out
+	shared func() int64 // other resident bytes the budget covers (nil: none)
+	// resident, pageouts and faultins are fs.resident_bytes, fs.pageouts and
+	// fs.faultins of the registry SetMemoryBudget was given.
+	resident, pageouts, faultins *metrics.Counter
+
+	mu   sync.Mutex
+	ring []*Inode
+	hand int // ring index the next page-out starts at
+	slot int // chunk slot of ring[hand] it starts at
+}
+
+// excess is how far the resident bytes are over the budget (<= 0: within).
+func (p *pager) excess() int64 {
+	if p.budget <= 0 {
+		return 0
+	}
+	over := p.resident.Value() - p.budget
+	if p.shared != nil {
+		over += p.shared()
+	}
+	return over
 }
 
 // New returns an empty file system with a root directory owned by root.
@@ -250,6 +279,7 @@ func New() *FS {
 // NewWithClock returns an empty file system using the given clock.
 func NewWithClock(clock Clock) *FS {
 	f := &FS{clock: clock}
+	f.pg.resident, f.pg.pageouts, f.pg.faultins = new(metrics.Counter), new(metrics.Counter), new(metrics.Counter)
 	f.next.Store(1)
 	f.root = &Inode{
 		ino:      1,
@@ -519,9 +549,6 @@ func (f *FS) Remove(p string, cred Cred) error {
 	if !permCheck(dir, cred, AccessWrite) {
 		return ErrPermission
 	}
-	if err := f.loadNow(n); err != nil {
-		return err
-	}
 	delete(dir.children, base)
 	if n.nlink.Add(-1) == 0 {
 		f.releaseContent(n)
@@ -530,15 +557,18 @@ func (f *FS) Remove(p string, cred Cred) error {
 	return nil
 }
 
-// releaseContent drops the chunk references of a fully unlinked inode. The
-// content stays readable for open handles — the unlink loaded any deferred
-// content first (loadNow), while the name still found the file; extent
-// accounting just stops counting it as live (a later write through a handle
-// re-retains).
+// releaseContent drops the chunk references of a fully unlinked inode and
+// takes its resident bytes out of the file system's count. The content stays
+// readable for open handles — absent chunks keep loading from the inode's
+// source, uncounted; extent accounting just stops counting it as live (a
+// later write through a handle re-retains).
 func (f *FS) releaseContent(n *Inode) {
 	n.mu.Lock()
+	f.pg.resident.Add(-n.data.Resident())
+	n.unlinked = true
 	n.data.ReleaseRefs()
 	n.mu.Unlock()
+	f.untrack(n)
 }
 
 // Rmdir removes an empty directory at p. It needs two nsMu locks at once —
@@ -656,9 +686,6 @@ func (f *FS) Rename(oldp, newp string, cred Cred) error {
 		if existing.typ == TypeDir {
 			return ErrIsDir
 		}
-		if err := f.loadNow(existing); err != nil {
-			return err
-		}
 		if existing.nlink.Add(-1) == 0 {
 			f.releaseContent(existing)
 		}
@@ -672,69 +699,157 @@ func (f *FS) Rename(oldp, newp string, cred Cred) error {
 	return nil
 }
 
-// size is the file's length, deferred content included. Caller holds n.mu.
-func (n *Inode) size() int64 {
-	if n.pending != nil {
-		return n.pending.Size()
-	}
-	return n.data.Len()
+// SetMemoryBudget makes the file system page clean chunks out once its
+// resident chunk bytes plus shared() pass budget (<= 0: never), and publishes
+// fs.resident_bytes (a gauge), fs.pageouts and fs.faultins (in chunks) in
+// reg. shared, which may be nil, reports the other resident bytes the budget
+// covers — the member's archive read cache. Call it before the file system
+// holds any content.
+func (f *FS) SetMemoryBudget(budget int64, shared func() int64, reg *metrics.Registry) {
+	f.pg.budget, f.pg.shared = budget, shared
+	f.pg.resident = reg.Counter("fs.resident_bytes")
+	f.pg.pageouts = reg.Counter("fs.pageouts")
+	f.pg.faultins = reg.Counter("fs.faultins")
 }
 
-// load reads deferred content into the file's buffer; a no-op when there is
-// none. Loading is not a modification: mtime stays. On an error the content
-// stays deferred. Caller holds n.mu exclusively.
-func (f *FS) load(n *Inode) error {
-	if n.pending == nil {
-		return nil
+// ResidentBytes reports the bytes of chunk slots the file system's linked
+// files hold in memory.
+func (f *FS) ResidentBytes() int64 { return f.pg.resident.Value() }
+
+// settle adds the change of n's resident bytes since before to the file
+// system's count — nothing once n is unlinked. Caller holds n.mu
+// exclusively.
+func (f *FS) settle(n *Inode, before int64) {
+	if !n.unlinked {
+		f.pg.resident.Add(n.data.Resident() - before)
 	}
-	snap, err := n.pending.Load()
+}
+
+// loaded accounts chunks loaded from n's source, and wraps a load error as
+// ErrIO. Loading is not a modification: mtime stays.
+func (f *FS) loaded(n *Inode, count int, err error) error {
+	if count > 0 {
+		f.Stats.DeferredLoads.Add(int64(count))
+		f.pg.faultins.Add(int64(count))
+	}
 	if err != nil {
-		return fmt.Errorf("%w: loading deferred content of inode %d: %w", ErrIO, n.ino, err)
+		return fmt.Errorf("%w: inode %d: %w", ErrIO, n.ino, err)
 	}
-	n.data.SetSnapshot(snap)
-	snap.Release()
-	n.dropPending()
-	f.Stats.DeferredLoads.Add(1)
 	return nil
 }
 
-// loadNow is load under the inode's write lock.
-func (f *FS) loadNow(n *Inode) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return f.load(n)
-}
-
-// dropPending releases deferred content and forgets it: once it is loaded,
-// or unread when a whole replace discards it. Caller holds n.mu exclusively.
-func (n *Inode) dropPending() {
-	if n.pending != nil {
-		n.pending.Release()
-		n.pending = nil
+// track puts n in the pager's ring once it has a source.
+func (f *FS) track(n *Inode) {
+	p := &f.pg
+	p.mu.Lock()
+	if n.ring == 0 {
+		p.ring = append(p.ring, n)
+		n.ring = len(p.ring)
 	}
+	p.mu.Unlock()
 }
 
-// rlockLoaded read-locks n with its content loaded. A reader that finds the
-// content deferred drops the read lock, loads under the write lock — where a
-// concurrent reader that got there first has already loaded it, so N readers
-// load once — and reads under the read lock like any other. On an error no
-// lock is held.
-func (f *FS) rlockLoaded(n *Inode) error {
-	n.mu.RLock()
-	for n.pending != nil {
-		n.mu.RUnlock()
-		if err := f.loadNow(n); err != nil {
-			return err
+// untrack takes an unlinked n out of the ring, so the ring keeps no removed
+// file's content reachable.
+func (f *FS) untrack(n *Inode) {
+	p := &f.pg
+	p.mu.Lock()
+	if n.ring != 0 {
+		p.dropLocked(n.ring - 1)
+	}
+	p.mu.Unlock()
+}
+
+// dropLocked removes ring[i], moving the last inode into its place. Caller
+// holds mu.
+func (p *pager) dropLocked(i int) {
+	last := len(p.ring) - 1
+	p.ring[i].ring = 0
+	if i != last {
+		p.ring[i] = p.ring[last]
+		p.ring[i].ring = i + 1
+	}
+	p.ring[last] = nil
+	p.ring = p.ring[:last]
+}
+
+// pageOut pages clean chunks out, second chance, while the resident bytes
+// are over the budget: the hand resumes where the last page-out stopped and
+// goes round the ring at most twice — a first pass clears referenced bits,
+// the second drops what is still clear. An inode whose lock is taken is
+// passed over, so no caller waits here for another file's lock, and one
+// that has lost its source or its last name leaves the ring. Callers hold
+// no inode lock.
+func (f *FS) pageOut() {
+	p := &f.pg
+	if p.excess() <= 0 {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for visits := 0; visits <= 2*len(p.ring); visits++ {
+		want := p.excess()
+		if want <= 0 || len(p.ring) == 0 {
+			return
 		}
-		n.mu.RLock()
+		if p.hand >= len(p.ring) {
+			p.hand, p.slot = 0, 0
+		}
+		n := p.ring[p.hand]
+		if !n.mu.TryLock() {
+			p.hand, p.slot = p.hand+1, 0
+			continue
+		}
+		if !n.data.Pageable() {
+			p.dropLocked(p.hand)
+			p.slot = 0
+			n.mu.Unlock()
+			continue
+		}
+		next, freed := n.data.PageOut(p.slot, want)
+		done := next >= n.data.NumChunks()
+		n.mu.Unlock()
+		p.resident.Add(-freed)
+		p.pageouts.Add(freed / extent.ChunkSize)
+		if done {
+			p.hand, p.slot = p.hand+1, 0
+		} else {
+			p.slot = next
+		}
 	}
+}
+
+// SetSource hands the file at p its chunk source: src is the version the
+// file's capture id was archived as, and the file owns it from the call on.
+// Unless the file was captured again or replaced since (then src is released
+// and nothing changes), its clean chunks may now be paged out, and the
+// file system pages out what the budget asks.
+func (f *FS) SetSource(p string, id uint64, src extent.Source) error {
+	n, err := f.resolve(p)
+	if err == nil && n.typ != TypeFile {
+		err = ErrIsDir
+	}
+	if err != nil {
+		src.Release()
+		return err
+	}
+	n.mu.Lock()
+	ok := !n.unlinked && n.data.Attach(id, src)
+	n.mu.Unlock()
+	if !ok {
+		src.Release()
+		return nil
+	}
+	f.track(n)
+	f.pageOut()
 	return nil
 }
 
 // ReadAt reads from the file at offset off into p, returning bytes read.
 // Reading at or past EOF returns 0 with no error (callers detect EOF by n=0).
-// Only the inode's read lock is taken: concurrent reads — of the same file
-// or different files — proceed in parallel.
+// A read of present chunks takes only the inode's read lock: concurrent
+// reads — of the same file or different files — proceed in parallel. A read
+// that touches an absent chunk loads it and reads under the write lock.
 func (f *FS) ReadAt(n *Inode, off int64, p []byte) (int, error) {
 	f.Stats.Reads.Add(1)
 	if n == nil || n.typ != TypeFile {
@@ -743,11 +858,31 @@ func (f *FS) ReadAt(n *Inode, off int64, p []byte) (int, error) {
 	if off < 0 {
 		return 0, ErrInvalid
 	}
-	if err := f.rlockLoaded(n); err != nil {
+	return f.read(n, off, p)
+}
+
+// read is ReadAt without the op count.
+func (f *FS) read(n *Inode, off int64, p []byte) (int, error) {
+	n.mu.RLock()
+	if !n.data.Absent(off, int64(len(p))) {
+		defer n.mu.RUnlock()
+		return n.data.ReadAt(off, p), nil
+	}
+	n.mu.RUnlock()
+	n.mu.Lock()
+	before := n.data.Resident()
+	count, err := n.data.LoadRange(off, int64(len(p)))
+	f.settle(n, before)
+	read := 0
+	if err == nil {
+		read = n.data.ReadAt(off, p)
+	}
+	n.mu.Unlock()
+	if err := f.loaded(n, count, err); err != nil {
 		return 0, err
 	}
-	defer n.mu.RUnlock()
-	return n.data.ReadAt(off, p), nil
+	f.pageOut()
+	return read, nil
 }
 
 // WriteAt writes p to the file at offset off, extending it as needed.
@@ -762,19 +897,26 @@ func (f *FS) WriteAt(n *Inode, off int64, p []byte) (int, error) {
 		return 0, ErrInvalid
 	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if err := f.load(n); err != nil {
+	before := n.data.Resident()
+	count, err := n.data.LoadEdges(off, off+int64(len(p)))
+	if err == nil {
+		n.data.WriteAt(off, p)
+		// Clock read under the inode lock: concurrent writers must leave
+		// data and mtime consistent (DLFM's modification detection compares
+		// mtimes).
+		n.mtime = f.clock()
+	}
+	f.settle(n, before)
+	n.mu.Unlock()
+	if err := f.loaded(n, count, err); err != nil {
 		return 0, err
 	}
-	n.data.WriteAt(off, p)
-	// Clock read under the inode lock: concurrent writers must leave data
-	// and mtime consistent (DLFM's modification detection compares mtimes).
-	n.mtime = f.clock()
+	f.pageOut()
 	return len(p), nil
 }
 
-// Truncate sets the file length to size. Truncating to 0 drops deferred
-// content unread; any other size loads it first.
+// Truncate sets the file length to size. Only a chunk that size cuts in part
+// is loaded; the rest of an absent file is dropped unread.
 func (f *FS) Truncate(n *Inode, size int64) error {
 	if n == nil || n.typ != TypeFile {
 		return ErrInvalid
@@ -783,15 +925,15 @@ func (f *FS) Truncate(n *Inode, size int64) error {
 		return ErrInvalid
 	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if size == 0 {
-		n.dropPending()
-	} else if err := f.load(n); err != nil {
-		return err
+	before := n.data.Resident()
+	count, err := n.data.LoadEdges(size, size)
+	if err == nil {
+		n.data.Truncate(size)
+		n.mtime = f.clock()
 	}
-	n.data.Truncate(size)
-	n.mtime = f.clock()
-	return nil
+	f.settle(n, before)
+	n.mu.Unlock()
+	return f.loaded(n, count, err)
 }
 
 // Getattr returns the attribute block of an inode.
@@ -806,7 +948,7 @@ func (f *FS) Getattr(n *Inode) (Attr, error) {
 		Type:  n.typ,
 		UID:   n.uid,
 		Mode:  n.mode,
-		Size:  n.size(),
+		Size:  n.data.Len(),
 		Mtime: n.mtime,
 	}, nil
 }
@@ -881,11 +1023,14 @@ func (f *FS) ReadFile(p string) ([]byte, error) {
 	if n.typ != TypeFile {
 		return nil, ErrIsDir
 	}
-	if err := f.rlockLoaded(n); err != nil {
+	n.mu.RLock()
+	out := make([]byte, n.data.Len())
+	n.mu.RUnlock()
+	read, err := f.read(n, 0, out)
+	if err != nil {
 		return nil, err
 	}
-	defer n.mu.RUnlock()
-	return n.data.Bytes(), nil
+	return out[:read], nil
 }
 
 // lookupOrCreate resolves the file at p, creating it owned by root if it
@@ -918,19 +1063,28 @@ func (f *FS) WriteFile(p string, data []byte) error {
 }
 
 // Snapshot captures a file's content as an immutable extent manifest in
-// O(#chunks) — the archive path's replacement for ReadFile. The caller owns
-// the returned snapshot and must Release it (or hand it to an owner that
-// will).
+// O(#chunks) — the archive path's replacement for ReadFile. Absent chunks
+// stay absent, behind the file's source; only an absent tail is loaded. The
+// caller owns the returned snapshot and must Release it (or hand it to an
+// owner that will).
 func (f *FS) Snapshot(n *Inode) (*extent.Snapshot, error) {
+	return f.snapshot(n, (*extent.Buffer).Snapshot)
+}
+
+// snapshot takes a snapshot with take under n's write lock, its tail loaded
+// first.
+func (f *FS) snapshot(n *Inode, take func(*extent.Buffer) *extent.Snapshot) (*extent.Snapshot, error) {
 	if n == nil || n.typ != TypeFile {
 		return nil, ErrInvalid
 	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if err := f.load(n); err != nil {
-		return nil, err
+	count, err := n.data.LoadEdges(n.data.Len(), n.data.Len())
+	var snap *extent.Snapshot
+	if err == nil {
+		snap = take(&n.data)
 	}
-	return n.data.Snapshot(), nil
+	n.mu.Unlock()
+	return snap, f.loaded(n, count, err)
 }
 
 // SnapshotFile is Snapshot by path.
@@ -957,18 +1111,14 @@ func (f *FS) CaptureFile(p string) (*extent.Snapshot, error) {
 	if n.typ != TypeFile {
 		return nil, ErrIsDir
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if err := f.load(n); err != nil {
-		return nil, err
-	}
-	return n.data.Capture(), nil
+	return f.snapshot(n, (*extent.Buffer).Capture)
 }
 
 // WriteSnapshot replaces a file's content with a manifest swap: the restore
 // path's O(#chunks) replacement for WriteFile. The snapshot itself is not
-// consumed; the file holds its own references. Deferred content is dropped
-// unread.
+// consumed; the file holds its own references, and a chunk the snapshot has
+// absent is loaded through its source. The file's own absent content is
+// dropped unread.
 func (f *FS) WriteSnapshot(n *Inode, snap *extent.Snapshot) error {
 	if n == nil || n.typ != TypeFile {
 		return ErrInvalid
@@ -978,8 +1128,11 @@ func (f *FS) WriteSnapshot(n *Inode, snap *extent.Snapshot) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.dropPending()
-	n.data.SetSnapshot(snap)
+	before := n.data.Resident()
+	if err := n.data.SetSnapshot(snap); err != nil {
+		return fmt.Errorf("%w: inode %d: %w", ErrIO, n.ino, err)
+	}
+	f.settle(n, before)
 	n.mtime = f.clock()
 	return nil
 }
@@ -994,27 +1147,28 @@ func (f *FS) WriteFileSnapshot(p string, snap *extent.Snapshot) error {
 	return f.WriteSnapshot(n, snap)
 }
 
-// WriteFileDeferred replaces the content of the file at p with d, creating
-// the file if needed (root semantics, like WriteFile), without reading it:
-// the file reports d's size at once, its mtime is now, as after
-// WriteFileSnapshot, and the first access that needs bytes loads them. The
-// file owns d from the call on — it releases d when the content is loaded or
+// WriteFileDeferred replaces the content of the file at p with src's,
+// creating the file if needed (root semantics, like WriteFile), without
+// reading it: the file reports src's size at once, its mtime is now, as after
+// WriteFileSnapshot, and each access loads only the chunks it touches. The
+// file owns src from the call on — it releases src when the content is
 // replaced, and at once when the call fails.
-func (f *FS) WriteFileDeferred(p string, d Deferred) error {
+func (f *FS) WriteFileDeferred(p string, src extent.Source) error {
 	n, err := f.lookupOrCreate(p)
 	if err == nil && n.typ != TypeFile {
 		err = ErrIsDir
 	}
 	if err != nil {
-		d.Release()
+		src.Release()
 		return err
 	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.dropPending()
-	n.data.Truncate(0)
-	n.pending = d
+	before := n.data.Resident()
+	n.data.Install(src)
+	f.settle(n, before)
 	n.mtime = f.clock()
+	n.mu.Unlock()
+	f.track(n)
 	return nil
 }
 
@@ -1166,7 +1320,7 @@ func (f *FS) Walk(p string, fn func(path string, attr Attr)) error {
 	rec = func(prefix string, n *Inode) {
 		if n.typ == TypeFile {
 			n.mu.RLock()
-			attr := Attr{Ino: n.ino, Type: n.typ, UID: n.uid, Mode: n.mode, Size: n.size(), Mtime: n.mtime}
+			attr := Attr{Ino: n.ino, Type: n.typ, UID: n.uid, Mode: n.mode, Size: n.data.Len(), Mtime: n.mtime}
 			n.mu.RUnlock()
 			fn(prefix, attr)
 			return

@@ -11,41 +11,79 @@ import (
 	"datalinks/internal/extent"
 )
 
-// countingDeferred is deferred content that counts what the file system
-// asks of it. Its first failLoads loads fail.
-type countingDeferred struct {
-	content   []byte
-	failLoads atomic.Int32
-	loads     atomic.Int32
-	releases  atomic.Int32
+// countingSource is a chunk source that counts what the file system asks of
+// it. Its first failLoads loads fail.
+type countingSource struct {
+	content      []byte
+	failLoads    atomic.Int32
+	slotLoads    atomic.Int32
+	tailLoads    atomic.Int32
+	refs         atomic.Int32
+	released     atomic.Int32 // last releases seen
+	overReleased atomic.Int32
 }
 
-func newCounting(n int) *countingDeferred {
+func newCounting(n int) *countingSource {
 	content := make([]byte, n)
 	for i := range content {
 		content[i] = byte(i*7 + i/251)
 	}
-	return &countingDeferred{content: content}
+	return newSource(content)
 }
 
-func (d *countingDeferred) Size() int64 { return int64(len(d.content)) }
+func newSource(content []byte) *countingSource {
+	d := &countingSource{content: content}
+	d.refs.Store(1)
+	return d
+}
 
-func (d *countingDeferred) Load() (*extent.Snapshot, error) {
-	d.loads.Add(1)
+func (d *countingSource) Size() int64 { return int64(len(d.content)) }
+
+func (d *countingSource) fail() error {
 	if d.failLoads.Add(-1) >= 0 {
-		return nil, errors.New("archive device unreachable")
+		return errors.New("archive device unreachable")
 	}
-	return extent.FromBytes(d.content), nil
+	return nil
 }
 
-func (d *countingDeferred) Release() { d.releases.Add(1) }
+func (d *countingSource) ReadSlot(i int, dst []byte) error {
+	d.slotLoads.Add(1)
+	if err := d.fail(); err != nil {
+		return err
+	}
+	copy(dst, d.content[i*extent.ChunkSize:])
+	return nil
+}
 
-// counts fails the test unless the content was loaded and released as often
-// as wanted.
-func (d *countingDeferred) counts(t *testing.T, loads, releases int32) {
+func (d *countingSource) ReadTail(dst []byte) error {
+	d.tailLoads.Add(1)
+	if err := d.fail(); err != nil {
+		return err
+	}
+	copy(dst, d.content[len(d.content)-len(dst):])
+	return nil
+}
+
+func (d *countingSource) Retain() { d.refs.Add(1) }
+
+func (d *countingSource) Release() {
+	switch n := d.refs.Add(-1); {
+	case n == 0:
+		d.released.Add(1)
+	case n < 0:
+		d.overReleased.Add(1)
+	}
+}
+
+// counts fails the test unless the source loaded slots and its tail as often
+// as wanted, and was given up by its last sharer (released) or not.
+func (d *countingSource) counts(t *testing.T, slots, tails int32, released bool) {
 	t.Helper()
-	if l, r := d.loads.Load(), d.releases.Load(); l != loads || r != releases {
-		t.Fatalf("loads=%d releases=%d, want %d and %d", l, r, loads, releases)
+	s, tl := d.slotLoads.Load(), d.tailLoads.Load()
+	gone := d.released.Load() == 1
+	if s != slots || tl != tails || gone != released || d.overReleased.Load() != 0 || d.released.Load() > 1 {
+		t.Fatalf("slot loads=%d tail loads=%d released=%v (over-released %d); want %d, %d and %v",
+			s, tl, gone, d.overReleased.Load(), slots, tails, released)
 	}
 }
 
@@ -62,9 +100,9 @@ func stepClock() Clock {
 	}
 }
 
-// deferredFile installs 100 KiB of counted deferred content at /data/f — one
-// whole chunk and a tail.
-func deferredFile(t *testing.T, f *FS) (*Inode, *countingDeferred) {
+// deferredFile installs 100 KiB of counted content at /data/f — one whole
+// chunk and a tail.
+func deferredFile(t *testing.T, f *FS) (*Inode, *countingSource) {
 	t.Helper()
 	if err := f.MkdirAll("/data", root, 0o777); err != nil {
 		t.Fatal(err)
@@ -91,7 +129,7 @@ func TestDeferredGetattrWithoutLoad(t *testing.T) {
 	if err := f.Walk("/data", func(_ string, a Attr) { walked = a.Size }); err != nil || walked != d.Size() {
 		t.Fatalf("walk size = %d, %v; want %d", walked, err, d.Size())
 	}
-	d.counts(t, 0, 0)
+	d.counts(t, 0, 0, false)
 	if got := f.Stats.DeferredLoads.Load(); got != 0 {
 		t.Fatalf("DeferredLoads = %d before any read", got)
 	}
@@ -99,9 +137,10 @@ func TestDeferredGetattrWithoutLoad(t *testing.T) {
 	if err != nil || !bytes.Equal(got, d.content) {
 		t.Fatalf("read = %d bytes, %v", len(got), err)
 	}
-	d.counts(t, 1, 1)
-	if got := f.Stats.DeferredLoads.Load(); got != 1 {
-		t.Fatalf("DeferredLoads = %d after one load", got)
+	// The chunk and the tail, once each; the file keeps its source.
+	d.counts(t, 1, 1, false)
+	if got := f.Stats.DeferredLoads.Load(); got != 2 {
+		t.Fatalf("DeferredLoads = %d after loading a chunk and a tail", got)
 	}
 }
 
@@ -126,7 +165,8 @@ func TestDeferredConcurrentReadersLoadOnce(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	d.counts(t, 1, 1)
+	// 16 readers over the chunk and the tail load each once.
+	d.counts(t, 1, 1, false)
 }
 
 func TestDeferredWholeReplaceReleasesUnread(t *testing.T) {
@@ -139,7 +179,7 @@ func TestDeferredWholeReplaceReleasesUnread(t *testing.T) {
 		"Truncate0": func(f *FS, n *Inode) error { return f.Truncate(n, 0) },
 		"WriteFile": func(f *FS, _ *Inode) error { return f.WriteFile("/data/f", []byte("new")) },
 		"WriteFileDeferred": func(f *FS, _ *Inode) error {
-			return f.WriteFileDeferred("/data/f", &countingDeferred{content: []byte("new")})
+			return f.WriteFileDeferred("/data/f", newSource([]byte("new")))
 		},
 	}
 	for name, fn := range replace {
@@ -149,7 +189,7 @@ func TestDeferredWholeReplaceReleasesUnread(t *testing.T) {
 			if err := fn(f, n); err != nil {
 				t.Fatal(err)
 			}
-			d.counts(t, 0, 1)
+			d.counts(t, 0, 0, true)
 			got, err := f.ReadFile("/data/f")
 			want := "new"
 			if name == "Truncate0" {
@@ -158,7 +198,7 @@ func TestDeferredWholeReplaceReleasesUnread(t *testing.T) {
 			if err != nil || string(got) != want {
 				t.Fatalf("after replace read %q, %v; want %q", got, err, want)
 			}
-			d.counts(t, 0, 1)
+			d.counts(t, 0, 0, true)
 		})
 	}
 }
@@ -171,7 +211,7 @@ func TestDeferredFailedLoadStaysPending(t *testing.T) {
 	if _, err := f.ReadAt(n, 0, buf); !errors.Is(err, ErrIO) {
 		t.Fatalf("read over a failing load = %v, want ErrIO", err)
 	}
-	d.counts(t, 1, 0)
+	d.counts(t, 1, 0, false)
 	if attr, _ := f.Getattr(n); attr.Size != d.Size() {
 		t.Fatalf("size after a failed load = %d, want %d", attr.Size, d.Size())
 	}
@@ -180,15 +220,19 @@ func TestDeferredFailedLoadStaysPending(t *testing.T) {
 	if _, err := f.WriteAt(n, 0, []byte("x")); !errors.Is(err, ErrIO) {
 		t.Fatalf("write over a failing load = %v, want ErrIO", err)
 	}
-	d.counts(t, 2, 0)
+	d.counts(t, 2, 0, false)
 	// The next access retries and sees the content.
 	c, err := f.ReadAt(n, 0, buf)
 	if err != nil || !bytes.Equal(buf[:c], d.content[:16]) {
 		t.Fatalf("retried read = %q, %v", buf[:c], err)
 	}
-	d.counts(t, 3, 1)
+	d.counts(t, 3, 0, false)
 }
 
+// TestDeferredContentAccessesLoad: each access loads what it needs and no
+// more — a write the chunk it covers in part, a truncate the tail it cuts, a
+// snapshot or a capture only the tail, leaving the chunk absent behind the
+// source the snapshot shares.
 func TestDeferredContentAccessesLoad(t *testing.T) {
 	access := map[string]func(f *FS, n *Inode) error{
 		"WriteAt": func(f *FS, n *Inode) error { _, err := f.WriteAt(n, 10, []byte("xyz")); return err },
@@ -198,6 +242,9 @@ func TestDeferredContentAccessesLoad(t *testing.T) {
 		"Snapshot": func(f *FS, n *Inode) error {
 			snap, err := f.Snapshot(n)
 			if err == nil {
+				if snap.Chunks()[0] != nil {
+					t.Error("the snapshot loaded the absent chunk")
+				}
 				snap.Release()
 			}
 			return err
@@ -205,11 +252,15 @@ func TestDeferredContentAccessesLoad(t *testing.T) {
 		"CaptureFile": func(f *FS, _ *Inode) error {
 			snap, err := f.CaptureFile("/data/f")
 			if err == nil {
+				if snap.Chunks()[0] != nil {
+					t.Error("the capture loaded the absent chunk")
+				}
 				snap.Release()
 			}
 			return err
 		},
 	}
+	loads := map[string][2]int32{"WriteAt": {1, 0}, "Truncate": {0, 1}, "Snapshot": {0, 1}, "CaptureFile": {0, 1}}
 	for name, fn := range access {
 		t.Run(name, func(t *testing.T) {
 			f := New()
@@ -217,42 +268,48 @@ func TestDeferredContentAccessesLoad(t *testing.T) {
 			if err := fn(f, n); err != nil {
 				t.Fatal(err)
 			}
-			d.counts(t, 1, 1)
-			want := append([]byte(nil), d.content...)
+			want := loads[name]
+			d.counts(t, want[0], want[1], false)
+			content := append([]byte(nil), d.content...)
 			switch name {
 			case "WriteAt":
-				copy(want[10:], "xyz")
+				copy(content[10:], "xyz")
 			case "Truncate":
-				want = want[:70<<10]
+				content = content[:70<<10]
 			}
-			if got, err := f.ReadFile("/data/f"); err != nil || !bytes.Equal(got, want) {
+			if got, err := f.ReadFile("/data/f"); err != nil || !bytes.Equal(got, content) {
 				t.Fatalf("content after %s diverged (%d bytes, %v)", name, len(got), err)
 			}
 		})
 	}
 }
 
-func TestDeferredRemoveLoadsFirst(t *testing.T) {
+// TestDeferredRemoveLoadsNothing: unlinking an installed file reads none of
+// it; a handle still open on it loads from the source it keeps, and a load
+// that fails there is an ErrIO the next read retries.
+func TestDeferredRemoveLoadsNothing(t *testing.T) {
 	f := New()
 	n, d := deferredFile(t, f)
 	if err := f.Remove("/data/f", root); err != nil {
 		t.Fatal(err)
 	}
-	d.counts(t, 1, 1)
-	// An open handle reads the unlinked file's bytes.
+	d.counts(t, 0, 0, false)
+	if f.ResidentBytes() != 0 {
+		t.Fatalf("resident bytes %d after the unlink", f.ResidentBytes())
+	}
 	buf := make([]byte, len(d.content))
+	d.failLoads.Store(1)
+	if _, err := f.ReadAt(n, 0, buf); !errors.Is(err, ErrIO) {
+		t.Fatalf("read through the handle over a failing load = %v, want ErrIO", err)
+	}
 	if c, err := f.ReadAt(n, 0, buf); err != nil || c != len(buf) || !bytes.Equal(buf, d.content) {
 		t.Fatalf("read through the handle after remove: %d bytes, %v", c, err)
 	}
-
-	// A failing load refuses the remove: the name stays.
-	n, d = deferredFile(t, f)
-	d.failLoads.Store(1)
-	if err := f.Remove("/data/f", root); !errors.Is(err, ErrIO) {
-		t.Fatalf("remove over a failing load = %v, want ErrIO", err)
-	}
-	if got, err := f.Lookup("/data/f"); err != nil || got != n {
-		t.Fatalf("remove that failed unlinked the file (%v)", err)
+	d.counts(t, 2, 1, false)
+	// What a handle loads is not counted against the budget: the unlinked
+	// file left the count with its name.
+	if f.ResidentBytes() != 0 {
+		t.Fatalf("resident bytes %d after reading the unlinked file", f.ResidentBytes())
 	}
 }
 
@@ -267,7 +324,7 @@ func TestDeferredLoadKeepsMtime(t *testing.T) {
 	if !after.Mtime.Equal(before.Mtime) {
 		t.Fatalf("loading moved mtime %v -> %v", before.Mtime, after.Mtime)
 	}
-	if f.Stats.DeferredLoads.Load() != 1 {
-		t.Fatal("the read did not load")
+	if f.Stats.DeferredLoads.Load() != 2 {
+		t.Fatal("the read did not load the chunk and the tail")
 	}
 }
