@@ -103,6 +103,24 @@ import (
 // at link time.
 type Version int64
 
+// VersionID names one archived version by identity: its number, the state id
+// of the commit that made it and the time its owner archived it. An import
+// copies all three, so every copy of a version carries its ID. A number alone
+// comes round again when a restore rewinds a history and commits follow, and
+// so can a state id — it is a position in the host database's log, which the
+// restore cut back; the archive time does not. Version -1 names no version:
+// the base an export of a whole history starts from.
+type VersionID struct {
+	Version Version
+	StateID uint64
+	Stored  int64 // unix nanoseconds
+}
+
+// idOf is the identity of an archived record.
+func idOf(r *catalog.PutRec) VersionID {
+	return VersionID{Version: Version(r.Version), StateID: r.StateID, Stored: r.StoredUnixNano}
+}
+
 // checkpointEvery is the default delta-chain bound: at least every this many
 // versions a full manifest is stored, so materialization applies at most this
 // many deltas on top of one checkpoint (TierConfig.CheckpointEvery overrides).
@@ -344,12 +362,22 @@ func (fv *fileVersions) newest() Version {
 	return Version(fv.recs[len(fv.recs)-1].Version)
 }
 
-// indexOf finds the version numbered v, or -1.
+// indexOf finds the version numbered v, or -1. It scans from the newest
+// end, where a ship's base and most lookups are.
 func (fv *fileVersions) indexOf(v Version) int {
-	for i, r := range fv.recs {
-		if r.Version == int64(v) {
+	for i := len(fv.recs) - 1; i >= 0; i-- {
+		if fv.recs[i].Version == int64(v) {
 			return i
 		}
+	}
+	return -1
+}
+
+// find is indexOf by identity: the index of the version id names, or -1
+// when the history holds another version of that number, or none.
+func (fv *fileVersions) find(id VersionID) int {
+	if i := fv.indexOf(id.Version); i >= 0 && idOf(fv.recs[i]) == id {
+		return i
 	}
 	return -1
 }
@@ -1310,24 +1338,17 @@ func (s *Store) Latest(server, path string) (Entry, error) {
 	return s.entry(fv, len(fv.recs)-1), nil
 }
 
-// Newest reports the newest archived version number of a file, ok false when
-// nothing is archived. Metadata only: unlike Latest it neither pays the
-// device round trip nor counts as a restore.
-func (s *Store) Newest(server, path string) (v Version, ok bool) {
+// Newest reports the identity of a file's newest archived version; with
+// nothing archived, ok is false and the ID's Version is -1. Metadata only:
+// unlike Latest it neither pays the device round trip nor counts as a
+// restore.
+func (s *Store) Newest(server, path string) (id VersionID, ok bool) {
 	sh, fv := s.lockHistory(server, path)
 	defer sh.mu.Unlock()
 	if fv == nil {
-		return 0, false
+		return VersionID{Version: -1}, false
 	}
-	return fv.newest(), true
-}
-
-// HasVersion reports whether version v of a file is archived (metadata only,
-// like Newest).
-func (s *Store) HasVersion(server, path string, v Version) bool {
-	sh, fv := s.lockHistory(server, path)
-	defer sh.mu.Unlock()
-	return fv != nil && fv.indexOf(v) >= 0
+	return idOf(fv.recs[len(fv.recs)-1]), true
 }
 
 // AsOf returns the newest version whose StateID is <= stateID — the version

@@ -29,11 +29,24 @@ func multiVersionContent(v int) []byte {
 // exportAll exports a whole history — ExportDelta from before its start.
 func exportAll(t testing.TB, s *Store, server, path string) []HistoryRec {
 	t.Helper()
-	recs, err := s.ExportDelta(server, path, -1)
+	recs, err := s.ExportDelta(server, path, VersionID{Version: -1})
 	if err != nil {
 		t.Fatalf("export %s from the start: %v", path, err)
 	}
 	return recs
+}
+
+// idAt is the identity of version v of a history on s: the base an export
+// after v names.
+func idAt(t testing.TB, s *Store, server, path string, v Version) VersionID {
+	t.Helper()
+	for _, e := range s.Versions(server, path) {
+		if e.Version == v {
+			return VersionID{Version: v, StateID: e.StateID, Stored: e.Stored.UnixNano()}
+		}
+	}
+	t.Fatalf("%s has no version %d", path, v)
+	return VersionID{}
 }
 
 // handOver moves the whole history of (auth, /f) from src to dst.
@@ -198,12 +211,12 @@ func TestHandoffFetchFailureUnwinds(t *testing.T) {
 	}
 	dst := newTiered(t, 0)
 	calls := 0
-	failing := func(h extent.Hash) (*extent.Chunk, error) {
+	failing := func(h extent.Hash, dst []byte) ([]byte, error) {
 		calls++
 		if calls > 2 {
 			return nil, fmt.Errorf("wire down")
 		}
-		return src.FetchBlob(h)
+		return src.FetchBlob(h, dst)
 	}
 	if _, err := dst.ImportDelta("auth", "/f", exportAll(t, src, "auth", "/f"), failing); err == nil {
 		t.Fatal("import with failing fetch succeeded")
@@ -270,7 +283,7 @@ func TestHandoffTieredDestination(t *testing.T) {
 
 func TestDeltaShipsOnlyMissingVersions(t *testing.T) {
 	src, dst := seedPair(t, 6, 3)
-	recs, err := src.ExportDelta("auth", "/f", 2) // dst has 0..2
+	recs, err := src.ExportDelta("auth", "/f", idAt(t, src, "auth", "/f", 2)) // dst has 0..2
 	if err != nil {
 		t.Fatalf("export delta: %v", err)
 	}
@@ -299,7 +312,7 @@ func TestDeltaShipsOnlyMissingVersions(t *testing.T) {
 
 func TestDeltaEmptyWhenCaughtUp(t *testing.T) {
 	src, _ := seedPair(t, 4, 0)
-	recs, err := src.ExportDelta("auth", "/f", 3)
+	recs, err := src.ExportDelta("auth", "/f", idAt(t, src, "auth", "/f", 3))
 	if err != nil {
 		t.Fatalf("export: %v", err)
 	}
@@ -312,14 +325,26 @@ func TestDeltaChainGap(t *testing.T) {
 	src, dst := seedPair(t, 5, 2)
 	// Base the source never archived (e.g. the replica ran ahead of a
 	// restored owner): the chain cannot be extended, the caller must resync.
-	if _, err := src.ExportDelta("auth", "/f", 99); !errors.Is(err, ErrChainGap) {
+	if _, err := src.ExportDelta("auth", "/f", VersionID{Version: 99}); !errors.Is(err, ErrChainGap) {
 		t.Fatalf("export with unknown base: %v, want ErrChainGap", err)
 	}
-	if _, err := src.ExportDelta("auth", "/missing", 0); !errors.Is(err, ErrChainGap) {
+	// Another version of the right number — one a restore rolled back
+	// before the number came round again — is not the base either, whether
+	// its state id or only its archive time differs.
+	v3 := idAt(t, src, "auth", "/f", 3)
+	for _, other := range []VersionID{
+		{Version: 3, StateID: v3.StateID + 1, Stored: v3.Stored},
+		{Version: 3, StateID: v3.StateID, Stored: v3.Stored + 1},
+	} {
+		if _, err := src.ExportDelta("auth", "/f", other); !errors.Is(err, ErrChainGap) {
+			t.Fatalf("export after %+v, another v3 than %+v: %v, want ErrChainGap", other, v3, err)
+		}
+	}
+	if _, err := src.ExportDelta("auth", "/missing", VersionID{Version: 0}); !errors.Is(err, ErrChainGap) {
 		t.Fatalf("export of missing path: %v, want ErrChainGap", err)
 	}
 	// Non-contiguous delta (starts past the destination's last version).
-	recs, err := src.ExportDelta("auth", "/f", 3)
+	recs, err := src.ExportDelta("auth", "/f", v3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +370,7 @@ func TestDeltaChainGap(t *testing.T) {
 	}
 	// An export from the start of nothing is empty, not a gap, and importing
 	// it is a no-op.
-	none, err := src.ExportDelta("auth", "/missing", -1)
+	none, err := src.ExportDelta("auth", "/missing", VersionID{Version: -1})
 	if err != nil || len(none) != 0 {
 		t.Fatalf("export of a missing path from the start: %d recs, %v; want 0, nil", len(none), err)
 	}
@@ -365,7 +390,7 @@ func TestDeltaReplicaAheadResyncs(t *testing.T) {
 	if err := owner.Put("auth", "/f", 3, 20, []byte("rewritten after the restore")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := owner.ExportDelta("auth", "/f", 5); !errors.Is(err, ErrChainGap) {
+	if _, err := owner.ExportDelta("auth", "/f", idAt(t, replica, "auth", "/f", 5)); !errors.Is(err, ErrChainGap) {
 		t.Fatalf("export after a version the owner no longer has: %v, want ErrChainGap", err)
 	}
 	if err := replica.Drop("auth", "/f"); err != nil {
@@ -392,7 +417,7 @@ func TestDeltaReplicaAheadResyncs(t *testing.T) {
 
 func TestDeltaIdempotentReship(t *testing.T) {
 	src, dst := seedPair(t, 5, 3)
-	recs, err := src.ExportDelta("auth", "/f", 1) // overlaps: dst already has 2
+	recs, err := src.ExportDelta("auth", "/f", idAt(t, src, "auth", "/f", 1)) // overlaps: dst already has 2
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,17 +447,17 @@ func TestDeltaIdempotentReship(t *testing.T) {
 
 func TestDeltaFetchFailureKeepsPrefix(t *testing.T) {
 	src, dst := seedPair(t, 6, 2)
-	recs, err := src.ExportDelta("auth", "/f", 1)
+	recs, err := src.ExportDelta("auth", "/f", idAt(t, src, "auth", "/f", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	calls := 0
-	failing := func(h extent.Hash) (*extent.Chunk, error) {
+	failing := func(h extent.Hash, dst []byte) ([]byte, error) {
 		calls++
 		if calls > 1 {
 			return nil, errors.New("wire down")
 		}
-		return src.FetchBlob(h)
+		return src.FetchBlob(h, dst)
 	}
 	if _, err := dst.ImportDelta("auth", "/f", recs, failing); err == nil {
 		t.Fatal("import with failing fetch succeeded")
@@ -464,7 +489,7 @@ func TestDeltaDurableDestination(t *testing.T) {
 	if _, err := dst.ImportDelta("auth", "/f", recs[:2], src.FetchBlob); err != nil {
 		t.Fatal(err)
 	}
-	delta, err := src.ExportDelta("auth", "/f", 1)
+	delta, err := src.ExportDelta("auth", "/f", idAt(t, src, "auth", "/f", 1))
 	if err != nil {
 		t.Fatal(err)
 	}

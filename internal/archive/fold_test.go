@@ -143,10 +143,11 @@ func TestFoldedIndexSurvivesReopen(t *testing.T) {
 			if _, err := s.ImportDelta("fs1", "/imported", exportAll(t, src, "fs1", "/imported"), src.FetchBlob); err != nil {
 				t.Fatal(err)
 			}
+			base, _ := src.Newest("fs1", "/imported")
 			for v := 5; v < 8; v++ {
 				put(src, "/imported", Version(v), content(50+v, 2, 33))
 			}
-			tail, err := src.ExportDelta("fs1", "/imported", 4)
+			tail, err := src.ExportDelta("fs1", "/imported", base)
 			if err != nil {
 				t.Fatal(err)
 			}

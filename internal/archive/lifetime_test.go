@@ -105,7 +105,11 @@ func TestTwoWritersOneVersion(t *testing.T) {
 			}
 		}
 		for v := 0; v < rounds; v++ {
-			recs, err := src.ExportDelta("auth", "/f", int64(v)-1)
+			base := VersionID{Version: -1}
+			if v > 0 {
+				base = idAt(t, src, "auth", "/f", Version(v-1))
+			}
+			recs, err := src.ExportDelta("auth", "/f", base)
 			if err != nil {
 				t.Fatal(err)
 			}

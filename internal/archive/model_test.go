@@ -22,9 +22,9 @@ type modelStore struct {
 
 // TestArchiveModel drives seeded schedules of edits to one live file — 4 KiB
 // and unaligned writes, whole-chunk writes, truncates and extends — and of
-// what the archive does with it: commits captured onto an owner store and a
-// replica store (which now and then misses one, and is caught up by an import
-// or not), rollbacks through a restore, an archive that fails mid-job (and is
+// what the archive does with it: commits captured onto an owner store and
+// shipped to a replica store by import (which now and then misses one, and
+// catches up at the next), rollbacks through a restore, an archive that fails mid-job (and is
 // redone from a plain snapshot, as recovery does, or not), ExportDelta/
 // ImportDelta onto a third store, TruncateAfter, Drop, GCNow and, on durable
 // seeds, a reopen. The model is a map of version to the bytes committed and
@@ -128,18 +128,16 @@ func runArchiveModel(t *testing.T, seed int64) {
 	// history has a hole, which ImportDelta refuses) leaves dst as it was.
 	importInto := func(step int, dst, src *modelStore) {
 		t.Helper()
-		have := int64(-1)
-		if v, ok := dst.s.Newest(srv, path); ok {
-			have = int64(v)
-		}
-		recs, err := src.s.ExportDelta(srv, path, have)
+		base, _ := dst.s.Newest(srv, path)
+		have := int64(base.Version)
+		recs, err := src.s.ExportDelta(srv, path, base)
 		if errors.Is(err, ErrChainGap) {
 			if err := dst.s.Drop(srv, path); err != nil {
 				fail(step, "drop %s: %v", dst.name, err)
 			}
 			clear(dst.held)
 			have = -1
-			recs, err = src.s.ExportDelta(srv, path, -1)
+			recs, err = src.s.ExportDelta(srv, path, VersionID{Version: -1})
 		}
 		if err != nil {
 			fail(step, "export from %s: %v", src.name, err)
@@ -217,17 +215,9 @@ func runArchiveModel(t *testing.T, seed int64) {
 				owner.held[v] = true
 			}
 			if rng.Intn(6) != 0 { // the replica misses one ship in six
-				if newest, ok := replica.s.Newest(srv, path); ok && newest != v-1 && rng.Intn(2) == 0 {
-					// A lagging replica caught up first, as core does — which
-					// may bring this very version along.
-					importInto(step, replica, owner)
-				}
-				if !replica.held[v] {
-					if _, err := replica.s.PutSnapshot(srv, path, v, stateOf(v), snap); err != nil {
-						fail(step, "replica put of v%d: %v", v, err)
-					}
-					replica.held[v] = true
-				}
+				// A ship is core's catch-up: everything after the newest
+				// version the replica holds, this one included.
+				importInto(step, replica, owner)
 			}
 			snap.Release()
 		case r < 73:

@@ -341,10 +341,10 @@ func TestCrashMidTransferLosesTheVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.HasVersion("fs1", "/f.bin", 1) {
+	if _, err := s2.Get("fs1", "/f.bin", 1); err == nil {
 		t.Fatal("the reopened store serves a version whose transfer never finished")
 	}
-	if !s2.HasVersion("fs1", "/f.bin", 0) {
+	if _, err := s2.Get("fs1", "/f.bin", 0); err != nil {
 		t.Fatal("the reopened store lost the version before it")
 	}
 }

@@ -183,8 +183,8 @@ func TestTombstoneBarrierFailureIsReturned(t *testing.T) {
 	if err := s.TruncateAfter("fs1", "/f", 1); !errors.Is(err, injected) {
 		t.Fatalf("truncate after a failed barrier: %v, want the barrier's error", err)
 	}
-	if v, ok := s.Newest("fs1", "/f"); !ok || v != 0 {
-		t.Fatalf("newest after truncate = %d, %v; want 0", v, ok)
+	if id, ok := s.Newest("fs1", "/f"); !ok || id.Version != 0 {
+		t.Fatalf("newest after truncate = %d, %v; want 0", id.Version, ok)
 	}
 	if err := s.Drop("fs1", "/f"); !errors.Is(err, injected) {
 		t.Fatalf("drop after a failed barrier: %v, want the barrier's error", err)

@@ -595,7 +595,7 @@ func (s *Store) Get(h extent.Hash) (*extent.Chunk, error) {
 		return nil, fmt.Errorf("chunkdisk: blob %x not stored", h[:8])
 	}
 
-	data, meta, err := s.readPackBlob(h, nil)
+	data, meta, err := s.readPackBlob(h, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -655,14 +655,50 @@ func (s *Store) ReadInto(h extent.Hash, dst []byte) (int, error) {
 		return 0, errLonger(h, int(b.size), len(dst))
 	}
 	dst = dst[:b.size]
-	if _, _, err := s.readPackBlob(h, dst); err != nil {
+	if _, _, err := s.readPackBlob(h, dst, false); err != nil {
 		return 0, err
 	}
 	if sum := sha256.Sum256(dst); extent.Hash(sum) != h {
-		return 0, fmt.Errorf("chunkdisk: blob %x corrupted on disk", h[:8])
+		return 0, fmt.Errorf("chunkdisk: blob %s corrupted on disk", hex.EncodeToString(h[:8]))
 	}
 	s.pageIns.Add(1)
 	return len(dst), nil
+}
+
+// RecordOverhead is how many bytes a pack record adds to the blob it frames:
+// ReadForTransfer reads into a buffer that much longer than the blob.
+const RecordOverhead = packRecHdrLen + packRecMeta
+
+// ReadForTransfer returns the bytes of blob h, read into dst, for a copy to
+// another store. A blob read from the device comes with its pack record and
+// is verified against the record's CRC — which covers the hash the record was
+// written under — instead of being hashed again: the receiving store checks
+// the content hash whenever it reads the blob back, as every page-in does.
+// dst must be RecordOverhead bytes longer than the blob, which is not
+// admitted to the LRU. A resident or compressed blob is read as ReadInto has
+// it. The caller holds a reference across the call, as for Get.
+func (s *Store) ReadForTransfer(h extent.Hash, dst []byte) ([]byte, error) {
+	sh := s.shardFor(h)
+	sh.mu.Lock()
+	resident := s.residentLocked(sh, h) != nil
+	b, ok := sh.blobs[h]
+	sh.mu.Unlock()
+	if resident || !ok || b.compressed {
+		n, err := s.ReadInto(h, dst)
+		return dst[:n], err
+	}
+	if RecordOverhead+b.size > int64(len(dst)) {
+		return nil, errLonger(h, int(b.size), len(dst)-RecordOverhead)
+	}
+	rec, _, err := s.readPackBlob(h, dst[:RecordOverhead+b.size], true)
+	if err != nil {
+		return nil, err
+	}
+	if got, data, _, _, _, ok := parseRecord(rec); ok && got == h {
+		s.pageIns.Add(1)
+		return data, nil
+	}
+	return nil, fmt.Errorf("chunkdisk: blob %s corrupted on disk", hex.EncodeToString(h[:8]))
 }
 
 func errLonger(h extent.Hash, n, room int) error {
@@ -681,13 +717,13 @@ func (s *Store) residentLocked(sh *shard, h extent.Hash) *entry {
 	}
 }
 
-// readPackBlob reads blob h's pack record into buf, which is as long as the
-// record, or into a buffer of its own when buf is nil, and reports where it
-// was. The shared
+// readPackBlob reads blob h's stored bytes into buf, which is as long as
+// them, or into a buffer of its own when buf is nil, and reports where they
+// were; framed reads the whole pack record, header and all. The shared
 // relocMu is held across the read so compaction cannot unlink the pack under
 // it, and the index entry is looked up after locking: a blob the compactor
 // relocated since the caller looked it up is found at its new address.
-func (s *Store) readPackBlob(h extent.Hash, buf []byte) ([]byte, diskMeta, error) {
+func (s *Store) readPackBlob(h extent.Hash, buf []byte, framed bool) ([]byte, diskMeta, error) {
 	ps := s.packs
 	ps.relocMu.RLock()
 	defer ps.relocMu.RUnlock()
@@ -698,13 +734,17 @@ func (s *Store) readPackBlob(h extent.Hash, buf []byte) ([]byte, diskMeta, error
 	if !ok {
 		// Swept in the window. Callers hold a reference across Get, so this
 		// indicates a contract violation — surface it as missing.
-		return nil, diskMeta{}, fmt.Errorf("chunkdisk: blob %x not stored", h[:8])
+		return nil, diskMeta{}, fmt.Errorf("chunkdisk: blob %s not stored", hex.EncodeToString(h[:8]))
 	}
 	meta := cur.diskMeta
-	if buf == nil {
-		buf = make([]byte, meta.size)
+	off, n := meta.off, meta.size
+	if framed {
+		off, n = off-RecordOverhead, n+RecordOverhead
 	}
-	return buf, meta, ps.readInto(meta.pack, meta.off, buf)
+	if buf == nil {
+		buf = make([]byte, n)
+	}
+	return buf, meta, ps.readInto(meta.pack, off, buf)
 }
 
 // evictLocked drops cold residents until the shard fits its budget.

@@ -631,3 +631,42 @@ func TestPutBytesKeepsNoAlias(t *testing.T) {
 		t.Fatalf("a PutBytes blob is resident: %+v", st)
 	}
 }
+
+// TestReadForTransferReadsTheBlob: a transfer read returns a blob's bytes
+// from the device — admitting nothing to the LRU, and refusing a buffer
+// without room for the record's framing — from memory, and inflated when the
+// store compressed it.
+func TestReadForTransferReadsTheBlob(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		s, err := Open(Config{Dir: t.TempDir(), Compress: compress})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := bytes.Repeat([]byte("transfer "), extent.ChunkSize/16)
+		h := extent.Hash(sha256.Sum256(data))
+		if _, err := s.PutBytes(h, data); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.ReadForTransfer(h, make([]byte, len(data)+RecordOverhead))
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("compress %v: transfer read: %v", compress, err)
+		}
+		if !compress {
+			if st := s.Stats(); st.ResidentBlobs != 0 {
+				t.Fatalf("a transfer read admitted %d blobs", st.ResidentBlobs)
+			}
+			if _, err := s.ReadForTransfer(h, make([]byte, len(data))); err == nil {
+				t.Fatal("a transfer read into a buffer without room for the framing succeeded")
+			}
+		}
+		c, err := s.Get(h) // now resident
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.ReleaseChunk()
+		if got, err := s.ReadForTransfer(h, make([]byte, len(data)+RecordOverhead)); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("compress %v: transfer read of a resident blob: %v", compress, err)
+		}
+		s.Close()
+	}
+}

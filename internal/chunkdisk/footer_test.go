@@ -405,16 +405,17 @@ func TestFlippedPayloadFailsOnlyItsBlob(t *testing.T) {
 		c, err := s.Get(h)
 		buf := make([]byte, len(datas[i]))
 		_, rerr := s.ReadInto(h, buf)
+		moved, terr := s.ReadForTransfer(h, make([]byte, len(datas[i])+RecordOverhead))
 		if i == 1 {
-			for _, err := range []error{err, rerr} {
+			for _, err := range []error{err, rerr, terr} {
 				if err == nil || !strings.Contains(err.Error(), "corrupted on disk") {
 					t.Fatalf("the flipped blob read as %v", err)
 				}
 			}
 			continue
 		}
-		if err != nil || rerr != nil || !bytes.Equal(c.Data(), datas[i]) || !bytes.Equal(buf, datas[i]) {
-			t.Fatalf("blob %d beside the flipped one: %v, %v", i, err, rerr)
+		if err != nil || rerr != nil || terr != nil || !bytes.Equal(c.Data(), datas[i]) || !bytes.Equal(buf, datas[i]) || !bytes.Equal(moved, datas[i]) {
+			t.Fatalf("blob %d beside the flipped one: %v, %v, %v", i, err, rerr, terr)
 		}
 		c.ReleaseChunk()
 	}

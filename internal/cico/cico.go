@@ -90,10 +90,8 @@ func (m *Manager) CheckIn(t *Ticket) error {
 	if err := m.phys.WriteFile(t.path, t.Content); err != nil {
 		return err
 	}
-	ver := archive.Version(0)
-	if latest, ok := m.arch.Newest(m.srv, t.path); ok {
-		ver = latest + 1
-	}
+	latest, _ := m.arch.Newest(m.srv, t.path) // Version -1 when none
+	ver := latest.Version + 1
 	if err := m.arch.Put(m.srv, t.path, ver, uint64(m.db.StateID()), t.Content); err != nil {
 		return err
 	}

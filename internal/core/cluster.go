@@ -573,7 +573,7 @@ func (c *Cluster) rebalanceTo(target *ring.Ring) error {
 
 // migratePath moves one linked path between members: gate new traffic, drain
 // and freeze the source, make the destination a caught-up replica
-// (catchUpReplica, then a replica row from the source's FileMeta), promote it
+// (catchUpReplica, with the source's FileMeta), promote it
 // as a failover does, point the router at it, evict the source. On failure the
 // source stays the owner and a destination that was no replica keeps nothing.
 func (c *Cluster) migratePath(src, dst *FileServer, path string) error {
@@ -619,10 +619,7 @@ func (c *Cluster) migratePathTraced(src, dst *FileServer, path string, sp *obs.S
 	wasReplica := dst.DLFM.ReplicaVersion(path) >= 0
 	meta, ver, mtime, err := src.DLFM.FileMeta(path)
 	if err == nil {
-		err = c.catchUpReplica(src, dst, path)
-	}
-	if err == nil {
-		err = dst.DLFM.EnsureReplicaRow(path, ver, mtime, meta)
+		err = c.catchUpReplica(src, dst, path, ver, mtime, meta, false)
 	}
 	if err == nil {
 		err = dst.DLFM.PromoteReplica(path)

@@ -474,8 +474,9 @@ func (sys *System) CrashAndRecoverServer(name string) (*dlfm.RecoveryReport, err
 	old.DLFM.Kill()
 	// The crash also kills the daemon's TCP endpoints.
 	old.closeEndpoints()
-	// The disk (the repository directory with it), the archive and the ring
-	// of past traces survive the crash.
+	// The disk (the repository directory with it), the archive, the ring of
+	// past traces and the member's registry survive the crash: the archive
+	// tier and the file system keep counting in the registry they were given.
 	fresh := &FileServer{
 		Name:      name,
 		Phys:      old.Phys,
@@ -485,7 +486,7 @@ func (sys *System) CrashAndRecoverServer(name string) (*dlfm.RecoveryReport, err
 		cfg:       old.cfg,
 		repoDir:   old.repoDir,
 	}
-	if err := fresh.openDLFM(name, sys.Engine, sys.key, sys.ttl, sys.clock, nil); err != nil {
+	if err := fresh.openDLFM(name, sys.Engine, sys.key, sys.ttl, sys.clock, old.DLFM.Metrics()); err != nil {
 		return nil, fmt.Errorf("core: recover server %s: %w", name, err)
 	}
 	if err := wireUpcallPlane(fresh, fresh.DLFM, old.cfg); err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -477,6 +478,42 @@ func TestCrashRecoveryKeepsCommittedUpdate(t *testing.T) {
 	data, _ := newSrv.Phys.ReadFile("/movies/clip1.mpg")
 	if string(data) != "v1 committed" {
 		t.Fatalf("committed content lost in recovery: %q", data)
+	}
+}
+
+// TestCrashAndRecoverServerKeepsTheRegistry: a member's registry lives as
+// long as the member. Every counter it had before a crash recovery — the
+// archive tier's, the file system's, the link path's — is still in the
+// registry System.Metrics reports for it afterwards, not left counting in
+// one nothing exports.
+func TestCrashAndRecoverServerKeepsTheRegistry(t *testing.T) {
+	sys, _ := newSys(t, "rfd")
+	f, _ := sys.NewSession(alice).OpenWrite(urlFor(t, sys, "DLURLCOMPLETEWRITE"))
+	f.WriteAll([]byte("v1"))
+	if err := f.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	names := func() map[string]bool {
+		out := make(map[string]bool)
+		for _, nv := range sys.Metrics()["dlfm:fs1"].Snapshot() {
+			out[nv.Name] = true
+		}
+		return out
+	}
+	before := names()
+	if _, err := sys.CrashAndRecoverServer("fs1"); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	after := names()
+	var lost []string
+	for n := range before {
+		if !after[n] {
+			lost = append(lost, n)
+		}
+	}
+	sort.Strings(lost)
+	if len(lost) > 0 {
+		t.Fatalf("the recovered member's registry lost %d of %d counters: %v", len(lost), len(before), lost)
 	}
 }
 

@@ -2,13 +2,15 @@ package core
 
 // Shard replication and failover: with ClusterConfig.Replicas = N > 1 every
 // linked path has N copies — the ring owner plus its N-1 distinct ring
-// successors (ring.SuccessorsFor). The owner ships each committed version's
-// delta manifest and missing chunks to the successors synchronously at the
-// 2PC commit barrier (dlfm installs the shardReplicator via SetReplicator);
-// acks gate on a write quorum, each replica gets retry/timeout/backoff
-// through internal/retry, and a lagging replica catches up over
-// archive.ExportDelta/ImportDelta — O(changed chunks), never a full copy
-// unless the histories diverged. Link and unlink ride the same stream.
+// successors (ring.SuccessorsFor). A ship is a catch-up: once the owner's
+// close has archived a version, each successor imports the owner's archive
+// records after the newest version it holds (dlfm.ImportReplica over
+// archive.ExportDelta/ImportDelta) and fetches only the blobs it lacks — one
+// record for a level replica, the tail for a lagging one, the whole history
+// for one whose history diverged. Acks gate on a write quorum synchronously
+// at the commit barrier (dlfm installs the shardReplicator via
+// SetReplicator), and each replica gets retry/timeout/backoff through
+// internal/retry. Link and unlink ride the same stream.
 //
 // On member death, Failover promotes the first live successor of every
 // orphaned path: the successor already holds the full history and the
@@ -23,9 +25,7 @@ import (
 	"fmt"
 	"time"
 
-	"datalinks/internal/archive"
 	"datalinks/internal/dlfm"
-	"datalinks/internal/extent"
 	"datalinks/internal/metrics"
 	"datalinks/internal/obs"
 	"datalinks/internal/retry"
@@ -55,12 +55,18 @@ type shardReplicator struct {
 
 var _ dlfm.Replicator = (*shardReplicator)(nil)
 
-func (sr *shardReplicator) ShipCommit(ctx context.Context, path string, ver int64, stateID uint64, snap *extent.Snapshot, size int64, mtime time.Time, meta dlfm.ReplicaMeta) error {
-	return sr.c.shipVersion(ctx, sr.owner, path, ver, stateID, snap, mtime, meta)
+func (sr *shardReplicator) ShipCommit(ctx context.Context, path string, ver int64, mtime time.Time, meta dlfm.ReplicaMeta) error {
+	return sr.c.ship(ctx, sr.owner, path, ver, func(src, dst *FileServer) error {
+		return sr.c.catchUpReplica(src, dst, path, ver, mtime, meta, true)
+	})
 }
 
+// ShipUnlink propagates an unlink to the replica set so a later failover
+// cannot resurrect the path.
 func (sr *shardReplicator) ShipUnlink(path string) error {
-	return sr.c.shipUnlink(sr.owner, path)
+	return sr.c.ship(context.Background(), sr.owner, path, -1, func(_, dst *FileServer) error {
+		return dst.DLFM.ApplyReplicaUnlink(path)
+	})
 }
 
 // replicaTargets returns the members that should hold replicas of path for
@@ -92,12 +98,13 @@ func (c *Cluster) memberRegistry(id string) *metrics.Registry {
 	return m.DLFM.Metrics()
 }
 
-// shipVersion pushes one committed version to the path's replica set and
-// gates on the write quorum. Called synchronously from the owner's commit
-// path (and from link, with the initial version), so a nil return means a
-// quorum of copies carries the version before the application's close
-// returns.
-func (c *Cluster) shipVersion(ctx context.Context, owner, path string, ver int64, stateID uint64, snap *extent.Snapshot, mtime time.Time, meta dlfm.ReplicaMeta) error {
+// ship runs deliver(owner, replica) on each of the path's replica targets and
+// gates on the write quorum. Called synchronously from the owner's commit path with the version it
+// archived (and from link, with the initial version, and from unlink, with
+// -1), so a nil return means a quorum of copies holds the version, or has
+// dropped the path, before the application's call returns. Each delivery is a
+// repl.ship span under ctx's, with a repl.ack child once acked.
+func (c *Cluster) ship(ctx context.Context, owner, path string, ver int64, deliver func(src, dst *FileServer) error) error {
 	cfg := c.repl
 	targets := c.replicaTargets(owner, path)
 	if len(targets) == 0 && cfg.quorum <= 1 {
@@ -113,7 +120,13 @@ func (c *Cluster) shipVersion(ctx context.Context, owner, path string, ver int64
 		sp := parent.Child("repl.ship")
 		sp.SetString("replica", id)
 		sp.SetInt("version", ver)
-		again, err := c.shipToReplica(ctx, owner, id, path, ver, stateID, snap, mtime, meta)
+		again, err := c.sendToReplica(ctx, id, func(dst *FileServer) error {
+			src, err := c.router.member(owner)
+			if err != nil {
+				return fmt.Errorf("%w: %v", errMemberDown, err)
+			}
+			return deliver(src, dst)
+		})
 		retried = retried || again
 		if err != nil {
 			sp.SetAttr("error", err.Error())
@@ -143,25 +156,6 @@ func (c *Cluster) shipVersion(ctx context.Context, owner, path string, ver int64
 		return fmt.Errorf("core: quorum %d/%d for %s v%d: %w", acks, cfg.quorum, path, ver, err)
 	}
 	return nil
-}
-
-// shipToReplica delivers one frame to one replica: a lagging replica is
-// caught up through the archive delta path before the frame is re-applied.
-func (c *Cluster) shipToReplica(ctx context.Context, owner, id, path string, ver int64, stateID uint64, snap *extent.Snapshot, mtime time.Time, meta dlfm.ReplicaMeta) (retried bool, err error) {
-	return c.sendToReplica(ctx, id, func(dst *FileServer) error {
-		src, err := c.router.member(owner)
-		if err != nil {
-			return fmt.Errorf("%w: %v", errMemberDown, err)
-		}
-		err = dst.DLFM.ApplyReplicaCommit(path, ver, stateID, snap, mtime, meta)
-		if errors.Is(err, dlfm.ErrReplicaLag) {
-			if cerr := c.catchUpReplica(src, dst, path); cerr != nil {
-				return cerr
-			}
-			err = dst.DLFM.ApplyReplicaCommit(path, ver, stateID, snap, mtime, meta)
-		}
-		return err
-	})
 }
 
 // sendToReplica runs one delivery to member id under the ship retry policy.
@@ -195,64 +189,18 @@ func (c *Cluster) sendToReplica(ctx context.Context, id string, deliver func(dst
 	return retried, err
 }
 
-// shipUnlink propagates an unlink to the replica set so a later failover
-// cannot resurrect the path. Same quorum policy as commits.
-func (c *Cluster) shipUnlink(owner, path string) error {
-	cfg := c.repl
-	targets := c.replicaTargets(owner, path)
-	if len(targets) == 0 && cfg.quorum <= 1 {
-		return nil
+// catchUpReplica is the one way versions move between members — a commit's
+// ship, anti-entropy and a live move (AbsorbDead's drain included) all end
+// here: dst imports from src's archive what follows the newest version it
+// holds and acks ver only once it holds ver as src does (dlfm.ImportReplica).
+// repl.lag_versions on the source counts the versions that travelled beyond
+// the one a ship carries.
+func (c *Cluster) catchUpReplica(src, dst *FileServer, path string, ver int64, mtime time.Time, meta dlfm.ReplicaMeta, ship bool) error {
+	n, err := dst.DLFM.ImportReplica(path, src.Archive, ver, mtime, meta)
+	if ship && n > 0 {
+		n--
 	}
-	acks := 1
-	var firstErr error
-	for _, id := range targets {
-		_, err := c.sendToReplica(context.Background(), id, func(dst *FileServer) error {
-			return dst.DLFM.ApplyReplicaUnlink(path)
-		})
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("replica %s: %w", id, err)
-			}
-		} else {
-			acks++
-		}
-	}
-	if acks < cfg.quorum {
-		return fmt.Errorf("core: unlink quorum %d/%d for %s: %w", acks, cfg.quorum, path, firstErr)
-	}
-	return nil
-}
-
-// catchUpReplica is the one way a path's archive history moves between
-// members — ship-lag catch-up, anti-entropy and live rebalance (AbsorbDead's
-// drain included) all end here. It exports from src what follows the newest
-// version dst holds and imports it: O(changed chunks) when the histories share
-// a prefix, nothing at all when dst is already level (a move onto the replica
-// holder), the whole history when dst holds none. A chain gap — the histories
-// diverged across a restore or truncate, or dst ran ahead of a restored owner
-// — drops dst's copy and starts over. The repl.lag_versions counter on the source records how
-// many versions had to travel outside the synchronous ship.
-func (c *Cluster) catchUpReplica(src, dst *FileServer, path string) error {
-	have := int64(-1)
-	if v, ok := dst.Archive.Newest(clusterAuthority, path); ok {
-		have = int64(v)
-	}
-	recs, err := src.Archive.ExportDelta(clusterAuthority, path, have)
-	if errors.Is(err, archive.ErrChainGap) {
-		if err := dst.Archive.Drop(clusterAuthority, path); err != nil {
-			return err
-		}
-		recs, err = src.Archive.ExportDelta(clusterAuthority, path, -1)
-	}
-	if err != nil || len(recs) == 0 {
-		return err
-	}
-	src.DLFM.Metrics().Counter("repl.lag_versions").Add(int64(len(recs)))
-	_, err = dst.Archive.ImportDelta(clusterAuthority, path, recs, src.Archive.FetchBlob)
-	if errors.Is(err, archive.ErrStale) {
-		// Another shipper landed the history first — that is the goal.
-		return nil
-	}
+	src.DLFM.Metrics().Counter("repl.lag_versions").Add(int64(n))
 	return err
 }
 
@@ -403,11 +351,8 @@ func (c *Cluster) FlushReplication() error {
 				if err != nil {
 					continue
 				}
-				// History first (nothing moves when dst is level), then the row.
-				err = c.catchUpReplica(m, dst, p)
-				if err == nil {
-					err = dst.DLFM.EnsureReplicaRow(p, int64(srcLast), mtime, meta)
-				}
+				// Nothing moves when dst is level.
+				err = c.catchUpReplica(m, dst, p, int64(srcLast.Version), mtime, meta, false)
 				if err != nil && firstErr == nil {
 					firstErr = fmt.Errorf("core: flush %s %s→%s: %w", p, sid, tid, err)
 				}

@@ -897,3 +897,135 @@ func TestRingSwapDropsOverridesToRemovedMembers(t *testing.T) {
 		t.Fatalf("%s after the relink = %q, %v", p, got, err)
 	}
 }
+
+// restoredReplicaFixture links one path on a replicated cluster, commits A
+// and B over v0 and restores the deployment to the state right after the
+// link: the owner holds [v0], its replica still [v0 A B].
+func restoredReplicaFixture(t *testing.T, mut func(*ClusterConfig)) (c *Cluster, p string, replica *FileServer) {
+	t.Helper()
+	c = newReplCluster(t, 3, mut)
+	p = clusterPaths(1)[0]
+	linkDoc(t, c, 0, p, "v0")
+	s0 := c.Engine.StateID()
+	for _, content := range []string{"A", "B"} {
+		if err := commitUpdate(t, c, 0, content); err != nil {
+			t.Fatalf("commit %s: %v", content, err)
+		}
+	}
+	if err := c.Engine.RestoreToState(s0); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	replica, err := c.Member(c.ReplicaSet(p)[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, p, replica
+}
+
+// historyOf lists the contents of a member's versions of path, oldest first.
+func historyOf(t *testing.T, c *Cluster, m *FileServer, path string) []string {
+	t.Helper()
+	var out []string
+	for _, e := range m.Archive.Versions(c.Authority(), path) {
+		out = append(out, string(bytesOf(t, e)))
+	}
+	return out
+}
+
+// TestReplicationCommitAfterRestoreReachesTheReplica: after a restore to v0,
+// the next commit is version 1 again, under another state id. A replica that
+// still holds the rolled-back v1 must not count as holding it: the close is
+// acked at WriteQuorum 2 only once the replica holds the owner's [v0 C].
+func TestReplicationCommitAfterRestoreReachesTheReplica(t *testing.T) {
+	c, p, replica := restoredReplicaFixture(t, func(cfg *ClusterConfig) { cfg.WriteQuorum = 2 })
+	if err := commitUpdate(t, c, 0, "C"); err != nil {
+		t.Fatalf("commit C: %v", err)
+	}
+	if got := historyOf(t, c, replica, p); fmt.Sprint(got) != "[v0 C]" {
+		t.Fatalf("close acked while replica %s holds %v, want [v0 C]", replica.Name, got)
+	}
+	assertReplicasConverged(t, c, []string{p})
+}
+
+// TestReplicationFlushHealsADivergedReplica: the replica misses the commits
+// that follow a restore, so owner and replica both end at version 2 — [v0 C
+// D] and [v0 A B]. Equal numbers are not equal histories: once the partition
+// heals, anti-entropy must bring the replica to the owner's.
+func TestReplicationFlushHealsADivergedReplica(t *testing.T) {
+	chaos := &upcall.Chaos{Seed: 11}
+	c, p, replica := restoredReplicaFixture(t, func(cfg *ClusterConfig) {
+		cfg.WriteQuorum = 1
+		cfg.ReplChaos = chaos
+		cfg.ReplRetry = retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+	})
+	chaos.Partition(true)
+	for _, content := range []string{"C", "D"} {
+		if err := commitUpdate(t, c, 0, content); err != nil {
+			t.Fatalf("commit %s at WriteQuorum 1: %v", content, err)
+		}
+	}
+	if got := historyOf(t, c, replica, p); fmt.Sprint(got) != "[v0 A B]" {
+		t.Fatalf("partitioned replica holds %v, want [v0 A B]", got)
+	}
+	chaos.Partition(false)
+	chaos.Enable(false)
+	if err := c.FlushReplication(); err != nil {
+		t.Fatalf("flush after heal: %v", err)
+	}
+	if got := historyOf(t, c, replica, p); fmt.Sprint(got) != "[v0 C D]" {
+		t.Fatalf("replica %s holds %v after the flush, want [v0 C D]", replica.Name, got)
+	}
+	assertReplicasConverged(t, c, []string{p})
+}
+
+// TestReplicationLagCountsOnlyMissedVersions: every ship is a catch-up, but
+// repl.lag_versions counts only the versions that travel beyond the one a
+// ship carries — none over healthy commits, and exactly the versions a
+// partitioned replica missed once it is reached again.
+func TestReplicationLagCountsOnlyMissedVersions(t *testing.T) {
+	chaos := &upcall.Chaos{Seed: 5}
+	c := newReplCluster(t, 3, func(cfg *ClusterConfig) {
+		cfg.WriteQuorum = 1
+		cfg.ReplChaos = chaos
+		cfg.ReplRetry = retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+	})
+	p := clusterPaths(1)[0]
+	linkDoc(t, c, 0, p, "v0")
+	lag := func() int64 {
+		var n int64
+		for _, id := range c.Members() {
+			m, _ := c.Member(id)
+			n += m.DLFM.Metrics().Counter("repl.lag_versions").Value()
+		}
+		return n
+	}
+	for i := 1; i <= 3; i++ {
+		if err := commitUpdate(t, c, 0, fmt.Sprintf("v%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := lag(); n != 0 {
+		t.Fatalf("repl.lag_versions = %d over healthy commits, want 0", n)
+	}
+	chaos.Partition(true)
+	for i := 4; i <= 5; i++ {
+		if err := commitUpdate(t, c, 0, fmt.Sprintf("v%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chaos.Partition(false)
+	chaos.Enable(false)
+	if err := commitUpdate(t, c, 0, "v6"); err != nil {
+		t.Fatal(err)
+	}
+	if n := lag(); n != 2 {
+		t.Fatalf("repl.lag_versions = %d after the replica missed v4 and v5, want 2", n)
+	}
+	if err := c.FlushReplication(); err != nil {
+		t.Fatal(err)
+	}
+	if n := lag(); n != 2 {
+		t.Fatalf("repl.lag_versions = %d after a flush of a level replica, want 2", n)
+	}
+	assertReplicasConverged(t, c, []string{p})
+}

@@ -78,7 +78,7 @@ func (s *Server) ReconcileLinks(desired map[string]datalink.ColumnOptions) error
 		// Determine the current version from the archive (restored earlier).
 		ver := int64(0)
 		if latest, ok := s.cfg.Archive.Newest(s.cfg.Name, path); ok {
-			ver = int64(latest)
+			ver = int64(latest.Version)
 		}
 		fi := fileInfo{path: path, mode: opts.Mode, recovery: opts.Recovery, origUID: attr.UID, origMode: attr.Mode}
 		if attr.UID == DefaultUID {

@@ -326,12 +326,16 @@ func (s *Server) compensateJournal(r journalRow, committed bool) error {
 		if !linked || !keepsHistory(fi.mode, fi.recovery) || !s.physExists(path) {
 			return nil
 		}
-		stateID := s.cfg.Host.StateID()
-		ver, _, err := s.archiveBehind(path, 0, stateID)
+		ver, _, err := s.archiveBehind(path, 0, s.cfg.Host.StateID())
+		r := s.replicator()
+		if err != nil || r == nil {
+			return err
+		}
+		meta, _, mtime, err := s.FileMeta(path)
 		if err != nil {
 			return err
 		}
-		return s.shipCurrent(context.Background(), path, int64(ver), stateID)
+		return r.ShipCommit(context.Background(), path, int64(ver), mtime, meta)
 	case r.action == "link":
 		// Undo the eager takeover / permission change.
 		return s.release(r.file)
@@ -367,8 +371,8 @@ func (s *Server) compensateJournal(r journalRow, committed bool) error {
 // gives ver — the one its commit was given — or stateID when there is none. It
 // returns the newest archived version afterwards and whether it archived.
 func (s *Server) archiveBehind(path string, ver archive.Version, stateID uint64) (archive.Version, bool, error) {
-	if newest, ok := s.cfg.Archive.Newest(s.cfg.Name, path); ok && newest >= ver {
-		return newest, false, nil
+	if newest, ok := s.cfg.Archive.Newest(s.cfg.Name, path); ok && newest.Version >= ver {
+		return newest.Version, false, nil
 	}
 	if row, err := s.repo.QueryRow(`SELECT state_id FROM dlfm_pending_archive WHERE path = ? AND version = ?`,
 		sqlmini.Str(path), sqlmini.Int(int64(ver))); err == nil {

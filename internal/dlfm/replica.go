@@ -1,18 +1,22 @@
 package dlfm
 
 // Shard replication: the DLFM half of ring-successor replication. A replica
-// holds a path's full archive history (shipped version by version at the
-// commit barrier) plus one dlfm_replicas repository row carrying the identity
-// needed to promote — but no physical file and no dlfm_files row, so the
-// linked-file namespace, rebalance, and recovery scans never see replicas.
-// Promotion — of a dead owner's successor, or of a live move's caught-up
-// destination (shard.go) — installs the latest archived version deferred and
-// moves the row into dlfm_files: the path serves again with no data movement.
+// holds a path's full archive history plus one dlfm_replicas repository row
+// carrying the identity needed to promote — but no physical file and no
+// dlfm_files row, so the linked-file namespace, rebalance, and recovery scans
+// never see replicas. One verb puts versions on a replica: ImportReplica
+// pulls the owner's archive records after the newest version the replica
+// holds — named by identity, not number — and the blobs it lacks. A commit's
+// ship, a lag catch-up, anti-entropy and a live move all call it; for a
+// replica that is level, a ship is one record. Promotion — of a dead owner's
+// successor, or of a live move's caught-up destination (shard.go) — installs
+// the latest archived version deferred and moves the row into dlfm_files: the
+// path serves again with no data movement.
 //
 // The owner side is a Replicator installed by the cluster layer after the
 // stack is built: commitUpdate, link, and unlink call it synchronously inside
-// their commit windows, so a quorum of replicas has acked a version before
-// the application's close returns.
+// their commit windows, once the version is archived, so a quorum of replicas
+// has acked a version before the application's close returns.
 
 import (
 	"context"
@@ -40,12 +44,21 @@ type ReplicaMeta struct {
 
 // Replicator ships owner-side mutations to the path's ring successors. The
 // cluster layer installs one per server with SetReplicator; a nil replicator
-// (the default, and Replicas=1) makes every ship a no-op. ShipCommit returns
-// nil once a write quorum of replicas has acked; its error means the quorum
-// was NOT reached — the version is committed locally but under-replicated.
+// (the default, and Replicas=1) makes every ship a no-op. ShipCommit ships
+// the archived version ver and returns nil once a write quorum of replicas
+// has acked it; its error means the quorum was NOT reached — the version is
+// committed locally but under-replicated.
 type Replicator interface {
-	ShipCommit(ctx context.Context, path string, ver int64, stateID uint64, snap *extent.Snapshot, size int64, mtime time.Time, meta ReplicaMeta) error
+	ShipCommit(ctx context.Context, path string, ver int64, mtime time.Time, meta ReplicaMeta) error
 	ShipUnlink(path string) error
+}
+
+// ReplicaSource is the owner's side of a transfer, which ImportReplica pulls
+// from: its history's records after a base named by identity, and blobs by
+// hash. *archive.Store is one.
+type ReplicaSource interface {
+	ExportDelta(server, path string, base archive.VersionID) ([]archive.HistoryRec, error)
+	FetchBlob(h extent.Hash, dst []byte) ([]byte, error)
 }
 
 // ErrReplicationQuorum reports a commit that is durable and visible on the
@@ -54,12 +67,6 @@ type Replicator interface {
 // already committed the version, so the content must stay (the same
 // "newer than the ack is legal" rule at-least-once retries rely on).
 var ErrReplicationQuorum = errors.New("dlfm: replication quorum not reached")
-
-// ErrReplicaLag reports a shipped version that does not directly extend the
-// replica's history — the replica missed one or more earlier versions and
-// must be caught up (archive.ExportDelta/ImportDelta) before this frame can
-// apply.
-var ErrReplicaLag = errors.New("dlfm: replica history lags")
 
 // ErrNoReplica reports a promotion target this server holds no replica for.
 var ErrNoReplica = errors.New("dlfm: no replica held")
@@ -172,50 +179,66 @@ func (s *Server) FileMeta(path string) (ReplicaMeta, int64, time.Time, error) {
 	return meta, int64(fi.version), attr.Mtime, nil
 }
 
-// ApplyReplicaCommit lands one shipped version on this server as a replica:
-// the content goes into the archive (a delta against the predecessor this
-// replica already holds), the dlfm_replicas row advances. Idempotent — a
-// re-shipped frame whose ack was lost returns nil without re-applying.
-// ErrReplicaLag means the frame does not directly extend the local history;
-// the shipper must catch this replica up first.
-func (s *Server) ApplyReplicaCommit(path string, ver int64, stateID uint64, snap *extent.Snapshot, mtime time.Time, meta ReplicaMeta) (err error) {
+// ImportReplica is the one way versions land on a replica. It imports from
+// src what follows the newest version this server holds of path: one record
+// for a replica that is level but for the version just committed, the tail
+// for one that lags, and — when src does not hold that very version (the
+// histories diverged across a restore, or this copy ran ahead of its owner)
+// — the whole history, over a dropped copy; blobs still on this server's
+// device are revived, not fetched. It acks, advancing the dlfm_replicas row
+// to ver, only once its newest version is ver or later and src holds that
+// version as it is here — number, state id and archive time; an import
+// another shipper landed first counts. imported reports the versions this
+// call appended. A path this server links is refused: that ship is a routing
+// bug, not a state to absorb.
+func (s *Server) ImportReplica(path string, src ReplicaSource, ver int64, mtime time.Time, meta ReplicaMeta) (imported int, err error) {
 	defer s.diedMidRequest(&err)
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
-		return fmt.Errorf("dlfm: replica apply %s: server %s closed", path, s.cfg.Name)
+		return 0, fmt.Errorf("dlfm: replica import %s: server %s closed", path, s.cfg.Name)
 	}
 	s.promoteMu.RLock()
 	defer s.promoteMu.RUnlock()
 	if _, linked := s.lookupFile(path); linked {
-		return fmt.Errorf("dlfm: replica apply %s: path is owned by %s", path, s.cfg.Name)
+		return 0, fmt.Errorf("dlfm: replica import %s: path is owned by %s", path, s.cfg.Name)
 	}
-	last := int64(-1)
-	if v, ok := s.cfg.Archive.Newest(s.cfg.Name, path); ok {
-		last = int64(v)
-	}
-	switch {
-	case last >= ver:
-		// Already archived — only the ack was lost. Fall through to make
-		// sure the row reflects it.
-	case last < ver-1:
-		return fmt.Errorf("%w: %s: have %d, shipped %d", ErrReplicaLag, path, last, ver)
-	default:
-		if _, err := s.cfg.Archive.PutSnapshot(s.cfg.Name, path, archive.Version(ver), stateID, snap); err != nil && !errors.Is(err, archive.ErrStale) {
-			return fmt.Errorf("dlfm: replica archive %s: %w", path, err)
+	base, _ := s.cfg.Archive.Newest(s.cfg.Name, path)
+	recs, err := src.ExportDelta(s.cfg.Name, path, base)
+	if errors.Is(err, archive.ErrChainGap) {
+		if err = s.cfg.Archive.Drop(s.cfg.Name, path); err == nil {
+			recs, err = src.ExportDelta(s.cfg.Name, path, archive.VersionID{Version: -1})
 		}
 	}
+	if err != nil {
+		return 0, fmt.Errorf("dlfm: replica import %s: %w", path, err)
+	}
+	st, err := s.cfg.Archive.ImportDelta(s.cfg.Name, path, recs, src.FetchBlob)
+	if err != nil && !errors.Is(err, archive.ErrStale) {
+		return st.Versions, fmt.Errorf("dlfm: replica import %s: %w", path, err)
+	}
+	// The ack rule: this copy reaches ver, and its newest version is one the
+	// owner holds.
+	newest, _ := s.cfg.Archive.Newest(s.cfg.Name, path)
+	if newest.Version >= archive.Version(ver) {
+		_, err = src.ExportDelta(s.cfg.Name, path, newest)
+	} else {
+		err = fmt.Errorf("history ends at v%d", newest.Version)
+	}
+	if err != nil {
+		return st.Versions, fmt.Errorf("dlfm: replica import %s: v%d not held: %w", path, ver, err)
+	}
 	if err := s.EnsureReplicaRow(path, ver, mtime, meta); err != nil {
-		return err
+		return st.Versions, err
 	}
 	s.cfg.Metrics.Counter("dlfm.repl.applied").Inc()
-	return nil
+	return st.Versions, nil
 }
 
 // EnsureReplicaRow upserts the dlfm_replicas row for path at version ver in
-// one repository transaction, so the synchronous ship and a catch-up may run
-// it concurrently for one path. Rows never move backwards — a stale frame
+// one repository transaction, so a ship and an anti-entropy pass may run it
+// concurrently for one path. Rows never move backwards — a stale frame
 // leaves a newer row untouched — and a row, once present, is never absent: a
 // Failover scanning ReplicaPaths meanwhile always sees the path.
 func (s *Server) EnsureReplicaRow(path string, ver int64, mtime time.Time, meta ReplicaMeta) (err error) {
@@ -381,24 +404,4 @@ func (s *Server) promoteInstalled(ri replicaInfo, ver archive.Version) error {
 		return fmt.Errorf("link row: %w", err)
 	}
 	return nil
-}
-
-// shipCurrent ships the path's current on-disk state at version ver to the
-// replica set (no-op without a replicator). Used by link — commit ships are
-// issued inline by commitUpdate, which already holds the snapshot inputs.
-func (s *Server) shipCurrent(ctx context.Context, path string, ver int64, stateID uint64) error {
-	r := s.replicator()
-	if r == nil {
-		return nil
-	}
-	meta, _, mtime, err := s.FileMeta(path)
-	if err != nil {
-		return err
-	}
-	snap, err := s.cfg.Phys.SnapshotFile(path)
-	if err != nil {
-		return err
-	}
-	defer snap.Release()
-	return r.ShipCommit(ctx, path, ver, stateID, snap, int64(snap.Len()), mtime, meta)
 }

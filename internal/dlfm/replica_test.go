@@ -21,30 +21,42 @@ import (
 	"datalinks/internal/sqlmini"
 )
 
-// shipTo applies the owner's current state of path to a replica peer, the way
-// the cluster shipper does at the commit barrier.
-func shipTo(t *testing.T, src *Server, srcPhys *fs.FS, dst *Server, path string) {
-	t.Helper()
+// ship brings a replica peer up to the owner's current version of path the
+// way the cluster shipper does: one ImportReplica from the owner's archive,
+// with the owner's promotion identity.
+func ship(src, dst *Server, path string) (imported int, err error) {
 	meta, ver, mtime, err := src.FileMeta(path)
 	if err != nil {
-		t.Fatalf("file meta: %v", err)
+		return 0, err
 	}
-	snap, err := srcPhys.SnapshotFile(path)
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	defer snap.Release()
-	if err := dst.ApplyReplicaCommit(path, ver, src.cfg.Host.StateID(), snap, mtime, meta); err != nil {
-		t.Fatalf("apply replica commit v%d: %v", ver, err)
+	return dst.ImportReplica(path, src.cfg.Archive, ver, mtime, meta)
+}
+
+// shipTo is ship, failing the test on an error.
+func shipTo(t *testing.T, src, dst *Server, path string) {
+	t.Helper()
+	if _, err := ship(src, dst, path); err != nil {
+		t.Fatalf("ship %s: %v", path, err)
 	}
 }
 
-func TestReplicaApplyAndRow(t *testing.T) {
-	src, srcPhys, _ := newServer(t)
+// commitContent commits one new version of a linked path on srv through a
+// write open.
+func commitContent(t *testing.T, srv *Server, phys *fs.FS, path, content string) {
+	t.Helper()
+	id := openWrite(t, srv, path, owner)
+	phys.WriteFile(path, []byte(content))
+	if resp := closeFile(t, srv, phys, path, id); !resp.OK {
+		t.Fatalf("close: %+v", resp)
+	}
+}
+
+func TestReplicaImportAndRow(t *testing.T) {
+	src, _, _ := newServer(t)
 	linkCommitted(t, src, "/d/f.bin", "rfd")
 	dst, _ := newShardPeer(t)
 
-	shipTo(t, src, srcPhys, dst, "/d/f.bin")
+	shipTo(t, src, dst, "/d/f.bin")
 	if got := dst.ReplicaVersion("/d/f.bin"); got != 0 {
 		t.Fatalf("replica version = %d, want 0", got)
 	}
@@ -64,47 +76,92 @@ func TestReplicaApplyAndRow(t *testing.T) {
 		t.Fatalf("replica archive content: %q, %v", bytesOf(t, e), err)
 	}
 	// Idempotent re-ship (the lost-ack retry) is a clean no-op.
-	shipTo(t, src, srcPhys, dst, "/d/f.bin")
+	if n, err := ship(src, dst, "/d/f.bin"); err != nil || n != 0 {
+		t.Fatalf("re-ship imported %d versions: %v", n, err)
+	}
 	if got := dst.ReplicaVersion("/d/f.bin"); got != 0 {
 		t.Fatalf("replica version after re-ship = %d, want 0", got)
 	}
 }
 
-func TestReplicaLagDetected(t *testing.T) {
+// countingSource is an owner archive that counts the blobs a replica
+// fetches from it.
+type countingSource struct {
+	*archive.Store
+	fetched int
+}
+
+func (c *countingSource) FetchBlob(h extent.Hash, dst []byte) ([]byte, error) {
+	c.fetched++
+	return c.Store.FetchBlob(h, dst)
+}
+
+// TestReplicaImportHealsAGapOrADivergence: a ship names the replica's newest
+// version by identity. A replica that missed versions gets them all in the
+// ship; one whose newest version is another than the owner's of that number
+// — here a v1 the owner rolled back, under the same number and state id —
+// gets the owner's whole history instead, over its dropped copy, and
+// re-fetches no blob it still holds.
+func TestReplicaImportHealsAGapOrADivergence(t *testing.T) {
+	const path = "/d/f.bin"
+	big := func(tag string) string { return tag + strings.Repeat(" padding", extent.ChunkSize/4) }
 	src, srcPhys, _ := newServer(t)
-	linkCommitted(t, src, "/d/f.bin", "rfd")
+	seedFile(t, srcPhys, path, big("v0"))
+	linkCommitted(t, src, path, "rfd")
 	dst, _ := newShardPeer(t)
-	meta, _, mtime, err := src.FileMeta("/d/f.bin")
+	shipTo(t, src, dst, path)
+
+	// A gap: the replica missed v1 and v2.
+	commitContent(t, src, srcPhys, path, big("v1"))
+	commitContent(t, src, srcPhys, path, big("v2"))
+	if n, err := ship(src, dst, path); err != nil || n != 2 {
+		t.Fatalf("ship over a gap imported %d versions (%v), want 2", n, err)
+	}
+	if got := dst.ReplicaVersion(path); got != 2 {
+		t.Fatalf("replica row at v%d after the gap healed, want 2", got)
+	}
+
+	// A divergence: the replica's v3 is not the owner's v3.
+	v3 := "v3" + strings.Repeat(" owner", extent.ChunkSize/4)
+	commitContent(t, src, srcPhys, path, v3)
+	owned := src.cfg.Archive.Versions("fs1", path)
+	if err := dst.cfg.Archive.Put("fs1", path, 3, owned[3].StateID, []byte("a v3 the owner rolled back")); err != nil {
+		t.Fatal(err)
+	}
+	cs := &countingSource{Store: src.cfg.Archive}
+	meta, ver, mtime, err := src.FileMeta(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := srcPhys.SnapshotFile("/d/f.bin")
-	if err != nil {
-		t.Fatal(err)
+	n, err := dst.ImportReplica(path, cs, ver, mtime, meta)
+	if err != nil || n != 4 {
+		t.Fatalf("ship over a diverged v3 imported %d versions (%v), want the whole history of 4", n, err)
 	}
-	defer snap.Release()
-	// Frame v2 arriving at a replica that holds nothing: lag, not apply.
-	if err := dst.ApplyReplicaCommit("/d/f.bin", 2, 1, snap, mtime, meta); !errors.Is(err, ErrReplicaLag) {
-		t.Fatalf("gapped frame: %v, want ErrReplicaLag", err)
+	got := dst.cfg.Archive.Versions("fs1", path)
+	if len(got) != len(owned) {
+		t.Fatalf("replica holds %d versions, owner %d", len(got), len(owned))
 	}
-	if dst.ReplicaVersion("/d/f.bin") != -1 {
-		t.Fatal("lagged frame advanced the row")
+	for i := range owned {
+		if got[i].Version != owned[i].Version || got[i].StateID != owned[i].StateID || !got[i].Stored.Equal(owned[i].Stored) ||
+			!bytes.Equal(bytesOf(t, got[i]), bytesOf(t, owned[i])) {
+			t.Fatalf("replica v%d differs from the owner's", owned[i].Version)
+		}
+	}
+	// v0..v2 were on the replica's device before the drop: only v3's
+	// changed chunk and its tail travel.
+	if cs.fetched > 2 {
+		t.Fatalf("the resync fetched %d blobs, want at most v3's 2", cs.fetched)
 	}
 }
 
-func TestReplicaApplyRejectsOwnedPath(t *testing.T) {
-	src, srcPhys, _ := newServer(t)
+func TestReplicaImportRejectsOwnedPath(t *testing.T) {
+	src, _, _ := newServer(t)
 	linkCommitted(t, src, "/d/f.bin", "rfd")
 	meta, ver, mtime, _ := src.FileMeta("/d/f.bin")
-	snap, err := srcPhys.SnapshotFile("/d/f.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snap.Release()
-	// A server must never hold a replica of a path it owns — that frame is a
+	// A server must never hold a replica of a path it owns — that ship is a
 	// routing bug, not a state to absorb.
-	if err := src.ApplyReplicaCommit("/d/f.bin", ver, 1, snap, mtime, meta); err == nil {
-		t.Fatal("replica apply over an owned path succeeded")
+	if _, err := src.ImportReplica("/d/f.bin", src.cfg.Archive, ver, mtime, meta); err == nil {
+		t.Fatal("replica import over an owned path succeeded")
 	}
 }
 
@@ -112,24 +169,10 @@ func TestReplicaPromoteServes(t *testing.T) {
 	src, srcPhys, _ := newServer(t)
 	linkCommitted(t, src, "/d/f.bin", "rfd")
 	// Commit an update so the replica carries a multi-version history.
-	id := openWrite(t, src, "/d/f.bin", owner)
-	srcPhys.WriteFile("/d/f.bin", []byte("v1"))
-	if resp := closeFile(t, src, srcPhys, "/d/f.bin", id); !resp.OK {
-		t.Fatalf("close: %+v", resp)
-	}
+	commitContent(t, src, srcPhys, "/d/f.bin", "v1")
 
 	dst, dstPhys := newShardPeer(t)
-	// Replica histories build version by version, as the shipper delivers.
-	if err := copyHistory(src, dst, "/d/f.bin"); err != nil {
-		t.Fatal(err)
-	}
-	meta, ver, mtime, err := src.FileMeta("/d/f.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.EnsureReplicaRow("/d/f.bin", ver, mtime, meta); err != nil {
-		t.Fatal(err)
-	}
+	shipTo(t, src, dst, "/d/f.bin")
 
 	if err := dst.PromoteReplica("/d/f.bin"); err != nil {
 		t.Fatalf("promote: %v", err)
@@ -152,11 +195,7 @@ func TestReplicaPromoteServes(t *testing.T) {
 		t.Fatalf("promoted rfd file writable: %o", attr.Mode)
 	}
 	// Version numbering continues where the owner stopped.
-	id = openWrite(t, dst, "/d/f.bin", owner)
-	dstPhys.WriteFile("/d/f.bin", []byte("v2"))
-	if resp := closeFile(t, dst, dstPhys, "/d/f.bin", id); !resp.OK {
-		t.Fatalf("post-promotion close: %+v", resp)
-	}
+	commitContent(t, dst, dstPhys, "/d/f.bin", "v2")
 	vs := dst.cfg.Archive.Versions("fs1", "/d/f.bin")
 	if len(vs) != 3 || string(bytesOf(t, vs[2])) != "v2" {
 		t.Fatalf("post-promotion versions = %d", len(vs))
@@ -171,10 +210,10 @@ func TestReplicaPromoteWithoutReplica(t *testing.T) {
 }
 
 func TestReplicaUnlinkDropsEverything(t *testing.T) {
-	src, srcPhys, _ := newServer(t)
+	src, _, _ := newServer(t)
 	linkCommitted(t, src, "/d/f.bin", "rfd")
 	dst, _ := newShardPeer(t)
-	shipTo(t, src, srcPhys, dst, "/d/f.bin")
+	shipTo(t, src, dst, "/d/f.bin")
 
 	if err := dst.ApplyReplicaUnlink("/d/f.bin"); err != nil {
 		t.Fatalf("replica unlink: %v", err)
@@ -210,7 +249,7 @@ func TestReplicaReadFailsOnAMissingBlob(t *testing.T) {
 	defer arch.Close()
 	dstPhys := fs.New()
 	dst := openServer(t, Config{Name: "fs1", Phys: dstPhys, Archive: arch, Host: newFakeHost(), TokenKey: []byte("k"), OpenWait: 100 * time.Millisecond})
-	shipTo(t, src, srcPhys, dst, "/d/f.bin")
+	shipTo(t, src, dst, "/d/f.bin")
 	if latest, err := arch.Latest("fs1", "/d/f.bin"); err != nil || !bytes.Equal(bytesOf(t, latest), body) {
 		t.Fatalf("replica history before the loss: %v", err)
 	}
@@ -246,7 +285,7 @@ type fakeReplicator struct {
 	fail    error
 }
 
-func (f *fakeReplicator) ShipCommit(_ context.Context, path string, ver int64, _ uint64, snap *extent.Snapshot, _ int64, _ time.Time, _ ReplicaMeta) error {
+func (f *fakeReplicator) ShipCommit(_ context.Context, path string, ver int64, _ time.Time, _ ReplicaMeta) error {
 	if f.fail != nil {
 		return f.fail
 	}
@@ -333,58 +372,68 @@ func TestUnlinkShips(t *testing.T) {
 	}
 }
 
-// TestReplicaApplyAllocsDoNotGrowWithHistory: "what is the last version?" is
-// asked on every replicated commit, for the life of the file — applying a
-// commit onto a path with 1 000 versions allocates what applying one onto a
-// path with 10 does, not a copy of the version list.
-func TestReplicaApplyAllocsDoNotGrowWithHistory(t *testing.T) {
+// TestReplicaImportAllocsDoNotGrowWithHistory: a ship asks the owner for
+// the records after the replica's newest version, and the replica for its
+// newest version, on every replicated commit for the life of the file —
+// shipping a commit onto a path with 1 000 versions allocates what shipping
+// one onto a path with 10 does, not a copy of the version list.
+func TestReplicaImportAllocsDoNotGrowWithHistory(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation comparisons are not meaningful under the race detector")
 	}
+	src := newArchive(t)
 	dst, _ := newShardPeer(t)
 	meta := ReplicaMeta{Mode: datalink.RFD, Recovery: true}
 	mtime := time.Unix(1_700_000_000, 0)
 	ver := int64(0)
-	apply := func() {
-		snap := extent.FromBytes([]byte(fmt.Sprintf("content of version %06d", ver)))
-		defer snap.Release()
-		if err := dst.ApplyReplicaCommit("/d/f.bin", ver, uint64(ver+1), snap, mtime, meta); err != nil {
-			t.Fatalf("apply v%d: %v", ver, err)
+	// ship archives the next version on the owner, then ships it; only the
+	// ship is measured.
+	ship := func(measure func(func())) {
+		if err := src.Put("fs1", "/d/f.bin", archive.Version(ver), uint64(ver+1), []byte(fmt.Sprintf("content of version %06d", ver))); err != nil {
+			t.Fatalf("owner put v%d: %v", ver, err)
 		}
+		measure(func() {
+			if _, err := dst.ImportReplica("/d/f.bin", src, ver, mtime, meta); err != nil {
+				t.Fatalf("ship v%d: %v", ver, err)
+			}
+		})
 		ver++
 	}
-	// medianApply is the median cost of one apply over the next few versions:
+	unmeasured := func(f func()) { f() }
+	// medianShip is the median cost of one ship over the next few versions:
 	// the slices that grow by doubling (archive entries, the repository log)
-	// spike single applies, never most of them.
-	medianApply := func() uint64 {
+	// spike single ships, never most of them.
+	medianShip := func() uint64 {
 		costs := make([]uint64, 9)
-		var before, after runtime.MemStats
 		for i := range costs {
-			runtime.ReadMemStats(&before)
-			apply()
-			runtime.ReadMemStats(&after)
-			costs[i] = after.TotalAlloc - before.TotalAlloc
+			ship(func(f func()) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				f()
+				runtime.ReadMemStats(&after)
+				costs[i] = after.TotalAlloc - before.TotalAlloc
+			})
 		}
 		sort.Slice(costs, func(i, j int) bool { return costs[i] < costs[j] })
 		return costs[len(costs)/2]
 	}
 	for ver < 10 {
-		apply()
+		ship(unmeasured)
 	}
-	short := medianApply()
+	short := medianShip()
 	for ver < 1000 {
-		apply()
+		ship(unmeasured)
 	}
-	long := medianApply()
+	long := medianShip()
 	if got := dst.ReplicaVersion("/d/f.bin"); got != ver-1 {
 		t.Fatalf("replica version = %d, want %d", got, ver-1)
 	}
 	if long > short+short/10 {
-		t.Fatalf("an apply onto 1 000 versions allocates %d B, onto 10 versions %d B", long, short)
+		t.Fatalf("a ship onto 1 000 versions allocates %d B, onto 10 versions %d B", long, short)
 	}
 }
 
-// TestEnsureReplicaRowConcurrentUpserts: the synchronous ship and a catch-up
+// TestEnsureReplicaRowConcurrentUpserts: a ship and an anti-entropy pass
 // upsert one path's row at once. No upsert fails (at the parent one of them
 // ends in "duplicate primary key"), the row never moves backwards, and once it
 // exists no scan of ReplicaPaths misses it — a Failover that scanned in such
@@ -483,31 +532,38 @@ func TestKilledMemberAnswersAtOnce(t *testing.T) {
 	}
 }
 
-// TestReplicaApplyCountsNoRestore: an apply asks the replica's archive only
-// for the newest version number it holds (Newest, metadata only) — Latest
-// would pay the device round trip and count a restore on every shipped
-// version. Twenty ships, each re-shipped once as a lost-ack retry, leave the
-// restore count where it was.
-func TestReplicaApplyCountsNoRestore(t *testing.T) {
+// TestReplicaImportCountsNoRestore: a ship asks both archives only for
+// metadata and the blobs the replica lacks (Newest, ExportDelta, FetchBlob)
+// — Latest would pay the device round trip and count a restore on every
+// shipped version. Twenty ships, each re-shipped once as a lost-ack retry,
+// leave both restore counts where they were.
+func TestReplicaImportCountsNoRestore(t *testing.T) {
+	src := newArchive(t)
 	dst, _ := newShardPeer(t)
 	meta := ReplicaMeta{Mode: datalink.RFD, Recovery: true}
 	mtime := time.Unix(1_700_000_000, 0)
 	var buf extent.Buffer
 	buf.WriteAt(0, bytes.Repeat([]byte{1}, 2*extent.ChunkSize))
-	_, before, _ := dst.cfg.Archive.Stats()
+	_, srcBefore, _ := src.Stats()
+	_, dstBefore, _ := dst.cfg.Archive.Stats()
 	const ships = 20
 	for ver := int64(0); ver < ships; ver++ {
 		buf.WriteAt(ver*1000, []byte(fmt.Sprintf("version %d", ver)))
 		snap := buf.Capture()
-		for range 2 {
-			if err := dst.ApplyReplicaCommit("/d/f.bin", ver, uint64(ver+1), snap, mtime, meta); err != nil {
-				t.Fatalf("apply v%d: %v", ver, err)
-			}
+		if _, err := src.PutSnapshot("fs1", "/d/f.bin", archive.Version(ver), uint64(ver+1), snap); err != nil {
+			t.Fatalf("owner put v%d: %v", ver, err)
 		}
 		snap.Release()
+		for range 2 {
+			if _, err := dst.ImportReplica("/d/f.bin", src, ver, mtime, meta); err != nil {
+				t.Fatalf("ship v%d: %v", ver, err)
+			}
+		}
 	}
-	if _, after, _ := dst.cfg.Archive.Stats(); after != before {
-		t.Fatalf("%d ships counted %d restores on the replica", ships, after-before)
+	_, srcAfter, _ := src.Stats()
+	_, dstAfter, _ := dst.cfg.Archive.Stats()
+	if srcAfter != srcBefore || dstAfter != dstBefore {
+		t.Fatalf("%d ships counted %d restores on the owner, %d on the replica", ships, srcAfter-srcBefore, dstAfter-dstBefore)
 	}
 	e, err := dst.cfg.Archive.Latest("fs1", "/d/f.bin")
 	if err != nil || e.Version != ships-1 || !bytes.Equal(bytesOf(t, e), buf.Bytes()) {
@@ -515,35 +571,33 @@ func TestReplicaApplyCountsNoRestore(t *testing.T) {
 	}
 }
 
-// TestReplicaApplyRacingPromote: a ship that passed its not-linked check
+// TestReplicaImportRacingPromote: a ship that passed its not-linked check
 // while its replica is promoted lands before the promote, never after it —
 // after, it would leave the new owner a replica row beside its link row (the
 // anti-entropy prune's to remove) and a history ahead of the version it
 // serves.
-func TestReplicaApplyRacingPromote(t *testing.T) {
+func TestReplicaImportRacingPromote(t *testing.T) {
 	const path = "/d/f.bin"
 	for round := 0; round < 20; round++ {
 		src, srcPhys, _ := newServer(t)
 		linkCommitted(t, src, path, "rfd")
 		dst, _ := newShardPeer(t)
-		shipTo(t, src, srcPhys, dst, path)
-		meta, _, mtime, err := src.FileMeta(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap := extent.FromBytes([]byte("v1"))
-		applied := make(chan error, 1)
-		go func() { applied <- dst.ApplyReplicaCommit(path, 1, src.cfg.Host.StateID(), snap, mtime, meta) }()
+		shipTo(t, src, dst, path)
+		commitContent(t, src, srcPhys, path, "v1")
+		shipped := make(chan error, 1)
+		go func() {
+			_, err := ship(src, dst, path)
+			shipped <- err
+		}()
 		if err := dst.PromoteReplica(path); err != nil {
 			t.Fatalf("round %d: promote: %v", round, err)
 		}
-		<-applied
-		snap.Release()
+		<-shipped
 		_, ver, _, err := dst.FileMeta(path)
 		newest, _ := dst.cfg.Archive.Newest("fs1", path)
-		if err != nil || dst.ReplicaVersion(path) >= 0 || archive.Version(ver) != newest {
+		if err != nil || dst.ReplicaVersion(path) >= 0 || archive.Version(ver) != newest.Version {
 			t.Fatalf("round %d: owner serves v%d (%v), history ends at v%d, replica row at %d",
-				round, ver, err, newest, dst.ReplicaVersion(path))
+				round, ver, err, newest.Version, dst.ReplicaVersion(path))
 		}
 	}
 }

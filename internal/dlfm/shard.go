@@ -93,11 +93,11 @@ func (s *Server) archiveFrozen(fi fileInfo) error {
 		if err := s.cfg.Archive.Drop(s.cfg.Name, fi.path); err != nil {
 			return err
 		}
-	case ok && newest >= fi.version && fi.mode.Write == datalink.CtlFS:
-		if same, err := s.matchesArchived(fi.path, newest); err != nil || same {
+	case ok && newest.Version >= fi.version && fi.mode.Write == datalink.CtlFS:
+		if same, err := s.matchesArchived(fi.path, newest.Version); err != nil || same {
 			return err
 		}
-		fi.version = newest + 1
+		fi.version = newest.Version + 1
 		if _, err := s.repo.Exec(`UPDATE dlfm_files SET cur_version = ? WHERE path = ?`,
 			sqlmini.Int(int64(fi.version)), sqlmini.Str(fi.path)); err != nil {
 			return err

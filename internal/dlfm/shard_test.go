@@ -30,37 +30,15 @@ func newShardPeer(t *testing.T) (*Server, *fs.FS) {
 	return srv, phys
 }
 
-// copyHistory brings dst's archive history of path level with src's the way
-// the cluster's catch-up does: export what follows dst's newest version (the
-// whole history when it holds none), import it.
-func copyHistory(src, dst *Server, path string) error {
-	have := int64(-1)
-	if v, ok := dst.cfg.Archive.Newest("fs1", path); ok {
-		have = int64(v)
-	}
-	recs, err := src.cfg.Archive.ExportDelta("fs1", path, have)
-	if err != nil || len(recs) == 0 {
-		return err
-	}
-	_, err = dst.cfg.Archive.ImportDelta("fs1", path, recs, src.cfg.Archive.FetchBlob)
-	return err
-}
-
 // migrate runs the full per-path move between two servers, the way the
-// cluster router does: freeze, catch the destination's history up, give it
-// the replica row from the source's FileMeta, promote it, evict the source.
+// cluster router does: freeze, ship the destination the frozen version (its
+// history and replica row), promote it, evict the source.
 func migrate(t *testing.T, src, dst *Server, path string) {
 	t.Helper()
 	if err := src.BeginExport(path); err != nil {
 		t.Fatalf("begin export: %v", err)
 	}
-	meta, ver, mtime, err := src.FileMeta(path)
-	if err == nil {
-		err = copyHistory(src, dst, path)
-	}
-	if err == nil {
-		err = dst.EnsureReplicaRow(path, ver, mtime, meta)
-	}
+	_, err := ship(src, dst, path)
 	if err == nil {
 		err = dst.PromoteReplica(path)
 	}
@@ -81,10 +59,10 @@ func migrate(t *testing.T, src, dst *Server, path string) {
 // nothing — and the promote turns the replica row into the link row, so the
 // new owner is not left a replica of itself.
 func TestShardImportOntoReplicaRetiresTheRow(t *testing.T) {
-	src, srcPhys, _ := newServer(t)
+	src, _, _ := newServer(t)
 	linkCommitted(t, src, "/d/f.bin", "rfd")
 	dst, dstPhys := newShardPeer(t)
-	shipTo(t, src, srcPhys, dst, "/d/f.bin")
+	shipTo(t, src, dst, "/d/f.bin")
 	if dst.ReplicaVersion("/d/f.bin") < 0 {
 		t.Fatal("destination holds no replica before the move")
 	}
@@ -268,10 +246,10 @@ func TestEndExportEvictPurgesEverything(t *testing.T) {
 // already serves, and the refusal leaves the local file and its replica row
 // as they were.
 func TestPromoteReplicaRejectsLinkedPath(t *testing.T) {
-	src, srcPhys, _ := newServer(t)
+	src, _, _ := newServer(t)
 	linkCommitted(t, src, "/d/f.bin", "rfd")
 	dst, dstPhys := newShardPeer(t)
-	shipTo(t, src, srcPhys, dst, "/d/f.bin")
+	shipTo(t, src, dst, "/d/f.bin")
 	dstPhys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
 	seedFile(t, dstPhys, "/d/f.bin", "local")
 	if err := dst.cfg.Archive.Drop("fs1", "/d/f.bin"); err != nil {
@@ -461,16 +439,7 @@ func TestPromoteReplicaLoadsNothing(t *testing.T) {
 	}
 
 	dst, dstPhys := newShardPeer(t)
-	if err := copyHistory(src, dst, path); err != nil {
-		t.Fatal(err)
-	}
-	meta, ver, mtime, err := src.FileMeta(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.EnsureReplicaRow(path, ver, mtime, meta); err != nil {
-		t.Fatal(err)
-	}
+	shipTo(t, src, dst, path)
 	loads := dstPhys.Stats.DeferredLoads.Load()
 	if err := dst.PromoteReplica(path); err != nil {
 		t.Fatalf("promote: %v", err)

@@ -305,25 +305,27 @@ func (s *Server) commitUpdate(ctx context.Context, st *openState, size int64, mt
 	// writer, so the capture is exactly the committed state.
 	snap, capErr := s.cfg.Phys.CaptureFile(st.path)
 	archErr := s.archiveCommitted(ctx, st.path, newVer, stateID, snap, capErr)
-	if archErr == nil {
-		s.handSource(st.path, newVer, snap)
+	if capErr == nil {
+		if archErr == nil {
+			s.handSource(st.path, newVer, snap)
+		}
+		snap.Release()
 	}
 
-	// Ship the committed version to the path's ring successors before the
-	// close returns — the synchronous half of the replication stream. A
-	// quorum failure surfaces as ErrReplicationQuorum after local bookkeeping
-	// completes; closeFile rejects the close without rolling back.
+	// Ship the archived version to the path's ring successors before the
+	// close returns — the synchronous half of the replication stream. Without
+	// the archive put there is no version to ship; restart's archiveBehind
+	// and the next anti-entropy pass deliver it. A quorum failure surfaces as
+	// ErrReplicationQuorum after local bookkeeping completes; closeFile
+	// rejects the close without rolling back.
 	var shipErr error
 	if r := s.replicator(); r != nil {
-		shipErr = capErr
-		if capErr == nil {
+		shipErr = archErr
+		if archErr == nil {
 			meta := ReplicaMeta{Mode: fi.mode, Recovery: fi.recovery, TokenTTL: fi.tokenTTL,
 				OrigUID: fi.origUID, OrigMode: fi.origMode}
-			shipErr = r.ShipCommit(ctx, st.path, newVer, stateID, snap, size, attr.Mtime, meta)
+			shipErr = r.ShipCommit(ctx, st.path, newVer, attr.Mtime, meta)
 		}
-	}
-	if capErr == nil {
-		snap.Release()
 	}
 
 	if err := s.releaseTakeover(st.path, fi); err != nil {
