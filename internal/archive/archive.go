@@ -24,13 +24,15 @@
 //     Materializing a patched slot reads the base and the patches into a
 //     buffer of the chunk's own, each verified against its hash.
 //   - Chunk and tail bytes live in a chunkdisk store: interned by content
-//     hash, written through to disk from the capture as they lie, with a
-//     bounded in-memory LRU that only reads fill. Resident memory is capped
-//     by the LRU budget no matter how many versions accumulate; chunks page
-//     in on Get/Latest/AsOf/restore.
+//     hash, written through to disk from the capture as they lie, and read
+//     back from disk whenever a version is loaded (Held.ReadSlot/ReadTail,
+//     Entry.Snapshot). The store keeps no chunk in memory, however many
+//     versions accumulate: a linked file's committed chunks live in the file
+//     system, which pages them out against the version they were archived
+//     as.
 //   - Dropping versions (TruncateAfter, Drop, unlink) releases references;
-//     blobs that reach zero are freed from memory immediately and their disk
-//     records are reclaimed later by GC (GCNow, and once more at Close). A
+//     blobs that reach zero are dead, and their disk records are reclaimed
+//     later by GC (GCNow, and once more at Close). A
 //     Held version (Entry.Hold) keeps its own references until Release, so
 //     a file installed from it and not yet read survives its history's drop.
 //   - Every version's manifest is also written through to a durable catalog
@@ -41,9 +43,8 @@
 //     is what makes the archive a database-managed store rather than a cache
 //     over the chunk packs.
 //   - A store opened without a directory runs the same code over a private
-//     one it creates, and removes it at Close or Crash. Its memory is bounded
-//     by the LRU budget like any store's, and dead blobs stay in their packs
-//     until a sweep (GCNow, Close).
+//     one it creates, and removes it at Close or Crash. Dead blobs stay in
+//     its packs until a sweep (GCNow, Close), as in any store.
 //
 // A configurable latency models the paper's tertiary archive device. The
 // latency of a Put is charged per NEW chunk transferred — deduplicated
@@ -60,10 +61,10 @@
 //     stored whole. (Link's version 0 and recovery's archiveCurrent archive
 //     a capture, as a close does.)
 //  2. Nothing the archive keeps aliases a chunk the live file may still
-//     write in place — not a resident LRU entry, not a pack write, not a
-//     shipped frame. Patches, whole chunks and tails go straight from the
-//     capture to the device while the capture still holds the chunk
-//     (chunkdisk.Put and PutBytes keep nothing).
+//     write in place — not a pack write, not a shipped frame. Patches,
+//     whole chunks and tails go straight from the capture to the device
+//     while the capture still holds the chunk (chunkdisk.Put and PutBytes
+//     keep nothing).
 //  3. Writing in place is gated by extent's own test — the buffer is the
 //     chunk's only owner and no store pinned it — so a snapshot, a quarantine
 //     copy or a version that still shares the chunk forces a copy. Hashing
@@ -187,7 +188,7 @@ type Entry struct {
 }
 
 // Snapshot materializes the version as an extent manifest for an O(#chunks)
-// restore swap, paging cold chunks in from the disk tier as needed. The
+// restore swap, reading every chunk from the disk tier. The
 // caller owns the returned snapshot and must Release it.
 func (e Entry) Snapshot() (*extent.Snapshot, error) {
 	h, err := e.hold()
@@ -252,8 +253,7 @@ func (h *Held) Release() {
 }
 
 // ReadSlot reads chunk slot i of the held version into dst (ChunkSize
-// bytes): its base and patches, each verified against its hash, without
-// admitting anything to the read cache.
+// bytes): its base and patches, each verified against its hash.
 func (h *Held) ReadSlot(i int, dst []byte) error {
 	if err := h.live(); err != nil {
 		return err
@@ -401,11 +401,10 @@ type PutStats struct {
 
 // DedupStats is the store-wide view of the dedup machinery.
 type DedupStats struct {
-	LogicalBytes  int64 // sum of version sizes as archived
-	NewBytes      int64 // bytes physically stored across all Puts
-	DedupedBytes  int64 // logical bytes that deduplicated away
-	SharedChunks  int64 // chunk references served by dedup
-	ResidentBytes int64 // bytes currently resident in MEMORY (the LRU tier)
+	LogicalBytes int64 // sum of version sizes as archived
+	NewBytes     int64 // bytes physically stored across all Puts
+	DedupedBytes int64 // logical bytes that deduplicated away
+	SharedChunks int64 // chunk references served by dedup
 }
 
 // TierConfig configures the durable tier.
@@ -416,9 +415,6 @@ type TierConfig struct {
 	// zero re-archiving. "" gives the store a private directory of its own
 	// (os.MkdirTemp), which Close and Crash remove.
 	Dir string
-	// MemoryBudget bounds the hot-chunk LRU (bytes); <= 0 uses the
-	// chunkdisk default.
-	MemoryBudget int64
 	// CheckpointEvery bounds the delta chain: a full manifest at least every
 	// this many versions (<= 0: the package default of 16; 1 makes every
 	// version a checkpoint).
@@ -517,7 +513,6 @@ func NewTiered(latency time.Duration, clock func() time.Time, tier TierConfig) (
 	}
 	disk, err := chunkdisk.Open(chunkdisk.Config{
 		Dir:             tier.Dir,
-		MemoryBudget:    tier.MemoryBudget,
 		Compress:        tier.Compress,
 		PackTargetBytes: tier.PackTargetBytes,
 		Fsync:           tier.Fsync,
@@ -1242,14 +1237,14 @@ func (s *Store) HoldNewest(server, path string, v Version) (*Held, error) {
 	return &h, nil
 }
 
-// Load materializes the held version as a caller-owned snapshot, fetching
-// the chunks — possibly paging in from disk — without any entry lock. The
+// Load materializes the held version as a caller-owned snapshot, reading
+// every slot and the tail from disk without any entry lock. An unpatched
+// slot keeps its base's hash; a patched one is hashed only if asked. The
 // caller must Release the snapshot. Load may be called again after an error.
 func (h *Held) Load() (snap *extent.Snapshot, err error) {
 	if err := h.live(); err != nil {
 		return nil, err
 	}
-	s, rec, k, v := h.st, h.rec, h.key, h.v
 	chunks := make([]*extent.Chunk, 0, len(h.slots))
 	defer func() {
 		if err != nil {
@@ -1258,44 +1253,27 @@ func (h *Held) Load() (snap *extent.Snapshot, err error) {
 			}
 		}
 	}()
-	for _, r := range h.slots {
-		var c *extent.Chunk
+	for i, r := range h.slots {
+		data := make([]byte, extent.ChunkSize)
+		if err = h.ReadSlot(i, data); err != nil {
+			return nil, err
+		}
 		if len(r.patches) == 0 {
-			c, err = s.disk.Get(r.base)
+			chunks = append(chunks, extent.WrapChunk(data, r.base))
 		} else {
-			c, err = s.assemble(r)
+			chunks = append(chunks, extent.Freeze(data))
 		}
-		if err != nil {
-			return nil, fmt.Errorf("archive: version %d of %q: %w", v, k, err)
-		}
-		chunks = append(chunks, c)
 	}
-	var tail []byte
-	if rec.TailLen > 0 {
-		var tc *extent.Chunk
-		if tc, err = s.disk.Get(rec.TailHash); err != nil {
-			return nil, fmt.Errorf("archive: version %d of %q: tail: %w", v, k, err)
-		}
-		defer tc.ReleaseChunk()
-		tail = tc.Data()
+	tail := make([]byte, h.rec.TailLen)
+	if err = h.ReadTail(tail); err != nil {
+		return nil, err
 	}
 	return extent.BuildSnapshot(chunks, tail), nil
 }
 
-// assemble materializes a patched slot into a chunk of its own, handed out
-// frozen.
-func (s *Store) assemble(r slotRef) (*extent.Chunk, error) {
-	data := make([]byte, extent.ChunkSize)
-	if err := s.readSlot(r, data); err != nil {
-		return nil, err
-	}
-	return extent.Freeze(data), nil
-}
-
 // readSlot reads a slot into dst (ChunkSize bytes): its base, then each
 // patch over it in order — every blob verified against its hash as it comes
-// off the device. Nothing is paged into the LRU and no patch costs an
-// allocation.
+// off the device. No patch costs an allocation.
 func (s *Store) readSlot(r slotRef, dst []byte) error {
 	n, err := s.disk.ReadInto(r.base, dst)
 	if err != nil {
@@ -1493,20 +1471,18 @@ func (s *Store) Stats() (puts, restores, bytes int64) {
 	return s.puts.Load(), s.restores.Load(), s.logicalBytes.Load()
 }
 
-// Dedup reports the chunk-dedup counters. ResidentBytes is memory-resident
-// bytes only, bounded by the LRU budget, while the full deduplicated content
-// lives in Tier().DiskBytes.
+// Dedup reports the chunk-dedup counters. The deduplicated content lives in
+// Tier().DiskBytes.
 func (s *Store) Dedup() DedupStats {
 	return DedupStats{
-		LogicalBytes:  s.logicalBytes.Load(),
-		NewBytes:      s.newBytes.Load(),
-		DedupedBytes:  s.dedupedBytes.Load(),
-		SharedChunks:  s.sharedChunks.Load(),
-		ResidentBytes: s.disk.Stats().ResidentBytes,
+		LogicalBytes: s.logicalBytes.Load(),
+		NewBytes:     s.newBytes.Load(),
+		DedupedBytes: s.dedupedBytes.Load(),
+		SharedChunks: s.sharedChunks.Load(),
 	}
 }
 
-// Tier reports the durable-tier counters (spill, page-in, eviction, GC).
+// Tier reports the durable-tier counters (spill, page-in, GC).
 func (s *Store) Tier() chunkdisk.Stats { return s.disk.Stats() }
 
 // TierDir reports the on-disk store root: TierConfig.Dir, or the private

@@ -24,7 +24,7 @@ func bytesOf(t testing.TB, e Entry) []byte {
 }
 
 func TestPutGetLatest(t *testing.T) {
-	s := newTiered(t, 0)
+	s := newTiered(t)
 	if err := s.Put("fs1", "/a", 0, 10, []byte("v0")); err != nil {
 		t.Fatalf("put v0: %v", err)
 	}
@@ -42,7 +42,7 @@ func TestPutGetLatest(t *testing.T) {
 }
 
 func TestVersionsMustIncrease(t *testing.T) {
-	s := newTiered(t, 0)
+	s := newTiered(t)
 	s.Put("fs1", "/a", 1, 10, []byte("v1"))
 	if err := s.Put("fs1", "/a", 1, 20, []byte("dup")); err == nil {
 		t.Fatal("duplicate version accepted")
@@ -53,7 +53,7 @@ func TestVersionsMustIncrease(t *testing.T) {
 }
 
 func TestContentIsCopied(t *testing.T) {
-	s := newTiered(t, 0)
+	s := newTiered(t)
 	buf := []byte("original")
 	s.Put("fs1", "/a", 0, 1, buf)
 	buf[0] = 'X'
@@ -64,7 +64,7 @@ func TestContentIsCopied(t *testing.T) {
 }
 
 func TestAsOfSelectsByStateID(t *testing.T) {
-	s := newTiered(t, 0)
+	s := newTiered(t)
 	s.Put("fs1", "/a", 0, 10, []byte("v0"))
 	s.Put("fs1", "/a", 1, 20, []byte("v1"))
 	s.Put("fs1", "/a", 2, 30, []byte("v2"))
@@ -87,7 +87,7 @@ func TestAsOfSelectsByStateID(t *testing.T) {
 }
 
 func TestTruncateAfter(t *testing.T) {
-	s := newTiered(t, 0)
+	s := newTiered(t)
 	s.Put("fs1", "/a", 0, 10, []byte("v0"))
 	s.Put("fs1", "/a", 1, 20, []byte("v1"))
 	s.Put("fs1", "/a", 2, 30, []byte("v2"))
@@ -103,7 +103,7 @@ func TestTruncateAfter(t *testing.T) {
 }
 
 func TestServerNamespaceIsolation(t *testing.T) {
-	s := newTiered(t, 0)
+	s := newTiered(t)
 	s.Put("fs1", "/a", 0, 1, []byte("one"))
 	s.Put("fs2", "/a", 0, 1, []byte("two"))
 	e1, _ := s.Latest("fs1", "/a")
@@ -118,7 +118,7 @@ func TestServerNamespaceIsolation(t *testing.T) {
 }
 
 func TestDrop(t *testing.T) {
-	s := newTiered(t, 0)
+	s := newTiered(t)
 	s.Put("fs1", "/a", 0, 1, []byte("x"))
 	s.Drop("fs1", "/a")
 	if _, err := s.Latest("fs1", "/a"); !errors.Is(err, ErrNotFound) {
@@ -127,7 +127,7 @@ func TestDrop(t *testing.T) {
 }
 
 func TestLatencyInjection(t *testing.T) {
-	s := newTiered(t, 0)
+	s := newTiered(t)
 	s.SetLatency(4 * time.Millisecond)
 	start := time.Now()
 	s.Put("fs1", "/a", 0, 1, []byte("x"))
@@ -143,7 +143,7 @@ func TestLatencyInjection(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	s := newTiered(t, 0)
+	s := newTiered(t)
 	s.Put("fs1", "/a", 0, 1, []byte("abcd"))
 	s.Latest("fs1", "/a")
 	puts, restores, bytes := s.Stats()
@@ -155,7 +155,7 @@ func TestStats(t *testing.T) {
 // TestDedupSharesChunks: archiving mostly-identical versions stores only
 // the changed chunks — stored bytes grow by the delta, not the file size.
 func TestDedupSharesChunks(t *testing.T) {
-	s := newTiered(t, 0)
+	s := newTiered(t)
 	const chunks = 16
 	content := make([]byte, chunks*extent.ChunkSize)
 	for i := range content {
@@ -220,7 +220,7 @@ func TestDedupSharesChunks(t *testing.T) {
 // being distinguishable (a close still in its put when the process was
 // killed may have completed it already).
 func TestStalePutIsTyped(t *testing.T) {
-	s := newTiered(t, 0)
+	s := newTiered(t)
 	s.Put("fs1", "/a", 1, 10, []byte("v1"))
 	if err := s.Put("fs1", "/a", 1, 20, []byte("dup")); !errors.Is(err, ErrStale) {
 		t.Fatalf("dup put error = %v; want ErrStale", err)
@@ -232,7 +232,7 @@ func TestStalePutIsTyped(t *testing.T) {
 // asserted deterministically; the wall-clock checks are lower bounds only
 // (upper bounds flake on loaded runners).
 func TestPutLatencyChargedPerNewChunk(t *testing.T) {
-	s := newTiered(t, 0)
+	s := newTiered(t)
 	s.SetLatency(2 * time.Millisecond)
 	content := make([]byte, 4*extent.ChunkSize)
 	for i := range content {
@@ -269,7 +269,7 @@ func TestPutLatencyChargedPerNewChunk(t *testing.T) {
 // interning exactly — once swept, stored bytes are what the accepted versions
 // hold — and handed-out entries keep reading valid content after Drop.
 func TestStalePutLeavesAccountingIntact(t *testing.T) {
-	s := newTiered(t, 0)
+	s := newTiered(t)
 	content := make([]byte, 2*extent.ChunkSize+100)
 	for i := range content {
 		content[i] = byte(i % 251)
@@ -325,7 +325,7 @@ func TestAsOfProperty(t *testing.T) {
 		if len(deltas) > 20 {
 			deltas = deltas[:20]
 		}
-		s := newTiered(t, 0)
+		s := newTiered(t)
 		state := uint64(0)
 		var states []uint64
 		for i, d := range deltas {

@@ -67,13 +67,13 @@ func pinnedBlobs(s *Store) int {
 // the chains match).
 func seedPair(t *testing.T, srcVers, dstVers int) (src, dst *Store) {
 	t.Helper()
-	src = newTiered(t, 0)
+	src = newTiered(t)
 	for v := 0; v < srcVers; v++ {
 		if err := src.Put("auth", "/f", Version(v), uint64(10+v), multiVersionContent(v)); err != nil {
 			t.Fatalf("src put v%d: %v", v, err)
 		}
 	}
-	dst = newTiered(t, 0)
+	dst = newTiered(t)
 	if dstVers > 0 {
 		recs := exportAll(t, src, "auth", "/f")
 		if _, err := dst.ImportDelta("auth", "/f", recs[:dstVers], src.FetchBlob); err != nil {
@@ -84,7 +84,7 @@ func seedPair(t *testing.T, srcVers, dstVers int) (src, dst *Store) {
 }
 
 func TestHandoffRoundTrip(t *testing.T) {
-	src := newTiered(t, 0)
+	src := newTiered(t)
 	for v := 0; v < 5; v++ {
 		if err := src.Put("auth", "/f", Version(v), uint64(10+v), multiVersionContent(v)); err != nil {
 			t.Fatalf("put v%d: %v", v, err)
@@ -95,7 +95,7 @@ func TestHandoffRoundTrip(t *testing.T) {
 		t.Fatalf("exported %d recs, want 5", len(recs))
 	}
 
-	dst := newTiered(t, 0)
+	dst := newTiered(t)
 	st, err := dst.ImportDelta("auth", "/f", recs, src.FetchBlob)
 	if err != nil {
 		t.Fatalf("import: %v", err)
@@ -137,8 +137,8 @@ func TestHandoffRoundTrip(t *testing.T) {
 }
 
 func TestHandoffDedupAgainstResident(t *testing.T) {
-	src := newTiered(t, 0)
-	dst := newTiered(t, 0)
+	src := newTiered(t)
+	dst := newTiered(t)
 	content := multiVersionContent(0)
 	// The destination already archived identical content under another path.
 	if err := dst.Put("auth", "/other", 0, 1, content); err != nil {
@@ -205,11 +205,11 @@ func TestHandoffOntoExistingHistoryIsNoOp(t *testing.T) {
 }
 
 func TestHandoffFetchFailureUnwinds(t *testing.T) {
-	src := newTiered(t, 0)
+	src := newTiered(t)
 	if err := src.Put("auth", "/f", 0, 1, multiVersionContent(0)); err != nil {
 		t.Fatal(err)
 	}
-	dst := newTiered(t, 0)
+	dst := newTiered(t)
 	calls := 0
 	failing := func(h extent.Hash, dst []byte) ([]byte, error) {
 		calls++
@@ -238,7 +238,7 @@ func TestHandoffFetchFailureUnwinds(t *testing.T) {
 }
 
 func TestHandoffTieredDestination(t *testing.T) {
-	src := newTiered(t, 0)
+	src := newTiered(t)
 	for v := 0; v < 3; v++ {
 		if err := src.Put("auth", "/f", Version(v), uint64(v+1), multiVersionContent(v)); err != nil {
 			t.Fatal(err)
@@ -361,7 +361,7 @@ func TestDeltaChainGap(t *testing.T) {
 	if recs[0].IsFull {
 		t.Fatal("tail starts at a checkpoint; the test needs a delta record")
 	}
-	empty := newTiered(t, 0)
+	empty := newTiered(t)
 	if _, err := empty.ImportDelta("auth", "/f", recs, src.FetchBlob); !errors.Is(err, ErrChainGap) {
 		t.Fatalf("delta into empty store: %v, want ErrChainGap", err)
 	}

@@ -98,9 +98,7 @@ const fetchBufSize = extent.ChunkSize + chunkdisk.RecordOverhead
 
 // FetchBlob returns the bytes of one content hash, read into dst (at least
 // fetchBufSize long) from the device — checked against the stored record's
-// checksum, as chunkdisk.ReadForTransfer has it — without admitting them to
-// the read cache, so a transfer leaves this store's memory as it found it.
-// This is the source side of a transfer: the destination's ImportDelta calls
+// checksum, as chunkdisk.ReadForTransfer has it. This is the source side of a transfer: the destination's ImportDelta calls
 // it for exactly the hashes it does not already hold.
 func (s *Store) FetchBlob(h extent.Hash, dst []byte) ([]byte, error) {
 	return s.disk.ReadForTransfer(h, dst)

@@ -12,7 +12,7 @@ import (
 
 // tiers runs fn against a durable store, as subtest "durable".
 func tiers(t *testing.T, fn func(t *testing.T, s *Store)) {
-	t.Run("durable", func(t *testing.T) { fn(t, newTiered(t, 0)) })
+	t.Run("durable", func(t *testing.T) { fn(t, newTiered(t)) })
 }
 
 // TestReleaseToZeroNeverStrandsAClaimer: one writer keeps losing Puts of a
@@ -93,7 +93,7 @@ func TestReleaseToZeroNeverStrandsAClaimer(t *testing.T) {
 // references are all given back.
 func TestTwoWritersOneVersion(t *testing.T) {
 	tiers(t, func(t *testing.T, s *Store) {
-		src := newTiered(t, 0)
+		src := newTiered(t)
 		defer src.Close()
 		base := bytes.Repeat([]byte{7}, extent.ChunkSize)
 		const rounds = 200

@@ -51,8 +51,8 @@ func putBytes(t *testing.T, s *Store, path string, v Version, stateID uint64, co
 func TestRestartServesFullHistory(t *testing.T) {
 	const C = extent.ChunkSize
 	dir := t.TempDir()
-	tier := TierConfig{MemoryBudget: 2 * C} // small budget: most reads page in
-	s, err := NewTiered(0, nil, TierConfig{Dir: dir, MemoryBudget: tier.MemoryBudget})
+	tier := TierConfig{}
+	s, err := NewTiered(0, nil, TierConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func indexOf(ss []string, s string) int {
 // reclaimable by GC, and nothing resurrects.
 func TestRestartRespectsTruncateAndDrop(t *testing.T) {
 	const C = extent.ChunkSize
-	s, err := NewTiered(0, nil, TierConfig{Dir: t.TempDir(), MemoryBudget: 2 * C})
+	s, err := NewTiered(0, nil, TierConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestRestartRespectsTruncateAndDrop(t *testing.T) {
 	// lock the way a real process death does, without the Close-time sweep.)
 	dir := s.TierDir()
 	s.Crash()
-	s2, err := NewTiered(0, nil, TierConfig{Dir: dir, MemoryBudget: 2 * C})
+	s2, err := NewTiered(0, nil, TierConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestRestartRespectsTruncateAndDrop(t *testing.T) {
 	if freed := s2.GCNow(); freed == 0 {
 		t.Fatal("GC found nothing to free after restart of a truncated archive")
 	}
-	s3 := reopen(t, s2, TierConfig{MemoryBudget: 2 * C})
+	s3 := reopen(t, s2, TierConfig{})
 	for v, want := range wantKeep {
 		e, err := s3.Get("fs1", "/t.bin", Version(v))
 		if err != nil || !bytes.Equal(bytesOf(t, e), want) {
@@ -262,7 +262,7 @@ func cutBlob(t *testing.T, dir string, h extent.Hash) string {
 func TestRestartDropsVersionsWithMissingBlobs(t *testing.T) {
 	const C = extent.ChunkSize
 	dir := t.TempDir()
-	s, err := NewTiered(0, nil, TierConfig{Dir: dir, MemoryBudget: 2 * C})
+	s, err := NewTiered(0, nil, TierConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestRestartDropsVersionsWithMissingBlobs(t *testing.T) {
 		t.Fatalf("the cut pack (%v) does not end in the footer its clean close wrote", err)
 	}
 
-	s2, err := NewTiered(0, nil, TierConfig{Dir: dir, MemoryBudget: 2 * C})
+	s2, err := NewTiered(0, nil, TierConfig{Dir: dir})
 	if err != nil {
 		t.Fatalf("open with a missing blob must not fail: %v", err)
 	}
@@ -305,7 +305,7 @@ func TestRestartDropsVersionsWithMissingBlobs(t *testing.T) {
 		t.Fatal("version with a missing blob still served")
 	}
 	// The drop is persisted: a further restart agrees without re-validating.
-	s3 := reopen(t, s2, TierConfig{MemoryBudget: 2 * C})
+	s3 := reopen(t, s2, TierConfig{})
 	if got := len(s3.Versions("fs1", "/f.bin")); got != 1 {
 		t.Fatalf("second restart sees %d versions, want 1", got)
 	}
@@ -357,7 +357,7 @@ func TestCheckpointIntervalSweep(t *testing.T) {
 	for _, every := range []int{1, 4, 64} {
 		every := every
 		t.Run(fmt.Sprintf("every=%d", every), func(t *testing.T) {
-			tier := TierConfig{MemoryBudget: 2 * C, CheckpointEvery: every}
+			tier := TierConfig{CheckpointEvery: every}
 			cfg := tier
 			cfg.Dir = t.TempDir()
 			s, err := NewTiered(0, nil, cfg)
@@ -413,7 +413,7 @@ func TestCheckpointIntervalSweep(t *testing.T) {
 // restart, with physical disk bytes below logical for compressible content.
 func TestRestartWithCompression(t *testing.T) {
 	const C = extent.ChunkSize
-	tier := TierConfig{MemoryBudget: 2 * C, Compress: true}
+	tier := TierConfig{Compress: true}
 	cfg := tier
 	cfg.Dir = t.TempDir()
 	s, err := NewTiered(0, nil, cfg)
@@ -451,7 +451,7 @@ func TestRestartWithCompression(t *testing.T) {
 func TestRestartServesPackfileBackedHistory(t *testing.T) {
 	const C = extent.ChunkSize
 	dir := t.TempDir()
-	tier := TierConfig{MemoryBudget: 2 * C, PackTargetBytes: 4 * C, Fsync: fsyncer.PolicyGroup}
+	tier := TierConfig{PackTargetBytes: 4 * C, Fsync: fsyncer.PolicyGroup}
 	cfg := tier
 	cfg.Dir = dir
 	s, err := NewTiered(0, nil, cfg)

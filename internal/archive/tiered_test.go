@@ -11,9 +11,9 @@ import (
 	"datalinks/internal/extent"
 )
 
-func newTiered(t testing.TB, budget int64) *Store {
+func newTiered(t testing.TB) *Store {
 	t.Helper()
-	s, err := NewTiered(0, nil, TierConfig{Dir: t.TempDir(), MemoryBudget: budget})
+	s, err := NewTiered(0, nil, TierConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,13 +42,11 @@ func strayFiles(t *testing.T, s *Store) []string {
 
 // TestStoreWithoutDirRunsDurableCode: a store opened without a directory
 // runs the durable code over a private one — packs and a catalog on disk,
-// memory bounded by the LRU budget through a churn that pages far more than
-// the budget back in — and removes that directory at Close, as a second store
-// does at Crash.
+// every read served from them through a churn of puts and reads — and
+// removes that directory at Close, as a second store does at Crash.
 func TestStoreWithoutDirRunsDurableCode(t *testing.T) {
 	const C = extent.ChunkSize
-	const budget = 16 * C // one chunk per shard
-	s, err := NewTiered(0, nil, TierConfig{MemoryBudget: budget})
+	s, err := NewTiered(0, nil, TierConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,23 +64,17 @@ func TestStoreWithoutDirRunsDurableCode(t *testing.T) {
 			t.Fatal(err)
 		}
 		want = append(want, content)
-		// Read an older version back: page-ins fill the LRU.
+		// Read an older version back from the packs.
 		e, err := s.Get("fs1", "/f", Version(rng.Intn(v+1)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		bytesOf(t, e)
-		if r := s.Tier().ResidentBytes; r > budget {
-			t.Fatalf("version %d: %d bytes resident over a %d-byte budget", v, r, budget)
-		}
 	}
 	for v, e := range s.Versions("fs1", "/f") {
 		if !bytes.Equal(bytesOf(t, e), want[v]) {
 			t.Fatalf("version %d does not materialize", v)
 		}
-	}
-	if st := s.Tier(); st.ResidentBytes > budget || st.Evictions == 0 {
-		t.Fatalf("the LRU did not bound the churn: %+v", st)
 	}
 	if packs, _ := filepath.Glob(filepath.Join(dir, "pack-*.pk")); len(packs) == 0 {
 		t.Fatalf("no pack in %s", dir)
@@ -95,7 +87,7 @@ func TestStoreWithoutDirRunsDurableCode(t *testing.T) {
 		t.Fatalf("%s survives Close: %v", dir, err)
 	}
 
-	crashed, err := NewTiered(0, nil, TierConfig{MemoryBudget: budget})
+	crashed, err := NewTiered(0, nil, TierConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +104,9 @@ func TestStoreWithoutDirRunsDurableCode(t *testing.T) {
 
 // TestTieredDeltaChainAllVersionsRestorable: enough versions to cross
 // several delta checkpoints, with single-chunk edits, grows and shrinks;
-// every version must materialize back byte-identical, paging from disk.
+// every version must materialize back byte-identical, read from disk.
 func TestTieredDeltaChainAllVersionsRestorable(t *testing.T) {
-	s := newTiered(t, 16) // evict everything: all reads are page-ins
+	s := newTiered(t)
 	rng := rand.New(rand.NewSource(42))
 	const C = extent.ChunkSize
 
@@ -160,11 +152,11 @@ func TestTieredDeltaChainAllVersionsRestorable(t *testing.T) {
 			t.Fatalf("get v%d: %v", v, err)
 		}
 		if !bytes.Equal(bytesOf(t, e), versions[v]) {
-			t.Fatalf("v%d diverged after page-in", v)
+			t.Fatalf("v%d diverged read back from disk", v)
 		}
 	}
 	if s.Tier().PageIns == 0 {
-		t.Fatal("no page-ins reading back 40 evicted versions")
+		t.Fatal("no page-ins reading back 40 versions")
 	}
 	// Delta manifests: most versions must NOT be checkpoints. Count them.
 	sh := s.shardFor(key("fs1", "/f"))
@@ -191,7 +183,7 @@ func TestTieredDeltaChainAllVersionsRestorable(t *testing.T) {
 // to their baselines — nothing leaks in either tier.
 func TestTieredSpillGCReturnsToBaseline(t *testing.T) {
 	baseChunks, baseBytes := extent.Live()
-	s := newTiered(t, 4*extent.ChunkSize)
+	s := newTiered(t)
 	rng := rand.New(rand.NewSource(7))
 
 	paths := []string{"/a.bin", "/b.bin", "/c.bin"}
@@ -232,12 +224,9 @@ func TestTieredSpillGCReturnsToBaseline(t *testing.T) {
 		s.Drop("fs1", p)
 	}
 
-	// Memory returns to baseline immediately (LRU drops released blobs)...
+	// Memory returns to baseline immediately...
 	if c, b := extent.Live(); c != baseChunks || b != baseBytes {
 		t.Fatalf("live chunks leaked: %d/%d bytes over baseline", c-baseChunks, b-baseBytes)
-	}
-	if st := s.Tier(); st.ResidentBytes != 0 {
-		t.Fatalf("LRU still holds %d bytes after dropping every version", st.ResidentBytes)
 	}
 	// ...and the disk tier returns to baseline after GC.
 	freed := s.GCNow()
@@ -263,7 +252,7 @@ func TestTieredSpillGCReturnsToBaseline(t *testing.T) {
 // truncated away must error once a newer Put refills its slot — never serve
 // the new version's bytes under the old version's metadata.
 func TestEntryHandleInvalidAfterTruncateRefill(t *testing.T) {
-	s := newTiered(t, 0)
+	s := newTiered(t)
 	for v := 1; v <= 3; v++ {
 		if err := s.Put("fs1", "/f", Version(v), uint64(v), bytes.Repeat([]byte{byte(v)}, 100)); err != nil {
 			t.Fatal(err)
@@ -286,7 +275,7 @@ func TestEntryHandleInvalidAfterTruncateRefill(t *testing.T) {
 // unwinds its disk references, and re-archiving content whose blobs are dead
 // (but unswept) revives them without a device transfer.
 func TestTieredStaleAndReviveAccounting(t *testing.T) {
-	s := newTiered(t, 16)
+	s := newTiered(t)
 	content := make([]byte, 2*extent.ChunkSize+100)
 	for i := range content {
 		content[i] = byte(i % 253)

@@ -85,8 +85,7 @@ func TestSmallCommitAllocBudget(t *testing.T) {
 }
 
 // TestArchiverRacesInPlaceWrites: one goroutine archives every capture onto
-// an owner with a two-chunk LRU and a replica with the default one — hashing
-// the chunks it stores whole, writing them through — while the writer goes
+// an owner and a replica — hashing the chunks it stores whole, writing them through — while the writer goes
 // on editing the file under a mutex, as fs's inode lock has it, in place
 // wherever it may. Every version on both stores reads back as the model
 // committed it; under -race, a write in place to a chunk an archiver still
@@ -96,12 +95,12 @@ func TestArchiverRacesInPlaceWrites(t *testing.T) {
 		C       = extent.ChunkSize
 		commits = 48
 	)
-	owner, err := NewTiered(0, nil, TierConfig{Dir: t.TempDir(), MemoryBudget: 2 * C})
+	owner, err := NewTiered(0, nil, TierConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer owner.Close()
-	replica := newTiered(t, 0)
+	replica := newTiered(t)
 	defer replica.Close()
 
 	type capture struct {
@@ -174,7 +173,7 @@ func TestArchiverRacesInPlaceWrites(t *testing.T) {
 // tombstone barrier fails reports it — the dropped versions are gone from the
 // index either way, and every reference they held is given back.
 func TestTombstoneBarrierFailureIsReturned(t *testing.T) {
-	s := newTiered(t, 0)
+	s := newTiered(t)
 	injected := errors.New("injected barrier failure")
 	for v := 0; v < 3; v++ {
 		putBytes(t, s, "/f", Version(v), uint64(v+1), bytes.Repeat([]byte{byte(v + 1)}, extent.ChunkSize+100))

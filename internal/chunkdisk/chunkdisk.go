@@ -1,6 +1,7 @@
 // Package chunkdisk is the durable tier under the archive server: a
-// hash-addressed blob store on a real directory with a bounded in-memory LRU
-// of hot chunks in front of it.
+// hash-addressed blob store on a real directory. It keeps no copy of a blob
+// in memory; the member's memory tier is the file system's resident chunks
+// (internal/fs), which page against the archive.
 //
 // This package owns a blob's whole lifetime: the bytes AND the count of
 // version slots that reference them, in one shard under one mutex. Put takes
@@ -11,15 +12,14 @@
 // back. Three invariants are the protocol:
 //
 //  1. A count and its liveness never change under different locks: the
-//     reference count, the resident copy and the index entry of a hash all
-//     live in its shard, and a blob is dead exactly when it is indexed with
-//     no reference.
+//     reference count and the index entry of a hash both live in its shard,
+//     and a blob is dead exactly when it is indexed with no reference.
 //  2. A reference is never granted on bytes that are not yet on the device:
 //     a Put or Ref that meets a write in flight for its hash waits for the
 //     outcome, and a failed write leaves no count behind.
-//  3. A release to zero cannot be overtaken by a claimer: the resident copy
-//     is freed in the critical section that drops the count, so the next Put
-//     or Ref sees either a held blob or a dead one it revives in place.
+//  3. A release to zero cannot be overtaken by a claimer: the blob turns dead
+//     in the critical section that drops the count, so the next Put or Ref
+//     sees either a held blob or a dead one it revives in place.
 //
 // Counts are volatile. A store opened over an existing directory adopts every
 // blob it finds as dead — nothing references it yet — and the archive's
@@ -28,19 +28,18 @@
 //
 // Every blob is written through at Put time (the durability point), from
 // where the caller's bytes lie, and the store keeps nothing of them: the live
-// file goes on writing the chunk it stored. The LRU is a read cache — Get pages a
-// blob in from disk, verifying its content hash on the way (a corrupted or
-// truncated pack record surfaces as an error, never as silent bad data), and
-// keeps it resident for the next Get. ReadInto reads into a caller's buffer
-// without admitting anything — how the archive assembles a patched chunk from
-// its base and patches. Every chunk the LRU admits is pinned (extent.Chunk.Pin)
-// so no buffer a materialization handed it to writes it in place.
+// file goes on writing the chunk it stored. A blob is read one way: ReadInto
+// reads it from the device into the caller's buffer — inflated when it was
+// stored compressed — and verifies its content hash on the way (a corrupted
+// or truncated pack record surfaces as an error, never as silent bad data).
+// That is how the archive assembles a chunk slot from its base and patches.
+// ReadForTransfer is the same read for a copy to another store, and Get is
+// ReadInto into a chunk of its own.
 //
-// Deletion is deferred: the Release that drops the last reference frees the
-// memory copy immediately but only marks the disk copy dead. A sweep (archive
-// GC) retires dead records in place — so TruncateAfter/Drop never pay disk
-// I/O inline, and a hash that is re-archived before the sweep is revived
-// without a device transfer.
+// Deletion is deferred: the Release that drops the last reference only marks
+// the disk copy dead. A sweep (archive GC) retires dead records in place — so
+// TruncateAfter/Drop never pay disk I/O inline, and a hash that is re-archived
+// before the sweep is revived without a device transfer.
 //
 // Every blob is appended to a packfile (see pack.go): one sequential append
 // stream, no file per blob. A directory an older store left loose blobs in
@@ -57,7 +56,6 @@ package chunkdisk
 import (
 	"bytes"
 	"compress/flate"
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -76,19 +74,14 @@ import (
 	"datalinks/internal/seglog"
 )
 
-// shardCount must be a power of two. The LRU budget is split evenly across
-// shards, so eviction is approximate-global but never cross-shard locked.
+// shardCount must be a power of two.
 const shardCount = 16
-
-// DefaultMemoryBudget bounds the resident LRU when the caller does not.
-const DefaultMemoryBudget = 64 << 20
 
 // Config configures a store.
 type Config struct {
 	// Dir is the root of the on-disk store (required).
 	Dir string
-	// MemoryBudget is the LRU budget in bytes; <= 0 means
-	// DefaultMemoryBudget.
+	// MemoryBudget is ignored: the store keeps no blob in memory.
 	MemoryBudget int64
 	// Compress writes spilled blobs through compress/flate when that makes
 	// them smaller (a blob that would grow — e.g. already-random content —
@@ -115,14 +108,12 @@ type Config struct {
 
 // Stats is a point-in-time view of the tier counters.
 type Stats struct {
-	Spills        int64 // blobs written to disk
-	PageIns       int64 // blobs read back from disk on Get
-	Evictions     int64 // resident blobs dropped by the LRU
-	GCFreed       int64 // dead disk blobs reclaimed by Sweep
-	ResidentBlobs int64 // blobs currently in the LRU
-	ResidentBytes int64 // bytes currently in the LRU
-	DiskBlobs     int64 // blobs currently on disk (incl. dead, pre-sweep)
-	DiskBytes     int64 // physical bytes currently on disk (post-compression)
+	Spills    int64 // blobs written to disk
+	PageIns   int64 // blobs read back from disk
+	Evictions int64 // always 0: the store keeps no blob in memory
+	GCFreed   int64 // dead disk blobs reclaimed by Sweep
+	DiskBlobs int64 // blobs currently on disk (incl. dead, pre-sweep)
+	DiskBytes int64 // physical bytes currently on disk (post-compression)
 	// DiskLogicalBytes is the uncompressed size of the on-disk blobs (every
 	// pack record carries it in its frame).
 	DiskLogicalBytes int64
@@ -136,14 +127,6 @@ type Stats struct {
 	PackCompactions int64 // packfiles evacuated and unlinked
 	PackTornBytes   int64 // invalid pack suffix quarantined at open
 	FilesCreated    int64 // packfiles this store created
-}
-
-// entry is one resident blob.
-type entry struct {
-	hash  extent.Hash
-	chunk *extent.Chunk // retained while resident
-	size  int64
-	elem  *list.Element
 }
 
 // diskMeta describes one on-disk blob: a record inside packfile pack whose
@@ -171,11 +154,8 @@ type shard struct {
 	mu sync.Mutex
 	// settled is broadcast whenever a write-through finishes: what refLocked
 	// waits on.
-	settled  sync.Cond
-	blobs    map[extent.Hash]blobState
-	resident map[extent.Hash]*entry
-	lru      *list.List // of *entry; front = hottest
-	resBytes int64
+	settled sync.Cond
+	blobs   map[extent.Hash]blobState
 	// putting holds the hashes of write-throughs in flight: a reference or a
 	// read of one waits for the outcome.
 	putting map[extent.Hash]struct{}
@@ -184,7 +164,6 @@ type shard struct {
 // Store is a tiered blob store. Safe for concurrent use.
 type Store struct {
 	dir      string
-	budget   int64 // per shard
 	compress bool
 	shards   [shardCount]shard
 
@@ -199,10 +178,7 @@ type Store struct {
 
 	spills          atomic.Int64
 	pageIns         atomic.Int64
-	evictions       atomic.Int64
 	gcFreed         atomic.Int64
-	resBlobs        atomic.Int64
-	resBytes        atomic.Int64
 	diskBlobs       atomic.Int64
 	diskBytes       atomic.Int64
 	diskLogical     atomic.Int64
@@ -262,11 +238,7 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("chunkdisk: Config.Dir is required")
 	}
-	budget := cfg.MemoryBudget
-	if budget <= 0 {
-		budget = DefaultMemoryBudget
-	}
-	s := &Store{dir: cfg.Dir, budget: budget / shardCount, compress: cfg.Compress}
+	s := &Store{dir: cfg.Dir, compress: cfg.Compress}
 	if cfg.Metrics != nil {
 		s.mFsyncs = cfg.Metrics.Counter("chunkdisk.fsyncs")
 		s.mPackAppends = cfg.Metrics.Counter("chunkdisk.pack.appends")
@@ -276,8 +248,6 @@ func Open(cfg Config) (*Store, error) {
 		sh := &s.shards[i]
 		sh.settled.L = &sh.mu
 		sh.blobs = make(map[extent.Hash]blobState)
-		sh.resident = make(map[extent.Hash]*entry)
-		sh.lru = list.New()
 		sh.putting = make(map[extent.Hash]struct{})
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -565,7 +535,7 @@ func deflate(data []byte) []byte {
 	return buf.Bytes()
 }
 
-// inflate reverses deflate.
+// inflate reverses deflate, for a blob whose length is not known up front.
 func inflate(data []byte) ([]byte, error) {
 	r := flate.NewReader(bytes.NewReader(data))
 	out, err := io.ReadAll(r)
@@ -575,91 +545,61 @@ func inflate(data []byte) ([]byte, error) {
 	return out, err
 }
 
-// Get returns a retained chunk holding the blob's bytes, paging it in from
-// disk if it was evicted. The caller must release the returned chunk, and
-// holds a reference on the blob across the call (the archive Refs a version's
-// blobs for the length of a materialization), so the file cannot be swept
-// mid-read.
-func (s *Store) Get(h extent.Hash) (*extent.Chunk, error) {
-	sh := s.shardFor(h)
-	sh.mu.Lock()
-	if e := s.residentLocked(sh, h); e != nil {
-		sh.lru.MoveToFront(e.elem)
-		c := e.chunk.RetainChunk()
-		sh.mu.Unlock()
-		return c, nil
+// inflateInto reverses deflate into dst, which is as long as the bytes were.
+func inflateInto(z, dst []byte) error {
+	r := flate.NewReader(bytes.NewReader(z))
+	_, err := io.ReadFull(r, dst)
+	if cerr := r.Close(); err == nil {
+		err = cerr
 	}
-	_, ok := sh.blobs[h]
-	sh.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("chunkdisk: blob %x not stored", h[:8])
-	}
+	return err
+}
 
-	data, meta, err := s.readPackBlob(h, nil, false)
-	if err != nil {
+// Get reads blob h into a chunk of its own, handed out pinned with h as its
+// known hash. The caller must release the chunk, and holds a reference on the
+// blob across the call, as for ReadInto.
+func (s *Store) Get(h extent.Hash) (*extent.Chunk, error) {
+	b, ok := s.lookup(h)
+	if !ok {
+		return nil, errNotStored(h)
+	}
+	data := make([]byte, b.logical)
+	if _, err := s.ReadInto(h, data); err != nil {
 		return nil, err
 	}
-	if meta.compressed {
-		if data, err = inflate(data); err != nil {
-			return nil, fmt.Errorf("chunkdisk: blob %x undecodable on disk: %w", h[:8], err)
+	return extent.WrapChunk(data, h), nil
+}
+
+// ReadInto reads the bytes of blob h from the device into dst and reports how
+// many there are: inflated straight into dst when the store compressed them,
+// and verified against h either way. A blob longer than dst is an error. The
+// caller holds a reference across the call (the archive holds a version's
+// blobs for the length of a read), so the blob cannot be swept mid-read.
+func (s *Store) ReadInto(h extent.Hash, dst []byte) (int, error) {
+	b, ok := s.lookup(h)
+	if !ok {
+		return 0, errNotStored(h)
+	}
+	if b.logical > int64(len(dst)) {
+		return 0, errLonger(h, int(b.logical), len(dst))
+	}
+	dst = dst[:b.logical]
+	into := dst
+	if b.compressed {
+		into = nil // the stored bytes inflate into dst
+	}
+	z, _, err := s.readPackBlob(h, into, false)
+	if err != nil {
+		return 0, err
+	}
+	if b.compressed {
+		if err := inflateInto(z, dst); err != nil {
+			return 0, fmt.Errorf("chunkdisk: blob %x undecodable on disk: %w", h[:8], err)
 		}
 	}
 	// The hash always covers the uncompressed bytes.
-	if sum := sha256.Sum256(data); extent.Hash(sum) != h {
-		return nil, fmt.Errorf("chunkdisk: blob %x corrupted on disk", h[:8])
-	}
-	c := extent.WrapChunk(data, h)
-	s.pageIns.Add(1)
-
-	sh.mu.Lock()
-	if e := s.residentLocked(sh, h); e != nil {
-		// A concurrent Get admitted it first; use the resident copy.
-		sh.lru.MoveToFront(e.elem)
-		r := e.chunk.RetainChunk()
-		sh.mu.Unlock()
-		c.ReleaseChunk()
-		return r, nil
-	}
-	s.admitLocked(sh, h, c, int64(len(data)))
-	s.evictLocked(sh)
-	sh.mu.Unlock()
-	return c, nil
-}
-
-// ReadInto copies the bytes of blob h into dst and reports how many there
-// are: from memory when h is resident, else from the device — verified
-// against h on the way, like a page-in — and either way without admitting h
-// to the LRU, so a materialization can assemble a chunk out of a base and its
-// patches in one buffer of its own. A blob longer than dst is an error. The
-// caller holds a reference across the call, as for Get.
-func (s *Store) ReadInto(h extent.Hash, dst []byte) (int, error) {
-	sh := s.shardFor(h)
-	sh.mu.Lock()
-	resident := s.residentLocked(sh, h) != nil
-	b, ok := sh.blobs[h]
-	sh.mu.Unlock()
-	if resident || !ok || b.compressed {
-		// A resident copy, one that inflates into a buffer of its own
-		// anyway, or none at all: as Get has it.
-		c, err := s.Get(h)
-		if err != nil {
-			return 0, err
-		}
-		defer c.ReleaseChunk()
-		if len(c.Data()) > len(dst) {
-			return 0, errLonger(h, len(c.Data()), len(dst))
-		}
-		return copy(dst, c.Data()), nil
-	}
-	if b.size > int64(len(dst)) {
-		return 0, errLonger(h, int(b.size), len(dst))
-	}
-	dst = dst[:b.size]
-	if _, _, err := s.readPackBlob(h, dst, false); err != nil {
-		return 0, err
-	}
 	if sum := sha256.Sum256(dst); extent.Hash(sum) != h {
-		return 0, fmt.Errorf("chunkdisk: blob %s corrupted on disk", hex.EncodeToString(h[:8]))
+		return 0, fmt.Errorf("chunkdisk: blob %x corrupted on disk", h[:8])
 	}
 	s.pageIns.Add(1)
 	return len(dst), nil
@@ -670,25 +610,24 @@ func (s *Store) ReadInto(h extent.Hash, dst []byte) (int, error) {
 const RecordOverhead = packRecHdrLen + packRecMeta
 
 // ReadForTransfer returns the bytes of blob h, read into dst, for a copy to
-// another store. A blob read from the device comes with its pack record and
-// is verified against the record's CRC — which covers the hash the record was
-// written under — instead of being hashed again: the receiving store checks
-// the content hash whenever it reads the blob back, as every page-in does.
-// dst must be RecordOverhead bytes longer than the blob, which is not
-// admitted to the LRU. A resident or compressed blob is read as ReadInto has
-// it. The caller holds a reference across the call, as for Get.
+// another store. A raw blob comes with its pack record and is verified
+// against the record's CRC — which covers the hash the record was written
+// under — instead of being hashed again: the receiving store checks the
+// content hash whenever it reads the blob back, as every read does. dst must
+// be RecordOverhead bytes longer than the blob, compressed or not; a
+// compressed blob is read as ReadInto has it. The caller holds a reference
+// across the call, as for ReadInto.
 func (s *Store) ReadForTransfer(h extent.Hash, dst []byte) ([]byte, error) {
-	sh := s.shardFor(h)
-	sh.mu.Lock()
-	resident := s.residentLocked(sh, h) != nil
-	b, ok := sh.blobs[h]
-	sh.mu.Unlock()
-	if resident || !ok || b.compressed {
+	b, ok := s.lookup(h)
+	if !ok {
+		return nil, errNotStored(h)
+	}
+	if RecordOverhead+b.logical > int64(len(dst)) {
+		return nil, errLonger(h, int(b.logical), len(dst)-RecordOverhead)
+	}
+	if b.compressed {
 		n, err := s.ReadInto(h, dst)
 		return dst[:n], err
-	}
-	if RecordOverhead+b.size > int64(len(dst)) {
-		return nil, errLonger(h, int(b.size), len(dst)-RecordOverhead)
 	}
 	rec, _, err := s.readPackBlob(h, dst[:RecordOverhead+b.size], true)
 	if err != nil {
@@ -705,13 +644,20 @@ func errLonger(h extent.Hash, n, room int) error {
 	return fmt.Errorf("chunkdisk: blob %x is %d bytes, longer than the %d it is read into", h[:8], n, room)
 }
 
-// residentLocked returns h's resident entry, nil when it has none. A
-// write-through in flight has no copy to serve: it is waited out, after which
-// the blob is on the device, or not stored. Caller holds the shard lock.
-func (s *Store) residentLocked(sh *shard, h extent.Hash) *entry {
+func errNotStored(h extent.Hash) error {
+	return fmt.Errorf("chunkdisk: blob %x not stored", h[:8])
+}
+
+// lookup returns what the index holds of h. A write-through in flight is
+// waited out first, after which the blob is on the device, or not stored.
+func (s *Store) lookup(h extent.Hash) (blobState, bool) {
+	sh := s.shardFor(h)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	for {
 		if _, putting := sh.putting[h]; !putting {
-			return sh.resident[h]
+			b, ok := sh.blobs[h]
+			return b, ok
 		}
 		sh.settled.Wait()
 	}
@@ -732,9 +678,9 @@ func (s *Store) readPackBlob(h extent.Hash, buf []byte, framed bool) ([]byte, di
 	cur, ok := sh.blobs[h]
 	sh.mu.Unlock()
 	if !ok {
-		// Swept in the window. Callers hold a reference across Get, so this
-		// indicates a contract violation — surface it as missing.
-		return nil, diskMeta{}, fmt.Errorf("chunkdisk: blob %s not stored", hex.EncodeToString(h[:8]))
+		// Swept in the window. Callers hold a reference across a read, so
+		// this indicates a contract violation — surface it as missing.
+		return nil, diskMeta{}, errNotStored(h)
 	}
 	meta := cur.diskMeta
 	off, n := meta.off, meta.size
@@ -747,44 +693,9 @@ func (s *Store) readPackBlob(h extent.Hash, buf []byte, framed bool) ([]byte, di
 	return buf, meta, ps.readInto(meta.pack, off, buf)
 }
 
-// evictLocked drops cold residents until the shard fits its budget.
-func (s *Store) evictLocked(sh *shard) {
-	for sh.resBytes > s.budget {
-		el := sh.lru.Back()
-		if el == nil {
-			return
-		}
-		s.freeResidentLocked(sh, el.Value.(*entry))
-		s.evictions.Add(1)
-	}
-}
-
-// admitLocked makes c the resident copy of h, hottest in the LRU, and pins
-// it. Caller holds the shard lock.
-func (s *Store) admitLocked(sh *shard, h extent.Hash, c *extent.Chunk, size int64) {
-	c.Pin()
-	e := &entry{hash: h, chunk: c.RetainChunk(), size: size}
-	e.elem = sh.lru.PushFront(e)
-	sh.resident[h] = e
-	sh.resBytes += size
-	s.resBlobs.Add(1)
-	s.resBytes.Add(size)
-}
-
-// freeResidentLocked drops e's memory copy. Caller holds the shard lock.
-func (s *Store) freeResidentLocked(sh *shard, e *entry) {
-	sh.lru.Remove(e.elem)
-	delete(sh.resident, e.hash)
-	sh.resBytes -= e.size
-	e.chunk.ReleaseChunk()
-	s.resBlobs.Add(-1)
-	s.resBytes.Add(-e.size)
-}
-
-// Release gives one reference back. At zero the resident copy is freed
-// (memory returns to baseline without waiting for GC) and the disk copy is
-// dead, left for the next sweep — in this critical section, so no Put or Ref
-// can come between the count and the free.
+// Release gives one reference back. At zero the disk copy is dead, left for
+// the next sweep — in this critical section, so no Put or Ref can come
+// between the count and the death.
 func (s *Store) Release(h extent.Hash) {
 	sh := s.shardFor(h)
 	sh.mu.Lock()
@@ -794,9 +705,6 @@ func (s *Store) Release(h extent.Hash) {
 		b.refs--
 		sh.blobs[h] = b
 	case b.refs == 1:
-		if e, ok := sh.resident[h]; ok {
-			s.freeResidentLocked(sh, e)
-		}
 		b.refs = 0
 		sh.blobs[h] = b
 		s.deadBlobs.Add(1)
@@ -817,11 +725,6 @@ func (s *Store) Sweep() int {
 		for h, b := range sh.blobs {
 			if b.refs != 0 {
 				continue
-			}
-			if e, ok := sh.resident[h]; ok {
-				// Paged in by a Get that held no reference (the source side
-				// of a transfer racing a drop): it goes with the disk copy.
-				s.freeResidentLocked(sh, e)
 			}
 			// A reader cannot be mid-read: dead means unreferenced, and
 			// readers pin references.
@@ -860,41 +763,27 @@ func (s *Store) SyncRound() (uint64, error) {
 // errClosed fails a write to a closed store.
 var errClosed = errors.New("chunkdisk: store closed")
 
-// Close seals the active packfile (fsyncing it under policies that sync),
-// drops the resident copies — the directory holds every blob — and releases
-// the directory lock. The store must not be used afterwards. Idempotent.
+// Close seals the active packfile (fsyncing it under policies that sync) and
+// releases the directory lock. The store must not be used afterwards.
+// Idempotent.
 func (s *Store) Close() error {
 	s.closeOnce.Do(func() {
 		s.closeErr = s.packs.close(true)
-		s.dropResident()
 		s.releaseLock()
 	})
 	return s.closeErr
 }
 
 // Crash simulates process death for tests: pack handles close without any
-// flush, the memory copies go, and the directory lock is released (a real
+// flush, and the directory lock is released (a real
 // crash releases it too — the pid check lets the next open steal it), but no
 // seal-time fsync and no final sweep happen. The on-disk state is exactly
 // what the OS had.
 func (s *Store) Crash() {
 	s.closeOnce.Do(func() {
 		_ = s.packs.close(false)
-		s.dropResident()
 		s.releaseLock()
 	})
-}
-
-// dropResident frees every resident copy.
-func (s *Store) dropResident() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.resident {
-			s.freeResidentLocked(sh, e)
-		}
-		sh.mu.Unlock()
-	}
 }
 
 // Stats returns the current tier counters.
@@ -902,10 +791,7 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Spills:           s.spills.Load(),
 		PageIns:          s.pageIns.Load(),
-		Evictions:        s.evictions.Load(),
 		GCFreed:          s.gcFreed.Load(),
-		ResidentBlobs:    s.resBlobs.Load(),
-		ResidentBytes:    s.resBytes.Load(),
 		DiskBlobs:        s.diskBlobs.Load(),
 		DiskBytes:        s.diskBytes.Load(),
 		DiskLogicalBytes: s.diskLogical.Load(),

@@ -80,8 +80,7 @@ func TestClosedStoreRefusesWrites(t *testing.T) {
 
 func TestDiskSpillPageInAndVerify(t *testing.T) {
 	dir := t.TempDir()
-	// Budget of 16 bytes = 1 per shard: everything evicts after write.
-	s, err := Open(Config{Dir: dir, MemoryBudget: 16})
+	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +94,6 @@ func TestDiskSpillPageInAndVerify(t *testing.T) {
 	st := s.Stats()
 	if st.Spills != n || st.DiskBlobs != n {
 		t.Fatalf("spills=%d disk=%d, want %d", st.Spills, st.DiskBlobs, n)
-	}
-	if st.ResidentBlobs != 0 {
-		t.Fatalf("resident=%d with 1-byte shard budget", st.ResidentBlobs)
 	}
 	for i := 0; i < n; i++ {
 		data, _ := blob(i, 4096+i)
@@ -148,45 +144,8 @@ func overwriteRecord(t *testing.T, s *Store, h extent.Hash, junk []byte) {
 	}
 }
 
-// TestLRUKeepsHotBlobsResident: the LRU is a read cache. A disk Put writes
-// through and keeps nothing resident; Get page-ins fill the LRU up to its
-// budget, evicting the coldest, and a blob read again while still hot is
-// served from memory.
-func TestLRUKeepsHotBlobsResident(t *testing.T) {
-	s, err := Open(Config{Dir: t.TempDir(), MemoryBudget: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hashes []extent.Hash
-	for i := 0; i < 64; i++ {
-		data, h := blob(i, 4096)
-		hashes = append(hashes, h)
-		put(t, s, data, h)
-	}
-	if st := s.Stats(); st.ResidentBlobs != 0 || st.ResidentBytes != 0 {
-		t.Fatalf("a disk Put left blobs resident: %+v", st)
-	}
-	// Every blob pages in; 256 KiB of them against a 4 KiB per-shard budget
-	// must evict.
-	for i, h := range hashes {
-		data, _ := blob(i, 4096)
-		if got := get(t, s, h); !bytes.Equal(got, data) {
-			t.Fatalf("blob %d lost", i)
-		}
-	}
-	st := s.Stats()
-	if st.PageIns != 64 || st.ResidentBlobs == 0 || st.ResidentBytes > 64<<10 || st.Evictions == 0 {
-		t.Fatalf("page-ins did not fill the LRU within its budget: %+v", st)
-	}
-	// The blob read last is the hottest of its shard: served from memory.
-	get(t, s, hashes[len(hashes)-1])
-	if got := s.Stats().PageIns; got != st.PageIns {
-		t.Fatalf("a hot blob was paged in again (%d page-ins, want %d)", got, st.PageIns)
-	}
-}
-
-// TestResidentChunksArePinned: a chunk the store hands out — a page-in — is
-// pinned, so a buffer restored from it copies before it writes, even once
+// TestResidentChunksArePinned: a chunk the store hands out — Get's read into
+// a chunk of its own — is pinned, so a buffer restored from it copies before it writes, even once
 // the store and the original file let go: a reader still holding the chunk
 // (an unlinked file open for reading) never sees it change.
 func TestResidentChunksArePinned(t *testing.T) {
@@ -222,7 +181,7 @@ func TestResidentChunksArePinned(t *testing.T) {
 }
 
 func TestSweepFreesDeadAndSparesLive(t *testing.T) {
-	s, err := Open(Config{Dir: t.TempDir(), MemoryBudget: 16})
+	s, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +223,7 @@ func TestSweepFreesDeadAndSparesLive(t *testing.T) {
 
 func TestAdoptExistingDirAsDead(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := Open(Config{Dir: dir, MemoryBudget: 16})
+	s1, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +232,7 @@ func TestAdoptExistingDirAsDead(t *testing.T) {
 	s1.Close() // the dir has a single owner at a time
 
 	// A new store over the same directory adopts the blob as dead...
-	s2, err := Open(Config{Dir: dir, MemoryBudget: 16})
+	s2, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +252,7 @@ func TestAdoptExistingDirAsDead(t *testing.T) {
 	s2.Close()
 
 	// A third store sweeps the (again unreferenced) blob away.
-	s3, err := Open(Config{Dir: dir, MemoryBudget: 16})
+	s3, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +265,7 @@ func TestAdoptExistingDirAsDead(t *testing.T) {
 // referenced content with zero I/O; blobs nothing Refs still sweep.
 func TestClaimRepinsAdoptedBlobs(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := Open(Config{Dir: dir, MemoryBudget: 16})
+	s1, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +275,7 @@ func TestClaimRepinsAdoptedBlobs(t *testing.T) {
 	put(t, s1, dataB, hB)
 	s1.Close()
 
-	s2, err := Open(Config{Dir: dir, MemoryBudget: 16})
+	s2, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +319,7 @@ func compressible(seed, size int) ([]byte, extent.Hash) {
 // byte-identical with the hash check on uncompressed bytes.
 func TestCompressRoundTripAndStats(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, MemoryBudget: 16, Compress: true})
+	s, err := Open(Config{Dir: dir, Compress: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +368,7 @@ func TestCompressRoundTripAndStats(t *testing.T) {
 // records an earlier store left, and vice versa; sweep retires both kinds.
 func TestCompressAdoptAndMixedMode(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := Open(Config{Dir: dir, MemoryBudget: 16, Compress: true})
+	s1, err := Open(Config{Dir: dir, Compress: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +377,7 @@ func TestCompressAdoptAndMixedMode(t *testing.T) {
 	s1.Close()
 
 	// Uncompressed store adopts and serves the compressed blob.
-	s2, err := Open(Config{Dir: dir, MemoryBudget: 16})
+	s2, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +451,7 @@ func writeLoose(t *testing.T, dir string, h extent.Hash, data []byte, compressed
 func TestLooseBlobsMoveIntoAPack(t *testing.T) {
 	dir := t.TempDir()
 	packed, ph := blob(1, 3000)
-	s, err := Open(Config{Dir: dir, MemoryBudget: 16})
+	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +472,7 @@ func TestLooseBlobsMoveIntoAPack(t *testing.T) {
 
 	for i, appends := range []int64{2, 0} {
 		open := i + 1
-		s, err := Open(Config{Dir: dir, MemoryBudget: 16})
+		s, err := Open(Config{Dir: dir})
 		if err != nil {
 			t.Fatalf("open %d: %v", open, err)
 		}
@@ -556,9 +515,10 @@ func TestLooseBlobsMoveIntoAPack(t *testing.T) {
 }
 
 // TestConcurrentChurn hammers put/get/release/sweep from many goroutines; run
-// under -race this shakes out locking bugs in the LRU and sweep claim logic.
+// under -race this shakes out locking bugs in the reference counts and the
+// sweep.
 func TestConcurrentChurn(t *testing.T) {
-	s, err := Open(Config{Dir: t.TempDir(), MemoryBudget: 8 << 10})
+	s, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +557,7 @@ func TestConcurrentChurn(t *testing.T) {
 
 // TestPutBytesKeepsNoAlias: PutBytes stores bytes its caller overwrites as
 // soon as it returns — a patch cut out of a live chunk. The store serves what
-// was put, through Get and ReadInto, and keeps nothing resident.
+// was put, through Get and ReadInto.
 func TestPutBytesKeepsNoAlias(t *testing.T) {
 	s, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {
@@ -627,15 +587,11 @@ func TestPutBytesKeepsNoAlias(t *testing.T) {
 	if wrote, err := s.PutBytes(h, data); err != nil || !wrote {
 		t.Fatalf("re-put after a sweep = %v, %v", wrote, err)
 	}
-	if st := s.Stats(); st.ResidentBlobs != 0 {
-		t.Fatalf("a PutBytes blob is resident: %+v", st)
-	}
 }
 
 // TestReadForTransferReadsTheBlob: a transfer read returns a blob's bytes
-// from the device — admitting nothing to the LRU, and refusing a buffer
-// without room for the record's framing — from memory, and inflated when the
-// store compressed it.
+// from the device, inflated when the store compressed it, and refuses a
+// buffer without room for the record's framing either way.
 func TestReadForTransferReadsTheBlob(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		s, err := Open(Config{Dir: t.TempDir(), Compress: compress})
@@ -651,21 +607,8 @@ func TestReadForTransferReadsTheBlob(t *testing.T) {
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("compress %v: transfer read: %v", compress, err)
 		}
-		if !compress {
-			if st := s.Stats(); st.ResidentBlobs != 0 {
-				t.Fatalf("a transfer read admitted %d blobs", st.ResidentBlobs)
-			}
-			if _, err := s.ReadForTransfer(h, make([]byte, len(data))); err == nil {
-				t.Fatal("a transfer read into a buffer without room for the framing succeeded")
-			}
-		}
-		c, err := s.Get(h) // now resident
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.ReleaseChunk()
-		if got, err := s.ReadForTransfer(h, make([]byte, len(data)+RecordOverhead)); err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("compress %v: transfer read of a resident blob: %v", compress, err)
+		if _, err := s.ReadForTransfer(h, make([]byte, len(data))); err == nil {
+			t.Fatalf("compress %v: a transfer read into a buffer without room for the framing succeeded", compress)
 		}
 		s.Close()
 	}

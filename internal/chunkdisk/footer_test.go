@@ -71,7 +71,7 @@ func openScanned(t *testing.T, cfg Config) *Store {
 // pack a crash left without a footer.
 func TestFooterEqualsScan(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, MemoryBudget: 16, Compress: true, PackTargetBytes: 4 << 10, PackGarbageRatio: 0.9}
+	cfg := Config{Dir: dir, Compress: true, PackTargetBytes: 4 << 10, PackGarbageRatio: 0.9}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -139,10 +139,10 @@ func TestFooterEqualsScan(t *testing.T) {
 // sealedPack writes n blobs to a fresh directory, closes the store — which
 // footers the pack — and returns the pack's bytes, its body length and the
 // blobs.
-func sealedPack(t *testing.T, n int) (full []byte, body int64, datas [][]byte, hashes []extent.Hash) {
+func sealedPack(t *testing.T, n int, compress bool) (full []byte, body int64, datas [][]byte, hashes []extent.Hash) {
 	t.Helper()
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, MemoryBudget: 16})
+	s, err := Open(Config{Dir: dir, Compress: compress})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func sealedPack(t *testing.T, n int) (full []byte, body int64, datas [][]byte, h
 // the footer afresh, so the next open reads it and scans nothing.
 func TestTornFooterEveryByteBoundary(t *testing.T) {
 	const records = 3
-	full, body, datas, hashes := sealedPack(t, records)
+	full, body, datas, hashes := sealedPack(t, records, false)
 	const name = "pack-00000001.pk"
 	damaged := func(pack []byte) {
 		t.Helper()
@@ -180,7 +180,7 @@ func TestTornFooterEveryByteBoundary(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, name), pack, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(Config{Dir: dir, MemoryBudget: 16})
+		s, err := Open(Config{Dir: dir})
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
@@ -201,7 +201,7 @@ func TestTornFooterEveryByteBoundary(t *testing.T) {
 		if got, _ := os.ReadFile(filepath.Join(dir, name)); !bytes.Equal(got, full) {
 			t.Fatal("the repaired pack is not its records and a fresh footer")
 		}
-		s, err = Open(Config{Dir: dir, MemoryBudget: 16})
+		s, err = Open(Config{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestTornFooterEveryByteBoundary(t *testing.T) {
 // pack afresh and serves every blob.
 func TestKillBetweenFooterAndFsync(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, MemoryBudget: 16, Fsync: fsyncer.PolicyGroup}
+	cfg := Config{Dir: dir, Fsync: fsyncer.PolicyGroup}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestKillBetweenFooterAndFsync(t *testing.T) {
 // killed before the fresh footer is durable leaves a pack the next open scans
 // rather than one that is marked sealed and ends in a record's payload.
 func TestRepairClearsTheSealMarkBeforeTheCut(t *testing.T) {
-	full, body, _, hashes := sealedPack(t, 3)
+	full, body, _, hashes := sealedPack(t, 3, false)
 	var fr footerReader
 	fr.read(bytes.NewReader(full), int64(len(full)))
 	torn := full[:len(full)-5]
@@ -290,7 +290,7 @@ func TestRepairClearsTheSealMarkBeforeTheCut(t *testing.T) {
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(Config{Dir: t.TempDir(), MemoryBudget: 16})
+	s, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestRepairClearsTheSealMarkBeforeTheCut(t *testing.T) {
 	if [8]byte(got) != packMagic || !bytes.Equal(got[8:], full[8:]) {
 		t.Fatalf("the killed repair left a pack starting %q, %d bytes; want it unsealed over the records and the fresh footer", got[:8], len(got))
 	}
-	s, err = Open(Config{Dir: dir, MemoryBudget: 16})
+	s, err = Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestRepairClearsTheSealMarkBeforeTheCut(t *testing.T) {
 // forger's blob and the ones before it.
 func TestForgedFooterIsNotTrusted(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, MemoryBudget: 16})
+	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestForgedFooterIsNotTrusted(t *testing.T) {
 	if body, ok := fr.read(bytes.NewReader(pack), int64(len(pack))); !ok || body != size {
 		t.Fatalf("the forged footer does not pass the decoder (ok=%v, body %d of %d): the test forges nothing", ok, body, size)
 	}
-	s, err = Open(Config{Dir: dir, MemoryBudget: 16})
+	s, err = Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,45 +379,52 @@ func TestForgedFooterIsNotTrusted(t *testing.T) {
 // TestFlippedPayloadFailsOnlyItsBlob: the open trusts a footered pack's
 // footer and reads none of its records, so a bit flipped in one record's
 // payload surfaces when that blob is read — as the "corrupted on disk" error
-// every page-in's hash check gives — while the pack's other blobs are served.
+// every read's hash check gives, or, in a compressed record, as "undecodable
+// on disk" when the flip breaks the encoding — while the pack's other blobs
+// are served.
 func TestFlippedPayloadFailsOnlyItsBlob(t *testing.T) {
-	full, _, datas, hashes := sealedPack(t, 3)
-	var fr footerReader
-	fr.read(bytes.NewReader(full), int64(len(full)))
-	bad := fr.entries[1].meta(1)
-	full[bad.off+bad.size/2] ^= 1
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "pack-00000001.pk"), full, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(Config{Dir: dir, MemoryBudget: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if st := s.Stats(); s.scannedPacks != 0 || st.DiskBlobs != 3 {
-		t.Fatalf("open scanned %d packs and adopted %d blobs, want the footer's 3 unscanned", s.scannedPacks, st.DiskBlobs)
-	}
-	for i, h := range hashes {
-		if !s.Ref(h) {
-			t.Fatalf("blob %d not adopted", i)
+	for _, compress := range []bool{false, true} {
+		full, _, datas, hashes := sealedPack(t, 3, compress)
+		var fr footerReader
+		fr.read(bytes.NewReader(full), int64(len(full)))
+		bad := fr.entries[1].meta(1)
+		if bad.compressed != compress {
+			t.Fatalf("compress %v: the record is stored compressed=%v", compress, bad.compressed)
 		}
-		c, err := s.Get(h)
-		buf := make([]byte, len(datas[i]))
-		_, rerr := s.ReadInto(h, buf)
-		moved, terr := s.ReadForTransfer(h, make([]byte, len(datas[i])+RecordOverhead))
-		if i == 1 {
-			for _, err := range []error{err, rerr, terr} {
-				if err == nil || !strings.Contains(err.Error(), "corrupted on disk") {
-					t.Fatalf("the flipped blob read as %v", err)
-				}
+		full[bad.off+bad.size/2] ^= 1
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "pack-00000001.pk"), full, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); s.scannedPacks != 0 || st.DiskBlobs != 3 {
+			t.Fatalf("compress %v: open scanned %d packs and adopted %d blobs, want the footer's 3 unscanned", compress, s.scannedPacks, st.DiskBlobs)
+		}
+		for i, h := range hashes {
+			if !s.Ref(h) {
+				t.Fatalf("compress %v: blob %d not adopted", compress, i)
 			}
-			continue
+			c, err := s.Get(h)
+			buf := make([]byte, len(datas[i]))
+			_, rerr := s.ReadInto(h, buf)
+			moved, terr := s.ReadForTransfer(h, make([]byte, len(datas[i])+RecordOverhead))
+			if i == 1 {
+				for _, err := range []error{err, rerr, terr} {
+					if err == nil || !strings.Contains(err.Error(), "corrupted on disk") && !(compress && strings.Contains(err.Error(), "undecodable on disk")) {
+						t.Fatalf("compress %v: the flipped blob read as %v", compress, err)
+					}
+				}
+				continue
+			}
+			if err != nil || rerr != nil || terr != nil || !bytes.Equal(c.Data(), datas[i]) || !bytes.Equal(buf, datas[i]) || !bytes.Equal(moved, datas[i]) {
+				t.Fatalf("compress %v: blob %d beside the flipped one: %v, %v, %v", compress, i, err, rerr, terr)
+			}
+			c.ReleaseChunk()
 		}
-		if err != nil || rerr != nil || terr != nil || !bytes.Equal(c.Data(), datas[i]) || !bytes.Equal(buf, datas[i]) || !bytes.Equal(moved, datas[i]) {
-			t.Fatalf("blob %d beside the flipped one: %v, %v, %v", i, err, rerr, terr)
-		}
-		c.ReleaseChunk()
+		s.Close()
 	}
 }
 

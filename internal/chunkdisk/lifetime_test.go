@@ -35,9 +35,8 @@ func TestLifetimeModel(t *testing.T) {
 
 func runSchedule(t *testing.T, seed int64, dir string) {
 	rng := rand.New(rand.NewSource(seed))
-	// Small packs that compact early, blobs from 100 B to 1.4 KiB, and an LRU
-	// that keeps next to nothing resident.
-	cfg := Config{Dir: dir, MemoryBudget: 4 << 10, PackTargetBytes: 4 << 10, PackGarbageRatio: 0.3, Compress: seed%3 == 0}
+	// Small packs that compact early and blobs from 100 B to 1.4 KiB.
+	cfg := Config{Dir: dir, PackTargetBytes: 4 << 10, PackGarbageRatio: 0.3, Compress: seed%3 == 0}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +122,7 @@ func runSchedule(t *testing.T, seed int64, dir string) {
 			if s, err = Open(cfg); err != nil {
 				fail(step, "reopen: %v", err)
 			}
-			if st := s.Stats(); st.DeadBlobs != st.DiskBlobs || st.ResidentBlobs != 0 {
+			if st := s.Stats(); st.DeadBlobs != st.DiskBlobs {
 				fail(step, "reopened store holds live blobs: %+v", st)
 			}
 			// Counts are volatile, and a swept pack record comes back with
@@ -148,7 +147,7 @@ func runSchedule(t *testing.T, seed int64, dir string) {
 		}
 	}
 	s.Sweep()
-	if st := s.Stats(); st.DiskBlobs != 0 || st.ResidentBlobs != 0 || st.DeadBlobs != 0 {
+	if st := s.Stats(); st.DiskBlobs != 0 || st.DeadBlobs != 0 {
 		t.Fatalf("seed %d: store not empty once nothing is referenced: %+v", seed, st)
 	}
 }

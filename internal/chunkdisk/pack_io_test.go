@@ -45,7 +45,7 @@ func incompressible(seed int64, size int) ([]byte, extent.Hash) {
 // compressed and empty records alike.
 func TestAppendWritesTheFramesOfTheOracle(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, MemoryBudget: 16, Compress: true})
+	s, err := Open(Config{Dir: dir, Compress: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,6 @@ func firstDiff(a, b []byte) int {
 func TestCompactionLeavesAPackWithAnUnpublishedAppend(t *testing.T) {
 	s, err := Open(Config{
 		Dir:              t.TempDir(),
-		MemoryBudget:     16, // evict everything: reads must hit the pack
 		PackTargetBytes:  2 << 10,
 		PackGarbageRatio: 0.2,
 	})
@@ -160,7 +159,7 @@ func TestCompactionLeavesAPackWithAnUnpublishedAppend(t *testing.T) {
 // forever. Once the one published blob goes too, the pack is all garbage and
 // the sweep compacts it away.
 func TestFailedWriteThroughIsDeadSpace(t *testing.T) {
-	s, err := Open(Config{Dir: t.TempDir(), MemoryBudget: 16, PackTargetBytes: 1 << 10})
+	s, err := Open(Config{Dir: t.TempDir(), PackTargetBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +202,7 @@ func TestPutAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
-	s, err := Open(Config{Dir: t.TempDir(), MemoryBudget: 16})
+	s, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +248,7 @@ func TestOpenAllocBudget(t *testing.T) {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, MemoryBudget: 16, PackTargetBytes: 512 << 10}
+	cfg := Config{Dir: dir, PackTargetBytes: 512 << 10}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -60,7 +60,7 @@ func packFilesOnDisk(t *testing.T, dir string) []string {
 // byte-identical.
 func TestPackRoundTripAndRotation(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, MemoryBudget: 16, PackTargetBytes: 16 << 10})
+	s, err := Open(Config{Dir: dir, PackTargetBytes: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestPackRoundTripAndRotation(t *testing.T) {
 // and records nothing Refs sweep into dead space.
 func TestPackAdoptionAndClaim(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := Open(Config{Dir: dir, MemoryBudget: 16})
+	s1, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestPackAdoptionAndClaim(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(Config{Dir: dir, MemoryBudget: 16})
+	s2, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestPackAdoptionAndClaim(t *testing.T) {
 func TestPackTornTailEveryByteBoundary(t *testing.T) {
 	// Build a reference pack once.
 	master := t.TempDir()
-	s, err := Open(Config{Dir: master, MemoryBudget: 16})
+	s, err := Open(Config{Dir: master})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestPackTornTailEveryByteBoundary(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, packs[0]), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := Open(Config{Dir: dir, MemoryBudget: 16})
+		s2, err := Open(Config{Dir: dir})
 		if err != nil {
 			t.Fatalf("cut=%d: open failed: %v", cut, err)
 		}
@@ -236,7 +236,7 @@ func TestPackTornTailEveryByteBoundary(t *testing.T) {
 // order, while PackTornBytes reports the latest repair only.
 func TestPackSecondTearKeepsFirstTearsEvidence(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, MemoryBudget: 16})
+	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestPackSecondTearKeepsFirstTearsEvidence(t *testing.T) {
 		if err := os.Truncate(pack, int64(len(whole)-cut)); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(Config{Dir: dir, MemoryBudget: 16})
+		s, err := Open(Config{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +279,7 @@ func TestPackSecondTearKeepsFirstTearsEvidence(t *testing.T) {
 func TestPackCompaction(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny target so the first few puts seal a pack quickly.
-	s, err := Open(Config{Dir: dir, MemoryBudget: 16, PackTargetBytes: 4 << 10})
+	s, err := Open(Config{Dir: dir, PackTargetBytes: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func fdsOn(t *testing.T, path string) int {
 // is ErrPackGone and no descriptor outlives it, and Close closes the rest.
 func TestPackReadHandleClosesWithThePack(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, MemoryBudget: 16, PackTargetBytes: 4 << 10})
+	s, err := Open(Config{Dir: dir, PackTargetBytes: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,6 @@ func TestPackReadHandleClosesWithThePack(t *testing.T) {
 func TestPackCompactionUnderChurn(t *testing.T) {
 	s, err := Open(Config{
 		Dir:              t.TempDir(),
-		MemoryBudget:     16, // evict everything: reads must hit the packs
 		PackTargetBytes:  2 << 10,
 		PackGarbageRatio: 0.2,
 	})
@@ -481,7 +480,7 @@ func TestPackCompactionUnderChurn(t *testing.T) {
 // with the hash verified on the uncompressed bytes.
 func TestPackCompressedRecords(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, MemoryBudget: 16, Compress: true})
+	s, err := Open(Config{Dir: dir, Compress: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +497,7 @@ func TestPackCompressedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Survives adoption with the exact logical length: the frame carries it.
-	s2, err := Open(Config{Dir: dir, MemoryBudget: 16})
+	s2, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,11 +515,11 @@ func TestPackCompressedRecords(t *testing.T) {
 // dead process is stolen.
 func TestLockfileSingleOwner(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := Open(Config{Dir: dir, MemoryBudget: 16})
+	s1, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Config{Dir: dir, MemoryBudget: 16}); err == nil {
+	if _, err := Open(Config{Dir: dir}); err == nil {
 		t.Fatal("second open of a locked dir succeeded")
 	} else if !strings.Contains(err.Error(), "locked by pid") {
 		t.Fatalf("second open failed for the wrong reason: %v", err)
@@ -537,7 +536,7 @@ func TestLockfileSingleOwner(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, lockName), []byte("999999999\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(Config{Dir: dir, MemoryBudget: 16})
+	s2, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatalf("stale lock not stolen: %v", err)
 	}
@@ -546,7 +545,7 @@ func TestLockfileSingleOwner(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, lockName), []byte("1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Config{Dir: dir, MemoryBudget: 16}); err == nil {
+	if _, err := Open(Config{Dir: dir}); err == nil {
 		t.Fatal("lock held by a live pid was stolen")
 	}
 	os.Remove(filepath.Join(dir, lockName))
@@ -557,7 +556,7 @@ func TestLockfileSingleOwner(t *testing.T) {
 // (they are self-framing) and keeps serving.
 func TestCrashReleasesLockAndAdoptsUnsealedPack(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := Open(Config{Dir: dir, MemoryBudget: 16})
+	s1, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +564,7 @@ func TestCrashReleasesLockAndAdoptsUnsealedPack(t *testing.T) {
 	put(t, s1, data, h)
 	s1.Crash()
 
-	s2, err := Open(Config{Dir: dir, MemoryBudget: 16})
+	s2, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatalf("open after crash: %v", err)
 	}
@@ -606,7 +605,7 @@ func TestPackFsyncPolicies(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.policy.String(), func(t *testing.T) {
-			s, err := Open(Config{Dir: t.TempDir(), MemoryBudget: 16, Fsync: tc.policy})
+			s, err := Open(Config{Dir: t.TempDir(), Fsync: tc.policy})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"datalinks/internal/archive"
-	"datalinks/internal/chunkdisk"
 	"datalinks/internal/datalink"
 	"datalinks/internal/dlfm"
 	"datalinks/internal/dlfs"
@@ -63,15 +62,14 @@ type ServerConfig struct {
 	// needs TCPUpcalls: it faults the wire, and in-process calls have none.
 	UpcallNet *upcall.NetConfig
 	// ArchiveDir is the archive's directory: committed versions' chunks
-	// persist to packfiles there beside the version catalog, and only a
-	// bounded LRU of hot chunks stays in memory. Empty gives the archive a
+	// persist to packfiles there beside the version catalog, and the
+	// archive keeps none of them in memory. Empty gives the archive a
 	// private temporary directory, removed when the server closes or
 	// crashes.
 	ArchiveDir string
 	// ArchiveMemoryBudget bounds the member's committed chunks in memory,
-	// in bytes (<= 0: chunkdisk.DefaultMemoryBudget, 64 MiB): the archive's
-	// read cache stays within it, and once the linked files' resident chunks
-	// and that cache together pass it, the file system pages clean chunks —
+	// in bytes (<= 0: 64 MiB): once the linked files' resident chunks
+	// (fs.resident_bytes) pass it, the file system pages clean chunks —
 	// archived at a close and not written since — out, to load back from
 	// the archive on their next read. Chunks an open update wrote stay in
 	// memory until its close, on top of the budget.
@@ -283,23 +281,21 @@ func buildStack(sc ServerConfig, dlfmName string, clock func() time.Time, key []
 		})
 	}
 	arch, err := archive.NewTiered(0, clock, archive.TierConfig{
-		Dir:          sc.ArchiveDir,
-		MemoryBudget: sc.ArchiveMemoryBudget,
-		Compress:     sc.ArchiveCompress,
-		Fsync:        fsyncPolicy,
-		Metrics:      reg,
+		Dir:      sc.ArchiveDir,
+		Compress: sc.ArchiveCompress,
+		Fsync:    fsyncPolicy,
+		Metrics:  reg,
 	})
 	if err != nil {
 		return nil, err
 	}
-	// One budget bounds the member's resident committed chunks: the file
-	// system pages clean chunks out while they and the archive's read cache
-	// together pass it.
+	// One budget bounds the member's resident committed chunks, all of
+	// which the file system holds: it pages clean chunks out past it.
 	budget := sc.ArchiveMemoryBudget
 	if budget <= 0 {
-		budget = chunkdisk.DefaultMemoryBudget
+		budget = 64 << 20
 	}
-	phys.SetMemoryBudget(budget, func() int64 { return arch.Tier().ResidentBytes }, reg)
+	phys.SetMemoryBudget(budget, reg)
 	fsrv := &FileServer{
 		Name:      sc.Name,
 		Phys:      phys,

@@ -17,7 +17,7 @@ import (
 // coldConfig builds a disk-backed DLFM config over repoDir/archDir.
 func coldConfig(t *testing.T, phys *fs.FS, repoDir, archDir string) (Config, *archive.Store) {
 	t.Helper()
-	arch, err := archive.NewTiered(0, nil, archive.TierConfig{Dir: archDir, MemoryBudget: 64 << 10})
+	arch, err := archive.NewTiered(0, nil, archive.TierConfig{Dir: archDir})
 	if err != nil {
 		t.Fatal(err)
 	}

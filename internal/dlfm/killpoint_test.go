@@ -61,7 +61,7 @@ func openKillPoint(t *testing.T, host Host) (*Server, Config, string) {
 // one, as the restarted process does.
 func reopenArchive(t *testing.T, dir string) *archive.Store {
 	t.Helper()
-	arch, err := archive.NewTiered(0, nil, archive.TierConfig{Dir: dir, MemoryBudget: 64 << 10})
+	arch, err := archive.NewTiered(0, nil, archive.TierConfig{Dir: dir})
 	if err != nil {
 		t.Fatalf("reopen archive: %v", err)
 	}

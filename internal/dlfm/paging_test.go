@@ -81,7 +81,7 @@ func TestColdStartFirstReadLoadsOneChunk(t *testing.T) {
 func TestReadersFaultInWhileACommitterPagesOut(t *testing.T) {
 	srv, phys, _ := newServer(t)
 	reg := metrics.NewRegistry()
-	phys.SetMemoryBudget(2*extent.ChunkSize, nil, reg)
+	phys.SetMemoryBudget(2*extent.ChunkSize, reg)
 	const readers = 4
 	contents := make([][]byte, readers)
 	for i := range contents {

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"datalinks/internal/archive"
+	"datalinks/internal/extent"
 	"datalinks/internal/fs"
+	"datalinks/internal/metrics"
 )
 
 // newFrozenServer builds a DLFM whose repository AND physical file system
@@ -196,18 +198,13 @@ func TestQuarantineTTLExpiry(t *testing.T) {
 	}
 }
 
-// TestRecoveryRestoresFromDiskTier: with the durable tier enabled and an LRU
-// budget too small to keep anything resident, a crash mid-update must still
-// restore the last committed version — its chunks page back in from the
-// on-disk store.
+// TestRecoveryRestoresFromDiskTier: a crash mid-update must restore the last
+// committed version, its chunks read back from the on-disk store.
 func TestRecoveryRestoresFromDiskTier(t *testing.T) {
 	phys := fs.New()
 	phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
 	host := newFakeHost()
-	arch, err := archive.NewTiered(0, nil, archive.TierConfig{
-		Dir:          t.TempDir(),
-		MemoryBudget: 16, // 1 byte per LRU shard: every blob evicts after write
-	})
+	arch, err := archive.NewTiered(0, nil, archive.TierConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,15 +257,17 @@ func TestRecoveryRestoresFromDiskTier(t *testing.T) {
 	}
 }
 
-// TestTieredCommitChurnBoundsResidency: many committed versions with the
-// disk tier on — archive memory stays under the LRU budget while the
-// logical archive grows, and every version remains restorable.
+// TestTieredCommitChurnBoundsResidency: many committed versions of a file
+// twice the memory budget — after every close the file system's resident
+// chunks are within the budget, the clean ones paged out against the archive,
+// while the logical archive grows, and every version remains restorable.
 func TestTieredCommitChurnBoundsResidency(t *testing.T) {
+	const budget = 4 * extent.ChunkSize
 	phys := fs.New()
+	phys.SetMemoryBudget(budget, metrics.NewRegistry())
 	phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
 	host := newFakeHost()
-	const budget = 4 * 64 << 10
-	arch, err := archive.NewTiered(0, nil, archive.TierConfig{Dir: t.TempDir(), MemoryBudget: budget})
+	arch, err := archive.NewTiered(0, nil, archive.TierConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +278,7 @@ func TestTieredCommitChurnBoundsResidency(t *testing.T) {
 	})
 	defer srv.Close()
 
-	content := make([]byte, 2*64<<10+99)
+	content := randomContent(7, 2*budget+99)
 	seedFile(t, phys, "/d/f.bin", string(content))
 	linkCommitted(t, srv, "/d/f.bin", "rfd")
 	want := make(map[int][]byte)
@@ -293,10 +292,10 @@ func TestTieredCommitChurnBoundsResidency(t *testing.T) {
 		if resp := closeFile(t, srv, phys, "/d/f.bin", id); !resp.OK {
 			t.Fatalf("close v%d: %+v", v, resp)
 		}
+		if got := phys.ResidentBytes(); got > budget {
+			t.Fatalf("after closing v%d the file system holds %d resident bytes, over the %d budget", v, got, budget)
+		}
 		want[v] = append([]byte(nil), content...)
-	}
-	if got := arch.Tier().ResidentBytes; got > budget {
-		t.Fatalf("archive resident %d bytes exceeds LRU budget %d", got, budget)
 	}
 	for v, wantContent := range want {
 		e, err := arch.Get("fs1", "/d/f.bin", archive.Version(v))

@@ -240,8 +240,8 @@ func TestReplicaReadFailsOnAMissingBlob(t *testing.T) {
 	seedFile(t, srcPhys, "/d/f.bin", string(body))
 	linkCommitted(t, src, "/d/f.bin", "rfd")
 
-	// A disk-tier replica that keeps nothing resident.
-	tier := archive.TierConfig{Dir: t.TempDir(), MemoryBudget: 1}
+	// A disk-tier replica.
+	tier := archive.TierConfig{Dir: t.TempDir()}
 	arch, err := archive.NewTiered(0, nil, tier)
 	if err != nil {
 		t.Fatal(err)

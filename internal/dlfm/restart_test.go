@@ -21,8 +21,7 @@ func TestRecoveryFromColdStartedArchive(t *testing.T) {
 	phys := fs.New()
 	phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
 	host := newFakeHost()
-	const budget = 2 * 64 << 10 // small LRU: restores must page from disk
-	arch1, err := archive.NewTiered(0, nil, archive.TierConfig{Dir: dir, MemoryBudget: budget})
+	arch1, err := archive.NewTiered(0, nil, archive.TierConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +57,7 @@ func TestRecoveryFromColdStartedArchive(t *testing.T) {
 	srv.Kill()
 	arch1.Close()
 
-	arch2, err := archive.NewTiered(0, nil, archive.TierConfig{Dir: dir, MemoryBudget: budget})
+	arch2, err := archive.NewTiered(0, nil, archive.TierConfig{Dir: dir})
 	if err != nil {
 		t.Fatalf("cold archive open: %v", err)
 	}

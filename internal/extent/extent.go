@@ -15,9 +15,8 @@
 //
 // A buffer writes a chunk in place only while it is the chunk's sole owner
 // and the chunk is not pinned (refs == 1 && !pinned). A chunk is pinned when
-// it passes through a store — WrapChunk and Freeze build pinned chunks, and a
-// store that keeps a caller's chunk (chunkdisk's resident copies) pins it —
-// so a detached reader of a stored chunk never sees it change. Being hashed
+// it comes out of a store — WrapChunk and Freeze build pinned chunks — so a
+// detached reader of a stored chunk never sees it change. Being hashed
 // does not pin: an in-place write forgets the memoized hash. A snapshot, a
 // quarantine copy or an archived version that still shares the chunk forces
 // a copy. That is what lets the commit path archive a small edit as a patch,
@@ -146,25 +145,21 @@ func (c *Chunk) Hash() Hash {
 	return c.hash
 }
 
-// Pin marks the chunk as held by a store: no buffer writes it in place from
-// then on. chunkdisk pins every chunk it keeps resident.
-func (c *Chunk) Pin() { c.pinned.Store(true) }
+// pin marks the chunk as handed out by a store: no buffer writes it in place
+// from then on.
+func (c *Chunk) pin() { c.pinned.Store(true) }
 
 // Freeze wraps data (owned by the chunk from here on; callers must not modify
 // it) as a pinned chunk whose hash is computed only if asked for: the
 // archive's materialization of a patched slot, assembled in a private buffer.
 func Freeze(data []byte) *Chunk {
 	c := newChunk(data)
-	c.Pin()
+	c.pin()
 	return c
 }
 
 // Data exposes the chunk's bytes. Callers must not modify them.
 func (c *Chunk) Data() []byte { return c.data }
-
-// RetainChunk adds a caller-owned reference (exported for the archive's
-// dedup table; buffers and snapshots manage their own references).
-func (c *Chunk) RetainChunk() *Chunk { return c.retain() }
 
 // ReleaseChunk drops a caller-owned reference.
 func (c *Chunk) ReleaseChunk() { c.release() }
@@ -776,14 +771,13 @@ func (b *Buffer) reattach() {
 }
 
 // WrapChunk wraps data (owned by the chunk from here on; callers must not
-// modify it) as a pinned chunk whose content hash is already known — the disk
-// tier's page-in path, which verifies the hash against the file before
-// wrapping.
+// modify it) as a pinned chunk whose content hash is already known — a blob
+// read back from the disk tier, whose read verified the hash.
 func WrapChunk(data []byte, h Hash) *Chunk {
 	c := newChunk(data)
 	c.hash = h
 	c.hashed.Store(true)
-	c.Pin()
+	c.pin()
 	return c
 }
 

@@ -356,19 +356,14 @@ func TestHashStableAndDistinct(t *testing.T) {
 }
 
 // TestPinnedChunkIsCopiedOnWrite guards what a store's pin promises: a chunk
-// that passed through a store — paged in (WrapChunk), assembled (Freeze) or
-// kept resident (Pin) — is copied on write even once the buffer writing it is
-// its only owner, so a reader still holding it (an unlinked file open for
+// that came out of a store — read into a chunk of its own (WrapChunk) or
+// assembled from a base and patches (Freeze) — is copied on write even once
+// the buffer writing it is its only owner, so a reader still holding it (an unlinked file open for
 // reading) never sees it change.
 func TestPinnedChunkIsCopiedOnWrite(t *testing.T) {
 	stores := map[string]func(data []byte) *Chunk{
 		"page-in": func(data []byte) *Chunk { return WrapChunk(data, sha256.Sum256(data)) },
 		"freeze":  Freeze,
-		"admit": func(data []byte) *Chunk {
-			c := newChunk(data)
-			c.Pin()
-			return c
-		},
 	}
 	for name, store := range stores {
 		c := store(bytes.Repeat([]byte{5}, ChunkSize))

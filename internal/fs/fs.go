@@ -243,12 +243,11 @@ type FS struct {
 
 // pager keeps the file system's resident chunk bytes within a budget. Every
 // change to an inode's resident bytes is added to resident under the inode's
-// lock; once resident plus the shared bytes pass the budget, a clock hand
+// lock; once resident passes the budget, a clock hand
 // walks the ring of inodes that have a source and pages clean chunks out
 // (extent.Buffer.PageOut), taking each inode's lock only if it is free.
 type pager struct {
-	budget int64        // 0: nothing is paged out
-	shared func() int64 // other resident bytes the budget covers (nil: none)
+	budget int64 // 0: nothing is paged out
 	// resident, pageouts and faultins are fs.resident_bytes, fs.pageouts and
 	// fs.faultins of the registry SetMemoryBudget was given.
 	resident, pageouts, faultins *metrics.Counter
@@ -264,11 +263,7 @@ func (p *pager) excess() int64 {
 	if p.budget <= 0 {
 		return 0
 	}
-	over := p.resident.Value() - p.budget
-	if p.shared != nil {
-		over += p.shared()
-	}
-	return over
+	return p.resident.Value() - p.budget
 }
 
 // New returns an empty file system with a root directory owned by root.
@@ -700,13 +695,11 @@ func (f *FS) Rename(oldp, newp string, cred Cred) error {
 }
 
 // SetMemoryBudget makes the file system page clean chunks out once its
-// resident chunk bytes plus shared() pass budget (<= 0: never), and publishes
+// resident chunk bytes pass budget (<= 0: never), and publishes
 // fs.resident_bytes (a gauge), fs.pageouts and fs.faultins (in chunks) in
-// reg. shared, which may be nil, reports the other resident bytes the budget
-// covers — the member's archive read cache. Call it before the file system
-// holds any content.
-func (f *FS) SetMemoryBudget(budget int64, shared func() int64, reg *metrics.Registry) {
-	f.pg.budget, f.pg.shared = budget, shared
+// reg. Call it before the file system holds any content.
+func (f *FS) SetMemoryBudget(budget int64, reg *metrics.Registry) {
+	f.pg.budget = budget
 	f.pg.resident = reg.Counter("fs.resident_bytes")
 	f.pg.pageouts = reg.Counter("fs.pageouts")
 	f.pg.faultins = reg.Counter("fs.faultins")

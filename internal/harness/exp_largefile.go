@@ -46,8 +46,8 @@ const subChunkEditKB = 4
 
 // largeFilePass is what one pass of the workload measured.
 type largeFilePass struct {
-	editSize, written, newBytes, logical, shared, deduped, resident, residentGrowth int64
-	wall                                                                            time.Duration
+	editSize, written, newBytes, logical, shared, deduped int64
+	wall                                                  time.Duration
 }
 
 // run drives the large-file update workload twice — with the configured edit
@@ -79,13 +79,10 @@ func (c *largeFileConfig) run() ([]*Table, error) {
 	t.AddRow("archived/written ratio", fmt.Sprintf("%.2f", p.ratio()))
 	t.AddRow("flat-copy ratio (old cost)", fmt.Sprintf("%.0f", float64(p.logical)/float64(p.written)))
 	t.AddRow("chunks deduplicated", fmt.Sprintf("%d (%s saved)", p.shared, mib(p.deduped)))
-	t.AddRow("archive resident bytes", fmt.Sprintf("%s (+%s for %d versions of %s logical)",
-		mib(p.resident), mib(p.residentGrowth), commits, mib(p.logical)))
 	wholeChunk := float64(extent.ChunkSize) / float64(small.editSize)
 	t.AddRow(fmt.Sprintf("%d KiB edits: bytes archived (physical)", subChunkEditKB), fmt.Sprintf("%s of %s written", mib(small.newBytes), mib(small.written)))
 	t.AddRow(fmt.Sprintf("%d KiB edits: archived/written ratio", subChunkEditKB), fmt.Sprintf("%.2f (a chunk per edit: %.0f)", small.ratio(), wholeChunk))
 	t.Note("archived/written near 1 means commits cost O(changed bytes); the flat-copy ratio is what the same workload cost before extent manifests (filesize/delta)")
-	t.Note("archive resident bytes reads the archive's LRU, a read cache no commit fills: every blob is written through to the packs (a server without ArchiveDir keeps them in a private directory), so what the archive stores is the physical row; unchanged chunks are shared by content hash across all versions of all files")
 	t.Note("%d KiB edits are archived as patches over the chunk an earlier version stored; the first commit to a chunk after link, and the one that would outgrow its bounded patch chain, store the chunk", subChunkEditKB)
 	if small.ratio() >= wholeChunk/3 {
 		return []*Table{t}, fmt.Errorf("E14 FAILED: %d KiB edits archive %.2f bytes per byte written, not below a third of a chunk per edit (%.2f)", subChunkEditKB, small.ratio(), wholeChunk/3)
@@ -143,14 +140,12 @@ func (c *largeFileConfig) pass(editSize int64) (largeFilePass, error) {
 	}
 	d := srv.Archive.Dedup()
 	return largeFilePass{
-		editSize:       editSize,
-		wall:           time.Since(start),
-		written:        int64(c.Sessions*c.Edits) * editSize,
-		newBytes:       d.NewBytes - base.NewBytes,
-		logical:        d.LogicalBytes - base.LogicalBytes,
-		shared:         d.SharedChunks - base.SharedChunks,
-		deduped:        d.DedupedBytes - base.DedupedBytes,
-		resident:       d.ResidentBytes,
-		residentGrowth: d.ResidentBytes - base.ResidentBytes,
+		editSize: editSize,
+		wall:     time.Since(start),
+		written:  int64(c.Sessions*c.Edits) * editSize,
+		newBytes: d.NewBytes - base.NewBytes,
+		logical:  d.LogicalBytes - base.LogicalBytes,
+		shared:   d.SharedChunks - base.SharedChunks,
+		deduped:  d.DedupedBytes - base.DedupedBytes,
 	}, nil
 }

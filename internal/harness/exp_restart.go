@@ -64,11 +64,7 @@ func (c *restartConfig) run() ([]*Table, error) {
 		return nil, err
 	}
 	defer cleanup()
-	tier := archive.TierConfig{
-		Dir:          dir,
-		MemoryBudget: int64(c.BudgetMB) << 20,
-		Fsync:        fsyncPolicy,
-	}
+	tier := archive.TierConfig{Dir: dir, Fsync: fsyncPolicy}
 	expected := genHistory(9000, c.Files, fileSize, editSize, c.Versions)
 
 	// Probe the directory: an existing history (a previous E16 run) means we
@@ -87,7 +83,7 @@ func (c *restartConfig) run() ([]*Table, error) {
 			Name:                "fs1",
 			OpenWait:            30 * time.Second,
 			ArchiveDir:          tier.Dir,
-			ArchiveMemoryBudget: tier.MemoryBudget,
+			ArchiveMemoryBudget: int64(c.BudgetMB) << 20,
 			ArchiveFsync:        c.Fsync,
 		}
 		if err := durableChurn(sc, "restart", restartPaths, editSize, expected, false); err != nil {

@@ -26,7 +26,7 @@ func (c *tieredConfig) flags(fs *flag.FlagSet) {
 	posInt(fs, &c.Files, "e15-files", "E15: linked files")
 	posInt(fs, &c.FileMB, "e15-filesize", "E15: linked file size in MiB")
 	posInt(fs, &c.Versions, "e15-versions", "E15: versions committed per file")
-	posInt(fs, &c.BudgetMB, "e15-budget", "E15: archive LRU memory budget in MiB")
+	posInt(fs, &c.BudgetMB, "e15-budget", "E15: member memory budget in MiB (ArchiveMemoryBudget): the file system's resident chunks must stay within it")
 	fs.StringVar(&c.Dir, "e15-dir", c.Dir, "E15: on-disk chunk store directory (default: private temp dir)")
 	fs.BoolVar(&c.Compress, "e15-compress", c.Compress, "E15: flate-compress spilled archive chunks")
 }
@@ -34,16 +34,18 @@ func (c *tieredConfig) flags(fs *flag.FlagSet) {
 func init() {
 	Register(Experiment{
 		ID:    "E15",
-		Title: "Durable tiered archive: resident memory vs logical bytes, spill/page-in/GC",
-		Paper: "§4.4 archives every committed version and §4.2 quarantines rolled-back content. A RAM-resident archive caps how many users/versions a server can hold; with the disk tier, resident memory is bounded by the LRU budget while versions accumulate on disk, restores page chunks back in, and GC reclaims unreferenced chunks and aged quarantine files.",
+		Title: "Durable tiered archive: resident memory vs logical bytes, spill/page-out/GC",
+		Paper: "§4.4 archives every committed version and §4.2 quarantines rolled-back content. A RAM-resident archive caps how many users/versions a server can hold; with the disk tier every version lives on disk, the linked files' committed chunks page out against the versions they were archived as so resident memory stays within the member's budget, restores read chunks back from disk, and GC reclaims unreferenced chunks and aged quarantine files.",
 		Run:   e15.run,
 		Flags: e15.flags,
 	})
 }
 
-// run drives the tiered-archive workload: version churn under a bounded LRU,
-// rollback restores that page from disk, quarantine TTL expiry, and a
-// point-in-time restore whose truncated versions are reclaimed by GC.
+// run drives the tiered-archive workload: version churn under a memory
+// budget, rollback restores that read from disk, quarantine TTL expiry, and a
+// point-in-time restore whose truncated versions are reclaimed by GC. It fails
+// when the file system's resident chunks pass the budget after a commit, or
+// after the rollbacks once every restored file is read back.
 func (c *tieredConfig) run() ([]*Table, error) {
 	fileSize := int64(c.FileMB) << 20
 	editSize := min(int64(c.EditKB)<<10, fileSize)
@@ -82,6 +84,13 @@ func (c *tieredConfig) run() ([]*Table, error) {
 
 	// Phase 1: version churn. Capture a mid-run state id for the later
 	// point-in-time restore.
+	withinBudget := func(when string) error {
+		if r := srv.Phys.ResidentBytes(); r > budget {
+			return fmt.Errorf("E15 FAILED: the file system holds %s of resident chunks %s, over the %s budget", mib(r), when, mib(budget))
+		}
+		return nil
+	}
+	var maxResident int64
 	sess := sys.NewSession(expUID)
 	rng := workload.RNG(99)
 	var midStateID uint64
@@ -94,6 +103,10 @@ func (c *tieredConfig) run() ([]*Table, error) {
 				return nil, err
 			}
 			copy(committed[i][off:], edit)
+			maxResident = max(maxResident, srv.Phys.ResidentBytes())
+			if err := withinBudget(fmt.Sprintf("after commit %d of file %d", v, i)); err != nil {
+				return nil, err
+			}
 		}
 		if v == c.Versions/2 {
 			midStateID = sys.Engine.StateID()
@@ -104,7 +117,7 @@ func (c *tieredConfig) run() ([]*Table, error) {
 	dedup := srv.Archive.Dedup()
 
 	// Phase 2: rollbacks. The in-flight junk is quarantined and the last
-	// committed version restored — paging its evicted chunks back in.
+	// committed version installed unread from the archive.
 	for i := 0; i < c.Files; i++ {
 		url, err := writeURL(sys.DB(), "tiered", i)
 		if err != nil {
@@ -121,6 +134,15 @@ func (c *tieredConfig) run() ([]*Table, error) {
 			return nil, err
 		}
 	}
+	quarantined := len(srv.DLFM.QuarantinedFiles())
+	withQuarantine := srv.Phys.ResidentBytes()
+
+	// Phase 3: quarantine TTL expiry.
+	time.Sleep(2 * quarantineTTL)
+	expired := srv.DLFM.SweepQuarantine()
+
+	// The restored files were installed unread: reading them back faults
+	// their chunks in from disk within the budget.
 	restoredOK := 0
 	for i := 0; i < c.Files; i++ {
 		got, err := srv.Phys.ReadFile(paths[i])
@@ -131,12 +153,12 @@ func (c *tieredConfig) run() ([]*Table, error) {
 			restoredOK++
 		}
 	}
+	if err := withinBudget("after the rollbacks and reading every restored file back"); err != nil {
+		return nil, err
+	}
 	afterRestore := srv.Archive.Tier()
-	quarantined := len(srv.DLFM.QuarantinedFiles())
-
-	// Phase 3: quarantine TTL expiry.
-	time.Sleep(2 * quarantineTTL)
-	expired := srv.DLFM.SweepQuarantine()
+	reg := srv.DLFM.Metrics()
+	pageOuts, faultIns := reg.Counter("fs.pageouts").Value(), reg.Counter("fs.faultins").Value()
 
 	// Phase 4: point-in-time restore to the mid-run state; the truncated
 	// versions' chunks become unreferenced and GC reclaims their files.
@@ -157,20 +179,22 @@ func (c *tieredConfig) run() ([]*Table, error) {
 	t.AddRow("logical archive bytes", mib(dedup.LogicalBytes))
 	t.AddRow("on-disk archive bytes (physical)", mib(churn.DiskBytes))
 	t.AddRow("on-disk archive bytes (logical)", fmt.Sprintf("%s (compress: %v)", mib(churn.DiskLogicalBytes), c.Compress))
-	t.AddRow("LRU budget", mib(budget))
-	t.AddRow("archive resident bytes", fmt.Sprintf("%s (bounded: %v)", mib(churn.ResidentBytes), churn.ResidentBytes <= budget))
+	t.AddRow("memory budget", mib(budget))
+	t.AddRow("fs resident bytes (max after a commit)", mib(maxResident))
+	t.AddRow("fs page-outs / fault-ins", fmt.Sprintf("%d / %d chunks", pageOuts, faultIns))
+	t.AddRow("fs resident bytes with the quarantine copies", mib(withQuarantine))
 	t.AddRow("chunks spilled to disk", fmt.Sprintf("%d", churn.Spills))
-	t.AddRow("LRU evictions", fmt.Sprintf("%d", churn.Evictions))
 	t.AddRow("pack appends / pack files", fmt.Sprintf("%d / %d", churn.PackAppends, churn.PackFiles))
 	t.AddRow("pack dead space / compactions", fmt.Sprintf("%d B / %d", churn.PackDeadBytes, churn.PackCompactions))
 	chunkFs, catFs := srv.Archive.Fsyncs()
 	t.AddRow("fsyncs (chunkdisk / catalog)", fmt.Sprintf("%d / %d", chunkFs, catFs))
 	t.AddRow("rollbacks restored from archive", fmt.Sprintf("%d/%d verified byte-identical", restoredOK, c.Files))
-	t.AddRow("chunks paged in by restores", fmt.Sprintf("%d", afterRestore.PageIns-churn.PageIns))
+	t.AddRow("chunks read from disk by restores", fmt.Sprintf("%d", afterRestore.PageIns-churn.PageIns))
 	t.AddRow("files quarantined", fmt.Sprintf("%d", quarantined))
 	t.AddRow("quarantine files expired by GC", fmt.Sprintf("%d", expired))
 	t.AddRow("disk chunks before/after PIT restore + GC", fmt.Sprintf("%d / %d (GC freed %d)", diskBefore, final.DiskBlobs, gcFreed))
-	t.Note("resident bytes stay under the LRU budget no matter how many versions accumulate; the full deduplicated history lives on disk")
-	t.Note("restores and AsOf page evicted chunks back in on demand; GC unlinks chunk files no surviving version references and expires aged quarantine files")
+	t.Note("the linked files' resident chunks stay within the memory budget no matter how many versions accumulate: a clean chunk pages out against the version it was archived as, and the full deduplicated history lives on disk")
+	t.Note("a quarantine copy has no chunk source, so it holds the rolled-back file's bytes in memory, outside the budget, until its TTL expires")
+	t.Note("restores and AsOf read chunks from disk on first access; GC unlinks chunk files no surviving version references and expires aged quarantine files")
 	return []*Table{t}, nil
 }

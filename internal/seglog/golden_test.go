@@ -529,7 +529,7 @@ func checkCatalogV2(t *testing.T, dir string) {
 // blob (read-only); chunks-v2 (read-only) and chunks-v3: the same blobs all
 // packed, the last pack torn, only v3's sealed packs footered ---
 
-var chunksConfig = chunkdisk.Config{MemoryBudget: 16, Compress: true, PackTargetBytes: 2048}
+var chunksConfig = chunkdisk.Config{Compress: true, PackTargetBytes: 2048}
 
 // chunkBlob builds blob i: blob 0 is compressible (it becomes the fixtures'
 // flate-compressed pack record), blob 9 is longer (the chunks fixture's loose

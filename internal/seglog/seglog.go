@@ -336,9 +336,25 @@ type Segments struct {
 	Width               int
 }
 
-// Path returns the file path of sequence seq.
+// Path returns the file path of sequence seq — filepath.Join(Dir, name),
+// built in one allocation, since every open of a directory names each of its
+// segments.
 func (s Segments) Path(seq uint64) string {
-	return filepath.Join(s.Dir, fmt.Sprintf("%s%0*d%s", s.Prefix, s.Width, seq, s.Suffix))
+	var num [20]byte
+	digits := strconv.AppendUint(num[:0], seq, 10)
+	var b strings.Builder
+	b.Grow(len(s.Dir) + 1 + len(s.Prefix) + max(s.Width, len(digits)) + len(s.Suffix))
+	if s.Dir != "" {
+		b.WriteString(s.Dir)
+		b.WriteByte(filepath.Separator)
+	}
+	b.WriteString(s.Prefix)
+	for i := len(digits); i < s.Width; i++ {
+		b.WriteByte('0')
+	}
+	b.Write(digits)
+	b.WriteString(s.Suffix)
+	return filepath.Clean(b.String())
 }
 
 // List returns the sequences present in the directory, ascending. A file

@@ -2,6 +2,7 @@ package seglog
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -256,6 +257,16 @@ func TestSegments(t *testing.T) {
 	segs := Segments{Dir: dir, Prefix: "wal-", Suffix: ".log", Width: 16}
 	if got, want := segs.Path(42), filepath.Join(dir, "wal-0000000000000042.log"); got != want {
 		t.Fatalf("Path(42) = %q, want %q", got, want)
+	}
+	// Path is filepath.Join of the directory and the padded name, whatever
+	// shape the directory is given in.
+	for _, d := range []string{"", ".", "rel", "rel/", "/abs//x/../y/", "./a"} {
+		for _, seq := range []uint64{1, 42, 123456789012345678} {
+			s := Segments{Dir: d, Prefix: "p-", Suffix: ".pk", Width: 8}
+			if got, want := s.Path(seq), filepath.Join(d, fmt.Sprintf("p-%08d.pk", seq)); got != want {
+				t.Fatalf("Path(%d) under %q = %q, want %q", seq, d, got, want)
+			}
+		}
 	}
 	for _, seq := range []uint64{300, 7, 123456789012345678} { // the last is wider than Width
 		f, err := segs.Create(seq, []byte("HDR"), seq == 7)
