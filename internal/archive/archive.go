@@ -1253,16 +1253,16 @@ func (h *Held) Load() (snap *extent.Snapshot, err error) {
 			}
 		}
 	}()
-	for i, r := range h.slots {
-		data := make([]byte, extent.ChunkSize)
-		if err = h.ReadSlot(i, data); err != nil {
+	for i := range h.slots {
+		var known *extent.Hash
+		if len(h.slots[i].patches) == 0 {
+			known = &h.slots[i].base
+		}
+		var c *extent.Chunk
+		if c, err = extent.LoadChunk(h, i, known); err != nil {
 			return nil, err
 		}
-		if len(r.patches) == 0 {
-			chunks = append(chunks, extent.WrapChunk(data, r.base))
-		} else {
-			chunks = append(chunks, extent.Freeze(data))
-		}
+		chunks = append(chunks, c)
 	}
 	tail := make([]byte, h.rec.TailLen)
 	if err = h.ReadTail(tail); err != nil {

@@ -185,8 +185,12 @@ type pool[T any] struct {
 // current one runs short. The slice is capped at its own length, so an
 // append to it can never write into its neighbour; a list longer than a
 // quarter of the largest block gets an allocation of its own rather than
-// stranding the rest of one.
+// stranding the rest of one. An empty list is nil, as a decoded one is,
+// whatever block is current.
 func (p *pool[T]) carve(n, maxBlock int) []T {
+	if n == 0 {
+		return nil
+	}
 	if n > len(p.free) {
 		if n > maxBlock/4 {
 			return make([]T, n)

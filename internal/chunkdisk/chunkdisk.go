@@ -263,6 +263,7 @@ func Open(cfg Config) (*Store, error) {
 	// count) — no onSync hook.
 	s.sync = fsyncer.New(cfg.Fsync, 0, s.packs.flushActive, nil)
 	if err := s.adoptPacks(); err != nil {
+		s.packs.close(false)
 		s.releaseLock()
 		return nil, err
 	}

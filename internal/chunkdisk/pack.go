@@ -111,9 +111,10 @@ type packMeta struct {
 	// (append takes it, published releases it). Compaction finds a pack's
 	// survivors in the index, so it leaves a pack alone while this is non-zero.
 	inflight int
-	// rf is the pack's read handle: opened by its first read, closed when
-	// the pack is unlinked or the store closes, each under relocMu held
-	// exclusive, so no read is in flight on it. Set and cleared under mu.
+	// rf is the pack's read handle: the one its adoption read it through,
+	// or else opened by its first read; closed when the pack is unlinked or
+	// the store closes, each under relocMu held exclusive, so no read is in
+	// flight on it. Set and cleared under mu.
 	rf *os.File
 }
 
@@ -562,28 +563,56 @@ type adopter struct {
 	sc      seglog.Scanner
 }
 
+// packFile is a pack an open adopts: its path, and the one handle the open
+// reads it through and then hands the pack as its read handle.
+type packFile struct {
+	path string
+	f    *os.File
+	size int64
+}
+
 // adoptPacks indexes the packfiles a previous process left in the directory,
-// truncating torn tails. Runs during Open, before any concurrency. The shard
-// maps are sized first from the record counts the footers claim, so indexing
-// them does not grow them step by step.
+// truncating torn tails. Runs during Open, before any concurrency. Each pack
+// is opened once. The shard maps are sized first from the record counts the
+// footers claim, so indexing them does not grow them step by step. On an
+// error the packs opened so far are closed here; the adopted ones' handles
+// go with the pack set's close.
 func (s *Store) adoptPacks() error {
 	seqs, err := s.packs.files.List()
 	if err != nil {
 		return fmt.Errorf("chunkdisk: %w", err)
 	}
-	paths := make([]string, len(seqs))
+	packs := make([]packFile, len(seqs))
 	for i, seq := range seqs {
-		paths[i] = s.packs.files.Path(seq)
+		p := &packs[i]
+		p.path = s.packs.files.Path(seq)
+		if p.f, err = os.Open(p.path); err == nil {
+			p.size, err = fileSize(p.f)
+		}
+		if err != nil {
+			closePacks(packs[:i+1])
+			return fmt.Errorf("chunkdisk: %w", err)
+		}
 	}
 	var ad adopter
-	s.presizeIndex(&ad.footers, paths)
+	s.presizeIndex(&ad.footers, packs)
 	for i, seq := range seqs {
-		if err := s.adoptOnePack(&ad, paths[i], int64(seq)); err != nil {
+		if err := s.adoptOnePack(&ad, packs[i], int64(seq)); err != nil {
+			closePacks(packs[i+1:])
 			return err
 		}
 		s.packs.nextSeq = int64(seq) + 1
 	}
 	return nil
+}
+
+// closePacks closes the handles of packs not adopted.
+func closePacks(packs []packFile) {
+	for _, p := range packs {
+		if p.f != nil {
+			p.f.Close()
+		}
+	}
 }
 
 // fileSize reports the length of an open file without the allocation of a
@@ -596,18 +625,13 @@ func fileSize(f *os.File) (int64, error) {
 // the sealed packs' footers count — hashes spread evenly over the shards —
 // plus a quarter for the spread. A pack not marked sealed, or without a
 // readable trailer, counts nothing.
-func (s *Store) presizeIndex(fr *footerReader, paths []string) {
+func (s *Store) presizeIndex(fr *footerReader, packs []packFile) {
 	total := 0
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			continue
-		}
-		if size, err := fileSize(f); err == nil && readMagic(f, size) == sealedPackMagic {
-			n, _, _ := fr.trailer(f, size)
+	for _, p := range packs {
+		if readMagic(p.f, p.size) == sealedPackMagic {
+			n, _, _ := fr.trailer(p.f, p.size)
 			total += n
 		}
-		f.Close()
 	}
 	if total == 0 {
 		return
@@ -633,18 +657,17 @@ func readMagic(f *os.File, size int64) (magic [len(packMagic)]byte) {
 // revives it): from its footer when it is marked sealed and the footer is
 // valid, else by scanning its records, quarantining a torn tail — or the
 // whole file, when it does not start with a pack magic: never guess at, or
-// delete, bytes that might matter — and sealing what is left.
-func (s *Store) adoptOnePack(ad *adopter, path string, seq int64) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("chunkdisk: %w", err)
-	}
-	defer f.Close()
-	size, err := fileSize(f)
-	if err != nil {
-		return fmt.Errorf("chunkdisk: %w", err)
-	}
-	pm := &packMeta{seq: seq, path: path, sealed: true}
+// delete, bytes that might matter — and sealing what is left. The pack keeps
+// p's handle as its read handle (a repair cuts and seals the file in place);
+// a file that is not a pack has it closed.
+func (s *Store) adoptOnePack(ad *adopter, p packFile, seq int64) (err error) {
+	f, size := p.f, p.size
+	pm := &packMeta{seq: seq, path: p.path, sealed: true}
+	defer func() {
+		if pm.rf == nil {
+			f.Close()
+		}
+	}()
 	magic := readMagic(f, size)
 	valid, trusted := int64(0), false
 	if magic == sealedPackMagic {
@@ -660,19 +683,19 @@ func (s *Store) adoptOnePack(ad *adopter, path string, seq int64) error {
 	if !trusted {
 		if valid == 0 {
 			// Not a pack: the file goes, its bytes quarantined.
-			if err := s.repairTail(path, size, 0); err != nil {
+			if err := s.repairTail(p.path, size, 0); err != nil {
 				return fmt.Errorf("chunkdisk: pack %d: %w", seq, err)
 			}
 			return nil
 		}
-		if err := s.repairPack(path, size, valid, magic == sealedPackMagic, entries); err != nil {
+		if err := s.repairPack(p.path, size, valid, magic == sealedPackMagic, entries); err != nil {
 			return fmt.Errorf("chunkdisk: pack %d: %w", seq, err)
 		}
 	}
 	for i := range entries {
 		s.adoptRecord(pm, &entries[i])
 	}
-	pm.size = valid
+	pm.size, pm.rf = valid, f
 	s.packs.packs[seq] = pm
 	s.packFiles.Add(1)
 	s.packDeadBytes.Add(pm.dead)

@@ -307,3 +307,107 @@ func TestTieredCommitChurnBoundsResidency(t *testing.T) {
 		}
 	}
 }
+
+// TestRollbackQuarantineStaysWithinTheBudget: rolling back an update of a
+// file mostly paged out against the archive quarantines it without reading
+// it — the copy shares the chunks the file holds and its source for the rest
+// — so the file system holds no more than the budget plus the chunks the
+// aborted update dirtied, and the copy still reads back the in-flight bytes.
+func TestRollbackQuarantineStaysWithinTheBudget(t *testing.T) {
+	const budget = 4 << 20
+	phys := fs.New()
+	phys.SetMemoryBudget(budget, metrics.NewRegistry())
+	phys.MkdirAll("/d", fs.Cred{UID: fs.Root}, 0o777)
+	srv := openServer(t, Config{
+		Name: "fs1", Phys: phys, Archive: newArchive(t), Host: newFakeHost(),
+		TokenKey: []byte("k"), OpenWait: 100 * time.Millisecond,
+	})
+	defer srv.Close()
+
+	content := randomContent(11, 8<<20)
+	seedFile(t, phys, "/d/f.bin", "seed")
+	linkCommitted(t, srv, "/d/f.bin", "rfd")
+	commitVersion(t, srv, phys, "/d/f.bin", content)
+	if got := phys.ResidentBytes(); got > budget {
+		t.Fatalf("after the commit %d resident bytes, over the %d budget", got, budget)
+	}
+
+	openWrite(t, srv, "/d/f.bin", owner)
+	ino, err := phys.Lookup("/d/f.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inflight := append([]byte(nil), content...)
+	const dirtied = 3
+	for i := 0; i < dirtied; i++ {
+		off := int64(i*50+1)*extent.ChunkSize + 100
+		edit := bytes.Repeat([]byte{byte(0xa0 + i)}, 4096)
+		if _, err := phys.WriteAt(ino, off, edit); err != nil {
+			t.Fatal(err)
+		}
+		copy(inflight[off:], edit)
+	}
+	if err := srv.AbortUpdateByPath("/d/f.bin"); err != nil {
+		t.Fatal(err)
+	}
+	if got := phys.ResidentBytes(); got > budget+dirtied*extent.ChunkSize {
+		t.Fatalf("after the rollback %d resident bytes, over the budget and the %d dirtied chunks (%d)",
+			got, dirtied, budget+dirtied*extent.ChunkSize)
+	}
+
+	q := srv.QuarantinedFiles()
+	if len(q) != 1 {
+		t.Fatalf("quarantine holds %v, want one copy", q)
+	}
+	if got, err := phys.ReadFile(DefaultQuarantineDir + "/" + q[0]); err != nil || !bytes.Equal(got, inflight) {
+		t.Fatalf("the quarantine copy does not read back the in-flight bytes (%d bytes, %v)", len(got), err)
+	}
+	if got, err := phys.ReadFile("/d/f.bin"); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("the rolled-back file does not read the committed bytes (%d bytes, %v)", len(got), err)
+	}
+}
+
+// TestExpiredQuarantineCopyGivesUpItsSource: a quarantine copy of a paged-out
+// file shares the file's chunk source, which holds the blobs of the version
+// it was archived as. When the copy expires those references go with it:
+// once the path's history is dropped, GC reclaims the version's blobs.
+func TestExpiredQuarantineCopyGivesUpItsSource(t *testing.T) {
+	const ttl = time.Minute
+	now := time.Unix(7000, 0)
+	srv, phys, _ := newFrozenServer(t, &now, ttl)
+	defer srv.Close()
+	phys.SetMemoryBudget(1<<20, metrics.NewRegistry())
+	tick := func(d time.Duration) { now = now.Add(d) }
+
+	seedFile(t, phys, "/d/f.bin", "seed")
+	linkCommitted(t, srv, "/d/f.bin", "rfd")
+	tick(time.Second)
+	commitVersion(t, srv, phys, "/d/f.bin", randomContent(21, 4<<20))
+	openWrite(t, srv, "/d/f.bin", owner)
+	ino, err := phys.Lookup("/d/f.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick(time.Second)
+	if _, err := phys.WriteAt(ino, 100, []byte("in flight")); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AbortUpdateByPath("/d/f.bin"); err != nil {
+		t.Fatal(err)
+	}
+	tick(time.Second)
+	commitVersion(t, srv, phys, "/d/f.bin", randomContent(22, 4<<20))
+
+	tick(2 * ttl)
+	if n := srv.SweepQuarantine(); n != 1 {
+		t.Fatalf("the sweep expired %d quarantine files, want 1", n)
+	}
+	if err := srv.cfg.Archive.Drop(srv.cfg.Name, "/d/f.bin"); err != nil {
+		t.Fatal(err)
+	}
+	// The first committed version's 64 chunks are dead now: nothing but the
+	// expired copy could still hold them.
+	if freed := srv.cfg.Archive.GCNow(); freed < 64 {
+		t.Fatalf("GC freed %d blobs, want the 64 of the version the expired copy shared", freed)
+	}
+}

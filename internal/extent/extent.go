@@ -15,7 +15,7 @@
 //
 // A buffer writes a chunk in place only while it is the chunk's sole owner
 // and the chunk is not pinned (refs == 1 && !pinned). A chunk is pinned when
-// it comes out of a store — WrapChunk and Freeze build pinned chunks — so a
+// it comes out of a store — LoadChunk and WrapChunk build pinned chunks — so a
 // detached reader of a stored chunk never sees it change. Being hashed
 // does not pin: an in-place write forgets the memoized hash. A snapshot, a
 // quarantine copy or an archived version that still shares the chunk forces
@@ -37,7 +37,21 @@
 // covers in part (LoadEdges). A snapshot of a buffer with absent slots has
 // them absent too and keeps the source, so a consumer that needs the bytes
 // loads them through it (Snapshot.Load) and one that does not — the archive
-// storing an unwritten slot as its predecessor's reference — reads nothing.
+// storing an unwritten slot as its predecessor's reference, or a buffer the
+// snapshot is swapped into (SetSnapshot), which shares the source — reads
+// nothing.
+//
+// A chunk's bytes are reused, not reallocated: every chunk the package makes
+// takes its ChunkSize bytes from one free list (a sync.Pool, which the
+// garbage collector trims), and the release that brings its reference count
+// to zero hands them back, so the bytes a page-out frees back the next write,
+// seal or fault-in. A zero count therefore means the bytes may already hold
+// another chunk's content: nothing may read a chunk it holds no reference on,
+// and a released Snapshot is never read again. The one holder that keeps
+// pointing at chunks after giving up its references — a detached buffer
+// (ReleaseRefs: an unlinked file still open for reading) — marks them
+// orphans first; an orphan's bytes are left to the garbage collector, and
+// only an orphan is brought back from a zero count (reattach).
 //
 // Buffers are NOT safe for concurrent use — the owning inode's lock guards
 // them; the one exception is ReadAt, which only sets a chunk's referenced bit
@@ -95,7 +109,16 @@ type Chunk struct {
 	// it on its first pass over the slot and drops the chunk on the next one
 	// that finds it still clear (second chance).
 	used atomic.Bool
+
+	// pooled: data came from the free list and goes back to it when the
+	// count reaches zero. orphan clears it.
+	pooled atomic.Bool
 }
+
+// chunkBytes is the free list every chunk the package makes draws its bytes
+// from, and release hands them back to. It has no size: the garbage
+// collector empties it.
+var chunkBytes = sync.Pool{New: func() any { return new([ChunkSize]byte) }}
 
 // newChunk wraps data (owned by the chunk from here on) with one reference.
 func newChunk(data []byte) *Chunk {
@@ -107,21 +130,45 @@ func newChunk(data []byte) *Chunk {
 	return c
 }
 
+// allocChunk returns a chunk with one reference whose bytes come from the
+// free list, holding whatever they held last: the caller fills all of them
+// before anything reads the chunk.
+func allocChunk() *Chunk {
+	c := newChunk(chunkBytes.Get().(*[ChunkSize]byte)[:])
+	c.pooled.Store(true)
+	return c
+}
+
+// orphan marks a chunk that a holder keeps pointing at after dropping its
+// reference: its bytes never go back to the free list, so the holder's reads
+// stay valid after the last reference goes.
+func (c *Chunk) orphan() { c.pooled.Store(false) }
+
 // retain adds a reference. Retaining a fully released chunk resurrects it in
-// the live accounting (the data was never freed).
+// the live accounting; that is sound only for a chunk whose bytes did not go
+// back to the free list — an orphan, or one the package did not make.
 func (c *Chunk) retain() *Chunk {
 	if c.refs.Add(1) == 1 {
+		if c.pooled.Load() {
+			// An invariant, like over-release: only a reader that held no
+			// reference could still reach a chunk whose bytes were reused.
+			panic("extent: chunk retained after its bytes went back to the free list")
+		}
 		liveChunks.Add(1)
 		liveBytes.Add(int64(len(c.data)))
 	}
 	return c
 }
 
-// release drops a reference.
+// release drops a reference. The last one hands a pooled chunk's bytes back
+// to the free list: whoever takes them next overwrites them.
 func (c *Chunk) release() {
 	if n := c.refs.Add(-1); n == 0 {
 		liveChunks.Add(-1)
 		liveBytes.Add(-int64(len(c.data)))
+		if c.pooled.Load() {
+			chunkBytes.Put((*[ChunkSize]byte)(c.data))
+		}
 	} else if n < 0 {
 		// An invariant, not an input check: every release pairs with a
 		// retain. The model tests are its proof: TestBufferMatchesFlatModel
@@ -149,16 +196,34 @@ func (c *Chunk) Hash() Hash {
 // from then on.
 func (c *Chunk) pin() { c.pinned.Store(true) }
 
-// Freeze wraps data (owned by the chunk from here on; callers must not modify
-// it) as a pinned chunk whose hash is computed only if asked for: the
-// archive's materialization of a patched slot, assembled in a private buffer.
-func Freeze(data []byte) *Chunk {
-	c := newChunk(data)
-	c.pin()
-	return c
+// readSlot reads chunk slot i of src into a chunk of its own.
+func readSlot(src Source, i int) (*Chunk, error) {
+	c := allocChunk()
+	if err := src.ReadSlot(i, c.data); err != nil {
+		c.release()
+		return nil, err
+	}
+	return c, nil
 }
 
-// Data exposes the chunk's bytes. Callers must not modify them.
+// LoadChunk reads chunk slot i of src into a pinned chunk of its own — a
+// store materializing a slot of an archived version. known, when not nil, is
+// the content hash the read verified, so Hash does not compute it again.
+func LoadChunk(src Source, i int, known *Hash) (*Chunk, error) {
+	c, err := readSlot(src, i)
+	if err != nil {
+		return nil, err
+	}
+	if known != nil {
+		c.hash = *known
+		c.hashed.Store(true)
+	}
+	c.pin()
+	return c, nil
+}
+
+// Data exposes the chunk's bytes. Callers must not modify them, nor read them
+// once the reference they hold is released.
 func (c *Chunk) Data() []byte { return c.data }
 
 // ReleaseChunk drops a caller-owned reference.
@@ -393,15 +458,16 @@ func (b *Buffer) LoadEdges(off, end int64) (int, error) {
 }
 
 // loadSlot reads absent slot i from the source into a chunk of its own. A
-// detached buffer holds no references, so the chunk's is dropped at once.
+// detached buffer holds no references, so the chunk's is dropped at once —
+// as an orphan's, since the buffer goes on reading it.
 func (b *Buffer) loadSlot(i int) error {
-	data := make([]byte, ChunkSize)
-	if err := b.src.ReadSlot(i, data); err != nil {
+	c, err := readSlot(b.src, i)
+	if err != nil {
 		return fmt.Errorf("extent: loading chunk slot %d: %w", i, err)
 	}
-	c := newChunk(data)
 	b.setSlot(i, c)
 	if b.detached {
+		c.orphan()
 		c.release()
 	}
 	return nil
@@ -523,9 +589,9 @@ func (b *Buffer) overwrite(off int64, p []byte) {
 		switch {
 		case cs == 0 && n == ChunkSize:
 			// Full overwrite: build the new chunk straight from p.
-			data := make([]byte, ChunkSize)
-			copy(data, p)
-			b.setSlot(ci, newChunk(data))
+			c := allocChunk()
+			copy(c.data, p)
+			b.setSlot(ci, c)
 			if old != nil {
 				old.release()
 			}
@@ -538,10 +604,10 @@ func (b *Buffer) overwrite(off int64, p []byte) {
 			old.hashed.Store(false)
 		default:
 			// Shared or pinned: copy-on-write.
-			data := make([]byte, ChunkSize)
-			copy(data, old.data)
-			copy(data[cs:], p[:n])
-			b.setSlot(ci, newChunk(data))
+			c := allocChunk()
+			copy(c.data, old.data)
+			copy(c.data[cs:], p[:n])
+			b.setSlot(ci, c)
 			old.release()
 		}
 		p = p[n:]
@@ -589,9 +655,9 @@ func zeroFill(p []byte, n int) []byte {
 // sealTail turns the full tail into a chunk, keeping the tail's backing
 // array for future appends.
 func (b *Buffer) sealTail() {
-	data := make([]byte, ChunkSize)
-	copy(data, b.tail)
-	b.appendChunk(newChunk(data))
+	c := allocChunk()
+	copy(c.data, b.tail)
+	b.appendChunk(c)
 	b.tail = b.tail[:0]
 }
 
@@ -690,21 +756,23 @@ func (b *Buffer) Capture() *Snapshot {
 }
 
 // SetSnapshot replaces the buffer's content with the snapshot's — the
-// restore path's "manifest swap". O(#chunks) plus the tail copy; a slot the
-// snapshot has absent is loaded through its source, and on an error the
-// buffer is left as it was. The next Capture follows none: nothing says
-// which archived version the swapped-in content is.
-func (b *Buffer) SetSnapshot(s *Snapshot) error {
+// restore path's "manifest swap". O(#chunks) plus the tail copy, reading
+// nothing: a slot the snapshot has absent stays absent, and the buffer shares
+// the snapshot's source to load it when it is first needed. The next Capture
+// follows none: nothing says which archived version the swapped-in content
+// is, so no slot is clean against the source and none is paged out.
+func (b *Buffer) SetSnapshot(s *Snapshot) {
 	chunks := make([]*Chunk, len(s.chunks))
-	for i := range s.chunks {
-		c, err := s.Load(i)
-		if err != nil {
-			for _, c := range chunks[:i] {
-				c.release()
-			}
-			return err
+	var src Source
+	for i, c := range s.chunks {
+		if c == nil {
+			src = s.src
+		} else {
+			chunks[i] = c.retain()
 		}
-		chunks[i] = c
+	}
+	if src != nil {
+		src.Retain()
 	}
 	tail := append(b.tail[:0], s.tail...)
 	b.tail = nil
@@ -715,8 +783,8 @@ func (b *Buffer) SetSnapshot(s *Snapshot) error {
 			b.resident += ChunkSize
 		}
 	}
+	b.setSource(src, 0)
 	b.captured, b.dirty = 0, nil
-	return nil
 }
 
 // SetBytes replaces the buffer's content with a copy of p.
@@ -735,10 +803,11 @@ func (b *Buffer) Bytes() []byte {
 
 // ReleaseRefs drops the buffer's chunk references without discarding the
 // structure: reads keep working (unlinked file held open), but the chunks no
-// longer count as live unless something else references them. A later
-// mutation or snapshot re-retains. The source stays while a slot or the tail
-// is absent, so a reader can still load it; with nothing absent it is given
-// up.
+// longer count as live unless something else references them. Each is marked
+// an orphan before its reference goes, so its bytes never go back to the free
+// list under the reads. A later mutation or snapshot re-retains. The source
+// stays while a slot or the tail is absent, so a reader can still load it;
+// with nothing absent it is given up.
 func (b *Buffer) ReleaseRefs() {
 	if b.detached {
 		return
@@ -748,6 +817,7 @@ func (b *Buffer) ReleaseRefs() {
 		if c == nil {
 			absent = true
 		} else {
+			c.orphan()
 			c.release()
 		}
 	}
@@ -810,9 +880,9 @@ func BuildSnapshot(chunks []*Chunk, tail []byte) *Snapshot {
 func FromBytes(p []byte) *Snapshot {
 	var chunks []*Chunk
 	for int64(len(p)) >= ChunkSize {
-		data := make([]byte, ChunkSize)
-		copy(data, p)
-		chunks = append(chunks, newChunk(data))
+		c := allocChunk()
+		copy(c.data, p)
+		chunks = append(chunks, c)
 		p = p[ChunkSize:]
 	}
 	return &Snapshot{chunks: chunks, tail: append([]byte(nil), p...)}
@@ -828,7 +898,7 @@ func (s *Snapshot) NumChunks() int { return len(s.chunks) }
 
 // Chunks exposes the manifest's chunks (archive interning); a nil one is an
 // absent slot (Load). Callers must not modify the returned slice or the
-// chunks.
+// chunks, and use them only while they hold the snapshot.
 func (s *Snapshot) Chunks() []*Chunk { return s.chunks }
 
 // Source is where the snapshot's absent slots load from (nil when it has
@@ -841,11 +911,11 @@ func (s *Snapshot) Load(i int) (*Chunk, error) {
 	if c := s.chunks[i]; c != nil {
 		return c.retain(), nil
 	}
-	data := make([]byte, ChunkSize)
-	if err := s.src.ReadSlot(i, data); err != nil {
+	c, err := readSlot(s.src, i)
+	if err != nil {
 		return nil, fmt.Errorf("extent: loading chunk slot %d: %w", i, err)
 	}
-	return newChunk(data), nil
+	return c, nil
 }
 
 // Tail exposes the manifest's tail bytes. Callers must not modify them.
@@ -882,12 +952,10 @@ func (s *Snapshot) Bytes() []byte {
 	return append(out, s.tail...)
 }
 
-// Release drops the snapshot's chunk references. The manifest structure is
-// deliberately left intact: chunk data is never freed, so a reader that
-// still holds an alias of this snapshot (the archive hands out Entry values
-// whose Manifest pointer aliases the store's copy, and Drop/TruncateAfter
-// may release it concurrently) keeps reading valid content — release only
-// affects live accounting and dedup eligibility. Releasing twice is a bug.
+// Release drops the snapshot's chunk references and its source. A chunk
+// whose last reference this was hands its bytes back to the free list, so
+// nothing may read the snapshot, or a chunk or Data slice borrowed from it,
+// after Release. Releasing twice is a bug.
 func (s *Snapshot) Release() {
 	for _, c := range s.chunks {
 		if c != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -196,7 +197,11 @@ func (s *flatSource) Release() {
 // out of and back into memory; every access first loads what extent asks it
 // to, as the file system does. A page-out that drops a slot written since
 // the commit — a dirty slot — diverges from the model at the next read of
-// it.
+// it. A second buffer takes the first one's content by SetSnapshot, sharing
+// its chunks and absent slots, and is detached (ReleaseRefs) and written
+// whole-chunk at random, while the first one writes whole chunks over what
+// they share: bytes handed back to the free list under a reader of the
+// second buffer diverge from its model.
 func TestBufferMatchesFlatModel(t *testing.T) {
 	baseC, _ := Live()
 	rng := rand.New(rand.NewSource(42))
@@ -209,12 +214,12 @@ func TestBufferMatchesFlatModel(t *testing.T) {
 	}
 	pageOuts, faultIns := 0, 0
 	for round := 0; round < 20; round++ {
-		b := NewBuffer()
-		var m flatModel
+		b, other := NewBuffer(), NewBuffer()
+		var m, om flatModel
 		var snaps []*Snapshot
 		var snapModels [][]byte
 		for op := 0; op < 160; op++ {
-			switch rng.Intn(16) {
+			switch rng.Intn(19) {
 			case 0, 1: // truncate
 				size := int64(rng.Intn(4 * ChunkSize))
 				must(b.LoadEdges(size, size))
@@ -227,9 +232,7 @@ func TestBufferMatchesFlatModel(t *testing.T) {
 			case 3: // restore a random snapshot
 				if len(snaps) > 0 {
 					i := rng.Intn(len(snaps))
-					if err := b.SetSnapshot(snaps[i]); err != nil {
-						t.Fatal(err)
-					}
+					b.SetSnapshot(snaps[i])
 					m = append(m[:0], snapModels[i]...)
 				}
 			case 4, 5: // commit: the capture's content becomes the source
@@ -254,9 +257,27 @@ func TestBufferMatchesFlatModel(t *testing.T) {
 				n, err := b.LoadRange(off, int64(rng.Intn(2*ChunkSize)))
 				must(n, err)
 				faultIns += n
-			default: // write
+			case 10: // the second buffer takes the content
+				must(b.LoadEdges(b.Len(), b.Len()))
+				s := b.Snapshot()
+				other.SetSnapshot(s)
+				s.Release()
+				om = append(om[:0], m...)
+			case 11: // the second buffer is detached: unlinked, still read
+				other.ReleaseRefs()
+			case 12: // the second buffer writes whole chunks
+				off := int64(rng.Intn(3)) * ChunkSize
+				p := make([]byte, ChunkSize*(1+rng.Intn(2)))
+				rng.Read(p)
+				must(other.LoadEdges(off, off+int64(len(p))))
+				other.WriteAt(off, p)
+				om.WriteAt(off, p)
+			default: // write, one in three over whole chunks
 				off := int64(rng.Intn(3 * ChunkSize))
 				n := rng.Intn(ChunkSize * 2)
+				if rng.Intn(3) == 0 {
+					off, n = off/ChunkSize*ChunkSize, ChunkSize*(1+rng.Intn(2))
+				}
 				p := make([]byte, n)
 				rng.Read(p)
 				must(b.LoadEdges(off, off+int64(n)))
@@ -265,6 +286,13 @@ func TestBufferMatchesFlatModel(t *testing.T) {
 			}
 			if b.Len() != int64(len(m)) {
 				t.Fatalf("round %d op %d: len %d vs model %d", round, op, b.Len(), len(m))
+			}
+			if off := int64(rng.Intn(len(om) + 1)); len(om) > 0 {
+				p := make([]byte, min(int64(ChunkSize), int64(len(om))-off))
+				must(other.LoadRange(off, int64(len(p))))
+				if n := other.ReadAt(off, p); n != len(p) || !bytes.Equal(p, om[off:off+int64(n)]) {
+					t.Fatalf("round %d op %d: the second buffer's ReadAt(%d, %d) diverged from its model", round, op, off, len(p))
+				}
 			}
 			resident := int64(0)
 			for _, c := range b.chunks {
@@ -303,7 +331,12 @@ func TestBufferMatchesFlatModel(t *testing.T) {
 			}
 			s.Release()
 		}
+		must(other.LoadRange(0, other.Len()))
+		if !bytes.Equal(other.Bytes(), om) {
+			t.Fatalf("round %d: the second buffer diverged from its model", round)
+		}
 		b.Truncate(0)
+		other.Truncate(0)
 	}
 	if pageOuts == 0 || faultIns == 0 {
 		t.Fatalf("%d page-outs, %d fault-ins: the schedule does not cover paging", pageOuts, faultIns)
@@ -356,23 +389,28 @@ func TestHashStableAndDistinct(t *testing.T) {
 }
 
 // TestPinnedChunkIsCopiedOnWrite guards what a store's pin promises: a chunk
-// that came out of a store — read into a chunk of its own (WrapChunk) or
-// assembled from a base and patches (Freeze) — is copied on write even once
-// the buffer writing it is its only owner, so a reader still holding it (an unlinked file open for
-// reading) never sees it change.
+// that came out of a store — a blob read into a chunk of its own (WrapChunk)
+// or a version's slot read through its source (LoadChunk) — is copied on
+// write even once the buffer writing it is its only owner, so a reader still
+// holding it (an unlinked file open for reading) never sees it change.
 func TestPinnedChunkIsCopiedOnWrite(t *testing.T) {
 	stores := map[string]func(data []byte) *Chunk{
 		"page-in": func(data []byte) *Chunk { return WrapChunk(data, sha256.Sum256(data)) },
-		"freeze":  Freeze,
+		"load": func(data []byte) *Chunk {
+			c, err := LoadChunk(&flatSource{content: data, refs: 1}, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		},
 	}
 	for name, store := range stores {
 		c := store(bytes.Repeat([]byte{5}, ChunkSize))
 		b := NewBuffer()
 		b.SetSnapshot(BuildSnapshot([]*Chunk{c}, nil))
-		data := c.Data()
 		c.release() // the buffer's reference is now the only one
 		b.WriteAt(0, []byte{99})
-		if data[0] != 5 {
+		if b.chunks[0] == c {
 			t.Fatalf("%s: a pinned chunk was written in place", name)
 		}
 		if got := b.Bytes(); got[0] != 99 || got[1] != 5 {
@@ -524,5 +562,79 @@ func TestCapturedChunkIsWrittenInPlace(t *testing.T) {
 		t.Fatal("a write while a capture is held changed the capture")
 	}
 	held.Release()
+	b.Truncate(0)
+}
+
+// TestDetachedBufferKeepsSharedBytes: a detached buffer — an unlinked file
+// still open for reading — goes on reading chunks it no longer holds a
+// reference on. When the buffer it shares them with writes over them, the
+// last reference goes, and the bytes must not go back to the free list, where
+// that buffer's next chunk would take them and overwrite them.
+func TestDetachedBufferKeepsSharedBytes(t *testing.T) {
+	baseC, _ := Live()
+	a := NewBuffer()
+	a.WriteAt(0, bytes.Repeat([]byte{7}, ChunkSize))
+	b := NewBuffer()
+	snap := a.Snapshot()
+	b.SetSnapshot(snap)
+	snap.Release()
+	a.ReleaseRefs()
+	for v := byte(9); v <= 12; v++ {
+		b.WriteAt(0, bytes.Repeat([]byte{v}, ChunkSize))
+	}
+	p := make([]byte, ChunkSize)
+	if n := a.ReadAt(0, p); n != ChunkSize || !bytes.Equal(p, bytes.Repeat([]byte{7}, ChunkSize)) {
+		t.Fatalf("the detached buffer reads %d, want 7", p[0])
+	}
+	if got := b.Bytes(); got[0] != 12 {
+		t.Fatalf("the live buffer reads %d, want 12", got[0])
+	}
+	a.Truncate(0)
+	b.Truncate(0)
+	if endC, _ := Live(); endC != baseC {
+		t.Fatalf("leaked %d chunks", endC-baseC)
+	}
+}
+
+// TestRecycledChunkAllocBudget: the commit path's steady state — a chunk
+// written whole, the capture archived as the buffer's source, the clean
+// chunk paged out — takes the next chunk's bytes from the ones the page-out
+// gave back, so a cycle allocates only the bookkeeping, not 64 KiB.
+func TestRecycledChunkAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	const cycles = 64
+	content := bytes.Repeat([]byte{3}, 4*ChunkSize)
+	var sources []*flatSource
+	src := newFlatSource(content, &sources)
+	b := NewBuffer()
+	b.Install(src)
+	chunk := bytes.Repeat([]byte{3}, ChunkSize)
+	cycle := func() {
+		b.WriteAt(0, chunk)
+		c := b.Capture()
+		id, _ := c.Captured()
+		src.Retain() // Attach gives up the previous source: the same one
+		if !b.Attach(id, src) {
+			t.Fatal("attach of the last capture refused")
+		}
+		c.Release()
+		if _, freed := b.PageOut(0, ChunkSize); freed != ChunkSize {
+			t.Fatalf("page-out freed %d bytes, want one chunk", freed)
+		}
+	}
+	cycle() // the first chunk's bytes come from the heap
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / cycles
+	if per >= 4<<10 {
+		t.Fatalf("a page-out + whole-chunk write cycle allocated %d B, budget 4 KiB", per)
+	}
+	t.Logf("a cycle allocated %d B", per)
 	b.Truncate(0)
 }

@@ -1109,9 +1109,9 @@ func (f *FS) CaptureFile(p string) (*extent.Snapshot, error) {
 
 // WriteSnapshot replaces a file's content with a manifest swap: the restore
 // path's O(#chunks) replacement for WriteFile. The snapshot itself is not
-// consumed; the file holds its own references, and a chunk the snapshot has
-// absent is loaded through its source. The file's own absent content is
-// dropped unread.
+// consumed; the file holds its own references, reads nothing, and shares the
+// snapshot's source, through which each access loads the chunks the snapshot
+// has absent. The file's own absent content is dropped unread.
 func (f *FS) WriteSnapshot(n *Inode, snap *extent.Snapshot) error {
 	if n == nil || n.typ != TypeFile {
 		return ErrInvalid
@@ -1122,9 +1122,7 @@ func (f *FS) WriteSnapshot(n *Inode, snap *extent.Snapshot) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	before := n.data.Resident()
-	if err := n.data.SetSnapshot(snap); err != nil {
-		return fmt.Errorf("%w: inode %d: %w", ErrIO, n.ino, err)
-	}
+	n.data.SetSnapshot(snap)
 	f.settle(n, before)
 	n.mtime = f.clock()
 	return nil

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"datalinks/internal/extent"
+	"datalinks/internal/metrics"
 )
 
 // countingSource is a chunk source that counts what the file system asks of
@@ -326,5 +327,97 @@ func TestDeferredLoadKeepsMtime(t *testing.T) {
 	}
 	if f.Stats.DeferredLoads.Load() != 2 {
 		t.Fatal("the read did not load the chunk and the tail")
+	}
+}
+
+// TestDetachedFileReadWhileAnotherPagesOut: an unlinked file still open for
+// reading shares chunks and a source with a live file — it was taken from it
+// by WriteFileSnapshot, as a rollback's quarantine copy is. Readers of it
+// race the live file's whole-chunk writes, commits and page-outs, which hand
+// chunk bytes back to extent's free list and take them again for the next
+// write or fault-in: every read returns the bytes the copy held when it was
+// unlinked. Run it with -race.
+func TestDetachedFileReadWhileAnotherPagesOut(t *testing.T) {
+	const chunks = 6
+	f := New()
+	reg := metrics.NewRegistry()
+	f.SetMemoryBudget(2*extent.ChunkSize, reg)
+	content := newCounting(chunks*extent.ChunkSize + 300).content
+	if err := f.WriteFile("/live", content); err != nil {
+		t.Fatal(err)
+	}
+	live, err := f.Lookup("/live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func() {
+		snap, err := f.CaptureFile("/live")
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, _ := snap.Captured()
+		err = f.SetSource("/live", id, newSource(snap.Bytes()))
+		snap.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit() // the live file pages out to the budget
+	snap, err := f.SnapshotFile("/live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = f.WriteFileSnapshot("/copy", snap)
+	snap.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := f.Lookup("/copy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Remove("/copy", root); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads atomic.Int64
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			buf := make([]byte, 24<<10)
+			for off := int64(r * 7000); ; off = (off + 40000) % int64(len(content)) {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n, err := f.ReadAt(cp, off, buf)
+				if err != nil || !bytes.Equal(buf[:n], content[off:off+int64(n)]) {
+					t.Errorf("reader %d at %d: %d bytes, %v", r, off, n, err)
+					return
+				}
+				reads.Add(1)
+			}
+		}(r)
+	}
+	buf := make([]byte, 4096)
+	for v := 0; v < 40; v++ {
+		at := int64(v%chunks) * extent.ChunkSize
+		if _, err := f.WriteAt(live, at, bytes.Repeat([]byte{byte(v)}, extent.ChunkSize)); err != nil {
+			t.Fatal(err)
+		}
+		commit()
+		if _, err := f.ReadAt(live, (at+3*extent.ChunkSize)%int64(len(content)), buf); err != nil {
+			t.Fatal(err) // a fault-in of the live file
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if reads.Load() == 0 || reg.Counter("fs.pageouts").Value() == 0 || reg.Counter("fs.faultins").Value() == 0 {
+		t.Fatalf("%d reads, %d page-outs, %d fault-ins: the test did not page", reads.Load(),
+			reg.Counter("fs.pageouts").Value(), reg.Counter("fs.faultins").Value())
 	}
 }

@@ -288,29 +288,36 @@ func (l *LFS) WriteAt(fd FD, off int64, p []byte) (int, error) {
 	return l.fsys.FsWrite(e.node, e.of, off, p)
 }
 
-// ReadAll reads the whole file behind fd from offset 0. The buffer is sized
-// from the file's length, so the usual case is one allocation and one read
-// (growing a slice 64 KiB at a time allocated ~2.75x the file per call); a
-// file that grows meanwhile is followed by append.
+// ReadAll reads the whole file behind fd from offset 0 into a buffer of
+// exactly the file's length: one allocation and one read in the usual case.
+// A stat, not a read, then probes for end-of-file: a probe read's buffer
+// would escape to the heap through the FileSystem interface. A file that grew
+// since the first stat is read on to its new end; one that shrank is cut
+// where its read ended.
 func (l *LFS) ReadAll(fd FD) ([]byte, error) {
 	attr, err := l.Stat(fd)
 	if err != nil {
 		return nil, err
 	}
-	// +1: the read that finds end-of-file needs room to return 0 into.
-	out := make([]byte, 0, attr.Size+1)
-	for {
-		if len(out) == cap(out) {
-			out = append(out, 0)[:len(out)]
+	out := make([]byte, attr.Size)
+	for n := 0; ; {
+		for n < len(out) {
+			m, err := l.ReadAt(fd, int64(n), out[n:])
+			if err != nil {
+				return nil, err
+			}
+			if m == 0 {
+				return out[:n], nil
+			}
+			n += m
 		}
-		n, err := l.ReadAt(fd, int64(len(out)), out[len(out):cap(out)])
-		if err != nil {
+		if attr, err = l.Stat(fd); err != nil {
 			return nil, err
 		}
-		if n == 0 {
+		if attr.Size <= int64(n) {
 			return out, nil
 		}
-		out = out[:len(out)+n]
+		out = append(out, make([]byte, attr.Size-int64(n))...)
 	}
 }
 

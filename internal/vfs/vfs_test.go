@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -167,5 +168,51 @@ func TestLockctlThroughVFS(t *testing.T) {
 	}
 	if err := lfs.Mounted().FsLockctl(node, "o1", fs.LockUnlock, false); err != nil {
 		t.Fatalf("unlock: %v", err)
+	}
+}
+
+// growingFS grows /data/big by extra bytes right after its first stat, so a
+// ReadAll sized from that stat finds more than it allocated for.
+type growingFS struct {
+	*Passthrough
+	phys  *fs.FS
+	extra []byte
+	grew  bool
+}
+
+func (g *growingFS) FsGetattr(node Node) (fs.Attr, error) {
+	attr, err := g.Passthrough.FsGetattr(node)
+	if !g.grew {
+		g.grew = true
+		n, _ := g.phys.Lookup("/data/big")
+		g.phys.WriteAt(n, attr.Size, g.extra)
+	}
+	return attr, err
+}
+
+// TestReadAllFollowsAGrowingFile: a file that grows between the stat that
+// sizes ReadAll's buffer and the read is read whole, to its new end.
+func TestReadAllFollowsAGrowingFile(t *testing.T) {
+	phys := fs.New()
+	if err := phys.MkdirAll("/data", fs.Cred{UID: fs.Root}, 0o777); err != nil {
+		t.Fatal(err)
+	}
+	content := make([]byte, 256<<10)
+	for i := range content {
+		content[i] = byte(i % 251)
+	}
+	extra := []byte("appended after the stat")
+	if err := phys.WriteFile("/data/big", content); err != nil {
+		t.Fatal(err)
+	}
+	lfs := NewLFS(&growingFS{Passthrough: NewPassthrough(phys), phys: phys, extra: extra})
+	fd, err := lfs.Open(alice, "/data/big", fs.AccessRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lfs.Close(fd)
+	got, err := lfs.ReadAll(fd)
+	if want := append(content, extra...); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("readall = %d bytes, %v; want the %d the file grew to", len(got), err, len(want))
 	}
 }
