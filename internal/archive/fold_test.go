@@ -266,8 +266,8 @@ func TestReplayRepairKeepsThePrefix(t *testing.T) {
 
 // TestMaterializedTailIsTheSnapshotsOwn: BuildSnapshot takes the tail bytes
 // Load read instead of copying them. The snapshot must keep the archived
-// bytes after other versions are read, and after a buffer restored from it is
-// overwritten.
+// bytes after other versions are read, and after a buffer restored from the
+// same version is overwritten.
 func TestMaterializedTailIsTheSnapshotsOwn(t *testing.T) {
 	const C = extent.ChunkSize
 	s := newTiered(t)
@@ -288,11 +288,19 @@ func TestMaterializedTailIsTheSnapshotsOwn(t *testing.T) {
 	for _, o := range s.Versions("fs1", "/other") {
 		bytesOf(t, o)
 	}
+	held, err := e.Hold()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf extent.Buffer
-	buf.SetSnapshot(snap)
+	buf.Install(held)
+	if _, err := buf.LoadRange(0, buf.Len()); err != nil {
+		t.Fatal(err)
+	}
 	buf.WriteAt(0, bytes.Repeat([]byte{0xff}, len(want)))
+	defer buf.Truncate(0)
 	if !bytes.Equal(snap.Bytes(), want) {
-		t.Fatal("overwriting a buffer restored from the snapshot changed the snapshot")
+		t.Fatal("overwriting a buffer restored from the version changed the snapshot")
 	}
 	if got := bytesOf(t, e); !bytes.Equal(got, want) {
 		t.Fatal("a second materialization no longer returns the archived bytes")

@@ -145,9 +145,10 @@ func overwriteRecord(t *testing.T, s *Store, h extent.Hash, junk []byte) {
 }
 
 // TestResidentChunksArePinned: a chunk the store hands out — Get's read into
-// a chunk of its own — is pinned, so a buffer restored from it copies before it writes, even once
-// the store and the original file let go: a reader still holding the chunk
-// (an unlinked file open for reading) never sees it change.
+// a chunk of its own — never changes, even once the store and the original
+// file let go of it: a buffer restored from the same blob (installed from a
+// source over the store, as a rollback installs a held version) reads it
+// into a chunk of its own and writes that.
 func TestResidentChunksArePinned(t *testing.T) {
 	s, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {
@@ -166,19 +167,41 @@ func TestResidentChunksArePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.ReleaseChunk()
+	var b extent.Buffer
+	b.Install(blobSource{s, h})
+	if _, err := b.LoadRange(0, b.Len()); err != nil {
+		t.Fatal(err)
+	}
 	s.Release(h)
 	live.Truncate(0)
 	held := c.Data()
-	restored := extent.BuildSnapshot([]*extent.Chunk{c}, nil)
-	var b extent.Buffer
-	b.SetSnapshot(restored)
-	restored.Release() // b is the chunk's only owner now
 	b.WriteAt(0, []byte{^data[0]})
 	if held[0] != data[0] {
 		t.Fatal("a chunk the store handed out was written in place")
 	}
+	if got := b.Bytes(); got[0] != ^data[0] || !bytes.Equal(got[1:], data[1:]) {
+		t.Fatal("the restored buffer lost the write")
+	}
 	b.Truncate(0)
 }
+
+// blobSource is a one-chunk source over a blob of the store.
+type blobSource struct {
+	s *Store
+	h extent.Hash
+}
+
+func (b blobSource) Size() int64 { return extent.ChunkSize }
+
+func (b blobSource) ReadSlot(_ int, dst []byte) error {
+	_, err := b.s.ReadInto(b.h, dst)
+	return err
+}
+
+func (blobSource) ReadTail([]byte) error { return nil }
+func (blobSource) Retain()               {}
+func (blobSource) Release()              {}
 
 func TestSweepFreesDeadAndSparesLive(t *testing.T) {
 	s, err := Open(Config{Dir: t.TempDir()})

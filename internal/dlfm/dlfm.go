@@ -100,12 +100,11 @@ const DefaultRepoCheckpointBytes = 1 << 20
 
 // openState tracks one approved open between its open and close upcalls.
 type openState struct {
-	id      uint64
-	path    string
-	uid     fs.UID
-	write   bool
-	mtime   time.Time // file mtime at open (modification detection, §4.4)
-	hostTxn uint64    // file-update transactions bind to a host txn at close
+	id    uint64
+	path  string
+	uid   fs.UID
+	write bool
+	mtime time.Time // file mtime at open (modification detection, §4.4)
 }
 
 // syncState is the in-memory image of the Sync table rows for one file
@@ -132,12 +131,6 @@ func (st *syncState) wake() {
 // idle reports whether the state carries no information and can be dropped.
 func (st *syncState) idle() bool {
 	return st.writer == 0 && st.readers == 0 && len(st.waiters) == 0
-}
-
-// takeoverState remembers the pre-takeover identity of a file (§4.2).
-type takeoverState struct {
-	origUID  fs.UID
-	origMode fs.FileMode
 }
 
 // tokenKey identifies a token entry: the paper stores entries per *userid*,
@@ -170,14 +163,13 @@ const openShardCount = 16
 // openShardBits is log2(openShardCount).
 const openShardBits = 4
 
-// openShard is one stripe of the open/sync/takeover bookkeeping. An open id
+// openShard is one stripe of the open/sync bookkeeping. An open id
 // always lives in the shard of its path, so one lock covers an open and its
 // file's sync state together.
 type openShard struct {
-	mu        sync.Mutex
-	syncs     map[string]*syncState
-	opens     map[uint64]*openState
-	takeovers map[string]*takeoverState
+	mu    sync.Mutex
+	syncs map[string]*syncState
+	opens map[uint64]*openState
 }
 
 // Server is a DLFM instance. One per file server.
@@ -291,7 +283,6 @@ func start(cfg Config, lg *wal.Log) (*Server, *RecoveryReport, error) {
 		sh := &s.openShards[i]
 		sh.syncs = make(map[string]*syncState)
 		sh.opens = make(map[uint64]*openState)
-		sh.takeovers = make(map[string]*takeoverState)
 	}
 	for op := upcall.Op(1); op < upcallOpRange; op++ {
 		s.upcallCtrs[op] = cfg.Metrics.Counter("dlfm.upcall." + op.String())

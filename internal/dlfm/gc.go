@@ -64,10 +64,11 @@ func (s *Server) SweepQuarantine() int {
 		if now.Sub(attr.Mtime) <= ttl {
 			continue
 		}
-		// Emptied before it goes: a copy shares its file's chunk source
-		// (restoreLastCommitted), and an unlinked file keeps its source for
-		// readers still holding it open, which the file system cannot count —
-		// so the source's blob references would outlive the expiry.
+		// Emptied before it goes: the moved content keeps its file's chunk
+		// source (restoreLastCommitted), and an unlinked file keeps its
+		// source for readers still holding it open, which the file system
+		// cannot count — so the source's blob references would outlive the
+		// expiry.
 		if s.cfg.Phys.Truncate(node, 0) != nil {
 			continue
 		}

@@ -310,9 +310,10 @@ func TestTieredCommitChurnBoundsResidency(t *testing.T) {
 
 // TestRollbackQuarantineStaysWithinTheBudget: rolling back an update of a
 // file mostly paged out against the archive quarantines it without reading
-// it — the copy shares the chunks the file holds and its source for the rest
-// — so the file system holds no more than the budget plus the chunks the
-// aborted update dirtied, and the copy still reads back the in-flight bytes.
+// it — the in-flight content moves to the quarantine file with its chunk
+// source — so the file system holds no more than the budget plus the chunks
+// the aborted update dirtied. The copy reads back the in-flight bytes and
+// pages like any file: reading it back leaves the same bound standing.
 func TestRollbackQuarantineStaysWithinTheBudget(t *testing.T) {
 	const budget = 4 << 20
 	phys := fs.New()
@@ -364,6 +365,10 @@ func TestRollbackQuarantineStaysWithinTheBudget(t *testing.T) {
 	}
 	if got, err := phys.ReadFile("/d/f.bin"); err != nil || !bytes.Equal(got, content) {
 		t.Fatalf("the rolled-back file does not read the committed bytes (%d bytes, %v)", len(got), err)
+	}
+	if got := phys.ResidentBytes(); got > budget+dirtied*extent.ChunkSize {
+		t.Fatalf("after reading both files back %d resident bytes, over the budget and the %d dirtied chunks (%d)",
+			got, dirtied, budget+dirtied*extent.ChunkSize)
 	}
 }
 

@@ -173,6 +173,12 @@ func (s *Server) installDeferred(e archive.Entry) error {
 	if err != nil {
 		return fmt.Errorf("v%d: %w", e.Version, err)
 	}
+	return s.installHeld(e, held)
+}
+
+// installHeld is installDeferred of a version the caller already holds; held
+// is the file's from the call on.
+func (s *Server) installHeld(e archive.Entry, held *archive.Held) error {
 	if err := s.mkdirParent(e.Path); err != nil {
 		held.Release()
 		return err

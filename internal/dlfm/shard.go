@@ -145,7 +145,6 @@ func (s *Server) EndExport(path string, evict bool) error {
 	}
 	sh, _ := s.pathShard(path)
 	sh.mu.Lock()
-	delete(sh.takeovers, path)
 	if sy, ok := sh.syncs[path]; ok && sy.writer == exportSentinel {
 		sy.writer = 0
 		sy.wake()

@@ -98,29 +98,10 @@ func (s *Server) takeOver(path string) error {
 	if err != nil {
 		return err
 	}
-	attr, err := s.cfg.Phys.Getattr(node)
-	if err != nil {
-		return err
-	}
-	sh, _ := s.pathShard(path)
-	sh.mu.Lock()
-	if _, ok := sh.takeovers[path]; !ok {
-		sh.takeovers[path] = &takeoverState{origUID: attr.UID, origMode: attr.Mode}
-	}
-	sh.mu.Unlock()
 	if err := s.cfg.Phys.Chown(node, rootCred, DefaultUID); err != nil {
 		return err
 	}
 	return s.cfg.Phys.Chmod(node, rootCred, 0o600)
-}
-
-// releaseTakeover restores the at-rest linked state after an update ends.
-func (s *Server) releaseTakeover(path string, fi fileInfo) error {
-	sh, _ := s.pathShard(path)
-	sh.mu.Lock()
-	delete(sh.takeovers, path)
-	sh.mu.Unlock()
-	return s.setAtRest(fi)
 }
 
 // dropOpen discards open and sync state for an open id, waking only the
@@ -264,7 +245,7 @@ func (s *Server) commitUpdate(ctx context.Context, st *openState, size int64, mt
 	if !modified {
 		// Nothing to commit: drop the update entry locally.
 		s.clearUpdateEntry(st.path)
-		if err := s.releaseTakeover(st.path, fi); err != nil {
+		if err := s.setAtRest(fi); err != nil {
 			return err
 		}
 		s.dropOpen(st.id)
@@ -328,7 +309,7 @@ func (s *Server) commitUpdate(ctx context.Context, st *openState, size int64, mt
 		}
 	}
 
-	if err := s.releaseTakeover(st.path, fi); err != nil {
+	if err := s.setAtRest(fi); err != nil {
 		return err
 	}
 	s.dropOpen(st.id)
@@ -437,50 +418,48 @@ func (s *Server) rollbackUpdate(st *openState) error {
 }
 
 // restoreLastCommitted quarantines the in-flight content of path and
-// restores the newest archived version. Also used by restart recovery. The
-// quarantine copy is a manifest swap that shares its chunks with the
-// in-flight file — chunks the file has absent are loaded into it, so the
-// copy holds no source — and the restore a deferred install
-// (installDeferred) that reads nothing.
+// restores the newest archived version. Also used by restart recovery. It
+// holds that version first, so a path without one is left as it is; then it
+// moves the in-flight content, chunks and source as they are, to a new file
+// in the quarantine directory (fs.MoveContent), and installs the held version
+// into the same inode unread (installHeld): open handles, the inode number
+// and its attributes stay. Neither step reads a byte or retains a chunk.
 func (s *Server) restoreLastCommitted(path string) error {
 	fi, linked := s.lookupFile(path)
 	if !linked {
 		return fmt.Errorf("dlfm: %s not linked", path)
+	}
+	entry, err := s.cfg.Archive.Latest(s.cfg.Name, path)
+	if err != nil {
+		return fmt.Errorf("dlfm: no archived version of %s to restore: %w", path, err)
+	}
+	held, err := entry.Hold()
+	if err != nil {
+		return fmt.Errorf("dlfm: restore %s: v%d: %w", path, entry.Version, err)
 	}
 	// Quarantine the in-flight version (§4.2). The name embeds the path
 	// percent-escaped — an injective encoding, so /a/b_c and /a_b/c can
 	// never map to the same quarantine file — plus a server-wide monotonic
 	// sequence number, so two rollbacks in the same clock tick (frozen test
 	// clocks, coarse clocks) cannot overwrite each other either. The
-	// timestamp stays in the name for operators; expiry uses file mtime.
-	current, err := s.cfg.Phys.SnapshotFile(path)
-	switch {
-	case err == nil:
+	// timestamp stays in the name for operators; expiry uses file mtime,
+	// which the move sets to now. At a cold start the in-flight bytes died
+	// with the machine, so there is nothing to quarantine — only the
+	// committed version to bring back.
+	if s.physExists(path) {
 		qname := fmt.Sprintf("%s/%s.%d.%06d", DefaultQuarantineDir,
 			url.PathEscape(strings.TrimPrefix(path, "/")),
 			s.cfg.Clock().UnixNano(), s.qseq.Add(1))
-		err = s.cfg.Phys.WriteFileSnapshot(qname, current)
-		current.Release()
-		if err != nil {
+		if err := s.cfg.Phys.MoveContent(path, qname); err != nil {
+			held.Release()
 			return err
 		}
-	case errors.Is(err, fs.ErrNotExist):
-		// Cold start: the in-flight bytes died with the machine, so there is
-		// nothing to quarantine — only the committed version to bring back.
-	default:
-		return err
 	}
-	// Install the last committed version from the archive, deferred: its
-	// bytes load on the file's first access.
-	entry, err := s.cfg.Archive.Latest(s.cfg.Name, path)
-	if err != nil {
-		return fmt.Errorf("dlfm: no archived version of %s to restore: %w", path, err)
-	}
-	if err := s.installDeferred(entry); err != nil {
+	if err := s.installHeld(entry, held); err != nil {
 		return fmt.Errorf("dlfm: restore %s: %w", path, err)
 	}
 	s.clearUpdateEntry(path)
-	if err := s.releaseTakeover(path, fi); err != nil {
+	if err := s.setAtRest(fi); err != nil {
 		return err
 	}
 	s.cfg.Metrics.Counter("dlfm.restores").Inc()

@@ -17,10 +17,10 @@
 // and the chunk is not pinned (refs == 1 && !pinned). A chunk is pinned when
 // it comes out of a store — LoadChunk and WrapChunk build pinned chunks — so a
 // detached reader of a stored chunk never sees it change. Being hashed
-// does not pin: an in-place write forgets the memoized hash. A snapshot, a
-// quarantine copy or an archived version that still shares the chunk forces
-// a copy. That is what lets the commit path archive a small edit as a patch,
-// and a whole chunk without the file's next write copying it. Capture is the
+// does not pin: an in-place write forgets the memoized hash. A snapshot or an
+// archived version that still shares the chunk forces a copy. That is what
+// lets the commit path archive a small edit as a patch, and a whole chunk
+// without the file's next write copying it. Capture is the
 // commit path's snapshot: besides the chunks it hands over the byte span of
 // every chunk slot written since the buffer's previous capture, and names
 // that capture, so the archive can store a written slot as (the version it
@@ -37,9 +37,9 @@
 // covers in part (LoadEdges). A snapshot of a buffer with absent slots has
 // them absent too and keeps the source, so a consumer that needs the bytes
 // loads them through it (Snapshot.Load) and one that does not — the archive
-// storing an unwritten slot as its predecessor's reference, or a buffer the
-// snapshot is swapped into (SetSnapshot), which shares the source — reads
-// nothing.
+// storing an unwritten slot as its predecessor's reference — reads nothing.
+// A buffer's content only ever comes from writes and from a source
+// (Install).
 //
 // A chunk's bytes are reused, not reallocated: every chunk the package makes
 // takes its ChunkSize bytes from one free list (a sync.Pool, which the
@@ -744,7 +744,7 @@ var captureSeq atomic.Uint64
 // Capture is Snapshot for the commit path. The snapshot also carries what
 // changed since the buffer's previous capture — that capture's name and the
 // dirty span of every chunk slot — and becomes the capture the next one
-// follows. The first capture, and the first after SetSnapshot, follows none.
+// follows. The first capture follows none.
 func (b *Buffer) Capture() *Snapshot {
 	s := b.Snapshot()
 	s.id = captureSeq.Add(1)
@@ -753,38 +753,6 @@ func (b *Buffer) Capture() *Snapshot {
 	}
 	b.captured, b.dirty = s.id, nil
 	return s
-}
-
-// SetSnapshot replaces the buffer's content with the snapshot's — the
-// restore path's "manifest swap". O(#chunks) plus the tail copy, reading
-// nothing: a slot the snapshot has absent stays absent, and the buffer shares
-// the snapshot's source to load it when it is first needed. The next Capture
-// follows none: nothing says which archived version the swapped-in content
-// is, so no slot is clean against the source and none is paged out.
-func (b *Buffer) SetSnapshot(s *Snapshot) {
-	chunks := make([]*Chunk, len(s.chunks))
-	var src Source
-	for i, c := range s.chunks {
-		if c == nil {
-			src = s.src
-		} else {
-			chunks[i] = c.retain()
-		}
-	}
-	if src != nil {
-		src.Retain()
-	}
-	tail := append(b.tail[:0], s.tail...)
-	b.tail = nil
-	b.drop()
-	b.chunks, b.tail = chunks, tail
-	for _, c := range chunks {
-		if counted(c) {
-			b.resident += ChunkSize
-		}
-	}
-	b.setSource(src, 0)
-	b.captured, b.dirty = 0, nil
 }
 
 // SetBytes replaces the buffer's content with a copy of p.
@@ -868,10 +836,9 @@ type Snapshot struct {
 // BuildSnapshot assembles a snapshot from already-retained chunks and a tail.
 // Ownership of both transfers to the snapshot: the chunk references, and the
 // tail bytes, which are NOT copied — the caller must never write to them
-// again (a snapshot's tail is immutable; Share shares it, SetSnapshot copies
-// out of it). This is the archive's materialization path, which pages chunks
-// in one by one, passes the frozen bytes of the paged-in tail blob
-// (WrapChunk's contract) and hands the finished manifest to the restore swap.
+// again (a snapshot's tail is immutable). This is the archive's
+// materialization path (archive.Held.Load), which reads each slot into a
+// chunk of its own through LoadChunk and passes the tail it read.
 func BuildSnapshot(chunks []*Chunk, tail []byte) *Snapshot {
 	return &Snapshot{chunks: chunks, tail: tail}
 }
@@ -965,15 +932,4 @@ func (s *Snapshot) Release() {
 	if s.src != nil {
 		s.src.Release()
 	}
-}
-
-// Intern rebuilds this snapshot's manifest through fn, which maps each chunk
-// to its canonical (deduplicated) representative and is expected to retain
-// the returned chunk. Used by the archive store; the receiver is unchanged.
-func (s *Snapshot) Intern(fn func(*Chunk) *Chunk) *Snapshot {
-	chunks := make([]*Chunk, len(s.chunks))
-	for i, c := range s.chunks {
-		chunks[i] = fn(c)
-	}
-	return &Snapshot{chunks: chunks, tail: append([]byte(nil), s.tail...)}
 }

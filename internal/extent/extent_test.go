@@ -93,11 +93,6 @@ func TestSnapshotIsolation(t *testing.T) {
 	if !bytes.Equal(snap.Bytes(), content) {
 		t.Fatal("snapshot changed under buffer mutation")
 	}
-	// Restore swaps the manifest back in.
-	b.SetSnapshot(snap)
-	if !bytes.Equal(b.Bytes(), content) {
-		t.Fatal("restore mismatch")
-	}
 }
 
 func TestSnapshotSharesUntouchedChunks(t *testing.T) {
@@ -197,11 +192,13 @@ func (s *flatSource) Release() {
 // out of and back into memory; every access first loads what extent asks it
 // to, as the file system does. A page-out that drops a slot written since
 // the commit — a dirty slot — diverges from the model at the next read of
-// it. A second buffer takes the first one's content by SetSnapshot, sharing
-// its chunks and absent slots, and is detached (ReleaseRefs) and written
-// whole-chunk at random, while the first one writes whole chunks over what
-// they share: bytes handed back to the free list under a reader of the
-// second buffer diverge from its model.
+// it. A restore installs a snapshot's model content (Install). A second
+// buffer is installed with the first one's content and loads part of it, a
+// held snapshot shares its chunks, and it is detached (ReleaseRefs), loads
+// more while detached, and is written whole-chunk at random, while the held
+// snapshot is released and the first buffer writes whole chunks: bytes
+// handed back to the free list under a reader of the second buffer diverge
+// from its model.
 func TestBufferMatchesFlatModel(t *testing.T) {
 	baseC, _ := Live()
 	rng := rand.New(rand.NewSource(42))
@@ -218,8 +215,9 @@ func TestBufferMatchesFlatModel(t *testing.T) {
 		var m, om flatModel
 		var snaps []*Snapshot
 		var snapModels [][]byte
+		var shared *Snapshot // shares the second buffer's chunks
 		for op := 0; op < 160; op++ {
-			switch rng.Intn(19) {
+			switch rng.Intn(20) {
 			case 0, 1: // truncate
 				size := int64(rng.Intn(4 * ChunkSize))
 				must(b.LoadEdges(size, size))
@@ -229,10 +227,10 @@ func TestBufferMatchesFlatModel(t *testing.T) {
 				must(b.LoadEdges(b.Len(), b.Len()))
 				snaps = append(snaps, b.Snapshot())
 				snapModels = append(snapModels, append([]byte(nil), m...))
-			case 3: // restore a random snapshot
+			case 3: // restore a random snapshot's content
 				if len(snaps) > 0 {
 					i := rng.Intn(len(snaps))
-					b.SetSnapshot(snaps[i])
+					b.Install(newFlatSource(snapModels[i], &sources))
 					m = append(m[:0], snapModels[i]...)
 				}
 			case 4, 5: // commit: the capture's content becomes the source
@@ -257,14 +255,22 @@ func TestBufferMatchesFlatModel(t *testing.T) {
 				n, err := b.LoadRange(off, int64(rng.Intn(2*ChunkSize)))
 				must(n, err)
 				faultIns += n
-			case 10: // the second buffer takes the content
-				must(b.LoadEdges(b.Len(), b.Len()))
-				s := b.Snapshot()
-				other.SetSnapshot(s)
-				s.Release()
+			case 10: // the second buffer takes the content, a snapshot shares it
+				other.Install(newFlatSource(m, &sources))
 				om = append(om[:0], m...)
+				must(other.LoadRange(int64(rng.Intn(len(om)+1)), int64(rng.Intn(3*ChunkSize))))
+				must(other.LoadEdges(other.Len(), other.Len()))
+				if shared != nil {
+					shared.Release()
+				}
+				shared = other.Snapshot()
 			case 11: // the second buffer is detached: unlinked, still read
 				other.ReleaseRefs()
+			case 13: // the shared snapshot goes
+				if shared != nil {
+					shared.Release()
+					shared = nil
+				}
 			case 12: // the second buffer writes whole chunks
 				off := int64(rng.Intn(3)) * ChunkSize
 				p := make([]byte, ChunkSize*(1+rng.Intn(2)))
@@ -335,6 +341,9 @@ func TestBufferMatchesFlatModel(t *testing.T) {
 		if !bytes.Equal(other.Bytes(), om) {
 			t.Fatalf("round %d: the second buffer diverged from its model", round)
 		}
+		if shared != nil {
+			shared.Release()
+		}
 		b.Truncate(0)
 		other.Truncate(0)
 	}
@@ -351,6 +360,8 @@ func TestBufferMatchesFlatModel(t *testing.T) {
 	}
 }
 
+// TestFromBytesAndIntern: FromBytes builds a snapshot owning a chunked copy
+// of its input.
 func TestFromBytesAndIntern(t *testing.T) {
 	baseC, _ := Live()
 	content := bytes.Repeat([]byte{1, 2, 3}, ChunkSize) // 3 chunks exactly
@@ -361,12 +372,6 @@ func TestFromBytesAndIntern(t *testing.T) {
 	if !bytes.Equal(s.Bytes(), content) {
 		t.Fatal("FromBytes round-trip mismatch")
 	}
-	// Intern maps chunks (here: identity with retain, as the archive does).
-	dup := s.Intern(func(c *Chunk) *Chunk { return c.retain() })
-	if !bytes.Equal(dup.Bytes(), content) {
-		t.Fatal("interned content mismatch")
-	}
-	dup.Release()
 	s.Release()
 	if endC, _ := Live(); endC != baseC {
 		t.Fatalf("leaked %d chunks", endC-baseC)
@@ -392,7 +397,8 @@ func TestHashStableAndDistinct(t *testing.T) {
 // that came out of a store — a blob read into a chunk of its own (WrapChunk)
 // or a version's slot read through its source (LoadChunk) — is copied on
 // write even once the buffer writing it is its only owner, so a reader still
-// holding it (an unlinked file open for reading) never sees it change.
+// holding it never sees it change. No exported call puts such a chunk in a
+// buffer, so the test appends it to one directly.
 func TestPinnedChunkIsCopiedOnWrite(t *testing.T) {
 	stores := map[string]func(data []byte) *Chunk{
 		"page-in": func(data []byte) *Chunk { return WrapChunk(data, sha256.Sum256(data)) },
@@ -407,7 +413,7 @@ func TestPinnedChunkIsCopiedOnWrite(t *testing.T) {
 	for name, store := range stores {
 		c := store(bytes.Repeat([]byte{5}, ChunkSize))
 		b := NewBuffer()
-		b.SetSnapshot(BuildSnapshot([]*Chunk{c}, nil))
+		b.appendChunk(c.retain())
 		c.release() // the buffer's reference is now the only one
 		b.WriteAt(0, []byte{99})
 		if b.chunks[0] == c {
@@ -454,8 +460,7 @@ func TestInPlaceWriteForgetsHash(t *testing.T) {
 }
 
 // TestBuildSnapshotOwnsItsTail: the tail handed to BuildSnapshot is the
-// snapshot's from then on — not copied — and nothing reached through the
-// snapshot writes to it: SetSnapshot copies out of it.
+// snapshot's from then on — not copied.
 func TestBuildSnapshotOwnsItsTail(t *testing.T) {
 	tail := bytes.Repeat([]byte{4}, 100)
 	snap := BuildSnapshot(nil, tail)
@@ -463,12 +468,8 @@ func TestBuildSnapshotOwnsItsTail(t *testing.T) {
 	if &snap.Tail()[0] != &tail[0] {
 		t.Fatal("BuildSnapshot copied the tail it was given")
 	}
-	b := NewBuffer()
-	b.SetSnapshot(snap)
-	b.WriteAt(0, bytes.Repeat([]byte{0xff}, 100))
-	b.WriteAt(100, []byte{1, 2, 3})
 	if !bytes.Equal(snap.Bytes(), bytes.Repeat([]byte{4}, 100)) {
-		t.Fatal("writing to a buffer restored from the snapshot changed the snapshot's tail")
+		t.Fatal("the snapshot does not read its tail")
 	}
 }
 
@@ -476,7 +477,7 @@ func TestBuildSnapshotOwnsItsTail(t *testing.T) {
 // byte outside a slot's dirty span is the byte the previous capture held
 // there — through in-place writes, copies, whole-chunk writes, truncates and
 // extends — while a slot the previous capture did not have reads as wholly
-// dirty. SetSnapshot cuts the chain: the next capture follows none.
+// dirty.
 func TestCaptureDirtySpans(t *testing.T) {
 	baseC, _ := Live()
 	rng := rand.New(rand.NewSource(7))
@@ -490,15 +491,6 @@ func TestCaptureDirtySpans(t *testing.T) {
 			size := int64(rng.Intn(4 * ChunkSize))
 			b.Truncate(size)
 			m.Truncate(size)
-		case r < 3:
-			b.SetSnapshot(prev)
-			m = append(m[:0], prevBytes...)
-			s := b.Capture()
-			if _, follows := s.Captured(); follows != 0 {
-				t.Fatalf("op %d: the capture after SetSnapshot follows %d", op, follows)
-			}
-			prev.Release()
-			prev, prevBytes = s, s.Bytes()
 		case r < 9:
 			s := b.Capture()
 			id, follows := s.Captured()
@@ -567,18 +559,17 @@ func TestCapturedChunkIsWrittenInPlace(t *testing.T) {
 
 // TestDetachedBufferKeepsSharedBytes: a detached buffer — an unlinked file
 // still open for reading — goes on reading chunks it no longer holds a
-// reference on. When the buffer it shares them with writes over them, the
-// last reference goes, and the bytes must not go back to the free list, where
-// that buffer's next chunk would take them and overwrite them.
+// reference on. When the snapshot it shares them with is released, the last
+// reference goes, and the bytes must not go back to the free list, where
+// another buffer's next chunk would take them and overwrite them.
 func TestDetachedBufferKeepsSharedBytes(t *testing.T) {
 	baseC, _ := Live()
 	a := NewBuffer()
 	a.WriteAt(0, bytes.Repeat([]byte{7}, ChunkSize))
-	b := NewBuffer()
 	snap := a.Snapshot()
-	b.SetSnapshot(snap)
-	snap.Release()
 	a.ReleaseRefs()
+	snap.Release()
+	b := NewBuffer()
 	for v := byte(9); v <= 12; v++ {
 		b.WriteAt(0, bytes.Repeat([]byte{v}, ChunkSize))
 	}

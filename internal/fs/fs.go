@@ -15,13 +15,14 @@
 // installs a file from one without reading it: the file exists at its size,
 // and each access loads only the chunks it touches. Cold-start recovery, a
 // promote, a rollback and a restore install every file this way, so they
-// cost what is touched rather than every file's bytes. SetSource hands a
-// committed file the version its capture was archived as, and from then on
-// the file system may page a clean chunk — one not written since — out of
-// memory: once the resident chunk bytes of all files pass the budget
-// (SetMemoryBudget), clean chunks are dropped by second chance, a read giving
-// a chunk its second chance. A dirty chunk, a tail and a file without a
-// source never leave. Loading happens under the inode's write lock; a load
+// cost what is touched rather than every file's bytes; a rollback first moves
+// the in-flight content to its quarantine file (MoveContent), source and all,
+// without reading it either. SetSource hands a committed file the version its
+// capture was archived as, and from then on the file system may page a clean
+// chunk — one not written since — out of memory: once the resident chunk
+// bytes of all files pass the budget (SetMemoryBudget), clean chunks are
+// dropped by second chance, a read giving a chunk its second chance. A dirty
+// chunk, a tail and a file without a source never leave. Loading happens under the inode's write lock; a load
 // that fails leaves the chunk absent and reports ErrIO — no access ever sees
 // empty bytes.
 //
@@ -413,6 +414,13 @@ func (f *FS) lockParent(p string) (dir *Inode, base string, err error) {
 
 // Create makes a new empty file at p owned by cred with the given mode.
 func (f *FS) Create(p string, cred Cred, mode FileMode) (*Inode, error) {
+	return f.create(p, cred, mode, nil)
+}
+
+// create is Create; fill, when not nil, gives the new inode its content
+// before it is linked, under the parent's namespace lock, and an error from
+// it fails the create.
+func (f *FS) create(p string, cred Cred, mode FileMode, fill func(n *Inode) error) (*Inode, error) {
 	p, err := clean(p)
 	if err != nil {
 		return nil, err
@@ -434,6 +442,11 @@ func (f *FS) Create(p string, cred Cred, mode FileMode) (*Inode, error) {
 		uid:   cred.UID,
 		mode:  mode,
 		mtime: f.clock(),
+	}
+	if fill != nil {
+		if err := fill(n); err != nil {
+			return nil, err
+		}
 	}
 	n.nlink.Store(1)
 	dir.children[base] = n
@@ -1055,47 +1068,14 @@ func (f *FS) WriteFile(p string, data []byte) error {
 	return err
 }
 
-// Snapshot captures a file's content as an immutable extent manifest in
-// O(#chunks) — the archive path's replacement for ReadFile. Absent chunks
-// stay absent, behind the file's source; only an absent tail is loaded. The
-// caller owns the returned snapshot and must Release it (or hand it to an
-// owner that will).
-func (f *FS) Snapshot(n *Inode) (*extent.Snapshot, error) {
-	return f.snapshot(n, (*extent.Buffer).Snapshot)
-}
-
-// snapshot takes a snapshot with take under n's write lock, its tail loaded
-// first.
-func (f *FS) snapshot(n *Inode, take func(*extent.Buffer) *extent.Snapshot) (*extent.Snapshot, error) {
-	if n == nil || n.typ != TypeFile {
-		return nil, ErrInvalid
-	}
-	n.mu.Lock()
-	count, err := n.data.LoadEdges(n.data.Len(), n.data.Len())
-	var snap *extent.Snapshot
-	if err == nil {
-		snap = take(&n.data)
-	}
-	n.mu.Unlock()
-	return snap, f.loaded(n, count, err)
-}
-
-// SnapshotFile is Snapshot by path.
-func (f *FS) SnapshotFile(p string) (*extent.Snapshot, error) {
-	n, err := f.resolve(p)
-	if err != nil {
-		return nil, err
-	}
-	if n.typ != TypeFile {
-		return nil, ErrIsDir
-	}
-	return f.Snapshot(n)
-}
-
-// CaptureFile is SnapshotFile for the commit path: the snapshot is the
-// file's next capture (extent.Buffer.Capture), carrying what changed since
-// the previous one. A file has one commit stream — take one capture per
-// committed version and hand it to everything that archives that version.
+// CaptureFile captures the file at p as an immutable extent manifest in
+// O(#chunks) for the commit path: the snapshot is the file's next capture
+// (extent.Buffer.Capture), carrying what changed since the previous one.
+// Absent chunks stay absent, behind the file's source; only an absent tail is
+// loaded. A file has one commit stream — take one capture per committed
+// version and hand it to everything that archives that version. The caller
+// owns the returned snapshot and must Release it (or hand it to an owner
+// that will).
 func (f *FS) CaptureFile(p string) (*extent.Snapshot, error) {
 	n, err := f.resolve(p)
 	if err != nil {
@@ -1104,44 +1084,51 @@ func (f *FS) CaptureFile(p string) (*extent.Snapshot, error) {
 	if n.typ != TypeFile {
 		return nil, ErrIsDir
 	}
-	return f.snapshot(n, (*extent.Buffer).Capture)
-}
-
-// WriteSnapshot replaces a file's content with a manifest swap: the restore
-// path's O(#chunks) replacement for WriteFile. The snapshot itself is not
-// consumed; the file holds its own references, reads nothing, and shares the
-// snapshot's source, through which each access loads the chunks the snapshot
-// has absent. The file's own absent content is dropped unread.
-func (f *FS) WriteSnapshot(n *Inode, snap *extent.Snapshot) error {
-	if n == nil || n.typ != TypeFile {
-		return ErrInvalid
-	}
-	if snap == nil {
-		return ErrInvalid
-	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	before := n.data.Resident()
-	n.data.SetSnapshot(snap)
-	f.settle(n, before)
-	n.mtime = f.clock()
-	return nil
+	count, err := n.data.LoadEdges(n.data.Len(), n.data.Len())
+	var snap *extent.Snapshot
+	if err == nil {
+		snap = n.data.Capture()
+	}
+	n.mu.Unlock()
+	return snap, f.loaded(n, count, err)
 }
 
-// WriteFileSnapshot is WriteSnapshot by path, creating the file if needed
-// (root semantics, like WriteFile).
-func (f *FS) WriteFileSnapshot(p string, snap *extent.Snapshot) error {
-	n, err := f.lookupOrCreate(p)
+// MoveContent moves the content of the file at p — its chunks, tail, chunk
+// source, capture and written spans, as they are — into a new file at to
+// (root semantics, like WriteFile), which appears with the content, and
+// leaves p empty: its inode, attributes and open handles stay. It reads
+// nothing, retains no chunk and holds one inode lock at a time. The moved
+// content pages out against its source like any file's.
+func (f *FS) MoveContent(p, to string) error {
+	n, err := f.resolve(p)
+	if err == nil && n.typ != TypeFile {
+		err = ErrIsDir
+	}
 	if err != nil {
 		return err
 	}
-	return f.WriteSnapshot(n, snap)
+	dst, err := f.create(to, Cred{UID: Root}, 0o644, func(dst *Inode) error {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		if n.unlinked {
+			return ErrNotExist
+		}
+		// Both files are linked, so the resident count stays as it is.
+		dst.data, n.data = n.data, extent.Buffer{}
+		n.mtime = dst.mtime
+		return nil
+	})
+	if err == nil {
+		f.track(dst)
+	}
+	return err
 }
 
 // WriteFileDeferred replaces the content of the file at p with src's,
 // creating the file if needed (root semantics, like WriteFile), without
-// reading it: the file reports src's size at once, its mtime is now, as after
-// WriteFileSnapshot, and each access loads only the chunks it touches. The
+// reading it: the file reports src's size at once, its mtime is now, and each
+// access loads only the chunks it touches. The
 // file owns src from the call on — it releases src when the content is
 // replaced, and at once when the call fails.
 func (f *FS) WriteFileDeferred(p string, src extent.Source) error {

@@ -3,6 +3,7 @@ package fs
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -172,11 +173,6 @@ func TestDeferredConcurrentReadersLoadOnce(t *testing.T) {
 
 func TestDeferredWholeReplaceReleasesUnread(t *testing.T) {
 	replace := map[string]func(f *FS, n *Inode) error{
-		"WriteSnapshot": func(f *FS, n *Inode) error {
-			snap := extent.FromBytes([]byte("new"))
-			defer snap.Release()
-			return f.WriteSnapshot(n, snap)
-		},
 		"Truncate0": func(f *FS, n *Inode) error { return f.Truncate(n, 0) },
 		"WriteFile": func(f *FS, _ *Inode) error { return f.WriteFile("/data/f", []byte("new")) },
 		"WriteFileDeferred": func(f *FS, _ *Inode) error {
@@ -232,24 +228,15 @@ func TestDeferredFailedLoadStaysPending(t *testing.T) {
 
 // TestDeferredContentAccessesLoad: each access loads what it needs and no
 // more — a write the chunk it covers in part, a truncate the tail it cuts, a
-// snapshot or a capture only the tail, leaving the chunk absent behind the
-// source the snapshot shares.
+// capture only the tail, leaving the chunk absent behind the source the
+// capture shares, and a move of the content to another file nothing.
 func TestDeferredContentAccessesLoad(t *testing.T) {
 	access := map[string]func(f *FS, n *Inode) error{
 		"WriteAt": func(f *FS, n *Inode) error { _, err := f.WriteAt(n, 10, []byte("xyz")); return err },
 		"Truncate": func(f *FS, n *Inode) error {
 			return f.Truncate(n, 70<<10)
 		},
-		"Snapshot": func(f *FS, n *Inode) error {
-			snap, err := f.Snapshot(n)
-			if err == nil {
-				if snap.Chunks()[0] != nil {
-					t.Error("the snapshot loaded the absent chunk")
-				}
-				snap.Release()
-			}
-			return err
-		},
+		"MoveContent": func(f *FS, _ *Inode) error { return f.MoveContent("/data/f", "/data/moved") },
 		"CaptureFile": func(f *FS, _ *Inode) error {
 			snap, err := f.CaptureFile("/data/f")
 			if err == nil {
@@ -261,7 +248,7 @@ func TestDeferredContentAccessesLoad(t *testing.T) {
 			return err
 		},
 	}
-	loads := map[string][2]int32{"WriteAt": {1, 0}, "Truncate": {0, 1}, "Snapshot": {0, 1}, "CaptureFile": {0, 1}}
+	loads := map[string][2]int32{"WriteAt": {1, 0}, "Truncate": {0, 1}, "MoveContent": {0, 0}, "CaptureFile": {0, 1}}
 	for name, fn := range access {
 		t.Run(name, func(t *testing.T) {
 			f := New()
@@ -271,14 +258,19 @@ func TestDeferredContentAccessesLoad(t *testing.T) {
 			}
 			want := loads[name]
 			d.counts(t, want[0], want[1], false)
-			content := append([]byte(nil), d.content...)
+			content, path := append([]byte(nil), d.content...), "/data/f"
 			switch name {
 			case "WriteAt":
 				copy(content[10:], "xyz")
 			case "Truncate":
 				content = content[:70<<10]
+			case "MoveContent":
+				if got, err := f.ReadFile(path); err != nil || len(got) != 0 {
+					t.Fatalf("the moved-from file reads %d bytes, %v; want none", len(got), err)
+				}
+				path = "/data/moved"
 			}
-			if got, err := f.ReadFile("/data/f"); err != nil || !bytes.Equal(got, content) {
+			if got, err := f.ReadFile(path); err != nil || !bytes.Equal(got, content) {
 				t.Fatalf("content after %s diverged (%d bytes, %v)", name, len(got), err)
 			}
 		})
@@ -331,11 +323,12 @@ func TestDeferredLoadKeepsMtime(t *testing.T) {
 }
 
 // TestDetachedFileReadWhileAnotherPagesOut: an unlinked file still open for
-// reading shares chunks and a source with a live file — it was taken from it
-// by WriteFileSnapshot, as a rollback's quarantine copy is. Readers of it
-// race the live file's whole-chunk writes, commits and page-outs, which hand
-// chunk bytes back to extent's free list and take them again for the next
-// write or fault-in: every read returns the bytes the copy held when it was
+// reading shares chunks with a capture held of it, and loads its absent
+// chunks from its source. Readers of it race the live file's whole-chunk
+// writes, commits and page-outs, which hand chunk bytes back to extent's free
+// list and take them again for the next write or fault-in, and the release of
+// the capture, which drops the last reference on the chunks the unlinked file
+// still reads: every read returns the bytes the file held when it was
 // unlinked. Run it with -race.
 func TestDetachedFileReadWhileAnotherPagesOut(t *testing.T) {
 	const chunks = 6
@@ -343,35 +336,28 @@ func TestDetachedFileReadWhileAnotherPagesOut(t *testing.T) {
 	reg := metrics.NewRegistry()
 	f.SetMemoryBudget(2*extent.ChunkSize, reg)
 	content := newCounting(chunks*extent.ChunkSize + 300).content
-	if err := f.WriteFile("/live", content); err != nil {
-		t.Fatal(err)
+	commit := func(p string) *extent.Snapshot {
+		snap, err := f.CaptureFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, _ := snap.Captured()
+		if err := f.SetSource(p, id, newSource(snap.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	for _, p := range []string{"/live", "/copy"} {
+		if err := f.WriteFile(p, content); err != nil {
+			t.Fatal(err)
+		}
 	}
 	live, err := f.Lookup("/live")
 	if err != nil {
 		t.Fatal(err)
 	}
-	commit := func() {
-		snap, err := f.CaptureFile("/live")
-		if err != nil {
-			t.Fatal(err)
-		}
-		id, _ := snap.Captured()
-		err = f.SetSource("/live", id, newSource(snap.Bytes()))
-		snap.Release()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	commit() // the live file pages out to the budget
-	snap, err := f.SnapshotFile("/live")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = f.WriteFileSnapshot("/copy", snap)
-	snap.Release()
-	if err != nil {
-		t.Fatal(err)
-	}
+	commit("/live").Release()
+	held := commit("/copy") // both files page out to the budget
 	cp, err := f.Lookup("/copy")
 	if err != nil {
 		t.Fatal(err)
@@ -405,11 +391,14 @@ func TestDetachedFileReadWhileAnotherPagesOut(t *testing.T) {
 	}
 	buf := make([]byte, 4096)
 	for v := 0; v < 40; v++ {
+		if v == 5 {
+			held.Release()
+		}
 		at := int64(v%chunks) * extent.ChunkSize
 		if _, err := f.WriteAt(live, at, bytes.Repeat([]byte{byte(v)}, extent.ChunkSize)); err != nil {
 			t.Fatal(err)
 		}
-		commit()
+		commit("/live").Release()
 		if _, err := f.ReadAt(live, (at+3*extent.ChunkSize)%int64(len(content)), buf); err != nil {
 			t.Fatal(err) // a fault-in of the live file
 		}
@@ -419,5 +408,112 @@ func TestDetachedFileReadWhileAnotherPagesOut(t *testing.T) {
 	if reads.Load() == 0 || reg.Counter("fs.pageouts").Value() == 0 || reg.Counter("fs.faultins").Value() == 0 {
 		t.Fatalf("%d reads, %d page-outs, %d fault-ins: the test did not page", reads.Load(),
 			reg.Counter("fs.pageouts").Value(), reg.Counter("fs.faultins").Value())
+	}
+}
+
+// TestMoveContentWhileReadAndPagedOut: moving a paged-out file's content to
+// a new file, as a rollback quarantines it, reads nothing and retains no
+// chunk, while readers of both files and the pager run. The moved file reads
+// back the bytes the original held, dirty chunk included, and pages its clean
+// chunks out like any file; the original, installed from another version
+// into the same inode, reads that version. Run it with -race.
+func TestMoveContentWhileReadAndPagedOut(t *testing.T) {
+	const chunks = 8
+	f := New()
+	reg := metrics.NewRegistry()
+	f.SetMemoryBudget(2*extent.ChunkSize, reg)
+	baseC, _ := extent.Live()
+	committed := newCounting(chunks*extent.ChunkSize + 300).content
+	restored := bytes.Repeat([]byte{0x5a}, 3*extent.ChunkSize+7)
+	if err := f.WriteFile("/f", committed); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := f.CaptureFile("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _ := snap.Captured()
+	src := newSource(snap.Bytes())
+	snap.Release()
+	if err := f.SetSource("/f", id, src); err != nil {
+		t.Fatal(err)
+	}
+	n, err := f.Lookup("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inflight := append([]byte(nil), committed...)
+	edit := bytes.Repeat([]byte{0xee}, 100)
+	copy(inflight[2*extent.ChunkSize+10:], edit)
+	if _, err := f.WriteAt(n, 2*extent.ChunkSize+10, edit); err != nil {
+		t.Fatal(err)
+	}
+
+	// Readers of the original see the in-flight bytes, an empty file or the
+	// installed version, whole; readers of the moved file, once it exists,
+	// the in-flight bytes.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	reader := func(read func() ([]byte, error), wants ...[]byte) {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			got, err := read()
+			if errors.Is(err, ErrNotExist) {
+				continue
+			}
+			ok := err == nil && slices.ContainsFunc(wants, func(w []byte) bool { return bytes.Equal(got, w) })
+			if !ok {
+				t.Errorf("read %d bytes (%v), not one of the contents the file may hold", len(got), err)
+				return
+			}
+		}
+	}
+	wg.Add(2)
+	go reader(func() ([]byte, error) { return f.ReadFile("/f") }, inflight, nil, restored)
+	go reader(func() ([]byte, error) { return f.ReadFile("/q") }, inflight)
+
+	if err := f.MoveContent("/f", "/q"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteFileDeferred("/f", newSource(restored)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := f.ReadFile("/q"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	if got, err := f.ReadFile("/q"); err != nil || !bytes.Equal(got, inflight) {
+		t.Fatalf("the moved file reads %d bytes (%v), not the in-flight content", len(got), err)
+	}
+	if got, err := f.ReadFile("/f"); err != nil || !bytes.Equal(got, restored) {
+		t.Fatalf("the original reads %d bytes (%v), not the installed version", len(got), err)
+	}
+	if m, _ := f.Lookup("/f"); m != n {
+		t.Fatal("the install made a new inode")
+	}
+	// Only the dirty chunk stays resident past the budget.
+	if r := f.ResidentBytes(); r > 2*extent.ChunkSize+extent.ChunkSize {
+		t.Fatalf("%d resident bytes after reading the moved file back, over the budget and its dirty chunk", r)
+	}
+	if reg.Counter("fs.pageouts").Value() == 0 {
+		t.Fatal("nothing paged out")
+	}
+	// A chunk the move retained would outlive both files.
+	for _, p := range []string{"/f", "/q"} {
+		if err := f.Remove(p, root); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if endC, _ := extent.Live(); endC != baseC {
+		t.Fatalf("%d chunks outlive both files", endC-baseC)
 	}
 }

@@ -35,12 +35,29 @@ func bytesOf(t testing.TB, e archive.Entry) []byte {
 	return snap.Bytes()
 }
 
+// restore installs archived version v as the file at path, deferred, as a
+// rollback or a point-in-time restore does.
+func restore(t *testing.T, f *FS, arch *archive.Store, path string, v archive.Version) {
+	t.Helper()
+	e, err := arch.Get("fs1", path, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := e.Hold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteFileDeferred(path, held); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFSArchiveEquivalenceProperty drives random write/truncate/archive/
 // restore sequences through the chunked stack (fs inode content -> archive
-// manifests -> manifest-swap restore) and through a flat byte-slice model,
+// manifests -> deferred restore) and through a flat byte-slice model,
 // asserting byte-for-byte equivalence after every operation. This is the
 // end-to-end guarantee the extent refactor must preserve: chunking, COW,
-// dedup and manifest swaps are invisible to content readers.
+// dedup and deferred installs are invisible to content readers.
 func TestFSArchiveEquivalenceProperty(t *testing.T) {
 	const C = extent.ChunkSize
 	rng := rand.New(rand.NewSource(7))
@@ -81,7 +98,7 @@ func TestFSArchiveEquivalenceProperty(t *testing.T) {
 					model = grown
 				}
 			case 2: // archive the current content as a new version
-				snap, err := f.SnapshotFile(path)
+				snap, err := f.CaptureFile(path)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -91,21 +108,10 @@ func TestFSArchiveEquivalenceProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 				versions = append(versions, append([]byte(nil), model...))
-			case 3: // restore a random archived version (manifest swap)
+			case 3: // restore a random archived version, deferred
 				if len(versions) > 0 {
 					v := rng.Intn(len(versions))
-					e, err := arch.Get("fs1", path, archive.Version(v))
-					if err != nil {
-						t.Fatal(err)
-					}
-					snap, err := e.Snapshot()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := f.WriteFileSnapshot(path, snap); err != nil {
-						t.Fatal(err)
-					}
-					snap.Release()
+					restore(t, f, arch, path, archive.Version(v))
 					model = append(model[:0:0], versions[v]...)
 				}
 			default: // write
@@ -167,7 +173,7 @@ func TestChunkRefcountLeak(t *testing.T) {
 			if _, err := f.WriteAt(n, int64(rng.Intn(5*extent.ChunkSize)), edit); err != nil {
 				t.Fatal(err)
 			}
-			snap, err := f.Snapshot(n)
+			snap, err := f.CaptureFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,18 +183,7 @@ func TestChunkRefcountLeak(t *testing.T) {
 				t.Fatal(err)
 			}
 			if v%3 == 2 {
-				e, err := arch.Get("fs1", path, archive.Version(rng.Intn(v+1)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				snap, err := e.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := f.WriteSnapshot(n, snap); err != nil {
-					t.Fatal(err)
-				}
-				snap.Release()
+				restore(t, f, arch, path, archive.Version(rng.Intn(v+1)))
 			}
 		}
 	}

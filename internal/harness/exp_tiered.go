@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"time"
 
 	"datalinks/internal/core"
+	"datalinks/internal/dlfm"
 	"datalinks/internal/extent"
 	"datalinks/internal/workload"
 )
@@ -48,7 +50,7 @@ func init() {
 // when the file system's resident chunks pass the budget after a commit or
 // after the rollbacks once every restored file is read back, or pass it by
 // more than the chunks the aborted updates dirtied once their quarantine
-// copies are made.
+// copies are made and again once every copy is read back.
 func (c *tieredConfig) run() ([]*Table, error) {
 	fileSize := int64(c.FileMB) << 20
 	editSize := min(int64(c.EditKB)<<10, fileSize)
@@ -119,10 +121,11 @@ func (c *tieredConfig) run() ([]*Table, error) {
 	churn := srv.Archive.Tier()
 	dedup := srv.Archive.Dedup()
 
-	// Phase 2: rollbacks. The in-flight junk is quarantined and the last
-	// committed version installed unread from the archive. A quarantine copy
-	// shares the chunks its file held and loads the rest on demand, so the
+	// Phase 2: rollbacks. The in-flight content is moved to the quarantine
+	// directory, chunks and chunk source as they are, and the last committed
+	// version installed unread from the archive into the same file, so the
 	// rollbacks add at most the chunk each in-flight write dirtied.
+	junk := []byte("in-flight junk that must be quarantined")
 	for i := 0; i < c.Files; i++ {
 		url, err := writeURL(sys.DB(), "tiered", i)
 		if err != nil {
@@ -132,7 +135,7 @@ func (c *tieredConfig) run() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := f.WriteAt(0, []byte("in-flight junk that must be quarantined")); err != nil {
+		if _, err := f.WriteAt(0, junk); err != nil {
 			return nil, err
 		}
 		if err := f.Abort(); err != nil {
@@ -142,6 +145,24 @@ func (c *tieredConfig) run() ([]*Table, error) {
 	quarantined := len(srv.DLFM.QuarantinedFiles())
 	withQuarantine := srv.Phys.ResidentBytes()
 	if err := withinBudget("with the quarantine copies", int64(c.Files)*extent.ChunkSize); err != nil {
+		return nil, err
+	}
+	// A quarantine copy pages like any file: reading it back faults its clean
+	// chunks in from the archive and pages them out again within the budget.
+	quarantinedOK := 0
+	for _, name := range srv.DLFM.QuarantinedFiles() {
+		got, err := srv.Phys.ReadFile(dlfm.DefaultQuarantineDir + "/" + name)
+		if err != nil {
+			return nil, err
+		}
+		for i := range committed {
+			if bytes.HasPrefix(got, junk) && bytes.Equal(got[len(junk):], committed[i][len(junk):]) {
+				quarantinedOK++
+				break
+			}
+		}
+	}
+	if err := withinBudget("after reading every quarantine copy back", int64(c.Files)*extent.ChunkSize); err != nil {
 		return nil, err
 	}
 
@@ -198,11 +219,11 @@ func (c *tieredConfig) run() ([]*Table, error) {
 	t.AddRow("fsyncs (chunkdisk / catalog)", fmt.Sprintf("%d / %d", chunkFs, catFs))
 	t.AddRow("rollbacks restored from archive", fmt.Sprintf("%d/%d verified byte-identical", restoredOK, c.Files))
 	t.AddRow("chunks read from disk by restores", fmt.Sprintf("%d", afterRestore.PageIns-churn.PageIns))
-	t.AddRow("files quarantined", fmt.Sprintf("%d", quarantined))
+	t.AddRow("files quarantined", fmt.Sprintf("%d (%d read back byte-identical)", quarantined, quarantinedOK))
 	t.AddRow("quarantine files expired by GC", fmt.Sprintf("%d", expired))
 	t.AddRow("disk chunks before/after PIT restore + GC", fmt.Sprintf("%d / %d (GC freed %d)", diskBefore, final.DiskBlobs, gcFreed))
 	t.Note("the linked files' resident chunks stay within the memory budget no matter how many versions accumulate: a clean chunk pages out against the version it was archived as, and the full deduplicated history lives on disk")
-	t.Note("a quarantine copy shares the chunks the rolled-back file held and the file's chunk source for the rest, so quarantining reads nothing: it adds at most the chunk each in-flight write dirtied")
+	t.Note("a rollback moves the in-flight content to its quarantine file with its chunk source, so quarantining reads nothing and the copy pages like any file: the copies add at most the chunk each in-flight write dirtied, read back or not")
 	t.Note("restores and AsOf read chunks from disk on first access; GC unlinks chunk files no surviving version references and expires aged quarantine files")
 	return []*Table{t}, nil
 }

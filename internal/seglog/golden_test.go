@@ -8,16 +8,14 @@ package seglog_test
 // the current code must recover exactly the records, stats and torn-byte
 // counts pinned below.
 //
-// Two series of fixtures are the sides of format changes instead; only the
-// newest of each has a writer, the older ones are only opened and recovered.
-// repo is the gob era: sqlmini logged gob payloads until PR 18. repo-v2 is
-// the same kind of repository written by the fixed-layout payload codec and
-// the segment-sealing checkpoint, its repo.snap still a gob image. repo-v3 is
-// repo-v2's inputs written by the current code, repo.snap in the payload
-// codec's fixed layout. chunks holds a blob in the loose one-file-per-hash
-// layout: opening it moves that blob into a pack. chunks-v2 is the same
-// inputs with every blob packed, no pack footered; chunks-v3 is them written
-// by the current code, the sealed packs footered and the crashed one not.
+// repo-v3 is a checkpointed repository, its log payloads and repo.snap in the
+// payload codec's fixed layout (a repository in the gob layout before it no
+// longer opens). The chunks series is the sides of format changes instead;
+// only its newest fixture has a writer, the older ones are only opened and
+// recovered. chunks holds a blob in the loose one-file-per-hash layout:
+// opening it moves that blob into a pack. chunks-v2 is the same inputs with
+// every blob packed, no pack footered; chunks-v3 is them written by the
+// current code, the sealed packs footered and the crashed one not.
 
 import (
 	"bytes"
@@ -35,7 +33,6 @@ import (
 	"datalinks/internal/chunkdisk"
 	"datalinks/internal/datalink"
 	"datalinks/internal/extent"
-	"datalinks/internal/seglog"
 	"datalinks/internal/sqlmini"
 	"datalinks/internal/wal"
 )
@@ -48,8 +45,6 @@ func TestGoldenFixtures(t *testing.T) {
 		write func(t *testing.T, dir string) // nil: read-only fixture
 		check func(t *testing.T, dir string)
 	}{
-		{"repo", nil, checkRepo},
-		{"repo-v2", nil, checkRepoV2},
 		{"repo-v3", writeRepoV3, checkRepoV3},
 		{"wal", writeWAL, checkWAL},
 		{"catalog", writeCatalog, checkCatalog},
@@ -151,10 +146,9 @@ func checkWAL(t *testing.T, dir string) {
 	}
 }
 
-// --- repo-v2, repo-v3: a checkpointed sqlmini repository (repo.snap + WAL
-// tail), its snapshot a gob image in v2 and the fixed layout in v3 ---
+// --- repo-v3: a checkpointed sqlmini repository (repo.snap + WAL tail) ---
 
-// goldenTime is the TIMESTAMP the v2 and v3 fixtures log.
+// goldenTime is the TIMESTAMP the fixture logs.
 var goldenTime = time.Date(2001, 4, 2, 9, 30, 0, 123456789, time.UTC)
 
 // writeRepoV3 logs every payload op and every value kind after a checkpoint,
@@ -186,27 +180,13 @@ func writeRepoV3(t *testing.T, dir string) {
 	tear(t, lastMatch(t, dir, "wal-*.log"), 3)
 }
 
-// checkRepoV2 recovers the fixture whose repo.snap is a gob image: a gob
-// stream starts with a message length, never zero.
-func checkRepoV2(t *testing.T, dir string) {
-	if snap := readFile(t, filepath.Join(dir, "repo.snap")); snap[4] == 0x00 {
-		t.Fatal("repo-v2's repo.snap is not a gob image")
-	}
-	checkCheckpointedRepo(t, dir)
-}
-
-// checkRepoV3 recovers the fixture whose repo.snap is in the fixed layout,
-// which starts with 0x00 after the file's CRC.
+// checkRepoV3 holds the recovered fixture to what writeRepoV3 logged. Its
+// repo.snap is in the fixed layout, which starts with 0x00 after the file's
+// CRC.
 func checkRepoV3(t *testing.T, dir string) {
 	if snap := readFile(t, filepath.Join(dir, "repo.snap")); snap[4] != 0x00 {
 		t.Fatal("repo-v3's repo.snap is not in the fixed layout")
 	}
-	checkCheckpointedRepo(t, dir)
-}
-
-// checkCheckpointedRepo holds a recovered repo-v2 or repo-v3 to what
-// writeRepoV3 logged.
-func checkCheckpointedRepo(t *testing.T, dir string) {
 	if segs := matches(t, dir, "wal-*.log"); len(segs) != 2 {
 		t.Fatalf("fixture has segments %v, want two", segs)
 	}
@@ -257,128 +237,6 @@ func checkCheckpointedRepo(t *testing.T, dir string) {
 	}
 	if _, err := db.Table("gone"); err == nil {
 		t.Fatal("dropped table is back")
-	}
-}
-
-// --- repo: the gob-era repository, read-only ---
-
-// The fixture was written by the code before PR 18 from the inputs of
-// writeRepoV3 less everything between the UPDATE and the last INSERT, with a
-// 512-byte segment bound; its log payloads are gob streams.
-func checkRepo(t *testing.T, dir string) {
-	lg, err := wal.Open(wal.Config{Dir: dir, SegmentBytes: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lg.Close()
-	// The checkpoint truncated the head to the anchor's segment; the tear cut
-	// the last transaction's commit record, so recovery rolls it back.
-	if lg.Base() != 63 || lg.TailLSN() != 69 || lg.TornBytes() != 10 {
-		t.Fatalf("base=%d tail=%d torn=%d, want 63/69/10", lg.Base(), lg.TailLSN(), lg.TornBytes())
-	}
-	db, rep, err := sqlmini.Recover(lg, sqlmini.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sqlmini.RecoveryReport{RecordsScanned: 6, Redone: 2, AnchorLSN: 63, SnapshotUsed: true,
-		LoserTxns: []uint64{23}, InDoubtTxns: nil, CommittedTxns: []uint64{22}}
-	if !reflect.DeepEqual(*rep, want) {
-		t.Fatalf("recovery report %+v, want %+v", *rep, want)
-	}
-	rows, err := db.Query(`SELECT COUNT(*) FROM t`)
-	if err != nil || rows.Data[0][0].I != 20 {
-		t.Fatalf("row count after recovery: %v %+v, want 20", err, rows)
-	}
-	rows, err = db.Query(`SELECT v FROM t WHERE id = 7`)
-	if err != nil || rows.Data[0][0].S != "y" {
-		t.Fatalf("post-checkpoint update lost: %v %+v", err, rows)
-	}
-}
-
-// A log changes payload format in the middle: the gob-era fixture is opened,
-// recovery rolls back its loser — whose update record is gob and whose
-// compensation record is therefore the first fixed-layout payload in the log
-// — new transactions are committed behind it, and a crash replays the lot.
-func TestGobEraRepoTakesNewRecords(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "work")
-	copyDir(t, filepath.Join("testdata", "golden", "repo"), dir)
-	// Recovery ends with a checkpoint, which would truncate the records this
-	// test wants to look at (and replay again): a directory in the way of
-	// the snapshot's temp file makes that best-effort checkpoint fail.
-	blocker := filepath.Join(dir, "repo.snap"+seglog.TmpSuffix)
-	mkdir(t, filepath.Join(blocker, "x"))
-
-	open := func() (*wal.Log, *sqlmini.DB, *sqlmini.RecoveryReport) {
-		lg, err := wal.Open(wal.Config{Dir: dir, SegmentBytes: 512})
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, rep, err := sqlmini.Recover(lg, sqlmini.Options{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return lg, db, rep
-	}
-	// formats counts a transaction's row-change payloads of each era, per
-	// record type.
-	formats := func(lg *wal.Log, txn uint64) (gob, fixed map[wal.RecType]int) {
-		gob, fixed = map[wal.RecType]int{}, map[wal.RecType]int{}
-		lg.Scan(wal.NilLSN, wal.NilLSN, func(r wal.Record) bool {
-			if (r.Type == wal.RecUpdate || r.Type == wal.RecCLR) && r.TxnID == txn {
-				if r.Payload[0] == 0x00 {
-					fixed[r.Type]++
-				} else {
-					gob[r.Type]++
-				}
-			}
-			return true
-		})
-		return gob, fixed
-	}
-
-	lg, db, rep := open()
-	if len(rep.LoserTxns) != 1 || rep.LoserTxns[0] != 23 {
-		t.Fatalf("losers %v, want the fixture's transaction 23", rep.LoserTxns)
-	}
-	if gob, fixed := formats(lg, 23); gob[wal.RecUpdate] != 1 || fixed[wal.RecCLR] != 1 || len(gob)+len(fixed) != 2 {
-		t.Fatalf("transaction 23 across the boundary: gob %v, fixed-layout %v; want one gob update undone by one fixed-layout CLR", gob, fixed)
-	}
-	if rows, err := db.Query(`SELECT id FROM t WHERE id = 21`); err != nil || len(rows.Data) != 0 {
-		t.Fatalf("the loser's insert survived its rollback: %v %+v", err, rows)
-	}
-	db.MustExec(`INSERT INTO t VALUES (30, 'new')`)
-	db.MustExec(`UPDATE t SET v = 'z' WHERE id = 7`)
-	db.MustExec(`DELETE FROM t WHERE id = 1`)
-	db.MustExec(`CREATE TABLE u (id INT PRIMARY KEY, at TIMESTAMP)`)
-	db.MustExec(`INSERT INTO u VALUES (1, ?)`, sqlmini.Time(goldenTime))
-	lg.Kill()
-	if err := os.RemoveAll(blocker); err != nil {
-		t.Fatal(err)
-	}
-
-	lg, db, rep = open()
-	defer lg.Close()
-	// Two gob records and the CLR, then the five new ones.
-	if rep.AnchorLSN != 63 || !rep.SnapshotUsed || rep.Redone != 8 {
-		t.Fatalf("replay of the mixed log: %+v", rep)
-	}
-	for sql, want := range map[string]string{
-		`SELECT COUNT(*) FROM t`:        "20",
-		`SELECT v FROM t WHERE id = 7`:  "z",
-		`SELECT v FROM t WHERE id = 30`: "new",
-		`SELECT COUNT(*) FROM u`:        "1",
-	} {
-		if rows, err := db.Query(sql); err != nil || len(rows.Data) != 1 || rows.Data[0][0].String() != want {
-			t.Errorf("%s: %v %+v, want %s", sql, err, rows, want)
-		}
-	}
-	for _, gone := range []int64{1, 21} {
-		if rows, err := db.Query(`SELECT id FROM t WHERE id = ?`, sqlmini.Int(gone)); err != nil || len(rows.Data) != 0 {
-			t.Errorf("row %d is back: %v %+v", gone, err, rows)
-		}
-	}
-	if rows, err := db.Query(`SELECT at FROM u`); err != nil || !rows.Data[0][0].T.Equal(goldenTime) {
-		t.Errorf("u.at replayed as %+v (%v)", rows, err)
 	}
 }
 

@@ -1,9 +1,7 @@
 package sqlmini
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -227,10 +225,10 @@ func (db *DB) applySnapshot(snap *dbSnapshot) error {
 //	        position | next row id | row count, then per row its row id and
 //	        the row
 //
-// Every number is a uvarint. The leading 0x00 is what tells this layout from
-// the gob image repo.snap held before it: a gob stream starts with a message
-// length, which is never zero. Old images stay readable (decodeGobSnapshot);
-// nothing writes them any more.
+// Every number is a uvarint. The leading 0x00 is the layout's magic byte: an
+// image that does not start with it — the gob image repo.snap held before
+// this layout, whose message length is never zero, among them — is refused
+// with ErrBadPayload, so a directory that holds one fails to open.
 const (
 	snapMagic   byte = 0x00
 	snapVersion byte = 1
@@ -279,17 +277,17 @@ func encodeSnapshot(prefix []byte, snap *dbSnapshot) []byte {
 	return b
 }
 
-// decodeSnapshot is the inverse of encodeSnapshot; an image that does not
-// start with 0x00 goes to the gob decoder. The rows share one string copy of
-// b and a few blocks of values (see newSharedReader): a snapshot's rows are
-// installed as they are, so the copy stays reachable while any of them holds
-// a string cut from it. Table and column names, which live as long as their
+// decodeSnapshot is the inverse of encodeSnapshot. The rows share one string
+// copy of b and a few blocks of values (see newSharedReader): a snapshot's
+// rows are installed as they are, so the copy stays reachable while any of
+// them holds a string cut from it. Table and column names, which live as long as their
 // tables, are copied out of it, so they never keep it.
 func decodeSnapshot(b []byte) (*dbSnapshot, error) {
-	if len(b) == 0 || b[0] != snapMagic {
-		return decodeGobSnapshot(b)
+	r := newSharedReader(b)
+	r.field = "snapshot magic"
+	if r.byte() != snapMagic {
+		r.fail()
 	}
-	r := newSharedReader(b[1:])
 	r.field = "snapshot version"
 	if r.byte() != snapVersion {
 		r.fail()
@@ -341,17 +339,6 @@ func decodeSnapshot(b []byte) (*dbSnapshot, error) {
 		return nil, fmt.Errorf("sqlmini: snapshot decode: %w", r.err)
 	}
 	return snap, nil
-}
-
-// decodeGobSnapshot reads the gob image of a dbSnapshot: read-only, for a
-// repo.snap written before the stored form above. Nothing encodes it any
-// more.
-func decodeGobSnapshot(b []byte) (*dbSnapshot, error) {
-	var snap dbSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("sqlmini: snapshot decode: %w", err)
-	}
-	return &snap, nil
 }
 
 // writeSnapFile persists the snapshot as repo.snap: a CRC-32 of the stored

@@ -3,7 +3,6 @@ package sqlmini
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -55,17 +54,18 @@ type logPayload struct {
 //	          byte (1 primary key, 2 not null, 4 recovery), the control mode's
 //	          integrity, read and write bytes, zigzag varint token TTL seconds
 //
-// The leading 0x00 is what tells this layout from the gob stream PRs before
-// 18 logged: a gob stream starts with a message length, which is never zero.
-// Varints are minimal, so a payload has exactly one encoding.
+// The leading 0x00 is the layout's magic byte: a payload that does not start
+// with it — a gob stream, which is what logs held before this layout and
+// which opens with a never-zero message length, among them — is refused with
+// ErrBadPayload. Varints are minimal, so a payload has exactly one encoding.
 const (
 	payloadMagic   byte = 0x00
 	payloadVersion byte = 1
 )
 
 // ErrBadPayload marks a log payload the decoder refuses: truncated, carrying
-// a length that reaches past its end, an unknown op, kind or version, or
-// bytes after its last field.
+// a length that reaches past its end, a wrong magic byte, an unknown op, kind
+// or version, or bytes after its last field.
 var ErrBadPayload = errors.New("sqlmini: malformed log payload")
 
 const (
@@ -370,14 +370,14 @@ func (r *payloadReader) columns() []Column {
 	return cols
 }
 
-// decodePayload is the inverse of encodePayload. A payload that does not
-// start with 0x00 was logged before PR 18 and goes to the gob decoder.
+// decodePayload is the inverse of encodePayload.
 func decodePayload(b []byte) (logPayload, error) {
-	if len(b) == 0 || b[0] != payloadMagic {
-		return decodeGobPayload(b)
-	}
 	var p logPayload
-	r := payloadReader{b: b[1:], field: "version"}
+	r := payloadReader{b: b, field: "magic"}
+	if r.byte() != payloadMagic {
+		r.fail()
+	}
+	r.field = "version"
 	if r.byte() != payloadVersion {
 		r.fail()
 	}
@@ -404,16 +404,6 @@ func decodePayload(b []byte) (logPayload, error) {
 	}
 	if r.err != nil {
 		return logPayload{}, r.err
-	}
-	return p, nil
-}
-
-// decodeGobPayload reads the gob form of a logPayload: read-only, for log
-// segments written before PR 18. Nothing encodes it any more.
-func decodeGobPayload(b []byte) (logPayload, error) {
-	var p logPayload
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&p); err != nil {
-		return logPayload{}, fmt.Errorf("%w: gob: %v", ErrBadPayload, err)
 	}
 	return p, nil
 }

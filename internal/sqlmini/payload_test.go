@@ -3,7 +3,6 @@ package sqlmini
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"flag"
 	"fmt"
@@ -113,8 +112,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, p) {
 			t.Errorf("%s: decoded as %+v, want %+v", name, got, p)
 		}
-		// Cut anywhere, a payload is refused — with the typed error, and
-		// never mistaken for a gob stream.
+		// Cut anywhere, a payload is refused with the typed error.
 		for n := 1; n < len(b); n++ {
 			if _, err := decodePayload(b[:n]); !errors.Is(err, ErrBadPayload) {
 				t.Fatalf("%s cut to %d of %d bytes: err = %v, want ErrBadPayload", name, n, len(b), err)
@@ -133,6 +131,7 @@ const decodeBudget = int(unsafe.Sizeof(Value{})) + 8
 func TestPayloadDecodeRefusesHostileClaims(t *testing.T) {
 	_, hostile := corpusPayloads()
 	for name, mutate := range map[string]func([]byte) []byte{
+		"wrong magic":        func(b []byte) []byte { b[0] = 3; return b },
 		"unknown version":    func(b []byte) []byte { b[1] = 9; return b },
 		"unknown op":         func(b []byte) []byte { b[2] = 99; return b },
 		"unknown kind":       func(b []byte) []byte { b[7] = byte(KindLink) + 1; return b },
@@ -158,30 +157,6 @@ func TestPayloadDecodeRefusesHostileClaims(t *testing.T) {
 		if !raceEnabled && least > uint64(len(b)*decodeBudget+1024) {
 			t.Errorf("%s: refusing %d bytes allocated %d", name, len(b), least)
 		}
-	}
-}
-
-// Segments written before PR 18 carry gob payloads; they still decode.
-func TestGobPayloadStillDecodes(t *testing.T) {
-	whole, _ := corpusPayloads()
-	for name, p := range whole {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-			t.Fatal(err)
-		}
-		if buf.Bytes()[0] == payloadMagic {
-			t.Fatalf("%s: a gob stream starting with 0x00", name)
-		}
-		got, err := decodePayload(buf.Bytes())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, p) {
-			t.Errorf("%s: gob payload decoded as %+v, want %+v", name, got, p)
-		}
-	}
-	if _, err := decodePayload([]byte{0x03, 0xff, 0x82}); !errors.Is(err, ErrBadPayload) {
-		t.Errorf("garbage in the gob branch: err = %v, want ErrBadPayload", err)
 	}
 }
 
@@ -225,9 +200,6 @@ func FuzzLogPayloadDecode(f *testing.F) {
 				t.Fatalf("untyped error %v", err)
 			}
 			return
-		}
-		if len(b) == 0 || b[0] != payloadMagic {
-			return // a gob stream: read-only, not canonical
 		}
 		held := (len(p.Before)+len(p.After))*int(unsafe.Sizeof(Value{})) + len(p.Cols)*int(unsafe.Sizeof(Column{}))
 		if held > len(b)*decodeBudget {

@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -58,7 +59,8 @@ func writeSnapshotFixture(tb testing.TB, dir string) []byte {
 
 // TestSnapshotStoredFormRoundTrips: a checkpoint's stored form is the fixed
 // layout, decodes to the image it was encoded from, and encodes back to the
-// same bytes.
+// same bytes. An image without the layout's magic byte — such as the gob
+// image repo.snap held before it — is refused with the typed error.
 func TestSnapshotStoredFormRoundTrips(t *testing.T) {
 	body := writeSnapshotFixture(t, t.TempDir())
 	if body[0] != snapMagic || body[1] != snapVersion {
@@ -73,6 +75,11 @@ func TestSnapshotStoredFormRoundTrips(t *testing.T) {
 	}
 	if again := encodeSnapshot(nil, snap); !bytes.Equal(again, body) {
 		t.Fatalf("decoded image re-encodes differently:\n%x\n%x", again, body)
+	}
+	for _, bad := range [][]byte{nil, append([]byte{0x03}, body[1:]...)} {
+		if _, err := decodeSnapshot(bad); !errors.Is(err, ErrBadPayload) {
+			t.Errorf("image starting %x: err = %v, want ErrBadPayload", bad[:min(len(bad), 2)], err)
+		}
 	}
 }
 
@@ -114,20 +121,19 @@ func TestSnapshotDecodeAllocBudget(t *testing.T) {
 // FuzzSnapshotDecode holds the repo.snap decoder to its contract on
 // arbitrary bytes in the fixed layout: it never panics, sizes nothing by a
 // count the bytes cannot back, and what it accepts re-encodes to exactly the
-// bytes it read. Seeds are a real checkpoint's stored form and each of its
-// prefixes. A gob image (any first byte but 0x00) is read-only and left to
-// the golden fixture.
+// bytes it read, and refuses everything else with the typed error. Seeds are
+// a real checkpoint's stored form and each of its prefixes.
 func FuzzSnapshotDecode(f *testing.F) {
 	body := writeSnapshotFixture(f, f.TempDir())
 	for n := 0; n <= len(body); n++ {
 		f.Add(body[:n])
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if len(b) == 0 || b[0] != snapMagic {
-			return
-		}
 		snap, err := decodeSnapshot(b)
 		if err != nil {
+			if !errors.Is(err, ErrBadPayload) {
+				t.Fatalf("untyped error %v", err)
+			}
 			return
 		}
 		held := len(snap.Tables) * int(unsafe.Sizeof(tableSnap{}))
