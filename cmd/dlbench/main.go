@@ -30,7 +30,7 @@
 // memory, page-in and GC counters):
 //
 //	dlbench -exp E15 -e15-files 3 -e15-filesize 8 -e15-versions 10 -e15-budget 4
-//	dlbench -exp E15 -e15-dir /var/tmp/archive -e15-compress
+//	dlbench -exp E15 -e15-dir /var/tmp/archive
 //
 // The E16 restart-recovery experiment commits a deterministic version
 // history, hard-restarts the process state, and proves the durable catalog

@@ -419,9 +419,6 @@ type TierConfig struct {
 	// this many versions (<= 0: the package default of 16; 1 makes every
 	// version a checkpoint).
 	CheckpointEvery int
-	// Compress flate-compresses spilled chunks when that shrinks them;
-	// content hashes are still verified on the uncompressed bytes.
-	Compress bool
 	// Fsync selects the durability policy shared by packfile/blob writes and
 	// catalog log appends: none (default — rely on the OS page cache), group
 	// (concurrent committers coalesce behind shared fdatasyncs at the commit
@@ -513,7 +510,6 @@ func NewTiered(latency time.Duration, clock func() time.Time, tier TierConfig) (
 	}
 	disk, err := chunkdisk.Open(chunkdisk.Config{
 		Dir:             tier.Dir,
-		Compress:        tier.Compress,
 		PackTargetBytes: tier.PackTargetBytes,
 		Fsync:           tier.Fsync,
 		Metrics:         tier.Metrics,

@@ -173,7 +173,7 @@ func TestDedupSharesChunks(t *testing.T) {
 	if st.NewChunks != chunks || st.SharedChunks != 0 {
 		t.Fatalf("v0 put: %+v", st)
 	}
-	base := s.Tier().DiskLogicalBytes
+	base := s.Tier().DiskBytes
 
 	// Ten one-chunk edits, each archived as a full version.
 	for v := 1; v <= 10; v++ {
@@ -189,7 +189,7 @@ func TestDedupSharesChunks(t *testing.T) {
 		}
 	}
 	d := s.Dedup()
-	grown := s.Tier().DiskLogicalBytes - base
+	grown := s.Tier().DiskBytes - base
 	if grown != 10*extent.ChunkSize {
 		t.Fatalf("stored bytes grew %d; want %d (one chunk per version)", grown, 10*extent.ChunkSize)
 	}
@@ -211,7 +211,7 @@ func TestDedupSharesChunks(t *testing.T) {
 	// Dropping the file releases every chunk; the sweep reclaims them all.
 	s.Drop("fs1", "/big")
 	s.GCNow()
-	if r := s.Tier().DiskLogicalBytes; r != 0 {
+	if r := s.Tier().DiskBytes; r != 0 {
 		t.Fatalf("stored bytes after drop = %d", r)
 	}
 }
@@ -277,7 +277,7 @@ func TestStalePutLeavesAccountingIntact(t *testing.T) {
 	if err := s.Put("fs1", "/f", 1, 10, content); err != nil {
 		t.Fatal(err)
 	}
-	stored := s.Tier().DiskLogicalBytes
+	stored := s.Tier().DiskBytes
 	if stored != 2*extent.ChunkSize+100 {
 		t.Fatalf("stored = %d", stored)
 	}
@@ -287,7 +287,7 @@ func TestStalePutLeavesAccountingIntact(t *testing.T) {
 		t.Fatalf("stale put error = %v", err)
 	}
 	s.GCNow()
-	if got := s.Tier().DiskLogicalBytes; got != stored {
+	if got := s.Tier().DiskBytes; got != stored {
 		t.Fatalf("stored after stale put = %d, want %d", got, stored)
 	}
 	// A snapshot materialized before the drop stays readable after it (the
@@ -303,7 +303,7 @@ func TestStalePutLeavesAccountingIntact(t *testing.T) {
 	}
 	s.Drop("fs1", "/f")
 	s.GCNow()
-	if got := s.Tier().DiskLogicalBytes; got != 0 {
+	if got := s.Tier().DiskBytes; got != 0 {
 		t.Fatalf("stored after drop = %d", got)
 	}
 	if !bytes.Equal(snap.Bytes(), content) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"datalinks/internal/chunkdisk"
 	"datalinks/internal/extent"
 	"datalinks/internal/fsyncer"
 )
@@ -409,36 +411,39 @@ func TestCheckpointIntervalSweep(t *testing.T) {
 	}
 }
 
-// TestRestartWithCompression: a compressed tier round-trips history across a
-// restart, with physical disk bytes below logical for compressible content.
-func TestRestartWithCompression(t *testing.T) {
-	const C = extent.ChunkSize
-	tier := TierConfig{Compress: true}
-	cfg := tier
-	cfg.Dir = t.TempDir()
-	s, err := NewTiered(0, nil, cfg)
+// TestRestartRefusesARetiredBlobForm: an archive directory holding blobs in
+// a form earlier stores wrote — here a fan-out dir of loose blobs — fails
+// NewTiered with chunkdisk's RetiredFormError naming it, and the catalog and
+// packs beside it are left as they were.
+func TestRestartRefusesARetiredBlobForm(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewTiered(0, nil, TierConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Highly compressible multi-chunk content.
-	var want [][]byte
-	for v := 0; v < 5; v++ {
-		content := bytes.Repeat([]byte{byte('a' + v)}, 3*C+999)
-		want = append(want, putBytes(t, s, "/z.bin", Version(v), uint64(v+1), content))
+	putBytes(t, s, "/f.bin", 0, 1, bytes.Repeat([]byte("v0"), 5000))
+	s.Close()
+	loose := filepath.Join(dir, "ab")
+	if err := os.Mkdir(loose, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	st := s.Tier()
-	if st.DiskBytes >= st.DiskLogicalBytes {
-		t.Fatalf("compression saved nothing: %d physical vs %d logical", st.DiskBytes, st.DiskLogicalBytes)
+	if err := os.WriteFile(filepath.Join(loose, "cdef"), []byte("a loose blob"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	s2 := reopen(t, s, tier)
-	for v := range want {
-		e, err := s2.Get("fs1", "/z.bin", Version(v))
-		if err != nil || !bytes.Equal(bytesOf(t, e), want[v]) {
-			t.Fatalf("compressed v%d diverged after restart (%v)", v, err)
+	before, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err = NewTiered(0, nil, TierConfig{Dir: dir})
+	var rf *chunkdisk.RetiredFormError
+	if !errors.As(err, &rf) || rf.Path != loose {
+		if err == nil {
+			s.Close()
 		}
+		t.Fatalf("NewTiered = %v, want the retired form in %s", err, loose)
 	}
-	if d := s2.Dedup(); d.NewBytes != 0 {
-		t.Fatalf("compressed reopen re-archived %d bytes", d.NewBytes)
+	if after, _ := os.ReadDir(dir); len(after) != len(before) {
+		t.Fatalf("the refused open left %d entries in the directory, were %d", len(after), len(before))
 	}
 }
 

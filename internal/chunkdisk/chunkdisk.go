@@ -29,9 +29,9 @@
 // Every blob is written through at Put time (the durability point), from
 // where the caller's bytes lie, and the store keeps nothing of them: the live
 // file goes on writing the chunk it stored. A blob is read one way: ReadInto
-// reads it from the device into the caller's buffer — inflated when it was
-// stored compressed — and verifies its content hash on the way (a corrupted
-// or truncated pack record surfaces as an error, never as silent bad data).
+// reads it from the device into the caller's buffer and verifies its content
+// hash on the way (a corrupted or truncated pack record surfaces as an error,
+// never as silent bad data).
 // That is how the archive assembles a chunk slot from its base and patches.
 // ReadForTransfer is the same read for a copy to another store, and Get is
 // ReadInto into a chunk of its own.
@@ -41,10 +41,13 @@
 // TruncateAfter/Drop never pay disk I/O inline, and a hash that is re-archived
 // before the sweep is revived without a device transfer.
 //
-// Every blob is appended to a packfile (see pack.go): one sequential append
-// stream, no file per blob. A directory an older store left loose blobs in
-// (ab/cdef…, one file per hash) is converted when it is opened. Config.Fsync
-// selects the durability policy (none | group | always, see
+// Every blob is appended to a packfile (see pack.go) as a raw record, the
+// bytes as they were put: one sequential append stream, no file per blob, one
+// form on disk. A directory holding a blob in a form earlier stores wrote — a
+// pack record or footer entry flagged compressed, or a fan-out dir of loose
+// blobs (ab/cdef…, one file per hash) — fails Open with a RetiredFormError
+// naming the file, before anything in it is moved, cut or quarantined.
+// Config.Fsync selects the durability policy (none | group | always, see
 // internal/fsyncer), and a single-owner lockfile (archive.lock) keeps two
 // processes from corrupting one directory.
 //
@@ -54,16 +57,12 @@
 package chunkdisk
 
 import (
-	"bytes"
-	"compress/flate"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -71,7 +70,6 @@ import (
 	"datalinks/internal/extent"
 	"datalinks/internal/fsyncer"
 	"datalinks/internal/metrics"
-	"datalinks/internal/seglog"
 )
 
 // shardCount must be a power of two.
@@ -83,14 +81,6 @@ type Config struct {
 	Dir string
 	// MemoryBudget is ignored: the store keeps no blob in memory.
 	MemoryBudget int64
-	// Compress writes spilled blobs through compress/flate when that makes
-	// them smaller (a blob that would grow — e.g. already-random content —
-	// stays raw; the decision is per blob, recorded in its pack record's
-	// flags). Content hashes are always verified on the UNCOMPRESSED bytes,
-	// so a corrupted compressed record still surfaces as an error on page-in.
-	// A store opened without Compress still reads compressed records left by
-	// an earlier compressed store, and vice versa.
-	Compress bool
 	// PackTargetBytes seals the active packfile once it grows past this
 	// (<= 0: DefaultPackTargetBytes).
 	PackTargetBytes int64
@@ -113,11 +103,8 @@ type Stats struct {
 	Evictions int64 // always 0: the store keeps no blob in memory
 	GCFreed   int64 // dead disk blobs reclaimed by Sweep
 	DiskBlobs int64 // blobs currently on disk (incl. dead, pre-sweep)
-	DiskBytes int64 // physical bytes currently on disk (post-compression)
-	// DiskLogicalBytes is the uncompressed size of the on-disk blobs (every
-	// pack record carries it in its frame).
-	DiskLogicalBytes int64
-	DeadBlobs        int64 // disk blobs awaiting sweep
+	DiskBytes int64 // blob bytes currently on disk
+	DeadBlobs int64 // disk blobs awaiting sweep
 
 	// Packfile / durability counters.
 	Fsyncs          int64 // physical fdatasync calls issued by this store
@@ -132,11 +119,9 @@ type Stats struct {
 // diskMeta describes one on-disk blob: a record inside packfile pack whose
 // payload starts at byte offset off.
 type diskMeta struct {
-	size       int64 // physical payload length
-	logical    int64 // uncompressed length (== size for raw blobs)
-	compressed bool  // flate-encoded
-	pack       int64 // packfile sequence
-	off        int64 // payload offset within the pack
+	size int64 // payload length: the blob as it was put
+	pack int64 // packfile sequence
+	off  int64 // payload offset within the pack
 }
 
 // blobState is what a shard knows of one hash: how many version slots
@@ -163,9 +148,8 @@ type shard struct {
 
 // Store is a tiered blob store. Safe for concurrent use.
 type Store struct {
-	dir      string
-	compress bool
-	shards   [shardCount]shard
+	dir    string
+	shards [shardCount]shard
 
 	packs *packSet
 	sync  *fsyncer.Syncer // durability policy (never nil)
@@ -181,7 +165,6 @@ type Store struct {
 	gcFreed         atomic.Int64
 	diskBlobs       atomic.Int64
 	diskBytes       atomic.Int64
-	diskLogical     atomic.Int64
 	deadBlobs       atomic.Int64
 	fsyncs          atomic.Int64
 	packAppends     atomic.Int64
@@ -238,7 +221,7 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("chunkdisk: Config.Dir is required")
 	}
-	s := &Store{dir: cfg.Dir, compress: cfg.Compress}
+	s := &Store{dir: cfg.Dir}
 	if cfg.Metrics != nil {
 		s.mFsyncs = cfg.Metrics.Counter("chunkdisk.fsyncs")
 		s.mPackAppends = cfg.Metrics.Counter("chunkdisk.pack.appends")
@@ -256,6 +239,10 @@ func Open(cfg Config) (*Store, error) {
 	if err := s.acquireLock(); err != nil {
 		return nil, err
 	}
+	if err := s.refuseLoose(); err != nil {
+		s.releaseLock()
+		return nil, err
+	}
 	s.packs = newPackSet(s, cfg.Dir, cfg.PackTargetBytes, cfg.PackGarbageRatio)
 	// The group-commit flush: one fdatasync of the active pack covers every
 	// append that completed before the round began. It does its own fsync
@@ -263,11 +250,6 @@ func Open(cfg Config) (*Store, error) {
 	// count) — no onSync hook.
 	s.sync = fsyncer.New(cfg.Fsync, 0, s.packs.flushActive, nil)
 	if err := s.adoptPacks(); err != nil {
-		s.packs.close(false)
-		s.releaseLock()
-		return nil, err
-	}
-	if err := s.migrateLoose(); err != nil {
 		s.packs.close(false)
 		s.releaseLock()
 		return nil, err
@@ -299,99 +281,45 @@ func (s *Store) releaseLock() {
 	}
 }
 
-// migrateLoose moves the blobs an older store left loose — dir/ab/cdef…, one
-// file per hash, ".z" when flate-compressed — into the packs, indexed dead
-// like every adopted blob. A file whose content does not match its name stays
-// where it is, unindexed: replay drops the versions that list it, as for any
-// missing blob. The packs written to are synced before the first loose file
-// goes, whatever the policy, since until then the file is the only copy; a
-// crash midway only repeats work. Runs during Open, after adoptPacks.
-func (s *Store) migrateLoose() error {
-	subdirs, err := os.ReadDir(s.dir)
+// RetiredFormError fails the open of a directory that holds a blob in a form
+// earlier stores wrote and this one does not read: a pack record or footer
+// entry flagged compressed, or a two-hex-digit fan-out dir of loose blobs.
+// Nothing in the directory has been changed when it is returned.
+type RetiredFormError struct {
+	Path string // the pack file or fan-out dir
+	Form string // what is there
+}
+
+func (e *RetiredFormError) Error() string {
+	return fmt.Sprintf("chunkdisk: %s holds %s, a retired blob form this store does not read", e.Path, e.Form)
+}
+
+// refuseLoose fails the open of a directory with a fan-out dir of the loose
+// one-file-per-hash layout: dir/ab/cdef…. It lists the directory once, by
+// name, and looks at nothing but a two-hex-digit name.
+func (s *Store) refuseLoose() error {
+	d, err := os.Open(s.dir)
 	if err != nil {
 		return fmt.Errorf("chunkdisk: %w", err)
 	}
-	first := s.packs.nextSeq // the packs this open appends to
-	var gone []string        // loose files a pack holds, stranded temp files
-	for _, sub := range subdirs {
-		if !sub.IsDir() || len(sub.Name()) != 2 {
+	names, err := d.Readdirnames(-1)
+	d.Close()
+	if err != nil {
+		return fmt.Errorf("chunkdisk: %w", err)
+	}
+	for _, name := range names {
+		if len(name) != 2 {
 			continue
 		}
-		files, err := os.ReadDir(filepath.Join(s.dir, sub.Name()))
-		if err != nil {
-			return fmt.Errorf("chunkdisk: %w", err)
+		if _, err := hex.DecodeString(name); err != nil {
+			continue
 		}
-		for _, fi := range files {
-			path := filepath.Join(s.dir, sub.Name(), fi.Name())
-			name, compressed := strings.CutSuffix(fi.Name(), ".z")
-			raw, err := hex.DecodeString(sub.Name() + name)
-			switch {
-			case strings.HasSuffix(fi.Name(), seglog.TmpSuffix): // a crash mid-write stranded it
-			case err != nil || len(raw) != len(extent.Hash{}):
-				continue // not a blob file; leave it alone
-			default:
-				if packed, err := s.packLoose(extent.Hash(raw), path, compressed); err != nil {
-					return err
-				} else if !packed {
-					continue
-				}
-			}
-			gone = append(gone, path)
+		path := filepath.Join(s.dir, name)
+		if fi, err := os.Lstat(path); err == nil && fi.IsDir() {
+			return &RetiredFormError{Path: path, Form: "loose blobs"}
 		}
-	}
-	// The loose files go once their bytes, and the names of the packs that
-	// now hold them, are durable.
-	for seq := first; seq < s.packs.nextSeq; seq++ {
-		f, err := os.Open(s.packs.files.Path(uint64(seq)))
-		if err == nil {
-			err = f.Sync()
-			f.Close()
-		}
-		if err != nil {
-			return fmt.Errorf("chunkdisk: %w", err)
-		}
-	}
-	if first < s.packs.nextSeq {
-		if err := seglog.SyncDir(s.dir); err != nil {
-			return fmt.Errorf("chunkdisk: %w", err)
-		}
-	}
-	for _, path := range gone {
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("chunkdisk: %w", err)
-		}
-		os.Remove(filepath.Dir(path)) // succeeds once the fan-out dir is empty
 	}
 	return nil
-}
-
-// packLoose appends the loose blob file at path to the active pack as it lies
-// and indexes it dead — unless a pack already holds h. It reports false,
-// writing nothing, when the bytes do not hash to h.
-func (s *Store) packLoose(h extent.Hash, path string, compressed bool) (bool, error) {
-	if _, held := s.shardFor(h).blobs[h]; held {
-		return true, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false, fmt.Errorf("chunkdisk: %w", err)
-	}
-	logical := data
-	if compressed {
-		if logical, err = inflate(data); err != nil {
-			return false, nil
-		}
-	}
-	if sha256.Sum256(logical) != h {
-		return false, nil
-	}
-	pm, off, err := s.packs.append(h, data, int64(len(logical)), compressed)
-	if err != nil {
-		return false, err
-	}
-	s.indexDeadLocked(s.shardFor(h), h, diskMeta{size: int64(len(data)), logical: int64(len(logical)), compressed: compressed, pack: pm.seq, off: off})
-	s.packs.published(pm)
-	return true, nil
 }
 
 // indexDeadLocked indexes an adopted blob as dead: on disk, referenced by
@@ -401,7 +329,6 @@ func (s *Store) indexDeadLocked(sh *shard, h extent.Hash, meta diskMeta) {
 	sh.blobs[h] = blobState{diskMeta: meta}
 	s.diskBlobs.Add(1)
 	s.diskBytes.Add(meta.size)
-	s.diskLogical.Add(meta.logical)
 	s.deadBlobs.Add(1)
 }
 
@@ -486,21 +413,12 @@ func (s *Store) PutBytes(h extent.Hash, data []byte) (wrote bool, err error) {
 	return true, nil
 }
 
-// writeThrough appends a blob to the shared packfile, compressed outside any
-// lock when that shrinks it. The pack comes back pinned until the caller has
-// published the blob in the index; a failed write leaves no pin, and any
-// record it did append is dead space.
+// writeThrough appends a blob to the shared packfile. The pack comes back
+// pinned until the caller has published the blob in the index; a failed write
+// leaves no pin, and any record it did append is dead space.
 func (s *Store) writeThrough(h extent.Hash, data []byte) (meta diskMeta, pack *packMeta, err error) {
-	size := int64(len(data))
-	compressed := false
-	if s.compress {
-		if z := deflate(data); len(z) < len(data) {
-			data = z
-			compressed = true
-		}
-	}
-	meta = diskMeta{size: int64(len(data)), logical: size, compressed: compressed}
-	if pack, meta.off, err = s.packs.append(h, data, size, compressed); err != nil {
+	meta = diskMeta{size: int64(len(data))}
+	if pack, meta.off, err = s.packs.append(h, data); err != nil {
 		return meta, nil, err
 	}
 	meta.pack = pack.seq
@@ -519,88 +437,43 @@ func (s *Store) publishLocked(sh *shard, h extent.Hash, meta diskMeta) {
 	sh.blobs[h] = blobState{diskMeta: meta, refs: 1}
 	s.diskBlobs.Add(1)
 	s.diskBytes.Add(meta.size)
-	s.diskLogical.Add(meta.logical)
 	s.spills.Add(1)
 }
 
-// deflate returns data flate-compressed at the default level.
-func deflate(data []byte) []byte {
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.DefaultCompression)
-	if err != nil {
-		return data
-	}
-	if _, err := w.Write(data); err != nil || w.Close() != nil {
-		return data
-	}
-	return buf.Bytes()
-}
-
-// inflate reverses deflate, for a blob whose length is not known up front.
-func inflate(data []byte) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(data))
-	out, err := io.ReadAll(r)
-	if cerr := r.Close(); err == nil {
-		err = cerr
-	}
-	return out, err
-}
-
-// inflateInto reverses deflate into dst, which is as long as the bytes were.
-func inflateInto(z, dst []byte) error {
-	r := flate.NewReader(bytes.NewReader(z))
-	_, err := io.ReadFull(r, dst)
-	if cerr := r.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// Get reads blob h into a chunk of its own, handed out pinned with h as its
-// known hash. The caller must release the chunk, and holds a reference on the
-// blob across the call, as for ReadInto.
+// Get reads blob h into a chunk of its own, with h as its known hash. The
+// caller must release the chunk, and holds a reference on the blob across the
+// call, as for ReadInto.
 func (s *Store) Get(h extent.Hash) (*extent.Chunk, error) {
 	b, ok := s.lookup(h)
 	if !ok {
 		return nil, errNotStored(h)
 	}
-	data := make([]byte, b.logical)
+	data := make([]byte, b.size)
 	if _, err := s.ReadInto(h, data); err != nil {
 		return nil, err
 	}
 	return extent.WrapChunk(data, h), nil
 }
 
-// ReadInto reads the bytes of blob h from the device into dst and reports how
-// many there are: inflated straight into dst when the store compressed them,
-// and verified against h either way. A blob longer than dst is an error. The
-// caller holds a reference across the call (the archive holds a version's
-// blobs for the length of a read), so the blob cannot be swept mid-read.
+// ReadInto reads the bytes of blob h from the device into dst, verifies them
+// against h and reports how many there are. A blob longer than dst is an
+// error. The caller holds a reference across the call (the archive holds a
+// version's blobs for the length of a read), so the blob cannot be swept
+// mid-read.
 func (s *Store) ReadInto(h extent.Hash, dst []byte) (int, error) {
 	b, ok := s.lookup(h)
 	if !ok {
 		return 0, errNotStored(h)
 	}
-	if b.logical > int64(len(dst)) {
-		return 0, errLonger(h, int(b.logical), len(dst))
+	if b.size > int64(len(dst)) {
+		return 0, errLonger(h, int(b.size), len(dst))
 	}
-	dst = dst[:b.logical]
-	into := dst
-	if b.compressed {
-		into = nil // the stored bytes inflate into dst
-	}
-	z, _, err := s.readPackBlob(h, into, false)
-	if err != nil {
+	dst = dst[:b.size]
+	if err := s.readPackBlob(h, dst, false); err != nil {
 		return 0, err
 	}
-	if b.compressed {
-		if err := inflateInto(z, dst); err != nil {
-			return 0, fmt.Errorf("chunkdisk: blob %x undecodable on disk: %w", h[:8], err)
-		}
-	}
-	// The hash always covers the uncompressed bytes.
 	if sum := sha256.Sum256(dst); extent.Hash(sum) != h {
-		return 0, fmt.Errorf("chunkdisk: blob %x corrupted on disk", h[:8])
+		return 0, errCorrupted(h)
 	}
 	s.pageIns.Add(1)
 	return len(dst), nil
@@ -611,38 +484,40 @@ func (s *Store) ReadInto(h extent.Hash, dst []byte) (int, error) {
 const RecordOverhead = packRecHdrLen + packRecMeta
 
 // ReadForTransfer returns the bytes of blob h, read into dst, for a copy to
-// another store. A raw blob comes with its pack record and is verified
-// against the record's CRC — which covers the hash the record was written
-// under — instead of being hashed again: the receiving store checks the
-// content hash whenever it reads the blob back, as every read does. dst must
-// be RecordOverhead bytes longer than the blob, compressed or not; a
-// compressed blob is read as ReadInto has it. The caller holds a reference
+// another store. The blob comes with its pack record and is verified against
+// the record's CRC — which covers the hash the record was written under —
+// instead of being hashed again: the receiving store checks the content hash
+// whenever it reads the blob back, as every read does. dst must be
+// RecordOverhead bytes longer than the blob. The caller holds a reference
 // across the call, as for ReadInto.
 func (s *Store) ReadForTransfer(h extent.Hash, dst []byte) ([]byte, error) {
 	b, ok := s.lookup(h)
 	if !ok {
 		return nil, errNotStored(h)
 	}
-	if RecordOverhead+b.logical > int64(len(dst)) {
-		return nil, errLonger(h, int(b.logical), len(dst)-RecordOverhead)
+	if RecordOverhead+b.size > int64(len(dst)) {
+		return nil, errLonger(h, int(b.size), len(dst)-RecordOverhead)
 	}
-	if b.compressed {
-		n, err := s.ReadInto(h, dst)
-		return dst[:n], err
-	}
-	rec, _, err := s.readPackBlob(h, dst[:RecordOverhead+b.size], true)
-	if err != nil {
+	rec := dst[:RecordOverhead+b.size]
+	if err := s.readPackBlob(h, rec, true); err != nil {
 		return nil, err
 	}
-	if got, data, _, _, _, ok := parseRecord(rec); ok && got == h {
+	if got, data, _, ok, _ := parseRecord(rec); ok && got == h {
 		s.pageIns.Add(1)
 		return data, nil
 	}
-	return nil, fmt.Errorf("chunkdisk: blob %s corrupted on disk", hex.EncodeToString(h[:8]))
+	return nil, errCorrupted(h)
 }
 
 func errLonger(h extent.Hash, n, room int) error {
 	return fmt.Errorf("chunkdisk: blob %x is %d bytes, longer than the %d it is read into", h[:8], n, room)
+}
+
+// errCorrupted, like the two errors beside it, takes the hash by value: a
+// read that slices its own h for an error would move h to the heap on every
+// call, failing or not.
+func errCorrupted(h extent.Hash) error {
+	return fmt.Errorf("chunkdisk: blob %x corrupted on disk", h[:8])
 }
 
 func errNotStored(h extent.Hash) error {
@@ -665,12 +540,11 @@ func (s *Store) lookup(h extent.Hash) (blobState, bool) {
 }
 
 // readPackBlob reads blob h's stored bytes into buf, which is as long as
-// them, or into a buffer of its own when buf is nil, and reports where they
-// were; framed reads the whole pack record, header and all. The shared
+// them; framed reads the whole pack record, header and all. The shared
 // relocMu is held across the read so compaction cannot unlink the pack under
 // it, and the index entry is looked up after locking: a blob the compactor
 // relocated since the caller looked it up is found at its new address.
-func (s *Store) readPackBlob(h extent.Hash, buf []byte, framed bool) ([]byte, diskMeta, error) {
+func (s *Store) readPackBlob(h extent.Hash, buf []byte, framed bool) error {
 	ps := s.packs
 	ps.relocMu.RLock()
 	defer ps.relocMu.RUnlock()
@@ -681,17 +555,13 @@ func (s *Store) readPackBlob(h extent.Hash, buf []byte, framed bool) ([]byte, di
 	if !ok {
 		// Swept in the window. Callers hold a reference across a read, so
 		// this indicates a contract violation — surface it as missing.
-		return nil, diskMeta{}, errNotStored(h)
+		return errNotStored(h)
 	}
-	meta := cur.diskMeta
-	off, n := meta.off, meta.size
+	off := cur.off
 	if framed {
-		off, n = off-RecordOverhead, n+RecordOverhead
+		off -= RecordOverhead
 	}
-	if buf == nil {
-		buf = make([]byte, n)
-	}
-	return buf, meta, ps.readInto(meta.pack, off, buf)
+	return ps.readInto(cur.pack, off, buf)
 }
 
 // Release gives one reference back. At zero the disk copy is dead, left for
@@ -734,7 +604,6 @@ func (s *Store) Sweep() int {
 			s.deadBlobs.Add(-1)
 			s.diskBlobs.Add(-1)
 			s.diskBytes.Add(-meta.size)
-			s.diskLogical.Add(-meta.logical)
 			s.gcFreed.Add(1)
 			packDead[meta.pack] += meta.size
 			packBlobs[meta.pack]++
@@ -790,20 +659,19 @@ func (s *Store) Crash() {
 // Stats returns the current tier counters.
 func (s *Store) Stats() Stats {
 	return Stats{
-		Spills:           s.spills.Load(),
-		PageIns:          s.pageIns.Load(),
-		GCFreed:          s.gcFreed.Load(),
-		DiskBlobs:        s.diskBlobs.Load(),
-		DiskBytes:        s.diskBytes.Load(),
-		DiskLogicalBytes: s.diskLogical.Load(),
-		DeadBlobs:        s.deadBlobs.Load(),
-		Fsyncs:           s.fsyncs.Load(),
-		PackAppends:      s.packAppends.Load(),
-		PackFiles:        s.packFiles.Load(),
-		PackDeadBytes:    s.packDeadBytes.Load(),
-		PackCompactions:  s.packCompactions.Load(),
-		PackTornBytes:    s.packTornBytes.Load(),
-		FilesCreated:     s.filesCreated.Load(),
+		Spills:          s.spills.Load(),
+		PageIns:         s.pageIns.Load(),
+		GCFreed:         s.gcFreed.Load(),
+		DiskBlobs:       s.diskBlobs.Load(),
+		DiskBytes:       s.diskBytes.Load(),
+		DeadBlobs:       s.deadBlobs.Load(),
+		Fsyncs:          s.fsyncs.Load(),
+		PackAppends:     s.packAppends.Load(),
+		PackFiles:       s.packFiles.Load(),
+		PackDeadBytes:   s.packDeadBytes.Load(),
+		PackCompactions: s.packCompactions.Load(),
+		PackTornBytes:   s.packTornBytes.Load(),
+		FilesCreated:    s.filesCreated.Load(),
 	}
 }
 

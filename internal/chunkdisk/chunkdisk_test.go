@@ -5,19 +5,19 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
 	"datalinks/internal/extent"
-	"datalinks/internal/seglog"
 )
 
 // blob builds a deterministic test blob and its hash. The body cycles every
-// 256 bytes (compressible, which the flate tests rely on) and depends only
-// on seed mod 256, so the whole seed is stamped over the first bytes:
-// distinct seeds are distinct blobs.
+// 256 bytes and depends only on seed mod 256, so the whole seed is stamped
+// over the first bytes: distinct seeds are distinct blobs.
 func blob(seed, size int) ([]byte, extent.Hash) {
 	data := make([]byte, size)
 	for i := range data {
@@ -144,12 +144,12 @@ func overwriteRecord(t *testing.T, s *Store, h extent.Hash, junk []byte) {
 	}
 }
 
-// TestResidentChunksArePinned: a chunk the store hands out — Get's read into
-// a chunk of its own — never changes, even once the store and the original
-// file let go of it: a buffer restored from the same blob (installed from a
-// source over the store, as a rollback installs a held version) reads it
-// into a chunk of its own and writes that.
-func TestResidentChunksArePinned(t *testing.T) {
+// TestHandedOutChunkNeverChanges: a chunk the store hands out — Get's read
+// into a chunk of its own — never changes, even once the store and the
+// original file let go of it: a buffer restored from the same blob (installed
+// from a source over the store, as a rollback installs a held version) reads
+// it into a chunk of its own and writes that.
+func TestHandedOutChunkNeverChanges(t *testing.T) {
 	s, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -328,104 +328,6 @@ func TestClaimRepinsAdoptedBlobs(t *testing.T) {
 	}
 }
 
-// compressible builds a low-entropy blob (long runs) and its hash.
-func compressible(seed, size int) ([]byte, extent.Hash) {
-	data := make([]byte, size)
-	for i := range data {
-		data[i] = byte(seed + i/512)
-	}
-	return data, sha256.Sum256(data)
-}
-
-// TestCompressRoundTripAndStats: compressible blobs are stored flate-encoded
-// (physical < logical), incompressible blobs stay raw, and both page back in
-// byte-identical with the hash check on uncompressed bytes.
-func TestCompressRoundTripAndStats(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, Compress: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	zdata, zh := compressible(3, 32<<10)
-	put(t, s, zdata, zh)
-	// blob() output (byte(seed*31+i)) cycles every 256 bytes — flate still
-	// shrinks it — so build truly incompressible bytes from a hash chain.
-	raw := make([]byte, 8<<10)
-	sum := sha256.Sum256([]byte("entropy"))
-	for i := 0; i < len(raw); i += len(sum) {
-		copy(raw[i:], sum[:])
-		sum = sha256.Sum256(sum[:])
-	}
-	rh := sha256.Sum256(raw)
-	put(t, s, raw, extent.Hash(rh))
-
-	st := s.Stats()
-	if st.DiskLogicalBytes != int64(len(zdata)+len(raw)) {
-		t.Fatalf("logical bytes = %d, want %d", st.DiskLogicalBytes, len(zdata)+len(raw))
-	}
-	if st.DiskBytes >= st.DiskLogicalBytes {
-		t.Fatalf("no compression win: %d physical vs %d logical", st.DiskBytes, st.DiskLogicalBytes)
-	}
-	if meta := indexed(t, s, zh); !meta.compressed || meta.size >= meta.logical {
-		t.Fatalf("compressible blob not stored compressed: %+v", meta)
-	}
-	if meta := indexed(t, s, rh); meta.compressed || meta.size != int64(len(raw)) {
-		t.Fatalf("incompressible blob not stored raw: %+v", meta)
-	}
-	if got := get(t, s, zh); !bytes.Equal(got, zdata) {
-		t.Fatal("compressed blob diverged after page-in")
-	}
-	if got := get(t, s, extent.Hash(rh)); !bytes.Equal(got, raw) {
-		t.Fatal("raw blob diverged after page-in")
-	}
-
-	// A corrupted compressed record must fail the (uncompressed) hash check
-	// or the decoder, never serve bad bytes.
-	overwriteRecord(t, s, zh, deflate([]byte("junk")))
-	if _, err := s.Get(zh); err == nil {
-		t.Fatal("corrupted compressed blob served")
-	}
-}
-
-// TestCompressAdoptAndMixedMode: a store without Compress reads compressed
-// records an earlier store left, and vice versa; sweep retires both kinds.
-func TestCompressAdoptAndMixedMode(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := Open(Config{Dir: dir, Compress: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	zdata, zh := compressible(9, 16<<10)
-	put(t, s1, zdata, zh)
-	s1.Close()
-
-	// Uncompressed store adopts and serves the compressed blob.
-	s2, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s2.Ref(zh) {
-		t.Fatal("claim of adopted compressed blob failed")
-	}
-	if got := get(t, s2, zh); !bytes.Equal(got, zdata) {
-		t.Fatal("adopted compressed blob diverged")
-	}
-	// New blobs from this store are raw; both sweep cleanly.
-	data, h := blob(77, 4096)
-	put(t, s2, data, h)
-	if indexed(t, s2, h).compressed {
-		t.Fatal("a store without Compress compressed a blob")
-	}
-	s2.Release(zh)
-	s2.Release(h)
-	if freed := s2.Sweep(); freed != 2 {
-		t.Fatalf("swept %d blobs, want 2 (one compressed, one raw)", freed)
-	}
-	if st := s2.Stats(); st.DiskBlobs != 0 || st.DiskBytes != 0 || st.DiskLogicalBytes != 0 {
-		t.Fatalf("blobs left after mixed-mode sweep: %+v", st)
-	}
-}
-
 // diskFiles counts files in the two-hex-digit fan-out an older store kept
 // loose blobs in.
 func diskFiles(t *testing.T, dir string) int {
@@ -448,92 +350,166 @@ func diskFiles(t *testing.T, dir string) int {
 	return n
 }
 
-// writeLoose leaves data where a store from before packfiles kept blob h —
-// dir/ab/cdef…, ".z" when the data is flate-compressed — and returns the path.
-func writeLoose(t *testing.T, dir string, h extent.Hash, data []byte, compressed bool) string {
+// dirImage is every file under dir, by path relative to it, with its bytes;
+// a directory maps to nil.
+func dirImage(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
-	hx := hex.EncodeToString(h[:])
-	path := filepath.Join(dir, hx[:2], hx[2:])
-	if compressed {
-		path += ".z"
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	img := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || path == dir {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		if d.IsDir() {
+			img[rel] = nil
+			return nil
+		}
+		img[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return img
 }
 
-// TestLooseBlobsMoveIntoAPack: a directory an older store left loose blobs in
-// is converted when it is opened. A raw blob and a compressed one move into a
-// pack with their bytes unchanged, a loose copy of a blob a pack holds is just
-// removed, a stranded temp file goes, and a file whose content does not match
-// its name stays where it is, unindexed. The second open has nothing to move.
-func TestLooseBlobsMoveIntoAPack(t *testing.T) {
-	dir := t.TempDir()
-	packed, ph := blob(1, 3000)
+// crashedPack leaves in dir a pack a crashed store was appending to, torn
+// mid-record: an open that got as far as repairing it would cut its tail to
+// pack-00000001.pk.torn and seal it.
+func crashedPack(t *testing.T, dir string) {
+	t.Helper()
 	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	put(t, s, packed, ph)
-	if err := s.Close(); err != nil {
+	for i := 0; i < 3; i++ {
+		data, h := blob(60+i, 700)
+		put(t, s, data, h)
+	}
+	s.Crash()
+	path := filepath.Join(dir, "pack-00000001.pk")
+	info, err := os.Stat(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw, rh := blob(2, 5000)
-	zdata, zh := compressible(3, 8<<10)
-	rawPath := writeLoose(t, dir, rh, raw, false)
-	writeLoose(t, dir, zh, deflate(zdata), true)
-	writeLoose(t, dir, ph, packed, false)
-	if err := os.WriteFile(rawPath+seglog.TmpSuffix, raw[:100], 0o644); err != nil {
+	if err := os.Truncate(path, info.Size()-100); err != nil {
 		t.Fatal(err)
 	}
-	_, wrongH := blob(4, 100)
-	wrong := writeLoose(t, dir, wrongH, []byte("not the bytes the name hashes to"), false)
+}
 
-	for i, appends := range []int64{2, 0} {
-		open := i + 1
-		s, err := Open(Config{Dir: dir})
-		if err != nil {
-			t.Fatalf("open %d: %v", open, err)
-		}
-		if st := s.Stats(); st.DiskBlobs != 3 || st.DeadBlobs != 3 || st.PackAppends != appends {
-			t.Fatalf("open %d: %+v, want 3 blobs adopted dead and %d appends", open, st, appends)
-		}
-		for _, b := range []struct {
-			data []byte
-			h    extent.Hash
-		}{{packed, ph}, {raw, rh}, {zdata, zh}} {
-			if !s.Ref(b.h) {
-				t.Fatalf("open %d: blob %x not adopted", open, b.h[:4])
+// retire rewrites the record rec into the retired compressed form under a
+// matching CRC, as an earlier store that compressed it would have left it.
+func retire(rec []byte) {
+	rec[44] = packFlagCompressed
+	binary.LittleEndian.PutUint32(rec[4:8], uint32(2*len(rec))) // the length it inflates to
+	binary.LittleEndian.PutUint32(rec[8:12], recordCRC(rec))
+}
+
+// retireRecord retires record i of the pack at path, in its footer too when
+// the pack has one.
+func retireRecord(t *testing.T, path string, i int) {
+	t.Helper()
+	pack, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fr footerReader
+	body, footered := fr.read(bytes.NewReader(pack), int64(len(pack)))
+	off := int64(len(packMagic))
+	for j := 0; j < i; j++ {
+		off += recordLen(pack[off:])
+	}
+	rec := pack[off : off+recordLen(pack[off:])]
+	retire(rec)
+	if footered {
+		entry := pack[body+int64(i)*footerEntryLen:]
+		entry[48] = packFlagCompressed
+		copy(entry[44:48], rec[4:8])
+		resealFooter(pack[body:])
+	}
+	if err := os.WriteFile(path, pack, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRetiredFormFailsTheOpen: a directory holding a blob in a form earlier
+// stores wrote — a fan-out dir of loose blobs, a scanned pack's record
+// flagged compressed, a footer entry flagged compressed — fails the open with
+// the RetiredFormError naming the file. The open changes nothing: the flagged
+// record is not cut away as a torn tail, and the crashed pack before it is
+// not repaired, though an open of a directory without the retired form
+// would repair it.
+func TestRetiredFormFailsTheOpen(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		retire func(t *testing.T, dir string) string // returns the file to name
+	}{
+		{"loose blobs", func(t *testing.T, dir string) string {
+			data, h := blob(2, 500)
+			hx := hex.EncodeToString(h[:])
+			if err := os.MkdirAll(filepath.Join(dir, hx[:2]), 0o755); err != nil {
+				t.Fatal(err)
 			}
-			if got := get(t, s, b.h); !bytes.Equal(got, b.data) {
-				t.Fatalf("open %d: blob %x diverged", open, b.h[:4])
+			if err := os.WriteFile(filepath.Join(dir, hx[:2], hx[2:]), data, 0o644); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if z := indexed(t, s, zh); !z.compressed || z.size != int64(len(deflate(zdata))) {
-			t.Fatalf("open %d: the compressed blob was not packed as it lay: %+v", open, z)
-		}
-		if r := indexed(t, s, rh); r.compressed || r.size != int64(len(raw)) {
-			t.Fatalf("open %d: the raw blob was not packed as it lay: %+v", open, r)
-		}
-		if s.Ref(wrongH) {
-			t.Fatalf("open %d: a loose file that does not hash to its name was adopted", open)
-		}
-		if n := diskFiles(t, dir); n != 1 {
-			t.Fatalf("open %d: %d files left in the fan-out, want the mismatched one", open, n)
-		}
-		if _, err := os.Stat(wrong); err != nil {
-			t.Fatalf("open %d: the mismatched file is gone: %v", open, err)
-		}
-		if dirs, _ := filepath.Glob(filepath.Join(dir, "[0-9a-f][0-9a-f]")); len(dirs) != 1 {
-			t.Fatalf("open %d: fan-out dirs %v, want only the mismatched file's", open, dirs)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
+			return filepath.Join(dir, hx[:2])
+		}},
+		{"a scanned pack's record", func(t *testing.T, dir string) string {
+			path := filepath.Join(dir, "pack-00000002.pk")
+			var pack []byte
+			pack = append(pack, packMagic[:]...)
+			for i := 0; i < 3; i++ {
+				data, h := blob(50+i, 400)
+				pack = append(pack, frameRecord(h, data)...)
+			}
+			if err := os.WriteFile(path, pack, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			retireRecord(t, path, 1)
+			return path
+		}},
+		{"a footer entry", func(t *testing.T, dir string) string {
+			full, _, _, _ := sealedPack(t, 3)
+			path := filepath.Join(dir, "pack-00000002.pk")
+			if err := os.WriteFile(path, full, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			retireRecord(t, path, 2)
+			return path
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			crashedPack(t, dir)
+			want := c.retire(t, dir)
+			before := dirImage(t, dir)
+			s, err := Open(Config{Dir: dir})
+			var rf *RetiredFormError
+			if !errors.As(err, &rf) || rf.Path != want {
+				if err == nil {
+					s.Close()
+				}
+				t.Fatalf("open = %v, want the retired form in %s", err, want)
+			}
+			if after := dirImage(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatalf("the refused open changed the directory: %d entries before, %d after", len(before), len(after))
+			}
+			// The lock went with the refusal, and the directory is otherwise
+			// fine: without the retired form it opens and the crashed pack is
+			// repaired.
+			if err := os.RemoveAll(want); err != nil {
+				t.Fatal(err)
+			}
+			s, err = Open(Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if st := s.Stats(); st.PackTornBytes == 0 {
+				t.Fatalf("the crashed pack was not repaired: %+v", st)
+			}
+		})
 	}
 }
 
@@ -613,26 +589,24 @@ func TestPutBytesKeepsNoAlias(t *testing.T) {
 }
 
 // TestReadForTransferReadsTheBlob: a transfer read returns a blob's bytes
-// from the device, inflated when the store compressed it, and refuses a
-// buffer without room for the record's framing either way.
+// from the device, and refuses a buffer without room for the record's
+// framing.
 func TestReadForTransferReadsTheBlob(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		s, err := Open(Config{Dir: t.TempDir(), Compress: compress})
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := bytes.Repeat([]byte("transfer "), extent.ChunkSize/16)
-		h := extent.Hash(sha256.Sum256(data))
-		if _, err := s.PutBytes(h, data); err != nil {
-			t.Fatal(err)
-		}
-		got, err := s.ReadForTransfer(h, make([]byte, len(data)+RecordOverhead))
-		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("compress %v: transfer read: %v", compress, err)
-		}
-		if _, err := s.ReadForTransfer(h, make([]byte, len(data))); err == nil {
-			t.Fatalf("compress %v: a transfer read into a buffer without room for the framing succeeded", compress)
-		}
-		s.Close()
+	s, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	data := bytes.Repeat([]byte("transfer "), extent.ChunkSize/16)
+	h := extent.Hash(sha256.Sum256(data))
+	if _, err := s.PutBytes(h, data); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.ReadForTransfer(h, make([]byte, len(data)+RecordOverhead))
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("transfer read: %v", err)
+	}
+	if _, err := s.ReadForTransfer(h, make([]byte, len(data))); err == nil {
+		t.Fatal("a transfer read into a buffer without room for the framing succeeded")
 	}
 }

@@ -12,10 +12,12 @@ package chunkdisk
 // exactly bodyLen plus the footer long, the CRC matches, and the entries
 // tile the body — the first starts right after the pack magic, each next one
 // where the one before ends, the last ends at bodyLen — with lengths a record
-// may have and flags a writer sets. So a footer lists exactly the records a
-// scan of the body would find, in the order it would find them. The decoder
-// checks the footer alone; an open reads it only in a pack marked sealed
-// (see sealedPackMagic in pack.go).
+// may have, logicalLen equal to dataLen and flags 0, as a writer sets them. So
+// a footer lists exactly the records a scan of the body would find, in the
+// order it would find them. An entry flagged compressed under a matching CRC
+// is the retired form (see packFlagCompressed in pack.go), which the reader
+// reports rather than pass over. The decoder checks the footer alone; an open
+// reads it only in a pack marked sealed (see sealedPackMagic in pack.go).
 
 import (
 	"encoding/binary"
@@ -36,16 +38,14 @@ const (
 
 // footerEntry is one record of a pack as its footer lists it.
 type footerEntry struct {
-	hash       extent.Hash
-	off        int64 // record (header) offset in the pack
-	size       int64 // dataLen: the stored payload's length
-	logical    int64
-	compressed bool
+	hash extent.Hash
+	off  int64 // record (header) offset in the pack
+	size int64 // dataLen: the blob's length
 }
 
 // meta is where the entry's payload lies in pack seq.
 func (e *footerEntry) meta(seq int64) diskMeta {
-	return diskMeta{size: e.size, logical: e.logical, compressed: e.compressed, pack: seq, off: e.off + packRecHdrLen + packRecMeta}
+	return diskMeta{size: e.size, pack: seq, off: e.off + packRecHdrLen + packRecMeta}
 }
 
 // footerLen is the length of a footer listing n records.
@@ -60,12 +60,8 @@ func appendFooter(dst []byte, entries []footerEntry, bodyLen int64) []byte {
 		dst = append(dst, e.hash[:]...)
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(e.off))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.size))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.logical))
-		var flags byte
-		if e.compressed {
-			flags = packFlagCompressed
-		}
-		dst = append(dst, flags)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.size))
+		dst = append(dst, 0)
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(entries)))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(bodyLen))
@@ -78,6 +74,9 @@ func appendFooter(dst []byte, entries []footerEntry, bodyLen int64) []byte {
 type footerReader struct {
 	buf     []byte
 	entries []footerEntry // the last footer read
+	// retired: the last footer read matches its CRC and lists an entry in
+	// the retired compressed form.
+	retired bool
 	trail   [footerTrailerLen]byte
 }
 
@@ -103,7 +102,7 @@ func (fr *footerReader) trailer(r io.ReaderAt, size int64) (count int, bodyLen i
 // returns the body length, reporting false for a pack without a whole, valid
 // footer.
 func (fr *footerReader) read(r io.ReaderAt, size int64) (bodyLen int64, ok bool) {
-	fr.entries = fr.entries[:0]
+	fr.entries, fr.retired = fr.entries[:0], false
 	n, bodyLen, ok := fr.trailer(r, size)
 	if !ok {
 		return 0, false
@@ -123,14 +122,16 @@ func (fr *footerReader) read(r io.ReaderAt, size int64) (bodyLen int64, ok bool)
 	next := int64(len(packMagic))
 	for i := 0; i < n; i++ {
 		b := buf[i*footerEntryLen : (i+1)*footerEntryLen]
-		e := footerEntry{
-			hash:       extent.Hash(b[0:32]),
-			off:        int64(binary.LittleEndian.Uint64(b[32:40])),
-			size:       int64(binary.LittleEndian.Uint32(b[40:44])),
-			logical:    int64(binary.LittleEndian.Uint32(b[44:48])),
-			compressed: b[48] == packFlagCompressed,
+		if b[48] == packFlagCompressed {
+			fr.retired = true
+			return 0, false
 		}
-		if e.off != next || e.size > seglog.MaxRecordBytes || b[48]&^packFlagCompressed != 0 {
+		e := footerEntry{
+			hash: extent.Hash(b[0:32]),
+			off:  int64(binary.LittleEndian.Uint64(b[32:40])),
+			size: int64(binary.LittleEndian.Uint32(b[40:44])),
+		}
+		if e.off != next || e.size > seglog.MaxRecordBytes || b[48] != 0 || binary.LittleEndian.Uint32(b[44:48]) != uint32(e.size) {
 			return 0, false
 		}
 		if next += packRecHdrLen + packRecMeta + e.size; next > bodyLen {

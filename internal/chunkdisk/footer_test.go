@@ -66,22 +66,19 @@ func openScanned(t *testing.T, cfg Config) *Store {
 // TestFooterEqualsScan opens one directory through its footers and a copy of
 // it with every footer stripped, so every pack is scanned: the two opens build the same index — the same meta
 // per hash, the same live, dead and blob counts per pack — and the same
-// counters. The directory has raw and compressed records, a hash written
-// twice (the later record dead space from the start), swept records and a
-// pack a crash left without a footer.
+// counters. The directory has records of many lengths, a hash written twice
+// (the later record dead space from the start), swept records and a pack a
+// crash left without a footer.
 func TestFooterEqualsScan(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Compress: true, PackTargetBytes: 4 << 10, PackGarbageRatio: 0.9}
+	cfg := Config{Dir: dir, PackTargetBytes: 4 << 10, PackGarbageRatio: 0.9}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var hashes []extent.Hash
 	for i := 0; i < 24; i++ {
-		data, h := incompressible(int64(i), 500+37*i)
-		if i%3 == 0 {
-			data, h = compressible(i, 1500)
-		}
+		data, h := randomBlob(int64(i), 500+37*i)
 		put(t, s, data, h)
 		hashes = append(hashes, h)
 	}
@@ -91,7 +88,7 @@ func TestFooterEqualsScan(t *testing.T) {
 	if freed := s.Sweep(); freed != 6 {
 		t.Fatalf("sweep freed %d, want 6", freed)
 	}
-	again, h := incompressible(1, 537) // swept above: written once more
+	again, h := randomBlob(1, 537) // swept above: written once more
 	put(t, s, again, h)
 	s.Crash()
 
@@ -139,10 +136,10 @@ func TestFooterEqualsScan(t *testing.T) {
 // sealedPack writes n blobs to a fresh directory, closes the store — which
 // footers the pack — and returns the pack's bytes, its body length and the
 // blobs.
-func sealedPack(t *testing.T, n int, compress bool) (full []byte, body int64, datas [][]byte, hashes []extent.Hash) {
+func sealedPack(t *testing.T, n int) (full []byte, body int64, datas [][]byte, hashes []extent.Hash) {
 	t.Helper()
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, Compress: compress})
+	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +169,7 @@ func sealedPack(t *testing.T, n int, compress bool) (full []byte, body int64, da
 // the footer afresh, so the next open reads it and scans nothing.
 func TestTornFooterEveryByteBoundary(t *testing.T) {
 	const records = 3
-	full, body, datas, hashes := sealedPack(t, records, false)
+	full, body, datas, hashes := sealedPack(t, records)
 	const name = "pack-00000001.pk"
 	damaged := func(pack []byte) {
 		t.Helper()
@@ -281,7 +278,7 @@ func TestKillBetweenFooterAndFsync(t *testing.T) {
 // killed before the fresh footer is durable leaves a pack the next open scans
 // rather than one that is marked sealed and ends in a record's payload.
 func TestRepairClearsTheSealMarkBeforeTheCut(t *testing.T) {
-	full, body, _, hashes := sealedPack(t, 3, false)
+	full, body, _, hashes := sealedPack(t, 3)
 	var fr footerReader
 	fr.read(bytes.NewReader(full), int64(len(full)))
 	torn := full[:len(full)-5]
@@ -342,7 +339,6 @@ func TestForgedFooterIsNotTrusted(t *testing.T) {
 	filler := bytes.Repeat([]byte{'x'}, 300)
 	size += packRecHdrLen + packRecMeta + int64(len(filler))
 	made := footerEntry{hash: extent.Hash{1}, off: int64(len(packMagic)), size: size - int64(len(packMagic)) - packRecHdrLen - packRecMeta}
-	made.logical = made.size
 	forged := append(filler, appendFooter(nil, []footerEntry{made}, size)...)
 	h := extent.Hash(sha256.Sum256(forged))
 	put(t, s, forged, h)
@@ -379,52 +375,45 @@ func TestForgedFooterIsNotTrusted(t *testing.T) {
 // TestFlippedPayloadFailsOnlyItsBlob: the open trusts a footered pack's
 // footer and reads none of its records, so a bit flipped in one record's
 // payload surfaces when that blob is read — as the "corrupted on disk" error
-// every read's hash check gives, or, in a compressed record, as "undecodable
-// on disk" when the flip breaks the encoding — while the pack's other blobs
-// are served.
+// every read's check gives — while the pack's other blobs are served.
 func TestFlippedPayloadFailsOnlyItsBlob(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		full, _, datas, hashes := sealedPack(t, 3, compress)
-		var fr footerReader
-		fr.read(bytes.NewReader(full), int64(len(full)))
-		bad := fr.entries[1].meta(1)
-		if bad.compressed != compress {
-			t.Fatalf("compress %v: the record is stored compressed=%v", compress, bad.compressed)
+	full, _, datas, hashes := sealedPack(t, 3)
+	var fr footerReader
+	fr.read(bytes.NewReader(full), int64(len(full)))
+	bad := fr.entries[1].meta(1)
+	full[bad.off+bad.size/2] ^= 1
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "pack-00000001.pk"), full, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.Stats(); s.scannedPacks != 0 || st.DiskBlobs != 3 {
+		t.Fatalf("open scanned %d packs and adopted %d blobs, want the footer's 3 unscanned", s.scannedPacks, st.DiskBlobs)
+	}
+	for i, h := range hashes {
+		if !s.Ref(h) {
+			t.Fatalf("blob %d not adopted", i)
 		}
-		full[bad.off+bad.size/2] ^= 1
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "pack-00000001.pk"), full, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := Open(Config{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := s.Stats(); s.scannedPacks != 0 || st.DiskBlobs != 3 {
-			t.Fatalf("compress %v: open scanned %d packs and adopted %d blobs, want the footer's 3 unscanned", compress, s.scannedPacks, st.DiskBlobs)
-		}
-		for i, h := range hashes {
-			if !s.Ref(h) {
-				t.Fatalf("compress %v: blob %d not adopted", compress, i)
-			}
-			c, err := s.Get(h)
-			buf := make([]byte, len(datas[i]))
-			_, rerr := s.ReadInto(h, buf)
-			moved, terr := s.ReadForTransfer(h, make([]byte, len(datas[i])+RecordOverhead))
-			if i == 1 {
-				for _, err := range []error{err, rerr, terr} {
-					if err == nil || !strings.Contains(err.Error(), "corrupted on disk") && !(compress && strings.Contains(err.Error(), "undecodable on disk")) {
-						t.Fatalf("compress %v: the flipped blob read as %v", compress, err)
-					}
+		c, err := s.Get(h)
+		buf := make([]byte, len(datas[i]))
+		_, rerr := s.ReadInto(h, buf)
+		moved, terr := s.ReadForTransfer(h, make([]byte, len(datas[i])+RecordOverhead))
+		if i == 1 {
+			for _, err := range []error{err, rerr, terr} {
+				if err == nil || !strings.Contains(err.Error(), "corrupted on disk") {
+					t.Fatalf("the flipped blob read as %v", err)
 				}
-				continue
 			}
-			if err != nil || rerr != nil || terr != nil || !bytes.Equal(c.Data(), datas[i]) || !bytes.Equal(buf, datas[i]) || !bytes.Equal(moved, datas[i]) {
-				t.Fatalf("compress %v: blob %d beside the flipped one: %v, %v, %v", compress, i, err, rerr, terr)
-			}
-			c.ReleaseChunk()
+			continue
 		}
-		s.Close()
+		if err != nil || rerr != nil || terr != nil || !bytes.Equal(c.Data(), datas[i]) || !bytes.Equal(buf, datas[i]) || !bytes.Equal(moved, datas[i]) {
+			t.Fatalf("blob %d beside the flipped one: %v, %v, %v", i, err, rerr, terr)
+		}
+		c.ReleaseChunk()
 	}
 }
 
@@ -453,10 +442,12 @@ func (f footerFile) ReadAt(p []byte, off int64) (int, error) {
 // TestFooterRefusesWhatNoWriterWrites: a footer whose CRC and length agree
 // with the file is still refused when its entries are not the records a
 // writer appends: an offset outside the body, records that overlap or leave
-// a gap, a length no record may have, a flag no writer sets.
+// a gap, a length no record may have, a flag no writer sets, a logical length
+// other than the data's. An entry flagged compressed is refused too, and
+// reported as the retired form.
 func TestFooterRefusesWhatNoWriterWrites(t *testing.T) {
 	const rec = packRecHdrLen + packRecMeta
-	e := func(off, size int64) footerEntry { return footerEntry{off: off, size: size, logical: size} }
+	e := func(off, size int64) footerEntry { return footerEntry{off: off, size: size} }
 	good := []footerEntry{e(8, 100), e(8+rec+100, 20)}
 	body := int64(8 + 2*rec + 120)
 	var fr footerReader
@@ -481,13 +472,25 @@ func TestFooterRefusesWhatNoWriterWrites(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	// An unknown flag: a bit appendFooter never sets, under a CRC that
+	// A flag or a logical length appendFooter never writes, under a CRC that
 	// matches it.
-	f = footerOf(good, body)
-	f.footer[2*footerEntryLen-1] |= 2
-	resealFooter(f.footer)
-	if _, ok := fr.read(f, f.size()); ok {
-		t.Error("an unknown flag: accepted")
+	for name, c := range map[string]struct {
+		at      int
+		set     byte
+		retired bool
+	}{
+		"an unknown flag":       {2*footerEntryLen - 1, 2, false},
+		"a logical length":      {footerEntryLen + 44, 21, false},
+		"the compressed flag":   {2*footerEntryLen - 1, packFlagCompressed, true},
+		"the flag on the first": {footerEntryLen - 1, packFlagCompressed, true},
+		"a flag bit beside it":  {footerEntryLen - 1, packFlagCompressed | 4, false},
+	} {
+		f = footerOf(good, body)
+		f.footer[c.at] = c.set
+		resealFooter(f.footer)
+		if _, ok := fr.read(f, f.size()); ok || fr.retired != c.retired {
+			t.Errorf("%s: accepted %v, retired %v", name, ok, fr.retired)
+		}
 	}
 }
 
@@ -498,17 +501,19 @@ func resealFooter(footer []byte) {
 }
 
 // FuzzPackFooterDecode holds the footer decoder — what an open trusts to
-// index a pack without reading its records — to two properties on arbitrary
-// bytes: it never panics, and a footer it accepts lists records that tile
-// the body, each of a length a record may have, and re-encodes to exactly
-// the bytes it was read from. Seeds are packs a store sealed.
+// index a pack without reading its records — to three properties on
+// arbitrary bytes: it never panics; a footer it accepts lists records that
+// tile the body, each of a length a record may have and none flagged, and
+// re-encodes to exactly the bytes it was read from; and a footer it reports
+// in the retired form is never accepted. Seeds are packs a store sealed, and
+// the last of them with an entry in the retired form.
 func FuzzPackFooterDecode(f *testing.F) {
 	dir := f.TempDir()
-	s, err := Open(Config{Dir: dir, Compress: true, PackTargetBytes: 2 << 10})
+	s, err := Open(Config{Dir: dir, PackTargetBytes: 2 << 10})
 	if err != nil {
 		f.Fatal(err)
 	}
-	raw, _ := incompressible(1, 2000)
+	raw, _ := randomBlob(1, 2000)
 	for _, data := range [][]byte{raw, raw[:600], bytes.Repeat([]byte("patch "), 700), []byte("a patch"), nil} {
 		c := extent.WrapChunk(data, sha256.Sum256(data))
 		if _, err := s.Put(c.Hash(), c); err != nil {
@@ -523,23 +528,35 @@ func FuzzPackFooterDecode(f *testing.F) {
 	if err != nil || len(names) < 2 {
 		f.Fatalf("packs %v (%v), want at least two", names, err)
 	}
+	var pack []byte
 	for _, name := range names {
-		pack, err := os.ReadFile(name)
-		if err != nil {
+		if pack, err = os.ReadFile(name); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(pack)
 	}
+	var fr footerReader
+	body, _ := fr.read(bytes.NewReader(pack), int64(len(pack)))
+	retired := bytes.Clone(pack)
+	retired[body+footerEntryLen-1] = packFlagCompressed
+	resealFooter(retired[body:])
+	f.Add(retired)
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		var fr footerReader
 		body, ok := fr.read(bytes.NewReader(buf), int64(len(buf)))
+		if ok && fr.retired {
+			t.Fatal("accepted a footer in the retired form")
+		}
 		if !ok {
 			return
 		}
 		next := int64(len(packMagic))
-		for _, e := range fr.entries {
+		for i, e := range fr.entries {
 			if e.off != next || e.size > seglog.MaxRecordBytes {
 				t.Fatalf("accepted entry %+v where a record starts at %d", e, next)
+			}
+			if flags := buf[body+int64(i+1)*footerEntryLen-1]; flags != 0 {
+				t.Fatalf("accepted entry %d with flags %#x", i, flags)
 			}
 			next += packRecHdrLen + packRecMeta + e.size
 		}

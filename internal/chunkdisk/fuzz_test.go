@@ -17,21 +17,22 @@ var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/Fuzz
 const packCorpusDir = "testdata/fuzz/FuzzPackRecordDecode"
 
 // packCorpus is FuzzPackRecordDecode's seed corpus, by file name: records a
-// store appended to a real pack — an incompressible blob, a flate-compressed
-// one, a patch-sized one — the three back to back, and refusals made from
-// them: a torn record, a flipped data byte, and a flags bit no writer sets
-// under a checksum that matches it. A "valid-" file is one record and parses;
-// a "bad-" file does not.
+// store appended to a real pack — a chunk-sized blob, a patch-sized one, a
+// small one — the three back to back, and refusals made from them: a torn
+// record, a flipped data byte, a flags bit no writer sets under a checksum
+// that matches it, and the retired compressed form earlier stores wrote. A
+// "valid-" file is one record and parses; a "bad-" file does not; a
+// "retired-" file is refused as the retired form.
 func packCorpus(t *testing.T) map[string][]byte {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, Compress: true})
+	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw, _ := blob(1, 600)
-	compressible := bytes.Repeat([]byte("patch "), 700)
+	patch := bytes.Repeat([]byte("patch "), 700)
 	small := []byte("38 bytes a sub-chunk patch might hold")
-	for _, data := range [][]byte{raw, compressible, small} {
+	for _, data := range [][]byte{raw, patch, small} {
 		put(t, s, data, sha256.Sum256(data))
 	}
 	s.Crash() // the pack gets no footer: it is records to the end
@@ -46,28 +47,32 @@ func packCorpus(t *testing.T) map[string][]byte {
 		recs = append(recs, rest[:n])
 		rest = rest[n:]
 	}
-	if len(recs) != 3 || recs[1][44] != packFlagCompressed {
-		t.Fatalf("the store wrote %d records (second flags %#x), want three, the second compressed", len(recs), recs[1][44])
+	if len(recs) != 3 {
+		t.Fatalf("the store wrote %d records, want three", len(recs))
 	}
 	flipped := bytes.Clone(recs[0])
 	flipped[len(flipped)-1] ^= 1
 	unknownFlag := bytes.Clone(recs[2])
 	unknownFlag[44] |= 2
 	binary.LittleEndian.PutUint32(unknownFlag[8:12], recordCRC(unknownFlag))
+	retired := bytes.Clone(recs[1])
+	retire(retired)
 	return map[string][]byte{
-		"valid-raw":        recs[0],
-		"valid-compressed": recs[1],
-		"valid-small":      recs[2],
-		"valid-stream":     stream,
-		"bad-torn":         recs[0][:len(recs[0])-1],
-		"bad-data-flip":    flipped,
-		"bad-unknown-flag": unknownFlag,
+		"valid-raw":          recs[0],
+		"valid-patch":        recs[1],
+		"valid-small":        recs[2],
+		"valid-stream":       stream,
+		"bad-torn":           recs[0][:len(recs[0])-1],
+		"bad-data-flip":      flipped,
+		"bad-unknown-flag":   unknownFlag,
+		"retired-compressed": retired,
 	}
 }
 
 // TestPackCorpusIsRealRecords: every "valid-" seed is records the store
-// wrote and parses — the first of them, for the stream — and every "bad-"
-// seed is refused. -update-corpus rewrites the seeds from a fresh store.
+// wrote and parses — the first of them, for the stream — every "bad-" seed is
+// refused, and every "retired-" seed is refused as the retired form.
+// -update-corpus rewrites the seeds from a fresh store.
 func TestPackCorpusIsRealRecords(t *testing.T) {
 	seeds := packCorpus(t)
 	if *updateCorpus {
@@ -104,28 +109,38 @@ func TestPackCorpusIsRealRecords(t *testing.T) {
 		if _, err := fmt.Sscanf(strings.TrimSuffix(body, ")\n"), "%q", &quoted); err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
-		_, _, _, _, _, ok = parseRecord([]byte(quoted))
+		_, _, _, ok, retired := parseRecord([]byte(quoted))
 		if want := strings.HasPrefix(e.Name(), "valid-"); ok != want {
 			t.Errorf("%s: parsed = %v, want %v", e.Name(), ok, want)
+		}
+		if want := strings.HasPrefix(e.Name(), "retired-"); retired != want {
+			t.Errorf("%s: retired = %v, want %v", e.Name(), retired, want)
 		}
 	}
 }
 
 // FuzzPackRecordDecode holds the pack record parser — what a pack scan at
-// open trusts to rebuild the index — to two properties on arbitrary bytes: it
-// never panics, and a record it accepts is exactly the bytes putRecordHeader
-// and the record's data write, with recordLen agreeing on where it ends.
+// open trusts to rebuild the index — to three properties on arbitrary bytes:
+// it never panics; a record it accepts is exactly the bytes putRecordHeader
+// and the record's data write, flags 0, with recordLen agreeing on where it
+// ends; and a record in the retired compressed form is never accepted.
 func FuzzPackRecordDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		h, data, logical, compressed, n, ok := parseRecord(buf)
+		h, data, n, ok, retired := parseRecord(buf)
+		if ok && retired {
+			t.Fatal("accepted a record in the retired form")
+		}
 		if !ok {
 			return
 		}
 		if n > len(buf) || recordLen(buf) != int64(n) {
 			t.Fatalf("accepted a %d-byte record out of %d bytes (recordLen %d)", n, len(buf), recordLen(buf))
 		}
+		if buf[44] != 0 {
+			t.Fatalf("accepted a record flagged %#x", buf[44])
+		}
 		var hdr [packRecHdrLen + packRecMeta]byte
-		putRecordHeader(&hdr, h, data, logical, compressed)
+		putRecordHeader(&hdr, h, data)
 		if re := append(hdr[:], data...); !bytes.Equal(re, buf[:n]) {
 			t.Fatalf("accepted record\n%x\nre-encodes to\n%x", buf[:n], re)
 		}

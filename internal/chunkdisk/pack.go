@@ -11,11 +11,13 @@ package chunkdisk
 //	uint32 dataLen | uint32 logicalLen | uint32 CRC-32(lengths‖hash‖flags‖data)
 //	| hash [32] | flags [1] | data [dataLen]
 //
-// flags bit0 marks flate-compressed data (logicalLen is the uncompressed
-// length; the content hash always covers the uncompressed bytes, verified on
-// every page-in). Appends copy nothing: the 45 header bytes are built in one
-// buffer the pack set reuses, and the data goes to the file from where it
-// lies.
+// data is the blob as it was put, so logicalLen equals dataLen and flags is
+// 0; the content hash covers data and is verified on every page-in. A
+// CRC-valid record with flags bit0 set is the flate-compressed form earlier
+// stores wrote: an open refuses the directory (RetiredFormError) rather than
+// cut the record away as a torn tail. Appends copy nothing: the 45 header
+// bytes are built in one buffer the pack set reuses, and the data goes to the
+// file from where it lies.
 //
 // A sealed pack ends in a footer, its index: one entry per record, then a
 // trailer (see footer.go). The footer is written when the pack is sealed or
@@ -62,6 +64,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -95,6 +98,8 @@ const (
 	packRecHdrLen = 4 + 4 + 4 // dataLen | logicalLen | crc
 	packRecMeta   = 32 + 1    // hash | flags
 
+	// packFlagCompressed is the flag of the retired compressed form: no
+	// writer sets it, and an open refuses a pack that holds it.
 	packFlagCompressed = 1
 )
 
@@ -183,14 +188,11 @@ func recordCRC(frame []byte) uint32 {
 // it lies: the record is never assembled in memory. The header is built in
 // place because the checksum's slice of it escapes: an array returned by
 // value would be a heap object per record.
-func putRecordHeader(hdr *[packRecHdrLen + packRecMeta]byte, h extent.Hash, data []byte, logical int64, compressed bool) {
+func putRecordHeader(hdr *[packRecHdrLen + packRecMeta]byte, h extent.Hash, data []byte) {
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(data)))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(logical))
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(data)))
 	copy(hdr[12:44], h[:])
 	hdr[44] = 0
-	if compressed {
-		hdr[44] = packFlagCompressed
-	}
 	sum := crc32.Update(recordCRC(hdr[:]), crc32.IEEETable, data)
 	binary.LittleEndian.PutUint32(hdr[8:12], sum)
 }
@@ -200,30 +202,29 @@ func recordLen(hdr []byte) int64 {
 	return packRecHdrLen + packRecMeta + int64(binary.LittleEndian.Uint32(hdr[0:4]))
 }
 
-// parseRecord frames one record off buf. n is total bytes consumed. A flags
-// byte with a bit no writer sets is refused like a bad checksum: an accepted
-// record is exactly what putRecordHeader and its data would write.
-func parseRecord(buf []byte) (h extent.Hash, data []byte, logical int64, compressed bool, n int, ok bool) {
+// parseRecord frames one record off buf. n is total bytes consumed. A record
+// is ok only when it is exactly what putRecordHeader and its data would
+// write; anything else is refused like a bad checksum. retired reports a
+// whole, CRC-valid record flagged compressed and nothing else: the retired
+// form, which is never ok.
+func parseRecord(buf []byte) (h extent.Hash, data []byte, n int, ok, retired bool) {
 	if len(buf) < packRecHdrLen+packRecMeta {
-		return h, nil, 0, false, 0, false
+		return h, nil, 0, false, false
 	}
 	dataLen := binary.LittleEndian.Uint32(buf[0:4])
-	logical = int64(binary.LittleEndian.Uint32(buf[4:8]))
 	sum := binary.LittleEndian.Uint32(buf[8:12])
 	if dataLen > seglog.MaxRecordBytes || len(buf) < packRecHdrLen+packRecMeta+int(dataLen) {
-		return h, nil, 0, false, 0, false
+		return h, nil, 0, false, false
 	}
 	n = packRecHdrLen + packRecMeta + int(dataLen)
 	if recordCRC(buf[:n]) != sum {
-		return h, nil, 0, false, 0, false
+		return h, nil, 0, false, false
 	}
-	if buf[44]&^packFlagCompressed != 0 {
-		return h, nil, 0, false, 0, false
+	if buf[44] != 0 || binary.LittleEndian.Uint32(buf[4:8]) != dataLen {
+		return h, nil, 0, false, buf[44] == packFlagCompressed
 	}
 	copy(h[:], buf[12:44])
-	compressed = buf[44] == packFlagCompressed
-	data = buf[packRecHdrLen+packRecMeta : n]
-	return h, data, logical, compressed, n, true
+	return h, buf[packRecHdrLen+packRecMeta : n], n, true, false
 }
 
 // append writes one record to the active pack, creating or rotating packs as
@@ -232,7 +233,7 @@ func parseRecord(buf []byte) (h extent.Hash, data []byte, logical int64, compres
 // back pinned against compaction: the caller publishes the record in the
 // index and then calls published — or abandon, if it never will. A failed
 // append leaves no pin, and a record it wrote before failing is dead space.
-func (ps *packSet) append(h extent.Hash, data []byte, logical int64, compressed bool) (pm *packMeta, off int64, err error) {
+func (ps *packSet) append(h extent.Hash, data []byte) (pm *packMeta, off int64, err error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	if ps.closed {
@@ -244,7 +245,7 @@ func (ps *packSet) append(h extent.Hash, data []byte, logical int64, compressed 
 		}
 	}
 	pm = ps.activePM
-	putRecordHeader(&ps.hdr, h, data, logical, compressed)
+	putRecordHeader(&ps.hdr, h, data)
 	off = pm.size + int64(len(ps.hdr))
 	_, werr := ps.active.WriteAt(ps.hdr[:], pm.size)
 	if werr == nil {
@@ -257,7 +258,7 @@ func (ps *packSet) append(h extent.Hash, data []byte, logical int64, compressed 
 		_ = ps.active.Truncate(pm.size)
 		return nil, 0, fmt.Errorf("chunkdisk: pack append: %w", werr)
 	}
-	ps.entries = append(ps.entries, footerEntry{hash: h, off: pm.size, size: int64(len(data)), logical: logical, compressed: compressed})
+	ps.entries = append(ps.entries, footerEntry{hash: h, off: pm.size, size: int64(len(data))})
 	pm.size = off + int64(len(data))
 	pm.live += int64(len(data))
 	pm.blobs++
@@ -485,7 +486,7 @@ func (ps *packSet) compactOne(pm *packMeta) error {
 		if err := ps.readInto(pm.seq, rec.meta.off, data); err != nil {
 			return err
 		}
-		dst, newOff, err := ps.append(rec.h, data, rec.meta.logical, rec.meta.compressed)
+		dst, newOff, err := ps.append(rec.h, data)
 		if err != nil {
 			return err
 		}
@@ -557,10 +558,21 @@ func (ps *packSet) close(clean bool) error {
 }
 
 // adopter is what one open reads every pack through: a footer reader and a
-// scan window, each reused from pack to pack.
+// scan window, each reused from pack to pack, and the repairs the scanned
+// packs want, made once every pack has been read.
 type adopter struct {
 	footers footerReader
 	sc      seglog.Scanner
+	repairs []packRepair
+}
+
+// packRepair is a scanned pack's repair: cut back to valid bytes (quarantined
+// whole when valid is 0, not a pack) and sealed with the footer of entries.
+type packRepair struct {
+	seq, size, valid int64
+	path             string
+	marked           bool // the pack carries the seal mark
+	entries          []footerEntry
 }
 
 // packFile is a pack an open adopts: its path, and the one handle the open
@@ -574,9 +586,10 @@ type packFile struct {
 // adoptPacks indexes the packfiles a previous process left in the directory,
 // truncating torn tails. Runs during Open, before any concurrency. Each pack
 // is opened once. The shard maps are sized first from the record counts the
-// footers claim, so indexing them does not grow them step by step. On an
-// error the packs opened so far are closed here; the adopted ones' handles
-// go with the pack set's close.
+// footers claim, so indexing them does not grow them step by step. No pack is
+// repaired until every pack has been read, so a retired form anywhere fails
+// the open with the directory as it was. On an error the packs opened so far
+// are closed here; the adopted ones' handles go with the pack set's close.
 func (s *Store) adoptPacks() error {
 	seqs, err := s.packs.files.List()
 	if err != nil {
@@ -602,6 +615,17 @@ func (s *Store) adoptPacks() error {
 			return err
 		}
 		s.packs.nextSeq = int64(seq) + 1
+	}
+	for _, r := range ad.repairs {
+		var err error
+		if r.valid == 0 {
+			err = s.repairTail(r.path, r.size, 0)
+		} else {
+			err = s.repairPack(r.path, r.size, r.valid, r.marked, r.entries)
+		}
+		if err != nil {
+			return fmt.Errorf("chunkdisk: pack %d: %w", r.seq, err)
+		}
 	}
 	return nil
 }
@@ -655,11 +679,12 @@ func readMagic(f *os.File, size int64) (magic [len(packMagic)]byte) {
 
 // adoptOnePack indexes one packfile, every record as dead (Ref or a re-Put
 // revives it): from its footer when it is marked sealed and the footer is
-// valid, else by scanning its records, quarantining a torn tail — or the
-// whole file, when it does not start with a pack magic: never guess at, or
-// delete, bytes that might matter — and sealing what is left. The pack keeps
-// p's handle as its read handle (a repair cuts and seals the file in place);
-// a file that is not a pack has it closed.
+// valid, else by scanning its records. A scanned pack is listed for repair:
+// its torn tail quarantined — or the whole file, when it does not start with
+// a pack magic: never guess at, or delete, bytes that might matter — and what
+// is left sealed. A footer entry or a record in the retired compressed form
+// fails the adoption. The pack keeps p's handle as its read handle (a repair
+// cuts and seals the file in place); a file that is not a pack has it closed.
 func (s *Store) adoptOnePack(ad *adopter, p packFile, seq int64) (err error) {
 	f, size := p.f, p.size
 	pm := &packMeta{seq: seq, path: p.path, sealed: true}
@@ -668,28 +693,29 @@ func (s *Store) adoptOnePack(ad *adopter, p packFile, seq int64) (err error) {
 			f.Close()
 		}
 	}()
+	retired := func() error { return &RetiredFormError{Path: p.path, Form: "a compressed pack record"} }
 	magic := readMagic(f, size)
 	valid, trusted := int64(0), false
 	if magic == sealedPackMagic {
-		valid, trusted = ad.footers.read(f, size)
+		if valid, trusted = ad.footers.read(f, size); ad.footers.retired {
+			return retired()
+		}
 	}
 	if !trusted && (magic == packMagic || magic == sealedPackMagic) {
 		s.scannedPacks++
-		if valid, err = s.scanPack(ad, f, size); err != nil {
+		var flagged bool
+		if valid, flagged, err = s.scanPack(ad, f, size); err != nil {
 			return fmt.Errorf("chunkdisk: pack %d: %w", seq, err)
+		} else if flagged {
+			return retired()
 		}
 	}
 	entries := ad.footers.entries
 	if !trusted {
+		ad.repairs = append(ad.repairs, packRepair{seq: seq, size: size, valid: valid, path: p.path,
+			marked: magic == sealedPackMagic, entries: slices.Clone(entries)})
 		if valid == 0 {
-			// Not a pack: the file goes, its bytes quarantined.
-			if err := s.repairTail(p.path, size, 0); err != nil {
-				return fmt.Errorf("chunkdisk: pack %d: %w", seq, err)
-			}
-			return nil
-		}
-		if err := s.repairPack(p.path, size, valid, magic == sealedPackMagic, entries); err != nil {
-			return fmt.Errorf("chunkdisk: pack %d: %w", seq, err)
+			return nil // not a pack: the repair quarantines the file
 		}
 	}
 	for i := range entries {
@@ -746,20 +772,21 @@ func (s *Store) repairPack(path string, size, valid int64, marked bool, entries 
 
 // scanPack verifies the records in the first body bytes of a pack, lists
 // them in ad.footers.entries and returns where their longest valid prefix
-// ends.
-func (s *Store) scanPack(ad *adopter, f *os.File, body int64) (int64, error) {
+// ends. retired reports that the prefix ends at a record in the retired
+// compressed form: valid bytes, which are not a torn tail.
+func (s *Store) scanPack(ad *adopter, f *os.File, body int64) (valid int64, retired bool, err error) {
 	const hdrLen = packRecHdrLen + packRecMeta
 	ad.footers.entries = ad.footers.entries[:0]
 	records := io.NewSectionReader(f, int64(len(packMagic)), body-int64(len(packMagic)))
 	n, err := ad.sc.Scan(records, records.Size(), hdrLen, recordLen, func(rec []byte, off int64) bool {
-		h, payload, logical, compressed, _, ok := parseRecord(rec)
+		h, payload, _, ok, flagged := parseRecord(rec)
 		if ok {
-			ad.footers.entries = append(ad.footers.entries, footerEntry{hash: h, off: int64(len(packMagic)) + off,
-				size: int64(len(payload)), logical: logical, compressed: compressed})
+			ad.footers.entries = append(ad.footers.entries, footerEntry{hash: h, off: int64(len(packMagic)) + off, size: int64(len(payload))})
 		}
+		retired = flagged
 		return ok
 	})
-	return int64(len(packMagic)) + n, err
+	return int64(len(packMagic)) + n, retired, err
 }
 
 // sealFile seals the pack file f, whose body is bodyLen bytes: it appends

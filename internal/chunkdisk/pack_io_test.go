@@ -18,34 +18,30 @@ import (
 // frameRecord is how records were built before appends stopped copying: the
 // whole frame assembled in one fresh buffer. It stays here as the oracle for
 // the bytes an append must leave on disk.
-func frameRecord(h extent.Hash, data []byte, logical int64, compressed bool) []byte {
+func frameRecord(h extent.Hash, data []byte) []byte {
 	buf := make([]byte, packRecHdrLen+packRecMeta+len(data))
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(data)))
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(logical))
+	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(data)))
 	copy(buf[12:44], h[:])
-	var flags byte
-	if compressed {
-		flags = packFlagCompressed
-	}
-	buf[44] = flags
 	copy(buf[packRecHdrLen+packRecMeta:], data)
 	binary.LittleEndian.PutUint32(buf[8:12], recordCRC(buf))
 	return buf
 }
 
-// incompressible builds a blob flate cannot shrink.
-func incompressible(seed int64, size int) ([]byte, extent.Hash) {
+// incompressible builds a blob of random bytes.
+func randomBlob(seed int64, size int) ([]byte, extent.Hash) {
 	data := make([]byte, size)
 	rand.New(rand.NewSource(seed)).Read(data)
 	return data, sha256.Sum256(data)
 }
 
 // TestAppendWritesTheFramesOfTheOracle: the header-then-data write path puts
-// byte for byte on disk what framing each record into a buffer did — raw,
-// compressed and empty records alike.
+// byte for byte on disk what framing each record into a buffer did — the
+// blob as it was put, logicalLen equal to dataLen and flags 0 — for records
+// of every length, empty ones included.
 func TestAppendWritesTheFramesOfTheOracle(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, Compress: true})
+	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,18 +49,14 @@ func TestAppendWritesTheFramesOfTheOracle(t *testing.T) {
 	var entries []footerEntry
 	add := func(data []byte, h extent.Hash) {
 		put(t, s, data, h)
-		stored, compressed := data, false
-		if z := deflate(data); len(z) < len(data) {
-			stored, compressed = z, true
-		}
-		entries = append(entries, footerEntry{hash: h, off: int64(len(want)), size: int64(len(stored)), logical: int64(len(data)), compressed: compressed})
-		want = append(want, frameRecord(h, stored, int64(len(data)), compressed)...)
+		entries = append(entries, footerEntry{hash: h, off: int64(len(want)), size: int64(len(data))})
+		want = append(want, frameRecord(h, data)...)
 	}
-	add(compressible(3, 8<<10))
+	add(blob(3, 8<<10))
 	add(blob(4, 1))
-	add(incompressible(5, 3000))
+	add(randomBlob(5, 3000))
 	add(blob(6, extent.ChunkSize))
-	add(compressible(7, 700))
+	add(blob(7, 700))
 	add(blob(8, 0))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

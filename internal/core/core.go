@@ -74,9 +74,6 @@ type ServerConfig struct {
 	// the archive on their next read. Chunks an open update wrote stay in
 	// memory until its close, on top of the budget.
 	ArchiveMemoryBudget int64
-	// ArchiveCompress flate-compresses spilled archive chunks when that
-	// shrinks them (hashes still verify the uncompressed bytes).
-	ArchiveCompress bool
 	// ArchiveFsync selects the archive tier's durability policy: "" or
 	// "none" (rely on the OS flushing — fastest, a power loss can lose the
 	// newest commits' archive copies), "group" (commits are acknowledged
@@ -281,10 +278,9 @@ func buildStack(sc ServerConfig, dlfmName string, clock func() time.Time, key []
 		})
 	}
 	arch, err := archive.NewTiered(0, clock, archive.TierConfig{
-		Dir:      sc.ArchiveDir,
-		Compress: sc.ArchiveCompress,
-		Fsync:    fsyncPolicy,
-		Metrics:  reg,
+		Dir:     sc.ArchiveDir,
+		Fsync:   fsyncPolicy,
+		Metrics: reg,
 	})
 	if err != nil {
 		return nil, err

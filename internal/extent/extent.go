@@ -14,11 +14,10 @@
 //     flat byte slices.
 //
 // A buffer writes a chunk in place only while it is the chunk's sole owner
-// and the chunk is not pinned (refs == 1 && !pinned). A chunk is pinned when
-// it comes out of a store — LoadChunk and WrapChunk build pinned chunks — so a
-// detached reader of a stored chunk never sees it change. Being hashed
-// does not pin: an in-place write forgets the memoized hash. A snapshot or an
-// archived version that still shares the chunk forces a copy. That is what
+// (refs == 1): an in-place write forgets the memoized hash. A snapshot or an
+// archived version that still shares the chunk forces a copy. A chunk that
+// comes out of a store (LoadChunk, WrapChunk) never enters a buffer: a
+// buffer's chunks are made by its own writes, or read from its source. That is what
 // lets the commit path archive a small edit as a patch, and a whole chunk
 // without the file's next write copying it. Capture is the
 // commit path's snapshot: besides the chunks it hands over the byte span of
@@ -100,10 +99,6 @@ type Chunk struct {
 	hashed atomic.Bool
 	hashMu sync.Mutex
 	hash   Hash
-
-	// pinned: the chunk passed through a store, so it is never written in
-	// place, even once the buffer is its only owner.
-	pinned atomic.Bool
 
 	// used is the slot's referenced bit: a read sets it, and PageOut clears
 	// it on its first pass over the slot and drops the chunk on the next one
@@ -192,10 +187,6 @@ func (c *Chunk) Hash() Hash {
 	return c.hash
 }
 
-// pin marks the chunk as handed out by a store: no buffer writes it in place
-// from then on.
-func (c *Chunk) pin() { c.pinned.Store(true) }
-
 // readSlot reads chunk slot i of src into a chunk of its own.
 func readSlot(src Source, i int) (*Chunk, error) {
 	c := allocChunk()
@@ -206,8 +197,8 @@ func readSlot(src Source, i int) (*Chunk, error) {
 	return c, nil
 }
 
-// LoadChunk reads chunk slot i of src into a pinned chunk of its own — a
-// store materializing a slot of an archived version. known, when not nil, is
+// LoadChunk reads chunk slot i of src into a chunk of its own — a store
+// materializing a slot of an archived version. known, when not nil, is
 // the content hash the read verified, so Hash does not compute it again.
 func LoadChunk(src Source, i int, known *Hash) (*Chunk, error) {
 	c, err := readSlot(src, i)
@@ -218,7 +209,6 @@ func LoadChunk(src Source, i int, known *Hash) (*Chunk, error) {
 		c.hash = *known
 		c.hashed.Store(true)
 	}
-	c.pin()
 	return c, nil
 }
 
@@ -597,13 +587,13 @@ func (b *Buffer) overwrite(off int64, p []byte) {
 			}
 		case old == nil:
 			panic(fmt.Sprintf("extent: partial write to absent slot %d (LoadEdges first)", ci))
-		case old.refs.Load() == 1 && !old.pinned.Load():
-			// Exclusive and in no store: no snapshot or stored copy can see
-			// this chunk, so mutate in place; its old hash no longer holds.
+		case old.refs.Load() == 1:
+			// Exclusive: no snapshot or stored copy can see this chunk, so
+			// mutate in place; its old hash no longer holds.
 			copy(old.data[cs:], p[:n])
 			old.hashed.Store(false)
 		default:
-			// Shared or pinned: copy-on-write.
+			// Shared: copy-on-write.
 			c := allocChunk()
 			copy(c.data, old.data)
 			copy(c.data[cs:], p[:n])
@@ -809,13 +799,12 @@ func (b *Buffer) reattach() {
 }
 
 // WrapChunk wraps data (owned by the chunk from here on; callers must not
-// modify it) as a pinned chunk whose content hash is already known — a blob
-// read back from the disk tier, whose read verified the hash.
+// modify it) as a chunk whose content hash is already known — a blob read
+// back from the disk tier, whose read verified the hash.
 func WrapChunk(data []byte, h Hash) *Chunk {
 	c := newChunk(data)
 	c.hash = h
 	c.hashed.Store(true)
-	c.pin()
 	return c
 }
 

@@ -393,41 +393,9 @@ func TestHashStableAndDistinct(t *testing.T) {
 	}
 }
 
-// TestPinnedChunkIsCopiedOnWrite guards what a store's pin promises: a chunk
-// that came out of a store — a blob read into a chunk of its own (WrapChunk)
-// or a version's slot read through its source (LoadChunk) — is copied on
-// write even once the buffer writing it is its only owner, so a reader still
-// holding it never sees it change. No exported call puts such a chunk in a
-// buffer, so the test appends it to one directly.
-func TestPinnedChunkIsCopiedOnWrite(t *testing.T) {
-	stores := map[string]func(data []byte) *Chunk{
-		"page-in": func(data []byte) *Chunk { return WrapChunk(data, sha256.Sum256(data)) },
-		"load": func(data []byte) *Chunk {
-			c, err := LoadChunk(&flatSource{content: data, refs: 1}, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
-		},
-	}
-	for name, store := range stores {
-		c := store(bytes.Repeat([]byte{5}, ChunkSize))
-		b := NewBuffer()
-		b.appendChunk(c.retain())
-		c.release() // the buffer's reference is now the only one
-		b.WriteAt(0, []byte{99})
-		if b.chunks[0] == c {
-			t.Fatalf("%s: a pinned chunk was written in place", name)
-		}
-		if got := b.Bytes(); got[0] != 99 || got[1] != 5 {
-			t.Fatalf("%s: the buffer lost the write", name)
-		}
-		b.Truncate(0)
-	}
-}
-
-// TestInPlaceWriteForgetsHash: being hashed does not pin a chunk — once the
-// snapshot that was hashed is released, a small write lands in place — and
+// TestInPlaceWriteForgetsHash: being hashed does not stop a chunk being
+// written in place — once the snapshot that was hashed is released, a small
+// write lands in place — and
 // the memoized hash goes with the old bytes, so Hash matches what the chunk
 // holds now. A snapshot still held forces a copy, and keeps its hash.
 func TestInPlaceWriteForgetsHash(t *testing.T) {
@@ -537,7 +505,7 @@ func TestCaptureDirtySpans(t *testing.T) {
 
 // TestCapturedChunkIsWrittenInPlace: once a capture is released, the chunk
 // is the buffer's alone again, and a small write lands in place — the copy a
-// pinned chunk forces is what the archive's patches and write-through puts
+// shared chunk forces is what the archive's patches and write-through puts
 // avoid.
 func TestCapturedChunkIsWrittenInPlace(t *testing.T) {
 	b := NewBuffer()

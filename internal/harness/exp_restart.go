@@ -144,7 +144,7 @@ func (c *restartConfig) run() ([]*Table, error) {
 	t.AddRow("versions verified byte-identical", fmt.Sprintf("%d (+%d point-in-time)", verified, c.Files))
 	t.AddRow("bytes re-archived on reopen", fmt.Sprintf("%d (spills: %d)", reArchived, spills))
 	t.AddRow("chunks paged in by verification", fmt.Sprintf("%d", final.PageIns))
-	t.AddRow("on-disk bytes (physical / logical)", fmt.Sprintf("%s / %s", mib(diskAfterChurn), mib(final.DiskLogicalBytes)))
+	t.AddRow("on-disk bytes (physical)", mib(diskAfterChurn))
 	t.AddRow("pack files / torn pack bytes", fmt.Sprintf("%d / %d", final.PackFiles, final.PackTornBytes))
 	t.AddRow("fsync policy", fsyncPolicy.String())
 	t.Note("the reopened store never existed while the versions were committed: the catalog (manifest log + snapshot) is the only index")

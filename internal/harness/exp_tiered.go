@@ -20,7 +20,6 @@ type tieredConfig struct {
 	EditKB   int
 	BudgetMB int
 	Dir      string // "" = private temp dir, removed afterwards
-	Compress bool
 }
 
 var e15 = tieredConfig{Files: 3, FileMB: 8, Versions: 10, EditKB: 64, BudgetMB: 4}
@@ -31,7 +30,6 @@ func (c *tieredConfig) flags(fs *flag.FlagSet) {
 	posInt(fs, &c.Versions, "e15-versions", "E15: versions committed per file")
 	posInt(fs, &c.BudgetMB, "e15-budget", "E15: member memory budget in MiB (ArchiveMemoryBudget): the file system's resident chunks must stay within it")
 	fs.StringVar(&c.Dir, "e15-dir", c.Dir, "E15: on-disk chunk store directory (default: private temp dir)")
-	fs.BoolVar(&c.Compress, "e15-compress", c.Compress, "E15: flate-compress spilled archive chunks")
 }
 
 func init() {
@@ -68,7 +66,6 @@ func (c *tieredConfig) run() ([]*Table, error) {
 		OpenWait:            30 * time.Second,
 		ArchiveDir:          dir,
 		ArchiveMemoryBudget: budget,
-		ArchiveCompress:     c.Compress,
 		QuarantineTTL:       quarantineTTL,
 	}, 30*time.Second)
 	if err != nil {
@@ -207,7 +204,6 @@ func (c *tieredConfig) run() ([]*Table, error) {
 	t.AddRow("churn wall time", Dur(churnWall))
 	t.AddRow("logical archive bytes", mib(dedup.LogicalBytes))
 	t.AddRow("on-disk archive bytes (physical)", mib(churn.DiskBytes))
-	t.AddRow("on-disk archive bytes (logical)", fmt.Sprintf("%s (compress: %v)", mib(churn.DiskLogicalBytes), c.Compress))
 	t.AddRow("memory budget", mib(budget))
 	t.AddRow("fs resident bytes (max after a commit)", mib(maxResident))
 	t.AddRow("fs page-outs / fault-ins", fmt.Sprintf("%d / %d chunks", pageOuts, faultIns))
@@ -224,6 +220,6 @@ func (c *tieredConfig) run() ([]*Table, error) {
 	t.AddRow("disk chunks before/after PIT restore + GC", fmt.Sprintf("%d / %d (GC freed %d)", diskBefore, final.DiskBlobs, gcFreed))
 	t.Note("the linked files' resident chunks stay within the memory budget no matter how many versions accumulate: a clean chunk pages out against the version it was archived as, and the full deduplicated history lives on disk")
 	t.Note("a rollback moves the in-flight content to its quarantine file with its chunk source, so quarantining reads nothing and the copy pages like any file: the copies add at most the chunk each in-flight write dirtied, read back or not")
-	t.Note("restores and AsOf read chunks from disk on first access; GC unlinks chunk files no surviving version references and expires aged quarantine files")
+	t.Note("restores and AsOf read chunks from disk on first access; GC retires the pack records no surviving version references, compacting a pack once half of it is dead, and expires aged quarantine files")
 	return []*Table{t}, nil
 }

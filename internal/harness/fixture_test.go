@@ -113,7 +113,7 @@ func TestExperimentFlags(t *testing.T) {
 		{"-upcall-latency", "0"},
 		{"-exp", "E14", "-filesize", "64", "-edits", "16", "-editsize", "64"},
 		{"-exp", "E15", "-e15-files", "3", "-e15-filesize", "8", "-e15-versions", "10", "-e15-budget", "4"},
-		{"-exp", "E15", "-e15-dir", "/var/tmp/archive", "-e15-compress"},
+		{"-exp", "E15", "-e15-dir", "/var/tmp/archive"},
 		{"-exp", "E16", "-e16-dir", "/var/tmp/e16", "-e16-fsync", "group"},
 		{"-exp", "E18", "-e18-dir", "/var/tmp/e18", "-e18-fsync", "group"},
 		{"-exp", "E20", "-e20-drop", "0.1", "-e20-reset", "0", "-e20-delay", "1", "-e20-seed", "7"},
@@ -130,11 +130,11 @@ func TestExperimentFlags(t *testing.T) {
 	}
 
 	defer restore()()
-	if err := experimentFlags(t).Parse([]string{"-sessions", "2,6", "-e21-servers", "3", "-e23-round", "750ms", "-e15-compress"}); err != nil {
+	if err := experimentFlags(t).Parse([]string{"-sessions", "2,6", "-e21-servers", "3", "-e23-round", "750ms", "-e15-dir", "/var/tmp/archive"}); err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(e13.Sessions) != "[2 6]" || fmt.Sprint(e21.Servers) != "[3]" || e23.Round.String() != "750ms" || !e15.Compress {
-		t.Errorf("flags did not land in the configs: %v %v %v %v", e13.Sessions, e21.Servers, e23.Round, e15.Compress)
+	if fmt.Sprint(e13.Sessions) != "[2 6]" || fmt.Sprint(e21.Servers) != "[3]" || e23.Round.String() != "750ms" || e15.Dir != "/var/tmp/archive" {
+		t.Errorf("flags did not land in the configs: %v %v %v %q", e13.Sessions, e21.Servers, e23.Round, e15.Dir)
 	}
 
 	rejected := [][]string{

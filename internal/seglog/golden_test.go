@@ -11,15 +11,18 @@ package seglog_test
 // repo-v3 is a checkpointed repository, its log payloads and repo.snap in the
 // payload codec's fixed layout (a repository in the gob layout before it no
 // longer opens). The chunks series is the sides of format changes instead;
-// only its newest fixture has a writer, the older ones are only opened and
-// recovered. chunks holds a blob in the loose one-file-per-hash layout:
-// opening it moves that blob into a pack. chunks-v2 is the same inputs with
-// every blob packed, no pack footered; chunks-v3 is them written by the
-// current code, the sealed packs footered and the crashed one not.
+// only its newest fixture has a writer, the older ones are only opened. chunks
+// holds a blob in the loose one-file-per-hash layout and chunks-v2 is the same
+// inputs with every blob packed, no pack footered; both hold blob 0 as a
+// flate-compressed pack record, a form no store reads any more, so opening
+// either is refused and changes nothing. chunks-v3 is the inputs written by
+// the current code, every blob a raw record, the sealed packs footered and the
+// crashed one not.
 
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"flag"
 	"io/fs"
 	"os"
@@ -387,11 +390,11 @@ func checkCatalogV2(t *testing.T, dir string) {
 // blob (read-only); chunks-v2 (read-only) and chunks-v3: the same blobs all
 // packed, the last pack torn, only v3's sealed packs footered ---
 
-var chunksConfig = chunkdisk.Config{Compress: true, PackTargetBytes: 2048}
+var chunksConfig = chunkdisk.Config{PackTargetBytes: 2048}
 
-// chunkBlob builds blob i: blob 0 is compressible (it becomes the fixtures'
+// chunkBlob builds blob i: blob 0 is zeros (the older fixtures hold it as a
 // flate-compressed pack record), blob 9 is longer (the chunks fixture's loose
-// blob), the rest are incompressible.
+// blob), the rest are random-looking.
 func chunkBlob(i int) ([]byte, extent.Hash) {
 	size := 600 + 10*i
 	if i == 9 {
@@ -446,23 +449,41 @@ func serveChunks(t *testing.T, s *chunkdisk.Store, tornPack string) {
 	}
 }
 
-// checkChunks opens the fixture an older store wrote, whose blob 9 lies
-// loose in dir/12/…: the open moves it into a new pack, leaves no fan-out
-// dir, and serves it with the rest.
+// checkChunks opens the fixture whose blob 9 lies loose in dir/12/…: the
+// open fails naming the fan-out dir, which it checks before any pack.
 func checkChunks(t *testing.T, dir string) {
-	s := openChunks(t, dir)
-	defer s.Close()
-	want := chunkdisk.Stats{DiskBlobs: 6, DiskBytes: 4012, DiskLogicalBytes: 4600, DeadBlobs: 6, PackAppends: 1, PackFiles: 3, PackTornBytes: 682, FilesCreated: 1}
-	if got := s.Stats(); got != want {
-		t.Fatalf("open stats %+v, want %+v", got, want)
+	refuseChunks(t, dir, filepath.Join(dir, "12"))
+}
+
+// refuseChunks holds a fixture in a retired blob form to its refusal: the
+// open fails with the RetiredFormError naming the file at retired and leaves
+// the directory as it was, byte for byte — no torn tail quarantined, no pack
+// repaired or added.
+func refuseChunks(t *testing.T, dir, retired string) {
+	t.Helper()
+	before := readDir(t, dir)
+	cfg := chunksConfig
+	cfg.Dir = dir
+	s, err := chunkdisk.Open(cfg)
+	var rf *chunkdisk.RetiredFormError
+	if !errors.As(err, &rf) || rf.Path != retired {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("open = %v, want the retired form in %s", err, retired)
 	}
-	if fanOut := matches(t, dir, "[0-9a-f][0-9a-f]"); len(fanOut) != 0 {
-		t.Fatalf("fan-out dirs left after the open: %v", fanOut)
+	if after := readDir(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the refused open changed the fixture: files %v, were %v", sortedNames(after), sortedNames(before))
 	}
-	if packs := matches(t, dir, "pack-*.pk"); len(packs) != 3 {
-		t.Fatalf("packs %v, want the fixture's two and the one blob 9 moved into", packs)
+}
+
+func sortedNames(files map[string][]byte) []string {
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
 	}
-	serveChunks(t, s, filepath.Join(dir, "pack-00000002.pk"))
+	sort.Strings(names)
+	return names
 }
 
 func writeChunksV3(t *testing.T, dir string) {
@@ -480,11 +501,12 @@ func writeChunksV3(t *testing.T, dir string) {
 	tear(t, lastMatch(t, dir, "pack-*.pk"), 13)
 }
 
-// checkChunksV2 opens the fixture whose packs have no footers: the open
-// scans every pack and leaves each one footered.
+// checkChunksV2 opens the fixture whose packs have no footers: the scan of
+// the first pack meets blob 0's compressed record, and the open fails naming
+// that pack before the torn last one is repaired.
 func checkChunksV2(t *testing.T, dir string) {
 	checkFooters(t, dir, false, false, false)
-	checkPackedChunks(t, dir)
+	refuseChunks(t, dir, filepath.Join(dir, "pack-00000001.pk"))
 }
 
 // checkChunksV3 opens the fixture whose sealed packs are footered and whose
@@ -497,7 +519,7 @@ func checkChunksV3(t *testing.T, dir string) {
 func checkPackedChunks(t *testing.T, dir string) {
 	s := openChunks(t, dir)
 	defer s.Close()
-	want := chunkdisk.Stats{DiskBlobs: 6, DiskBytes: 4012, DiskLogicalBytes: 4600, DeadBlobs: 6, PackFiles: 3, PackTornBytes: 682}
+	want := chunkdisk.Stats{DiskBlobs: 6, DiskBytes: 4600, DeadBlobs: 6, PackFiles: 3, PackTornBytes: 682}
 	if got := s.Stats(); got != want {
 		t.Fatalf("open stats %+v, want %+v", got, want)
 	}

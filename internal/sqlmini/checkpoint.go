@@ -228,7 +228,7 @@ func (db *DB) applySnapshot(snap *dbSnapshot) error {
 // Every number is a uvarint. The leading 0x00 is the layout's magic byte: an
 // image that does not start with it — the gob image repo.snap held before
 // this layout, whose message length is never zero, among them — is refused
-// with ErrBadPayload, so a directory that holds one fails to open.
+// with ErrBadSnapshot, so a directory that holds one fails to open.
 const (
 	snapMagic   byte = 0x00
 	snapVersion byte = 1

@@ -68,6 +68,10 @@ const (
 // or version, or bytes after its last field.
 var ErrBadPayload = errors.New("sqlmini: malformed log payload")
 
+// ErrBadSnapshot marks a checkpoint image (repo.snap) the decoder refuses,
+// for the reasons ErrBadPayload gives for a log payload.
+var ErrBadSnapshot = errors.New("sqlmini: malformed checkpoint image repo.snap")
+
 const (
 	colPrimaryKey = 1 << iota
 	colNotNull
@@ -196,6 +200,7 @@ type payloadReader struct {
 	b     []byte
 	field string
 	err   error
+	bad   error // the sentinel err wraps
 
 	s     string  // the bytes b started as, when set
 	block []Value // the unclaimed rest of the block rows are carved from
@@ -211,14 +216,15 @@ const rowBlock = 512
 // returns is a piece of that copy and every row a piece of a block shared
 // with its neighbours, so a string keeps the whole copy reachable, and a row
 // its block, for as long as either is held — as the catalog's Arena says of
-// its record blocks.
+// its record blocks. It is the checkpoint image's reader, so its refusals
+// are ErrBadSnapshot.
 func newSharedReader(b []byte) payloadReader {
-	return payloadReader{b: b, s: string(b)}
+	return payloadReader{b: b, s: string(b), bad: ErrBadSnapshot}
 }
 
 func (r *payloadReader) fail() {
 	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrBadPayload, r.field)
+		r.err = fmt.Errorf("%w: %s", r.bad, r.field)
 	}
 	r.b = nil
 }
@@ -373,7 +379,7 @@ func (r *payloadReader) columns() []Column {
 // decodePayload is the inverse of encodePayload.
 func decodePayload(b []byte) (logPayload, error) {
 	var p logPayload
-	r := payloadReader{b: b, field: "magic"}
+	r := payloadReader{b: b, field: "magic", bad: ErrBadPayload}
 	if r.byte() != payloadMagic {
 		r.fail()
 	}

@@ -2,10 +2,13 @@ package sqlmini
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -60,7 +63,8 @@ func writeSnapshotFixture(tb testing.TB, dir string) []byte {
 // TestSnapshotStoredFormRoundTrips: a checkpoint's stored form is the fixed
 // layout, decodes to the image it was encoded from, and encodes back to the
 // same bytes. An image without the layout's magic byte — such as the gob
-// image repo.snap held before it — is refused with the typed error.
+// image repo.snap held before it — is refused with the checkpoint image's
+// typed error, not a log payload's.
 func TestSnapshotStoredFormRoundTrips(t *testing.T) {
 	body := writeSnapshotFixture(t, t.TempDir())
 	if body[0] != snapMagic || body[1] != snapVersion {
@@ -76,10 +80,34 @@ func TestSnapshotStoredFormRoundTrips(t *testing.T) {
 	if again := encodeSnapshot(nil, snap); !bytes.Equal(again, body) {
 		t.Fatalf("decoded image re-encodes differently:\n%x\n%x", again, body)
 	}
-	for _, bad := range [][]byte{nil, append([]byte{0x03}, body[1:]...)} {
-		if _, err := decodeSnapshot(bad); !errors.Is(err, ErrBadPayload) {
-			t.Errorf("image starting %x: err = %v, want ErrBadPayload", bad[:min(len(bad), 2)], err)
+	// A table count of 2^62 that the bytes cannot back: refused, not sized.
+	hostile := binary.AppendUvarint([]byte{snapMagic, snapVersion, 0, 0}, 1<<62)
+	for _, bad := range [][]byte{nil, append([]byte{0x03}, body[1:]...), hostile} {
+		if _, err := decodeSnapshot(bad); !errors.Is(err, ErrBadSnapshot) || errors.Is(err, ErrBadPayload) {
+			t.Errorf("image starting %x: err = %v, want ErrBadSnapshot", bad[:min(len(bad), 2)], err)
 		}
+	}
+}
+
+// TestRecoverNamesABadRepoSnap: recovering a directory whose repo.snap has a
+// wrong magic byte under a good checksum fails naming repo.snap — the file to
+// look at — and not a log payload.
+func TestRecoverNamesABadRepoSnap(t *testing.T) {
+	dir := t.TempDir()
+	body := writeSnapshotFixture(t, dir)
+	body[0] = 0x03
+	data := binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(body))
+	if err := os.WriteFile(filepath.Join(dir, snapFileName), append(data, body...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lg, err := wal.Open(wal.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	_, _, err = Recover(lg, Options{Dir: dir})
+	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "repo.snap") || strings.Contains(err.Error(), "log payload") {
+		t.Fatalf("recover = %v, want the bad repo.snap named", err)
 	}
 }
 
@@ -131,7 +159,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		snap, err := decodeSnapshot(b)
 		if err != nil {
-			if !errors.Is(err, ErrBadPayload) {
+			if !errors.Is(err, ErrBadSnapshot) {
 				t.Fatalf("untyped error %v", err)
 			}
 			return
