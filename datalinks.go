@@ -331,8 +331,8 @@ func (f *FileServer) ListDir(path string) ([]string, error) {
 	return f.inner.Phys.ReadDir(path)
 }
 
-// LinkedFiles lists the paths currently linked on this server.
-func (f *FileServer) LinkedFiles() []string { return f.inner.DLFM.LinkedFiles() }
+// LinkedFiles lists the paths currently linked on this server, sorted.
+func (f *FileServer) LinkedFiles() []string { return f.inner.DLFM.LinkedPaths() }
 
 // UpcallCount reports the total DLFS-to-DLFM upcalls so far.
 func (f *FileServer) UpcallCount() int64 { return f.inner.Transport.Calls() }

@@ -239,7 +239,14 @@ func Open(cfg Config) (*Store, error) {
 	if err := s.acquireLock(); err != nil {
 		return nil, err
 	}
-	if err := s.refuseLoose(); err != nil {
+	// One listing of the directory serves the loose-dir check and the packs'
+	// adoption.
+	entries, err := os.ReadDir(cfg.Dir)
+	if err != nil {
+		s.releaseLock()
+		return nil, fmt.Errorf("chunkdisk: %w", err)
+	}
+	if err := s.refuseLoose(entries); err != nil {
 		s.releaseLock()
 		return nil, err
 	}
@@ -249,7 +256,7 @@ func Open(cfg Config) (*Store, error) {
 	// counting (a barrier with no active pack syncs nothing and must not
 	// count) — no onSync hook.
 	s.sync = fsyncer.New(cfg.Fsync, 0, s.packs.flushActive, nil)
-	if err := s.adoptPacks(); err != nil {
+	if err := s.adoptPacks(entries); err != nil {
 		s.packs.close(false)
 		s.releaseLock()
 		return nil, err
@@ -295,28 +302,16 @@ func (e *RetiredFormError) Error() string {
 }
 
 // refuseLoose fails the open of a directory with a fan-out dir of the loose
-// one-file-per-hash layout: dir/ab/cdef…. It lists the directory once, by
-// name, and looks at nothing but a two-hex-digit name.
-func (s *Store) refuseLoose() error {
-	d, err := os.Open(s.dir)
-	if err != nil {
-		return fmt.Errorf("chunkdisk: %w", err)
-	}
-	names, err := d.Readdirnames(-1)
-	d.Close()
-	if err != nil {
-		return fmt.Errorf("chunkdisk: %w", err)
-	}
-	for _, name := range names {
-		if len(name) != 2 {
+// one-file-per-hash layout: dir/ab/cdef…. entries is the directory's
+// listing; it looks at nothing but a two-hex-digit directory name.
+func (s *Store) refuseLoose(entries []os.DirEntry) error {
+	for _, e := range entries {
+		name := e.Name()
+		if len(name) != 2 || !e.IsDir() {
 			continue
 		}
-		if _, err := hex.DecodeString(name); err != nil {
-			continue
-		}
-		path := filepath.Join(s.dir, name)
-		if fi, err := os.Lstat(path); err == nil && fi.IsDir() {
-			return &RetiredFormError{Path: path, Form: "loose blobs"}
+		if _, err := hex.DecodeString(name); err == nil {
+			return &RetiredFormError{Path: filepath.Join(s.dir, name), Form: "loose blobs"}
 		}
 	}
 	return nil

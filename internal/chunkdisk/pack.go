@@ -584,14 +584,14 @@ type packFile struct {
 }
 
 // adoptPacks indexes the packfiles a previous process left in the directory,
-// truncating torn tails. Runs during Open, before any concurrency. Each pack
+// whose listing is entries, truncating torn tails. Runs during Open, before any concurrency. Each pack
 // is opened once. The shard maps are sized first from the record counts the
 // footers claim, so indexing them does not grow them step by step. No pack is
 // repaired until every pack has been read, so a retired form anywhere fails
 // the open with the directory as it was. On an error the packs opened so far
 // are closed here; the adopted ones' handles go with the pack set's close.
-func (s *Store) adoptPacks() error {
-	seqs, err := s.packs.files.List()
+func (s *Store) adoptPacks(entries []os.DirEntry) error {
+	seqs, err := s.packs.files.Seqs(entries)
 	if err != nil {
 		return fmt.Errorf("chunkdisk: %w", err)
 	}

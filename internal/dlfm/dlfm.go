@@ -6,6 +6,12 @@
 // every committed version before its close returns, and recovers all of it
 // after a crash.
 //
+// Link, unlink and the close of an update are one kind of sub-transaction
+// (subTxn). Its prepare record carries its recovery note — the host
+// transaction's id and the file-system side effects to finish or undo — so
+// a restart resolves one left in doubt from the log alone, and no table or
+// extra forced transaction keeps that information.
+//
 // The repository is itself a transactional database (an instance of
 // internal/sqlmini with its own WAL) — mirroring the real DLFM, which was
 // built as a transactional resource manager [Hsiao & Narang, SIGMOD 2000].
@@ -146,13 +152,6 @@ type tokenEntry struct {
 	expiry time.Time
 }
 
-// subTxn is a repository sub-transaction bound to a host transaction, with
-// the journal rows of the file-system side effects it made.
-type subTxn struct {
-	repo *sqlmini.Txn
-	rows []journalRow
-}
-
 // openShardCount stripes the open/sync bookkeeping by path hash (like the
 // sqlmini lock-manager shards): traffic on one file never takes the same
 // mutex as traffic on another, outside 1-in-openShardCount hash collisions.
@@ -196,11 +195,10 @@ type Server struct {
 	openShards [openShardCount]openShard
 	nextOpen   atomic.Uint64
 
-	mu          sync.Mutex
-	subs        map[uint64]*subTxn
-	nextJournal int64
-	agents      int64
-	closed      bool
+	mu     sync.Mutex
+	subs   map[uint64]*subTxn
+	agents int64
+	closed bool
 	// killed is closed by Kill: what a write-open parked in waitLocked, on a
 	// member whose holders died with it, wakes on.
 	killed chan struct{}
@@ -269,6 +267,10 @@ func start(cfg Config, lg *wal.Log) (*Server, *RecoveryReport, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("dlfm: repository recovery: %w", err)
 	}
+	subs, err := inDoubtSubs(repo)
+	if err != nil {
+		return nil, nil, err
+	}
 	s := &Server{
 		cfg:      cfg,
 		repo:     repo,
@@ -292,7 +294,7 @@ func start(cfg Config, lg *wal.Log) (*Server, *RecoveryReport, error) {
 	}
 	s.seedQuarantineSeq()
 	rep := &RecoveryReport{Repo: repoRep}
-	if err := s.runRecovery(rep); err != nil {
+	if err := s.runRecovery(subs, rep); err != nil {
 		return nil, nil, err
 	}
 	if fresh {
@@ -336,25 +338,7 @@ var repoSchema = []struct {
 		cur_version INT NOT NULL,
 		mtime_ns INT NOT NULL
 	)`},
-	// Sub-transaction journal for 2PC recovery: one row per file-system
-	// side effect of a link/unlink sub-transaction.
-	{"dlfm_txns", `CREATE TABLE dlfm_txns (
-		id INT PRIMARY KEY,
-		repo_txn INT NOT NULL,
-		host_txn INT NOT NULL,
-		action VARCHAR NOT NULL,
-		path VARCHAR NOT NULL,
-		orig_uid INT NOT NULL,
-		orig_mode INT NOT NULL,
-		recovery BOOLEAN NOT NULL
-	)`},
 }
-
-// Every commit/abort deletes journal rows by host_txn — a non-PK predicate
-// that would otherwise fall back to a full table scan (and row-lock every
-// journal row) on each transaction resolution. Re-creating an existing index
-// is a no-op, so this is safe to exec on every boot path.
-const repoTxnIndexDDL = `CREATE INDEX ON dlfm_txns (host_txn)`
 
 // ensureRepoTables creates every repository table the repository lacks:
 // all of them on a fresh one, whatever a crash during first-boot schema
@@ -367,9 +351,6 @@ func (s *Server) ensureRepoTables() error {
 		if _, err := s.repo.Exec(t.ddl); err != nil {
 			return fmt.Errorf("dlfm: repo schema repair: %w", err)
 		}
-	}
-	if _, err := s.repo.Exec(repoTxnIndexDDL); err != nil {
-		return fmt.Errorf("dlfm: repo schema repair: %w", err)
 	}
 	return nil
 }
@@ -527,20 +508,6 @@ func decodeFileRow(row sqlmini.Row) fileInfo {
 // implemented here as an extension).
 func (s *Server) ReadFileContent(path string) ([]byte, error) {
 	return s.cfg.Phys.ReadFile(path)
-}
-
-// LinkedFiles lists every linked path (admin/status tooling).
-func (s *Server) LinkedFiles() []string {
-	tbl, err := s.repo.Table("dlfm_files")
-	if err != nil {
-		return nil
-	}
-	var out []string
-	tbl.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
-		out = append(out, row[0].S)
-		return true
-	})
-	return out
 }
 
 // IsLinked reports whether a path is currently linked.

@@ -542,7 +542,7 @@ func observeAtRest(t *testing.T, srv *Server, phys *fs.FS, path string) atRest {
 		t.Fatal(err)
 	}
 	attr, _ := phys.Getattr(ino)
-	got := atRest{uid: attr.UID, mode: attr.Mode, linked: srv.LinkedFiles()}
+	got := atRest{uid: attr.UID, mode: attr.Mode, linked: srv.LinkedPaths()}
 	for _, e := range srv.cfg.Archive.Versions(srv.cfg.Name, path) {
 		got.history = append(got.history, fmt.Sprintf("v%d@%d %q", e.Version, e.StateID, bytesOf(t, e)))
 	}
@@ -701,38 +701,62 @@ func TestUpdateClearFailureIsCounted(t *testing.T) {
 	}
 }
 
-// TestJournalCleanupFailureIsCounted: a committed link whose journal rows
-// cannot be deleted — the repository's lock manager closed between prepare
-// and commit, and the commit itself takes no lock — counts the failure
-// instead of dropping the error, and the leftover rows do not disturb the
-// next restart.
-func TestJournalCleanupFailureIsCounted(t *testing.T) {
+// TestUnnotedPrepareFailsTheOpen: an in-doubt sub-transaction whose prepare
+// record carries no recovery note — what a release that kept a journal table
+// prepared — fails the Open with the typed error naming it, before anything
+// is resolved or any file touched: a second Open fails the same way.
+func TestUnnotedPrepareFailsTheOpen(t *testing.T) {
 	srv, phys, _ := newServer(t)
-	seedFile(t, phys, "/d/g.bin", "g0")
-	const hostTxn = 502
-	if err := srv.LinkFile(hostTxn, "/d/g.bin", datalink.ColumnOptions{Mode: datalink.RFD, Recovery: true}); err != nil {
-		t.Fatalf("link: %v", err)
+	linkCommitted(t, srv, "/d/f.bin", "rfd")
+	tx := srv.Repo().Begin()
+	if _, err := tx.Exec(`UPDATE dlfm_files SET cur_version = 5 WHERE path = ?`, sqlmini.Str("/d/f.bin")); err != nil {
+		t.Fatal(err)
 	}
-	if err := srv.PrepareXRM(hostTxn); err != nil {
-		t.Fatalf("prepare: %v", err)
+	if err := tx.Prepare(nil); err != nil {
+		t.Fatal(err)
 	}
-	srv.Repo().LockManager().Close()
-	if err := srv.CommitXRM(hostTxn); err != nil {
-		t.Fatalf("commit: %v", err)
+	before := observeAtRest(t, srv, phys, "/d/f.bin")
+	srv.Kill()
+	for i := 0; i < 2; i++ {
+		_, _, err := Open(srv.cfg)
+		var unnoted *UnnotedPrepareError
+		if !errors.As(err, &unnoted) || unnoted.RepoTxn != tx.ID() || !strings.Contains(err.Error(), fmt.Sprint(tx.ID())) {
+			t.Fatalf("open %d: err = %v, want an UnnotedPrepareError naming txn %d", i+1, err, tx.ID())
+		}
 	}
-	if got := srv.Metrics().Counter("dlfm.journal.cleanup_failures").Value(); got != 1 {
-		t.Fatalf("journal.cleanup_failures = %d, want 1", got)
+	ino, _ := phys.Lookup("/d/f.bin")
+	attr, _ := phys.Getattr(ino)
+	if attr.UID != before.uid || attr.Mode != before.mode {
+		t.Fatalf("the refused open changed the file: uid %d mode %o, was uid %d mode %o", attr.UID, attr.Mode, before.uid, before.mode)
+	}
+}
+
+// TestRecoveryDropsTheRetiredJournalTable: the journal table a repository
+// from before prepare notes holds, rows and all, is gone after a restart,
+// and the links beside it are kept.
+func TestRecoveryDropsTheRetiredJournalTable(t *testing.T) {
+	srv, _, _ := newServer(t)
+	linkCommitted(t, srv, "/d/f.bin", "rfd")
+	for _, q := range []string{
+		`CREATE TABLE dlfm_txns (id INT PRIMARY KEY, repo_txn INT NOT NULL, host_txn INT NOT NULL, action VARCHAR NOT NULL,
+			path VARCHAR NOT NULL, orig_uid INT NOT NULL, orig_mode INT NOT NULL, recovery BOOLEAN NOT NULL)`,
+		`CREATE INDEX ON dlfm_txns (host_txn)`,
+		`INSERT INTO dlfm_txns VALUES (1, 9, 502, 'link', '/d/f.bin', 100, 420, TRUE)`,
+	} {
+		if _, err := srv.Repo().Exec(q); err != nil {
+			t.Fatal(err)
+		}
 	}
 	srv.Kill()
 	srv2, rep := reopen(t, srv, srv.cfg)
-	if journal, err := srv2.Repo().Table("dlfm_txns"); err != nil || journal.Len() == 0 {
-		t.Fatalf("no leftover journal row after the restart (%v)", err)
+	if _, err := srv2.Repo().Table("dlfm_txns"); err == nil {
+		t.Fatal("the journal table survived the restart")
 	}
 	if len(rep.ResolvedCommit)+len(rep.ResolvedAbort) != 0 {
 		t.Fatalf("recovery resolved a finished transaction: commit %v, abort %v", rep.ResolvedCommit, rep.ResolvedAbort)
 	}
-	if !srv2.IsLinked("/d/g.bin") {
-		t.Fatal("committed link lost in recovery")
+	if !srv2.IsLinked("/d/f.bin") {
+		t.Fatal("a committed link was lost in the restart")
 	}
 }
 

@@ -21,13 +21,29 @@ import (
 
 // heldHost is a fakeHost whose MetaUpdate, once armed, parks after the host
 // commit: the close it serves is past its commit point and has not begun
-// its archive put.
+// its archive put. With atPrepare it parks as soon as the close's
+// sub-transaction has prepared, before the participant hears an outcome,
+// and the host has logged its commit only with decide.
 type heldHost struct {
 	*fakeHost
-	held, release chan struct{}
+	held, release     chan struct{}
+	atPrepare, decide bool
 }
 
 func (h *heldHost) MetaUpdate(server, path string, size int64, mtime time.Time, sub sqlmini.XRM) (uint64, error) {
+	if h.atPrepare && h.held != nil {
+		h.nextTxn++
+		if err := sub.PrepareXRM(h.nextTxn); err != nil {
+			return 0, err
+		}
+		if h.decide {
+			h.state++
+			h.outcomes[h.nextTxn] = true
+		}
+		close(h.held)
+		<-h.release
+		return h.state, nil
+	}
 	id, err := h.fakeHost.MetaUpdate(server, path, size, mtime, sub)
 	if h.held != nil {
 		close(h.held)
@@ -97,11 +113,11 @@ func TestReturnedCloseSurvivesAColdKill(t *testing.T) {
 }
 
 // killInTheClose closes a write of v1 and kills the process — DLFM and
-// archive — after the close's commit point but before its archive put. It
-// returns the archive directory and whether the close was acknowledged.
-func killInTheClose(t *testing.T) (*Server, Config, string, bool) {
+// archive — where host parks the close: after its commit point but before
+// its archive put, or after its prepare. It returns the archive directory
+// and whether the close was acknowledged.
+func killInTheClose(t *testing.T, host *heldHost) (*Server, Config, string, bool) {
 	t.Helper()
-	host := &heldHost{fakeHost: newFakeHost()}
 	srv, cfg, archDir := openKillPoint(t, host)
 	phys := cfg.Phys
 	id := openWrite(t, srv, "/d/f.bin", owner)
@@ -128,7 +144,7 @@ func killInTheClose(t *testing.T) (*Server, Config, string, bool) {
 // v0; a warm start archives v1 from the live file.
 func TestKillBeforeTheArchivePut(t *testing.T) {
 	t.Run("cold", func(t *testing.T) {
-		srv, cfg, archDir, acked := killInTheClose(t)
+		srv, cfg, archDir, acked := killInTheClose(t, &heldHost{fakeHost: newFakeHost()})
 		if acked {
 			t.Fatal("a close killed before its archive put was acknowledged")
 		}
@@ -143,7 +159,7 @@ func TestKillBeforeTheArchivePut(t *testing.T) {
 		}
 	})
 	t.Run("warm", func(t *testing.T) {
-		srv, cfg, archDir, acked := killInTheClose(t)
+		srv, cfg, archDir, acked := killInTheClose(t, &heldHost{fakeHost: newFakeHost()})
 		if acked {
 			t.Fatal("a close killed before its archive put was acknowledged")
 		}
@@ -160,6 +176,60 @@ func TestKillBeforeTheArchivePut(t *testing.T) {
 			t.Fatalf("warm start serves %q, %v; want v1", got, err)
 		}
 	})
+}
+
+// TestKillAfterTheClosePrepared: a close killed once its repository
+// sub-transaction has prepared is resolved at the warm restart from the
+// prepare record alone. When the host logged its commit, the version counts
+// and the live file is archived as v1; when the outcome is unknown, the
+// close is presumed aborted and rolled back, its in-flight bytes moved to
+// quarantine.
+func TestKillAfterTheClosePrepared(t *testing.T) {
+	for _, committed := range []bool{true, false} {
+		t.Run(fmt.Sprintf("committed=%v", committed), func(t *testing.T) {
+			host := &heldHost{fakeHost: newFakeHost(), atPrepare: true, decide: committed}
+			srv, cfg, archDir, acked := killInTheClose(t, host)
+			if acked {
+				t.Fatal("a close killed after its prepare was acknowledged")
+			}
+			cfg.Archive = reopenArchive(t, archDir)
+			srv2, rep := reopen(t, srv, cfg)
+			resolved := rep.ResolvedAbort
+			if committed {
+				resolved = rep.ResolvedCommit
+			}
+			if len(resolved) != 1 || len(rep.ResolvedCommit)+len(rep.ResolvedAbort) != 1 {
+				t.Fatalf("resolved commit %v, abort %v; want the close's host txn as committed=%v",
+					rep.ResolvedCommit, rep.ResolvedAbort, committed)
+			}
+			if left := srv2.UpdatesInFlight(); len(left) != 0 {
+				t.Fatalf("update entries after the restart: %v", left)
+			}
+			want, quarantined := "v1", 0
+			if !committed {
+				want, quarantined = "v0", 1
+			}
+			if fi, _ := srv2.lookupFile("/d/f.bin"); fmt.Sprintf("v%d", fi.version) != want {
+				t.Fatalf("cur_version = %d, want %s", fi.version, want)
+			}
+			e, err := cfg.Archive.Latest("fs1", "/d/f.bin")
+			if err != nil || fmt.Sprintf("v%d", e.Version) != want || string(bytesOf(t, e)) != want {
+				t.Fatalf("newest archived = v%d (%v), want %s", e.Version, err, want)
+			}
+			if got, err := cfg.Phys.ReadFile("/d/f.bin"); err != nil || string(got) != want {
+				t.Fatalf("the file reads %q, %v; want %s", got, err, want)
+			}
+			q := srv2.QuarantinedFiles()
+			if len(q) != quarantined {
+				t.Fatalf("quarantine holds %v, want %d copies", q, quarantined)
+			}
+			if quarantined == 1 {
+				if got, err := cfg.Phys.ReadFile(DefaultQuarantineDir + "/" + q[0]); err != nil || string(got) != "v1" {
+					t.Fatalf("the quarantine copy reads %q, %v; want the in-flight v1", got, err)
+				}
+			}
+		})
+	}
 }
 
 // TestFailedArchivePutKeepsTheCommit: a close whose archive put fails

@@ -31,18 +31,10 @@ func (s *Server) subFor(hostTxn uint64) *subTxn {
 	defer s.mu.Unlock()
 	sub, ok := s.subs[hostTxn]
 	if !ok {
-		sub = &subTxn{repo: s.repo.Begin()}
+		sub = &subTxn{s: s, repo: s.repo.Begin()}
 		s.subs[hostTxn] = sub
 	}
 	return sub
-}
-
-// journalID allocates a unique id for a dlfm_txns row.
-func (s *Server) journalID() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextJournal++
-	return s.nextJournal
 }
 
 // LinkFile starts managing a file as part of host transaction hostTxn.
@@ -96,13 +88,9 @@ func (s *Server) linkFile(hostTxn uint64, path string, opts datalink.ColumnOptio
 		return fmt.Errorf("%w: %s", ErrAlreadyLinked, path)
 	}
 	fi := fileInfo{path: path, mode: opts.Mode, recovery: opts.Recovery, origUID: attr.UID, origMode: attr.Mode}
-	r, err := s.journal(sub.repo, hostTxn, "link", fi)
-	if err != nil {
-		return err
-	}
-	sub.rows = append(sub.rows, r)
+	sub.effects = append(sub.effects, effect{action: "link", file: fi})
 	// Apply the file-system constraints for the control mode (§2.2, §4); an
-	// abort gives the file back to its owner (compensateJournal).
+	// abort gives the file back to its owner (finishEffect).
 	if err := s.setAtRest(fi); err != nil {
 		return err
 	}
@@ -187,13 +175,9 @@ func (s *Server) unlinkFile(hostTxn uint64, path string) error {
 	if n == 0 {
 		return fmt.Errorf("%w: %s", ErrNotLinked, path)
 	}
-	// The file-system restoration waits for the commit (compensateJournal):
-	// the file stays protected if the transaction rolls back.
-	r, err := s.journal(sub.repo, hostTxn, "unlink", fi)
-	if err != nil {
-		return err
-	}
-	sub.rows = append(sub.rows, r)
+	// The file-system restoration waits for the commit (finishEffect): the
+	// file stays protected if the transaction rolls back.
+	sub.effects = append(sub.effects, effect{action: "unlink", file: fi})
 	s.cfg.Metrics.Counter("dlfm.unlink").Inc()
 	return nil
 }
@@ -223,12 +207,33 @@ func (s *Server) purgeTokens(path string) {
 
 // ---- XRM: the sub-transaction commits or aborts with the host (§2.2) ----
 
-var _ sqlmini.XRM = (*Server)(nil)
+var (
+	_ sqlmini.XRM = (*Server)(nil)
+	_ sqlmini.XRM = (*subTxn)(nil)
+)
+
+// subTxn is a repository sub-transaction bound to a host transaction, with
+// the file-system side effects it made. A link or unlink one is found by its
+// host transaction through the Server, which the engine enlists; a close's
+// makes none and is enlisted itself in the host's metadata update (§4.3).
+type subTxn struct {
+	s       *Server
+	repo    *sqlmini.Txn
+	effects []effect
+}
+
+// effect is one file-system side effect of a sub-transaction, finished or
+// undone once its outcome is known (finishEffect). Of file it carries the
+// path, the original owner and mode and the recovery option.
+type effect struct {
+	action string // "link" or "unlink"
+	file   fileInfo
+}
 
 // XRMName identifies this DLFM in host transaction errors.
 func (s *Server) XRMName() string { return "dlfm:" + s.cfg.Name }
 
-// PrepareXRM makes the sub-transaction's pending outcome durable.
+// PrepareXRM prepares the sub-transaction of hostTxn.
 func (s *Server) PrepareXRM(hostTxn uint64) error {
 	s.mu.Lock()
 	sub, ok := s.subs[hostTxn]
@@ -236,30 +241,61 @@ func (s *Server) PrepareXRM(hostTxn uint64) error {
 	if !ok {
 		return fmt.Errorf("dlfm: no sub-transaction for host txn %d", hostTxn)
 	}
-	return sub.repo.Prepare()
+	return sub.PrepareXRM(hostTxn)
 }
 
-// CommitXRM finishes the sub-transaction on the host's commit.
+// CommitXRM finishes the sub-transaction of hostTxn on the host's commit.
 func (s *Server) CommitXRM(hostTxn uint64) error {
-	return s.endSub(hostTxn, true)
+	sub, err := s.takeSub(hostTxn)
+	if err != nil {
+		return err
+	}
+	return sub.CommitXRM(hostTxn)
 }
 
-// AbortXRM rolls the sub-transaction back on the host's abort.
+// AbortXRM rolls the sub-transaction of hostTxn back on the host's abort.
 func (s *Server) AbortXRM(hostTxn uint64) error {
-	return s.endSub(hostTxn, false)
+	sub, err := s.takeSub(hostTxn)
+	if err != nil {
+		return err
+	}
+	return sub.AbortXRM(hostTxn)
 }
 
-// endSub ends the sub-transaction of hostTxn with the host's outcome and
-// resolves the journal rows it wrote, as restart recovery resolves the rows
-// of one left in doubt.
-func (s *Server) endSub(hostTxn uint64, committed bool) error {
+// takeSub removes the sub-transaction of hostTxn from the table and returns
+// it.
+func (s *Server) takeSub(hostTxn uint64) (*subTxn, error) {
 	s.mu.Lock()
 	sub, ok := s.subs[hostTxn]
 	delete(s.subs, hostTxn)
 	s.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("dlfm: no sub-transaction for host txn %d", hostTxn)
+		return nil, fmt.Errorf("dlfm: no sub-transaction for host txn %d", hostTxn)
 	}
+	return sub, nil
+}
+
+// XRMName identifies the sub-transaction's DLFM.
+func (sub *subTxn) XRMName() string { return sub.s.XRMName() }
+
+// PrepareXRM prepares the repository transaction with its recovery note in
+// the forced prepare record: the host transaction and the side effects,
+// everything a restart needs to resolve it (resolveInDoubt).
+func (sub *subTxn) PrepareXRM(hostTxn uint64) error {
+	return sub.repo.Prepare(encodeNote(hostTxn, sub.effects))
+}
+
+// CommitXRM commits the repository transaction and finishes the side
+// effects.
+func (sub *subTxn) CommitXRM(uint64) error { return sub.end(true) }
+
+// AbortXRM rolls the repository transaction back and undoes the side
+// effects.
+func (sub *subTxn) AbortXRM(uint64) error { return sub.end(false) }
+
+// end ends the repository transaction with the host's outcome and resolves
+// its side effects, as restart recovery resolves one left in doubt.
+func (sub *subTxn) end(committed bool) error {
 	end := sub.repo.Abort
 	if committed {
 		end = sub.repo.Commit
@@ -267,18 +303,38 @@ func (s *Server) endSub(hostTxn uint64, committed bool) error {
 	if err := end(); err != nil {
 		return err
 	}
-	err := s.resolveJournal(sub.rows, committed)
-	// The journal rows served their purpose; clean them up outside the
-	// resolved transaction.
-	s.cleanupJournal(hostTxn)
-	return err
+	return sub.s.resolveEffects(sub.effects, committed)
 }
 
-// cleanupJournal removes resolved journal rows for a host transaction. A
-// failed delete is counted, dlfm.journal.cleanup_failures, not returned.
-func (s *Server) cleanupJournal(hostTxn uint64) {
-	if _, err := s.repo.Exec(`DELETE FROM dlfm_txns WHERE host_txn = ?`, sqlmini.Int(int64(hostTxn))); err != nil {
-		// At restart resolveInDoubt skips the row: it reads only in-doubt rows.
-		s.cfg.Metrics.Counter("dlfm.journal.cleanup_failures").Inc()
+// noteEffectLen is how many values one side effect takes in a note.
+const noteEffectLen = 5
+
+// encodeNote lays out a sub-transaction's recovery note: the host
+// transaction id, then per side effect its action, path, original owner and
+// mode, and recovery option.
+func encodeNote(hostTxn uint64, effects []effect) sqlmini.Row {
+	note := make(sqlmini.Row, 0, 1+noteEffectLen*len(effects))
+	note = append(note, sqlmini.Int(int64(hostTxn)))
+	for _, e := range effects {
+		note = append(note, sqlmini.Str(e.action), sqlmini.Str(e.file.path), sqlmini.Int(int64(e.file.origUID)),
+			sqlmini.Int(int64(e.file.origMode)), sqlmini.Bool(e.file.recovery))
 	}
+	return note
+}
+
+// decodeNote is the inverse of encodeNote; ok is false for a row of any
+// other shape, an empty one among them.
+func decodeNote(note sqlmini.Row) (hostTxn uint64, effects []effect, ok bool) {
+	if len(note) == 0 || (len(note)-1)%noteEffectLen != 0 || note[0].K != sqlmini.KindInt {
+		return 0, nil, false
+	}
+	for r := note[1:]; len(r) > 0; r = r[noteEffectLen:] {
+		if r[0].K != sqlmini.KindString || r[1].K != sqlmini.KindString || r[2].K != sqlmini.KindInt ||
+			r[3].K != sqlmini.KindInt || r[4].K != sqlmini.KindBool {
+			return 0, nil, false
+		}
+		effects = append(effects, effect{action: r[0].S, file: fileInfo{path: r[1].S,
+			origUID: fs.UID(r[2].I), origMode: fs.FileMode(r[3].I), recovery: r[4].B}})
+	}
+	return uint64(note[0].I), effects, true
 }

@@ -7,7 +7,6 @@ import (
 	pathpkg "path"
 
 	"datalinks/internal/archive"
-	"datalinks/internal/fs"
 	"datalinks/internal/sqlmini"
 )
 
@@ -15,10 +14,13 @@ import (
 //
 //  1. The repository database recovers from its own WAL (ARIES).
 //  2. In-doubt sub-transactions (prepared at crash time) are resolved by
-//     asking the host database for the outcome of the bound host
-//     transaction — presumed abort if the host never logged a commit.
-//     File-system side effects are finished or undone by compensateJournal,
-//     the rule CommitXRM and AbortXRM run for a live outcome.
+//     asking the host database for the outcome of the host transaction their
+//     prepare record names — presumed abort if the host never logged a
+//     commit. The same note lists the file-system side effects, which are
+//     finished or undone by finishEffect, the rule a live outcome runs
+//     (subTxn.end). A sub-transaction prepared without a note fails the
+//     Open (UnnotedPrepareError) before anything is resolved, and a journal
+//     table such a repository may hold is dropped.
 //  3. One scan of the linked files decides each file, in this order:
 //     a. An update entry marks an update caught in flight: its in-flight
 //        content is quarantined and the last committed version installed
@@ -60,8 +62,8 @@ type RecoveryReport struct {
 }
 
 // runRecovery runs restart recovery over the recovered repository database,
-// filling in rep.
-func (s *Server) runRecovery(rep *RecoveryReport) error {
+// filling in rep; subs are its in-doubt sub-transactions (inDoubtSubs).
+func (s *Server) runRecovery(subs []inDoubtSub, rep *RecoveryReport) error {
 	// A fresh repository gets its schema here, and a crash in the middle of
 	// that leaves a half-created one; fill in whatever is missing.
 	if err := s.ensureRepoTables(); err != nil {
@@ -72,11 +74,14 @@ func (s *Server) runRecovery(rep *RecoveryReport) error {
 	// advisory locks DLFS held for in-flight updates.
 	s.cfg.Phys.ClearAllLocks()
 
-	if err := s.seedCounters(); err != nil {
+	if err := s.resolveInDoubt(subs, rep); err != nil {
 		return err
 	}
-	if err := s.resolveInDoubt(rep); err != nil {
-		return err
+	// The journal table of a repository from before prepare notes.
+	if _, err := s.repo.Table("dlfm_txns"); err == nil {
+		if _, err := s.repo.Exec(`DROP TABLE dlfm_txns`); err != nil {
+			return fmt.Errorf("dlfm: drop the retired journal table: %w", err)
+		}
 	}
 	tbl, err := s.repo.Table("dlfm_files")
 	if err != nil {
@@ -189,137 +194,85 @@ func (s *Server) installHeld(e archive.Entry, held *archive.Held) error {
 	return nil
 }
 
-// seedCounters re-seeds the journal-id counter past any surviving rows.
-func (s *Server) seedCounters() error {
-	tbl, err := s.repo.Table("dlfm_txns")
-	if err != nil {
-		return err
-	}
-	var maxID int64
-	tbl.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
-		if row[0].I > maxID {
-			maxID = row[0].I
-		}
-		return true
-	})
-	s.mu.Lock()
-	s.nextJournal = maxID
-	s.mu.Unlock()
-	return nil
+// UnnotedPrepareError fails the Open of a repository holding an in-doubt
+// sub-transaction whose prepare record carries no recovery note — one
+// prepared before prepare notes, when a journal table held what it did.
+// Nothing has been resolved and no file touched when it is returned.
+type UnnotedPrepareError struct {
+	RepoTxn uint64 // the repository transaction left prepared
 }
 
-// journalRow is a decoded dlfm_txns row: one file-system side effect of a
-// sub-transaction. Of file it carries the path and, for link and unlink, the
-// original owner and mode and the recovery option.
-type journalRow struct {
-	id      int64
+func (e *UnnotedPrepareError) Error() string {
+	return fmt.Sprintf("dlfm: repository transaction %d is in doubt without a recovery note in its prepare record (prepared by a release that kept a journal table); it cannot be resolved", e.RepoTxn)
+}
+
+// inDoubtSub is a sub-transaction recovered prepared, with its note decoded.
+type inDoubtSub struct {
 	repoTxn uint64
 	hostTxn uint64
-	action  string
-	file    fileInfo
+	effects []effect
 }
 
-// journal writes the dlfm_txns row for one side effect of host transaction
-// hostTxn inside tx — the one writer of the journal, for link, unlink and
-// close — and returns it.
-func (s *Server) journal(tx *sqlmini.Txn, hostTxn uint64, action string, fi fileInfo) (journalRow, error) {
-	r := journalRow{id: s.journalID(), repoTxn: tx.ID(), hostTxn: hostTxn, action: action, file: fi}
-	_, err := tx.Exec(
-		`INSERT INTO dlfm_txns (id, repo_txn, host_txn, action, path, orig_uid, orig_mode, recovery)
-		 VALUES (?, ?, ?, ?, ?, ?, ?, ?)`,
-		sqlmini.Int(r.id), sqlmini.Int(int64(r.repoTxn)), sqlmini.Int(int64(hostTxn)), sqlmini.Str(action),
-		sqlmini.Str(fi.path), sqlmini.Int(int64(fi.origUID)), sqlmini.Int(int64(fi.origMode)), sqlmini.Bool(fi.recovery))
-	return r, err
-}
-
-// journalRowsFor reads the journal rows written by one in-doubt repository
-// transaction, in journal order. The rows were redone by repository recovery
-// and are readable by direct scan (the executor's locks don't apply to
-// storage-level scans).
-func (s *Server) journalRowsFor(repoTxn uint64) ([]journalRow, error) {
-	tbl, err := s.repo.Table("dlfm_txns")
-	if err != nil {
-		return nil, err
+// inDoubtSubs decodes the note of every sub-transaction repo recovered in
+// doubt, refusing one without a note it can read (UnnotedPrepareError).
+func inDoubtSubs(repo *sqlmini.DB) ([]inDoubtSub, error) {
+	var subs []inDoubtSub
+	for _, p := range repo.InDoubt() {
+		hostTxn, effects, ok := decodeNote(p.Note)
+		if !ok {
+			return nil, &UnnotedPrepareError{RepoTxn: p.ID}
+		}
+		subs = append(subs, inDoubtSub{repoTxn: p.ID, hostTxn: hostTxn, effects: effects})
 	}
-	var out []journalRow
-	tbl.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
-		if uint64(row[1].I) == repoTxn {
-			out = append(out, journalRow{
-				id:      row[0].I,
-				repoTxn: uint64(row[1].I),
-				hostTxn: uint64(row[2].I),
-				action:  row[3].S,
-				file: fileInfo{path: row[4].S, origUID: fs.UID(row[5].I),
-					origMode: fs.FileMode(row[6].I), recovery: row[7].B},
-			})
-		}
-		return true
-	})
-	return out, nil
+	return subs, nil
 }
 
-// resolveInDoubt finishes prepared sub-transactions using the host outcome.
-func (s *Server) resolveInDoubt(rep *RecoveryReport) error {
-	for _, repoTxn := range s.repo.InDoubt() {
-		rows, err := s.journalRowsFor(repoTxn)
-		if err != nil {
-			return err
-		}
-		if len(rows) == 0 {
-			// No journal — nothing to compensate; presumed abort.
-			if err := s.repo.ResolveInDoubt(repoTxn, false); err != nil {
-				return err
-			}
-			continue
-		}
-		hostTxn := rows[0].hostTxn
-		committed, known := s.cfg.Host.TxnOutcome(hostTxn)
-		if !known {
-			committed = false // presumed abort
-		}
-		if err := s.repo.ResolveInDoubt(repoTxn, committed); err != nil {
+// resolveInDoubt finishes the in-doubt sub-transactions with the outcome of
+// their host transactions — presumed abort while the host has none.
+func (s *Server) resolveInDoubt(subs []inDoubtSub, rep *RecoveryReport) error {
+	for _, d := range subs {
+		committed, known := s.cfg.Host.TxnOutcome(d.hostTxn)
+		committed = committed && known
+		if err := s.repo.ResolveInDoubt(d.repoTxn, committed); err != nil {
 			return err
 		}
 		if committed {
-			rep.ResolvedCommit = append(rep.ResolvedCommit, hostTxn)
+			rep.ResolvedCommit = append(rep.ResolvedCommit, d.hostTxn)
 		} else {
-			rep.ResolvedAbort = append(rep.ResolvedAbort, hostTxn)
+			rep.ResolvedAbort = append(rep.ResolvedAbort, d.hostTxn)
 		}
-		if err := s.resolveJournal(rows, committed); err != nil {
+		if err := s.resolveEffects(d.effects, committed); err != nil {
 			return err
-		}
-		if _, err := s.repo.Exec(`DELETE FROM dlfm_txns WHERE host_txn = ?`, sqlmini.Int(int64(hostTxn))); err != nil {
-			return fmt.Errorf("dlfm: clear the journal of host txn %d: %w", hostTxn, err)
 		}
 	}
 	return nil
 }
 
-// resolveJournal finishes or undoes the side effects a sub-transaction
-// journaled, once its outcome is known: a commit in journal order, an abort
-// in reverse. Every row is resolved; the first error is returned.
-func (s *Server) resolveJournal(rows []journalRow, committed bool) error {
+// resolveEffects finishes or undoes a sub-transaction's side effects once
+// its outcome is known: a commit in the order they were made, an abort in
+// reverse. Every effect is resolved; the first error is returned.
+func (s *Server) resolveEffects(effects []effect, committed bool) error {
 	var firstErr error
-	for i := range rows {
-		r := rows[i]
+	for i := range effects {
+		e := effects[i]
 		if !committed {
-			r = rows[len(rows)-1-i]
+			e = effects[len(effects)-1-i]
 		}
-		if err := s.compensateJournal(r, committed); err != nil && firstErr == nil {
+		if err := s.finishEffect(e, committed); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// compensateJournal applies the post-outcome file-system action for one
-// journaled side effect. It is the one rule for it: the live outcome and
-// restart recovery both end here. At restart no replicator is attached, so
-// the ships are no-ops.
-func (s *Server) compensateJournal(r journalRow, committed bool) error {
-	path := r.file.path
+// finishEffect applies the post-outcome file-system action for one side
+// effect. It is the one rule for it: the live outcome and restart recovery
+// both end here. At restart no replicator is attached, so the ships are
+// no-ops.
+func (s *Server) finishEffect(e effect, committed bool) error {
+	path := e.file.path
 	switch {
-	case r.action == "link" && committed:
+	case e.action == "link" && committed:
 		// Archive the initial version so an aborted first update can be
 		// rolled back (§4.2) and point-in-time restore has a floor, and ship
 		// it in the same stream as commits: the successors get the history
@@ -342,14 +295,14 @@ func (s *Server) compensateJournal(r journalRow, committed bool) error {
 			return err
 		}
 		return r.ShipCommit(context.Background(), path, int64(ver), mtime, meta)
-	case r.action == "link":
+	case e.action == "link":
 		// Undo the eager takeover / permission change.
-		return s.release(r.file)
-	case r.action == "unlink" && committed:
+		return s.release(e.file)
+	case e.action == "unlink" && committed:
 		// The deferred restoration: the owner gets the file back, the
 		// history and the tokens go, and the unlink rides the replication
 		// stream so a later failover cannot resurrect the path.
-		if err := s.release(r.file); err != nil {
+		if err := s.release(e.file); err != nil {
 			return err
 		}
 		if err := s.cfg.Archive.Drop(s.cfg.Name, path); err != nil {
@@ -360,14 +313,11 @@ func (s *Server) compensateJournal(r journalRow, committed bool) error {
 			return rep.ShipUnlink(path)
 		}
 		return nil
-	case r.action == "unlink", r.action == "close":
-		// An aborted unlink changed nothing on the file system. A close's
-		// repository outcome (version counter, update-entry deletion) was
-		// resolved with the transaction; the per-file scan restores or
-		// archives from that state.
+	case e.action == "unlink":
+		// An aborted unlink changed nothing on the file system.
 		return nil
 	default:
-		return fmt.Errorf("dlfm: unknown journal action %q", r.action)
+		return fmt.Errorf("dlfm: unknown side effect %q", e.action)
 	}
 }
 

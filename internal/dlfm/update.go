@@ -192,40 +192,6 @@ func (s *Server) closeFile(ctx context.Context, req upcall.Request) upcall.Respo
 // pending-archive row lets the next restart archive it from the live file.
 var ErrNotArchived = errors.New("dlfm: archive put failed")
 
-// updateSub is the DLFM side of a file-update transaction's 2PC: a repo
-// transaction that prepares/commits/aborts with the host metadata update.
-type updateSub struct {
-	s    *Server
-	repo *sqlmini.Txn
-	path string
-	ver  int64
-}
-
-// XRMName identifies the sub-transaction participant.
-func (u *updateSub) XRMName() string { return "dlfm-update:" + u.s.cfg.Name }
-
-// PrepareXRM journals the host binding, then prepares the repo transaction.
-func (u *updateSub) PrepareXRM(hostTxn uint64) error {
-	if _, err := u.s.journal(u.repo, hostTxn, "close", fileInfo{path: u.path}); err != nil {
-		return err
-	}
-	return u.repo.Prepare()
-}
-
-// CommitXRM commits the repository half.
-func (u *updateSub) CommitXRM(hostTxn uint64) error {
-	err := u.repo.Commit()
-	u.s.cleanupJournal(hostTxn)
-	return err
-}
-
-// AbortXRM rolls the repository half back.
-func (u *updateSub) AbortXRM(hostTxn uint64) error {
-	err := u.repo.Abort()
-	u.s.cleanupJournal(hostTxn)
-	return err
-}
-
 // commitUpdate runs the file-update commit protocol for a closing write open.
 func (s *Server) commitUpdate(ctx context.Context, st *openState, size int64, mtime time.Time) error {
 	fi, linked := s.lookupFile(st.path)
@@ -254,7 +220,9 @@ func (s *Server) commitUpdate(ctx context.Context, st *openState, size int64, mt
 	}
 
 	newVer := int64(fi.version) + 1
-	sub := &updateSub{s: s, repo: s.repo.Begin(), path: st.path, ver: newVer}
+	// The repository half of the update's 2PC, a sub-transaction with no
+	// side effects: its note names only the host transaction.
+	sub := &subTxn{s: s, repo: s.repo.Begin()}
 	if _, err := sub.repo.Exec(`UPDATE dlfm_files SET cur_version = ? WHERE path = ?`,
 		sqlmini.Int(newVer), sqlmini.Str(st.path)); err != nil {
 		sub.repo.Abort()

@@ -25,7 +25,7 @@ type coldConfig struct {
 	Fsync        string // repo + archive fsync policy ("", none, group, always)
 }
 
-var e18 = coldConfig{Files: 3, FileKB: 256, Versions: 6, EditKB: 32, CheckpointKB: 8}
+var e18 = coldConfig{Files: 3, FileKB: 256, Versions: 6, EditKB: 32, CheckpointKB: 4}
 
 func (c *coldConfig) flags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Dir, "e18-dir", c.Dir, "E18: durable root holding repo/ and archive/; if it already holds E18 state, the run only cold-serves and verifies it (default: private temp dir)")
@@ -129,7 +129,7 @@ func (c *coldConfig) run() ([]*Table, error) {
 	}
 
 	// Every link survives with its mode.
-	if linked := srv.DLFM.LinkedFiles(); len(linked) != c.Files {
+	if linked := srv.DLFM.LinkedPaths(); len(linked) != c.Files {
 		return nil, fmt.Errorf("E18: %d links after cold start, want %d (%v)", len(linked), c.Files, linked)
 	}
 	verified := 0

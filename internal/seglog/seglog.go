@@ -357,15 +357,21 @@ func (s Segments) Path(seq uint64) string {
 	return filepath.Clean(b.String())
 }
 
-// List returns the sequences present in the directory, ascending. A file
-// that wears the family's prefix and suffix around anything but the padded
-// form of a positive number is an error, not a file to skip: ignoring it
-// could hide a segment.
+// List returns the sequences present in the directory, ascending: Seqs over
+// a listing of it.
 func (s Segments) List() ([]uint64, error) {
 	entries, err := os.ReadDir(s.Dir)
 	if err != nil {
 		return nil, err
 	}
+	return s.Seqs(entries)
+}
+
+// Seqs returns the sequences of the family's files among entries, a listing
+// of the directory, ascending. A file that wears the family's prefix and
+// suffix around anything but the padded form of a positive number is an
+// error, not a file to skip: ignoring it could hide a segment.
+func (s Segments) Seqs(entries []os.DirEntry) ([]uint64, error) {
 	var seqs []uint64
 	for _, e := range entries {
 		name := e.Name()

@@ -22,9 +22,11 @@ const (
 	opDropTable
 	opCreateIndex
 	opDropIndex
+	opPrepare // a RecPrepare's note, in After
 )
 
-// logPayload is the body of RecUpdate/RecCLR records.
+// logPayload is the body of RecUpdate/RecCLR records, and of a RecPrepare
+// that carries a note.
 type logPayload struct {
 	Op     dmlKind
 	Table  string
@@ -389,7 +391,7 @@ func decodePayload(b []byte) (logPayload, error) {
 	}
 	r.field = "op"
 	p.Op = dmlKind(r.byte())
-	if p.Op < opInsert || p.Op > opDropIndex {
+	if p.Op < opInsert || p.Op > opPrepare {
 		r.fail()
 	}
 	r.field = "table name"

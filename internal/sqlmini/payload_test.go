@@ -46,6 +46,8 @@ func corpusPayloads() (whole map[string]logPayload, hostile map[string][]byte) {
 		"op-drop-table":   {Op: opDropTable, Table: "files", Cols: cols},
 		"op-create-index": {Op: opCreateIndex, Table: "files", Col: "note"},
 		"op-drop-index":   {Op: opDropIndex, Table: "files", Col: "note"},
+		// A prepare record's note: a host transaction id and one side effect.
+		"op-prepare": {Op: opPrepare, After: Row{Int(1 << 40), Str("link"), Str("/d/a.bin"), Int(100), Int(0o644), Bool(true)}},
 	}
 	for name, v := range map[string]Value{
 		"null": Null(), "int": Int(-1 << 62), "float": Float(-2.5), "string": Str("héllo"), "bool": Bool(true),

@@ -1,8 +1,10 @@
 package sqlmini
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"datalinks/internal/wal"
 )
@@ -65,6 +67,7 @@ func Recover(durable *wal.Log, opts Options) (*DB, *RecoveryReport, error) {
 		state   TxnState
 		lastLSN wal.LSN
 		ended   bool
+		note    Row
 	}
 	txns := make(map[uint64]*txnInfo)
 	maxTxn := uint64(0)
@@ -92,6 +95,12 @@ func Recover(durable *wal.Log, opts Options) (*DB, *RecoveryReport, error) {
 		case wal.RecPrepare:
 			ti.state = TxnPrepared
 			ti.lastLSN = rec.LSN
+			note, err := prepareNote(rec.Payload)
+			if err != nil {
+				scanErr = fmt.Errorf("prepare of txn %d at LSN %d: %w", rec.TxnID, rec.LSN, err)
+				return false
+			}
+			ti.note = note
 		case wal.RecCommit:
 			ti.state = TxnCommitted
 			ti.lastLSN = rec.LSN
@@ -153,7 +162,7 @@ func Recover(durable *wal.Log, opts Options) (*DB, *RecoveryReport, error) {
 			db.outcome[id] = false
 		case ti.state == TxnPrepared:
 			rep.InDoubtTxns = append(rep.InDoubtTxns, id)
-			txn := &Txn{db: db, id: id, state: TxnPrepared, begun: true, lastLSN: ti.lastLSN}
+			txn := &Txn{db: db, id: id, state: TxnPrepared, begun: true, lastLSN: ti.lastLSN, note: ti.note}
 			db.active[id] = txn
 			// Re-acquire exclusive locks on everything the in-doubt txn
 			// touched so new transactions cannot see or change those rows
@@ -305,16 +314,42 @@ func (db *DB) relockBackchain(txn *Txn) error {
 	return nil
 }
 
-// InDoubt lists transactions recovered in the prepared state.
-func (db *DB) InDoubt() []uint64 {
+// prepareNote decodes the note a RecPrepare carries. An empty payload — a
+// prepare without a note, as every prepare logged before notes existed — has
+// none.
+func prepareNote(b []byte) (Row, error) {
+	if len(b) == 0 {
+		return nil, nil
+	}
+	p, err := decodePayload(b)
+	if err != nil {
+		return nil, err
+	}
+	if p.Op != opPrepare {
+		return nil, fmt.Errorf("%w: op %d in a prepare record", ErrBadPayload, p.Op)
+	}
+	return p.After, nil
+}
+
+// Prepared is a transaction in the prepared state with the note its Prepare
+// logged (nil when it logged none).
+type Prepared struct {
+	ID   uint64
+	Note Row
+}
+
+// InDoubt lists the transactions in the prepared state, by id — after
+// Recover, those recovered prepared, each with its note from the log.
+func (db *DB) InDoubt() []Prepared {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	var out []uint64
+	var out []Prepared
 	for id, t := range db.active {
 		if t.state == TxnPrepared {
-			out = append(out, id)
+			out = append(out, Prepared{ID: id, Note: t.note})
 		}
 	}
+	slices.SortFunc(out, func(a, b Prepared) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 

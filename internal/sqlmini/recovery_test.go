@@ -1,6 +1,8 @@
 package sqlmini
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -110,7 +112,7 @@ func TestRecoveryKeepsInDoubtPrepared(t *testing.T) {
 
 	txn := db.Begin()
 	txn.Exec(`UPDATE t SET v = 77 WHERE id = 1`)
-	if err := txn.Prepare(); err != nil {
+	if err := txn.Prepare(nil); err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
 
@@ -138,7 +140,7 @@ func TestRecoveryResolveInDoubtAbort(t *testing.T) {
 	mustExec(t, db, `INSERT INTO t VALUES (1, 10)`)
 	txn := db.Begin()
 	txn.Exec(`UPDATE t SET v = 88 WHERE id = 1`)
-	txn.Prepare()
+	txn.Prepare(nil)
 
 	db2, _ := recoverDB(t, db)
 	if err := db2.ResolveInDoubt(txn.ID(), false); err != nil {
@@ -150,6 +152,59 @@ func TestRecoveryResolveInDoubtAbort(t *testing.T) {
 	}
 	if err := db2.ResolveInDoubt(txn.ID(), false); err == nil {
 		t.Fatal("double resolve should fail")
+	}
+}
+
+// TestPrepareNoteSurvivesRotation: the note a prepare logs comes back with
+// its transaction after a restart, though the segment that holds the
+// prepare record was sealed behind later traffic; a note-less prepare comes
+// back with none.
+func TestPrepareNoteSurvivesRotation(t *testing.T) {
+	dir := t.TempDir()
+	db := diskDB(t, dir)
+	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR)`)
+	mustExec(t, db, `INSERT INTO t VALUES (1, 'a'), (2, 'b')`)
+	note := Row{Int(1 << 40), Str("link"), Str("/d/a.bin"), Int(100), Int(0o644), Bool(true)}
+	noted, bare := db.Begin(), db.Begin()
+	if _, err := noted.Exec(`UPDATE t SET v = 'x' WHERE id = 1`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bare.Exec(`UPDATE t SET v = 'y' WHERE id = 2`); err != nil {
+		t.Fatal(err)
+	}
+	if err := noted.Prepare(note); err != nil {
+		t.Fatal(err)
+	}
+	if err := bare.Prepare(nil); err != nil {
+		t.Fatal(err)
+	}
+	before := len(walFiles(t, dir))
+	for i := 3; len(walFiles(t, dir)) < before+2; i++ {
+		mustExec(t, db, `INSERT INTO t VALUES (?, 'some-padding-value-to-fill-the-log')`, Int(int64(i)))
+	}
+
+	db2, _ := reopenDisk(t, db, dir)
+	defer db2.Log().Close()
+	want := []Prepared{{ID: noted.ID(), Note: note}, {ID: bare.ID()}}
+	if got := db2.InDoubt(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("in doubt = %+v, want %+v", got, want)
+	}
+	for _, p := range want {
+		if err := db2.ResolveInDoubt(p.ID, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := db2.InDoubt(); len(got) != 0 {
+		t.Fatalf("in doubt after resolving = %+v", got)
+	}
+}
+
+// A prepare record holding anything but a note is refused with the typed
+// error (a note cut short is: TestPayloadRoundTrip cuts the op-prepare seed
+// at every byte).
+func TestPrepareRecordHoldsOnlyANote(t *testing.T) {
+	if _, err := prepareNote(encodePayload(updatePayload())); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("a prepare record holding an update: err = %v, want ErrBadPayload", err)
 	}
 }
 

@@ -210,12 +210,29 @@ func FuzzParse(f *testing.F) {
 		f.Add(s)
 	}
 	// An INSERT whose VALUES mix placeholders with string, number and
-	// boolean literals: the callers now bind every journal value, so the
-	// extracted seeds no longer hold this shape.
-	f.Add(`INSERT INTO dlfm_txns (id, repo_txn, host_txn, action, path, orig_uid, orig_mode, recovery)
-		 VALUES (?, ?, ?, 'link', ?, ?, ?, ?)`)
-	f.Add(`INSERT INTO dlfm_txns (id, repo_txn, host_txn, action, path, orig_uid, orig_mode, recovery)
-		 VALUES (?, ?, ?, 'close', ?, 0, 0, FALSE)`)
+	// boolean literals: the callers bind nearly every value, so the
+	// extracted seeds seldom hold this shape.
+	f.Add(`INSERT INTO dlfm_files (path, mode, recovery, token_ttl, orig_uid, orig_mode, cur_version)
+		 VALUES (?, 'rfd', ?, ?, ?, ?, 0)`)
+	f.Add(`INSERT INTO dlfm_files (path, mode, recovery, token_ttl, orig_uid, orig_mode, cur_version)
+		 VALUES (?, 'rdd', FALSE, 0, ?, 0, ?)`)
+	// The statements of a per-transaction journal table the callers no
+	// longer keep: a BOOLEAN NOT NULL column, an index on a non-key column,
+	// an INSERT binding every column, and a DELETE by the indexed column.
+	f.Add(`CREATE TABLE journal (
+		id INT PRIMARY KEY,
+		repo_txn INT NOT NULL,
+		host_txn INT NOT NULL,
+		action VARCHAR NOT NULL,
+		path VARCHAR NOT NULL,
+		orig_uid INT NOT NULL,
+		orig_mode INT NOT NULL,
+		recovery BOOLEAN NOT NULL
+	)`)
+	f.Add(`CREATE INDEX ON journal (host_txn)`)
+	f.Add(`INSERT INTO journal (id, repo_txn, host_txn, action, path, orig_uid, orig_mode, recovery)
+		 VALUES (?, ?, ?, ?, ?, ?, ?, ?)`)
+	f.Add(`DELETE FROM journal WHERE host_txn = ?`)
 	var c stmtCache
 	f.Fuzz(func(t *testing.T, src string) {
 		plain, perr := Parse(src)

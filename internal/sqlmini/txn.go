@@ -210,6 +210,7 @@ type Txn struct {
 	state   TxnState
 	begun   bool // the begin record is in the log
 	lastLSN wal.LSN
+	note    Row // the prepare note, once prepared
 	xrms    []XRM
 	// onCommit/onAbort run after the outcome is durable; the engine uses them
 	// for post-commit work like releasing in-memory link state.
@@ -496,11 +497,18 @@ func (t *Txn) dropTable(name string) error {
 
 // Prepare moves the transaction to the prepared (in-doubt) state of 2PC.
 // Used when this database is itself a participant (the DLFM repository).
-func (t *Txn) Prepare() error {
+// The note rides the forced prepare record, and restart recovery hands it
+// back with the transaction (InDoubt): what the participant needs to resolve
+// it, such as the coordinator's transaction id. A nil note logs none.
+func (t *Txn) Prepare(note Row) error {
 	if t.state != TxnActive {
 		return errTxnDone
 	}
-	lsn, err := t.append(wal.Record{Type: wal.RecPrepare, PrevLSN: t.lastLSN})
+	rec := wal.Record{Type: wal.RecPrepare, PrevLSN: t.lastLSN}
+	if len(note) > 0 {
+		rec.Payload = encodePayload(logPayload{Op: opPrepare, After: note})
+	}
+	lsn, err := t.append(rec)
 	if err != nil {
 		return err
 	}
@@ -509,6 +517,7 @@ func (t *Txn) Prepare() error {
 		return err
 	}
 	t.state = TxnPrepared
+	t.note = note
 	return nil
 }
 
