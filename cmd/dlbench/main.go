@@ -32,15 +32,16 @@
 //	dlbench -exp E15 -e15-files 3 -e15-filesize 8 -e15-versions 10 -e15-budget 4
 //	dlbench -exp E15 -e15-dir /var/tmp/archive
 //
-// The E16 restart-recovery experiment commits a deterministic version
-// history, hard-restarts the process state, and proves the durable catalog
-// serves every version byte-identically with zero re-archiving. Run it twice
-// against the same -e16-dir and the second run skips the churn entirely,
-// cold-serving the first run's history (E18 does the same for a whole-process
-// kill, with -e18-dir / -e18-fsync):
+// The E18 restart-recovery experiment commits a deterministic version
+// history under a memory budget that pages the files out, kills the whole
+// process, and proves the cold-started system serves every version
+// byte-identically with zero re-archiving, its repository recovery anchored
+// at the checkpoint the churn took. Run it twice against the same -e18-dir
+// and the second run skips the churn entirely, cold-serving the first run's
+// state:
 //
-//	dlbench -exp E16 -e16-dir /var/tmp/e16 -e16-fsync group
-//	dlbench -exp E16 -e16-dir /var/tmp/e16    # verify-only: zero device transfer
+//	dlbench -exp E18 -e18-dir /var/tmp/e18 -e18-fsync group
+//	dlbench -exp E18 -e18-dir /var/tmp/e18    # verify-only: zero device transfer
 //
 // The E20 chaos soak takes its fault mix from -e20-drop / -e20-reset /
 // -e20-delay / -e20-seed; the E21 scale-out rounds their cluster sizes from

@@ -61,16 +61,17 @@ type ClusterConfig struct {
 	// rolled back — the owner's copy is durable and anti-entropy
 	// (FlushReplication) repairs the gap.
 	WriteQuorum int
-	// ReplRetry shapes per-replica ship retry (zero value = retry defaults).
-	ReplRetry retry.Policy
-	// ReplChaos, when set, injects transport faults into the replication
-	// stream: every ship frame consults Chaos.Strike (drops, resets, delays,
-	// partitions), the same fault model the upcall wire runs under.
-	ReplChaos *upcall.Chaos
 	// ProbeInterval enables the health probe: every interval each member is
 	// checked, and one found dead gets FailServer bookkeeping and, with
 	// Replicas > 1, a Failover. 0 disables probing.
 	ProbeInterval time.Duration
+
+	// replRetry shapes per-replica ship retry (zero value = retry defaults).
+	replRetry retry.Policy
+	// replChaos, when set, injects transport faults into the replication
+	// stream: every ship frame consults Chaos.Strike (drops, resets, delays,
+	// partitions), the same fault model the upcall wire runs under.
+	replChaos *upcall.Chaos
 }
 
 // ErrNoDurableRepo refuses to restart a failed member whose repository does
@@ -127,8 +128,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	repl := replConfig{
 		n:      cfg.Replicas,
 		quorum: cfg.WriteQuorum,
-		policy: cfg.ReplRetry,
-		chaos:  cfg.ReplChaos,
+		policy: cfg.replRetry,
+		chaos:  cfg.replChaos,
 		probe:  cfg.ProbeInterval,
 	}
 	if repl.n < 1 {

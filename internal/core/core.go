@@ -94,10 +94,6 @@ type ServerConfig struct {
 	// (rely on the OS page cache), "group" (coalesced fdatasyncs), or
 	// "always" (every flush syncs inline).
 	RepoFsync string
-	// RepoCheckpointBytes takes a repository checkpoint, and truncates the
-	// log below it, after roughly this many logged bytes (<= 0: the dlfm
-	// default of 1 MiB).
-	RepoCheckpointBytes int64
 	// Trace enables request-scoped tracing on this server: every top-level
 	// operation (open, read, write, commit/close, link/unlink, migration
 	// move) records a span tree into a bounded per-server ring, stitched
@@ -329,20 +325,19 @@ func (f *FileServer) openDLFM(name string, host dlfm.Host, key []byte, ttl time.
 		return fmt.Errorf("core: server %s: %w", f.Name, err)
 	}
 	f.DLFM, f.Recovery, err = dlfm.Open(dlfm.Config{
-		Name:                name,
-		Phys:                f.Phys,
-		Archive:             f.Archive,
-		Host:                host,
-		TokenKey:            key,
-		Clock:               clock,
-		OpenWait:            f.cfg.OpenWait,
-		TokenTTL:            ttl,
-		QuarantineTTL:       f.cfg.QuarantineTTL,
-		Metrics:             reg,
-		RepoDir:             f.repoDir,
-		RepoFsync:           repoFsync,
-		RepoCheckpointBytes: f.cfg.RepoCheckpointBytes,
-		Tracer:              f.Obs,
+		Name:          name,
+		Phys:          f.Phys,
+		Archive:       f.Archive,
+		Host:          host,
+		TokenKey:      key,
+		Clock:         clock,
+		OpenWait:      f.cfg.OpenWait,
+		TokenTTL:      ttl,
+		QuarantineTTL: f.cfg.QuarantineTTL,
+		Metrics:       reg,
+		RepoDir:       f.repoDir,
+		RepoFsync:     repoFsync,
+		Tracer:        f.Obs,
 	})
 	return err
 }

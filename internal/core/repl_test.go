@@ -116,8 +116,8 @@ func TestReplicationRetriesThroughChaos(t *testing.T) {
 	chaos := &upcall.Chaos{Seed: 42, DropProb: 0.2, ResetProb: 0.1}
 	c := newReplCluster(t, 3, func(cfg *ClusterConfig) {
 		cfg.WriteQuorum = 2
-		cfg.ReplChaos = chaos
-		cfg.ReplRetry = retry.Policy{MaxAttempts: 10, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
+		cfg.replChaos = chaos
+		cfg.replRetry = retry.Policy{MaxAttempts: 10, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
 	})
 	paths := clusterPaths(6)
 	for i, p := range paths {
@@ -147,8 +147,8 @@ func TestPartitionFailsQuorumWithoutRollback(t *testing.T) {
 	chaos := &upcall.Chaos{Seed: 7}
 	c := newReplCluster(t, 3, func(cfg *ClusterConfig) {
 		cfg.WriteQuorum = 2
-		cfg.ReplChaos = chaos
-		cfg.ReplRetry = retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+		cfg.replChaos = chaos
+		cfg.replRetry = retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
 	})
 	p := clusterPaths(1)[0]
 	linkDoc(t, c, 0, p, "v0 of "+p)
@@ -274,8 +274,8 @@ func TestPartitionDuringFailover(t *testing.T) {
 	chaos := &upcall.Chaos{Seed: 11}
 	c := newReplCluster(t, 3, func(cfg *ClusterConfig) {
 		cfg.WriteQuorum = 1
-		cfg.ReplChaos = chaos
-		cfg.ReplRetry = retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+		cfg.replChaos = chaos
+		cfg.replRetry = retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
 	})
 	paths := clusterPaths(8)
 	for i, p := range paths {
@@ -955,8 +955,8 @@ func TestReplicationFlushHealsADivergedReplica(t *testing.T) {
 	chaos := &upcall.Chaos{Seed: 11}
 	c, p, replica := restoredReplicaFixture(t, func(cfg *ClusterConfig) {
 		cfg.WriteQuorum = 1
-		cfg.ReplChaos = chaos
-		cfg.ReplRetry = retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+		cfg.replChaos = chaos
+		cfg.replRetry = retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
 	})
 	chaos.Partition(true)
 	for _, content := range []string{"C", "D"} {
@@ -986,8 +986,8 @@ func TestReplicationLagCountsOnlyMissedVersions(t *testing.T) {
 	chaos := &upcall.Chaos{Seed: 5}
 	c := newReplCluster(t, 3, func(cfg *ClusterConfig) {
 		cfg.WriteQuorum = 1
-		cfg.ReplChaos = chaos
-		cfg.ReplRetry = retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+		cfg.replChaos = chaos
+		cfg.replRetry = retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
 	})
 	p := clusterPaths(1)[0]
 	linkDoc(t, c, 0, p, "v0")

@@ -24,7 +24,7 @@ func coldConfig(t *testing.T, phys *fs.FS, repoDir, archDir string) (Config, *ar
 	return Config{
 		Name: "fs1", Phys: phys, Archive: arch, Host: newFakeHost(),
 		TokenKey: []byte("k"), OpenWait: 100 * time.Millisecond,
-		RepoDir: repoDir, RepoCheckpointBytes: 8 << 10,
+		RepoDir: repoDir,
 	}, arch
 }
 
@@ -73,6 +73,11 @@ func TestColdStartWholeProcessKill(t *testing.T) {
 		commitVersion(t, srv, phys1, "/d/a.bin", content)
 		want["/d/a.bin"] = content
 	}
+	// A checkpoint between the commits: recovery must start from it.
+	ckptLSN := srv.Repo().Log().TailLSN()
+	if ok, err := srv.Repo().Checkpoint(); !ok || err != nil {
+		t.Fatalf("checkpoint while quiescent: %v, %v", ok, err)
+	}
 	content := []byte("b.bin committed version 1 " + strings.Repeat("y", 900))
 	commitVersion(t, srv, phys1, "/d/b.bin", content)
 	want["/d/b.bin"] = content
@@ -99,8 +104,8 @@ func TestColdStartWholeProcessKill(t *testing.T) {
 	if rep2 == nil {
 		t.Fatal("cold open of a used repository returned no recovery report")
 	}
-	if !rep2.Repo.SnapshotUsed {
-		t.Fatalf("repository recovery ignored the checkpoint: %+v", rep2.Repo)
+	if !rep2.Repo.SnapshotUsed || rep2.Repo.AnchorLSN < ckptLSN {
+		t.Fatalf("repository recovery did not start at the checkpoint at LSN %d: %+v", ckptLSN, rep2.Repo)
 	}
 	if len(rep2.LostFiles) != 0 {
 		t.Fatalf("lost files on a fully archived workload: %v", rep2.LostFiles)

@@ -90,18 +90,16 @@ type Config struct {
 	RepoDir string
 	// RepoFsync is the repository WAL durability policy.
 	RepoFsync fsyncer.Policy
-	// RepoCheckpointBytes triggers automatic repository checkpoints once
-	// this many log bytes accumulate (DefaultRepoCheckpointBytes when 0).
-	RepoCheckpointBytes int64
-	Metrics             *metrics.Registry
+	Metrics   *metrics.Registry
 	// Tracer, when set, records request-scoped traces for the operations the
 	// daemon originates itself (link/unlink). Upcall-driven work is traced
 	// through the context the transport hands in, not this field.
 	Tracer *obs.Tracer
 }
 
-// DefaultRepoCheckpointBytes is the automatic checkpoint trigger when
-// Config.RepoCheckpointBytes is zero.
+// DefaultRepoCheckpointBytes is the repository's automatic checkpoint
+// trigger: a checkpoint, and the log truncated below it, after this many
+// logged bytes.
 const DefaultRepoCheckpointBytes = 1 << 20
 
 // openState tracks one approved open between its open and close upcalls.
@@ -237,9 +235,6 @@ func Open(cfg Config) (*Server, *RecoveryReport, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	if cfg.RepoCheckpointBytes <= 0 {
-		cfg.RepoCheckpointBytes = DefaultRepoCheckpointBytes
-	}
 	lg, err := wal.Open(wal.Config{Dir: cfg.RepoDir, Fsync: cfg.RepoFsync})
 	if err != nil {
 		return nil, nil, fmt.Errorf("dlfm: repository log in RepoDir %q: %w", cfg.RepoDir, err)
@@ -262,7 +257,7 @@ func start(cfg Config, lg *wal.Log) (*Server, *RecoveryReport, error) {
 		LockTimeout:     cfg.OpenWait,
 		Metrics:         cfg.Metrics,
 		Dir:             cfg.RepoDir,
-		CheckpointBytes: cfg.RepoCheckpointBytes,
+		CheckpointBytes: DefaultRepoCheckpointBytes,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("dlfm: repository recovery: %w", err)

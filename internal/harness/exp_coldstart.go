@@ -9,23 +9,30 @@ import (
 	"time"
 
 	"datalinks/internal/core"
+	"datalinks/internal/sqlmini"
+	"datalinks/internal/wal"
 )
 
 // coldConfig is E18's knobs. With an explicit Dir, a second E18 run against
 // the same directory pair skips the churn phase and verifies the durable
-// state a previous run (a previous PROCESS) left behind — the CI cold-start
-// smoke job runs exactly that.
+// state a previous run (a previous PROCESS) left behind — the CI
+// restart-recovery smoke job runs exactly that. The workload shape is fixed:
+// both runs must derive the same expected history from it.
 type coldConfig struct {
-	Files        int
-	FileKB       int
-	Versions     int
-	EditKB       int
-	CheckpointKB int    // small: force several checkpoints during churn
-	Dir          string // "" = private temp dir, removed afterwards
-	Fsync        string // repo + archive fsync policy ("", none, group, always)
+	Files    int
+	FileKB   int
+	Versions int
+	EditKB   int
+	Dir      string // "" = private temp dir, removed afterwards
+	Fsync    string // repo + archive fsync policy ("", none, group, always)
 }
 
-var e18 = coldConfig{Files: 3, FileKB: 256, Versions: 6, EditKB: 32, CheckpointKB: 4}
+var e18 = coldConfig{Files: 3, FileKB: 256, Versions: 6, EditKB: 32}
+
+// coldBudget is the archive memory budget E18 runs under: one file's worth
+// of its three, so the churn commits to files the pager has paged out, and
+// the history the cold start serves was archived from them.
+const coldBudget = 256 << 10
 
 func (c *coldConfig) flags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Dir, "e18-dir", c.Dir, "E18: durable root holding repo/ and archive/; if it already holds E18 state, the run only cold-serves and verifies it (default: private temp dir)")
@@ -36,7 +43,7 @@ func init() {
 	Register(Experiment{
 		ID:    "E18",
 		Title: "Durable repository plane: kill -9 of the whole process loses nothing",
-		Paper: "§4.2/§4.4 promise that a DLFM machine crash never loses a committed file version: the repository (WAL + checkpoints) and the archive are the durable truth. This experiment hard-kills the ENTIRE process state — repository database, archive store, and the physical file system — and cold-starts from the two on-disk directories alone. Every link, every version, and the in-flight rollback must come back byte-identical with zero re-archiving, and recovery must replay only the log tail after the last checkpoint, not the whole history.",
+		Paper: "§4.2/§4.4 promise that a DLFM machine crash never loses a committed file version: the repository (WAL + checkpoints) and the archive (packs + durable catalog) are the durable truth. This experiment hard-kills the ENTIRE process state — repository database, archive store, and the physical file system — and cold-starts from the two on-disk directories alone. Every link, every version, and the in-flight rollback must come back byte-identical with zero re-archiving, and repository recovery must start at the checkpoint the churn took, not at the head of the log.",
 		Run:   e18.run,
 		Flags: e18.flags,
 	})
@@ -47,6 +54,9 @@ const coldPaths = "/cold/f%d.bin"
 
 func coldPath(i int) string { return fmt.Sprintf(coldPaths, i) }
 
+// historyCols is the table E18 links its files in.
+const historyCols = "doc DATALINK MODE RFD RECOVERY YES"
+
 // server is the one server config both phases share over the two
 // directories.
 func (c *coldConfig) server(repoDir, archDir string) core.ServerConfig {
@@ -55,17 +65,84 @@ func (c *coldConfig) server(repoDir, archDir string) core.ServerConfig {
 		OpenWait:            30 * time.Second,
 		ArchiveDir:          archDir,
 		ArchiveFsync:        c.Fsync,
+		ArchiveMemoryBudget: coldBudget,
 		RepoDir:             repoDir,
 		RepoFsync:           c.Fsync,
-		RepoCheckpointBytes: int64(c.CheckpointKB) << 10,
 	}
+}
+
+// churnResult is what the churn phase leaves for the gates.
+type churnResult struct {
+	ckptLSN  wal.LSN // the repository log's tail when the churn checkpointed
+	pageOuts int64   // chunks the file system paged out meanwhile
+}
+
+// coldChurn is E18's first phase. On a one-server system built from sc it
+// links expected's files as rows of table cold (file i at coldPath(i),
+// holding expected[i][0]) and commits genHistory's versions 1..n of every
+// file through the full stack, one round per version. After round (n+1)/2, while
+// no transaction runs, it takes one repository checkpoint. Then the process
+// dies: a kill -9 with an update open on file 0 and its uncommitted junk on
+// the volatile file system — no drain, no Close, no further checkpoint.
+func coldChurn(sc core.ServerConfig, editSize int64, expected [][][]byte) (churnResult, error) {
+	var res churnResult
+	sys, srv, err := newSystem(sc, 30*time.Second)
+	if err != nil {
+		return res, err
+	}
+	defer sys.Crash()
+	s, err := systemSoak(sys, srv, "cold", historyCols, len(expected), coldPaths, func(i int, _ string) []byte { return expected[i][0] })
+	if err != nil {
+		return res, err
+	}
+	openWrite := s.newSession()
+	for v := 1; v < len(expected[0]); v++ {
+		for i := range expected {
+			off := editOffset(i, v, int64(len(expected[i][v])), editSize)
+			if err := commitEdit(s.db, openWrite, "cold", i, off, expected[i][v][off:off+editSize]); err != nil {
+				return res, fmt.Errorf("file %d v%d: %w", i, v, err)
+			}
+		}
+		if v == len(expected[0])/2 {
+			repo := srv.DLFM.Repo()
+			res.ckptLSN = repo.Log().TailLSN()
+			if ok, err := repo.Checkpoint(); !ok || err != nil {
+				return res, fmt.Errorf("repository checkpoint after round %d: taken %v, %v", v, ok, err)
+			}
+		}
+	}
+	res.pageOuts = srv.DLFM.Metrics().Counter("fs.pageouts").Value()
+	url, err := writeURL(s.db, "cold", 0)
+	if err != nil {
+		return res, err
+	}
+	f, err := openWrite(url)
+	if err != nil {
+		return res, err
+	}
+	_, err = f.WriteAt(0, []byte("in-flight junk that must never survive the kill"))
+	return res, err
+}
+
+// anchored checks that repository recovery started at a checkpoint, not at
+// the head of the log: it used the snapshot, and the snapshot's anchor is
+// past the log's start and at or past ckpt, the log's tail when the churn
+// took its checkpoint (0 in a verify-only run).
+func anchored(rep *sqlmini.RecoveryReport, ckpt wal.LSN) error {
+	switch {
+	case !rep.SnapshotUsed:
+		return fmt.Errorf("recovery ignored the checkpoint snapshot: %+v", *rep)
+	case rep.AnchorLSN == wal.NilLSN || rep.AnchorLSN < ckpt:
+		return fmt.Errorf("recovery anchored at LSN %d, want past the log's start and at or past the churn's checkpoint at LSN %d", rep.AnchorLSN, ckpt)
+	}
+	return nil
 }
 
 // run commits a deterministic workload, hard-kills the whole process state
 // (repository, archive, physical FS), cold-starts a brand-new system from the
 // repo + archive directories, and FAILS unless every link, every version, and
 // the in-flight rollback are byte-identical with zero re-archiving — and
-// unless recovery scanned only the post-checkpoint tail.
+// unless repository recovery started at the churn's checkpoint.
 func (c *coldConfig) run() ([]*Table, error) {
 	fileSize := int64(c.FileKB) << 10
 	editSize := min(int64(c.EditKB)<<10, fileSize)
@@ -89,15 +166,19 @@ func (c *coldConfig) run() ([]*Table, error) {
 		}
 	}
 
+	var churn churnResult
 	var churnWall time.Duration
 	if !coldServe {
 		start := time.Now()
 		// No drain before the kill: a close returns only once its version is
 		// in the archive, so every acknowledged version must survive it.
-		if err := durableChurn(c.server(repoDir, archDir), "cold", coldPaths, editSize, expected, true); err != nil {
+		if churn, err = coldChurn(c.server(repoDir, archDir), editSize, expected); err != nil {
 			return nil, err
 		}
 		churnWall = time.Since(start)
+		if churn.pageOuts == 0 {
+			return nil, fmt.Errorf("E18: the churn paged nothing out under a %s budget", mib(coldBudget))
+		}
 	}
 
 	// The cold start: a brand-new system over nothing but the two
@@ -113,20 +194,13 @@ func (c *coldConfig) run() ([]*Table, error) {
 	if rep == nil || rep.Repo == nil {
 		return nil, fmt.Errorf("E18: cold open of a used repository ran as a fresh boot")
 	}
-	if !rep.Repo.SnapshotUsed {
-		return nil, fmt.Errorf("E18: recovery ignored the checkpoint snapshot: %+v", rep.Repo)
+	if err := anchored(rep.Repo, churn.ckptLSN); err != nil {
+		return nil, fmt.Errorf("E18: %w", err)
 	}
 	if len(rep.LostFiles) != 0 {
 		return nil, fmt.Errorf("E18: cold start lost files: %v", rep.LostFiles)
 	}
-
-	// Anchored, not O(history): the analysis/redo scan must cover only the
-	// tail after the last checkpoint. TailLSN counts every record ever
-	// logged (LSNs survive head truncation), so the ratio is honest.
-	total := int(srv.DLFM.Repo().Log().TailLSN())
-	if rep.Repo.RecordsScanned*2 >= total {
-		return nil, fmt.Errorf("E18: recovery scanned %d of %d records — checkpoint anchoring failed", rep.Repo.RecordsScanned, total)
-	}
+	arch := srv.Archive.Recovery()
 
 	// Every link survives with its mode.
 	if linked := srv.DLFM.LinkedPaths(); len(linked) != c.Files {
@@ -161,13 +235,14 @@ func (c *coldConfig) run() ([]*Table, error) {
 			return nil, fmt.Errorf("E18: in-flight rollback = %v, want [%s]", rep.RestoredFiles, coldPath(0))
 		}
 	}
-	// Zero re-archiving: the archive catalog already held everything.
+	// Zero re-archiving: the archive catalog already held everything, so
+	// serving all of that wrote no blob.
 	if len(rep.ArchivedVersions) != 0 {
 		return nil, fmt.Errorf("E18: cold start re-archived %v", rep.ArchivedVersions)
 	}
-	reArchived := srv.Archive.Dedup().NewBytes
-	if reArchived != 0 {
-		return nil, fmt.Errorf("E18: cold start transferred %d new bytes to the archive", reArchived)
+	reArchived, tier := srv.Archive.Dedup().NewBytes, srv.Archive.Tier()
+	if reArchived != 0 || tier.Spills != 0 {
+		return nil, fmt.Errorf("E18: cold start transferred %d new bytes to the archive (%d spills)", reArchived, tier.Spills)
 	}
 
 	// And the recovered system keeps serving updates on the restored state.
@@ -185,22 +260,27 @@ func (c *coldConfig) run() ([]*Table, error) {
 	}
 	t.AddRow("run mode", mode)
 	t.AddRow("files x versions", fmt.Sprintf("%d x %d (+v0 each)", c.Files, c.Versions))
-	t.AddRow("linked file size / edit size", fmt.Sprintf("%s / %s", mib(fileSize), mib(editSize)))
+	t.AddRow("linked file size / edit size / memory budget", fmt.Sprintf("%s / %s / %s", mib(fileSize), mib(editSize), mib(coldBudget)))
 	if !coldServe {
 		t.AddRow("churn wall time", Dur(churnWall))
+		t.AddRow("chunks paged out during the churn", fmt.Sprintf("%d", churn.pageOuts))
 		t.AddRow("in-flight updates rolled back", fmt.Sprintf("%d (%s)", len(rep.RestoredFiles), strings.Join(rep.RestoredFiles, ",")))
 	}
 	t.AddRow("cold-start wall time (full recovery)", Dur(coldWall))
-	t.AddRow("repo records scanned / total ever logged", fmt.Sprintf("%d / %d (anchor LSN %d)", rep.Repo.RecordsScanned, total, rep.Repo.AnchorLSN))
-	t.AddRow("repo redo records applied", fmt.Sprintf("%d", rep.Repo.Redone))
+	t.AddRow("repo anchor LSN / churn checkpoint LSN", fmt.Sprintf("%d / %d", rep.Repo.AnchorLSN, churn.ckptLSN))
+	t.AddRow("repo records scanned / redone", fmt.Sprintf("%d / %d", rep.Repo.RecordsScanned, rep.Repo.Redone))
+	t.AddRow("archive histories / versions replayed", fmt.Sprintf("%d / %d", arch.Files, arch.Versions))
+	t.AddRow("catalog records (snapshot / log)", fmt.Sprintf("%d / %d", arch.SnapshotRecords, arch.LogRecords))
+	t.AddRow("torn catalog-log bytes / versions dropped", fmt.Sprintf("%d / %d", arch.TornBytes, arch.DroppedVersions))
+	t.AddRow("pack files / torn pack bytes", fmt.Sprintf("%d / %d", tier.PackFiles, tier.PackTornBytes))
 	t.AddRow("files materialized from the archive", fmt.Sprintf("%d", len(rep.MaterializedFiles)))
 	t.AddRow("version counters reconciled down", fmt.Sprintf("%d (%s)", len(rep.ReconciledVersions), strings.Join(rep.ReconciledVersions, ",")))
 	t.AddRow("versions verified byte-identical", fmt.Sprintf("%d", verified))
-	t.AddRow("bytes re-archived on cold start", fmt.Sprintf("%d", reArchived))
+	t.AddRow("bytes re-archived on cold start", fmt.Sprintf("%d (spills: %d)", reArchived, tier.Spills))
 	t.AddRow("fresh link → commit → read back → unlink after cold start", "ok")
-	t.AddRow("repo checkpoint interval / fsync policy", fmt.Sprintf("%d KiB / %s", c.CheckpointKB, orNone(c.Fsync)))
+	t.AddRow("fsync policy", orNone(c.Fsync))
 	t.Note("the whole process dies: repository, archive store AND the physical file system — only the repo and archive directories survive")
-	t.Note("byte-identity, zero re-archiving, and anchored (scanned « total) recovery are enforced, not just reported")
+	t.Note("byte-identity, zero re-archiving, and recovery anchored at the churn's checkpoint are enforced, not just reported")
 	return []*Table{t}, nil
 }
 

@@ -157,9 +157,9 @@ func editOffset(i, v int, fileSize, editSize int64) int64 {
 // exact content of file i at version v, where v0 is seeded random bytes and
 // each later version overwrites editSize bytes at editOffset(i, v) with
 // fresh seeded bytes. It is a pure function of its arguments, so two
-// processes — E16's and E18's churn run and their verify-only run on the
-// same directory — derive the same truth with nothing carried between them
-// but the durable state under test. The edit a churn applies for version v
+// processes — E18's churn run and its verify-only run on the same
+// directory — derive the same truth with nothing carried between them but
+// the durable state under test. The edit a churn applies for version v
 // is expected[i][v][off:off+editSize].
 func genHistory(seed int64, files int, fileSize, editSize int64, versions int) [][][]byte {
 	expected := make([][][]byte, files)

@@ -18,7 +18,7 @@ import (
 	"datalinks/internal/workload"
 )
 
-// TestGenHistoryIsDeterministic: E16 and E18 run twice on one directory —
+// TestGenHistoryIsDeterministic: E18 runs twice on one directory —
 // two processes — and the second run verifies what the first one committed
 // against a history it derives itself. Two calls must agree byte for byte,
 // and the pinned digest holds a later process (or toolchain) to the same
@@ -103,8 +103,8 @@ func experimentFlags(t *testing.T) *flag.FlagSet {
 // so each case restores them.
 func TestExperimentFlags(t *testing.T) {
 	restore := func() func() {
-		c13, c14, c15, c16, c18, c20, c21, c22, c23 := e13, e14, e15, e16, e18, e20, e21, e22, e23
-		return func() { e13, e14, e15, e16, e18, e20, e21, e22, e23 = c13, c14, c15, c16, c18, c20, c21, c22, c23 }
+		c13, c14, c15, c18, c20, c21, c22, c23 := e13, e14, e15, e18, e20, e21, e22, e23
+		return func() { e13, e14, e15, e18, e20, e21, e22, e23 = c13, c14, c15, c18, c20, c21, c22, c23 }
 	}
 	accepted := [][]string{
 		{"-exp", "E6"}, {"-list"}, {"-markdown"}, {"-json"},
@@ -114,7 +114,6 @@ func TestExperimentFlags(t *testing.T) {
 		{"-exp", "E14", "-filesize", "64", "-edits", "16", "-editsize", "64"},
 		{"-exp", "E15", "-e15-files", "3", "-e15-filesize", "8", "-e15-versions", "10", "-e15-budget", "4"},
 		{"-exp", "E15", "-e15-dir", "/var/tmp/archive"},
-		{"-exp", "E16", "-e16-dir", "/var/tmp/e16", "-e16-fsync", "group"},
 		{"-exp", "E18", "-e18-dir", "/var/tmp/e18", "-e18-fsync", "group"},
 		{"-exp", "E20", "-e20-drop", "0.1", "-e20-reset", "0", "-e20-delay", "1", "-e20-seed", "7"},
 		{"-exp", "E21", "-e21-servers", "1,4,16"},

@@ -51,7 +51,7 @@ func TestRegistryOrderAndFind(t *testing.T) {
 	for i, e := range all {
 		ids[i] = e.ID
 	}
-	want := []string{"T1", "F1", "F2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E20", "E21", "E22", "E23"}
+	want := []string{"T1", "F1", "F2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E17", "E18", "E20", "E21", "E22", "E23"}
 	if len(ids) != len(want) {
 		t.Fatalf("ids = %v", ids)
 	}

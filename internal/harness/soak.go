@@ -13,11 +13,10 @@ import (
 	"datalinks/internal/sqlmini"
 )
 
-// The soak runner. E16, E18, E20, E21 and E23 each hold the paper's promise
-// that an acknowledged close is as dependable as a database row — across a
-// kill, a faulty wire, a move and a failover. What they share is here, once:
-// the linked files (soak, systemSoak, clusterSoak), the history E16 and E18
-// commit before their restart (durableChurn), the payload a soak writer
+// The soak runner. E18, E20, E21 and E23 each hold the paper's promise that
+// an acknowledged close is as dependable as a database row — across a kill,
+// a faulty wire, a move and a failover. What they share is here, once: the
+// linked files (soak, systemSoak, clusterSoak), the payload a soak writer
 // commits (seqPayload), the acked-writer loop (soak.write) and the end-of-run
 // checks (lostAcked, sameHistories). Each soak's own file holds its faults
 // and its gates.
@@ -113,51 +112,6 @@ func clusterSoak(cc core.ClusterConfig, table, cols string, n int, pathf string)
 		return nil, nil, err
 	}
 	return cl, s, nil
-}
-
-// historyCols is the table E16 and E18 link their histories in.
-const historyCols = "doc DATALINK MODE RFD RECOVERY YES"
-
-// durableChurn is E16's and E18's first phase. On a one-server system built
-// from sc it links expected's files as rows of table (file i at
-// fmt.Sprintf(pathf, i), holding expected[i][0]) and commits genHistory's
-// versions 1..n of every file through the full stack. Then it ends one of
-// two ways: a clean Close, or — crash — a kill -9 with an update open on file
-// 0 and its uncommitted junk on the volatile file system: no Close, no
-// checkpoint.
-func durableChurn(sc core.ServerConfig, table, pathf string, editSize int64, expected [][][]byte, crash bool) error {
-	sys, srv, err := newSystem(sc, 30*time.Second)
-	if err != nil {
-		return err
-	}
-	s, err := systemSoak(sys, srv, table, historyCols, len(expected), pathf, func(i int, _ string) []byte { return expected[i][0] })
-	openWrite := s.newSession()
-	for v := 1; err == nil && v < len(expected[0]); v++ {
-		for i := range expected {
-			off := editOffset(i, v, int64(len(expected[i][v])), editSize)
-			if err = commitEdit(s.db, openWrite, table, i, off, expected[i][v][off:off+editSize]); err != nil {
-				err = fmt.Errorf("file %d v%d: %w", i, v, err)
-				break
-			}
-		}
-	}
-	if err != nil || !crash {
-		if cerr := sys.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}
-	defer sys.Crash()
-	url, err := writeURL(s.db, table, 0)
-	if err != nil {
-		return err
-	}
-	f, err := openWrite(url)
-	if err != nil {
-		return err
-	}
-	_, err = f.WriteAt(0, []byte("in-flight junk that must never survive the kill"))
-	return err
 }
 
 // writeRound is one round of the acked-writer loop. Writer w commits to rows

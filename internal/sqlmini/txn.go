@@ -471,9 +471,12 @@ func (t *Txn) createIndex(tbl *Table, col string) error {
 	return nil
 }
 
-// dropTable performs logged DDL. The dropped rows are not individually
-// logged; undo of a drop restores schema only (documented limitation, as in
-// many real systems DDL is not fully transactional).
+// dropTable performs logged DDL. Each row goes first, logged as a delete
+// with its before image, then each secondary index as a dropped index, so
+// undoing the drop — an abort, or recovery undoing a loser — recreates the
+// table, its indexes and its rows. Every change is made before it is logged
+// and put back if the append fails, so the table always matches the logged
+// prefix an abort undoes.
 func (t *Txn) dropTable(name string) error {
 	if t.state != TxnActive {
 		return errTxnDone
@@ -482,6 +485,25 @@ func (t *Txn) dropTable(name string) error {
 		return err
 	}
 	tbl, err := t.db.cat.get(name)
+	if err != nil {
+		return err
+	}
+	tbl.Scan(func(id RowID, r Row) bool {
+		tbl.Delete(id)
+		if err = t.logChange(logPayload{Op: opDelete, Table: name, Row: id, Before: r}); err != nil {
+			t.undoFailed(tbl.InsertAt(id, r))
+		}
+		return err == nil
+	})
+	for col, c := range tbl.Columns {
+		if err != nil || c.Kind == KindLink || !tbl.HasIndex(col) {
+			continue
+		}
+		tbl.DropIndex(col)
+		if err = t.logChange(logPayload{Op: opDropIndex, Table: name, Col: c.Name}); err != nil {
+			tbl.AddIndex(col)
+		}
+	}
 	if err != nil {
 		return err
 	}
