@@ -9,8 +9,8 @@
 //   - Each version's metadata is a delta manifest against its predecessor —
 //     the list of chunk slots whose reference changed, plus the new tail.
 //     A full manifest (checkpoint) is stored for version 0, whenever the
-//     delta would exceed half the file, and at least every checkpointEvery
-//     versions, so materializing any version walks a bounded chain.
+//     delta would exceed half the file, and every defaultCheckpointEvery
+//     versions at least, so materializing any version walks a bounded chain.
 //     Metadata cost per version is therefore O(changed chunks), not
 //     O(file size / ChunkSize).
 //   - A slot's reference is a base chunk's hash plus an ordered list of
@@ -122,10 +122,10 @@ func idOf(r *catalog.PutRec) VersionID {
 	return VersionID{Version: Version(r.Version), StateID: r.StateID, Stored: r.StoredUnixNano}
 }
 
-// checkpointEvery is the default delta-chain bound: at least every this many
+// defaultCheckpointEvery is the default delta-chain bound: at least every this many
 // versions a full manifest is stored, so materialization applies at most this
-// many deltas on top of one checkpoint (TierConfig.CheckpointEvery overrides).
-const checkpointEvery = 16
+// many deltas on top of one checkpoint (TierConfig.checkpointEvery overrides).
+const defaultCheckpointEvery = 16
 
 // maxChain bounds a slot's chain: its base chunk plus at most maxChain-1
 // patches. A written slot whose predecessor's chain is shorter gets a patch;
@@ -415,18 +415,18 @@ type TierConfig struct {
 	// zero re-archiving. "" gives the store a private directory of its own
 	// (os.MkdirTemp), which Close and Crash remove.
 	Dir string
-	// CheckpointEvery bounds the delta chain: a full manifest at least every
+	// checkpointEvery bounds the delta chain: a full manifest at least every
 	// this many versions (<= 0: the package default of 16; 1 makes every
 	// version a checkpoint).
-	CheckpointEvery int
+	checkpointEvery int
 	// Fsync selects the durability policy shared by packfile/blob writes and
 	// catalog log appends: none (default — rely on the OS page cache), group
 	// (concurrent committers coalesce behind shared fdatasyncs at the commit
 	// barrier), or always (every append flushes inline). See internal/fsyncer.
 	Fsync fsyncer.Policy
-	// PackTargetBytes seals the active packfile once it grows past this
+	// packTargetBytes seals the active packfile once it grows past this
 	// (<= 0: the chunkdisk default).
-	PackTargetBytes int64
+	packTargetBytes int64
 	// Metrics, if set, mirrors the tier's fsync/pack counters
 	// (chunkdisk.fsyncs, chunkdisk.pack.appends, chunkdisk.pack.dead_bytes,
 	// catalog.fsyncs) into a registry.
@@ -510,19 +510,19 @@ func NewTiered(latency time.Duration, clock func() time.Time, tier TierConfig) (
 	}
 	disk, err := chunkdisk.Open(chunkdisk.Config{
 		Dir:             tier.Dir,
-		PackTargetBytes: tier.PackTargetBytes,
+		PackTargetBytes: tier.packTargetBytes,
 		Fsync:           tier.Fsync,
 		Metrics:         tier.Metrics,
 	})
 	if err != nil {
 		return fail(err)
 	}
-	s := &Store{seed: maphash.MakeSeed(), clock: clock, disk: disk, private: private, ckEvery: tier.CheckpointEvery, compactFailures: &metrics.Counter{}}
+	s := &Store{seed: maphash.MakeSeed(), clock: clock, disk: disk, private: private, ckEvery: tier.checkpointEvery, compactFailures: &metrics.Counter{}}
 	if tier.Metrics != nil {
 		s.compactFailures = tier.Metrics.Counter("archive.catalog.compact_failures")
 	}
 	if s.ckEvery <= 0 {
-		s.ckEvery = checkpointEvery
+		s.ckEvery = defaultCheckpointEvery
 	}
 	s.latency.Store(int64(latency))
 	for i := range s.shards {

@@ -77,7 +77,7 @@ func TestFoldedIndexSurvivesReopen(t *testing.T) {
 	const C = extent.ChunkSize
 	for _, every := range []int{1, 4, 0} {
 		t.Run(fmt.Sprintf("CheckpointEvery=%d", every), func(t *testing.T) {
-			tier := TierConfig{Dir: t.TempDir(), CheckpointEvery: every}
+			tier := TierConfig{Dir: t.TempDir(), checkpointEvery: every}
 			s, err := NewTiered(0, nil, tier)
 			if err != nil {
 				t.Fatal(err)

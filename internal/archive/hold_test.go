@@ -14,7 +14,7 @@ import (
 // compaction that follow — and gives them back on Release, once: then they
 // reach a count of zero and are reclaimed like any dropped version's.
 func TestHoldOutlivesDropTruncateAndCompaction(t *testing.T) {
-	s, err := NewTiered(0, nil, TierConfig{Dir: t.TempDir(), PackTargetBytes: 192 << 10})
+	s, err := NewTiered(0, nil, TierConfig{Dir: t.TempDir(), packTargetBytes: 192 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func runArchiveModel(t *testing.T, seed int64) {
 		var tier TierConfig
 		if durable && name != "third" {
 			// A cache of two chunks: most reads page in and verify.
-			tier = TierConfig{Dir: t.TempDir(), CheckpointEvery: 5}
+			tier = TierConfig{Dir: t.TempDir(), checkpointEvery: 5}
 		}
 		stores = append(stores, &modelStore{name: name, s: open(tier), tier: tier, held: map[Version]bool{}})
 	}

@@ -359,7 +359,7 @@ func TestCheckpointIntervalSweep(t *testing.T) {
 	for _, every := range []int{1, 4, 64} {
 		every := every
 		t.Run(fmt.Sprintf("every=%d", every), func(t *testing.T) {
-			tier := TierConfig{CheckpointEvery: every}
+			tier := TierConfig{checkpointEvery: every}
 			cfg := tier
 			cfg.Dir = t.TempDir()
 			s, err := NewTiered(0, nil, cfg)
@@ -456,7 +456,7 @@ func TestRestartRefusesARetiredBlobForm(t *testing.T) {
 func TestRestartServesPackfileBackedHistory(t *testing.T) {
 	const C = extent.ChunkSize
 	dir := t.TempDir()
-	tier := TierConfig{PackTargetBytes: 4 * C, Fsync: fsyncer.PolicyGroup}
+	tier := TierConfig{packTargetBytes: 4 * C, Fsync: fsyncer.PolicyGroup}
 	cfg := tier
 	cfg.Dir = dir
 	s, err := NewTiered(0, nil, cfg)

@@ -173,7 +173,7 @@ func TestTieredDeltaChainAllVersionsRestorable(t *testing.T) {
 	if full == total {
 		t.Fatal("every version stored a full manifest; deltas never kicked in")
 	}
-	if full < total/checkpointEvery {
+	if full < total/defaultCheckpointEvery {
 		t.Fatalf("only %d checkpoints for %d versions", full, total)
 	}
 }

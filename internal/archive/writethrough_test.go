@@ -204,7 +204,7 @@ func TestTombstoneBarrierFailureIsReturned(t *testing.T) {
 func TestCatalogCompactFailuresAreCounted(t *testing.T) {
 	reg := metrics.NewRegistry()
 	dir := t.TempDir()
-	s, err := NewTiered(0, nil, TierConfig{Dir: dir, CheckpointEvery: 1, Metrics: reg})
+	s, err := NewTiered(0, nil, TierConfig{Dir: dir, checkpointEvery: 1, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

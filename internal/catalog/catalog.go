@@ -66,7 +66,7 @@ const (
 var snapMagic = [8]byte{'D', 'L', 'C', 'A', 'T', 'S', 'N', '1'}
 
 // DefaultCompactBytes triggers a snapshot checkpoint once the log grows past
-// this size (Config.CompactBytes overrides it).
+// this size (Config.compactBytes overrides it).
 const DefaultCompactBytes = 4 << 20
 
 // Record kinds.
@@ -205,9 +205,9 @@ func (p *pool[T]) carve(n, maxBlock int) []T {
 
 // Config configures a catalog.
 type Config struct {
-	// CompactBytes checkpoints the log once it outgrows this size (<= 0:
+	// compactBytes checkpoints the log once it outgrows this size (<= 0:
 	// DefaultCompactBytes).
-	CompactBytes int64
+	compactBytes int64
 	// Fsync selects the append durability policy (none | group | always).
 	Fsync fsyncer.Policy
 	// Metrics, if set, mirrors catalog.fsyncs into a registry.
@@ -241,7 +241,7 @@ var errPutCorrupted = errors.New("catalog: put record corrupted")
 // Open replays the catalog in dir (snapshot, then log), quarantining any torn
 // log tail, and returns it ready for appends.
 func Open(dir string, cfg Config) (*Catalog, error) {
-	compactAt := cfg.CompactBytes
+	compactAt := cfg.compactBytes
 	if compactAt <= 0 {
 		compactAt = DefaultCompactBytes
 	}

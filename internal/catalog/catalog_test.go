@@ -283,7 +283,7 @@ func TestCrashBetweenSnapshotRenameAndLogTruncate(t *testing.T) {
 // and nothing is lost across the checkpoint.
 func TestAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(dir, Config{CompactBytes: 256}) // tiny threshold: compact every few records
+	c, err := Open(dir, Config{compactBytes: 256}) // tiny threshold: compact every few records
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func TestOpenScanAllocBudget(t *testing.T) {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
 	dir := t.TempDir()
-	cfg := Config{CompactBytes: 1 << 30} // no checkpoint: the log keeps every record
+	cfg := Config{compactBytes: 1 << 30} // no checkpoint: the log keeps every record
 	c, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)

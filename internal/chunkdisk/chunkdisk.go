@@ -84,9 +84,9 @@ type Config struct {
 	// PackTargetBytes seals the active packfile once it grows past this
 	// (<= 0: DefaultPackTargetBytes).
 	PackTargetBytes int64
-	// PackGarbageRatio compacts a sealed packfile once this fraction of its
+	// packGarbageRatio compacts a sealed packfile once this fraction of its
 	// payload is dead (<= 0 or >= 1: DefaultPackGarbageRatio).
-	PackGarbageRatio float64
+	packGarbageRatio float64
 	// Fsync selects the durability policy for blob and pack writes; see
 	// internal/fsyncer. The default (PolicyNone) matches the historical
 	// rely-on-the-OS behaviour.
@@ -250,7 +250,7 @@ func Open(cfg Config) (*Store, error) {
 		s.releaseLock()
 		return nil, err
 	}
-	s.packs = newPackSet(s, cfg.Dir, cfg.PackTargetBytes, cfg.PackGarbageRatio)
+	s.packs = newPackSet(s, cfg.Dir, cfg.PackTargetBytes, cfg.packGarbageRatio)
 	// The group-commit flush: one fdatasync of the active pack covers every
 	// append that completed before the round began. It does its own fsync
 	// counting (a barrier with no active pack syncs nothing and must not

@@ -71,7 +71,7 @@ func openScanned(t *testing.T, cfg Config) *Store {
 // crash left without a footer.
 func TestFooterEqualsScan(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, PackTargetBytes: 4 << 10, PackGarbageRatio: 0.9}
+	cfg := Config{Dir: dir, PackTargetBytes: 4 << 10, packGarbageRatio: 0.9}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ func TestLifetimeModel(t *testing.T) {
 func runSchedule(t *testing.T, seed int64, dir string) {
 	rng := rand.New(rand.NewSource(seed))
 	// Small packs that compact early and blobs from 100 B to 1.4 KiB.
-	cfg := Config{Dir: dir, PackTargetBytes: 4 << 10, PackGarbageRatio: 0.3}
+	cfg := Config{Dir: dir, PackTargetBytes: 4 << 10, packGarbageRatio: 0.3}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

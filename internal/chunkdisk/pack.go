@@ -48,7 +48,7 @@ package chunkdisk
 // sealed (fsynced under policies that sync, then closed) and a new one
 // starts. Sweep retires dead pack records in place — the index entry goes
 // away, the bytes become dead space — and when a sealed pack's garbage ratio
-// exceeds PackGarbageRatio its surviving records are rewritten into the
+// exceeds packGarbageRatio its surviving records are rewritten into the
 // active pack and the old file is unlinked (compaction). Every read of a pack
 // goes through one read handle the pack keeps open from its first read until
 // it is unlinked or the store closes. Readers and the compactor synchronize

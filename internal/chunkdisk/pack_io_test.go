@@ -100,7 +100,7 @@ func TestCompactionLeavesAPackWithAnUnpublishedAppend(t *testing.T) {
 	s, err := Open(Config{
 		Dir:              t.TempDir(),
 		PackTargetBytes:  2 << 10,
-		PackGarbageRatio: 0.2,
+		packGarbageRatio: 0.2,
 	})
 	if err != nil {
 		t.Fatal(err)

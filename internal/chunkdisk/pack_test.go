@@ -419,7 +419,7 @@ func TestPackCompactionUnderChurn(t *testing.T) {
 	s, err := Open(Config{
 		Dir:              t.TempDir(),
 		PackTargetBytes:  2 << 10,
-		PackGarbageRatio: 0.2,
+		packGarbageRatio: 0.2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -436,15 +437,32 @@ func TestClusterFailAbsorbDead(t *testing.T) {
 	if err := c.FailServer("fs2"); err != nil {
 		t.Fatalf("fail: %v", err)
 	}
-	// fs2's paths are dark while it is down.
-	for _, p := range paths {
+	// fs2's paths are dark while it is down: a lookup, a session open, a
+	// link and a restore that need fs2 fail typed.
+	for i, p := range paths {
 		if c.Router().Ring().Lookup(p) != "fs2" {
 			continue
 		}
-		if _, err := c.Owner(p); err == nil {
-			t.Fatalf("%s still resolves while its owner is dead", p)
+		if _, err := c.Owner(p); !errors.Is(err, ErrMemberDown) {
+			t.Fatalf("%s resolves while its owner is dead: %v", p, err)
+		}
+		if _, err := sess.OpenRead(docURL(t, c, "DLURLCOMPLETE", i)); !errors.Is(err, ErrMemberDown) {
+			t.Fatalf("open of %s while its owner is dead: %v, want ErrMemberDown", p, err)
 		}
 		break
+	}
+	for i := 0; ; i++ {
+		p := fmt.Sprintf("/c/new%d.bin", i)
+		if c.Router().Ring().Lookup(p) != "fs2" {
+			continue
+		}
+		if _, err := c.DB().Exec(fmt.Sprintf(`INSERT INTO docs (id, doc) VALUES (99, DLVALUE('%s'))`, c.URL(p))); !errors.Is(err, ErrMemberDown) {
+			t.Fatalf("link of %s placed on a dead member: %v, want ErrMemberDown", p, err)
+		}
+		break
+	}
+	if err := c.Engine.RestoreToState(c.Engine.StateID()); !errors.Is(err, ErrMemberDown) {
+		t.Fatalf("restore with a member dead: %v, want ErrMemberDown", err)
 	}
 	if err := c.AbsorbDead("fs2"); err != nil {
 		t.Fatalf("absorb: %v", err)

@@ -349,6 +349,78 @@ func TestUnlinkRejectedWhileOpen(t *testing.T) {
 	}
 }
 
+// TestDropTableUnlinksItsFiles: dropping a table unlinks every file its rows
+// reference, as deleting the rows does.
+func TestDropTableUnlinksItsFiles(t *testing.T) {
+	sys, srv := newSys(t, "rfd")
+	if _, err := sys.DB().Exec(`DROP TABLE movies`); err != nil {
+		t.Fatalf("drop: %v", err)
+	}
+	if got := srv.DLFM.LinkedPaths(); len(got) != 0 {
+		t.Fatalf("linked after the drop: %v", got)
+	}
+	if got := sys.Engine.LinkedFiles(); len(got) != 0 {
+		t.Fatalf("registry after the drop: %v", got)
+	}
+	ino, _ := srv.Phys.Lookup("/movies/clip1.mpg")
+	if attr, _ := srv.Phys.Getattr(ino); attr.UID != alice || attr.Mode != 0o644 {
+		t.Fatalf("clip1 uid %d mode %o after the drop, want alice's 0644 back", attr.UID, attr.Mode)
+	}
+}
+
+// TestDropTableAbortKeepsTheLinks: a drop that aborts unlinks nothing.
+func TestDropTableAbortKeepsTheLinks(t *testing.T) {
+	sys, srv := newSys(t, "rfd")
+	txn := sys.DB().Begin()
+	if _, err := txn.Exec(`DROP TABLE movies`); err != nil {
+		t.Fatalf("drop: %v", err)
+	}
+	if err := txn.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if !srv.DLFM.IsLinked("/movies/clip1.mpg") || len(sys.Engine.LinkedFiles()) != 1 {
+		t.Fatalf("aborted drop left linked %v, registry %v", srv.DLFM.LinkedPaths(), sys.Engine.LinkedFiles())
+	}
+	if row, err := sys.DB().QueryRow(`SELECT COUNT(*) FROM movies`); err != nil || row[0].I != 1 {
+		t.Fatalf("aborted drop left %v rows (%v), want 1", row, err)
+	}
+}
+
+// TestDropTableRefusedWhileAFileIsOpen: a row whose file is being updated
+// cannot be unlinked, so the drop fails with the table, its rows and its
+// indexes as they were. Once the writer closes, the drop goes through.
+func TestDropTableRefusedWhileAFileIsOpen(t *testing.T) {
+	sys, srv := newSys(t, "rfd")
+	sys.DB().MustExec(`CREATE INDEX ON movies (title)`)
+	wf, err := sys.NewSession(alice).OpenWrite(urlFor(t, sys, "DLURLCOMPLETEWRITE"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.DB().Exec(`DROP TABLE movies`); err == nil {
+		t.Fatal("drop succeeded while a linked file was open for update")
+	}
+	tbl, err := sys.DB().Table("movies")
+	if err != nil {
+		t.Fatalf("refused drop took the table: %v", err)
+	}
+	if tbl.Len() != 1 || !tbl.HasIndex(tbl.ColIndex("title")) {
+		t.Fatalf("refused drop left %d rows, title index %v", tbl.Len(), tbl.HasIndex(tbl.ColIndex("title")))
+	}
+	if !srv.DLFM.IsLinked("/movies/clip1.mpg") {
+		t.Fatal("refused drop unlinked clip1")
+	}
+	wf.WriteAll([]byte("v1"))
+	if err := wf.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if _, err := sys.DB().Exec(`DROP TABLE movies`); err != nil {
+		t.Fatalf("drop after the close: %v", err)
+	}
+	if srv.DLFM.IsLinked("/movies/clip1.mpg") {
+		t.Fatal("clip1 linked after the drop")
+	}
+}
+
 func TestRemoveRenameRejectedForLinkedFiles(t *testing.T) {
 	sys, srv := newSys(t, "rff")
 	sess := sys.NewSession(alice)
@@ -636,6 +708,46 @@ func TestPointInTimeRestore(t *testing.T) {
 		if err != nil || row[0].I != 1 {
 			t.Fatalf("restored db rows = %v, %v", row, err)
 		}
+	}
+}
+
+// TestRestoreBeforeALink: a restore to a state before a second RECOVERY YES
+// file was linked dissolves that link — the file has no version at the
+// state, so it goes back to its owner as it stands — and rewinds the file the
+// state kept.
+func TestRestoreBeforeALink(t *testing.T) {
+	sys, srv := newSys(t, "rdd")
+	s0 := sys.Engine.StateID()
+	if err := srv.SeedFile("/movies/clip2.mpg", []byte("clip2 content"), alice); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.DB().Exec(`INSERT INTO movies (id, title, clip) VALUES (2, 'Vertigo', DLVALUE('dlfs://fs1/movies/clip2.mpg'))`); err != nil {
+		t.Fatalf("link clip2: %v", err)
+	}
+	f, err := sys.NewSession(alice).OpenWrite(urlFor(t, sys, "DLURLCOMPLETEWRITE"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteAll([]byte("v1 content"))
+	if err := f.Close(); err != nil {
+		t.Fatalf("commit clip1: %v", err)
+	}
+
+	if err := sys.Engine.RestoreToState(s0); err != nil {
+		t.Fatalf("restore to before the link: %v", err)
+	}
+	if row, err := sys.DB().QueryRow(`SELECT COUNT(*) FROM movies`); err != nil || row[0].I != 1 {
+		t.Fatalf("restored host holds %v rows (%v), want 1", row, err)
+	}
+	if got := strings.Join(srv.DLFM.LinkedPaths(), ","); got != "/movies/clip1.mpg" {
+		t.Fatalf("linked after the restore: %s, want clip1 alone", got)
+	}
+	ino, _ := srv.Phys.Lookup("/movies/clip2.mpg")
+	if attr, _ := srv.Phys.Getattr(ino); attr.UID != alice || attr.Mode != 0o644 {
+		t.Fatalf("clip2 uid %d mode %o, want alice's 0644 back", attr.UID, attr.Mode)
+	}
+	if data, _ := srv.Phys.ReadFile("/movies/clip1.mpg"); string(data) != "v0 content" {
+		t.Fatalf("clip1 reads %q, want its content at s0", data)
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 // TestPagedOutFilesSurviveEveryPath gives each member a 1 MiB budget and 24
 // MiB of linked files, so most of every member's committed chunks live only
 // in its archive. On those paged-out files it commits, rolls back, fails
-// over, runs RestoreAsOf and unlinks, and then reads every byte back. After
-// each commit a member's fs.resident_bytes — which its /metrics registry
-// publishes — is within the budget; while a writer is open, within the
-// budget plus the chunks it wrote.
+// over, restores the deployment to a past state and unlinks, and then reads
+// every byte back. After each commit a member's fs.resident_bytes — which
+// its /metrics registry publishes — is within the budget; while a writer is
+// open, within the budget plus the chunks it wrote.
 func TestPagedOutFilesSurviveEveryPath(t *testing.T) {
 	const budget = 1 << 20
 	c := newReplCluster(t, 3, func(cfg *ClusterConfig) {
@@ -139,25 +139,23 @@ func TestPagedOutFilesSurviveEveryPath(t *testing.T) {
 	readBack("after the failover")
 	commit(6)
 
-	// RestoreAsOf on the new owner of paths[7]: a version committed after
-	// the state is rolled away, the file back at the one before.
-	m := owner(paths[7])
+	// Restore the deployment to the state before a commit of paths[7]: that
+	// version is rolled away, and the file is back at the one before.
 	state := c.Engine.StateID()
 	before := want[paths[7]]
 	commit(7)
-	if err := m.DLFM.RestoreAsOf(state); err != nil {
+	if err := c.Engine.RestoreToState(state); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	want[paths[7]] = before
-	readBack("after RestoreAsOf")
+	readBack("after the restore")
 
 	// Unlink paths[8]: the file stays, its history goes, and its absent
 	// chunks still load from the version the file holds.
 	if _, err := c.DB().Exec(`DELETE FROM docs WHERE id = 8`); err != nil {
 		t.Fatalf("unlink: %v", err)
 	}
-	m = owner(paths[8])
-	m.Archive.GCNow()
+	owner(paths[8]).Archive.GCNow()
 	readBack("after the unlink")
 	withinBudget("at the end", 0)
 }

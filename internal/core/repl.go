@@ -32,9 +32,10 @@ import (
 	"datalinks/internal/upcall"
 )
 
-// errMemberDown marks a ship attempt that could not reach its replica
-// because the member is not routable — transient during a failover window.
-var errMemberDown = errors.New("core: replica member down")
+// ErrMemberDown marks a member that is not routable or not alive. An open,
+// link or restore that needs it fails with it; a ship to it retries, as it is
+// transient during a failover window.
+var ErrMemberDown = errors.New("core: member down")
 
 // replConfig is the cluster's resolved replication policy.
 type replConfig struct {
@@ -123,7 +124,7 @@ func (c *Cluster) ship(ctx context.Context, owner, path string, ver int64, deliv
 		again, err := c.sendToReplica(ctx, id, func(dst *FileServer) error {
 			src, err := c.router.member(owner)
 			if err != nil {
-				return fmt.Errorf("%w: %v", errMemberDown, err)
+				return fmt.Errorf("%w: %v", ErrMemberDown, err)
 			}
 			return deliver(src, dst)
 		})
@@ -151,7 +152,7 @@ func (c *Cluster) ship(ctx context.Context, owner, path string, ver int64, deliv
 	if acks < cfg.quorum {
 		err := firstErr
 		if err == nil {
-			err = errMemberDown
+			err = ErrMemberDown
 		}
 		return fmt.Errorf("core: quorum %d/%d for %s v%d: %w", acks, cfg.quorum, path, ver, err)
 	}
@@ -182,7 +183,7 @@ func (c *Cluster) sendToReplica(ctx context.Context, id string, deliver func(dst
 		}
 		dst, err := c.router.member(id)
 		if err != nil {
-			return fmt.Errorf("%w: %v", errMemberDown, err)
+			return fmt.Errorf("%w: %v", ErrMemberDown, err)
 		}
 		return deliver(dst)
 	})

@@ -569,6 +569,8 @@ func TestKillServerProbeAutoFailover(t *testing.T) {
 			if err := c.KillServer(victim); err != nil {
 				t.Fatal(err)
 			}
+			// The promotes serve every path before the failover finishes and
+			// counts itself, so wait for both.
 			deadline := time.Now().Add(5 * time.Second)
 			for {
 				allServed := true
@@ -579,11 +581,12 @@ func TestKillServerProbeAutoFailover(t *testing.T) {
 						break
 					}
 				}
-				if allServed {
+				counted := c.router.reg.Counter("repl.failovers").Value() > 0
+				if allServed && counted {
 					break
 				}
 				if time.Now().After(deadline) {
-					t.Fatal("auto failover did not restore service within 5s")
+					t.Fatalf("after 5s: every path served %v, repl.failovers counted by the probe-driven failover %v", allServed, counted)
 				}
 				time.Sleep(10 * time.Millisecond)
 			}
@@ -598,9 +601,6 @@ func TestKillServerProbeAutoFailover(t *testing.T) {
 				if string(data) != "v1 of "+p {
 					t.Fatalf("%s = %q after auto failover", p, data)
 				}
-			}
-			if c.router.reg.Counter("repl.failovers").Value() == 0 {
-				t.Fatal("repl.failovers not counted by the probe-driven failover")
 			}
 			if got := c.router.reg.Counter("repl.failover_errors").Value(); (got > 0) != firstFails {
 				t.Fatalf("repl.failover_errors = %d with firstFails=%v", got, firstFails)
@@ -920,6 +920,63 @@ func restoredReplicaFixture(t *testing.T, mut func(*ClusterConfig)) (c *Cluster,
 		t.Fatal(err)
 	}
 	return c, p, replica
+}
+
+// TestRestoreWithAMemberDownChangesNothing: with fs2 failed and not failed
+// over, a restore is refused before anything changes — the host keeps its
+// state and rows, and every live member's files keep their last commit.
+// Once fs2's paths are failed over, the same restore reaches every path.
+func TestRestoreWithAMemberDownChangesNothing(t *testing.T) {
+	c := newReplCluster(t, 3, nil)
+	paths := clusterPaths(8)
+	for i, p := range paths {
+		linkDoc(t, c, i, p, "v0 of "+p)
+	}
+	s0 := c.Engine.StateID()
+	for i, p := range paths {
+		if err := commitUpdate(t, c, i, "A of "+p); err != nil {
+			t.Fatalf("commit %s: %v", p, err)
+		}
+	}
+	if err := c.FailServer("fs2"); err != nil {
+		t.Fatal(err)
+	}
+	state := c.Engine.StateID()
+	err := c.Engine.RestoreToState(s0)
+	if !errors.Is(err, ErrMemberDown) || !strings.Contains(err.Error(), "fs2") {
+		t.Fatalf("restore with fs2 down: %v, want ErrMemberDown naming fs2", err)
+	}
+	if got := c.Engine.StateID(); got != state {
+		t.Fatalf("refused restore moved the host from state %d to %d", state, got)
+	}
+	if row, err := c.DB().QueryRow(`SELECT COUNT(*) FROM docs`); err != nil || row[0].I != int64(len(paths)) {
+		t.Fatalf("refused restore left %v rows (%v), want %d", row, err, len(paths))
+	}
+	live := 0
+	for i, p := range paths {
+		if c.Router().Ring().Lookup(p) == "fs2" {
+			continue
+		}
+		live++
+		if got, err := readDoc(t, c, i); err != nil || got != "A of "+p {
+			t.Fatalf("%s after the refused restore = %q, %v; want A", p, got, err)
+		}
+	}
+	if live == 0 || live == len(paths) {
+		t.Fatalf("%d of %d paths on live members; the probe needs both kinds", live, len(paths))
+	}
+
+	if _, err := c.Failover("fs2"); err != nil {
+		t.Fatalf("failover: %v", err)
+	}
+	if err := c.Engine.RestoreToState(s0); err != nil {
+		t.Fatalf("restore after the failover: %v", err)
+	}
+	for i, p := range paths {
+		if got, err := readDoc(t, c, i); err != nil || got != "v0 of "+p {
+			t.Fatalf("%s after the restore = %q, %v; want v0", p, got, err)
+		}
+	}
 }
 
 // historyOf lists the contents of a member's versions of path, oldest first.

@@ -20,8 +20,8 @@ import (
 	"datalinks/internal/sqlmini"
 )
 
-// Router routes paths to members. It implements engine.Conn and
-// engine.Restorer for the cluster authority.
+// Router routes paths to members. It is the engine.Conn of the cluster
+// authority.
 type Router struct {
 	authority string
 	reg       *metrics.Registry
@@ -154,7 +154,7 @@ func (r *Router) owner(path string) (*FileServer, error) {
 	m, live := r.members[id]
 	r.mu.Unlock()
 	if !live {
-		return nil, fmt.Errorf("core: member %q (owner of %s) is down", id, path)
+		return nil, fmt.Errorf("%w: %q (owner of %s)", ErrMemberDown, id, path)
 	}
 	return m, nil
 }
@@ -186,7 +186,7 @@ func (r *Router) place(path string) (*FileServer, error) {
 	m, live := r.members[id]
 	r.mu.Unlock()
 	if !live {
-		return nil, fmt.Errorf("core: member %q (placement of %s) is down", id, path)
+		return nil, fmt.Errorf("%w: %q (placement of %s)", ErrMemberDown, id, path)
 	}
 	return m, nil
 }
@@ -238,10 +238,7 @@ func (r *Router) abortRebalance() {
 
 // ---- engine.Conn ----
 
-var (
-	_ engine.Conn     = (*Router)(nil)
-	_ engine.Restorer = (*Router)(nil)
-)
+var _ engine.Conn = (*Router)(nil)
 
 // Link routes link processing to the placing member and returns its XRM, so
 // the host transaction enlists exactly the member that processed the link
@@ -278,42 +275,36 @@ func (r *Router) ReadFileContent(path string) ([]byte, error) {
 	return m.DLFM.ReadFileContent(path)
 }
 
-// RestoreAsOf rewinds every member's files to the state id (§4.4 coordinated
-// restore, fanned out).
-func (r *Router) RestoreAsOf(stateID uint64) error {
-	for _, id := range r.memberIDs() {
-		m, err := r.member(id)
-		if err != nil {
-			continue
-		}
-		if err := m.DLFM.RestoreAsOf(stateID); err != nil {
-			return err
+// Restore is the coordinated restore over the members (§4.4). It holds
+// rebalanceMu, so the ring cannot change under it. Before any member acts,
+// every member on the ring must be routable and alive: one that is not
+// refuses the whole restore with ErrMemberDown. Then each member is handed
+// its slice of the link set, the paths it owns.
+func (r *Router) Restore(stateID uint64, links map[string]datalink.ColumnOptions) error {
+	r.rebalanceMu.Lock()
+	defer r.rebalanceMu.Unlock()
+	for _, id := range r.Ring().Members() {
+		if m, err := r.member(id); err != nil || !m.DLFM.Alive() {
+			return fmt.Errorf("%w: %q, so the restore changed nothing", ErrMemberDown, id)
 		}
 	}
-	return nil
-}
-
-// ReconcileLinks partitions the desired link set by owner and reconciles each
-// member against its slice (members with no desired paths still reconcile, to
-// dissolve links the restored database no longer references).
-func (r *Router) ReconcileLinks(desired map[string]datalink.ColumnOptions) error {
 	parts := make(map[string]map[string]datalink.ColumnOptions)
-	for _, id := range r.memberIDs() {
-		parts[id] = make(map[string]datalink.ColumnOptions)
-	}
-	for path, opts := range desired {
+	for path, opts := range links {
 		m, err := r.owner(path)
 		if err != nil {
 			return err
+		}
+		if parts[m.Name] == nil {
+			parts[m.Name] = make(map[string]datalink.ColumnOptions)
 		}
 		parts[m.Name][path] = opts
 	}
 	for _, id := range r.memberIDs() {
 		m, err := r.member(id)
 		if err != nil {
-			continue
+			return err
 		}
-		if err := m.DLFM.ReconcileLinks(parts[id]); err != nil {
+		if err := m.DLFM.Restore(stateID, parts[id]); err != nil {
 			return err
 		}
 	}

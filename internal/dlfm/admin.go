@@ -9,11 +9,9 @@ import (
 	"datalinks/internal/sqlmini"
 )
 
-// Administrative reconciliation used by coordinated restore (§4.4): after the
-// host database has been rewound to an earlier state, the set of files DLFM
-// manages must match the references in the restored database — links made
-// after the restore point are dissolved, links that existed then are
-// re-established. This runs outside 2PC (it is itself part of a restore).
+// Administration: the managed-file listing, and Restore, the file half of a
+// coordinated point-in-time restore (§4.4). Restore runs outside 2PC (it is
+// itself part of a restore), before the engine swaps the restored database in.
 
 // LinkedPaths lists every path this server manages, sorted. The cluster
 // router snapshots it to compute a rebalance work list.
@@ -31,75 +29,109 @@ func (s *Server) LinkedPaths() []string {
 	return out
 }
 
-// ReconcileLinks makes the repository's linked-file set equal `desired`
-// (path -> column options). File permissions are adjusted accordingly.
-func (s *Server) ReconcileLinks(desired map[string]datalink.ColumnOptions) error {
+// Restore brings this server to a coordinated restore's target (§4.4): the
+// host state id, and the link set (path -> column options) the restored
+// database references. One scan of dlfm_files decides each managed file:
+//   - a row the link set lacks is dissolved — its row, update entry and
+//     tokens go and its owner and mode come back. It is not rewound: its
+//     history may begin after the state id;
+//   - a RECOVERY YES row the link set keeps is rewound to its newest version
+//     at or before the state id, and the newer versions are dropped;
+//   - a path the link set names that has no row is linked again as it
+//     stands (an unlink that committed after the restore point).
+func (s *Server) Restore(stateID uint64, links map[string]datalink.ColumnOptions) error {
 	tbl, err := s.repo.Table("dlfm_files")
 	if err != nil {
 		return err
 	}
-	current := make(map[string]fileInfo)
+	var rows []fileInfo
 	tbl.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
-		fi := decodeFileRow(row)
-		current[fi.path] = fi
+		rows = append(rows, decodeFileRow(row))
 		return true
 	})
-
-	// Dissolve links that should not exist at the restored state.
-	for path, fi := range current {
-		if _, keep := desired[path]; keep {
-			continue
+	linked := make(map[string]bool, len(rows))
+	for _, fi := range rows {
+		linked[fi.path] = true
+		_, keep := links[fi.path]
+		switch {
+		case !keep:
+			_, err = s.repo.Exec(`DELETE FROM dlfm_files WHERE path = ?`, sqlmini.Str(fi.path))
+			if err == nil {
+				s.clearUpdateEntry(fi.path)
+				s.purgeTokens(fi.path)
+				err = s.release(fi)
+			}
+		case fi.recovery:
+			err = s.rewind(fi, stateID)
 		}
-		if _, err := s.repo.Exec(`DELETE FROM dlfm_files WHERE path = ?`, sqlmini.Str(path)); err != nil {
+		if err != nil {
 			return err
 		}
-		s.clearUpdateEntry(path)
-		if err := s.release(fi); err != nil {
-			return err
-		}
-		s.purgeTokens(path)
 	}
-
-	// Re-establish links that the restored database references but the
-	// repository lost (e.g. an unlink that committed after the restore
-	// point).
-	for path, opts := range desired {
-		if _, have := current[path]; have {
+	for path, opts := range links {
+		if linked[path] {
 			continue
 		}
-		node, err := s.cfg.Phys.Lookup(path)
-		if err != nil {
-			return fmt.Errorf("dlfm: reconcile: %s referenced by restored database but missing: %w", path, err)
-		}
-		attr, err := s.cfg.Phys.Getattr(node)
-		if err != nil {
-			return err
-		}
-		// Determine the current version from the archive (restored earlier).
-		ver := int64(0)
-		if latest, ok := s.cfg.Archive.Newest(s.cfg.Name, path); ok {
-			ver = int64(latest.Version)
-		}
-		fi := fileInfo{path: path, mode: opts.Mode, recovery: opts.Recovery, origUID: attr.UID, origMode: attr.Mode}
-		if attr.UID == DefaultUID {
-			// The file is still in its taken-over state from before the
-			// restore; we no longer know the original identity unless a
-			// version-0 archive entry can tell us. Default to root-owned
-			// read-only; the administrator can chown afterwards.
-			fi.origUID, fi.origMode = fs.Root, 0o644
-		}
-		if _, err := s.repo.Exec(
-			`INSERT INTO dlfm_files (path, mode, recovery, token_ttl, orig_uid, orig_mode, cur_version)
-			 VALUES (?, ?, ?, ?, ?, ?, ?)`,
-			sqlmini.Str(path), sqlmini.Str(opts.Mode.String()), sqlmini.Bool(opts.Recovery),
-			sqlmini.Int(int64(opts.TokenTTLSecs)), sqlmini.Int(int64(fi.origUID)), sqlmini.Int(int64(fi.origMode)),
-			sqlmini.Int(ver)); err != nil {
-			return err
-		}
-		// The at-rest state the next close would set.
-		if err := s.setAtRest(fi); err != nil {
+		if err := s.relink(path, opts); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// rewind installs a file's newest version at or before stateID, deferred,
+// and drops the versions after it.
+func (s *Server) rewind(fi fileInfo, stateID uint64) error {
+	entry, err := s.cfg.Archive.AsOf(s.cfg.Name, fi.path, stateID)
+	if err != nil {
+		return fmt.Errorf("dlfm: restore %s as of %d: %w", fi.path, stateID, err)
+	}
+	// The install holds the version's blobs, so the truncate below frees
+	// none of them.
+	if err := s.installDeferred(entry); err != nil {
+		return fmt.Errorf("dlfm: restore %s: %w", fi.path, err)
+	}
+	if err := s.cfg.Archive.TruncateAfter(s.cfg.Name, fi.path, stateID); err != nil {
+		return fmt.Errorf("dlfm: truncate archive of %s: %w", fi.path, err)
+	}
+	if _, err := s.repo.Exec(`UPDATE dlfm_files SET cur_version = ? WHERE path = ?`,
+		sqlmini.Int(int64(entry.Version)), sqlmini.Str(fi.path)); err != nil {
+		return err
+	}
+	return s.setAtRest(fi)
+}
+
+// relink takes a file the restored database references back under control,
+// at its current content and newest archived version, with the at-rest state
+// the next close would set.
+func (s *Server) relink(path string, opts datalink.ColumnOptions) error {
+	node, err := s.cfg.Phys.Lookup(path)
+	if err != nil {
+		return fmt.Errorf("dlfm: restore: %s referenced by restored database but missing: %w", path, err)
+	}
+	attr, err := s.cfg.Phys.Getattr(node)
+	if err != nil {
+		return err
+	}
+	ver := int64(0)
+	if latest, ok := s.cfg.Archive.Newest(s.cfg.Name, path); ok {
+		ver = int64(latest.Version)
+	}
+	fi := fileInfo{path: path, mode: opts.Mode, recovery: opts.Recovery, origUID: attr.UID, origMode: attr.Mode}
+	if attr.UID == DefaultUID {
+		// The file is still in its taken-over state from before the
+		// restore; we no longer know the original identity unless a
+		// version-0 archive entry can tell us. Default to root-owned
+		// read-only; the administrator can chown afterwards.
+		fi.origUID, fi.origMode = fs.Root, 0o644
+	}
+	if _, err := s.repo.Exec(
+		`INSERT INTO dlfm_files (path, mode, recovery, token_ttl, orig_uid, orig_mode, cur_version)
+		 VALUES (?, ?, ?, ?, ?, ?, ?)`,
+		sqlmini.Str(path), sqlmini.Str(opts.Mode.String()), sqlmini.Bool(opts.Recovery),
+		sqlmini.Int(int64(opts.TokenTTLSecs)), sqlmini.Int(int64(fi.origUID)), sqlmini.Int(int64(fi.origMode)),
+		sqlmini.Int(ver)); err != nil {
+		return err
+	}
+	return s.setAtRest(fi)
 }

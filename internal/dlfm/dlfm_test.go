@@ -611,29 +611,6 @@ func TestJournalOutcomeParity(t *testing.T) {
 	}
 }
 
-// TestReconcileRelinkMatchesTheNextClose: a file ReconcileLinks re-links
-// while it is still taken over gets the at-rest state the next close sets.
-func TestReconcileRelinkMatchesTheNextClose(t *testing.T) {
-	const path = "/d/g.bin"
-	for _, mode := range []datalink.ControlMode{datalink.RFD, datalink.RDD} {
-		srv, phys, _ := newServer(t)
-		seedFile(t, phys, path, "g0")
-		ino, _ := phys.Lookup(path)
-		phys.Chown(ino, rootCred, srv.UID())
-		phys.Chmod(ino, rootCred, 0o600)
-		if err := srv.ReconcileLinks(map[string]datalink.ColumnOptions{path: {Mode: mode, Recovery: true}}); err != nil {
-			t.Fatal(err)
-		}
-		relinked := observeAtRest(t, srv, phys, path)
-		commitVersion(t, srv, phys, path, []byte("g1"))
-		closed := observeAtRest(t, srv, phys, path)
-		if relinked.uid != closed.uid || relinked.mode != closed.mode {
-			t.Errorf("%s: re-link left uid %d mode %o, the next close uid %d mode %o",
-				mode, relinked.uid, relinked.mode, closed.uid, closed.mode)
-		}
-	}
-}
-
 // TestRecoveryDoesNotArchiveAnUnlinkedPath: a pending-archive row for a path
 // that is no longer linked is stale. Recovery archives nothing for it and
 // deletes the row.
@@ -793,34 +770,93 @@ func TestOpenRequiresRepoDir(t *testing.T) {
 	}
 }
 
-func TestReconcileLinks(t *testing.T) {
-	srv, phys, _ := newServer(t)
-	linkCommitted(t, srv, "/d/f.bin", "rdd")
-	seedFile(t, phys, "/d/keep.bin", "k")
-
-	// Desired state: f.bin unlinked, keep.bin linked.
-	desired := map[string]datalink.ColumnOptions{
-		"/d/keep.bin": {Mode: datalink.RDD, Recovery: true},
+// TestRestore drives the file half of a coordinated restore: one call with
+// the state id and the link set the restored database references.
+func TestRestore(t *testing.T) {
+	rdd := datalink.ColumnOptions{Mode: datalink.RDD, Recovery: true}
+	uidMode := func(t *testing.T, phys *fs.FS, path string) (fs.UID, fs.FileMode) {
+		t.Helper()
+		ino, err := phys.Lookup(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		attr, _ := phys.Getattr(ino)
+		return attr.UID, attr.Mode
 	}
-	if err := srv.ReconcileLinks(desired); err != nil {
-		t.Fatalf("reconcile: %v", err)
-	}
-	if srv.IsLinked("/d/f.bin") {
-		t.Fatal("f.bin should be dissolved")
-	}
-	if !srv.IsLinked("/d/keep.bin") {
-		t.Fatal("keep.bin should be linked")
-	}
-	ino, _ := phys.Lookup("/d/f.bin")
-	attr, _ := phys.Getattr(ino)
-	if attr.UID == srv.UID() {
-		t.Fatal("dissolved file still taken over")
-	}
-	ino, _ = phys.Lookup("/d/keep.bin")
-	attr, _ = phys.Getattr(ino)
-	if attr.UID != srv.UID() {
-		t.Fatal("reconciled link not taken over")
-	}
+	t.Run("dissolves and relinks", func(t *testing.T) {
+		srv, phys, host := newServer(t)
+		linkCommitted(t, srv, "/d/f.bin", "rdd")
+		seedFile(t, phys, "/d/keep.bin", "k")
+		if err := srv.Restore(host.state, map[string]datalink.ColumnOptions{"/d/keep.bin": rdd}); err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		if srv.IsLinked("/d/f.bin") || !srv.IsLinked("/d/keep.bin") {
+			t.Fatalf("linked %v, want only keep.bin", srv.LinkedPaths())
+		}
+		if uid, _ := uidMode(t, phys, "/d/f.bin"); uid == srv.UID() {
+			t.Fatal("dissolved file still taken over")
+		}
+		if uid, _ := uidMode(t, phys, "/d/keep.bin"); uid != srv.UID() {
+			t.Fatal("relinked file not taken over")
+		}
+	})
+	// A file linked after the state id has no version at it: it is dissolved
+	// as it stands, never rewound.
+	t.Run("dissolves without rewinding", func(t *testing.T) {
+		srv, phys, host := newServer(t)
+		before := host.state
+		host.state += 4
+		linkCommitted(t, srv, "/d/f.bin", "rdd")
+		commitVersion(t, srv, phys, "/d/f.bin", []byte("v1"))
+		if err := srv.Restore(before, nil); err != nil {
+			t.Fatalf("restore to a state before the link: %v", err)
+		}
+		if srv.IsLinked("/d/f.bin") {
+			t.Fatal("a file linked after the state id is still linked")
+		}
+		if uid, mode := uidMode(t, phys, "/d/f.bin"); uid != owner || mode != 0o644 {
+			t.Fatalf("dissolved file uid %d mode %o, want %d 0644", uid, mode, owner)
+		}
+		if data, _ := phys.ReadFile("/d/f.bin"); string(data) != "v1" {
+			t.Fatalf("dissolved file reads %q, want it as it stood", data)
+		}
+	})
+	t.Run("skips non-recovery files", func(t *testing.T) {
+		srv, phys, host := newServer(t)
+		const hostTxn = 600
+		rff := datalink.ColumnOptions{Mode: datalink.RFF, Recovery: false}
+		srv.LinkFile(hostTxn, "/d/f.bin", rff)
+		srv.PrepareXRM(hostTxn)
+		srv.CommitXRM(hostTxn)
+		if err := srv.Restore(host.state, map[string]datalink.ColumnOptions{"/d/f.bin": rff}); err != nil {
+			t.Fatalf("restore with no recovery files: %v", err)
+		}
+		if data, _ := phys.ReadFile("/d/f.bin"); string(data) != "v0" || !srv.IsLinked("/d/f.bin") {
+			t.Fatalf("non-recovery file touched: %q, linked %v", data, srv.LinkedPaths())
+		}
+	})
+	// A file relinked while it is still taken over gets the at-rest state
+	// the next close sets.
+	t.Run("relink matches the next close", func(t *testing.T) {
+		const path = "/d/g.bin"
+		for _, mode := range []datalink.ControlMode{datalink.RFD, datalink.RDD} {
+			srv, phys, host := newServer(t)
+			seedFile(t, phys, path, "g0")
+			ino, _ := phys.Lookup(path)
+			phys.Chown(ino, rootCred, srv.UID())
+			phys.Chmod(ino, rootCred, 0o600)
+			if err := srv.Restore(host.state, map[string]datalink.ColumnOptions{path: {Mode: mode, Recovery: true}}); err != nil {
+				t.Fatal(err)
+			}
+			relinked := observeAtRest(t, srv, phys, path)
+			commitVersion(t, srv, phys, path, []byte("g1"))
+			closed := observeAtRest(t, srv, phys, path)
+			if relinked.uid != closed.uid || relinked.mode != closed.mode {
+				t.Errorf("%s: re-link left uid %d mode %o, the next close uid %d mode %o",
+					mode, relinked.uid, relinked.mode, closed.uid, closed.mode)
+			}
+		}
+	})
 }
 
 func TestAgentModel(t *testing.T) {
@@ -852,22 +888,6 @@ func TestRemoveRenameCheck(t *testing.T) {
 	resp, _ = srv.Upcall(upcall.Request{Op: upcall.OpCheckRename, Path: "/d/x.bin", NewPath: "/d/f.bin"})
 	if resp.OK {
 		t.Fatal("rename onto linked file allowed")
-	}
-}
-
-func TestRestoreAsOfSkipsNonRecoveryFiles(t *testing.T) {
-	srv, phys, _ := newServer(t)
-	// Link without recovery.
-	const hostTxn = 600
-	srv.LinkFile(hostTxn, "/d/f.bin", datalink.ColumnOptions{Mode: datalink.RFF, Recovery: false})
-	srv.PrepareXRM(hostTxn)
-	srv.CommitXRM(hostTxn)
-	if err := srv.RestoreAsOf(1); err != nil {
-		t.Fatalf("restore with no recovery files: %v", err)
-	}
-	data, _ := phys.ReadFile("/d/f.bin")
-	if string(data) != "v0" {
-		t.Fatalf("non-recovery file touched: %q", data)
 	}
 }
 

@@ -434,45 +434,6 @@ func (s *Server) restoreLastCommitted(path string) error {
 	return nil
 }
 
-// RestoreAsOf restores every linked, recovery-enabled file to the newest
-// version whose database state identifier is <= stateID, discarding newer
-// versions — the file half of coordinated point-in-time restore (§4.4).
-func (s *Server) RestoreAsOf(stateID uint64) error {
-	tbl, err := s.repo.Table("dlfm_files")
-	if err != nil {
-		return err
-	}
-	var targets []fileInfo
-	tbl.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
-		if fi := decodeFileRow(row); fi.recovery {
-			targets = append(targets, fi)
-		}
-		return true
-	})
-	for _, fi := range targets {
-		entry, err := s.cfg.Archive.AsOf(s.cfg.Name, fi.path, stateID)
-		if err != nil {
-			return fmt.Errorf("dlfm: restore %s as of %d: %w", fi.path, stateID, err)
-		}
-		// Installed deferred: the install holds the version's blobs, so the
-		// truncate below frees none of them.
-		if err := s.installDeferred(entry); err != nil {
-			return fmt.Errorf("dlfm: restore %s: %w", fi.path, err)
-		}
-		if err := s.cfg.Archive.TruncateAfter(s.cfg.Name, fi.path, stateID); err != nil {
-			return fmt.Errorf("dlfm: truncate archive of %s: %w", fi.path, err)
-		}
-		if _, err := s.repo.Exec(`UPDATE dlfm_files SET cur_version = ? WHERE path = ?`,
-			sqlmini.Int(int64(entry.Version)), sqlmini.Str(fi.path)); err != nil {
-			return err
-		}
-		if err := s.setAtRest(fi); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // UpdatesInFlight reports paths with durable update entries (status tooling).
 func (s *Server) UpdatesInFlight() []string {
 	tbl, err := s.repo.Table("dlfm_updates")

@@ -12,14 +12,18 @@ import (
 // Coordinated backup and restore (§4.4): a database backup captures the
 // state identifier; restoring the database to a point in time also restores
 // every recovery-enabled linked file to the version that was current at that
-// state, from the archive.
+// state, from the archive. The restore declares one target per file server —
+// the state id and the link set the restored database references — and each
+// server converges to it in one pass over its managed files. The host is
+// swapped last, so a file half that fails leaves the live database serving.
 
-// RestoreToState rewinds the host database to the given state identifier and
-// directs every attached DLFM to restore its files to the matching versions.
-// After the call the engine serves the restored database. The database is
-// rebuilt by recovery over a copy of the log's records up to the state id,
-// in a fresh private directory; the live database is replaced, and its
-// directory removed, only once that recovery has succeeded.
+// RestoreToState rewinds the host database and every attached file server to
+// the given state identifier. The database is rebuilt by recovery over a copy
+// of the log's records up to the state id, in a fresh private directory, and
+// one scan of that copy gives each file server its link set. Every file
+// server is handed its target; only once all of them have reached it is the
+// rebuilt database swapped in and the live one's directory removed. If the
+// rebuild or any file server fails, the live database keeps serving.
 func (e *Engine) RestoreToState(stateID uint64) error {
 	lg, err := openHostLog()
 	if err != nil {
@@ -44,55 +48,34 @@ func (e *Engine) RestoreToState(stateID uint64) error {
 		_ = discardHostLog(lg) // the restore's error is the one to report
 		return fmt.Errorf("engine: database restore: %w", err)
 	}
+	registry := make(map[string]registration)
+	links := make(map[string]map[string]datalink.ColumnOptions)
+	err = scanLinks(db, func(l datalink.Link, r registration) {
+		registry[regKey(l.Server, l.Path)] = r
+		if links[l.Server] == nil {
+			links[l.Server] = make(map[string]datalink.ColumnOptions)
+		}
+		links[l.Server][l.Path] = r.opts
+	})
+	names := e.ServerNames()
+	sort.Strings(names)
+	for i := 0; err == nil && i < len(names); i++ {
+		var c *serverConn
+		if c, err = e.conn(names[i]); err == nil {
+			err = c.conn.Restore(stateID, links[names[i]])
+		}
+	}
+	if err != nil {
+		_ = discardHostLog(lg)
+		return err
+	}
+	e.attach(db)
 	e.mu.Lock()
 	old := e.db
-	e.db = db
+	e.db, e.registry = db, registry
 	e.mu.Unlock()
 	// The restore stands even if the old directory cannot be removed.
 	_ = discardHostLog(old.Log())
-	db.SetDMLHook(e.dmlHook)
-	e.registerTokenFns()
-	if err := e.RebuildRegistry(); err != nil {
-		return err
-	}
-	// File half of the coordinated restore: per server, restore contents as
-	// of the state id, then reconcile the managed-file set with the restored
-	// database's references.
-	e.mu.Lock()
-	conns := make(map[string]*serverConn, len(e.servers))
-	for n, c := range e.servers {
-		conns[n] = c
-	}
-	reg := make(map[string]registration, len(e.registry))
-	for k, v := range e.registry {
-		reg[k] = v
-	}
-	e.mu.Unlock()
-
-	names := make([]string, 0, len(conns))
-	for n := range conns {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		srv, ok := conns[name].conn.(Restorer)
-		if !ok {
-			return fmt.Errorf("engine: file server %q does not support coordinated restore", name)
-		}
-		if err := srv.RestoreAsOf(stateID); err != nil {
-			return err
-		}
-		desired := make(map[string]datalink.ColumnOptions)
-		for key, r := range reg {
-			server, path := splitRegKey(key)
-			if server == name {
-				desired[path] = r.opts
-			}
-		}
-		if err := srv.ReconcileLinks(desired); err != nil {
-			return err
-		}
-	}
 	e.reg.Counter("engine.restores").Inc()
 	return nil
 }
@@ -112,19 +95,9 @@ func (e *Engine) RecoverHost() error {
 		durable.Kill()
 		return fmt.Errorf("engine: host recovery: %w", err)
 	}
+	e.attach(db)
 	e.mu.Lock()
 	e.db = db
 	e.mu.Unlock()
-	db.SetDMLHook(e.dmlHook)
-	e.registerTokenFns()
 	return e.RebuildRegistry()
-}
-
-func splitRegKey(key string) (server, path string) {
-	for i := 0; i < len(key); i++ {
-		if key[i] == 0 {
-			return key[:i], key[i+1:]
-		}
-	}
-	return key, ""
 }

@@ -36,14 +36,10 @@ type Conn interface {
 	Unlink(hostTxn uint64, path string) (sqlmini.XRM, error)
 	// ReadFileContent returns a linked file's current content (content hooks).
 	ReadFileContent(path string) ([]byte, error)
-}
-
-// Restorer is the optional Conn capability behind the coordinated restore of
-// §4.4: rewind file contents to a state id and reconcile the managed-file set
-// with the restored database. A cluster conn fans both out over its members.
-type Restorer interface {
-	RestoreAsOf(stateID uint64) error
-	ReconcileLinks(desired map[string]datalink.ColumnOptions) error
+	// Restore brings the authority's files to a coordinated restore's
+	// target (§4.4): the host state id, and the link set (path -> column
+	// options) the restored database references.
+	Restore(stateID uint64, links map[string]datalink.ColumnOptions) error
 }
 
 // agentConn adapts the classic one-DLFM agent to Conn.
@@ -69,12 +65,8 @@ func (a agentConn) ReadFileContent(path string) ([]byte, error) {
 	return a.agent.Server().ReadFileContent(path)
 }
 
-func (a agentConn) RestoreAsOf(stateID uint64) error {
-	return a.agent.Server().RestoreAsOf(stateID)
-}
-
-func (a agentConn) ReconcileLinks(desired map[string]datalink.ColumnOptions) error {
-	return a.agent.Server().ReconcileLinks(desired)
+func (a agentConn) Restore(stateID uint64, links map[string]datalink.ColumnOptions) error {
+	return a.agent.Server().Restore(stateID, links)
 }
 
 // serverConn pairs a Conn with the token authority for its shared key.
@@ -146,8 +138,7 @@ func Open(opts sqlmini.Options) (*Engine, error) {
 	for typ := token.Read; typ <= token.Execute; typ++ {
 		e.tokens[typ] = e.reg.Counter("engine.tokens." + typ.String())
 	}
-	e.db.SetDMLHook(e.dmlHook)
-	e.registerTokenFns()
+	e.attach(e.db)
 	return e, nil
 }
 
@@ -335,13 +326,15 @@ func (e *Engine) unlink(txn *sqlmini.Txn, l datalink.Link, col sqlmini.Column) e
 
 // ---- Token issuing (§4.1) ----
 
-// registerTokenFns installs DLURLCOMPLETE and DLURLCOMPLETEWRITE, which
-// return the URL with a freshly issued read/write token embedded.
-func (e *Engine) registerTokenFns() {
-	e.db.RegisterFn("DLURLCOMPLETE", func(_ *sqlmini.Txn, args []sqlmini.Value) (sqlmini.Value, error) {
+// attach installs the engine on a host database: the DML hook, and the
+// DLURLCOMPLETE and DLURLCOMPLETEWRITE functions, which return the URL with a
+// freshly issued read/write token embedded.
+func (e *Engine) attach(db *sqlmini.DB) {
+	db.SetDMLHook(e.dmlHook)
+	db.RegisterFn("DLURLCOMPLETE", func(_ *sqlmini.Txn, args []sqlmini.Value) (sqlmini.Value, error) {
 		return e.completeURL(args, token.Read)
 	})
-	e.db.RegisterFn("DLURLCOMPLETEWRITE", func(_ *sqlmini.Txn, args []sqlmini.Value) (sqlmini.Value, error) {
+	db.RegisterFn("DLURLCOMPLETEWRITE", func(_ *sqlmini.Txn, args []sqlmini.Value) (sqlmini.Value, error) {
 		return e.completeURL(args, token.Write)
 	})
 }
@@ -551,11 +544,25 @@ func (e *Engine) TxnOutcome(txnID uint64) (committed, known bool) {
 func (e *Engine) StateID() uint64 { return uint64(e.db.StateID()) }
 
 // RebuildRegistry rescans every table for non-null DATALINK values and
-// rebuilds the in-memory registry — used after restart or restore.
+// rebuilds the in-memory registry — used after a host restart.
 func (e *Engine) RebuildRegistry() error {
 	fresh := make(map[string]registration)
-	for _, name := range e.db.TableNames() {
-		tbl, err := e.db.Table(name)
+	if err := scanLinks(e.db, func(l datalink.Link, r registration) {
+		fresh[regKey(l.Server, l.Path)] = r
+	}); err != nil {
+		return err
+	}
+	e.mu.Lock()
+	e.registry = fresh
+	e.mu.Unlock()
+	return nil
+}
+
+// scanLinks calls fn for every non-null value of a linked DATALINK column in
+// db, with the table, column and options it is linked under.
+func scanLinks(db *sqlmini.DB, fn func(datalink.Link, registration)) error {
+	for _, name := range db.TableNames() {
+		tbl, err := db.Table(name)
 		if err != nil {
 			return err
 		}
@@ -563,19 +570,15 @@ func (e *Engine) RebuildRegistry() error {
 			if col.Kind != sqlmini.KindLink || !col.DL.Mode.Linked() {
 				continue
 			}
-			colIdx := i
-			c := col
+			reg := registration{table: tbl.Name, col: col.Name, opts: col.DL}
 			tbl.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
-				if l, ok := row[colIdx].AsLink(); ok && !l.IsZero() {
-					fresh[regKey(l.Server, l.Path)] = registration{table: tbl.Name, col: c.Name, opts: c.DL}
+				if l, ok := row[i].AsLink(); ok && !l.IsZero() {
+					fn(l, reg)
 				}
 				return true
 			})
 		}
 	}
-	e.mu.Lock()
-	e.registry = fresh
-	e.mu.Unlock()
 	return nil
 }
 

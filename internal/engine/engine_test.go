@@ -340,8 +340,8 @@ func (n *noopXRM) CommitXRM(uint64) error  { n.committed = true; return nil }
 func (n *noopXRM) AbortXRM(uint64) error   { n.aborted = true; return nil }
 
 // RestoreToState rebuilds the database in a fresh directory and removes the
-// live one only after that succeeds; a restore that cannot start leaves the
-// live database serving.
+// live one only after that and the file half succeed; a restore that cannot
+// start, or whose file half fails, leaves the live database serving.
 func TestRestoreToStateReplacesTheLogDirectory(t *testing.T) {
 	r := newRig(t)
 	r.seed(t, "/d/f.bin", "v0")
@@ -363,6 +363,20 @@ func TestRestoreToStateReplacesTheLogDirectory(t *testing.T) {
 	}
 	r.db.MustExec(`INSERT INTO t VALUES (2, NULL)`)
 	t.Setenv("TMPDIR", tmp)
+
+	// A file half that fails leaves the live database serving too: the file
+	// the restored row references is gone.
+	if err := r.phys.Remove("/d/f.bin", fs.Cred{UID: fs.Root}); err != nil {
+		t.Fatal(err)
+	}
+	live := r.eng.StateID()
+	if err := r.eng.RestoreToState(state); err == nil {
+		t.Fatal("restore relinking a missing file succeeded")
+	}
+	if r.eng.DB() != r.db || r.eng.StateID() != live {
+		t.Fatal("a restore whose file half failed replaced the live database")
+	}
+	r.seed(t, "/d/f.bin", "v0")
 
 	oldDir := r.db.Log().Dir()
 	if err := r.eng.RestoreToState(state); err != nil {

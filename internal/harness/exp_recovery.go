@@ -137,7 +137,9 @@ func runE7() ([]*Table, error) {
 }
 
 // runE8 commits a chain of versions, capturing state ids, then restores to
-// each and verifies database and file agree.
+// each and verifies database and file agree. It ends with a restore to the
+// state before the link, whose database has no row: the file must come back
+// unlinked, to its owner and mode. Any disagreeing row fails E8.
 func runE8() ([]*Table, error) {
 	const versions = 5
 	sys, srv, err := expSystem(false, 0)
@@ -149,6 +151,7 @@ func runE8() ([]*Table, error) {
 		return nil, err
 	}
 	sys.DB().MustExec(`CREATE TABLE t (id INT PRIMARY KEY, note VARCHAR, doc DATALINK MODE RDD RECOVERY YES, doc_size INT)`)
+	beforeLink := sys.Engine.StateID()
 	if _, err := sys.DB().Exec(`INSERT INTO t (id, note, doc) VALUES (1, 'v0', DLVALUE('dlfs://fs1/d/f.bin'))`); err != nil {
 		return nil, err
 	}
@@ -172,11 +175,14 @@ func runE8() ([]*Table, error) {
 		}
 		snaps = append(snaps, snap{state: sys.Engine.StateID(), note: note, fill: byte('A' + v), size: size})
 	}
+	// The restore before the link keeps the file as the v0 restore left it.
+	snaps = append([]snap{{state: beforeLink, note: "(no row)", fill: 'A', size: 1024}}, snaps...)
 
 	t := &Table{
 		Caption: "E8. Restore to each captured state id: database note vs file content",
 		Headers: []string{"restore to state", "db note", "file fill", "file size", "db/file agree", "restore time"},
 	}
+	failed := 0
 	for i := len(snaps) - 1; i >= 0; i-- {
 		s := snaps[i]
 		start := time.Now()
@@ -184,19 +190,34 @@ func runE8() ([]*Table, error) {
 			return nil, fmt.Errorf("restore to %d: %w", s.state, err)
 		}
 		elapsed := time.Since(start)
-		row, err := sys.Engine.DB().QueryRow(`SELECT note FROM t WHERE id = 1`)
+		rows, err := sys.Engine.DB().Query(`SELECT note FROM t WHERE id = 1`)
 		if err != nil {
 			return nil, err
 		}
+		note, linked := "(no row)", len(rows.Data) == 1
+		if linked {
+			note = rows.Data[0][0].S
+		}
 		data, _ := srv.Phys.ReadFile("/d/f.bin")
 		clean, fill := workload.TornCheck(data)
-		agree := "PASS"
-		if !clean || fill != s.fill || len(data) != s.size || row[0].S != s.note {
-			agree = "FAIL"
+		agree := clean && fill == s.fill && len(data) == s.size && note == s.note && srv.DLFM.IsLinked("/d/f.bin") == linked
+		if !linked { // the file is its owner's again, with its own mode
+			ino, _ := srv.Phys.Lookup("/d/f.bin")
+			attr, _ := srv.Phys.Getattr(ino)
+			agree = agree && attr.UID == expUID && attr.Mode == 0o644
 		}
-		t.AddRow(fmt.Sprintf("%d", s.state), row[0].S, string(fill),
-			fmt.Sprintf("%d", len(data)), agree, Dur(elapsed))
+		verdict := "PASS"
+		if !agree {
+			verdict = "FAIL"
+			failed++
+		}
+		t.AddRow(fmt.Sprintf("%d", s.state), note, string(fill),
+			fmt.Sprintf("%d", len(data)), verdict, Dur(elapsed))
 	}
 	t.Note("restores run newest-to-oldest against the same live system; each restore discards the newer versions (as a real point-in-time restore would)")
+	t.Note("the last restore is to the state before the link: the restored database has no row, so the file is unlinked and given back to its owner as it stands")
+	if failed > 0 {
+		return []*Table{t}, fmt.Errorf("E8 FAILED: %d of %d restores left the database and the file disagreeing", failed, len(snaps))
+	}
 	return []*Table{t}, nil
 }

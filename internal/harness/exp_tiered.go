@@ -189,7 +189,7 @@ func (c *tieredConfig) run() ([]*Table, error) {
 	// Phase 4: point-in-time restore to the mid-run state; the truncated
 	// versions' chunks become unreferenced and GC reclaims their files.
 	diskBefore := srv.Archive.Tier().DiskBlobs
-	if err := srv.DLFM.RestoreAsOf(midStateID); err != nil {
+	if err := sys.Engine.RestoreToState(midStateID); err != nil {
 		return nil, err
 	}
 	gcFreed := srv.Archive.GCNow()

@@ -471,12 +471,13 @@ func (t *Txn) createIndex(tbl *Table, col string) error {
 	return nil
 }
 
-// dropTable performs logged DDL. Each row goes first, logged as a delete
-// with its before image, then each secondary index as a dropped index, so
-// undoing the drop — an abort, or recovery undoing a loser — recreates the
-// table, its indexes and its rows. Every change is made before it is logged
-// and put back if the append fails, so the table always matches the logged
-// prefix an abort undoes.
+// dropTable performs logged DDL. Each row goes first, through the DML hook
+// as DeleteRow's does, logged as a delete with its before image, then each
+// secondary index as a dropped index, so undoing the drop — an abort, or
+// recovery undoing a loser — recreates the table, its indexes and its rows.
+// Every change is made before it is logged and put back if the append fails,
+// so the table always matches the logged prefix an abort undoes; a hook that
+// refuses a row fails the drop there.
 func (t *Txn) dropTable(name string) error {
 	if t.state != TxnActive {
 		return errTxnDone
@@ -489,6 +490,9 @@ func (t *Txn) dropTable(name string) error {
 		return err
 	}
 	tbl.Scan(func(id RowID, r Row) bool {
+		if err = t.callHook(tbl, DMLDelete, r, nil); err != nil {
+			return false
+		}
 		tbl.Delete(id)
 		if err = t.logChange(logPayload{Op: opDelete, Table: name, Row: id, Before: r}); err != nil {
 			t.undoFailed(tbl.InsertAt(id, r))
