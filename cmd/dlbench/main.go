@@ -96,27 +96,25 @@ func main() {
 	enc.SetIndent("", "  ")
 	run := func(e harness.Experiment) error {
 		switch {
+		// A failed gate still renders the tables it returns, as RunOne does.
 		case *jsonOut:
 			tables, err := e.Run()
-			if err != nil {
-				return err
-			}
-			return enc.Encode(map[string]any{
+			if encErr := enc.Encode(map[string]any{
 				"experiment": e.ID,
 				"title":      e.Title,
 				"tables":     tables,
-			})
+			}); encErr != nil {
+				return encErr
+			}
+			return err
 		case *markdown:
 			fmt.Printf("### %s: %s\n\n", e.ID, e.Title)
 			fmt.Printf("*Paper:* %s\n\n", e.Paper)
 			tables, err := e.Run()
-			if err != nil {
-				return err
-			}
 			for _, t := range tables {
 				t.Markdown(os.Stdout)
 			}
-			return nil
+			return err
 		default:
 			return harness.RunOne(os.Stdout, e)
 		}

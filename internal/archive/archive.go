@@ -76,7 +76,8 @@
 // dropped or a read is done. Locking is sharded two ways: version lists shard
 // by (server, path) key, chunkdisk by content hash — concurrent archivers of
 // different files never contend on a global mutex. Lock order is always entry
-// shard → chunkdisk shard.
+// shard → chunkdisk shard, and entry shard → catalog: a catalog checkpoint
+// takes every entry shard, in index order, before the catalog.
 package archive
 
 import (
@@ -86,6 +87,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -121,6 +123,10 @@ type VersionID struct {
 func idOf(r *catalog.PutRec) VersionID {
 	return VersionID{Version: Version(r.Version), StateID: r.StateID, Stored: r.StoredUnixNano}
 }
+
+// compactBytes is the catalog log's length past which the store writes a
+// catalog checkpoint.
+const compactBytes = 4 << 20
 
 // defaultCheckpointEvery is the default delta-chain bound: at least every this many
 // versions a full manifest is stored, so materialization applies at most this
@@ -312,8 +318,10 @@ var genCounter atomic.Uint64
 
 // fileVersions is the per-(server,path) version history: one manifest record
 // per version — a full slot list (checkpoint) or a delta against the version
-// before it — and the very records the durable catalog's shadow holds, frozen
-// once they are here. An Entry is assembled from a record on demand.
+// before it — frozen once it is here. It is the only in-memory list of a
+// history's versions: the durable catalog logs the records, replay builds this
+// list directly, and a catalog checkpoint is written from it. An Entry is
+// assembled from a record on demand.
 type fileVersions struct {
 	recs []*catalog.PutRec
 	// last caches the newest version's full slot list so Put diffs against
@@ -353,9 +361,16 @@ func (fv *fileVersions) follows(capture uint64) bool {
 	return fv != nil && capture != 0 && fv.capture == capture
 }
 
-// key is the one "server \x00 path" string the index, the catalog and every
-// record of the history share.
+// key is the one "server \x00 path" string the index and every record of the
+// history share.
 func (fv *fileVersions) key() string { return fv.recs[0].Key }
+
+// cut keeps the first keep versions. The records cut must not stay reachable
+// from the slice's spare capacity.
+func (fv *fileVersions) cut(keep int) {
+	clear(fv.recs[keep:])
+	fv.recs = fv.recs[:keep]
+}
 
 // newest reports the highest archived version of the history.
 func (fv *fileVersions) newest() Version {
@@ -436,12 +451,12 @@ type TierConfig struct {
 // RecoveryStats reports what NewTiered replayed from an existing archive
 // directory.
 type RecoveryStats struct {
-	Files           int   // histories rebuilt from the catalog
-	Versions        int   // versions restored to service
-	DroppedVersions int   // versions discarded because a referenced blob is missing
-	TornBytes       int64 // invalid catalog-log tail quarantined at open
-	SnapshotRecords int   // catalog records loaded from the snapshot checkpoint
-	LogRecords      int   // catalog records replayed from the log
+	Files           int // histories rebuilt from the catalog
+	Versions        int // versions restored to service
+	DroppedVersions int // versions discarded because a referenced blob is missing
+	// The catalog's records replayed from the snapshot and the log, and the
+	// invalid log tail quarantined at open.
+	catalog.OpenStats
 }
 
 // Store is an archive server. Safe for concurrent use.
@@ -451,11 +466,12 @@ type Store struct {
 	cat    *catalog.Catalog
 	// private is the directory NewTiered made for a store opened without
 	// one ("" otherwise): Close and Crash remove it.
-	private string
-	ckEvery int
-	recov   RecoveryStats
-	seed    maphash.Seed
-	clock   func() time.Time
+	private   string
+	ckEvery   int
+	compactAt int64 // compactBytes; tests lower it
+	recov     RecoveryStats
+	seed      maphash.Seed
+	clock     func() time.Time
 
 	latency atomic.Int64 // nanoseconds per device transfer unit
 
@@ -517,7 +533,8 @@ func NewTiered(latency time.Duration, clock func() time.Time, tier TierConfig) (
 	if err != nil {
 		return fail(err)
 	}
-	s := &Store{seed: maphash.MakeSeed(), clock: clock, disk: disk, private: private, ckEvery: tier.checkpointEvery, compactFailures: &metrics.Counter{}}
+	s := &Store{seed: maphash.MakeSeed(), clock: clock, disk: disk, private: private,
+		ckEvery: tier.checkpointEvery, compactAt: compactBytes, compactFailures: &metrics.Counter{}}
 	if tier.Metrics != nil {
 		s.compactFailures = tier.Metrics.Counter("archive.catalog.compact_failures")
 	}
@@ -528,80 +545,157 @@ func NewTiered(latency time.Duration, clock func() time.Time, tier TierConfig) (
 	for i := range s.shards {
 		s.shards[i].entries = make(map[string]*fileVersions)
 	}
-	cat, err := catalog.Open(tier.Dir, catalog.Config{Fsync: tier.Fsync, Metrics: tier.Metrics})
+	rp := &replayer{s: s}
+	cat, err := catalog.Open(tier.Dir, catalog.Config{Receiver: rp, Fsync: tier.Fsync, Metrics: tier.Metrics})
 	if err != nil {
 		disk.Close()
 		return fail(err)
 	}
-	repaired := s.replay(cat)
+	rp.flush()
+	s.cat = cat
+	repaired := s.adopt()
 	// Persist the folded-in log and any repairs as a fresh checkpoint so the
 	// next open starts from a snapshot and an empty log. A clean
 	// snapshot-only open (nothing to fold, nothing repaired) skips the
 	// rewrite — cold-open cost must not grow with archive size for a no-op.
 	if cat.LogSize() > 0 || s.recov.TornBytes > 0 || repaired {
-		if err := cat.Compact(); err != nil {
+		if err := s.compact(-1); err != nil {
 			cat.Close()
 			disk.Close()
 			return fail(err)
 		}
 	}
-	s.cat = cat
 	return s, nil
 }
 
-// replay rebuilds the in-memory version index by adopting the records of the
-// catalog's shadow: for every key, walk the delta chain oldest-first — one
-// hash list, advanced in place — and take one blob reference per chunk slot
-// (and tail) of each version, which turns the blobs the chunk store adopted
-// as dead back into held content with zero device transfer. The first version
-// referencing a blob the store does not hold gives back what it took and ends
-// that key's history — it and everything after it are dropped (later deltas
-// chain through it, and blobs only vanish through corruption or manual
-// deletion, so the safe prefix is what remains). repaired reports whether any
-// history was trimmed (the caller then persists the repair via a catalog
-// checkpoint).
-func (s *Store) replay(cat *catalog.Catalog) (repaired bool) {
-	st := cat.Stats()
-	s.recov.TornBytes = st.TornBytes
-	s.recov.SnapshotRecords = st.SnapshotRecords
-	s.recov.LogRecords = st.LogRecords
-	var full []slotRef // the walk's slot list, reused from key to key
-	cat.Range(func(k string, hist []*catalog.PutRec) (keep int) {
-		if _, _, ok := splitKey(k); !ok {
-			// Not a key this store ever writes; ignore rather than guess.
-			repaired = true
-			return 0
+// replayer is the catalog.Receiver NewTiered replays the catalog into: it
+// builds the index itself. A put not newer than its history's newest is
+// skipped, and a truncate or drop of nothing does nothing. Every record of a
+// history gets the key string the index files it under, and the records a
+// snapshot lists for one key — a snapshot writes each history in one piece —
+// are gathered and land in one slice of their exact length.
+type replayer struct {
+	s   *Store
+	fv  *fileVersions     // the history run belongs to, nil after a tombstone
+	key string            // fv's key
+	run []*catalog.PutRec // fv's records not yet in fv.recs, reused from key to key
+}
+
+func (rp *replayer) Put(key []byte, rec *catalog.PutRec) bool {
+	if rp.fv == nil || rp.key != string(key) {
+		rp.flush()
+		sh := rp.shard(key)
+		if rp.fv = sh.entries[string(key)]; rp.fv != nil {
+			rp.key = rp.fv.key()
+		} else {
+			// No shard lock: the store is not shared before NewTiered
+			// returns. The history is empty only until the flush.
+			rp.key, rp.fv = string(key), &fileVersions{gen: genCounter.Add(1)}
+			sh.entries[rp.key] = rp.fv
 		}
-		fv := &fileVersions{gen: genCounter.Add(1), recs: make([]*catalog.PutRec, 0, len(hist))}
-		full = full[:0]
-		for _, rec := range hist {
-			// A chain that does not start at a checkpoint, or a delta that
-			// grows the file by slots it does not fill, cannot be walked.
-			if !rec.IsFull && (len(fv.recs) == 0 || rec.NChunks-len(full) > len(rec.Mods)) {
-				break
-			}
-			full = advance(full, rec)
-			if !s.refRec(full, rec) {
-				break
-			}
-			fv.recs = append(fv.recs, rec)
-		}
-		keep = len(fv.recs)
-		if keep < len(hist) {
-			s.recov.DroppedVersions += len(hist) - keep
-			repaired = true
-		}
+	}
+	newest := rp.fv.recs
+	if len(rp.run) > 0 {
+		newest = rp.run
+	}
+	if n := len(newest); n > 0 && newest[n-1].Version >= rec.Version {
+		return false // replayed duplicate
+	}
+	rec.Key = rp.key
+	rp.run = append(rp.run, rec)
+	return true
+}
+
+func (rp *replayer) Truncate(key []byte, keep int) {
+	rp.flush()
+	rp.fv = nil
+	sh := rp.shard(key)
+	if fv := sh.entries[string(key)]; fv != nil && keep < len(fv.recs) {
+		fv.cut(keep)
 		if keep == 0 {
-			return 0
+			delete(sh.entries, string(key))
 		}
-		// Not the walk's list: after a missing blob that one has already
-		// advanced to the version that failed.
-		fv.last = slotsAt(fv, keep-1)
-		s.shardFor(k).entries[k] = fv // no shard lock: the store is not shared before NewTiered returns
-		s.recov.Files++
-		s.recov.Versions += keep
-		return keep
-	})
+	}
+}
+
+func (rp *replayer) Drop(key []byte) {
+	rp.flush()
+	rp.fv = nil
+	delete(rp.shard(key).entries, string(key))
+}
+
+// flush hands the gathered records to their history: a history they start
+// gets them as one slice of their exact length.
+func (rp *replayer) flush() {
+	if len(rp.run) == 0 {
+		return
+	}
+	if fv := rp.fv; len(fv.recs) == 0 {
+		fv.recs = append(make([]*catalog.PutRec, 0, len(rp.run)), rp.run...)
+	} else {
+		fv.recs = append(fv.recs, rp.run...)
+	}
+	clear(rp.run)
+	rp.run = rp.run[:0]
+}
+
+// shard is shardFor of a key the replay holds as bytes.
+func (rp *replayer) shard(key []byte) *entryShard {
+	return &rp.s.shards[maphash.Bytes(rp.s.seed, key)&(shardCount-1)]
+}
+
+// adopt turns the replayed index into a served one: for every history, walk
+// the delta chain oldest-first — one hash list, advanced in place — and take
+// one blob reference per chunk slot (and tail) of each version, which turns
+// the blobs the chunk store adopted as dead back into held content with zero
+// device transfer. The first version referencing a blob the store does not
+// hold gives back what it took and ends its history — it and everything after
+// it are dropped (later deltas chain through it, and blobs only vanish through
+// corruption or manual deletion, so the safe prefix is what remains).
+// repaired reports whether any history was trimmed (the caller then persists
+// the repair via a catalog checkpoint).
+func (s *Store) adopt() (repaired bool) {
+	s.recov.OpenStats = s.cat.Stats()
+	var full []slotRef // the walk's slot list, reused from history to history
+	for i := range s.shards {
+		sh := &s.shards[i]
+		for k, fv := range sh.entries {
+			if _, _, ok := splitKey(k); !ok {
+				// Not a key this store ever writes; ignore rather than guess.
+				delete(sh.entries, k)
+				repaired = true
+				continue
+			}
+			full = full[:0]
+			keep := 0
+			for _, rec := range fv.recs {
+				// A chain that does not start at a checkpoint, or a delta that
+				// grows the file by slots it does not fill, cannot be walked.
+				if !rec.IsFull && (keep == 0 || rec.NChunks-len(full) > len(rec.Mods)) {
+					break
+				}
+				full = advance(full, rec)
+				if !s.refRec(full, rec) {
+					break
+				}
+				keep++
+			}
+			if keep < len(fv.recs) {
+				s.recov.DroppedVersions += len(fv.recs) - keep
+				repaired = true
+				fv.cut(keep)
+			}
+			if keep == 0 {
+				delete(sh.entries, k)
+				continue
+			}
+			// Not the walk's list: after a missing blob that one has already
+			// advanced to the version that failed.
+			fv.last = slotsAt(fv, keep-1)
+			s.recov.Files++
+			s.recov.Versions += keep
+		}
+	}
 	return repaired
 }
 
@@ -978,14 +1072,51 @@ func (s *Store) afterPut(ctx context.Context, rec *catalog.PutRec, st PutStats) 
 	return nil
 }
 
-// compactCatalog checkpoints the catalog if an append pushed its log past the
-// threshold — outside the shard lock, so a large snapshot write never stalls
-// the shard's readers. A failure is counted, not returned: the log keeps
-// growing and a later append retries.
+// compactCatalog checkpoints the catalog if its log has outgrown the
+// threshold. A failure is counted, not returned: the log keeps growing and a
+// later append retries.
 func (s *Store) compactCatalog() {
-	if s.cat.CompactIfDue() != nil {
+	if s.cat.LogSize() > s.compactAt && s.compact(s.compactAt) != nil {
 		s.compactFailures.Inc()
 	}
+}
+
+// compact writes a catalog checkpoint from the index, histories in key order,
+// if the log is longer than over bytes once every shard is locked (another
+// caller may have checkpointed it meanwhile). Every index change happens under
+// its shard lock with its catalog append, so with every shard held — in index
+// order, before the catalog's lock — through the write, the snapshot lists
+// exactly the records the log leaves standing at the sequence it covers.
+func (s *Store) compact(over int64) error {
+	for i := range s.shards {
+		s.shards[i].mu.Lock()
+	}
+	defer func() {
+		for i := range s.shards {
+			s.shards[i].mu.Unlock()
+		}
+	}()
+	if s.cat.LogSize() <= over {
+		return nil
+	}
+	n := 0
+	for i := range s.shards {
+		n += len(s.shards[i].entries)
+	}
+	hists := make([]*fileVersions, 0, n)
+	for i := range s.shards {
+		for _, fv := range s.shards[i].entries {
+			hists = append(hists, fv)
+		}
+	}
+	slices.SortFunc(hists, func(a, b *fileVersions) int { return strings.Compare(a.key(), b.key()) })
+	return s.cat.Compact(func(put func(*catalog.PutRec)) {
+		for _, fv := range hists {
+			for _, r := range fv.recs {
+				put(r)
+			}
+		}
+	})
 }
 
 // tombstoneBarrier is the commit barrier of a TruncateAfter or Drop
@@ -1383,8 +1514,7 @@ func (s *Store) TruncateAfter(server, path string, stateID uint64) error {
 	for i := cut; i < len(fv.recs); i++ {
 		drops = append(drops, dropped{slots: slotsAt(fv, i), rec: fv.recs[i]})
 	}
-	clear(fv.recs[cut:]) // the dropped records must not stay reachable from the spare capacity
-	fv.recs = fv.recs[:cut]
+	fv.cut(cut)
 	if cut == 0 {
 		delete(sh.entries, k)
 	} else {

@@ -18,7 +18,8 @@
 // payload starts with a monotonic sequence number. The snapshot header
 // carries the sequence it covers, so a crash between "rename snapshot" and
 // "truncate log" is harmless: replay skips log records whose sequence the
-// snapshot already includes (and record application is idempotent besides).
+// snapshot already includes (and the receiver applies records idempotently
+// besides).
 //
 // Under the default fsync policy appends are not synced record-by-record
 // (matching the blob store, which also relies on the OS to flush), so a crash
@@ -28,11 +29,11 @@
 // window: "always" flushes every append inline, "group" coalesces concurrent
 // committers behind shared flushes at the Sync barrier (internal/fsyncer).
 //
-// The catalog keeps an in-memory shadow of the replayed state (delta-form
-// records, so shadow memory is O(changed chunks) per version). The records
-// are the archive's own: it adopts them at open through Range and hands
-// AppendPut the very record it indexes, so one *PutRec describes a version in
-// both places. Snapshots serialize the shadow.
+// The catalog is a log and nothing more: it keeps no index of its own. Open
+// hands every record it replays to the Config's Receiver (the archive's
+// version index), AppendPut logs the very record the caller indexes, and
+// Compact writes a snapshot of the records the caller lists. When the log is
+// due for a checkpoint is the caller's decision too (LogSize).
 //
 // A catalog (like the chunkdisk directory it lives in) has a single owner
 // process at a time; two stores over one directory corrupt each other.
@@ -46,7 +47,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"datalinks/internal/extent"
@@ -64,10 +64,6 @@ const (
 
 // snapMagic identifies a snapshot file (8 bytes: format name + version).
 var snapMagic = [8]byte{'D', 'L', 'C', 'A', 'T', 'S', 'N', '1'}
-
-// DefaultCompactBytes triggers a snapshot checkpoint once the log grows past
-// this size (Config.compactBytes overrides it).
-const DefaultCompactBytes = 4 << 20
 
 // Record kinds.
 const (
@@ -97,7 +93,7 @@ type Patch struct {
 }
 
 // PutRec is the manifest of one archived version, durable and in memory: the
-// shadow and the archive's index hold the same *PutRec. A record — its
+// archive's index holds the record the catalog logs. A record — its
 // Full/Mods/Patches slices included — is frozen once appended or replayed.
 // Records are carved from shared blocks (see Arena), so a block
 // stays reachable while any record in it does: Truncate and Drop unlink
@@ -127,23 +123,29 @@ type OpenStats struct {
 	LogRecords      int   // records applied from catalog.log
 	StaleSkipped    int   // log records already covered by the snapshot
 	TornBytes       int64 // invalid log suffix quarantined to catalog.torn
-	Keys            int   // distinct histories after replay
-	Versions        int   // total versions after replay
 }
 
-// history is the shadow state of one key. key is the one string every
-// record of the history (and the files map) shares.
-type history struct {
-	key  string
-	puts []*PutRec
+// Receiver is what Open hands the records it replays to, in the order they
+// were logged: the snapshot's, then the log's past it. key is a view of the
+// payload, valid only during the call. A put's record comes without its Key:
+// the receiver sets it, and may give every record of a history one string.
+type Receiver interface {
+	// Put offers a replayed version. It reports false when the receiver does
+	// not keep it — a put not newer than its history's newest — and the
+	// catalog reuses the record's memory.
+	Put(key []byte, r *PutRec) (kept bool)
+	// Truncate keeps only the first keep versions of key's history.
+	Truncate(key []byte, keep int)
+	// Drop discards key's whole history.
+	Drop(key []byte)
 }
 
 // Arena carves records and their lists out of shared blocks instead of one
 // heap object per record, hash list, delta and patch list: a replay decodes
 // into one, and the archive builds the records it appends from one per shard.
 // A block stays reachable while any record carved from it does. It is a plain
-// value: copying it before a decode and assigning the copy back un-claims
-// whatever the decode took. Not safe for concurrent use.
+// value: a copy taken before a decode marks where unclaim gives back to. Not
+// safe for concurrent use.
 type Arena struct {
 	recs    pool[PutRec]
 	hashes  pool[extent.Hash]
@@ -163,6 +165,15 @@ func (a *Arena) Mods(n int) []Mod { return a.mods.carve(n, modBlock) }
 // Patches carves a patch list of n.
 func (a *Arena) Patches(n int) []Patch { return a.patches.carve(n, patchBlock) }
 
+// unclaim gives back everything carved since the arena was mark, a copy of
+// it: what a refused or unkept decode took is carved again by the next one.
+func (a *Arena) unclaim(mark Arena) {
+	a.recs.unclaim(mark.recs)
+	a.hashes.unclaim(mark.hashes)
+	a.mods.unclaim(mark.mods)
+	a.patches.unclaim(mark.patches)
+}
+
 // Block sizes, at most: a few hundred records (~40 KiB) and their hashes and
 // deltas (~16 KiB each) per allocation.
 const (
@@ -172,13 +183,13 @@ const (
 	patchBlock = 512
 )
 
-// pool is one kind of element an Arena carves: the unclaimed rest of its
-// current block, and the length of the block before it. Blocks double from
-// a small one up to the kind's maximum, so an arena that carves a handful of
-// records costs a handful, and one that carves thousands, a few blocks.
+// pool is one kind of element an Arena carves: its current block and the
+// unclaimed rest of it. Blocks double from a small one up to the kind's
+// maximum, so an arena that carves a handful of records costs a handful, and
+// one that carves thousands, a few blocks.
 type pool[T any] struct {
-	free []T
-	last int
+	block []T
+	free  []T
 }
 
 // carve hands out the next n elements, starting a fresh block when the
@@ -195,19 +206,29 @@ func (p *pool[T]) carve(n, maxBlock int) []T {
 		if n > maxBlock/4 {
 			return make([]T, n)
 		}
-		p.last = min(max(2*p.last, 16, n), maxBlock)
-		p.free = make([]T, p.last)
+		p.block = make([]T, min(max(2*len(p.block), 16, n), maxBlock))
+		p.free = p.block
 	}
 	out := p.free[:n:n]
 	p.free = p.free[n:]
 	return out
 }
 
+// unclaim rewinds the pool to mark, except that a block started since is
+// kept, whole: nothing carved from it was claimed before the mark.
+func (p *pool[T]) unclaim(mark pool[T]) {
+	if len(p.block) > 0 && (len(mark.block) == 0 || &p.block[0] != &mark.block[0]) {
+		p.free = p.block
+		return
+	}
+	*p = mark
+}
+
 // Config configures a catalog.
 type Config struct {
-	// compactBytes checkpoints the log once it outgrows this size (<= 0:
-	// DefaultCompactBytes).
-	compactBytes int64
+	// Receiver, if set, is handed every record Open replays. Without one, Open
+	// only checks and counts the records.
+	Receiver Receiver
 	// Fsync selects the append durability policy (none | group | always).
 	Fsync fsyncer.Policy
 	// Metrics, if set, mirrors catalog.fsyncs into a registry.
@@ -216,21 +237,17 @@ type Config struct {
 
 // Catalog is the durable version-metadata store. Safe for concurrent use.
 type Catalog struct {
-	dir       string
-	compactAt int64
+	dir string
 
 	sync *fsyncer.Syncer
 
-	mu         sync.Mutex
-	log        *os.File
-	frame      []byte // AppendPut's frame buffer, reused under mu
-	logBytes   int64
-	seq        uint64
-	files      map[string]*history
-	arena      Arena // replay's record blocks; Open drops it when done
-	stats      OpenStats
-	compactDue bool
-	closed     bool
+	mu       sync.Mutex
+	log      *os.File
+	frame    []byte // AppendPut's frame buffer, reused under mu
+	logBytes int64
+	seq      uint64
+	stats    OpenStats
+	closed   bool
 }
 
 // ErrClosed rejects appends after Close.
@@ -238,13 +255,9 @@ var ErrClosed = errors.New("catalog: closed")
 
 var errPutCorrupted = errors.New("catalog: put record corrupted")
 
-// Open replays the catalog in dir (snapshot, then log), quarantining any torn
-// log tail, and returns it ready for appends.
+// Open replays the catalog in dir (snapshot, then log) into cfg.Receiver,
+// quarantining any torn log tail, and returns it ready for appends.
 func Open(dir string, cfg Config) (*Catalog, error) {
-	compactAt := cfg.compactBytes
-	if compactAt <= 0 {
-		compactAt = DefaultCompactBytes
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("catalog: %w", err)
 	}
@@ -252,13 +265,14 @@ func Open(dir string, cfg Config) (*Catalog, error) {
 	// its absence) is the truth.
 	os.Remove(filepath.Join(dir, snapName+seglog.TmpSuffix))
 
-	c := &Catalog{dir: dir, compactAt: compactAt, files: make(map[string]*history)}
-	snapSeq, err := c.loadSnapshot()
+	c := &Catalog{dir: dir}
+	rp := replay{to: cfg.Receiver}
+	snapSeq, err := c.loadSnapshot(&rp)
 	if err != nil {
 		return nil, err
 	}
 	c.seq = snapSeq
-	if err := c.loadLog(snapSeq, cfg.Fsync != fsyncer.PolicyNone); err != nil {
+	if err := c.loadLog(&rp, snapSeq, cfg.Fsync != fsyncer.PolicyNone); err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(c.path(logName), os.O_CREATE|os.O_WRONLY, 0o644)
@@ -278,11 +292,6 @@ func Open(dir string, cfg Config) (*Catalog, error) {
 		onSync = ctr.Inc
 	}
 	c.sync = fsyncer.New(cfg.Fsync, 0, f.Sync, onSync)
-	c.arena = Arena{} // replay is over: appended records are the caller's
-	for _, h := range c.files {
-		c.stats.Versions += len(h.puts)
-	}
-	c.stats.Keys = len(c.files)
 	return c, nil
 }
 
@@ -311,7 +320,7 @@ func (c *Catalog) path(name string) string { return filepath.Join(c.dir, name) }
 // window as the log, never held whole. A snapshot is written atomically, so
 // a body that stops framing, checksumming or decoding before the file ends
 // is real corruption and fails the open — never a torn tail to quarantine.
-func (c *Catalog) loadSnapshot() (uint64, error) {
+func (c *Catalog) loadSnapshot(rp *replay) (uint64, error) {
 	f, err := os.Open(c.path(snapName))
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
@@ -330,16 +339,14 @@ func (c *Catalog) loadSnapshot() (uint64, error) {
 	}
 	body := info.Size() - int64(len(hdr))
 	var sc seglog.Scanner
-	var run snapRun
 	var applyErr error
 	valid, err := sc.ScanFrames(io.NewSectionReader(f, int64(len(hdr)), body), body, func(payload []byte) bool {
-		if applyErr = c.apply(payload, &run); applyErr != nil {
+		if applyErr = rp.apply(payload); applyErr != nil {
 			return false
 		}
 		c.stats.SnapshotRecords++
 		return true
 	})
-	run.flush()
 	switch {
 	case err != nil:
 		return 0, fmt.Errorf("catalog: %w", err)
@@ -354,7 +361,7 @@ func (c *Catalog) loadSnapshot() (uint64, error) {
 // loadLog applies log records with sequence > snapSeq, recovering the longest
 // valid prefix: the first framing/checksum/decode failure ends the scan and
 // the invalid suffix is quarantined to catalog.torn.
-func (c *Catalog) loadLog(snapSeq uint64, syncing bool) error {
+func (c *Catalog) loadLog(rp *replay, snapSeq uint64, syncing bool) error {
 	f, err := os.Open(c.path(logName))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
@@ -373,7 +380,7 @@ func (c *Catalog) loadLog(snapSeq uint64, syncing bool) error {
 	valid, err := sc.ScanFrames(f, info.Size(), func(payload []byte) bool {
 		// A record that frames and checksums but does not decode is as torn
 		// as a bad checksum: quarantine from here.
-		seq, perr := c.applySeq(payload, snapSeq)
+		seq, perr := c.applySeq(rp, payload, snapSeq)
 		if perr != nil {
 			return false
 		}
@@ -397,7 +404,7 @@ func (c *Catalog) loadLog(snapSeq uint64, syncing bool) error {
 
 // applySeq decodes the payload's sequence and applies the record unless the
 // snapshot already covers it, returning the sequence.
-func (c *Catalog) applySeq(payload []byte, snapSeq uint64) (uint64, error) {
+func (c *Catalog) applySeq(rp *replay, payload []byte, snapSeq uint64) (uint64, error) {
 	seq, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return 0, fmt.Errorf("catalog: bad record sequence")
@@ -408,98 +415,52 @@ func (c *Catalog) applySeq(payload []byte, snapSeq uint64) (uint64, error) {
 		c.stats.StaleSkipped++
 		return seq, nil
 	}
-	if err := c.apply(payload, nil); err != nil {
+	if err := rp.apply(payload); err != nil {
 		return 0, err
 	}
 	c.stats.LogRecords++
 	return seq, nil
 }
 
-// snapRun gathers the records of one key that a snapshot lists back to back
-// — a snapshot writes each history in one piece — so that the history gets
-// them in one slice of its exact length rather than one append at a time.
-type snapRun struct {
-	h    *history
-	puts []*PutRec // reused from key to key
+// replay is one Open's decoding state: the receiver the records go to, and
+// the arena they are decoded into.
+type replay struct {
+	to    Receiver
+	arena Arena
 }
 
-// flush hands the gathered records to their history.
-func (r *snapRun) flush() {
-	if len(r.puts) == 0 {
-		return
-	}
-	puts := make([]*PutRec, len(r.h.puts)+len(r.puts))
-	copy(puts[copy(puts, r.h.puts):], r.puts)
-	r.h.puts = puts
-	clear(r.puts)
-	r.puts = r.puts[:0]
-}
-
-// newest is the last version gathered for h, nil when there is none yet.
-func (r *snapRun) newest(h *history) *PutRec {
-	if r != nil && r.h == h && len(r.puts) > 0 {
-		return r.puts[len(r.puts)-1]
-	}
-	if n := len(h.puts); n > 0 {
-		return h.puts[n-1]
-	}
-	return nil
-}
-
-// apply decodes one payload and updates the shadow. Every payload — snapshot
-// body (sequence zero) or log — starts with its sequence varint. Application
-// is idempotent: a put whose version is not newer than the key's newest is
-// skipped, truncates and drops of absent state are no-ops. A snapshot's
-// replay passes a run, which puts gather in until the key changes; the log's
-// passes nil.
-func (c *Catalog) apply(payload []byte, run *snapRun) error {
+// apply decodes one payload and hands it to the receiver. Every payload —
+// snapshot body (sequence zero) or log — starts with its sequence varint. A
+// record the receiver does not keep, or every record when there is no
+// receiver, gives its memory back to the arena.
+func (rp *replay) apply(payload []byte) error {
 	d := decoder{buf: payload}
 	d.uvarint() // sequence; ordering already handled by the caller
 	kind := d.byte()
 	key := d.bytes(d.uvarint())
 	switch kind {
 	case kindPut, kindPutPatched:
-		h := c.files[string(key)] // no allocation: the history interns its key
-		claimed := c.arena
-		r, err := decodePut(&d, &c.arena, kind == kindPutPatched)
-		if err != nil {
-			c.arena = claimed
-			return err
+		mark := rp.arena
+		r, err := decodePut(&d, &rp.arena, kind == kindPutPatched)
+		if err != nil || rp.to == nil || !rp.to.Put(key, r) {
+			rp.arena.unclaim(mark)
 		}
-		if h == nil {
-			h = &history{key: string(key)}
-			c.files[h.key] = h
-		} else if last := run.newest(h); last != nil && last.Version >= r.Version {
-			c.arena = claimed // replayed duplicate
-			return nil
-		}
-		r.Key = h.key
-		if run == nil {
-			h.puts = append(h.puts, r)
-			return nil
-		}
-		if run.h != h {
-			run.flush()
-			run.h = h
-		}
-		run.puts = append(run.puts, r)
-		return nil
-	}
-	if run != nil {
-		run.flush() // a truncate or drop sees the history whole
-	}
-	switch kind {
+		return err
 	case kindTruncate:
 		keep := int(d.uvarint())
 		if d.err != nil || d.rest() != 0 {
 			return fmt.Errorf("catalog: truncate record corrupted")
 		}
-		c.trimLocked(string(key), keep)
+		if rp.to != nil {
+			rp.to.Truncate(key, keep)
+		}
 	case kindDrop:
 		if d.err != nil || d.rest() != 0 {
 			return fmt.Errorf("catalog: drop record corrupted")
 		}
-		delete(c.files, string(key))
+		if rp.to != nil {
+			rp.to.Drop(key)
+		}
 	default:
 		if d.err != nil {
 			return d.err
@@ -616,46 +577,15 @@ func (c *Catalog) Stats() OpenStats {
 	return c.stats
 }
 
-// LogSize reports the current log length in bytes (tests, compaction
-// diagnostics).
+// LogSize reports the current log length in bytes: the caller checkpoints
+// with Compact once it has grown enough.
 func (c *Catalog) LogSize() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.logBytes
 }
 
-// Range hands fn every history of the shadow — the key and its versions in
-// order, the shadow's own records and slice, not copies — in no particular
-// order, and cuts the history to the first keep versions fn returns WITHOUT
-// logging a record: the archive's replay adopts the records through it,
-// discards versions whose blobs are missing from the chunk store, and then
-// persists the repaired state via Compact. The catalog is locked throughout;
-// fn must not call back into it.
-func (c *Catalog) Range(fn func(key string, puts []*PutRec) (keep int)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, h := range c.files {
-		if keep := fn(k, h.puts); keep < len(h.puts) {
-			c.trimLocked(k, keep)
-		}
-	}
-}
-
-// History returns the key's versions in order. The returned records are the
-// shadow's own (shared with future snapshots): callers must not mutate them,
-// and the slice is a copy so later appends/trims don't race the caller.
-func (c *Catalog) History(key string) []*PutRec {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h := c.files[key]
-	if h == nil {
-		return nil
-	}
-	return append([]*PutRec(nil), h.puts...)
-}
-
-// AppendPut logs one archived version and updates the shadow. The record's
-// slices are retained (not copied) — the caller must treat them as frozen.
+// AppendPut logs one archived version.
 func (c *Catalog) AppendPut(r *PutRec) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -668,13 +598,6 @@ func (c *Catalog) AppendPut(r *PutRec) error {
 		c.seq--
 		return err
 	}
-	h := c.files[r.Key]
-	if h == nil {
-		h = &history{key: r.Key}
-		c.files[r.Key] = h
-	}
-	h.puts = append(h.puts, r)
-	c.markCompactLocked()
 	return nil
 }
 
@@ -692,8 +615,6 @@ func (c *Catalog) AppendTruncate(key string, keep int) error {
 		c.seq--
 		return err
 	}
-	c.trimLocked(key, keep)
-	c.markCompactLocked()
 	return nil
 }
 
@@ -710,20 +631,7 @@ func (c *Catalog) AppendDrop(key string) error {
 		c.seq--
 		return err
 	}
-	delete(c.files, key)
-	c.markCompactLocked()
 	return nil
-}
-
-// trimLocked cuts a key's shadow history to its first keep versions.
-func (c *Catalog) trimLocked(key string, keep int) {
-	if h := c.files[key]; h != nil && keep < len(h.puts) {
-		clear(h.puts[keep:]) // the cut records must not stay reachable from the slice's spare capacity
-		h.puts = h.puts[:keep]
-		if keep == 0 {
-			delete(c.files, key)
-		}
-	}
 }
 
 // appendLocked writes one framed record to the log. A partial write is
@@ -743,69 +651,26 @@ func (c *Catalog) appendLocked(buf []byte) error {
 	return nil
 }
 
-// markCompactLocked flags the log as due for a checkpoint once it outgrows
-// the threshold. The append itself never fails on compaction grounds — the
-// record is already durable in the log at this point, so a snapshot problem
-// must not make the caller unwind state the catalog keeps. The actual
-// checkpoint runs in CompactIfDue, which the archive calls OUTSIDE its entry
-// shard locks so a large snapshot write never stalls reads of the shard.
-func (c *Catalog) markCompactLocked() {
-	if c.logBytes > c.compactAt {
-		c.compactDue = true
-	}
-}
-
-// CompactIfDue checkpoints if an append pushed the log past the threshold.
-// Best-effort by design: on failure the log simply keeps growing and the next
-// append re-arms the flag (the durable state stays consistent — the snapshot
-// is only renamed into place when complete, and the log is only truncated
-// after that).
-func (c *Catalog) CompactIfDue() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed || !c.compactDue {
-		return nil
-	}
-	c.compactDue = false
-	if err := c.compactLocked(); err != nil {
-		c.compactDue = true
-		return err
-	}
-	return nil
-}
-
-// Compact writes a snapshot of the shadow and truncates the log. The archive
-// calls it after replay (so the next open starts from a clean checkpoint) and
-// it runs automatically when the log outgrows the compaction threshold.
-func (c *Catalog) Compact() error {
+// Compact writes a snapshot of the records all lists and truncates the log.
+// all must list, by put, exactly the records the log and the snapshot so far
+// leave standing, in the order a replay is to hand them back; the caller
+// keeps every append out until Compact returns, so the snapshot covers the
+// sequence it is stamped with. all runs twice, under the catalog's lock: it
+// must not call back into the catalog.
+func (c *Catalog) Compact(all func(put func(*PutRec))) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return ErrClosed
 	}
-	return c.compactLocked()
-}
-
-func (c *Catalog) compactLocked() error {
 	var hdr [16]byte
 	copy(hdr[:8], snapMagic[:])
 	binary.LittleEndian.PutUint64(hdr[8:16], c.seq)
 	size := len(hdr)
-	keys := make([]string, 0, len(c.files))
-	for k, h := range c.files {
-		keys = append(keys, k)
-		for _, r := range h.puts {
-			size += maxFrameLen(r)
-		}
-	}
-	sort.Strings(keys)
+	all(func(r *PutRec) { size += maxFrameLen(r) })
 	// The records are framed in place, one buffer for the whole snapshot.
 	buf := append(make([]byte, 0, size), hdr[:]...)
-	for _, k := range keys {
-		for _, r := range c.files[k].puts {
-			buf = framePut(buf, 0, r) // snapshot records carry sequence 0
-		}
-	}
+	all(func(r *PutRec) { buf = framePut(buf, 0, r) }) // snapshot records carry sequence 0
 	// Under policies that sync, the snapshot and its rename are made durable
 	// before the log they replace is truncated.
 	if _, err := seglog.ReplaceFile(c.path(snapName), buf, c.sync.Policy() != fsyncer.PolicyNone); err != nil {

@@ -45,13 +45,71 @@ func putRec(key string, v int64, full bool) *PutRec {
 // encodePut is the payload of r's put record.
 func encodePut(seq uint64, r *PutRec) []byte { return appendPut(nil, seq, r) }
 
-func mustOpen(t *testing.T, dir string) *Catalog {
+// recorder is a Receiver that keeps what a replay hands it the way the
+// archive's index does: one history per key, whose records share one key
+// string; a put not newer than the history's newest skipped; a truncate or
+// drop of nothing a no-op. A test that appends mirrors each record into it
+// (logPut), so that all lists what the log leaves standing.
+type recorder map[string][]*PutRec
+
+func (r recorder) Put(key []byte, rec *PutRec) bool {
+	h := r[string(key)]
+	if n := len(h); n > 0 && h[n-1].Version >= rec.Version {
+		return false
+	}
+	if len(h) > 0 {
+		rec.Key = h[0].Key
+	} else {
+		rec.Key = string(key)
+	}
+	r[rec.Key] = append(h, rec)
+	return true
+}
+
+func (r recorder) Truncate(key []byte, keep int) {
+	if h := r[string(key)]; keep < len(h) {
+		if keep == 0 {
+			delete(r, string(key))
+		} else {
+			r[string(key)] = h[:keep]
+		}
+	}
+}
+
+func (r recorder) Drop(key []byte) { delete(r, string(key)) }
+
+// all lists every record, histories in key order: what Compact writes.
+func (r recorder) all(put func(*PutRec)) {
+	keys := make([]string, 0, len(r))
+	for k := range r {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		for _, rec := range r[k] {
+			put(rec)
+		}
+	}
+}
+
+// logPut appends rec to the log and mirrors it into r.
+func logPut(t *testing.T, c *Catalog, r recorder, rec *PutRec) {
 	t.Helper()
-	c, err := Open(dir, Config{})
+	if err := c.AppendPut(rec); err != nil {
+		t.Fatal(err)
+	}
+	r.Put([]byte(rec.Key), rec)
+}
+
+// mustOpen opens dir, replaying it into a fresh recorder.
+func mustOpen(t *testing.T, dir string) (*Catalog, recorder) {
+	t.Helper()
+	r := recorder{}
+	c, err := Open(dir, Config{Receiver: r})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return c, r
 }
 
 func sameRec(a, b *PutRec) bool {
@@ -84,7 +142,7 @@ func sameRec(a, b *PutRec) bool {
 // log alone, from a snapshot alone, and from snapshot+log.
 func TestRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	c := mustOpen(t, dir)
+	c, _ := mustOpen(t, dir)
 	keys := []string{"fs1\x00/a", "fs1\x00/b", "fs1\x00/c"}
 	for _, k := range keys {
 		for v := int64(0); v < 5; v++ {
@@ -99,18 +157,17 @@ func TestRoundtrip(t *testing.T) {
 	if err := c.AppendDrop(keys[2]); err != nil {
 		t.Fatal(err)
 	}
-	check := func(c *Catalog, phase string) {
+	check := func(r recorder, phase string) {
 		t.Helper()
 		var got []string
-		c.Range(func(k string, puts []*PutRec) int {
+		for k := range r {
 			got = append(got, k)
-			return len(puts)
-		})
+		}
 		sort.Strings(got)
 		if len(got) != 2 || got[0] != keys[0] || got[1] != keys[1] {
 			t.Fatalf("%s: keys = %v", phase, got)
 		}
-		if h := c.History(keys[0]); len(h) != 5 {
+		if h := r[keys[0]]; len(h) != 5 {
 			t.Fatalf("%s: %s has %d versions, want 5", phase, keys[0], len(h))
 		} else {
 			for v := int64(0); v < 5; v++ {
@@ -119,42 +176,41 @@ func TestRoundtrip(t *testing.T) {
 				}
 			}
 		}
-		if h := c.History(keys[1]); len(h) != 2 {
+		if h := r[keys[1]]; len(h) != 2 {
 			t.Fatalf("%s: truncated key has %d versions, want 2", phase, len(h))
 		}
 	}
-	check(c, "in-memory")
 	c.Close()
 
 	// Reopen from the log alone (no snapshot was written).
-	c2 := mustOpen(t, dir)
+	c2, r2 := mustOpen(t, dir)
 	if st := c2.Stats(); st.SnapshotRecords != 0 || st.LogRecords == 0 || st.TornBytes != 0 {
 		t.Fatalf("log-only open stats: %+v", st)
 	}
-	check(c2, "log replay")
+	check(r2, "log replay")
 
 	// Compact and reopen from the snapshot alone.
-	if err := c2.Compact(); err != nil {
+	if err := c2.Compact(r2.all); err != nil {
 		t.Fatal(err)
 	}
 	if c2.LogSize() != 0 {
 		t.Fatalf("log not truncated by compaction: %d bytes", c2.LogSize())
 	}
 	c2.Close()
-	c3 := mustOpen(t, dir)
+	c3, r3 := mustOpen(t, dir)
 	if st := c3.Stats(); st.SnapshotRecords == 0 || st.LogRecords != 0 {
 		t.Fatalf("snapshot-only open stats: %+v", st)
 	}
-	check(c3, "snapshot replay")
+	check(r3, "snapshot replay")
 
 	// Append past the snapshot and reopen from snapshot+log.
 	if err := c3.AppendPut(putRec(keys[0], 5, false)); err != nil {
 		t.Fatal(err)
 	}
 	c3.Close()
-	c4 := mustOpen(t, dir)
+	c4, r4 := mustOpen(t, dir)
 	defer c4.Close()
-	if h := c4.History(keys[0]); len(h) != 6 {
+	if h := r4[keys[0]]; len(h) != 6 {
 		t.Fatalf("snapshot+log: %d versions, want 6", len(h))
 	}
 	check4 := c4.Stats()
@@ -169,7 +225,7 @@ func TestRoundtrip(t *testing.T) {
 // log appendable.
 func TestTornTailRecoveredAtEveryByteBoundary(t *testing.T) {
 	master := t.TempDir()
-	c := mustOpen(t, master)
+	c, _ := mustOpen(t, master)
 	k := "fs1\x00/f"
 	sizes := []int64{}
 	for v := int64(0); v < 4; v++ {
@@ -193,15 +249,12 @@ func TestTornTailRecoveredAtEveryByteBoundary(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, logName), logBytes[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cc, err := Open(dir, Config{})
-		if err != nil {
-			t.Fatalf("cut %d: open: %v", cut, err)
-		}
+		cc, r := mustOpen(t, dir)
 		wantVers := 3
 		if cut == sizes[3] {
 			wantVers = 4 // clean cut after the full record
 		}
-		h := cc.History(k)
+		h := r[k]
 		if len(h) != wantVers {
 			t.Fatalf("cut %d: recovered %d versions, want %d", cut, len(h), wantVers)
 		}
@@ -228,11 +281,8 @@ func TestTornTailRecoveredAtEveryByteBoundary(t *testing.T) {
 			t.Fatalf("cut %d: append after recovery: %v", cut, err)
 		}
 		cc.Close()
-		cc2, err := Open(dir, Config{})
-		if err != nil {
-			t.Fatalf("cut %d: second open: %v", cut, err)
-		}
-		if h := cc2.History(k); len(h) != wantVers+1 || h[len(h)-1].Version != 9 {
+		cc2, r2 := mustOpen(t, dir)
+		if h := r2[k]; len(h) != wantVers+1 || h[len(h)-1].Version != 9 {
 			t.Fatalf("cut %d: post-recovery append lost (%d versions)", cut, len(h))
 		}
 		cc2.Close()
@@ -244,12 +294,10 @@ func TestTornTailRecoveredAtEveryByteBoundary(t *testing.T) {
 // not double-apply the log records the snapshot already covers.
 func TestCrashBetweenSnapshotRenameAndLogTruncate(t *testing.T) {
 	dir := t.TempDir()
-	c := mustOpen(t, dir)
+	c, r := mustOpen(t, dir)
 	k := "fs1\x00/f"
 	for v := int64(0); v < 3; v++ {
-		if err := c.AppendPut(putRec(k, v, v == 0)); err != nil {
-			t.Fatal(err)
-		}
+		logPut(t, c, r, putRec(k, v, v == 0))
 	}
 	preCompact, err := os.ReadFile(filepath.Join(dir, logName))
 	if err != nil {
@@ -258,7 +306,8 @@ func TestCrashBetweenSnapshotRenameAndLogTruncate(t *testing.T) {
 	if err := c.AppendTruncate(k, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Compact(); err != nil {
+	r.Truncate([]byte(k), 2)
+	if err := c.Compact(r.all); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -266,69 +315,71 @@ func TestCrashBetweenSnapshotRenameAndLogTruncate(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, logName), preCompact, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c2 := mustOpen(t, dir)
+	c2, r2 := mustOpen(t, dir)
 	defer c2.Close()
 	st := c2.Stats()
 	if st.StaleSkipped != 3 {
 		t.Fatalf("stale log records skipped = %d, want 3", st.StaleSkipped)
 	}
 	// The truncate (covered by the snapshot) must hold: 2 versions, not 3.
-	if h := c2.History(k); len(h) != 2 {
+	if h := r2[k]; len(h) != 2 {
 		t.Fatalf("stale log resurrected versions: %d, want 2", len(h))
 	}
 }
 
-// TestAutoCompaction: appends past the threshold arm the checkpoint flag,
-// CompactIfDue (which the archive calls outside its shard locks) runs it,
-// and nothing is lost across the checkpoint.
+// TestAutoCompaction: checkpoints taken whenever the log passes a threshold,
+// as the archive takes them, each written from the receiver's records while
+// appends go on between them, lose nothing.
 func TestAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(dir, Config{compactBytes: 256}) // tiny threshold: compact every few records
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, r := mustOpen(t, dir)
 	k := "fs1\x00/f"
+	compactions := 0
 	for v := int64(0); v < 50; v++ {
-		if err := c.AppendPut(putRec(k, v, v == 0)); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.CompactIfDue(); err != nil {
-			t.Fatal(err)
+		logPut(t, c, r, putRec(k, v, v == 0))
+		if c.LogSize() > 256 { // tiny threshold: compact every few records
+			if err := c.Compact(r.all); err != nil {
+				t.Fatal(err)
+			}
+			compactions++
 		}
 	}
-	if c.LogSize() > 4*256 {
-		t.Fatalf("auto-compaction never ran: log is %d bytes", c.LogSize())
+	if compactions < 5 || c.LogSize() > 256 {
+		t.Fatalf("%d compactions, log is %d bytes", compactions, c.LogSize())
 	}
 	if _, err := os.Stat(filepath.Join(dir, snapName)); err != nil {
 		t.Fatalf("no snapshot after auto-compaction: %v", err)
 	}
 	c.Close()
-	c2 := mustOpen(t, dir)
+	c2, r2 := mustOpen(t, dir)
 	defer c2.Close()
-	if h := c2.History(k); len(h) != 50 {
+	if h := r2[k]; len(h) != 50 {
 		t.Fatalf("replay after auto-compaction: %d versions, want 50", len(h))
 	}
 }
 
-// TestTrimIsPersistedByCompact: a replay-time trim through Range (missing-blob
-// repair) is invisible to the log but survives via the following Compact.
+// TestTrimIsPersistedByCompact: a replay-time trim in the receiver (the
+// archive's missing-blob repair) is invisible to the log but survives via the
+// following Compact, which writes what the receiver holds.
 func TestTrimIsPersistedByCompact(t *testing.T) {
 	dir := t.TempDir()
-	c := mustOpen(t, dir)
+	c, _ := mustOpen(t, dir)
 	k := "fs1\x00/f"
 	for v := int64(0); v < 4; v++ {
 		if err := c.AppendPut(putRec(k, v, v == 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.Range(func(_ string, _ []*PutRec) int { return 2 })
-	if err := c.Compact(); err != nil {
+	c.Close()
+	c, r := mustOpen(t, dir)
+	r[k] = r[k][:2]
+	if err := c.Compact(r.all); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
-	c2 := mustOpen(t, dir)
+	c2, r2 := mustOpen(t, dir)
 	defer c2.Close()
-	if h := c2.History(k); len(h) != 2 {
+	if h := r2[k]; len(h) != 2 {
 		t.Fatalf("trim lost: %d versions, want 2", len(h))
 	}
 }
@@ -336,7 +387,7 @@ func TestTrimIsPersistedByCompact(t *testing.T) {
 // TestClosedCatalogRejectsAppends: appends after Close fail loudly instead of
 // writing to a closed handle.
 func TestClosedCatalogRejectsAppends(t *testing.T) {
-	c := mustOpen(t, t.TempDir())
+	c, _ := mustOpen(t, t.TempDir())
 	c.Close()
 	if err := c.AppendPut(putRec("fs1\x00/f", 0, true)); err == nil {
 		t.Fatal("append after Close succeeded")
@@ -350,7 +401,7 @@ func TestClosedCatalogRejectsAppends(t *testing.T) {
 // hashes (a ~64 MiB file) survives the frame/CRC path intact.
 func TestLargeManifestRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	c := mustOpen(t, dir)
+	c, _ := mustOpen(t, dir)
 	k := "fs1\x00/big"
 	r := &PutRec{Key: k, Version: 0, NChunks: 1024, IsFull: true}
 	for i := 0; i < 1024; i++ {
@@ -360,9 +411,9 @@ func TestLargeManifestRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-	c2 := mustOpen(t, dir)
+	c2, hists := mustOpen(t, dir)
 	defer c2.Close()
-	h := c2.History(k)
+	h := hists[k]
 	if len(h) != 1 || len(h[0].Full) != 1024 {
 		t.Fatalf("large manifest lost: %+v", fmt.Sprintf("%d recs", len(h)))
 	}
@@ -406,12 +457,9 @@ func TestFsyncPolicies(t *testing.T) {
 				t.Fatalf("after barrier: %d fsyncs, want %d", got, tc.wantSync)
 			}
 			c.Close()
-			c2, err := Open(dir, Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			c2, r := mustOpen(t, dir)
 			defer c2.Close()
-			if got := len(c2.History("fs1\x00/f")); got != 3 {
+			if got := len(r["fs1\x00/f"]); got != 3 {
 				t.Fatalf("replayed %d versions, want 3", got)
 			}
 		})
@@ -427,7 +475,7 @@ func TestSecondTearKeepsFirstTearsEvidence(t *testing.T) {
 	logPath := filepath.Join(dir, logName)
 	var evidence []byte
 	for round, cut := range []int64{5, 9} {
-		c := mustOpen(t, dir)
+		c, _ := mustOpen(t, dir)
 		for v := int64(0); v < 2; v++ {
 			if err := c.AppendPut(putRec(k, int64(2*round)+v, false)); err != nil {
 				t.Fatal(err)
@@ -441,12 +489,12 @@ func TestSecondTearKeepsFirstTearsEvidence(t *testing.T) {
 		if err := os.Truncate(logPath, int64(len(whole))-cut); err != nil {
 			t.Fatal(err)
 		}
-		c = mustOpen(t, dir)
+		c, r := mustOpen(t, dir)
 		torn := c.Stats().TornBytes
 		if torn <= 0 || torn >= int64(len(whole)) {
 			t.Fatalf("round %d: torn bytes = %d", round, torn)
 		}
-		if got := len(c.History(k)); got != round+1 {
+		if got := len(r[k]); got != round+1 {
 			t.Fatalf("round %d: %d versions survived, want %d", round, got, round+1)
 		}
 		c.Close()
@@ -468,20 +516,17 @@ func allocated(fn func()) (bytes, objects int64) {
 }
 
 // TestOpenScanAllocBudget: Open reads the log AND the snapshot through a
-// sliding window, not whole — beyond what applying the same records to an
-// empty shadow costs, a replay of 10 000 records allocates a small fraction
+// sliding window, not whole — beyond what handing the same records to an
+// empty receiver costs, a replay of 10 000 records allocates a small fraction
 // of the file's length — and decodes the records into shared blocks: a
-// quarter of a heap object per record, not three.
+// quarter of a heap object per record, not three. Without a receiver, Open
+// only checks the records, and allocates next to nothing for them.
 func TestOpenScanAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
 	dir := t.TempDir()
-	cfg := Config{compactBytes: 1 << 30} // no checkpoint: the log keeps every record
-	c, err := Open(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, _ := mustOpen(t, dir)
 	const records, keys = 10_000, 100
 	payloads := make([][]byte, records)
 	for i := range payloads {
@@ -496,46 +541,65 @@ func TestOpenScanAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	replay, _ := allocated(func() {
-		shadow := &Catalog{files: make(map[string]*history)}
+	replayed, _ := allocated(func() {
+		rp := replay{to: recorder{}}
 		for _, p := range payloads {
-			if err := shadow.apply(p, nil); err != nil {
+			if err := rp.apply(p); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
-	reopen := func(from string, fileLen int64) *Catalog {
+	reopen := func(from string, fileLen int64) (OpenStats, recorder) {
 		t.Helper()
-		var reopened *Catalog
-		open, objects := allocated(func() { reopened, err = Open(dir, cfg) })
+		var (
+			cc  *Catalog
+			rec recorder
+			err error
+		)
+		open, objects := allocated(func() {
+			rec = recorder{}
+			cc, err = Open(dir, Config{Receiver: rec})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := reopened.Stats(); st.LogRecords+st.SnapshotRecords != records || st.TornBytes != 0 {
+		st := cc.Stats()
+		cc.Close()
+		if st.LogRecords+st.SnapshotRecords != records || st.TornBytes != 0 {
 			t.Fatalf("%s: reopen applied %d+%d of %d records (%d torn bytes)", from, st.SnapshotRecords, st.LogRecords, records, st.TornBytes)
 		}
-		if scan := open - replay; scan*4 >= fileLen {
+		if scan := open - replayed; scan*4 >= fileLen {
 			t.Fatalf("%s: open allocated %d B, %d B more than applying the records; the file is %d B, budget 1/4 of it", from, open, scan, fileLen)
 		}
 		if objects*4 > records {
 			t.Fatalf("%s: open allocated %d objects for %d records, budget 0.25 per record", from, objects, records)
 		}
-		return reopened
+		_, objects = allocated(func() { cc, err = Open(dir, Config{}) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cc.Stats(); got != st {
+			t.Fatalf("%s: a check-only open read %+v, the replay %+v", from, got, st)
+		}
+		cc.Close()
+		if objects > 64 {
+			t.Fatalf("%s: a check-only open allocated %d objects for %d records", from, objects, records)
+		}
+		return st, rec
 	}
-	fromLog := reopen("log", logLen)
-	if err := fromLog.Compact(); err != nil {
+	_, fromLog := reopen("log", logLen)
+	c, _ = mustOpen(t, dir)
+	if err := c.Compact(fromLog.all); err != nil {
 		t.Fatal(err)
 	}
-	fromLog.Close()
+	c.Close()
 	snap, err := os.Stat(filepath.Join(dir, snapName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromSnap := reopen("snapshot", snap.Size())
-	if st := fromSnap.Stats(); st.SnapshotRecords != records {
+	if st, _ := reopen("snapshot", snap.Size()); st.SnapshotRecords != records {
 		t.Fatalf("snapshot-only open loaded %d snapshot records, want %d", st.SnapshotRecords, records)
 	}
-	fromSnap.Close()
 }
 
 // TestPatchedRecordsRoundtrip: the second put-record version — a checkpoint
@@ -552,15 +616,15 @@ func TestPatchedRecordsRoundtrip(t *testing.T) {
 		}
 	}
 	dir := t.TempDir()
-	c := mustOpen(t, dir)
+	c, _ := mustOpen(t, dir)
 	for _, r := range want {
 		if err := c.AppendPut(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	check := func(c *Catalog, phase string) {
+	check := func(r recorder, phase string) {
 		t.Helper()
-		got := c.History(key)
+		got := r[key]
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d versions, want %d", phase, len(got), len(want))
 		}
@@ -571,16 +635,16 @@ func TestPatchedRecordsRoundtrip(t *testing.T) {
 		}
 	}
 	c.Close()
-	c = mustOpen(t, dir)
-	check(c, "log replay")
-	if err := c.Compact(); err != nil {
+	c, r := mustOpen(t, dir)
+	check(r, "log replay")
+	if err := c.Compact(r.all); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
-	c = mustOpen(t, dir)
+	c, r = mustOpen(t, dir)
 	defer c.Close()
 	if st := c.Stats(); st.SnapshotRecords != len(want) || st.LogRecords != 0 {
 		t.Fatalf("snapshot open stats: %+v", st)
 	}
-	check(c, "snapshot")
+	check(r, "snapshot")
 }

@@ -56,20 +56,21 @@ func FuzzPutRecDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		c := &Catalog{files: make(map[string]*history)}
+		got := recorder{}
+		rp := replay{to: got}
 		var err error
-		grew, _ := allocated(func() { err = c.apply(payload, nil) })
+		grew, _ := allocated(func() { err = rp.apply(payload) })
 		// One block of each kind, a history and its key, and slack for the
 		// runtime's own bookkeeping: nothing that grows with a claimed count.
 		if budget := int64(256<<10 + 4*len(payload)); !raceEnabled && grew > budget {
 			t.Fatalf("decoding %d bytes allocated %d B (budget %d)", len(payload), grew, budget)
 		}
-		if err != nil || len(c.files) == 0 {
+		if err != nil || len(got) == 0 {
 			return // refused, or a truncate/drop of nothing
 		}
 		var r *PutRec
-		for _, h := range c.files {
-			r = h.puts[0]
+		for _, h := range got {
+			r = h[0]
 		}
 		seq, _ := binary.Uvarint(payload)
 		if re := encodePut(seq, r); !bytes.Equal(re, payload) {
@@ -81,10 +82,10 @@ func FuzzPutRecDecode(f *testing.F) {
 		twin := *r
 		twin.Key += "'"
 		payload2 := encodePut(seq, &twin)
-		if err := c.apply(payload2, nil); err != nil {
+		if err := rp.apply(payload2); err != nil {
 			t.Fatalf("re-keyed copy of an accepted record refused: %v", err)
 		}
-		r2 := c.files[twin.Key].puts[0]
+		r2 := got[twin.Key][0]
 		for i := range r.Full {
 			r.Full[i] = hashOf(0xee)
 		}

@@ -150,6 +150,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		repl:    repl,
 		deadCfg: make(map[string]ServerConfig),
 	}
+	c.router.flush = c.FlushReplication
 	for _, sc := range cfg.Members {
 		fsrv, err := buildStack(sc, clusterAuthority, cfg.Clock, cfg.TokenKey, cfg.TokenTTL, eng)
 		if err != nil {

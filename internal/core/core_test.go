@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"datalinks/internal/archive"
 	"datalinks/internal/fs"
 	"datalinks/internal/sqlmini"
 )
@@ -748,6 +749,47 @@ func TestRestoreBeforeALink(t *testing.T) {
 	}
 	if data, _ := srv.Phys.ReadFile("/movies/clip1.mpg"); string(data) != "v0 content" {
 		t.Fatalf("clip1 reads %q, want its content at s0", data)
+	}
+}
+
+// TestRestoreAcrossARelinkChangesNothing: a restore to a state at which clip2
+// was linked, across a later unlink and relink of it, cannot rewind clip2 —
+// its history began again at the relink. The member checks every file it
+// would rewind before it changes any: the restore fails, the host keeps its
+// state, and clip1 keeps its last commit.
+func TestRestoreAcrossARelinkChangesNothing(t *testing.T) {
+	sys, srv := newSys(t, "rdd")
+	if err := srv.SeedFile("/movies/clip2.mpg", []byte("clip2 content"), alice); err != nil {
+		t.Fatal(err)
+	}
+	link := `INSERT INTO movies (id, title, clip) VALUES (2, 'Vertigo', DLVALUE('dlfs://fs1/movies/clip2.mpg'))`
+	sys.DB().MustExec(link)
+	commit := func(content string) {
+		t.Helper()
+		f, err := sys.NewSession(alice).OpenWrite(urlFor(t, sys, "DLURLCOMPLETEWRITE"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.WriteAll([]byte(content))
+		if err := f.Close(); err != nil {
+			t.Fatalf("commit %q: %v", content, err)
+		}
+	}
+	commit("clip1 v1")
+	s1 := sys.Engine.StateID()
+	sys.DB().MustExec(`DELETE FROM movies WHERE id = 2`)
+	sys.DB().MustExec(link)
+	commit("clip1 v2")
+	state := sys.Engine.StateID()
+
+	if err := sys.Engine.RestoreToState(s1); !errors.Is(err, archive.ErrNotFound) {
+		t.Fatalf("restore across the relink: %v, want archive.ErrNotFound", err)
+	}
+	if got := sys.Engine.StateID(); got != state {
+		t.Fatalf("refused restore moved the host from state %d to %d", state, got)
+	}
+	if data, _ := srv.Phys.ReadFile("/movies/clip1.mpg"); string(data) != "clip1 v2" {
+		t.Fatalf("clip1 reads %q after the refused restore, want its last commit", data)
 	}
 }
 

@@ -352,8 +352,12 @@ func (c *Cluster) FlushReplication() error {
 				if err != nil {
 					continue
 				}
-				// Nothing moves when dst is level.
-				err = c.catchUpReplica(m, dst, p, int64(srcLast.Version), mtime, meta, false)
+				// A partition cuts anti-entropy as it cuts a ship. Nothing
+				// moves when dst is level.
+				err = c.repl.chaos.Strike()
+				if err == nil {
+					err = c.catchUpReplica(m, dst, p, int64(srcLast.Version), mtime, meta, false)
+				}
 				if err != nil && firstErr == nil {
 					firstErr = fmt.Errorf("core: flush %s %s→%s: %w", p, sid, tid, err)
 				}

@@ -899,9 +899,9 @@ func TestRingSwapDropsOverridesToRemovedMembers(t *testing.T) {
 }
 
 // restoredReplicaFixture links one path on a replicated cluster, commits A
-// and B over v0 and restores the deployment to the state right after the
-// link: the owner holds [v0], its replica still [v0 A B].
-func restoredReplicaFixture(t *testing.T, mut func(*ClusterConfig)) (c *Cluster, p string, replica *FileServer) {
+// and B over v0, runs beforeRestore (if set) and restores the deployment to
+// the state right after the link: the owner holds [v0].
+func restoredReplicaFixture(t *testing.T, mut func(*ClusterConfig), beforeRestore func()) (c *Cluster, p string, replica *FileServer) {
 	t.Helper()
 	c = newReplCluster(t, 3, mut)
 	p = clusterPaths(1)[0]
@@ -912,6 +912,9 @@ func restoredReplicaFixture(t *testing.T, mut func(*ClusterConfig)) (c *Cluster,
 			t.Fatalf("commit %s: %v", content, err)
 		}
 	}
+	if beforeRestore != nil {
+		beforeRestore()
+	}
 	if err := c.Engine.RestoreToState(s0); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -920,6 +923,32 @@ func restoredReplicaFixture(t *testing.T, mut func(*ClusterConfig)) (c *Cluster,
 		t.Fatal(err)
 	}
 	return c, p, replica
+}
+
+// TestRestoreReachesTheReplicas: a restore rewinds the replicas with the
+// owners, so a failover after it serves the restored version, not the
+// rolled-back one the replica held.
+func TestRestoreReachesTheReplicas(t *testing.T) {
+	c, p, replica := restoredReplicaFixture(t, nil, nil)
+	if got := historyOf(t, c, replica, p); fmt.Sprint(got) != "[v0]" {
+		t.Errorf("replica %s holds %v after the restore, want [v0]", replica.Name, got)
+	}
+	if n := c.Router().Metrics().Counter("repl.restore_flush_failures").Value(); n != 0 {
+		t.Errorf("repl.restore_flush_failures = %d, want 0", n)
+	}
+	owner, err := c.Owner(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FailServer(owner); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Failover(owner); err != nil {
+		t.Fatalf("failover: %v", err)
+	}
+	if got, err := readDoc(t, c, 0); err != nil || got != "v0" {
+		t.Fatalf("%s after the failover = %q, %v; want v0", p, got, err)
+	}
 }
 
 // TestRestoreWithAMemberDownChangesNothing: with fs2 failed and not failed
@@ -994,7 +1023,7 @@ func historyOf(t *testing.T, c *Cluster, m *FileServer, path string) []string {
 // still holds the rolled-back v1 must not count as holding it: the close is
 // acked at WriteQuorum 2 only once the replica holds the owner's [v0 C].
 func TestReplicationCommitAfterRestoreReachesTheReplica(t *testing.T) {
-	c, p, replica := restoredReplicaFixture(t, func(cfg *ClusterConfig) { cfg.WriteQuorum = 2 })
+	c, p, replica := restoredReplicaFixture(t, func(cfg *ClusterConfig) { cfg.WriteQuorum = 2 }, nil)
 	if err := commitUpdate(t, c, 0, "C"); err != nil {
 		t.Fatalf("commit C: %v", err)
 	}
@@ -1004,18 +1033,22 @@ func TestReplicationCommitAfterRestoreReachesTheReplica(t *testing.T) {
 	assertReplicasConverged(t, c, []string{p})
 }
 
-// TestReplicationFlushHealsADivergedReplica: the replica misses the commits
-// that follow a restore, so owner and replica both end at version 2 — [v0 C
-// D] and [v0 A B]. Equal numbers are not equal histories: once the partition
-// heals, anti-entropy must bring the replica to the owner's.
+// TestReplicationFlushHealsADivergedReplica: the replica is partitioned off
+// before a restore, so it misses the restore's flush and the commits that
+// follow, and owner and replica both end at version 2 — [v0 C D] and [v0 A
+// B]. The restore still succeeds and counts the flush it could not finish.
+// Equal numbers are not equal histories: once the partition heals,
+// anti-entropy must bring the replica to the owner's.
 func TestReplicationFlushHealsADivergedReplica(t *testing.T) {
 	chaos := &upcall.Chaos{Seed: 11}
 	c, p, replica := restoredReplicaFixture(t, func(cfg *ClusterConfig) {
 		cfg.WriteQuorum = 1
 		cfg.replChaos = chaos
 		cfg.replRetry = retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
-	})
-	chaos.Partition(true)
+	}, func() { chaos.Partition(true) })
+	if n := c.Router().Metrics().Counter("repl.restore_flush_failures").Value(); n != 1 {
+		t.Fatalf("repl.restore_flush_failures = %d after a restore under partition, want 1", n)
+	}
 	for _, content := range []string{"C", "D"} {
 		if err := commitUpdate(t, c, 0, content); err != nil {
 			t.Fatalf("commit %s at WriteQuorum 1: %v", content, err)

@@ -35,6 +35,9 @@ type Router struct {
 	members   map[string]*FileServer
 	overrides map[string]string        // path -> member id, until the next ring swap
 	moving    map[string]chan struct{} // per-path migration gates
+
+	// flush is the cluster's anti-entropy pass (Cluster.FlushReplication).
+	flush func() error
 }
 
 func newRouter(authority string, r *ring.Ring) *Router {
@@ -279,7 +282,11 @@ func (r *Router) ReadFileContent(path string) ([]byte, error) {
 // rebalanceMu, so the ring cannot change under it. Before any member acts,
 // every member on the ring must be routable and alive: one that is not
 // refuses the whole restore with ErrMemberDown. Then each member is handed
-// its slice of the link set, the paths it owns.
+// its slice of the link set, the paths it owns. Once every member has
+// restored, the anti-entropy pass brings the replicas to the owners'
+// rewound histories: a diverged copy is dropped and imported again. The
+// files are restored by then and the host has to follow them, so a flush
+// that fails is counted (repl.restore_flush_failures), not returned.
 func (r *Router) Restore(stateID uint64, links map[string]datalink.ColumnOptions) error {
 	r.rebalanceMu.Lock()
 	defer r.rebalanceMu.Unlock()
@@ -307,6 +314,9 @@ func (r *Router) Restore(stateID uint64, links map[string]datalink.ColumnOptions
 		if err := m.DLFM.Restore(stateID, parts[id]); err != nil {
 			return err
 		}
+	}
+	if r.flush() != nil {
+		r.reg.Counter("repl.restore_flush_failures").Inc()
 	}
 	return nil
 }

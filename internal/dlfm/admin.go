@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"datalinks/internal/archive"
 	"datalinks/internal/datalink"
 	"datalinks/internal/fs"
 	"datalinks/internal/sqlmini"
@@ -39,6 +40,10 @@ func (s *Server) LinkedPaths() []string {
 //     at or before the state id, and the newer versions are dropped;
 //   - a path the link set names that has no row is linked again as it
 //     stands (an unlink that committed after the restore point).
+//
+// Before anything changes, every row to rewind must hold a version at or
+// before the state id; one that does not (its history was dropped by an
+// unlink and begun again by a relink since) refuses the whole restore.
 func (s *Server) Restore(stateID uint64, links map[string]datalink.ColumnOptions) error {
 	tbl, err := s.repo.Table("dlfm_files")
 	if err != nil {
@@ -49,6 +54,16 @@ func (s *Server) Restore(stateID uint64, links map[string]datalink.ColumnOptions
 		rows = append(rows, decodeFileRow(row))
 		return true
 	})
+	targets := make(map[string]archive.Entry)
+	for _, fi := range rows {
+		if _, keep := links[fi.path]; keep && fi.recovery {
+			entry, err := s.cfg.Archive.AsOf(s.cfg.Name, fi.path, stateID)
+			if err != nil {
+				return fmt.Errorf("dlfm: restore %s as of %d: %w", fi.path, stateID, err)
+			}
+			targets[fi.path] = entry
+		}
+	}
 	linked := make(map[string]bool, len(rows))
 	for _, fi := range rows {
 		linked[fi.path] = true
@@ -62,7 +77,7 @@ func (s *Server) Restore(stateID uint64, links map[string]datalink.ColumnOptions
 				err = s.release(fi)
 			}
 		case fi.recovery:
-			err = s.rewind(fi, stateID)
+			err = s.rewind(fi, targets[fi.path], stateID)
 		}
 		if err != nil {
 			return err
@@ -79,13 +94,9 @@ func (s *Server) Restore(stateID uint64, links map[string]datalink.ColumnOptions
 	return nil
 }
 
-// rewind installs a file's newest version at or before stateID, deferred,
-// and drops the versions after it.
-func (s *Server) rewind(fi fileInfo, stateID uint64) error {
-	entry, err := s.cfg.Archive.AsOf(s.cfg.Name, fi.path, stateID)
-	if err != nil {
-		return fmt.Errorf("dlfm: restore %s as of %d: %w", fi.path, stateID, err)
-	}
+// rewind installs entry, a file's newest version at or before stateID,
+// deferred, and drops the versions after it.
+func (s *Server) rewind(fi fileInfo, entry archive.Entry, stateID uint64) error {
 	// The install holds the version's blobs, so the truncate below frees
 	// none of them.
 	if err := s.installDeferred(entry); err != nil {

@@ -41,6 +41,7 @@ func runE7() ([]*Table, error) {
 		{"fully written, before close", "v0"},
 		{"after close commit", "v1"},
 	}
+	failed := 0
 	for _, cp := range points {
 		sys, srv, err := expSystem(false, 0)
 		if err != nil {
@@ -83,6 +84,7 @@ func runE7() ([]*Table, error) {
 		verdict := "PASS"
 		if !bytes.Equal(data, []byte(want)) {
 			verdict = "FAIL"
+			failed++
 		}
 		qnames, _ := newSrv.Phys.ReadDir("/lost+found")
 		atomicity.AddRow(cp.name, cp.expected, truncateCell(string(data), 14), verdict,
@@ -132,6 +134,9 @@ func runE7() ([]*Table, error) {
 		timing.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", inflight),
 			Dur(time.Since(start)), fmt.Sprintf("%d", len(rep.RestoredFiles)))
 		sys.Close()
+	}
+	if failed > 0 {
+		return []*Table{atomicity, timing}, fmt.Errorf("E7 FAILED: %d of %d crash points recovered the wrong content", failed, len(points))
 	}
 	return []*Table{atomicity, timing}, nil
 }

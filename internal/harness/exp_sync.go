@@ -157,6 +157,7 @@ func runE10() ([]*Table, error) {
 		Caption: fmt.Sprintf("E10. %d slow readers vs 1 writer, %d write rounds, %dKB file", readers, rounds, fileSize>>10),
 		Headers: []string{"mode", "reads ok", "reads rejected", "torn reads", "writer busy-retries"},
 	}
+	var rddTorn int64 // rfd tears by design, and how often is chance
 	for _, mode := range []string{"rfd", "rdd"} {
 		sys, srv, err := newSystem(core.ServerConfig{Name: "fs1", OpenWait: 2 * time.Second}, 2*time.Second)
 		if err != nil {
@@ -247,9 +248,15 @@ func runE10() ([]*Table, error) {
 			fmt.Sprintf("%d", torn),
 			fmt.Sprintf("%d", writerBusy))
 		sys.Close()
+		if mode == "rdd" {
+			rddTorn = torn
+		}
 	}
 	t.Note("rfd: a reader that opened before the takeover keeps reading while the writer scribbles -> torn reads > 0; new opens during the window are rejected")
 	t.Note("rdd: opens serialize against the writer at DLFM -> torn reads = 0, at the cost of waiting/rejected opens")
+	if rddTorn > 0 {
+		return []*Table{t}, fmt.Errorf("E10 FAILED: %d rdd read(s) were torn; rdd opens serialize against the writer", rddTorn)
+	}
 	return []*Table{t}, nil
 }
 

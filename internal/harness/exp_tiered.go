@@ -221,5 +221,9 @@ func (c *tieredConfig) run() ([]*Table, error) {
 	t.Note("the linked files' resident chunks stay within the memory budget no matter how many versions accumulate: a clean chunk pages out against the version it was archived as, and the full deduplicated history lives on disk")
 	t.Note("a rollback moves the in-flight content to its quarantine file with its chunk source, so quarantining reads nothing and the copy pages like any file: the copies add at most the chunk each in-flight write dirtied, read back or not")
 	t.Note("restores and AsOf read chunks from disk on first access; GC retires the pack records no surviving version references, compacting a pack once half of it is dead, and expires aged quarantine files")
+	if restoredOK != c.Files || quarantined != c.Files || quarantinedOK != quarantined || expired != quarantined {
+		return []*Table{t}, fmt.Errorf("E15 FAILED: of %d rollbacks, %d restored byte-identical, %d quarantined, %d quarantine copies read back and %d expired; want all",
+			c.Files, restoredOK, quarantined, quarantinedOK, expired)
+	}
 	return []*Table{t}, nil
 }

@@ -217,17 +217,18 @@ func RunAll(w io.Writer) error {
 	return nil
 }
 
-// RunOne executes a single experiment, rendering to w.
+// RunOne executes a single experiment, rendering to w. A failed gate still
+// renders the tables it returns: they show the rows that failed it.
 func RunOne(w io.Writer, e Experiment) error {
 	fmt.Fprintf(w, "==== %s: %s ====\n", e.ID, e.Title)
 	fmt.Fprintf(w, "paper: %s\n\n", e.Paper)
 	start := time.Now()
 	tables, err := e.Run()
-	if err != nil {
-		return fmt.Errorf("experiment %s: %w", e.ID, err)
-	}
 	for _, t := range tables {
 		t.Render(w)
+	}
+	if err != nil {
+		return fmt.Errorf("experiment %s: %w", e.ID, err)
 	}
 	fmt.Fprintf(w, "(%s ran in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	return nil
