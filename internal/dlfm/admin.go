@@ -2,7 +2,6 @@ package dlfm
 
 import (
 	"fmt"
-	"sort"
 
 	"datalinks/internal/archive"
 	"datalinks/internal/datalink"
@@ -16,25 +15,14 @@ import (
 
 // LinkedPaths lists every path this server manages, sorted. The cluster
 // router snapshots it to compute a rebalance work list.
-func (s *Server) LinkedPaths() []string {
-	tbl, err := s.repo.Table("dlfm_files")
-	if err != nil {
-		return nil
-	}
-	var out []string
-	tbl.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
-		out = append(out, decodeFileRow(row).path)
-		return true
-	})
-	sort.Strings(out)
-	return out
-}
+func (s *Server) LinkedPaths() []string { return pathsOf(s.files) }
 
 // Restore brings this server to a coordinated restore's target (§4.4): the
 // host state id, and the link set (path -> column options) the restored
 // database references. One scan of dlfm_files decides each managed file:
-//   - a row the link set lacks is dissolved — its row, update entry and
-//     tokens go and its owner and mode come back. It is not rewound: its
+//   - a row the link set lacks is dissolved — its rows go in one repository
+//     transaction (forgetPath), its tokens go and its owner and mode come
+//     back. It is not rewound: its
 //     history may begin after the state id;
 //   - a RECOVERY YES row the link set keeps is rewound to its newest version
 //     at or before the state id, and the newer versions are dropped;
@@ -45,15 +33,7 @@ func (s *Server) LinkedPaths() []string {
 // before the state id; one that does not (its history was dropped by an
 // unlink and begun again by a relink since) refuses the whole restore.
 func (s *Server) Restore(stateID uint64, links map[string]datalink.ColumnOptions) error {
-	tbl, err := s.repo.Table("dlfm_files")
-	if err != nil {
-		return err
-	}
-	var rows []fileInfo
-	tbl.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
-		rows = append(rows, decodeFileRow(row))
-		return true
-	})
+	rows := s.linkedFiles()
 	targets := make(map[string]archive.Entry)
 	for _, fi := range rows {
 		if _, keep := links[fi.path]; keep && fi.recovery {
@@ -68,11 +48,10 @@ func (s *Server) Restore(stateID uint64, links map[string]datalink.ColumnOptions
 	for _, fi := range rows {
 		linked[fi.path] = true
 		_, keep := links[fi.path]
+		var err error
 		switch {
 		case !keep:
-			_, err = s.repo.Exec(`DELETE FROM dlfm_files WHERE path = ?`, sqlmini.Str(fi.path))
-			if err == nil {
-				s.clearUpdateEntry(fi.path)
+			if err = s.forgetPath(fi.path); err == nil {
 				s.purgeTokens(fi.path)
 				err = s.release(fi)
 			}
@@ -105,8 +84,7 @@ func (s *Server) rewind(fi fileInfo, entry archive.Entry, stateID uint64) error 
 	if err := s.cfg.Archive.TruncateAfter(s.cfg.Name, fi.path, stateID); err != nil {
 		return fmt.Errorf("dlfm: truncate archive of %s: %w", fi.path, err)
 	}
-	if _, err := s.repo.Exec(`UPDATE dlfm_files SET cur_version = ? WHERE path = ?`,
-		sqlmini.Int(int64(entry.Version)), sqlmini.Str(fi.path)); err != nil {
+	if err := s.setVersionNow(fi.path, entry.Version); err != nil {
 		return err
 	}
 	return s.setAtRest(fi)
@@ -124,11 +102,11 @@ func (s *Server) relink(path string, opts datalink.ColumnOptions) error {
 	if err != nil {
 		return err
 	}
-	ver := int64(0)
+	fi := fileInfo{path: path, mode: opts.Mode, recovery: opts.Recovery, tokenTTL: opts.TokenTTLSecs,
+		origUID: attr.UID, origMode: attr.Mode}
 	if latest, ok := s.cfg.Archive.Newest(s.cfg.Name, path); ok {
-		ver = int64(latest.Version)
+		fi.version = latest.Version
 	}
-	fi := fileInfo{path: path, mode: opts.Mode, recovery: opts.Recovery, origUID: attr.UID, origMode: attr.Mode}
 	if attr.UID == DefaultUID {
 		// The file is still in its taken-over state from before the
 		// restore; we no longer know the original identity unless a
@@ -136,12 +114,10 @@ func (s *Server) relink(path string, opts datalink.ColumnOptions) error {
 		// read-only; the administrator can chown afterwards.
 		fi.origUID, fi.origMode = fs.Root, 0o644
 	}
-	if _, err := s.repo.Exec(
-		`INSERT INTO dlfm_files (path, mode, recovery, token_ttl, orig_uid, orig_mode, cur_version)
-		 VALUES (?, ?, ?, ?, ?, ?, ?)`,
-		sqlmini.Str(path), sqlmini.Str(opts.Mode.String()), sqlmini.Bool(opts.Recovery),
-		sqlmini.Int(int64(opts.TokenTTLSecs)), sqlmini.Int(int64(fi.origUID)), sqlmini.Int(int64(fi.origMode)),
-		sqlmini.Int(ver)); err != nil {
+	if err := s.inRepo(func(tx *sqlmini.Txn) error {
+		_, err := tx.InsertRow(s.files, fileRow(fi))
+		return err
+	}); err != nil {
 		return err
 	}
 	return s.setAtRest(fi)

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -181,7 +182,9 @@ type openShard struct {
 type Server struct {
 	cfg  Config
 	repo *sqlmini.DB
-	auth *token.Authority
+	// The repository's tables (repoSchema), set once the schema is in place.
+	files, updates, pending, replicas *sqlmini.Table
+	auth                              *token.Authority
 
 	tokMu  sync.RWMutex
 	tokens map[tokenKey]tokenEntry
@@ -337,17 +340,99 @@ var repoSchema = []struct {
 
 // ensureRepoTables creates every repository table the repository lacks:
 // all of them on a fresh one, whatever a crash during first-boot schema
-// creation left missing otherwise. Existing tables are untouched.
+// creation left missing otherwise. Existing tables are untouched. Then it
+// sets the server's table handles, in repoSchema's order.
 func (s *Server) ensureRepoTables() error {
-	for _, t := range repoSchema {
-		if _, err := s.repo.Table(t.table); err == nil {
-			continue
+	handles := []**sqlmini.Table{&s.files, &s.updates, &s.pending, &s.replicas}
+	for i, t := range repoSchema {
+		tbl, err := s.repo.Table(t.table)
+		if err != nil {
+			if _, err := s.repo.Exec(t.ddl); err != nil {
+				return fmt.Errorf("dlfm: repo schema repair: %w", err)
+			}
+			tbl, _ = s.repo.Table(t.table)
 		}
-		if _, err := s.repo.Exec(t.ddl); err != nil {
-			return fmt.Errorf("dlfm: repo schema repair: %w", err)
-		}
+		*handles[i] = tbl
 	}
 	return nil
+}
+
+// inRepo runs fn in one repository transaction: committed, one log force,
+// when fn succeeds, and aborted when it fails. Every repository change is a
+// typed point operation by path, each table's primary key (sqlmini's
+// LockKey, InsertRow, UpdateRow, DeleteKey), logged as its SQL statement
+// would be; a row is built and decoded in one place per table (fileRow,
+// replicaRowOf and their decoders).
+func (s *Server) inRepo(fn func(tx *sqlmini.Txn) error) error {
+	tx := s.repo.Begin()
+	if err := fn(tx); err != nil {
+		_ = tx.Abort() // fn's error is the one to report
+		return err
+	}
+	return tx.Commit()
+}
+
+// rowOf reads path's row of tbl outside any transaction: the upcall path
+// must not block on a transaction in progress, so it sees the current
+// committed-or-eager state, which is exactly the §4.5 window.
+func rowOf(tbl *sqlmini.Table, path string) (sqlmini.Row, bool) {
+	id, ok := tbl.LookupPK(sqlmini.Str(path))
+	if !ok {
+		return nil, false
+	}
+	return tbl.Get(id)
+}
+
+// pathsOf lists the paths of tbl's rows, sorted.
+func pathsOf(tbl *sqlmini.Table) []string {
+	var out []string
+	tbl.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
+		out = append(out, row[0].S)
+		return true
+	})
+	sort.Strings(out)
+	return out
+}
+
+// linkedFiles decodes every dlfm_files row.
+func (s *Server) linkedFiles() (files []fileInfo) {
+	s.files.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
+		files = append(files, decodeFileRow(row))
+		return true
+	})
+	return files
+}
+
+// setVersion moves path's cur_version to ver in tx; a path without a row
+// is left alone.
+func (s *Server) setVersion(tx *sqlmini.Txn, path string, ver archive.Version) error {
+	id, row, ok, err := tx.LockKey(s.files, sqlmini.Str(path), sqlmini.LockX)
+	if err != nil || !ok {
+		return err
+	}
+	row = row.Clone()
+	row[6] = sqlmini.Int(int64(ver)) // cur_version
+	return tx.UpdateRow(s.files, id, row)
+}
+
+// setVersionNow is setVersion in a repository transaction of its own.
+func (s *Server) setVersionNow(path string, ver archive.Version) error {
+	return s.inRepo(func(tx *sqlmini.Txn) error { return s.setVersion(tx, path, ver) })
+}
+
+// forgetPath deletes path's rows of dlfm_files, dlfm_updates and
+// dlfm_pending_archive in one repository transaction: no crash can leave an
+// update row, which would fail every write open after a relink, behind a
+// link row that is gone.
+func (s *Server) forgetPath(path string) error {
+	return s.inRepo(func(tx *sqlmini.Txn) error {
+		for _, tbl := range [...]*sqlmini.Table{s.files, s.updates, s.pending} {
+			if _, err := tx.DeleteKey(tbl, sqlmini.Str(path)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // Name returns the file server name.
@@ -465,23 +550,20 @@ type fileInfo struct {
 	version  archive.Version
 }
 
-// lookupFile reads a file's repository row outside any transaction (the
-// upcall path must not block on link transactions in progress; it sees the
-// current committed-or-eager state, which is exactly the §4.5 window).
+// lookupFile reads a file's repository row outside any transaction (rowOf).
 func (s *Server) lookupFile(path string) (fileInfo, bool) {
-	tbl, err := s.repo.Table("dlfm_files")
-	if err != nil {
-		return fileInfo{}, false
-	}
-	id, ok := tbl.LookupPK(sqlmini.Str(path))
-	if !ok {
-		return fileInfo{}, false
-	}
-	row, ok := tbl.Get(id)
+	row, ok := rowOf(s.files, path)
 	if !ok {
 		return fileInfo{}, false
 	}
 	return decodeFileRow(row), true
+}
+
+// fileRow is fi's dlfm_files row; decodeFileRow is its inverse.
+func fileRow(fi fileInfo) sqlmini.Row {
+	return sqlmini.Row{sqlmini.Str(fi.path), sqlmini.Str(fi.mode.String()), sqlmini.Bool(fi.recovery),
+		sqlmini.Int(int64(fi.tokenTTL)), sqlmini.Int(int64(fi.origUID)), sqlmini.Int(int64(fi.origMode)),
+		sqlmini.Int(int64(fi.version))}
 }
 
 func decodeFileRow(row sqlmini.Row) fileInfo {

@@ -79,15 +79,11 @@ func (s *Server) linkFile(hostTxn uint64, path string, opts datalink.ColumnOptio
 
 	sub := s.subFor(hostTxn)
 	// Repository insert; the primary key rejects double links.
-	_, err = sub.repo.Exec(
-		`INSERT INTO dlfm_files (path, mode, recovery, token_ttl, orig_uid, orig_mode, cur_version)
-		 VALUES (?, ?, ?, ?, ?, ?, 0)`,
-		sqlmini.Str(path), sqlmini.Str(opts.Mode.String()), sqlmini.Bool(opts.Recovery),
-		sqlmini.Int(int64(opts.TokenTTLSecs)), sqlmini.Int(int64(attr.UID)), sqlmini.Int(int64(attr.Mode)))
-	if err != nil {
+	fi := fileInfo{path: path, mode: opts.Mode, recovery: opts.Recovery, tokenTTL: opts.TokenTTLSecs,
+		origUID: attr.UID, origMode: attr.Mode}
+	if _, err := sub.repo.InsertRow(s.files, fileRow(fi)); err != nil {
 		return fmt.Errorf("%w: %s", ErrAlreadyLinked, path)
 	}
-	fi := fileInfo{path: path, mode: opts.Mode, recovery: opts.Recovery, origUID: attr.UID, origMode: attr.Mode}
 	sub.effects = append(sub.effects, effect{action: "link", file: fi})
 	// Apply the file-system constraints for the control mode (§2.2, §4); an
 	// abort gives the file back to its owner (finishEffect).
@@ -168,11 +164,11 @@ func (s *Server) unlinkFile(hostTxn uint64, path string) error {
 	}
 
 	sub := s.subFor(hostTxn)
-	n, err := sub.repo.Exec(`DELETE FROM dlfm_files WHERE path = ?`, sqlmini.Str(path))
+	deleted, err := sub.repo.DeleteKey(s.files, sqlmini.Str(path))
 	if err != nil {
 		return err
 	}
-	if n == 0 {
+	if !deleted {
 		return fmt.Errorf("%w: %s", ErrNotLinked, path)
 	}
 	// The file-system restoration waits for the commit (finishEffect): the
@@ -184,11 +180,7 @@ func (s *Server) unlinkFile(hostTxn uint64, path string) error {
 
 // hasUpdateEntry reports whether a durable update entry exists for path.
 func (s *Server) hasUpdateEntry(path string) bool {
-	tbl, err := s.repo.Table("dlfm_updates")
-	if err != nil {
-		return false
-	}
-	_, ok := tbl.LookupPK(sqlmini.Str(path))
+	_, ok := s.updates.LookupPK(sqlmini.Str(path))
 	return ok
 }
 

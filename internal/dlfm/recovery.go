@@ -83,21 +83,12 @@ func (s *Server) runRecovery(subs []inDoubtSub, rep *RecoveryReport) error {
 			return fmt.Errorf("dlfm: drop the retired journal table: %w", err)
 		}
 	}
-	tbl, err := s.repo.Table("dlfm_files")
-	if err != nil {
-		return err
-	}
-	var files []fileInfo
-	tbl.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
-		files = append(files, decodeFileRow(row))
-		return true
-	})
-	for _, fi := range files {
+	for _, fi := range s.linkedFiles() {
 		if err := s.recoverFile(fi, rep); err != nil {
 			return err
 		}
 	}
-	_, err = s.repo.Exec(`DELETE FROM dlfm_pending_archive`)
+	_, err := s.repo.Exec(`DELETE FROM dlfm_pending_archive`)
 	return err
 }
 
@@ -121,8 +112,7 @@ func (s *Server) recoverFile(fi fileInfo, rep *RecoveryReport) error {
 			return nil
 		}
 		if entry.Version < fi.version {
-			if _, err := s.repo.Exec(`UPDATE dlfm_files SET cur_version = ? WHERE path = ?`,
-				sqlmini.Int(int64(entry.Version)), sqlmini.Str(fi.path)); err != nil {
+			if err := s.setVersionNow(fi.path, entry.Version); err != nil {
 				return err
 			}
 			rep.ReconciledVersions = append(rep.ReconciledVersions,
@@ -330,9 +320,8 @@ func (s *Server) archiveBehind(path string, ver archive.Version, stateID uint64)
 	if newest, ok := s.cfg.Archive.Newest(s.cfg.Name, path); ok && newest.Version >= ver {
 		return newest.Version, false, nil
 	}
-	if row, err := s.repo.QueryRow(`SELECT state_id FROM dlfm_pending_archive WHERE path = ? AND version = ?`,
-		sqlmini.Str(path), sqlmini.Int(int64(ver))); err == nil {
-		stateID = uint64(row[0].I)
+	if row, ok := rowOf(s.pending, path); ok && row[1].I == int64(ver) {
+		stateID = uint64(row[2].I) // state_id
 	}
 	return ver, true, s.archiveCurrent(path, ver, stateID)
 }

@@ -22,7 +22,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"datalinks/internal/archive"
@@ -96,6 +95,14 @@ type replicaInfo struct {
 	mtime   time.Time
 }
 
+// replicaRowOf is ri's dlfm_replicas row; decodeReplicaRow is its inverse.
+func replicaRowOf(ri replicaInfo) sqlmini.Row {
+	m := ri.meta
+	return sqlmini.Row{sqlmini.Str(ri.path), sqlmini.Str(m.Mode.String()), sqlmini.Bool(m.Recovery),
+		sqlmini.Int(int64(m.TokenTTL)), sqlmini.Int(int64(m.OrigUID)), sqlmini.Int(int64(m.OrigMode)),
+		sqlmini.Int(ri.version), sqlmini.Int(ri.mtime.UnixNano())}
+}
+
 func decodeReplicaRow(row sqlmini.Row) replicaInfo {
 	mode, _ := datalink.ParseMode(row[1].S)
 	return replicaInfo{
@@ -114,15 +121,7 @@ func decodeReplicaRow(row sqlmini.Row) replicaInfo {
 
 // replicaRow reads a path's dlfm_replicas row outside any transaction.
 func (s *Server) replicaRow(path string) (replicaInfo, bool) {
-	tbl, err := s.repo.Table("dlfm_replicas")
-	if err != nil {
-		return replicaInfo{}, false
-	}
-	id, ok := tbl.LookupPK(sqlmini.Str(path))
-	if !ok {
-		return replicaInfo{}, false
-	}
-	row, ok := tbl.Get(id)
+	row, ok := rowOf(s.replicas, path)
 	if !ok {
 		return replicaInfo{}, false
 	}
@@ -130,19 +129,7 @@ func (s *Server) replicaRow(path string) (replicaInfo, bool) {
 }
 
 // ReplicaPaths lists every path this server holds a replica for, sorted.
-func (s *Server) ReplicaPaths() []string {
-	tbl, err := s.repo.Table("dlfm_replicas")
-	if err != nil {
-		return nil
-	}
-	var out []string
-	tbl.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
-		out = append(out, row[0].S)
-		return true
-	})
-	sort.Strings(out)
-	return out
-}
+func (s *Server) ReplicaPaths() []string { return pathsOf(s.replicas) }
 
 // ReplicaVersion returns the version the replica row has acked for path,
 // or -1 if no replica is held.
@@ -239,50 +226,35 @@ func (s *Server) ImportReplica(path string, src ReplicaSource, ver int64, mtime 
 // EnsureReplicaRow upserts the dlfm_replicas row for path at version ver in
 // one repository transaction, so a ship and an anti-entropy pass may run it
 // concurrently for one path. Rows never move backwards — a stale frame
-// leaves a newer row untouched — and a row, once present, is never absent: a
-// Failover scanning ReplicaPaths meanwhile always sees the path.
+// leaves a newer row untouched: the comparison is made under the row's X
+// lock — and a row, once present, is never absent (it is updated in place):
+// a Failover scanning ReplicaPaths meanwhile always sees the path.
 func (s *Server) EnsureReplicaRow(path string, ver int64, mtime time.Time, meta ReplicaMeta) (err error) {
 	defer s.diedMidRequest(&err)
-	// The row's eight columns, then the UPDATE's version bound.
-	args := []sqlmini.Value{
-		sqlmini.Str(meta.Mode.String()), sqlmini.Bool(meta.Recovery), sqlmini.Int(int64(meta.TokenTTL)),
-		sqlmini.Int(int64(meta.OrigUID)), sqlmini.Int(int64(meta.OrigMode)), sqlmini.Int(ver),
-		sqlmini.Int(mtime.UnixNano()), sqlmini.Str(path), sqlmini.Int(ver),
-	}
 	for {
-		tx := s.repo.Begin()
-		// A row that is there is locked by the UPDATE until the commit, old
-		// enough to advance or not; only one that is not can appear under us.
-		n, err := tx.Exec(
-			`UPDATE dlfm_replicas SET mode = ?, recovery = ?, token_ttl = ?, orig_uid = ?, orig_mode = ?, cur_version = ?, mtime_ns = ?
-			 WHERE path = ? AND cur_version < ?`, args...)
-		raced := false
-		if err == nil && n == 0 {
-			if ri, present := s.replicaRow(path); present {
-				raced = ri.version < ver
-			} else {
-				_, err = tx.Exec(
-					`INSERT INTO dlfm_replicas (mode, recovery, token_ttl, orig_uid, orig_mode, cur_version, mtime_ns, path)
-					 VALUES (?, ?, ?, ?, ?, ?, ?, ?)`, args[:8]...)
-				raced = errors.Is(err, sqlmini.ErrDuplicateKey)
+		err = s.inRepo(func(tx *sqlmini.Txn) error {
+			row := replicaRowOf(replicaInfo{path: path, meta: meta, version: ver, mtime: mtime})
+			id, old, found, err := tx.LockKey(s.replicas, row[0], sqlmini.LockX)
+			switch {
+			case err != nil:
+				return err
+			case !found:
+				_, err = tx.InsertRow(s.replicas, row)
+			case old[6].I < ver: // cur_version
+				err = tx.UpdateRow(s.replicas, id, row)
 			}
+			return err
+		})
+		// A concurrent upsert inserted the row since LockKey looked: go round
+		// and advance it.
+		if !errors.Is(err, sqlmini.ErrDuplicateKey) {
+			break
 		}
-		if raced {
-			// A concurrent upsert inserted an older row since the UPDATE
-			// looked: go round and advance it.
-			_ = tx.Abort()
-			continue
-		}
-		if err == nil {
-			err = tx.Commit()
-		} else {
-			_ = tx.Abort() // the statement's error is the one to report
-		}
-		if err != nil {
-			return fmt.Errorf("dlfm: replica row %s: %w", path, err)
-		}
-		return nil
 	}
+	if err != nil {
+		return fmt.Errorf("dlfm: replica row %s: %w", path, err)
+	}
+	return nil
 }
 
 // diedMidRequest (deferred) is the replication-plane twin of UpcallCtx's
@@ -309,7 +281,10 @@ func (s *Server) diedMidRequest(err *error) {
 // serves from.
 func (s *Server) ApplyReplicaUnlink(path string) (err error) {
 	defer s.diedMidRequest(&err)
-	if _, err := s.repo.Exec(`DELETE FROM dlfm_replicas WHERE path = ?`, sqlmini.Str(path)); err != nil {
+	if err := s.inRepo(func(tx *sqlmini.Txn) error {
+		_, err := tx.DeleteKey(s.replicas, sqlmini.Str(path))
+		return err
+	}); err != nil {
 		return fmt.Errorf("dlfm: replica unlink %s: %w", path, err)
 	}
 	if s.IsLinked(path) {
@@ -376,7 +351,9 @@ func (s *Server) promoteInstalled(ri replicaInfo, ver archive.Version) error {
 			return err
 		}
 	}
-	if err := s.setAtRest(fileInfo{path: ri.path, mode: m.Mode, origUID: m.OrigUID, origMode: m.OrigMode}); err != nil {
+	fi := fileInfo{path: ri.path, mode: m.Mode, recovery: m.Recovery, tokenTTL: m.TokenTTL,
+		origUID: m.OrigUID, origMode: m.OrigMode, version: ver}
+	if err := s.setAtRest(fi); err != nil {
 		return err
 	}
 	node, err := s.cfg.Phys.Lookup(ri.path)
@@ -386,21 +363,13 @@ func (s *Server) promoteInstalled(ri replicaInfo, ver archive.Version) error {
 	if err := s.cfg.Phys.SetMtime(node, ri.mtime); err != nil {
 		return err
 	}
-	tx := s.repo.Begin()
-	_, err = tx.Exec(`DELETE FROM dlfm_replicas WHERE path = ?`, sqlmini.Str(ri.path))
-	if err == nil {
-		_, err = tx.Exec(
-			`INSERT INTO dlfm_files (path, mode, recovery, token_ttl, orig_uid, orig_mode, cur_version)
-			 VALUES (?, ?, ?, ?, ?, ?, ?)`,
-			sqlmini.Str(ri.path), sqlmini.Str(m.Mode.String()), sqlmini.Bool(m.Recovery),
-			sqlmini.Int(int64(m.TokenTTL)), sqlmini.Int(int64(m.OrigUID)), sqlmini.Int(int64(m.OrigMode)),
-			sqlmini.Int(int64(ver)))
-	}
-	if err != nil {
-		tx.Abort()
-		return fmt.Errorf("link row: %w", err)
-	}
-	if err := tx.Commit(); err != nil {
+	if err := s.inRepo(func(tx *sqlmini.Txn) error {
+		if _, err := tx.DeleteKey(s.replicas, sqlmini.Str(ri.path)); err != nil {
+			return err
+		}
+		_, err := tx.InsertRow(s.files, fileRow(fi))
+		return err
+	}); err != nil {
 		return fmt.Errorf("link row: %w", err)
 	}
 	return nil

@@ -6,7 +6,6 @@ import (
 
 	"datalinks/internal/archive"
 	"datalinks/internal/datalink"
-	"datalinks/internal/sqlmini"
 )
 
 // Shard handoff: the source's half of moving a path between DLFM servers.
@@ -98,8 +97,7 @@ func (s *Server) archiveFrozen(fi fileInfo) error {
 			return err
 		}
 		fi.version = newest.Version + 1
-		if _, err := s.repo.Exec(`UPDATE dlfm_files SET cur_version = ? WHERE path = ?`,
-			sqlmini.Int(int64(fi.version)), sqlmini.Str(fi.path)); err != nil {
+		if err := s.setVersionNow(fi.path, fi.version); err != nil {
 			return err
 		}
 	}
@@ -124,19 +122,14 @@ func (s *Server) matchesArchived(path string, v archive.Version) (bool, error) {
 }
 
 // EndExport concludes an export begun by BeginExport. With evict the path is
-// removed from this server entirely — repository rows, physical file, token
-// entries; without it only the freeze is lifted (the move failed and the
-// source remains the owner). Callers drop the archive history separately.
+// removed from this server entirely — repository rows (in one transaction,
+// forgetPath), physical file, token entries; without it only the freeze is
+// lifted (the move failed and the source remains the owner). Callers drop
+// the archive history separately.
 func (s *Server) EndExport(path string, evict bool) error {
 	var firstErr error
 	if evict {
-		if _, err := s.repo.Exec(`DELETE FROM dlfm_files WHERE path = ?`, sqlmini.Str(path)); err != nil {
-			firstErr = err
-		}
-		s.clearUpdateEntry(path)
-		if _, err := s.repo.Exec(`DELETE FROM dlfm_pending_archive WHERE path = ?`, sqlmini.Str(path)); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		firstErr = s.forgetPath(path)
 		if err := s.cfg.Phys.Remove(path, rootCred); err != nil && firstErr == nil {
 			firstErr = err
 		}

@@ -12,6 +12,7 @@ import (
 	"datalinks/internal/sqlmini"
 	"datalinks/internal/token"
 	"datalinks/internal/upcall"
+	"datalinks/internal/wal"
 )
 
 // newShardPeer builds a second server sharing the authority name "fs1" (as
@@ -458,5 +459,68 @@ func TestPromoteReplicaLoadsNothing(t *testing.T) {
 	latest, err := dst.cfg.Archive.Latest("fs1", path)
 	if err != nil || !bytes.Equal(got, bytesOf(t, latest)) {
 		t.Fatalf("first read returned %d bytes, not the latest version (%v)", len(got), err)
+	}
+}
+
+// TestEvictAndDissolveForgetThePathInOneTransaction: an evict (EndExport)
+// and a restore's dissolve each delete the path's link, update and
+// pending-archive rows in one repository transaction — no crash between two
+// of them can leave an update row behind the link row, where it would fail
+// every write open after a relink. The path links again and commits an
+// update, and no row of it is left over.
+func TestEvictAndDissolveForgetThePathInOneTransaction(t *testing.T) {
+	const path = "/d/f.bin"
+	for _, how := range []string{"evict", "dissolve"} {
+		t.Run(how, func(t *testing.T) {
+			srv, phys, host := newServer(t)
+			linkCommitted(t, srv, path, "rdd")
+			// What a failed clear and a failed archive put leave behind.
+			srv.Repo().MustExec(`INSERT INTO dlfm_updates (path, open_id) VALUES (?, 99)`, sqlmini.Str(path))
+			srv.Repo().MustExec(`INSERT INTO dlfm_pending_archive (path, version, state_id) VALUES (?, 0, 1)`, sqlmini.Str(path))
+			from := srv.Repo().Log().TailLSN() + 1
+			switch how {
+			case "evict":
+				if err := srv.BeginExport(path); err != nil {
+					t.Fatal(err)
+				}
+				if err := srv.EndExport(path, true); err != nil {
+					t.Fatal(err)
+				}
+				seedFile(t, phys, path, "again")
+			case "dissolve":
+				if err := srv.Restore(host.state, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			commits := 0
+			srv.Repo().Log().Scan(from, wal.NilLSN, func(r wal.Record) bool {
+				if r.Type == wal.RecCommit {
+					commits++
+				}
+				return true
+			})
+			if commits != 1 {
+				t.Fatalf("%s committed %d repository transactions, want 1", how, commits)
+			}
+			rowsLeft := func() (n int) {
+				for _, tbl := range []*sqlmini.Table{srv.files, srv.updates, srv.pending} {
+					if _, ok := rowOf(tbl, path); ok {
+						n++
+					}
+				}
+				return n
+			}
+			if n := rowsLeft(); n != 0 {
+				t.Fatalf("%s left %d of the path's rows", how, n)
+			}
+			linkCommitted(t, srv, path, "rdd")
+			commitVersion(t, srv, phys, path, []byte("v1"))
+			if fi, ok := srv.lookupFile(path); !ok || fi.version != 1 {
+				t.Fatalf("after the relink and a commit: %+v, %v; want version 1", fi, ok)
+			}
+			if n := rowsLeft(); n != 1 {
+				t.Fatalf("after the relink and a commit: %d of the path's rows, want only its link row", n)
+			}
+		})
 	}
 }

@@ -74,8 +74,10 @@ func (s *Server) writeOpen(ctx context.Context, req upcall.Request) upcall.Respo
 
 	// Durable update entry before the open is approved (§4.4): after a crash
 	// this row is how recovery knows a restore is needed.
-	if _, err := s.repo.Exec(`INSERT INTO dlfm_updates (path, open_id) VALUES (?, ?)`,
-		sqlmini.Str(req.Path), sqlmini.Int(int64(id))); err != nil {
+	if err := s.inRepo(func(tx *sqlmini.Txn) error {
+		_, err := tx.InsertRow(s.updates, sqlmini.Row{sqlmini.Str(req.Path), sqlmini.Int(int64(id))})
+		return err
+	}); err != nil {
 		s.dropOpen(id)
 		return reject(upcall.CodeInternal, "update entry: "+err.Error())
 	}
@@ -134,7 +136,10 @@ func (s *Server) dropOpen(id uint64) {
 // clearUpdateEntry removes the durable update row for a path. A failed
 // delete is counted, dlfm.updates.clear_failures, not returned.
 func (s *Server) clearUpdateEntry(path string) {
-	if _, err := s.repo.Exec(`DELETE FROM dlfm_updates WHERE path = ?`, sqlmini.Str(path)); err != nil {
+	if err := s.inRepo(func(tx *sqlmini.Txn) error {
+		_, err := tx.DeleteKey(s.updates, sqlmini.Str(path))
+		return err
+	}); err != nil {
 		// At restart recovery's per-file scan restores the path and deletes
 		// the row.
 		s.cfg.Metrics.Counter("dlfm.updates.clear_failures").Inc()
@@ -223,13 +228,11 @@ func (s *Server) commitUpdate(ctx context.Context, st *openState, size int64, mt
 	// The repository half of the update's 2PC, a sub-transaction with no
 	// side effects: its note names only the host transaction.
 	sub := &subTxn{s: s, repo: s.repo.Begin()}
-	if _, err := sub.repo.Exec(`UPDATE dlfm_files SET cur_version = ? WHERE path = ?`,
-		sqlmini.Int(newVer), sqlmini.Str(st.path)); err != nil {
-		sub.repo.Abort()
-		return err
+	err = s.setVersion(sub.repo, st.path, archive.Version(newVer))
+	if err == nil {
+		_, err = sub.repo.DeleteKey(s.updates, sqlmini.Str(st.path))
 	}
-	if _, err := sub.repo.Exec(`DELETE FROM dlfm_updates WHERE path = ?`,
-		sqlmini.Str(st.path)); err != nil {
+	if err != nil {
 		sub.repo.Abort()
 		return err
 	}
@@ -343,17 +346,18 @@ func (s *Server) handSource(path string, ver int64, snap *extent.Snapshot) {
 // setPendingArchive makes ver the path's pending-archive row, replacing the
 // row of an earlier failed put: recovery archives only cur_version.
 func (s *Server) setPendingArchive(path string, ver int64, stateID uint64) error {
-	tx := s.repo.Begin()
-	_, err := tx.Exec(`DELETE FROM dlfm_pending_archive WHERE path = ?`, sqlmini.Str(path))
-	if err == nil {
-		_, err = tx.Exec(`INSERT INTO dlfm_pending_archive (path, version, state_id) VALUES (?, ?, ?)`,
-			sqlmini.Str(path), sqlmini.Int(ver), sqlmini.Int(int64(stateID)))
-	}
-	if err != nil {
-		tx.Abort()
+	return s.inRepo(func(tx *sqlmini.Txn) error {
+		row := sqlmini.Row{sqlmini.Str(path), sqlmini.Int(ver), sqlmini.Int(int64(stateID))}
+		id, _, found, err := tx.LockKey(s.pending, row[0], sqlmini.LockX)
+		switch {
+		case err != nil:
+			return err
+		case found:
+			return tx.UpdateRow(s.pending, id, row)
+		}
+		_, err = tx.InsertRow(s.pending, row)
 		return err
-	}
-	return tx.Commit()
+	})
 }
 
 // WaitArchives returns at once: the archive put is part of the close, so no
@@ -434,16 +438,6 @@ func (s *Server) restoreLastCommitted(path string) error {
 	return nil
 }
 
-// UpdatesInFlight reports paths with durable update entries (status tooling).
-func (s *Server) UpdatesInFlight() []string {
-	tbl, err := s.repo.Table("dlfm_updates")
-	if err != nil {
-		return nil
-	}
-	var out []string
-	tbl.Scan(func(_ sqlmini.RowID, row sqlmini.Row) bool {
-		out = append(out, row[0].S)
-		return true
-	})
-	return out
-}
+// UpdatesInFlight lists the paths with durable update entries, sorted
+// (status tooling).
+func (s *Server) UpdatesInFlight() []string { return pathsOf(s.updates) }

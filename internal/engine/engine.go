@@ -450,15 +450,14 @@ func (e *Engine) MetaUpdate(server, path string, size int64, mtime time.Time, su
 	txn := e.db.Begin()
 	txn.Enlist(sub)
 	if reg, ok := e.lookupReg(server, path); ok {
-		if err := e.applyMetaColumns(txn, reg, server, path, size, mtime); err != nil {
+		l := datalink.Link{Server: server, Path: path}
+		err := e.applyMetaColumns(txn, reg, l, size, mtime)
+		if hook, ok := e.contentHook(reg.table, reg.col); ok && err == nil {
+			err = e.applyContentHook(txn, reg, l, hook)
+		}
+		if err != nil {
 			_ = txn.Abort()
 			return 0, err
-		}
-		if hook, ok := e.contentHook(reg.table, reg.col); ok {
-			if err := e.applyContentHook(txn, reg, server, path, hook); err != nil {
-				_ = txn.Abort()
-				return 0, err
-			}
 		}
 	}
 	if err := txn.Commit(); err != nil {
@@ -468,14 +467,47 @@ func (e *Engine) MetaUpdate(server, path string, size int64, mtime time.Time, su
 	return uint64(txn.CommitLSN()), nil
 }
 
+// colValue is one column assignment of a host row update.
+type colValue struct {
+	col int
+	v   sqlmini.Value
+}
+
+// setLinkedRow is `UPDATE <tbl> SET … WHERE <col> = l` as typed point
+// operations: the row is found through the link column's implicit index,
+// X-locked, copied, given sets and installed by UpdateRow, which coerces and
+// checks it as the statement would. A row whose link changed while the lock
+// was awaited no longer matches.
+func setLinkedRow(txn *sqlmini.Txn, tbl *sqlmini.Table, col string, l datalink.Link, sets []colValue) error {
+	linkCol := tbl.ColIndex(col)
+	ids, _ := tbl.LookupIndex(linkCol, sqlmini.Link(l))
+	for _, id := range ids {
+		old, ok, err := txn.LockRow(tbl, id, sqlmini.LockX)
+		if err != nil {
+			return err
+		}
+		if now, _ := old[linkCol].AsLink(); !ok || now != l {
+			continue
+		}
+		row := old.Clone()
+		for _, s := range sets {
+			row[s.col] = s.v
+		}
+		if err := txn.UpdateRow(tbl, id, row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // applyContentHook runs the hook over the file's content and updates the
 // derived columns in the same transaction.
-func (e *Engine) applyContentHook(txn *sqlmini.Txn, reg registration, server, path string, hook ContentHook) error {
-	c, err := e.conn(server)
+func (e *Engine) applyContentHook(txn *sqlmini.Txn, reg registration, l datalink.Link, hook ContentHook) error {
+	c, err := e.conn(l.Server)
 	if err != nil {
 		return err
 	}
-	content, err := c.conn.ReadFileContent(path)
+	content, err := c.conn.ReadFileContent(l.Path)
 	if err != nil {
 		return err
 	}
@@ -483,55 +515,49 @@ func (e *Engine) applyContentHook(txn *sqlmini.Txn, reg registration, server, pa
 	if len(derived) == 0 {
 		return nil
 	}
-	cols := make([]string, 0, len(derived))
-	for col := range derived {
-		cols = append(cols, col)
-	}
-	sort.Strings(cols)
-	sets := make([]string, 0, len(cols))
-	args := make([]sqlmini.Value, 0, len(cols)+1)
-	for _, col := range cols {
-		sets = append(sets, col+" = ?")
-		args = append(args, derived[col])
-	}
-	args = append(args, sqlmini.Link(datalink.Link{Server: server, Path: path}))
-	stmt := fmt.Sprintf("UPDATE %s SET %s WHERE %s = ?", reg.table, strings.Join(sets, ", "), reg.col)
-	_, err = txn.Exec(stmt, args...)
-	return err
-}
-
-// applyMetaColumns performs the companion-column UPDATE if the columns exist.
-func (e *Engine) applyMetaColumns(txn *sqlmini.Txn, reg registration, server, path string, size int64, mtime time.Time) error {
 	tbl, err := e.db.Table(reg.table)
 	if err != nil {
 		return err
 	}
-	sizeCol, mtimeCol := "", ""
-	for _, c := range tbl.Columns {
-		switch strings.ToLower(c.Name) {
-		case strings.ToLower(reg.col) + "_size":
-			sizeCol = c.Name
-		case strings.ToLower(reg.col) + "_mtime":
-			mtimeCol = c.Name
+	sets := make([]colValue, 0, len(derived))
+	for name, v := range derived {
+		ci := tbl.ColIndex(name)
+		if ci < 0 {
+			return fmt.Errorf("sqlmini: no column %q in %s", name, reg.table)
+		}
+		sets = append(sets, colValue{ci, v})
+	}
+	sort.Slice(sets, func(i, j int) bool { return sets[i].col < sets[j].col })
+	return setLinkedRow(txn, tbl, reg.col, l, sets)
+}
+
+// applyMetaColumns sets the companion columns <col>_size and <col>_mtime of
+// the row referencing l, if the table has them.
+func (e *Engine) applyMetaColumns(txn *sqlmini.Txn, reg registration, l datalink.Link, size int64, mtime time.Time) error {
+	tbl, err := e.db.Table(reg.table)
+	if err != nil {
+		return err
+	}
+	var buf [2]colValue
+	sets := buf[:0]
+	for i, c := range tbl.Columns {
+		switch {
+		case companion(c.Name, reg.col, "_size"):
+			sets = append(sets, colValue{i, sqlmini.Int(size)})
+		case companion(c.Name, reg.col, "_mtime"):
+			sets = append(sets, colValue{i, sqlmini.Time(mtime)})
 		}
 	}
-	if sizeCol == "" && mtimeCol == "" {
+	if len(sets) == 0 {
 		return nil
 	}
-	var sets []string
-	var args []sqlmini.Value
-	if sizeCol != "" {
-		sets = append(sets, sizeCol+" = ?")
-		args = append(args, sqlmini.Int(size))
-	}
-	if mtimeCol != "" {
-		sets = append(sets, mtimeCol+" = ?")
-		args = append(args, sqlmini.Time(mtime))
-	}
-	args = append(args, sqlmini.Link(datalink.Link{Server: server, Path: path}))
-	stmt := fmt.Sprintf("UPDATE %s SET %s WHERE %s = ?", reg.table, strings.Join(sets, ", "), reg.col)
-	_, err = txn.Exec(stmt, args...)
-	return err
+	return setLinkedRow(txn, tbl, reg.col, l, sets)
+}
+
+// companion reports whether name is col+suffix, case-insensitively.
+func companion(name, col, suffix string) bool {
+	return len(name) == len(col)+len(suffix) &&
+		strings.EqualFold(name[:len(col)], col) && strings.EqualFold(name[len(col):], suffix)
 }
 
 // TxnOutcome reports the fate of a host transaction (DLFM in-doubt

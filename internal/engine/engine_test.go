@@ -13,6 +13,7 @@ import (
 	"datalinks/internal/fs"
 	"datalinks/internal/sqlmini"
 	"datalinks/internal/token"
+	"datalinks/internal/upcall"
 	"datalinks/internal/wal"
 )
 
@@ -421,5 +422,97 @@ func TestMultiServerLinks(t *testing.T) {
 	txn.Abort()
 	if !r.srv.IsLinked("/d/f.bin") || !srv2.IsLinked("/e/g.bin") {
 		t.Fatal("abort did not restore links on both servers")
+	}
+}
+
+// noXRM is a participant that agrees to everything.
+type noXRM struct{}
+
+func (noXRM) XRMName() string         { return "none" }
+func (noXRM) PrepareXRM(uint64) error { return nil }
+func (noXRM) CommitXRM(uint64) error  { return nil }
+func (noXRM) AbortXRM(uint64) error   { return nil }
+
+// metaRig is a rig with /d/f.bin linked RFD through a table with both
+// companion columns.
+func metaRig(t *testing.T) *rig {
+	t.Helper()
+	r := newRig(t)
+	r.seed(t, "/d/f.bin", "x")
+	r.db.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, doc DATALINK MODE RFD RECOVERY YES, doc_size BIGINT, Doc_MTime TIMESTAMP)`)
+	r.db.MustExec(`INSERT INTO t VALUES (1, DLVALUE('dlfs://fs1/d/f.bin'), 0, NULL)`)
+	return r
+}
+
+// The host's metadata update of a commit is typed point operations on the
+// host row — found through the link column's index, no statement text
+// built — and lands the size and mtime as the SQL UPDATE did.
+func TestMetaUpdateAllocBudget(t *testing.T) {
+	r := metaRig(t)
+	mtime := time.Unix(1700000000, 0)
+	if _, err := r.eng.MetaUpdate("fs1", "/d/f.bin", 4096, mtime, noXRM{}); err != nil {
+		t.Fatal(err)
+	}
+	row, err := r.db.QueryRow(`SELECT doc_size, doc_mtime FROM t WHERE id = 1`)
+	if err != nil || row[0].Kind() != sqlmini.KindInt || row[0].I != 4096 || !row[1].T.Equal(mtime) {
+		t.Fatalf("companion columns after the update: %v, %v", row, err)
+	}
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	// Measured 5: the transaction and its participant list, the index
+	// probe's answer, the row copy and the log payload.
+	const budget = 5
+	n := testing.AllocsPerRun(200, func() {
+		if _, err := r.eng.MetaUpdate("fs1", "/d/f.bin", 4096, mtime, noXRM{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("MetaUpdate: %.1f mallocs", n)
+	if n > budget {
+		t.Fatalf("MetaUpdate: %.1f mallocs, budget %d", n, budget)
+	}
+}
+
+// One in-process commit on one server — the write open, an in-place write
+// and the close with its repository 2PC and host metadata update — within
+// a budget that SQL text on the commit path would break.
+func TestCommitAllocBudget(t *testing.T) {
+	r := metaRig(t)
+	const path = "/d/f.bin"
+	ino, err := r.phys.Lookup(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := upcall.Request{Op: upcall.OpWriteOpen, Path: path, UID: int32(owner), Write: true,
+		Token: r.srv.Authority().Issue(token.Write, path)}
+	edit := []byte("edit")
+	commit := func() {
+		resp, err := r.srv.Upcall(open)
+		if err != nil || !resp.OK {
+			t.Fatalf("write open: %+v, %v", resp, err)
+		}
+		if _, err := r.phys.WriteAt(ino, 0, edit); err != nil {
+			t.Fatal(err)
+		}
+		attr, _ := r.phys.Getattr(ino)
+		resp, err = r.srv.Upcall(upcall.Request{Op: upcall.OpClose, Path: path, OpenID: resp.OpenID,
+			Size: attr.Size, Mtime: attr.Mtime.UnixNano()})
+		if err != nil || !resp.OK {
+			t.Fatalf("close: %+v, %v", resp, err)
+		}
+	}
+	commit()
+	if row, err := r.db.QueryRow(`SELECT doc_size FROM t WHERE id = 1`); err != nil || row[0].I != 4 {
+		t.Fatalf("doc_size after a commit: %v, %v", row, err)
+	}
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	const budget = 24 // measured 24
+	n := testing.AllocsPerRun(100, commit)
+	t.Logf("write open + write + close: %.1f mallocs", n)
+	if n > budget {
+		t.Fatalf("write open + write + close: %.1f mallocs, budget %d", n, budget)
 	}
 }

@@ -184,35 +184,29 @@ func (t *Txn) execCreateIndex(s *CreateIndexStmt) error {
 	return t.createIndex(tbl, s.Column)
 }
 
-// buildRow assembles a full-width row from an INSERT's column list.
-func buildRow(tbl *Table, cols []string, vals []Value) (Row, error) {
-	row := make(Row, len(tbl.Columns))
-	if len(cols) == 0 {
-		if len(vals) != len(tbl.Columns) {
-			return nil, fmt.Errorf("sqlmini: %s has %d columns, %d values given", tbl.Name, len(tbl.Columns), len(vals))
-		}
-		copy(row, vals)
-	} else {
-		if len(cols) != len(vals) {
-			return nil, fmt.Errorf("sqlmini: %d columns but %d values", len(cols), len(vals))
-		}
-		for i, c := range cols {
-			ci := tbl.ColIndex(c)
-			if ci < 0 {
-				return nil, fmt.Errorf("sqlmini: no column %q in %s", c, tbl.Name)
-			}
-			row[ci] = vals[i]
-		}
+// buildRow evaluates one row of an INSERT's VALUES into a full-width row,
+// in the order of the statement's column list or, without one, the
+// table's; InsertRow checks it.
+func (t *Txn) buildRow(tbl *Table, cols []string, exprs []Expr, args []Value) (Row, error) {
+	if len(cols) == 0 && len(exprs) != len(tbl.Columns) {
+		return nil, fmt.Errorf("sqlmini: %s has %d columns, %d values given", tbl.Name, len(tbl.Columns), len(exprs))
 	}
-	for i, c := range tbl.Columns {
-		v, err := CoerceTo(row[i], c.Kind)
+	if len(cols) != 0 && len(cols) != len(exprs) {
+		return nil, fmt.Errorf("sqlmini: %d columns but %d values", len(cols), len(exprs))
+	}
+	row := make(Row, len(tbl.Columns))
+	for i, e := range exprs {
+		ci := i
+		if len(cols) != 0 {
+			if ci = tbl.ColIndex(cols[i]); ci < 0 {
+				return nil, fmt.Errorf("sqlmini: no column %q in %s", cols[i], tbl.Name)
+			}
+		}
+		v, err := t.eval(e, nil, args)
 		if err != nil {
-			return nil, fmt.Errorf("sqlmini: column %s: %w", c.Name, err)
+			return nil, err
 		}
-		row[i] = v
-		if c.NotNull && row[i].IsNull() {
-			return nil, fmt.Errorf("sqlmini: column %s is NOT NULL", c.Name)
-		}
+		row[ci] = v
 	}
 	return row, nil
 }
@@ -224,15 +218,7 @@ func (t *Txn) execInsert(s *InsertStmt, args []Value) (int, error) {
 	}
 	n := 0
 	for _, exprRow := range s.Rows {
-		vals := make([]Value, len(exprRow))
-		for i, e := range exprRow {
-			v, err := t.eval(e, nil, args)
-			if err != nil {
-				return n, err
-			}
-			vals[i] = v
-		}
-		row, err := buildRow(tbl, s.Columns, vals)
+		row, err := t.buildRow(tbl, s.Columns, exprRow, args)
 		if err != nil {
 			return n, err
 		}
@@ -373,14 +359,7 @@ func (t *Txn) execUpdate(s *UpdateStmt, args []Value) (int, error) {
 			if err != nil {
 				return n, err
 			}
-			cv, err := CoerceTo(v, tbl.Columns[ci].Kind)
-			if err != nil {
-				return n, fmt.Errorf("sqlmini: column %s: %w", set.Column, err)
-			}
-			if tbl.Columns[ci].NotNull && cv.IsNull() {
-				return n, fmt.Errorf("sqlmini: column %s is NOT NULL", set.Column)
-			}
-			newRow[ci] = cv
+			newRow[ci] = v
 		}
 		if err := t.UpdateRow(tbl, id, newRow); err != nil {
 			return n, err

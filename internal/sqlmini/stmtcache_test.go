@@ -144,10 +144,10 @@ func TestWarmStatementAllocBudget(t *testing.T) {
 
 // sqlSeeds collects string literals from Go source files: every one in
 // parser_test.go (the parser tests' good and bad statements), and from the
-// two packages that talk SQL to this one, those that start like a statement.
-func sqlSeeds(t testing.TB) []string {
+// two packages that talk SQL to this one, those that start like a statement
+// (callers holds these). Then it adds repoStatements.
+func sqlSeeds(t testing.TB) (seeds, callers []string) {
 	keywords := []string{"SELECT", "INSERT", "UPDATE", "DELETE", "CREATE", "DROP"}
-	var seeds []string
 	for _, src := range []struct {
 		glob    string
 		sqlOnly bool
@@ -181,24 +181,61 @@ func sqlSeeds(t testing.TB) []string {
 				if isSQL || !src.sqlOnly {
 					seeds = append(seeds, s)
 				}
+				if isSQL && src.sqlOnly {
+					callers = append(callers, s)
+				}
 				return true
 			})
 		}
 	}
-	return seeds
+	return append(seeds, repoStatements...), callers
 }
 
+// repoStatements are the point statements the DLFM repository and the
+// engine's metadata update ran as SQL text before they became typed point
+// operations (Txn.LockKey, InsertRow, UpdateRow, DeleteKey). A dldb user or
+// a test still sends these shapes, and the typed operations are held to
+// them (keyed_test.go).
+var repoStatements = []string{
+	`INSERT INTO dlfm_updates (path, open_id) VALUES (?, ?)`,
+	`DELETE FROM dlfm_updates WHERE path = ?`,
+	`UPDATE dlfm_files SET cur_version = ? WHERE path = ?`,
+	`INSERT INTO dlfm_files (path, mode, recovery, token_ttl, orig_uid, orig_mode, cur_version)
+	 VALUES (?, ?, ?, ?, ?, ?, ?)`,
+	`DELETE FROM dlfm_files WHERE path = ?`,
+	`DELETE FROM dlfm_pending_archive WHERE path = ?`,
+	`INSERT INTO dlfm_pending_archive (path, version, state_id) VALUES (?, ?, ?)`,
+	`SELECT state_id FROM dlfm_pending_archive WHERE path = ? AND version = ?`,
+	`UPDATE dlfm_replicas SET mode = ?, recovery = ?, token_ttl = ?, orig_uid = ?, orig_mode = ?, cur_version = ?, mtime_ns = ?
+	 WHERE path = ? AND cur_version < ?`,
+	`INSERT INTO dlfm_replicas (mode, recovery, token_ttl, orig_uid, orig_mode, cur_version, mtime_ns, path)
+	 VALUES (?, ?, ?, ?, ?, ?, ?, ?)`,
+	`DELETE FROM dlfm_replicas WHERE path = ?`,
+	`UPDATE docs SET doc_size = ?, doc_mtime = ? WHERE doc = ?`,
+}
+
+// The extraction finds the statements internal/dlfm and internal/engine
+// still hold as text — the repository's DDL and recovery's whole-table
+// delete — and every one of them parses.
 func TestSQLSeedsCoverTheCallers(t *testing.T) {
-	seeds := sqlSeeds(t)
+	seeds, callers := sqlSeeds(t)
+	if len(callers) < 6 {
+		t.Fatalf("%d statements found in the callers, want the repository's 4 CREATE TABLEs, its DROP TABLE and its DELETE; the extraction lost them", len(callers))
+	}
+	for _, s := range callers {
+		if _, err := Parse(s); err != nil {
+			t.Errorf("a caller's statement does not parse: %v\n%s", err, s)
+		}
+	}
 	parsed := 0
 	for _, s := range seeds {
 		if _, err := Parse(s); err == nil {
 			parsed++
 		}
 	}
-	// internal/dlfm and internal/engine hold several dozen statements.
-	if parsed < 40 {
-		t.Fatalf("%d of %d seeds parse; the extraction lost the callers' statements", parsed, len(seeds))
+	// parser_test.go's good statements, the callers' and repoStatements.
+	if parsed < 30 {
+		t.Fatalf("%d of %d seeds parse; the extraction lost statements", parsed, len(seeds))
 	}
 }
 
@@ -206,7 +243,8 @@ func TestSQLSeedsCoverTheCallers(t *testing.T) {
 // verdict, an equal AST, and — for a text short enough to admit — the very
 // same one on the second ask.
 func FuzzParse(f *testing.F) {
-	for _, s := range sqlSeeds(f) {
+	seeds, _ := sqlSeeds(f)
+	for _, s := range seeds {
 		f.Add(s)
 	}
 	// An INSERT whose VALUES mix placeholders with string, number and
@@ -233,6 +271,27 @@ func FuzzParse(f *testing.F) {
 	f.Add(`INSERT INTO journal (id, repo_txn, host_txn, action, path, orig_uid, orig_mode, recovery)
 		 VALUES (?, ?, ?, ?, ?, ?, ?, ?)`)
 	f.Add(`DELETE FROM journal WHERE host_txn = ?`)
+	// The point statements of repoStatements with literals in place of some
+	// placeholders — negative numbers, quoted paths, a literal bound in the
+	// replica's version guard — and the engine's metadata UPDATE as the
+	// unformatted template it once kept, which must fail to parse cleanly.
+	for _, s := range []string{
+		`INSERT INTO dlfm_updates (path, open_id) VALUES ('a/b.dat', 7)`,
+		`DELETE FROM dlfm_updates WHERE path = 'a/b.dat'`,
+		`UPDATE dlfm_files SET cur_version = 3 WHERE path = 'a/b.dat'`,
+		`INSERT INTO dlfm_files (path, mode, recovery, token_ttl, orig_uid, orig_mode, cur_version)
+		 VALUES (?, ?, ?, ?, ?, ?, 0)`,
+		`DELETE FROM dlfm_files WHERE path = 'it''s.dat'`,
+		`INSERT INTO dlfm_pending_archive (path, version, state_id) VALUES ('a', 1, -1)`,
+		`SELECT state_id FROM dlfm_pending_archive WHERE path = 'a' AND version = 2`,
+		`UPDATE dlfm_replicas SET mode = 'rfd', recovery = TRUE, token_ttl = 0, orig_uid = ?, orig_mode = ?, cur_version = 4, mtime_ns = -5
+		 WHERE path = ? AND cur_version < 4`,
+		`DELETE FROM dlfm_replicas WHERE path = ''`,
+		`UPDATE docs SET doc_size = 0, doc_mtime = -1 WHERE doc = 'd'`,
+		`UPDATE %s SET %s WHERE %s = ?`,
+	} {
+		f.Add(s)
+	}
 	var c stmtCache
 	f.Fuzz(func(t *testing.T, src string) {
 		plain, perr := Parse(src)

@@ -332,13 +332,89 @@ func (t *Txn) callHook(table *Table, op DMLOp, old, new Row) error {
 	return h(t, table, op, old, new)
 }
 
-// InsertRow inserts a row (typed, coerced) into the named table with full
-// locking, logging and hook processing. Exposed for engine-internal use;
-// SQL INSERT goes through the executor which calls this. The table owns r
-// from here on: the caller must not write it again.
+// The typed point operations: InsertRow, UpdateRow and DeleteRow, with
+// LockRow and LockKey to find and lock the row they change. SQL INSERT,
+// UPDATE and DELETE run through them too, so a change made either way takes
+// the same row locks, calls the same DML hook, passes the same checks
+// (checkRow) and logs the same record: recovery, abort, prepare and the
+// checkpoint cannot tell them apart.
+
+// checkRow coerces each value of r to its column's kind, in place, and
+// refuses a NULL in a NOT NULL column.
+func checkRow(tbl *Table, r Row) error {
+	if len(r) != len(tbl.Columns) {
+		return fmt.Errorf("sqlmini: %s has %d columns, %d values given", tbl.Name, len(tbl.Columns), len(r))
+	}
+	for i, c := range tbl.Columns {
+		v, err := CoerceTo(r[i], c.Kind)
+		if err != nil {
+			return fmt.Errorf("sqlmini: column %s: %w", c.Name, err)
+		}
+		if c.NotNull && v.IsNull() {
+			return fmt.Errorf("sqlmini: column %s is NOT NULL", c.Name)
+		}
+		r[i] = v
+	}
+	return nil
+}
+
+// LockRow takes a mode lock on row id of tbl and returns the row as it is
+// installed once the lock is held; false when it was deleted meanwhile.
+// Never write to the row: to change it, UpdateRow a new one.
+func (t *Txn) LockRow(tbl *Table, id RowID, mode LockMode) (Row, bool, error) {
+	if t.state != TxnActive {
+		return nil, false, errTxnDone
+	}
+	if err := t.lockRow(tbl.Name, id, mode); err != nil {
+		return nil, false, err
+	}
+	row, ok := tbl.Get(id)
+	return row, ok, nil
+}
+
+// LockKey finds the row of tbl whose primary key is key, locks it in mode
+// and returns it, as `WHERE <primary key> = ?` does: the key is coerced to
+// the column's kind, and a row deleted or re-keyed while the lock was
+// awaited is no match (found false; its lock is kept to the end, as a
+// statement's is).
+func (t *Txn) LockKey(tbl *Table, key Value, mode LockMode) (id RowID, row Row, found bool, err error) {
+	if tbl.pkCol < 0 {
+		return 0, nil, false, fmt.Errorf("sqlmini: %s has no primary key", tbl.Name)
+	}
+	if cv, err := CoerceTo(key, tbl.Columns[tbl.pkCol].Kind); err == nil {
+		key = cv
+	}
+	id, ok := tbl.LookupPK(key)
+	if !ok {
+		return 0, nil, false, nil
+	}
+	row, ok, err = t.LockRow(tbl, id, mode)
+	if err != nil || !ok || keyOf(row[tbl.pkCol]) != keyOf(key) {
+		return 0, nil, false, err
+	}
+	return id, row, true, nil
+}
+
+// DeleteKey deletes the row of tbl whose primary key is key (LockKey, then
+// DeleteRow); false when no row holds it.
+func (t *Txn) DeleteKey(tbl *Table, key Value) (bool, error) {
+	id, _, found, err := t.LockKey(tbl, key, LockX)
+	if err != nil || !found {
+		return false, err
+	}
+	return true, t.DeleteRow(tbl, id)
+}
+
+// InsertRow checks r (checkRow) and inserts it into tbl with full locking,
+// logging and hook processing; a primary key another row holds, committed
+// or not, is ErrDuplicateKey. The table owns r from here on: the caller must
+// not write it again.
 func (t *Txn) InsertRow(tbl *Table, r Row) (RowID, error) {
 	if t.state != TxnActive {
 		return 0, errTxnDone
+	}
+	if err := checkRow(tbl, r); err != nil {
+		return 0, err
 	}
 	if err := t.callHook(tbl, DMLInsert, nil, r); err != nil {
 		return 0, err
@@ -383,11 +459,15 @@ func (t *Txn) DeleteRow(tbl *Table, id RowID) error {
 	return nil
 }
 
-// UpdateRow replaces a locked row with logging and hook processing. The
-// table owns new from here on: the caller must not write it again.
+// UpdateRow checks new (checkRow) and installs it as row id with locking,
+// logging and hook processing. The table owns new from here on: the caller
+// must not write it again.
 func (t *Txn) UpdateRow(tbl *Table, id RowID, new Row) error {
 	if t.state != TxnActive {
 		return errTxnDone
+	}
+	if err := checkRow(tbl, new); err != nil {
+		return err
 	}
 	if err := t.lockRow(tbl.Name, id, LockX); err != nil {
 		return err
