@@ -210,21 +210,23 @@ func (h hostSQL) Query(sql string, args ...any) (*Rows, error) {
 	return out, nil
 }
 
-// QueryString runs a SELECT expected to return one string value — the
-// common shape for fetching tokenized URLs via DLURLCOMPLETE[WRITE].
+// QueryString runs a SELECT whose answer is one string value — the shape of
+// fetching a tokenized URL via DLURLCOMPLETE[WRITE]. It is a point read: the
+// one value comes back without a result set around it.
 func (h hostSQL) QueryString(sql string, args ...any) (string, error) {
-	rows, err := h.Query(sql, args...)
+	var buf [4]sqlmini.Value
+	vals, err := toValues(buf[:0], args)
 	if err != nil {
 		return "", err
 	}
-	if len(rows.Data) != 1 || len(rows.Data[0]) != 1 {
-		return "", fmt.Errorf("datalinks: expected one value, got %dx%d", len(rows.Data), len(rows.Cols))
+	v, err := h.db().QueryValue(sql, vals...)
+	if err != nil {
+		return "", err
 	}
-	str, ok := rows.Data[0][0].(string)
-	if !ok {
-		return "", fmt.Errorf("datalinks: value is %T, not string", rows.Data[0][0])
+	if v.Kind() != sqlmini.KindString {
+		return "", fmt.Errorf("datalinks: value is %s, not string", v.Kind())
 	}
-	return str, nil
+	return v.S, nil
 }
 
 // Link is a DATALINK value: a reference to an external file.

@@ -586,12 +586,12 @@ func (c *Cluster) migratePath(src, dst *FileServer, path string) error {
 	}
 	tr := src.Obs.Start("migrate")
 	root := tr.Root()
-	root.SetAttr("path", path)
-	root.SetAttr("src", src.Name)
-	root.SetAttr("dst", dst.Name)
+	root.SetString("path", path)
+	root.SetString("src", src.Name)
+	root.SetString("dst", dst.Name)
 	err := c.migratePathTraced(src, dst, path, root)
 	if err != nil {
-		root.SetAttr("error", err.Error())
+		root.SetString("error", err.Error())
 	}
 	tr.Finish()
 	return err
@@ -608,7 +608,7 @@ func (c *Cluster) migratePathTraced(src, dst *FileServer, path string, sp *obs.S
 	for attempt := 0; ; attempt++ {
 		err = src.DLFM.BeginExport(path)
 		if err == nil || attempt >= 2 {
-			drain.SetAttr("attempts", int64(attempt+1))
+			drain.SetInt("attempts", int64(attempt+1))
 			break
 		}
 	}

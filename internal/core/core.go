@@ -529,19 +529,20 @@ type File struct {
 	aborted bool
 }
 
-// SplitURL decomposes a (possibly token-carrying) DATALINK URL into server,
-// path and the name to hand to the file system API (path plus token).
+// SplitURL decomposes a (possibly token-carrying) DATALINK URL into server
+// and the name to hand to the file system API (path plus token). A URL that
+// carries a token already ends with that name, so the name is a slice of
+// the URL, not a new string.
 func SplitURL(url string) (server, fsName string, err error) {
 	clean, tok, hasTok := token.Extract(url)
 	l, err := datalink.Parse(clean)
 	if err != nil {
 		return "", "", err
 	}
-	name := l.Path
-	if hasTok {
-		name = token.Embed(l.Path, tok)
+	if hasTok && tok != "" {
+		return l.Server, url[len(clean)-len(l.Path):], nil
 	}
-	return l.Server, name, nil
+	return l.Server, l.Path, nil
 }
 
 // open opens a URL through the DataLinks file system of the member the
@@ -568,16 +569,16 @@ func (s *Session) open(url string, mode fs.AccessMode) (*File, error) {
 		}
 		tr := m.Obs.Start("open")
 		root := tr.Root()
-		root.SetAttr("path", cleanPath)
-		root.SetAttr("server", m.Name)
+		root.SetString("path", cleanPath)
+		root.SetString("server", m.Name)
 		if attempt > 0 {
 			// The first member rejected the open because the path moved away
 			// mid-flight; this attempt followed the ring forward.
-			root.SetAttr("ring_forwarded", true)
+			root.SetBool("ring_forwarded", true)
 		}
 		fd, err := m.LFS.OpenCtx(obs.ContextWithSpan(context.Background(), root), s.cred, name, mode)
 		if err != nil {
-			root.SetAttr("error", err.Error())
+			root.SetString("error", err.Error())
 		}
 		tr.Finish()
 		if err == nil {
@@ -603,10 +604,10 @@ func (f *File) trace(op string) func(err error) {
 		return func(error) {}
 	}
 	tr := f.srv.Obs.Start(op)
-	tr.Root().SetAttr("path", f.path)
+	tr.Root().SetString("path", f.path)
 	return func(err error) {
 		if err != nil {
-			tr.Root().SetAttr("error", err.Error())
+			tr.Root().SetString("error", err.Error())
 		}
 		tr.Finish()
 	}
@@ -696,10 +697,10 @@ func (f *File) Close() error {
 	}
 	tr := f.srv.Obs.Start(op)
 	root := tr.Root()
-	root.SetAttr("path", f.path)
+	root.SetString("path", f.path)
 	err := f.srv.LFS.CloseCtx(obs.ContextWithSpan(context.Background(), root), f.fd)
 	if err != nil {
-		root.SetAttr("error", err.Error())
+		root.SetString("error", err.Error())
 	}
 	tr.Finish()
 	return err

@@ -1,0 +1,7 @@
+//go:build race
+
+package core
+
+// raceEnabled: allocation budgets are skipped under the race detector, which
+// allocates on its own account.
+const raceEnabled = true

@@ -130,7 +130,7 @@ func (c *Cluster) ship(ctx context.Context, owner, path string, ver int64, deliv
 		})
 		retried = retried || again
 		if err != nil {
-			sp.SetAttr("error", err.Error())
+			sp.SetString("error", err.Error())
 			if firstErr == nil {
 				firstErr = fmt.Errorf("replica %s: %w", id, err)
 			}

@@ -57,7 +57,7 @@ func (s *Server) UpcallCtx(ctx context.Context, req upcall.Request) (resp upcall
 	}()
 	if sp := obs.SpanFrom(ctx); sp != nil {
 		c := sp.Child("dlfm")
-		c.SetAttr("op", req.Op.String())
+		c.SetString("op", req.Op.String())
 		ctx = obs.ContextWithSpan(ctx, c)
 		defer c.End()
 	}

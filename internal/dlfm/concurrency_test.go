@@ -50,7 +50,7 @@ func TestConcurrentReadersShareRDBFile(t *testing.T) {
 				return
 			}
 			time.Sleep(5 * time.Millisecond) // hold the open
-			resp2, _ := srv.Upcall(upcall.Request{Op: upcall.OpClose, Path: "/d/f.bin", OpenID: resp.OpenID})
+			resp2, _ := srv.Upcall(upcall.Request{Op: upcall.OpClose, OpenID: resp.OpenID})
 			if !resp2.OK {
 				atomic.AddInt64(&failures, 1)
 			}
@@ -91,7 +91,7 @@ func TestWriterWaitsForReadersRDD(t *testing.T) {
 	case <-time.After(30 * time.Millisecond):
 	}
 	// Reader closes; writer proceeds.
-	srv.Upcall(upcall.Request{Op: upcall.OpClose, Path: "/d/f.bin", OpenID: rresp.OpenID})
+	srv.Upcall(upcall.Request{Op: upcall.OpClose, OpenID: rresp.OpenID})
 	select {
 	case resp := <-writerDone:
 		if !resp.OK {
@@ -150,8 +150,8 @@ func TestSyncEntriesReflectOpens(t *testing.T) {
 	if readers != 2 || writer {
 		t.Fatalf("sync = %d readers, writer=%v", readers, writer)
 	}
-	srv.Upcall(upcall.Request{Op: upcall.OpClose, Path: "/d/f.bin", OpenID: r1.OpenID})
-	srv.Upcall(upcall.Request{Op: upcall.OpClose, Path: "/d/f.bin", OpenID: r2.OpenID})
+	srv.Upcall(upcall.Request{Op: upcall.OpClose, OpenID: r1.OpenID})
+	srv.Upcall(upcall.Request{Op: upcall.OpClose, OpenID: r2.OpenID})
 	readers, writer = srv.SyncEntries("/d/f.bin")
 	if readers != 0 || writer {
 		t.Fatalf("sync after closes = %d, %v", readers, writer)

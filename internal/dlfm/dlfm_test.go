@@ -308,7 +308,7 @@ func closeFile(t *testing.T, srv *Server, phys *fs.FS, path string, openID uint6
 	ino, _ := phys.Lookup(path)
 	attr, _ := phys.Getattr(ino)
 	resp, err := srv.Upcall(upcall.Request{
-		Op: upcall.OpClose, Path: path, OpenID: openID,
+		Op: upcall.OpClose, OpenID: openID,
 		Size: attr.Size, Mtime: attr.Mtime.UnixNano(),
 	})
 	if err != nil {
@@ -920,7 +920,7 @@ func TestReadOpenAllocBudget(t *testing.T) {
 		if err != nil || !resp.OK {
 			t.Fatalf("read open: %+v, %v", resp, err)
 		}
-		resp, err = srv.Upcall(upcall.Request{Op: upcall.OpClose, Path: "/d/f.bin", OpenID: resp.OpenID})
+		resp, err = srv.Upcall(upcall.Request{Op: upcall.OpClose, OpenID: resp.OpenID})
 		if err != nil || !resp.OK {
 			t.Fatalf("close: %+v, %v", resp, err)
 		}
@@ -980,7 +980,7 @@ func TestOpenAdmitsItsOwnToken(t *testing.T) {
 		t.Fatalf("other-uid tokenless read_open = %+v, want CodePermission", resp)
 	}
 	for _, id := range []uint64{resp.OpenID, twin.OpenID, twin.OpenID} { // a repeated close must not drive the count negative
-		srv.Upcall(upcall.Request{Op: upcall.OpClose, Path: "/d/f.bin", OpenID: id})
+		srv.Upcall(upcall.Request{Op: upcall.OpClose, OpenID: id})
 	}
 	if n, writer := srv.SyncEntries("/d/f.bin"); n != 0 || writer || srv.OpenCount() != 0 {
 		t.Fatalf("after closes: readers=%d writer=%v opens=%d", n, writer, srv.OpenCount())

@@ -127,7 +127,7 @@ func killInTheClose(t *testing.T, host *heldHost) (*Server, Config, string, bool
 	attr, _ := phys.Getattr(ino)
 	acked := make(chan bool, 1)
 	go func() {
-		resp, err := srv.Upcall(upcall.Request{Op: upcall.OpClose, Path: "/d/f.bin", OpenID: id,
+		resp, err := srv.Upcall(upcall.Request{Op: upcall.OpClose, OpenID: id,
 			Size: attr.Size, Mtime: attr.Mtime.UnixNano()})
 		acked <- err == nil && resp.OK
 	}()

@@ -6,6 +6,7 @@ import (
 
 	"datalinks/internal/datalink"
 	"datalinks/internal/fs"
+	"datalinks/internal/fsyncer"
 	"datalinks/internal/sqlmini"
 )
 
@@ -40,10 +41,10 @@ func (s *Server) subFor(hostTxn uint64) *subTxn {
 // LinkFile starts managing a file as part of host transaction hostTxn.
 func (s *Server) LinkFile(hostTxn uint64, path string, opts datalink.ColumnOptions) error {
 	tr := s.cfg.Tracer.Start("link")
-	tr.Root().SetAttr("path", path)
+	tr.Root().SetString("path", path)
 	err := s.linkFile(hostTxn, path, opts)
 	if err != nil {
-		tr.Root().SetAttr("error", err.Error())
+		tr.Root().SetString("error", err.Error())
 	}
 	tr.Finish()
 	return err
@@ -133,10 +134,10 @@ func (s *Server) release(fi fileInfo) error {
 // Rejected while the file is open or being updated (§4.5).
 func (s *Server) UnlinkFile(hostTxn uint64, path string) error {
 	tr := s.cfg.Tracer.Start("unlink")
-	tr.Root().SetAttr("path", path)
+	tr.Root().SetString("path", path)
 	err := s.unlinkFile(hostTxn, path)
 	if err != nil {
-		tr.Root().SetAttr("error", err.Error())
+		tr.Root().SetString("error", err.Error())
 	}
 	tr.Finish()
 	return err
@@ -245,6 +246,12 @@ func (s *Server) CommitXRM(hostTxn uint64) error {
 	return sub.CommitXRM(hostTxn)
 }
 
+// XRMDurable reports whether a returned commit is on stable storage: it is
+// under the group and always fsync policies, where the commit record's flush
+// waits for an fsync. Under none it is in the OS page cache only, and a
+// machine crash can put the sub-transaction back in doubt.
+func (s *Server) XRMDurable() bool { return s.repo.Log().SyncPolicy() != fsyncer.PolicyNone }
+
 // AbortXRM rolls the sub-transaction of hostTxn back on the host's abort.
 func (s *Server) AbortXRM(hostTxn uint64) error {
 	sub, err := s.takeSub(hostTxn)
@@ -284,6 +291,9 @@ func (sub *subTxn) CommitXRM(uint64) error { return sub.end(true) }
 // AbortXRM rolls the repository transaction back and undoes the side
 // effects.
 func (sub *subTxn) AbortXRM(uint64) error { return sub.end(false) }
+
+// XRMDurable is the DLFM's: the sub-transaction commits in its repository.
+func (sub *subTxn) XRMDurable() bool { return sub.s.XRMDurable() }
 
 // end ends the repository transaction with the host's outcome and resolves
 // its side effects, as restart recovery resolves one left in doubt.

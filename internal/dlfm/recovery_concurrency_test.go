@@ -62,7 +62,7 @@ func closeFileErr(srv *Server, phys *fs.FS, path string, openID uint64) error {
 		return err
 	}
 	resp, err := srv.Upcall(upcall.Request{
-		Op: upcall.OpClose, Path: path, OpenID: openID,
+		Op: upcall.OpClose, OpenID: openID,
 		Size: attr.Size, Mtime: attr.Mtime.UnixNano(),
 	})
 	if err != nil {

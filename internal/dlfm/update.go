@@ -59,9 +59,9 @@ func (s *Server) writeOpen(ctx context.Context, req upcall.Request) upcall.Respo
 		pred = func(st *syncState) bool { return st.writer == 0 && st.readers == 0 }
 	}
 	lk := obs.SpanFrom(ctx).Child("lock")
-	lk.SetAttr("path", req.Path)
+	lk.SetString("path", req.Path)
 	if !s.waitLocked(sh, req.Path, pred) {
-		lk.SetAttr("timeout", true)
+		lk.SetBool("timeout", true)
 		lk.End()
 		sh.mu.Unlock()
 		return reject(upcall.CodeBusy, req.Path+" is busy (open or archiving)")

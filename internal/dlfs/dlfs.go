@@ -370,7 +370,6 @@ func (d *DLFS) abandonOpen(ctx context.Context, n *node, of *openFile) {
 	}
 	resp, err := upcall.Call(ctx, d.cfg.Upcall, upcall.Request{
 		Op:     upcall.OpClose,
-		Path:   n.path,
 		OpenID: of.openID,
 		Size:   attr.Size,
 		Mtime:  attr.Mtime.UnixNano(),
@@ -405,7 +404,6 @@ func (d *DLFS) FsCloseCtx(ctx context.Context, cred fs.Cred, vn vfs.Node, ofi vf
 	}
 	resp, err := upcall.Call(ctx, d.cfg.Upcall, upcall.Request{
 		Op:     upcall.OpClose,
-		Path:   n.path,
 		OpenID: of.openID,
 		Size:   attr.Size,
 		Mtime:  attr.Mtime.UnixNano(),

@@ -339,6 +339,7 @@ func (n *noopXRM) XRMName() string         { return "noop" }
 func (n *noopXRM) PrepareXRM(uint64) error { n.prepared = true; return nil }
 func (n *noopXRM) CommitXRM(uint64) error  { n.committed = true; return nil }
 func (n *noopXRM) AbortXRM(uint64) error   { n.aborted = true; return nil }
+func (n *noopXRM) XRMDurable() bool        { return true }
 
 // RestoreToState rebuilds the database in a fresh directory and removes the
 // live one only after that and the file half succeed; a restore that cannot
@@ -432,6 +433,7 @@ func (noXRM) XRMName() string         { return "none" }
 func (noXRM) PrepareXRM(uint64) error { return nil }
 func (noXRM) CommitXRM(uint64) error  { return nil }
 func (noXRM) AbortXRM(uint64) error   { return nil }
+func (noXRM) XRMDurable() bool        { return true }
 
 // metaRig is a rig with /d/f.bin linked RFD through a table with both
 // companion columns.
@@ -496,7 +498,7 @@ func TestCommitAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		attr, _ := r.phys.Getattr(ino)
-		resp, err = r.srv.Upcall(upcall.Request{Op: upcall.OpClose, Path: path, OpenID: resp.OpenID,
+		resp, err = r.srv.Upcall(upcall.Request{Op: upcall.OpClose, OpenID: resp.OpenID,
 			Size: attr.Size, Mtime: attr.Mtime.UnixNano()})
 		if err != nil || !resp.OK {
 			t.Fatalf("close: %+v, %v", resp, err)
@@ -509,7 +511,9 @@ func TestCommitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
-	const budget = 24 // measured 24
+	// Measured 23: the untraced lock span no longer boxes the path (24
+	// before).
+	const budget = 23
 	n := testing.AllocsPerRun(100, commit)
 	t.Logf("write open + write + close: %.1f mallocs", n)
 	if n > budget {

@@ -26,8 +26,8 @@ import (
 	"time"
 )
 
-// Attr is one key/value annotation on a span. Values should be small
-// scalars (string, int64, float64, bool) so JSON rendering stays cheap.
+// Attr is one key/value annotation on a span. The typed setters keep its
+// value one of string, int64, bool or float64.
 type Attr struct {
 	Key   string
 	Value any
@@ -83,28 +83,43 @@ func (s *Span) End() {
 	s.mu.Unlock()
 }
 
-// SetAttr annotates the span.
-func (s *Span) SetAttr(key string, value any) {
-	if s == nil {
-		return
-	}
+// setAttr annotates the span. It is unexported so that every caller goes
+// through a typed setter, which tests the span before it boxes the value.
+func (s *Span) setAttr(key string, value any) {
 	s.mu.Lock()
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 	s.mu.Unlock()
 }
 
-// SetInt is SetAttr for an integer. On an untraced path (a nil span) it
-// costs nothing: the value is boxed only when it is kept.
-func (s *Span) SetInt(key string, value int64) {
+// SetString annotates the span with a string. On an untraced path (a nil
+// span) it costs a pointer test: the value is boxed only when it is kept.
+func (s *Span) SetString(key, value string) {
 	if s != nil {
-		s.SetAttr(key, value)
+		s.setAttr(key, value)
 	}
 }
 
-// SetString is SetAttr for a string, free on an untraced path like SetInt.
-func (s *Span) SetString(key, value string) {
+// SetInt annotates the span with an integer, free on an untraced path like
+// SetString.
+func (s *Span) SetInt(key string, value int64) {
 	if s != nil {
-		s.SetAttr(key, value)
+		s.setAttr(key, value)
+	}
+}
+
+// SetBool annotates the span with a boolean, free on an untraced path like
+// SetString.
+func (s *Span) SetBool(key string, value bool) {
+	if s != nil {
+		s.setAttr(key, value)
+	}
+}
+
+// SetFloat annotates the span with a float, free on an untraced path like
+// SetString.
+func (s *Span) SetFloat(key string, value float64) {
+	if s != nil {
+		s.setAttr(key, value)
 	}
 }
 
@@ -370,7 +385,7 @@ func (t *Tracer) Adopt(wc WireContext, name string) (*Span, func()) {
 	}
 	tr := &Trace{id: wc.Trace, op: name, tracer: t, spans: make(map[uint32]*Span)}
 	tr.root = tr.newSpan(name)
-	tr.root.SetAttr("remote", true)
+	tr.root.SetBool("remote", true)
 	return tr.root, tr.Finish
 }
 

@@ -20,7 +20,7 @@ func TestNilTracerIsFullyInert(t *testing.T) {
 		t.Fatal("nil tracer produced a trace")
 	}
 	sp := tr.Root().Child("x")
-	sp.SetAttr("k", 1)
+	sp.SetInt("k", 1)
 	sp.End()
 	tr.Finish()
 	if got := tracer.Recent(10); got != nil {
@@ -37,11 +37,39 @@ func TestNilTracerIsFullyInert(t *testing.T) {
 	}
 }
 
+// An untraced path annotates nil spans, and the typed setters test the span
+// before they box a value: they cost nothing there. A traced span keeps
+// every value with its type.
+func TestUntracedSettersAllocateNothing(t *testing.T) {
+	str, i, f := strings.Repeat("p", 40), int64(1<<40), 2.5
+	set := func(sp *Span) {
+		sp.SetString("s", str)
+		sp.SetInt("i", i)
+		sp.SetBool("b", true)
+		sp.SetFloat("f", f)
+	}
+	tr := New(Config{}).Start("op")
+	set(tr.Root())
+	tr.Finish()
+	for key, want := range map[string]any{"s": str, "i": i, "b": true, "f": f} {
+		if v, ok := tr.Root().Attr(key); !ok || v != want {
+			t.Errorf("traced %s = %v (%T), want %v (%T)", key, v, v, want, want)
+		}
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	var untraced *Span
+	if n := testing.AllocsPerRun(200, func() { set(untraced) }); n != 0 {
+		t.Fatalf("typed setters on a nil span: %.1f mallocs, want 0", n)
+	}
+}
+
 func TestSpanTreeAndAttrs(t *testing.T) {
 	tracer := New(Config{})
 	tr := tracer.Start("commit")
 	wire := tr.Root().Child("wire")
-	wire.SetAttr("attempt", 1)
+	wire.SetInt("attempt", 1)
 	lock := wire.Child("lock")
 	lock.End()
 	wire.End()
@@ -50,7 +78,7 @@ func TestSpanTreeAndAttrs(t *testing.T) {
 	if tr.Root().Find("lock") == nil {
 		t.Fatal("nested span not findable")
 	}
-	if v, ok := wire.Attr("attempt"); !ok || v != 1 {
+	if v, ok := wire.Attr("attempt"); !ok || v != int64(1) {
 		t.Fatalf("attr = %v %v", v, ok)
 	}
 	recent := tracer.Recent(10)
@@ -61,7 +89,7 @@ func TestSpanTreeAndAttrs(t *testing.T) {
 	if j.Op != "commit" || len(j.Root.Children) != 1 || j.Root.Children[0].Name != "wire" {
 		t.Fatalf("json = %+v", j)
 	}
-	if j.Root.Children[0].Attrs["attempt"] != 1 {
+	if j.Root.Children[0].Attrs["attempt"] != int64(1) {
 		t.Fatalf("json attrs = %+v", j.Root.Children[0].Attrs)
 	}
 }
@@ -239,7 +267,7 @@ func TestConcurrentSpansAndAdoption(t *testing.T) {
 				w := tr.Root().Child("wire")
 				sp, done := tracer.Adopt(w.Wire(), "server")
 				sp.Child("lock").End()
-				sp.SetAttr("j", j)
+				sp.SetInt("j", int64(j))
 				done()
 				w.End()
 				tr.Finish()

@@ -152,6 +152,83 @@ func (db *DB) QueryRow(sql string, args ...Value) (Row, error) {
 	return r, nil
 }
 
+// QueryValue runs a SELECT whose answer is one row of one value and returns
+// that value; any other number of rows or columns is an error. A keyed
+// lookup — one table, one plain item, no aggregate, ORDER BY or LIMIT — is
+// answered from matchRows and one eval of the item, as execSelect would
+// answer it, without building a result set. Every other shape runs
+// execSelect.
+func (t *Txn) QueryValue(sql string, args ...Value) (Value, error) {
+	st, err := t.db.stmts.parse(sql)
+	if err != nil {
+		return Value{}, err
+	}
+	s, ok := st.(*SelectStmt)
+	if !ok {
+		return Value{}, errors.New("sqlmini: QueryValue requires a SELECT statement")
+	}
+	if !pointSelect(s) {
+		rows, err := t.execSelect(s, args)
+		if err != nil {
+			return Value{}, err
+		}
+		if len(rows.Data) != 1 || len(rows.Cols) != 1 {
+			return Value{}, notOneValue(len(rows.Data), len(rows.Cols))
+		}
+		return rows.Data[0][0], nil
+	}
+	tbl, err := t.db.cat.get(s.Tables[0])
+	if err != nil {
+		return Value{}, err
+	}
+	mode := LockS
+	if s.ForUpdate {
+		mode = LockX
+	}
+	_, rows, err := t.matchRows(tbl, s.Where, args, mode)
+	if err != nil {
+		return Value{}, err
+	}
+	if len(rows) != 1 {
+		return Value{}, notOneValue(len(rows), 1)
+	}
+	scope := [1]binding{{tbl, rows[0]}}
+	v, err := t.eval(s.Items[0].Expr, scope[:], args)
+	if errors.Is(err, errNullCompare) {
+		return Null(), nil
+	}
+	return v, err
+}
+
+// QueryValue on DB runs in an implicit transaction.
+func (db *DB) QueryValue(sql string, args ...Value) (Value, error) {
+	txn := db.Begin()
+	v, err := txn.QueryValue(sql, args...)
+	if err != nil {
+		_ = txn.Abort()
+		return Value{}, err
+	}
+	if err := txn.Commit(); err != nil {
+		return Value{}, err
+	}
+	return v, nil
+}
+
+// pointSelect reports whether QueryValue may answer s without execSelect:
+// one table, one item that is not an aggregate, no ORDER BY and no LIMIT.
+func pointSelect(s *SelectStmt) bool {
+	if len(s.Tables) != 1 || s.Star || len(s.Items) != 1 || s.OrderBy != "" || s.Limit >= 0 {
+		return false
+	}
+	c, isCall := s.Items[0].Expr.(*Call)
+	return !isCall || !aggregateNames[c.Name]
+}
+
+// notOneValue is QueryValue's error for an answer of any other shape.
+func notOneValue(rows, cols int) error {
+	return fmt.Errorf("sqlmini: expected one value, got %d rows of %d columns", rows, cols)
+}
+
 func (t *Txn) execCreateTable(s *CreateTableStmt) error {
 	seen := make(map[string]bool)
 	pk := 0

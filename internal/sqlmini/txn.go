@@ -21,6 +21,10 @@ type XRM interface {
 	// CommitXRM and AbortXRM finish the sub-transaction.
 	CommitXRM(hostTxn uint64) error
 	AbortXRM(hostTxn uint64) error
+	// XRMDurable reports whether a nil CommitXRM means the sub-transaction's
+	// commit reached stable storage, so that the participant never asks the
+	// coordinator about hostTxn again.
+	XRMDurable() bool
 }
 
 // TxnState is the lifecycle state of a transaction.
@@ -66,7 +70,8 @@ type DB struct {
 	nextTxn uint64
 	active  map[uint64]*Txn
 	// outcome holds the fate of every finished transaction a participant
-	// may ask about (true=committed): those with enlisted XRMs, and those
+	// may ask about (true=committed): a commit with enlisted XRMs whose
+	// phase 2 has not ended with every participant done with it, and those
 	// restart recovery resolved.
 	outcome map[uint64]bool
 
@@ -193,9 +198,12 @@ func (db *DB) Table(name string) (*Table, error) { return db.cat.get(name) }
 
 // Outcome reports whether a finished transaction committed. The second
 // return is false while the transaction is still active or unknown — DLFM
-// recovery polls this to resolve in-doubt sub-transactions. Only a
-// transaction that enlisted an XRM, or that restart recovery resolved, is
-// known: nobody else can ask.
+// recovery asks this to resolve in-doubt sub-transactions, and presumes an
+// unknown one aborted. A commit that enlisted an XRM is known from its
+// commit point until every participant's CommitXRM returned nil from a
+// participant whose commit is durable (XRMDurable), and for good when one
+// did not: only such a participant can still ask. An abort is never known,
+// which reads the same. One restart recovery resolved stays known too.
 func (db *DB) Outcome(txnID uint64) (committed, known bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -656,15 +664,20 @@ func (t *Txn) Commit() error {
 		t.lastLSN = lsn
 	}
 	t.state = TxnCommitted
+	t.decide()
 	// Phase 2: tell participants. Participant failure after the commit point
 	// does not change the outcome; the participant re-resolves at its
 	// recovery, and the failure is counted.
+	done := true
 	for _, x := range t.xrms {
 		if x.CommitXRM(t.id) != nil {
 			t.db.xrmCommitFailures.Inc()
+			done = false
+		} else if !x.XRMDurable() {
+			done = false
 		}
 	}
-	t.finish(true)
+	t.finish(done)
 	for _, fn := range t.onCommit {
 		fn()
 	}
@@ -710,21 +723,35 @@ func (t *Txn) Abort() error {
 			t.db.xrmAbortFailures.Inc() // the participant re-resolves at its recovery
 		}
 	}
-	t.finish(false)
+	t.finish(true)
 	for _, fn := range t.onAbort {
 		fn()
 	}
 	return nil
 }
 
-// finish releases locks and records the outcome of a transaction with
-// enlisted XRMs — the only ones a participant can ask Outcome about. The
-// rest would grow the map by one entry per logged transaction, forever.
-func (t *Txn) finish(committed bool) {
+// decide records the commit of a transaction with enlisted XRMs, before
+// phase 2 tells them: a participant that restarts meanwhile finds it. Only
+// such a transaction can be asked about; recording the rest would grow the
+// map by one entry per logged transaction. An abort is not recorded: a
+// participant presumes an unknown outcome aborted.
+func (t *Txn) decide() {
+	if len(t.xrms) == 0 {
+		return
+	}
+	t.db.mu.Lock()
+	t.db.outcome[t.id] = true
+	t.db.mu.Unlock()
+}
+
+// finish releases locks. resolved says no participant can ask about the
+// transaction any more, so its outcome is forgotten: otherwise the map
+// would keep one entry per file-update commit for the life of the process.
+func (t *Txn) finish(resolved bool) {
 	t.db.mu.Lock()
 	delete(t.db.active, t.id)
-	if len(t.xrms) > 0 {
-		t.db.outcome[t.id] = committed
+	if resolved {
+		delete(t.db.outcome, t.id)
 	}
 	t.db.mu.Unlock()
 	t.db.lm.ReleaseAll(t.id)

@@ -293,16 +293,19 @@ func TestOnCommitOnAbortHooks(t *testing.T) {
 	}
 }
 
-// fakeXRM records 2PC calls and can be told to fail prepare.
+// fakeXRM records 2PC calls and can be told to fail prepare, or to commit
+// without making the commit durable (a repository under fsync none).
 type fakeXRM struct {
 	name        string
 	prepared    []uint64
 	committed   []uint64
 	aborted     []uint64
 	failPrepare bool
+	volatile    bool
 }
 
-func (f *fakeXRM) XRMName() string { return f.name }
+func (f *fakeXRM) XRMName() string  { return f.name }
+func (f *fakeXRM) XRMDurable() bool { return !f.volatile }
 func (f *fakeXRM) PrepareXRM(id uint64) error {
 	if f.failPrepare {
 		return fmt.Errorf("%s: prepare refused", f.name)
@@ -338,8 +341,9 @@ func TestTwoPhaseCommitSuccess(t *testing.T) {
 	if len(x2.prepared) != 1 || len(x2.committed) != 1 {
 		t.Fatalf("x2 calls = %+v", x2)
 	}
-	if c, known := db.Outcome(txn.ID()); !known || !c {
-		t.Fatalf("outcome = %v, %v", c, known)
+	// Both participants committed durably: neither will ask again.
+	if c, known := db.Outcome(txn.ID()); known {
+		t.Fatalf("outcome = %v, %v; want forgotten", c, known)
 	}
 }
 
@@ -364,8 +368,77 @@ func TestTwoPhaseCommitPrepareFailureAbortsHost(t *testing.T) {
 	if len(good.aborted) != 1 || len(good.committed) != 0 {
 		t.Fatalf("good participant calls = %+v", good)
 	}
-	if c, known := db.Outcome(txn.ID()); !known || c {
-		t.Fatalf("outcome = %v, %v; want aborted", c, known)
+	// An abort is presumed: nobody needs it recorded.
+	if c, known := db.Outcome(txn.ID()); known || c {
+		t.Fatalf("outcome = %v, %v; want forgotten", c, known)
+	}
+}
+
+// probingXRM asks the coordinator about the transaction from its phase 2,
+// as a participant restarting meanwhile would.
+type probingXRM struct {
+	fakeXRM
+	db           *DB
+	sawC, sawKnw bool
+}
+
+func (p *probingXRM) CommitXRM(id uint64) error {
+	p.sawC, p.sawKnw = p.db.Outcome(id)
+	return nil
+}
+
+// A commit is known from its commit point until every participant is done
+// with it, and kept for good for a participant that may still ask: one whose
+// phase 2 failed, or whose returned commit is not durable. An abort is never
+// kept: a participant presumes an unknown outcome aborted.
+func TestOutcomeKnownWhileAParticipantMayAsk(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		xrm    XRM
+		commit bool
+		known  bool
+	}{
+		{"durable commit", &fakeXRM{name: "x"}, true, false},
+		{"volatile commit", &fakeXRM{name: "x", volatile: true}, true, true},
+		{"failed commit", &failingXRM{fakeXRM{name: "x"}}, true, true},
+		{"abort", &fakeXRM{name: "x", volatile: true}, false, false},
+		{"failed abort", &failingXRM{fakeXRM{name: "x"}}, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := testDB(t)
+			mustExec(t, db, `CREATE TABLE t (id INT)`)
+			txn := db.Begin()
+			txn.Enlist(tc.xrm)
+			if _, err := txn.Exec(`INSERT INTO t VALUES (1)`); err != nil {
+				t.Fatal(err)
+			}
+			end := txn.Abort
+			if tc.commit {
+				end = txn.Commit
+			}
+			if err := end(); err != nil {
+				t.Fatal(err)
+			}
+			c, known := db.Outcome(txn.ID())
+			if known != tc.known || known && c != tc.commit {
+				t.Fatalf("outcome = %v, %v; want known %v", c, known, tc.known)
+			}
+		})
+	}
+
+	db := testDB(t)
+	mustExec(t, db, `CREATE TABLE t (id INT)`)
+	p := &probingXRM{fakeXRM: fakeXRM{name: "p"}, db: db}
+	txn := db.Begin()
+	txn.Enlist(p)
+	if _, err := txn.Exec(`INSERT INTO t VALUES (1)`); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if !p.sawKnw || !p.sawC {
+		t.Fatalf("outcome during phase 2 = %v, %v; want committed", p.sawC, p.sawKnw)
 	}
 }
 

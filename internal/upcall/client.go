@@ -267,10 +267,10 @@ func (c *Client) UpcallCtx(ctx context.Context, req Request) (Response, error) {
 func (c *Client) attempt(ctx context.Context, opDeadline time.Time, req Request) (Response, error) {
 	wire := obs.SpanFrom(ctx).Child("wire")
 	defer wire.End()
-	wire.SetAttr("op", req.Op.String())
-	wire.SetAttr("attempt", retry.Attempt(ctx))
+	wire.SetString("op", req.Op.String())
+	wire.SetInt("attempt", int64(retry.Attempt(ctx)))
 	fail := func(err error) (Response, error) {
-		wire.SetAttr("error", err.Error())
+		wire.SetString("error", err.Error())
 		return Response{}, err
 	}
 	cc, err := c.get(ctx, opDeadline)
@@ -297,7 +297,7 @@ func (c *Client) attempt(ctx context.Context, opDeadline time.Time, req Request)
 	if err := readFrame(cc.r, c.cfg.MaxFrame, &out); err != nil {
 		c.retire(cc)
 		if chaos != nil && wire != nil {
-			wire.SetAttr("chaos_delay_ms", float64(chaos.injectedDelay()-chaosBefore)/1e6)
+			wire.SetFloat("chaos_delay_ms", float64(chaos.injectedDelay()-chaosBefore)/1e6)
 		}
 		if errors.Is(err, ErrWireVersion) {
 			return fail(err) // not a lost connection: a fresh one reaches the same peer
@@ -305,7 +305,7 @@ func (c *Client) attempt(ctx context.Context, opDeadline time.Time, req Request)
 		return fail(connLost(err))
 	}
 	if chaos != nil && wire != nil {
-		wire.SetAttr("chaos_delay_ms", float64(chaos.injectedDelay()-chaosBefore)/1e6)
+		wire.SetFloat("chaos_delay_ms", float64(chaos.injectedDelay()-chaosBefore)/1e6)
 	}
 	if out.Seq != seq {
 		// A response meant for an earlier request on this connection:

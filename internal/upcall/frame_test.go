@@ -197,12 +197,15 @@ func TestUpcallAllocBudget(t *testing.T) {
 	req := tokenRequest().Req
 	// AllocsPerRun reads the process-wide malloc count, so this is the
 	// client and the server's connection and handler goroutines together.
+	// Measured 2: the path and the token the server decodes. The client's
+	// untraced wire span boxes no attribute (3 before).
+	const budget = 2
 	if n := testing.AllocsPerRun(500, func() {
 		if resp, err := client.Upcall(req); err != nil || !resp.OK {
 			t.Fatalf("upcall: %+v, %v", resp, err)
 		}
-	}); n > 5 {
-		t.Errorf("Client.Upcall over loopback: %.0f mallocs per call, budget 5", n)
+	}); n > budget {
+		t.Errorf("Client.Upcall over loopback: %.0f mallocs per call, budget %d", n, budget)
 	} else {
 		t.Logf("Client.Upcall over loopback: %.0f mallocs per call", n)
 	}

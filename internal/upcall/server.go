@@ -254,7 +254,7 @@ func (c *call) serve() {
 	ctx := context.Background()
 	if c.e.TraceID != 0 && s.cfg.Tracer.Enabled() {
 		sp, done := s.cfg.Tracer.Adopt(obs.WireContext{Trace: c.e.TraceID, Span: c.e.SpanID}, "server")
-		sp.SetAttr("op", c.e.Req.Op.String())
+		sp.SetString("op", c.e.Req.Op.String())
 		ctx = obs.ContextWithSpan(ctx, sp)
 		defer done()
 	}

@@ -193,7 +193,7 @@ func assertTwoWireAttempts(t *testing.T, tr *obs.Trace) {
 	}
 	for i, w := range wires {
 		got, ok := w.Attr("attempt")
-		if !ok || got.(int) != i+1 {
+		if !ok || got != int64(i+1) {
 			t.Fatalf("wire span %d: attempt attr = %v, %v", i, got, ok)
 		}
 	}

@@ -252,7 +252,7 @@ func (t *Transport) UpcallCtx(ctx context.Context, req Request) (Response, error
 	start := time.Now()
 	if sp := obs.SpanFrom(ctx); sp != nil {
 		c := sp.Child("upcall")
-		c.SetAttr("op", req.Op.String())
+		c.SetString("op", req.Op.String())
 		ctx = obs.ContextWithSpan(ctx, c)
 		defer c.End()
 	}
