@@ -262,12 +262,17 @@ func (s *Server) newOpenLocked(sh *openShard, idx uint64, path string, uid fs.UI
 	return id
 }
 
-// syncFor returns the sync state for a path, creating it. Caller holds the
-// path's shard mutex.
+// syncFor returns the sync state for a path, creating it from a spare when
+// the shard has one. Caller holds the path's shard mutex.
 func (s *Server) syncFor(sh *openShard, path string) *syncState {
 	st, ok := sh.syncs[path]
 	if !ok {
-		st = &syncState{}
+		if n := len(sh.spare); n > 0 {
+			st = sh.spare[n-1]
+			sh.spare = sh.spare[:n-1]
+		} else {
+			st = &syncState{}
+		}
 		sh.syncs[path] = st
 	}
 	return st

@@ -168,6 +168,22 @@ type openShard struct {
 	mu    sync.Mutex
 	syncs map[string]*syncState
 	opens map[uint64]*openState
+	// spare holds sync states dropped idle, for the next path that needs
+	// one: a read open of an idle path takes one, its close puts it back.
+	spare []*syncState
+}
+
+// maxSpareSyncs bounds an openShard's spare sync states.
+const maxSpareSyncs = 8
+
+// dropSync removes path's sync state, which is idle, keeping it as a spare.
+// Nothing holds it past the shard mutex: waitLocked looks its state up again
+// after every wait.
+func (sh *openShard) dropSync(path string, st *syncState) {
+	delete(sh.syncs, path)
+	if len(sh.spare) < maxSpareSyncs {
+		sh.spare = append(sh.spare, st)
+	}
 }
 
 // Server is a DLFM instance. One per file server.

@@ -142,7 +142,7 @@ func (s *Server) EndExport(path string, evict bool) error {
 		sy.writer = 0
 		sy.wake()
 		if sy.idle() {
-			delete(sh.syncs, path)
+			sh.dropSync(path, sy)
 		}
 	}
 	sh.mu.Unlock()

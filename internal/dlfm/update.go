@@ -128,7 +128,7 @@ func (s *Server) dropOpen(id uint64) {
 		}
 		sy.wake()
 		if sy.idle() {
-			delete(sh.syncs, st.path)
+			sh.dropSync(st.path, sy)
 		}
 	}
 }

@@ -111,8 +111,8 @@ type ContentHook func(content []byte) map[string]sqlmini.Value
 // the DML hook and the token-issuing scalar functions. opts configures the
 // database's Clock, LockTimeout and Metrics; its log is the engine's own,
 // in a private directory that Close removes. The host database never
-// checkpoints, so that log keeps the whole history RestoreToState rebuilds
-// past states from.
+// checkpoints, so that log keeps, in its segment files, the whole history
+// RestoreToState rebuilds past states from.
 func Open(opts sqlmini.Options) (*Engine, error) {
 	if opts.Log != nil || opts.Dir != "" || opts.CheckpointBytes != 0 {
 		return nil, errors.New("engine: the host database's log and checkpoints are the engine's own")

@@ -244,3 +244,38 @@ func TestOutcomesForgottenAfterACommitStorm(t *testing.T) {
 		})
 	}
 }
+
+// Restart recovery rebuilds no outcome a participant can no longer ask
+// about: a file-update commit's record is marked, the END its durable phase
+// 2 logs unmarks it, and aborts are never remembered. Under fsync none no
+// END is logged, so every commit's outcome comes back. The END is unforced;
+// the host log is flushed before the crash so the newest one is not lost
+// with the volatile tail (that would leave its one outcome known).
+func TestOutcomesForgottenAcrossRecoverHost(t *testing.T) {
+	for _, tc := range []struct {
+		fsync   fsyncer.Policy
+		commits int
+		known   int
+	}{
+		{fsyncer.PolicyGroup, 500, 0},
+		{fsyncer.PolicyNone, 20, 21},
+	} {
+		t.Run(tc.fsync.String(), func(t *testing.T) {
+			r, _ := writeRig(t, func(e *Engine) dlfm.Host { return e }, tc.fsync)
+			for i := 0; i < tc.commits; i++ {
+				if resp, err := update(t, r.srv, r.phys, "v"+string(rune('a'+i%26))); err != nil || !resp.OK {
+					t.Fatalf("close %d: %+v, %v", i, resp, err)
+				}
+			}
+			if _, err := r.eng.DB().Log().Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.eng.RecoverHost(); err != nil {
+				t.Fatal(err)
+			}
+			if n := knownOutcomes(r.eng); n != tc.known {
+				t.Fatalf("%d commits under fsync %s, then a host restart: %d known outcomes, want %d", tc.commits, tc.fsync, n, tc.known)
+			}
+		})
+	}
+}

@@ -20,10 +20,11 @@
 // second crash never destroys the first crash's evidence.
 //
 // The valid-prefix scan is one loop with two ways of looking at the record
-// under its cursor: ValidPrefix over bytes already in memory (the WAL keeps
-// its records there anyway), and Scanner.Scan over a file, through a sliding
-// window that grows only to the largest record — what opening a log holds in
-// memory is one record, however long the log.
+// under its cursor: ValidPrefix over bytes already in memory (the reference
+// the fuzz targets hold the file form to), and Scanner.Scan over a file,
+// through a sliding window that grows only to the largest record — what
+// opening or reading back a log holds in memory is one record, however long
+// the log.
 package seglog
 
 import (

@@ -21,8 +21,9 @@ import (
 // The snapshot is taken only when no transaction is active — Begin registers
 // in db.active under db.mu before logging anything, so holding db.mu with an
 // empty active set blocks every writer. Quiescence buys a strong invariant:
-// no transaction spans a checkpoint, so no loser or in-doubt backchain ever
-// reaches below the anchor, and the undo pass never needs truncated records.
+// no transaction spans a checkpoint, so no loser or in-doubt transaction
+// logged a change below the anchor, and the recovery scan rebuilds each one's
+// whole undo list from the records it reads.
 //
 // A checkpoint writes the snapshot to repo.snap in Options.Dir (seglog's
 // atomic replace), seals the active log segment, then logs a reference

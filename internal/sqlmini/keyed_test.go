@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -89,6 +90,7 @@ func keyedRun(t *testing.T, db *DB, c keyedChange, typed bool) (*Txn, []wal.Reco
 	}
 	var recs []wal.Record
 	db.Log().Scan(from, wal.NilLSN, func(r wal.Record) bool {
+		r.Payload = bytes.Clone(r.Payload) // valid only during the call
 		recs = append(recs, r)
 		return true
 	})

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"datalinks/internal/datalink"
 )
@@ -177,11 +178,18 @@ func appendColumns(b []byte, cols []Column) []byte {
 	return b
 }
 
-// encodePayload lays p out in one buffer sized up front.
-func encodePayload(p logPayload) []byte {
-	n := 3 + stringLen(p.Table) + uvarintLen(uint64(p.Row)) + rowLen(p.Before) + rowLen(p.After) +
+// payloadLen is the encoded size of p (exact but for a TIMESTAMP; see
+// rowLen).
+func payloadLen(p logPayload) int {
+	return 3 + stringLen(p.Table) + uvarintLen(uint64(p.Row)) + rowLen(p.Before) + rowLen(p.After) +
 		columnsLen(p.Cols) + stringLen(p.Col)
-	b := make([]byte, 0, n)
+}
+
+// appendPayload appends the stored form of p to dst, growing it at most
+// once. A transaction encodes each record into the one buffer it reuses:
+// the log copies the bytes in Append.
+func appendPayload(dst []byte, p logPayload) []byte {
+	b := slices.Grow(dst, payloadLen(p))
 	b = append(b, payloadMagic, payloadVersion, byte(p.Op))
 	b = appendString(b, p.Table)
 	b = binary.AppendUvarint(b, uint64(p.Row))
@@ -378,7 +386,7 @@ func (r *payloadReader) columns() []Column {
 	return cols
 }
 
-// decodePayload is the inverse of encodePayload.
+// decodePayload is the inverse of appendPayload.
 func decodePayload(b []byte) (logPayload, error) {
 	var p logPayload
 	r := payloadReader{b: b, field: "magic", bad: ErrBadPayload}

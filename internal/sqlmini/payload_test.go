@@ -21,6 +21,12 @@ var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/Fuzz
 
 const payloadCorpusDir = "testdata/fuzz/FuzzLogPayloadDecode"
 
+// encodePayload is appendPayload into a buffer of exactly the payload's
+// size.
+func encodePayload(p logPayload) []byte {
+	return appendPayload(make([]byte, 0, payloadLen(p)), p)
+}
+
 // updatePayload is the commit path's commonest record: a three-column UPDATE.
 func updatePayload() logPayload {
 	return logPayload{Op: opUpdate, Table: "t", Row: 7,

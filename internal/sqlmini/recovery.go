@@ -36,16 +36,17 @@ func (db *DB) Crash() (*wal.Log, error) {
 }
 
 // Recover performs ARIES-style restart recovery from a durable log: analysis
-// (classify transactions), redo (replay history), undo (roll back losers).
-// Prepared (in-doubt) transactions are redone, re-locked, and left pending
-// for ResolveInDoubt — the 2PC coordinator decides their fate.
+// (classify transactions) and redo (replay history) in one scan of the
+// segments, then undo (roll back losers from the undo lists the scan
+// rebuilt). Prepared (in-doubt) transactions are redone, re-locked, and left
+// pending for ResolveInDoubt — the 2PC coordinator decides their fate, and
+// an abort rolls one back through the same code as a live abort.
 //
-// Both scanning passes are anchored at the checkpoint in opts.Dir: the
-// snapshot image seeds the catalog at the anchor LSN, and only the log tail
-// after it is replayed. Checkpoints are quiescent, so no backchain of a
-// loser or in-doubt transaction reaches below the anchor. Without a
-// checkpoint the passes run from the log's start. Recovery ends with a
-// checkpoint when opts.Dir is set.
+// The scan is anchored at the checkpoint in opts.Dir: the snapshot image
+// seeds the catalog at the anchor LSN, and only the log tail after it is
+// replayed. Checkpoints are quiescent, so no loser or in-doubt transaction
+// logged a change below the anchor. Without a checkpoint the scan runs from
+// the log's start. Recovery ends with a checkpoint when opts.Dir is set.
 func Recover(durable *wal.Log, opts Options) (*DB, *RecoveryReport, error) {
 	opts.Log = durable
 	db := NewDB(opts)
@@ -62,13 +63,14 @@ func Recover(durable *wal.Log, opts Options) (*DB, *RecoveryReport, error) {
 		return nil, nil, fmt.Errorf("sqlmini: log starts at LSN %d but the checkpoint anchor is %d; snapshot missing or stale", base+1, anchor)
 	}
 
-	// Analysis pass.
-	type txnInfo struct {
-		state   TxnState
-		lastLSN wal.LSN
-		ended   bool
-		note    Row
-	}
+	// Analysis and redo, in one scan of the tail after the anchor. Redo
+	// replays every change, committed or not (repeating history): the
+	// snapshot already holds every change at or below the anchor, and redo
+	// is not idempotent (InsertAt of an existing row fails), so the anchor
+	// gate is what makes a crash between snapshot rename and log truncation
+	// harmless. Each unfinished transaction's undo list is rebuilt as its
+	// abort would have kept it: a change joins it, a CLR takes off the
+	// changes it compensated.
 	txns := make(map[uint64]*txnInfo)
 	maxTxn := uint64(0)
 	var scanErr error
@@ -92,6 +94,28 @@ func Recover(durable *wal.Log, opts Options) (*DB, *RecoveryReport, error) {
 		switch rec.Type {
 		case wal.RecUpdate, wal.RecCLR:
 			ti.lastLSN = rec.LSN
+			p, err := decodePayload(rec.Payload)
+			if err == nil {
+				err = db.redoOne(p)
+			}
+			if err != nil {
+				scanErr = err
+				return false
+			}
+			rep.Redone++
+			if ti.log == nil {
+				ti.log = txnLogs.Get().(*txnLog)
+			}
+			undo := ti.log.undo
+			if rec.Type == wal.RecUpdate {
+				undo = append(undo, undoEntry{p: p, prev: rec.PrevLSN})
+			} else {
+				for len(undo) > 0 && undo[len(undo)-1].prev >= rec.UndoLSN {
+					undo[len(undo)-1] = undoEntry{}
+					undo = undo[:len(undo)-1]
+				}
+			}
+			ti.log.undo = undo
 		case wal.RecPrepare:
 			ti.state = TxnPrepared
 			ti.lastLSN = rec.LSN
@@ -104,10 +128,13 @@ func Recover(durable *wal.Log, opts Options) (*DB, *RecoveryReport, error) {
 		case wal.RecCommit:
 			ti.state = TxnCommitted
 			ti.lastLSN = rec.LSN
+			ti.askable = len(rec.Payload) > 0
+			ti.dropLog()
 		case wal.RecAbort:
 			ti.state = TxnAborted
 		case wal.RecEnd:
 			ti.ended = true
+			ti.dropLog()
 		}
 		return true
 	})
@@ -121,61 +148,35 @@ func Recover(durable *wal.Log, opts Options) (*DB, *RecoveryReport, error) {
 		db.nextTxn = maxTxn
 	}
 
-	// Redo pass: replay the tail after the anchor. The snapshot already
-	// holds every change at or below it, and redo is not idempotent
-	// (InsertAt of an existing row fails), so the anchor gate is what makes
-	// a crash between snapshot rename and log truncation harmless.
-	var redoErr error
-	err = durable.Scan(anchor+1, wal.NilLSN, func(rec wal.Record) bool {
-		if rec.Type != wal.RecUpdate && rec.Type != wal.RecCLR {
-			return true
-		}
-		p, err := decodePayload(rec.Payload)
-		if err != nil {
-			redoErr = err
-			return false
-		}
-		if err := db.redoOne(p); err != nil {
-			redoErr = err
-			return false
-		}
-		rep.Redone++
-		return true
-	})
-	if err == nil {
-		err = redoErr
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Undo pass: roll back losers (active or mid-abort, not ended).
+	// Undo pass: roll back losers (active or mid-abort, not ended). Only a
+	// commit participants may still ask about is remembered; an abort is
+	// not, since a participant presumes an unknown outcome aborted.
 	for id, ti := range txns {
 		switch {
 		case ti.state == TxnCommitted:
 			rep.CommittedTxns = append(rep.CommittedTxns, id)
-			db.outcome[id] = true
+			if ti.askable && !ti.ended {
+				db.committed[id] = struct{}{}
+			}
 		case ti.ended:
 			// Rolled back to its END: aborted, or a loser an earlier
 			// recovery undid. The log has no checkpoint to hide it when
 			// the database has no Dir, so it is seen again.
-			db.outcome[id] = false
 		case ti.state == TxnPrepared:
 			rep.InDoubtTxns = append(rep.InDoubtTxns, id)
-			txn := &Txn{db: db, id: id, state: TxnPrepared, begun: true, lastLSN: ti.lastLSN, note: ti.note}
+			txn := &Txn{db: db, id: id, state: TxnPrepared, begun: true, lastLSN: ti.lastLSN, note: ti.note, log: ti.log}
 			db.active[id] = txn
 			// Re-acquire exclusive locks on everything the in-doubt txn
-			// touched so new transactions cannot see or change those rows
+			// changed so new transactions cannot see or change those rows
 			// until the coordinator resolves the outcome.
-			if err := db.relockBackchain(txn); err != nil {
+			if err := db.relock(txn); err != nil {
 				return nil, nil, err
 			}
 		default: // loser
 			rep.LoserTxns = append(rep.LoserTxns, id)
-			if err := db.undoLoser(id, ti.lastLSN); err != nil {
+			if err := db.undoLoser(id, ti.log); err != nil {
 				return nil, nil, err
 			}
-			db.outcome[id] = false
 		}
 	}
 	if _, err := db.log.Flush(); err != nil {
@@ -190,6 +191,24 @@ func Recover(durable *wal.Log, opts Options) (*DB, *RecoveryReport, error) {
 		}
 	}
 	return db, rep, nil
+}
+
+// txnInfo is what restart recovery learns of one transaction from the log.
+type txnInfo struct {
+	state   TxnState
+	lastLSN wal.LSN
+	ended   bool
+	askable bool // a commit participants may ask about
+	note    Row
+	log     *txnLog // its undo list, while it may need undoing
+}
+
+// dropLog returns the undo list of a transaction that finished.
+func (ti *txnInfo) dropLog() {
+	if ti.log != nil {
+		ti.log.release()
+		ti.log = nil
+	}
 }
 
 // loadCheckpoint seeds db from repo.snap in dir and returns its anchor LSN
@@ -260,55 +279,32 @@ func (db *DB) redoOne(p logPayload) error {
 	}
 }
 
-// undoLoser rolls back an unfinished transaction during recovery. If the
-// crash interrupted an abort, already-undone changes are skipped by
-// following CLR UndoLSN pointers.
-func (db *DB) undoLoser(id uint64, last wal.LSN) error {
-	cur := last
-	for cur != wal.NilLSN {
-		rec, err := db.log.Read(cur)
-		if err != nil {
-			return err
-		}
-		switch rec.Type {
-		case wal.RecCLR:
-			cur = rec.UndoLSN
-		case wal.RecUpdate:
-			if err := db.undoOne(rec, id); err != nil {
-				return err
-			}
-			cur = rec.PrevLSN
-		default:
-			cur = rec.PrevLSN
-		}
+// undoLoser rolls back an unfinished transaction during recovery, from the
+// undo list the scan rebuilt: the changes an interrupted abort already
+// compensated are no longer on it.
+func (db *DB) undoLoser(id uint64, tl *txnLog) error {
+	if err := db.rollback(id, tl); err != nil {
+		return err
+	}
+	if tl != nil {
+		tl.release()
 	}
 	_, err := db.log.Append(wal.Record{Type: wal.RecEnd, TxnID: id})
 	return err
 }
 
-// relockBackchain takes X locks on every row an in-doubt transaction wrote.
-func (db *DB) relockBackchain(txn *Txn) error {
-	cur := txn.lastLSN
-	for cur != wal.NilLSN {
-		rec, err := db.log.Read(cur)
-		if err != nil {
-			return err
-		}
-		if rec.Type == wal.RecUpdate || rec.Type == wal.RecCLR {
-			p, err := decodePayload(rec.Payload)
-			if err != nil {
+// relock takes X locks on every row an in-doubt transaction's undo list
+// changed.
+func (db *DB) relock(txn *Txn) error {
+	if txn.log == nil {
+		return nil
+	}
+	for i := range txn.log.undo {
+		p := &txn.log.undo[i].p
+		if p.Op == opInsert || p.Op == opDelete || p.Op == opUpdate {
+			if err := db.lm.Acquire(txn.id, LockTarget{Table: p.Table, Row: p.Row}, LockX); err != nil {
 				return err
 			}
-			if p.Op == opInsert || p.Op == opDelete || p.Op == opUpdate {
-				if err := db.lm.Acquire(txn.id, LockTarget{Table: p.Table, Row: p.Row}, LockX); err != nil {
-					return err
-				}
-			}
-		}
-		if rec.Type == wal.RecCLR {
-			cur = rec.UndoLSN
-		} else {
-			cur = rec.PrevLSN
 		}
 	}
 	return nil

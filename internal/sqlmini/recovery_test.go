@@ -59,8 +59,9 @@ func TestRecoveryUndoesUncommitted(t *testing.T) {
 	if len(rows.Data) != 1 || rows.Data[0][0].I != 1 || rows.Data[0][1].I != 10 {
 		t.Fatalf("recovered rows = %+v", rows.Data)
 	}
-	if c, known := db2.Outcome(txn.ID()); !known || c {
-		t.Fatalf("loser outcome = %v/%v, want aborted/known", c, known)
+	// Recovery remembers no abort: an unknown outcome reads as aborted.
+	if c, known := db2.Outcome(txn.ID()); known || c {
+		t.Fatalf("loser outcome = %v/%v, want unknown", c, known)
 	}
 }
 
@@ -375,8 +376,8 @@ func TestRecoveryDoesNotUndoALoserTwice(t *testing.T) {
 	if len(rep.LoserTxns) != 0 || db3.Log().TailLSN() != tail {
 		t.Fatalf("second recovery: losers %v, tail %d -> %d; want none and nothing logged", rep.LoserTxns, tail, db3.Log().TailLSN())
 	}
-	if c, known := db3.Outcome(txn.ID()); !known || c {
-		t.Fatalf("outcome of the undone loser: committed=%v known=%v", c, known)
+	if c, known := db3.Outcome(txn.ID()); known || c {
+		t.Fatalf("outcome of the undone loser: committed=%v known=%v, want unknown", c, known)
 	}
 	if rows := mustQuery(t, db3, `SELECT v FROM t WHERE id = 1`); rows.Data[0][0].I != 1 {
 		t.Fatalf("v = %d, want 1", rows.Data[0][0].I)

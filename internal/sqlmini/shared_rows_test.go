@@ -123,7 +123,7 @@ func TestAutocommitLeavesNoOutcome(t *testing.T) {
 		mustExec(t, db, `UPDATE t SET v = ? WHERE id = 1`, Int(int64(i)))
 	}
 	db.mu.Lock()
-	n := len(db.outcome)
+	n := len(db.committed)
 	db.mu.Unlock()
 	if n != 0 {
 		t.Fatalf("10 000 autocommit UPDATEs left %d outcomes", n)

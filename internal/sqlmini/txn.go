@@ -69,11 +69,11 @@ type DB struct {
 	mu      sync.Mutex
 	nextTxn uint64
 	active  map[uint64]*Txn
-	// outcome holds the fate of every finished transaction a participant
-	// may ask about (true=committed): a commit with enlisted XRMs whose
-	// phase 2 has not ended with every participant done with it, and those
-	// restart recovery resolved.
-	outcome map[uint64]bool
+	// committed holds every commit a participant may still ask about: one
+	// with enlisted XRMs whose phase 2 has not ended with every participant
+	// done with it, and those restart recovery found so. Nothing else is
+	// kept; an unknown outcome reads as an abort.
+	committed map[uint64]struct{}
 
 	// Failures nobody waits on, counted for an operator: a participant's
 	// phase-2 commit or abort (it re-resolves at its recovery), an automatic
@@ -130,7 +130,7 @@ func NewDB(opts Options) *DB {
 		lm:        NewLockManager(opts.LockTimeout),
 		clock:     opts.Clock,
 		active:    make(map[uint64]*Txn),
-		outcome:   make(map[uint64]bool),
+		committed: make(map[uint64]struct{}),
 		fns:       make(map[string]ScalarFn),
 		dir:       opts.Dir,
 		ckptBytes: opts.CheckpointBytes,
@@ -203,12 +203,13 @@ func (db *DB) Table(name string) (*Table, error) { return db.cat.get(name) }
 // commit point until every participant's CommitXRM returned nil from a
 // participant whose commit is durable (XRMDurable), and for good when one
 // did not: only such a participant can still ask. An abort is never known,
-// which reads the same. One restart recovery resolved stays known too.
+// which reads the same. Restart recovery knows such a commit again unless
+// its END, logged once every participant was done with it, follows it.
 func (db *DB) Outcome(txnID uint64) (committed, known bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	c, ok := db.outcome[txnID]
-	return c, ok
+	_, ok := db.committed[txnID]
+	return ok, ok
 }
 
 // Txn is a database transaction.
@@ -220,10 +221,12 @@ type Txn struct {
 	lastLSN wal.LSN
 	note    Row // the prepare note, once prepared
 	xrms    []XRM
-	// onCommit/onAbort run after the outcome is durable; the engine uses them
-	// for post-commit work like releasing in-memory link state.
+	// onCommit runs after the commit is durable; the engine uses it for
+	// post-commit work like releasing in-memory link state.
 	onCommit []func()
-	onAbort  []func()
+	// log is the undo list and record buffer of a transaction that has
+	// logged a change or a prepare; nil for a query.
+	log *txnLog
 
 	// pkID and pkRow back matchRows' answer for a primary-key hit, valid
 	// until the next matchRows on this transaction.
@@ -246,8 +249,7 @@ func (db *DB) Begin() *Txn {
 // the first time. A transaction that never logs anything and has no
 // participants — a query — therefore leaves the log alone (readOnly): a
 // host database serving token SELECTs must not grow its log, which never
-// checkpoints and keeps its tail in memory, by a begin and a commit record
-// per read.
+// checkpoints, by a begin and a commit record per read.
 func (t *Txn) append(rec wal.Record) (wal.LSN, error) {
 	if !t.begun {
 		if _, err := t.db.log.Append(wal.Record{Type: wal.RecBegin, TxnID: t.id}); err != nil {
@@ -297,24 +299,74 @@ func (t *Txn) Enlist(x XRM) {
 // OnCommit registers fn to run after a successful commit.
 func (t *Txn) OnCommit(fn func()) { t.onCommit = append(t.onCommit, fn) }
 
-// OnAbort registers fn to run after rollback completes.
-func (t *Txn) OnAbort(fn func()) { t.onAbort = append(t.onAbort, fn) }
-
 // errTxnDone guards against use-after-finish.
 var errTxnDone = errors.New("sqlmini: transaction already finished")
 
-// logChange appends an update record with backchain. On failure (the log is
-// closed: this member was killed) nothing was logged, and the caller takes
-// back the in-memory change it made ahead of the record.
+// undoEntry is one logged change as rolling it back needs it: the change
+// itself, whose rows are installed ones nobody writes to again, so keeping
+// them copies nothing, and its record's PrevLSN, the UndoLSN of the CLR
+// that compensates it.
+type undoEntry struct {
+	p    logPayload
+	prev wal.LSN
+}
+
+// txnLog is what a transaction that logs keeps of its own records: its
+// changes, oldest first, which an abort undoes newest first without reading
+// the log (ARIES's per-transaction undo chain), and the buffer each record
+// is encoded in before Append copies it. One comes from txnLogs at the first
+// change and goes back, emptied, when the transaction finishes.
+type txnLog struct {
+	undo []undoEntry
+	buf  []byte
+}
+
+var txnLogs = sync.Pool{New: func() any { return new(txnLog) }}
+
+// maxPooledBuf bounds the record buffer a txnLog keeps in the pool: one
+// large row must not pin its encoding for good.
+const maxPooledBuf = 64 << 10
+
+// encode lays p out in the reused record buffer and returns it, valid until
+// the next encode.
+func (tl *txnLog) encode(p logPayload) []byte {
+	tl.buf = appendPayload(tl.buf[:0], p)
+	return tl.buf
+}
+
+// release empties tl, dropping its references to rows, and pools it.
+func (tl *txnLog) release() {
+	clear(tl.undo)
+	tl.undo = tl.undo[:0]
+	if cap(tl.buf) > maxPooledBuf {
+		tl.buf = nil
+	}
+	txnLogs.Put(tl)
+}
+
+// ownLog returns the transaction's txnLog, taking one at the first use.
+func (t *Txn) ownLog() *txnLog {
+	if t.log == nil {
+		t.log = txnLogs.Get().(*txnLog)
+	}
+	return t.log
+}
+
+// logChange appends an update record with backchain and adds the change to
+// the undo list. On failure (the log is closed: this member was killed)
+// nothing was logged, and the caller takes back the in-memory change it made
+// ahead of the record.
 func (t *Txn) logChange(p logPayload) error {
+	tl := t.ownLog()
 	lsn, err := t.append(wal.Record{
 		Type:    wal.RecUpdate,
 		PrevLSN: t.lastLSN,
-		Payload: encodePayload(p),
+		Payload: tl.encode(p),
 	})
 	if err != nil {
 		return fmt.Errorf("sqlmini: log append: %w", err)
 	}
+	tl.undo = append(tl.undo, undoEntry{p: p, prev: t.lastLSN})
 	t.lastLSN = lsn
 	return nil
 }
@@ -620,7 +672,7 @@ func (t *Txn) Prepare(note Row) error {
 	}
 	rec := wal.Record{Type: wal.RecPrepare, PrevLSN: t.lastLSN}
 	if len(note) > 0 {
-		rec.Payload = encodePayload(logPayload{Op: opPrepare, After: note})
+		rec.Payload = t.ownLog().encode(logPayload{Op: opPrepare, After: note})
 	}
 	lsn, err := t.append(rec)
 	if err != nil {
@@ -652,9 +704,14 @@ func (t *Txn) Commit() error {
 			return fmt.Errorf("sqlmini: prepare %s failed, transaction aborted: %w", x.XRMName(), err)
 		}
 	}
-	// Commit point: durable commit record.
+	// Commit point: durable commit record, marked when participants may
+	// ask about it.
 	if !t.readOnly() {
-		lsn, err := t.append(wal.Record{Type: wal.RecCommit, PrevLSN: t.lastLSN})
+		rec := wal.Record{Type: wal.RecCommit, PrevLSN: t.lastLSN}
+		if len(t.xrms) > 0 {
+			rec.Payload = askableCommit
+		}
+		lsn, err := t.append(rec)
 		if err != nil {
 			return err
 		}
@@ -684,33 +741,27 @@ func (t *Txn) Commit() error {
 	return nil
 }
 
+// askableCommit is the payload of a commit record whose transaction
+// enlisted participants: restart recovery remembers the outcome of such a
+// commit unless an END follows it, because a participant may still ask.
+var askableCommit = []byte{1}
+
 // Abort rolls back the transaction: every logged change is undone in reverse
 // order with CLRs, participants abort, locks release.
 func (t *Txn) Abort() error {
 	if t.state != TxnActive && t.state != TxnPrepared {
 		return errTxnDone
 	}
-	// A read-only transaction has nothing to undo (the backchain walk below
-	// is empty) and logs neither the abort nor the end.
+	// A read-only transaction has nothing to undo and logs neither the
+	// abort nor the end.
 	logged := !t.readOnly()
 	if logged {
 		if _, err := t.append(wal.Record{Type: wal.RecAbort, PrevLSN: t.lastLSN}); err != nil {
 			return err
 		}
 	}
-	// Walk the backchain undoing updates.
-	cur := t.lastLSN
-	for cur != wal.NilLSN {
-		rec, err := t.db.log.Read(cur)
-		if err != nil {
-			return fmt.Errorf("sqlmini: abort backchain: %w", err)
-		}
-		if rec.Type == wal.RecUpdate {
-			if err := t.db.undoOne(rec, t.id); err != nil {
-				return err
-			}
-		}
-		cur = rec.PrevLSN
+	if err := t.db.rollback(t.id, t.log); err != nil {
+		return err
 	}
 	if logged {
 		if _, err := t.append(wal.Record{Type: wal.RecEnd}); err != nil {
@@ -724,9 +775,6 @@ func (t *Txn) Abort() error {
 		}
 	}
 	t.finish(true)
-	for _, fn := range t.onAbort {
-		fn()
-	}
 	return nil
 }
 
@@ -740,30 +788,54 @@ func (t *Txn) decide() {
 		return
 	}
 	t.db.mu.Lock()
-	t.db.outcome[t.id] = true
+	t.db.committed[t.id] = struct{}{}
 	t.db.mu.Unlock()
 }
 
-// finish releases locks. resolved says no participant can ask about the
-// transaction any more, so its outcome is forgotten: otherwise the map
-// would keep one entry per file-update commit for the life of the process.
+// finish releases locks and the transaction's txnLog. resolved says no
+// participant can ask about the transaction any more, so its outcome is
+// forgotten: otherwise the map would keep one entry per file-update commit
+// for the life of the process. A marked commit says so in the log too, with
+// an unforced END, so restart recovery forgets it as well; an END lost to a
+// crash only leaves that outcome known.
 func (t *Txn) finish(resolved bool) {
+	if resolved && t.state == TxnCommitted && len(t.xrms) > 0 {
+		// A failed append (the log closed under a kill) only leaves the
+		// outcome for restart recovery to learn again.
+		_, _ = t.append(wal.Record{Type: wal.RecEnd, PrevLSN: t.lastLSN})
+	}
+	if t.log != nil {
+		t.log.release()
+		t.log = nil
+	}
 	t.db.mu.Lock()
 	delete(t.db.active, t.id)
 	if resolved {
-		delete(t.db.outcome, t.id)
+		delete(t.db.committed, t.id)
 	}
 	t.db.mu.Unlock()
 	t.db.lm.ReleaseAll(t.id)
 	t.db.maybeCheckpoint()
 }
 
-// undoOne reverses a single logged change, writing a CLR.
-func (db *DB) undoOne(rec wal.Record, txnID uint64) error {
-	p, err := decodePayload(rec.Payload)
-	if err != nil {
-		return err
+// rollback undoes tl's changes newest first, each with a CLR, emptying the
+// list as it goes: a rollback that fails resumes where it stopped. A nil tl
+// has nothing to undo.
+func (db *DB) rollback(txnID uint64, tl *txnLog) error {
+	for tl != nil && len(tl.undo) > 0 {
+		i := len(tl.undo) - 1
+		if err := db.undoOne(tl, &tl.undo[i], txnID); err != nil {
+			return err
+		}
+		tl.undo[i] = undoEntry{}
+		tl.undo = tl.undo[:i]
 	}
+	return nil
+}
+
+// undoOne reverses a single logged change, writing a CLR.
+func (db *DB) undoOne(tl *txnLog, e *undoEntry, txnID uint64) error {
+	p := &e.p
 	var clr logPayload
 	switch p.Op {
 	case opInsert:
@@ -818,11 +890,11 @@ func (db *DB) undoOne(rec wal.Record, txnID uint64) error {
 	default:
 		return fmt.Errorf("sqlmini: cannot undo op %d", p.Op)
 	}
-	_, err = db.log.Append(wal.Record{
+	_, err := db.log.Append(wal.Record{
 		Type:    wal.RecCLR,
 		TxnID:   txnID,
-		UndoLSN: rec.PrevLSN,
-		Payload: encodePayload(clr),
+		UndoLSN: e.prev,
+		Payload: tl.encode(clr),
 	})
 	return err
 }

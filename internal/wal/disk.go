@@ -1,12 +1,14 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"datalinks/internal/dirlock"
 	"datalinks/internal/fsyncer"
@@ -16,7 +18,7 @@ import (
 // Disk layout: the log directory holds size-bounded segment files named
 // wal-<first LSN>.log, each a concatenation of seglog frames whose payload is
 // uvarint LSN, one type byte, uvarint TxnID, uvarint PrevLSN, uvarint
-// UndoLSN, then the record payload. A reopen replays the segments in LSN
+// UndoLSN, then the record payload. A reopen validates the segments in LSN
 // order and keeps the longest valid prefix: the first frame that fails its
 // framing, decode, or LSN-continuity check marks the torn tail, which seglog
 // quarantines to wal.torn and cuts off. The same directory carries repo.snap
@@ -46,9 +48,8 @@ type Config struct {
 	Fsync fsyncer.Policy
 }
 
-// Open opens (or creates) a log directory, taking single
-// ownership of it, replaying the longest valid record prefix and
-// quarantining any torn tail.
+// Open opens (or creates) a log directory, taking single ownership of it,
+// validating the longest valid record prefix and quarantining any torn tail.
 func Open(cfg Config) (*Log, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("wal: Config.Dir is required")
@@ -72,9 +73,10 @@ func Open(cfg Config) (*Log, error) {
 	return l, nil
 }
 
-// replay loads every segment into l, reading each file once. The first
-// invalid byte ends the valid prefix: that segment's tail, and every later
-// segment whole, is quarantined.
+// replay validates every segment in one pass through one scan window,
+// counting the checkpoint odometer as it goes and keeping no record. The
+// first invalid byte ends the valid prefix: that segment's tail, and every
+// later segment whole, is quarantined.
 func (l *Log) replay() error {
 	segs, err := l.files.List()
 	if err != nil {
@@ -84,50 +86,51 @@ func (l *Log) replay() error {
 	quarantine := filepath.Join(l.cfg.Dir, tornName)
 
 	var (
-		recs recTail
-		base LSN
-		next LSN
+		sc   seglog.Scanner
 		kept []uint64 // segments that survive the repair
 		torn bool
 	)
+	next := LSN(1) // the LSN the next valid record must carry
 	for i, first := range segs {
 		if i == 0 {
-			base, next = LSN(first)-1, LSN(first)
-		}
-		path := l.files.Path(first)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
+			l.base, next = LSN(first)-1, LSN(first)
 		}
 		// A gap or overlap between segments, like anything after a torn
 		// segment, is not a continuation of the valid prefix.
-		valid := 0
-		if !torn && LSN(first) == next {
-			valid = decodeFrames(data, next, &recs)
-			next = base + LSN(recs.n) + 1
-			if valid == len(data) {
-				kept = append(kept, first)
-				continue
+		continues := !torn && LSN(first) == next
+		valid, size, err := l.readSegment(&sc, LSN(first), func(rec Record) bool {
+			if continues {
+				l.count(&rec)
+				next = rec.LSN + 1
 			}
+			return continues
+		})
+		if err != nil {
+			return err
+		}
+		if valid == size {
+			kept = append(kept, first)
+			continue
 		}
 		torn = true
-		if err := seglog.RepairTail(path, int64(valid), quarantine, syncing); err != nil {
+		path := l.files.Path(first)
+		if err := seglog.RepairTail(path, valid, quarantine, syncing); err != nil {
 			return fmt.Errorf("wal: %s: %w", path, err)
 		}
-		l.tornBytes += int64(len(data) - valid)
+		l.tornBytes += size - valid
 		if valid > 0 {
 			kept = append(kept, first)
 		}
 	}
+	l.tail = next - 1
 
 	// Open (or create) the active segment.
 	if len(kept) == 0 {
-		first := base + LSN(recs.n) + 1
-		f, err := l.files.Create(uint64(first), nil, syncing)
+		f, err := l.files.Create(uint64(l.tail+1), nil, syncing)
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
-		kept = []uint64{uint64(first)}
+		kept = []uint64{uint64(l.tail + 1)}
 		l.seg, l.segSize = f, 0
 	} else {
 		f, err := os.OpenFile(l.files.Path(kept[len(kept)-1]), os.O_RDWR, 0o644)
@@ -142,21 +145,123 @@ func (l *Log) replay() error {
 		l.seg, l.segSize = f, size
 	}
 	l.segs = kept
-	l.written = base + LSN(recs.n)
+	l.written = l.tail
+	l.flushed = l.tail
+	return nil
+}
 
-	l.base = base
-	l.records = recs
-	l.flushed = l.written
-	since := int64(0)
-	for i := 0; i < recs.n; i++ {
-		if r := recs.at(i); r.Type == RecCheckpoint && len(r.Payload) > 0 {
-			since = 0
-		} else {
-			since += int64(len(r.Payload)) + recOverheadBytes
+// readSegment walks the segment that starts at LSN first through sc: fn
+// sees, until it returns false, each record whose frame is whole, decodes
+// and carries the next LSN, its Payload valid only during the call. It
+// returns the length of the prefix walked and the file's size.
+func (l *Log) readSegment(sc *seglog.Scanner, first LSN, fn func(Record) bool) (valid, size int64, err error) {
+	f, err := os.Open(l.files.Path(uint64(first)))
+	if err != nil {
+		return 0, 0, fmt.Errorf("wal: %w", err)
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return 0, 0, fmt.Errorf("wal: %w", err)
+	}
+	next := first
+	valid, err = sc.ScanFrames(f, info.Size(), func(payload []byte) bool {
+		rec, err := decodeRecord(payload)
+		if err != nil || rec.LSN != next {
+			return false
+		}
+		next++
+		return fn(rec)
+	})
+	if err != nil {
+		return 0, 0, fmt.Errorf("wal: reading %s: %w", f.Name(), err)
+	}
+	return valid, info.Size(), nil
+}
+
+// Scan calls fn on every record in [from, to] in LSN order. A zero `to`
+// means the current tail; a `from` at or below the truncated base is clamped
+// to the first retained record. Scanning stops early if fn returns false.
+//
+// The records are read back from the segment files through one reused
+// window, then from a copy of the frames not yet written: a Scan writes
+// nothing early. A record's Payload is valid only during fn. The segments a
+// Scan began with stay on disk until it ends (see Log.doomed), so a
+// TruncateHead racing it cannot cut the range it serves.
+func (l *Log) Scan(from, to LSN, fn func(Record) bool) error {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return ErrClosed
+	}
+	from = max(from, l.base+1)
+	if to == NilLSN || to > l.tail {
+		to = l.tail
+	}
+	written := l.written
+	var pending []byte
+	if to > written {
+		pending = bytes.Clone(l.pending)
+	}
+	l.fileMu.Lock()
+	segs := slices.Clone(l.segs)
+	l.scans++
+	l.fileMu.Unlock()
+	l.mu.Unlock()
+	defer l.endScan()
+
+	more := true // fn has not asked to stop
+	visit := func(rec Record) bool {
+		if rec.LSN >= from {
+			more = fn(rec)
+		}
+		return more && rec.LSN < to
+	}
+	var sc seglog.Scanner
+	for i := 0; i < len(segs) && more; i++ {
+		first, last := LSN(segs[i]), min(written, to)
+		if i+1 < len(segs) {
+			last = min(last, LSN(segs[i+1])-1)
+		}
+		if last < max(first, from) {
+			continue
+		}
+		reached := first - 1
+		_, _, err := l.readSegment(&sc, first, func(rec Record) bool {
+			reached = rec.LSN
+			return visit(rec)
+		})
+		// Bytes past the records served (a failed write being rewound) are
+		// no concern of this scan; a segment Open validated and nothing
+		// but appends touched ending short of them is.
+		if more && reached < last {
+			if err == nil {
+				err = fmt.Errorf("wal: segment %d ends at record %d, want %d", first, reached, last)
+			}
+			return err
 		}
 	}
-	l.sizeSinceCkpt = since
+	for next := written + 1; more && next <= to; next++ {
+		payload, n, ok := seglog.NextFrame(pending)
+		rec, err := decodeRecord(payload)
+		if !ok || err != nil || rec.LSN != next {
+			return fmt.Errorf("wal: unwritten record %d does not decode", next)
+		}
+		pending = pending[n:]
+		visit(rec)
+	}
 	return nil
+}
+
+// endScan ends a Scan, removing the segments TruncateHead dropped meanwhile
+// once no other Scan is reading. A removal that fails is retried, and
+// reported, by the next TruncateHead.
+func (l *Log) endScan() {
+	l.fileMu.Lock()
+	defer l.fileMu.Unlock()
+	if l.scans--; l.scans == 0 {
+		_ = l.reapLocked()
+	}
 }
 
 // flushActive is the fsyncer callback: sync the active segment. Sealed
@@ -195,7 +300,7 @@ func (l *Log) writePendingLocked() error {
 		return fmt.Errorf("wal: writing %s: %w", l.seg.Name(), err)
 	}
 	l.segSize += int64(len(l.pending))
-	l.written = l.base + LSN(l.records.n)
+	l.written = l.tail
 	l.pending = l.pending[:0]
 	return nil
 }
@@ -248,45 +353,52 @@ func (l *Log) SealSegment() error {
 // successor. It deletes only whole sealed segments — a segment that
 // straddles keepFrom (a transaction flushed between the snapshot and the
 // checkpoint's SealSegment) keeps its pre-anchor records, recovery re-reads
-// them, and the sequence gate is what prevents double-apply. The in-memory
-// tail drops its leading blocks without copying a surviving record.
+// them, and the sequence gate is what prevents double-apply. The base moves
+// at once; while a Scan is reading, the files wait for it to end.
 func (l *Log) TruncateHead(keepFrom LSN) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	if keepFrom > l.flushed+1 {
-		keepFrom = l.flushed + 1
-	}
-	if keepFrom <= l.base+1 {
-		return nil
-	}
+	keepFrom = min(keepFrom, l.flushed+1)
 	l.fileMu.Lock()
 	defer l.fileMu.Unlock()
 	keep := 0
 	for keep+1 < len(l.segs) && LSN(l.segs[keep+1]) <= keepFrom {
 		keep++
 	}
-	var err error
-	for i := 0; i < keep && err == nil; i++ {
-		// Oldest first, stopping at the first failure: a hole below a
-		// surviving segment would read as a gap at the next open.
-		if err = os.Remove(l.files.Path(l.segs[i])); err != nil {
-			keep = i
-		}
-	}
 	if keep > 0 {
-		l.segs = append([]uint64(nil), l.segs[keep:]...)
-		newBase := LSN(l.segs[0]) - 1
-		l.records.dropHead(int(newBase - l.base))
-		l.base = newBase
-		if err == nil && l.cfg.Fsync != fsyncer.PolicyNone {
-			err = seglog.SyncDir(l.cfg.Dir)
-		}
+		l.doomed = append(l.doomed, l.segs[:keep]...)
+		l.segs = l.segs[keep:]
+		l.base = LSN(l.segs[0]) - 1
 	}
-	if err != nil {
+	if l.scans > 0 {
+		return nil
+	}
+	if err := l.reapLocked(); err != nil {
 		return fmt.Errorf("wal: truncating head: %w", err)
+	}
+	return nil
+}
+
+// reapLocked removes the doomed segments, oldest first, stopping at the
+// first failure: a hole below a surviving segment would read as a gap at
+// the next open, while a leftover run of old segments reads as records below
+// the checkpoint anchor, which recovery skips. Caller holds l.fileMu.
+func (l *Log) reapLocked() error {
+	if len(l.doomed) == 0 {
+		return nil
+	}
+	for len(l.doomed) > 0 {
+		if err := os.Remove(l.files.Path(l.doomed[0])); err != nil {
+			return err
+		}
+		l.doomed = l.doomed[1:]
+	}
+	l.doomed = nil
+	if l.cfg.Fsync != fsyncer.PolicyNone {
+		return seglog.SyncDir(l.cfg.Dir)
 	}
 	return nil
 }
@@ -313,61 +425,22 @@ func appendRecordHeader(buf []byte, rec Record) []byte {
 var errShortRecord = errors.New("wal: truncated record payload")
 
 // decodeRecord reads a frame payload: the header appendRecordHeader wrote,
-// then the record payload, copied so the record does not alias the segment
-// read buffer.
+// then the record payload, which aliases b.
 func decodeRecord(b []byte) (Record, error) {
-	var rec Record
 	lsn, n := binary.Uvarint(b)
-	if n <= 0 {
-		return rec, errShortRecord
+	if n <= 0 || n >= len(b) {
+		return Record{}, errShortRecord
 	}
-	b = b[n:]
-	if len(b) < 1 {
-		return rec, errShortRecord
+	rec := Record{LSN: LSN(lsn), Type: RecType(b[n])}
+	b = b[n+1:]
+	for _, field := range [...]*uint64{&rec.TxnID, (*uint64)(&rec.PrevLSN), (*uint64)(&rec.UndoLSN)} {
+		if *field, n = binary.Uvarint(b); n <= 0 {
+			return Record{}, errShortRecord
+		}
+		b = b[n:]
 	}
-	rec.Type = RecType(b[0])
-	b = b[1:]
-	txn, n := binary.Uvarint(b)
-	if n <= 0 {
-		return rec, errShortRecord
-	}
-	b = b[n:]
-	prev, n := binary.Uvarint(b)
-	if n <= 0 {
-		return rec, errShortRecord
-	}
-	b = b[n:]
-	undo, n := binary.Uvarint(b)
-	if n <= 0 {
-		return rec, errShortRecord
-	}
-	b = b[n:]
-	rec.LSN = LSN(lsn)
-	rec.TxnID = txn
-	rec.PrevLSN = LSN(prev)
-	rec.UndoLSN = LSN(undo)
 	if len(b) > 0 {
-		rec.Payload = append([]byte(nil), b...)
+		rec.Payload = b
 	}
 	return rec, nil
-}
-
-// decodeFrames walks the frame stream, pushing its records onto recs and
-// returning the length of the valid prefix. `next` is the LSN the first
-// record must carry; any framing, decode, or sequence anomaly ends the valid
-// prefix.
-func decodeFrames(data []byte, next LSN, recs *recTail) (valid int) {
-	return seglog.ValidPrefix(data, func(rest []byte) (int, bool) {
-		payload, n, ok := seglog.NextFrame(rest)
-		if !ok {
-			return 0, false
-		}
-		rec, err := decodeRecord(payload)
-		if err != nil || rec.LSN != next {
-			return 0, false
-		}
-		recs.push(rec)
-		next++
-		return n, true
-	})
 }

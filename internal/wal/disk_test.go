@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"datalinks/internal/fsyncer"
+	"datalinks/internal/seglog"
 )
 
 func openDisk(t *testing.T, dir string, segBytes int64) *Log {
@@ -28,16 +30,57 @@ func mustAppend(t *testing.T, l *Log, typ RecType, txn uint64, payload []byte) L
 	return lsn
 }
 
+// logRecords scans the whole log, copying each payload out of the scan.
 func logRecords(t *testing.T, l *Log) []Record {
 	t.Helper()
 	var recs []Record
 	if err := l.Scan(NilLSN, NilLSN, func(r Record) bool {
+		r.Payload = bytes.Clone(r.Payload)
 		recs = append(recs, r)
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
 	return recs
+}
+
+// readAt returns the record at lsn through a one-record Scan, its payload
+// copied; false when the log serves no record there.
+func readAt(t *testing.T, l *Log, lsn LSN) (Record, bool) {
+	t.Helper()
+	var got Record
+	if lsn == NilLSN {
+		return got, false
+	}
+	if err := l.Scan(lsn, lsn, func(r Record) bool {
+		got = r
+		got.Payload = bytes.Clone(r.Payload)
+		return false
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return got, got.LSN == lsn
+}
+
+// validFrames walks a segment image in memory: the length of its valid
+// prefix — the frames that decode with LSNs 1, 2, 3, … — and the records
+// in it, their payloads copied.
+func validFrames(data []byte) (int, []Record) {
+	var recs []Record
+	valid := seglog.ValidPrefix(data, func(rest []byte) (int, bool) {
+		payload, n, ok := seglog.NextFrame(rest)
+		if !ok {
+			return 0, false
+		}
+		rec, err := decodeRecord(payload)
+		if err != nil || rec.LSN != LSN(len(recs)+1) {
+			return 0, false
+		}
+		rec.Payload = bytes.Clone(rec.Payload)
+		recs = append(recs, rec)
+		return n, true
+	})
+	return valid, recs
 }
 
 func TestDiskRoundTrip(t *testing.T) {
@@ -56,9 +99,7 @@ func TestDiskRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Scan(NilLSN, NilLSN, func(r Record) bool { want = append(want, r); return true }); err != nil {
-		t.Fatal(err)
-	}
+	want = logRecords(t, l)
 	if _, err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,16 +227,14 @@ func TestDiskTornTailEveryByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs recTail
-	if prefix := decodeFrames(whole, 1, &recs); prefix != len(whole) || recs.n != 5 {
-		t.Fatalf("seed file does not decode cleanly: %d/%d bytes, %d records", prefix, len(whole), recs.n)
+	if prefix, recs := validFrames(whole); prefix != len(whole) || len(recs) != 5 {
+		t.Fatalf("seed file does not decode cleanly: %d/%d bytes, %d records", prefix, len(whole), len(recs))
 	}
 	// The valid prefix of the file minus one byte ends exactly where the
 	// last frame starts.
-	var recs4 recTail
-	lastStart := decodeFrames(whole[:len(whole)-1], 1, &recs4)
-	if recs4.n != 4 {
-		t.Fatalf("expected 4 records before the last frame, got %d", recs4.n)
+	lastStart, recs4 := validFrames(whole[:len(whole)-1])
+	if len(recs4) != 4 {
+		t.Fatalf("expected 4 records before the last frame, got %d", len(recs4))
 	}
 
 	for cut := lastStart; cut < len(whole); cut++ {
@@ -215,7 +254,7 @@ func TestDiskTornTailEveryByte(t *testing.T) {
 		}
 		got := logRecords(t, l2)
 		for i := range got {
-			if string(got[i].Payload) != string(recs4.at(i).Payload) {
+			if string(got[i].Payload) != string(recs4[i].Payload) {
 				t.Fatalf("cut=%d: record %d payload differs", cut, i)
 			}
 		}
@@ -255,10 +294,9 @@ func TestDiskTornTailCorruptedByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs4 recTail
-	lastStart := decodeFrames(whole[:len(whole)-1], 1, &recs4)
-	if recs4.n != 4 {
-		t.Fatalf("want 4 records before last frame, got %d", recs4.n)
+	lastStart, recs4 := validFrames(whole[:len(whole)-1])
+	if len(recs4) != 4 {
+		t.Fatalf("want 4 records before last frame, got %d", len(recs4))
 	}
 	for pos := lastStart; pos < len(whole); pos++ {
 		dir := t.TempDir()
@@ -316,11 +354,11 @@ func TestDiskSegmentRotationAndTruncateHead(t *testing.T) {
 	if l.Base() == NilLSN || l.Base() >= 9 {
 		t.Fatalf("base after truncate = %d, want in (0, 9)", l.Base())
 	}
-	if _, err := l.Read(l.Base()); err == nil {
+	if _, ok := readAt(t, l, l.Base()); ok {
 		t.Fatal("read at base should fail")
 	}
-	if r, err := l.Read(9); err != nil || r.LSN != 9 {
-		t.Fatalf("read(9) after truncate: %v, %+v", err, r)
+	if r, ok := readAt(t, l, 9); !ok || r.LSN != 9 {
+		t.Fatalf("read(9) after truncate: %v, %+v", ok, r)
 	}
 
 	// Reopen: the retained records (including those below the anchor still
@@ -348,11 +386,11 @@ func TestDiskMemoryTruncateHead(t *testing.T) {
 	if l.Base() != 6 {
 		t.Fatalf("memory base = %d, want 6", l.Base())
 	}
-	if _, err := l.Read(6); err == nil {
+	if _, ok := readAt(t, l, 6); ok {
 		t.Fatal("read below base should fail")
 	}
-	if r, err := l.Read(7); err != nil || r.LSN != 7 {
-		t.Fatalf("read(7): %v %+v", err, r)
+	if r, ok := readAt(t, l, 7); !ok || r.LSN != 7 || string(r.Payload) != "r7" {
+		t.Fatalf("read(7): %v %+v", ok, r)
 	}
 	if lsn := mustAppend(t, l, RecUpdate, 1, nil); lsn != 11 {
 		t.Fatalf("append after truncate LSN = %d, want 11", lsn)

@@ -114,10 +114,8 @@ func TestSealedEmptySegmentSurvivesReopen(t *testing.T) {
 }
 
 // Append frames the header and the payload it was handed straight into the
-// pending buffer: with that buffer grown and the tail's block already
-// allocated (AllocsPerRun's warm-up call does it, and every measured record
-// fits in that block), it allocates nothing (parent: the defensive copy and
-// encodeRecord's temporary, both of payload size).
+// pending buffer: with that buffer grown, it allocates nothing — no copy of
+// the payload, no temporary for the header.
 func TestAppendAllocatesNoPayloadBuffer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -135,9 +133,5 @@ func TestAppendAllocatesNoPayloadBuffer(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("Append of a 256 B payload: %.0f mallocs, want 0", n)
-	}
-	rec, err := l.Read(1)
-	if err != nil || &rec.Payload[0] != &payload[0] {
-		t.Fatalf("the record mirror holds a copy of the payload (%v)", err)
 	}
 }

@@ -5,8 +5,12 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"unsafe"
 )
+
+// seam is where the tail tests seal a segment: the record counts they use
+// straddle it, so a scan crosses from a sealed segment into the active one
+// or into the frames not yet written.
+const seam = 255
 
 // fillLog appends n update records to a fresh log; record i (LSN i) carries
 // payload "r<i>". A segment is sealed right before each LSN in sealAt, so
@@ -27,17 +31,18 @@ func fillLog(t *testing.T, n int, sealAt ...LSN) *Log {
 	return l
 }
 
-// checkRange reads every LSN in [from, to] through Read and Scan and checks
-// each is the record fillLog (or a later append) put there.
+// checkRange reads every LSN in [from, to] one at a time and through one
+// whole Scan and checks each is the record fillLog (or a later append) put
+// there, and that nothing is served just outside the range.
 func checkRange(t *testing.T, l *Log, from, to LSN) {
 	t.Helper()
 	if l.TailLSN() != to {
 		t.Fatalf("tail %d, want %d", l.TailLSN(), to)
 	}
 	for lsn := from; lsn <= to; lsn++ {
-		r, err := l.Read(lsn)
-		if err != nil || r.LSN != lsn || string(r.Payload) != fmt.Sprintf("r%d", lsn) {
-			t.Fatalf("read(%d) = %+v, %v", lsn, r, err)
+		r, ok := readAt(t, l, lsn)
+		if !ok || r.LSN != lsn || string(r.Payload) != fmt.Sprintf("r%d", lsn) {
+			t.Fatalf("read(%d) = %+v, %v", lsn, r, ok)
 		}
 	}
 	want := from
@@ -54,34 +59,38 @@ func checkRange(t *testing.T, l *Log, from, to LSN) {
 		t.Fatalf("scan stopped at %d, want %d", want, to+1)
 	}
 	if from > 1 {
-		if _, err := l.Read(from - 1); err == nil {
+		if _, ok := readAt(t, l, from-1); ok {
 			t.Fatalf("read(%d) below the base succeeded", from-1)
 		}
 	}
-	if _, err := l.Read(to + 1); err == nil {
+	if _, ok := readAt(t, l, to+1); ok {
 		t.Fatalf("read(%d) past the tail succeeded", to+1)
 	}
 }
 
-// The tail's block seams: one short of a block, exactly one, one and two
-// over (254 to 257 records).
+// A scan across the seam: one short of it, at it, one and two over (254 to
+// 257 records), first with the records after the seal still unwritten, then
+// with them written to the active segment.
 func TestTailAtBlockBoundaries(t *testing.T) {
-	for _, n := range []int{blockRecords - 1, blockRecords, blockRecords + 1, blockRecords + 2} {
+	for _, n := range []int{seam - 1, seam, seam + 1, seam + 2} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			l := fillLog(t, n)
+			l := fillLog(t, n, seam)
 			checkRange(t, l, 1, LSN(n))
+			if _, err := l.Flush(); err != nil {
+				t.Fatal(err)
+			}
 			mustAppend(t, l, RecUpdate, 0, []byte(fmt.Sprintf("r%d", n+1)))
 			checkRange(t, l, 1, LSN(n+1))
 		})
 	}
 }
 
-// TruncateHead across a block seam drops the whole leading block; appends
-// after it continue in the surviving one and spill into a fresh one.
+// TruncateHead at and around the seam drops the sealed segments below its
+// cut; appends after it continue in the surviving one.
 func TestTailTruncateHeadAcrossBlocks(t *testing.T) {
-	for _, keepFrom := range []LSN{2, blockRecords, blockRecords + 1, blockRecords + 2, 2*blockRecords + 1} {
+	for _, keepFrom := range []LSN{2, seam, seam + 1, seam + 2, 2*seam + 1} {
 		t.Run(fmt.Sprint(keepFrom), func(t *testing.T) {
-			l := fillLog(t, 2*blockRecords+1, keepFrom)
+			l := fillLog(t, 2*seam+1, keepFrom)
 			if _, err := l.Flush(); err != nil {
 				t.Fatal(err)
 			}
@@ -91,31 +100,31 @@ func TestTailTruncateHeadAcrossBlocks(t *testing.T) {
 			if l.Base() != keepFrom-1 {
 				t.Fatalf("base %d, want %d", l.Base(), keepFrom-1)
 			}
-			if want := 3 - int(keepFrom-1)/blockRecords; len(l.records.blocks) != want {
-				t.Fatalf("%d blocks retained after dropping %d records, want %d", len(l.records.blocks), keepFrom-1, want)
+			if segs := segmentFiles(t, l.Dir()); len(segs) != 1 {
+				t.Fatalf("segments after the truncate: %v, want the one from %d", segs, keepFrom)
 			}
-			checkRange(t, l, keepFrom, 2*blockRecords+1)
-			for i := 2*blockRecords + 2; i <= 3*blockRecords+2; i++ {
+			checkRange(t, l, keepFrom, 2*seam+1)
+			for i := 2*seam + 2; i <= 3*seam+2; i++ {
 				mustAppend(t, l, RecUpdate, 0, []byte(fmt.Sprintf("r%d", i)))
 			}
-			checkRange(t, l, keepFrom, 3*blockRecords+2)
+			checkRange(t, l, keepFrom, 3*seam+2)
 		})
 	}
 }
 
 // Crash cuts the log at its durable prefix, a point inside, at the end of
-// and past a block; the reopened log keeps appending after it.
+// and past the seam; the reopened log keeps appending after it.
 func TestTailPrefixAndCrashAcrossBlocks(t *testing.T) {
-	for _, cut := range []LSN{blockRecords - 1, blockRecords, blockRecords + 1} {
+	for _, cut := range []LSN{seam - 1, seam, seam + 1} {
 		t.Run(fmt.Sprint(cut), func(t *testing.T) {
 			l := fillLog(t, int(cut))
 			if _, err := l.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			for i := cut + 1; i <= 2*blockRecords; i++ {
+			for i := cut + 1; i <= 2*seam; i++ {
 				mustAppend(t, l, RecUpdate, uint64(i), []byte(fmt.Sprintf("r%d", i)))
 			}
-			checkRange(t, l, 1, 2*blockRecords)
+			checkRange(t, l, 1, 2*seam)
 
 			c, err := l.Crash() // keeps the durable prefix, 1..cut
 			if err != nil {
@@ -123,22 +132,22 @@ func TestTailPrefixAndCrashAcrossBlocks(t *testing.T) {
 			}
 			defer c.Close()
 			checkRange(t, c, 1, cut)
-			for i := cut + 1; i <= cut+blockRecords; i++ {
+			for i := cut + 1; i <= cut+seam; i++ {
 				mustAppend(t, c, RecUpdate, 0, []byte(fmt.Sprintf("r%d", i)))
 			}
-			checkRange(t, c, 1, cut+blockRecords)
+			checkRange(t, c, 1, cut+seam)
 		})
 	}
 }
 
-// A Scan's view must stay valid while appends fill and add blocks and
-// checkpoints drop them: every record it hands out is the one at its LSN.
-// Run under -race, this also proves the view and the writers share no slot.
-// Every flush seals its segment, so each TruncateHead drops the records of
-// the segments below its cut.
+// A Scan must serve an unbroken run of the right records while appends,
+// flushes and seals add segments and checkpoints truncate them: a segment
+// dropped under a running Scan stays readable until the Scan ends. Every
+// flush seals its segment, so each TruncateHead drops the segments below
+// its cut; at the end no dropped segment is left on disk.
 func TestTailScanRacesAppendAndTruncate(t *testing.T) {
 	l := newLog(t)
-	const total = 4 * blockRecords
+	const total = 4 * seam
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -179,72 +188,63 @@ func TestTailScanRacesAppendAndTruncate(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		runtime.Gosched()
 	}
 	wg.Wait()
+	if l.Base() == NilLSN {
+		t.Fatal("no TruncateHead moved the base")
+	}
+	l.fileMu.Lock()
+	want := len(l.segs)
+	l.fileMu.Unlock()
+	if segs := segmentFiles(t, l.Dir()); len(segs) != want {
+		t.Fatalf("%d segment files on disk, want the %d retained: a dropped segment outlived the scans", len(segs), want)
+	}
 }
 
-// allocated reports the mallocs and bytes fn allocates.
-func allocated(fn func()) (mallocs, bytes uint64) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
-}
-
-// Append's amortized cost is at most one allocation per record, and its
-// bytes are the records' own: a block per blockRecords records plus the
-// small block index, never a copy of the records before it. TruncateHead
-// allocates only a new block index, whatever it keeps. The frame buffer is
-// pre-sized, so the budget measures the record tail, not the buffer's
-// growth; the segment sealed between the two measured runs is what
-// TruncateHead drops.
+// Append allocates nothing per record once the frame buffer is grown: the
+// log keeps no record, only its frame. A TruncateHead allocates only its
+// small segment bookkeeping, whatever it keeps.
 func TestAppendAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
 	l := newLog(t)
 	payload := []byte("p")
-	const n = 16 * blockRecords
-	const keepFrom = 3*blockRecords + 100
+	const n = 16 * seam
 	l.mu.Lock()
 	l.pending = make([]byte, 0, n*64)
 	l.mu.Unlock()
-	appendN := func(k int) (mallocs, bytes uint64) {
-		return allocated(func() {
-			for i := 0; i < k; i++ {
-				if _, err := l.Append(Record{Type: RecUpdate, TxnID: 1, Payload: payload}); err != nil {
-					t.Fatal(err)
-				}
+	appendN := func(k int) float64 {
+		return testing.AllocsPerRun(k, func() {
+			if _, err := l.Append(Record{Type: RecUpdate, TxnID: 1, Payload: payload}); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
-	mallocs, bytes := appendN(keepFrom - 1)
+	if per := appendN(3*seam + 100); per != 0 {
+		t.Errorf("Append: %.0f mallocs per record, want 0", per)
+	}
+	keepFrom := l.TailLSN() + 1
 	if err := l.SealSegment(); err != nil {
 		t.Fatal(err)
 	}
-	m2, b2 := appendN(n - (keepFrom - 1))
-	mallocs, bytes = mallocs+m2, bytes+b2
-	recBytes := uint64(n) * uint64(unsafe.Sizeof(Record{}))
-	if mallocs > n {
-		t.Errorf("%d appends: %d mallocs, want <= 1 per record", n, mallocs)
-	}
-	if bytes > recBytes+recBytes/8 {
-		t.Errorf("%d appends allocated %d bytes (%d mallocs) for %d bytes of records: earlier records are being copied", n, bytes, mallocs, recBytes)
+	if per := appendN(n); per != 0 {
+		t.Errorf("Append after a seal: %.0f mallocs per record, want 0", per)
 	}
 	if _, err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	_, bytes = allocated(func() {
-		if err := l.TruncateHead(keepFrom); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if bytes > 1024 {
-		t.Errorf("TruncateHead keeping %d records allocated %d bytes: the survivors were copied", l.records.n, bytes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := l.TruncateHead(keepFrom); err != nil {
+		t.Fatal(err)
 	}
-	checkRecords := l.records.n
-	if checkRecords != n-(keepFrom-1) {
-		t.Fatalf("%d records kept, want %d", checkRecords, n-(keepFrom-1))
+	runtime.ReadMemStats(&after)
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 1024 {
+		t.Errorf("TruncateHead allocated %d bytes", bytes)
+	}
+	if l.Base() != keepFrom-1 {
+		t.Fatalf("base %d after TruncateHead(%d)", l.Base(), keepFrom)
 	}
 }

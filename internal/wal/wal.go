@@ -4,15 +4,16 @@
 //
 // A log is a directory (Open): the record stream lives in seglog-framed,
 // size-bounded segment files under a single-owner lock, with Flush/FlushTo
-// routed through an fsyncer policy. Appended records are buffered and
-// volatile until a flush writes them; Crash drops that buffer, closes the
-// files and reopens the directory, which replays the longest valid prefix
-// and quarantines any torn tail.
+// routed through an fsyncer policy. Appended records are framed into a
+// write buffer and volatile until a flush writes them; Crash drops that
+// buffer, closes the files and reopens the directory, which validates the
+// longest valid prefix and quarantines any torn tail.
 //
-// The retained tail is also held in memory (Read and Scan serve it) as
-// fixed-size blocks of records: an append fills the last block or adds a
-// fresh one and never copies an earlier record, and a checkpoint's
-// TruncateHead drops whole blocks instead of reallocating the survivors.
+// The log holds no record in memory: Append frames the record where it will
+// be written from, and Scan reads the segment files back, then the frames
+// not yet written. A transaction undoes from its own list of changes, and
+// restart recovery and a point-in-time restore scan the segments, so a
+// process that logs for years holds its write buffer and nothing more.
 package wal
 
 import (
@@ -89,14 +90,8 @@ var ErrClosed = errors.New("wal: log closed")
 // Log is an append-only write-ahead log. Safe for concurrent use.
 //
 // After a checkpoint truncates the head (TruncateHead), records below the
-// base LSN are gone: Read and Scan serve only (base, tail]. Recovery anchors
-// at the checkpoint, so it never asks for the truncated prefix.
-//
-// The retained tail is a recTail of fixed-size record blocks. A Scan works
-// on a copy of the recTail taken under mu and reads it after unlocking: the
-// slots that copy covers are never written again, and a head drop replaces
-// the block index rather than editing it, so the copy stays valid across
-// any concurrent Append or TruncateHead.
+// base LSN are gone: Scan serves only (base, tail]. Recovery anchors at the
+// checkpoint, so it never asks for the truncated prefix.
 //
 // The pending buffer and the written watermark are guarded by mu; the file
 // handle and segment list by fileMu (lock order: mu before fileMu), so the
@@ -104,9 +99,9 @@ var ErrClosed = errors.New("wal: log closed")
 // appends.
 type Log struct {
 	mu       sync.Mutex
-	base     LSN     // records.at(i) has LSN base+i+1
-	records  recTail // the retained tail of the log
-	flushed  LSN     // highest durable LSN
+	base     LSN // records at or below base are truncated away
+	tail     LSN // the last record appended
+	flushed  LSN // highest durable LSN
 	closed   bool
 	flushCnt int64
 	// sizeSinceCkpt approximates log bytes appended since the last
@@ -125,79 +120,40 @@ type Log struct {
 	seg     *os.File // active (last) segment
 	segSize int64
 	segs    []uint64 // first LSN of every segment, ascending; the last is active
-}
-
-// blockRecords is the number of records in one block of the retained tail:
-// 255 records of 64 bytes plus the allocator's 8-byte header fill a 16 KiB
-// size class, where 256 would spill into the 18 KiB one.
-const blockRecords = 255
-
-// recBlock is one block of the retained tail. Each slot is written once, by
-// the Append that fills it, and never again: not by a later append, not by
-// a head drop.
-type recBlock [blockRecords]Record
-
-// recTail is a run of records held in blocks: record i is slot off+i of the
-// concatenated blocks. Appends fill the last block or add a fresh one, so an
-// earlier record is never copied or moved; dropHead forgets whole leading
-// blocks by building a new (small) block index. A value copy is a stable
-// view of the records it covers.
-type recTail struct {
-	blocks []*recBlock
-	off    int // slot in blocks[0] of record 0
-	n      int // records held
-}
-
-// at returns record i, 0 <= i < n.
-func (t *recTail) at(i int) *Record {
-	j := t.off + i
-	return &t.blocks[j/blockRecords][j%blockRecords]
-}
-
-// push appends one record.
-func (t *recTail) push(rec Record) {
-	j := t.off + t.n
-	if j == len(t.blocks)*blockRecords {
-		t.blocks = append(t.blocks, new(recBlock))
-	}
-	t.blocks[j/blockRecords][j%blockRecords] = rec
-	t.n++
-}
-
-// dropHead forgets the first k records, 0 <= k <= n. Whole blocks leave
-// through a fresh index; the blocks themselves are never cleared, because a
-// view taken before the drop may still be reading them.
-func (t *recTail) dropHead(k int) {
-	j := t.off + k
-	if whole := j / blockRecords; whole > 0 {
-		t.blocks = append([]*recBlock(nil), t.blocks[whole:]...)
-	}
-	t.off = j % blockRecords
-	t.n -= k
+	// scans counts the Scans reading segment files; while one runs, the
+	// segments TruncateHead drops wait in doomed, oldest first, and the
+	// last Scan to finish removes them.
+	scans  int
+	doomed []uint64
 }
 
 // Append adds a record to the log buffer and returns its LSN. The record is
-// not durable until Flush (or FlushTo covering it) is called. Append takes
-// ownership of rec.Payload: the log keeps that slice (Read and Scan serve
-// it) instead of a copy, so the caller must not write to it afterwards.
+// not durable until Flush (or FlushTo covering it) is called. Header and
+// payload are framed into the write buffer, and the log keeps no reference
+// to rec.Payload: the caller may reuse it once Append returns.
 func (l *Log) Append(rec Record) (LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return NilLSN, ErrClosed
 	}
-	rec.LSN = l.base + LSN(l.records.n) + 1
-	l.records.push(rec)
+	l.tail++
+	rec.LSN = l.tail
+	l.count(&rec)
+	start := len(l.pending)
+	l.pending = append(appendRecordHeader(seglog.BeginFrame(l.pending), rec), rec.Payload...)
+	seglog.EndFrame(l.pending, start)
+	return rec.LSN, nil
+}
+
+// count advances the checkpoint odometer past rec: a checkpoint record that
+// carries its anchor resets it.
+func (l *Log) count(rec *Record) {
 	if rec.Type == RecCheckpoint && len(rec.Payload) > 0 {
 		l.sizeSinceCkpt = 0
 	} else {
 		l.sizeSinceCkpt += int64(len(rec.Payload)) + recOverheadBytes
 	}
-	// Header and payload are framed where they will be written from.
-	start := len(l.pending)
-	l.pending = append(appendRecordHeader(seglog.BeginFrame(l.pending), rec), rec.Payload...)
-	seglog.EndFrame(l.pending, start)
-	return rec.LSN, nil
 }
 
 // recOverheadBytes is the accounted per-record framing cost.
@@ -210,7 +166,7 @@ func (l *Log) Flush() (LSN, error) {
 		l.mu.Unlock()
 		return NilLSN, ErrClosed
 	}
-	target := l.base + LSN(l.records.n)
+	target := l.tail
 	if err := l.writePendingLocked(); err != nil {
 		l.mu.Unlock()
 		return NilLSN, err
@@ -239,8 +195,8 @@ func (l *Log) FlushTo(lsn LSN) error {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	if lsn > l.base+LSN(l.records.n) {
-		tail := l.base + LSN(l.records.n)
+	if lsn > l.tail {
+		tail := l.tail
 		l.mu.Unlock()
 		return fmt.Errorf("wal: flush to %d beyond tail %d", lsn, tail)
 	}
@@ -252,7 +208,7 @@ func (l *Log) FlushTo(lsn LSN) error {
 		l.mu.Unlock()
 		return err
 	}
-	l.flushed = l.base + LSN(l.records.n)
+	l.flushed = l.tail
 	l.flushCnt++
 	l.mu.Unlock()
 	if err := l.sync.AfterWrite(); err != nil {
@@ -265,7 +221,7 @@ func (l *Log) FlushTo(lsn LSN) error {
 func (l *Log) TailLSN() LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.base + LSN(l.records.n)
+	return l.tail
 }
 
 // Base returns the LSN below which records have been truncated away by a
@@ -301,39 +257,6 @@ func (l *Log) SizeSinceCheckpoint() int64 {
 
 // SyncPolicy reports the log's fsync policy.
 func (l *Log) SyncPolicy() fsyncer.Policy { return l.sync.Policy() }
-
-// Read returns the record at the given LSN.
-func (l *Log) Read(lsn LSN) (Record, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if lsn == NilLSN || lsn > l.base+LSN(l.records.n) || lsn <= l.base {
-		return Record{}, fmt.Errorf("wal: no record at LSN %d (log covers %d..%d)", lsn, l.base+1, l.base+LSN(l.records.n))
-	}
-	return *l.records.at(int(lsn - l.base - 1)), nil
-}
-
-// Scan calls fn on every record in [from, to] in LSN order. A zero `to`
-// means the current tail; a `from` at or below the truncated base is clamped
-// to the first retained record. Scanning stops early if fn returns false.
-func (l *Log) Scan(from, to LSN, fn func(Record) bool) error {
-	l.mu.Lock()
-	recs := l.records
-	base := l.base
-	tail := base + LSN(recs.n)
-	l.mu.Unlock()
-	if from <= base {
-		from = base + 1
-	}
-	if to == NilLSN || to > tail {
-		to = tail
-	}
-	for lsn := from; lsn <= to; lsn++ {
-		if !fn(*recs.at(int(lsn - base - 1))) {
-			return nil
-		}
-	}
-	return nil
-}
 
 // Crash simulates a process kill and restart: the unwritten tail is
 // dropped, the files close, the directory lock is released and the

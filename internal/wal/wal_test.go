@@ -67,28 +67,56 @@ func TestFlushToBeyondTailErrors(t *testing.T) {
 	}
 }
 
-// Append takes ownership of the payload it is handed: the record Read serves
-// is that slice, not a copy of it.
-func TestAppendOwnsPayload(t *testing.T) {
-	l := newLog(t)
+// Append copies the payload into its write buffer: a caller that reuses its
+// buffer once Append returns changes no record, neither one still buffered
+// nor one read back from the segment after a reopen.
+func TestAppendCopiesPayload(t *testing.T) {
+	dir := t.TempDir()
+	l := openDisk(t, dir, 0)
 	buf := []byte("hello")
-	l.Append(Record{Type: RecUpdate, TxnID: 1, Payload: buf})
-	rec, err := l.Read(1)
-	if err != nil {
-		t.Fatalf("read: %v", err)
+	mustAppend(t, l, RecUpdate, 1, buf)
+	copy(buf, "HELLO")
+	if r, ok := readAt(t, l, 1); !ok || string(r.Payload) != "hello" {
+		t.Fatalf("buffered record reads %q after the caller reused its buffer, want %q", r.Payload, "hello")
 	}
-	if string(rec.Payload) != "hello" || &rec.Payload[0] != &buf[0] {
-		t.Fatalf("payload %q was copied, want the caller's slice", rec.Payload)
+	if _, err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "xxxxx")
+	l.Close()
+	l2 := openDisk(t, dir, 0)
+	defer l2.Close()
+	if r, ok := readAt(t, l2, 1); !ok || string(r.Payload) != "hello" {
+		t.Fatalf("record reads %q after a reopen, want %q", r.Payload, "hello")
 	}
 }
 
+// Reading outside (base, tail] serves nothing: not past the tail, not at or
+// below a truncated base.
 func TestReadOutOfRange(t *testing.T) {
-	l := newLog(t)
-	if _, err := l.Read(0); err == nil {
-		t.Fatal("read of NilLSN should error")
+	l := fillLog(t, 6, 4)
+	if _, ok := readAt(t, l, 7); ok {
+		t.Fatal("read past tail served a record")
 	}
-	if _, err := l.Read(7); err == nil {
-		t.Fatal("read past tail should error")
+	if err := l.Scan(7, 9, func(r Record) bool {
+		t.Fatalf("scan past the tail served LSN %d", r.LSN)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.TruncateHead(4); err != nil {
+		t.Fatal(err)
+	}
+	for lsn := LSN(1); lsn <= 3; lsn++ {
+		if r, ok := readAt(t, l, lsn); ok {
+			t.Fatalf("read of truncated LSN %d served %+v", lsn, r)
+		}
+	}
+	if r, ok := readAt(t, l, 4); !ok || string(r.Payload) != "r4" {
+		t.Fatalf("read of the first retained record: %+v, %v", r, ok)
 	}
 }
 
@@ -153,9 +181,9 @@ func TestBackchainTraversal(t *testing.T) {
 	count := 0
 	cur := prev
 	for cur != NilLSN {
-		rec, err := l.Read(cur)
-		if err != nil {
-			t.Fatalf("read %d: %v", cur, err)
+		rec, ok := readAt(t, l, cur)
+		if !ok {
+			t.Fatalf("no record at %d", cur)
 		}
 		count++
 		cur = rec.PrevLSN
