@@ -182,16 +182,15 @@ func (s *Server) readOpen(req upcall.Request) upcall.Response {
 		// taken the file over for an in-place update (rfd): the paper's
 		// design rejects such reads — read/write serialization without read
 		// locks (§4.2). With strict mode the file may simply be idle.
+		// A refused read leaves no Sync entry behind.
 		sh, idx := s.pathShard(req.Path)
 		sh.mu.Lock()
-		st := s.syncFor(sh, req.Path)
-		writerActive := st.writer != 0
-		if writerActive || !req.Strict {
+		if st := sh.syncs[req.Path]; (st != nil && st.writer != 0) || !req.Strict {
 			sh.mu.Unlock()
 			return reject(upcall.CodePermission, req.Path+" is taken over for update")
 		}
 		id := s.newOpenLocked(sh, idx, req.Path, fs.UID(req.UID), false)
-		st.readers++
+		s.syncFor(sh, req.Path).readers++
 		sh.mu.Unlock()
 		s.cfg.Metrics.Counter("dlfm.open.read.strict").Inc()
 		return upcall.Response{OK: true, OpenID: id}

@@ -158,3 +158,24 @@ func TestSyncEntriesReflectOpens(t *testing.T) {
 	}
 	_ = phys
 }
+
+// A refused read open of a partial-control file creates no Sync entry: one
+// per distinct path read that way would otherwise stay in the shard maps.
+func TestRefusedPartialControlReadLeavesNoSyncEntry(t *testing.T) {
+	srv, _, _ := newServer(t)
+	linkCommitted(t, srv, "/d/f.bin", "rfd")
+	resp, err := srv.Upcall(upcall.Request{Op: upcall.OpReadOpen, Path: "/d/f.bin", UID: 1})
+	if err != nil || resp.OK || resp.Code != upcall.CodePermission {
+		t.Fatalf("non-strict rfd read_open = %+v, %v; want CodePermission", resp, err)
+	}
+	n := 0
+	for i := range srv.openShards {
+		sh := &srv.openShards[i]
+		sh.mu.Lock()
+		n += len(sh.syncs)
+		sh.mu.Unlock()
+	}
+	if n != 0 || srv.OpenCount() != 0 {
+		t.Fatalf("refused read left %d Sync entries and %d opens, want none", n, srv.OpenCount())
+	}
+}

@@ -317,68 +317,86 @@ func start(cfg Config, lg *wal.Log) (*Server, *RecoveryReport, error) {
 	return s, rep, nil
 }
 
-// repoSchema pairs each repository table with its DDL so first boot can
-// create everything and recovery can fill in whatever a mid-bootstrap crash
-// left missing.
+// repoSchema declares the repository's tables, in the order of the server's
+// table handles (ensureRepoTables).
 var repoSchema = []struct {
 	table string
-	ddl   string
+	cols  []sqlmini.Column
 }{
 	// Linked files and the identity needed to undo a takeover.
-	{"dlfm_files", `CREATE TABLE dlfm_files (
-		path VARCHAR PRIMARY KEY,
-		mode VARCHAR NOT NULL,
-		recovery BOOLEAN NOT NULL,
-		token_ttl INT,
-		orig_uid INT NOT NULL,
-		orig_mode INT NOT NULL,
-		cur_version INT NOT NULL
-	)`},
+	{"dlfm_files", []sqlmini.Column{
+		pathKey,
+		notNull("mode", sqlmini.KindString),
+		notNull("recovery", sqlmini.KindBool),
+		{Name: "token_ttl", Kind: sqlmini.KindInt},
+		notNull("orig_uid", sqlmini.KindInt),
+		notNull("orig_mode", sqlmini.KindInt),
+		notNull("cur_version", sqlmini.KindInt),
+	}},
 	// Files with an update transaction in flight (§4.4: "an entry
 	// indicating that the file is being updated").
-	{"dlfm_updates", `CREATE TABLE dlfm_updates (path VARCHAR PRIMARY KEY, open_id INT NOT NULL)`},
+	{"dlfm_updates", []sqlmini.Column{pathKey, notNull("open_id", sqlmini.KindInt)}},
 	// Committed versions whose archive copy has not completed yet.
-	{"dlfm_pending_archive", `CREATE TABLE dlfm_pending_archive (path VARCHAR PRIMARY KEY, version INT NOT NULL, state_id INT NOT NULL)`},
+	{"dlfm_pending_archive", []sqlmini.Column{
+		pathKey,
+		notNull("version", sqlmini.KindInt),
+		notNull("state_id", sqlmini.KindInt),
+	}},
 	// Replicated shards held for other ring members: promotion identity plus
 	// the last acked version. Deliberately NOT dlfm_files — the linked-file
 	// namespace, rebalance, and recovery scans must never see replicas.
-	{"dlfm_replicas", `CREATE TABLE dlfm_replicas (
-		path VARCHAR PRIMARY KEY,
-		mode VARCHAR NOT NULL,
-		recovery BOOLEAN NOT NULL,
-		token_ttl INT,
-		orig_uid INT NOT NULL,
-		orig_mode INT NOT NULL,
-		cur_version INT NOT NULL,
-		mtime_ns INT NOT NULL
-	)`},
+	{"dlfm_replicas", []sqlmini.Column{
+		pathKey,
+		notNull("mode", sqlmini.KindString),
+		notNull("recovery", sqlmini.KindBool),
+		{Name: "token_ttl", Kind: sqlmini.KindInt},
+		notNull("orig_uid", sqlmini.KindInt),
+		notNull("orig_mode", sqlmini.KindInt),
+		notNull("cur_version", sqlmini.KindInt),
+		notNull("mtime_ns", sqlmini.KindInt),
+	}},
 }
 
-// ensureRepoTables creates every repository table the repository lacks:
-// all of them on a fresh one, whatever a crash during first-boot schema
-// creation left missing otherwise. Existing tables are untouched. Then it
-// sets the server's table handles, in repoSchema's order.
+// pathKey is every repository table's primary key column.
+var pathKey = sqlmini.Column{Name: "path", Kind: sqlmini.KindString, PrimaryKey: true, NotNull: true}
+
+func notNull(name string, kind sqlmini.Kind) sqlmini.Column {
+	return sqlmini.Column{Name: name, Kind: kind, NotNull: true}
+}
+
+// ensureRepoTables creates, in one repository transaction, every repository
+// table the repository lacks: all of them on a fresh one, whatever a crash
+// during an older release's first-boot schema creation left missing
+// otherwise. Existing tables are untouched. Then it sets the server's table
+// handles, in repoSchema's order.
 func (s *Server) ensureRepoTables() error {
 	handles := []**sqlmini.Table{&s.files, &s.updates, &s.pending, &s.replicas}
-	for i, t := range repoSchema {
-		tbl, err := s.repo.Table(t.table)
-		if err != nil {
-			if _, err := s.repo.Exec(t.ddl); err != nil {
-				return fmt.Errorf("dlfm: repo schema repair: %w", err)
+	err := s.inRepo(func(tx *sqlmini.Txn) error {
+		for _, t := range repoSchema {
+			if _, err := s.repo.Table(t.table); err != nil {
+				if err := tx.CreateTable(t.table, t.cols); err != nil {
+					return err
+				}
 			}
-			tbl, _ = s.repo.Table(t.table)
 		}
-		*handles[i] = tbl
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("dlfm: repo schema: %w", err)
+	}
+	for i, t := range repoSchema {
+		*handles[i], _ = s.repo.Table(t.table)
 	}
 	return nil
 }
 
 // inRepo runs fn in one repository transaction: committed, one log force,
 // when fn succeeds, and aborted when it fails. Every repository change is a
-// typed point operation by path, each table's primary key (sqlmini's
-// LockKey, InsertRow, UpdateRow, DeleteKey), logged as its SQL statement
-// would be; a row is built and decoded in one place per table (fileRow,
-// replicaRowOf and their decoders).
+// typed operation, logged as its SQL statement would be: the schema's
+// CreateTable and DropTable, and otherwise a point operation by path, each
+// table's primary key (sqlmini's LockKey, InsertRow, UpdateRow, DeleteKey);
+// a row is built and decoded in one place per table (fileRow, replicaRowOf
+// and their decoders).
 func (s *Server) inRepo(fn func(tx *sqlmini.Txn) error) error {
 	tx := s.repo.Begin()
 	if err := fn(tx); err != nil {

@@ -16,6 +16,7 @@ import (
 	"datalinks/internal/sqlmini"
 	"datalinks/internal/token"
 	"datalinks/internal/upcall"
+	"datalinks/internal/wal"
 )
 
 // newArchive opens an archive store over a test directory, closed when the
@@ -734,6 +735,65 @@ func TestRecoveryDropsTheRetiredJournalTable(t *testing.T) {
 	}
 	if !srv2.IsLinked("/d/f.bin") {
 		t.Fatal("a committed link was lost in the restart")
+	}
+}
+
+// TestFreshOpenCreatesTheSchemaInOneCommit: a fresh repository gets its four
+// tables, declared as the DDL below declares them, in one logged commit. One
+// an older release left half-created by a crash gets the tables it lacks at
+// its next open, and keeps the rows of those it has.
+func TestFreshOpenCreatesTheSchemaInOneCommit(t *testing.T) {
+	srv, _, _ := newServer(t)
+	commits := 0
+	if err := srv.Repo().Log().Scan(1, wal.NilLSN, func(r wal.Record) bool {
+		if r.Type == wal.RecCommit {
+			commits++
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if commits != 1 {
+		t.Fatalf("a fresh open logged %d commits, want 1", commits)
+	}
+	ddl := []string{
+		`CREATE TABLE dlfm_files (path VARCHAR PRIMARY KEY, mode VARCHAR NOT NULL, recovery BOOLEAN NOT NULL,
+			token_ttl INT, orig_uid INT NOT NULL, orig_mode INT NOT NULL, cur_version INT NOT NULL)`,
+		`CREATE TABLE dlfm_updates (path VARCHAR PRIMARY KEY, open_id INT NOT NULL)`,
+		`CREATE TABLE dlfm_pending_archive (path VARCHAR PRIMARY KEY, version INT NOT NULL, state_id INT NOT NULL)`,
+		`CREATE TABLE dlfm_replicas (path VARCHAR PRIMARY KEY, mode VARCHAR NOT NULL, recovery BOOLEAN NOT NULL,
+			token_ttl INT, orig_uid INT NOT NULL, orig_mode INT NOT NULL, cur_version INT NOT NULL, mtime_ns INT NOT NULL)`,
+	}
+	if len(repoSchema) != len(ddl) {
+		t.Fatalf("%d repository tables, want %d", len(repoSchema), len(ddl))
+	}
+	for i, text := range ddl {
+		st, err := sqlmini.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := st.(*sqlmini.CreateTableStmt)
+		tbl, err := srv.Repo().Table(want.Name)
+		if err != nil || repoSchema[i].table != want.Name || !reflect.DeepEqual(tbl.Columns, want.Columns) {
+			t.Fatalf("table %d: %s declared as %+v (%v), want %s %+v", i, repoSchema[i].table, tbl, err, want.Name, want.Columns)
+		}
+	}
+
+	linkCommitted(t, srv, "/d/f.bin", "rfd")
+	for _, name := range []string{"dlfm_updates", "dlfm_pending_archive", "dlfm_replicas"} {
+		if _, err := srv.Repo().Exec(`DROP TABLE ` + name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Kill()
+	srv2, _ := reopen(t, srv, srv.cfg)
+	for _, tbl := range repoSchema {
+		if _, err := srv2.Repo().Table(tbl.table); err != nil {
+			t.Fatalf("the reopen did not recreate %s: %v", tbl.table, err)
+		}
+	}
+	if !srv2.IsLinked("/d/f.bin") {
+		t.Fatal("a committed link was lost in the reopen")
 	}
 }
 

@@ -64,8 +64,8 @@ type RecoveryReport struct {
 // runRecovery runs restart recovery over the recovered repository database,
 // filling in rep; subs are its in-doubt sub-transactions (inDoubtSubs).
 func (s *Server) runRecovery(subs []inDoubtSub, rep *RecoveryReport) error {
-	// A fresh repository gets its schema here, and a crash in the middle of
-	// that leaves a half-created one; fill in whatever is missing.
+	// A fresh repository gets its schema here, and one an older release
+	// left half-created by a crash gets whatever it lacks.
 	if err := s.ensureRepoTables(); err != nil {
 		return err
 	}
@@ -79,7 +79,8 @@ func (s *Server) runRecovery(subs []inDoubtSub, rep *RecoveryReport) error {
 	}
 	// The journal table of a repository from before prepare notes.
 	if _, err := s.repo.Table("dlfm_txns"); err == nil {
-		if _, err := s.repo.Exec(`DROP TABLE dlfm_txns`); err != nil {
+		err := s.inRepo(func(tx *sqlmini.Txn) error { return tx.DropTable("dlfm_txns") })
+		if err != nil {
 			return fmt.Errorf("dlfm: drop the retired journal table: %w", err)
 		}
 	}
@@ -88,8 +89,18 @@ func (s *Server) runRecovery(subs []inDoubtSub, rep *RecoveryReport) error {
 			return err
 		}
 	}
-	_, err := s.repo.Exec(`DELETE FROM dlfm_pending_archive`)
-	return err
+	paths := pathsOf(s.pending)
+	if len(paths) == 0 {
+		return nil
+	}
+	return s.inRepo(func(tx *sqlmini.Txn) error {
+		for _, p := range paths {
+			if _, err := tx.DeleteKey(s.pending, sqlmini.Str(p)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // recoverFile decides one linked file at restart, in the order the header

@@ -97,10 +97,7 @@ func New(cfg Config) *DLFS {
 	}
 }
 
-var (
-	_ vfs.FileSystem    = (*DLFS)(nil)
-	_ vfs.CtxFileSystem = (*DLFS)(nil)
-)
+var _ vfs.FileSystem = (*DLFS)(nil)
 
 // node is DLFS's vnode: the physical inode plus the private data DLFS keeps
 // (the paper's challenge is that *per-file DataLinks state* cannot live
@@ -146,12 +143,7 @@ func mapCode(resp upcall.Response) error {
 // FsLookup resolves a name. An embedded access token is stripped and kept on
 // the node; it is presented to DLFM by the open, not here — lookup makes no
 // upcall.
-func (d *DLFS) FsLookup(cred fs.Cred, name string) (vfs.Node, error) {
-	return d.FsLookupCtx(context.Background(), cred, name)
-}
-
-// FsLookupCtx is FsLookup under a request context.
-func (d *DLFS) FsLookupCtx(_ context.Context, _ fs.Cred, name string) (vfs.Node, error) {
+func (d *DLFS) FsLookup(_ context.Context, _ fs.Cred, name string) (vfs.Node, error) {
 	path, tok, _ := token.Extract(name)
 	ino, err := d.cfg.Phys.Lookup(path)
 	if err != nil {
@@ -196,13 +188,9 @@ func (d *DLFS) validateToken(ctx context.Context, cred fs.Cred, n *node) error {
 	return nil
 }
 
-// FsOpen enforces the control-mode semantics of Table 1 at open time.
-func (d *DLFS) FsOpen(cred fs.Cred, vn vfs.Node, mode fs.AccessMode) (vfs.OpenFile, error) {
-	return d.FsOpenCtx(context.Background(), cred, vn, mode)
-}
-
-// FsOpenCtx is FsOpen carrying the request context into the upcalls.
-func (d *DLFS) FsOpenCtx(ctx context.Context, cred fs.Cred, vn vfs.Node, mode fs.AccessMode) (vfs.OpenFile, error) {
+// FsOpen enforces the control-mode semantics of Table 1 at open time,
+// carrying the request context into the upcalls.
+func (d *DLFS) FsOpen(ctx context.Context, cred fs.Cred, vn vfs.Node, mode fs.AccessMode) (vfs.OpenFile, error) {
 	n, ok := vn.(*node)
 	if !ok {
 		return nil, fs.ErrInvalid
@@ -382,14 +370,9 @@ func (d *DLFS) abandonOpen(ctx context.Context, n *node, of *openFile) {
 // FsClose ends the open. For managed opens this is the end-transaction
 // upcall: DLFM commits the file-update transaction (write opens) or purges
 // the Sync read entry (read opens). A failed close means the update rolled
-// back, and the application sees the error — exactly §4.2.
-func (d *DLFS) FsClose(cred fs.Cred, vn vfs.Node, ofi vfs.OpenFile) error {
-	return d.FsCloseCtx(context.Background(), cred, vn, ofi)
-}
-
-// FsCloseCtx is FsClose carrying the request context into the end-transaction
-// upcall.
-func (d *DLFS) FsCloseCtx(ctx context.Context, cred fs.Cred, vn vfs.Node, ofi vfs.OpenFile) error {
+// back, and the application sees the error — exactly §4.2. The request
+// context rides the end-transaction upcall.
+func (d *DLFS) FsClose(ctx context.Context, cred fs.Cred, vn vfs.Node, ofi vfs.OpenFile) error {
 	n, ok := vn.(*node)
 	if !ok {
 		return fs.ErrInvalid

@@ -1,6 +1,7 @@
 package dlfs
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -141,7 +142,7 @@ func TestTokenPresentedAtOpenNotLookup(t *testing.T) {
 	reg := lfs.Mounted().(*DLFS).Metrics()
 	alice := fs.Cred{UID: user}
 
-	if _, err := lfs.Mounted().FsLookup(alice, token.Embed("/d/fc", "r:123:mac")); err != nil {
+	if _, err := lfs.Mounted().FsLookup(context.Background(), alice, token.Embed("/d/fc", "r:123:mac")); err != nil {
 		t.Fatalf("lookup: %v", err)
 	}
 	if len(svc.calls) != 0 {

@@ -95,9 +95,9 @@ func (t *Txn) Exec(sql string, args ...Value) (int, error) {
 	}
 	switch s := st.(type) {
 	case *CreateTableStmt:
-		return 0, t.execCreateTable(s)
+		return 0, t.CreateTable(s.Name, s.Columns)
 	case *DropTableStmt:
-		return 0, t.dropTable(s.Name)
+		return 0, t.DropTable(s.Name)
 	case *CreateIndexStmt:
 		return 0, t.execCreateIndex(s)
 	case *InsertStmt:
@@ -227,30 +227,6 @@ func pointSelect(s *SelectStmt) bool {
 // notOneValue is QueryValue's error for an answer of any other shape.
 func notOneValue(rows, cols int) error {
 	return fmt.Errorf("sqlmini: expected one value, got %d rows of %d columns", rows, cols)
-}
-
-func (t *Txn) execCreateTable(s *CreateTableStmt) error {
-	seen := make(map[string]bool)
-	pk := 0
-	for _, c := range s.Columns {
-		key := strings.ToLower(c.Name)
-		if seen[key] {
-			return fmt.Errorf("sqlmini: duplicate column %q", c.Name)
-		}
-		seen[key] = true
-		if c.PrimaryKey {
-			pk++
-		}
-		if c.Kind == KindLink && !c.DL.Mode.Valid() {
-			return fmt.Errorf("sqlmini: invalid DATALINK mode on column %q", c.Name)
-		}
-	}
-	if pk > 1 {
-		return fmt.Errorf("sqlmini: at most one PRIMARY KEY column supported")
-	}
-	// The table keeps its own column slice: the statement may be a cached
-	// one, shared with every other execution of the same text.
-	return t.createTable(s.Name, append([]Column(nil), s.Columns...))
 }
 
 func (t *Txn) execCreateIndex(s *CreateIndexStmt) error {
@@ -981,9 +957,10 @@ func (t *Txn) evalBinary(x *Binary, scope env, args []Value) (Value, error) {
 	}
 }
 
-// registerBuiltins installs the default scalar function library.
-func registerBuiltins(db *DB) {
-	db.RegisterFn("LENGTH", func(_ *Txn, args []Value) (Value, error) {
+// builtinFns is the default scalar function library, shared by every DB;
+// a function a DB registers (RegisterFn) under the same name takes its place.
+var builtinFns = map[string]ScalarFn{
+	"LENGTH": func(_ *Txn, args []Value) (Value, error) {
 		if len(args) != 1 {
 			return Value{}, errors.New("LENGTH takes one argument")
 		}
@@ -991,8 +968,8 @@ func registerBuiltins(db *DB) {
 			return Null(), nil
 		}
 		return Int(int64(len(args[0].String()))), nil
-	})
-	db.RegisterFn("UPPER", func(_ *Txn, args []Value) (Value, error) {
+	},
+	"UPPER": func(_ *Txn, args []Value) (Value, error) {
 		if len(args) != 1 {
 			return Value{}, errors.New("UPPER takes one argument")
 		}
@@ -1000,8 +977,8 @@ func registerBuiltins(db *DB) {
 			return Null(), nil
 		}
 		return Str(strings.ToUpper(args[0].String())), nil
-	})
-	db.RegisterFn("LOWER", func(_ *Txn, args []Value) (Value, error) {
+	},
+	"LOWER": func(_ *Txn, args []Value) (Value, error) {
 		if len(args) != 1 {
 			return Value{}, errors.New("LOWER takes one argument")
 		}
@@ -1009,12 +986,12 @@ func registerBuiltins(db *DB) {
 			return Null(), nil
 		}
 		return Str(strings.ToLower(args[0].String())), nil
-	})
-	db.RegisterFn("NOW", func(t *Txn, args []Value) (Value, error) {
+	},
+	"NOW": func(t *Txn, args []Value) (Value, error) {
 		return Time(t.db.clock()), nil
-	})
+	},
 	// SQL/MED DATALINK scalar functions that need no engine context.
-	db.RegisterFn("DLVALUE", func(_ *Txn, args []Value) (Value, error) {
+	"DLVALUE": func(_ *Txn, args []Value) (Value, error) {
 		if len(args) != 1 || args[0].K != KindString {
 			return Value{}, errors.New("DLVALUE takes one VARCHAR argument")
 		}
@@ -1023,36 +1000,36 @@ func registerBuiltins(db *DB) {
 			return Value{}, err
 		}
 		return l, nil
-	})
-	db.RegisterFn("DLURLPATHONLY", func(_ *Txn, args []Value) (Value, error) {
+	},
+	"DLURLPATHONLY": func(_ *Txn, args []Value) (Value, error) {
 		l, err := oneLinkArg(args)
 		if err != nil {
 			return Value{}, err
 		}
 		return Str(l.L.Path), nil
-	})
-	db.RegisterFn("DLURLSERVER", func(_ *Txn, args []Value) (Value, error) {
+	},
+	"DLURLSERVER": func(_ *Txn, args []Value) (Value, error) {
 		l, err := oneLinkArg(args)
 		if err != nil {
 			return Value{}, err
 		}
 		return Str(l.L.Server), nil
-	})
-	db.RegisterFn("DLURLSCHEME", func(_ *Txn, args []Value) (Value, error) {
+	},
+	"DLURLSCHEME": func(_ *Txn, args []Value) (Value, error) {
 		if _, err := oneLinkArg(args); err != nil {
 			return Value{}, err
 		}
 		return Str("dlfs"), nil
-	})
+	},
 	// Without a DataLinks engine attached, DLURLCOMPLETE degrades to the bare
 	// URL (no token). The engine overrides this registration.
-	db.RegisterFn("DLURLCOMPLETE", func(_ *Txn, args []Value) (Value, error) {
+	"DLURLCOMPLETE": func(_ *Txn, args []Value) (Value, error) {
 		l, err := oneLinkArg(args)
 		if err != nil {
 			return Value{}, err
 		}
 		return Str(l.L.URL()), nil
-	})
+	},
 }
 
 func oneLinkArg(args []Value) (Value, error) {

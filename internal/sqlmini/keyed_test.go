@@ -11,16 +11,17 @@ import (
 	"datalinks/internal/wal"
 )
 
-// The typed point operations (LockKey, InsertRow, UpdateRow, DeleteKey) are
-// held to the SQL statements they stand in for: the same log records, row
-// locks, hook calls, undo, recovery and refusals.
+// The typed operations (LockKey, InsertRow, UpdateRow, DeleteKey,
+// CreateTable, DropTable) are held to the SQL statements they stand in for:
+// the same log records, row locks, hook calls, undo, recovery and refusals.
 
-// keyedDB opens a fresh database holding files(/a, /b), every change it
-// sees recorded by its DML hook into *hooked.
+// keyedDB opens a fresh database holding files(/a, /b), indexed on mode,
+// every change it sees recorded by its DML hook into *hooked.
 func keyedDB(t *testing.T, hooked *[]string) *DB {
 	t.Helper()
 	db := NewDB(Options{Log: testLog(t), LockTimeout: 500 * time.Millisecond})
 	mustExec(t, db, `CREATE TABLE files (path VARCHAR PRIMARY KEY, mode VARCHAR NOT NULL, version INT NOT NULL, size FLOAT)`)
+	mustExec(t, db, `CREATE INDEX ON files (mode)`)
 	mustExec(t, db, `INSERT INTO files VALUES ('/a', 'rfd', 1, 1.5), ('/b', 'rdd', 2, NULL)`)
 	db.SetDMLHook(func(_ *Txn, tbl *Table, op DMLOp, old, new Row) error {
 		*hooked = append(*hooked, fmt.Sprint(tbl.Name, op, old, new))
@@ -29,23 +30,25 @@ func keyedDB(t *testing.T, hooked *[]string) *DB {
 	return db
 }
 
-// keyedChange is one change made as a statement and as typed operations.
+// keyedChange is one change made as a statement and as typed operations:
+// either way it hands the DML hook rows rows and holds locks row locks.
 type keyedChange struct {
-	name  string
-	sql   string
-	args  []Value
-	typed func(tx *Txn, tbl *Table) error
+	name        string
+	sql         string
+	args        []Value
+	rows, locks int
+	typed       func(tx *Txn, tbl *Table) error
 }
 
 var keyedChanges = []keyedChange{
 	{"TypedInsert", `INSERT INTO files (path, mode, version, size) VALUES (?, ?, ?, ?)`,
-		[]Value{Str("/c"), Str("rfd"), Int(0), Int(3)}, // the INT is coerced to the FLOAT column
+		[]Value{Str("/c"), Str("rfd"), Int(0), Int(3)}, 1, 1, // the INT is coerced to the FLOAT column
 		func(tx *Txn, tbl *Table) error {
 			_, err := tx.InsertRow(tbl, Row{Str("/c"), Str("rfd"), Int(0), Int(3)})
 			return err
 		}},
 	{"TypedUpdateByKey", `UPDATE files SET version = ? WHERE path = ?`,
-		[]Value{Int(7), Str("/a")},
+		[]Value{Int(7), Str("/a")}, 1, 1,
 		func(tx *Txn, tbl *Table) error {
 			id, row, found, err := tx.LockKey(tbl, Str("/a"), LockX)
 			if err != nil || !found {
@@ -56,13 +59,48 @@ var keyedChanges = []keyedChange{
 			return tx.UpdateRow(tbl, id, row)
 		}},
 	{"TypedDeleteByKey", `DELETE FROM files WHERE path = ?`,
-		[]Value{Str("/b")},
+		[]Value{Str("/b")}, 1, 1,
 		func(tx *Txn, tbl *Table) error {
 			found, err := tx.DeleteKey(tbl, Str("/b"))
 			if !found && err == nil {
 				err = errors.New("/b not found")
 			}
 			return err
+		}},
+	// The DLFM's schema and recovery run these typed: the DDL of its
+	// dlfm_files table, a drop of a table with rows and a secondary index,
+	// and a clear of a table by key.
+	{"TypedCreateTable", `CREATE TABLE dlfm_files (
+		path VARCHAR PRIMARY KEY,
+		mode VARCHAR NOT NULL,
+		recovery BOOLEAN NOT NULL,
+		token_ttl INT,
+		orig_uid INT NOT NULL,
+		orig_mode INT NOT NULL,
+		cur_version INT NOT NULL
+	)`, nil, 0, 0,
+		func(tx *Txn, _ *Table) error {
+			notNull := func(name string, k Kind) Column { return Column{Name: name, Kind: k, NotNull: true} }
+			return tx.CreateTable("dlfm_files", []Column{
+				{Name: "path", Kind: KindString, PrimaryKey: true, NotNull: true},
+				notNull("mode", KindString),
+				notNull("recovery", KindBool),
+				{Name: "token_ttl", Kind: KindInt},
+				notNull("orig_uid", KindInt),
+				notNull("orig_mode", KindInt),
+				notNull("cur_version", KindInt),
+			})
+		}},
+	{"TypedDropTable", `DROP TABLE files`, nil, 2, 0,
+		func(tx *Txn, _ *Table) error { return tx.DropTable("files") }},
+	{"TypedClearByKey", `DELETE FROM files`, nil, 2, 2,
+		func(tx *Txn, tbl *Table) error {
+			for _, key := range []string{"/a", "/b"} {
+				if found, err := tx.DeleteKey(tbl, Str(key)); err != nil || !found {
+					return fmt.Errorf("delete %s: found %v, %v", key, found, err)
+				}
+			}
+			return nil
 		}},
 }
 
@@ -80,10 +118,7 @@ func keyedRun(t *testing.T, db *DB, c keyedChange, typed bool) (*Txn, []wal.Reco
 		}
 		err = c.typed(tx, tbl)
 	} else {
-		var n int
-		if n, err = tx.Exec(c.sql, c.args...); err == nil && n != 1 {
-			err = fmt.Errorf("%d rows changed", n)
-		}
+		_, err = tx.Exec(c.sql, c.args...)
 	}
 	if err != nil {
 		t.Fatalf("%s (typed %v): %v", c.name, typed, err)
@@ -97,18 +132,23 @@ func keyedRun(t *testing.T, db *DB, c keyedChange, typed bool) (*Txn, []wal.Reco
 	return tx, recs, rowLocksHeld(db, tx)
 }
 
-// dumpFiles renders the table's rows with their ids.
-func dumpFiles(t *testing.T, db *DB) string {
-	t.Helper()
-	tbl, err := db.Table("files")
-	if err != nil {
-		t.Fatal(err)
-	}
+// dumpTables renders every table: its columns, which of them are indexed,
+// and its rows with their ids.
+func dumpTables(db *DB) string {
 	out := ""
-	tbl.Scan(func(id RowID, r Row) bool {
-		out += fmt.Sprintf("%d:%v ", id, r)
-		return true
-	})
+	for _, name := range db.TableNames() {
+		tbl, _ := db.Table(name)
+		out += fmt.Sprintf("%s%+v ", name, tbl.Columns)
+		for col := range tbl.Columns {
+			if tbl.HasIndex(col) {
+				out += fmt.Sprintf("index(%d) ", col)
+			}
+		}
+		tbl.Scan(func(id RowID, r Row) bool {
+			out += fmt.Sprintf("%d:%v ", id, r)
+			return true
+		})
+	}
 	return out
 }
 
@@ -117,17 +157,17 @@ func TestTypedOpsMatchTheirStatements(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			var sqlHooks, typedHooks []string
 			sqlDB, typedDB := keyedDB(t, &sqlHooks), keyedDB(t, &typedHooks)
-			seed := dumpFiles(t, sqlDB)
+			seed := dumpTables(sqlDB)
 
 			sqlTx, sqlRecs, sqlLocks := keyedRun(t, sqlDB, c, false)
 			typedTx, typedRecs, typedLocks := keyedRun(t, typedDB, c, true)
 			if len(typedRecs) == 0 || !reflect.DeepEqual(sqlRecs, typedRecs) {
 				t.Fatalf("log records differ:\nSQL   %+v\ntyped %+v", sqlRecs, typedRecs)
 			}
-			if sqlLocks != 1 || typedLocks != 1 {
-				t.Fatalf("row locks held before commit: SQL %d, typed %d, want 1 each", sqlLocks, typedLocks)
+			if sqlLocks != c.locks || typedLocks != c.locks {
+				t.Fatalf("row locks held before commit: SQL %d, typed %d, want %d each", sqlLocks, typedLocks, c.locks)
 			}
-			if !reflect.DeepEqual(sqlHooks, typedHooks) || len(typedHooks) != 1 {
+			if !reflect.DeepEqual(sqlHooks, typedHooks) || len(typedHooks) != c.rows {
 				t.Fatalf("DML hook calls differ:\nSQL   %v\ntyped %v", sqlHooks, typedHooks)
 			}
 			if err := sqlTx.Commit(); err != nil {
@@ -139,13 +179,15 @@ func TestTypedOpsMatchTheirStatements(t *testing.T) {
 			if n := rowLocksHeld(typedDB, typedTx); n != 0 {
 				t.Fatalf("%d row locks held after the commit", n)
 			}
-			want := dumpFiles(t, sqlDB)
-			if got := dumpFiles(t, typedDB); got != want || got == seed {
+			want := dumpTables(sqlDB)
+			if got := dumpTables(typedDB); got != want || got == seed {
 				t.Fatalf("tables differ after commit:\nSQL   %s\ntyped %s", want, got)
 			}
-			recovered, _ := recoverDB(t, typedDB)
-			if got := dumpFiles(t, recovered); got != want {
-				t.Fatalf("recovery of the typed change's log:\ngot  %s\nwant %s", got, want)
+			for _, db := range []*DB{sqlDB, typedDB} {
+				recovered, _ := recoverDB(t, db)
+				if got := dumpTables(recovered); got != want {
+					t.Fatalf("recovery of a change's log (typed %v):\ngot  %s\nwant %s", db == typedDB, got, want)
+				}
 			}
 
 			// An abort undoes the typed change as it does the statement's.
@@ -156,7 +198,7 @@ func TestTypedOpsMatchTheirStatements(t *testing.T) {
 				if err := tx.Abort(); err != nil {
 					t.Fatal(err)
 				}
-				if got := dumpFiles(t, db); got != seed {
+				if got := dumpTables(db); got != seed {
 					t.Fatalf("abort (typed %v) left %s, want %s", typed, got, seed)
 				}
 			}
@@ -173,7 +215,7 @@ func TestTypedOpsRefuseWhatTheirStatementsRefuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := dumpFiles(t, db)
+	seed := dumpTables(db)
 	insert := `INSERT INTO files (path, mode, version, size) VALUES (?, ?, ?, ?)`
 	for _, c := range []struct {
 		name string
@@ -223,7 +265,7 @@ func TestTypedOpsRefuseWhatTheirStatementsRefuse(t *testing.T) {
 			t.Fatalf("%s: SQL %v, typed %v; want both refused", c.name, sqlErr, typedErr)
 		}
 	}
-	if got := dumpFiles(t, db); got != seed {
+	if got := dumpTables(db); got != seed {
 		t.Fatalf("refused changes left %s, want %s", got, seed)
 	}
 }

@@ -351,28 +351,6 @@ func (lm *LockManager) noteCollision() {
 	}
 }
 
-// TryAcquire is the NOWAIT variant: it errors immediately on conflict.
-func (lm *LockManager) TryAcquire(txn uint64, target LockTarget, mode LockMode) error {
-	sh := lm.shardOf(target)
-	sh.mu.Lock()
-	st := sh.state(target)
-	i := st.holder(txn)
-	if i >= 0 && (st.holders[i].mode == LockX || st.holders[i].mode == mode) {
-		sh.mu.Unlock()
-		return nil
-	}
-	if !st.compatible(txn, mode) {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: txn %d needs %s %s", ErrLockTimeout, txn, mode, target)
-	}
-	st.grant(i, txn, mode)
-	sh.mu.Unlock()
-	if i < 0 {
-		lm.recordHeld(txn, target)
-	}
-	return nil
-}
-
 // ReleaseAll drops every lock txn holds (end of strict 2PL), waking only the
 // transactions queued on those targets.
 func (lm *LockManager) ReleaseAll(txn uint64) {

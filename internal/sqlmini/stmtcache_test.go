@@ -143,52 +143,61 @@ func TestWarmStatementAllocBudget(t *testing.T) {
 }
 
 // sqlSeeds collects string literals from Go source files: every one in
-// parser_test.go (the parser tests' good and bad statements), and from the
-// two packages that talk SQL to this one, those that start like a statement
-// (callers holds these). Then it adds repoStatements.
+// parser_test.go (the parser tests' good and bad statements), and those of
+// the engine that start like a statement (callers holds these). Then it adds
+// repoStatements.
 func sqlSeeds(t testing.TB) (seeds, callers []string) {
-	keywords := []string{"SELECT", "INSERT", "UPDATE", "DELETE", "CREATE", "DROP"}
-	for _, src := range []struct {
-		glob    string
-		sqlOnly bool
-	}{{"parser_test.go", false}, {"../dlfm/*.go", true}, {"../engine/*.go", true}} {
-		files, err := filepath.Glob(src.glob)
-		if err != nil || len(files) == 0 {
-			t.Fatalf("%s: no files (%v)", src.glob, err)
-		}
-		for _, file := range files {
-			if src.sqlOnly && strings.HasSuffix(file, "_test.go") {
-				continue
-			}
-			f, err := goparser.ParseFile(token.NewFileSet(), file, nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				lit, ok := n.(*ast.BasicLit)
-				if !ok || lit.Kind != token.STRING {
-					return true
-				}
-				s, err := strconv.Unquote(lit.Value)
-				if err != nil {
-					return true
-				}
-				first, _, _ := strings.Cut(strings.TrimSpace(s), " ")
-				isSQL := false
-				for _, k := range keywords {
-					isSQL = isSQL || first == k
-				}
-				if isSQL || !src.sqlOnly {
-					seeds = append(seeds, s)
-				}
-				if isSQL && src.sqlOnly {
-					callers = append(callers, s)
-				}
-				return true
-			})
-		}
-	}
+	seeds, _, _ = goStrings(t, "parser_test.go", false)
+	_, callers, _ = goStrings(t, "../engine/*.go", true)
+	seeds = append(seeds, callers...)
 	return append(seeds, repoStatements...), callers
+}
+
+// goStrings parses the Go files glob matches, test files too unless
+// noTests, and returns their string literals, those of them that start like
+// a statement, and the SQL entry points (Exec, Query, QueryRow, QueryValue,
+// MustExec) they call.
+func goStrings(t testing.TB, glob string, noTests bool) (lits, stmts, calls []string) {
+	keywords := []string{"SELECT", "INSERT", "UPDATE", "DELETE", "CREATE", "DROP"}
+	entry := map[string]bool{"Exec": true, "Query": true, "QueryRow": true, "QueryValue": true, "MustExec": true}
+	files, err := filepath.Glob(glob)
+	if err != nil || len(files) == 0 {
+		t.Fatalf("%s: no files (%v)", glob, err)
+	}
+	for _, file := range files {
+		if noTests && strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := goparser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && entry[sel.Sel.Name] {
+					calls = append(calls, fmt.Sprintf("%s: %s", filepath.Base(file), sel.Sel.Name))
+				}
+			}
+			lit, ok := n.(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return true
+			}
+			s, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				return true
+			}
+			lits = append(lits, s)
+			first, _, _ := strings.Cut(strings.TrimSpace(s), " ")
+			for _, k := range keywords {
+				if first == k {
+					stmts = append(stmts, s)
+					break
+				}
+			}
+			return true
+		})
+	}
+	return lits, stmts, calls
 }
 
 // repoStatements are the point statements the DLFM repository and the
@@ -214,14 +223,15 @@ var repoStatements = []string{
 	`UPDATE docs SET doc_size = ?, doc_mtime = ? WHERE doc = ?`,
 }
 
-// The extraction finds the statements internal/dlfm and internal/engine
-// still hold as text — the repository's DDL and recovery's whole-table
-// delete — and every one of them parses.
+// Non-test internal/dlfm holds no statement text and calls no SQL entry
+// point: its repository is declared in Go and changed by typed operations
+// only. Every statement the engine holds parses, and so do the seeds.
 func TestSQLSeedsCoverTheCallers(t *testing.T) {
-	seeds, callers := sqlSeeds(t)
-	if len(callers) < 6 {
-		t.Fatalf("%d statements found in the callers, want the repository's 4 CREATE TABLEs, its DROP TABLE and its DELETE; the extraction lost them", len(callers))
+	_, stmts, calls := goStrings(t, "../dlfm/*.go", true)
+	if len(stmts)+len(calls) != 0 {
+		t.Fatalf("internal/dlfm holds SQL: statements %q, calls %q", stmts, calls)
 	}
+	seeds, callers := sqlSeeds(t)
 	for _, s := range callers {
 		if _, err := Parse(s); err != nil {
 			t.Errorf("a caller's statement does not parse: %v\n%s", err, s)
@@ -271,6 +281,32 @@ func FuzzParse(f *testing.F) {
 	f.Add(`INSERT INTO journal (id, repo_txn, host_txn, action, path, orig_uid, orig_mode, recovery)
 		 VALUES (?, ?, ?, ?, ?, ?, ?, ?)`)
 	f.Add(`DELETE FROM journal WHERE host_txn = ?`)
+	// The statements the DLFM ran as text before its schema was declared in
+	// Go and recovery's drop and clear became typed: its four tables' DDL,
+	// the retired journal's drop and the pending table's clear.
+	f.Add(`CREATE TABLE dlfm_files (
+		path VARCHAR PRIMARY KEY,
+		mode VARCHAR NOT NULL,
+		recovery BOOLEAN NOT NULL,
+		token_ttl INT,
+		orig_uid INT NOT NULL,
+		orig_mode INT NOT NULL,
+		cur_version INT NOT NULL
+	)`)
+	f.Add(`CREATE TABLE dlfm_updates (path VARCHAR PRIMARY KEY, open_id INT NOT NULL)`)
+	f.Add(`CREATE TABLE dlfm_pending_archive (path VARCHAR PRIMARY KEY, version INT NOT NULL, state_id INT NOT NULL)`)
+	f.Add(`CREATE TABLE dlfm_replicas (
+		path VARCHAR PRIMARY KEY,
+		mode VARCHAR NOT NULL,
+		recovery BOOLEAN NOT NULL,
+		token_ttl INT,
+		orig_uid INT NOT NULL,
+		orig_mode INT NOT NULL,
+		cur_version INT NOT NULL,
+		mtime_ns INT NOT NULL
+	)`)
+	f.Add(`DROP TABLE dlfm_txns`)
+	f.Add(`DELETE FROM dlfm_pending_archive`)
 	// The point statements of repoStatements with literals in place of some
 	// placeholders — negative numbers, quoted paths, a literal bound in the
 	// replica's version guard — and the engine's metadata UPDATE as the

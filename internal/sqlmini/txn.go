@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -89,7 +90,7 @@ type DB struct {
 
 	hookMu  sync.RWMutex
 	dmlHook DMLHook
-	fns     map[string]ScalarFn
+	fns     map[string]ScalarFn // RegisterFn's, looked up before builtinFns
 
 	stmts stmtCache
 }
@@ -131,7 +132,6 @@ func NewDB(opts Options) *DB {
 		clock:     opts.Clock,
 		active:    make(map[uint64]*Txn),
 		committed: make(map[uint64]struct{}),
-		fns:       make(map[string]ScalarFn),
 		dir:       opts.Dir,
 		ckptBytes: opts.CheckpointBytes,
 	}
@@ -152,7 +152,6 @@ func NewDB(opts Options) *DB {
 			opts.Metrics.Counter("sqlmini.lock.shard_collisions"),
 		)
 	}
-	registerBuiltins(db)
 	return db
 }
 
@@ -167,13 +166,20 @@ func (db *DB) SetDMLHook(h DMLHook) {
 func (db *DB) RegisterFn(name string, fn ScalarFn) {
 	db.hookMu.Lock()
 	defer db.hookMu.Unlock()
+	if db.fns == nil {
+		db.fns = make(map[string]ScalarFn)
+	}
 	db.fns[normalizeFnName(name)] = fn
 }
 
 func (db *DB) scalarFn(name string) (ScalarFn, bool) {
 	db.hookMu.RLock()
 	defer db.hookMu.RUnlock()
-	fn, ok := db.fns[normalizeFnName(name)]
+	name = normalizeFnName(name)
+	if fn, ok := db.fns[name]; ok {
+		return fn, true
+	}
+	fn, ok := builtinFns[name]
 	return fn, ok
 }
 
@@ -182,9 +188,6 @@ func (db *DB) Log() *wal.Log { return db.log }
 
 // LockManager exposes the lock manager for wait statistics.
 func (db *DB) LockManager() *LockManager { return db.lm }
-
-// Clock returns the database clock.
-func (db *DB) Clock() func() time.Time { return db.clock }
 
 // StateID returns the current database state identifier — the durable tail
 // LSN. Archived file versions are tagged with it (§4.4).
@@ -267,12 +270,6 @@ func (t *Txn) readOnly() bool { return !t.begun && len(t.xrms) == 0 }
 
 // ID returns the transaction identifier.
 func (t *Txn) ID() uint64 { return t.id }
-
-// DB returns the owning database.
-func (t *Txn) DB() *DB { return t.db }
-
-// State returns the current transaction state.
-func (t *Txn) State() TxnState { return t.state }
 
 // CommitLSN returns the LSN of the transaction's commit record once it has
 // committed: the first database state that includes its changes, which the
@@ -561,19 +558,38 @@ func (t *Txn) undoFailed(err error) {
 	}
 }
 
-// readLockRow takes a shared lock for reads within the transaction.
-func (t *Txn) readLockRow(table string, id RowID) error {
-	return t.lockRow(table, id, LockS)
-}
-
-// createTable performs logged DDL.
-func (t *Txn) createTable(name string, cols []Column) error {
+// CreateTable creates table name with columns cols, logged as the
+// CREATE TABLE statement that declares them is: a duplicate column name, a
+// second PRIMARY KEY and an invalid DATALINK mode are refused. The table
+// keeps its own copy of cols.
+func (t *Txn) CreateTable(name string, cols []Column) error {
 	if t.state != TxnActive {
 		return errTxnDone
+	}
+	seen := make(map[string]bool, len(cols))
+	pk := 0
+	for _, c := range cols {
+		key := strings.ToLower(c.Name)
+		if seen[key] {
+			return fmt.Errorf("sqlmini: duplicate column %q", c.Name)
+		}
+		seen[key] = true
+		if c.PrimaryKey {
+			pk++
+		}
+		if c.Kind == KindLink && !c.DL.Mode.Valid() {
+			return fmt.Errorf("sqlmini: invalid DATALINK mode on column %q", c.Name)
+		}
+	}
+	if pk > 1 {
+		return fmt.Errorf("sqlmini: at most one PRIMARY KEY column supported")
 	}
 	if err := t.lockTable(name, LockX); err != nil {
 		return err
 	}
+	// The caller's slice may be a cached statement's, shared with every
+	// other execution of the same text.
+	cols = append([]Column(nil), cols...)
 	if _, err := t.db.cat.create(name, cols); err != nil {
 		return err
 	}
@@ -611,14 +627,14 @@ func (t *Txn) createIndex(tbl *Table, col string) error {
 	return nil
 }
 
-// dropTable performs logged DDL. Each row goes first, through the DML hook
-// as DeleteRow's does, logged as a delete with its before image, then each
-// secondary index as a dropped index, so undoing the drop — an abort, or
-// recovery undoing a loser — recreates the table, its indexes and its rows.
-// Every change is made before it is logged and put back if the append fails,
-// so the table always matches the logged prefix an abort undoes; a hook that
-// refuses a row fails the drop there.
-func (t *Txn) dropTable(name string) error {
+// DropTable drops table name, logged as DROP TABLE is. Each row goes first,
+// through the DML hook as DeleteRow's does, logged as a delete with its
+// before image, then each secondary index as a dropped index, so undoing the
+// drop — an abort, or recovery undoing a loser — recreates the table, its
+// indexes and its rows. Every change is made before it is logged and put
+// back if the append fails, so the table always matches the logged prefix an
+// abort undoes; a hook that refuses a row fails the drop there.
+func (t *Txn) DropTable(name string) error {
 	if t.state != TxnActive {
 		return errTxnDone
 	}

@@ -237,18 +237,6 @@ func TestLockManagerUpgradeBlockedByOtherReader(t *testing.T) {
 	}
 }
 
-func TestTryAcquireNowait(t *testing.T) {
-	lm := NewLockManager(time.Second)
-	target := LockTarget{Table: "t", Row: 1}
-	lm.Acquire(1, target, LockX)
-	if err := lm.TryAcquire(2, target, LockS); !errors.Is(err, ErrLockTimeout) {
-		t.Fatalf("try against X = %v", err)
-	}
-	if err := lm.TryAcquire(1, target, LockX); err != nil {
-		t.Fatalf("re-try own lock: %v", err)
-	}
-}
-
 func TestDeadlockResolvedByTimeout(t *testing.T) {
 	db := NewDB(Options{Log: testLog(t), LockTimeout: 200 * time.Millisecond})
 	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v INT)`)

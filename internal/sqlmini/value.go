@@ -7,6 +7,11 @@
 // managers — the hook DLFM plugs into so link/unlink and file-update
 // transactions share the host transaction's fate (§2.2 of the paper).
 //
+// The DLFM's repository is a DB too, but runs no SQL: its schema and every
+// change are typed operations (Txn.CreateTable, DropTable, LockKey,
+// InsertRow, UpdateRow, DeleteKey), the code SQL DDL and DML run through,
+// so they log what their statements log.
+//
 // Hot data is served in place, not copied per access. A row installed in a
 // Table is never written again, so reads (Table.Get, Table.Scan, the
 // executor, the checkpoint image) share the installed slice; an UPDATE
@@ -202,12 +207,6 @@ func compareJoined(a1, a2, b1, b2 string) int {
 }
 
 var errNullCompare = fmt.Errorf("sqlmini: NULL comparison")
-
-// Equal reports strict equality (NULL never equals anything).
-func Equal(a, b Value) bool {
-	c, err := Compare(a, b)
-	return err == nil && c == 0
-}
 
 // CoerceTo converts v to the column kind where the SQL standard allows it
 // (int ↔ float, string → link). It returns an error for lossy or nonsense

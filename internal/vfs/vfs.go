@@ -13,6 +13,10 @@
 // §4.1 that saves the lookup's round trip; the token entry is still recorded
 // for other processes of the same uid.
 //
+// FileSystem is the one interface a mounted file system implements. Its
+// interposed entry points (FsLookup, FsOpen, FsClose) take the request
+// context, which carries the trace span into DLFS's upcalls.
+//
 // The LFS implements the syscall surface applications use (Open, Read, Write,
 // Close, ...) on top of any FileSystem: it decomposes open() into
 // FsLookup + file-descriptor allocation + FsOpen, and keeps the system
@@ -40,14 +44,14 @@ type OpenFile interface{}
 type FileSystem interface {
 	// FsLookup resolves name (which may carry an embedded access token) to a
 	// node. It is called before FsOpen and does not know the access mode.
-	FsLookup(cred fs.Cred, name string) (Node, error)
+	FsLookup(ctx context.Context, cred fs.Cred, name string) (Node, error)
 	// FsOpen opens a previously looked-up node with the given access mode.
 	// It does not receive the name — the decoupling of §4.1; what lookup
 	// learned from the name travels on the node.
-	FsOpen(cred fs.Cred, node Node, mode fs.AccessMode) (OpenFile, error)
+	FsOpen(ctx context.Context, cred fs.Cred, node Node, mode fs.AccessMode) (OpenFile, error)
 	// FsClose releases an open. For DLFS this is where update transactions
 	// commit.
-	FsClose(cred fs.Cred, node Node, of OpenFile) error
+	FsClose(ctx context.Context, cred fs.Cred, node Node, of OpenFile) error
 	// FsRead and FsWrite transfer data. DataLinks deliberately does NOT
 	// interpose on these (performance, §3.2), but they are part of the
 	// interface so a per-write-transaction ablation can.
@@ -65,16 +69,6 @@ type FileSystem interface {
 	FsLockctl(node Node, owner string, op fs.LockOp, block bool) error
 	// FsReaddir lists a directory.
 	FsReaddir(cred fs.Cred, name string) ([]string, error)
-}
-
-// CtxFileSystem is implemented by file systems whose interposed entry
-// points accept a request context — the carrier for trace spans. The LFS
-// upgrades to it when available; plain FileSystem implementations keep
-// working untraced (the same pattern as upcall.CtxService).
-type CtxFileSystem interface {
-	FsLookupCtx(ctx context.Context, cred fs.Cred, name string) (Node, error)
-	FsOpenCtx(ctx context.Context, cred fs.Cred, node Node, mode fs.AccessMode) (OpenFile, error)
-	FsCloseCtx(ctx context.Context, cred fs.Cred, node Node, of OpenFile) error
 }
 
 // Errors of the LFS layer.
@@ -149,17 +143,10 @@ func (l *LFS) Open(cred fs.Cred, name string, mode fs.AccessMode) (FD, error) {
 	return l.OpenCtx(context.Background(), cred, name, mode)
 }
 
-// OpenCtx is Open under a request context, threading it through to a
-// CtxFileSystem's lookup and open hooks (trace propagation).
+// OpenCtx is Open under a request context, threading it through to the
+// file system's lookup and open (trace propagation).
 func (l *LFS) OpenCtx(ctx context.Context, cred fs.Cred, name string, mode fs.AccessMode) (FD, error) {
-	cfs, hasCtx := l.fsys.(CtxFileSystem)
-	var node Node
-	var err error
-	if hasCtx {
-		node, err = cfs.FsLookupCtx(ctx, cred, name)
-	} else {
-		node, err = l.fsys.FsLookup(cred, name)
-	}
+	node, err := l.fsys.FsLookup(ctx, cred, name)
 	if err != nil {
 		return -1, fmt.Errorf("open %s: %w", name, err)
 	}
@@ -171,12 +158,7 @@ func (l *LFS) OpenCtx(ctx context.Context, cred fs.Cred, name string, mode fs.Ac
 	sh.table[fd] = entry
 	sh.mu.Unlock()
 
-	var of OpenFile
-	if hasCtx {
-		of, err = cfs.FsOpenCtx(ctx, cred, node, mode)
-	} else {
-		of, err = l.fsys.FsOpen(cred, node, mode)
-	}
+	of, err := l.fsys.FsOpen(ctx, cred, node, mode)
 	if err != nil {
 		sh.mu.Lock()
 		delete(sh.table, fd)
@@ -212,8 +194,8 @@ func (l *LFS) Close(fd FD) error {
 	return l.CloseCtx(context.Background(), fd)
 }
 
-// CloseCtx is Close under a request context, threading it through to a
-// CtxFileSystem's close hook (where update transactions commit).
+// CloseCtx is Close under a request context, threading it through to the
+// file system's close (where update transactions commit).
 func (l *LFS) CloseCtx(ctx context.Context, fd FD) error {
 	sh := l.shard(fd)
 	sh.mu.Lock()
@@ -225,10 +207,7 @@ func (l *LFS) CloseCtx(ctx context.Context, fd FD) error {
 	if !ok {
 		return ErrBadFD
 	}
-	if cfs, hasCtx := l.fsys.(CtxFileSystem); hasCtx {
-		return cfs.FsCloseCtx(ctx, e.cred, e.node, e.of)
-	}
-	return l.fsys.FsClose(e.cred, e.node, e.of)
+	return l.fsys.FsClose(ctx, e.cred, e.node, e.of)
 }
 
 // Read reads up to len(p) bytes at the descriptor's current offset.
@@ -385,12 +364,12 @@ func NewPassthrough(phys *fs.FS) *Passthrough { return &Passthrough{Phys: phys} 
 var _ FileSystem = (*Passthrough)(nil)
 
 // FsLookup resolves the name on the physical file system.
-func (p *Passthrough) FsLookup(cred fs.Cred, name string) (Node, error) {
+func (p *Passthrough) FsLookup(_ context.Context, _ fs.Cred, name string) (Node, error) {
 	return p.Phys.Lookup(name)
 }
 
 // FsOpen performs the physical permission check.
-func (p *Passthrough) FsOpen(cred fs.Cred, node Node, mode fs.AccessMode) (OpenFile, error) {
+func (p *Passthrough) FsOpen(_ context.Context, cred fs.Cred, node Node, mode fs.AccessMode) (OpenFile, error) {
 	ino := node.(*fs.Inode)
 	if err := p.Phys.OpenCheck(ino, cred, mode); err != nil {
 		return nil, err
@@ -399,7 +378,7 @@ func (p *Passthrough) FsOpen(cred fs.Cred, node Node, mode fs.AccessMode) (OpenF
 }
 
 // FsClose is a no-op for the native file system.
-func (p *Passthrough) FsClose(cred fs.Cred, node Node, of OpenFile) error { return nil }
+func (p *Passthrough) FsClose(context.Context, fs.Cred, Node, OpenFile) error { return nil }
 
 // FsRead reads through to the physical file.
 func (p *Passthrough) FsRead(node Node, of OpenFile, off int64, buf []byte) (int, error) {

@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -156,7 +157,7 @@ func TestStatRemoveRenameForwarding(t *testing.T) {
 func TestLockctlThroughVFS(t *testing.T) {
 	lfs, phys := newLFS(t)
 	phys.WriteFile("/data/f", []byte("x"))
-	node, err := lfs.Mounted().FsLookup(alice, "/data/f")
+	node, err := lfs.Mounted().FsLookup(context.Background(), alice, "/data/f")
 	if err != nil {
 		t.Fatalf("lookup: %v", err)
 	}
